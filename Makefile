@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify bench bench-curve bench-gate chaos soak recycle-soak fleet-soak serve-smoke
+.PHONY: build test vet race verify fuzz bench bench-ab bench-curve bench-gate chaos soak recycle-soak fleet-soak serve-smoke
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,16 @@ race:
 
 # Tier-1 verification recipe (see ROADMAP.md).
 verify: build vet test race
+
+# Native fuzz targets on a short budget each (go test takes one -fuzz
+# target per package run). A crasher lands in the package's
+# testdata/fuzz/<target>/ — commit it: plain `go test` replays it from
+# then on.
+FUZZTIME ?= 10s
+
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime $(FUZZTIME) ./internal/netstack
+	$(GO) test -run '^$$' -fuzz '^FuzzVLANReshape$$' -fuzztime $(FUZZTIME) ./internal/netstack
 
 # Chaos soak: the Botfarm demo under the "soak" fault profile (≥5% loss,
 # reorder/dup/corruption, link flaps, a CS crash, verdict stalls, a sink
@@ -87,6 +97,20 @@ bench:
 		| $(GO) run ./scripts/benchjson -label recycle -out $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench LockdownEscalation -benchmem -benchtime 3x . \
 		| $(GO) run ./scripts/benchjson -label lockdown -out $(BENCH_OUT)
+
+# A/B the GQ benchmark (bench/, BENCHMARK.json) against a parent revision:
+# the parent's committed files are extracted to a temporary directory and
+# both sides run as $(AB_PAIRS) alternating pairs of `go run ./bench -json`,
+# then `go run ./bench -compare` prints medians, worst-case deltas against
+# the bounds, spreads, and "simulation identical" per workload and seed.
+#   make bench-ab PARENT=HEAD~1 AB_WORKLOADS=bulk_dense,bulk_proxy
+AB_PAIRS     ?= 10
+AB_WORKLOADS ?=
+AB_SECONDS   ?= 3
+
+bench-ab:
+	@test -n "$(PARENT)" || { echo "usage: make bench-ab PARENT=<rev> [AB_PAIRS=10] [AB_WORKLOADS=a,b] [AB_SECONDS=3]" >&2; exit 2; }
+	./scripts/bench_ab.sh "$(PARENT)" "$(AB_PAIRS)" "$(AB_WORKLOADS)" "$(AB_SECONDS)"
 
 # Scaling curve: the dense sharded farm (serial vs sharded vs external
 # shards) and the parallel gateway datapath at 1, 2, and 4 CPUs,

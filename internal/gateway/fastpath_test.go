@@ -2,12 +2,16 @@ package gateway_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
+	"gq/internal/containment"
 	"gq/internal/gateway"
+	"gq/internal/host"
 	"gq/internal/netsim"
 	"gq/internal/netstack"
+	"gq/internal/shim"
 )
 
 // expectPanic reports whether fn panicked.
@@ -198,5 +202,87 @@ func TestFlowSupersedeFreshSYN(t *testing.T) {
 			t.Fatalf("forwarded SYN %d differs from reference:\n got %x\nwant %x",
 				i, toCS[i], want)
 		}
+	}
+}
+
+// arrayEnd identifies the backing array a frame lives in, whatever header
+// room has been consumed or given back in front of and behind it.
+func arrayEnd(b []byte) *byte {
+	b = b[:cap(b)]
+	return &b[len(b)-1]
+}
+
+// Once a flow is spliced, an initiator's segment stays in the buffer its
+// sender serialised it into all the way across the farm: tagged in place at
+// the access port, NAT-rewritten and untagged in place by the gateway (no
+// re-serialisation, no re-summed payload), tagged and untagged again by the
+// Internet switch. The responder's segments do the same up to the gateway,
+// whose relay toward the initiator (Flow.sendToInitiator) still builds a
+// fresh packet — so the inbound check stops there.
+func TestSplicedSegmentKeepsOneBufferAcrossTheFarm(t *testing.T) {
+	tb := newTestbed(t, 44)
+	tb.cs.SetFallback(policyFunc{"AllowAll", func(req *shim.Request) containment.Decision {
+		return containment.Decision{Verdict: shim.Forward}
+	}})
+	up := strings.Repeat("SPLICED-UP ", 100)
+	down := strings.Repeat("SPLICED-DOWN ", 100)
+
+	// Where each marked segment was seen, by backing array.
+	type sighting struct{ inmateSw, upstream, internetSw *byte }
+	seen := map[string]*sighting{up: {}, down: {}}
+	marked := func(f []byte) *sighting {
+		p, err := netstack.ParseFrame(f)
+		if err != nil || p.TCP == nil {
+			return nil
+		}
+		return seen[string(p.Payload)]
+	}
+	tb.inSw.AddTap(func(f []byte) {
+		if s := marked(f); s != nil {
+			s.inmateSw = arrayEnd(f)
+		}
+	})
+	tb.gw.AddUpstreamTap(func(f []byte) {
+		if s := marked(f); s != nil {
+			s.upstream = arrayEnd(f)
+		}
+	})
+	tb.extSw.AddTap(func(f []byte) {
+		if s := marked(f); s != nil {
+			s.internetSw = arrayEnd(f)
+		}
+	})
+
+	var serverGot, inmateGot string
+	ext := tb.addExternal(t, "cc", netstack.MustParseAddr("198.51.100.7"))
+	ext.Listen(80, func(c *host.Conn) {
+		c.OnData = func(d []byte) {
+			if serverGot += string(d); strings.HasSuffix(serverGot, up) {
+				c.Write([]byte(down))
+			}
+		}
+	})
+	c := tb.inmate.Dial(netstack.MustParseAddr("198.51.100.7"), 80)
+	c.OnConnect = func() { c.Write([]byte("HELLO")) }
+	c.OnData = func(d []byte) { inmateGot += string(d) }
+	tb.sim.RunFor(5 * time.Second) // verdict applied, flow spliced
+	c.Write([]byte(up))
+	tb.sim.RunFor(5 * time.Second)
+
+	if serverGot != "HELLO"+up || inmateGot != down {
+		t.Fatalf("transfer incomplete: server got %d bytes, inmate got %d", len(serverGot), len(inmateGot))
+	}
+	for name, s := range map[string]*sighting{"outbound": seen[up], "inbound": seen[down]} {
+		if s.inmateSw == nil || s.upstream == nil || s.internetSw == nil {
+			t.Fatalf("%s segment not seen at every tap: %+v", name, s)
+		}
+	}
+	if s := seen[up]; s.inmateSw != s.upstream || s.upstream != s.internetSw {
+		t.Errorf("outbound segment changed buffers on its way (inmate switch %p, gateway upstream %p, internet switch %p)",
+			s.inmateSw, s.upstream, s.internetSw)
+	}
+	if s := seen[down]; s.internetSw != s.upstream {
+		t.Errorf("inbound segment changed buffers before the gateway (internet switch %p, gateway upstream %p)",
+			s.internetSw, s.upstream)
 	}
 }

@@ -25,10 +25,24 @@ const (
 	arpMaxRetries    = 3
 )
 
+// ipHeadroom is the room a transport layer leaves in front of its segment
+// for the link and IP headers, which emitIP completes in the same buffer.
+const ipHeadroom = netstack.EthHeaderLen + netstack.IPv4HeaderLen
+
+// newIPFrame returns the buffer one originated datagram is serialised into,
+// once: its length covers the (still blank) link and IP headers, and its
+// capacity takes a transport segment of segLen bytes appended behind them
+// plus the tail room an access port needs to tag the frame in place.
+func newIPFrame(segLen int) []byte {
+	return make([]byte, ipHeadroom, ipHeadroom+segLen+netstack.VLANTagLen)
+}
+
+// pendingIP is a frame from newIPFrame, transport segment in place,
+// waiting for its next hop's MAC address.
 type pendingIP struct {
-	proto   uint8
-	payload []byte
-	dst     netstack.Addr
+	proto uint8
+	frame []byte
+	dst   netstack.Addr
 }
 
 // Host is a simulated machine with one NIC.
@@ -301,11 +315,12 @@ func (h *Host) ListenUDPAny(recv func(dstPort uint16, src netstack.Addr, srcPort
 	h.anyUDP = recv
 }
 
-// sendIP routes and transmits an IP payload, resolving the next hop via
-// ARP and queueing while resolution is in flight.
-func (h *Host) sendIP(dst netstack.Addr, proto uint8, payload []byte) {
+// sendIP routes and transmits an IP datagram, resolving the next hop via
+// ARP and queueing while resolution is in flight. frame comes from
+// newIPFrame with the transport segment appended; the host gives it up.
+func (h *Host) sendIP(dst netstack.Addr, proto uint8, frame []byte) {
 	if dst.IsBroadcast() {
-		h.emitIP(netstack.BroadcastMAC, dst, proto, payload)
+		h.emitIP(netstack.BroadcastMAC, dst, proto, frame)
 		return
 	}
 	nexthop := dst
@@ -316,10 +331,10 @@ func (h *Host) sendIP(dst netstack.Addr, proto uint8, payload []byte) {
 		nexthop = h.gw
 	}
 	if mac, ok := h.arpCache[nexthop]; ok {
-		h.emitIP(mac, dst, proto, payload)
+		h.emitIP(mac, dst, proto, frame)
 		return
 	}
-	h.arpPending[nexthop] = append(h.arpPending[nexthop], pendingIP{proto: proto, payload: payload, dst: dst})
+	h.arpPending[nexthop] = append(h.arpPending[nexthop], pendingIP{proto: proto, frame: frame, dst: dst})
 	if _, inflight := h.arpRetry[nexthop]; !inflight {
 		h.startARP(nexthop, 0)
 	}
@@ -362,25 +377,23 @@ func (h *Host) flushARPPending(addr netstack.Addr) {
 	delete(h.arpPending, addr)
 	mac := h.arpCache[addr]
 	for _, q := range queued {
-		h.emitIP(mac, q.dst, q.proto, q.payload)
+		h.emitIP(mac, q.dst, q.proto, q.frame)
 	}
 }
 
-func (h *Host) emitIP(dstMAC netstack.MAC, dst netstack.Addr, proto uint8, payload []byte) {
+// emitIP completes the link and IP headers in front of the transport
+// segment frame already holds and hands the buffer to the NIC: the
+// datagram is never copied between the transport layer and the wire.
+func (h *Host) emitIP(dstMAC netstack.MAC, dst netstack.Addr, proto uint8, frame []byte) {
 	h.ipID++
-	p := &netstack.Packet{
-		Eth: netstack.Ethernet{Dst: dstMAC, Src: h.mac, EtherType: netstack.EtherTypeIPv4},
-		IP: &netstack.IPv4{
-			ID: h.ipID, TTL: netstack.DefaultTTL, Protocol: proto,
-			Src: h.addr, Dst: dst,
-		},
-		Payload: payload,
+	eth := netstack.Ethernet{Dst: dstMAC, Src: h.mac, EtherType: netstack.EtherTypeIPv4}
+	eth.Marshal(frame[:0])
+	ip := netstack.IPv4{
+		ID: h.ipID, TTL: netstack.DefaultTTL, Protocol: proto,
+		Src: h.addr, Dst: dst,
 	}
-	// payload already contains the marshalled transport segment; marshal
-	// the IP layer directly around it.
-	buf := p.Eth.Marshal(make([]byte, 0, p.Eth.HeaderLen()+netstack.IPv4HeaderLen+len(payload)))
-	buf = p.IP.Marshal(buf, payload)
-	h.nic.Send(buf)
+	ip.PutHeader(frame[netstack.EthHeaderLen:], len(frame)-ipHeadroom)
+	h.nic.SendOwned(frame)
 }
 
 // ephemeralSpan is the size of the ephemeral port range [32768, 65536):
@@ -444,10 +457,9 @@ func (s *UDPSock) Port() uint16 { return s.port }
 // SendTo transmits a datagram.
 func (s *UDPSock) SendTo(dst netstack.Addr, dstPort uint16, data []byte) {
 	u := netstack.UDP{SrcPort: s.port, DstPort: dstPort}
-	src := s.host.addr
-	seg := u.Marshal(nil, src, dst, data)
+	frame := u.Marshal(newIPFrame(netstack.UDPHeaderLen+len(data)), s.host.addr, dst, data)
 	s.TxDatagrams++
-	s.host.sendIP(dst, netstack.ProtoUDP, seg)
+	s.host.sendIP(dst, netstack.ProtoUDP, frame)
 }
 
 // Close unbinds the socket.

@@ -1,0 +1,202 @@
+package host
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"gq/internal/netsim"
+	"gq/internal/netstack"
+	"gq/internal/sim"
+)
+
+// Buffer-ownership tests for the single-buffer emit path: a segment is
+// serialised once into a frame the host gives up to its NIC, so nothing the
+// link does to that frame may reach back into the connection's send buffer,
+// and frames parked behind ARP resolution must leave complete.
+
+// TestImpairedLinkNeverAltersSndBuf corrupts every frame a sender emits
+// (keeping about half alive through an intact duplicate, so the transfer
+// still needs retransmissions) and checks that what is retransmitted — and
+// so what the receiver finally assembles — is the original bytes: the
+// in-flight frame never aliased sndBuf.
+func TestImpairedLinkNeverAltersSndBuf(t *testing.T) {
+	s := sim.New(11)
+	a, b := pair(t, s)
+	warmARP(t, s, a, b)
+	var got []byte
+	if err := b.Listen(80, func(c *Conn) {
+		c.OnData = func(d []byte) { got = append(got, d...) }
+	}); err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 20*MSS+123)
+	for i := range data {
+		data[i] = byte(i*31 + i>>8)
+	}
+	c := a.Dial(b.Addr(), 80)
+	s.RunFor(time.Second)
+	if c.State() != StateEstablished {
+		t.Fatalf("state %v before the impaired phase", c.State())
+	}
+	a.NIC().Impair(netsim.Impairment{Dup: 0.5, Corrupt: 1})
+	c.Write(data)
+	s.RunFor(3 * time.Second)
+	if len(c.sndBuf) == 0 {
+		t.Fatal("impairment too mild: everything was acknowledged without a retransmission")
+	}
+	if unacked := data[len(data)-len(c.sndBuf):]; !bytes.Equal(c.sndBuf, unacked) {
+		t.Fatalf("sndBuf altered while its frames were corrupted in flight (first diff at %d)", firstDiff(c.sndBuf, unacked))
+	}
+	a.NIC().Impair(netsim.Impairment{})
+	s.RunFor(2 * time.Minute)
+	if !bytes.Equal(got, data) {
+		t.Fatalf("receiver assembled %d bytes, first diff at %d: retransmissions did not carry the original bytes",
+			len(got), firstDiff(got, data))
+	}
+}
+
+// TestARPPendingFramesLeaveIntact queues datagrams and a SYN behind one
+// unresolved next hop. They are parked as finished transport segments in
+// their frame buffers; once ARP resolves each must leave whole, in order,
+// with headers completed at emission (consecutive IP IDs).
+func TestARPPendingFramesLeaveIntact(t *testing.T) {
+	s := sim.New(1)
+	a, b := pair(t, s)
+	var ids []uint16
+	b.AddRxHook(func(p *netstack.Packet) {
+		if p.IP != nil {
+			ids = append(ids, p.IP.ID)
+		}
+	})
+	var got [][]byte
+	if _, err := b.ListenUDP(2000, func(_ netstack.Addr, _ uint16, d []byte) {
+		got = append(got, append([]byte(nil), d...))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	accepted := false
+	if err := b.Listen(80, func(*Conn) { accepted = true }); err != nil {
+		t.Fatal(err)
+	}
+	sock, err := a.ListenUDP(1000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]byte{[]byte("first"), bytes.Repeat([]byte{0xa5}, 1400), []byte("x")}
+	for _, d := range want {
+		sock.SendTo(b.Addr(), 2000, d)
+	}
+	a.Dial(b.Addr(), 80)
+	if n := len(a.arpPending[b.Addr()]); n != 4 {
+		t.Fatalf("%d frames parked behind ARP, want 4", n)
+	}
+	s.RunFor(time.Second)
+	if len(got) != len(want) {
+		t.Fatalf("%d of %d parked datagrams delivered", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("parked datagram %d arrived altered", i)
+		}
+	}
+	if !accepted {
+		t.Error("parked SYN did not establish the connection")
+	}
+	if len(ids) < 4 || ids[0] != 1 || ids[1] != 2 || ids[2] != 3 || ids[3] != 4 {
+		t.Errorf("IP IDs of the flushed frames = %v, want 1 2 3 4 first", ids)
+	}
+}
+
+// TestSegmentAllocCeilingAccessToTrunk bounds what one data segment costs
+// from Conn.Write across an access port to the trunk: the frame buffer, the
+// retransmission timer, and two link deliveries — no copy per layer or per
+// hop. A regression here fails go test without a benchmark run.
+func TestSegmentAllocCeilingAccessToTrunk(t *testing.T) {
+	s := sim.New(1)
+	sw := netsim.NewSwitch(s, "sw")
+	a := New(s, "a", netstack.MAC{2, 0, 0, 0, 0, 1})
+	netsim.Connect(sw.AddAccessPort("a", 10), a.NIC(), 0)
+	a.ConfigureStatic(netstack.MustParseAddr("10.0.0.1"), 24, 0)
+	var trunkFrames, trunkBytes int
+	var last []byte
+	trunk := netsim.NewPort(s, "trunk", func(f []byte) { trunkFrames++; trunkBytes += len(f); last = f })
+	netsim.Connect(sw.AddTrunkPort("t"), trunk, 0)
+
+	// An established connection to a station behind the trunk, set up by
+	// hand: nothing acknowledges, so the send buffer is sized up front.
+	peerMAC, peerIP := netstack.MAC{2, 0, 0, 0, 0, 9}, netstack.MustParseAddr("10.0.0.9")
+	teach := netstack.Packet{Eth: netstack.Ethernet{Dst: a.MAC(), Src: peerMAC, VLAN: 10, EtherType: netstack.EtherTypeIPv4}}
+	trunk.Send(teach.Marshal())
+	a.arpCache[peerIP] = peerMAC
+	c := a.newConn(40000, peerIP, 80)
+	c.state = StateEstablished
+	c.iss, c.sndUna, c.sndNxt = 1, 2, 2
+	c.sndBase = make([]byte, 0, 64*MSS)
+	c.sndBuf = c.sndBase
+	a.conns[c.key] = c
+	s.RunFor(time.Millisecond)
+
+	seg := bytes.Repeat([]byte{0x5a}, MSS)
+	const ceiling = 8
+	allocs := testing.AllocsPerRun(20, func() {
+		c.Write(seg)
+		s.RunFor(time.Millisecond)
+	})
+	if allocs > ceiling {
+		t.Errorf("one segment host -> access port -> trunk: %v allocs, ceiling %d", allocs, ceiling)
+	}
+	wantLen := netstack.EthHeaderLen + netstack.VLANTagLen + netstack.IPv4HeaderLen + netstack.TCPHeaderLen + MSS
+	if trunkFrames != 21 || trunkBytes != 21*wantLen {
+		t.Fatalf("trunk saw %d frames / %d bytes, want 21 of %d", trunkFrames, trunkBytes, wantLen)
+	}
+	if p, err := netstack.ParseFrame(last); err != nil || p.Eth.VLAN != 10 || !bytes.Equal(p.Payload, seg) {
+		t.Fatalf("segment on the trunk does not reparse to what was written: %v", err)
+	}
+}
+
+// TestSndBufSlidesOverOneArray streams 2 MiB in small paced writes, several
+// of them in flight per round trip, and checks the send buffer kept sliding
+// over one small backing array (instead of abandoning it on every ACK and
+// reallocating on every write) without disturbing a byte of the stream.
+func TestSndBufSlidesOverOneArray(t *testing.T) {
+	s := sim.New(1)
+	a, b := pair(t, s)
+	var got []byte
+	if err := b.Listen(80, func(c *Conn) {
+		c.OnData = func(d []byte) { got = append(got, d...) }
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c := a.Dial(b.Addr(), 80)
+	s.RunFor(time.Second)
+	const chunk, total = 1000, 2 << 20
+	var sent []byte
+	maxLive := 0
+	tick := s.Every(30*time.Microsecond, func() {
+		if len(sent) >= total {
+			return
+		}
+		w := make([]byte, chunk)
+		for i := range w {
+			w[i] = byte((len(sent) + i) * 7)
+		}
+		sent = append(sent, w...)
+		c.Write(w)
+		maxLive = max(maxLive, len(c.sndBuf))
+	})
+	s.RunFor(time.Second)
+	tick.Stop()
+	if !bytes.Equal(got, sent) || len(sent) < total {
+		t.Fatalf("stream altered: sent %d, received %d, first diff at %d", len(sent), len(got), firstDiff(got, sent))
+	}
+	if maxLive <= chunk {
+		t.Fatalf("never more than one write unacknowledged (max %d): the slide with live bytes was not exercised", maxLive)
+	}
+	if limit := 4 * maxLive; cap(c.sndBase) > limit {
+		t.Fatalf("send buffer grew to %d bytes for at most %d unacknowledged (limit %d)", cap(c.sndBase), maxLive, limit)
+	}
+	if len(c.sndBuf) != 0 || cap(c.sndBuf) != cap(c.sndBase) {
+		t.Fatalf("drained send buffer did not return to its base: len %d cap %d of %d", len(c.sndBuf), cap(c.sndBuf), cap(c.sndBase))
+	}
+}

@@ -69,10 +69,12 @@ type Conn struct {
 	remotePort uint16
 
 	// Send state. sndBuf holds bytes from sequence number sndUna onward;
-	// the first sndNxt-sndUna bytes are in flight.
+	// the first sndNxt-sndUna bytes are in flight. It is a window sliding
+	// over sndBase's backing array: ACKs advance its front, queue slides it
+	// back to the base instead of letting every write reallocate.
 	iss, sndUna, sndNxt uint32
 	sndWnd              uint16
-	sndBuf              []byte
+	sndBuf, sndBase     []byte
 	finQueued, finSent  bool
 
 	// Receive state. ooo stashes segments received beyond rcvNxt, keyed
@@ -168,10 +170,27 @@ func (c *Conn) Write(data []byte) {
 	}
 	switch c.state {
 	case StateSynSent, StateSynRcvd, StateEstablished, StateCloseWait:
-		c.sndBuf = append(c.sndBuf, data...)
+		c.queue(data)
 		c.BytesOut += uint64(len(data))
 		c.trySend()
 	}
+}
+
+// queue appends data to sndBuf. When the room behind the unacknowledged
+// bytes runs out, they move back to the start of the backing array if the
+// acknowledged prefix is at least as large as they are (so the bytes moved
+// never exceed the bytes already sent and acknowledged, keeping writes
+// amortised O(1)); otherwise the array at least doubles.
+func (c *Conn) queue(data []byte) {
+	need := len(c.sndBuf) + len(data)
+	if need > cap(c.sndBuf) {
+		acked := cap(c.sndBase) - cap(c.sndBuf)
+		if acked < len(c.sndBuf) || need > cap(c.sndBase) {
+			c.sndBase = make([]byte, 0, max(need, 2*cap(c.sndBase)))
+		}
+		c.sndBuf = append(c.sndBase, c.sndBuf...)
+	}
+	c.sndBuf = append(c.sndBuf, data...)
 }
 
 // Close initiates a graceful shutdown: queued data is flushed, then a FIN.
@@ -254,8 +273,8 @@ func (c *Conn) sendSegment(flags uint8, seq, ack uint32, payload []byte) {
 		SrcPort: c.localPort, DstPort: c.remotePort,
 		Seq: seq, Ack: ack, Flags: flags, Window: DefaultWindow,
 	}
-	seg := t.Marshal(nil, c.host.addr, c.remoteIP, payload)
-	c.host.sendIP(c.remoteIP, netstack.ProtoTCP, seg)
+	frame := t.Marshal(newIPFrame(netstack.TCPHeaderLen+len(payload)), c.host.addr, c.remoteIP, payload)
+	c.host.sendIP(c.remoteIP, netstack.ProtoTCP, frame)
 }
 
 func (c *Conn) armRetransmit() {
@@ -323,6 +342,7 @@ func (c *Conn) destroy(err error) {
 	c.closed = true
 	c.state = StateClosed
 	c.ooo = nil // sweep any stale reassembly stash with the conn
+	c.sndBuf, c.sndBase = nil, nil
 	c.oooFin = false
 	if c.rtx != nil {
 		c.rtx.Cancel()
@@ -386,8 +406,8 @@ func (h *Host) sendRST(p *netstack.Packet) {
 		r.Flags = netstack.FlagRST | netstack.FlagACK
 		r.Ack = t.Seq + segLen(t, len(p.Payload))
 	}
-	seg := r.Marshal(nil, h.addr, p.IP.Src, nil)
-	h.sendIP(p.IP.Src, netstack.ProtoTCP, seg)
+	frame := r.Marshal(newIPFrame(netstack.TCPHeaderLen), h.addr, p.IP.Src, nil)
+	h.sendIP(p.IP.Src, netstack.ProtoTCP, frame)
 }
 
 // segLen is the sequence space consumed by a segment.
@@ -486,10 +506,10 @@ func (c *Conn) handleSegment(t *netstack.TCP, payload []byte) {
 		if c.finSent && t.Ack == c.sndNxt {
 			dataAcked-- // FIN consumed one sequence number
 		}
-		if int(dataAcked) <= len(c.sndBuf) {
+		if int(dataAcked) < len(c.sndBuf) {
 			c.sndBuf = c.sndBuf[dataAcked:]
 		} else {
-			c.sndBuf = nil
+			c.sndBuf = c.sndBase // drained: the next write starts at the base
 		}
 		c.sndUna = t.Ack
 		c.resetRTO()

@@ -117,7 +117,9 @@ func (sw *Switch) ingress(in *swPort, frame []byte) {
 			sw.Drops.Inc()
 			return // tagged frame on access port: drop
 		}
-		frame = retag(frame, &eth, in.vlan)
+		// The port owns the frame, tail room included: a host-originated
+		// buffer takes the tag in place, any other moves to a fresh one.
+		frame = netstack.InsertVLAN(frame, in.vlan)
 		eth.VLAN = in.vlan
 	case Trunk:
 		if eth.VLAN == netstack.NoVLAN {
@@ -141,7 +143,7 @@ func (sw *Switch) ingress(in *swPort, frame []byte) {
 				sw.Forwarded.Inc()
 				// Single consumer: the switch owns the frame (recv handed it
 				// over) and is done with it, so ownership transfers onward.
-				sw.egress(out, frame, &eth, true)
+				sw.egress(out, frame, true)
 			}
 			return
 		}
@@ -156,47 +158,32 @@ func (sw *Switch) ingress(in *swPort, frame []byte) {
 		if out.mode == Access && out.vlan != eth.VLAN {
 			continue
 		}
-		sw.egress(out, frame, &eth, false)
+		sw.egress(out, frame, false)
 	}
 }
 
 // egress emits the frame on out. owned reports that the caller relinquishes
-// the buffer; untagging for an access port always yields a fresh buffer, so
-// that path transfers ownership regardless.
-func (sw *Switch) egress(out *swPort, frame []byte, eth *netstack.Ethernet, owned bool) {
-	if out.mode == Access {
-		if owned && eth.VLAN != netstack.NoVLAN {
-			// Sole consumer of a tagged frame: strip the tag in place
-			// instead of re-marshalling into a fresh buffer.
-			out.port.SendOwned(untagInPlace(frame))
-			return
-		}
-		out.port.SendOwned(retag(frame, eth, netstack.NoVLAN))
-		return
-	}
-	if owned {
+// the buffer; a shared (flooded) frame is copied per egress port, so no two
+// ports ever hold the same bytes.
+func (sw *Switch) egress(out *swPort, frame []byte, owned bool) {
+	switch {
+	case out.mode == Access && owned:
+		// Sole consumer: strip the tag in place, which also restores the
+		// tail room the next access ingress will want.
+		out.port.SendOwned(netstack.StripVLAN(frame))
+	case out.mode == Access:
+		out.port.SendOwned(untagCopy(frame))
+	case owned:
 		out.port.SendOwned(frame)
-		return
+	default:
+		out.port.Send(frame)
 	}
-	out.port.Send(frame)
 }
 
-// untagInPlace strips a single 802.1Q tag without allocating: the MAC
-// addresses shift right over the tag bytes and the frame is re-sliced.
-func untagInPlace(frame []byte) []byte {
-	copy(frame[4:16], frame[0:12])
-	return frame[4:]
-}
-
-// retag rewrites the frame's VLAN tag (or removes it when vlan is NoVLAN).
-// eth is the already-parsed header of frame.
-func retag(frame []byte, eth *netstack.Ethernet, vlan uint16) []byte {
-	payloadOff := 14
-	if eth.VLAN != netstack.NoVLAN {
-		payloadOff = 18
-	}
-	hdr := *eth
-	hdr.VLAN = vlan
-	out := hdr.Marshal(make([]byte, 0, len(frame)+4))
-	return append(out, frame[payloadOff:]...)
+// untagCopy returns a fresh untagged copy of a tagged frame, with the tail
+// room for a later tag.
+func untagCopy(frame []byte) []byte {
+	out := make([]byte, 0, len(frame))
+	out = append(out, frame[:12]...)
+	return append(out, frame[12+netstack.VLANTagLen:]...)
 }

@@ -28,6 +28,13 @@ type Ethernet struct {
 	EtherType uint16
 }
 
+// EthHeaderLen is the size of an untagged Ethernet II header; an 802.1Q tag
+// adds VLANTagLen.
+const (
+	EthHeaderLen = ethHeaderLen
+	VLANTagLen   = ethTaggedHdrLen - ethHeaderLen
+)
+
 const (
 	ethHeaderLen     = 14
 	ethTaggedHdrLen  = 18

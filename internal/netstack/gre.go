@@ -41,18 +41,7 @@ func MarshalIPPacket(p *Packet) []byte {
 	if p.IP == nil {
 		return nil
 	}
-	var inner []byte
-	switch {
-	case p.TCP != nil:
-		p.IP.Protocol = ProtoTCP
-		inner = p.TCP.Marshal(nil, p.IP.Src, p.IP.Dst, p.Payload)
-	case p.UDP != nil:
-		p.IP.Protocol = ProtoUDP
-		inner = p.UDP.Marshal(nil, p.IP.Src, p.IP.Dst, p.Payload)
-	default:
-		inner = p.Payload
-	}
-	return p.IP.Marshal(nil, inner)
+	return p.appendIP(nil)
 }
 
 // ParseIPPacket decodes a bare IP packet (no Ethernet) into a Packet with

@@ -3,11 +3,14 @@ package netstack
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // IPv4 is an IPv4 header without options (IHL always 5). GQ's gateway
-// rewrites source and destination addresses in flight (NAT, redirection),
-// so checksums are recomputed on Marshal rather than patched incrementally.
+// rewrites source and destination addresses in flight (NAT, redirection):
+// on a parsed frame Packet.Marshal and the Patch* mutators fix the header
+// and transport checksums incrementally (RFC 1624), and only a packet built
+// from structs, or one whose payload was replaced, is summed in full.
 type IPv4 struct {
 	TOS      uint8
 	ID       uint16
@@ -30,20 +33,29 @@ const DefaultTTL = 64
 // Marshal appends the header followed by payload to dst, computing length
 // and checksum.
 func (ip *IPv4) Marshal(dst []byte, payload []byte) []byte {
-	total := IPv4HeaderLen + len(payload)
-	ip.Length = uint16(total)
-	start := len(dst)
-	dst = append(dst, 0x45, ip.TOS)
-	dst = binary.BigEndian.AppendUint16(dst, ip.Length)
-	dst = binary.BigEndian.AppendUint16(dst, ip.ID)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(ip.Flags)<<13|ip.FragOff&0x1fff)
-	dst = append(dst, ip.TTL, ip.Protocol)
-	dst = binary.BigEndian.AppendUint16(dst, 0) // checksum placeholder
-	dst = binary.BigEndian.AppendUint32(dst, uint32(ip.Src))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(ip.Dst))
-	sum := Checksum(dst[start:], 0)
-	binary.BigEndian.PutUint16(dst[start+10:], sum)
+	dst = grow(dst, IPv4HeaderLen+len(payload), 0)
+	off := len(dst)
+	dst = dst[:off+IPv4HeaderLen]
+	ip.PutHeader(dst[off:], len(payload))
 	return append(dst, payload...)
+}
+
+// PutHeader writes the header, with length and checksum, into the first
+// IPv4HeaderLen bytes of hdr for a payload of payloadLen bytes. It is how
+// a datagram is completed in a buffer that already holds its payload
+// behind room reserved for the header.
+func (ip *IPv4) PutHeader(hdr []byte, payloadLen int) {
+	hdr = hdr[:IPv4HeaderLen]
+	ip.Length = uint16(IPv4HeaderLen + payloadLen)
+	hdr[0], hdr[1] = 0x45, ip.TOS
+	binary.BigEndian.PutUint16(hdr[2:], ip.Length)
+	binary.BigEndian.PutUint16(hdr[4:], ip.ID)
+	binary.BigEndian.PutUint16(hdr[6:], uint16(ip.Flags)<<13|ip.FragOff&0x1fff)
+	hdr[8], hdr[9] = ip.TTL, ip.Protocol
+	hdr[10], hdr[11] = 0, 0 // checksum placeholder
+	binary.BigEndian.PutUint32(hdr[12:], uint32(ip.Src))
+	binary.BigEndian.PutUint32(hdr[16:], uint32(ip.Dst))
+	binary.BigEndian.PutUint16(hdr[10:], Checksum(hdr, 0))
 }
 
 // Unmarshal decodes the header from b, verifies the checksum, and returns
@@ -82,18 +94,41 @@ func (ip *IPv4) Unmarshal(b []byte) ([]byte, error) {
 // initial partial sum. The result is the ones-complement value ready to be
 // stored; a checksum over data that already includes a valid checksum field
 // yields zero.
+//
+// The ones-complement sum of 16-bit words equals the folded ones-complement
+// sum of wider words over the same bytes, so the loop adds 8-byte
+// big-endian words with carry (four per iteration) and folds 64 -> 16 bits
+// once at the end.
 func Checksum(b []byte, initial uint32) uint16 {
-	sum := initial
-	for len(b) >= 2 {
-		sum += uint32(b[0])<<8 | uint32(b[1])
-		b = b[2:]
+	sum, carry := uint64(initial), uint64(0)
+	for len(b) >= 32 {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[0:8]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[8:16]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[16:24]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[24:32]), carry)
+		b = b[32:]
 	}
-	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
+	for len(b) >= 8 {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b), carry)
+		b = b[8:]
 	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
+	if len(b) > 0 {
+		// Fewer than 8 bytes left: a big-endian word zero-padded on the
+		// right, which also pads an odd final byte as RFC 1071 requires.
+		var w uint64
+		for i, x := range b {
+			w |= uint64(x) << (56 - 8*uint(i))
+		}
+		sum, carry = bits.Add64(sum, w, carry)
 	}
+	// End-around carry: a second carry can only come out of an all-ones
+	// sum, which wraps to zero, so the plain add cannot overflow.
+	sum, carry = bits.Add64(sum, 0, carry)
+	sum += carry
+	sum = sum>>32 + sum&0xffffffff
+	sum = sum>>16 + sum&0xffff
+	sum = sum>>16 + sum&0xffff
+	sum = sum>>16 + sum&0xffff
 	return ^uint16(sum)
 }
 

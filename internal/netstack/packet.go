@@ -11,12 +11,13 @@ import (
 //
 // A packet produced by ParseFrame keeps a reference to the original wire
 // buffer. As long as the packet's shape is unchanged — same layer
-// structure, same payload bytes in the same position — Marshal patches the
-// mutated header fields back into that buffer in place (with incremental
-// checksum updates) instead of re-serialising, and Clone duplicates the
-// packet with a single buffer copy. Payload bytes reached through Payload
-// are read-only; replacing the Payload slice is allowed and simply falls
-// back to the slow path. See DESIGN.md "Datapath buffer ownership".
+// structure, same payload bytes — Marshal patches the mutated header
+// fields back into that buffer in place (with incremental checksum
+// updates) instead of re-serialising, adding or stripping the VLAN tag
+// there too, and Clone duplicates the packet with a single buffer copy.
+// Payload bytes reached through Payload are read-only; replacing the
+// Payload slice is allowed and simply falls back to the slow path. See
+// DESIGN.md "Datapath buffer ownership".
 type Packet struct {
 	Eth     Ethernet
 	ARP     *ARP
@@ -57,7 +58,10 @@ func ParseFrame(b []byte) (*Packet, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.l3Off = p.Eth.HeaderLen()
+	// Measured, not derived from Eth.VLAN: a priority tag (VID 0) occupies
+	// the wire but parses as NoVLAN, and the offsets must stay truthful
+	// for the in-place paths (Marshal then strips it like any other tag).
+	p.l3Off = len(b) - len(rest)
 	switch p.Eth.EtherType {
 	case EtherTypeARP:
 		p.ARP = &a.arp
@@ -111,18 +115,20 @@ func (p *Packet) payloadAliasesWire() bool {
 }
 
 // syncWire patches mutated header fields back into the original frame
-// buffer, maintaining checksums incrementally. It reports false — leaving
-// the fast path unusable — when the packet changed shape: VLAN tag added
-// or removed, layers added/dropped, or the payload replaced.
+// buffer, maintaining checksums incrementally. A VLAN tag added or removed
+// since the parse is a shape change made in that buffer too (retagWire) —
+// no checksum covers the tag. It reports false — leaving the fast path
+// unusable — when the packet changed shape any other way: layers
+// added/dropped, or the payload replaced.
 func (p *Packet) syncWire() bool {
+	if p.wire == nil {
+		return false
+	}
+	tagged := p.Eth.VLAN != NoVLAN
+	if tagged != (p.l3Off == ethTaggedHdrLen) && !p.retagWire(tagged) {
+		return false
+	}
 	w := p.wire
-	if w == nil {
-		return false
-	}
-	tagged := p.l3Off == ethTaggedHdrLen
-	if (p.Eth.VLAN != NoVLAN) != tagged {
-		return false
-	}
 	if binary.BigEndian.Uint16(w[p.l3Off-2:]) != p.Eth.EtherType {
 		return false // ARP <-> IP reshapes need the slow path
 	}
@@ -147,6 +153,33 @@ func (p *Packet) syncWire() bool {
 	if tagged {
 		tci := uint16(p.Eth.Priority)<<13 | p.Eth.VLAN&vlanIDMask
 		binary.BigEndian.PutUint16(w[14:16], tci)
+	}
+	return true
+}
+
+// retagWire inserts (tag) or strips the 802.1Q tag in the wire buffer and
+// moves the layer offsets and the Payload alias along with the bytes. An
+// insert into a buffer without VLANTagLen bytes of tail room moves the
+// frame to a fresh one; either way the bytes every checksum covers are
+// untouched, so the incremental path continues.
+func (p *Packet) retagWire(tag bool) bool {
+	if !p.payloadAliasesWire() {
+		return false
+	}
+	shift := VLANTagLen
+	if tag {
+		p.wire = InsertVLAN(p.wire, 0) // syncWire fills in the TCI
+	} else {
+		p.wire = StripVLAN(p.wire)
+		shift = -VLANTagLen
+	}
+	p.l3Off += shift
+	if p.l4Off != 0 {
+		p.l4Off += shift
+	}
+	p.payOff += shift
+	if p.Payload != nil {
+		p.Payload = p.wire[p.payOff : p.payOff+p.payLen : p.payOff+p.payLen]
 	}
 	return true
 }
@@ -279,31 +312,74 @@ func (p *Packet) AppendWire(dst []byte) []byte {
 	return p.marshalSlow(dst)
 }
 
+// marshalSlow serialises the packet from its structs into one buffer: buf
+// if it has the room, else a fresh one of exactly the frame's size (plus,
+// for an untagged frame, the tail room an access port's tag will need).
 func (p *Packet) marshalSlow(buf []byte) []byte {
-	if buf == nil {
-		buf = make([]byte, 0, p.Eth.HeaderLen()+IPv4HeaderLen+TCPHeaderLen+len(p.Payload))
-	}
-	buf = p.Eth.Marshal(buf)
+	n := p.Eth.HeaderLen()
 	switch {
 	case p.ARP != nil:
-		buf = p.ARP.Marshal(buf)
+		n += arpLen
 	case p.IP != nil:
-		var inner []byte
-		switch {
-		case p.TCP != nil:
-			p.IP.Protocol = ProtoTCP
-			inner = p.TCP.Marshal(nil, p.IP.Src, p.IP.Dst, p.Payload)
-		case p.UDP != nil:
-			p.IP.Protocol = ProtoUDP
-			inner = p.UDP.Marshal(nil, p.IP.Src, p.IP.Dst, p.Payload)
-		default:
-			inner = p.Payload
-		}
-		buf = p.IP.Marshal(buf, inner)
+		n += p.ipLen()
+	default:
+		n += len(p.Payload)
+	}
+	tailRoom := 0
+	if p.Eth.VLAN == NoVLAN {
+		tailRoom = VLANTagLen
+	}
+	buf = p.Eth.Marshal(grow(buf, n, tailRoom))
+	switch {
+	case p.ARP != nil:
+		return p.ARP.Marshal(buf)
+	case p.IP != nil:
+		return p.appendIP(buf)
+	default:
+		return append(buf, p.Payload...)
+	}
+}
+
+// ipLen is the encoded size of the IP datagram the packet carries.
+func (p *Packet) ipLen() int {
+	n := IPv4HeaderLen + len(p.Payload)
+	switch {
+	case p.TCP != nil:
+		n += TCPHeaderLen
+	case p.UDP != nil:
+		n += UDPHeaderLen
+	}
+	return n
+}
+
+// appendIP appends the IP datagram (IP header, transport header, payload)
+// to buf: the transport layer is written behind room left for the IP
+// header, which is completed once the datagram length is known.
+func (p *Packet) appendIP(buf []byte) []byte {
+	buf = grow(buf, p.ipLen(), 0)
+	off := len(buf)
+	buf = buf[:off+IPv4HeaderLen]
+	switch {
+	case p.TCP != nil:
+		p.IP.Protocol = ProtoTCP
+		buf = p.TCP.Marshal(buf, p.IP.Src, p.IP.Dst, p.Payload)
+	case p.UDP != nil:
+		p.IP.Protocol = ProtoUDP
+		buf = p.UDP.Marshal(buf, p.IP.Src, p.IP.Dst, p.Payload)
 	default:
 		buf = append(buf, p.Payload...)
 	}
+	p.IP.PutHeader(buf[off:], len(buf)-off-IPv4HeaderLen)
 	return buf
+}
+
+// grow returns dst with room for n more bytes, moving it at most once, to a
+// buffer of exactly that size plus spare bytes of capacity behind it.
+func grow(dst []byte, n, spare int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	return append(make([]byte, 0, len(dst)+n+spare), dst...)
 }
 
 // Clone deep-copies the packet so a tap or queue can hold it while the

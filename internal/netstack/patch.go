@@ -49,6 +49,36 @@ func RetagVLAN(frame []byte, vlan uint16) bool {
 	return true
 }
 
+// InsertVLAN turns an untagged frame (at least EthHeaderLen bytes) into a
+// tagged one carrying tci. Given VLANTagLen bytes of spare capacity behind
+// the frame — the tail room its originator reserved, see DESIGN.md
+// "Datapath buffer ownership" — the bytes behind the MAC addresses shift
+// back in place and the result aliases frame; otherwise the tagged frame
+// is assembled in a fresh buffer and frame is left untouched. Only the
+// owner of the buffer may call it: the spare capacity is overwritten.
+func InsertVLAN(frame []byte, tci uint16) []byte {
+	n := len(frame)
+	var out []byte
+	if cap(frame)-n >= VLANTagLen {
+		out = frame[:n+VLANTagLen]
+	} else {
+		out = make([]byte, n+VLANTagLen)
+		copy(out, frame[:12])
+	}
+	copy(out[12+VLANTagLen:], frame[12:n])
+	binary.BigEndian.PutUint16(out[12:], EtherTypeVLAN)
+	binary.BigEndian.PutUint16(out[14:], tci)
+	return out
+}
+
+// StripVLAN removes the 802.1Q tag of a tagged frame in place: the bytes
+// behind the tag shift forward over it, which hands the four bytes back as
+// tail room for the next InsertVLAN on the frame's way.
+func StripVLAN(frame []byte) []byte {
+	n := copy(frame[12:], frame[12+VLANTagLen:])
+	return frame[:12+n]
+}
+
 // SetEthDst rewrites the destination MAC in place.
 func SetEthDst(frame []byte, mac MAC) bool {
 	if len(frame) < ethHeaderLen {

@@ -197,18 +197,7 @@ func TestMarshalFastPathMatchesSlowPath(t *testing.T) {
 }
 
 func TestMarshalSlowPathOnShapeChange(t *testing.T) {
-	// Dropping the VLAN tag changes frame length: must not alias the wire.
-	q, _ := testTCPFrame(t, []byte("hi"))
-	q.Eth.VLAN = NoVLAN
-	out := q.Marshal()
-	if len(out) == len(q.wire) {
-		t.Fatal("untagging did not shrink the frame")
-	}
-	if r := reparse(t, out); r.Eth.VLAN != NoVLAN || string(r.Payload) != "hi" {
-		t.Fatalf("reshaped frame wrong: %v", r)
-	}
-
-	// Replacing the payload must also fall back.
+	// Replacing the payload must fall back to re-serialisation.
 	q2, _ := testTCPFrame(t, []byte("aa"))
 	q2.Payload = []byte("bbbb")
 	out2 := q2.Marshal()
@@ -217,6 +206,125 @@ func TestMarshalSlowPathOnShapeChange(t *testing.T) {
 	}
 	if r := reparse(t, out2); string(r.Payload) != "bbbb" {
 		t.Fatalf("payload = %q", r.Payload)
+	}
+
+	// So must a tag change on top of a replaced payload: the reshape only
+	// applies while the payload still is the wire's.
+	q3, _ := testTCPFrame(t, []byte("aa"))
+	q3.Payload = []byte("cccc")
+	q3.Eth.VLAN = NoVLAN
+	if r := reparse(t, q3.Marshal()); r.Eth.VLAN != NoVLAN || string(r.Payload) != "cccc" {
+		t.Fatalf("reshaped frame wrong: %v", r)
+	}
+}
+
+// TestMarshalVLANReshapeInPlace pins the tag add/strip shape change: the
+// frame stays in the parsed buffer when it has the room, the result equals
+// a full re-serialisation byte for byte, and header mutations made
+// alongside the tag change keep their incremental checksums.
+func TestMarshalVLANReshapeInPlace(t *testing.T) {
+	nat := func(p *Packet) {
+		p.Eth.Dst = MAC{2, 1, 1, 1, 1, 1}
+		p.IP.Src = MustParseAddr("192.0.2.77")
+		p.TCP.SrcPort = 40000
+		p.TCP.Seq += 99
+	}
+	want := func(mutate func(*Packet)) []byte {
+		ref, _ := testTCPFrame(t, []byte("payload rides along"))
+		mutate(ref)
+		ref.wire = nil // full re-serialisation
+		return ref.Marshal()
+	}
+
+	// Strip (outbound NAT): always in place, and hands back tail room.
+	strip := func(p *Packet) { nat(p); p.Eth.VLAN = NoVLAN }
+	q, _ := testTCPFrame(t, []byte("payload rides along"))
+	base := &q.wire[0]
+	strip(q)
+	out := q.Marshal()
+	if &out[0] != base {
+		t.Fatal("stripping the tag left the parsed buffer")
+	}
+	if !bytes.Equal(out, want(strip)) {
+		t.Fatalf("in-place strip diverges from re-serialisation:\ngot  % x\nwant % x", out, want(strip))
+	}
+	if cap(out)-len(out) < VLANTagLen {
+		t.Fatal("stripping the tag did not hand back tail room")
+	}
+	if r := reparse(t, out); r.Eth.VLAN != NoVLAN || string(r.Payload) != "payload rides along" {
+		t.Fatalf("stripped frame wrong: %v", r)
+	}
+	if string(q.Payload) != "payload rides along" {
+		t.Fatalf("Payload alias not moved with the bytes: %q", q.Payload)
+	}
+
+	// Add (inbound, toward a VLAN) on the stripped frame: the tail room is
+	// there, so it stays in the same buffer; a second Marshal is stable.
+	add := func(p *Packet) { p.Eth.VLAN = 31; p.IP.Dst = MustParseAddr("10.3.0.9") }
+	p, err := ParseFrame(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add(p)
+	tagged := p.Marshal()
+	if &tagged[0] != base {
+		t.Fatal("adding the tag with tail room left the parsed buffer")
+	}
+	if again := p.Marshal(); &again[0] != base || len(again) != len(tagged) {
+		t.Fatal("second Marshal after a reshape is not a no-op")
+	}
+	if !bytes.Equal(tagged, want(func(p *Packet) { strip(p); add(p) })) {
+		t.Fatal("in-place add diverges from re-serialisation")
+	}
+	if r := reparse(t, tagged); r.Eth.VLAN != 31 || r.IP.Dst != MustParseAddr("10.3.0.9") || string(r.Payload) != "payload rides along" {
+		t.Fatalf("tagged frame wrong: %v", r)
+	}
+
+	// Add without tail room: one fresh buffer, same bytes, original intact.
+	untagged := want(strip)
+	tight := append(make([]byte, 0, len(untagged)), untagged...)
+	p, err = ParseFrame(tight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add(p)
+	moved := p.Marshal()
+	if &moved[0] == &tight[0] {
+		t.Fatal("tag insert without tail room wrote past the buffer")
+	}
+	if !bytes.Equal(moved, tagged) {
+		t.Fatal("tag insert without tail room diverges from the in-place one")
+	}
+	if !bytes.Equal(tight, untagged) {
+		t.Fatal("tag insert without tail room modified the original buffer")
+	}
+}
+
+// TestMarshalAllocCeilings keeps the allocation cost of Marshal from
+// regressing without a benchmark run: one buffer for a packet built from
+// structs, none for a NAT rewrite with a VLAN strip or add.
+func TestMarshalAllocCeilings(t *testing.T) {
+	built := &Packet{
+		Eth:     Ethernet{Dst: MAC{2, 0, 0, 0, 0, 1}, Src: MAC{2, 0, 0, 0, 0, 2}, EtherType: EtherTypeIPv4},
+		IP:      &IPv4{TTL: 64, Src: MustParseAddr("10.3.0.5"), Dst: MustParseAddr("192.150.187.12")},
+		TCP:     &TCP{SrcPort: 1234, DstPort: 80, Flags: FlagACK},
+		Payload: make([]byte, 1460),
+	}
+	if n := testing.AllocsPerRun(100, func() { built.Marshal() }); n > 1 {
+		t.Errorf("Marshal from structs: %v allocs, want at most 1", n)
+	}
+
+	q, _ := testTCPFrame(t, make([]byte, 1460))
+	vlan := q.Eth.VLAN
+	if n := testing.AllocsPerRun(100, func() {
+		q.Eth.VLAN = NoVLAN
+		q.IP.Src++
+		q.Marshal()
+		q.Eth.VLAN = vlan
+		q.IP.Src--
+		q.Marshal()
+	}); n != 0 {
+		t.Errorf("Marshal after a VLAN strip and add: %v allocs, want 0", n)
 	}
 }
 
@@ -292,4 +400,104 @@ func TestMarshalFastPathUDPZeroChecksum(t *testing.T) {
 	if got := out[l3+ihl+6:][:2]; got[0] != 0 || got[1] != 0 {
 		t.Fatalf("zero UDP checksum was recomputed to % x", got)
 	}
+}
+
+// A priority-tagged frame (802.1Q tag with VID 0) parses as untagged; its
+// layer offsets must still be those of the bytes on the wire, so a header
+// rewrite patches the right fields and Marshal sheds the tag in place.
+func TestParsePriorityTaggedFrameOffsets(t *testing.T) {
+	_, frame := testTCPFrame(t, []byte("priority tagged"))
+	frame[14], frame[15] = 0xa0, 0x00 // PCP 5, VID 0
+	p, err := ParseFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Eth.VLAN != NoVLAN || p.l3Off != ethTaggedHdrLen || p.payOff != ethTaggedHdrLen+IPv4HeaderLen+TCPHeaderLen {
+		t.Fatalf("VLAN %d, l3Off %d, payOff %d", p.Eth.VLAN, p.l3Off, p.payOff)
+	}
+	p.IP.Src = MustParseAddr("192.0.2.16")
+	out := p.Marshal()
+	if &out[0] != &frame[0] {
+		t.Error("priority-tagged frame fell off the in-place path")
+	}
+	r := reparse(t, out)
+	if len(out) != len(frame)-VLANTagLen || r.Eth.VLAN != NoVLAN || r.IP.Src != p.IP.Src || string(r.Payload) != "priority tagged" {
+		t.Fatalf("rewritten frame wrong (%d bytes): %v", len(out), r)
+	}
+}
+
+// FuzzVLANReshape drives the in-place tag insert/strip of Marshal with
+// arbitrary frames that parse: whatever the layers, lengths and trailing
+// bytes, the reshaped frame must reparse (checksums included) to the same
+// packet with only the tag changed, be exactly one tag longer or shorter,
+// and survive the trip back to its original bytes.
+func FuzzVLANReshape(f *testing.F) {
+	tcp := &Packet{
+		Eth:     Ethernet{Dst: MAC{2, 0, 0, 0, 0, 1}, Src: MAC{2, 0, 0, 0, 0, 2}, VLAN: 12, Priority: 5, EtherType: EtherTypeIPv4},
+		IP:      &IPv4{TTL: 64, Src: MustParseAddr("10.3.0.5"), Dst: MustParseAddr("192.150.187.12")},
+		TCP:     &TCP{SrcPort: 1234, DstPort: 80, Seq: 1000, Ack: 2000, Flags: FlagACK | FlagPSH, Window: 8192},
+		Payload: []byte("GET / HTTP/1.1\r\n\r\n"),
+	}
+	udp := &Packet{
+		Eth:     Ethernet{Dst: BroadcastMAC, Src: MAC{2, 0, 0, 0, 0, 3}, EtherType: EtherTypeIPv4},
+		IP:      &IPv4{TTL: 64, Src: MustParseAddr("10.0.0.23"), Dst: MustParseAddr("10.3.0.2")},
+		UDP:     &UDP{SrcPort: 5353, DstPort: 53},
+		Payload: []byte{1, 2, 3},
+	}
+	arp := &Packet{
+		Eth: Ethernet{Dst: BroadcastMAC, Src: MAC{2, 0, 0, 0, 0, 4}, VLAN: 4094, EtherType: EtherTypeARP},
+		ARP: &ARP{Op: ARPRequest, SenderHW: MAC{2, 0, 0, 0, 0, 4}, SenderIP: 1, TargetIP: 2},
+	}
+	for _, p := range []*Packet{tcp, udp, arp} {
+		f.Add(p.Marshal(), uint16(31), uint8(VLANTagLen))
+		f.Add(append(p.Marshal(), 0, 0, 0), uint16(1), uint8(0)) // trailing bytes, no tail room
+	}
+	f.Add([]byte("\x02\x00\x00\x00\x00\x01\x02\x00\x00\x00\x00\x02\x88\xb5unknown ethertype"), uint16(7), uint8(1))
+
+	f.Fuzz(func(t *testing.T, frame []byte, vlan uint16, room uint8) {
+		orig, err := ParseFrame(append([]byte(nil), frame...))
+		if err != nil {
+			return
+		}
+		if wireTagged := frame[12] == 0x81 && frame[13] == 0; orig.Eth.EtherType == EtherTypeVLAN ||
+			wireTagged && (orig.Eth.VLAN == NoVLAN || frame[14]&0x10 != 0) {
+			// Ethernet models neither stacked tags, nor a priority tag (VID
+			// 0 parses as untagged and is dropped on Marshal), nor the DEI
+			// bit, so these have no exact round trip.
+			return
+		}
+		buf := append(make([]byte, 0, len(frame)+int(room%8)), frame...)
+		p, err := ParseFrame(buf)
+		if err != nil {
+			t.Fatalf("second parse of the same bytes failed: %v", err)
+		}
+		want, delta := NoVLAN, -VLANTagLen
+		if p.Eth.VLAN == NoVLAN {
+			want, delta = vlan%MaxVLAN+1, VLANTagLen
+		}
+		p.Eth.VLAN = want
+		out := p.Marshal()
+		if len(out) != len(frame)+delta {
+			t.Fatalf("reshaped frame is %d bytes, want %d%+d", len(out), len(frame), delta)
+		}
+		if string(p.Payload) != string(orig.Payload) {
+			t.Fatalf("Payload alias lost its bytes in the reshape: %q, was %q", p.Payload, orig.Payload)
+		}
+		q, err := ParseFrame(append([]byte(nil), out...))
+		if err != nil {
+			t.Fatalf("reshaped frame does not reparse: %v", err)
+		}
+		if q.Eth.VLAN != want || q.Eth.Dst != orig.Eth.Dst || q.Eth.Src != orig.Eth.Src ||
+			q.Eth.EtherType != orig.Eth.EtherType || string(q.Payload) != string(orig.Payload) ||
+			(q.IP == nil) != (orig.IP == nil) || (q.TCP == nil) != (orig.TCP == nil) ||
+			(q.UDP == nil) != (orig.UDP == nil) || (q.ARP == nil) != (orig.ARP == nil) {
+			t.Fatalf("reshaped frame reparsed to a different packet:\nwas %v\nnow %v", orig, q)
+		}
+		// And back again: the original bytes, to the last trailing one
+		// (a re-inserted tag carries the original priority bits too).
+		q.Eth.VLAN, q.Eth.Priority = orig.Eth.VLAN, orig.Eth.Priority
+		if back := q.Marshal(); !bytes.Equal(back, frame) {
+			t.Fatalf("round trip changed the frame:\nwas % x\nnow % x", frame, back)
+		}
+	})
 }

@@ -51,6 +51,7 @@ const TCPHeaderLen = 20
 // Marshal appends the header followed by payload to dst, computing the
 // checksum over the pseudo-header for the given IP endpoints.
 func (t *TCP) Marshal(dst []byte, src, dstIP Addr, payload []byte) []byte {
+	dst = grow(dst, TCPHeaderLen+len(payload), 0)
 	start := len(dst)
 	dst = binary.BigEndian.AppendUint16(dst, t.SrcPort)
 	dst = binary.BigEndian.AppendUint16(dst, t.DstPort)
@@ -102,6 +103,7 @@ const UDPHeaderLen = 8
 // Marshal appends the header followed by payload to dst with checksum.
 func (u *UDP) Marshal(dst []byte, src, dstIP Addr, payload []byte) []byte {
 	u.Length = uint16(UDPHeaderLen + len(payload))
+	dst = grow(dst, UDPHeaderLen+len(payload), 0)
 	start := len(dst)
 	dst = binary.BigEndian.AppendUint16(dst, u.SrcPort)
 	dst = binary.BigEndian.AppendUint16(dst, u.DstPort)

@@ -136,8 +136,8 @@ func (a *ShimAnalyzer) Tap(p *netstack.Packet) {
 		return
 	}
 	payload := p.Payload
-	if len(payload) < shim.RequestLen {
-		return
+	if len(payload) < shim.RequestLen || !shim.IsRequest(payload) {
+		return // ordinary data: nearly every tapped frame
 	}
 	req, err := shim.UnmarshalRequest(payload[:shim.RequestLen])
 	if err != nil {

@@ -90,6 +90,23 @@ func TestShimAnalyzer(t *testing.T) {
 	}
 }
 
+// TestShimAnalyzerTapNonShimAllocFree pins the tap's cost on ordinary
+// data, which is nearly every frame it sees: no decode, no error value.
+func TestShimAnalyzerTapNonShimAllocFree(t *testing.T) {
+	a := NewShimAnalyzer()
+	data := tcpPacket(16, 1, 1, 2, 2, netstack.FlagACK, strings.Repeat("bulk payload ", 100))
+	// Right magic, wrong type/version: still not worth a decode.
+	lookalike := tcpPacket(16, 1, 1, 2, 2, netstack.FlagACK, "")
+	lookalike.Payload = (&shim.Request{VLAN: 16}).Marshal()
+	lookalike.Payload[7]++
+	if n := testing.AllocsPerRun(100, func() { a.Tap(data); a.Tap(lookalike) }); n != 0 {
+		t.Fatalf("Tap on non-shim payloads: %v allocs, want 0", n)
+	}
+	if len(a.Requests) != 0 || len(a.RequestsByVLAN) != 0 {
+		t.Fatalf("non-shim payloads were counted: %+v", a.RequestsByVLAN)
+	}
+}
+
 func TestCBL(t *testing.T) {
 	s := sim.New(1)
 	c := NewCBL(s)

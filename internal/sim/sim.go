@@ -10,7 +10,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -26,7 +25,8 @@ type Event struct {
 	at    time.Duration
 	seq   uint64
 	fn    func()
-	idx   int // heap index; -1 once removed
+	sim   *Simulator
+	idx   int // position in sim.queue; -1 once fired or cancelled
 	dead  bool
 	fired bool
 }
@@ -34,12 +34,17 @@ type Event struct {
 // At reports the virtual time at which the event fires.
 func (e *Event) At() time.Duration { return e.at }
 
-// Cancel prevents a pending event from firing. Cancelling an already-fired
-// or already-cancelled event is a no-op.
+// Cancel prevents a pending event from firing by taking it out of its
+// simulator's queue at once. Cancelling an already-fired or
+// already-cancelled event is a no-op. Like everything else that touches
+// the queue, Cancel must run on the goroutine that owns the event's
+// simulator (inside one of its callbacks, or while it is quiescent).
 func (e *Event) Cancel() {
-	if e != nil && !e.fired {
-		e.dead = true
+	if e == nil || e.idx < 0 {
+		return
 	}
+	e.sim.queue.remove(e.idx)
+	e.dead = true
 }
 
 // Cancelled reports whether Cancel was called before the event fired. An
@@ -50,33 +55,83 @@ func (e *Event) Cancelled() bool { return e.dead }
 // Fired reports whether the event's callback has run.
 func (e *Event) Fired() bool { return e.fired }
 
-type eventHeap []*Event
+// before is the queue order: firing time, then scheduling order. seq is
+// unique per simulator, so the order is total and the firing sequence does
+// not depend on how the heap happens to arrange equal keys.
+func (e *Event) before(o *Event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// eventQueue is a binary min-heap of the pending events, ordered by
+// before. Every queued event tracks its own position in idx, which is what
+// lets Cancel remove it in O(log n) instead of leaving a dead entry behind.
+type eventQueue []*Event
+
+func (q *eventQueue) push(e *Event) {
+	*q = append(*q, nil)
+	q.up(len(*q)-1, e)
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
+
+// pop removes and returns the earliest event. The queue must not be empty.
+func (q *eventQueue) pop() *Event {
+	e := (*q)[0]
+	q.remove(0)
 	return e
+}
+
+// remove takes the event at position i out of the queue; the last event
+// fills the hole and sifts whichever way restores heap order.
+func (q *eventQueue) remove(i int) {
+	old := *q
+	n := len(old) - 1
+	old[i].idx = -1
+	last := old[n]
+	old[n] = nil
+	*q = old[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last.before(old[(i-1)/2]) {
+		q.up(i, last)
+	} else {
+		q.down(i, last)
+	}
+}
+
+// up places e at or above the hole at position i.
+func (q eventQueue) up(i int, e *Event) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		q[i].idx = i
+		i = parent
+	}
+	q[i] = e
+	e.idx = i
+}
+
+// down places e at or below the hole at position i.
+func (q eventQueue) down(i int, e *Event) {
+	for {
+		child := 2*i + 1
+		if child >= len(q) {
+			break
+		}
+		if right := child + 1; right < len(q) && q[right].before(q[child]) {
+			child = right
+		}
+		if !q[child].before(e) {
+			break
+		}
+		q[i] = q[child]
+		q[i].idx = i
+		i = child
+	}
+	q[i] = e
+	e.idx = i
 }
 
 // Simulator is a single-threaded discrete-event scheduler. It is not safe
@@ -91,7 +146,7 @@ func (h *eventHeap) Pop() any {
 type Simulator struct {
 	now    time.Duration
 	seq    uint64
-	queue  eventHeap
+	queue  eventQueue
 	rng    *rand.Rand
 	seed   int64
 	halted bool
@@ -193,9 +248,9 @@ func (s *Simulator) ScheduleAt(at time.Duration, fn func()) *Event {
 	if at < s.now {
 		at = s.now
 	}
-	e := &Event{at: at, seq: s.seq, fn: fn}
+	e := &Event{at: at, seq: s.seq, fn: fn, sim: s}
 	s.seq++
-	heap.Push(&s.queue, e)
+	s.queue.push(e)
 	return e
 }
 
@@ -215,8 +270,8 @@ func (s *Simulator) Resume() { s.halted = false }
 // Halted reports whether the simulator is currently halted.
 func (s *Simulator) Halted() bool { return s.halted }
 
-// Pending reports the number of events in the queue, including cancelled
-// events that have not yet been discarded.
+// Pending reports the number of events waiting to fire. Cancelled events
+// leave the queue when they are cancelled, so they are never counted.
 func (s *Simulator) Pending() int { return len(s.queue) }
 
 // Step executes the next pending event, advancing the clock to its firing
@@ -225,18 +280,15 @@ func (s *Simulator) Step() bool {
 	if s.injectN.Load() != 0 {
 		s.drainInjected()
 	}
-	for len(s.queue) > 0 && !s.halted {
-		e := heap.Pop(&s.queue).(*Event)
-		if e.dead {
-			continue
-		}
-		s.setNow(e.at)
-		e.fired = true
-		s.Fired++
-		e.fn()
-		return true
+	if len(s.queue) == 0 || s.halted {
+		return false
 	}
-	return false
+	e := s.queue.pop()
+	s.setNow(e.at)
+	e.fired = true
+	s.Fired++
+	e.fn()
+	return true
 }
 
 // Run drains the event queue completely (or until Halt).
@@ -269,16 +321,12 @@ func (s *Simulator) RunUntil(deadline time.Duration) {
 // RunFor advances the simulation by d of virtual time.
 func (s *Simulator) RunFor(d time.Duration) { s.RunUntil(s.now + d) }
 
+// peek reports the firing time of the earliest pending event.
 func (s *Simulator) peek() (time.Duration, bool) {
-	for len(s.queue) > 0 {
-		e := s.queue[0]
-		if e.dead {
-			heap.Pop(&s.queue)
-			continue
-		}
-		return e.at, true
+	if len(s.queue) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return s.queue[0].at, true
 }
 
 // Ticker repeatedly invokes fn every interval until stopped.
