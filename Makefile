@@ -16,13 +16,14 @@ vet:
 # blocking-bridge layers (host TCP, hostnet facade — alien goroutines vs
 # the event loop), plus the control planes whose goroutines cross the sim
 # boundary (ops driver/dead-man switch, supervision tree, raw-iron
-# lifecycle), plus the shard-determinism property (full chaos soak at
-# 1/2/4 workers — the run that actually exercises cross-domain
+# lifecycle), plus netstack (a receiver's ParseBuf is long-lived state,
+# one per receiving port), plus the shard-determinism property (full chaos
+# soak at 1/2/4 workers — the run that actually exercises cross-domain
 # synchronization under load).
 race:
 	$(GO) test -race ./internal/gateway ./internal/netsim ./internal/sim \
 		./internal/obs ./internal/farm ./internal/host ./internal/hostnet \
-		./internal/ops ./internal/supervisor ./internal/rawiron
+		./internal/ops ./internal/supervisor ./internal/rawiron ./internal/netstack
 	$(GO) test -race -run TestShardDeterminism ./internal/experiments -count=1
 
 # Tier-1 verification recipe (see ROADMAP.md).

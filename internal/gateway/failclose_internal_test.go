@@ -9,7 +9,8 @@ import (
 	"gq/internal/sim"
 )
 
-// rstCollector taps the router and buckets RSTs by destination.
+// rstCollector taps the router and buckets RSTs by destination. It keeps
+// what it is handed past the tap call, so it keeps clones.
 func rstCollector(r *Router, initIP, csIP netstack.Addr) (toInit, toCS *[]*netstack.Packet) {
 	var init, cs []*netstack.Packet
 	r.AddTap(func(p *netstack.Packet) {
@@ -18,9 +19,9 @@ func rstCollector(r *Router, initIP, csIP netstack.Addr) (toInit, toCS *[]*netst
 		}
 		switch p.IP.Dst {
 		case initIP:
-			init = append(init, p)
+			init = append(init, p.Clone())
 		case csIP:
-			cs = append(cs, p)
+			cs = append(cs, p.Clone())
 		}
 	})
 	return &init, &cs

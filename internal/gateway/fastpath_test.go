@@ -216,9 +216,8 @@ func arrayEnd(b []byte) *byte {
 // sender serialised it into all the way across the farm: tagged in place at
 // the access port, NAT-rewritten and untagged in place by the gateway (no
 // re-serialisation, no re-summed payload), tagged and untagged again by the
-// Internet switch. The responder's segments do the same up to the gateway,
-// whose relay toward the initiator (Flow.sendToInitiator) still builds a
-// fresh packet — so the inbound check stops there.
+// Internet switch. The responder's segments make the same trip the other
+// way round, through the gateway's in-place relay toward the initiator.
 func TestSplicedSegmentKeepsOneBufferAcrossTheFarm(t *testing.T) {
 	tb := newTestbed(t, 44)
 	tb.cs.SetFallback(policyFunc{"AllowAll", func(req *shim.Request) containment.Decision {
@@ -281,8 +280,49 @@ func TestSplicedSegmentKeepsOneBufferAcrossTheFarm(t *testing.T) {
 		t.Errorf("outbound segment changed buffers on its way (inmate switch %p, gateway upstream %p, internet switch %p)",
 			s.inmateSw, s.upstream, s.internetSw)
 	}
-	if s := seen[down]; s.internetSw != s.upstream {
-		t.Errorf("inbound segment changed buffers before the gateway (internet switch %p, gateway upstream %p)",
-			s.internetSw, s.upstream)
+	if s := seen[down]; s.internetSw != s.upstream || s.upstream != s.inmateSw {
+		t.Errorf("inbound segment changed buffers on its way (internet switch %p, gateway upstream %p, inmate switch %p)",
+			s.internetSw, s.upstream, s.inmateSw)
+	}
+}
+
+// TestSteadyStateAllocsPerSegment bounds what the whole farm pays for one
+// 1 KiB segment of an established spliced flow and its ACK: inmate -> inmate
+// switch -> gateway -> Internet switch -> sink, and back. Four hops each
+// way, two gateway crossings, two host receive paths — and the only objects
+// made are the two frames.
+func TestSteadyStateAllocsPerSegment(t *testing.T) {
+	tb := newTestbed(t, 45)
+	tb.cs.SetFallback(policyFunc{"AllowAll", func(req *shim.Request) containment.Decision {
+		return containment.Decision{Verdict: shim.Forward}
+	}})
+	sunk := 0
+	sink := tb.addExternal(t, "sink", netstack.MustParseAddr("198.51.100.8"))
+	sink.Listen(80, func(c *host.Conn) {
+		c.OnData = func(d []byte) { sunk += len(d) }
+	})
+	c := tb.inmate.Dial(netstack.MustParseAddr("198.51.100.8"), 80)
+	c.OnConnect = func() { c.Write([]byte("HELLO")) }
+	tb.sim.RunFor(5 * time.Second) // verdict applied, flow spliced
+	seg := bytes.Repeat([]byte{0x5a}, 1024)
+	for i := 0; i < 64; i++ { // send buffer, event queue and free lists reach their size
+		c.Write(seg)
+		tb.sim.RunFor(5 * time.Millisecond)
+	}
+	sunk = 0
+	// 1: the segment's frame buffer (host.newIPFrame), which the sink's
+	//    OnData consumer may keep — frame buffers are never pooled.
+	// 2: the ACK's frame buffer, likewise.
+	// 3: the test's own — each RunFor probes its goroutine id once.
+	const ceiling = 3
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Write(seg)
+		tb.sim.RunFor(5 * time.Millisecond)
+	})
+	if allocs > ceiling {
+		t.Errorf("one spliced 1 KiB segment and its ACK: %v allocs, ceiling %d", allocs, ceiling)
+	}
+	if sunk != 101*len(seg) || c.State() != host.StateEstablished {
+		t.Fatalf("sink got %d bytes of %d, connection %v", sunk, 101*len(seg), c.State())
 	}
 }

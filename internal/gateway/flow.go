@@ -426,8 +426,11 @@ func (f *Flow) sendToCS(p *netstack.Packet) {
 	f.r.sendToVLAN(p, f.cs.VLAN)
 }
 
-// sendToInitiator delivers a packet to the flow's initiator, impersonating
-// the original responder in the source fields.
+// sendToInitiator builds a packet the gateway originates (resets, UDP
+// datagrams, rewrite-proxy bytes that arrived behind the shim) and delivers
+// it to the flow's initiator, impersonating the original responder in the
+// source fields. Segments relayed from a live peer are patched in place
+// instead: relayCSSegmentToInit, relayRespSegmentToInit.
 func (f *Flow) sendToInitiator(tcp *netstack.TCP, udp *netstack.UDP, payload []byte) {
 	p := &netstack.Packet{
 		Eth: netstack.Ethernet{EtherType: netstack.EtherTypeIPv4},
@@ -649,13 +652,19 @@ func (f *Flow) relayCSSegmentToInit(p *netstack.Packet, payload []byte) {
 	if len(payload) != len(p.Payload) {
 		p.Payload = payload // forces the slow marshal path; rare
 	}
-	// Normalise the network header the way a freshly built packet would
-	// look (the initiator must see the impersonated responder, not the
-	// containment server's IP metadata).
+	f.impersonateResponder(p)
+	f.deliverToInitiator(p)
+}
+
+// impersonateResponder normalises the link and network headers of a
+// segment relayed in place the way a freshly built packet would look: the
+// initiator must see the impersonated responder, not the IP metadata of
+// whoever really sent the segment.
+func (f *Flow) impersonateResponder(p *netstack.Packet) {
+	p.Eth.Priority = 0
 	p.IP.TOS, p.IP.ID, p.IP.Flags, p.IP.FragOff = 0, 0, 0, 0
 	p.IP.TTL = netstack.DefaultTTL
 	p.IP.Src, p.IP.Dst = f.respIP, f.initIP
-	f.deliverToInitiator(p)
 }
 
 // tryParseResponseShim attempts to parse the buffered CS stream as a

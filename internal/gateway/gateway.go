@@ -38,12 +38,15 @@ type Gateway struct {
 
 	trunk   *netsim.Port // tagged uplink into the inmate-network switch
 	outside *netsim.Port // untagged upstream interface
+	// Each receiving port parses into storage of its own: a packet on its
+	// way through the routers is valid until the receive call returns.
+	rxTrunk, rxOutside netstack.ParseBuf
 
 	routers []*Router
 
 	// Outside-interface ARP.
 	outARP     map[netstack.Addr]netstack.MAC
-	outPending map[netstack.Addr][][]byte
+	outPending map[netstack.Addr]*arpWait
 
 	// upstreamTaps observe all frames crossing the outside interface, in
 	// both directions — the system-wide trace recording point (§5.6).
@@ -59,6 +62,35 @@ type Gateway struct {
 	TrunkRx, OutsideRx, Bridged *obs.Counter
 	// GRETx/GRERx count tunnel packets each way.
 	GRETx, GRERx *obs.Counter
+	// ARPPendingDrops counts frames refused by a full ARP-pending queue, on
+	// the outside interface or any router's VLAN side.
+	ARPPendingDrops *obs.Counter
+}
+
+// ARP retry schedule on both gateway sides: a request every
+// arpRetryInterval, the neighbour given up after arpMaxTries of them.
+const (
+	arpRetryInterval = time.Second
+	arpMaxTries      = 3
+)
+
+// arpWait is one unresolved neighbour — of the outside interface or of a
+// router's VLAN side: the frames parked for it, marshalled and complete but
+// for the destination MAC, and the retry state of the request in flight.
+type arpWait struct {
+	frames [][]byte
+	tries  int
+	retry  sim.Timer
+}
+
+// park queues a frame for the neighbour, or reports false when
+// netstack.MaxARPPending are waiting already: the newest is the one dropped.
+func (w *arpWait) park(frame []byte) bool {
+	if len(w.frames) >= netstack.MaxARPPending {
+		return false
+	}
+	w.frames = append(w.frames, frame)
+	return true
 }
 
 // New creates a gateway. Wire Trunk() into a switch trunk port and
@@ -67,7 +99,7 @@ func New(s *sim.Simulator) *Gateway {
 	g := &Gateway{
 		Sim:        s,
 		outARP:     make(map[netstack.Addr]netstack.MAC),
-		outPending: make(map[netstack.Addr][][]byte),
+		outPending: make(map[netstack.Addr]*arpWait),
 	}
 	g.trunk = netsim.NewPort(s, "gw/trunk", g.recvTrunk)
 	g.outside = netsim.NewPort(s, "gw/outside", g.recvOutside)
@@ -77,6 +109,7 @@ func New(s *sim.Simulator) *Gateway {
 	g.Bridged = reg.Counter("gw.bridged_frames")
 	g.GRETx = reg.Counter("gw.gre_tx_pkts")
 	g.GRERx = reg.Counter("gw.gre_rx_pkts")
+	g.ARPPendingDrops = reg.Counter("gw.arp_pending_drops")
 	return g
 }
 
@@ -165,7 +198,7 @@ func (g *Gateway) routerForGlobal(dst netstack.Addr) *Router {
 // private trunk and receive via Router.recvTrunkFrame).
 func (g *Gateway) recvTrunk(frame []byte) {
 	g.TrunkRx.Inc()
-	p, err := netstack.ParseFrame(frame)
+	p, err := g.rxTrunk.Parse(frame)
 	if err != nil || p.Eth.VLAN == netstack.NoVLAN {
 		return
 	}
@@ -182,7 +215,7 @@ func (g *Gateway) recvOutside(frame []byte) {
 	for _, t := range g.upstreamTaps {
 		t(frame)
 	}
-	p, err := netstack.ParseFrame(frame)
+	p, err := g.rxOutside.Parse(frame)
 	if err != nil || p.Eth.VLAN != netstack.NoVLAN {
 		return
 	}
@@ -254,14 +287,20 @@ func (g *Gateway) emitOutside(p *netstack.Packet) {
 		g.outside.SendOwned(frame)
 		return
 	}
-	g.outPending[dst] = append(g.outPending[dst], p.Marshal())
-	if len(g.outPending[dst]) > 1 {
-		return // request already in flight
+	w := g.outPending[dst]
+	if w == nil {
+		w = &arpWait{}
+		w.retry.Init(g.Sim, func() { g.arpOutsideExpired(dst, w) })
+		g.outPending[dst] = w
+		g.arpOutside(dst, w)
 	}
-	g.arpOutside(dst, 0)
+	if !w.park(p.Marshal()) {
+		g.ARPPendingDrops.Inc()
+	}
 }
 
-func (g *Gateway) arpOutside(dst netstack.Addr, tries int) {
+// arpOutside broadcasts a request for dst upstream and arms the retry.
+func (g *Gateway) arpOutside(dst netstack.Addr, w *arpWait) {
 	// Source the request from the first router's pool base + 1 so external
 	// stacks can learn a sane sender. Any farm global works.
 	var sender netstack.Addr
@@ -276,26 +315,29 @@ func (g *Gateway) arpOutside(dst netstack.Addr, tries int) {
 		},
 	}
 	g.outside.SendOwned(req.Marshal())
-	g.Sim.Schedule(time.Second, func() {
-		if _, ok := g.outARP[dst]; ok {
-			return
-		}
-		if tries+1 >= 3 {
-			delete(g.outPending, dst)
-			return
-		}
-		g.arpOutside(dst, tries+1)
-	})
+	w.retry.Reset(arpRetryInterval)
+}
+
+// arpOutsideExpired is Router.arpVLANExpired for the outside interface.
+func (g *Gateway) arpOutsideExpired(dst netstack.Addr, w *arpWait) {
+	if _, ok := g.outARP[dst]; ok {
+		return
+	}
+	if w.tries++; w.tries >= arpMaxTries {
+		delete(g.outPending, dst)
+		return
+	}
+	g.arpOutside(dst, w)
 }
 
 func (g *Gateway) flushOutside(addr netstack.Addr) {
-	frames := g.outPending[addr]
-	if len(frames) == 0 {
+	w := g.outPending[addr]
+	if w == nil {
 		return
 	}
 	delete(g.outPending, addr)
 	mac := g.outARP[addr]
-	for _, f := range frames {
+	for _, f := range w.frames {
 		// The queued frame is fully marshalled; only the destination MAC
 		// was unknown when it was parked. Patch it in place.
 		if !netstack.SetEthDst(f, mac) {

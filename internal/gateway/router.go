@@ -138,6 +138,9 @@ type Router struct {
 	trunk      *netsim.Port
 	uplink     *netsim.Port
 	uplinkCore *netsim.Port
+	// One parse buffer per receiving port, like the gateway's: rxTrunk and
+	// rxUplink belong to the router's domain, rxCore to the core's.
+	rxTrunk, rxUplink, rxCore netstack.ParseBuf
 
 	// L2 bridging state for the subfarm's restricted broadcast domain.
 	// MAC addresses are farm-unique, and bridging only ever targets VLANs
@@ -169,7 +172,7 @@ type Router struct {
 
 	// VLAN-side ARP (for reaching service hosts and inmates).
 	vlanARP     map[vlanAddr]netstack.MAC
-	vlanPending map[vlanAddr][]*netstack.Packet
+	vlanPending map[vlanAddr]*arpWait
 
 	// Safety filter state: fixed one-minute windows.
 	rateWindow  time.Duration
@@ -277,7 +280,7 @@ func newRouter(g *Gateway, s *sim.Simulator, cfg RouterConfig) *Router {
 		inmateMAC:    make(map[uint16]netstack.MAC),
 		inmateVLAN:   make(map[netstack.Addr]uint16),
 		vlanARP:      make(map[vlanAddr]netstack.MAC),
-		vlanPending:  make(map[vlanAddr][]*netstack.Packet),
+		vlanPending:  make(map[vlanAddr]*arpWait),
 		rateAll:      make(map[uint16]int),
 		rateDest:     make(map[vlanAddr]int),
 		crosstalk:    make(map[[2]uint16]bool),
@@ -365,7 +368,7 @@ func (r *Router) Sim() *sim.Simulator { return r.sim }
 // everything on this trunk is ours.
 func (r *Router) recvTrunkFrame(frame []byte) {
 	r.gw.TrunkRx.Inc()
-	p, err := netstack.ParseFrame(frame)
+	p, err := r.rxTrunk.Parse(frame)
 	if err != nil || p.Eth.VLAN == netstack.NoVLAN {
 		return
 	}
@@ -490,7 +493,7 @@ func (r *Router) emitOutside(p *netstack.Packet) {
 // over the router's uplink re-parse and continue on the core's upstream
 // path (ARP resolution, taps, transmission).
 func (r *Router) recvAtCore(frame []byte) {
-	p, err := netstack.ParseFrame(frame)
+	p, err := r.rxCore.Parse(frame)
 	if err != nil || p.IP == nil {
 		return
 	}
@@ -500,7 +503,7 @@ func (r *Router) recvAtCore(frame []byte) {
 // recvFromCore runs in the router's domain: inbound frames the core
 // dispatched to this router's global space.
 func (r *Router) recvFromCore(frame []byte) {
-	p, err := netstack.ParseFrame(frame)
+	p, err := r.rxUplink.Parse(frame)
 	if err != nil || p.IP == nil {
 		return
 	}
@@ -566,7 +569,9 @@ func (r *Router) Config() RouterConfig { return r.cfg }
 // NAT exposes the subfarm's NAT table.
 func (r *Router) NAT() *nat.Table { return r.nat }
 
-// AddTap registers a subfarm trace tap (internal addressing).
+// AddTap registers a subfarm trace tap (internal addressing). The packet a
+// tap is handed is valid until the tap returns; a tap that keeps it calls
+// Clone.
 func (r *Router) AddTap(t func(p *netstack.Packet)) { r.taps = append(r.taps, t) }
 
 // EnableCrosstalk permits direct L2 traffic between two inmate VLANs.
@@ -767,14 +772,20 @@ func (r *Router) sendToVLAN(p *netstack.Packet, vlan uint16) {
 			return
 		}
 	}
-	r.vlanPending[key] = append(r.vlanPending[key], p)
-	if len(r.vlanPending[key]) > 1 {
-		return
+	w := r.vlanPending[key]
+	if w == nil {
+		w = &arpWait{}
+		w.retry.Init(r.sim, func() { r.arpVLANExpired(key, w) })
+		r.vlanPending[key] = w
+		r.arpVLAN(key, w)
 	}
-	r.arpVLAN(key, 0)
+	if !w.park(p.Marshal()) {
+		r.gw.ARPPendingDrops.Inc()
+	}
 }
 
-func (r *Router) arpVLAN(key vlanAddr, tries int) {
+// arpVLAN broadcasts a request for key on its VLAN and arms the retry.
+func (r *Router) arpVLAN(key vlanAddr, w *arpWait) {
 	sender := r.cfg.RouterIP
 	if r.isServiceVLAN(key.vlan) {
 		sender = r.cfg.ServiceRouterIP
@@ -790,26 +801,39 @@ func (r *Router) arpVLAN(key vlanAddr, tries int) {
 		},
 	}
 	r.sendTrunk(req)
-	r.sim.Schedule(time.Second, func() {
-		if _, ok := r.vlanARP[key]; ok {
-			return
-		}
-		if tries+1 >= 3 {
-			delete(r.vlanPending, key)
-			return
-		}
-		r.arpVLAN(key, tries+1)
-	})
+	w.retry.Reset(arpRetryInterval)
 }
 
+// arpVLANExpired runs arpRetryInterval after each request: nothing to do if
+// the neighbour answered meanwhile, else ask again or give it up and drop
+// what was parked for it.
+func (r *Router) arpVLANExpired(key vlanAddr, w *arpWait) {
+	if _, ok := r.vlanARP[key]; ok {
+		return
+	}
+	if w.tries++; w.tries >= arpMaxTries {
+		delete(r.vlanPending, key)
+		return
+	}
+	r.arpVLAN(key, w)
+}
+
+// flushVLANPending transmits the frames parked for a neighbour that just
+// resolved. They were marshalled when parked; taps take packets, so each is
+// parsed again — into a fresh Packet, because the ARP packet that triggered
+// the flush is still live in the receive path's parse buffer.
 func (r *Router) flushVLANPending(key vlanAddr) {
-	queued := r.vlanPending[key]
-	if len(queued) == 0 {
+	w := r.vlanPending[key]
+	if w == nil {
 		return
 	}
 	delete(r.vlanPending, key)
 	mac := r.vlanARP[key]
-	for _, p := range queued {
+	for _, frame := range w.frames {
+		p, err := netstack.ParseFrame(frame)
+		if err != nil {
+			continue
+		}
 		p.Eth.Dst = mac
 		r.tapAndSend(p)
 	}

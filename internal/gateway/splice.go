@@ -136,11 +136,10 @@ func (f *Flow) fromResponder(p *netstack.Packet) {
 
 	case fsSplice:
 		if t.Flags&netstack.FlagRST != 0 {
-			rst := &netstack.TCP{
-				SrcPort: f.respPort, DstPort: f.initPort,
-				Seq: t.Seq + f.seqDelta, Ack: t.Ack, Flags: t.Flags,
-			}
-			f.sendToInitiator(rst, nil, nil)
+			// The initiator gets a bare reset: no window, no urgent
+			// pointer, no data.
+			t.Window, t.Urgent, p.Payload = 0, 0, nil
+			f.relayRespSegmentToInit(p)
 			f.close("responder reset")
 			return
 		}
@@ -157,13 +156,7 @@ func (f *Flow) fromResponder(p *netstack.Packet) {
 			}
 			f.finResp = true
 		}
-		// Relay to the initiator, impersonating the original destination
-		// and translating into the containment server's sequence space.
-		rt := *t
-		rt.SrcPort = f.respPort
-		rt.DstPort = f.initPort
-		rt.Seq += f.seqDelta
-		f.sendToInitiator(&rt, nil, p.Payload)
+		f.relayRespSegmentToInit(p)
 		f.maybeFinish()
 
 	case fsDropped, fsClosed:
@@ -172,6 +165,22 @@ func (f *Flow) fromResponder(p *netstack.Packet) {
 			f.sender.sendRST()
 		}
 	}
+}
+
+// relayRespSegmentToInit rewrites a spliced responder segment in place to
+// impersonate the original destination, translated into the containment
+// server's sequence space (consumes the packet). What reaches the initiator
+// is byte for byte the frame a packet built from these header fields would
+// marshal to — Canonicalize drops anything else the responder's frame
+// carried — but an ordinary segment keeps its buffer and pays an
+// incremental checksum update instead of a rebuild.
+func (f *Flow) relayRespSegmentToInit(p *netstack.Packet) {
+	t := p.TCP
+	t.SrcPort, t.DstPort = f.respPort, f.initPort
+	t.Seq += f.seqDelta
+	p.Canonicalize()
+	f.impersonateResponder(p)
+	f.deliverToInitiator(p)
 }
 
 // spliceFromInitiator relays initiator segments to the responder after the
@@ -287,7 +296,7 @@ type gwSender struct {
 	pending []gwSeg
 	finQued bool
 
-	timer   *sim.Event
+	timer   sim.Timer
 	retries int
 	dead    bool
 }
@@ -299,7 +308,9 @@ type gwSeg struct {
 }
 
 func newGwSender(f *Flow, rt route) *gwSender {
-	return &gwSender{f: f, rt: rt, una: f.initISS, nextSeq: f.initISS}
+	s := &gwSender{f: f, rt: rt, una: f.initISS, nextSeq: f.initISS}
+	s.timer.Init(f.r.sim, s.retransmit)
+	return s
 }
 
 func (s *gwSender) sendSYN() {
@@ -316,7 +327,7 @@ func (s *gwSender) sendSYN() {
 func (s *gwSender) onEstablished() {
 	s.una = s.nextSeq
 	s.retries = 0
-	s.cancelTimer()
+	s.timer.Stop()
 	// Handshake ACK.
 	s.transmitSeg(&netstack.TCP{
 		SrcPort: s.f.initPort, DstPort: s.f.actualPort,
@@ -386,7 +397,7 @@ func (s *gwSender) onAck(ack uint32) {
 	}
 	s.pending = kept
 	if len(s.pending) == 0 {
-		s.cancelTimer()
+		s.timer.Stop()
 		if s.f.initAborted && !s.dead {
 			// Replay delivered; mirror the initiator's abrupt teardown.
 			s.sendRST()
@@ -414,10 +425,7 @@ func (s *gwSender) sendRST() {
 	s.stop()
 }
 
-func (s *gwSender) arm() {
-	s.cancelTimer()
-	s.timer = s.f.r.sim.Schedule(time.Second, s.retransmit)
-}
+func (s *gwSender) arm() { s.timer.Reset(time.Second) }
 
 func (s *gwSender) retransmit() {
 	if s.dead {
@@ -443,16 +451,9 @@ func (s *gwSender) retransmit() {
 	s.arm()
 }
 
-func (s *gwSender) cancelTimer() {
-	if s.timer != nil {
-		s.timer.Cancel()
-		s.timer = nil
-	}
-}
-
 func (s *gwSender) stop() {
 	s.dead = true
-	s.cancelTimer()
+	s.timer.Stop()
 }
 
 // --- token bucket for LIMIT ---

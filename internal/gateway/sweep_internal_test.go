@@ -78,7 +78,7 @@ func TestSweepEstablishingPortDownMidHandshake(t *testing.T) {
 	var rsts []*netstack.Packet
 	r.AddTap(func(p *netstack.Packet) {
 		if p.TCP != nil && p.TCP.Flags&netstack.FlagRST != 0 && p.IP.Dst == initIP {
-			rsts = append(rsts, p)
+			rsts = append(rsts, p.Clone()) // kept past the tap call
 		}
 	})
 

@@ -16,6 +16,7 @@ import (
 
 	"gq/internal/netsim"
 	"gq/internal/netstack"
+	"gq/internal/obs"
 	"gq/internal/sim"
 )
 
@@ -61,11 +62,15 @@ type Host struct {
 	ipID    uint16
 	dropRx  bool // true while "powered off"
 	rxHooks []func(*netstack.Packet)
+	// rx is where receiveFrame parses every frame: a packet handed to the
+	// protocol handlers or an rx hook is valid until receiveFrame returns.
+	rx netstack.ParseBuf
 
-	// ARP.
-	arpCache   map[netstack.Addr]netstack.MAC
-	arpPending map[netstack.Addr][]pendingIP
-	arpRetry   map[netstack.Addr]*arpAttempt
+	// ARP. arpWaits holds one entry per next hop being resolved;
+	// arpDrops counts frames refused by a full wait queue, farm-wide.
+	arpCache map[netstack.Addr]netstack.MAC
+	arpWaits map[netstack.Addr]*arpWait
+	arpDrops *obs.Counter
 
 	// Transport.
 	conns       map[connKey]*Conn
@@ -77,9 +82,15 @@ type Host struct {
 	rawUDPHook  func(p *netstack.Packet) bool
 }
 
-type arpAttempt struct {
-	tries int
-	ev    *sim.Event
+// arpWait is one unresolved next hop: the frames parked for it — at most
+// netstack.MaxARPPending, the newest dropped beyond that — and the retry
+// timer of the request in flight.
+type arpWait struct {
+	h      *Host
+	target netstack.Addr
+	queue  []pendingIP
+	tries  int
+	retry  sim.Timer
 }
 
 type connKey struct {
@@ -92,16 +103,16 @@ type connKey struct {
 // wire it with netsim.Connect.
 func New(s *sim.Simulator, name string, mac netstack.MAC) *Host {
 	h := &Host{
-		Name:       name,
-		sim:        s,
-		mac:        mac,
-		arpCache:   make(map[netstack.Addr]netstack.MAC),
-		arpPending: make(map[netstack.Addr][]pendingIP),
-		arpRetry:   make(map[netstack.Addr]*arpAttempt),
-		conns:      make(map[connKey]*Conn),
-		listeners:  make(map[uint16]func(*Conn)),
-		udpSocks:   make(map[uint16]*UDPSock),
-		nextEphem:  32768,
+		Name:      name,
+		sim:       s,
+		mac:       mac,
+		arpCache:  make(map[netstack.Addr]netstack.MAC),
+		arpWaits:  make(map[netstack.Addr]*arpWait),
+		arpDrops:  s.Obs().Reg.Counter("host.arp_pending_drops"),
+		conns:     make(map[connKey]*Conn),
+		listeners: make(map[uint16]func(*Conn)),
+		udpSocks:  make(map[uint16]*UDPSock),
+		nextEphem: 32768,
 	}
 	h.nic = netsim.NewPort(s, name+"/eth0", h.receiveFrame)
 	return h
@@ -163,7 +174,9 @@ func (h *Host) AnnounceARP() {
 }
 
 // AddRxHook registers an observer invoked for every parsed packet the host
-// receives, before protocol processing. Used by instrumentation.
+// receives, before protocol processing. Used by instrumentation. The packet
+// is valid until the hook returns; a hook that keeps it calls Clone. (The
+// frame bytes it points into are never reused and may be kept as they are.)
 func (h *Host) AddRxHook(fn func(*netstack.Packet)) {
 	h.rxHooks = append(h.rxHooks, fn)
 }
@@ -219,11 +232,10 @@ func (h *Host) Reset() {
 	h.dropRx = false
 	h.addr, h.bits, h.gw, h.dns = 0, 0, 0, 0
 	h.arpCache = make(map[netstack.Addr]netstack.MAC)
-	h.arpPending = make(map[netstack.Addr][]pendingIP)
-	for _, a := range h.arpRetry {
-		a.ev.Cancel()
+	for _, w := range h.arpWaits {
+		w.retry.Stop()
 	}
-	h.arpRetry = make(map[netstack.Addr]*arpAttempt)
+	h.arpWaits = make(map[netstack.Addr]*arpWait)
 	for _, c := range h.sortedConns() {
 		c.destroy(fmt.Errorf("host %s reset", h.Name))
 	}
@@ -238,7 +250,7 @@ func (h *Host) receiveFrame(frame []byte) {
 	if h.dropRx {
 		return
 	}
-	p, err := netstack.ParseFrame(frame)
+	p, err := h.rx.Parse(frame)
 	if err != nil {
 		return
 	}
@@ -334,49 +346,56 @@ func (h *Host) sendIP(dst netstack.Addr, proto uint8, frame []byte) {
 		h.emitIP(mac, dst, proto, frame)
 		return
 	}
-	h.arpPending[nexthop] = append(h.arpPending[nexthop], pendingIP{proto: proto, frame: frame, dst: dst})
-	if _, inflight := h.arpRetry[nexthop]; !inflight {
-		h.startARP(nexthop, 0)
+	w := h.arpWaits[nexthop]
+	if w == nil {
+		w = &arpWait{h: h, target: nexthop}
+		w.retry.Init(h.sim, w.expire)
+		h.arpWaits[nexthop] = w
+		w.request()
 	}
+	if len(w.queue) >= netstack.MaxARPPending {
+		h.arpDrops.Inc()
+		return
+	}
+	w.queue = append(w.queue, pendingIP{proto: proto, frame: frame, dst: dst})
 }
 
-func (h *Host) startARP(target netstack.Addr, tries int) {
+// request broadcasts an ARP request for the wait's next hop and arms the
+// retry timer.
+func (w *arpWait) request() {
+	h := w.h
 	req := &netstack.Packet{
 		Eth: netstack.Ethernet{Dst: netstack.BroadcastMAC, Src: h.mac, EtherType: netstack.EtherTypeARP},
 		ARP: &netstack.ARP{
 			Op:       netstack.ARPRequest,
 			SenderHW: h.mac, SenderIP: h.addr,
-			TargetIP: target,
+			TargetIP: w.target,
 		},
 	}
 	h.nic.Send(req.Marshal())
-	ev := h.sim.Schedule(arpRetryInterval, func() {
-		att := h.arpRetry[target]
-		if att == nil {
-			return
-		}
-		if att.tries+1 >= arpMaxRetries {
-			delete(h.arpRetry, target)
-			delete(h.arpPending, target) // unresolvable: drop queued traffic
-			return
-		}
-		h.startARP(target, att.tries+1)
-	})
-	h.arpRetry[target] = &arpAttempt{tries: tries, ev: ev}
+	w.retry.Reset(arpRetryInterval)
+}
+
+// expire runs when a request went unanswered: ask again, or after
+// arpMaxRetries give the next hop up and drop the traffic parked for it.
+func (w *arpWait) expire() {
+	w.tries++
+	if w.tries >= arpMaxRetries {
+		delete(w.h.arpWaits, w.target)
+		return
+	}
+	w.request()
 }
 
 func (h *Host) flushARPPending(addr netstack.Addr) {
-	if att, ok := h.arpRetry[addr]; ok {
-		att.ev.Cancel()
-		delete(h.arpRetry, addr)
-	}
-	queued := h.arpPending[addr]
-	if len(queued) == 0 {
+	w := h.arpWaits[addr]
+	if w == nil {
 		return
 	}
-	delete(h.arpPending, addr)
+	w.retry.Stop()
+	delete(h.arpWaits, addr)
 	mac := h.arpCache[addr]
-	for _, q := range queued {
+	for _, q := range w.queue {
 		h.emitIP(mac, q.dst, q.proto, q.frame)
 	}
 }

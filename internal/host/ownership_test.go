@@ -2,6 +2,8 @@ package host
 
 import (
 	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -88,7 +90,7 @@ func TestARPPendingFramesLeaveIntact(t *testing.T) {
 		sock.SendTo(b.Addr(), 2000, d)
 	}
 	a.Dial(b.Addr(), 80)
-	if n := len(a.arpPending[b.Addr()]); n != 4 {
+	if n := len(a.arpWaits[b.Addr()].queue); n != 4 {
 		t.Fatalf("%d frames parked behind ARP, want 4", n)
 	}
 	s.RunFor(time.Second)
@@ -109,9 +111,11 @@ func TestARPPendingFramesLeaveIntact(t *testing.T) {
 }
 
 // TestSegmentAllocCeilingAccessToTrunk bounds what one data segment costs
-// from Conn.Write across an access port to the trunk: the frame buffer, the
-// retransmission timer, and two link deliveries — no copy per layer or per
-// hop. A regression here fails go test without a benchmark run.
+// from Conn.Write across an access port to the trunk: the frame buffer and
+// nothing else — the retransmission timer is re-armed in place and both
+// link deliveries ride recycled records. (The second allocation counted is
+// the test's own: each RunFor probes its goroutine id once.) A regression
+// here fails go test without a benchmark run.
 func TestSegmentAllocCeilingAccessToTrunk(t *testing.T) {
 	s := sim.New(1)
 	sw := netsim.NewSwitch(s, "sw")
@@ -138,7 +142,7 @@ func TestSegmentAllocCeilingAccessToTrunk(t *testing.T) {
 	s.RunFor(time.Millisecond)
 
 	seg := bytes.Repeat([]byte{0x5a}, MSS)
-	const ceiling = 8
+	const ceiling = 2
 	allocs := testing.AllocsPerRun(20, func() {
 		c.Write(seg)
 		s.RunFor(time.Millisecond)
@@ -198,5 +202,136 @@ func TestSndBufSlidesOverOneArray(t *testing.T) {
 	}
 	if len(c.sndBuf) != 0 || cap(c.sndBuf) != cap(c.sndBase) {
 		t.Fatalf("drained send buffer did not return to its base: len %d cap %d of %d", len(c.sndBuf), cap(c.sndBuf), cap(c.sndBase))
+	}
+}
+
+// TestKeptBytesSurviveLaterFrames: receiveFrame parses every frame into one
+// ParseBuf, so a packet is gone the moment the next frame arrives. Whatever
+// the host keeps across frames — the out-of-order stash, frames parked
+// behind ARP, the unacknowledged send buffer — must therefore be its own
+// bytes. Park all three, run unrelated traffic of every kind through the
+// host, then collect each and compare.
+func TestKeptBytesSurviveLaterFrames(t *testing.T) {
+	s, h, peer := rawSetup(t)
+	var got []byte
+	var conn *Conn
+	reply := bytes.Repeat([]byte("unacknowledged reply "), 40)
+	if err := h.Listen(80, func(c *Conn) {
+		conn = c
+		c.OnData = func(d []byte) { got = append(got, d...) }
+		c.Write(reply) // the peer never acknowledges: stays in sndBuf
+	}); err != nil {
+		t.Fatal(err)
+	}
+	serverISN, next := rawHandshake(t, s, h, peer, 80)
+	seg := func(sport uint16, seq uint32, payload string) {
+		peer.send(h.MAC(), h.Addr(), &netstack.TCP{
+			SrcPort: sport, DstPort: 80, Seq: seq, Ack: serverISN + 1,
+			Flags: netstack.FlagACK | netstack.FlagPSH, Window: 65535,
+		}, []byte(payload))
+	}
+	seg(5555, next+5, "WORLD") // out of order: stashed
+	sock, err := h.ListenUDP(1000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent := netstack.MustParseAddr("10.0.0.77") // nobody answers ARP for it yet
+	parked := []string{"first parked", strings.Repeat("second parked ", 50), "third"}
+	for _, d := range parked {
+		sock.SendTo(silent, 2000, []byte(d))
+	}
+	s.RunFor(100 * time.Millisecond)
+	if conn == nil || len(conn.ooo) != 1 || len(h.arpWaits[silent].queue) != len(parked) {
+		t.Fatalf("setup: conn %v, %d stashed, ARP waits %v", conn != nil, len(conn.ooo), h.arpWaits)
+	}
+
+	// Unrelated frames of every kind the host parses: segments for sockets
+	// it does not have (answered with RST), datagrams, ARP chatter.
+	for i := 0; i < 50; i++ {
+		seg(uint16(6000+i), 1, strings.Repeat("x", 64+i))
+		udp := &netstack.Packet{
+			Eth:     netstack.Ethernet{Dst: h.MAC(), Src: peer.mac, EtherType: netstack.EtherTypeIPv4},
+			IP:      &netstack.IPv4{TTL: 64, Src: peer.addr, Dst: h.Addr()},
+			UDP:     &netstack.UDP{SrcPort: 9, DstPort: uint16(3000 + i)},
+			Payload: bytes.Repeat([]byte{byte(i)}, 100),
+		}
+		peer.port.Send(udp.Marshal())
+		arp := &netstack.Packet{
+			Eth: netstack.Ethernet{Dst: netstack.BroadcastMAC, Src: peer.mac, EtherType: netstack.EtherTypeARP},
+			ARP: &netstack.ARP{Op: netstack.ARPRequest, SenderHW: peer.mac, SenderIP: peer.addr, TargetIP: h.Addr()},
+		}
+		peer.port.Send(arp.Marshal())
+	}
+	s.RunFor(100 * time.Millisecond)
+
+	if !bytes.Equal(conn.sndBuf, reply) {
+		t.Errorf("sndBuf altered by later frames (first diff at %d)", firstDiff(conn.sndBuf, reply))
+	}
+	seg(5555, next, "HELLO")
+	s.RunFor(100 * time.Millisecond)
+	if string(got) != "HELLOWORLD" {
+		t.Errorf("reassembled %q from the stash, want HELLOWORLD", got)
+	}
+	// The silent neighbour finally speaks up — from the peer's MAC, so the
+	// parked datagrams land at the peer.
+	peer.rx = nil
+	hello := &netstack.Packet{
+		Eth: netstack.Ethernet{Dst: netstack.BroadcastMAC, Src: peer.mac, EtherType: netstack.EtherTypeARP},
+		ARP: &netstack.ARP{Op: netstack.ARPReply, SenderHW: peer.mac, SenderIP: silent, TargetHW: h.MAC(), TargetIP: h.Addr()},
+	}
+	peer.port.Send(hello.Marshal())
+	s.RunFor(100 * time.Millisecond)
+	var flushed []string
+	for _, p := range peer.rx {
+		if p.UDP != nil && p.IP.Dst == silent {
+			flushed = append(flushed, string(p.Payload))
+		}
+	}
+	if !reflect.DeepEqual(flushed, parked) {
+		t.Errorf("parked datagrams left as %q, want %q", flushed, parked)
+	}
+	// And the retransmission timer resends the reply as written.
+	peer.rx = nil
+	s.RunFor(2 * time.Second)
+	var resent []byte
+	for _, p := range peer.rx {
+		if p.TCP != nil && p.TCP.SrcPort == 80 && p.TCP.Seq == serverISN+1+uint32(len(resent)) {
+			resent = append(resent, p.Payload...)
+		}
+	}
+	if !bytes.Equal(resent, reply) {
+		t.Errorf("retransmitted %d bytes, first diff at %d", len(resent), firstDiff(resent, reply))
+	}
+}
+
+// TestARPPendingQueueIsBounded floods an unresolvable on-link neighbour:
+// the host parks netstack.MaxARPPending frames, drops and counts the rest,
+// and forgets all of them when resolution times out.
+func TestARPPendingQueueIsBounded(t *testing.T) {
+	s := sim.New(1)
+	a, _ := pair(t, s)
+	sock, err := a.ListenUDP(1000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := netstack.MustParseAddr("10.0.0.99")
+	const flood = 10000
+	for i := 0; i < flood; i++ {
+		sock.SendTo(dead, 7, []byte("into the void"))
+	}
+	if n := len(a.arpWaits[dead].queue); n != netstack.MaxARPPending {
+		t.Fatalf("%d frames parked, want the bound %d", n, netstack.MaxARPPending)
+	}
+	if got := a.arpDrops.Value(); got != flood-netstack.MaxARPPending {
+		t.Errorf("host.arp_pending_drops = %d, want %d", got, flood-netstack.MaxARPPending)
+	}
+	s.Run()
+	if len(a.arpWaits) != 0 || s.Pending() != 0 {
+		t.Errorf("after the ARP timeout: %d waits, %d events still pending", len(a.arpWaits), s.Pending())
+	}
+	// A later frame starts over with an empty queue.
+	sock.SendTo(dead, 7, []byte("again"))
+	if n := len(a.arpWaits[dead].queue); n != 1 {
+		t.Errorf("%d frames parked after the timeout, want 1", n)
 	}
 }

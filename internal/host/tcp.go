@@ -88,10 +88,12 @@ type Conn struct {
 	oooFinSeq uint32
 	finRcvd   bool
 
-	rtx      *sim.Event
+	// rtx is re-armed with every segment sent or acknowledged; neither
+	// timer allocates when armed (see sim.Timer).
+	rtx      sim.Timer
 	retries  int
 	rto      time.Duration
-	timeWait *sim.Event
+	timeWait sim.Timer
 	acceptFn func(*Conn) // deferred listener callback for passive opens
 
 	// OnConnect fires when the connection reaches ESTABLISHED (for both
@@ -151,7 +153,7 @@ func (h *Host) Dial(dst netstack.Addr, port uint16) *Conn {
 }
 
 func (h *Host) newConn(localPort uint16, rip netstack.Addr, rport uint16) *Conn {
-	return &Conn{
+	c := &Conn{
 		host:      h,
 		key:       connKey{localPort: localPort, remoteIP: rip, remotePort: rport},
 		localPort: localPort, remoteIP: rip, remotePort: rport,
@@ -159,6 +161,8 @@ func (h *Host) newConn(localPort uint16, rip netstack.Addr, rport uint16) *Conn 
 		sndWnd: DefaultWindow,
 		ooo:    make(map[uint32][]byte),
 	}
+	c.rtx.Init(h.sim, c.retransmit)
+	return c
 }
 
 // Write queues application data for transmission. Writing after Close or on
@@ -277,12 +281,7 @@ func (c *Conn) sendSegment(flags uint8, seq, ack uint32, payload []byte) {
 	c.host.sendIP(c.remoteIP, netstack.ProtoTCP, frame)
 }
 
-func (c *Conn) armRetransmit() {
-	if c.rtx != nil {
-		c.rtx.Cancel()
-	}
-	c.rtx = c.host.sim.Schedule(c.rto, c.retransmit)
-}
+func (c *Conn) armRetransmit() { c.rtx.Reset(c.rto) }
 
 // resetRTO is called whenever the peer acknowledges forward progress: the
 // retry budget refills and the timeout collapses back to the initial value.
@@ -344,12 +343,8 @@ func (c *Conn) destroy(err error) {
 	c.ooo = nil // sweep any stale reassembly stash with the conn
 	c.sndBuf, c.sndBase = nil, nil
 	c.oooFin = false
-	if c.rtx != nil {
-		c.rtx.Cancel()
-	}
-	if c.timeWait != nil {
-		c.timeWait.Cancel()
-	}
+	c.rtx.Stop()
+	c.timeWait.Stop()
 	delete(c.host.conns, c.key)
 	if c.OnClose != nil {
 		c.OnClose(err)
@@ -463,7 +458,7 @@ func (c *Conn) handleSegment(t *netstack.TCP, payload []byte) {
 			c.sndUna = t.Ack
 			c.state = StateEstablished
 			c.resetRTO()
-			c.rtx.Cancel()
+			c.rtx.Stop()
 			c.sendSegment(netstack.FlagACK, c.sndNxt, c.rcvNxt, nil)
 			if c.OnConnect != nil {
 				c.OnConnect()
@@ -477,7 +472,7 @@ func (c *Conn) handleSegment(t *netstack.TCP, payload []byte) {
 			c.sndUna = t.Ack
 			c.state = StateEstablished
 			c.resetRTO()
-			c.rtx.Cancel()
+			c.rtx.Stop()
 			if c.acceptFn != nil {
 				c.acceptFn(c)
 				c.acceptFn = nil
@@ -514,9 +509,7 @@ func (c *Conn) handleSegment(t *netstack.TCP, payload []byte) {
 		c.sndUna = t.Ack
 		c.resetRTO()
 		if c.sndUna == c.sndNxt {
-			if c.rtx != nil {
-				c.rtx.Cancel()
-			}
+			c.rtx.Stop()
 			// Entire send space acknowledged: advance closing states.
 			if c.finSent {
 				switch c.state {
@@ -670,10 +663,9 @@ func (c *Conn) handleFIN() {
 
 func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
-	if c.rtx != nil {
-		c.rtx.Cancel()
-	}
-	if c.timeWait == nil {
-		c.timeWait = c.host.sim.Schedule(timeWaitDuration, func() { c.destroy(nil) })
+	c.rtx.Stop()
+	if !c.timeWait.Pending() {
+		c.timeWait.Init(c.host.sim, func() { c.destroy(nil) })
+		c.timeWait.Reset(timeWaitDuration)
 	}
 }

@@ -53,6 +53,7 @@ type Port struct {
 	Name string
 
 	sim     *sim.Simulator
+	wire    *wire // p.sim's in-flight records, shared by all its ports
 	recv    func(frame []byte)
 	peer    *Port
 	latency time.Duration
@@ -83,7 +84,7 @@ type Port struct {
 	// simulation. Loss-model drops and admin-down drops are distinct
 	// series so injected impairment is distinguishable from a pulled
 	// cable in the journal.
-	lossDrops, downDrops, rxDrops     *obs.Counter
+	lossDrops, downDrops, rxDrops      *obs.Counter
 	dupFrames, corruptFrames, reorders *obs.Counter
 }
 
@@ -92,7 +93,7 @@ type Port struct {
 func NewPort(s *sim.Simulator, name string, recv func(frame []byte)) *Port {
 	reg := s.Obs().Reg
 	return &Port{
-		Name: name, sim: s, recv: recv, up: true,
+		Name: name, sim: s, wire: wireOf(s), recv: recv, up: true,
 		everRecv:      recv != nil,
 		lossDrops:     reg.Counter("netsim.port_loss_drops"),
 		downDrops:     reg.Counter("netsim.port_down_drops"),
@@ -239,19 +240,72 @@ func (p *Port) delay() time.Duration {
 	return d
 }
 
-// deliver schedules the (now callee-owned) buffer at the peer. When the
-// peer lives in another simulation domain the frame crosses via PostTo:
-// buffer ownership transfers with the message (no copy), and all receive
-// bookkeeping runs in the receiving domain. Connect guarantees the link
-// latency is at least the coordinator's lookahead, so the clamp in PostTo
-// never fires for frame delivery.
-func (p *Port) deliver(buf []byte, after time.Duration) {
-	peer := p.peer
-	if peer.sim != p.sim {
-		p.sim.PostTo(peer.sim, after, func() { peer.receive(buf) })
-		return
+// inflight is one frame on a link: the buffer, the port it is headed for and
+// the timer that fires on arrival. Records are recycled through their
+// domain's wire, so a hop costs no allocation.
+type inflight struct {
+	timer sim.Timer
+	peer  *Port
+	buf   []byte
+}
+
+// wire is one simulation domain's free list of in-flight records, touched
+// only by that domain's goroutine. A record is taken from the sending port's
+// domain and released into the receiving port's, so records of a
+// cross-domain link migrate with the traffic; maxIdleRecords bounds what a
+// domain that mostly receives holds on to.
+type wire struct {
+	sim  *sim.Simulator
+	idle []*inflight
+}
+
+// maxIdleRecords is far above the frames any farm in the tree has in flight
+// inside one domain at once; idle records beyond it go to the collector.
+const maxIdleRecords = 4096
+
+type wireKey struct{}
+
+// wireOf returns s's wire, creating it with the domain's first port.
+func wireOf(s *sim.Simulator) *wire {
+	return s.Local(wireKey{}, func() any { return &wire{sim: s} }).(*wire)
+}
+
+// take returns an idle record whose timer is bound to the wire's domain.
+func (w *wire) take() *inflight {
+	if n := len(w.idle); n > 0 {
+		f := w.idle[n-1]
+		w.idle[n-1] = nil
+		w.idle = w.idle[:n-1]
+		return f
 	}
-	p.sim.Schedule(after, func() { peer.receive(buf) })
+	f := &inflight{}
+	f.timer.Init(w.sim, f.arrive)
+	return f
+}
+
+// arrive fires in the receiving port's domain. The record goes back on that
+// domain's free list before the frame is handed over, so a receiver that
+// sends in turn re-uses it.
+func (f *inflight) arrive() {
+	peer, buf := f.peer, f.buf
+	f.peer, f.buf = nil, nil
+	if w := peer.wire; len(w.idle) < maxIdleRecords {
+		w.idle = append(w.idle, f)
+	}
+	peer.receive(buf)
+}
+
+// deliver puts the (now callee-owned) buffer on the link: an in-flight
+// record carries it and fires at the peer after the delay. When the peer
+// lives in another simulation domain the record crosses with the frame —
+// buffer ownership transfers (no copy), the coordinator arms the record in
+// the receiving domain, and all receive bookkeeping runs there. Connect
+// guarantees the link latency is at least the coordinator's lookahead, so
+// the clamp in PostTimerTo never fires for frame delivery.
+func (p *Port) deliver(buf []byte, after time.Duration) {
+	f := p.wire.take()
+	f.peer, f.buf = p.peer, buf
+	p.sim.PostTimerTo(p.peer.sim, after, &f.timer)
 }
 
 // receive runs the receiving-side bookkeeping and hands the frame to the

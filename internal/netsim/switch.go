@@ -128,9 +128,13 @@ func (sw *Switch) ingress(in *swPort, frame []byte) {
 		}
 	}
 
-	// Learn the source address on the ingress port.
+	// Learn the source address on the ingress port. Nearly every frame
+	// comes from where its source is already known to live, so the table
+	// is written only for a new station or one that moved.
 	if !eth.Src.IsBroadcast() && !eth.Src.IsZero() {
-		sw.fdb[fdbKey{eth.VLAN, eth.Src}] = in
+		if key := (fdbKey{eth.VLAN, eth.Src}); sw.fdb[key] != in {
+			sw.fdb[key] = in
+		}
 	}
 
 	for _, t := range sw.taps {

@@ -92,6 +92,13 @@ const (
 	ARPReply   uint16 = 2
 )
 
+// MaxARPPending bounds the frames any stack in the farm (hosts, the gateway's
+// VLAN side, its outside interface) parks for one neighbour while ARP
+// resolves it — Linux's unres_qlen idea. Without it a sender blasting an
+// unresolvable on-link address parks every frame for the whole retry
+// window; beyond the bound the newest frame is dropped and counted.
+const MaxARPPending = 64
+
 // ARP is an IPv4-over-Ethernet ARP packet (RFC 826).
 type ARP struct {
 	Op                 uint16

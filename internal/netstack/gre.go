@@ -44,8 +44,10 @@ func MarshalIPPacket(p *Packet) []byte {
 	return p.appendIP(nil)
 }
 
-// ParseIPPacket decodes a bare IP packet (no Ethernet) into a Packet with
-// a zeroed Ethernet header.
+// ParseIPPacket decodes a bare IP packet (no Ethernet) into a freshly
+// allocated Packet with a zeroed Ethernet header — fresh because GRE
+// decapsulation runs while the outer packet is still live in the receive
+// path's ParseBuf.
 func ParseIPPacket(b []byte) (*Packet, error) {
 	p := &Packet{Eth: Ethernet{EtherType: EtherTypeIPv4}}
 	p.IP = &IPv4{}

@@ -9,9 +9,9 @@ import (
 // layers were present. The gateway mutates parsed packets (NAT rewrites,
 // redirections, sequence bumping) and re-serialises them with Marshal.
 //
-// A packet produced by ParseFrame keeps a reference to the original wire
-// buffer. As long as the packet's shape is unchanged — same layer
-// structure, same payload bytes — Marshal patches the mutated header
+// A parsed packet (ParseFrame, ParseBuf.Parse) keeps a reference to the
+// original wire buffer. As long as the packet's shape is unchanged — same
+// layer structure, same payload bytes — Marshal patches the mutated header
 // fields back into that buffer in place (with incremental checksum
 // updates) instead of re-serialising, adding or stripping the VLAN tag
 // there too, and Clone duplicates the packet with a single buffer copy.
@@ -34,10 +34,12 @@ type Packet struct {
 	payLen int // payload length at parse time
 }
 
-// parseAlloc bundles a Packet with every header struct it might point at,
-// so one parse (or clone) costs a single heap allocation no matter which
-// layers are present. Unused members stay zero and unreferenced.
-type parseAlloc struct {
+// ParseBuf is the storage one parse fills: a Packet and every header
+// struct it might point at, so a parse (or a clone) costs at most this one
+// allocation no matter which layers are present — and none at all for a
+// receiver that keeps a ParseBuf of its own. Unused members stay zero and
+// unreferenced.
+type ParseBuf struct {
 	p   Packet
 	arp ARP
 	ip  IPv4
@@ -45,14 +47,23 @@ type parseAlloc struct {
 	udp UDP
 }
 
-// ParseFrame decodes a frame into its layers. Unknown EtherTypes and IP
+// ParseFrame decodes a frame into a freshly allocated Packet the caller may
+// keep. See ParseBuf.Parse.
+func ParseFrame(b []byte) (*Packet, error) { return new(ParseBuf).Parse(b) }
+
+// Parse decodes a frame into its layers. Unknown EtherTypes and IP
 // protocols leave the remaining bytes in Payload rather than failing, so
 // taps and bridges can still forward what they do not understand.
 //
 // The frame buffer is retained for Marshal's zero-copy fast path: the
-// caller relinquishes it to the packet.
-func ParseFrame(b []byte) (*Packet, error) {
-	a := &parseAlloc{}
+// caller relinquishes it to the packet. The packet lives in a: it is valid
+// until the next Parse into a, so a receive path that parses every frame
+// into one ParseBuf hands out packets that are good until it returns, and
+// whoever keeps one longer calls Clone. A ParseBuf belongs to one goroutine
+// and must not be parsed into again while a packet from it is still in use
+// further up the stack.
+func (a *ParseBuf) Parse(b []byte) (*Packet, error) {
+	a.p = Packet{}
 	p := &a.p
 	rest, err := p.Eth.Unmarshal(b)
 	if err != nil {
@@ -289,8 +300,33 @@ func (p *Packet) syncUDP(seg []byte, delta uint32) {
 	}
 }
 
+// Canonicalize makes the next Marshal emit exactly what the header structs
+// describe. A parsed packet normally marshals by patching its wire buffer,
+// which carries along what the structs do not model: IP and TCP options,
+// reserved TCP header bits, bytes behind the datagram. When the wire holds
+// any of those, Canonicalize detaches it and Marshal re-serialises from the
+// structs; a plain frame — every frame a farm host emits — keeps the
+// in-place path.
+func (p *Packet) Canonicalize() {
+	if p.wire == nil || p.IP == nil {
+		return
+	}
+	hdr := p.wire[p.l3Off:]
+	ipLen := int(binary.BigEndian.Uint16(hdr[2:4]))
+	plain := hdr[0] == 0x45 && ipLen == len(hdr)
+	switch {
+	case p.TCP != nil:
+		plain = plain && p.wire[p.l4Off+12] == TCPHeaderLen/4<<4
+	case p.UDP != nil:
+		plain = plain && int(p.UDP.Length) == ipLen-IPv4HeaderLen
+	}
+	if !plain {
+		p.wire = nil
+	}
+}
+
 // Marshal re-serialises the packet, recomputing lengths and checksums.
-// Fast path: a packet from ParseFrame whose shape is unchanged returns its
+// Fast path: a parsed packet whose shape is unchanged returns its
 // patched original buffer without allocating. The result then aliases the
 // packet's buffer — marshalling is the packet's terminal use, after which
 // neither may be mutated (netsim.Port.Send copies; Port.SendOwned takes
@@ -387,7 +423,7 @@ func grow(dst []byte, n, spare int) []byte {
 // wire buffer, the clone costs a single buffer copy and keeps the
 // zero-copy Marshal fast path.
 func (p *Packet) Clone() *Packet {
-	a := &parseAlloc{p: Packet{Eth: p.Eth}}
+	a := &ParseBuf{p: Packet{Eth: p.Eth}}
 	q := &a.p
 	if p.ARP != nil {
 		a.arp = *p.ARP

@@ -48,12 +48,14 @@ import (
 // event, so a quiet farm synchronizes as rarely as a busy one synchronizes
 // often.
 
-// crossMsg is one scheduled cross-domain callback.
+// crossMsg is one scheduled cross-domain callback: a one-shot fn, or a
+// caller-owned timer that the receiving domain arms (see PostTimerTo).
 type crossMsg struct {
 	at       time.Duration
 	src, dst int
 	seq      uint64
 	fn       func()
+	timer    *Timer
 }
 
 // DefaultLookahead is the coordinator's default synchronization window —
@@ -217,13 +219,31 @@ func (s *Simulator) CrossFloor(o *Simulator) time.Duration {
 // callback is delivered through the coordinator's deterministic merge.
 // Panics if the simulators do not share a coordinator.
 func (s *Simulator) PostTo(dst *Simulator, d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
 	if dst == s {
 		s.Schedule(d, fn)
 		return
 	}
+	s.post(dst, d, crossMsg{fn: fn})
+}
+
+// PostTimerTo is PostTo for an idle caller-owned timer: it fires on dst
+// after delay d, running the callback it was initialised with. Within one
+// simulator it is exactly t.Reset. Across domains the sender gives the
+// timer (and whatever owns it) up: the coordinator binds it to dst and arms
+// it there, and from then on it belongs to dst's goroutine.
+func (s *Simulator) PostTimerTo(dst *Simulator, d time.Duration, t *Timer) {
+	if dst == s {
+		t.Reset(d)
+		return
+	}
+	if t.ev.pos != 0 {
+		panic("sim: PostTimerTo of a pending timer")
+	}
+	s.post(dst, d, crossMsg{timer: t})
+}
+
+// post stamps a cross-domain message and queues it in this domain's outbox.
+func (s *Simulator) post(dst *Simulator, d time.Duration, m crossMsg) {
 	c := s.coord
 	if c == nil || dst.coord != c {
 		panic("sim: PostTo between unrelated simulators")
@@ -231,17 +251,15 @@ func (s *Simulator) PostTo(dst *Simulator, d time.Duration, fn func()) {
 	if d < c.lookahead {
 		d = c.lookahead
 	}
-	at := s.now + d
-	s.outbox = append(s.outbox, crossMsg{
-		at: at, src: s.shard, dst: dst.shard, seq: s.outSeq, fn: fn,
-	})
+	m.at, m.src, m.dst, m.seq = s.now+d, s.shard, dst.shard, s.outSeq
+	s.outbox = append(s.outbox, m)
 	s.outSeq++
 	// A recipient may react to this message; its earliest possible
 	// response lands at arrival + lookahead (deeper chains later still).
 	// Tighten this window so we stop before any induced effect could be
 	// due back here.
 	if s.winEnd != 0 {
-		if bound := at + c.lookahead; bound < s.winEnd {
+		if bound := m.at + c.lookahead; bound < s.winEnd {
 			s.winEnd = bound
 		}
 	}
@@ -393,10 +411,14 @@ func (c *Coordinator) deliver() {
 	kept := c.pending[:0]
 	for i := range c.pending {
 		m := &c.pending[i]
-		if m.at < c.ends[m.dst] {
-			c.domains[m.dst].ScheduleAt(m.at, m.fn)
-		} else {
+		switch dom := c.domains[m.dst]; {
+		case m.at >= c.ends[m.dst]:
 			kept = append(kept, *m)
+		case m.timer != nil:
+			m.timer.ev.sim = dom
+			dom.enqueue(&m.timer.ev, m.at)
+		default:
+			dom.ScheduleAt(m.at, m.fn)
 		}
 	}
 	c.pending = kept

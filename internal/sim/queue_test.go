@@ -9,12 +9,13 @@ import (
 )
 
 // The event queue against a reference model. A storm is a seeded script of
-// schedule / cancel / re-arm / ticker start / ticker stop operations, issued
-// both from outside the run loop and from inside callbacks (including an
-// event cancelling itself and a ticker stopping itself). Every operation is
-// applied to the simulator and to a model that keeps the pending timers in
-// a map and finds the next one to fire by sorting on (time, scheduling
-// order) — no heap, no positions to track. The simulator must fire exactly
+// schedule / cancel / re-arm / ticker start / ticker stop / Timer.Reset /
+// Timer.Stop operations, issued both from outside the run loop and from
+// inside callbacks (including an event cancelling itself, a ticker stopping
+// itself and a Timer re-arming itself). Every operation is applied to the
+// simulator and to a model that keeps the pending timers in a map and finds
+// the next one to fire by sorting on (time, scheduling order) — no heap, no
+// positions to track. The simulator must fire exactly
 // what the model says is next, at the model's time, and Pending must equal
 // the model's live count after every operation and every step.
 
@@ -31,8 +32,10 @@ type storm struct {
 
 	seq     uint64           // mirrors the simulator's scheduling counter
 	live    map[int]refTimer // the model: pending timers by id
-	evs     []*Event         // one-shot events by id (nil for ticker ids)
+	evs     []*Event         // one-shot events by id (nil for ticker and timer ids)
 	tickers map[int]*Ticker  // tickers by id, started and not yet stopped
+	timers  []*Timer         // re-armable timers, in creation order
+	timerID []int            // timers[i]'s id
 	fired   int
 }
 
@@ -134,6 +137,59 @@ func (st *storm) cancel(id int) {
 	st.check(fmt.Sprintf("cancel(%d)", id))
 }
 
+// newTimer adds an idle re-armable timer. Its callback re-arms it one time
+// in three — Reset from inside one's own firing — before running further
+// operations, which may well hit the same timer again.
+func (st *storm) newTimer() int {
+	i, id := len(st.timers), len(st.evs)
+	st.evs = append(st.evs, nil)
+	tm := new(Timer)
+	tm.Init(st.s, func() {
+		st.onFire(id)
+		if tm.Pending() {
+			st.t.Fatalf("timer %d pending inside its own callback", id)
+		}
+		if st.rng.Intn(3) == 0 {
+			st.resetTimer(i)
+		}
+		st.ops(st.rng.Intn(3))
+	})
+	st.timers = append(st.timers, tm)
+	st.timerID = append(st.timerID, id)
+	return i
+}
+
+// resetTimer re-arms timers[i], pending or idle: in the model the old
+// firing is gone and the new one takes the next scheduling number, exactly
+// as for a cancel followed by a schedule.
+func (st *storm) resetTimer(i int) {
+	id, d := st.timerID[i], st.delay()
+	st.arm(id, d, false)
+	st.timers[i].Reset(d)
+	if !st.timers[i].Pending() {
+		st.t.Fatalf("timer %d idle after Reset", id)
+	}
+	st.check(fmt.Sprintf("Timer.Reset(%d)", id))
+}
+
+func (st *storm) stopTimer(i int) {
+	id := st.timerID[i]
+	st.timers[i].Stop()
+	delete(st.live, id)
+	if st.timers[i].Pending() {
+		st.t.Fatalf("timer %d pending after Stop", id)
+	}
+	st.check(fmt.Sprintf("Timer.Stop(%d)", id))
+}
+
+// anyTimer picks one of the timers, creating one while there are few.
+func (st *storm) anyTimer() int {
+	if len(st.timers) < 6 && st.rng.Intn(len(st.timers)+1) == 0 {
+		return st.newTimer()
+	}
+	return st.rng.Intn(len(st.timers))
+}
+
 func (st *storm) startTicker() {
 	id := len(st.evs)
 	st.evs = append(st.evs, nil)
@@ -143,8 +199,8 @@ func (st *storm) startTicker() {
 		st.onFire(id)
 		st.ops(st.rng.Intn(3))
 		if _, running := st.tickers[id]; running {
-			// Ticker.arm re-schedules after the callback returns, so its
-			// new event takes the next scheduling number from here.
+			// Ticker.tick re-arms after the callback returns, so the next
+			// firing takes the next scheduling number from here.
 			st.arm(id, interval, true)
 		}
 	})
@@ -172,7 +228,7 @@ func (st *storm) oldestTicker() (id int, ok bool) {
 
 func (st *storm) ops(n int) {
 	for i := 0; i < n; i++ {
-		switch r := st.rng.Intn(10); {
+		switch r := st.rng.Intn(14); {
 		case r < 4 || len(st.evs) == 0:
 			st.schedule()
 		case r < 7:
@@ -183,6 +239,14 @@ func (st *storm) ops(n int) {
 			st.schedule()
 		case r < 9 && len(st.tickers) < 4:
 			st.startTicker()
+		case r >= 10 && r < 12:
+			st.resetTimer(st.anyTimer())
+		case r == 12:
+			st.stopTimer(st.anyTimer())
+		case r == 13:
+			i := st.anyTimer()
+			st.stopTimer(i)
+			st.resetTimer(i)
 		default:
 			if id, ok := st.oldestTicker(); ok {
 				st.stopTicker(id)
@@ -251,5 +315,37 @@ func TestCancelLeavesQueueAtOnce(t *testing.T) {
 	}
 	if s.Step() {
 		t.Fatal("Step ran something on an empty queue")
+	}
+}
+
+// TestTimerResetAllocFree is the reason Timer exists: arming, re-arming,
+// stopping and firing a caller-owned timer — and a Ticker's tick, which is
+// built on one — never allocate.
+func TestTimerResetAllocFree(t *testing.T) {
+	s := New(1)
+	fired := 0
+	var tm Timer
+	tm.Stop() // the zero Timer is idle: a no-op
+	tm.Init(s, func() { fired++ })
+	s.Every(time.Millisecond, func() { fired++ })
+	s.RunFor(time.Second) // let the queue's backing array reach its size
+	fired = 0
+	allocs := testing.AllocsPerRun(100, func() {
+		tm.Reset(time.Second)
+		tm.Reset(2 * time.Millisecond) // replaces the pending firing
+		tm.Stop()
+		tm.Reset(time.Millisecond)
+		for i := 0; i < 11; i++ { // ten ticks and the timer
+			s.Step()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Timer Reset/Stop/fire plus 10 ticks cost %v allocations, want 0", allocs)
+	}
+	if want := 101 * 11; fired != want { // AllocsPerRun adds one warm-up run
+		t.Errorf("fired %d callbacks, want %d", fired, want)
+	}
+	if tm.Pending() || s.Pending() != 1 {
+		t.Errorf("timer pending %v, queue holds %d events, want idle and the ticker alone", tm.Pending(), s.Pending())
 	}
 }

@@ -26,7 +26,7 @@ type Event struct {
 	seq   uint64
 	fn    func()
 	sim   *Simulator
-	idx   int // position in sim.queue; -1 once fired or cancelled
+	pos   int // 1 + position in sim.queue; 0 while not queued
 	dead  bool
 	fired bool
 }
@@ -40,10 +40,10 @@ func (e *Event) At() time.Duration { return e.at }
 // the queue, Cancel must run on the goroutine that owns the event's
 // simulator (inside one of its callbacks, or while it is quiescent).
 func (e *Event) Cancel() {
-	if e == nil || e.idx < 0 {
+	if e == nil || e.pos == 0 {
 		return
 	}
-	e.sim.queue.remove(e.idx)
+	e.sim.queue.remove(e.pos - 1)
 	e.dead = true
 }
 
@@ -63,7 +63,7 @@ func (e *Event) before(o *Event) bool {
 }
 
 // eventQueue is a binary min-heap of the pending events, ordered by
-// before. Every queued event tracks its own position in idx, which is what
+// before. Every queued event tracks its own position in pos, which is what
 // lets Cancel remove it in O(log n) instead of leaving a dead entry behind.
 type eventQueue []*Event
 
@@ -84,7 +84,7 @@ func (q *eventQueue) pop() *Event {
 func (q *eventQueue) remove(i int) {
 	old := *q
 	n := len(old) - 1
-	old[i].idx = -1
+	old[i].pos = 0
 	last := old[n]
 	old[n] = nil
 	*q = old[:n]
@@ -106,11 +106,11 @@ func (q eventQueue) up(i int, e *Event) {
 			break
 		}
 		q[i] = q[parent]
-		q[i].idx = i
+		q[i].pos = i + 1
 		i = parent
 	}
 	q[i] = e
-	e.idx = i
+	e.pos = i + 1
 }
 
 // down places e at or below the hole at position i.
@@ -127,11 +127,11 @@ func (q eventQueue) down(i int, e *Event) {
 			break
 		}
 		q[i] = q[child]
-		q[i].idx = i
+		q[i].pos = i + 1
 		i = child
 	}
 	q[i] = e
-	e.idx = i
+	e.pos = i + 1
 }
 
 // Simulator is a single-threaded discrete-event scheduler. It is not safe
@@ -182,6 +182,10 @@ type Simulator struct {
 
 	obs *obs.Obs
 
+	// locals is the domain-local storage behind Local.
+	localsMu sync.Mutex
+	locals   map[any]any
+
 	// Fired counts events executed since construction.
 	Fired uint64
 }
@@ -204,6 +208,25 @@ func New(seed int64) *Simulator {
 // journal, flight recorder). Every component reaches telemetry through its
 // Simulator reference, so all layers share one registry per experiment.
 func (s *Simulator) Obs() *obs.Obs { return s.obs }
+
+// Local returns the value a higher layer keeps once per simulation domain
+// under key (a type private to that layer), creating it with mk on first
+// use — netsim's free list of in-flight frame records lives here. The
+// lookup is safe from any goroutine; the value itself follows the domain's
+// rule and is touched only from the domain's own goroutine.
+func (s *Simulator) Local(key any, mk func() any) any {
+	s.localsMu.Lock()
+	defer s.localsMu.Unlock()
+	v, ok := s.locals[key]
+	if !ok {
+		if s.locals == nil {
+			s.locals = make(map[any]any)
+		}
+		v = mk()
+		s.locals[key] = v
+	}
+	return v
+}
 
 // setNow advances the clock, keeping the observer mirror in sync.
 func (s *Simulator) setNow(t time.Duration) {
@@ -232,7 +255,10 @@ func (s *Simulator) WallClock() time.Time { return Epoch.Add(s.now) }
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
 // Schedule runs fn after delay d of virtual time. A negative delay is
-// treated as zero. The returned Event may be cancelled.
+// treated as zero. The returned Event may be cancelled. It is the call for
+// one-shots: each costs an Event. Anything armed more than once over its
+// owner's life (a retransmission timer, a link's in-flight frame) embeds a
+// Timer instead.
 func (s *Simulator) Schedule(d time.Duration, fn func()) *Event {
 	if d < 0 {
 		d = 0
@@ -245,14 +271,61 @@ func (s *Simulator) ScheduleAt(at time.Duration, fn func()) *Event {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
+	e := &Event{fn: fn, sim: s}
+	s.enqueue(e, at)
+	return e
+}
+
+// enqueue queues the idle event e to fire at absolute time at (clamped to
+// now), taking the next scheduling sequence number for it.
+func (s *Simulator) enqueue(e *Event, at time.Duration) {
 	if at < s.now {
 		at = s.now
 	}
-	e := &Event{at: at, seq: s.seq, fn: fn, sim: s}
+	e.at, e.seq = at, s.seq
 	s.seq++
 	s.queue.push(e)
-	return e
 }
+
+// Timer is a re-armable event stored by value inside its owner, so arming
+// it allocates nothing: Init once, then Reset and Stop as often as needed.
+// Reset takes a scheduling sequence number exactly where Cancel followed by
+// Schedule would, so a Timer fires in the same order among simultaneous
+// events as the Event pair it replaces. The zero Timer is idle; Stop on it
+// is a no-op. A Timer must not be copied after Init, and like an Event it
+// belongs to its simulator's goroutine.
+type Timer struct{ ev Event }
+
+// Init binds the timer to s and to the callback every firing runs.
+func (t *Timer) Init(s *Simulator, fn func()) {
+	if fn == nil {
+		panic("sim: nil timer function")
+	}
+	if t.ev.pos != 0 {
+		panic("sim: Init of a pending timer")
+	}
+	t.ev.sim, t.ev.fn = s, fn
+}
+
+// Reset (re-)arms the timer to fire after delay d (negative is zero),
+// replacing a pending firing. It may be called from the timer's own
+// callback.
+func (t *Timer) Reset(d time.Duration) {
+	t.Stop()
+	s := t.ev.sim
+	s.enqueue(&t.ev, s.now+d) // enqueue clamps a negative delay to now
+}
+
+// Stop takes a pending firing out of the queue. Stopping an idle timer is
+// a no-op.
+func (t *Timer) Stop() {
+	if t.ev.pos != 0 {
+		t.ev.sim.queue.remove(t.ev.pos - 1)
+	}
+}
+
+// Pending reports whether the timer is armed and has not fired yet.
+func (t *Timer) Pending() bool { return t.ev.pos != 0 }
 
 // Halt stops Run/RunUntil/Step loops after the current event returns. The
 // halted state is sticky: pending events stay queued and the clock freezes
@@ -329,12 +402,12 @@ func (s *Simulator) peek() (time.Duration, bool) {
 	return s.queue[0].at, true
 }
 
-// Ticker repeatedly invokes fn every interval until stopped.
+// Ticker repeatedly invokes fn every interval until stopped. It re-arms one
+// Timer, so a tick allocates nothing.
 type Ticker struct {
-	sim      *Simulator
+	timer    Timer
 	interval time.Duration
 	fn       func()
-	ev       *Event
 	stopped  bool
 }
 
@@ -344,25 +417,23 @@ func (s *Simulator) Every(interval time.Duration, fn func()) *Ticker {
 	if interval <= 0 {
 		panic(fmt.Sprintf("sim: non-positive ticker interval %v", interval))
 	}
-	t := &Ticker{sim: s, interval: interval, fn: fn}
-	t.arm()
+	t := &Ticker{interval: interval, fn: fn}
+	t.timer.Init(s, t.tick)
+	t.timer.Reset(interval)
 	return t
 }
 
-func (t *Ticker) arm() {
-	t.ev = t.sim.Schedule(t.interval, func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.arm()
-		}
-	})
+// tick runs fn and re-arms afterwards, so whatever fn schedules for the
+// same instant as the next tick fires before it.
+func (t *Ticker) tick() {
+	t.fn()
+	if !t.stopped {
+		t.timer.Reset(t.interval)
+	}
 }
 
 // Stop cancels future firings.
 func (t *Ticker) Stop() {
 	t.stopped = true
-	t.ev.Cancel()
+	t.timer.Stop()
 }
