@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify fuzz bench bench-ab bench-curve bench-gate chaos soak recycle-soak fleet-soak serve-smoke
+.PHONY: build test vet race verify loc fuzz bench bench-ab bench-curve bench-gate chaos soak recycle-soak fleet-soak serve-smoke
 
 build:
 	$(GO) build ./...
@@ -17,17 +17,24 @@ vet:
 # the event loop), plus the control planes whose goroutines cross the sim
 # boundary (ops driver/dead-man switch, supervision tree, raw-iron
 # lifecycle), plus netstack (a receiver's ParseBuf is long-lived state,
-# one per receiving port), plus the shard-determinism property (full chaos
-# soak at 1/2/4 workers — the run that actually exercises cross-domain
-# synchronization under load).
+# one per receiving port), plus the shard-determinism properties — the full
+# chaos soak and the fleet lockdown soak at 1/2/4 workers, the runs that
+# actually exercise cross-domain synchronization and escalation under load
+# — three times over, because a scheduling-dependent journal shows up on
+# some runs and not others.
 race:
 	$(GO) test -race ./internal/gateway ./internal/netsim ./internal/sim \
 		./internal/obs ./internal/farm ./internal/host ./internal/hostnet \
 		./internal/ops ./internal/supervisor ./internal/rawiron ./internal/netstack
-	$(GO) test -race -run TestShardDeterminism ./internal/experiments -count=1
+	$(GO) test -race -run 'TestShardDeterminism|TestFleetLockdownSoak' ./internal/experiments -count=3
 
 # Tier-1 verification recipe (see ROADMAP.md).
 verify: build vet test race
+
+# Non-test Go lines per package and in total (bench/ separately), so a
+# "net-negative" change is a number: compare against the parent's.
+loc:
+	@./scripts/loc.sh
 
 # Native fuzz targets on a short budget each (go test takes one -fuzz
 # target per package run). A crasher lands in the package's

@@ -21,12 +21,12 @@
 // Everything the farm depends on is implemented in internal packages: a
 // deterministic discrete-event simulator with a userspace TCP/IP stack
 // (internal/sim, internal/netstack, internal/host), the learning VLAN
-// bridge and links (internal/netsim), a Click-style element graph
-// (internal/click), the gateway with NAT, safety filter and flow splicing
-// (internal/gateway, internal/nat), the containment server, policies, and
-// triggers (internal/containment, internal/policy, internal/shim), sink
-// servers (internal/sink), inmate life-cycle and raw-iron management
-// (internal/inmate, internal/rawiron), infrastructure services
+// bridge and links (internal/netsim), the gateway with NAT, safety filter
+// and flow splicing (internal/gateway, internal/nat), the containment
+// server, policies, and triggers (internal/containment, internal/policy,
+// internal/shim), sink servers (internal/sink), inmate life-cycle and
+// raw-iron management (internal/inmate, internal/rawiron), infrastructure
+// services
 // (internal/dhcp, internal/dnsx, internal/smtpx, internal/httpx),
 // behavioural malware models (internal/malware), and Bro-style reporting
 // with pcap trace recording (internal/report, internal/trace).

@@ -3,12 +3,10 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"time"
 
 	"gq/internal/chaos"
 	"gq/internal/farm"
-	"gq/internal/malware"
 	"gq/internal/netstack"
 	"gq/internal/obs"
 	"gq/internal/policy"
@@ -103,31 +101,11 @@ func RunChaosSoak(cfg ChaosConfig) (*ChaosOutcome, error) {
 	if cfg.Duration == 0 {
 		cfg.Duration = 20 * time.Minute
 	}
-	var f *farm.Farm
-	if cfg.Sharded {
-		f = farm.NewSharded(cfg.Seed, cfg.Workers)
-	} else {
-		f = farm.New(cfg.Seed)
-	}
-
-	// Attach the journal sink before any traffic so the stream covers the
-	// whole run (the determinism comparison needs every event).
-	var journal bytes.Buffer
-	sink := f.Sim.Obs().Journal.AttachNDJSON(&journal)
+	f := newSoakFarm(cfg.Seed, cfg.Sharded, cfg.Workers, 0)
 	if cfg.WrapSink != nil {
-		f.Sim.Obs().Journal.SetSink(cfg.WrapSink(sink))
+		f.Sim.Obs().Journal.SetSink(cfg.WrapSink(f.sink))
 	}
-
-	ccAddr := netstack.MustParseAddr("50.8.207.91")
-	ccHost := f.AddExternalHost("steephost", ccAddr)
-	if _, err := malware.NewCCServer(ccHost, malware.CCConfig{
-		Template: "pharma special",
-		Targets: []netstack.Addr{
-			netstack.MustParseAddr("203.0.113.25"),
-			netstack.MustParseAddr("203.0.113.26"),
-		},
-		Forbidden: []string{"DDOS 203.0.113.99"},
-	}); err != nil {
+	if err := addSteephost(f.Farm); err != nil {
 		return nil, err
 	}
 
@@ -146,13 +124,13 @@ func RunChaosSoak(cfg ChaosConfig) (*ChaosOutcome, error) {
 		InfraPool:    netstack.MustParsePrefix("192.0.9.0/24"),
 		PolicyConfig: policyText,
 		SampleLibrary: []*policy.Sample{
-			policy.NewSample("rustock.100921.001.exe", "rustock", []byte("MZ-rustock-1")),
+			rustockSample(),
 			policy.NewSample("grum.100818.001.exe", "grum", []byte("MZ-grum-1")),
 		},
 		RepeatBatches: true,
 		CCHosts: map[string]policy.AddrPort{
-			"Rustock": {Addr: ccAddr, Port: 443},
-			"Grum":    {Addr: ccAddr, Port: 80},
+			"Rustock": {Addr: steephostAddr, Port: 443},
+			"Grum":    {Addr: steephostAddr, Port: 80},
 		},
 		SinkDropProb:       0.2,
 		SinkStrictness:     smtpx.Lenient,
@@ -161,7 +139,7 @@ func RunChaosSoak(cfg ChaosConfig) (*ChaosOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &ChaosOutcome{Farm: f, Subfarm: sf}
+	out := &ChaosOutcome{Farm: f.Farm, Subfarm: sf}
 	// The facade self-test pair exercises the blocking net.Conn bridge
 	// inside the habitat (sharded or not), putting its proc rendezvous on
 	// the journal's byte-determinism surface.
@@ -191,7 +169,7 @@ func RunChaosSoak(cfg ChaosConfig) (*ChaosOutcome, error) {
 	}
 
 	if cfg.OnBuild != nil {
-		cfg.OnBuild(f, sf)
+		cfg.OnBuild(f.Farm, sf)
 	}
 
 	out.Injector = chaos.Apply(sf, cfg.Profile)
@@ -201,52 +179,28 @@ func RunChaosSoak(cfg ChaosConfig) (*ChaosOutcome, error) {
 	// Containment probe while impairment is still active: the probe inmate
 	// joins after Apply, so its own link is clean, but containment itself
 	// (gateway + possibly crashed/stalled CS) is under chaos.
-	probe, err := farm.RunContainmentProbe(f, sf, nil, 2*time.Minute)
+	probe, err := farm.RunContainmentProbe(f.Farm, sf, nil, 2*time.Minute)
 	if err != nil {
 		return nil, err
 	}
 	out.Probe = probe
 
-	// Wind down: stop the specimens, end injection (restoring any fault
-	// still in flight), and drain past every sweep horizon so a healthy
-	// farm ends with an empty flow table. Terminate in VLAN order — map
-	// iteration order would leak into the journal and break the
-	// determinism guarantee.
-	vlans := make([]int, 0, len(sf.Inmates))
-	for vlan := range sf.Inmates {
-		vlans = append(vlans, int(vlan))
+	// Wind down: a healthy farm ends with an empty flow table.
+	if out.Journal, err = f.windDown([]*farm.Subfarm{sf}, []*chaos.Injector{out.Injector}); err != nil {
+		return nil, err
 	}
-	sort.Ints(vlans)
-	for _, vlan := range vlans {
-		sf.Inmates[uint16(vlan)].Terminate()
-	}
-	out.Injector.Stop()
-	f.Run(12 * time.Minute)
-
 	if err := tw.Flush(); err != nil {
 		return nil, err
 	}
 	if traceErr != nil {
 		return nil, traceErr
 	}
-	if err := sink.Flush(); err != nil {
-		return nil, err
-	}
-	out.Journal = append([]byte(nil), journal.Bytes()...)
 
 	// --- Invariant checks ---
-	bad := func(format string, args ...any) {
-		out.Problems = append(out.Problems, fmt.Sprintf(format, args...))
-	}
-
+	inv := (*problems)(&out.Problems)
+	bad := inv.bad
+	inv.commonInvariants(sf, probe)
 	out.ActiveFlows = sf.Router.ActiveFlows()
-	if out.ActiveFlows != 0 {
-		bad("flow table leaked: %d entries after drain", out.ActiveFlows)
-	}
-
-	if escaped := probe.Escaped(); len(escaped) > 0 {
-		bad("containment probe escaped: %v", escaped)
-	}
 
 	recs, err := trace.Read(bytes.NewReader(pcap.Bytes()))
 	if err != nil {

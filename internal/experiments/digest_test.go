@@ -1,0 +1,155 @@
+package experiments
+
+import (
+	"bufio"
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"gq/internal/chaos"
+)
+
+var updateDigests = flag.Bool("update", false, "rewrite testdata/journal_digests.txt with the current journals")
+
+const digestFile = "journal_digests.txt"
+
+// soakJournal names one pinned soak run and produces its NDJSON journal.
+type soakJournal struct {
+	name string
+	run  func() ([]byte, error)
+}
+
+// pinnedSoaks lists every soak whose journal is pinned across commits:
+// the unsharded chaos, recovery, recycle and fleet soaks and the sharded
+// (workers=1) ones, on the seeds their own tests pin.
+func pinnedSoaks(t *testing.T) []soakJournal {
+	t.Helper()
+	soak, err := chaos.Parse("soak")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reimage, err := chaos.Parse("reimage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaosRun := func(cfg ChaosConfig) func() ([]byte, error) {
+		return func() ([]byte, error) {
+			out, err := RunChaosSoak(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return out.Journal, nil
+		}
+	}
+	recoveryRun := func(cfg RecoveryConfig) func() ([]byte, error) {
+		return func() ([]byte, error) {
+			out, err := RunRecoverySoak(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return out.Journal, nil
+		}
+	}
+	recycleRun := func(cfg RecycleConfig) func() ([]byte, error) {
+		return func() ([]byte, error) {
+			out, err := RunRecycleSoak(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return out.Journal, nil
+		}
+	}
+	fleetRun := func(cfg FleetConfig) func() ([]byte, error) {
+		return func() ([]byte, error) {
+			out, err := RunFleetSoak(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return out.Journal, nil
+		}
+	}
+	var runs []soakJournal
+	for _, seed := range chaosSeeds {
+		runs = append(runs,
+			soakJournal{fmt.Sprintf("chaos/serial/seed%d", seed),
+				chaosRun(ChaosConfig{Seed: seed, Profile: soak})},
+			soakJournal{fmt.Sprintf("recovery/serial/seed%d", seed),
+				recoveryRun(RecoveryConfig{Seed: seed})},
+			soakJournal{fmt.Sprintf("recovery/sharded/seed%d", seed),
+				recoveryRun(RecoveryConfig{Seed: seed, Sharded: true, Workers: 1})},
+		)
+	}
+	return append(runs,
+		soakJournal{"chaos/sharded/seed7",
+			chaosRun(ChaosConfig{Seed: 7, Profile: soak, Sharded: true, Workers: 1, Supervise: true})},
+		soakJournal{"recycle/serial/seed11",
+			recycleRun(RecycleConfig{Seed: 11, Profile: reimage})},
+		soakJournal{"recycle/sharded/seed11",
+			recycleRun(RecycleConfig{Seed: 11, Profile: reimage, Sharded: true, Workers: 1})},
+		soakJournal{"fleet/serial/seed11",
+			fleetRun(FleetConfig{Seed: 11})},
+		soakJournal{"fleet/sharded/ext1/seed11",
+			fleetRun(FleetConfig{Seed: 11, Sharded: true, Workers: 1, ExtShards: 1})},
+		soakJournal{"fleet/sharded/ext2/seed11",
+			fleetRun(FleetConfig{Seed: 11, Sharded: true, Workers: 1, ExtShards: 2})},
+	)
+}
+
+// TestSoakJournalDigests pins every soak journal across commits: the
+// determinism tests prove a journal is the same at any worker count, this
+// one proves a refactor did not move it. Each journal's SHA-256 must match
+// testdata/journal_digests.txt; `go test -run TestSoakJournalDigests
+// -update` regenerates the file after an intended behaviour change.
+func TestSoakJournalDigests(t *testing.T) {
+	path := filepath.Join("testdata", digestFile)
+	want := make(map[string]string)
+	if !*updateDigests {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		sc := bufio.NewScanner(f)
+		for sc.Scan() {
+			if name, sum, ok := strings.Cut(sc.Text(), " "); ok {
+				want[name] = sum
+			}
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got bytes.Buffer
+	for _, r := range pinnedSoaks(t) {
+		journal, err := r.run()
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		sum := sha256.Sum256(journal)
+		hexSum := hex.EncodeToString(sum[:])
+		fmt.Fprintf(&got, "%s %s\n", r.name, hexSum)
+		if *updateDigests {
+			continue
+		}
+		switch pinned, ok := want[r.name]; {
+		case !ok:
+			t.Errorf("%s: no pinned digest in %s (run with -update)", r.name, path)
+		case pinned != hexSum:
+			t.Errorf("%s: journal digest %s, pinned %s — the journal moved", r.name, hexSum, pinned)
+		}
+	}
+	if *updateDigests {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

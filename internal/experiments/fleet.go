@@ -3,18 +3,14 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
 	"gq/internal/chaos"
 	"gq/internal/farm"
-	"gq/internal/malware"
 	"gq/internal/netstack"
 	"gq/internal/obs"
-	"gq/internal/policy"
 	"gq/internal/rawiron"
-	"gq/internal/smtpx"
 	"gq/internal/supervisor"
 )
 
@@ -144,36 +140,15 @@ type fleetSubfarm struct {
 // surface: byte-identical / DeepEqual at any worker count.
 func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 	cfg = cfg.withDefaults()
-	var f *farm.Farm
-	switch {
-	case cfg.Sharded && cfg.ExtShards > 1:
-		f = farm.NewShardedN(cfg.Seed, cfg.Workers, cfg.ExtShards)
-	case cfg.Sharded:
-		f = farm.NewSharded(cfg.Seed, cfg.Workers)
-	default:
-		f = farm.New(cfg.Seed)
-	}
+	f := newSoakFarm(cfg.Seed, cfg.Sharded, cfg.Workers, cfg.ExtShards)
 	out := &FleetOutcome{
-		Farm:        f,
+		Farm:        f.Farm,
 		Probes:      make(map[string][]*farm.ProbeOutcome),
 		Escalations: make(map[string][]string),
 		Health:      make(map[string]map[string][]string),
 	}
 
-	// Journal first, so the determinism comparison covers the whole run.
-	var journal bytes.Buffer
-	sink := f.Sim.Obs().Journal.AttachNDJSON(&journal)
-
-	ccAddr := netstack.MustParseAddr("50.8.207.91")
-	ccHost := f.AddExternalHost("steephost", ccAddr)
-	if _, err := malware.NewCCServer(ccHost, malware.CCConfig{
-		Template: "pharma special",
-		Targets: []netstack.Addr{
-			netstack.MustParseAddr("203.0.113.25"),
-			netstack.MustParseAddr("203.0.113.26"),
-		},
-		Forbidden: []string{"DDOS 203.0.113.99"},
-	}); err != nil {
+	if err := addSteephost(f.Farm); err != nil {
 		return nil, err
 	}
 
@@ -185,29 +160,9 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 
 	var gammaRec *farm.Recycler
 	for i, p := range plan {
-		inmates := p.bots + p.iron
-		policyText := fmt.Sprintf("[VLAN %d-%d]\n", p.vlanLo, p.vlanLo+uint16(inmates)-1) +
-			"Decider = Rustock\nInfection = rustock.100921.*.exe\n"
-		sf, err := f.AddSubfarm(farm.SubfarmConfig{
-			Name:   p.name,
-			VLANLo: p.vlanLo,
-			// Headroom above the inmates for one probe inmate per phase.
-			VLANHi:       p.vlanLo + uint16(inmates) + 3,
-			ServiceVLAN:  p.vlanLo - 5,
-			GlobalPool:   netstack.MustParsePrefix(fmt.Sprintf("192.0.%d.0/24", 2+i)),
-			InfraPool:    netstack.MustParsePrefix(fmt.Sprintf("192.0.%d.0/24", 32+i)),
-			PolicyConfig: policyText,
-			SampleLibrary: []*policy.Sample{
-				policy.NewSample("rustock.100921.001.exe", "rustock", []byte("MZ-rustock-1")),
-			},
-			RepeatBatches: true,
-			CCHosts: map[string]policy.AddrPort{
-				"Rustock": {Addr: ccAddr, Port: 443},
-			},
-			SinkDropProb:       0.2,
-			SinkStrictness:     smtpx.Lenient,
-			ContainmentServers: p.servers,
-		})
+		sfCfg := rustockSubfarm(p.name, i, p.bots+p.iron)
+		sfCfg.ContainmentServers = p.servers
+		sf, err := f.AddSubfarm(sfCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -222,21 +177,12 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 			// Small images over a fast trunk keep the reimage leg short, so
 			// the rotation's natural inter-mark gap stays well inside the
 			// wedge budget — only the injected wedge can freeze the mark.
-			sf.EnableRawIron(rawiron.Config{
-				MaxConcurrent: 2, ImageSizeMB: 256,
-				TrunkMBps: 16, HiddenRestoreMBps: 16,
-			})
-			rec := sf.AttachRecycler(farm.RecyclerConfig{DetonateFor: 90 * time.Second})
-			for j := 0; j < p.iron; j++ {
-				fi, _, err := sf.AddRawIronInmate(fmt.Sprintf("iron-%d", j), "winxp-golden")
-				if err != nil {
-					return nil, err
-				}
-				if err := rec.Manage(fi); err != nil {
-					return nil, err
-				}
+			rec, err := startIronRotation(sf, p.iron,
+				rawiron.Config{MaxConcurrent: 2, ImageSizeMB: 256, TrunkMBps: 16, HiddenRestoreMBps: 16},
+				farm.RecyclerConfig{DetonateFor: 90 * time.Second})
+			if err != nil {
+				return nil, err
 			}
-			rec.Start()
 			gammaRec = rec
 		}
 	}
@@ -247,7 +193,7 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 	out.Tree = f.SuperviseTree(fleetSupervision())
 
 	// Phase 1 — probes against the healthy fleet.
-	if err := fleetProbeRound(f, out, "before", 0); err != nil {
+	if err := fleetProbeRound(f.Farm, out, "before", 0); err != nil {
 		return nil, err
 	}
 
@@ -264,7 +210,7 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 	lockedAfterMain := out.Tree.GlobalLockedDown()
 
 	// Phase 3 — probes while the fleet is in global dead-man lockdown.
-	if err := fleetProbeRound(f, out, "during", 1); err != nil {
+	if err := fleetProbeRound(f.Farm, out, "during", 1); err != nil {
 		return nil, err
 	}
 
@@ -274,7 +220,7 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 	// after DeadManBudget — fail-closed is sticky until the plane is
 	// actually repaired, and the probes must not escape in the gap.
 	out.Tree.Release("operator: fleet soak release")
-	if err := fleetProbeRound(f, out, "after", 2); err != nil {
+	if err := fleetProbeRound(f.Farm, out, "after", 2); err != nil {
 		return nil, err
 	}
 
@@ -284,48 +230,28 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 	if gammaRec != nil {
 		gammaRec.Stop()
 	}
-	for _, sf := range out.Subfarms {
-		vlans := make([]int, 0, len(sf.Inmates))
-		for vlan := range sf.Inmates {
-			vlans = append(vlans, int(vlan))
-		}
-		sort.Ints(vlans)
-		for _, vlan := range vlans {
-			sf.Inmates[uint16(vlan)].Terminate()
-		}
-	}
-	for _, inj := range out.Injectors {
-		inj.Stop()
-	}
-	f.Run(12 * time.Minute)
-
-	if err := sink.Flush(); err != nil {
+	var err error
+	if out.Journal, err = f.windDown(out.Subfarms, out.Injectors); err != nil {
 		return nil, err
 	}
-	out.Journal = append([]byte(nil), journal.Bytes()...)
 
 	// The deterministic escalation record.
 	out.Escalations["root"] = out.Tree.History()
 	out.Escalations["root.controller"] = out.Tree.ControllerHistory()
 	for _, sf := range out.Subfarms {
-		out.Escalations[sf.Name] = sf.Supervisor.Escalations()
+		out.Escalations[sf.Name] = sf.Supervisor.History()
 		out.Health[sf.Name] = sf.Supervisor.HealthHistory()
 	}
 	out.GlobalLockdownAt = out.Tree.GlobalLockdownAt()
 
 	// --- Invariant checks ---
-	bad := func(format string, args ...any) {
-		out.Problems = append(out.Problems, fmt.Sprintf(format, args...))
-	}
+	inv := (*problems)(&out.Problems)
+	bad := inv.bad
 
-	// Containment held at every phase: not one probe escaped.
-	for _, phase := range []string{"before", "during", "after"} {
-		for i, probe := range out.Probes[phase] {
-			if escaped := probe.Escaped(); len(escaped) > 0 {
-				bad("%s containment probe (%s) escaped: %v",
-					out.Subfarms[i].Name, phase, escaped)
-			}
-		}
+	// Containment held at every phase — not one probe escaped — and every
+	// flow table drained empty, lockdown or not.
+	for i, sf := range out.Subfarms {
+		inv.commonInvariants(sf, out.Probes["before"][i], out.Probes["during"][i], out.Probes["after"][i])
 	}
 
 	// The ladder reached the top inside the fault window, and the
@@ -371,12 +297,12 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 		// The node is in lockdown at the end — but only because the global
 		// dead-man fan-out closed it. It must never have escalated on its
 		// own: no containment_dead, no self-originated lockdown.
-		for _, e := range sf.Supervisor.Escalations() {
+		for _, e := range sf.Supervisor.History() {
 			if strings.HasPrefix(e, "containment_dead@") {
 				bad("%s escalated on its own (%s) — its faults were all survivable", sf.Name, e)
 			}
 		}
-		if !sf.Supervisor.EndpointHealthy(supervisor.KindSink, "smtpsink") {
+		if snap.Gauge(supervisor.HealthGaugeName(supervisor.KindSink, sf.Name, "smtpsink")) != 1 {
 			bad("%s smtpsink still down — supervised sink restart failed", sf.Name)
 		}
 	}
@@ -426,13 +352,7 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 		}
 	}
 
-	// Every flow table drained empty, lockdown or not.
-	for _, sf := range out.Subfarms {
-		if n := sf.Router.ActiveFlows(); n != 0 {
-			bad("%s flow table leaked: %d entries after drain", sf.Name, n)
-		}
-	}
-	// And every injected CS crash actually fired.
+	// Every injected CS crash actually fired.
 	for i, inj := range out.Injectors {
 		prof, _ := chaos.Parse(plan[i].profile)
 		if inj.Crashes != len(prof.CSCrashAt) {

@@ -1,8 +1,7 @@
 package experiments
 
 import (
-	"bytes"
-	"reflect"
+	"fmt"
 	"testing"
 )
 
@@ -23,45 +22,25 @@ func TestFleetLockdownSoak(t *testing.T) {
 	const seed = 11
 
 	for _, extShards := range []int{1, 2} {
-		var refJournal []byte
-		var refEsc map[string][]string
-		var refHealth map[string]map[string][]string
-		var refSnap any
-		for _, workers := range []int{1, 2, 4} {
+		label := fmt.Sprintf("extShards=%d ", extShards)
+		assertSameAcrossWorkers(t, label, func(workers int) (workerRun, error) {
 			out, err := RunFleetSoak(FleetConfig{
 				Seed: seed, Sharded: true, Workers: workers, ExtShards: extShards,
 			})
 			if err != nil {
-				t.Fatalf("extShards=%d workers=%d: %v", extShards, workers, err)
+				return workerRun{}, err
 			}
-			for _, problem := range out.Problems {
-				t.Errorf("extShards=%d workers=%d: %s", extShards, workers, problem)
-			}
-			t.Logf("extShards=%d workers=%d: globalAt=%v drops=%d rearms=%d cycles=%d journal=%dB",
-				extShards, workers, out.GlobalLockdownAt, out.LockdownDrops,
+			t.Logf("%sworkers=%d: globalAt=%v drops=%d rearms=%d cycles=%d journal=%dB",
+				label, workers, out.GlobalLockdownAt, out.LockdownDrops,
 				out.Rearms, out.Cycles, len(out.Journal))
-			if workers == 1 {
-				refJournal, refEsc, refHealth, refSnap =
-					out.Journal, out.Escalations, out.Health, out.Snapshot
-				continue
-			}
-			if !bytes.Equal(refJournal, out.Journal) {
-				t.Errorf("extShards=%d workers=%d: journal differs from workers=1 (%d vs %d bytes) — escalation is not deterministic",
-					extShards, workers, len(out.Journal), len(refJournal))
-			}
-			if !reflect.DeepEqual(refEsc, out.Escalations) {
-				t.Errorf("extShards=%d workers=%d: escalation record differs from workers=1:\n  ref: %v\n  got: %v",
-					extShards, workers, refEsc, out.Escalations)
-			}
-			if !reflect.DeepEqual(refHealth, out.Health) {
-				t.Errorf("extShards=%d workers=%d: health-transition history differs from workers=1",
-					extShards, workers)
-			}
-			if !reflect.DeepEqual(refSnap, out.Snapshot) {
-				t.Errorf("extShards=%d workers=%d: metrics snapshot differs from workers=1",
-					extShards, workers)
-			}
-		}
+			return workerRun{
+				journal: out.Journal, snapshot: out.Snapshot, problems: out.Problems,
+				records: map[string]any{
+					"escalation record":         out.Escalations,
+					"health-transition history": out.Health,
+				},
+			}, nil
+		})
 	}
 }
 

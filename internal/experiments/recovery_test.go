@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"bytes"
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // TestRecoverySoak runs the supervised kill-storm soak on the pinned chaos
 // seeds: six containment-server kills across a 3-member cluster, each of
@@ -38,36 +34,17 @@ func TestRecoverySoak(t *testing.T) {
 // identical health-transition histories.
 func TestRecoverySoakDeterminism(t *testing.T) {
 	const seed = 7
-	var refJournal []byte
-	var refRecoveries []string
-	var refHealth map[string][]string
-	for _, workers := range []int{1, 2, 4} {
+	assertSameAcrossWorkers(t, "", func(workers int) (workerRun, error) {
 		out, err := RunRecoverySoak(RecoveryConfig{Seed: seed, Sharded: true, Workers: workers})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			return workerRun{}, err
 		}
-		for _, problem := range out.Problems {
-			t.Errorf("workers=%d: %s", workers, problem)
-		}
-		recoveries := make([]string, len(out.Recoveries))
-		for i, d := range out.Recoveries {
-			recoveries[i] = d.String()
-		}
-		if workers == 1 {
-			refJournal, refRecoveries, refHealth = out.Journal, recoveries, out.HealthHistory
-			continue
-		}
-		if !bytes.Equal(refJournal, out.Journal) {
-			t.Errorf("workers=%d: journal differs from workers=1 (%d vs %d bytes)",
-				workers, len(out.Journal), len(refJournal))
-		}
-		if !reflect.DeepEqual(refRecoveries, recoveries) {
-			t.Errorf("workers=%d: recovery intervals differ: ref=%v got=%v",
-				workers, refRecoveries, recoveries)
-		}
-		if !reflect.DeepEqual(refHealth, out.HealthHistory) {
-			t.Errorf("workers=%d: health history differs: ref=%v got=%v",
-				workers, refHealth, out.HealthHistory)
-		}
-	}
+		return workerRun{
+			journal: out.Journal, snapshot: out.Snapshot, problems: out.Problems,
+			records: map[string]any{
+				"recovery intervals":        out.Recoveries,
+				"health-transition history": out.HealthHistory,
+			},
+		}, nil
+	})
 }

@@ -3,17 +3,12 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"time"
 
 	"gq/internal/chaos"
 	"gq/internal/farm"
-	"gq/internal/malware"
-	"gq/internal/netstack"
 	"gq/internal/obs"
-	"gq/internal/policy"
 	"gq/internal/rawiron"
-	"gq/internal/smtpx"
 )
 
 // RecycleConfig parameterises the recycling soak: several subfarms of
@@ -116,55 +111,15 @@ type RecycleOutcome struct {
 // and every flow table drains empty.
 func RunRecycleSoak(cfg RecycleConfig) (*RecycleOutcome, error) {
 	cfg = cfg.withDefaults()
-	var f *farm.Farm
-	if cfg.Sharded {
-		f = farm.NewSharded(cfg.Seed, cfg.Workers)
-	} else {
-		f = farm.New(cfg.Seed)
-	}
-	out := &RecycleOutcome{Farm: f}
-
-	// Journal first, so the determinism comparison covers the whole run.
-	var journal bytes.Buffer
-	sink := f.Sim.Obs().Journal.AttachNDJSON(&journal)
-
-	ccAddr := netstack.MustParseAddr("50.8.207.91")
-	ccHost := f.AddExternalHost("steephost", ccAddr)
-	if _, err := malware.NewCCServer(ccHost, malware.CCConfig{
-		Template: "pharma special",
-		Targets: []netstack.Addr{
-			netstack.MustParseAddr("203.0.113.25"),
-			netstack.MustParseAddr("203.0.113.26"),
-		},
-		Forbidden: []string{"DDOS 203.0.113.99"},
-	}); err != nil {
+	f := newSoakFarm(cfg.Seed, cfg.Sharded, cfg.Workers, 0)
+	out := &RecycleOutcome{Farm: f.Farm}
+	if err := addSteephost(f.Farm); err != nil {
 		return nil, err
 	}
 
 	recyclers := make([]*farm.Recycler, 0, cfg.Subfarms)
 	for i := 0; i < cfg.Subfarms; i++ {
-		lo := uint16(16 + 16*i)
-		// Inmate VLANs [lo, lo+Machines-1]; headroom above for the
-		// containment probe's own inmate.
-		policyText := fmt.Sprintf("[VLAN %d-%d]\n", lo, lo+uint16(cfg.Machines)-1) +
-			"Decider = Rustock\nInfection = rustock.100921.*.exe\n"
-		sf, err := f.AddSubfarm(farm.SubfarmConfig{
-			Name:   fmt.Sprintf("Iron%d", i),
-			VLANLo: lo, VLANHi: lo + uint16(cfg.Machines) + 3,
-			ServiceVLAN:  lo - 5,
-			GlobalPool:   netstack.MustParsePrefix(fmt.Sprintf("192.0.%d.0/24", 2+i)),
-			InfraPool:    netstack.MustParsePrefix(fmt.Sprintf("192.0.%d.0/24", 32+i)),
-			PolicyConfig: policyText,
-			SampleLibrary: []*policy.Sample{
-				policy.NewSample("rustock.100921.001.exe", "rustock", []byte("MZ-rustock-1")),
-			},
-			RepeatBatches: true,
-			CCHosts: map[string]policy.AddrPort{
-				"Rustock": {Addr: ccAddr, Port: 443},
-			},
-			SinkDropProb:   0.2,
-			SinkStrictness: smtpx.Lenient,
-		})
+		sf, err := f.AddSubfarm(rustockSubfarm(fmt.Sprintf("Iron%d", i), i, cfg.Machines))
 		if err != nil {
 			return nil, err
 		}
@@ -172,20 +127,11 @@ func RunRecycleSoak(cfg RecycleConfig) (*RecycleOutcome, error) {
 
 		// Two concurrent netboots per subfarm: the third box queues, so the
 		// soak exercises the FIFO slot path alongside trunk contention.
-		sf.EnableRawIron(rawiron.Config{MaxConcurrent: 2})
-		rec := sf.AttachRecycler(farm.RecyclerConfig{
-			DetonateFor: cfg.DetonateFor, Capture: true,
-		})
-		for j := 0; j < cfg.Machines; j++ {
-			fi, _, err := sf.AddRawIronInmate(fmt.Sprintf("iron-%d", j), "winxp-golden")
-			if err != nil {
-				return nil, err
-			}
-			if err := rec.Manage(fi); err != nil {
-				return nil, err
-			}
+		rec, err := startIronRotation(sf, cfg.Machines, rawiron.Config{MaxConcurrent: 2},
+			farm.RecyclerConfig{DetonateFor: cfg.DetonateFor, Capture: true})
+		if err != nil {
+			return nil, err
 		}
-		rec.Start()
 		recyclers = append(recyclers, rec)
 	}
 
@@ -210,34 +156,23 @@ func RunRecycleSoak(cfg RecycleConfig) (*RecycleOutcome, error) {
 	f.Run(cfg.Settle)
 
 	for _, sf := range out.Subfarms {
-		probe, err := farm.RunContainmentProbe(f, sf, nil, 2*time.Minute)
+		probe, err := farm.RunContainmentProbe(f.Farm, sf, nil, 2*time.Minute)
 		if err != nil {
 			return nil, err
 		}
 		out.Probes = append(out.Probes, probe)
 	}
 
-	for _, sf := range out.Subfarms {
-		vlans := make([]int, 0, len(sf.Inmates))
-		for vlan := range sf.Inmates {
-			vlans = append(vlans, int(vlan))
-		}
-		sort.Ints(vlans)
-		for _, vlan := range vlans {
-			sf.Inmates[uint16(vlan)].Terminate()
-		}
-	}
-	f.Run(12 * time.Minute)
-
-	if err := sink.Flush(); err != nil {
+	// Injection stopped before the settle window; only the specimens and
+	// the drain are left.
+	var err error
+	if out.Journal, err = f.windDown(out.Subfarms, nil); err != nil {
 		return nil, err
 	}
-	out.Journal = append([]byte(nil), journal.Bytes()...)
 
 	// --- Invariant checks ---
-	bad := func(format string, args ...any) {
-		out.Problems = append(out.Problems, fmt.Sprintf(format, args...))
-	}
+	inv := (*problems)(&out.Problems)
+	bad := inv.bad
 
 	for i, sf := range out.Subfarms {
 		rec, ri := recyclers[i], sf.RawIron
@@ -274,12 +209,7 @@ func RunRecycleSoak(cfg RecycleConfig) (*RecycleOutcome, error) {
 		if rec.Lost != ri.Quarantines {
 			bad("%s lost %d members but breaker tripped %d times", sf.Name, rec.Lost, ri.Quarantines)
 		}
-		if n := sf.Router.ActiveFlows(); n != 0 {
-			bad("%s flow table leaked: %d entries after drain", sf.Name, n)
-		}
-		if escaped := out.Probes[i].Escaped(); len(escaped) > 0 {
-			bad("%s containment probe escaped: %v", sf.Name, escaped)
-		}
+		inv.commonInvariants(sf, out.Probes[i])
 	}
 
 	if out.Cycles < cfg.MinCycles {

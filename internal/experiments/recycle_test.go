@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 
 	"gq/internal/chaos"
@@ -22,31 +20,16 @@ func TestRecycleSoak(t *testing.T) {
 	}
 	const seed = 11
 
-	var refJournal []byte
-	var refSnap any
-	for _, workers := range []int{1, 2, 4} {
+	assertSameAcrossWorkers(t, "", func(workers int) (workerRun, error) {
 		out, err := RunRecycleSoak(RecycleConfig{
 			Seed: seed, Profile: profile, Sharded: true, Workers: workers,
 		})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for _, problem := range out.Problems {
-			t.Errorf("workers=%d: %s", workers, problem)
+			return workerRun{}, err
 		}
 		t.Logf("workers=%d: cycles=%d (%.1f specimens/day) captures=%d reimages=%d faults=%d retries=%d quarantined=%d lost=%d journal=%dB",
 			workers, out.Cycles, out.SpecimensPerDay, out.Captures, out.Reimages,
 			out.FaultsInjected, out.Retries, out.Quarantines, out.Lost, len(out.Journal))
-		if workers == 1 {
-			refJournal, refSnap = out.Journal, out.Snapshot
-			continue
-		}
-		if !bytes.Equal(refJournal, out.Journal) {
-			t.Errorf("workers=%d: journal differs from workers=1 (%d vs %d bytes) — the recycling pipeline is not deterministic",
-				workers, len(out.Journal), len(refJournal))
-		}
-		if !reflect.DeepEqual(refSnap, out.Snapshot) {
-			t.Errorf("workers=%d: metrics snapshot differs from workers=1", workers)
-		}
-	}
+		return workerRun{journal: out.Journal, snapshot: out.Snapshot, problems: out.Problems}, nil
+	})
 }

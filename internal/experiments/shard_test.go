@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 
 	"gq/internal/chaos"
@@ -22,37 +20,20 @@ func TestShardDeterminism(t *testing.T) {
 	}
 	const seed = 7
 
-	var refJournal []byte
-	var refSnap any
-	var refHealth map[string][]string
-	for _, workers := range []int{1, 2, 4} {
+	assertSameAcrossWorkers(t, "", func(workers int) (workerRun, error) {
 		out, err := RunChaosSoak(ChaosConfig{
 			Seed: seed, Profile: profile, Sharded: true, Workers: workers,
 			Supervise: true,
 		})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for _, problem := range out.Problems {
-			t.Errorf("workers=%d: %s", workers, problem)
+			return workerRun{}, err
 		}
 		t.Logf("workers=%d: flows=%d verdicts=%d crashes=%d failclosed=%d probe=[%s] journal=%dB health=%v",
 			workers, out.FlowsCreated, out.Verdicts, out.Injector.Crashes,
 			out.FlowsFailClosed, out.Probe, len(out.Journal), out.HealthHistory)
-		if workers == 1 {
-			refJournal, refSnap, refHealth = out.Journal, out.Snapshot, out.HealthHistory
-			continue
-		}
-		if !bytes.Equal(refJournal, out.Journal) {
-			t.Errorf("workers=%d: journal differs from workers=1 (%d vs %d bytes) — sharded execution is not deterministic",
-				workers, len(out.Journal), len(refJournal))
-		}
-		if !reflect.DeepEqual(refSnap, out.Snapshot) {
-			t.Errorf("workers=%d: metrics snapshot differs from workers=1", workers)
-		}
-		if !reflect.DeepEqual(refHealth, out.HealthHistory) {
-			t.Errorf("workers=%d: health-transition history differs from workers=1:\n  ref: %v\n  got: %v",
-				workers, refHealth, out.HealthHistory)
-		}
-	}
+		return workerRun{
+			journal: out.Journal, snapshot: out.Snapshot, problems: out.Problems,
+			records: map[string]any{"health-transition history": out.HealthHistory},
+		}, nil
+	})
 }

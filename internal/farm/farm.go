@@ -65,10 +65,13 @@ type Farm struct {
 
 	Subfarms []*Subfarm
 
-	// Tree is the farm-root supervision node, built by SuperviseTree: it
-	// owns the controller restart ladder, watches recycler progress and
-	// external-shard hosts, and holds the global dead-man switch.
+	// Tree is the farm-root supervision node once SuperviseTree has built
+	// the whole tree under it: it watches recycler progress and
+	// external-shard hosts and holds the global dead-man switch. root is
+	// the same node from the first Supervise on (see rootNode): it owns the
+	// controller restart ladder with or without the rest of the tree.
 	Tree *supervisor.Root
+	root *supervisor.Root
 
 	// extHosts records hosts placed on the flat Internet segment, in
 	// creation order, so SuperviseTree can register aliveness watches over
@@ -76,11 +79,9 @@ type Farm struct {
 	extHosts []*host.Host
 
 	// Controller addressing snapshot (taken at build) replayed by
-	// restartController, plus the no-tree restart-dedup stamp.
-	ctlAddr      netstack.Addr
-	ctlBits      int
-	ctlRestarted bool
-	ctlRestartAt time.Duration
+	// restartController.
+	ctlAddr netstack.Addr
+	ctlBits int
 
 	nextMAC  uint32
 	nextMgmt int

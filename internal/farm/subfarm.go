@@ -161,7 +161,7 @@ func (f *Farm) AddSubfarm(cfg SubfarmConfig) (*Subfarm, error) {
 		// A supervised subfarm also counts the firing as a strike toward
 		// inmate quarantine.
 		if sf.Supervisor != nil {
-			sf.Supervisor.ObserveLifecycle(fields[1], vlan)
+			sf.Supervisor.Strike(vlan, "trigger:"+fields[1])
 		}
 		inmate.SendAction(sf.CSMgmt, f.ControllerHost, fields[1], vlan, nil)
 	}

@@ -19,9 +19,10 @@ const supProbeOff = 8
 // and the farm-wide inmate controller is PING-probed over the management
 // network. Crashed CS and sink endpoints are restarted with backed-off,
 // jittered, breaker-guarded timers on the subfarm's own sim clock;
-// controller transitions are reported to the farm root (SuperviseTree),
-// which owns its restart ladder; inmates that repeatedly trip triggers or
-// containment probes are quarantined through the controller; and a
+// controller transitions are reported to the farm's root node, which owns
+// its restart ladder whether or not the rest of the tree (SuperviseTree)
+// is built; inmates that repeatedly trip triggers or containment probes
+// are quarantined through the controller; and a
 // containment plane that stays fully dead past its budget escalates to
 // subfarm fail-closed lockdown. Probes never cross the router's flow
 // table — sink probes ride the service VLAN, controller probes the
@@ -33,37 +34,19 @@ func (sf *Subfarm) Supervise(cfg supervisor.Config) *supervisor.Supervisor {
 		return sf.Supervisor
 	}
 	f := sf.Farm
-	onDown := func() {
-		from := sf.Name
-		if sf.Sim == f.Sim {
-			f.controllerDown(from)
-		} else {
-			sf.Sim.PostTo(f.Sim, 0, func() { f.controllerDown(from) })
-		}
-	}
-	onUp := func() {
-		from := sf.Name
-		if sf.Sim == f.Sim {
-			f.controllerUp(from)
-		} else {
-			sf.Sim.PostTo(f.Sim, 0, func() { f.controllerUp(from) })
-		}
-	}
 	deps := supervisor.Deps{
-		Sim:              sf.Sim,
-		Router:           sf.Router,
-		Name:             sf.Name,
-		Mgmt:             sf.CSMgmt,
-		Controller:       f.ControllerHost,
-		Prober:           sf.proberHost(),
-		Sinks:            sf.sinkEndpoints(),
-		WatchController:  true,
-		OnControllerDown: onDown,
-		OnControllerUp:   onUp,
+		Sim:        sf.Sim,
+		Router:     sf.Router,
+		Name:       sf.Name,
+		Mgmt:       sf.CSMgmt,
+		Controller: f.ControllerHost,
+		Prober:     sf.proberHost(),
+		Sinks:      sf.sinkEndpoints(),
+		Root:       f.rootNode(cfg),
 	}
 	for i, srv := range sf.CSCluster {
 		deps.Endpoints = append(deps.Endpoints, supervisor.Endpoint{
-			Srv: srv, Host: sf.SvcHosts[csName(i)],
+			Host: sf.SvcHosts[csName(i)], Rebind: srv.Rebind,
 		})
 	}
 	sf.Supervisor = supervisor.New(deps, cfg)
@@ -75,33 +58,24 @@ func (sf *Subfarm) Supervise(cfg supervisor.Config) *supervisor.Supervisor {
 // is excluded: its handler goroutines are detached from the sim clock
 // (DESIGN.md §3g), so a deterministic supervised restart cannot be
 // guaranteed for it.
-func (sf *Subfarm) sinkEndpoints() []supervisor.SinkEndpoint {
-	var eps []supervisor.SinkEndpoint
-	if sf.CatchAll != nil {
-		eps = append(eps, supervisor.SinkEndpoint{
-			// The catch-all listens on every port; 9 (discard) is as good a
-			// probe target as any.
-			ID: "catchall", Host: sf.SvcHosts["catchall"], Port: 9,
-			Rebind: sf.CatchAll.Rebind,
-		})
-	}
-	if sf.SMTPSink != nil {
-		eps = append(eps, supervisor.SinkEndpoint{
-			ID: "smtpsink", Host: sf.SvcHosts["smtpsink"], Port: 25,
-			Rebind: sf.SMTPSink.Rebind,
-		})
-	}
-	if sf.BannerSink != nil {
-		eps = append(eps, supervisor.SinkEndpoint{
-			ID: "bannersink", Host: sf.SvcHosts["bannersink"], Port: 25,
-			Rebind: sf.BannerSink.Rebind,
-		})
-	}
-	if sf.HTTPSink != nil {
-		eps = append(eps, supervisor.SinkEndpoint{
-			ID: "httpsink", Host: sf.SvcHosts["httpsink"], Port: 80,
-			Rebind: sf.HTTPSink.Rebind,
-		})
+func (sf *Subfarm) sinkEndpoints() []supervisor.Endpoint {
+	var eps []supervisor.Endpoint
+	for _, s := range []struct {
+		id      string
+		port    uint16
+		present bool
+		rebind  func() error
+	}{
+		// The catch-all listens on every port; 9 (discard) is as good a
+		// probe target as any.
+		{"catchall", 9, sf.CatchAll != nil, sf.CatchAll.Rebind},
+		{"smtpsink", 25, sf.SMTPSink != nil, sf.SMTPSink.Rebind},
+		{"bannersink", 25, sf.BannerSink != nil, sf.BannerSink.Rebind},
+		{"httpsink", 80, sf.HTTPSink != nil, sf.HTTPSink.Rebind},
+	} {
+		if s.present {
+			eps = append(eps, supervisor.Endpoint{ID: s.id, Host: sf.SvcHosts[s.id], Port: s.port, Rebind: s.rebind})
+		}
 	}
 	return eps
 }

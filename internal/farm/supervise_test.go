@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -89,16 +90,58 @@ func TestSupervisorInmateQuarantine(t *testing.T) {
 	f.Run(5 * time.Second)
 	vlan := probe.VLAN
 	for i := 0; i < 3; i++ {
-		sup.ReportEscape(vlan)
+		sup.Strike(vlan, "probe-escape")
 	}
 	if !sup.InmateQuarantined(vlan) {
 		t.Fatal("three escape strikes did not quarantine the inmate")
 	}
 	// Further strikes are no-ops once quarantined.
-	sup.ReportEscape(vlan)
+	sup.Strike(vlan, "probe-escape")
 	f.Run(5 * time.Second)
 	snap := f.Sim.Obs().Snapshot()
 	if got := snap.Counter("supervisor.probe.inmate_quarantines"); got != 1 {
 		t.Fatalf("inmate_quarantines = %d, want exactly 1", got)
+	}
+}
+
+// A hung controller under Subfarm.Supervise alone — no SuperviseTree — is
+// still repaired, by the same breaker-guarded root ladder the full tree
+// uses: the subfarm's PING probe detects the hang, the farm's root node
+// power-cycles the controller once, and the next PONG is the recovery.
+func TestSupervisorRestartsHungControllerWithoutTree(t *testing.T) {
+	f, sf, sup := superviseFarm(t)
+	probeHealthy := func() bool {
+		name := supervisor.HealthGaugeName(supervisor.KindController, sf.Name, "controller")
+		return f.Sim.Obs().Snapshot().Gauge(name) == 1
+	}
+	f.Run(10 * time.Second)
+	if f.Tree != nil {
+		t.Fatal("Supervise alone built the whole tree")
+	}
+	if !probeHealthy() {
+		t.Fatal("controller unhealthy before any fault")
+	}
+	f.Controller.SetHung(true)
+	// The probes of 10 s and 12 s go unanswered (K=2): down at the 13 s
+	// deadline, reported to the root, whose first rung is 2–3 s.
+	f.Run(4 * time.Second)
+	if probeHealthy() || f.root.ControllerHealthy() {
+		t.Fatal("hang not detected by the PING probe")
+	}
+	f.Run(30 * time.Second)
+	if !probeHealthy() || !f.root.ControllerHealthy() {
+		t.Fatalf("controller not repaired: subfarm history %v, root %v",
+			sup.HealthHistory()["controller"], f.root.ControllerHistory())
+	}
+	hist := f.root.ControllerHistory()
+	if len(hist) != 3 || hist[0] != "down@13s" || !strings.HasPrefix(hist[1], "restart@") || !strings.HasPrefix(hist[2], "up@") {
+		t.Fatalf("root controller history %v, want down@13s, one restart, up", hist)
+	}
+	snap := f.Sim.Obs().Snapshot()
+	if got := snap.Counter("supervisor.root.restarts"); got != 1 {
+		t.Fatalf("supervisor.root.restarts = %d, want exactly 1", got)
+	}
+	if sup.LockedDown() || f.root.GlobalLockedDown() {
+		t.Fatal("a repaired controller hang escalated to lockdown")
 	}
 }

@@ -1,18 +1,10 @@
 package farm
 
-import (
-	"time"
-
-	"gq/internal/supervisor"
-)
-
-// ctlRestartDedup bounds how often the no-tree fallback path restarts
-// the controller.
-const ctlRestartDedup = 30 * time.Second
+import "gq/internal/supervisor"
 
 // This file wires the farm-root supervision node (supervisor.Root) into
 // the farm: controller restart authority, recycler progress watches, and
-// external-shard host watches. See DESIGN.md §3k.
+// external-shard host watches. See DESIGN.md §3f.
 
 // SuperviseTree builds the complete supervision tree: a root node on the
 // farm's root domain, every subfarm supervised (Supervise, idempotent)
@@ -27,11 +19,7 @@ func (f *Farm) SuperviseTree(cfg supervisor.Config) *supervisor.Root {
 	if f.Tree != nil {
 		return f.Tree
 	}
-	f.Tree = supervisor.NewRoot(supervisor.RootDeps{
-		Sim:               f.Sim,
-		ControllerHost:    f.ControllerHost,
-		RestartController: f.restartController,
-	}, cfg)
+	f.Tree = f.rootNode(cfg)
 	for _, h := range f.extHosts {
 		f.Tree.WatchHost(supervisor.KindShard, h.Name, h)
 	}
@@ -57,30 +45,19 @@ func (f *Farm) watchRecycler(sf *Subfarm) {
 		r.Rearm)
 }
 
-// controllerDown receives a subfarm node's controller down-report on the
-// root domain goroutine. With a tree, the root's ladder dedups reports
-// and owns backoff/breaker; without one, the farm restarts the
-// controller directly, deduped to one restart per 30s of sim time so
-// multiple subfarms' probes don't stack resets.
-func (f *Farm) controllerDown(from string) {
-	if f.Tree != nil {
-		f.Tree.ReportControllerDown(from)
-		return
+// rootNode returns the farm-root supervision node, building it on first
+// use. Any supervised subfarm needs it: its controller watch is the one
+// breaker-guarded ladder that restarts the farm-wide inmate controller,
+// however many subfarms report the hang. f.Tree is set only by SuperviseTree.
+func (f *Farm) rootNode(cfg supervisor.Config) *supervisor.Root {
+	if f.root == nil {
+		f.root = supervisor.NewRoot(supervisor.RootDeps{
+			Sim:               f.Sim,
+			ControllerHost:    f.ControllerHost,
+			RestartController: f.restartController,
+		}, cfg)
 	}
-	now := f.Sim.Now()
-	if f.ctlRestarted && now-f.ctlRestartAt < ctlRestartDedup {
-		return
-	}
-	f.ctlRestarted = true
-	f.ctlRestartAt = now
-	f.restartController()
-}
-
-// controllerUp receives the matching recovery report.
-func (f *Farm) controllerUp(from string) {
-	if f.Tree != nil {
-		f.Tree.ReportControllerUp(from)
-	}
+	return f.root
 }
 
 // restartController power-cycles the inmate controller host and rebinds

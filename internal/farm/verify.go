@@ -152,7 +152,7 @@ func RunContainmentProbe(f *Farm, sf *Subfarm, targets []ProbeTarget, window tim
 		// A supervised subfarm counts the escape as a strike toward inmate
 		// quarantine.
 		if sf.Supervisor != nil {
-			sf.Supervisor.ReportEscape(probe.VLAN)
+			sf.Supervisor.Strike(probe.VLAN, "probe-escape")
 		}
 	}
 	return out, nil

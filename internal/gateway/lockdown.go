@@ -1,7 +1,7 @@
 package gateway
 
 // Fail-closed lockdown: the router's last line of defence when the
-// containment plane can no longer adjudicate (DESIGN.md §3k). While
+// containment plane can no longer adjudicate (DESIGN.md §3f). While
 // engaged, every live flow is resolved through the fail-close path —
 // initiators reset, containment legs torn down, SYN tombstones laid so
 // retransmissions cannot re-admit a flow under its audited ISN — and the

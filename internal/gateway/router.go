@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"gq/internal/click"
 	"gq/internal/nat"
 	"gq/internal/netsim"
 	"gq/internal/netstack"
@@ -154,9 +153,8 @@ type Router struct {
 	// returns.
 	scratch []byte
 
-	// Click composition for inspection; the heavy lifting elements hold
-	// references back into the router.
-	graph *click.Graph
+	// rxInmate counts IP packets received from inmate VLANs.
+	rxInmate uint64
 
 	nat *nat.Table
 
@@ -328,7 +326,6 @@ func newRouter(g *Gateway, s *sim.Simulator, cfg RouterConfig) *Router {
 		r.serviceHosts[ep.IP] = ep.VLAN
 	}
 	r.attachTunnels()
-	r.buildGraph()
 	// Roll the safety-filter window every minute. Both periodic jobs run
 	// in the router's own domain.
 	s.Every(time.Minute, func() {
@@ -528,41 +525,6 @@ func (r *Router) dispatchFromOutside(p *netstack.Packet) {
 	r.handleFromOutside(p)
 }
 
-// buildGraph assembles the Click composition. The invariant element module
-// is identical across subfarms; RouterConfig supplies the variant parts.
-func (r *Router) buildGraph() {
-	g := click.NewGraph("subfarm-" + r.cfg.Name)
-	rx := click.NewCounter("rx_inmate")
-	tapEl := click.NewTap("trace_tap", func(p *netstack.Packet) {
-		for _, t := range r.taps {
-			t(p)
-		}
-	})
-	classify := click.NewClassifier("classify", func(p *netstack.Packet) int {
-		if p.IP == nil {
-			return -1
-		}
-		if p.TCP == nil && p.UDP == nil {
-			return -1
-		}
-		return 0
-	})
-	safety := click.NewFunc("safety_filter", func(_ int, p *netstack.Packet) {
-		r.dispatchInmateIP(p)
-	})
-	g.Add(rx)
-	g.Add(tapEl)
-	g.Add(classify)
-	g.Add(safety)
-	g.Connect(rx, 0, tapEl, 0)
-	g.Connect(tapEl, 0, classify, 0)
-	g.Connect(classify, 0, safety, 0)
-	r.graph = g
-}
-
-// Graph exposes the Click composition.
-func (r *Router) Graph() *click.Graph { return r.graph }
-
 // Config returns the router configuration.
 func (r *Router) Config() RouterConfig { return r.cfg }
 
@@ -723,9 +685,15 @@ func (r *Router) handleIP(p *netstack.Packet) {
 	}
 	if r.isInmateVLAN(p.Eth.VLAN) {
 		r.learnInmate(p.Eth.VLAN, p.IP.Src, p.Eth.Src)
-		// Push through the Click pipeline (counters, taps, classifier,
-		// safety filter, then flow dispatch).
-		r.graph.Lookup("rx_inmate").Push(0, p)
+		// The invariant inmate receive pipeline: count, trace taps, L4
+		// classify (anything but TCP/UDP is dropped), flow dispatch.
+		r.rxInmate++
+		for _, t := range r.taps {
+			t(p)
+		}
+		if p.TCP != nil || p.UDP != nil {
+			r.dispatchInmateIP(p)
+		}
 		return
 	}
 	// From a service VLAN: containment-server traffic or sink replies.

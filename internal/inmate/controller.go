@@ -190,11 +190,18 @@ func (c *Controller) handleLine(line string) string {
 // one action line (the containment server's side of the protocol). done
 // receives the reply line.
 func SendAction(from *host.Host, controller *host.Host, action string, vlan uint16, done func(reply string)) {
+	SendLine(from, controller, fmt.Sprintf("ACTION %s VLAN %d", action, vlan), done)
+}
+
+// SendLine is the client side of the controller's line protocol: dial from
+// another management host, send one line, hand the reply line to done
+// (exactly once; "ERR <cause>" if the connection closes first) and close.
+// The supervision tree's liveness probe sends "PING" and wants "PONG". The
+// connection is returned so a caller with a deadline can Abort it.
+func SendLine(from *host.Host, controller *host.Host, line string, done func(reply string)) *host.Conn {
 	c := from.Dial(controller.Addr(), ControllerPort)
 	var buf []byte
-	c.OnConnect = func() {
-		c.Write([]byte(fmt.Sprintf("ACTION %s VLAN %d\n", action, vlan)))
-	}
+	c.OnConnect = func() { c.Write([]byte(line + "\n")) }
 	c.OnData = func(d []byte) {
 		buf = append(buf, d...)
 		if nl := strings.IndexByte(string(buf), '\n'); nl >= 0 {
@@ -210,4 +217,5 @@ func SendAction(from *host.Host, controller *host.Host, action string, vlan uint
 			done("ERR " + fmt.Sprint(err))
 		}
 	}
+	return c
 }

@@ -152,8 +152,10 @@ func TestFanoutChurnStalledClient(t *testing.T) {
 				for _, e := range evs {
 					line = j.RenderEvent(line[:0], e)
 				}
-				churnDropped.Add(sub.Dropped())
+				// Count after Close: until then the emitter can still evict
+				// from this ring, and the fanout-wide counter would see it.
 				sub.Close()
+				churnDropped.Add(sub.Dropped())
 			}
 		}()
 	}

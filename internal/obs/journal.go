@@ -13,19 +13,19 @@ import (
 // Event types recorded by the farm. The set is small and closed on purpose:
 // each names an operationally meaningful state change, not a packet.
 const (
-	EvFlowCreated  = "flow.created"        // gateway admitted a new flow into the table
-	EvFlowVerdict  = "flow.verdict"        // containment server's verdict applied to a flow
-	EvFlowClosed   = "flow.closed"         // flow left the table (Detail = reason)
+	EvFlowCreated  = "flow.created"         // gateway admitted a new flow into the table
+	EvFlowVerdict  = "flow.verdict"         // containment server's verdict applied to a flow
+	EvFlowClosed   = "flow.closed"          // flow left the table (Detail = reason)
 	EvTriggerFired = "policy.trigger_fired" // a containment trigger's action fired
-	EvNATExhausted = "nat.exhausted"       // NAT pool had no free address for an inmate
-	EvFlowShed     = "flow.shed"           // bounded flow table evicted an LRU flow under pressure
-	EvSweepReaped  = "sweep.reaped"        // periodic sweep reaped stale flows (N = count)
+	EvNATExhausted = "nat.exhausted"        // NAT pool had no free address for an inmate
+	EvFlowShed     = "flow.shed"            // bounded flow table evicted an LRU flow under pressure
+	EvSweepReaped  = "sweep.reaped"         // periodic sweep reaped stale flows (N = count)
 	// EvFlowFailClosed marks a flow resolved fail-closed: its containment
 	// server died (or stalled past AwaitVerdictTimeout) before delivering a
 	// verdict, so the gateway recorded a synthetic Drop and RST both legs.
 	// Distinct from EvFlowVerdict — no verdict crossed the wire.
 	EvFlowFailClosed = "flow.failclosed"
-	EvGRETunnelUp  = "gre.tunnel_up"       // first packet through a GRE tunnel endpoint
+	EvGRETunnelUp    = "gre.tunnel_up" // first packet through a GRE tunnel endpoint
 	// EvGRETunnelDown is reserved: tunnels currently live for the whole
 	// experiment, so nothing emits it yet, but consumers should treat it
 	// as part of the vocabulary.
@@ -140,7 +140,7 @@ type Journal struct {
 	mu          sync.Mutex
 	sink        Sink
 	streams     []*Stream
-	scopes      map[string]*Scope
+	scopes      map[string][]*Scope // per name: one ring per stream that asked, shard order
 	order       []string
 	dumps       []*Dump
 	maxDumps    int
@@ -159,7 +159,7 @@ func NewJournal(clock func() time.Duration) *Journal {
 	if clock == nil {
 		clock = func() time.Duration { return 0 }
 	}
-	j := &Journal{clock: clock, scopes: make(map[string]*Scope), maxDumps: DefaultMaxDumps}
+	j := &Journal{clock: clock, scopes: make(map[string][]*Scope), maxDumps: DefaultMaxDumps}
 	// Stream 0 is the root domain's: scopes created via Journal.Scope
 	// bind to it and stamp with the journal's own clock.
 	j.streams = []*Stream{{j: j, shard: 0, clock: clock}}
@@ -281,67 +281,73 @@ func (j *Journal) SetOnDump(fn func(*Dump)) {
 	j.mu.Unlock()
 }
 
-// Scope returns the named scope, creating it with the given ring depth on
-// first use (DefaultRingSize if ring <= 0). Idempotent: later calls ignore
-// ring and return the existing scope. Scopes created this way emit on the
-// root stream; domain-local scopes come from Stream.Scope (via Obs.Scope).
+// Scope returns the named scope on the root stream, creating it with the
+// given ring depth on first use (DefaultRingSize if ring <= 0). Idempotent:
+// later calls ignore ring and return the existing scope. Domain-local
+// scopes come from Stream.Scope (via Obs.Scope).
 func (j *Journal) Scope(name string, ring int) *Scope {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.scopeOn(j.streams[0], name, ring)
+	return j.streams[0].Scope(name, ring)
 }
 
 // Scope returns the named scope bound to this stream, creating it on first
-// use. Idempotent by name across the whole journal: a scope keeps the
-// stream it was first created on.
+// use. Idempotent per (name, stream): a name requested from a second stream
+// gets its own ring there, so no two domains ever write one ring, while
+// events keep the one name and DumpScope presents the rings as one record.
 func (st *Stream) Scope(name string, ring int) *Scope {
-	st.j.mu.Lock()
-	defer st.j.mu.Unlock()
-	return st.j.scopeOn(st, name, ring)
-}
-
-// scopeOn creates or returns a scope; callers hold j.mu.
-func (j *Journal) scopeOn(st *Stream, name string, ring int) *Scope {
-	if sc, ok := j.scopes[name]; ok {
-		return sc
+	j := st.j
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	rings := j.scopes[name]
+	for _, sc := range rings {
+		if sc.stream == st {
+			return sc
+		}
 	}
 	if ring <= 0 {
 		ring = DefaultRingSize
 	}
 	sc := &Scope{Name: name, j: j, stream: st, ring: make([]Event, ring)}
-	j.scopes[name] = sc
-	j.order = append(j.order, name)
+	if rings == nil {
+		j.order = append(j.order, name)
+	}
+	rings = append(rings, sc)
+	sort.Slice(rings, func(i, k int) bool { return rings[i].stream.shard < rings[k].stream.shard })
+	j.scopes[name] = rings
 	return sc
 }
 
-// Scopes returns all scopes in creation order.
-func (j *Journal) Scopes() []*Scope {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]*Scope, 0, len(j.order))
-	for _, name := range j.order {
-		out = append(out, j.scopes[name])
-	}
-	return out
-}
-
-// DumpScope snapshots one scope's flight recorder. Returns nil for an
-// unknown scope.
+// DumpScope snapshots one scope's flight recorder: every stream's ring
+// under that name, events in (T, shard, seq) order. Call it while the
+// scope's domains are quiesced. Returns nil for an unknown scope.
 func (j *Journal) DumpScope(name, reason string) *Dump {
 	j.mu.Lock()
-	sc := j.scopes[name]
+	rings := j.scopes[name]
 	j.mu.Unlock()
-	if sc == nil {
+	if len(rings) == 0 {
 		return nil
 	}
-	return sc.Dump(reason)
+	d := &Dump{Scope: name, Reason: reason}
+	for _, sc := range rings {
+		d.Events = sc.appendLive(d.Events)
+		if at := sc.stream.clock(); at > d.At {
+			d.At = at
+		}
+	}
+	// Rings are held in shard order and each is already in seq order, so a
+	// stable sort on T alone yields (T, shard, seq).
+	sort.SliceStable(d.Events, func(i, k int) bool { return d.Events[i].T < d.Events[k].T })
+	j.retain(d)
+	return d
 }
 
-// DumpAll snapshots every scope's flight recorder.
+// DumpAll snapshots every scope's flight recorder, in creation order.
 func (j *Journal) DumpAll(reason string) []*Dump {
-	out := make([]*Dump, 0, len(j.order))
-	for _, sc := range j.Scopes() {
-		out = append(out, sc.Dump(reason))
+	j.mu.Lock()
+	names := append([]string(nil), j.order...)
+	j.mu.Unlock()
+	out := make([]*Dump, 0, len(names))
+	for _, name := range names {
+		out = append(out, j.DumpScope(name, reason))
 	}
 	return out
 }
@@ -438,19 +444,25 @@ func (sc *Scope) Len() int {
 	return len(sc.ring)
 }
 
-// Dump copies the ring's live events (oldest first) into a retained Dump
-// and fires the journal's on-dump callback.
-func (sc *Scope) Dump(reason string) *Dump {
+// appendLive appends the ring's live events, oldest first.
+func (sc *Scope) appendLive(dst []Event) []Event {
 	live := sc.Len()
-	evs := make([]Event, 0, live)
 	start := 0
 	if sc.n >= len(sc.ring) {
 		start = sc.head
 	}
 	for i := 0; i < live; i++ {
-		evs = append(evs, sc.ring[(start+i)%len(sc.ring)])
+		dst = append(dst, sc.ring[(start+i)%len(sc.ring)])
 	}
-	d := &Dump{Scope: sc.Name, Reason: reason, At: sc.stream.clock(), Events: evs}
+	return dst
+}
+
+// Dump copies this ring's live events (oldest first) into a retained Dump
+// and fires the journal's on-dump callback. It reads only the calling
+// domain's ring; DumpScope merges every stream's.
+func (sc *Scope) Dump(reason string) *Dump {
+	d := &Dump{Scope: sc.Name, Reason: reason, At: sc.stream.clock(),
+		Events: sc.appendLive(make([]Event, 0, sc.Len()))}
 	sc.j.retain(d)
 	return d
 }

@@ -361,9 +361,9 @@ func (o *Obs) ShardView(clock func() time.Duration) *Obs {
 }
 
 // Scope returns the named journal scope bound to this view's emission
-// stream (the root stream for a non-sharded Obs). Idempotent by name
-// journal-wide; use this instead of Journal.Scope when the scope belongs
-// to a specific simulation domain.
+// stream (the root stream for a non-sharded Obs). Idempotent per view: two
+// domains asking for one name each get their own ring under it. Use this,
+// not Journal.Scope, when the scope belongs to a specific simulation domain.
 func (o *Obs) Scope(name string, ring int) *Scope {
 	return o.stream.Scope(name, ring)
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -343,5 +344,72 @@ func TestConcurrentCountersAndSnapshot(t *testing.T) {
 	<-done
 	if c.Value() != 4000 {
 		t.Fatalf("final counter %d", c.Value())
+	}
+}
+
+// TestScopeSameNameAcrossStreams pins the scope-per-domain rule: two
+// streams asking for one scope name get one ring each, so their domains
+// can emit concurrently (a shared ring is a data race — run with -race),
+// while the journal and DumpScope present the name as one record in
+// (T, shard, seq) order.
+func TestScopeSameNameAcrossStreams(t *testing.T) {
+	o := New(nil)
+	o.Journal.SetParallel()
+	var out bytes.Buffer
+	sink := o.Journal.AttachNDJSON(&out)
+
+	const perStream = 100
+	views := []*Obs{o, o.ShardView(nil), o.ShardView(nil)}
+	// Request in reverse shard order: ring order must not depend on who
+	// asked first.
+	scopes := make([]*Scope, len(views))
+	for i := len(views) - 1; i >= 0; i-- {
+		scopes[i] = views[i].Scope("supervisor.tree", 0)
+	}
+	if scopes[0] == scopes[1] || scopes[1] == scopes[2] {
+		t.Fatal("two streams were handed the same *Scope")
+	}
+	if again := views[1].Scope("supervisor.tree", 0); again != scopes[1] {
+		t.Fatal("Scope is not idempotent per (name, stream)")
+	}
+
+	var wg sync.WaitGroup
+	for shard, sc := range scopes {
+		wg.Add(1)
+		go func(shard int, sc *Scope) {
+			defer wg.Done()
+			for i := 0; i < perStream; i++ {
+				sc.Emit(Event{Type: "supervisor.lockdown", VLAN: uint16(shard + 1), N: uint64(i + 1)})
+			}
+		}(shard, sc)
+	}
+	wg.Wait()
+	o.Journal.FlushOrdered()
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every event carries T=0, so the merge key reduces to (shard, seq).
+	d := o.Journal.DumpScope("supervisor.tree", "test")
+	if len(d.Events) != len(scopes)*perStream {
+		t.Fatalf("merged dump holds %d events, want %d", len(d.Events), len(scopes)*perStream)
+	}
+	for i, e := range d.Events {
+		if want := (Event{Type: "supervisor.lockdown", Scope: "supervisor.tree",
+			VLAN: uint16(i/perStream + 1), N: uint64(i%perStream + 1)}); e != want {
+			t.Fatalf("dump event %d = %+v, want %+v", i, e, want)
+		}
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != len(d.Events) {
+		t.Fatalf("journal holds %d lines, want %d", len(lines), len(d.Events))
+	}
+	for i, line := range lines {
+		if want := fmt.Sprintf(`"vlan":%d,"n":%d}`, i/perStream+1, i%perStream+1); !strings.HasSuffix(line, want) {
+			t.Fatalf("journal line %d = %s, want suffix %s", i, line, want)
+		}
+	}
+	if all := o.Journal.DumpAll("test"); len(all) != 1 {
+		t.Fatalf("DumpAll returned %d dumps for one scope name", len(all))
 	}
 }

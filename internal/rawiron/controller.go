@@ -33,7 +33,6 @@ type operation struct {
 
 	started time.Duration // admission time, for the reimage_ms histogram
 	attempt int
-	backoff time.Duration
 	slotted bool // holds one of the MaxConcurrent netboot slots
 
 	// gen invalidates stale stage callbacks: every stage start and every
@@ -101,6 +100,10 @@ func (c *Controller) AddMachine(m *Machine) {
 	c.byName[m.Name] = m
 	c.machines = append(c.machines, m)
 	m.sc = c.Sim.Obs().Scope(obs.EvRawIronPrefix+m.Name, obs.DefaultRingSize)
+	m.ladder = sim.NewLadder(c.Sim, sim.LadderConfig{
+		Backoff: c.Cfg.RetryBackoff, BackoffMax: c.Cfg.RetryBackoffMax, Jitter: c.Cfg.RetryJitter,
+		Window: c.Cfg.BreakerWindow, Threshold: c.Cfg.BreakerThreshold,
+	})
 	c.Seq.PowerOn(m.PowerPort)
 	m.setState(Running)
 }
@@ -206,7 +209,7 @@ func (c *Controller) Readmit(m *Machine, image string, done func(error)) error {
 	if m.State != Quarantined {
 		return fmt.Errorf("rawiron: %s is not quarantined (state %v)", m.Name, m.State)
 	}
-	m.failures = m.failures[:0]
+	m.ladder.Clear()
 	m.setState(PoweredOff)
 	m.sc.Emit(obs.Event{Type: EvReadmit, VLAN: m.VLAN})
 	return c.Reimage(m, image, done)
@@ -226,7 +229,7 @@ func (c *Controller) admit(op *operation) error {
 		return ErrBusy
 	}
 	m.op = op
-	op.backoff = c.Cfg.RetryBackoff
+	m.ladder.Reset()
 	op.started = c.Sim.Now()
 	c.enqueue(op)
 	return nil
@@ -439,15 +442,8 @@ func (c *Controller) failAttempt(op *operation, why string) {
 	m.setState(PoweredOff)
 	c.Seq.PowerOff(m.PowerPort)
 
-	now := c.Sim.Now()
-	kept := m.failures[:0]
-	for _, t := range m.failures {
-		if now-t <= c.Cfg.BreakerWindow {
-			kept = append(kept, t)
-		}
-	}
-	m.failures = append(kept, now)
-	if len(m.failures) >= c.Cfg.BreakerThreshold {
+	m.ladder.Record()
+	if m.ladder.Tripped() {
 		c.quarantine(op, why)
 		return
 	}
@@ -456,13 +452,7 @@ func (c *Controller) failAttempt(op *operation, why string) {
 	c.Retries++
 	c.retriesC.Inc()
 	m.sc.Emit(obs.Event{Type: EvRetry, VLAN: m.VLAN, N: uint64(op.attempt), Detail: why})
-	delay := op.backoff
-	delay += time.Duration(c.Sim.Rand().Float64() * c.Cfg.RetryJitter * float64(delay))
-	op.backoff *= 2
-	if op.backoff > c.Cfg.RetryBackoffMax {
-		op.backoff = c.Cfg.RetryBackoffMax
-	}
-	c.Sim.Schedule(delay, func() {
+	c.Sim.Schedule(m.ladder.Delay(), func() {
 		if m.op != op {
 			return
 		}
@@ -481,7 +471,7 @@ func (c *Controller) quarantine(op *operation, why string) {
 	c.quarantinedC.Inc()
 	m.sc.Emit(obs.Event{Type: EvQuarantine, VLAN: m.VLAN, N: uint64(op.attempt), Detail: why})
 	m.sc.Dump(fmt.Sprintf("machine %s quarantined by breaker after %d failures in window (last: %s, attempt %d)",
-		m.Name, len(m.failures), why, op.attempt))
+		m.Name, m.ladder.Load(), why, op.attempt))
 	if op.done != nil {
 		op.done(ErrQuarantined)
 	}

@@ -121,9 +121,9 @@ type Machine struct {
 	// Transitions logs state changes for tests.
 	Transitions []string
 
-	// failures holds the sim times of recent attempt failures, pruned to
-	// the breaker window (supervisor-style sliding history).
-	failures []time.Duration
+	// ladder is the box's retry ladder, set at AddMachine: the breaker
+	// history spans operations, the backoff restarts with each one.
+	ladder *sim.Ladder
 	// op is the operation currently owning the box (nil when idle).
 	op *operation
 	// sc is the machine's journal scope, set at AddMachine.
@@ -140,7 +140,7 @@ func (m *Machine) Busy() bool { return m.op != nil }
 
 // BreakerLoad reports how many failures currently count against the
 // breaker (the pruned sliding-window history length).
-func (m *Machine) BreakerLoad() int { return len(m.failures) }
+func (m *Machine) BreakerLoad() int { return m.ladder.Load() }
 
 // Config tunes the controller's timing, contention, retry, and breaker
 // behaviour. The zero value selects paper-calibrated defaults.
@@ -178,49 +178,28 @@ type Config struct {
 	BreakerThreshold int           // default 4
 }
 
+// orDefault replaces an unset (zero or negative) tuning value.
+func orDefault[T int | float64 | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
+}
+
 func (cfg Config) withDefaults() Config {
-	if cfg.ImageSizeMB <= 0 {
-		cfg.ImageSizeMB = 2048
-	}
-	if cfg.TrunkMBps <= 0 {
-		cfg.TrunkMBps = 7
-	}
-	if cfg.HiddenRestoreMBps <= 0 {
-		cfg.HiddenRestoreMBps = 4
-	}
-	if cfg.PowerDeadline <= 0 {
-		cfg.PowerDeadline = 10 * time.Second
-	}
-	if cfg.NetbootDeadline <= 0 {
-		cfg.NetbootDeadline = 2 * time.Minute
-	}
-	if cfg.TransferDeadline <= 0 {
-		cfg.TransferDeadline = 30 * time.Minute
-	}
-	if cfg.StallTimeout <= 0 {
-		cfg.StallTimeout = 90 * time.Second
-	}
-	if cfg.RestoreDeadline <= 0 {
-		cfg.RestoreDeadline = 20 * time.Minute
-	}
-	if cfg.BootDeadline <= 0 {
-		cfg.BootDeadline = 2 * time.Minute
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 15 * time.Second
-	}
-	if cfg.RetryBackoffMax <= 0 {
-		cfg.RetryBackoffMax = 4 * time.Minute
-	}
-	if cfg.RetryJitter <= 0 {
-		cfg.RetryJitter = 0.5
-	}
-	if cfg.BreakerWindow <= 0 {
-		cfg.BreakerWindow = time.Hour
-	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 4
-	}
+	orDefault(&cfg.ImageSizeMB, 2048)
+	orDefault(&cfg.TrunkMBps, 7)
+	orDefault(&cfg.HiddenRestoreMBps, 4)
+	orDefault(&cfg.PowerDeadline, 10*time.Second)
+	orDefault(&cfg.NetbootDeadline, 2*time.Minute)
+	orDefault(&cfg.TransferDeadline, 30*time.Minute)
+	orDefault(&cfg.StallTimeout, 90*time.Second)
+	orDefault(&cfg.RestoreDeadline, 20*time.Minute)
+	orDefault(&cfg.BootDeadline, 2*time.Minute)
+	orDefault(&cfg.RetryBackoff, 15*time.Second)
+	orDefault(&cfg.RetryBackoffMax, 4*time.Minute)
+	orDefault(&cfg.RetryJitter, 0.5)
+	orDefault(&cfg.BreakerWindow, time.Hour)
+	orDefault(&cfg.BreakerThreshold, 4)
 	return cfg
 }
 

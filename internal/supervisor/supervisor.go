@@ -1,6 +1,6 @@
 // Package supervisor makes the farm's measurement plane self-healing
 // while keeping it provably fail-closed. It is organised as a supervision
-// tree (DESIGN.md §3k): one per-subfarm node watches every endpoint kind
+// tree (DESIGN.md §3f): one per-subfarm node watches every endpoint kind
 // an escape could route through — containment servers (sim-clock
 // heartbeat probes over the shim channel), sink servers (TCP liveness
 // probes from a dedicated prober host) and the farm-wide inmate
@@ -31,8 +31,6 @@ import (
 	"strings"
 	"time"
 
-	"gq/internal/containment"
-	"gq/internal/gateway"
 	"gq/internal/host"
 	"gq/internal/inmate"
 	"gq/internal/netstack"
@@ -128,76 +126,62 @@ type Config struct {
 	WedgeBudget time.Duration // default 15m
 }
 
+// orDefault replaces an unset (zero or negative) tuning value.
+func orDefault[T int | float64 | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
+}
+
 func (c Config) withDefaults() Config {
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 5 * time.Second
-	}
-	if c.HeartbeatTimeout <= 0 {
-		c.HeartbeatTimeout = time.Second
-	}
-	if c.MissThreshold <= 0 {
-		c.MissThreshold = 3
-	}
-	if c.RestartBackoff <= 0 {
-		c.RestartBackoff = 5 * time.Second
-	}
-	if c.RestartBackoffMax <= 0 {
-		c.RestartBackoffMax = 2 * time.Minute
-	}
-	if c.RestartJitter <= 0 {
-		c.RestartJitter = 0.5
-	}
-	if c.BreakerWindow <= 0 {
-		c.BreakerWindow = 10 * time.Minute
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.InmateStrikeWindow <= 0 {
-		c.InmateStrikeWindow = 30 * time.Minute
-	}
-	if c.InmateStrikeThreshold <= 0 {
-		c.InmateStrikeThreshold = 3
-	}
+	orDefault(&c.HeartbeatEvery, 5*time.Second)
+	orDefault(&c.HeartbeatTimeout, time.Second)
+	orDefault(&c.MissThreshold, 3)
+	orDefault(&c.RestartBackoff, 5*time.Second)
+	orDefault(&c.RestartBackoffMax, 2*time.Minute)
+	orDefault(&c.RestartJitter, 0.5)
+	orDefault(&c.BreakerWindow, 10*time.Minute)
+	orDefault(&c.BreakerThreshold, 5)
+	orDefault(&c.InmateStrikeWindow, 30*time.Minute)
+	orDefault(&c.InmateStrikeThreshold, 3)
 	if c.InmateQuarantineAction == "" {
 		c.InmateQuarantineAction = "stop"
 	}
-	if c.LockdownBudget <= 0 {
-		c.LockdownBudget = 2 * time.Minute
-	}
-	if c.DeadManBudget <= 0 {
-		c.DeadManBudget = 5 * time.Minute
-	}
-	if c.ProgressEvery <= 0 {
-		c.ProgressEvery = 30 * time.Second
-	}
-	if c.WedgeBudget <= 0 {
-		c.WedgeBudget = 15 * time.Minute
-	}
+	orDefault(&c.LockdownBudget, 2*time.Minute)
+	orDefault(&c.DeadManBudget, 5*time.Minute)
+	orDefault(&c.ProgressEvery, 30*time.Second)
+	orDefault(&c.WedgeBudget, 15*time.Minute)
 	return c
 }
 
-// Endpoint pairs a containment server with the host it runs on.
+// Endpoint describes one supervised service host: a containment server or
+// a sink server. Rebind reinstalls its listeners after a supervised host
+// reset. Sinks also carry their SvcHosts role as ID ("catchall",
+// "smtpsink", ...) and a TCP port a liveness probe can dial; containment
+// servers are named by cluster position and probed over the shim channel.
 type Endpoint struct {
-	Srv  *containment.Server
-	Host *host.Host
-}
-
-// SinkEndpoint describes one supervised sink server: the host it runs
-// on, a TCP port a liveness probe can dial, and the Rebind closure that
-// reinstalls its listeners after a supervised host reset.
-type SinkEndpoint struct {
-	ID     string // SvcHosts role, e.g. "catchall", "smtpsink"
+	ID     string
 	Host   *host.Host
 	Port   uint16
 	Rebind func() error
+}
+
+// Router is what a subfarm node needs of its gateway (*gateway.Router):
+// the shim heartbeat channel, per-endpoint dispatch health and fail-close,
+// and the lockdown switch.
+type Router interface {
+	SetHealthObserver(fn func(idx int, seq uint64))
+	SendHealthProbe(idx int, seq uint64)
+	SetEndpointHealth(idx int, healthy bool)
+	FailCloseEndpoint(idx int, reason string) int
+	SetLockdown(on bool, reason string) int
 }
 
 // Deps wires a Supervisor into its subfarm. Everything lives in (or is
 // reachable from) the subfarm's simulation domain.
 type Deps struct {
 	Sim    *sim.Simulator
-	Router *gateway.Router
+	Router Router
 	Name   string // subfarm name, used in metric and scope names
 	// Endpoints lists the containment servers in router endpoint-index
 	// order (cluster order, or the single server).
@@ -205,7 +189,7 @@ type Deps struct {
 	// Sinks lists the subfarm's supervised sink servers. Each is probed
 	// with a TCP dial from Prober and restarted in place (host reset +
 	// Rebind) on its own breaker-guarded ladder.
-	Sinks []SinkEndpoint
+	Sinks []Endpoint
 	// Prober is the service-VLAN host sink liveness probes dial from.
 	// Required when Sinks is non-empty.
 	Prober *host.Host
@@ -217,19 +201,17 @@ type Deps struct {
 	Mgmt       *host.Host
 	Controller *host.Host
 
-	// WatchController probes the farm-wide inmate controller with an
-	// application-level PING from Mgmt. The subfarm node only detects —
-	// restart authority belongs to the farm root, which owns the
-	// controller's domain — so down/up transitions are reported through
-	// the two callbacks below (invoked on the subfarm's goroutine; the
-	// farm wiring posts them into the root domain).
-	WatchController  bool
-	OnControllerDown func()
-	OnControllerUp   func()
+	// Root, when set (with Controller and Mgmt), makes the node probe the
+	// farm-wide inmate controller with an application-level PING from
+	// Mgmt. The subfarm node only detects — restart authority belongs to
+	// the farm root, which owns the controller's domain — so down/up
+	// transitions are posted into the root's domain and feed its
+	// controller watch.
+	Root *Root
 }
 
-// Health gauges, one per supervised endpoint, named
-// supervisor.<kind>.<scope>-<id>.healthy (1 healthy, 0 down). The ops
+// Health gauges, one per watch, named
+// supervisor.<kind>.<node>-<id>.healthy (1 healthy, 0 down). The ops
 // plane's /healthz handler scans the registry snapshot for them and
 // reports a per-kind breakdown; degraded when any reads 0 or an expected
 // kind registered none.
@@ -238,14 +220,14 @@ const (
 	HealthGaugeSuffix = ".healthy"
 )
 
-// HealthGaugeName returns the registry gauge name for one endpoint's
-// health bit. scope is the owning node ("<subfarm>" or "root").
-func HealthGaugeName(kind Kind, scope, id string) string {
-	return HealthGaugePrefix + string(kind) + "." + scope + "-" + id + HealthGaugeSuffix
+// HealthGaugeName returns the registry gauge name for one watch's health
+// bit. node is the owning node ("<subfarm>" or "root").
+func HealthGaugeName(kind Kind, node, id string) string {
+	return HealthGaugePrefix + string(kind) + "." + node + "-" + id + HealthGaugeSuffix
 }
 
 // ParseHealthGauge splits a registry gauge name produced by
-// HealthGaugeName back into its kind and "<scope>-<id>" endpoint name.
+// HealthGaugeName back into its kind and "<node>-<id>" endpoint name.
 func ParseHealthGauge(name string) (kind Kind, endpoint string, ok bool) {
 	if !strings.HasPrefix(name, HealthGaugePrefix) || !strings.HasSuffix(name, HealthGaugeSuffix) {
 		return "", "", false
@@ -263,88 +245,34 @@ func ParseHealthGauge(name string) (kind Kind, endpoint string, ok bool) {
 // lockdown).
 const LockdownGaugeSuffix = ".lockdown"
 
-// endpoint is the supervisor's per-endpoint state, shared by every kind.
-type endpoint struct {
-	kind Kind
-	id   string // "cs0", "catchall", "controller", ...
-
-	srv    *containment.Server // KindCS
-	csIdx  int                 // router endpoint index (KindCS)
-	host   *host.Host
-	port   uint16       // probe port (sink, controller)
-	prober *host.Host   // host TCP probes dial from
-	rebind func() error // reinstalls app listeners after host reset (sink)
-
-	// watchOnly endpoints (the controller) are probed and journalled but
-	// never restarted here: restart authority lives at the tree root, and
-	// transitions are reported through the notify hooks.
-	watchOnly    bool
-	onDown, onUp func()
-
-	// Addressing snapshot taken at attach time, replayed on restart.
-	addr netstack.Addr
-	bits int
-	gw   netstack.Addr
-
-	healthy     bool
-	quarantined bool
-	misses      int // consecutive missed probe deadlines
-	seq         uint64
-	replied     bool // current probe answered
-
-	backoff     time.Duration
-	restartPend bool
-	restarts    []time.Duration // restart times inside the breaker window
-	downAt      time.Duration
-
-	// transitions is the endpoint's health history ("down@8m1s", ...),
-	// part of the determinism proof: it must be identical across worker
-	// counts for a (seed, profile) pair.
-	transitions []string
-
-	gauge *obs.Gauge // supervisor.<kind>.<subfarm>-<id>.healthy
-}
-
-// Supervisor is one subfarm's supervision-tree node.
+// Supervisor is one subfarm's supervision-tree node: probe-fed watches
+// over its containment servers, sinks and the inmate controller, inmate
+// strike counting, and the subfarm's own escalation — a containment plane
+// dead past LockdownBudget fails the subfarm closed.
 type Supervisor struct {
-	cfg  Config
+	node
 	deps Deps
-	s    *sim.Simulator
-	sc   *obs.Scope // "supervisor.<name>": endpoint-level transitions
-	tree *obs.Scope // "supervisor.tree": escalations and lockdowns
+	cs   []*watch // the containment servers, router index order
 
-	eps    []*endpoint // every supervised endpoint, probe order
-	csEps  []*endpoint // the containment servers, router index order
-	ticker *sim.Ticker
-
-	// Inmate quarantine state: strike times per VLAN, and which VLANs have
-	// already been quarantined.
-	strikes     map[uint16][]time.Duration
+	// Inmate quarantine state: a strike breaker per VLAN, and which VLANs
+	// have already been quarantined.
+	strikes     map[uint16]*sim.Ladder
 	quarantined map[uint16]bool
 
-	// Escalation state: containment fully dead since (or -1), lockdown
-	// engaged, and the DeepEqual-able escalation history.
-	deadSince   time.Duration
-	lockdown    bool
-	escalations []string
+	// Escalation state: containment fully dead since (or -1) and lockdown
+	// engaged. History() records "containment_dead@…", "lockdown@…
+	// <reason>" and "release@… <reason>".
+	deadSince time.Duration
+	lockdown  bool
 
-	// parent links this node under a farm-root node (Root.Attach).
-	parent    *Root
-	parentDom *sim.Simulator
+	// link is this node's place under a farm-root node (Root.Attach).
+	link *subLink
 
-	restartsTotal     *obs.Counter
-	quarantinesTotal  *obs.Counter
-	sinkQuarantines   *obs.Counter
-	missesTotal       *obs.Counter
+	csQuarantines     *obs.Counter
 	inmateQuarantines *obs.Counter
 	lockdownsTotal    *obs.Counter
 	recoveryMS        *obs.Histogram
 	lockGauge         *obs.Gauge
-
-	// watchCounts is the build-time endpoint census per kind, read by the
-	// ops plane's /healthz to detect expected-but-absent kinds. Fixed
-	// after New, so it is safe to read from alien goroutines.
-	watchCounts map[string]int
 
 	// Recoveries records each containment-server down->healthy interval,
 	// in order. The recovery-time benchmark and the recovery soak's
@@ -354,114 +282,126 @@ type Supervisor struct {
 
 // New attaches a supervisor to its subfarm and starts the probe loop.
 func New(deps Deps, cfg Config) *Supervisor {
-	cfg = cfg.withDefaults()
-	s := deps.Sim
-	o := s.Obs()
-	sup := &Supervisor{
-		cfg: cfg, deps: deps, s: s,
-		sc:          o.Scope("supervisor."+deps.Name, obs.DefaultRingSize),
-		tree:        o.Scope(TreeScope, obs.DefaultRingSize),
-		strikes:     make(map[uint16][]time.Duration),
-		quarantined: make(map[uint16]bool),
-		deadSince:   -1,
-		watchCounts: make(map[string]int),
-	}
-	pfx := "supervisor." + deps.Name + "."
-	sup.restartsTotal = o.Reg.Counter(pfx + "restarts")
-	sup.quarantinesTotal = o.Reg.Counter(pfx + "cs_quarantines")
-	sup.sinkQuarantines = o.Reg.Counter(pfx + "sink_quarantines")
-	sup.missesTotal = o.Reg.Counter(pfx + "heartbeats_missed")
-	sup.inmateQuarantines = o.Reg.Counter(pfx + "inmate_quarantines")
-	sup.lockdownsTotal = o.Reg.Counter(pfx + "lockdowns")
-	sup.lockGauge = o.Reg.Gauge("supervisor." + deps.Name + LockdownGaugeSuffix)
-	sup.recoveryMS = o.Reg.Histogram(pfx+"recovery_ms",
-		10, 50, 100, 500, 1000, 5000, 15000, 30000, 60000, 120000)
-	add := func(ep *endpoint) {
-		ep.healthy = true
-		ep.backoff = cfg.RestartBackoff
-		ep.gauge = o.Reg.Gauge(HealthGaugeName(ep.kind, deps.Name, ep.id))
-		ep.gauge.Set(1)
-		sup.eps = append(sup.eps, ep)
-		sup.watchCounts[string(ep.kind)]++
-	}
+	sup := newSupervisor(deps, cfg)
 	for i, e := range deps.Endpoints {
-		ep := &endpoint{
-			kind: KindCS, id: fmt.Sprintf("cs%d", i), csIdx: i,
-			srv: e.Srv, host: e.Host,
-			addr: e.Host.Addr(), bits: e.Host.PrefixBits(), gw: e.Host.Gateway(),
-		}
-		add(ep)
-		sup.csEps = append(sup.csEps, ep)
+		sup.watchCS(i, e.Host.Addr(), powerCycle(e.Host, e.Rebind))
 	}
 	for _, se := range deps.Sinks {
-		add(&endpoint{
-			kind: KindSink, id: se.ID, host: se.Host, port: se.Port,
-			prober: deps.Prober, rebind: se.Rebind,
-			addr: se.Host.Addr(), bits: se.Host.PrefixBits(), gw: se.Host.Gateway(),
-		})
+		w := sup.add(&watch{kind: KindSink, id: se.ID, addr: se.Host.Addr(), restart: powerCycle(se.Host, se.Rebind)})
+		w.probe = func(seq uint64) { sup.probeTCP(w, se.Host, se.Port, seq) }
 	}
-	if deps.WatchController && deps.Controller != nil && deps.Mgmt != nil {
-		add(&endpoint{
-			kind: KindController, id: "controller",
-			host: deps.Controller, port: inmate.ControllerPort, prober: deps.Mgmt,
-			watchOnly: true, onDown: deps.OnControllerDown, onUp: deps.OnControllerUp,
-			addr: deps.Controller.Addr(),
-		})
+	if deps.Root != nil && deps.Controller != nil && deps.Mgmt != nil {
+		w := sup.watchController(deps.Root, deps.Controller.Addr())
+		w.probe = func(seq uint64) { sup.probePing(w, seq) }
 	}
-	deps.Router.SetHealthObserver(sup.onHealthReply)
-	sup.ticker = s.Every(cfg.HeartbeatEvery, sup.tick)
 	return sup
 }
 
-// Stop halts the probe loop (pending restarts still fire).
-func (sup *Supervisor) Stop() { sup.ticker.Stop() }
+// newSupervisor builds the node with no watches yet and starts its probe
+// loop.
+func newSupervisor(deps Deps, cfg Config) *Supervisor {
+	cfg = cfg.withDefaults()
+	s := deps.Sim
+	o := s.Obs()
+	pfx := "supervisor." + deps.Name + "."
+	sup := &Supervisor{
+		node: node{
+			cfg: cfg, s: s, name: deps.Name,
+			sc:          o.Scope("supervisor."+deps.Name, obs.DefaultRingSize),
+			tree:        o.Scope(TreeScope, obs.DefaultRingSize),
+			watchCounts: make(map[string]int),
+			missesTotal: o.Reg.Counter(pfx + "heartbeats_missed"),
+			restarts:    o.Reg.Counter(pfx + "restarts"),
+			quarantines: o.Reg.Counter(pfx + "sink_quarantines"),
+		},
+		deps:        deps,
+		strikes:     make(map[uint16]*sim.Ladder),
+		quarantined: make(map[uint16]bool),
+		deadSince:   -1,
 
-// Name returns the node's subfarm name.
-func (sup *Supervisor) Name() string { return sup.deps.Name }
-
-// WatchCounts reports how many endpoints of each kind this node
-// supervises. Fixed at build time; safe from any goroutine.
-func (sup *Supervisor) WatchCounts() map[string]int {
-	out := make(map[string]int, len(sup.watchCounts))
-	for k, v := range sup.watchCounts {
-		out[k] = v
+		csQuarantines:     o.Reg.Counter(pfx + "cs_quarantines"),
+		inmateQuarantines: o.Reg.Counter(pfx + "inmate_quarantines"),
+		lockdownsTotal:    o.Reg.Counter(pfx + "lockdowns"),
+		lockGauge:         o.Reg.Gauge("supervisor." + deps.Name + LockdownGaugeSuffix),
+		recoveryMS: o.Reg.Histogram(pfx+"recovery_ms",
+			10, 50, 100, 500, 1000, 5000, 15000, 30000, 60000, 120000),
 	}
-	return out
+	deps.Router.SetHealthObserver(func(idx int, seq uint64) {
+		if idx >= 0 && idx < len(sup.cs) {
+			sup.probeReply(sup.cs[idx], seq)
+		}
+	})
+	s.Every(cfg.HeartbeatEvery, sup.tick)
+	return sup
 }
 
-// tick probes every non-quarantined endpoint, in attach order, and arms
-// the per-probe deadline.
-func (sup *Supervisor) tick() {
-	for _, ep := range sup.eps {
-		if ep.quarantined {
-			continue
+// powerCycle returns the restart action for a service host: reset it,
+// replay the addressing snapshot taken now (attach time), rebind the
+// listeners, re-announce ARP.
+func powerCycle(h *host.Host, rebind func() error) func() {
+	addr, bits, gw := h.Addr(), h.PrefixBits(), h.Gateway()
+	return func() {
+		h.Reset()
+		h.ConfigureStatic(addr, bits, gw)
+		if rebind != nil {
+			if err := rebind(); err != nil {
+				panic("supervisor: " + h.Name + " rebind failed: " + err.Error())
+			}
 		}
-		ep.seq++
-		ep.replied = false
-		seq := ep.seq
-		switch ep.kind {
-		case KindCS:
-			sup.deps.Router.SendHealthProbe(ep.csIdx, seq)
-		case KindController:
-			sup.probePing(ep, seq)
-		default:
-			sup.probeTCP(ep, seq)
-		}
-		e := ep
-		sup.s.Schedule(sup.cfg.HeartbeatTimeout, func() { sup.checkDeadline(e, seq) })
+		h.AnnounceARP()
 	}
 }
 
-// probeTCP checks a sink endpoint with a bare TCP dial from the prober
-// host: reaching ESTABLISHED within the deadline is alive. The probe
-// connection is aborted immediately — it exists only for the handshake.
-func (sup *Supervisor) probeTCP(ep *endpoint, seq uint64) {
-	c := ep.prober.Dial(ep.host.Addr(), ep.port)
+// watchCS adds the watch over containment server idx: heartbeat-probed
+// over the shim channel, dropped from dispatch with its stranded flows
+// failed closed whenever it is down or quarantined, and feeding the
+// subfarm's containment-dead clock on every transition.
+func (sup *Supervisor) watchCS(idx int, addr netstack.Addr, restart func()) *watch {
+	w := sup.add(&watch{
+		kind: KindCS, id: fmt.Sprintf("cs%d", idx), addr: addr, n: uint64(idx),
+		restart: restart, quarantines: sup.csQuarantines,
+	})
+	w.events, w.label, w.noun = csEvents, w.id, "containment server"
+	w.probe = func(seq uint64) { sup.deps.Router.SendHealthProbe(idx, seq) }
+	w.before = func(t transition) string {
+		sup.deps.Router.SetEndpointHealth(idx, false)
+		failed := sup.deps.Router.FailCloseEndpoint(idx, "containment server "+string(t))
+		return fmt.Sprintf(" (%d flows failed closed)", failed)
+	}
+	w.after = func(t transition, _ string) {
+		if t == up {
+			sup.deps.Router.SetEndpointHealth(idx, true)
+			recovery := sup.s.Now() - w.downAt
+			sup.Recoveries = append(sup.Recoveries, recovery)
+			sup.recoveryMS.Observe(int64(recovery / time.Millisecond))
+		}
+		sup.checkContainment()
+	}
+	sup.cs = append(sup.cs, w)
+	return w
+}
+
+// watchController adds the watch-only watch over the farm-wide inmate
+// controller: every down (and still-down) and up finding is posted into
+// root's domain, where the controller's one restart ladder lives.
+func (sup *Supervisor) watchController(root *Root, addr netstack.Addr) *watch {
+	w := sup.add(&watch{kind: KindController, id: "controller", addr: addr})
+	w.after = func(t transition, _ string) {
+		hop(sup.s, root.s, func() { root.controllerReport(t, sup.name) })
+	}
+	return w
+}
+
+// probeTCP checks a sink with a bare TCP dial from the prober host:
+// reaching ESTABLISHED within the deadline is alive. The connection exists
+// only for the handshake and is aborted either way.
+func (sup *Supervisor) probeTCP(w *watch, to *host.Host, port uint16, seq uint64) {
+	c := sup.deps.Prober.Dial(to.Addr(), port)
 	done := false
 	c.OnConnect = func() {
 		done = true
 		c.Abort()
-		sup.onProbeReply(ep, seq)
+		sup.probeReply(w, seq)
 	}
 	sup.s.Schedule(sup.cfg.HeartbeatTimeout, func() {
 		if !done {
@@ -472,245 +412,32 @@ func (sup *Supervisor) probeTCP(ep *endpoint, seq uint64) {
 
 // probePing checks the inmate controller with an application-level PING
 // over the management network: only a PONG line within the deadline is
-// alive, so a hung controller (accepting but not answering) reads as
-// down even though its SYN backlog is healthy.
-func (sup *Supervisor) probePing(ep *endpoint, seq uint64) {
-	c := ep.prober.Dial(ep.host.Addr(), ep.port)
+// alive, so a hung controller (accepting but not answering) reads as down
+// even though its SYN backlog is healthy.
+func (sup *Supervisor) probePing(w *watch, seq uint64) {
 	done := false
-	var buf []byte
-	c.OnConnect = func() { c.Write([]byte("PING\n")) }
-	c.OnData = func(d []byte) {
-		if done {
-			return
-		}
-		buf = append(buf, d...)
-		nl := strings.IndexByte(string(buf), '\n')
-		if nl < 0 {
-			return
-		}
+	c := inmate.SendLine(sup.deps.Mgmt, sup.deps.Controller, "PING", func(reply string) {
 		done = true
-		if strings.TrimSpace(string(buf[:nl])) == "PONG" {
-			sup.onProbeReply(ep, seq)
+		if reply == "PONG" {
+			sup.probeReply(w, seq)
 		}
-		c.Close()
-	}
+	})
 	sup.s.Schedule(sup.cfg.HeartbeatTimeout, func() {
 		if !done {
-			done = true
 			c.Abort()
 		}
 	})
 }
 
-// onHealthReply receives containment-server heartbeat echoes from the
-// router.
-func (sup *Supervisor) onHealthReply(idx int, seq uint64) {
-	if idx < 0 || idx >= len(sup.csEps) {
-		return
-	}
-	sup.onProbeReply(sup.csEps[idx], seq)
-}
-
-// onProbeReply handles a live probe answer for any endpoint kind.
-func (sup *Supervisor) onProbeReply(ep *endpoint, seq uint64) {
-	if ep.quarantined || seq != ep.seq {
-		return // stale echo from before a restart; ignore
-	}
-	ep.replied = true
-	ep.misses = 0
-	if !ep.healthy {
-		sup.markUp(ep)
-	}
-}
-
-// checkDeadline runs HeartbeatTimeout after each probe: a missing echo is
-// one miss; K consecutive misses mark the endpoint down and (re)schedule a
-// restart. The miss count resets at each threshold crossing so an endpoint
-// that crashes again mid-recovery earns a fresh (backed-off) restart
-// instead of being forgotten. Watch-only endpoints re-notify the tree
-// root at each crossing instead of restarting.
-func (sup *Supervisor) checkDeadline(ep *endpoint, seq uint64) {
-	if ep.quarantined || seq != ep.seq || ep.replied {
-		return
-	}
-	ep.misses++
-	sup.missesTotal.Inc()
-	if ep.misses < sup.cfg.MissThreshold {
-		return
-	}
-	ep.misses = 0
-	if ep.healthy {
-		sup.markDown(ep)
-	} else if ep.watchOnly && ep.onDown != nil {
-		// Still dead at the next threshold crossing: remind the restart
-		// authority, which dedups and owns the backoff ladder.
-		ep.onDown()
-	}
-	if !ep.watchOnly && !ep.restartPend {
-		sup.scheduleRestart(ep)
-	}
-}
-
-// markDown transitions an endpoint to unhealthy. A containment server
-// additionally drops out of dispatch and has its stranded flows resolved
-// fail-closed; every kind dumps the flight recorder for post-mortem.
-func (sup *Supervisor) markDown(ep *endpoint) {
-	ep.healthy = false
-	ep.downAt = sup.s.Now()
-	ep.gauge.Set(0)
-	ep.transitions = append(ep.transitions, "down@"+sup.s.Now().String())
-	switch ep.kind {
-	case KindCS:
-		sup.deps.Router.SetEndpointHealth(ep.csIdx, false)
-		failed := sup.deps.Router.FailCloseEndpoint(ep.csIdx, "containment server down")
-		sup.sc.Emit(obs.Event{
-			Type: EvCSDown, N: uint64(ep.csIdx), SrcIP: uint32(ep.addr),
-			Detail: ep.id,
-		})
-		sup.sc.Dump(fmt.Sprintf("containment server %s down (%d flows failed closed)", ep.id, failed))
-		sup.checkContainment()
-	default:
-		sup.sc.Emit(obs.Event{
-			Type: EvEndpointDown, SrcIP: uint32(ep.addr),
-			Detail: string(ep.kind) + ":" + ep.id,
-		})
-		sup.sc.Dump(fmt.Sprintf("%s %s down", ep.kind, ep.id))
-	}
-	if ep.onDown != nil {
-		ep.onDown()
-	}
-}
-
-// markUp transitions an endpoint back to healthy once a probe confirms
-// the restart took. Containment servers resume dispatch and record the
-// down->up recovery time.
-func (sup *Supervisor) markUp(ep *endpoint) {
-	ep.healthy = true
-	ep.backoff = sup.cfg.RestartBackoff
-	ep.gauge.Set(1)
-	ep.transitions = append(ep.transitions, "up@"+sup.s.Now().String())
-	switch ep.kind {
-	case KindCS:
-		sup.deps.Router.SetEndpointHealth(ep.csIdx, true)
-		recovery := sup.s.Now() - ep.downAt
-		sup.Recoveries = append(sup.Recoveries, recovery)
-		sup.recoveryMS.Observe(int64(recovery / time.Millisecond))
-		sup.sc.Emit(obs.Event{
-			Type: EvCSUp, N: uint64(ep.csIdx), SrcIP: uint32(ep.addr),
-			Detail: ep.id,
-		})
-		sup.checkContainment()
-	default:
-		sup.sc.Emit(obs.Event{
-			Type: EvEndpointUp, SrcIP: uint32(ep.addr),
-			Detail: string(ep.kind) + ":" + ep.id,
-		})
-	}
-	if ep.onUp != nil {
-		ep.onUp()
-	}
-}
-
-// scheduleRestart arms the next restart attempt: capped exponential backoff
-// plus sim-RNG jitter, behind the circuit breaker.
-func (sup *Supervisor) scheduleRestart(ep *endpoint) {
-	now := sup.s.Now()
-	// Prune restart history to the breaker window, then check the breaker.
-	kept := ep.restarts[:0]
-	for _, t := range ep.restarts {
-		if now-t <= sup.cfg.BreakerWindow {
-			kept = append(kept, t)
-		}
-	}
-	ep.restarts = kept
-	if len(ep.restarts) >= sup.cfg.BreakerThreshold {
-		sup.quarantine(ep)
-		return
-	}
-	delay := ep.backoff
-	delay += time.Duration(sup.s.Rand().Float64() * sup.cfg.RestartJitter * float64(delay))
-	ep.backoff *= 2
-	if ep.backoff > sup.cfg.RestartBackoffMax {
-		ep.backoff = sup.cfg.RestartBackoffMax
-	}
-	ep.restartPend = true
-	sup.s.Schedule(delay, func() { sup.restart(ep) })
-}
-
-// restart brings a crashed endpoint back: reset the host, replay its
-// addressing, rebind the listeners, re-announce ARP. Health is NOT
-// assumed — only the next probe answer marks the endpoint up.
-func (sup *Supervisor) restart(ep *endpoint) {
-	ep.restartPend = false
-	if ep.quarantined || ep.healthy {
-		return
-	}
-	ep.host.Reset()
-	ep.host.ConfigureStatic(ep.addr, ep.bits, ep.gw)
-	switch {
-	case ep.kind == KindCS:
-		if err := ep.srv.Rebind(); err != nil {
-			panic("supervisor: containment server rebind failed: " + err.Error())
-		}
-	case ep.rebind != nil:
-		if err := ep.rebind(); err != nil {
-			panic("supervisor: " + string(ep.kind) + " " + ep.id + " rebind failed: " + err.Error())
-		}
-	}
-	ep.host.AnnounceARP()
-	ep.restarts = append(ep.restarts, sup.s.Now())
-	ep.transitions = append(ep.transitions, "restart@"+sup.s.Now().String())
-	sup.restartsTotal.Inc()
-	typ, detail := EvEndpointRestart, string(ep.kind)+":"+ep.id
-	if ep.kind == KindCS {
-		typ, detail = EvCSRestart, ep.id
-	}
-	sup.sc.Emit(obs.Event{
-		Type: typ, N: uint64(ep.csIdx), SrcIP: uint32(ep.addr), Detail: detail,
-	})
-}
-
-// quarantine trips the circuit breaker: the endpoint is drained (a
-// containment server's remaining dependent flows fail-closed), excluded
-// from dispatch, and no longer probed or restarted.
-func (sup *Supervisor) quarantine(ep *endpoint) {
-	if ep.quarantined {
-		return
-	}
-	ep.quarantined = true
-	ep.healthy = false
-	ep.gauge.Set(0)
-	ep.transitions = append(ep.transitions, "quarantine@"+sup.s.Now().String())
-	switch ep.kind {
-	case KindCS:
-		sup.deps.Router.SetEndpointHealth(ep.csIdx, false)
-		failed := sup.deps.Router.FailCloseEndpoint(ep.csIdx, "containment server quarantined")
-		sup.quarantinesTotal.Inc()
-		sup.sc.Emit(obs.Event{
-			Type: EvCSQuarantine, N: uint64(ep.csIdx), SrcIP: uint32(ep.addr),
-			Detail: ep.id,
-		})
-		sup.sc.Dump(fmt.Sprintf("containment server %s quarantined (%d flows failed closed)", ep.id, failed))
-		sup.checkContainment()
-	default:
-		sup.sinkQuarantines.Inc()
-		sup.sc.Emit(obs.Event{
-			Type: EvEndpointQuarantine, SrcIP: uint32(ep.addr),
-			Detail: string(ep.kind) + ":" + ep.id,
-		})
-		sup.sc.Dump(fmt.Sprintf("%s %s quarantined", ep.kind, ep.id))
-	}
-}
-
 // containmentDead reports whether every containment server is down or
 // quarantined — the state no flow can be adjudicated in.
 func (sup *Supervisor) containmentDead() bool {
-	for _, ep := range sup.csEps {
-		if ep.healthy {
+	for _, w := range sup.cs {
+		if w.healthy {
 			return false
 		}
 	}
-	return len(sup.csEps) > 0
+	return len(sup.cs) > 0
 }
 
 // checkContainment runs after every containment-server health transition:
@@ -727,8 +454,8 @@ func (sup *Supervisor) checkContainment() {
 	}
 	stamp := sup.s.Now()
 	sup.deadSince = stamp
-	sup.escalations = append(sup.escalations, "containment_dead@"+stamp.String())
-	sup.tree.Emit(obs.Event{Type: EvEscalate, Detail: sup.deps.Name + ": containment plane dead"})
+	sup.note("containment_dead", "")
+	sup.tree.Emit(obs.Event{Type: EvEscalate, Detail: sup.name + ": containment plane dead"})
 	sup.s.Schedule(sup.cfg.LockdownBudget, func() {
 		if sup.deadSince == stamp && !sup.lockdown && sup.containmentDead() {
 			sup.EngageLockdown("containment plane dead past budget")
@@ -751,17 +478,11 @@ func (sup *Supervisor) EngageLockdown(reason string) int {
 	sup.lockGauge.Set(1)
 	sup.lockdownsTotal.Inc()
 	failed := sup.deps.Router.SetLockdown(true, "subfarm lockdown: "+reason)
-	sup.escalations = append(sup.escalations, "lockdown@"+sup.s.Now().String()+" "+reason)
-	sup.tree.Emit(obs.Event{Type: EvLockdown, N: uint64(failed), Detail: sup.deps.Name + ": " + reason})
-	sup.tree.Dump(fmt.Sprintf("subfarm %s locked down (%s; %d flows failed closed)", sup.deps.Name, reason, failed))
-	if sup.parent != nil {
-		name := sup.deps.Name
-		root := sup.parent
-		if sup.parentDom == sup.s {
-			root.onSubfarmLockdown(name)
-		} else {
-			sup.s.PostTo(sup.parentDom, 0, func() { root.onSubfarmLockdown(name) })
-		}
+	sup.note("lockdown", " "+reason)
+	sup.tree.Emit(obs.Event{Type: EvLockdown, N: uint64(failed), Detail: sup.name + ": " + reason})
+	sup.tree.Dump(fmt.Sprintf("subfarm %s locked down (%s; %d flows failed closed)", sup.name, reason, failed))
+	if l := sup.link; l != nil {
+		hop(sup.s, l.root.s, func() { l.root.onSubfarmLockdown(l) })
 	}
 	return failed
 }
@@ -776,16 +497,10 @@ func (sup *Supervisor) ReleaseLockdown(reason string) {
 	sup.lockdown = false
 	sup.lockGauge.Set(0)
 	sup.deps.Router.SetLockdown(false, reason)
-	sup.escalations = append(sup.escalations, "release@"+sup.s.Now().String()+" "+reason)
-	sup.tree.Emit(obs.Event{Type: EvLockdownRelease, Detail: sup.deps.Name + ": " + reason})
-	if sup.parent != nil {
-		name := sup.deps.Name
-		root := sup.parent
-		if sup.parentDom == sup.s {
-			root.onSubfarmRelease(name)
-		} else {
-			sup.s.PostTo(sup.parentDom, 0, func() { root.onSubfarmRelease(name) })
-		}
+	sup.note("release", " "+reason)
+	sup.tree.Emit(obs.Event{Type: EvLockdownRelease, Detail: sup.name + ": " + reason})
+	if l := sup.link; l != nil {
+		hop(sup.s, l.root.s, func() { l.root.onSubfarmRelease(l) })
 	}
 	sup.deadSince = -1
 	sup.checkContainment()
@@ -794,43 +509,25 @@ func (sup *Supervisor) ReleaseLockdown(reason string) {
 // LockedDown reports whether the subfarm is in fail-closed lockdown.
 func (sup *Supervisor) LockedDown() bool { return sup.lockdown }
 
-// Escalations returns the node's escalation history
-// ("containment_dead@…", "lockdown@… <reason>", "release@… <reason>"),
-// identical across worker counts for a (seed, profile) pair.
-func (sup *Supervisor) Escalations() []string {
-	return append([]string(nil), sup.escalations...)
-}
-
-// ObserveLifecycle records a trigger-driven lifecycle action against the
-// inmate's strike count. Called from the subfarm's lifecycle sink, in the
+// Strike adds one strike for an inmate — a trigger-driven lifecycle action
+// ("trigger:<action>", from the subfarm's lifecycle sink) or a
+// containment-probe escape ("probe-escape") — and quarantines it at the
+// threshold: repeated firings or escapes mean containment is not holding
+// the specimen — revert/stop it rather than keep fighting. Runs in the
 // subfarm's domain.
-func (sup *Supervisor) ObserveLifecycle(action string, vlan uint16) {
-	sup.strike(vlan, "trigger:"+action)
-}
-
-// ReportEscape records a containment-probe escape against the inmate's
-// strike count.
-func (sup *Supervisor) ReportEscape(vlan uint16) {
-	sup.strike(vlan, "probe-escape")
-}
-
-// strike adds one strike for an inmate and quarantines it at the
-// threshold: repeated trigger firings or probe escapes mean containment is
-// not holding the specimen — revert/stop it rather than keep fighting.
-func (sup *Supervisor) strike(vlan uint16, why string) {
+func (sup *Supervisor) Strike(vlan uint16, why string) {
 	if sup.quarantined[vlan] {
 		return
 	}
-	now := sup.s.Now()
-	kept := sup.strikes[vlan][:0]
-	for _, t := range sup.strikes[vlan] {
-		if now-t <= sup.cfg.InmateStrikeWindow {
-			kept = append(kept, t)
-		}
+	l := sup.strikes[vlan]
+	if l == nil {
+		l = sim.NewLadder(sup.s, sim.LadderConfig{
+			Window: sup.cfg.InmateStrikeWindow, Threshold: sup.cfg.InmateStrikeThreshold,
+		})
+		sup.strikes[vlan] = l
 	}
-	kept = append(kept, now)
-	sup.strikes[vlan] = kept
-	if len(kept) < sup.cfg.InmateStrikeThreshold {
+	l.Record()
+	if !l.Tripped() {
 		return
 	}
 	sup.quarantined[vlan] = true
@@ -845,30 +542,13 @@ func (sup *Supervisor) strike(vlan uint16, why string) {
 
 // Healthy reports containment-server endpoint idx's current health.
 func (sup *Supervisor) Healthy(idx int) bool {
-	if idx < 0 || idx >= len(sup.csEps) {
-		return false
-	}
-	return sup.csEps[idx].healthy
+	return idx >= 0 && idx < len(sup.cs) && sup.cs[idx].healthy
 }
 
 // Quarantined reports whether containment-server endpoint idx tripped the
 // circuit breaker.
 func (sup *Supervisor) Quarantined(idx int) bool {
-	if idx < 0 || idx >= len(sup.csEps) {
-		return false
-	}
-	return sup.csEps[idx].quarantined
-}
-
-// EndpointHealthy reports the current health of any supervised endpoint
-// by kind and id ("cs0", "catchall", "controller", ...).
-func (sup *Supervisor) EndpointHealthy(kind Kind, id string) bool {
-	for _, ep := range sup.eps {
-		if ep.kind == kind && ep.id == id {
-			return ep.healthy
-		}
-	}
-	return false
+	return idx >= 0 && idx < len(sup.cs) && sup.cs[idx].quarantined
 }
 
 // InmateQuarantined reports whether the supervisor quarantined a VLAN.
@@ -879,9 +559,9 @@ func (sup *Supervisor) InmateQuarantined(vlan uint16) bool { return sup.quaranti
 // across worker counts for a (seed, profile) pair — the shard-determinism
 // test DeepEquals it.
 func (sup *Supervisor) HealthHistory() map[string][]string {
-	out := make(map[string][]string, len(sup.eps))
-	for _, ep := range sup.eps {
-		out[ep.id] = append([]string(nil), ep.transitions...)
+	out := make(map[string][]string, len(sup.watches))
+	for _, w := range sup.watches {
+		out[w.id] = append([]string(nil), w.transitions...)
 	}
 	return out
 }

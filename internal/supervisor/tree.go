@@ -1,7 +1,6 @@
 package supervisor
 
 import (
-	"fmt"
 	"time"
 
 	"gq/internal/host"
@@ -10,16 +9,16 @@ import (
 )
 
 // Root is the farm-root node of the supervision tree. It runs on the
-// farm's root simulation domain and watches the dependencies no single
-// subfarm owns: the inmate controller's restart authority (subfarm nodes
-// probe it and report here; the root dedups those reports and drives the
-// breaker-guarded restart ladder, because the controller lives in the
-// root domain), recycler progress per subfarm (wedge detection plus
-// re-arm), external-shard service hosts (aliveness), and each subfarm's
-// lockdown state. When a root-level dependency stays dead past
-// DeadManBudget — the controller unrestartable, or a subfarm still
-// locked down — the root escalates to global dead-man lockdown: every
-// attached subfarm fails closed at once.
+// farm's root simulation domain and holds the watches no single subfarm
+// owns: the inmate controller (report-fed — subfarm nodes probe it and
+// post their findings here, because restart authority lives with the
+// controller's domain), recycler progress per subfarm (progress-fed: a
+// wedge is re-armed behind the breaker), and external-shard service hosts
+// (aliveness-fed, watch-only). It also tracks each attached subfarm's
+// lockdown. When a root-level dependency stays dead past DeadManBudget —
+// the controller unrestartable, or a subfarm still locked down — the root
+// escalates to global dead-man lockdown: every attached subfarm fails
+// closed at once.
 //
 // Cross-domain rules match the rest of the tree: subfarm→root reports
 // and root→subfarm lockdown commands travel sim.PostTo, so escalation
@@ -29,37 +28,16 @@ import (
 // sim.Coordinator.Post onto the root domain before touching any of this
 // state.
 type Root struct {
-	cfg  Config
-	deps RootDeps
-	s    *sim.Simulator
-	sc   *obs.Scope // "supervisor.tree" on the root domain
-
+	node
+	ctl      *watch // the inmate controller; nil without a ControllerHost
 	subfarms []*subLink
-
-	// Controller restart ladder (same shape as the subfarm endpoint
-	// ladder, but fed by subfarm down/up reports instead of probes).
-	ctlDown        bool
-	ctlQuarantined bool
-	ctlDownAt      time.Duration
-	ctlBackoff     time.Duration
-	ctlRestartPend bool
-	ctlRestarts    []time.Duration
-	ctlHistory     []string
-	ctlGauge       *obs.Gauge
-
-	watches []*progressWatch
-	hosts   []*hostWatch
 
 	global   bool
 	globalAt time.Duration
-	history  []string
 
-	restartsTotal *obs.Counter
-	quarantines   *obs.Counter
-	rearmsTotal   *obs.Counter
-	globalLocks   *obs.Counter
-	lockGauge     *obs.Gauge
-	watchCounts   map[string]int
+	rearmsTotal *obs.Counter
+	globalLocks *obs.Counter
+	lockGauge   *obs.Gauge
 }
 
 // RootDeps wires the root node into the farm.
@@ -72,42 +50,12 @@ type RootDeps struct {
 	RestartController func()
 }
 
+// subLink is one attached subfarm node as the root sees it.
 type subLink struct {
-	name     string
-	dom      *sim.Simulator
+	root     *Root
 	sup      *Supervisor
 	locked   bool
 	lockedAt time.Duration
-}
-
-// progressWatch tracks one progress-marked component (a recycler): its
-// mark must keep advancing while it is active, or the root declares it
-// wedged, journals it, and re-arms it — behind the same circuit breaker
-// as restarts.
-type progressWatch struct {
-	kind  Kind
-	id    string
-	dom   *sim.Simulator
-	read  func() (mark int, active bool)
-	rearm func()
-
-	lastMark    int
-	lastChange  time.Duration
-	wedged      bool
-	quarantined bool
-	rearms      []time.Duration
-	gauge       *obs.Gauge
-}
-
-// hostWatch is a pure aliveness watch over a service host (external
-// shards): journalled and gauged, never restarted — shard hosts have no
-// supervised restart path, they are infrastructure the operator owns.
-type hostWatch struct {
-	kind  Kind
-	id    string
-	h     *host.Host
-	alive bool
-	gauge *obs.Gauge
 }
 
 // NewRoot builds the farm-root node and starts its progress poll.
@@ -115,309 +63,154 @@ func NewRoot(deps RootDeps, cfg Config) *Root {
 	cfg = cfg.withDefaults()
 	s := deps.Sim
 	o := s.Obs()
-	r := &Root{
-		cfg: cfg, deps: deps, s: s,
-		sc:          o.Scope(TreeScope, obs.DefaultRingSize),
-		ctlBackoff:  cfg.RestartBackoff,
-		watchCounts: make(map[string]int),
-	}
 	const pfx = "supervisor.root."
-	r.restartsTotal = o.Reg.Counter(pfx + "restarts")
-	r.quarantines = o.Reg.Counter(pfx + "quarantines")
-	r.rearmsTotal = o.Reg.Counter(pfx + "rearms")
-	r.globalLocks = o.Reg.Counter(pfx + "global_lockdowns")
-	r.lockGauge = o.Reg.Gauge("supervisor.root" + LockdownGaugeSuffix)
+	tree := o.Scope(TreeScope, obs.DefaultRingSize)
+	r := &Root{
+		node: node{
+			cfg: cfg, s: s, name: "root", sc: tree, tree: tree,
+			watchCounts: make(map[string]int),
+			restarts:    o.Reg.Counter(pfx + "restarts"),
+			quarantines: o.Reg.Counter(pfx + "quarantines"),
+		},
+		rearmsTotal: o.Reg.Counter(pfx + "rearms"),
+		globalLocks: o.Reg.Counter(pfx + "global_lockdowns"),
+		lockGauge:   o.Reg.Gauge("supervisor.root" + LockdownGaugeSuffix),
+	}
 	if deps.ControllerHost != nil {
-		r.ctlGauge = o.Reg.Gauge(HealthGaugeName(KindController, "root", "controller"))
-		r.ctlGauge.Set(1)
-		r.watchCounts[string(KindController)]++
+		w := r.watch(&watch{kind: KindController, id: "controller"})
+		w.restart = func() {
+			if deps.RestartController != nil {
+				deps.RestartController()
+			}
+			// Subfarm probes confirm recovery; if none has within two probe
+			// cycles, no news is bad news: climb the ladder again.
+			s.Schedule(2*cfg.HeartbeatEvery, func() {
+				if !w.healthy {
+					r.reportDown(w, "")
+				}
+			})
+		}
+		r.ctl = w
 	}
 	s.Every(cfg.ProgressEvery, r.poll)
 	return r
 }
 
-// Attach links a subfarm node under this root. Called at wiring time,
-// before the farm runs. Idempotent per node.
+// watch adds a root watch: its transitions land in the root's history, and
+// the controller going down starts the dead-man clock — one that stays dead
+// past the budget (restarts failing or breaker tripped) means no lifecycle
+// verbs, no quarantine actions, no recycle: fail the whole farm closed.
+func (r *Root) watch(w *watch) *watch {
+	w.after = func(t transition, by string) {
+		r.note(w.label+"_"+string(t), by)
+		if t == down && w == r.ctl {
+			stamp := w.downAt
+			r.deadMan(func() bool { return !w.healthy && w.downAt == stamp },
+				"inmate controller dead past budget")
+		}
+	}
+	return r.add(w)
+}
+
+// deadMan escalates to global lockdown if stillDead holds DeadManBudget
+// from now.
+func (r *Root) deadMan(stillDead func() bool, reason string) {
+	r.s.Schedule(r.cfg.DeadManBudget, func() {
+		if stillDead() && !r.global {
+			r.GlobalLockdown(reason)
+		}
+	})
+}
+
+// Attach links a subfarm node under this root: its lockdowns start the
+// root's dead-man clock, and a global lockdown fans out to it. Called at
+// wiring time, before the farm runs. Idempotent per node.
 func (r *Root) Attach(sup *Supervisor) {
-	if sup.parent != nil {
+	if sup.link != nil {
 		return
 	}
-	sup.parent = r
-	sup.parentDom = r.s
-	r.subfarms = append(r.subfarms, &subLink{name: sup.deps.Name, dom: sup.s, sup: sup})
+	sup.link = &subLink{root: r, sup: sup}
+	r.subfarms = append(r.subfarms, sup.link)
 }
 
 // WatchProgress registers a progress-marked component owned by domain
 // dom. read and rearm are invoked on dom's goroutine (the root
 // round-trips via sim.PostTo); read returns the current monotone
 // progress mark and whether the component is active — an inactive
-// component is never wedged.
+// component is never wedged. A mark frozen past WedgeBudget while active
+// is journalled as down and re-armed at once, behind the breaker.
 func (r *Root) WatchProgress(kind Kind, id string, dom *sim.Simulator, read func() (int, bool), rearm func()) {
-	w := &progressWatch{
-		kind: kind, id: id, dom: dom, read: read, rearm: rearm,
+	r.watch(&watch{
+		kind: kind, id: id, dom: dom, read: read, budget: r.cfg.WedgeBudget,
 		lastMark: -1, lastChange: r.s.Now(),
-		gauge: r.s.Obs().Reg.Gauge(HealthGaugeName(kind, "root", id)),
-	}
-	w.gauge.Set(1)
-	r.watches = append(r.watches, w)
-	r.watchCounts[string(kind)]++
+		restart:   func() { hop(r.s, dom, rearm) },
+		immediate: true, restartNote: " rearm", restarts: r.rearmsTotal,
+	})
 }
 
-// WatchHost registers an aliveness watch over a root-domain-reachable
-// service host (external-shard hosts are bridged, but their Alive bit is
-// plain memory the root may read after a PostTo round trip).
+// WatchHost registers an aliveness watch over a service host
+// (external-shard hosts): journalled and gauged, never restarted — shard
+// hosts are infrastructure the operator owns. It is a progress watch with
+// no budget whose only "activity" is being dead: the first reading that
+// finds the host not alive is down, the first that finds it alive is up.
 func (r *Root) WatchHost(kind Kind, id string, h *host.Host) {
-	w := &hostWatch{
-		kind: kind, id: id, h: h, alive: true,
-		gauge: r.s.Obs().Reg.Gauge(HealthGaugeName(kind, "root", id)),
-	}
-	w.gauge.Set(1)
-	r.hosts = append(r.hosts, w)
-	r.watchCounts[string(kind)]++
+	r.watch(&watch{
+		kind: kind, id: id, dom: h.Sim(),
+		read: func() (int, bool) { return 0, !h.Alive() },
+	})
 }
 
-// WatchCounts reports how many dependencies of each kind the root
-// watches. Fixed once wiring completes (before the farm runs); safe to
-// read from the ops plane.
-func (r *Root) WatchCounts() map[string]int {
-	out := make(map[string]int, len(r.watchCounts))
-	for k, v := range r.watchCounts {
-		out[k] = v
-	}
-	return out
-}
-
-// poll advances every progress and host watch. Watches owned by other
+// poll takes a reading of every polled watch. Watches owned by other
 // domains are read with a PostTo round trip — out to the owning domain,
 // result posted back — which keeps both sides' event order deterministic.
 func (r *Root) poll() {
 	for _, w := range r.watches {
-		if w.quarantined {
+		if w.read == nil || w.quarantined {
 			continue
 		}
-		w := w
-		if w.dom == r.s {
+		hop(r.s, w.dom, func() {
 			mark, active := w.read()
-			r.noteProgress(w, mark, active)
-		} else {
-			r.s.PostTo(w.dom, 0, func() {
-				mark, active := w.read()
-				w.dom.PostTo(r.s, 0, func() { r.noteProgress(w, mark, active) })
-			})
-		}
-	}
-	for _, w := range r.hosts {
-		w := w
-		if w.h.Sim() == r.s {
-			r.noteAlive(w, w.h.Alive())
-		} else {
-			r.s.PostTo(w.h.Sim(), 0, func() {
-				alive := w.h.Alive()
-				w.h.Sim().PostTo(r.s, 0, func() { r.noteAlive(w, alive) })
-			})
-		}
-	}
-}
-
-// noteProgress folds one progress reading into the watch: any mark
-// advance (or inactivity) is health; an active mark frozen past
-// WedgeBudget is a wedge — journalled, dumped, and re-armed behind the
-// breaker.
-func (r *Root) noteProgress(w *progressWatch, mark int, active bool) {
-	now := r.s.Now()
-	if !active || mark != w.lastMark {
-		w.lastMark = mark
-		w.lastChange = now
-		if w.wedged {
-			w.wedged = false
-			w.gauge.Set(1)
-			r.history = append(r.history, string(w.kind)+":"+w.id+"_recovered@"+now.String())
-			r.sc.Emit(obs.Event{Type: EvEndpointUp, Detail: string(w.kind) + ":" + w.id})
-		}
-		return
-	}
-	if now-w.lastChange <= r.cfg.WedgeBudget || w.wedged {
-		return
-	}
-	w.wedged = true
-	w.gauge.Set(0)
-	r.history = append(r.history, string(w.kind)+":"+w.id+"_wedged@"+now.String())
-	r.sc.Emit(obs.Event{Type: EvEndpointDown, Detail: string(w.kind) + ":" + w.id})
-	r.sc.Dump(fmt.Sprintf("%s %s wedged (no progress for %s)", w.kind, w.id, now-w.lastChange))
-	// Re-arm behind the breaker: a component that keeps wedging inside
-	// the window is quarantined rather than kicked forever.
-	kept := w.rearms[:0]
-	for _, t := range w.rearms {
-		if now-t <= r.cfg.BreakerWindow {
-			kept = append(kept, t)
-		}
-	}
-	w.rearms = kept
-	if len(w.rearms) >= r.cfg.BreakerThreshold {
-		w.quarantined = true
-		r.quarantines.Inc()
-		r.history = append(r.history, string(w.kind)+":"+w.id+"_quarantined@"+now.String())
-		r.sc.Emit(obs.Event{Type: EvEndpointQuarantine, Detail: string(w.kind) + ":" + w.id})
-		return
-	}
-	w.rearms = append(w.rearms, now)
-	w.lastChange = now // grant a fresh budget after the kick
-	r.rearmsTotal.Inc()
-	r.sc.Emit(obs.Event{Type: EvEndpointRestart, Detail: string(w.kind) + ":" + w.id + " rearm"})
-	if w.dom == r.s {
-		w.rearm()
-	} else {
-		r.s.PostTo(w.dom, 0, w.rearm)
-	}
-}
-
-// noteAlive folds one aliveness reading into a host watch.
-func (r *Root) noteAlive(w *hostWatch, alive bool) {
-	if alive == w.alive {
-		return
-	}
-	w.alive = alive
-	now := r.s.Now()
-	if alive {
-		w.gauge.Set(1)
-		r.history = append(r.history, string(w.kind)+":"+w.id+"_up@"+now.String())
-		r.sc.Emit(obs.Event{Type: EvEndpointUp, Detail: string(w.kind) + ":" + w.id})
-		return
-	}
-	w.gauge.Set(0)
-	r.history = append(r.history, string(w.kind)+":"+w.id+"_down@"+now.String())
-	r.sc.Emit(obs.Event{Type: EvEndpointDown, Detail: string(w.kind) + ":" + w.id})
-	r.sc.Dump(fmt.Sprintf("%s %s down", w.kind, w.id))
-}
-
-// ReportControllerDown is how subfarm nodes escalate a dead controller:
-// the first report starts the restart ladder and the dead-man clock;
-// repeats while a restart is pending or the breaker has tripped are
-// dedup'd. Runs on the root domain goroutine (callers post).
-func (r *Root) ReportControllerDown(from string) {
-	if r.ctlQuarantined {
-		return
-	}
-	if !r.ctlDown {
-		r.ctlDown = true
-		r.ctlDownAt = r.s.Now()
-		r.ctlGauge.Set(0)
-		r.ctlHistory = append(r.ctlHistory, "down@"+r.s.Now().String())
-		r.history = append(r.history, "controller_down@"+r.s.Now().String()+" by "+from)
-		r.sc.Emit(obs.Event{Type: EvEndpointDown, Detail: "controller:controller by " + from})
-		r.sc.Dump("inmate controller down (reported by " + from + ")")
-		// Dead-man clock: a controller that stays dead past the budget —
-		// restarts failing or breaker tripped — means no lifecycle verbs,
-		// no quarantine actions, no recycle: fail the whole farm closed.
-		stamp := r.ctlDownAt
-		r.s.Schedule(r.cfg.DeadManBudget, func() {
-			if r.ctlDown && r.ctlDownAt == stamp && !r.global {
-				r.GlobalLockdown("inmate controller dead past budget")
-			}
+			hop(w.dom, r.s, func() { r.noteReading(w, mark, active) })
 		})
 	}
-	if !r.ctlRestartPend {
-		r.scheduleCtlRestart()
-	}
 }
 
-// ReportControllerUp is the matching recovery report, sent when a
-// subfarm's controller probe answers again.
-func (r *Root) ReportControllerUp(from string) {
-	if !r.ctlDown {
-		return
+// controllerReport is how subfarm nodes feed the controller watch: the
+// first down report takes it down, starting the restart ladder and the
+// dead-man clock; repeats while a restart is pending or the breaker has
+// tripped are dedup'd; an up report is the recovery evidence. Runs on the
+// root domain goroutine (subfarm nodes post).
+func (r *Root) controllerReport(t transition, from string) {
+	if t != up {
+		r.reportDown(r.ctl, " by "+from)
+	} else if !r.ctl.healthy {
+		r.markUp(r.ctl, " by "+from)
 	}
-	r.ctlDown = false
-	r.ctlBackoff = r.cfg.RestartBackoff
-	r.ctlGauge.Set(1)
-	r.ctlHistory = append(r.ctlHistory, "up@"+r.s.Now().String())
-	r.history = append(r.history, "controller_up@"+r.s.Now().String()+" by "+from)
-	r.sc.Emit(obs.Event{Type: EvEndpointUp, Detail: "controller:controller by " + from})
-}
-
-// scheduleCtlRestart arms the next controller restart: same capped
-// backoff, sim-RNG jitter and circuit breaker as subfarm endpoints.
-func (r *Root) scheduleCtlRestart() {
-	now := r.s.Now()
-	kept := r.ctlRestarts[:0]
-	for _, t := range r.ctlRestarts {
-		if now-t <= r.cfg.BreakerWindow {
-			kept = append(kept, t)
-		}
-	}
-	r.ctlRestarts = kept
-	if len(r.ctlRestarts) >= r.cfg.BreakerThreshold {
-		r.ctlQuarantined = true
-		r.quarantines.Inc()
-		r.ctlHistory = append(r.ctlHistory, "quarantine@"+now.String())
-		r.history = append(r.history, "controller_quarantined@"+now.String())
-		r.sc.Emit(obs.Event{Type: EvEndpointQuarantine, Detail: "controller:controller"})
-		r.sc.Dump("inmate controller quarantined (restart breaker tripped); dead-man clock running")
-		return
-	}
-	delay := r.ctlBackoff
-	delay += time.Duration(r.s.Rand().Float64() * r.cfg.RestartJitter * float64(delay))
-	r.ctlBackoff *= 2
-	if r.ctlBackoff > r.cfg.RestartBackoffMax {
-		r.ctlBackoff = r.cfg.RestartBackoffMax
-	}
-	r.ctlRestartPend = true
-	r.s.Schedule(delay, func() {
-		r.ctlRestartPend = false
-		if !r.ctlDown || r.ctlQuarantined {
-			return
-		}
-		r.ctlRestarts = append(r.ctlRestarts, r.s.Now())
-		r.restartsTotal.Inc()
-		r.ctlHistory = append(r.ctlHistory, "restart@"+r.s.Now().String())
-		r.sc.Emit(obs.Event{Type: EvEndpointRestart, Detail: "controller:controller"})
-		if r.deps.RestartController != nil {
-			r.deps.RestartController()
-		}
-		// Subfarm probes confirm recovery; if none has within two probe
-		// cycles, climb the ladder again.
-		r.s.Schedule(2*r.cfg.HeartbeatEvery, func() {
-			if r.ctlDown && !r.ctlRestartPend && !r.ctlQuarantined {
-				r.scheduleCtlRestart()
-			}
-		})
-	})
 }
 
 // onSubfarmLockdown starts the dead-man clock for a locked-down subfarm:
 // lockdown is a holding state, not a resolution, and one that persists
 // past DeadManBudget means the farm as a whole can no longer be trusted
 // to contain.
-func (r *Root) onSubfarmLockdown(name string) {
-	for _, l := range r.subfarms {
-		if l.name != name {
-			continue
-		}
-		if l.locked {
-			return
-		}
-		l.locked = true
-		l.lockedAt = r.s.Now()
-		r.history = append(r.history, "subfarm_lockdown@"+r.s.Now().String()+" "+name)
-		r.sc.Emit(obs.Event{Type: EvEscalate, Detail: "subfarm " + name + " locked down"})
-		stamp := l.lockedAt
-		r.s.Schedule(r.cfg.DeadManBudget, func() {
-			if l.locked && l.lockedAt == stamp && !r.global {
-				r.GlobalLockdown("subfarm " + name + " locked down past budget")
-			}
-		})
+func (r *Root) onSubfarmLockdown(l *subLink) {
+	if l.locked {
 		return
 	}
+	name := l.sup.name
+	l.locked = true
+	l.lockedAt = r.s.Now()
+	r.note("subfarm_lockdown", " "+name)
+	r.tree.Emit(obs.Event{Type: EvEscalate, Detail: "subfarm " + name + " locked down"})
+	stamp := l.lockedAt
+	r.deadMan(func() bool { return l.locked && l.lockedAt == stamp },
+		"subfarm "+name+" locked down past budget")
 }
 
 // onSubfarmRelease clears the dead-man clock for a released subfarm.
-func (r *Root) onSubfarmRelease(name string) {
-	for _, l := range r.subfarms {
-		if l.name == name && l.locked {
-			l.locked = false
-			r.history = append(r.history, "subfarm_release@"+r.s.Now().String()+" "+name)
-			return
-		}
+func (r *Root) onSubfarmRelease(l *subLink) {
+	if l.locked {
+		l.locked = false
+		r.note("subfarm_release", " "+l.sup.name)
 	}
 }
 
@@ -432,16 +225,11 @@ func (r *Root) GlobalLockdown(reason string) {
 	r.globalAt = r.s.Now()
 	r.lockGauge.Set(1)
 	r.globalLocks.Inc()
-	r.history = append(r.history, "global_lockdown@"+r.s.Now().String()+" "+reason)
-	r.sc.Emit(obs.Event{Type: EvGlobalLockdown, Detail: reason})
-	r.sc.Dump("GLOBAL DEAD-MAN LOCKDOWN: " + reason)
+	r.note("global_lockdown", " "+reason)
+	r.tree.Emit(obs.Event{Type: EvGlobalLockdown, Detail: reason})
+	r.tree.Dump("GLOBAL DEAD-MAN LOCKDOWN: " + reason)
 	for _, l := range r.subfarms {
-		l := l
-		if l.dom == r.s {
-			l.sup.EngageLockdown("dead-man: " + reason)
-		} else {
-			r.s.PostTo(l.dom, 0, func() { l.sup.EngageLockdown("dead-man: " + reason) })
-		}
+		hop(r.s, l.sup.s, func() { l.sup.EngageLockdown("dead-man: " + reason) })
 	}
 }
 
@@ -454,15 +242,10 @@ func (r *Root) Release(reason string) {
 	}
 	r.global = false
 	r.lockGauge.Set(0)
-	r.history = append(r.history, "global_release@"+r.s.Now().String()+" "+reason)
-	r.sc.Emit(obs.Event{Type: EvGlobalRelease, Detail: reason})
+	r.note("global_release", " "+reason)
+	r.tree.Emit(obs.Event{Type: EvGlobalRelease, Detail: reason})
 	for _, l := range r.subfarms {
-		l := l
-		if l.dom == r.s {
-			l.sup.ReleaseLockdown("global release: " + reason)
-		} else {
-			r.s.PostTo(l.dom, 0, func() { l.sup.ReleaseLockdown("global release: " + reason) })
-		}
+		hop(r.s, l.sup.s, func() { l.sup.ReleaseLockdown("global release: " + reason) })
 	}
 }
 
@@ -475,15 +258,14 @@ func (r *Root) GlobalLockdownAt() time.Duration { return r.globalAt }
 
 // ControllerHealthy reports the controller's current state as the tree
 // sees it.
-func (r *Root) ControllerHealthy() bool { return !r.ctlDown && !r.ctlQuarantined }
-
-// History returns the root's escalation history, identical across worker
-// counts for a (seed, profile) pair.
-func (r *Root) History() []string {
-	return append([]string(nil), r.history...)
+func (r *Root) ControllerHealthy() bool {
+	return r.ctl == nil || r.ctl.healthy && !r.ctl.quarantined
 }
 
-// ControllerHistory returns the controller ladder's transition history.
+// ControllerHistory returns the controller watch's transition history.
 func (r *Root) ControllerHistory() []string {
-	return append([]string(nil), r.ctlHistory...)
+	if r.ctl == nil {
+		return nil
+	}
+	return append([]string(nil), r.ctl.transitions...)
 }
