@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify loc fuzz bench bench-ab bench-curve bench-gate chaos soak recycle-soak fleet-soak serve-smoke
+.PHONY: build test vet race verify loc fuzz bench-ab chaos soak recycle-soak fleet-soak serve-smoke
 
 build:
 	$(GO) build ./...
@@ -8,8 +8,11 @@ build:
 test:
 	$(GO) test ./...
 
+# go vet, plus the cross-domain seam check: sim.Hop and sim.Inject are the
+# only ways across a simulation-domain boundary (DESIGN.md §3e).
 vet:
 	$(GO) vet ./...
+	./scripts/check_seams.sh
 
 # Data-race check over the packages the datapath fast path touches most,
 # plus the telemetry layer (concurrent Snapshot vs a running sim), plus the
@@ -91,21 +94,6 @@ fleet-soak:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# Benchmark the gateway datapath and merge the results into
-# BENCH_gateway.json under $(BENCH_LABEL), alongside prior sections.
-BENCH_LABEL ?= fastpath
-BENCH_OUT   ?= BENCH_gateway.json
-
-bench:
-	$(GO) test -run '^$$' -bench 'ScalabilityGateway|Ablation|ShardedFarmDense' -benchmem -benchtime 3x . \
-		| $(GO) run ./scripts/benchjson -label $(BENCH_LABEL) -out $(BENCH_OUT)
-	$(GO) test -run '^$$' -bench SupervisorRecovery -benchmem -benchtime 3x . \
-		| $(GO) run ./scripts/benchjson -label supervisor -out $(BENCH_OUT)
-	$(GO) test -run '^$$' -bench RecyclePipeline -benchmem -benchtime 3x . \
-		| $(GO) run ./scripts/benchjson -label recycle -out $(BENCH_OUT)
-	$(GO) test -run '^$$' -bench LockdownEscalation -benchmem -benchtime 3x . \
-		| $(GO) run ./scripts/benchjson -label lockdown -out $(BENCH_OUT)
-
 # A/B the GQ benchmark (bench/, BENCHMARK.json) against a parent revision:
 # the parent's committed files are extracted to a temporary directory and
 # both sides run as $(AB_PAIRS) alternating pairs of `go run ./bench -json`,
@@ -119,31 +107,3 @@ AB_SECONDS   ?= 3
 bench-ab:
 	@test -n "$(PARENT)" || { echo "usage: make bench-ab PARENT=<rev> [AB_PAIRS=10] [AB_WORKLOADS=a,b] [AB_SECONDS=3]" >&2; exit 2; }
 	./scripts/bench_ab.sh "$(PARENT)" "$(AB_PAIRS)" "$(AB_WORKLOADS)" "$(AB_SECONDS)"
-
-# Scaling curve: the dense sharded farm (serial vs sharded vs external
-# shards) and the parallel gateway datapath at 1, 2, and 4 CPUs,
-# recorded side by side under the "curve" section. Benchmark names
-# carry go test's -N GOMAXPROCS suffix, so one section holds every
-# point of the curve and the gate only ever compares like-for-like
-# CPU counts.
-bench-curve:
-	$(GO) test -run '^$$' -bench 'ShardedFarmDense|ScalabilityGatewayParallel' -benchmem -benchtime 1x -cpu 1,2,4 . \
-		| $(GO) run ./scripts/benchjson -label curve -out $(BENCH_OUT)
-
-# Allocation gate for the gateway fast path: re-run the scalability
-# benchmarks and fail if allocs/op regressed more than 5% against the
-# stored $(BENCH_LABEL) section (ns/op is reported, not gated). The
-# supervisor section additionally gates recovery_ms — virtual crash-to-
-# healthy time, deterministic per seed — at 5%, and the recycle section
-# gates specimens_day (virtual recycling throughput, higher is better)
-# against a 5% decrease. Run this alongside `make verify` before landing
-# datapath, supervision, or lifecycle changes.
-bench-gate:
-	$(GO) test -run '^$$' -bench ScalabilityGateway -benchmem -benchtime 3x . \
-		| $(GO) run ./scripts/benchjson -compare $(BENCH_LABEL) -out $(BENCH_OUT)
-	$(GO) test -run '^$$' -bench SupervisorRecovery -benchmem -benchtime 3x . \
-		| $(GO) run ./scripts/benchjson -compare supervisor -out $(BENCH_OUT) -max-recovery-regress 5
-	$(GO) test -run '^$$' -bench RecyclePipeline -benchmem -benchtime 3x . \
-		| $(GO) run ./scripts/benchjson -compare recycle -out $(BENCH_OUT) -max-specimens-regress 5
-	$(GO) test -run '^$$' -bench LockdownEscalation -benchmem -benchtime 3x . \
-		| $(GO) run ./scripts/benchjson -compare lockdown -out $(BENCH_OUT) -max-lockdown-regress 5

@@ -19,7 +19,6 @@ import (
 	"gq/internal/policy"
 	"gq/internal/shim"
 	"gq/internal/smtpx"
-	"gq/internal/supervisor"
 )
 
 // BenchmarkTable1WormCapture reproduces one Table 1 capture per iteration:
@@ -181,25 +180,6 @@ func BenchmarkScalabilityGateway1x4(b *testing.B) { benchGatewayScale(b, 1, 4) }
 func BenchmarkScalabilityGateway3x4(b *testing.B) { benchGatewayScale(b, 3, 4) }
 func BenchmarkScalabilityGateway6x4(b *testing.B) { benchGatewayScale(b, 6, 4) }
 
-// BenchmarkScalabilityGatewayParallel runs the 6×4 sweep point on a
-// sharded farm — every subfarm in its own simulation domain, workers =
-// GOMAXPROCS. Compare against BenchmarkScalabilityGateway6x4 at the same
-// -cpu for the sharding speedup.
-func BenchmarkScalabilityGatewayParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, _, err := experiments.RunScalabilityGatewayParallel(int64(i),
-			[][2]int{{6, 4}}, 10*time.Minute, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if pts[0].FlowsAdjudicated == 0 {
-			b.Fatal("no flows")
-		}
-		b.ReportMetric(float64(pts[0].FlowsAdjudicated), "verdicts")
-		b.ReportMetric(pts[0].AvgParallelism, "domains/round")
-	}
-}
-
 // benchShardedDense builds a 6-subfarm farm whose inmates continuously
 // stream bulk data. Three modes:
 //
@@ -326,115 +306,6 @@ func BenchmarkShardedFarmDense(b *testing.B) {
 	b.Run("external", func(b *testing.B) { benchShardedDense(b, "external") })
 }
 
-// BenchmarkSupervisorRecovery measures the supervised containment plane's
-// crash-to-healthy turnaround: a containment server is shut down cold and
-// the supervisor must detect it by missed heartbeats, fail the stranded
-// flows closed, restart the server, and confirm health with a live echo.
-// The recovery_ms metric is virtual (sim-clock) time — deterministic for a
-// given seed — so benchjson can gate it tightly; ns/op is the wall cost of
-// running the whole exercise.
-func BenchmarkSupervisorRecovery(b *testing.B) {
-	var total time.Duration
-	for i := 0; i < b.N; i++ {
-		f := farm.New(int64(i) + 1)
-		sf, err := f.AddSubfarm(farm.SubfarmConfig{
-			Name: "sup", VLANLo: 16, VLANHi: 20,
-			GlobalPool:     netstack.MustParsePrefix("192.0.2.0/24"),
-			FallbackPolicy: "DefaultDeny",
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sup := sf.Supervise(supervisor.Config{})
-		f.Run(30 * time.Second)
-		sf.CS.Host.Shutdown()
-		f.Run(2 * time.Minute)
-		if len(sup.Recoveries) != 1 {
-			b.Fatalf("recoveries = %v, want exactly one", sup.Recoveries)
-		}
-		total += sup.Recoveries[0]
-	}
-	b.ReportMetric(float64(total/time.Millisecond)/float64(b.N), "recovery_ms")
-}
-
-// BenchmarkLockdownEscalation measures the supervision tree's dead-man
-// turnaround: both containment servers of a supervised subfarm are killed
-// past the circuit breaker, and the tree must quarantine the plane, fail
-// the subfarm closed after LockdownBudget, and escalate to global
-// dead-man lockdown after DeadManBudget. The lockdown_ms metric — the
-// sim-clock time from the unsurvivable kill to global lockdown — is
-// deterministic for a given seed, so benchjson gates it tightly; ns/op is
-// the wall cost of the whole exercise.
-func BenchmarkLockdownEscalation(b *testing.B) {
-	var total time.Duration
-	for i := 0; i < b.N; i++ {
-		f := farm.New(int64(i) + 1)
-		sf, err := f.AddSubfarm(farm.SubfarmConfig{
-			Name: "dm", VLANLo: 16, VLANHi: 20,
-			GlobalPool:         netstack.MustParsePrefix("192.0.2.0/24"),
-			FallbackPolicy:     "DefaultDeny",
-			ContainmentServers: 2,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		tree := f.SuperviseTree(supervisor.Config{
-			BreakerThreshold: 1,
-			LockdownBudget:   30 * time.Second,
-			DeadManBudget:    time.Minute,
-		})
-		f.Run(30 * time.Second)
-		// First kill round: survivable, the supervisor restarts both.
-		for _, srv := range sf.CSCluster {
-			srv.Host.Shutdown()
-		}
-		f.Run(2 * time.Minute)
-		// Second kill round: past the breaker — the whole plane
-		// quarantines and the escalation ladder runs to the top.
-		for _, srv := range sf.CSCluster {
-			srv.Host.Shutdown()
-		}
-		killAt := f.Sim.Now()
-		f.Run(5 * time.Minute)
-		if !tree.GlobalLockedDown() {
-			b.Fatalf("iteration %d: ladder never reached global lockdown", i)
-		}
-		total += tree.GlobalLockdownAt() - killAt
-	}
-	b.ReportMetric(float64(total/time.Millisecond)/float64(b.N), "lockdown_ms")
-}
-
-// BenchmarkRecyclePipeline measures the raw-iron recycling pipeline's
-// sustained throughput: one subfarm of three boxes cycling detonate →
-// capture → reimage → re-admit, fault-free, bounded by the shared
-// PXE/TFTP trunk. The specimens/day metric is virtual (sim-clock)
-// throughput — deterministic for a given seed, benchjson-gated against
-// regression — and must clear the paper's 48-specimens/day cadence;
-// ns/op is the wall cost of the whole exercise.
-func BenchmarkRecyclePipeline(b *testing.B) {
-	var perDay float64
-	for i := 0; i < b.N; i++ {
-		out, err := experiments.RunRecycleSoak(experiments.RecycleConfig{
-			Seed: int64(i) + 1, Subfarms: 1, Machines: 3,
-			Duration: 45 * time.Minute, Settle: 15 * time.Minute,
-			DetonateFor: 5 * time.Minute,
-			MinCycles:   1, MinCyclesPerSubfarm: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, problem := range out.Problems {
-			b.Errorf("iteration %d: %s", i, problem)
-		}
-		if out.SpecimensPerDay < 48 {
-			b.Fatalf("iteration %d: %.1f specimens/day, want >= 48", i, out.SpecimensPerDay)
-		}
-		perDay = out.SpecimensPerDay
-	}
-	b.ReportMetric(perDay, "specimens/day")
-}
-
-// benchCluster runs the S2 point (containment servers).
 func benchCluster(b *testing.B, servers int) {
 	for i := 0; i < b.N; i++ {
 		pts, _, err := experiments.RunScalabilityCluster(int64(i), []int{servers}, 8, 10*time.Minute)

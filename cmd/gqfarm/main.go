@@ -218,13 +218,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	// The MX fires this callback in gmailHost's domain; the CBL is
-	// root-domain state, so on a sharded farm the listing is posted across.
+	// root-domain state.
 	gmail.OnFingerprint = func(sender netstack.Addr, helo string) {
-		if s := gmailHost.Sim(); s != f.Sim {
-			s.PostTo(f.Sim, 0, func() { f.CBL.List(sender, "HELO "+helo+" fingerprinted") })
-			return
-		}
-		f.CBL.List(sender, "HELO "+helo+" fingerprinted")
+		gmailHost.Sim().Hop(f.Sim, func() { f.CBL.List(sender, "HELO "+helo+" fingerprinted") })
 	}
 
 	lo := pcfg.VLANRules[0].Lo
@@ -297,18 +293,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// stable, and before chaos so reimage faults install on the controller.
 	var recycler *farm.Recycler
 	if *rawIron > 0 {
-		sf.EnableRawIron(rawiron.Config{MaxConcurrent: 2})
-		recycler = sf.AttachRecycler(farm.RecyclerConfig{Capture: true})
-		for i := 0; i < *rawIron; i++ {
-			fi, _, err := sf.AddRawIronInmate(fmt.Sprintf("iron-%d", i), "winxp-golden")
-			if err != nil {
-				return fail(err)
-			}
-			if err := recycler.Manage(fi); err != nil {
-				return fail(err)
-			}
+		if recycler, err = sf.StartIronRotation(*rawIron, rawiron.Config{MaxConcurrent: 2}, farm.RecyclerConfig{Capture: true}); err != nil {
+			return fail(err)
 		}
-		recycler.Start()
 		fmt.Fprintf(stderr, "gqfarm: %d raw-iron inmates on the recycling pipeline\n", *rawIron)
 	}
 
@@ -376,11 +363,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// in-flight capture/reimage operations run out during the drain.
 		recycler.Stop()
 	}
-	for _, sub := range f.Subfarms {
-		for _, fi := range sub.Inmates {
-			fi.Terminate()
-		}
-	}
+	f.RetireInmates()
 	if injector != nil {
 		// End injection before the drain: links come back up, stalls clear,
 		// and any crashed containment server is restarted (by the supervisor
@@ -463,7 +446,7 @@ func serve(f *farm.Farm, addr string, speed float64, deadmanBudget time.Duration
 			fmt.Fprintf(stderr, "gqfarm: dead-man: no soak progress for %v — engaging global lockdown\n",
 				stalled.Round(time.Millisecond))
 			reason := fmt.Sprintf("ops dead-man: soak stalled %v", stalled.Round(time.Second))
-			if err := drv.Do(ops.DefaultControlTimeout, func() error {
+			if err := drv.Do(ops.DefaultControlTimeout, f.Sim, func() error {
 				f.Tree.GlobalLockdown(reason)
 				return nil
 			}); err != nil {

@@ -10,7 +10,7 @@
 // Because the stdlib spawns its own goroutines, the simulation is driven
 // with Pump instead of Run: alien goroutines inject their operations into
 // the event loop and virtual time advances only when the farm has work.
-// See DESIGN.md §3g for the two facade disciplines.
+// See DESIGN.md §3e for the two facade disciplines.
 package main
 
 import (

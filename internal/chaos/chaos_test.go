@@ -1,0 +1,241 @@
+package chaos
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"gq/internal/farm"
+	"gq/internal/netstack"
+	"gq/internal/obs"
+)
+
+// TestParsePresets: every preset parses to itself, with the defaults its
+// schedules imply filled in.
+func TestParsePresets(t *testing.T) {
+	for name, base := range presets {
+		p, err := Parse(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := base
+		want.applyDefaults()
+		if !reflect.DeepEqual(p, want) {
+			t.Errorf("%s parsed to\n%+v\nwant\n%+v", name, p, want)
+		}
+		if len(p.CSCrashAt) > 0 && p.CSDownFor <= 0 ||
+			len(p.SinkCrashAt) > 0 && (p.SinkCrashTarget == "" || p.SinkCrashFor <= 0) ||
+			len(p.CtlHangAt) > 0 && p.CtlHangFor <= 0 ||
+			len(p.RecyclerWedgeAt) > 0 && p.RecyclerWedgeFor <= 0 {
+			t.Errorf("%s: a schedule without its duration: %v", name, p)
+		}
+		if !strings.HasPrefix(p.String(), name+": ") {
+			t.Errorf("%s renders as %q", name, p)
+		}
+		// Parsing must not hand out the preset's own schedule slices.
+		if len(p.CSCrashAt) > 0 {
+			p.CSCrashAt[0] = -1
+			if presets[name].CSCrashAt[0] == -1 {
+				t.Errorf("%s: Parse aliases the preset's CSCrashAt", name)
+			}
+		}
+	}
+}
+
+// TestParseOverrides: key=value overrides apply on top of a preset or of the
+// zero profile; a repeatable schedule key replaces the preset's schedule on
+// first use and extends it after.
+func TestParseOverrides(t *testing.T) {
+	p, err := Parse(" soak , loss=0.10, cscrash=4m,cscrash=12m ,SINK=bannersink,")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Name != "soak" || p.Loss != 0.10 || p.Reorder != presets["soak"].Reorder || p.Sink != "bannersink" {
+		t.Errorf("overrides on soak: %v", p)
+	}
+	if want := []time.Duration{4 * time.Minute, 12 * time.Minute}; !reflect.DeepEqual(p.CSCrashAt, want) {
+		t.Errorf("cscrash schedule %v, want %v (replacing the preset's)", p.CSCrashAt, want)
+	}
+
+	p, err = Parse("jitter=3ms,reorder=0.5,dup=0.25,corrupt=0.125,flapevery=1m,stallat=2m,stallfor=30s," +
+		"sinkdownat=3m,sinkdownfor=1m,sinkcrash=4m,sinkcrash=5m,ctlhang=6m,recyclerwedge=7m," +
+		"nbhang=0.1,xferstall=0.2,xfercorrupt=0.3,powerstick=0.4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Profile{
+		Name:   "custom",
+		Jitter: 3 * time.Millisecond, Reorder: 0.5, Dup: 0.25, Corrupt: 0.125,
+		FlapEvery: time.Minute, FlapDown: 10 * time.Second,
+		StallAt: 2 * time.Minute, StallFor: 30 * time.Second, StallDelay: 5 * time.Second,
+		Sink: "smtpsink", SinkDownAt: 3 * time.Minute, SinkDownFor: time.Minute,
+		SinkCrashAt: []time.Duration{4 * time.Minute, 5 * time.Minute}, SinkCrashTarget: "smtpsink", SinkCrashFor: time.Minute,
+		CtlHangAt: []time.Duration{6 * time.Minute}, CtlHangFor: time.Minute,
+		RecyclerWedgeAt: []time.Duration{7 * time.Minute}, RecyclerWedgeFor: time.Minute,
+		ReimageNetbootHang: 0.1, ReimageXferStall: 0.2, ReimageXferCorrupt: 0.3, ReimagePowerStick: 0.4,
+	}
+	if !reflect.DeepEqual(p, want) {
+		t.Errorf("custom profile parsed to\n%+v\nwant\n%+v", p, want)
+	}
+	if !p.ReimageFaultsActive() {
+		t.Error("reimage fault rates set but not reported active")
+	}
+
+	if p, err = Parse(""); err != nil || !reflect.DeepEqual(p, Profile{Name: "custom"}) {
+		t.Errorf("empty spec: %+v, %v — want the zero profile", p, err)
+	}
+}
+
+func TestParseMalformed(t *testing.T) {
+	for spec, wantErr := range map[string]string{
+		"nosuchpreset":     `unknown preset "nosuchpreset"`,
+		"loss=0.1,soak":    `unknown preset "soak"`, // a preset is only a base, never an override
+		"soak,light":       `unknown preset "light"`,
+		"soak,volume=11":   `unknown key "volume"`,
+		"loss=lots":        `bad value for "loss"`,
+		"cscrash=soon":     `bad value for "cscrash"`,
+		"soak,jitter=3":    `bad value for "jitter"`, // a duration needs a unit
+		"ctlhangfor=":      `bad value for "ctlhangfor"`,
+		"recyclerwedge=1x": `bad value for "recyclerwedge"`,
+	} {
+		p, err := Parse(spec)
+		if err == nil || !strings.Contains(err.Error(), wantErr) {
+			t.Errorf("Parse(%q) = %v, want an error naming %s", spec, err, wantErr)
+		}
+		if !reflect.DeepEqual(p, Profile{}) {
+			t.Errorf("Parse(%q) returned a half-built profile next to its error: %+v", spec, p)
+		}
+	}
+}
+
+// chaosFarm is the smallest farm with something of every kind the injector
+// breaks: two inmate links, a two-member containment cluster, the sinks.
+func chaosFarm(t *testing.T) (*farm.Farm, *farm.Subfarm, *eventLog) {
+	t.Helper()
+	f := farm.New(1)
+	log := &eventLog{}
+	f.Sim.Obs().Journal.SetSink(log)
+	sf, err := f.AddSubfarm(farm.SubfarmConfig{
+		Name: "pen", VLANLo: 16, VLANHi: 20,
+		GlobalPool:         netstack.MustParsePrefix("192.0.2.0/24"),
+		FallbackPolicy:     "DefaultDeny",
+		ContainmentServers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := sf.AddInmate(fmt.Sprintf("inmate-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f, sf, log
+}
+
+// eventLog counts the chaos events a run journals, by type and detail.
+type eventLog struct{ n map[string]int }
+
+func (l *eventLog) WriteEvent(e obs.Event) error {
+	if strings.HasPrefix(e.Type, obs.EvChaosPrefix) {
+		if l.n == nil {
+			l.n = map[string]int{}
+		}
+		l.n[strings.TrimSpace(e.Type+" "+e.Detail)]++
+	}
+	return nil
+}
+
+// TestApplyStopRestoresEverything breaks one of everything — both inmate
+// links flapped down, both containment servers crashed, verdicts stalled,
+// the sink's NIC pulled — and stops injection, once while every fault is
+// still in flight (Stop must run the restores) and once after each has run
+// out on its own (Stop must find nothing left to do). Either way the farm is
+// whole again and every fault's end is journalled exactly once.
+func TestApplyStopRestoresEverything(t *testing.T) {
+	const stopAt = 7 * time.Minute // after the last fault of the schedule began
+	for _, tc := range []struct{ name, faultsLast string }{
+		{"stopped mid-fault", "1h"},
+		{"faults ran out", "20s"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := Parse(strings.ReplaceAll("loss=0.05,jitter=1ms,flapevery=1m,flapdown=D,cscrash=2m,cscrash=3m,csdownfor=D,"+
+				"stallat=4m,stallfor=D,stalldelay=10m,sinkdownat=5m,sinkdownfor=D", "D", tc.faultsLast))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, sf, log := chaosFarm(t)
+			inj := Apply(sf, p)
+			if len(inj.links) != 2 {
+				t.Fatalf("%d inmate links impaired, want 2", len(inj.links))
+			}
+			for _, l := range inj.links {
+				if !l.nic.Impaired() || !l.sw.Impaired() {
+					t.Fatalf("VLAN %d: link not impaired in both directions", l.vlan)
+				}
+			}
+			f.Run(stopAt)
+			midFault := tc.faultsLast == "1h"
+			if midFault {
+				sink := sf.SvcHosts["smtpsink"].NIC()
+				if sf.CSCluster[0].Host.Alive() || sf.CSCluster[1].Host.Alive() || sink.Up() {
+					t.Fatal("setup: the cluster and the sink should be down when injection stops")
+				}
+				if inj.links[0].nic.Up() || inj.links[1].nic.Up() {
+					t.Fatal("setup: both inmate links should be flapped down when injection stops")
+				}
+			}
+			inj.Stop()
+			inj.Stop() // idempotent
+
+			if inj.Crashes != len(p.CSCrashAt) {
+				t.Errorf("Crashes = %d, want %d (one per CSCrashAt entry)", inj.Crashes, len(p.CSCrashAt))
+			}
+			for _, l := range inj.links {
+				if !l.nic.Up() || !l.sw.Up() || l.nic.Impaired() || l.sw.Impaired() {
+					t.Errorf("VLAN %d: link left down or impaired", l.vlan)
+				}
+			}
+			for i, srv := range sf.CSCluster {
+				if !srv.Host.Alive() {
+					t.Errorf("containment server %d left crashed", i)
+				}
+			}
+			if nic := sf.SvcHosts["smtpsink"].NIC(); !nic.Up() || !nic.Peer().Up() {
+				t.Error("sink link left down")
+			}
+			if len(inj.restores) != 0 {
+				t.Errorf("%d restores still outstanding", len(inj.restores))
+			}
+			flaps := log.n[EvLinkDown]
+			f.Run(time.Minute)
+			if log.n[EvLinkDown] != flaps || log.n[EvCSCrash] != 2 {
+				t.Errorf("faults kept firing after Stop: %v", log.n)
+			}
+			if flaps == 0 || (midFault && flaps != 2) {
+				t.Errorf("%d link flaps, want some (exactly 2 when neither comes back)", flaps)
+			}
+			for begin, end := range map[string]string{
+				EvLinkDown:                EvLinkUp,
+				EvCSCrash:                 EvCSRestart,
+				EvVerdictStall + " begin": EvVerdictStall + " end",
+				EvSinkDown + " outage":    EvSinkUp,
+			} {
+				if log.n[begin] == 0 || log.n[begin] != log.n[end] {
+					t.Errorf("%d × %q but %d × %q", log.n[begin], begin, log.n[end], end)
+				}
+			}
+			// Verdicts flow at full speed again: a server still sitting on
+			// each verdict for StallDelay would hold every probe flow past
+			// the window.
+			probe, err := farm.RunContainmentProbe(f, sf, nil, time.Minute)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(probe.Escaped()) > 0 || probe.SinkFlows != len(probe.Sent) {
+				t.Errorf("restored containment plane is not answering: %s", probe)
+			}
+		})
+	}
+}

@@ -89,18 +89,13 @@ func Apply(sf *farm.Subfarm, p Profile) *Injector {
 
 	// Snapshot inmate links in VLAN order: map iteration must not leak
 	// into fault selection or the run stops replaying identically.
-	vlans := make([]int, 0, len(sf.Inmates))
-	for vlan := range sf.Inmates {
-		vlans = append(vlans, int(vlan))
-	}
-	sort.Ints(vlans)
 	im := netsim.Impairment{
 		Loss: p.Loss, Jitter: p.Jitter, Reorder: p.Reorder,
 		Dup: p.Dup, Corrupt: p.Corrupt,
 	}
-	for _, v := range vlans {
-		nic := sf.Inmates[uint16(v)].Host.NIC()
-		l := link{vlan: uint16(v), nic: nic, sw: nic.Peer()}
+	for _, v := range sf.InmateVLANs() {
+		nic := sf.Inmates[v].Host.NIC()
+		l := link{vlan: v, nic: nic, sw: nic.Peer()}
 		if l.sw == nil {
 			continue
 		}
@@ -287,17 +282,17 @@ func (inj *Injector) crashSink(name string) {
 // restart ladder power-cycles the controller host (Rebind clears the
 // hang). Unsupervised, chaos unhangs it CtlHangFor later.
 func (inj *Injector) hangController() {
-	ctl := inj.sf.Farm.Controller
+	ctl, root := inj.sf.Farm.Controller, inj.sf.Farm.Sim // the controller is root-domain state
 	if ctl == nil {
 		return
 	}
 	inj.sc.Emit(obs.Event{Type: EvCtlHang, Detail: "begin"})
-	inj.postRoot(func() { ctl.SetHung(true) })
+	inj.s.Hop(root, func() { ctl.SetHung(true) })
 	if inj.sf.Supervisor != nil {
 		return
 	}
 	inj.scheduleRestore(inj.p.CtlHangFor, func() {
-		inj.postRoot(func() { ctl.SetHung(false) })
+		inj.s.Hop(root, func() { ctl.SetHung(false) })
 		inj.sc.Emit(obs.Event{Type: EvCtlRestore})
 	})
 }
@@ -320,17 +315,6 @@ func (inj *Injector) wedgeRecycler() {
 		r.Rearm()
 		inj.sc.Emit(obs.Event{Type: EvRecRearm})
 	})
-}
-
-// postRoot runs fn on the farm root's domain goroutine (where the
-// controller lives), immediately when the subfarm shares that domain.
-func (inj *Injector) postRoot(fn func()) {
-	f := inj.sf.Farm
-	if inj.s == f.Sim {
-		fn()
-		return
-	}
-	inj.s.PostTo(f.Sim, 0, fn)
 }
 
 // Stop ends injection: future faults are cancelled, in-flight faults are

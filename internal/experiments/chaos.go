@@ -186,7 +186,7 @@ func RunChaosSoak(cfg ChaosConfig) (*ChaosOutcome, error) {
 	out.Probe = probe
 
 	// Wind down: a healthy farm ends with an empty flow table.
-	if out.Journal, err = f.windDown([]*farm.Subfarm{sf}, []*chaos.Injector{out.Injector}); err != nil {
+	if out.Journal, err = f.windDown([]*chaos.Injector{out.Injector}); err != nil {
 		return nil, err
 	}
 	if err := tw.Flush(); err != nil {

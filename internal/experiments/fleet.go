@@ -177,7 +177,7 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 			// Small images over a fast trunk keep the reimage leg short, so
 			// the rotation's natural inter-mark gap stays well inside the
 			// wedge budget — only the injected wedge can freeze the mark.
-			rec, err := startIronRotation(sf, p.iron,
+			rec, err := sf.StartIronRotation(p.iron,
 				rawiron.Config{MaxConcurrent: 2, ImageSizeMB: 256, TrunkMBps: 16, HiddenRestoreMBps: 16},
 				farm.RecyclerConfig{DetonateFor: 90 * time.Second})
 			if err != nil {
@@ -231,7 +231,7 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 		gammaRec.Stop()
 	}
 	var err error
-	if out.Journal, err = f.windDown(out.Subfarms, out.Injectors); err != nil {
+	if out.Journal, err = f.windDown(out.Injectors); err != nil {
 		return nil, err
 	}
 

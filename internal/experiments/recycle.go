@@ -127,7 +127,7 @@ func RunRecycleSoak(cfg RecycleConfig) (*RecycleOutcome, error) {
 
 		// Two concurrent netboots per subfarm: the third box queues, so the
 		// soak exercises the FIFO slot path alongside trunk contention.
-		rec, err := startIronRotation(sf, cfg.Machines, rawiron.Config{MaxConcurrent: 2},
+		rec, err := sf.StartIronRotation(cfg.Machines, rawiron.Config{MaxConcurrent: 2},
 			farm.RecyclerConfig{DetonateFor: cfg.DetonateFor, Capture: true})
 		if err != nil {
 			return nil, err
@@ -166,7 +166,7 @@ func RunRecycleSoak(cfg RecycleConfig) (*RecycleOutcome, error) {
 	// Injection stopped before the settle window; only the specimens and
 	// the drain are left.
 	var err error
-	if out.Journal, err = f.windDown(out.Subfarms, nil); err != nil {
+	if out.Journal, err = f.windDown(nil); err != nil {
 		return nil, err
 	}
 

@@ -20,11 +20,6 @@ type ScalabilityPoint struct {
 	SpamSessions                uint64
 	WallTime                    time.Duration
 	VirtualTime                 time.Duration
-
-	// AvgParallelism (sharded runs only) is the mean number of simulation
-	// domains with work per synchronization round — the speedup ceiling the
-	// workload offers, independent of the machine's CPU count.
-	AvgParallelism float64
 }
 
 // RunScalabilityGateway reproduces the §7.2 observation that one gateway
@@ -32,32 +27,11 @@ type ScalabilityPoint struct {
 // dozen inmates each): for each (subfarms, inmates) point it builds the
 // farm, runs the workload, and records flow and wall-clock cost.
 func RunScalabilityGateway(seed int64, points [][2]int, duration time.Duration) ([]ScalabilityPoint, string, error) {
-	return runScalabilityGateway(seed, points, duration, false, 0)
-}
-
-// RunScalabilityGatewayParallel runs the same sweep on a sharded farm:
-// each subfarm in its own simulation domain, driven by workers goroutines
-// (0 = GOMAXPROCS). Same workload, same invariants — the wall-clock column
-// against RunScalabilityGateway's is the sharding speedup.
-func RunScalabilityGatewayParallel(seed int64, points [][2]int, duration time.Duration, workers int) ([]ScalabilityPoint, string, error) {
-	return runScalabilityGateway(seed, points, duration, true, workers)
-}
-
-func runScalabilityGateway(seed int64, points [][2]int, duration time.Duration, sharded bool, workers int) ([]ScalabilityPoint, string, error) {
 	var out []ScalabilityPoint
 	for _, pt := range points {
 		nSub, nInm := pt[0], pt[1]
 		start := time.Now()
-		var f *farm.Farm
-		if sharded {
-			// Two external shards take the C&C dialog off the root domain
-			// (the flat Internet segment is hash-spread across them), so the
-			// sweep exercises the full sharded topology: per-subfarm domains
-			// plus de-serialized external hosts.
-			f = farm.NewShardedN(seed, workers, 2)
-		} else {
-			f = farm.New(seed)
-		}
+		f := farm.New(seed)
 		ccAddr := netstack.MustParseAddr("50.8.207.91")
 		cc := f.AddExternalHost("cc", ccAddr)
 		if _, err := malware.NewCCServer(cc, malware.CCConfig{
@@ -106,17 +80,11 @@ func runScalabilityGateway(seed int64, points [][2]int, duration time.Duration, 
 			flows += sf.Router.VerdictsApplied.Value()
 			sessions += sf.SMTPSink.Sessions + sf.BannerSink.Sessions
 		}
-		p := ScalabilityPoint{
+		out = append(out, ScalabilityPoint{
 			Subfarms: nSub, InmatesPerSubfarm: nInm,
 			FlowsAdjudicated: flows, SpamSessions: sessions,
 			WallTime: time.Since(start), VirtualTime: duration,
-		}
-		if f.Coord != nil {
-			if rounds, windows := f.Coord.Stats(); rounds > 0 {
-				p.AvgParallelism = float64(windows) / float64(rounds)
-			}
-		}
-		out = append(out, p)
+		})
 	}
 	var b strings.Builder
 	b.WriteString("S1: gateway scaling (one gateway, parallel subfarms)\n")

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"time"
 
 	"gq/internal/chaos"
@@ -12,7 +11,6 @@ import (
 	"gq/internal/netstack"
 	"gq/internal/obs"
 	"gq/internal/policy"
-	"gq/internal/rawiron"
 	"gq/internal/smtpx"
 )
 
@@ -83,38 +81,10 @@ func rustockSubfarm(name string, i, inmates int) farm.SubfarmConfig {
 	}
 }
 
-// startIronRotation gives a subfarm a raw-iron pool of n boxes cycling
-// through a started recycler.
-func startIronRotation(s *farm.Subfarm, n int, pool rawiron.Config, cycle farm.RecyclerConfig) (*farm.Recycler, error) {
-	s.EnableRawIron(pool)
-	rec := s.AttachRecycler(cycle)
-	for j := 0; j < n; j++ {
-		fi, _, err := s.AddRawIronInmate(fmt.Sprintf("iron-%d", j), "winxp-golden")
-		if err != nil {
-			return nil, err
-		}
-		if err := rec.Manage(fi); err != nil {
-			return nil, err
-		}
-	}
-	rec.Start()
-	return rec, nil
-}
-
-// windDown ends a soak: the specimens stop (in VLAN order — map order
-// would leak into the journal), injection ends, the farm drains past every
-// sweep horizon, and the captured journal is returned.
-func (sf *soakFarm) windDown(subfarms []*farm.Subfarm, injectors []*chaos.Injector) ([]byte, error) {
-	for _, s := range subfarms {
-		vlans := make([]int, 0, len(s.Inmates))
-		for vlan := range s.Inmates {
-			vlans = append(vlans, int(vlan))
-		}
-		sort.Ints(vlans)
-		for _, vlan := range vlans {
-			s.Inmates[uint16(vlan)].Terminate()
-		}
-	}
+// windDown ends a soak: the specimens stop, injection ends, the farm drains
+// past every sweep horizon, and the captured journal is returned.
+func (sf *soakFarm) windDown(injectors []*chaos.Injector) ([]byte, error) {
+	sf.RetireInmates()
 	for _, inj := range injectors {
 		inj.Stop()
 	}

@@ -7,6 +7,7 @@ package farm
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"gq/internal/containment"
@@ -238,6 +239,29 @@ func (f *Farm) Run(d time.Duration) {
 	f.Sim.RunFor(d)
 }
 
+// InmateVLANs lists the subfarm's inmate VLANs in ascending order: the
+// order to walk Inmates in whenever the walk has observable effects, since
+// map order would leak into the journal.
+func (sf *Subfarm) InmateVLANs() []uint16 {
+	vlans := make([]uint16, 0, len(sf.Inmates))
+	for vlan := range sf.Inmates {
+		vlans = append(vlans, vlan)
+	}
+	slices.Sort(vlans)
+	return vlans
+}
+
+// RetireInmates terminates every inmate on the farm, subfarm by subfarm in
+// VLAN order. Call between Run calls, before the drain that lets the flow
+// tables empty.
+func (f *Farm) RetireInmates() {
+	for _, sf := range f.Subfarms {
+		for _, vlan := range sf.InmateVLANs() {
+			sf.Inmates[vlan].Terminate()
+		}
+	}
+}
+
 // SubfarmConfig parameterises one independent experiment habitat (Fig. 3).
 type SubfarmConfig struct {
 	Name           string
@@ -285,7 +309,7 @@ type SubfarmConfig struct {
 
 	// StdlibHTTPSink serves the HTTP sink with an unmodified net/http
 	// server over the hostnet blocking facade instead of the callback
-	// HTTPSink. Its handler goroutines are detached (DESIGN.md §3g), so
+	// HTTPSink. Its handler goroutines are detached (DESIGN.md §3e), so
 	// the farm must be driven with Simulator.Pump and cannot be sharded;
 	// AddSubfarm rejects the combination.
 	StdlibHTTPSink bool

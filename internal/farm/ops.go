@@ -48,22 +48,23 @@ func (sf *Subfarm) SwapPolicy(lo, hi uint16, name string) error {
 
 // QuarantineInmate routes a lifecycle action ("stop", "revert",
 // "terminate", ...) for one inmate VLAN through the farm-wide inmate
-// controller and journals it as ops.quarantine. On a sharded farm this
-// runs inside the subfarm's domain while the controller is root-domain
-// state, so the action is validated here and then posted across the
-// management trunk; the controller executes it one lookahead later and
-// dispatches the VMM command back into the inmate's domain.
+// controller and journals it as ops.quarantine. This runs inside the
+// subfarm's domain while the controller is root-domain state, so the
+// action is validated here and then hops to the root. The controller's own
+// verdict is reported only when the two share a domain; on a sharded farm
+// it executes one lookahead later and dispatches the VMM command back into
+// the inmate's domain.
 func (sf *Subfarm) QuarantineInmate(vlan uint16, action string) error {
 	if _, ok := sf.Inmates[vlan]; !ok {
 		return fmt.Errorf("quarantine: no inmate on VLAN %d", vlan)
 	}
-	ctl, root := sf.Farm.Controller, sf.Farm.Sim
-	if sf.Sim != root {
-		if !inmate.KnownAction(action) {
-			return fmt.Errorf("quarantine: unknown action %q", action)
-		}
-		sf.Sim.PostTo(root, 0, func() { ctl.Execute(action, vlan) })
-	} else if err := ctl.Execute(action, vlan); err != nil {
+	if !inmate.KnownAction(action) {
+		return fmt.Errorf("quarantine: unknown action %q", action)
+	}
+	ctl := sf.Farm.Controller
+	var err error
+	sf.Sim.Hop(sf.Farm.Sim, func() { err = ctl.Execute(action, vlan) })
+	if err != nil {
 		return fmt.Errorf("quarantine: %w", err)
 	}
 	sf.opsScope().Emit(obs.Event{

@@ -148,6 +148,25 @@ func (sf *Subfarm) AttachRecycler(cfg RecyclerConfig) *Recycler {
 	return r
 }
 
+// StartIronRotation gives the subfarm a raw-iron pool of n boxes
+// (iron-0 … iron-n-1, imaged winxp-golden) cycling through a started
+// recycler.
+func (sf *Subfarm) StartIronRotation(n int, pool rawiron.Config, cycle RecyclerConfig) (*Recycler, error) {
+	sf.EnableRawIron(pool)
+	rec := sf.AttachRecycler(cycle)
+	for i := 0; i < n; i++ {
+		fi, _, err := sf.AddRawIronInmate(fmt.Sprintf("iron-%d", i), "winxp-golden")
+		if err != nil {
+			return nil, err
+		}
+		if err := rec.Manage(fi); err != nil {
+			return nil, err
+		}
+	}
+	rec.Start()
+	return rec, nil
+}
+
 // Manage adds a raw-iron inmate (from AddRawIronInmate) to the rotation.
 // Call before Start.
 func (r *Recycler) Manage(fi *FarmInmate) error {
@@ -385,8 +404,9 @@ func (r *Recycler) Rearm() {
 
 // registerRecycleAction wires the "recycle" verb into the farm-wide
 // inmate controller, routing it to the subfarm recycler that owns the
-// VLAN. Cross-domain members are kicked via a posted event — the OK then
-// acknowledges acceptance, like every other cross-domain VMM command.
+// VLAN. The kick's result is reported only when the recycler shares the
+// controller's domain; a cross-domain kick is posted and the OK acknowledges
+// acceptance, like every other cross-domain VMM command.
 func (f *Farm) registerRecycleAction() {
 	if f.Controller.RecycleFn != nil {
 		return
@@ -397,11 +417,9 @@ func (f *Farm) registerRecycleAction() {
 			if r == nil || !r.Manages(vlan) {
 				continue
 			}
-			if target := sf.Sim; target != f.Sim {
-				f.Sim.PostTo(target, 0, func() { r.Kick(vlan) })
-				return nil
-			}
-			return r.Kick(vlan)
+			var err error
+			f.Sim.Hop(sf.Sim, func() { err = r.Kick(vlan) })
+			return err
 		}
 		return fmt.Errorf("farm: no recycler manages VLAN %d", vlan)
 	}

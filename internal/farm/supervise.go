@@ -56,7 +56,7 @@ func (sf *Subfarm) Supervise(cfg supervisor.Config) *supervisor.Supervisor {
 // sinkEndpoints lists the subfarm's supervisable sink servers with their
 // probe ports and listener-rebind closures. The stdlib HTTP server sink
 // is excluded: its handler goroutines are detached from the sim clock
-// (DESIGN.md §3g), so a deterministic supervised restart cannot be
+// (DESIGN.md §3e), so a deterministic supervised restart cannot be
 // guaranteed for it.
 func (sf *Subfarm) sinkEndpoints() []supervisor.Endpoint {
 	var eps []supervisor.Endpoint
@@ -112,7 +112,7 @@ func (sf *Subfarm) proberHost() *host.Host {
 }
 
 // SetLockdown engages or releases the subfarm's fail-closed lockdown
-// from the ops plane (run it on the subfarm's domain via Driver.DoIn).
+// from the ops plane (run it on the subfarm's domain via Driver.Do).
 // A supervised subfarm goes through its tree node, so the transition
 // lands in the escalation history and the tree journal; an unsupervised
 // one flips the router directly. Returns the number of flows failed

@@ -33,7 +33,7 @@ func (f *Farm) SuperviseTree(cfg supervisor.Config) *supervisor.Root {
 
 // watchRecycler registers the tree's progress watch over a subfarm's
 // recycler, if both exist. The read and re-arm closures run on the
-// subfarm's domain goroutine (the root round-trips via sim.PostTo).
+// subfarm's domain goroutine (the root round-trips via sim.Hop).
 func (f *Farm) watchRecycler(sf *Subfarm) {
 	r := sf.Recycler
 	if f.Tree == nil || r == nil || r.watched {

@@ -46,20 +46,8 @@ type wormVictims struct{ e *WormExperiment }
 // other than the scanner itself.
 func (v wormVictims) VictimFor(vlan uint16, dst netstack.Addr) (netstack.Addr, bool) {
 	sf := v.e.Subfarm
-	n := len(sf.Inmates)
-	if n == 0 {
-		return 0, false
-	}
 	// Deterministic round-robin across VLAN order.
-	vlans := make([]uint16, 0, n)
-	for vl := range sf.Inmates {
-		vlans = append(vlans, vl)
-	}
-	for i := 1; i < len(vlans); i++ {
-		for j := i; j > 0 && vlans[j] < vlans[j-1]; j-- {
-			vlans[j], vlans[j-1] = vlans[j-1], vlans[j]
-		}
-	}
+	vlans := sf.InmateVLANs()
 	for i := 0; i < len(vlans); i++ {
 		cand := vlans[(v.e.nextVic+i)%len(vlans)]
 		if cand == vlan {

@@ -13,7 +13,6 @@ package gateway
 
 import (
 	"fmt"
-	"time"
 
 	"gq/internal/netsim"
 	"gq/internal/netstack"
@@ -44,9 +43,10 @@ type Gateway struct {
 
 	routers []*Router
 
-	// Outside-interface ARP.
+	// Outside-interface ARP. Frames parked behind an unresolved neighbour
+	// are marshalled and complete but for the destination MAC.
 	outARP     map[netstack.Addr]netstack.MAC
-	outPending map[netstack.Addr]*arpWait
+	outPending *netsim.Waits[netstack.Addr, []byte]
 
 	// upstreamTaps observe all frames crossing the outside interface, in
 	// both directions — the system-wide trace recording point (§5.6).
@@ -67,40 +67,14 @@ type Gateway struct {
 	ARPPendingDrops *obs.Counter
 }
 
-// ARP retry schedule on both gateway sides: a request every
-// arpRetryInterval, the neighbour given up after arpMaxTries of them.
-const (
-	arpRetryInterval = time.Second
-	arpMaxTries      = 3
-)
-
-// arpWait is one unresolved neighbour — of the outside interface or of a
-// router's VLAN side: the frames parked for it, marshalled and complete but
-// for the destination MAC, and the retry state of the request in flight.
-type arpWait struct {
-	frames [][]byte
-	tries  int
-	retry  sim.Timer
-}
-
-// park queues a frame for the neighbour, or reports false when
-// netstack.MaxARPPending are waiting already: the newest is the one dropped.
-func (w *arpWait) park(frame []byte) bool {
-	if len(w.frames) >= netstack.MaxARPPending {
-		return false
-	}
-	w.frames = append(w.frames, frame)
-	return true
-}
-
 // New creates a gateway. Wire Trunk() into a switch trunk port and
 // Outside() into the upstream network.
 func New(s *sim.Simulator) *Gateway {
 	g := &Gateway{
-		Sim:        s,
-		outARP:     make(map[netstack.Addr]netstack.MAC),
-		outPending: make(map[netstack.Addr]*arpWait),
+		Sim:    s,
+		outARP: make(map[netstack.Addr]netstack.MAC),
 	}
+	g.outPending = netsim.NewWaits[netstack.Addr, []byte](s, g.arpOutside)
 	g.trunk = netsim.NewPort(s, "gw/trunk", g.recvTrunk)
 	g.outside = netsim.NewPort(s, "gw/outside", g.recvOutside)
 	reg := s.Obs().Reg
@@ -250,7 +224,7 @@ func (g *Gateway) handleOutsideARP(p *netstack.Packet) {
 	a := p.ARP
 	if !a.SenderIP.IsZero() {
 		g.outARP[a.SenderIP] = a.SenderHW
-		g.flushOutside(a.SenderIP)
+		g.flushOutside(a.SenderIP, a.SenderHW)
 	}
 	if a.Op != netstack.ARPRequest {
 		return
@@ -287,20 +261,13 @@ func (g *Gateway) emitOutside(p *netstack.Packet) {
 		g.outside.SendOwned(frame)
 		return
 	}
-	w := g.outPending[dst]
-	if w == nil {
-		w = &arpWait{}
-		w.retry.Init(g.Sim, func() { g.arpOutsideExpired(dst, w) })
-		g.outPending[dst] = w
-		g.arpOutside(dst, w)
-	}
-	if !w.park(p.Marshal()) {
+	if !g.outPending.Park(dst, p.Marshal()) {
 		g.ARPPendingDrops.Inc()
 	}
 }
 
-// arpOutside broadcasts a request for dst upstream and arms the retry.
-func (g *Gateway) arpOutside(dst netstack.Addr, w *arpWait) {
+// arpOutside broadcasts a request for dst upstream.
+func (g *Gateway) arpOutside(dst netstack.Addr) {
 	// Source the request from the first router's pool base + 1 so external
 	// stacks can learn a sane sender. Any farm global works.
 	var sender netstack.Addr
@@ -315,29 +282,17 @@ func (g *Gateway) arpOutside(dst netstack.Addr, w *arpWait) {
 		},
 	}
 	g.outside.SendOwned(req.Marshal())
-	w.retry.Reset(arpRetryInterval)
 }
 
-// arpOutsideExpired is Router.arpVLANExpired for the outside interface.
-func (g *Gateway) arpOutsideExpired(dst netstack.Addr, w *arpWait) {
-	if _, ok := g.outARP[dst]; ok {
-		return
-	}
-	if w.tries++; w.tries >= arpMaxTries {
-		delete(g.outPending, dst)
-		return
-	}
-	g.arpOutside(dst, w)
-}
-
-func (g *Gateway) flushOutside(addr netstack.Addr) {
-	w := g.outPending[addr]
+// flushOutside transmits the frames parked for an outside neighbour that
+// just resolved. Like flushVLANPending it leaves the wait's retry to run out:
+// that firing is part of every recorded run's event count.
+func (g *Gateway) flushOutside(addr netstack.Addr, mac netstack.MAC) {
+	w := g.outPending.Learned(addr)
 	if w == nil {
 		return
 	}
-	delete(g.outPending, addr)
-	mac := g.outARP[addr]
-	for _, f := range w.frames {
+	for _, f := range w.Frames {
 		// The queued frame is fully marshalled; only the destination MAC
 		// was unknown when it was parked. Patch it in place.
 		if !netstack.SetEthDst(f, mac) {

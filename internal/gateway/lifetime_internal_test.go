@@ -130,8 +130,8 @@ func TestVLANPendingPacketsSurviveLaterFrames(t *testing.T) {
 	rig.trunk.port.Send(synFrom(13, b, 2222, 2000))
 	rig.settle()
 	key := vlanAddr{2, rig.r.cfg.ContainmentIP}
-	if w := rig.r.vlanPending[key]; w == nil || len(w.frames) != 2 {
-		t.Fatalf("SYNs not parked behind the containment server's address: %v", rig.r.vlanPending)
+	if n := len(rig.r.vlanPending.Parked(key)); n != 2 {
+		t.Fatalf("%d SYNs parked behind the containment server's address, want 2", n)
 	}
 	// In between: traffic of other shapes through the same receive path.
 	rig.trunk.port.Send(arpReply(14, netstack.MustParseAddr("10.0.0.7"), inmateMAC(14)))
@@ -164,8 +164,8 @@ func TestVLANPendingPacketsSurviveLaterFrames(t *testing.T) {
 			t.Errorf("flushed frame %d not redirected to the containment server: %v", i, p)
 		}
 	}
-	if len(rig.r.vlanPending) != 0 {
-		t.Errorf("%d waits left after the flush", len(rig.r.vlanPending))
+	if n := rig.r.vlanPending.Len(); n != 0 {
+		t.Errorf("%d waits left after the flush", n)
 	}
 }
 
@@ -192,10 +192,7 @@ func TestARPPendingQueuesAreBounded(t *testing.T) {
 			name: "vlan",
 			send: func(rig *lifetimeRig) { rig.r.sendToVLAN(datagram(netstack.MustParseAddr("10.3.0.99")), 2) },
 			parked: func(rig *lifetimeRig) (int, int) {
-				if w := rig.r.vlanPending[vlanAddr{2, netstack.MustParseAddr("10.3.0.99")}]; w != nil {
-					return len(w.frames), len(rig.r.vlanPending)
-				}
-				return 0, len(rig.r.vlanPending)
+				return len(rig.r.vlanPending.Parked(vlanAddr{2, netstack.MustParseAddr("10.3.0.99")})), rig.r.vlanPending.Len()
 			},
 			wire: func(rig *lifetimeRig) *framePort { return rig.trunk },
 		},
@@ -203,10 +200,7 @@ func TestARPPendingQueuesAreBounded(t *testing.T) {
 			name: "outside",
 			send: func(rig *lifetimeRig) { rig.g.emitOutside(datagram(netstack.MustParseAddr("198.51.100.99"))) },
 			parked: func(rig *lifetimeRig) (int, int) {
-				if w := rig.g.outPending[netstack.MustParseAddr("198.51.100.99")]; w != nil {
-					return len(w.frames), len(rig.g.outPending)
-				}
-				return 0, len(rig.g.outPending)
+				return len(rig.g.outPending.Parked(netstack.MustParseAddr("198.51.100.99"))), rig.g.outPending.Len()
 			},
 			wire: func(rig *lifetimeRig) *framePort { return rig.outside },
 		},
@@ -222,13 +216,13 @@ func TestARPPendingQueuesAreBounded(t *testing.T) {
 			if got := rig.g.ARPPendingDrops.Value(); got != flood-netstack.MaxARPPending {
 				t.Errorf("gw.arp_pending_drops = %d, want %d", got, flood-netstack.MaxARPPending)
 			}
-			rig.s.RunFor(arpMaxTries*arpRetryInterval + time.Millisecond)
+			rig.s.RunFor(netsim.ARPMaxTries*netsim.ARPRetryInterval + time.Millisecond)
 			if frames, waits := tc.parked(rig); frames != 0 || waits != 0 {
 				t.Errorf("after the ARP timeout: %d frames in %d waits", frames, waits)
 			}
 			sent := tc.wire(rig).take(t)
-			if len(sent) != arpMaxTries {
-				t.Fatalf("%d frames on the wire, want %d ARP requests and none of the flood", len(sent), arpMaxTries)
+			if len(sent) != netsim.ARPMaxTries {
+				t.Fatalf("%d frames on the wire, want %d ARP requests and none of the flood", len(sent), netsim.ARPMaxTries)
 			}
 			for _, p := range sent {
 				if p.ARP == nil || p.ARP.Op != netstack.ARPRequest {

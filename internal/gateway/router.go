@@ -170,7 +170,7 @@ type Router struct {
 
 	// VLAN-side ARP (for reaching service hosts and inmates).
 	vlanARP     map[vlanAddr]netstack.MAC
-	vlanPending map[vlanAddr]*arpWait
+	vlanPending *netsim.Waits[vlanAddr, []byte]
 
 	// Safety filter state: fixed one-minute windows.
 	rateWindow  time.Duration
@@ -278,7 +278,6 @@ func newRouter(g *Gateway, s *sim.Simulator, cfg RouterConfig) *Router {
 		inmateMAC:    make(map[uint16]netstack.MAC),
 		inmateVLAN:   make(map[netstack.Addr]uint16),
 		vlanARP:      make(map[vlanAddr]netstack.MAC),
-		vlanPending:  make(map[vlanAddr]*arpWait),
 		rateAll:      make(map[uint16]int),
 		rateDest:     make(map[vlanAddr]int),
 		crosstalk:    make(map[[2]uint16]bool),
@@ -294,6 +293,7 @@ func newRouter(g *Gateway, s *sim.Simulator, cfg RouterConfig) *Router {
 	if r.maxFlows <= 0 {
 		r.maxFlows = DefaultMaxFlows
 	}
+	r.vlanPending = netsim.NewWaits[vlanAddr, []byte](s, r.arpVLAN)
 	r.awaitVerdictTimeout = cfg.AwaitVerdictTimeout
 	if r.awaitVerdictTimeout <= 0 {
 		r.awaitVerdictTimeout = DefaultAwaitVerdictTimeout
@@ -624,7 +624,7 @@ func (r *Router) handleARP(p *netstack.Packet) {
 	if !a.SenderIP.IsZero() {
 		key := vlanAddr{p.Eth.VLAN, a.SenderIP}
 		r.vlanARP[key] = a.SenderHW
-		r.flushVLANPending(key)
+		r.flushVLANPending(key, a.SenderHW)
 	}
 	if a.Op == netstack.ARPRequest {
 		var mine netstack.Addr
@@ -740,20 +740,13 @@ func (r *Router) sendToVLAN(p *netstack.Packet, vlan uint16) {
 			return
 		}
 	}
-	w := r.vlanPending[key]
-	if w == nil {
-		w = &arpWait{}
-		w.retry.Init(r.sim, func() { r.arpVLANExpired(key, w) })
-		r.vlanPending[key] = w
-		r.arpVLAN(key, w)
-	}
-	if !w.park(p.Marshal()) {
+	if !r.vlanPending.Park(key, p.Marshal()) {
 		r.gw.ARPPendingDrops.Inc()
 	}
 }
 
-// arpVLAN broadcasts a request for key on its VLAN and arms the retry.
-func (r *Router) arpVLAN(key vlanAddr, w *arpWait) {
+// arpVLAN broadcasts a request for key on its VLAN.
+func (r *Router) arpVLAN(key vlanAddr) {
 	sender := r.cfg.RouterIP
 	if r.isServiceVLAN(key.vlan) {
 		sender = r.cfg.ServiceRouterIP
@@ -769,35 +762,18 @@ func (r *Router) arpVLAN(key vlanAddr, w *arpWait) {
 		},
 	}
 	r.sendTrunk(req)
-	w.retry.Reset(arpRetryInterval)
-}
-
-// arpVLANExpired runs arpRetryInterval after each request: nothing to do if
-// the neighbour answered meanwhile, else ask again or give it up and drop
-// what was parked for it.
-func (r *Router) arpVLANExpired(key vlanAddr, w *arpWait) {
-	if _, ok := r.vlanARP[key]; ok {
-		return
-	}
-	if w.tries++; w.tries >= arpMaxTries {
-		delete(r.vlanPending, key)
-		return
-	}
-	r.arpVLAN(key, w)
 }
 
 // flushVLANPending transmits the frames parked for a neighbour that just
 // resolved. They were marshalled when parked; taps take packets, so each is
 // parsed again — into a fresh Packet, because the ARP packet that triggered
 // the flush is still live in the receive path's parse buffer.
-func (r *Router) flushVLANPending(key vlanAddr) {
-	w := r.vlanPending[key]
+func (r *Router) flushVLANPending(key vlanAddr, mac netstack.MAC) {
+	w := r.vlanPending.Learned(key)
 	if w == nil {
 		return
 	}
-	delete(r.vlanPending, key)
-	mac := r.vlanARP[key]
-	for _, frame := range w.frames {
+	for _, frame := range w.Frames {
 		p, err := netstack.ParseFrame(frame)
 		if err != nil {
 			continue

@@ -12,18 +12,11 @@ package host
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"gq/internal/netsim"
 	"gq/internal/netstack"
 	"gq/internal/obs"
 	"gq/internal/sim"
-)
-
-// ARP behaviour parameters.
-const (
-	arpRetryInterval = 1 * time.Second
-	arpMaxRetries    = 3
 )
 
 // ipHeadroom is the room a transport layer leaves in front of its segment
@@ -66,10 +59,10 @@ type Host struct {
 	// protocol handlers or an rx hook is valid until receiveFrame returns.
 	rx netstack.ParseBuf
 
-	// ARP. arpWaits holds one entry per next hop being resolved;
+	// ARP. arpWaits parks frames behind each next hop being resolved;
 	// arpDrops counts frames refused by a full wait queue, farm-wide.
 	arpCache map[netstack.Addr]netstack.MAC
-	arpWaits map[netstack.Addr]*arpWait
+	arpWaits *netsim.Waits[netstack.Addr, pendingIP]
 	arpDrops *obs.Counter
 
 	// Transport.
@@ -80,17 +73,6 @@ type Host struct {
 	anyUDP      func(dstPort uint16, src netstack.Addr, srcPort uint16, data []byte)
 	nextEphem   uint16
 	rawUDPHook  func(p *netstack.Packet) bool
-}
-
-// arpWait is one unresolved next hop: the frames parked for it — at most
-// netstack.MaxARPPending, the newest dropped beyond that — and the retry
-// timer of the request in flight.
-type arpWait struct {
-	h      *Host
-	target netstack.Addr
-	queue  []pendingIP
-	tries  int
-	retry  sim.Timer
 }
 
 type connKey struct {
@@ -107,13 +89,13 @@ func New(s *sim.Simulator, name string, mac netstack.MAC) *Host {
 		sim:       s,
 		mac:       mac,
 		arpCache:  make(map[netstack.Addr]netstack.MAC),
-		arpWaits:  make(map[netstack.Addr]*arpWait),
 		arpDrops:  s.Obs().Reg.Counter("host.arp_pending_drops"),
 		conns:     make(map[connKey]*Conn),
 		listeners: make(map[uint16]func(*Conn)),
 		udpSocks:  make(map[uint16]*UDPSock),
 		nextEphem: 32768,
 	}
+	h.arpWaits = netsim.NewWaits[netstack.Addr, pendingIP](s, h.arpRequest)
 	h.nic = netsim.NewPort(s, name+"/eth0", h.receiveFrame)
 	return h
 }
@@ -232,10 +214,7 @@ func (h *Host) Reset() {
 	h.dropRx = false
 	h.addr, h.bits, h.gw, h.dns = 0, 0, 0, 0
 	h.arpCache = make(map[netstack.Addr]netstack.MAC)
-	for _, w := range h.arpWaits {
-		w.retry.Stop()
-	}
-	h.arpWaits = make(map[netstack.Addr]*arpWait)
+	h.arpWaits.Reset()
 	for _, c := range h.sortedConns() {
 		c.destroy(fmt.Errorf("host %s reset", h.Name))
 	}
@@ -273,7 +252,12 @@ func (h *Host) handleARP(a *netstack.ARP) {
 	// Opportunistically learn the sender.
 	if !a.SenderIP.IsZero() {
 		h.arpCache[a.SenderIP] = a.SenderHW
-		h.flushARPPending(a.SenderIP)
+		if w := h.arpWaits.Learned(a.SenderIP); w != nil {
+			w.Stop()
+			for _, q := range w.Frames {
+				h.emitIP(a.SenderHW, q.dst, q.proto, q.frame)
+			}
+		}
 	}
 	if a.Op == netstack.ARPRequest && !h.addr.IsZero() && a.TargetIP == h.addr {
 		reply := &netstack.Packet{
@@ -346,58 +330,22 @@ func (h *Host) sendIP(dst netstack.Addr, proto uint8, frame []byte) {
 		h.emitIP(mac, dst, proto, frame)
 		return
 	}
-	w := h.arpWaits[nexthop]
-	if w == nil {
-		w = &arpWait{h: h, target: nexthop}
-		w.retry.Init(h.sim, w.expire)
-		h.arpWaits[nexthop] = w
-		w.request()
-	}
-	if len(w.queue) >= netstack.MaxARPPending {
+	if !h.arpWaits.Park(nexthop, pendingIP{proto: proto, frame: frame, dst: dst}) {
 		h.arpDrops.Inc()
-		return
 	}
-	w.queue = append(w.queue, pendingIP{proto: proto, frame: frame, dst: dst})
 }
 
-// request broadcasts an ARP request for the wait's next hop and arms the
-// retry timer.
-func (w *arpWait) request() {
-	h := w.h
+// arpRequest broadcasts an ARP request for target.
+func (h *Host) arpRequest(target netstack.Addr) {
 	req := &netstack.Packet{
 		Eth: netstack.Ethernet{Dst: netstack.BroadcastMAC, Src: h.mac, EtherType: netstack.EtherTypeARP},
 		ARP: &netstack.ARP{
 			Op:       netstack.ARPRequest,
 			SenderHW: h.mac, SenderIP: h.addr,
-			TargetIP: w.target,
+			TargetIP: target,
 		},
 	}
 	h.nic.Send(req.Marshal())
-	w.retry.Reset(arpRetryInterval)
-}
-
-// expire runs when a request went unanswered: ask again, or after
-// arpMaxRetries give the next hop up and drop the traffic parked for it.
-func (w *arpWait) expire() {
-	w.tries++
-	if w.tries >= arpMaxRetries {
-		delete(w.h.arpWaits, w.target)
-		return
-	}
-	w.request()
-}
-
-func (h *Host) flushARPPending(addr netstack.Addr) {
-	w := h.arpWaits[addr]
-	if w == nil {
-		return
-	}
-	w.retry.Stop()
-	delete(h.arpWaits, addr)
-	mac := h.arpCache[addr]
-	for _, q := range w.queue {
-		h.emitIP(mac, q.dst, q.proto, q.frame)
-	}
 }
 
 // emitIP completes the link and IP headers in front of the transport

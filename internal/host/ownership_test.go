@@ -90,7 +90,7 @@ func TestARPPendingFramesLeaveIntact(t *testing.T) {
 		sock.SendTo(b.Addr(), 2000, d)
 	}
 	a.Dial(b.Addr(), 80)
-	if n := len(a.arpWaits[b.Addr()].queue); n != 4 {
+	if n := len(a.arpWaits.Parked(b.Addr())); n != 4 {
 		t.Fatalf("%d frames parked behind ARP, want 4", n)
 	}
 	s.RunFor(time.Second)
@@ -241,8 +241,8 @@ func TestKeptBytesSurviveLaterFrames(t *testing.T) {
 		sock.SendTo(silent, 2000, []byte(d))
 	}
 	s.RunFor(100 * time.Millisecond)
-	if conn == nil || len(conn.ooo) != 1 || len(h.arpWaits[silent].queue) != len(parked) {
-		t.Fatalf("setup: conn %v, %d stashed, ARP waits %v", conn != nil, len(conn.ooo), h.arpWaits)
+	if conn == nil || len(conn.ooo) != 1 || len(h.arpWaits.Parked(silent)) != len(parked) {
+		t.Fatalf("setup: conn %v, %d stashed, ARP waits %v", conn != nil, len(conn.ooo), h.arpWaits.Len())
 	}
 
 	// Unrelated frames of every kind the host parses: segments for sockets
@@ -319,19 +319,19 @@ func TestARPPendingQueueIsBounded(t *testing.T) {
 	for i := 0; i < flood; i++ {
 		sock.SendTo(dead, 7, []byte("into the void"))
 	}
-	if n := len(a.arpWaits[dead].queue); n != netstack.MaxARPPending {
+	if n := len(a.arpWaits.Parked(dead)); n != netstack.MaxARPPending {
 		t.Fatalf("%d frames parked, want the bound %d", n, netstack.MaxARPPending)
 	}
 	if got := a.arpDrops.Value(); got != flood-netstack.MaxARPPending {
 		t.Errorf("host.arp_pending_drops = %d, want %d", got, flood-netstack.MaxARPPending)
 	}
 	s.Run()
-	if len(a.arpWaits) != 0 || s.Pending() != 0 {
-		t.Errorf("after the ARP timeout: %d waits, %d events still pending", len(a.arpWaits), s.Pending())
+	if a.arpWaits.Len() != 0 || s.Pending() != 0 {
+		t.Errorf("after the ARP timeout: %d waits, %d events still pending", a.arpWaits.Len(), s.Pending())
 	}
 	// A later frame starts over with an empty queue.
 	sock.SendTo(dead, 7, []byte("again"))
-	if n := len(a.arpWaits[dead].queue); n != 1 {
+	if n := len(a.arpWaits.Parked(dead)); n != 1 {
 		t.Errorf("%d frames parked after the timeout, want 1", n)
 	}
 }

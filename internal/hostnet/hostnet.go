@@ -9,7 +9,7 @@
 // simulator is a single-threaded event loop: host.Conn callbacks fire
 // inside events and must never block. net.Conn callers are goroutines
 // that expect Read to block until data arrives. The bridge offers two
-// disciplines (DESIGN.md §3g):
+// disciplines (DESIGN.md §3e):
 //
 //   - sim.Proc callers ("coupled"): the proc runs only while the event
 //     loop is suspended, so facade calls touch connection state directly

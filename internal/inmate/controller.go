@@ -157,11 +157,7 @@ func (c *Controller) Execute(action string, vlan uint16) error {
 		return fmt.Errorf("inmate: unknown action %q", action)
 	}
 	rec.OK = true
-	if target := im.Host.Sim(); target != c.h.Sim() {
-		c.h.Sim().PostTo(target, 0, fn)
-		return nil
-	}
-	fn()
+	c.h.Sim().Hop(im.Host.Sim(), fn)
 	return nil
 }
 

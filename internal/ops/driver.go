@@ -11,12 +11,11 @@
 //     buffers — never sim-owned state, and never with backpressure into
 //     the emit path. A slow HTTP client loses events (counted), not the
 //     farm.
-//   - Control endpoints mutate sim state only from inside a sim event —
-//     injected on an unsharded farm, posted into the owning domain's event
-//     loop on a sharded one — so operator intervention lands in the
-//     journal in the same total order as everything else the farm does,
-//     and cross-domain effects travel the same PostTo trunks as farm
-//     traffic.
+//   - Control endpoints mutate sim state only from inside a sim event,
+//     injected into the owning domain's event loop (sim.Inject), so
+//     operator intervention lands in the journal in the same total order
+//     as everything else the farm does, and cross-domain effects travel
+//     the same sim.Hop path as the farm's own.
 package ops
 
 import (
@@ -40,11 +39,8 @@ var ErrStopped = errors.New("ops: driver stopped")
 
 // Driver runs a simulation as a long-lived real-time-paced soak, and is
 // the sole doorway through which alien goroutines (HTTP handlers) reach
-// sim state. An uncoordinated farm is pumped with sim.Pump and controlled
-// with sim.Inject; a sharded farm is advanced tick-by-tick through its
-// Coordinator, with control actions posted into their owning domains via
-// Coordinator.Post — they execute inside the target domain's event loop,
-// and any cross-domain effect rides the regular PostTo trunks.
+// sim state: Do injects a control action into the domain that owns the
+// state it touches.
 type Driver struct {
 	s     *sim.Simulator
 	coord *sim.Coordinator // non-nil when s is a coordinated root
@@ -73,6 +69,12 @@ func NewDriver(s *sim.Simulator, speed float64) *Driver {
 // which becomes the simulation goroutine for the duration. Each iteration
 // advances one tick's worth of virtual time, stamps the liveness clock,
 // and sleeps off any wall-time surplus.
+//
+// How a tick advances is the one place an unsharded and a sharded farm
+// genuinely differ: a standalone simulator is pumped, so an injection wakes
+// the loop at once and real time is yielded to alien goroutines before
+// virtual time leaps; a coordinator runs lockstep windows to the tick's end
+// and admits injections at the next tick's start.
 func (d *Driver) Run() {
 	defer close(d.done)
 	d.progress.Store(time.Now().UnixNano())
@@ -98,12 +100,9 @@ func (d *Driver) Run() {
 // than once and from any goroutine.
 func (d *Driver) Stop() {
 	d.stop.Store(true)
-	if d.coord == nil {
-		// Wake a Pump parked on an empty event queue. A coordinated loop
-		// never parks — RunUntil returns as soon as the tick's events are
-		// done — so it needs no wake-up.
-		d.s.Inject(func() {})
-	}
+	// Wake a Pump parked on an empty event queue. (A coordinated loop never
+	// parks — RunUntil returns as soon as the tick's events are done.)
+	d.s.Inject(func() {})
 	<-d.done
 }
 
@@ -116,31 +115,18 @@ func (d *Driver) SinceProgress() time.Duration {
 	return time.Since(time.Unix(0, d.progress.Load()))
 }
 
-// Do injects fn into the simulation loop and waits for its result, at most
-// timeout. fn runs on the sim goroutine, interleaved with the soak in FIFO
-// injection order; on timeout the action may still execute later — the
-// caller just stops waiting. On a sharded farm fn runs inside the root
-// domain's event loop (see DoIn for other domains).
-func (d *Driver) Do(timeout time.Duration, fn func() error) error {
-	return d.DoIn(timeout, d.s, fn)
-}
-
-// DoIn runs fn inside dom's event loop and waits for its result, at most
-// timeout. fn executes on dom's own goroutine at dom's clock while other
-// domains may be running concurrently, so it must touch only state dom
-// owns — reaching any other domain goes through PostTo. On an unsharded
-// farm dom is necessarily the farm simulator and DoIn is exactly Do.
-func (d *Driver) DoIn(timeout time.Duration, dom *sim.Simulator, fn func() error) error {
+// Do runs fn inside dom's event loop and waits for its result, at most
+// timeout. fn executes on dom's own goroutine at dom's clock, in FIFO
+// injection order; on a sharded farm other domains may be running
+// concurrently, so it must touch only state dom owns and reach any other
+// domain through sim.Hop. On timeout the action may still execute later —
+// the caller just stops waiting.
+func (d *Driver) Do(timeout time.Duration, dom *sim.Simulator, fn func() error) error {
 	if d.stop.Load() {
 		return ErrStopped
 	}
 	ch := make(chan error, 1)
-	run := func() { ch <- fn() }
-	if d.coord != nil {
-		d.coord.Post(dom, run)
-	} else {
-		d.s.Inject(run)
-	}
+	dom.Inject(func() { ch <- fn() })
 	select {
 	case err := <-ch:
 		return err

@@ -227,7 +227,7 @@ func TestServeEndToEnd(t *testing.T) {
 	target := d.Now() + 10*time.Minute
 	waitSim(t, d, target)
 	var swapped bool
-	err = d.Do(5*time.Second, func() error {
+	err = d.Do(5*time.Second, f.Sim, func() error {
 		for _, sub := range f.Subfarms {
 			for _, ld := range sub.CS.DecisionLog {
 				if ld.Policy == "HardDeny" {
@@ -419,7 +419,7 @@ func TestDriverDoAfterStop(t *testing.T) {
 	d := ops.NewDriver(f.Sim, 1000)
 	go d.Run()
 	d.Stop()
-	if err := d.Do(time.Second, func() error { return nil }); err != ops.ErrStopped {
+	if err := d.Do(time.Second, f.Sim, func() error { return nil }); err != ops.ErrStopped {
 		t.Fatalf("Do after Stop: %v", err)
 	}
 }

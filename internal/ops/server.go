@@ -39,7 +39,7 @@ type Config struct {
 
 // Server is the ops-plane HTTP handler set. All read handlers consume only
 // registry snapshots, journal dump copies, and fanout rings; all write
-// handlers go through Driver.DoIn into the domain owning the state they
+// handlers go through Driver.Do into the domain owning the state they
 // touch.
 type Server struct {
 	cfg Config
@@ -53,9 +53,7 @@ type Server struct {
 	injectors map[string]*chaos.Injector
 }
 
-// NewServer builds the handler set. Sharded farms are served too: control
-// actions are posted into the owning subfarm's domain (Driver.DoIn)
-// instead of injected into a single event loop.
+// NewServer builds the handler set.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Farm == nil || cfg.Fanout == nil || cfg.Driver == nil {
 		return nil, fmt.Errorf("ops: Config needs Farm, Fanout, and Driver")
@@ -370,7 +368,7 @@ func (s *Server) handleMachines(w http.ResponseWriter, r *http.Request) {
 	var err error
 	for _, sf := range s.cfg.Farm.Subfarms {
 		sf := sf
-		if err = s.cfg.Driver.DoIn(s.cfg.ControlTimeout, sf.Sim, func() error {
+		if err = s.cfg.Driver.Do(s.cfg.ControlTimeout, sf.Sim, func() error {
 			out = append(out, sf.Machines()...)
 			return nil
 		}); err != nil {
@@ -412,7 +410,7 @@ func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 	}
 	// Resolve nothing else up front: the swap itself — decider
 	// construction included — runs inside the subfarm's event loop.
-	err = s.cfg.Driver.DoIn(s.cfg.ControlTimeout, sf.Sim, func() error {
+	err = s.cfg.Driver.Do(s.cfg.ControlTimeout, sf.Sim, func() error {
 		return sf.SwapPolicy(req.Lo, req.Hi, req.Policy)
 	})
 	s.answerControl(w, err, map[string]any{
@@ -447,7 +445,7 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := func() *obs.Scope { return sf.Sim.Obs().Scope(sf.Name, 0) }
 	if req.Stop {
-		err = s.cfg.Driver.DoIn(s.cfg.ControlTimeout, sf.Sim, func() error {
+		err = s.cfg.Driver.Do(s.cfg.ControlTimeout, sf.Sim, func() error {
 			s.injMu.Lock()
 			inj := s.injectors[sf.Name]
 			delete(s.injectors, sf.Name)
@@ -467,7 +465,7 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	err = s.cfg.Driver.DoIn(s.cfg.ControlTimeout, sf.Sim, func() error {
+	err = s.cfg.Driver.Do(s.cfg.ControlTimeout, sf.Sim, func() error {
 		s.injMu.Lock()
 		running := s.injectors[sf.Name] != nil
 		s.injMu.Unlock()
@@ -521,7 +519,7 @@ func (s *Server) handleLockdown(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("global lockdown needs a supervision tree (run with -tree)"))
 			return
 		}
-		err := s.cfg.Driver.DoIn(s.cfg.ControlTimeout, f.Sim, func() error {
+		err := s.cfg.Driver.Do(s.cfg.ControlTimeout, f.Sim, func() error {
 			if req.On {
 				tree.GlobalLockdown(req.Reason)
 			} else {
@@ -543,7 +541,7 @@ func (s *Server) handleLockdown(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	closed := 0
-	err = s.cfg.Driver.DoIn(s.cfg.ControlTimeout, sf.Sim, func() error {
+	err = s.cfg.Driver.Do(s.cfg.ControlTimeout, sf.Sim, func() error {
 		closed = sf.SetLockdown(req.On, req.Reason)
 		sf.Sim.Obs().Scope(sf.Name, 0).Emit(obs.Event{
 			Type: obs.EvOpsLockdown, Detail: sf.Name + " " + verb + " " + req.Reason,
@@ -581,7 +579,7 @@ func (s *Server) handleQuarantine(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
-	err = s.cfg.Driver.DoIn(s.cfg.ControlTimeout, sf.Sim, func() error {
+	err = s.cfg.Driver.Do(s.cfg.ControlTimeout, sf.Sim, func() error {
 		return sf.QuarantineInmate(vlan, req.Action)
 	})
 	s.answerControl(w, err, map[string]any{
@@ -612,7 +610,7 @@ func (s *Server) handleRecycle(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
-	err = s.cfg.Driver.DoIn(s.cfg.ControlTimeout, sf.Sim, func() error {
+	err = s.cfg.Driver.Do(s.cfg.ControlTimeout, sf.Sim, func() error {
 		return sf.RecycleInmate(vlan)
 	})
 	s.answerControl(w, err, map[string]any{

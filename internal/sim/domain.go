@@ -17,10 +17,11 @@ import (
 // conservative lookahead synchronization (classic CMB-style, with
 // demand-driven per-domain windows — null-message elision):
 //
-//   - Every cross-domain effect is posted with PostTo and takes at least
-//     the coordinator's lookahead of virtual time to arrive. That is the
-//     physical trunk/uplink latency between a subfarm and the gateway, so
-//     the clamp models wire delay, not an artificial fudge.
+//   - Every cross-domain effect is posted (Hop, PostTo, PostTimerTo) and
+//     takes at least the coordinator's lookahead of virtual time to
+//     arrive. That is the physical trunk/uplink latency between a subfarm
+//     and the gateway, so the clamp models wire delay, not an artificial
+//     fudge.
 //   - Each round the coordinator collects every domain's next actionable
 //     time next_o = min(local event queue, earliest undelivered cross
 //     message bound for o). Domain d may then run freely up to
@@ -108,17 +109,6 @@ type Coordinator struct {
 	busyGauge  *obs.Gauge
 	roundsCtr  *obs.Counter
 	windowsCtr *obs.Counter
-
-	// posted holds control actions handed in from alien goroutines
-	// (Coordinator.Post); drained onto domain queues at quiesce points.
-	postMu sync.Mutex
-	posted []ctlPost
-}
-
-// ctlPost is one queued control action bound for a domain.
-type ctlPost struct {
-	dom *Simulator
-	fn  func()
 }
 
 // maxTime is the "no event" sentinel for round planning.
@@ -211,6 +201,21 @@ func (s *Simulator) CrossFloor(o *Simulator) time.Duration {
 		return 0
 	}
 	return s.coord.lookahead
+}
+
+// Hop runs fn on dst's goroutine, called from s's: at once when dst is s,
+// otherwise as an event on dst one lookahead from now, delivered through
+// the coordinator's deterministic merge. It is the one way for code running
+// in a domain to touch state another domain owns. Whatever fn reports back
+// through captured variables is set on return only when the hop was a call;
+// a posted fn has merely been accepted. Panics if the simulators do not
+// share a coordinator.
+func (s *Simulator) Hop(dst *Simulator, fn func()) {
+	if dst == s {
+		fn()
+		return
+	}
+	s.post(dst, 0, crossMsg{fn: fn})
 }
 
 // PostTo schedules fn on dst after delay d of virtual time. Within one
@@ -307,7 +312,9 @@ func (c *Coordinator) RunUntil(deadline time.Duration) {
 	}
 
 	halted := false
-	c.drainPosted()
+	for _, d := range c.domains {
+		d.admitInjected()
+	}
 	for !halted {
 		t, ok := c.nextTime()
 		if !ok || t > deadline {
@@ -508,34 +515,6 @@ func (c *Coordinator) drain() {
 			return
 		}
 		c.curActive[i].runWindow(c.curLimit)
-	}
-}
-
-// Post hands fn in from an alien goroutine (an ops driver, a signal
-// handler) to run inside dom's event loop at dom's current clock. The
-// action is queued thread-safely and scheduled at the next quiesce point —
-// the start of the next RunUntil, when every domain is parked — so it
-// executes on dom's own goroutine, stamped with dom's clock, journalled on
-// dom's stream, with cross-domain effects riding the regular PostTo
-// machinery. This is the shard-safe analogue of Simulator.Inject.
-func (c *Coordinator) Post(dom *Simulator, fn func()) {
-	if dom.coord != c {
-		panic("sim: Coordinator.Post to a foreign domain")
-	}
-	c.postMu.Lock()
-	c.posted = append(c.posted, ctlPost{dom: dom, fn: fn})
-	c.postMu.Unlock()
-}
-
-// drainPosted schedules queued control actions onto their domains. Called
-// only while the coordinator is quiesced (start of RunUntil).
-func (c *Coordinator) drainPosted() {
-	c.postMu.Lock()
-	posted := c.posted
-	c.posted = nil
-	c.postMu.Unlock()
-	for _, p := range posted {
-		p.dom.ScheduleAt(p.dom.now, p.fn)
 	}
 }
 

@@ -2,8 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
+
+	"gq/internal/obs"
 )
 
 // pingPongTrace runs a 3-domain ping-pong workload under the given worker
@@ -229,28 +233,101 @@ func TestCrossPostStraddlesHalt(t *testing.T) {
 	}
 }
 
-// TestCoordinatorPostRunsInDomain: Coordinator.Post hands a control action
-// from an alien goroutine into the owning domain's event loop; it executes
-// at the domain's clock and may use PostTo like any other event.
-func TestCoordinatorPostRunsInDomain(t *testing.T) {
+// captureSink records every event the journal writes through.
+type captureSink struct{ events []obs.Event }
+
+func (c *captureSink) WriteEvent(e obs.Event) error {
+	c.events = append(c.events, e)
+	return nil
+}
+
+// TestInjectOnDomainRunsInDomain: Inject hands a control action from an
+// alien goroutine into a coordinated domain's event loop; it executes at the
+// domain's clock, journals on the domain's stream, and anything it sends to
+// another domain arrives one lookahead later like any other event's hop.
+func TestInjectOnDomainRunsInDomain(t *testing.T) {
 	root := New(19)
 	c := NewCoordinator(root, 10*time.Millisecond, 2)
 	d := c.NewDomain()
 	d.Every(time.Millisecond, func() {}) // keep the domain busy
+	sink := &captureSink{}
+	root.Obs().Journal.SetSink(sink)
+	sc := d.Obs().Scope("ctl", 8)
 
 	c.RunUntil(50 * time.Millisecond)
 	var ranAt, echoAt time.Duration
-	c.Post(d, func() {
-		ranAt = d.Now()
-		d.PostTo(root, 0, func() { echoAt = root.Now() })
-	})
+	done := make(chan struct{})
+	go func() { // the outside goroutine
+		defer close(done)
+		d.Inject(func() {
+			ranAt = d.Now()
+			sc.Emit(obs.Event{Type: "test.injected"})
+			d.Hop(root, func() { echoAt = root.Now() })
+		})
+	}()
+	<-done
+	if ranAt != 0 || d.Pending() != 1 {
+		t.Fatalf("injection ran before the quiesce point (ranAt %v, pending %d)", ranAt, d.Pending())
+	}
 	c.RunUntil(100 * time.Millisecond)
 	if ranAt != 50*time.Millisecond {
-		t.Fatalf("posted action ran at %v, want 50ms (the quiesce clock)", ranAt)
+		t.Fatalf("injected action ran at %v, want 50ms (the quiesce clock)", ranAt)
 	}
 	if echoAt != 60*time.Millisecond {
 		t.Fatalf("cross-domain echo at %v, want 60ms (one lookahead later)", echoAt)
 	}
+	if len(sink.events) != 1 || sink.events[0].T != 50*time.Millisecond || sink.events[0].Scope != "ctl" {
+		t.Fatalf("journal %+v, want one ctl event stamped 50ms by the domain's stream", sink.events)
+	}
+	if d.Obs().Scope("ctl", 8).Len() != 1 || root.Obs().Scope("ctl", 8).Len() != 0 {
+		t.Fatal("injected event must land in the domain's ring, not the root's")
+	}
+}
+
+// TestHop: a hop is a call inside one domain and a lookahead-floor post
+// between two, on a standalone simulator and under a coordinator alike.
+func TestHop(t *testing.T) {
+	alone := New(1)
+	root := New(2)
+	c := NewCoordinator(root, 10*time.Millisecond, 2)
+	a, b := c.NewDomain(), c.NewDomain()
+	run := func(until time.Duration) {
+		alone.RunUntil(until)
+		c.RunUntil(until)
+	}
+	for _, tc := range []struct {
+		name     string
+		from, to *Simulator
+		wantAt   time.Duration // arrival, relative to the hop
+	}{
+		{"standalone to itself", alone, alone, 0},
+		{"root to itself", root, root, 0},
+		{"domain to itself", a, a, 0},
+		{"root to domain", root, a, 10 * time.Millisecond},
+		{"domain to root", a, root, 10 * time.Millisecond},
+		{"domain to domain", a, b, 10 * time.Millisecond},
+	} {
+		start := tc.from.Now() + 5*time.Millisecond
+		ranAt, ranBeforeReturn := time.Duration(-1), false
+		tc.from.ScheduleAt(start, func() {
+			tc.from.Hop(tc.to, func() { ranAt = tc.to.Now() })
+			ranBeforeReturn = ranAt >= 0
+		})
+		run(start + 50*time.Millisecond)
+		if ranAt != start+tc.wantAt {
+			t.Errorf("%s: ran at %v, want %v", tc.name, ranAt, start+tc.wantAt)
+		}
+		if ranBeforeReturn != (tc.wantAt == 0) {
+			t.Errorf("%s: ran before Hop returned = %v", tc.name, ranBeforeReturn)
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Hop to an unrelated simulator must panic")
+		}
+	}()
+	root.Hop(alone, func() {})
 }
 
 // TestCoordinatorHaltStopsRun: halting any domain freezes the whole
@@ -343,5 +420,102 @@ func TestDomainRNGStreamsIndependent(t *testing.T) {
 	}
 	if fmt.Sprint(one[1]) == fmt.Sprint(one[2]) {
 		t.Fatal("distinct shards drew identical RNG streams")
+	}
+}
+
+// stormRun replays one seeded cross-post storm — chains of events that fan
+// out at random to their own and other domains by Hop, by PostTo with random
+// delays >= 0 and by local Schedule, kicked off by seeded events and by a few
+// Injects between RunUntil slices — and returns each domain's event order
+// and the merged journal.
+func stormRun(seed int64, workers int) (perDomain [][]string, journal []string) {
+	const domains, slices, slice = 5, 6, 40 * time.Millisecond
+	root := New(seed)
+	c := NewCoordinator(root, 10*time.Millisecond, workers)
+	doms := []*Simulator{root}
+	for len(doms) < domains {
+		doms = append(doms, c.NewDomain())
+	}
+	sink := &captureSink{}
+	root.Obs().Journal.SetSink(sink)
+	perDomain = make([][]string, domains)
+	scopes := make([]*obs.Scope, domains)
+	for i, d := range doms {
+		scopes[i] = d.Obs().Scope("storm", 16)
+	}
+
+	// act runs on d's goroutine and touches only d's trace, scope and RNG.
+	var act func(d *Simulator, tag string, depth int)
+	act = func(d *Simulator, tag string, depth int) {
+		i := d.Shard()
+		perDomain[i] = append(perDomain[i], fmt.Sprintf("%v %s/%d", d.Now(), tag, depth))
+		scopes[i].Emit(obs.Event{Type: "storm.act", N: uint64(depth), Detail: tag})
+		if depth == 0 {
+			return
+		}
+		rng := d.Rand()
+		for fan := rng.Intn(4); fan > 0; fan-- {
+			to := doms[rng.Intn(domains)]
+			switch next := func() { act(to, tag, depth-1) }; rng.Intn(3) {
+			case 0:
+				d.Hop(to, next)
+			case 1:
+				d.PostTo(to, time.Duration(rng.Intn(30))*time.Millisecond, next)
+			default:
+				d.Schedule(time.Duration(rng.Intn(5000))*time.Microsecond, func() { d.Hop(to, next) })
+			}
+		}
+	}
+
+	plan := rand.New(rand.NewSource(seed)) // the driver's choices, not a domain's
+	for i := 0; i < 8; i++ {
+		d, tag := doms[plan.Intn(domains)], fmt.Sprintf("seed%d", i)
+		d.Schedule(time.Duration(plan.Intn(100))*time.Millisecond, func() { act(d, tag, 6) })
+	}
+	for s := 1; s <= slices; s++ {
+		c.RunUntil(time.Duration(s) * slice)
+		for n := plan.Intn(3); n > 0; n-- {
+			d, tag := doms[plan.Intn(domains)], fmt.Sprintf("inject%d.%d", s, n)
+			d.Inject(func() { act(d, tag, 4) })
+		}
+	}
+	c.RunUntil(time.Second)
+	for _, e := range sink.events {
+		journal = append(journal, fmt.Sprintf("%v %s %s/%d", e.T, e.Scope, e.Detail, e.N))
+	}
+	return perDomain, journal
+}
+
+// TestCoordinatorStormDeterministicAcrossWorkers is the randomized proof of
+// the coordinator's contract: for several seeds, a cross-post storm replayed
+// at 1..8 workers executes every domain's events in the same order and
+// merges to the same journal.
+func TestCoordinatorStormDeterministicAcrossWorkers(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42, 2011} {
+		wantDomains, wantJournal := stormRun(seed, 1)
+		if len(wantJournal) < 100 {
+			t.Fatalf("seed %d: storm too small to prove anything (%d events)", seed, len(wantJournal))
+		}
+		crossed := 0
+		for _, tr := range wantDomains {
+			if len(tr) > 0 {
+				crossed++
+			}
+		}
+		if crossed < 4 {
+			t.Fatalf("seed %d: storm reached only %d domains", seed, crossed)
+		}
+		for workers := 2; workers <= 8; workers++ {
+			gotDomains, gotJournal := stormRun(seed, workers)
+			for i := range wantDomains {
+				if !reflect.DeepEqual(gotDomains[i], wantDomains[i]) {
+					t.Fatalf("seed %d workers %d: domain %d event order differs:\n got %v\nwant %v",
+						seed, workers, i, gotDomains[i], wantDomains[i])
+				}
+			}
+			if !reflect.DeepEqual(gotJournal, wantJournal) {
+				t.Fatalf("seed %d workers %d: merged journal differs", seed, workers)
+			}
+		}
 	}
 }

@@ -20,14 +20,17 @@ import (
 //     TestShardDeterminism).
 //
 //   - Inject + Pump: a thread-safe mailbox for *alien* goroutines the
-//     simulator cannot track (stdlib net/http spawns its own). Injected
-//     closures run on the loop goroutine at the current virtual time; Pump
-//     drives the loop while yielding real time to the aliens so their
-//     next injections can land before virtual time runs away from them.
-//     Ordering depends on OS scheduling, so this bridge is NOT
-//     byte-deterministic and panics on coordinated domains.
+//     simulator cannot track (stdlib net/http spawns its own, an operator's
+//     HTTP request arrives on one). Injected closures run on the domain's
+//     own goroutine at the domain's clock; Pump drives a standalone loop
+//     while yielding real time to the aliens so their next injections can
+//     land before virtual time runs away from them. When an injection
+//     lands relative to virtual time depends on the OS scheduler, so a run
+//     that injects while the simulation is advancing is NOT
+//     byte-deterministic (one that injects only between Run calls is).
 //
-// DESIGN.md §3g states the rules; internal/hostnet is the consumer.
+// DESIGN.md §3e states the rules; internal/hostnet and
+// internal/ops are the consumers.
 
 // goid returns the calling goroutine's id, parsed from the first line of
 // runtime.Stack ("goroutine 123 [running]:"). Costs on the order of a
@@ -180,20 +183,20 @@ func (s *Simulator) endLoop()   { s.loopG.Store(0) }
 // that position: parking there would deadlock the simulation.
 func (s *Simulator) OnEventLoop() bool { return s.loopG.Load() == goid() }
 
-// Inject schedules fn to run on the simulator's loop goroutine at the
-// current virtual time. It is the only Simulator entry point that is safe
-// to call from an arbitrary goroutine while the simulation runs; every
-// other method requires the caller to hold control of the loop.
+// Inject hands fn in from an arbitrary goroutine to run on s's own
+// goroutine at s's clock. It is the only Simulator entry point that is safe
+// to call from outside while the simulation runs; every other method
+// requires the caller to hold control of the loop.
 //
-// Injected closures run in FIFO order before the next event fires, but
-// *when* an alien goroutine's Inject lands relative to virtual time
-// depends on the OS scheduler — runs that use Inject are not
-// byte-deterministic. It therefore panics on a coordinated domain, where
-// byte-identical replay is the contract.
+// On a standalone simulator injected closures run in FIFO order before the
+// next event fires. On a coordinated domain they become events of that
+// domain at the next quiesce point — the start of the coordinator's next
+// RunUntil, when every domain is parked — so they are journalled on the
+// domain's stream and anything they send to another domain rides the
+// regular Hop/PostTo path. Either way, when an injection made while the
+// simulation is advancing lands relative to virtual time depends on the OS
+// scheduler; only injections made between Run calls replay byte-for-byte.
 func (s *Simulator) Inject(fn func()) {
-	if s.coord != nil {
-		panic("sim: Inject on a coordinated domain (use a Proc; see DESIGN.md §3g)")
-	}
 	if fn == nil {
 		panic("sim: nil injected function")
 	}
@@ -202,23 +205,40 @@ func (s *Simulator) Inject(fn func()) {
 	s.injectMu.Unlock()
 	s.injectN.Store(1)
 	select {
-	case s.injectSig <- struct{}{}:
+	case s.injectSig <- struct{}{}: // wakes a Pump parked on an empty queue
 	default:
 	}
 }
 
-// drainInjected runs all closures handed over by Inject. Called by the
-// loop goroutine only.
+// takeInjected empties the mailbox. Called by the goroutine that holds
+// control of s only.
+func (s *Simulator) takeInjected() []func() {
+	s.injectMu.Lock()
+	fns := s.injected
+	s.injected = nil
+	s.injectN.Store(0)
+	s.injectMu.Unlock()
+	return fns
+}
+
+// drainInjected runs all closures handed over by Inject: the standalone
+// simulator's side of the mailbox.
 func (s *Simulator) drainInjected() {
 	for s.injectN.Load() != 0 {
-		s.injectMu.Lock()
-		fns := s.injected
-		s.injected = nil
-		s.injectN.Store(0)
-		s.injectMu.Unlock()
-		for _, fn := range fns {
+		for _, fn := range s.takeInjected() {
 			fn()
 		}
+	}
+}
+
+// admitInjected turns the mailbox into events at the domain's clock: the
+// coordinated domain's side, called by the coordinator while it is quiesced.
+func (s *Simulator) admitInjected() {
+	if s.injectN.Load() == 0 {
+		return
+	}
+	for _, fn := range s.takeInjected() {
+		s.ScheduleAt(s.now, fn)
 	}
 }
 
@@ -242,7 +262,7 @@ const (
 // injections, so an alien blocked in a facade Read gets its data before
 // the retransmit timer for the same segment fires. This makes Pump
 // correct for running unmodified stdlib network code, and unsuitable for
-// determinism-checked experiments — see DESIGN.md §3g.
+// determinism-checked experiments — see DESIGN.md §3e.
 func (s *Simulator) Pump(deadline time.Duration, stop func() bool) bool {
 	if stop == nil {
 		panic("sim: Pump requires a stop predicate")

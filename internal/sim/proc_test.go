@@ -170,20 +170,6 @@ func TestPumpDeadline(t *testing.T) {
 	}
 }
 
-// TestInjectOnDomainPanics pins the determinism guard: the alien bridge
-// is forbidden inside coordinated (sharded) simulations.
-func TestInjectOnDomainPanics(t *testing.T) {
-	root := New(1)
-	c := NewCoordinator(root, 0, 1)
-	d := c.NewDomain()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	d.Inject(func() {})
-}
-
 // TestProcInDomainDeterministic runs proc-driven workloads inside a
 // sharded simulation at 1 and 2 workers and demands identical traces:
 // the coupling discipline must survive domains executing on helper

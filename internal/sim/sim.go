@@ -141,8 +141,9 @@ func (q eventQueue) down(i int, e *Event) {
 // Coordinator owns several Simulators (the root plus one per shard) and
 // runs them on worker goroutines under conservative lookahead
 // synchronization. Within a domain nothing changes — components schedule
-// on their own Simulator exactly as in the single-domain case; only
-// PostTo crosses domains.
+// on their own Simulator exactly as in the single-domain case; only Hop
+// (and the timed posts under it, PostTo and PostTimerTo) crosses domains,
+// and only Inject enters from outside.
 type Simulator struct {
 	now    time.Duration
 	seq    uint64
@@ -350,8 +351,8 @@ func (s *Simulator) Pending() int { return len(s.queue) }
 // Step executes the next pending event, advancing the clock to its firing
 // time. It returns false when the queue is empty or the simulator halted.
 func (s *Simulator) Step() bool {
-	if s.injectN.Load() != 0 {
-		s.drainInjected()
+	if s.injectN.Load() != 0 && s.coord == nil {
+		s.drainInjected() // a coordinated domain's mailbox waits for the quiesce point
 	}
 	if len(s.queue) == 0 || s.halted {
 		return false

@@ -18,7 +18,7 @@ import (
 // pipelining, chunked bodies and keep-alive all behave exactly like a
 // production server a specimen would click against.
 //
-// The server's handler goroutines are detached (DESIGN.md §3g): the
+// The server's handler goroutines are detached (DESIGN.md §3e): the
 // simulation must be driven with Simulator.Pump while this sink is live,
 // and the habitat cannot be a sharded domain. Farms that need
 // byte-deterministic journals keep the callback HTTPSink.

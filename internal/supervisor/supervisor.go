@@ -20,7 +20,7 @@
 //
 // Determinism: every timer runs on the owning node's simulation domain
 // clock, every random choice (restart jitter) draws from that domain's
-// RNG, and every cross-domain escalation travels sim.PostTo — so a
+// RNG, and every cross-domain escalation travels sim.Hop — so a
 // (seed, profile) pair replays byte-identically at any worker count; the
 // tree is just more events in the same ordered world. All state is
 // touched only from the owning domain goroutine, like the router's.
@@ -387,7 +387,7 @@ func (sup *Supervisor) watchCS(idx int, addr netstack.Addr, restart func()) *wat
 func (sup *Supervisor) watchController(root *Root, addr netstack.Addr) *watch {
 	w := sup.add(&watch{kind: KindController, id: "controller", addr: addr})
 	w.after = func(t transition, _ string) {
-		hop(sup.s, root.s, func() { root.controllerReport(t, sup.name) })
+		sup.s.Hop(root.s, func() { root.controllerReport(t, sup.name) })
 	}
 	return w
 }
@@ -482,7 +482,7 @@ func (sup *Supervisor) EngageLockdown(reason string) int {
 	sup.tree.Emit(obs.Event{Type: EvLockdown, N: uint64(failed), Detail: sup.name + ": " + reason})
 	sup.tree.Dump(fmt.Sprintf("subfarm %s locked down (%s; %d flows failed closed)", sup.name, reason, failed))
 	if l := sup.link; l != nil {
-		hop(sup.s, l.root.s, func() { l.root.onSubfarmLockdown(l) })
+		sup.s.Hop(l.root.s, func() { l.root.onSubfarmLockdown(l) })
 	}
 	return failed
 }
@@ -500,7 +500,7 @@ func (sup *Supervisor) ReleaseLockdown(reason string) {
 	sup.note("release", " "+reason)
 	sup.tree.Emit(obs.Event{Type: EvLockdownRelease, Detail: sup.name + ": " + reason})
 	if l := sup.link; l != nil {
-		hop(sup.s, l.root.s, func() { l.root.onSubfarmRelease(l) })
+		sup.s.Hop(l.root.s, func() { l.root.onSubfarmRelease(l) })
 	}
 	sup.deadSince = -1
 	sup.checkContainment()

@@ -21,12 +21,11 @@ import (
 // closed at once.
 //
 // Cross-domain rules match the rest of the tree: subfarm→root reports
-// and root→subfarm lockdown commands travel sim.PostTo, so escalation
+// and root→subfarm lockdown commands travel sim.Hop, so escalation
 // order is part of the deterministic event order at any worker count.
 // Operator commands (POST /lockdown, the ops dead-man switch) enter from
-// alien goroutines via ops.Driver.DoIn, which posts through
-// sim.Coordinator.Post onto the root domain before touching any of this
-// state.
+// alien goroutines via ops.Driver.Do, which injects them into the root
+// domain (sim.Inject) before they touch any of this state.
 type Root struct {
 	node
 	ctl      *watch // the inmate controller; nil without a ControllerHost
@@ -135,7 +134,7 @@ func (r *Root) Attach(sup *Supervisor) {
 
 // WatchProgress registers a progress-marked component owned by domain
 // dom. read and rearm are invoked on dom's goroutine (the root
-// round-trips via sim.PostTo); read returns the current monotone
+// round-trips via sim.Hop); read returns the current monotone
 // progress mark and whether the component is active — an inactive
 // component is never wedged. A mark frozen past WedgeBudget while active
 // is journalled as down and re-armed at once, behind the breaker.
@@ -143,7 +142,7 @@ func (r *Root) WatchProgress(kind Kind, id string, dom *sim.Simulator, read func
 	r.watch(&watch{
 		kind: kind, id: id, dom: dom, read: read, budget: r.cfg.WedgeBudget,
 		lastMark: -1, lastChange: r.s.Now(),
-		restart:   func() { hop(r.s, dom, rearm) },
+		restart:   func() { r.s.Hop(dom, rearm) },
 		immediate: true, restartNote: " rearm", restarts: r.rearmsTotal,
 	})
 }
@@ -161,16 +160,16 @@ func (r *Root) WatchHost(kind Kind, id string, h *host.Host) {
 }
 
 // poll takes a reading of every polled watch. Watches owned by other
-// domains are read with a PostTo round trip — out to the owning domain,
+// domains are read with a Hop round trip — out to the owning domain,
 // result posted back — which keeps both sides' event order deterministic.
 func (r *Root) poll() {
 	for _, w := range r.watches {
 		if w.read == nil || w.quarantined {
 			continue
 		}
-		hop(r.s, w.dom, func() {
+		r.s.Hop(w.dom, func() {
 			mark, active := w.read()
-			hop(w.dom, r.s, func() { r.noteReading(w, mark, active) })
+			w.dom.Hop(r.s, func() { r.noteReading(w, mark, active) })
 		})
 	}
 }
@@ -229,7 +228,7 @@ func (r *Root) GlobalLockdown(reason string) {
 	r.tree.Emit(obs.Event{Type: EvGlobalLockdown, Detail: reason})
 	r.tree.Dump("GLOBAL DEAD-MAN LOCKDOWN: " + reason)
 	for _, l := range r.subfarms {
-		hop(r.s, l.sup.s, func() { l.sup.EngageLockdown("dead-man: " + reason) })
+		r.s.Hop(l.sup.s, func() { l.sup.EngageLockdown("dead-man: " + reason) })
 	}
 }
 
@@ -245,7 +244,7 @@ func (r *Root) Release(reason string) {
 	r.note("global_release", " "+reason)
 	r.tree.Emit(obs.Event{Type: EvGlobalRelease, Detail: reason})
 	for _, l := range r.subfarms {
-		hop(r.s, l.sup.s, func() { l.sup.ReleaseLockdown("global release: " + reason) })
+		r.s.Hop(l.sup.s, func() { l.sup.ReleaseLockdown("global release: " + reason) })
 	}
 }
 

@@ -152,17 +152,6 @@ func (n *node) add(w *watch) *watch {
 // Fixed once wiring completes; read-only, from any goroutine.
 func (n *node) WatchCounts() map[string]int { return n.watchCounts }
 
-// hop runs fn on domain to's goroutine, called from domain from's: at once
-// when they are one domain, otherwise as a sim.PostTo event, so cross-domain
-// reports and commands stay inside the deterministic event order.
-func hop(from, to *sim.Simulator, fn func()) {
-	if from == to {
-		fn()
-		return
-	}
-	from.PostTo(to, 0, fn)
-}
-
 // tick probes every probe-fed, non-quarantined watch, in attach order,
 // and arms the per-probe deadline.
 func (n *node) tick() {
