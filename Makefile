@@ -42,12 +42,15 @@ loc:
 # Native fuzz targets on a short budget each (go test takes one -fuzz
 # target per package run). A crasher lands in the package's
 # testdata/fuzz/<target>/ — commit it: plain `go test` replays it from
-# then on.
+# then on. FuzzEventQueue's inputs are scripts a few hundred bytes long; the
+# engine's minimiser, which is quadratic in that length and runs on every
+# input that adds coverage, is held to ten executions or it eats the budget.
 FUZZTIME ?= 10s
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime $(FUZZTIME) ./internal/netstack
 	$(GO) test -run '^$$' -fuzz '^FuzzVLANReshape$$' -fuzztime $(FUZZTIME) ./internal/netstack
+	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/sim
 
 # Chaos soak: the Botfarm demo under the "soak" fault profile (≥5% loss,
 # reorder/dup/corruption, link flaps, a CS crash, verdict stalls, a sink

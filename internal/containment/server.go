@@ -217,24 +217,26 @@ func (s *Server) log(req *shim.Request, dec Decision, policy string) {
 // answer with the response shim, then run content control if required.
 func (s *Server) acceptTCP(c *host.Conn) {
 	sess := &Session{server: s, client: c}
-	var buf []byte
 	c.OnData = func(data []byte) {
 		if sess.started {
 			sess.clientData(data)
 			return
 		}
-		buf = append(buf, data...)
-		if len(buf) < shim.RequestLen {
-			return
+		// The request shim nearly always arrives whole in the first
+		// segment and is decoded where it lies; head only ever holds a
+		// split one.
+		if len(sess.head) > 0 || len(data) < shim.RequestLen {
+			sess.head = append(sess.head, data...)
+			if len(sess.head) < shim.RequestLen {
+				return
+			}
+			data, sess.head = sess.head, nil
 		}
-		req, err := shim.UnmarshalRequest(buf[:shim.RequestLen])
-		if err != nil {
+		if err := sess.req.Unmarshal(data[:shim.RequestLen]); err != nil {
 			c.Abort()
 			return
 		}
-		rest := buf[shim.RequestLen:]
-		buf = nil
-		sess.start(req, rest)
+		sess.start(&sess.req, data[shim.RequestLen:])
 	}
 	c.OnPeerClose = func() {
 		if sess.started && sess.handler != nil {

@@ -2,8 +2,13 @@ package containment
 
 import (
 	"testing"
+	"time"
 
+	"gq/internal/host"
+	"gq/internal/netsim"
+	"gq/internal/netstack"
 	"gq/internal/shim"
+	"gq/internal/sim"
 )
 
 type namedDecider struct{ name string }
@@ -45,5 +50,82 @@ func TestSwapPolicy(t *testing.T) {
 	}
 	if got := name(40); got != "deny" {
 		t.Fatalf("vlan 40 dispatches to %s, want fallback", got)
+	}
+}
+
+// rewriteAll is a policy that takes every flow into content control and
+// records the client bytes its handler is shown.
+type rewriteAll struct{ seen map[uint16]string }
+
+func (p *rewriteAll) Name() string { return "rewriteAll" }
+func (p *rewriteAll) Decide(*shim.Request) Decision {
+	return Decision{Verdict: shim.Rewrite, Handler: p}
+}
+func (p *rewriteAll) OnClientData(s *Session, data []byte) { p.seen[s.Req.NoncePort] += string(data) }
+func (p *rewriteAll) OnServerData(*Session, []byte)        {}
+func (p *rewriteAll) OnClientClose(*Session)               {}
+func (p *rewriteAll) OnServerClose(*Session)               {}
+
+// TestAcceptTCPRequestShimFraming: the request shim is decoded where it
+// arrives when the first segment holds all of it, and reassembled first
+// when it does not; either way the bytes behind it reach the handler once,
+// in order, and the session's Req is the shim that was sent.
+func TestAcceptTCPRequestShimFraming(t *testing.T) {
+	s := sim.New(1)
+	sw := netsim.NewSwitch(s, "sw")
+	cs := host.New(s, "cs", netstack.MAC{2, 0, 0, 0, 0, 1})
+	gw := host.New(s, "gw", netstack.MAC{2, 0, 0, 0, 0, 2})
+	netsim.Connect(sw.AddAccessPort("cs", 10), cs.NIC(), 0)
+	netsim.Connect(sw.AddAccessPort("gw", 10), gw.NIC(), 0)
+	cs.ConfigureStatic(netstack.MustParseAddr("10.0.0.1"), 24, 0)
+	gw.ConfigureStatic(netstack.MustParseAddr("10.0.0.2"), 24, 0)
+	srv, err := NewServer(cs, 6000, gw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy := &rewriteAll{seen: map[uint16]string{}}
+	srv.SetFallback(policy)
+
+	// Each case is one connection, told apart by its nonce port: the
+	// chunks its client writes, a virtual millisecond apart.
+	cases := map[uint16][]int{
+		1: {shim.RequestLen + 5},         // shim and payload in one segment
+		2: {shim.RequestLen, 5},          // shim exactly, payload behind
+		3: {10, shim.RequestLen - 10, 5}, // shim split
+		4: {1, 1, shim.RequestLen + 3},   // split, then the rest with payload
+	}
+	answers := map[uint16][]byte{}
+	for nonce, chunks := range cases {
+		req := shim.Request{OrigPort: 1000 + nonce, RespPort: 80, VLAN: 16, NoncePort: nonce}
+		stream := append(req.Marshal(), "hello"...)
+		c := gw.Dial(cs.Addr(), 6000)
+		c.OnData = func(b []byte) { answers[nonce] = append(answers[nonce], b...) }
+		c.OnConnect = func() {
+			off := 0
+			for i, n := range chunks {
+				part := stream[off : off+n]
+				off += n
+				s.Schedule(time.Duration(i)*time.Millisecond, func() { c.Write(part) })
+			}
+		}
+	}
+	s.RunFor(time.Second)
+
+	if srv.FlowsSeen != uint64(len(cases)) {
+		t.Fatalf("server decided %d flows, want %d", srv.FlowsSeen, len(cases))
+	}
+	for _, d := range srv.DecisionLog {
+		if d.Req.OrigPort != 1000+d.Req.NoncePort || d.Req.VLAN != 16 || d.Verdict != shim.Rewrite {
+			t.Errorf("logged decision %+v does not match the shim sent", d)
+		}
+	}
+	for nonce := range cases {
+		if got := policy.seen[nonce]; got != "hello" {
+			t.Errorf("case %d: handler saw %q behind the shim, want %q", nonce, got, "hello")
+		}
+		var resp shim.Response
+		if n, err := resp.Unmarshal(answers[nonce]); err != nil || n != len(answers[nonce]) || resp.OrigPort != 1000+nonce {
+			t.Errorf("case %d: answer %x: %v", nonce, answers[nonce], err)
+		}
 	}
 }

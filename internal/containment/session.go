@@ -16,6 +16,12 @@ import (
 type Session struct {
 	Req *shim.Request
 
+	// req is where a TCP session's request shim is decoded (Req points at
+	// it); head collects the client's first bytes while they are still
+	// short of a whole shim.
+	req  shim.Request
+	head []byte
+
 	server  *Server
 	client  *host.Conn
 	srv     *host.Conn

@@ -65,8 +65,10 @@ type Host struct {
 	arpWaits *netsim.Waits[netstack.Addr, pendingIP]
 	arpDrops *obs.Counter
 
-	// Transport.
+	// Transport. portConns counts the entries of conns per local port, so
+	// allocEphemeral asks whether a port is free without ranging over conns.
 	conns       map[connKey]*Conn
+	portConns   map[uint16]int
 	listeners   map[uint16]func(*Conn)
 	anyListener func(*Conn) // wildcard TCP listener (catch-all sinks)
 	udpSocks    map[uint16]*UDPSock
@@ -91,6 +93,7 @@ func New(s *sim.Simulator, name string, mac netstack.MAC) *Host {
 		arpCache:  make(map[netstack.Addr]netstack.MAC),
 		arpDrops:  s.Obs().Reg.Counter("host.arp_pending_drops"),
 		conns:     make(map[connKey]*Conn),
+		portConns: make(map[uint16]int),
 		listeners: make(map[uint16]func(*Conn)),
 		udpSocks:  make(map[uint16]*UDPSock),
 		nextEphem: 32768,
@@ -219,6 +222,7 @@ func (h *Host) Reset() {
 		c.destroy(fmt.Errorf("host %s reset", h.Name))
 	}
 	h.conns = make(map[connKey]*Conn)
+	h.portConns = make(map[uint16]int)
 	h.listeners = make(map[uint16]func(*Conn))
 	h.udpSocks = make(map[uint16]*UDPSock)
 	h.rawUDPHook = nil
@@ -381,18 +385,32 @@ func (h *Host) allocEphemeral() uint16 {
 		if _, taken := h.listeners[port]; taken {
 			continue
 		}
-		inUse := false
-		for k := range h.conns {
-			if k.localPort == port {
-				inUse = true
-				break
-			}
-		}
-		if !inUse {
+		if h.portConns[port] == 0 {
 			return port
 		}
 	}
 	panic("host: ephemeral port space exhausted")
+}
+
+// addConn enters c into the connection table.
+func (h *Host) addConn(c *Conn) {
+	h.conns[c.key] = c
+	h.portConns[c.localPort]++
+}
+
+// dropConn takes c out of the connection table. A connection the table no
+// longer holds (Reset replaced the table under it) leaves the entry and the
+// count of whatever has its key now alone.
+func (h *Host) dropConn(c *Conn) {
+	if h.conns[c.key] != c {
+		return
+	}
+	delete(h.conns, c.key)
+	if n := h.portConns[c.localPort]; n > 1 {
+		h.portConns[c.localPort] = n - 1
+	} else {
+		delete(h.portConns, c.localPort)
+	}
 }
 
 // UDPSock is a bound UDP socket.

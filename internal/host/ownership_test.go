@@ -138,7 +138,7 @@ func TestSegmentAllocCeilingAccessToTrunk(t *testing.T) {
 	c.iss, c.sndUna, c.sndNxt = 1, 2, 2
 	c.sndBase = make([]byte, 0, 64*MSS)
 	c.sndBuf = c.sndBase
-	a.conns[c.key] = c
+	a.addConn(c)
 	s.RunFor(time.Millisecond)
 
 	seg := bytes.Repeat([]byte{0x5a}, MSS)

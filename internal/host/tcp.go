@@ -79,7 +79,8 @@ type Conn struct {
 
 	// Receive state. ooo stashes segments received beyond rcvNxt, keyed
 	// by starting sequence number; entries may overlap the delivered
-	// stream (go-back-N resends from sndUna) and are trimmed on drain.
+	// stream (go-back-N resends from sndUna) and are trimmed on drain. It
+	// is made by the first stash: most connections never see one.
 	irs, rcvNxt uint32
 	ooo         map[uint32][]byte
 	// oooFin records a FIN observed beyond rcvNxt at sequence oooFinSeq;
@@ -146,7 +147,7 @@ func (h *Host) Dial(dst netstack.Addr, port uint16) *Conn {
 	c.state = StateSynSent
 	c.iss = h.sim.Rand().Uint32()
 	c.sndUna, c.sndNxt = c.iss, c.iss+1
-	h.conns[c.key] = c
+	h.addConn(c)
 	c.sendSegment(netstack.FlagSYN, c.iss, 0, nil)
 	c.armRetransmit()
 	return c
@@ -159,7 +160,6 @@ func (h *Host) newConn(localPort uint16, rip netstack.Addr, rport uint16) *Conn 
 		localPort: localPort, remoteIP: rip, remotePort: rport,
 		rto:    rtoInitial,
 		sndWnd: DefaultWindow,
-		ooo:    make(map[uint32][]byte),
 	}
 	c.rtx.Init(h.sim, c.retransmit)
 	return c
@@ -345,7 +345,7 @@ func (c *Conn) destroy(err error) {
 	c.oooFin = false
 	c.rtx.Stop()
 	c.timeWait.Stop()
-	delete(c.host.conns, c.key)
+	c.host.dropConn(c)
 	if c.OnClose != nil {
 		c.OnClose(err)
 	}
@@ -377,7 +377,7 @@ func (h *Host) handleTCP(p *netstack.Packet) {
 			c.sndUna, c.sndNxt = c.iss, c.iss+1
 			c.sndWnd = t.Window
 			c.acceptFn = accept
-			h.conns[key] = c
+			h.addConn(c)
 			c.sendSegment(netstack.FlagSYN|netstack.FlagACK, c.iss, c.rcvNxt, nil)
 			c.armRetransmit()
 			return
@@ -548,6 +548,9 @@ func (c *Conn) processData(t *netstack.TCP, payload []byte) {
 		// FIN cannot shadow a stashed data segment at the same sequence.
 		if len(payload) > 0 {
 			if have, ok := c.ooo[seq]; !ok || len(have) < len(payload) {
+				if c.ooo == nil {
+					c.ooo = make(map[uint32][]byte)
+				}
 				c.ooo[seq] = append([]byte(nil), payload...)
 			}
 		}

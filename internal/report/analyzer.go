@@ -139,13 +139,13 @@ func (a *ShimAnalyzer) Tap(p *netstack.Packet) {
 	if len(payload) < shim.RequestLen || !shim.IsRequest(payload) {
 		return // ordinary data: nearly every tapped frame
 	}
-	req, err := shim.UnmarshalRequest(payload[:shim.RequestLen])
-	if err != nil {
+	var req shim.Request
+	if err := req.Unmarshal(payload[:shim.RequestLen]); err != nil {
 		return
 	}
 	a.RequestsByVLAN[req.VLAN]++
 	if a.Cap == 0 || len(a.Requests) < a.Cap {
-		a.Requests = append(a.Requests, *req)
+		a.Requests = append(a.Requests, req)
 	}
 }
 

@@ -14,6 +14,7 @@ package shim
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"gq/internal/netstack"
@@ -67,22 +68,22 @@ const (
 	Rewrite
 )
 
-// String renders e.g. "REDIRECT|REWRITE".
+// verdictNames is indexed by bit position.
+var verdictNames = [...]string{"FORWARD", "LIMIT", "DROP", "REDIRECT", "REFLECT", "REWRITE"}
+
+// String renders e.g. "REDIRECT|REWRITE". A single verdict — what nearly
+// every journalled flow carries — is a constant and allocates nothing.
 func (v Verdict) String() string {
 	if v == 0 {
 		return "NONE"
 	}
-	names := []struct {
-		bit  Verdict
-		name string
-	}{
-		{Forward, "FORWARD"}, {Limit, "LIMIT"}, {Drop, "DROP"},
-		{Redirect, "REDIRECT"}, {Reflect, "REFLECT"}, {Rewrite, "REWRITE"},
+	if i := bits.TrailingZeros32(uint32(v)); v == 1<<i && i < len(verdictNames) {
+		return verdictNames[i]
 	}
 	var parts []string
-	for _, n := range names {
-		if v&n.bit != 0 {
-			parts = append(parts, n.name)
+	for i, name := range verdictNames {
+		if v&(1<<i) != 0 {
+			parts = append(parts, name)
 		}
 	}
 	if len(parts) == 0 {
@@ -163,26 +164,38 @@ func (r *Request) Marshal() []byte {
 	return b
 }
 
-// UnmarshalRequest decodes a request shim.
+// UnmarshalRequest decodes a request shim into a new Request.
 func UnmarshalRequest(b []byte) (*Request, error) {
-	length, typ, err := parsePreamble(b)
-	if err != nil {
+	r := new(Request)
+	if err := r.Unmarshal(b); err != nil {
 		return nil, err
 	}
+	return r, nil
+}
+
+// Unmarshal decodes a request shim into r, the caller's storage: the
+// per-flow paths decode into a value they already own. r is untouched on
+// error.
+func (r *Request) Unmarshal(b []byte) error {
+	length, typ, err := parsePreamble(b)
+	if err != nil {
+		return err
+	}
 	if typ != TypeRequest {
-		return nil, fmt.Errorf("shim: message type %d, want request", typ)
+		return fmt.Errorf("shim: message type %d, want request", typ)
 	}
 	if length != RequestLen || len(b) < RequestLen {
-		return nil, fmt.Errorf("shim: request length %d", length)
+		return fmt.Errorf("shim: request length %d", length)
 	}
-	return &Request{
+	*r = Request{
 		OrigIP:    netstack.AddrFromSlice(b[8:12]),
 		RespIP:    netstack.AddrFromSlice(b[12:16]),
 		OrigPort:  binary.BigEndian.Uint16(b[16:18]),
 		RespPort:  binary.BigEndian.Uint16(b[18:20]),
 		VLAN:      binary.BigEndian.Uint16(b[20:22]),
 		NoncePort: binary.BigEndian.Uint16(b[22:24]),
-	}, nil
+	}
+	return nil
 }
 
 // Marshal encodes the response shim (>= 56 bytes).
@@ -200,28 +213,40 @@ func (r *Response) Marshal() []byte {
 	return append(b, r.Annotation...)
 }
 
-// UnmarshalResponse decodes a response shim and returns it along with its
-// total wire length (so stream parsers can consume exactly that much).
+// UnmarshalResponse decodes a response shim into a new Response and returns
+// it along with its total wire length (so stream parsers can consume exactly
+// that much).
 func UnmarshalResponse(b []byte) (*Response, int, error) {
-	length, typ, err := parsePreamble(b)
+	r := new(Response)
+	length, err := r.Unmarshal(b)
 	if err != nil {
 		return nil, 0, err
 	}
+	return r, length, nil
+}
+
+// Unmarshal decodes a response shim into r, the caller's storage, and
+// returns its total wire length. r is untouched on error.
+func (r *Response) Unmarshal(b []byte) (int, error) {
+	length, typ, err := parsePreamble(b)
+	if err != nil {
+		return 0, err
+	}
 	if typ != TypeResponse {
-		return nil, 0, fmt.Errorf("shim: message type %d, want response", typ)
+		return 0, fmt.Errorf("shim: message type %d, want response", typ)
 	}
 	if length < ResponseMinLen {
-		return nil, 0, fmt.Errorf("shim: response length %d below minimum", length)
+		return 0, fmt.Errorf("shim: response length %d below minimum", length)
 	}
 	if len(b) < length {
-		return nil, 0, fmt.Errorf("shim: response truncated (%d of %d bytes)", len(b), length)
+		return 0, fmt.Errorf("shim: response truncated (%d of %d bytes)", len(b), length)
 	}
 	name := b[24 : 24+PolicyNameLen]
 	end := len(name)
 	for end > 0 && name[end-1] == 0 {
 		end--
 	}
-	return &Response{
+	*r = Response{
 		OrigIP:     netstack.AddrFromSlice(b[8:12]),
 		RespIP:     netstack.AddrFromSlice(b[12:16]),
 		OrigPort:   binary.BigEndian.Uint16(b[16:18]),
@@ -229,7 +254,8 @@ func UnmarshalResponse(b []byte) (*Response, int, error) {
 		Verdict:    Verdict(binary.BigEndian.Uint32(b[20:24])),
 		PolicyName: string(name[:end]),
 		Annotation: string(b[ResponseMinLen:length]),
-	}, length, nil
+	}
+	return length, nil
 }
 
 // PeekLength inspects a buffered stream prefix and reports the total length

@@ -154,6 +154,54 @@ func TestVerdictString(t *testing.T) {
 	if !(Forward | Limit).Has(Limit) || Drop.Has(Forward) {
 		t.Error("Has wrong")
 	}
+	// Every rendering, including the ones nothing in the farm produces:
+	// unknown bits alone, and unknown bits beside known ones (dropped).
+	for v, want := range map[Verdict]string{
+		Forward: "FORWARD", Limit: "LIMIT", Redirect: "REDIRECT", Reflect: "REFLECT", Rewrite: "REWRITE",
+		Forward | Limit | Drop: "FORWARD|LIMIT|DROP",
+		1 << 6:                 "Verdict(0x40)",
+		1 << 31:                "Verdict(0x80000000)",
+		1<<6 | 1<<9:            "Verdict(0x240)",
+		Reflect | 1<<6:         "REFLECT",
+	} {
+		if got := v.String(); got != want {
+			t.Errorf("Verdict(%#x).String() = %q, want %q", uint32(v), got, want)
+		}
+	}
+}
+
+// TestDecodeAllocs: the journal renders one verdict per flow and the gateway,
+// the containment server and the shim analyzer decode one shim per flow into
+// storage they own; none of that is worth a heap object. (The policy name
+// and a non-empty annotation are strings the flow record keeps.)
+func TestDecodeAllocs(t *testing.T) {
+	reqBytes := (&Request{OrigPort: 1234, RespPort: 80, VLAN: 12, NoncePort: 42}).Marshal()
+	respBytes := (&Response{Verdict: Rewrite, PolicyName: "Rustock"}).Marshal()
+	var req Request
+	var resp Response
+	var sink string
+	for name, c := range map[string]struct {
+		max float64
+		fn  func()
+	}{
+		"Verdict.String":     {0, func() { sink = Rewrite.String(); sink = Verdict(0).String() }},
+		"Request.Unmarshal":  {0, func() { _ = req.Unmarshal(reqBytes) }},
+		"Response.Unmarshal": {1, func() { _, _ = resp.Unmarshal(respBytes) }},
+	} {
+		if got := testing.AllocsPerRun(100, c.fn); got > c.max {
+			t.Errorf("%s: %v allocations, want at most %v", name, got, c.max)
+		}
+	}
+	if req.NoncePort != 42 || resp.PolicyName != "Rustock" || sink != "NONE" {
+		t.Fatalf("decoded %+v %+v", req, resp)
+	}
+	// A rejected shim leaves the caller's value as it was.
+	if err := req.Unmarshal(respBytes); err == nil || req.NoncePort != 42 {
+		t.Fatalf("request decoded from a response: err %v, value %+v", err, req)
+	}
+	if _, err := resp.Unmarshal(reqBytes); err == nil || resp.PolicyName != "Rustock" {
+		t.Fatalf("response decoded from a request: err %v, value %+v", err, resp)
+	}
 }
 
 // Property: request round-trips for arbitrary field values.

@@ -274,16 +274,17 @@ func (s *Simulator) post(dst *Simulator, d time.Duration, m crossMsg) {
 // beyond limit (the run deadline, inclusive). winEnd is set by the
 // coordinator's round plan and may shrink mid-window when PostTo sends a
 // cross message. It is the per-domain body of one coordinator round and
-// never blocks.
-func (s *Simulator) runWindow(limit time.Duration) {
-	s.beginLoop()
+// never blocks. gid is the id of the goroutine running it, which the caller
+// looked up once for all its windows: it marks the loop for OnEventLoop.
+func (s *Simulator) runWindow(limit time.Duration, gid int64) {
+	s.loopG.Store(gid)
 	defer s.endLoop()
 	for !s.halted {
-		next, ok := s.peek()
-		if !ok || next >= s.winEnd || next > limit {
+		e := s.next()
+		if e == nil || e.at >= s.winEnd || e.at > limit {
 			break
 		}
-		s.Step()
+		s.step(e)
 	}
 	s.winEnd = 0
 }
@@ -315,6 +316,7 @@ func (c *Coordinator) RunUntil(deadline time.Duration) {
 	for _, d := range c.domains {
 		d.admitInjected()
 	}
+	gid := goid()
 	for !halted {
 		t, ok := c.nextTime()
 		if !ok || t > deadline {
@@ -322,7 +324,7 @@ func (c *Coordinator) RunUntil(deadline time.Duration) {
 		}
 		c.planRound()
 		c.deliver()
-		c.runRound(deadline, helpers)
+		c.runRound(deadline, helpers, gid)
 		c.collect()
 		for _, d := range c.domains {
 			if d.halted {
@@ -458,8 +460,9 @@ func (c *Coordinator) collect() {
 
 // runRound executes one round across the active domains, using helper
 // goroutines when more than one domain has work. Each active domain runs
-// inside its own planned window (Simulator.winEnd).
-func (c *Coordinator) runRound(limit time.Duration, helpers int) {
+// inside its own planned window (Simulator.winEnd). gid is the calling
+// goroutine's id.
+func (c *Coordinator) runRound(limit time.Duration, helpers int, gid int64) {
 	active := c.active[:0]
 	for i, d := range c.domains {
 		if next, ok := d.peek(); ok && next < c.ends[i] && next <= limit {
@@ -478,7 +481,7 @@ func (c *Coordinator) runRound(limit time.Duration, helpers int) {
 	c.windowsCtr.Add(uint64(len(active)))
 	if helpers == 0 || len(active) == 1 {
 		for _, d := range active {
-			d.runWindow(limit)
+			d.runWindow(limit, gid)
 		}
 		return
 	}
@@ -491,7 +494,7 @@ func (c *Coordinator) runRound(limit time.Duration, helpers int) {
 	for i := 0; i < release; i++ {
 		c.startCh <- struct{}{}
 	}
-	c.drain()
+	c.drain(gid)
 	for i := 0; i < release; i++ {
 		<-c.doneCh
 	}
@@ -501,20 +504,22 @@ func (c *Coordinator) runRound(limit time.Duration, helpers int) {
 // domains from the shared active list until none remain.
 func (c *Coordinator) helper() {
 	defer c.wg.Done()
+	gid := goid()
 	for range c.startCh {
-		c.drain()
+		c.drain(gid)
 		c.doneCh <- struct{}{}
 	}
 }
 
-// drain claims active domains one at a time and runs their windows.
-func (c *Coordinator) drain() {
+// drain claims active domains one at a time and runs their windows on the
+// calling goroutine, whose id is gid.
+func (c *Coordinator) drain(gid int64) {
 	for {
 		i := int(c.nextIdx.Add(1)) - 1
 		if i >= len(c.curActive) {
 			return
 		}
-		c.curActive[i].runWindow(c.curLimit)
+		c.curActive[i].runWindow(c.curLimit, gid)
 	}
 }
 

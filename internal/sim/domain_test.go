@@ -137,6 +137,51 @@ func TestPostToExactLookaheadBoundary(t *testing.T) {
 	}
 }
 
+// TestPostTimerToFilesByArrival: a posted timer is armed on the receiving
+// domain at delivery, and delivery files it like any local arming — by how
+// far ahead of the receiver's clock it is due. One timer lands in each of
+// the receiver's heaps; both belong to it from then on and fire on time.
+func TestPostTimerToFilesByArrival(t *testing.T) {
+	root := New(3)
+	c := NewCoordinator(root, 10*time.Millisecond, 2)
+	d := c.NewDomain()
+
+	var soon, late Timer
+	var soonAt, lateAt time.Duration
+	soon.Init(root, func() { soonAt = d.Now() })
+	late.Init(root, func() { lateAt = d.Now() })
+	probed := false
+	root.Schedule(0, func() {
+		root.PostTimerTo(d, 15*time.Millisecond, &soon)
+		root.PostTimerTo(d, 2*time.Second, &late)
+		root.PostTo(d, 0, func() {
+			probed = true
+			if got := queued(d, &soon.ev); got != "near" || soon.ev.sim != d {
+				t.Errorf("timer due in 5 ms: queued %q on shard %d, want near on %d", got, soon.ev.sim.Shard(), d.Shard())
+			}
+			if got := queued(d, &late.ev); got != "far" || late.ev.sim != d {
+				t.Errorf("timer due in 2 s: queued %q on shard %d, want far on %d", got, late.ev.sim.Shard(), d.Shard())
+			}
+			if d.Pending() != 2 {
+				t.Errorf("receiver has %d events pending, want the two timers", d.Pending())
+			}
+		})
+	})
+	c.RunUntil(3 * time.Second)
+	if !probed || soonAt != 15*time.Millisecond || lateAt != 2*time.Second {
+		t.Fatalf("probed %v, timers fired on the receiver at %v and %v, want 15ms and 2s", probed, soonAt, lateAt)
+	}
+	if soon.Pending() || late.Pending() || d.Pending() != 0 {
+		t.Fatalf("after the run: pending %v %v, receiver queue %d", soon.Pending(), late.Pending(), d.Pending())
+	}
+	// The receiver owns them now: it re-arms one across the horizon.
+	late.Reset(time.Millisecond)
+	if got := queued(d, &late.ev); got != "near" {
+		t.Fatalf("re-armed on the receiver: queued %q, want near", got)
+	}
+	late.Stop()
+}
+
 // TestWindowCapsSelfInducedFuture guards the one hazard of demand-driven
 // windows: a busy domain whose window was widened by an idle peer sends a
 // message, the recipient reacts immediately, and the reply must still

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -15,9 +16,10 @@ import (
 // itself and a Timer re-arming itself). Every operation is applied to the
 // simulator and to a model that keeps the pending timers in a map and finds
 // the next one to fire by sorting on (time, scheduling order) — no heap, no
-// positions to track. The simulator must fire exactly
-// what the model says is next, at the model's time, and Pending must equal
-// the model's live count after every operation and every step.
+// positions to track, and no notion of the simulator's near and far heaps.
+// The simulator must fire exactly what the model says is next, at the
+// model's time, and Pending must equal the model's live count after every
+// operation and every step.
 
 type refTimer struct {
 	at     time.Duration
@@ -37,14 +39,44 @@ type storm struct {
 	timers  []*Timer         // re-armable timers, in creation order
 	timerID []int            // timers[i]'s id
 	fired   int
+
+	// over, when set, reports that the script has run out (FuzzEventQueue):
+	// from then on callbacks start nothing new, so every run loop ends.
+	over func() bool
+	// draining is set for the final Run: no new tickers, or a millisecond
+	// ticker would tick its way to the last 35 s timer.
+	draining bool
 }
 
+func newStorm(t *testing.T, seed int64, src rand.Source) *storm {
+	return &storm{
+		t: t, s: New(seed), rng: rand.New(src),
+		live: map[int]refTimer{}, tickers: map[int]*Ticker{},
+	}
+}
+
+func (st *storm) scriptOver() bool { return st.over != nil && st.over() }
+
 // storm delays come from a small set so equal firing times, and with them
-// the (time, seq) tie-break, are common.
-var stormDelays = []time.Duration{0, 0, 1, 1, 2, 3, 5, 8, 13, 1000}
+// the (time, seq) tie-break, are common. The set straddles farHorizon, so
+// timers land in both heaps, sit either side of the boundary, and — behind
+// frame-scale events that move the clock a millisecond at a time — are
+// overtaken while still in the far one.
+var stormDelays = append(shortDelays[:len(shortDelays):len(shortDelays)],
+	1000*ms, farHorizon-1, farHorizon, 10*time.Second, 35*time.Second)
+
+// shortDelays are the frame-scale ones: ticker intervals and RunUntil spans
+// draw from these alone, because they set how many ticks a round costs.
+var shortDelays = []time.Duration{0, 0, ms, ms, 2 * ms, 3 * ms, 5 * ms, 8 * ms, 13 * ms}
+
+const ms = time.Millisecond
 
 func (st *storm) delay() time.Duration {
-	return stormDelays[st.rng.Intn(len(stormDelays))] * time.Millisecond
+	return stormDelays[st.rng.Intn(len(stormDelays))]
+}
+
+func (st *storm) shortDelay() time.Duration {
+	return shortDelays[st.rng.Intn(len(shortDelays))]
 }
 
 // next is the reference: sort the pending timers, take the first.
@@ -149,7 +181,7 @@ func (st *storm) newTimer() int {
 		if tm.Pending() {
 			st.t.Fatalf("timer %d pending inside its own callback", id)
 		}
-		if st.rng.Intn(3) == 0 {
+		if !st.scriptOver() && st.rng.Intn(3) == 0 {
 			st.resetTimer(i)
 		}
 		st.ops(st.rng.Intn(3))
@@ -193,7 +225,7 @@ func (st *storm) anyTimer() int {
 func (st *storm) startTicker() {
 	id := len(st.evs)
 	st.evs = append(st.evs, nil)
-	interval := st.delay() + time.Millisecond
+	interval := st.shortDelay() + time.Millisecond
 	st.arm(id, interval, true)
 	st.tickers[id] = st.s.Every(interval, func() {
 		st.onFire(id)
@@ -227,7 +259,7 @@ func (st *storm) oldestTicker() (id int, ok bool) {
 }
 
 func (st *storm) ops(n int) {
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && !st.scriptOver(); i++ {
 		switch r := st.rng.Intn(14); {
 		case r < 4 || len(st.evs) == 0:
 			st.schedule()
@@ -237,7 +269,7 @@ func (st *storm) ops(n int) {
 			// Re-arm, as a retransmission timer does: cancel, schedule anew.
 			st.cancel(st.rng.Intn(len(st.evs)))
 			st.schedule()
-		case r < 9 && len(st.tickers) < 4:
+		case r < 9 && len(st.tickers) < 4 && !st.draining:
 			st.startTicker()
 		case r >= 10 && r < 12:
 			st.resetTimer(st.anyTimer())
@@ -256,41 +288,247 @@ func (st *storm) ops(n int) {
 	}
 }
 
+// round issues a few operations and then advances the simulator one of
+// three ways: a single Step, a RunUntil whose deadline may fall anywhere
+// among the pending timers, or not at all.
+func (st *storm) round() {
+	st.ops(st.rng.Intn(6))
+	switch st.rng.Intn(3) {
+	case 0:
+		_, pending := st.next()
+		if stepped := st.s.Step(); stepped != pending {
+			st.t.Fatalf("Step() = %v with model pending = %v", stepped, pending)
+		}
+	case 1:
+		// next-driven loop: everything due by the deadline fires,
+		// nothing beyond it does.
+		deadline := st.s.Now() + st.shortDelay()*10
+		st.s.RunUntil(deadline)
+		if id, ok := st.next(); ok && st.live[id].at <= deadline {
+			st.t.Fatalf("timer %d due at %v survived RunUntil(%v)", id, st.live[id].at, deadline)
+		}
+	}
+	st.check("step")
+}
+
+// finish stops the tickers and drains the queue: model and simulator must
+// run dry together, having fired the same number of events.
+func (st *storm) finish() {
+	st.draining = true
+	for id, ok := st.oldestTicker(); ok; id, ok = st.oldestTicker() {
+		st.stopTicker(id)
+	}
+	st.s.Run()
+	if len(st.live) != 0 || st.s.Pending() != 0 {
+		st.t.Fatalf("drained run left %d model timers, Pending() = %d", len(st.live), st.s.Pending())
+	}
+	if uint64(st.fired) != st.s.Fired {
+		st.t.Fatalf("simulator fired %d events, model saw %d", st.s.Fired, st.fired)
+	}
+}
+
 func TestPropertyQueueMatchesReferenceModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		st := &storm{
-			t: t, s: New(seed), rng: rand.New(rand.NewSource(seed)),
-			live: map[int]refTimer{}, tickers: map[int]*Ticker{},
-		}
-		for round := 0; round < 200; round++ {
-			st.ops(st.rng.Intn(6))
-			switch st.rng.Intn(3) {
-			case 0:
-				_, pending := st.next()
-				if stepped := st.s.Step(); stepped != pending {
-					t.Fatalf("seed %d: Step() = %v with model pending = %v", seed, stepped, pending)
-				}
-			case 1:
-				// peek-driven loop: everything due by the deadline fires,
-				// nothing beyond it does.
-				deadline := st.s.Now() + st.delay()
-				st.s.RunUntil(deadline)
-				if id, ok := st.next(); ok && st.live[id].at <= deadline {
-					t.Fatalf("seed %d: timer %d due at %v survived RunUntil(%v)", seed, id, st.live[id].at, deadline)
-				}
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			st := newStorm(t, seed, rand.NewSource(seed))
+			for round := 0; round < 200; round++ {
+				st.round()
 			}
-			st.check("step")
+			st.finish()
+		})
+	}
+}
+
+// script is a rand.Source that replays fuzz input: four bytes per draw, so
+// the fuzzer steers every choice the storm makes — which operation, which
+// timer, which delay — and mutating one byte changes one choice.
+type script struct {
+	b []byte
+}
+
+func (sc *script) Seed(int64) {}
+
+func (sc *script) over() bool { return len(sc.b) == 0 }
+
+func (sc *script) Int63() int64 {
+	var v uint32
+	for i := 0; i < 4 && len(sc.b) > 0; i++ {
+		v = v<<8 | uint32(sc.b[0])
+		sc.b = sc.b[1:]
+	}
+	return int64(v>>1) << 32 // rand.Rand.Intn reads the top 31 bits
+}
+
+// FuzzEventQueue runs the reference-model storm from a fuzzer-written
+// script instead of a seeded one: every schedule / cancel / Timer.Reset /
+// Stop / ticker / Step / RunUntil sequence the bytes spell out must fire in
+// the model's (time, seq) order with Pending equal to its live count.
+func FuzzEventQueue(f *testing.F) {
+	// Short seeds: the engine minimises every input that adds coverage, one
+	// byte at a time, and a long script makes that its whole budget.
+	for seed := int64(1); seed <= 4; seed++ {
+		b := make([]byte, 96)
+		rand.New(rand.NewSource(seed)).Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) > 1024 {
+			b = b[:1024] // the model sorts every pending timer per firing
 		}
-		for id, ok := st.oldestTicker(); ok; id, ok = st.oldestTicker() {
-			st.stopTicker(id)
+		sc := &script{b: b}
+		st := newStorm(t, 1, sc)
+		st.over = sc.over
+		for !sc.over() {
+			st.round()
 		}
-		st.s.Run()
-		if len(st.live) != 0 || st.s.Pending() != 0 {
-			t.Fatalf("seed %d: drained run left %d model timers, Pending() = %d", seed, len(st.live), st.s.Pending())
+		st.finish()
+	})
+}
+
+// firingLog gives the near/far cases callbacks that record their name, and
+// the names in firing order.
+func firingLog() (note func(name string) func(), fired func() string) {
+	var log []string
+	note = func(name string) func() { return func() { log = append(log, name) } }
+	return note, func() string { return fmt.Sprint(log) }
+}
+
+// queued reports which heap holds e: "near", "far", or "" when not pending.
+func queued(s *Simulator, e *Event) string {
+	switch {
+	case e.pos == 0:
+		return ""
+	case e.far && s.far[e.pos-1] == e:
+		return "far"
+	case !e.far && s.near[e.pos-1] == e:
+		return "near"
+	}
+	return "lost"
+}
+
+// TestNearFarEqualTimesFireBySeq: two events due at the same instant, one
+// in each heap, fire in scheduling order — the heap an event sits in is
+// not part of the order.
+func TestNearFarEqualTimesFireBySeq(t *testing.T) {
+	s := New(1)
+	note, fired := firingLog()
+	at := 2 * farHorizon
+	a := s.ScheduleAt(at, note("far-first"))
+	s.RunUntil(at - ms)
+	b := s.Schedule(ms, note("near-second"))
+	c := s.ScheduleAt(at, note("near-third"))
+	if queued(s, a) != "far" || queued(s, b) != "near" || queued(s, c) != "near" {
+		t.Fatalf("heaps: %q %q %q, want far near near", queued(s, a), queued(s, b), queued(s, c))
+	}
+	if a.At() != b.At() || s.Pending() != 3 {
+		t.Fatalf("setup: at %v vs %v, Pending %d", a.At(), b.At(), s.Pending())
+	}
+	s.Run()
+	if got := fired(); got != "[far-first near-second near-third]" {
+		t.Fatalf("fired %s", got)
+	}
+}
+
+// TestFarEventOvertakenByClock: a timer filed in the far heap stays there
+// as the clock closes in on it and fires from there, between the near
+// events either side of it.
+func TestFarEventOvertakenByClock(t *testing.T) {
+	s := New(1)
+	note, fired := firingLog()
+	far := s.Schedule(time.Second, note("far@1s"))
+	s.RunUntil(900 * ms)
+	s.Schedule(50*ms, func() {
+		if queued(s, far) != "far" {
+			t.Errorf("50 ms before it is due the timer is in %q, want far", queued(s, far))
 		}
-		if uint64(st.fired) != st.s.Fired {
-			t.Fatalf("seed %d: simulator fired %d events, model saw %d", seed, st.s.Fired, st.fired)
+		note("near@950ms")()
+	})
+	s.Schedule(200*ms, note("near@1.1s"))
+	s.Run()
+	if got := fired(); got != "[near@950ms far@1s near@1.1s]" {
+		t.Fatalf("fired %s", got)
+	}
+	if s.Now() != 1100*ms || !far.Fired() {
+		t.Fatalf("now %v, far fired %v", s.Now(), far.Fired())
+	}
+}
+
+// TestTimerResetMovesBetweenHeaps: Reset files the timer by its new delay
+// every time, and Stop and Cancel find an event in whichever heap has it.
+func TestTimerResetMovesBetweenHeaps(t *testing.T) {
+	s := New(1)
+	s.RunUntil(7 * ms) // file by distance from the clock, not from zero
+	fired := 0
+	var tm Timer
+	tm.Init(s, func() { fired++ })
+	for i, step := range []struct {
+		d    time.Duration
+		heap string
+	}{
+		{10 * time.Second, "far"}, {ms, "near"}, {35 * time.Second, "far"},
+		{farHorizon - 1, "near"}, {farHorizon, "far"},
+	} {
+		tm.Reset(step.d)
+		if got := queued(s, &tm.ev); got != step.heap {
+			t.Fatalf("step %d: Reset(%v) filed the timer in %q, want %q", i, step.d, got, step.heap)
 		}
+		if s.Pending() != 1 || len(s.near)+len(s.far) != 1 || tm.ev.At() != s.Now()+step.d {
+			t.Fatalf("step %d: Pending %d, near %d far %d, at %v", i, s.Pending(), len(s.near), len(s.far), tm.ev.At())
+		}
+	}
+	tm.Stop() // from the far heap
+	tm.Stop()
+	if tm.Pending() || s.Pending() != 0 {
+		t.Fatalf("after Stop: timer pending %v, Pending %d", tm.Pending(), s.Pending())
+	}
+	tm.Reset(ms)
+	near := s.Schedule(2*ms, func() { fired += 10 })
+	far := s.Schedule(time.Minute, func() { fired += 100 })
+	tm.Stop() // from the near heap
+	near.Cancel()
+	if s.Pending() != 1 || queued(s, far) != "far" {
+		t.Fatalf("after near Stop/Cancel: Pending %d, far event in %q", s.Pending(), queued(s, far))
+	}
+	far.Cancel()
+	far.Cancel()
+	if s.Pending() != 0 || !near.Cancelled() || !far.Cancelled() || near.Fired() || far.Fired() {
+		t.Fatalf("after Cancel: Pending %d, cancelled %v %v", s.Pending(), near.Cancelled(), far.Cancelled())
+	}
+	s.Run()
+	if fired != 0 {
+		t.Fatalf("stopped and cancelled events fired: %d", fired)
+	}
+}
+
+// TestRunUntilDeadlineBetweenHeapTops: the deadline test looks at the
+// earlier of the two tops, whichever heap it is in.
+func TestRunUntilDeadlineBetweenHeapTops(t *testing.T) {
+	// Near top first: the far timer must survive the deadline.
+	s := New(1)
+	note, fired := firingLog()
+	s.Schedule(5*ms, note("near"))
+	far := s.Schedule(600*ms, note("far"))
+	s.RunUntil(100 * ms)
+	if fired() != "[near]" || s.Now() != 100*ms || s.Pending() != 1 || queued(s, far) != "far" {
+		t.Fatalf("near-first: fired %v, now %v, Pending %d", fired(), s.Now(), s.Pending())
+	}
+	// Far top first: a younger near event due after it must survive.
+	s.RunUntil(590 * ms)
+	near := s.Schedule(100*ms, note("near2"))
+	s.RunUntil(650 * ms)
+	if fired() != "[near far]" || s.Now() != 650*ms || s.Pending() != 1 || queued(s, near) != "near" {
+		t.Fatalf("far-first: fired %v, now %v, Pending %d", fired(), s.Now(), s.Pending())
+	}
+	if next, ok := s.peek(); !ok || next != 690*ms {
+		t.Fatalf("peek = %v %v, want 690ms", next, ok)
+	}
+}
+
+// TestEventSize: one Event is allocated per one-shot, so remembering its
+// heap must not cost a word.
+func TestEventSize(t *testing.T) {
+	if got := reflect.TypeOf(Event{}).Size(); got > 48 {
+		t.Fatalf("Event is %d bytes, want at most 48", got)
 	}
 }
 

@@ -26,9 +26,10 @@ type Event struct {
 	seq   uint64
 	fn    func()
 	sim   *Simulator
-	pos   int // 1 + position in sim.queue; 0 while not queued
+	pos   int // 1 + position in its heap; 0 while not queued
 	dead  bool
 	fired bool
+	far   bool // while queued: in sim.far rather than sim.near
 }
 
 // At reports the virtual time at which the event fires.
@@ -43,7 +44,7 @@ func (e *Event) Cancel() {
 	if e == nil || e.pos == 0 {
 		return
 	}
-	e.sim.queue.remove(e.pos - 1)
+	e.sim.unqueue(e)
 	e.dead = true
 }
 
@@ -70,13 +71,6 @@ type eventQueue []*Event
 func (q *eventQueue) push(e *Event) {
 	*q = append(*q, nil)
 	q.up(len(*q)-1, e)
-}
-
-// pop removes and returns the earliest event. The queue must not be empty.
-func (q *eventQueue) pop() *Event {
-	e := (*q)[0]
-	q.remove(0)
-	return e
 }
 
 // remove takes the event at position i out of the queue; the last event
@@ -145,12 +139,15 @@ func (q eventQueue) down(i int, e *Event) {
 // (and the timed posts under it, PostTo and PostTimerTo) crosses domains,
 // and only Inject enters from outside.
 type Simulator struct {
-	now    time.Duration
-	seq    uint64
-	queue  eventQueue
-	rng    *rand.Rand
-	seed   int64
-	halted bool
+	now time.Duration
+	seq uint64
+	// The pending events, split by how far ahead they were scheduled (see
+	// farHorizon). Which heap holds an event never affects when it fires:
+	// the next event is whichever top is before the other.
+	near, far eventQueue
+	rng       *rand.Rand
+	seed      int64
+	halted    bool
 
 	// Sharding state: which domain this is, the coordinator that owns it
 	// (nil for a standalone simulator), and the outbox of cross-domain
@@ -285,7 +282,45 @@ func (s *Simulator) enqueue(e *Event, at time.Duration) {
 	}
 	e.at, e.seq = at, s.seq
 	s.seq++
-	s.queue.push(e)
+	if e.far = at-s.now >= farHorizon; e.far {
+		s.far.push(e)
+	} else {
+		s.near.push(e)
+	}
+}
+
+// farHorizon splits the pending events into two heaps. Scheduled delays are
+// bimodal: link hops, pacing and service times are under 100 ms, protocol
+// timers (retransmission, TIME_WAIT, flow linger, tombstones, sweeps) are a
+// second or more and are mostly stopped or outlived by their owner — nothing
+// on any benchmark workload lands in between (DESIGN.md §3b). An event due
+// at least this far ahead goes to the far heap, so the thousands of long
+// timers a busy flow table keeps pending do not deepen the heap every frame
+// event sifts through. It is a constant, not a knob: any value inside the
+// empty band gives the same split, and a wrong one costs speed, never order.
+const farHorizon = 500 * time.Millisecond
+
+// unqueue takes the pending event e out of the heap that holds it.
+func (s *Simulator) unqueue(e *Event) {
+	if e.far {
+		s.far.remove(e.pos - 1)
+	} else {
+		s.near.remove(e.pos - 1)
+	}
+}
+
+// next returns the earliest pending event, still queued: the top of the
+// near heap or of the far heap, whichever is before the other. nil when
+// nothing is pending.
+func (s *Simulator) next() *Event {
+	var e *Event
+	if len(s.near) > 0 {
+		e = s.near[0]
+	}
+	if len(s.far) > 0 && (e == nil || s.far[0].before(e)) {
+		e = s.far[0]
+	}
+	return e
 }
 
 // Timer is a re-armable event stored by value inside its owner, so arming
@@ -321,7 +356,7 @@ func (t *Timer) Reset(d time.Duration) {
 // a no-op.
 func (t *Timer) Stop() {
 	if t.ev.pos != 0 {
-		t.ev.sim.queue.remove(t.ev.pos - 1)
+		t.ev.sim.unqueue(&t.ev)
 	}
 }
 
@@ -346,18 +381,26 @@ func (s *Simulator) Halted() bool { return s.halted }
 
 // Pending reports the number of events waiting to fire. Cancelled events
 // leave the queue when they are cancelled, so they are never counted.
-func (s *Simulator) Pending() int { return len(s.queue) }
+func (s *Simulator) Pending() int { return len(s.near) + len(s.far) }
 
 // Step executes the next pending event, advancing the clock to its firing
 // time. It returns false when the queue is empty or the simulator halted.
-func (s *Simulator) Step() bool {
+func (s *Simulator) Step() bool { return s.step(s.next()) }
+
+// step is Step for a caller that has already looked at the head event e
+// (s.next(), possibly nil) to decide whether to go on: the run loops choose
+// between the two heaps once per event, not once to peek and again to pop.
+func (s *Simulator) step(e *Event) bool {
 	if s.injectN.Load() != 0 && s.coord == nil {
-		s.drainInjected() // a coordinated domain's mailbox waits for the quiesce point
+		// A coordinated domain's mailbox waits for the quiesce point. What
+		// ran here may have scheduled ahead of e, cancelled it, or halted.
+		s.drainInjected()
+		e = s.next()
 	}
-	if len(s.queue) == 0 || s.halted {
+	if e == nil || s.halted {
 		return false
 	}
-	e := s.queue.pop()
+	s.unqueue(e)
 	s.setNow(e.at)
 	e.fired = true
 	s.Fired++
@@ -381,11 +424,11 @@ func (s *Simulator) RunUntil(deadline time.Duration) {
 	s.beginLoop()
 	defer s.endLoop()
 	for !s.halted {
-		next, ok := s.peek()
-		if !ok || next > deadline {
+		e := s.next()
+		if e == nil || e.at > deadline {
 			break
 		}
-		s.Step()
+		s.step(e)
 	}
 	if s.now < deadline && !s.halted {
 		s.setNow(deadline)
@@ -397,10 +440,11 @@ func (s *Simulator) RunFor(d time.Duration) { s.RunUntil(s.now + d) }
 
 // peek reports the firing time of the earliest pending event.
 func (s *Simulator) peek() (time.Duration, bool) {
-	if len(s.queue) == 0 {
+	e := s.next()
+	if e == nil {
 		return 0, false
 	}
-	return s.queue[0].at, true
+	return e.at, true
 }
 
 // Ticker repeatedly invokes fn every interval until stopped. It re-arms one
