@@ -35,22 +35,25 @@ race:
 verify: build vet test race
 
 # Non-test Go lines per package and in total (bench/ separately), so a
-# "net-negative" change is a number: compare against the parent's.
+# "net-negative" change is a number: with PARENT=<rev>, a per-package
+# before -> after -> delta table against that revision's committed files.
 loc:
-	@./scripts/loc.sh
+	@./scripts/loc.sh $(PARENT)
 
 # Native fuzz targets on a short budget each (go test takes one -fuzz
 # target per package run). A crasher lands in the package's
 # testdata/fuzz/<target>/ — commit it: plain `go test` replays it from
-# then on. FuzzEventQueue's inputs are scripts a few hundred bytes long; the
-# engine's minimiser, which is quadratic in that length and runs on every
-# input that adds coverage, is held to ten executions or it eats the budget.
+# then on. FuzzEventQueue's and FuzzFlowSegments' inputs are scripts a few
+# hundred bytes long; the engine's minimiser, which is quadratic in that
+# length and runs on every input that adds coverage, is held to ten
+# executions or it eats the budget.
 FUZZTIME ?= 10s
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime $(FUZZTIME) ./internal/netstack
 	$(GO) test -run '^$$' -fuzz '^FuzzVLANReshape$$' -fuzztime $(FUZZTIME) ./internal/netstack
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzFlowSegments$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/gateway
 
 # Chaos soak: the Botfarm demo under the "soak" fault profile (≥5% loss,
 # reorder/dup/corruption, link flaps, a CS crash, verdict stalls, a sink

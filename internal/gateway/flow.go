@@ -6,6 +6,7 @@ import (
 	"gq/internal/netstack"
 	"gq/internal/obs"
 	"gq/internal/shim"
+	"gq/internal/sim"
 )
 
 // FlowRecord is the per-flow accounting GQ's reporting consumes: the
@@ -115,14 +116,27 @@ type Flow struct {
 	// UDP phase 1 queue.
 	udpQueue [][]byte
 
-	// Teardown tracking.
+	// Teardown tracking. linger is the flow's one close timer, pending until
+	// lingerAt: the earliest deadline any scheduleClose call has asked for.
 	finInit, finResp bool
 	lastActivity     time.Duration
+	linger           sim.Timer
+	lingerAt         time.Duration
 }
 
 func (f *Flow) now() time.Duration { return f.r.sim.Now() }
 
 func (f *Flow) touch() { f.lastActivity = f.now() }
+
+// event starts a journal event about this flow: the inmate VLAN and the
+// five-tuple as the initiator addressed it, which every flow event carries.
+func (f *Flow) event(typ string) obs.Event {
+	return obs.Event{
+		Type: typ, VLAN: f.vlan, Proto: f.proto,
+		SrcIP: uint32(f.initIP), SrcPort: f.initPort,
+		DstIP: uint32(f.respIP), DstPort: f.respPort,
+	}
+}
 
 // newFlowRecord initialises accounting.
 func (r *Router) newFlowRecord(f *Flow) *FlowRecord {
@@ -234,6 +248,7 @@ func (r *Router) newFlow(key netstack.FlowKey, vlan uint16, inbound bool) *Flow 
 			f.initGlobal = b.Global
 		}
 	}
+	f.linger.Init(r.sim, func() { f.close("") })
 	f.cs = r.containmentFor(f.vlan)
 	f.rec = r.newFlowRecord(f)
 	f.noncePort = r.allocNonce(f)
@@ -243,11 +258,7 @@ func (r *Router) newFlow(key netstack.FlowKey, vlan uint16, inbound bool) *Flow 
 		r.flows[flowHalfKey{f.initIP, f.initPort, f.proto}] = f
 	}
 	r.FlowsActive.Set(int64(r.ActiveFlows()))
-	r.sc.Emit(obs.Event{
-		Type: obs.EvFlowCreated, VLAN: vlan, Proto: key.Proto,
-		SrcIP: uint32(f.initIP), SrcPort: f.initPort,
-		DstIP: uint32(f.respIP), DstPort: f.respPort,
-	})
+	r.sc.Emit(f.event(obs.EvFlowCreated))
 	f.touch()
 	return f
 }
@@ -323,7 +334,9 @@ func (r *Router) dispatchServiceIP(p *netstack.Packet) {
 			t(p)
 		}
 		if key.Proto == netstack.ProtoUDP {
-			if f, found := r.byNonce[key.DstPort]; found {
+			// (Every flow owns a nonce port: a datagram to a TCP flow's is no
+			// reply, as a SYN to a UDP flow's below opens no leg 2.)
+			if f, found := r.byNonce[key.DstPort]; found && f.proto == key.Proto {
 				f.fromCS(p)
 				return
 			}
@@ -343,7 +356,7 @@ func (r *Router) dispatchServiceIP(p *netstack.Packet) {
 			f.leg2FromCS(p)
 			return
 		}
-		if f, found := r.byNonce[key.DstPort]; found && p.TCP != nil && p.TCP.Flags&netstack.FlagSYN != 0 {
+		if f, found := r.byNonce[key.DstPort]; found && f.proto == key.Proto && p.TCP != nil && p.TCP.Flags&netstack.FlagSYN != 0 {
 			f.leg2Open(p)
 		}
 		return
@@ -417,50 +430,75 @@ func (r *Router) handleInfraInbound(p *netstack.Packet) {
 // patched in place and its buffer relinquished to the trunk.
 func (f *Flow) sendToCS(p *netstack.Packet) {
 	p.IP.Dst = f.cs.IP
-	switch {
-	case p.TCP != nil:
-		p.TCP.DstPort = f.cs.Port
-	case p.UDP != nil:
-		p.UDP.DstPort = f.cs.Port
-	}
+	_, dport := l4Ports(p)
+	*dport = f.cs.Port
 	f.r.sendToVLAN(p, f.cs.VLAN)
 }
 
-// segmentToCS originates a segment on the containment-server leg in the
-// initiator's name (the request shim, the ACK for the response shim, the
-// reset that cuts the leg). Packet, IP and TCP headers are one allocation:
-// a flow sends two or three of these.
-func (f *Flow) segmentToCS(seq, ack uint32, flags uint8, window uint16, payload []byte) {
+// l4Ports returns the transport ports of a TCP or UDP packet, for rewriting
+// in place. Everything past flow dispatch is one or the other.
+func l4Ports(p *netstack.Packet) (src, dst *uint16) {
+	if p.UDP != nil {
+		return &p.UDP.SrcPort, &p.UDP.DstPort
+	}
+	return &p.TCP.SrcPort, &p.TCP.DstPort
+}
+
+// newSegment and newDatagram are the gateway's own voice: every packet it
+// originates rather than relays — request shim, ACKs and resets in an
+// endpoint's name, the phase-2 handshake and replay, shim-wrapped and
+// unwrapped datagrams, heartbeat probes — is built by one of the two, fully
+// addressed, and handed to sendToCS, deliverToInitiator or sendViaRoute
+// (DESIGN.md §3g). Packet, IP and transport headers are one allocation. A
+// reset advertises no window, every other segment 65535.
+func newSegment(src, dst netstack.Addr, sport, dport uint16, seq, ack uint32, flags uint8, payload []byte) *netstack.Packet {
 	o := &struct {
 		pkt netstack.Packet
 		ip  netstack.IPv4
 		tcp netstack.TCP
 	}{
-		ip:  netstack.IPv4{TTL: netstack.DefaultTTL, Src: f.initIP},
-		tcp: netstack.TCP{SrcPort: f.initPort, Seq: seq, Ack: ack, Flags: flags, Window: window},
+		ip:  netstack.IPv4{TTL: netstack.DefaultTTL, Src: src, Dst: dst},
+		tcp: netstack.TCP{SrcPort: sport, DstPort: dport, Seq: seq, Ack: ack, Flags: flags, Window: 65535},
+	}
+	if flags&netstack.FlagRST != 0 {
+		o.tcp.Window = 0
 	}
 	o.pkt = netstack.Packet{
 		Eth: netstack.Ethernet{EtherType: netstack.EtherTypeIPv4},
 		IP:  &o.ip, TCP: &o.tcp, Payload: payload,
 	}
-	f.sendToCS(&o.pkt)
+	return &o.pkt
 }
 
-// sendToInitiator builds a packet the gateway originates (resets, UDP
-// datagrams, rewrite-proxy bytes that arrived behind the shim) and delivers
-// it to the flow's initiator, impersonating the original responder in the
-// source fields. Segments relayed from a live peer are patched in place
-// instead: relayCSSegmentToInit, relayRespSegmentToInit.
-func (f *Flow) sendToInitiator(tcp *netstack.TCP, udp *netstack.UDP, payload []byte) {
-	p := &netstack.Packet{
-		Eth: netstack.Ethernet{EtherType: netstack.EtherTypeIPv4},
-		IP: &netstack.IPv4{
-			TTL: netstack.DefaultTTL,
-			Src: f.respIP, Dst: f.initIP,
-		},
-		TCP: tcp, UDP: udp, Payload: payload,
+func newDatagram(src, dst netstack.Addr, sport, dport uint16, payload []byte) *netstack.Packet {
+	o := &struct {
+		pkt netstack.Packet
+		ip  netstack.IPv4
+		udp netstack.UDP
+	}{
+		ip:  netstack.IPv4{TTL: netstack.DefaultTTL, Src: src, Dst: dst},
+		udp: netstack.UDP{SrcPort: sport, DstPort: dport},
 	}
-	f.deliverToInitiator(p)
+	o.pkt = netstack.Packet{
+		Eth: netstack.Ethernet{EtherType: netstack.EtherTypeIPv4},
+		IP:  &o.ip, UDP: &o.udp, Payload: payload,
+	}
+	return &o.pkt
+}
+
+// segmentToCS originates a segment on the containment-server leg in the
+// initiator's name: the request shim, the ACK for the response shim, the
+// reset that cuts the leg.
+func (f *Flow) segmentToCS(seq, ack uint32, flags uint8, payload []byte) {
+	f.sendToCS(newSegment(f.initIP, f.cs.IP, f.initPort, f.cs.Port, seq, ack, flags, payload))
+}
+
+// segmentToInitiator originates a segment toward the initiator in the
+// original responder's name: resets, and rewrite-proxy bytes that arrived
+// behind the shim. Segments relayed from a live peer are patched in place
+// instead: relayCSSegmentToInit, relayRespSegmentToInit.
+func (f *Flow) segmentToInitiator(seq, ack uint32, flags uint8, payload []byte) {
+	f.deliverToInitiator(newSegment(f.respIP, f.initIP, f.respPort, f.initPort, seq, ack, flags, payload))
 }
 
 // deliverToInitiator routes an already-addressed packet to the initiator.
@@ -587,7 +625,7 @@ func (f *Flow) injectRequestShim() {
 		req.OrigIP = f.initIP
 	}
 	payload := req.Marshal()
-	f.segmentToCS(f.initISS+1, f.csISN+1, netstack.FlagACK|netstack.FlagPSH, 65535, payload)
+	f.segmentToCS(f.initISS+1, f.csISN+1, netstack.FlagACK|netstack.FlagPSH, payload)
 	f.shimSent = true
 	f.c2sShim = uint32(len(payload))
 }
@@ -603,7 +641,7 @@ func (f *Flow) fromCS(p *netstack.Packet) {
 
 	if t.Flags&netstack.FlagRST != 0 {
 		// CS refused or tore down: propagate to initiator.
-		f.rstInitiatorRaw(t.Seq, 0, netstack.FlagRST)
+		f.segmentToInitiator(t.Seq, 0, netstack.FlagRST, nil)
 		f.close("containment server reset")
 		return
 	}
@@ -705,12 +743,13 @@ func (f *Flow) tryParseResponseShim(t *netstack.TCP) {
 
 // ackCS sends a pure ACK to the containment server on leg 1.
 func (f *Flow) ackCS(ackSeq uint32) {
-	f.segmentToCS(f.initNextSeq+f.c2sShim, ackSeq, netstack.FlagACK, 65535, nil)
+	f.segmentToCS(f.initNextSeq+f.c2sShim, ackSeq, netstack.FlagACK, nil)
 }
 
-// rstCS cuts the containment-server leg after an endpoint-control verdict.
+// rstCS cuts the containment-server leg: after an endpoint-control verdict,
+// or as the CS half of reset.
 func (f *Flow) rstCS() {
-	f.segmentToCS(f.initNextSeq+f.c2sShim, f.csNextSeq, netstack.FlagRST|netstack.FlagACK, 0, nil)
+	f.segmentToCS(f.initNextSeq+f.c2sShim, f.csNextSeq, netstack.FlagRST|netstack.FlagACK, nil)
 }
 
 // rstInitiator answers a stray initiator segment with a reset from the
@@ -722,14 +761,53 @@ func (f *Flow) rstInitiator(t *netstack.TCP) {
 		seq = t.Ack
 		flags = netstack.FlagRST
 	}
-	f.rstInitiatorRaw(seq, t.Seq, flags)
+	f.segmentToInitiator(seq, t.Seq, flags, nil)
 }
 
-func (f *Flow) rstInitiatorRaw(seq, ack uint32, flags uint8) {
-	f.sendToInitiator(&netstack.TCP{
-		SrcPort: f.respPort, DstPort: f.initPort,
-		Seq: seq, Ack: ack, Flags: flags,
-	}, nil, nil)
+// resetInitiator aborts the initiator's connection in the original
+// responder's name. Once the SYN-ACK was relayed the reset continues the
+// containment server's sequence space. Before that the initiator is still in
+// SYN-SENT and retransmitting: RST|ACK acking its SYN aborts the connect, and
+// a tombstone swallows any retransmitted SYN already in flight — either
+// would re-admit the flow under the same ISN and break the trace audit's
+// flow count.
+func (f *Flow) resetInitiator() {
+	seq := f.csISN + 1
+	if !f.haveCSISN {
+		seq = 0
+		f.r.synTombs[synTombKey{f.initIP, f.initPort, f.respIP, f.respPort, f.initISS}] =
+			f.now() + synTombstoneTTL
+	}
+	f.segmentToInitiator(seq, f.initNextSeq, netstack.FlagRST|netstack.FlagACK, nil)
+}
+
+// reset sends an RST down each leg the flow's state holds open — the one
+// teardown every cause shares (DESIGN.md §3g); the caller meters, journals
+// and closes. outward=false is the fail-close rule, nothing new leaves the
+// farm: the responder leg of an establishing or spliced flow is left to time
+// out rather than reset. UDP has no reset to send.
+func (f *Flow) reset(outward bool) {
+	if f.proto != netstack.ProtoTCP {
+		return
+	}
+	switch f.state {
+	case fsAwaitVerdict:
+		// The CS leg too: a stalled verdict written after the teardown would
+		// otherwise put an unaccounted response shim on the wire, and a live
+		// CS-side connection would sit ESTABLISHED forever. Against a dead
+		// server the RST just drops.
+		f.resetInitiator()
+		f.rstCS()
+	case fsEstablishing, fsSplice:
+		// The CS leg was cut at the verdict.
+		if outward {
+			f.abortResponder()
+		}
+		f.resetInitiator()
+	case fsRewriteProxy:
+		f.rstCS()
+		f.resetInitiator()
+	}
 }
 
 // applyDrop is the hard-containment path for protocol errors.
@@ -739,9 +817,8 @@ func (f *Flow) applyDrop(reason string) {
 	f.rec.Annotation = reason
 	f.rec.VerdictAt = f.now()
 	f.recordVerdict(uint32(shim.Drop), reason)
+	f.reset(true)
 	f.state = fsDropped
-	f.rstInitiatorRaw(f.csISN+1, f.initNextSeq, netstack.FlagRST|netstack.FlagACK)
-	f.rstCS()
 	if f.r.OnVerdict != nil {
 		f.r.OnVerdict(f.rec)
 	}
@@ -749,14 +826,14 @@ func (f *Flow) applyDrop(reason string) {
 }
 
 // failClose resolves a flow whose containment server is gone — crashed,
-// quarantined, or stalled past the await-verdict deadline: record a
-// synthetic Drop, reset both legs, and close. The flow never reached the
-// outside (phase 1 only ever talks to the containment server; a rewrite
-// proxy forwards nothing once its server is dead), so failing closed is the
-// fate the paper's containment doctrine demands. Unlike applyDrop this does
-// NOT count toward verdicts_applied — no verdict crossed the wire, and the
-// trace audit (report.AuditTrace) checks exactly that equality — it is
-// metered separately under flows_failclosed.
+// quarantined, or stalled past the await-verdict deadline — or whose subfarm
+// is locking down: record a synthetic Drop, reset the legs inward, and
+// close. The flow never reached the outside (phase 1 only ever talks to the
+// containment server; a rewrite proxy forwards nothing once its server is
+// dead), so failing closed is the fate the paper's containment doctrine
+// demands. Unlike applyDrop this does NOT count toward verdicts_applied — no
+// verdict crossed the wire, and the trace audit (report.AuditTrace) checks
+// exactly that equality — it is metered separately under flows_failclosed.
 func (f *Flow) failClose(reason string) {
 	if f.state == fsClosed || f.state == fsDropped {
 		return
@@ -771,37 +848,19 @@ func (f *Flow) failClose(reason string) {
 	if !hadVerdict {
 		f.rec.VerdictAt = f.now()
 	}
-	if f.proto == netstack.ProtoTCP {
-		if f.haveCSISN {
-			f.rstInitiatorRaw(f.csISN+1, f.initNextSeq, netstack.FlagRST|netstack.FlagACK)
-		} else {
-			// No SYN-ACK was ever relayed, so the initiator is still in
-			// SYN-SENT and retransmitting. RST|ACK acking its SYN aborts the
-			// connect, and a tombstone swallows any retransmitted SYN already
-			// in flight — either would re-admit the flow under the same ISN
-			// and break the trace audit's flow count.
-			f.rstInitiatorRaw(0, f.initNextSeq, netstack.FlagRST|netstack.FlagACK)
-			f.r.synTombs[synTombKey{f.initIP, f.initPort, f.respIP, f.respPort, f.initISS}] =
-				f.now() + synTombstoneTTL
-		}
-		// Reset the containment-server leg too: a stalled verdict written
-		// after the fail-close would otherwise put an unaccounted response
-		// shim on the wire, and a live CS-side connection would sit
-		// ESTABLISHED forever. Against a dead server the RST just drops.
-		f.rstCS()
-	}
+	f.reset(false)
 	f.r.FlowsFailClosed.Inc()
-	f.r.sc.Emit(obs.Event{
-		Type: obs.EvFlowFailClosed, VLAN: f.vlan, Proto: f.proto,
-		SrcIP: uint32(f.initIP), SrcPort: f.initPort,
-		DstIP: uint32(f.respIP), DstPort: f.respPort,
-		Verdict: uint32(shim.Drop), Detail: reason,
-	})
+	e := f.event(obs.EvFlowFailClosed)
+	e.Verdict, e.Detail = uint32(shim.Drop), reason
+	f.r.sc.Emit(e)
 	f.close(reason)
 }
 
-// applyVerdict enacts the containment server's decision.
-func (f *Flow) applyVerdict(resp *shim.Response, extra []byte) {
+// adoptVerdict records the containment server's decision — on the flow, its
+// record, the verdict counter, latency histogram and journal — and resolves
+// the actual responder the resulting four-tuple names. TCP and UDP share
+// it; what the verdict then does to the flow is theirs.
+func (f *Flow) adoptVerdict(resp *shim.Response) {
 	f.verdict = resp.Verdict
 	f.rec.Verdict = resp.Verdict
 	f.rec.Policy = resp.PolicyName
@@ -809,7 +868,6 @@ func (f *Flow) applyVerdict(resp *shim.Response, extra []byte) {
 	f.rec.VerdictAt = f.now()
 	f.recordVerdict(uint32(resp.Verdict), resp.PolicyName)
 
-	// The resulting four-tuple names the actual responder.
 	f.actualIP, f.actualPort = resp.RespIP, resp.RespPort
 	if f.actualIP == 0 {
 		f.actualIP, f.actualPort = f.respIP, f.respPort
@@ -819,13 +877,16 @@ func (f *Flow) applyVerdict(resp *shim.Response, extra []byte) {
 	if f.r.OnVerdict != nil {
 		f.r.OnVerdict(f.rec)
 	}
+}
 
+// applyVerdict enacts the containment server's decision.
+func (f *Flow) applyVerdict(resp *shim.Response, extra []byte) {
+	f.adoptVerdict(resp)
 	v := resp.Verdict
 	switch {
 	case v.Has(shim.Drop):
+		f.reset(true)
 		f.state = fsDropped
-		f.rstInitiatorRaw(f.csISN+1, f.initNextSeq, netstack.FlagRST|netstack.FlagACK)
-		f.rstCS()
 		f.scheduleClose(5 * time.Second)
 
 	case v.Has(shim.Rewrite):
@@ -859,43 +920,38 @@ func (f *Flow) applyVerdict(resp *shim.Response, extra []byte) {
 func (f *Flow) recordVerdict(verdict uint32, detail string) {
 	f.r.VerdictsApplied.Inc()
 	f.r.VerdictLatencyUS.Observe(int64((f.rec.VerdictAt - f.rec.Start) / time.Microsecond))
-	f.r.sc.Emit(obs.Event{
-		Type: obs.EvFlowVerdict, VLAN: f.vlan, Proto: f.proto,
-		SrcIP: uint32(f.initIP), SrcPort: f.initPort,
-		DstIP: uint32(f.respIP), DstPort: f.respPort,
-		Verdict: verdict, Detail: detail,
-	})
+	e := f.event(obs.EvFlowVerdict)
+	e.Verdict, e.Detail = verdict, detail
+	f.r.sc.Emit(e)
 }
 
 // relayCSBytes delivers rewrite-proxy payload that arrived in the same
 // segments as the shim.
 func (f *Flow) relayCSBytes(data []byte) {
-	t := &netstack.TCP{
-		SrcPort: f.respPort, DstPort: f.initPort,
-		Seq:    f.csNextSeq - uint32(len(data)) - f.s2cShim,
-		Ack:    f.initNextSeq,
-		Flags:  netstack.FlagACK | netstack.FlagPSH,
-		Window: 65535,
-	}
 	f.rec.BytesResp += uint64(len(data))
-	f.sendToInitiator(t, nil, data)
+	f.segmentToInitiator(f.csNextSeq-uint32(len(data))-f.s2cShim, f.initNextSeq,
+		netstack.FlagACK|netstack.FlagPSH, data)
 }
 
 // maybeFinish closes the record once both directions have FINed. It runs
-// for every segment after that, so a flow plants two or three linger events
-// of which only the first does anything (close is idempotent). Known, and
-// left alone: collapsing them moves sim.events, an exact count the
-// benchmark's -compare pins, so it belongs to a change that is allowed to
-// move that count (ROADMAP, "one mechanism per job").
+// for every segment after that; scheduleClose keeps the first deadline.
 func (f *Flow) maybeFinish() {
 	if f.finInit && f.finResp {
 		f.scheduleClose(10 * time.Second)
 	}
 }
 
-// scheduleClose finalises the flow after a linger.
+// scheduleClose finalises the flow after a linger, unless an earlier call
+// already asked for a deadline no later than this one: the flow closes at
+// the earliest deadline requested, which is when the first of one event per
+// call would have closed it (DESIGN.md §3g).
 func (f *Flow) scheduleClose(after time.Duration) {
-	f.r.sim.Schedule(after, func() { f.close("") })
+	at := f.now() + after
+	if f.linger.Pending() && f.lingerAt <= at {
+		return
+	}
+	f.lingerAt = at
+	f.linger.Reset(after)
 }
 
 // close finalises accounting and removes lookup state.
@@ -922,13 +978,11 @@ func (f *Flow) close(reason string) {
 	if f.sender != nil {
 		f.sender.stop()
 	}
+	f.linger.Stop()
 	f.r.FlowsActive.Set(int64(f.r.ActiveFlows()))
-	f.r.sc.Emit(obs.Event{
-		Type: obs.EvFlowClosed, VLAN: f.vlan, Proto: f.proto,
-		SrcIP: uint32(f.initIP), SrcPort: f.initPort,
-		DstIP: uint32(f.respIP), DstPort: f.respPort,
-		N: f.rec.BytesOrig + f.rec.BytesResp, Detail: reason,
-	})
+	e := f.event(obs.EvFlowClosed)
+	e.N, e.Detail = f.rec.BytesOrig+f.rec.BytesResp, reason
+	f.r.sc.Emit(e)
 	if f.r.OnFlowClosed != nil {
 		f.r.OnFlowClosed(f.rec)
 	}

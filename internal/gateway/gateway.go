@@ -1,9 +1,9 @@
 // Package gateway implements GQ's central gateway: the custom packet
 // forwarding logic that sits between the outside network and the internal
 // machinery (§5.1). It comprises a learning VLAN bridge for the restricted
-// broadcast domain, per-subfarm packet routers (built from Click elements,
-// §6.1) that redirect new flows to containment servers via the shimming
-// protocol, NAT, a safety filter, and trace taps.
+// broadcast domain, per-subfarm packet routers (§6.1) that redirect new
+// flows to containment servers via the shimming protocol, NAT, a safety
+// filter, and trace taps.
 //
 // The gateway operates on raw frames: unlike every other machine in the
 // farm it has no host TCP stack, because its job is to rewrite other
@@ -232,15 +232,7 @@ func (g *Gateway) handleOutsideARP(p *netstack.Packet) {
 	if g.routerForGlobal(a.TargetIP) == nil {
 		return
 	}
-	reply := &netstack.Packet{
-		Eth: netstack.Ethernet{Dst: a.SenderHW, Src: GatewayMAC, EtherType: netstack.EtherTypeARP},
-		ARP: &netstack.ARP{
-			Op:       netstack.ARPReply,
-			SenderHW: GatewayMAC, SenderIP: a.TargetIP,
-			TargetHW: a.SenderHW, TargetIP: a.SenderIP,
-		},
-	}
-	g.outside.SendOwned(reply.Marshal())
+	g.outside.SendOwned(netstack.NewARPReply(netstack.NoVLAN, GatewayMAC, a.TargetIP, a).Marshal())
 }
 
 // emitOutside transmits an IP packet upstream, resolving the destination
@@ -274,14 +266,7 @@ func (g *Gateway) arpOutside(dst netstack.Addr) {
 	if len(g.routers) > 0 {
 		sender = g.routers[0].cfg.GlobalPool.Nth(1)
 	}
-	req := &netstack.Packet{
-		Eth: netstack.Ethernet{Dst: netstack.BroadcastMAC, Src: GatewayMAC, EtherType: netstack.EtherTypeARP},
-		ARP: &netstack.ARP{
-			Op: netstack.ARPRequest, SenderHW: GatewayMAC,
-			SenderIP: sender, TargetIP: dst,
-		},
-	}
-	g.outside.SendOwned(req.Marshal())
+	g.outside.SendOwned(netstack.NewARPRequest(netstack.NoVLAN, GatewayMAC, sender, dst).Marshal())
 }
 
 // flushOutside transmits the frames parked for an outside neighbour that

@@ -115,12 +115,16 @@ type GREPeer struct {
 	sim  *sim.Simulator
 	port *netsim.Port
 
+	// Outside-segment ARP, like the gateway's: frames parked behind an
+	// unresolved neighbour are marshalled and complete but for the
+	// destination MAC.
 	arp     map[netstack.Addr]netstack.MAC
-	pending map[netstack.Addr][][]byte
+	pending *netsim.Waits[netstack.Addr, []byte]
 	mac     netstack.MAC
 
-	// TunnelledIn / TunnelledOut count packets each way.
-	TunnelledIn, TunnelledOut uint64
+	// TunnelledIn / TunnelledOut count packets each way; ARPPendingDrops
+	// frames refused by a full ARP-pending queue.
+	TunnelledIn, TunnelledOut, ARPPendingDrops uint64
 }
 
 // NewGREPeer creates the peer router; connect Port() to the outside
@@ -128,10 +132,10 @@ type GREPeer struct {
 func NewGREPeer(s *sim.Simulator, t GRETunnel) *GREPeer {
 	p := &GREPeer{
 		Tunnel: t, sim: s,
-		arp:     make(map[netstack.Addr]netstack.MAC),
-		pending: make(map[netstack.Addr][][]byte),
-		mac:     netstack.MAC{0x02, 0x47, 0x52, 0x45, 0x00, 0x01},
+		arp: make(map[netstack.Addr]netstack.MAC),
+		mac: netstack.MAC{0x02, 0x47, 0x52, 0x45, 0x00, 0x01},
 	}
+	p.pending = netsim.NewWaits[netstack.Addr, []byte](s, p.arpRequest)
 	p.port = netsim.NewPort(s, "grepeer", p.recv)
 	return p
 }
@@ -183,10 +187,10 @@ func (p *GREPeer) handleARP(pkt *netstack.Packet) {
 	a := pkt.ARP
 	if !a.SenderIP.IsZero() {
 		p.arp[a.SenderIP] = a.SenderHW
-		if queued := p.pending[a.SenderIP]; len(queued) > 0 {
-			delete(p.pending, a.SenderIP)
-			for _, f := range queued {
-				if netstack.SetEthDst(f, p.arp[a.SenderIP]) {
+		if w := p.pending.Learned(a.SenderIP); w != nil {
+			w.Stop()
+			for _, f := range w.Frames {
+				if netstack.SetEthDst(f, a.SenderHW) {
 					p.port.SendOwned(f)
 				}
 			}
@@ -199,15 +203,7 @@ func (p *GREPeer) handleARP(pkt *netstack.Packet) {
 	if a.TargetIP != p.Tunnel.PeerAddr && !p.Tunnel.ExtraPool.Contains(a.TargetIP) {
 		return
 	}
-	reply := &netstack.Packet{
-		Eth: netstack.Ethernet{Dst: a.SenderHW, Src: p.mac, EtherType: netstack.EtherTypeARP},
-		ARP: &netstack.ARP{
-			Op:       netstack.ARPReply,
-			SenderHW: p.mac, SenderIP: a.TargetIP,
-			TargetHW: a.SenderHW, TargetIP: a.SenderIP,
-		},
-	}
-	p.port.SendOwned(reply.Marshal())
+	p.port.SendOwned(netstack.NewARPReply(netstack.NoVLAN, p.mac, a.TargetIP, a).Marshal())
 }
 
 // emit transmits an IP packet natively on the outside segment, resolving
@@ -226,13 +222,12 @@ func (p *GREPeer) sendTo(pkt *netstack.Packet, dst netstack.Addr) {
 		p.port.SendOwned(pkt.Marshal())
 		return
 	}
-	p.pending[dst] = append(p.pending[dst], pkt.Marshal())
-	req := &netstack.Packet{
-		Eth: netstack.Ethernet{Dst: netstack.BroadcastMAC, Src: p.mac, EtherType: netstack.EtherTypeARP},
-		ARP: &netstack.ARP{
-			Op: netstack.ARPRequest, SenderHW: p.mac,
-			SenderIP: p.Tunnel.PeerAddr, TargetIP: dst,
-		},
+	if !p.pending.Park(dst, pkt.Marshal()) {
+		p.ARPPendingDrops++
 	}
-	p.port.SendOwned(req.Marshal())
+}
+
+// arpRequest broadcasts a request for dst on the outside segment.
+func (p *GREPeer) arpRequest(dst netstack.Addr) {
+	p.port.SendOwned(netstack.NewARPRequest(netstack.NoVLAN, p.mac, p.Tunnel.PeerAddr, dst).Marshal())
 }

@@ -52,13 +52,7 @@ func (r *Router) SendHealthProbe(idx int, seq uint64) {
 	port := uint16(healthProbePortBase + idx)
 	r.healthPorts[port] = idx
 	hb := shim.Heartbeat{Seq: seq}
-	p := &netstack.Packet{
-		Eth:     netstack.Ethernet{EtherType: netstack.EtherTypeIPv4},
-		IP:      &netstack.IPv4{TTL: netstack.DefaultTTL, Src: r.cfg.NonceIP, Dst: ep.IP},
-		UDP:     &netstack.UDP{SrcPort: port, DstPort: ep.Port},
-		Payload: hb.Marshal(),
-	}
-	r.sendToVLAN(p, ep.VLAN)
+	r.sendToVLAN(newDatagram(r.cfg.NonceIP, ep.IP, port, ep.Port, hb.Marshal()), ep.VLAN)
 }
 
 // handleHealthReply delivers a heartbeat echo (a containment-server UDP
@@ -95,27 +89,9 @@ func (r *Router) FailCloseEndpoint(idx int, reason string) int {
 	if !ok {
 		return 0
 	}
-	var doomed []*Flow
-	seen := make(map[*Flow]bool)
-	consider := func(f *Flow) {
-		if seen[f] || f.cs != ep {
-			return
-		}
-		switch f.state {
-		case fsAwaitVerdict, fsRewriteProxy:
-			seen[f] = true
-			doomed = append(doomed, f)
-		}
-	}
-	for _, f := range r.flows {
-		consider(f)
-	}
-	for _, f := range r.udpFlows {
-		consider(f)
-	}
-	// Tuple order, not map order: same-seed runs must journal the same
-	// fail-close sequence.
-	sortFlowsByTuple(doomed)
+	doomed := r.liveFlows(func(f *Flow) bool {
+		return f.cs == ep && (f.state == fsAwaitVerdict || f.state == fsRewriteProxy)
+	})
 	for _, f := range doomed {
 		f.failClose(reason)
 	}

@@ -26,6 +26,23 @@ type lifetimeRig struct {
 	g              *Gateway
 	r              *Router
 	trunk, outside *framePort
+	// peer is a cooperating network's GRE router on a wire of its own,
+	// attached by grePeer.
+	peer     *GREPeer
+	peerWire *framePort
+}
+
+func (rig *lifetimeRig) grePeer() *GREPeer {
+	if rig.peer == nil {
+		rig.peer = NewGREPeer(rig.s, GRETunnel{
+			LocalAddr: netstack.MustParseAddr("192.0.2.2"),
+			PeerAddr:  netstack.MustParseAddr("198.51.100.254"),
+			ExtraPool: netstack.MustParsePrefix("203.0.114.0/24"),
+		})
+		rig.peerWire = newFramePort(rig.s, "peer-wire")
+		netsim.Connect(rig.peerWire.port, rig.peer.Port(), 0)
+	}
+	return rig.peer
 }
 
 // framePort is a wire end that keeps every frame it receives.
@@ -187,6 +204,7 @@ func TestARPPendingQueuesAreBounded(t *testing.T) {
 		send   func(rig *lifetimeRig)
 		parked func(rig *lifetimeRig) (frames, waits int)
 		wire   func(rig *lifetimeRig) *framePort
+		drops  func(rig *lifetimeRig) uint64
 	}{
 		{
 			name: "vlan",
@@ -194,7 +212,8 @@ func TestARPPendingQueuesAreBounded(t *testing.T) {
 			parked: func(rig *lifetimeRig) (int, int) {
 				return len(rig.r.vlanPending.Parked(vlanAddr{2, netstack.MustParseAddr("10.3.0.99")})), rig.r.vlanPending.Len()
 			},
-			wire: func(rig *lifetimeRig) *framePort { return rig.trunk },
+			wire:  func(rig *lifetimeRig) *framePort { return rig.trunk },
+			drops: func(rig *lifetimeRig) uint64 { return rig.g.ARPPendingDrops.Value() },
 		},
 		{
 			name: "outside",
@@ -202,7 +221,19 @@ func TestARPPendingQueuesAreBounded(t *testing.T) {
 			parked: func(rig *lifetimeRig) (int, int) {
 				return len(rig.g.outPending.Parked(netstack.MustParseAddr("198.51.100.99"))), rig.g.outPending.Len()
 			},
-			wire: func(rig *lifetimeRig) *framePort { return rig.outside },
+			wire:  func(rig *lifetimeRig) *framePort { return rig.outside },
+			drops: func(rig *lifetimeRig) uint64 { return rig.g.ARPPendingDrops.Value() },
+		},
+		{
+			// The cooperating network's router resolves neighbours on the
+			// outside segment by the same rules.
+			name: "gre peer",
+			send: func(rig *lifetimeRig) { rig.grePeer().emit(datagram(netstack.MustParseAddr("198.51.100.99"))) },
+			parked: func(rig *lifetimeRig) (int, int) {
+				return len(rig.peer.pending.Parked(netstack.MustParseAddr("198.51.100.99"))), rig.peer.pending.Len()
+			},
+			wire:  func(rig *lifetimeRig) *framePort { return rig.peerWire },
+			drops: func(rig *lifetimeRig) uint64 { return rig.peer.ARPPendingDrops },
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -213,8 +244,8 @@ func TestARPPendingQueuesAreBounded(t *testing.T) {
 			if frames, _ := tc.parked(rig); frames != netstack.MaxARPPending {
 				t.Fatalf("%d frames parked, want the bound %d", frames, netstack.MaxARPPending)
 			}
-			if got := rig.g.ARPPendingDrops.Value(); got != flood-netstack.MaxARPPending {
-				t.Errorf("gw.arp_pending_drops = %d, want %d", got, flood-netstack.MaxARPPending)
+			if got := tc.drops(rig); got != flood-netstack.MaxARPPending {
+				t.Errorf("arp_pending_drops = %d, want %d", got, flood-netstack.MaxARPPending)
 			}
 			rig.s.RunFor(netsim.ARPMaxTries*netsim.ARPRetryInterval + time.Millisecond)
 			if frames, waits := tc.parked(rig); frames != 0 || waits != 0 {
@@ -329,7 +360,7 @@ func newSpliceRig(t *testing.T) *spliceRig {
 }
 
 // refRelay is the relay as it was before it patched in place — a new TCP
-// header, a new packet around it, a full serialisation (Flow.sendToInitiator)
+// header, a new packet around it, a full serialisation (Flow.segmentToInitiator)
 // — kept as the reference the in-place frame must equal byte for byte.
 func (rig *spliceRig) refRelay(t *testing.T, frame []byte) []byte {
 	t.Helper()

@@ -27,24 +27,7 @@ func (r *Router) SetLockdown(on bool, reason string) int {
 	if !on {
 		return 0
 	}
-	seen := make(map[*Flow]bool)
-	var doomed []*Flow
-	consider := func(f *Flow) {
-		if !seen[f] && f.state != fsClosed {
-			seen[f] = true
-			doomed = append(doomed, f)
-		}
-	}
-	for _, f := range r.flows {
-		consider(f)
-	}
-	for _, f := range r.udpFlows {
-		consider(f)
-	}
-	for _, f := range r.nonceLegs {
-		consider(f)
-	}
-	sortFlowsByTuple(doomed)
+	doomed := r.liveFlows(func(f *Flow) bool { return f.state != fsClosed })
 	for _, f := range doomed {
 		if f.state == fsDropped {
 			f.close("lockdown")

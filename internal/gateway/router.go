@@ -641,18 +641,7 @@ func (r *Router) handleARP(p *netstack.Packet) {
 			r.bridge(p)
 			return
 		}
-		reply := &netstack.Packet{
-			Eth: netstack.Ethernet{
-				Dst: a.SenderHW, Src: GatewayMAC,
-				VLAN: p.Eth.VLAN, EtherType: netstack.EtherTypeARP,
-			},
-			ARP: &netstack.ARP{
-				Op:       netstack.ARPReply,
-				SenderHW: GatewayMAC, SenderIP: mine,
-				TargetHW: a.SenderHW, TargetIP: a.SenderIP,
-			},
-		}
-		r.sendTrunk(reply)
+		r.sendTrunk(netstack.NewARPReply(p.Eth.VLAN, GatewayMAC, mine, a))
 		return
 	}
 	// ARP replies: bridge toward the querier if it lives elsewhere.
@@ -751,17 +740,7 @@ func (r *Router) arpVLAN(key vlanAddr) {
 	if r.isServiceVLAN(key.vlan) {
 		sender = r.cfg.ServiceRouterIP
 	}
-	req := &netstack.Packet{
-		Eth: netstack.Ethernet{
-			Dst: netstack.BroadcastMAC, Src: GatewayMAC,
-			VLAN: key.vlan, EtherType: netstack.EtherTypeARP,
-		},
-		ARP: &netstack.ARP{
-			Op: netstack.ARPRequest, SenderHW: GatewayMAC,
-			SenderIP: sender, TargetIP: key.addr,
-		},
-	}
-	r.sendTrunk(req)
+	r.sendTrunk(netstack.NewARPRequest(key.vlan, GatewayMAC, sender, key.addr))
 }
 
 // flushVLANPending transmits the frames parked for a neighbour that just
@@ -864,63 +843,83 @@ const establishTimeout = time.Minute
 // table forever.
 const spliceIdleTimeout = 10 * time.Minute
 
+// eachFlow visits every flow in the table once, in map order: a flow is
+// registered in flows or in udpFlows under exactly one key (byNonce,
+// udpByActual and nonceLegs are further indexes onto the same flows). The
+// one walk over the flow table; anything whose effects can reach the journal
+// goes through liveFlows for a stable order.
+func (r *Router) eachFlow(visit func(*Flow)) {
+	for _, f := range r.flows {
+		visit(f)
+	}
+	for _, f := range r.udpFlows {
+		visit(f)
+	}
+}
+
+// liveFlows returns the flows pick selects, in five-tuple order, not map
+// order: a bulk teardown that resolves several flows at once must emit the
+// same event sequence on every same-seed run for the journal-determinism
+// guarantee.
+func (r *Router) liveFlows(pick func(*Flow) bool) []*Flow {
+	var flows []*Flow
+	r.eachFlow(func(f *Flow) {
+		if pick(f) {
+			flows = append(flows, f)
+		}
+	})
+	sort.Slice(flows, func(i, j int) bool {
+		a, b := flows[i], flows[j]
+		if a.initIP != b.initIP {
+			return a.initIP < b.initIP
+		}
+		if a.initPort != b.initPort {
+			return a.initPort < b.initPort
+		}
+		if a.respIP != b.respIP {
+			return a.respIP < b.respIP
+		}
+		if a.respPort != b.respPort {
+			return a.respPort < b.respPort
+		}
+		return a.proto < b.proto
+	})
+	return flows
+}
+
 // sweepFlows expires idle UDP flows, TCP flows stuck without a containment
 // verdict (e.g. the containment server is being reconfigured), and flows
 // stalled mid-establishment. It also reaps orphaned nonce-leg entries so
 // the flow table returns to empty once traffic stops.
 func (r *Router) sweepFlows() {
 	now := r.sim.Now()
-	var stale, failclosed []*Flow
-	seen := make(map[*Flow]bool)
-	consider := func(f *Flow) {
-		if seen[f] {
-			return // registered under several keys (e.g. nonce leg)
-		}
+	// No verdict within the bound: resolve fail-closed. Metered under
+	// flows_failclosed, not sweep_reaped, so telemetry can tell a
+	// containment-plane failure from routine idle cleanup.
+	stalled := func(f *Flow) bool {
+		return f.state == fsAwaitVerdict && now-f.lastActivity > r.awaitVerdictTimeout
+	}
+	stale := r.liveFlows(func(f *Flow) bool {
 		idle := now - f.lastActivity
 		switch {
-		case f.state == fsAwaitVerdict && idle > r.awaitVerdictTimeout:
-			// No verdict within the bound: resolve fail-closed. Metered
-			// under flows_failclosed, not sweep_reaped, so telemetry can
-			// tell a containment-plane failure from routine idle cleanup.
-			seen[f] = true
-			failclosed = append(failclosed, f)
-		case f.proto == netstack.ProtoUDP && idle > udpIdleTimeout,
-			f.state == fsEstablishing && idle > establishTimeout,
-			(f.state == fsSplice || f.state == fsRewriteProxy) && idle > spliceIdleTimeout,
-			f.state == fsClosed:
-			seen[f] = true
-			stale = append(stale, f)
+		case stalled(f):
+			return false
+		case f.proto == netstack.ProtoUDP:
+			return idle > udpIdleTimeout
+		case f.state == fsEstablishing:
+			return idle > establishTimeout
+		case f.state == fsSplice, f.state == fsRewriteProxy:
+			return idle > spliceIdleTimeout
 		}
-	}
-	for _, f := range r.flows {
-		consider(f)
-	}
-	for _, f := range r.udpFlows {
-		consider(f)
-	}
-	// Tear down in tuple order, not map order: a sweep that reaps several
-	// flows at once must emit the same event sequence on every same-seed
-	// run for the journal-determinism guarantee.
-	sortFlowsByTuple(stale)
-	sortFlowsByTuple(failclosed)
+		return false
+	})
+	failclosed := r.liveFlows(stalled)
 	if n := len(stale); n > 0 {
 		r.SweepReaped.Add(uint64(n))
 		r.sc.Emit(obs.Event{Type: obs.EvSweepReaped, N: uint64(n)})
 	}
 	for _, f := range stale {
-		switch {
-		case f.state == fsEstablishing:
-			// Tell the initiator the connection is gone and abort any
-			// half-open responder leg.
-			f.abortResponder()
-			f.rstInitiatorRaw(f.csISN+1, f.initNextSeq, netstack.FlagRST|netstack.FlagACK)
-		case f.state == fsSplice:
-			f.abortResponder()
-			f.rstInitiatorRaw(f.csISN+1, f.initNextSeq, netstack.FlagRST|netstack.FlagACK)
-		case f.state == fsRewriteProxy:
-			f.rstCS()
-			f.rstInitiatorRaw(f.csISN+1, f.initNextSeq, netstack.FlagRST|netstack.FlagACK)
-		}
+		f.reset(true)
 		f.close("flow expired")
 	}
 	for _, f := range failclosed {
@@ -941,27 +940,6 @@ func (r *Router) sweepFlows() {
 		}
 	}
 	r.FlowsActive.Set(int64(r.ActiveFlows()))
-}
-
-// sortFlowsByTuple orders flows by their five-tuple so bulk teardown emits
-// the same event sequence on every same-seed run despite map iteration.
-func sortFlowsByTuple(flows []*Flow) {
-	sort.Slice(flows, func(i, j int) bool {
-		a, b := flows[i], flows[j]
-		if a.initIP != b.initIP {
-			return a.initIP < b.initIP
-		}
-		if a.initPort != b.initPort {
-			return a.initPort < b.initPort
-		}
-		if a.respIP != b.respIP {
-			return a.respIP < b.respIP
-		}
-		if a.respPort != b.respPort {
-			return a.respPort < b.respPort
-		}
-		return a.proto < b.proto
-	})
 }
 
 // shedLRU evicts the least-recently-active flow to make room for a new one
@@ -986,41 +964,19 @@ func (r *Router) shedLRU() bool {
 		}
 		return f.proto < victim.proto
 	}
-	for _, f := range r.flows {
+	r.eachFlow(func(f *Flow) {
 		if better(f) {
 			victim = f
 		}
-	}
-	for _, f := range r.udpFlows {
-		if better(f) {
-			victim = f
-		}
-	}
+	})
 	if victim == nil {
 		return false
 	}
-	if victim.proto == netstack.ProtoTCP {
-		switch victim.state {
-		case fsAwaitVerdict:
-			if victim.haveCSISN {
-				victim.rstInitiatorRaw(victim.csISN+1, victim.initNextSeq, netstack.FlagRST|netstack.FlagACK)
-			}
-			victim.rstCS()
-		case fsEstablishing, fsSplice:
-			victim.abortResponder()
-			victim.rstInitiatorRaw(victim.csISN+1, victim.initNextSeq, netstack.FlagRST|netstack.FlagACK)
-		case fsRewriteProxy:
-			victim.rstCS()
-			victim.rstInitiatorRaw(victim.csISN+1, victim.initNextSeq, netstack.FlagRST|netstack.FlagACK)
-		}
-	}
+	victim.reset(true)
 	r.FlowsShed.Inc()
-	r.sc.Emit(obs.Event{
-		Type: obs.EvFlowShed, VLAN: victim.vlan, Proto: victim.proto,
-		SrcIP: uint32(victim.initIP), SrcPort: victim.initPort,
-		DstIP: uint32(victim.respIP), DstPort: victim.respPort,
-		Detail: "flow table full",
-	})
+	e := victim.event(obs.EvFlowShed)
+	e.Detail = "flow table full"
+	r.sc.Emit(e)
 	victim.close("shed under pressure")
 	return true
 }

@@ -93,7 +93,7 @@ func (f *Flow) sendViaRoute(rt route, p *netstack.Packet) {
 func (f *Flow) dialResponder() {
 	rt, ok := f.responderRoute()
 	if !ok {
-		f.rstInitiatorRaw(f.csISN+1, f.initNextSeq, netstack.FlagRST|netstack.FlagACK)
+		f.resetInitiator()
 		f.close("actual responder unroutable")
 		return
 	}
@@ -121,7 +121,7 @@ func (f *Flow) fromResponder(p *netstack.Packet) {
 	case fsEstablishing:
 		if t.Flags&netstack.FlagRST != 0 {
 			// Responder refused: propagate as the impersonated original.
-			f.rstInitiatorRaw(f.csISN+1, f.initNextSeq, netstack.FlagRST|netstack.FlagACK)
+			f.resetInitiator()
 			f.close("responder refused connection")
 			return
 		}
@@ -251,14 +251,8 @@ func (f *Flow) leg2FromCS(p *netstack.Packet) {
 	if !ok {
 		return
 	}
-	switch {
-	case p.TCP != nil:
-		p.TCP.SrcPort = f.initPort
-		p.TCP.DstPort = f.actualPort
-	case p.UDP != nil:
-		p.UDP.SrcPort = f.initPort
-		p.UDP.DstPort = f.actualPort
-	}
+	sport, dport := l4Ports(p)
+	*sport, *dport = f.initPort, f.actualPort
 	f.rec.BytesOrig += uint64(len(p.Payload))
 	f.sendViaRoute(rt, p)
 }
@@ -269,14 +263,8 @@ func (f *Flow) leg2FromResponder(p *netstack.Packet) {
 	f.touch()
 	p.IP.Src = f.r.cfg.NonceIP
 	p.IP.Dst = f.leg2CS.ip
-	switch {
-	case p.TCP != nil:
-		p.TCP.SrcPort = f.noncePort
-		p.TCP.DstPort = f.leg2CS.port
-	case p.UDP != nil:
-		p.UDP.SrcPort = f.noncePort
-		p.UDP.DstPort = f.leg2CS.port
-	}
+	sport, dport := l4Ports(p)
+	*sport, *dport = f.noncePort, f.leg2CS.port
 	f.rec.BytesResp += uint64(len(p.Payload))
 	f.r.sendToVLAN(p, f.r.cfg.ContainmentVLAN)
 }
@@ -314,10 +302,7 @@ func newGwSender(f *Flow, rt route) *gwSender {
 }
 
 func (s *gwSender) sendSYN() {
-	s.transmitSeg(&netstack.TCP{
-		SrcPort: s.f.initPort, DstPort: s.f.actualPort,
-		Seq: s.f.initISS, Flags: netstack.FlagSYN, Window: 65535,
-	}, nil)
+	s.transmit(s.f.initISS, 0, netstack.FlagSYN, nil)
 	s.una = s.f.initISS
 	s.nextSeq = s.f.initISS + 1
 	s.arm()
@@ -329,11 +314,7 @@ func (s *gwSender) onEstablished() {
 	s.retries = 0
 	s.timer.Stop()
 	// Handshake ACK.
-	s.transmitSeg(&netstack.TCP{
-		SrcPort: s.f.initPort, DstPort: s.f.actualPort,
-		Seq: s.nextSeq, Ack: s.f.respNextSeq,
-		Flags: netstack.FlagACK, Window: 65535,
-	}, nil)
+	s.transmit(s.nextSeq, s.f.respNextSeq, netstack.FlagACK, nil)
 	// Queue the phase-1 payload (and FIN, if the initiator already closed).
 	data := s.f.initPayload
 	s.f.initPayload = nil
@@ -371,11 +352,7 @@ func (s *gwSender) flush() {
 		if seg.fin {
 			flags |= netstack.FlagFIN
 		}
-		s.transmitSeg(&netstack.TCP{
-			SrcPort: s.f.initPort, DstPort: s.f.actualPort,
-			Seq: seg.seq, Ack: s.f.respNextSeq,
-			Flags: flags, Window: 65535,
-		}, seg.payload)
+		s.transmit(seg.seq, s.f.respNextSeq, flags, seg.payload)
 	}
 }
 
@@ -406,22 +383,15 @@ func (s *gwSender) onAck(ack uint32) {
 	}
 }
 
-func (s *gwSender) transmitSeg(t *netstack.TCP, payload []byte) {
-	p := &netstack.Packet{
-		Eth:     netstack.Ethernet{EtherType: netstack.EtherTypeIPv4},
-		IP:      &netstack.IPv4{TTL: netstack.DefaultTTL},
-		TCP:     t,
-		Payload: payload,
-	}
-	s.f.sendViaRoute(s.rt, p)
+// transmit originates a segment toward the actual responder in the
+// initiator's name.
+func (s *gwSender) transmit(seq, ack uint32, flags uint8, payload []byte) {
+	f := s.f
+	f.sendViaRoute(s.rt, newSegment(s.rt.srcIP, s.rt.dstIP, f.initPort, f.actualPort, seq, ack, flags, payload))
 }
 
 func (s *gwSender) sendRST() {
-	s.transmitSeg(&netstack.TCP{
-		SrcPort: s.f.initPort, DstPort: s.f.actualPort,
-		Seq: s.nextSeq, Ack: s.f.respNextSeq,
-		Flags: netstack.FlagRST | netstack.FlagACK,
-	}, nil)
+	s.transmit(s.nextSeq, s.f.respNextSeq, netstack.FlagRST|netstack.FlagACK, nil)
 	s.stop()
 }
 
@@ -436,15 +406,12 @@ func (s *gwSender) retransmit() {
 	if s.retries > 6 {
 		// Responder unresponsive: give the initiator a reset from the
 		// impersonated destination and close.
-		s.f.rstInitiatorRaw(s.f.csISN+1, s.f.initNextSeq, netstack.FlagRST|netstack.FlagACK)
+		s.f.resetInitiator()
 		s.f.close("responder unresponsive")
 		return
 	}
 	if s.f.state == fsEstablishing {
-		s.transmitSeg(&netstack.TCP{
-			SrcPort: s.f.initPort, DstPort: s.f.actualPort,
-			Seq: s.f.initISS, Flags: netstack.FlagSYN, Window: 65535,
-		}, nil)
+		s.transmit(s.f.initISS, 0, netstack.FlagSYN, nil)
 	} else {
 		s.flush()
 	}

@@ -57,13 +57,7 @@ func (f *Flow) sendUDPToCS(payload []byte) {
 	// Source the datagram from the flow's nonce port so the containment
 	// server's reply demultiplexes to this flow even when one inmate
 	// socket talks to many destinations.
-	p := &netstack.Packet{
-		Eth:     netstack.Ethernet{EtherType: netstack.EtherTypeIPv4},
-		IP:      &netstack.IPv4{TTL: netstack.DefaultTTL, Src: f.initIP, Dst: f.cs.IP},
-		UDP:     &netstack.UDP{SrcPort: f.noncePort, DstPort: f.cs.Port},
-		Payload: wrapped,
-	}
-	f.r.sendToVLAN(p, f.cs.VLAN)
+	f.sendToCS(newDatagram(f.initIP, f.cs.IP, f.noncePort, f.cs.Port, wrapped))
 }
 
 // udpFromCS handles containment-server datagrams: a response shim followed
@@ -81,27 +75,14 @@ func (f *Flow) udpFromCS(p *netstack.Packet) {
 	}
 	if len(rest) > 0 && f.state != fsDropped && f.state != fsClosed {
 		f.rec.BytesResp += uint64(len(rest))
-		f.sendToInitiator(nil, &netstack.UDP{SrcPort: f.respPort, DstPort: f.initPort}, rest)
+		f.datagramToInitiator(rest)
 	}
 }
 
 // applyVerdictUDP enacts a verdict on a UDP flow and flushes the queue.
 func (f *Flow) applyVerdictUDP(resp *shim.Response) {
-	f.verdict = resp.Verdict
-	f.rec.Verdict = resp.Verdict
-	f.rec.Policy = resp.PolicyName
-	f.rec.Annotation = resp.Annotation
-	f.rec.VerdictAt = f.now()
-	f.recordVerdict(uint32(resp.Verdict), resp.PolicyName)
-	f.actualIP, f.actualPort = resp.RespIP, resp.RespPort
-	if f.actualIP == 0 {
-		f.actualIP, f.actualPort = f.respIP, f.respPort
-	}
-	f.rec.ActualRespIP, f.rec.ActualRespPort = f.actualIP, f.actualPort
+	f.adoptVerdict(resp)
 	f.r.udpByActual[udpKey{f.initIP, f.initPort, f.actualIP, f.actualPort}] = f
-	if f.r.OnVerdict != nil {
-		f.r.OnVerdict(f.rec)
-	}
 
 	v := resp.Verdict
 	queue := f.udpQueue
@@ -141,13 +122,7 @@ func (f *Flow) forwardUDPToResponder(payload []byte) {
 	if !ok {
 		return
 	}
-	p := &netstack.Packet{
-		Eth:     netstack.Ethernet{EtherType: netstack.EtherTypeIPv4},
-		IP:      &netstack.IPv4{TTL: netstack.DefaultTTL},
-		UDP:     &netstack.UDP{SrcPort: f.initPort, DstPort: f.actualPort},
-		Payload: payload,
-	}
-	f.sendViaRoute(rt, p)
+	f.sendViaRoute(rt, newDatagram(rt.srcIP, rt.dstIP, f.initPort, f.actualPort, payload))
 }
 
 // udpFromResponder relays responder datagrams back, impersonating the
@@ -157,5 +132,11 @@ func (f *Flow) udpFromResponder(p *netstack.Packet) {
 		return
 	}
 	f.rec.BytesResp += uint64(len(p.Payload))
-	f.sendToInitiator(nil, &netstack.UDP{SrcPort: f.respPort, DstPort: f.initPort}, p.Payload)
+	f.datagramToInitiator(p.Payload)
+}
+
+// datagramToInitiator originates a datagram toward the initiator in the
+// original responder's name.
+func (f *Flow) datagramToInitiator(payload []byte) {
+	f.deliverToInitiator(newDatagram(f.respIP, f.initIP, f.respPort, f.initPort, payload))
 }

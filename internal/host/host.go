@@ -147,15 +147,7 @@ func (h *Host) AnnounceARP() {
 	if h.addr.IsZero() {
 		return
 	}
-	p := &netstack.Packet{
-		Eth: netstack.Ethernet{Dst: netstack.BroadcastMAC, Src: h.mac, EtherType: netstack.EtherTypeARP},
-		ARP: &netstack.ARP{
-			Op:       netstack.ARPRequest,
-			SenderHW: h.mac, SenderIP: h.addr,
-			TargetIP: h.addr,
-		},
-	}
-	h.nic.Send(p.Marshal())
+	h.arpRequest(h.addr)
 }
 
 // AddRxHook registers an observer invoked for every parsed packet the host
@@ -264,15 +256,7 @@ func (h *Host) handleARP(a *netstack.ARP) {
 		}
 	}
 	if a.Op == netstack.ARPRequest && !h.addr.IsZero() && a.TargetIP == h.addr {
-		reply := &netstack.Packet{
-			Eth: netstack.Ethernet{Dst: a.SenderHW, Src: h.mac, EtherType: netstack.EtherTypeARP},
-			ARP: &netstack.ARP{
-				Op:       netstack.ARPReply,
-				SenderHW: h.mac, SenderIP: h.addr,
-				TargetHW: a.SenderHW, TargetIP: a.SenderIP,
-			},
-		}
-		h.nic.Send(reply.Marshal())
+		h.nic.Send(netstack.NewARPReply(netstack.NoVLAN, h.mac, h.addr, a).Marshal())
 	}
 }
 
@@ -341,15 +325,7 @@ func (h *Host) sendIP(dst netstack.Addr, proto uint8, frame []byte) {
 
 // arpRequest broadcasts an ARP request for target.
 func (h *Host) arpRequest(target netstack.Addr) {
-	req := &netstack.Packet{
-		Eth: netstack.Ethernet{Dst: netstack.BroadcastMAC, Src: h.mac, EtherType: netstack.EtherTypeARP},
-		ARP: &netstack.ARP{
-			Op:       netstack.ARPRequest,
-			SenderHW: h.mac, SenderIP: h.addr,
-			TargetIP: target,
-		},
-	}
-	h.nic.Send(req.Marshal())
+	h.nic.Send(netstack.NewARPRequest(netstack.NoVLAN, h.mac, h.addr, target).Marshal())
 }
 
 // emitIP completes the link and IP headers in front of the transport

@@ -108,6 +108,23 @@ type ARP struct {
 
 const arpLen = 28
 
+// NewARPRequest builds the broadcast asking who has target, sent by (hw, ip)
+// on vlan (NoVLAN: untagged). A gratuitous announcement asks for ip itself.
+func NewARPRequest(vlan uint16, hw MAC, ip, target Addr) *Packet {
+	return &Packet{
+		Eth: Ethernet{Dst: BroadcastMAC, Src: hw, VLAN: vlan, EtherType: EtherTypeARP},
+		ARP: &ARP{Op: ARPRequest, SenderHW: hw, SenderIP: ip, TargetIP: target},
+	}
+}
+
+// NewARPReply builds the answer to request req: ip is at hw.
+func NewARPReply(vlan uint16, hw MAC, ip Addr, req *ARP) *Packet {
+	return &Packet{
+		Eth: Ethernet{Dst: req.SenderHW, Src: hw, VLAN: vlan, EtherType: EtherTypeARP},
+		ARP: &ARP{Op: ARPReply, SenderHW: hw, SenderIP: ip, TargetHW: req.SenderHW, TargetIP: req.SenderIP},
+	}
+}
+
 // Marshal appends the 28-byte encoding to dst.
 func (a *ARP) Marshal(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, 1)             // htype: Ethernet

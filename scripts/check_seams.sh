@@ -4,7 +4,8 @@
 # another through sim.Hop, an outside goroutine enters through sim.Inject.
 # Fails when a non-test Go file outside internal/sim (bench/, the frozen
 # benchmark harness, aside) posts across domains itself, or when one of the
-# retired doorways reappears.
+# retired doorways reappears. Also guards the gateway's one flow lifecycle
+# (DESIGN.md §3g), below.
 set -eu
 cd "$(git rev-parse --show-toplevel)"
 status=0
@@ -23,4 +24,19 @@ bad "retired doorway (use Simulator.Inject / ops.Driver.Do)" \
 	"$(grep -nE '\) DoIn\(|\.DoIn\(|[Cc]oord(inator)?\.Post\(' $files || true)"
 bad "retired doorway in internal/sim" \
 	"$(grep -nE 'func \(c \*Coordinator\) Post\(|ctlPost|drainPosted' internal/sim/*.go || true)"
+# A gateway flow has one lifecycle (DESIGN.md §3g): one linger timer in the
+# Flow (no per-call Schedule), one walk over the flow table (no seen-set to
+# de-duplicate a second one), one constructor each for an originated TCP
+# segment and UDP datagram (the only IPv4 header literals in the flow code).
+gw=$(find internal/gateway -name '*.go' ! -name '*_test.go')
+# shellcheck disable=SC2086
+bad "flow timer scheduled per call in internal/gateway (use the Flow's linger sim.Timer)" \
+	"$(grep -nE '\.Schedule(At)?\(' $gw || true)"
+# shellcheck disable=SC2086
+bad "seen-set over flows in internal/gateway (use Router.eachFlow / liveFlows)" \
+	"$(grep -nF 'map[*Flow]bool' $gw || true)"
+lits=$(cd internal/gateway && grep -nF 'netstack.IPv4{' flow.go splice.go udp.go || true)
+if [ "$(printf '%s' "$lits" | grep -c .)" -gt 2 ]; then
+	bad "gateway-originated packet built outside newSegment / newDatagram" "$lits"
+fi
 exit $status
