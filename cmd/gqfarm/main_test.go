@@ -2,9 +2,14 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -105,6 +110,93 @@ func TestMetricsFormats(t *testing.T) {
 		}
 		if !strings.Contains(string(b), tc.want) {
 			t.Fatalf("%s metrics missing %q:\n%.300s", tc.format, tc.want, b)
+		}
+	}
+}
+
+var updateDigests = flag.Bool("update", false, "rewrite testdata/run_digests.txt with the current runs' artifacts")
+
+// wallTime masks the one stderr field that is wall-clock, not simulation.
+var wallTime = regexp.MustCompile(`done in \S+ wall time`)
+
+// TestRunDigests pins everything a batch run leaves behind — journal, pcap,
+// metrics JSON, report and (wall time masked) stderr — across commits, the
+// way TestSoakJournalDigests pins the soak journals: a refactor of the
+// build or run path must not move a byte. Each artifact's SHA-256 must
+// match testdata/run_digests.txt; `go test -run TestRunDigests ./cmd/gqfarm
+// -update` regenerates the file after an intended behaviour change.
+func TestRunDigests(t *testing.T) {
+	path := filepath.Join("testdata", "run_digests.txt")
+	want := make(map[string]string)
+	if !*updateDigests {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(b), "\n") {
+			if name, sum, ok := strings.Cut(line, " "); ok {
+				want[name] = sum
+			}
+		}
+	}
+	var got bytes.Buffer
+	for _, r := range []struct {
+		name  string
+		trace bool
+		args  []string
+	}{
+		{"plain", false, nil},
+		{"trace", true, nil},
+		{"full", true, []string{"-rawiron", "3", "-tree", "-chaos", "soak", "-shards", "2", "-workers", "1"}},
+	} {
+		dir := t.TempDir()
+		file := func(name string) string { return filepath.Join(dir, name) }
+		args := append([]string{"-events", file("journal"), "-metrics", file("metrics"), "-flight-dir", dir}, r.args...)
+		artifacts := []string{"journal", "metrics", "report", "stderr"}
+		if r.trace {
+			args = append(args, "-trace", file("pcap"))
+			artifacts = append(artifacts, "pcap")
+		}
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 0 {
+			t.Fatalf("%s: exit %d (stderr: %s)", r.name, code, errOut.String())
+		}
+		stderr := wallTime.ReplaceAll(errOut.Bytes(), []byte("done in WALL wall time"))
+		stderr = bytes.ReplaceAll(stderr, []byte(dir), []byte("DIR"))
+		for _, a := range artifacts {
+			var b []byte
+			switch a {
+			case "report":
+				b = out.Bytes()
+			case "stderr":
+				b = stderr
+			default:
+				var err error
+				if b, err = os.ReadFile(file(a)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			name := r.name + "/" + a
+			sum := sha256.Sum256(b)
+			hexSum := hex.EncodeToString(sum[:])
+			fmt.Fprintf(&got, "%s %s\n", name, hexSum)
+			if *updateDigests {
+				continue
+			}
+			switch pinned, ok := want[name]; {
+			case !ok:
+				t.Errorf("%s: no pinned digest in %s (run with -update)", name, path)
+			case pinned != hexSum:
+				t.Errorf("%s: digest %s, pinned %s — the run moved", name, hexSum, pinned)
+			}
+		}
+	}
+	if *updateDigests {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
