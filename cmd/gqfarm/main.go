@@ -67,29 +67,18 @@ import (
 	"time"
 
 	"gq/internal/chaos"
+	"gq/internal/experiments"
 	"gq/internal/farm"
+	"gq/internal/host"
 	"gq/internal/malware"
 	"gq/internal/netstack"
 	"gq/internal/obs"
 	"gq/internal/ops"
 	"gq/internal/policy"
 	"gq/internal/rawiron"
-	"gq/internal/smtpx"
 	"gq/internal/supervisor"
 	"gq/internal/trace"
 )
-
-const defaultConfig = `[VLAN 16-17]
-Decider = Rustock
-Infection = rustock.100921.*.exe
-
-[VLAN 18-19]
-Decider = Grum
-Infection = grum.100818.*.exe
-
-[VLAN 16-19]
-Trigger = *:25/tcp / 30min < 1 -> revert
-`
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -153,11 +142,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		drainSet := false
 		fs.Visit(func(fl *flag.Flag) { drainSet = drainSet || fl.Name == "drain" })
 		if !drainSet {
-			*drain = 12 * time.Minute
+			*drain = experiments.SoakDrain
 		}
 	}
 
-	text := defaultConfig
+	text := farm.BotfarmPolicy(2, 2)
 	if *cfgPath != "" {
 		b, err := os.ReadFile(*cfgPath)
 		if err != nil {
@@ -165,104 +154,55 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		text = string(b)
 	}
-	pcfg, err := policy.Parse(text)
-	if err != nil {
-		return fail(err)
-	}
 
-	// Synthesise a sample library from the Infection globs.
-	var library []*policy.Sample
-	known := map[string]bool{}
-	for _, fam := range malware.Families() {
-		known[fam] = true
-	}
-	var maxVLAN uint16
-	for _, rule := range pcfg.VLANRules {
-		if rule.Hi > maxVLAN {
-			maxVLAN = rule.Hi
-		}
-		if rule.Infection == "" {
-			continue
-		}
-		family := strings.SplitN(rule.Infection, ".", 2)[0]
-		if !known[family] {
-			fmt.Fprintf(stderr, "gqfarm: warning: no behavioural model for family %q\n", family)
-			continue
-		}
-		name := strings.Replace(rule.Infection, "*", "001", 1)
-		library = append(library, policy.NewSample(name, family, []byte("MZ-"+name)))
-	}
-
-	var f *farm.Farm
-	if *shards > 0 {
-		f = farm.NewShardedN(*seed, *workers, *shards)
-	} else {
-		f = farm.New(*seed)
-	}
-	ccAddr := netstack.MustParseAddr("50.8.207.91")
-	cc := f.AddExternalHost("cc", ccAddr)
-	if _, err := malware.NewCCServer(cc, malware.CCConfig{
-		Template: "pharma special",
-		Targets: []netstack.Addr{
-			netstack.MustParseAddr("203.0.113.25"),
-			netstack.MustParseAddr("203.0.113.26"),
-		},
-		Forbidden: []string{"DDOS 203.0.113.99"},
-	}); err != nil {
-		return fail(err)
-	}
+	// The Botfarm, its VLAN range and sample library derived from the
+	// Fig. 6 text, with the GMail MX that fingerprints Waledac-class HELOs.
 	gmailAddr := netstack.MustParseAddr("172.217.0.25")
-	gmailHost := f.AddExternalHost("gmail", gmailAddr)
-	gmail, err := malware.NewGMailMX(gmailHost, []string{"wergvan"})
-	if err != nil {
-		return fail(err)
+	botfarm := farm.Botfarm()
+	botfarm.PolicyConfig = text
+	botfarm.CCHosts = farm.SteephostCC()
+	botfarm.CCHosts["GMailMX"] = policy.AddrPort{Addr: gmailAddr, Port: 25}
+	botfarm.GMailMX = gmailAddr
+	botfarm.SinkDropProb = *dropProb
+	botfarm.BannerGrab = true
+	for i := 0; i < *inmates; i++ {
+		botfarm.Inmates = append(botfarm.Inmates, fmt.Sprintf("inmate-%d", i))
 	}
-	// The MX fires this callback in gmailHost's domain; the CBL is
-	// root-domain state.
-	gmail.OnFingerprint = func(sender netstack.Addr, helo string) {
-		gmailHost.Sim().Hop(f.Sim, func() { f.CBL.List(sender, "HELO "+helo+" fingerprinted") })
-	}
-
-	lo := pcfg.VLANRules[0].Lo
-	sf, err := f.AddSubfarm(farm.SubfarmConfig{
-		Name:   "Botfarm",
-		VLANLo: lo, VLANHi: maxVLAN + 4,
-		ServiceVLAN:   11,
-		GlobalPool:    netstack.MustParsePrefix("192.0.2.0/24"),
-		InfraPool:     netstack.MustParsePrefix("192.0.9.0/24"),
-		PolicyConfig:  text,
-		SampleLibrary: library,
-		RepeatBatches: true,
-		CCHosts: map[string]policy.AddrPort{
-			"Rustock":  {Addr: ccAddr, Port: 443},
-			"Grum":     {Addr: ccAddr, Port: 80},
-			"MegaD":    {Addr: ccAddr, Port: 4560},
-			"Clickbot": {Addr: ccAddr, Port: 8080},
-			"GMailMX":  {Addr: gmailAddr, Port: 25},
+	botfarm.Iron, botfarm.IronPool = *rawIron, rawiron.Config{MaxConcurrent: 2}
+	botfarm.IronCycle = farm.RecyclerConfig{Capture: true}
+	plan := experiments.Plan{
+		Spec: farm.Spec{
+			Layout:   farm.Layout{Seed: *seed, Sharded: *shards > 0, Workers: *workers, ExtShards: *shards},
+			External: []farm.ExternalHost{farm.Steephost("cc"), {Name: "gmail", Addr: gmailAddr, Serve: serveGMail}},
+			Subfarms: []farm.SubfarmSpec{botfarm},
+			Supervisor: supervisor.Config{
+				HeartbeatEvery:   *supHB,
+				MissThreshold:    *supK,
+				BreakerThreshold: *supBreaker,
+			},
 		},
-		GMailMX:        gmailAddr,
-		SinkDropProb:   *dropProb,
-		SinkStrictness: smtpx.Lenient,
-		BannerGrab:     true,
-	})
-	if err != nil {
-		return fail(err)
+		Drain: *drain,
+	}
+	var supervision string
+	if *treeFlag {
+		plan.Spec.Supervise, supervision = farm.SuperviseTree, "supervision tree attached (root + per-subfarm nodes)"
+	} else if *supervise {
+		plan.Spec.Supervise, supervision = farm.SuperviseSubfarms, "containment-plane supervisor attached"
+	}
+	if *chaosSpec != "" {
+		plan.Faults = []chaos.Profile{chaosProfile}
 	}
 
-	// Attach the NDJSON journal sink before any traffic flows so the journal
-	// covers the whole run (the verdict namer is already installed by
-	// farm.New, so verdict bits render symbolically). Deferred LIFO order
-	// flushes the sink before closing the file — on every exit path.
+	// The NDJSON journal streams to -events from the first event on; the
+	// runner flushes it on every path out of the run.
 	if *eventsPath != "" {
 		eventsFile, err := os.Create(*eventsPath)
 		if err != nil {
 			return fail(err)
 		}
 		defer eventsFile.Close()
-		sink := f.Sim.Obs().Journal.AttachNDJSON(eventsFile)
-		defer sink.Flush()
+		plan.Spec.Journal = eventsFile
 	}
-
 	var traceW *trace.Writer
 	if *tracePath != "" {
 		fh, err := os.Create(*tracePath)
@@ -275,124 +215,75 @@ func run(args []string, stdout, stderr io.Writer) int {
 		} else {
 			traceW = trace.NewWriter(fh)
 		}
-		// The tap fires in the router's domain; stamp packets with that
-		// domain's clock (under -shards the router lives in the subfarm's
-		// domain, not the farm root).
-		sf.Router.AddTap(func(p *netstack.Packet) {
-			traceW.WritePacket(sf.Sim.WallClock(), p.Marshal())
-		})
+		plan.Spec.Subfarms[0].Trace = traceW
 	}
-
-	for i := 0; i < *inmates; i++ {
-		if _, err := sf.AddInmate(fmt.Sprintf("inmate-%d", i)); err != nil {
-			return fail(err)
+	say := func(format string, args ...any) experiments.Phase {
+		return func(*experiments.Run) error { fmt.Fprintf(stderr, "gqfarm: "+format+"\n", args...); return nil }
+	}
+	plan.OnBuild = func(f *farm.Farm) error {
+		for _, w := range f.Warnings {
+			fmt.Fprintf(stderr, "gqfarm: warning: %s\n", w)
 		}
-	}
-
-	// Raw-iron inmates join after the VM inmates so VLAN allocation stays
-	// stable, and before chaos so reimage faults install on the controller.
-	var recycler *farm.Recycler
-	if *rawIron > 0 {
-		if recycler, err = sf.StartIronRotation(*rawIron, rawiron.Config{MaxConcurrent: 2}, farm.RecyclerConfig{Capture: true}); err != nil {
-			return fail(err)
+		if *rawIron > 0 {
+			fmt.Fprintf(stderr, "gqfarm: %d raw-iron inmates on the recycling pipeline\n", *rawIron)
 		}
-		fmt.Fprintf(stderr, "gqfarm: %d raw-iron inmates on the recycling pipeline\n", *rawIron)
+		if supervision != "" {
+			fmt.Fprintln(stderr, "gqfarm:", supervision)
+		}
+		if *deadmanBudget > 0 && (*serveAddr == "" || !*treeFlag) {
+			return fmt.Errorf("-deadman needs both -serve and -tree")
+		}
+		return nil
 	}
-
-	var sup *supervisor.Supervisor
-	supCfg := supervisor.Config{
-		HeartbeatEvery:   *supHB,
-		MissThreshold:    *supK,
-		BreakerThreshold: *supBreaker,
-	}
-	if *treeFlag {
-		// The tree supervises every subfarm (idempotent over any earlier
-		// Supervise) plus the farm root's own dependencies. Attached after
-		// the recycler so its progress watch covers the pipeline.
-		f.SuperviseTree(supCfg)
-		sup = sf.Supervisor
-		fmt.Fprintln(stderr, "gqfarm: supervision tree attached (root + per-subfarm nodes)")
-	} else if *supervise {
-		sup = sf.Supervise(supCfg)
-		fmt.Fprintln(stderr, "gqfarm: containment-plane supervisor attached")
-	}
-	if *deadmanBudget > 0 && (*serveAddr == "" || !*treeFlag) {
-		return fail(fmt.Errorf("-deadman needs both -serve and -tree"))
-	}
-
-	// Fault injection covers the inmate links present now; applied after
-	// the inmates so every access link is impaired.
-	var injector *chaos.Injector
+	plan.Phases = []experiments.Phase{experiments.Faults}
 	if *chaosSpec != "" {
-		injector = chaos.Apply(sf, chaosProfile)
-		fmt.Fprintf(stderr, "gqfarm: chaos profile %s\n", chaosProfile)
+		plan.Phases = append(plan.Phases, say("chaos profile %s", chaosProfile))
 	}
 
 	if *serveAddr != "" {
-		return serve(f, *serveAddr, *speed, *deadmanBudget, *anonymize, *metricsPath, *metricsFormat, stdout, stderr, fail)
-	}
-
-	fmt.Fprintf(stderr, "gqfarm: running %d inmates for %v of virtual time...\n", *inmates, *dur)
-	start := time.Now()
-	f.Run(*dur)
-	fmt.Fprintf(stderr, "gqfarm: done in %v wall time (%d events)\n",
-		time.Since(start).Round(time.Millisecond), f.Sim.Fired)
-	if f.Coord != nil {
-		if rounds, windows := f.Coord.Stats(); rounds > 0 {
-			fmt.Fprintf(stderr, "gqfarm: sharded: %.2f domains busy per synchronization round\n",
-				float64(windows)/float64(rounds))
-		}
-	}
-
-	// Health checks: probe containment if asked, then retire the inmates and
-	// drain so the flow table can empty.
-	var failures []string
-	if *verify {
-		out, err := farm.RunContainmentProbe(f, sf, nil, 2*time.Minute)
+		r, err := experiments.Start(plan)
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stderr, "gqfarm: %s\n", out)
-		if escaped := out.Escaped(); len(escaped) > 0 {
-			failures = append(failures,
-				fmt.Sprintf("containment probe escaped to %s", strings.Join(escaped, ", ")))
+		defer r.FlushJournal()
+		if err := r.Do(plan.Phases...); err != nil {
+			return fail(err)
 		}
+		return serve(r.Farm, *serveAddr, *speed, *deadmanBudget, *anonymize, *metricsPath, *metricsFormat, stdout, stderr, fail)
 	}
-	if recycler != nil {
-		// Stop opening detonation windows before retiring the inmates;
-		// in-flight capture/reimage operations run out during the drain.
-		recycler.Stop()
-	}
-	f.RetireInmates()
-	if injector != nil {
-		// End injection before the drain: links come back up, stalls clear,
-		// and any crashed containment server is restarted (by the supervisor
-		// when one is attached, by the injector's restore otherwise), so a
-		// healthy farm must end with an empty flow table.
-		injector.Stop()
-		fmt.Fprintf(stderr, "gqfarm: chaos injection stopped (%d CS crashes injected)\n", injector.Crashes)
-	}
-	f.Run(*drain)
 
-	if sup != nil {
-		fmt.Fprintf(stderr, "gqfarm: supervisor: %d recoveries %v\n", len(sup.Recoveries), sup.Recoveries)
-		for i := range sf.CSCluster {
-			if !sup.Healthy(i) && !sup.Quarantined(i) {
-				failures = append(failures, fmt.Sprintf("containment server %d still down after drain", i))
+	var start time.Time
+	plan.Phases = append(plan.Phases,
+		say("running %d inmates for %v of virtual time...", *inmates, *dur),
+		func(*experiments.Run) error { start = time.Now(); return nil },
+		experiments.RunFor(*dur),
+		func(r *experiments.Run) error {
+			fmt.Fprintf(stderr, "gqfarm: done in %v wall time (%d events)\n",
+				time.Since(start).Round(time.Millisecond), r.Sim.Fired)
+			if r.Coord != nil {
+				if rounds, windows := r.Coord.Stats(); rounds > 0 {
+					fmt.Fprintf(stderr, "gqfarm: sharded: %.2f domains busy per synchronization round\n",
+						float64(windows)/float64(rounds))
+				}
 			}
-		}
+			return nil
+		})
+	if *verify {
+		plan.Phases = append(plan.Phases, experiments.ProbeRound(nil),
+			func(r *experiments.Run) error { fmt.Fprintf(stderr, "gqfarm: %s\n", r.Probes[0][0]); return nil })
 	}
-
-	open := 0
-	for _, sub := range f.Subfarms {
-		open += sub.Router.ActiveFlows()
+	// The wind-down retires the inmates, ends injection and drains, so a
+	// healthy farm ends with an empty flow table; the shared checks demand it.
+	r, err := experiments.Execute(plan)
+	if err != nil {
+		return fail(err)
 	}
-	if open > 0 {
-		failures = append(failures, fmt.Sprintf("%d flows still open after drain", open))
-		f.Sim.Obs().Journal.DumpAll("run ended with open flows")
+	f, sf := r.Farm, r.Subfarms[0]
+	for _, inj := range r.Injectors {
+		fmt.Fprintf(stderr, "gqfarm: chaos injection stopped (%d CS crashes injected)\n", inj.Crashes)
 	}
-	if n := f.CBL.ListedCount(); n > 0 {
-		failures = append(failures, fmt.Sprintf("%d inmate addresses blacklisted", n))
+	if sup := sf.Supervisor; sup != nil {
+		fmt.Fprintf(stderr, "gqfarm: supervisor: %d recoveries %v\n", len(sup.Recoveries), sup.Recoveries)
 	}
 
 	fmt.Fprintln(stdout, f.Reporter(*anonymize).Generate())
@@ -409,16 +300,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if len(failures) > 0 {
+	if len(r.Problems) > 0 {
 		dumpPath, err := writeFlightDumps(f, *flightDir)
 		if err != nil {
 			dumpPath = "(dump failed: " + err.Error() + ")"
 		}
-		fmt.Fprintf(stderr, "gqfarm: FAILED: %s — flight recorder at %s\n",
-			strings.Join(failures, "; "), dumpPath)
+		// One subfarm: its name on every finding adds nothing.
+		failed := strings.ReplaceAll(strings.Join(r.Problems, "; "), sf.Name+": ", "")
+		fmt.Fprintf(stderr, "gqfarm: FAILED: %s — flight recorder at %s\n", failed, dumpPath)
 		return 1
 	}
 	return 0
+}
+
+// serveGMail is the GMail MX: it blacklists the sender of every
+// fingerprinted HELO. The MX fires the callback in its own domain; the CBL
+// is root-domain state.
+func serveGMail(f *farm.Farm, h *host.Host) error {
+	gmail, err := malware.NewGMailMX(h, []string{"wergvan"})
+	if err != nil {
+		return err
+	}
+	gmail.OnFingerprint = func(sender netstack.Addr, helo string) {
+		h.Sim().Hop(f.Sim, func() { f.CBL.List(sender, "HELO "+helo+" fingerprinted") })
+	}
+	return nil
 }
 
 // serve runs the farm as a real-time-paced soak with the ops plane mounted

@@ -29,6 +29,11 @@ import (
 	"gq/internal/policy"
 )
 
+func die(err error) {
+	fmt.Fprintln(os.Stderr, "gqverify:", err)
+	os.Exit(1)
+}
+
 func main() {
 	name := flag.String("policy", "DefaultDeny", "containment policy to verify (see -list)")
 	list := flag.Bool("list", false, "list registered policies")
@@ -42,24 +47,29 @@ func main() {
 		return
 	}
 
-	env := &policy.Env{
-		Services: map[string]policy.AddrPort{
-			policy.SvcCatchAllSink:   {Addr: netstack.MustParseAddr("10.3.0.2")},
-			policy.SvcSMTPSink:       {Addr: netstack.MustParseAddr("10.3.0.3"), Port: 25},
-			policy.SvcBannerSMTPSink: {Addr: netstack.MustParseAddr("10.3.0.4"), Port: 25},
-			policy.SvcHTTPSink:       {Addr: netstack.MustParseAddr("10.3.0.5"), Port: 80},
-			policy.SvcAutoinfect:     {Addr: netstack.MustParseAddr("10.9.8.7"), Port: 6543},
-		},
-		InternalPrefix: netstack.MustParsePrefix("10.0.0.0/16"),
-		CCHosts: map[string]policy.AddrPort{
-			"Grum":  {Addr: netstack.MustParseAddr("50.8.207.91"), Port: 80},
-			"MegaD": {Addr: netstack.MustParseAddr("198.51.100.77"), Port: 4560},
-		},
+	// The farm the policy will run in; its policy environment — sink
+	// locations, internal prefix, C&C table — is what the static audit
+	// judges the verdicts against.
+	f, err := farm.Spec{
+		Layout: farm.Layout{Seed: *seed},
+		Subfarms: []farm.SubfarmSpec{{SubfarmConfig: farm.SubfarmConfig{
+			Name:   "verify",
+			VLANLo: 16, VLANHi: 20,
+			GlobalPool:     netstack.MustParsePrefix("192.0.2.0/24"),
+			FallbackPolicy: *name,
+			CCHosts: map[string]policy.AddrPort{
+				"Grum":  {Addr: farm.SteephostAddr, Port: 80},
+				"MegaD": {Addr: netstack.MustParseAddr("198.51.100.77"), Port: 4560},
+			},
+		}}},
+	}.Build()
+	if err != nil {
+		die(err)
 	}
+	env := f.Subfarms[0].Policy
 	d, err := policy.New(*name, env)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gqverify:", err)
-		os.Exit(1)
+		die(err)
 	}
 
 	// Phase 1: static verdict audit.
@@ -69,22 +79,9 @@ func main() {
 
 	// Phase 2: live enforcement probe.
 	fmt.Println("\nLive enforcement probe (canary hosts on the simulated Internet):")
-	f := farm.New(*seed)
-	sf, err := f.AddSubfarm(farm.SubfarmConfig{
-		Name:   "verify",
-		VLANLo: 16, VLANHi: 20,
-		GlobalPool:     netstack.MustParsePrefix("192.0.2.0/24"),
-		FallbackPolicy: *name,
-		CCHosts:        env.CCHosts,
-	})
+	out, err := farm.RunContainmentProbe(f, f.Subfarms[0], nil, 3*time.Minute)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gqverify:", err)
-		os.Exit(1)
-	}
-	out, err := farm.RunContainmentProbe(f, sf, nil, 3*time.Minute)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gqverify:", err)
-		os.Exit(1)
+		die(err)
 	}
 	fmt.Printf("  %s\n", out)
 	// Escapes on the never-allowed ports are containment failures; other

@@ -8,43 +8,40 @@ import (
 	"time"
 
 	"gq"
-	"gq/internal/farm"
 )
 
 func main() {
-	f := gq.NewFarm(1)
-
-	// A would-be C&C server on the simulated Internet. Under default-deny
-	// nothing will ever reach it.
-	cc := f.AddExternalHost("evil-cc", gq.MustParseAddr("203.0.113.5"))
-	_ = cc
-
-	sf, err := f.AddSubfarm(gq.SubfarmConfig{
-		Name:   "quickstart",
-		VLANLo: 16, VLANHi: 20,
-		GlobalPool: gq.MustParsePrefix("192.0.2.0/24"),
-		// No policy config: everything falls to the DefaultDeny fallback,
-		// which reflects traffic to the catch-all sink so we can observe
-		// the specimen without letting it reach anyone.
-	})
+	f, err := gq.Spec{
+		Layout: gq.Layout{Seed: 1},
+		// A would-be C&C server on the simulated Internet. Under
+		// default-deny nothing will ever reach it.
+		External: []gq.ExternalHost{{Name: "evil-cc", Addr: gq.MustParseAddr("203.0.113.5")}},
+		Subfarms: []gq.SubfarmSpec{{
+			SubfarmConfig: gq.SubfarmConfig{
+				Name:   "quickstart",
+				VLANLo: 16, VLANHi: 20,
+				GlobalPool: gq.MustParsePrefix("192.0.2.0/24"),
+				// No policy config: everything falls to the DefaultDeny
+				// fallback, which reflects traffic to the catch-all sink so
+				// we can observe the specimen without letting it reach anyone.
+			},
+			Inmates: []string{"specimen-0"},
+			// Instead of real malware, the inmate runs a probe at boot: it
+			// tries HTTP to the C&C, an SMTP delivery, and an IRC-ish port.
+			OnBoot: func(fi *gq.FarmInmate) {
+				for _, port := range []uint16{80, 25, 6667} {
+					c := fi.Host.Dial(gq.MustParseAddr("203.0.113.5"), port)
+					c.OnConnect = func() {
+						c.Write([]byte(fmt.Sprintf("phone-home on port %d\n", port)))
+					}
+				}
+			},
+		}},
+	}.Build()
 	if err != nil {
 		panic(err)
 	}
-
-	// Instead of real malware, the inmate runs a probe at boot: it tries
-	// HTTP to the C&C, an SMTP delivery, and an IRC-ish port.
-	sf.OnBootHook = func(fi *farm.FarmInmate) {
-		for _, port := range []uint16{80, 25, 6667} {
-			c := fi.Host.Dial(gq.MustParseAddr("203.0.113.5"), port)
-			p := port
-			c.OnConnect = func() {
-				c.Write([]byte(fmt.Sprintf("phone-home on port %d\n", p)))
-			}
-		}
-	}
-	if _, err := sf.AddInmate("specimen-0"); err != nil {
-		panic(err)
-	}
+	sf := f.Subfarms[0]
 
 	f.Run(1 * time.Minute)
 

@@ -9,69 +9,48 @@ import (
 	"time"
 
 	"gq"
+	"gq/internal/farm"
+	"gq/internal/host"
 	"gq/internal/malware"
 	"gq/internal/netstack"
-	"gq/internal/smtpx"
 )
 
-const botfarmConfig = `[VLAN 16-17]
-Decider = Rustock
-Infection = rustock.100921.*.exe
-
-[VLAN 18-19]
-Decider = Grum
-Infection = grum.100818.*.exe
-
-[VLAN 16-19]
-Trigger = *:25/tcp / 30min < 1 -> revert
-`
-
 func main() {
-	f := gq.NewFarm(42)
+	// Botmaster-side infrastructure on the simulated Internet: the
+	// SteepHost.Net C&C of Fig. 7, with this campaign's template.
+	steephost := gq.ExternalHost{Name: "steephost", Addr: farm.SteephostAddr, Serve: func(_ *gq.Farm, h *host.Host) error {
+		_, err := malware.NewCCServer(h, malware.CCConfig{
+			Template: "vip pharmacy",
+			Targets: []netstack.Addr{
+				gq.MustParseAddr("203.0.113.25"),
+				gq.MustParseAddr("203.0.113.26"),
+			},
+			Forbidden: []string{"DDOS 203.0.113.99", "PROXY 203.0.113.98:1080"},
+		})
+		return err
+	}}
 
-	// Botmaster-side infrastructure on the simulated Internet.
-	ccAddr := gq.MustParseAddr("50.8.207.91") // the SteepHost.Net C&C of Fig. 7
-	ccHost := f.AddExternalHost("steephost", ccAddr)
-	if _, err := malware.NewCCServer(ccHost, malware.CCConfig{
-		Template: "vip pharmacy",
-		Targets: []netstack.Addr{
-			gq.MustParseAddr("203.0.113.25"),
-			gq.MustParseAddr("203.0.113.26"),
-		},
-		Forbidden: []string{"DDOS 203.0.113.99", "PROXY 203.0.113.98:1080"},
-	}); err != nil {
-		panic(err)
+	// The Botfarm under the Fig. 6 text for two Rustock and two Grum inmates.
+	botfarm := farm.Botfarm()
+	botfarm.PolicyConfig = farm.BotfarmPolicy(2, 2)
+	botfarm.VLANLo, botfarm.VLANHi = 16, 24
+	botfarm.SampleLibrary = []*gq.Sample{
+		gq.NewSample("rustock.100921.001.exe", "rustock", []byte("MZ-rustock-1")),
+		gq.NewSample("rustock.100921.002.exe", "rustock", []byte("MZ-rustock-2")),
+		gq.NewSample("grum.100818.001.exe", "grum", []byte("MZ-grum-1")),
 	}
+	botfarm.SinkDropProb = 0.35 // Fig. 7: flows exceed completed sessions
+	botfarm.Inmates = []string{"bot-0", "bot-1", "bot-2", "bot-3"}
 
-	sf, err := f.AddSubfarm(gq.SubfarmConfig{
-		Name:   "Botfarm",
-		VLANLo: 16, VLANHi: 24,
-		ServiceVLAN:  11,
-		GlobalPool:   gq.MustParsePrefix("192.0.2.0/24"),
-		InfraPool:    gq.MustParsePrefix("192.0.9.0/24"),
-		PolicyConfig: botfarmConfig,
-		SampleLibrary: []*gq.Sample{
-			gq.NewSample("rustock.100921.001.exe", "rustock", []byte("MZ-rustock-1")),
-			gq.NewSample("rustock.100921.002.exe", "rustock", []byte("MZ-rustock-2")),
-			gq.NewSample("grum.100818.001.exe", "grum", []byte("MZ-grum-1")),
-		},
-		RepeatBatches: true,
-		CCHosts: map[string]gq.AddrPort{
-			"Rustock": {Addr: ccAddr, Port: 443},
-			"Grum":    {Addr: ccAddr, Port: 80},
-		},
-		SinkDropProb:   0.35, // Fig. 7: flows exceed completed sessions
-		SinkStrictness: smtpx.Lenient,
-	})
+	f, err := gq.Spec{
+		Layout:   gq.Layout{Seed: 42},
+		External: []gq.ExternalHost{steephost},
+		Subfarms: []gq.SubfarmSpec{botfarm},
+	}.Build()
 	if err != nil {
 		panic(err)
 	}
-
-	for i := 0; i < 4; i++ {
-		if _, err := sf.AddInmate(fmt.Sprintf("bot-%d", i)); err != nil {
-			panic(err)
-		}
-	}
+	sf := f.Subfarms[0]
 
 	fmt.Println("running the Botfarm for 2 virtual hours...")
 	f.Run(2 * time.Hour)

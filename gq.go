@@ -10,11 +10,12 @@
 // control on its own, while content control keeps the containment server
 // in the path as a transparent rewriting proxy.
 //
-// The top-level API assembles complete farms:
+// The top-level API describes a complete farm as a value and builds it:
 //
-//	f := gq.NewFarm(seed)
-//	sf, _ := f.AddSubfarm(gq.SubfarmConfig{ ... })
-//	inmate, _ := sf.AddInmate("rustock-0")
+//	f, _ := gq.Spec{
+//		Layout:   gq.Layout{Seed: seed},
+//		Subfarms: []gq.SubfarmSpec{{SubfarmConfig: gq.SubfarmConfig{ ... }, Inmates: []string{"rustock-0"}}},
+//	}.Build()
 //	f.Run(time.Hour)
 //	fmt.Println(f.Reporter(true).Generate())
 //
@@ -38,8 +39,6 @@
 package gq
 
 import (
-	"time"
-
 	"gq/internal/containment"
 	"gq/internal/farm"
 	"gq/internal/malware"
@@ -58,6 +57,13 @@ type (
 	Subfarm = farm.Subfarm
 	// SubfarmConfig parameterises a subfarm.
 	SubfarmConfig = farm.SubfarmConfig
+	// Spec describes a whole farm as a value — layout, external hosts,
+	// subfarms (SubfarmSpec: a SubfarmConfig plus its population),
+	// supervision; its Build wires it in the one valid order.
+	Spec         = farm.Spec
+	Layout       = farm.Layout
+	ExternalHost = farm.ExternalHost
+	SubfarmSpec  = farm.SubfarmSpec
 	// FarmInmate couples inmate life-cycle with its running specimen.
 	FarmInmate = farm.FarmInmate
 	// WormExperiment is the worm-capturing honeyfarm configuration.
@@ -137,9 +143,6 @@ func ParsePolicyConfig(text string) (*policy.Config, error) { return policy.Pars
 // "*:25/tcp / 30min < 1 -> revert".
 func ParseTrigger(s string) (*Trigger, error) { return containment.ParseTrigger(s) }
 
-// ParseAddr parses dotted-quad IPv4.
-func ParseAddr(s string) (Addr, error) { return netstack.ParseAddr(s) }
-
 // MustParseAddr is ParseAddr for constants; panics on error.
 func MustParseAddr(s string) Addr { return netstack.MustParseAddr(s) }
 
@@ -153,7 +156,3 @@ var Table1 = malware.Table1
 // auto-infection (rustock, grum, waledac, megad, storm-proxy, clickbot,
 // dgabot, split-personality).
 func MalwareFamilies() []string { return malware.Families() }
-
-// RunFor is a convenience mirror of (*Farm).Run for readability at call
-// sites that hold the farm in an interface.
-func RunFor(f *Farm, d time.Duration) { f.Run(d) }

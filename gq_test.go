@@ -130,7 +130,7 @@ func TestPublicWormExperiment(t *testing.T) {
 	}
 	e.Farm.Run(30 * time.Second)
 	e.Seed()
-	gq.RunFor(e.Farm, 5*time.Minute)
+	e.Farm.Run(5 * time.Minute)
 	if len(e.Infections) < 2 {
 		t.Fatal("no chain")
 	}

@@ -192,7 +192,7 @@ func (inj *Injector) flapOnce() {
 func (inj *Injector) crashCS(idx int) {
 	srv := inj.sf.CSCluster[idx]
 	h := srv.Host
-	addr, bits, gw := h.Addr(), h.PrefixBits(), h.Gateway()
+	addr, restart := h.Addr(), h.PowerCycler(srv.Rebind)
 	inj.Crashes++
 	inj.sc.Emit(obs.Event{Type: EvCSCrash, N: uint64(idx), SrcIP: uint32(addr)})
 	h.Shutdown()
@@ -204,12 +204,7 @@ func (inj *Injector) crashCS(idx int) {
 		return
 	}
 	inj.scheduleRestore(inj.p.CSDownFor, func() {
-		h.Reset()
-		h.ConfigureStatic(addr, bits, gw)
-		if err := srv.Rebind(); err != nil {
-			panic("chaos: containment server rebind failed: " + err.Error())
-		}
-		h.AnnounceARP()
+		restart()
 		inj.sc.Emit(obs.Event{Type: EvCSRestart, N: uint64(idx), SrcIP: uint32(addr)})
 	})
 }
@@ -257,19 +252,14 @@ func (inj *Injector) crashSink(name string) {
 	if h == nil {
 		return
 	}
-	addr, bits, gw := h.Addr(), h.PrefixBits(), h.Gateway()
+	addr, restart := h.Addr(), h.PowerCycler(func() error { return inj.sf.RebindSink(name) })
 	inj.sc.Emit(obs.Event{Type: EvSinkCrash, SrcIP: uint32(addr), Detail: name})
 	h.Shutdown()
 	if inj.sf.Supervisor != nil {
 		return
 	}
 	inj.scheduleRestore(inj.p.SinkCrashFor, func() {
-		h.Reset()
-		h.ConfigureStatic(addr, bits, gw)
-		if err := inj.sf.RebindSink(name); err != nil {
-			panic("chaos: sink rebind failed: " + err.Error())
-		}
-		h.AnnounceARP()
+		restart()
 		inj.sc.Emit(obs.Event{Type: EvSinkRestore, SrcIP: uint32(addr), Detail: name})
 	})
 }

@@ -129,9 +129,6 @@ func (sess *Session) AbortClient() {
 	}
 }
 
-// ServerOpen reports whether the leg to the actual responder is up.
-func (sess *Session) ServerOpen() bool { return sess.srv != nil && !sess.serverClosed }
-
 // DialServer opens the leg to the actual responder through the gateway's
 // nonce port. Idempotent.
 func (sess *Session) DialServer() {

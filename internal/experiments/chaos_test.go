@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gq/internal/chaos"
+	"gq/internal/farm"
 )
 
 // chaosSeeds are the pinned seeds `make chaos` exercises. Two seeds guard
@@ -38,7 +39,7 @@ func TestChaosSoak(t *testing.T) {
 
 func runChaosOnce(t *testing.T, seed int64, p chaos.Profile) []byte {
 	t.Helper()
-	out, err := RunChaosSoak(ChaosConfig{Seed: seed, Profile: p})
+	out, err := RunChaosSoak(ChaosConfig{Layout: farm.Layout{Seed: seed}, Profile: p})
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
@@ -46,6 +47,6 @@ func runChaosOnce(t *testing.T, seed int64, p chaos.Profile) []byte {
 		t.Errorf("seed %d: %s", seed, problem)
 	}
 	t.Logf("seed %d: flows=%d verdicts=%d crashes=%d probe=[%s] journal=%dB",
-		seed, out.FlowsCreated, out.Verdicts, out.Injector.Crashes, out.Probe, len(out.Journal))
+		seed, out.FlowsCreated, out.Verdicts, out.Injectors[0].Crashes, out.Probes[0][0], len(out.Journal))
 	return out.Journal
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"gq/internal/chaos"
+	"gq/internal/farm"
 )
 
 var updateDigests = flag.Bool("update", false, "rewrite testdata/journal_digests.txt with the current journals")
@@ -78,26 +79,26 @@ func pinnedSoaks(t *testing.T) []soakJournal {
 	for _, seed := range chaosSeeds {
 		runs = append(runs,
 			soakJournal{fmt.Sprintf("chaos/serial/seed%d", seed),
-				chaosRun(ChaosConfig{Seed: seed, Profile: soak})},
+				chaosRun(ChaosConfig{Layout: farm.Layout{Seed: seed}, Profile: soak})},
 			soakJournal{fmt.Sprintf("recovery/serial/seed%d", seed),
-				recoveryRun(RecoveryConfig{Seed: seed})},
+				recoveryRun(RecoveryConfig{Layout: farm.Layout{Seed: seed}})},
 			soakJournal{fmt.Sprintf("recovery/sharded/seed%d", seed),
-				recoveryRun(RecoveryConfig{Seed: seed, Sharded: true, Workers: 1})},
+				recoveryRun(RecoveryConfig{Layout: farm.Layout{Seed: seed, Sharded: true, Workers: 1}})},
 		)
 	}
 	return append(runs,
 		soakJournal{"chaos/sharded/seed7",
-			chaosRun(ChaosConfig{Seed: 7, Profile: soak, Sharded: true, Workers: 1, Supervise: true})},
+			chaosRun(ChaosConfig{Layout: farm.Layout{Seed: 7, Sharded: true, Workers: 1}, Profile: soak, Supervise: true})},
 		soakJournal{"recycle/serial/seed11",
-			recycleRun(RecycleConfig{Seed: 11, Profile: reimage})},
+			recycleRun(RecycleConfig{Layout: farm.Layout{Seed: 11}, Profile: reimage})},
 		soakJournal{"recycle/sharded/seed11",
-			recycleRun(RecycleConfig{Seed: 11, Profile: reimage, Sharded: true, Workers: 1})},
+			recycleRun(RecycleConfig{Layout: farm.Layout{Seed: 11, Sharded: true, Workers: 1}, Profile: reimage})},
 		soakJournal{"fleet/serial/seed11",
-			fleetRun(FleetConfig{Seed: 11})},
+			fleetRun(FleetConfig{Layout: farm.Layout{Seed: 11}})},
 		soakJournal{"fleet/sharded/ext1/seed11",
-			fleetRun(FleetConfig{Seed: 11, Sharded: true, Workers: 1, ExtShards: 1})},
+			fleetRun(FleetConfig{Layout: farm.Layout{Seed: 11, Sharded: true, Workers: 1, ExtShards: 1}})},
 		soakJournal{"fleet/sharded/ext2/seed11",
-			fleetRun(FleetConfig{Seed: 11, Sharded: true, Workers: 1, ExtShards: 2})},
+			fleetRun(FleetConfig{Layout: farm.Layout{Seed: 11, Sharded: true, Workers: 1, ExtShards: 2}})},
 	)
 }
 

@@ -82,55 +82,58 @@ type Figure2Result struct {
 // RunFigure2 demonstrates the six flow-manipulation modes (Fig. 2) inside
 // one farm and verifies where each flow's bytes actually went.
 func RunFigure2(seed int64) ([]Figure2Result, string, error) {
-	f := farm.New(seed)
-
-	// The destination the inmate believes it is talking to.
-	targetGot := map[uint16]string{}
-	target := f.AddExternalHost("target", fig2Target)
-	listenRecord := func(h *host.Host, port uint16, into map[uint16]string) {
-		h.Listen(port, func(c *host.Conn) {
-			c.OnData = func(d []byte) {
-				into[c.LocalPort()] += string(d)
-				c.Write([]byte("echo:" + string(d)))
+	// The destination the inmate believes it is talking to, and the
+	// alternate a REDIRECT sends it to: both record what they are sent.
+	targetGot, altGot := map[uint16]string{}, map[uint16]string{}
+	recorder := func(into map[uint16]string, ports ...uint16) func(*farm.Farm, *host.Host) error {
+		return func(_ *farm.Farm, h *host.Host) error {
+			for _, port := range ports {
+				h.Listen(port, func(c *host.Conn) {
+					c.OnData = func(d []byte) {
+						into[c.LocalPort()] += string(d)
+						c.Write([]byte("echo:" + string(d)))
+					}
+					c.OnPeerClose = func() { c.Close() }
+				})
 			}
-			c.OnPeerClose = func() { c.Close() }
-		})
-	}
-	for _, port := range []uint16{8001, 8002, 8003, 8004, 8006} {
-		listenRecord(target, port, targetGot)
-	}
-	altGot := map[uint16]string{}
-	alt := f.AddExternalHost("alt", fig2AltHost)
-	listenRecord(alt, 8004, altGot)
-
-	sf, err := f.AddSubfarm(farm.SubfarmConfig{
-		Name:   "fig2",
-		VLANLo: 16, VLANHi: 20,
-		ServiceVLAN:    11,
-		GlobalPool:     netstack.MustParsePrefix("192.0.2.0/24"),
-		FallbackPolicy: "Figure2Demo",
-	})
-	if err != nil {
-		return nil, "", err
+			return nil
+		}
 	}
 
 	// The probe inmate opens one flow per mode at boot.
 	replies := map[uint16]string{}
 	var dropErr error
-	sf.OnBootHook = func(fi *farm.FarmInmate) {
-		for _, port := range []uint16{8001, 8002, 8003, 8004, 8005, 8006} {
-			port := port
-			c := fi.Host.Dial(fig2Target, port)
-			c.OnConnect = func() { c.Write([]byte(fmt.Sprintf("probe-%d", port))) }
-			c.OnData = func(d []byte) { replies[port] += string(d) }
-			if port == 8003 {
-				c.OnClose = func(err error) { dropErr = err }
-			}
-		}
-	}
-	if _, err := sf.AddInmate("probe"); err != nil {
+	f, err := farm.Spec{
+		Layout: farm.Layout{Seed: seed},
+		External: []farm.ExternalHost{
+			{Name: "target", Addr: fig2Target, Serve: recorder(targetGot, 8001, 8002, 8003, 8004, 8006)},
+			{Name: "alt", Addr: fig2AltHost, Serve: recorder(altGot, 8004)},
+		},
+		Subfarms: []farm.SubfarmSpec{{
+			SubfarmConfig: farm.SubfarmConfig{
+				Name:   "fig2",
+				VLANLo: 16, VLANHi: 20,
+				ServiceVLAN:    11,
+				GlobalPool:     netstack.MustParsePrefix("192.0.2.0/24"),
+				FallbackPolicy: "Figure2Demo",
+			},
+			Inmates: []string{"probe"},
+			OnBoot: func(fi *farm.FarmInmate) {
+				for _, port := range []uint16{8001, 8002, 8003, 8004, 8005, 8006} {
+					c := fi.Host.Dial(fig2Target, port)
+					c.OnConnect = func() { c.Write([]byte(fmt.Sprintf("probe-%d", port))) }
+					c.OnData = func(d []byte) { replies[port] += string(d) }
+					if port == 8003 {
+						c.OnClose = func(err error) { dropErr = err }
+					}
+				}
+			},
+		}},
+	}.Build()
+	if err != nil {
 		return nil, "", err
 	}
+	sf := f.Subfarms[0]
 	f.Run(2 * time.Minute)
 
 	results := []Figure2Result{

@@ -54,28 +54,39 @@ type Figure5Outcome struct {
 // inmate's HTTP GET, traced at the subfarm tap, with the shim messages and
 // sequence-space bumping visible on the wire.
 func RunFigure5(seed int64) (*Figure5Outcome, string, error) {
-	f := farm.New(seed)
 	targetAddr := netstack.MustParseAddr("192.150.187.12")
-	target := f.AddExternalHost("target", targetAddr)
 	out := &Figure5Outcome{}
-	target.Listen(80, func(c *host.Conn) {
-		c.OnData = func(d []byte) {
-			out.TargetSaw += string(d)
-			c.Write([]byte("HTTP/1.1 200 OK\r\nContent-Length: 14\r\n\r\nMZ-REAL-BINARY"))
-		}
-		c.OnPeerClose = func() { c.Close() }
-	})
-
-	sf, err := f.AddSubfarm(farm.SubfarmConfig{
-		Name:   "fig5",
-		VLANLo: 12, VLANHi: 14,
-		ServiceVLAN:    11,
-		GlobalPool:     netstack.MustParsePrefix("192.0.2.0/24"),
-		FallbackPolicy: "Fig5Rewrite",
-	})
+	f, err := farm.Spec{
+		Layout: farm.Layout{Seed: seed},
+		External: []farm.ExternalHost{{Name: "target", Addr: targetAddr, Serve: func(_ *farm.Farm, h *host.Host) error {
+			return h.Listen(80, func(c *host.Conn) {
+				c.OnData = func(d []byte) {
+					out.TargetSaw += string(d)
+					c.Write([]byte("HTTP/1.1 200 OK\r\nContent-Length: 14\r\n\r\nMZ-REAL-BINARY"))
+				}
+				c.OnPeerClose = func() { c.Close() }
+			})
+		}}},
+		Subfarms: []farm.SubfarmSpec{{
+			SubfarmConfig: farm.SubfarmConfig{
+				Name:   "fig5",
+				VLANLo: 12, VLANHi: 14,
+				ServiceVLAN:    11,
+				GlobalPool:     netstack.MustParsePrefix("192.0.2.0/24"),
+				FallbackPolicy: "Fig5Rewrite",
+			},
+			Inmates: []string{"inmate"},
+			OnBoot: func(fi *farm.FarmInmate) {
+				c := fi.Host.Dial(targetAddr, 80)
+				c.OnConnect = func() { c.Write([]byte("GET /bot.exe HTTP/1.1\r\nHost: 192.150.187.12\r\n\r\n")) }
+				c.OnData = func(d []byte) { out.InmateGot += string(d) }
+			},
+		}},
+	}.Build()
 	if err != nil {
 		return nil, "", err
 	}
+	sf := f.Subfarms[0]
 
 	// Tap: render each packet the way Fig. 5 draws them.
 	sf.Router.AddTap(func(p *netstack.Packet) {
@@ -116,14 +127,6 @@ func RunFigure5(seed int64) (*Figure5Outcome, string, error) {
 		out.Trace = append(out.Trace, line)
 	})
 
-	sf.OnBootHook = func(fi *farm.FarmInmate) {
-		c := fi.Host.Dial(targetAddr, 80)
-		c.OnConnect = func() { c.Write([]byte("GET /bot.exe HTTP/1.1\r\nHost: 192.150.187.12\r\n\r\n")) }
-		c.OnData = func(d []byte) { out.InmateGot += string(d) }
-	}
-	if _, err := sf.AddInmate("inmate"); err != nil {
-		return nil, "", err
-	}
 	f.Run(time.Minute)
 
 	var b strings.Builder

@@ -1,15 +1,10 @@
 package experiments
 
 import (
-	"strconv"
 	"time"
 
 	"gq/internal/farm"
-	"gq/internal/malware"
-	"gq/internal/netstack"
-	"gq/internal/policy"
 	"gq/internal/shim"
-	"gq/internal/smtpx"
 )
 
 // Figure7Config tunes the Botfarm reproduction.
@@ -47,56 +42,23 @@ func RunFigure7(cfg Figure7Config) (*Figure7Outcome, error) {
 	if cfg.GrumInmates == 0 {
 		cfg.GrumInmates = 1
 	}
-	f := farm.New(cfg.Seed)
-	ccAddr := netstack.MustParseAddr("50.8.207.91") // 50.8.207.91.SteepHost.Net
-	ccHost := f.AddExternalHost("steephost", ccAddr)
-	if _, err := malware.NewCCServer(ccHost, malware.CCConfig{
-		Template: "pharma special",
-		Targets: []netstack.Addr{
-			netstack.MustParseAddr("203.0.113.25"),
-			netstack.MustParseAddr("203.0.113.26"),
-		},
-		Forbidden: []string{"DDOS 203.0.113.99"},
-	}); err != nil {
-		return nil, err
+	botfarm := farm.Botfarm()
+	botfarm.PolicyConfig = farm.BotfarmPolicy(cfg.RustockInmates, cfg.GrumInmates)
+	botfarm.VLANLo, botfarm.VLANHi = 16, uint16(15+cfg.RustockInmates+cfg.GrumInmates+2)
+	botfarm.SampleLibrary = farm.BotfarmSamples()
+	botfarm.SinkDropProb = cfg.DropProb
+	for i := 0; i < cfg.RustockInmates+cfg.GrumInmates; i++ {
+		botfarm.Inmates = append(botfarm.Inmates, "bot")
 	}
-
-	rustockHi := 15 + cfg.RustockInmates
-	grumHi := rustockHi + cfg.GrumInmates
-	policyText := "[VLAN 16-" + itoa(rustockHi) + "]\n" +
-		"Decider = Rustock\nInfection = rustock.100921.*.exe\n\n" +
-		"[VLAN " + itoa(rustockHi+1) + "-" + itoa(grumHi) + "]\n" +
-		"Decider = Grum\nInfection = grum.100818.*.exe\n\n" +
-		"[VLAN 16-" + itoa(grumHi) + "]\n" +
-		"Trigger = *:25/tcp / 30min < 1 -> revert\n"
-
-	sf, err := f.AddSubfarm(farm.SubfarmConfig{
-		Name:   "Botfarm",
-		VLANLo: 16, VLANHi: uint16(grumHi + 2),
-		ServiceVLAN:  11,
-		GlobalPool:   netstack.MustParsePrefix("192.0.2.0/24"),
-		InfraPool:    netstack.MustParsePrefix("192.0.9.0/24"),
-		PolicyConfig: policyText,
-		SampleLibrary: []*policy.Sample{
-			policy.NewSample("rustock.100921.001.exe", "rustock", []byte("MZ-rustock-1")),
-			policy.NewSample("grum.100818.001.exe", "grum", []byte("MZ-grum-1")),
-		},
-		RepeatBatches: true,
-		CCHosts: map[string]policy.AddrPort{
-			"Rustock": {Addr: ccAddr, Port: 443},
-			"Grum":    {Addr: ccAddr, Port: 80},
-		},
-		SinkDropProb:   cfg.DropProb,
-		SinkStrictness: smtpx.Lenient,
-	})
+	f, err := farm.Spec{
+		Layout:   farm.Layout{Seed: cfg.Seed},
+		External: []farm.ExternalHost{farm.Steephost("steephost")},
+		Subfarms: []farm.SubfarmSpec{botfarm},
+	}.Build()
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < cfg.RustockInmates+cfg.GrumInmates; i++ {
-		if _, err := sf.AddInmate("bot"); err != nil {
-			return nil, err
-		}
-	}
+	sf := f.Subfarms[0]
 	f.Run(cfg.Duration)
 
 	out := &Figure7Outcome{Farm: f, Subfarm: sf}
@@ -112,5 +74,3 @@ func RunFigure7(cfg Figure7Config) (*Figure7Outcome, error) {
 	}
 	return out, nil
 }
-
-func itoa(v int) string { return strconv.Itoa(v) }

@@ -3,13 +3,13 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
 	"gq/internal/chaos"
 	"gq/internal/farm"
 	"gq/internal/netstack"
-	"gq/internal/obs"
 	"gq/internal/rawiron"
 	"gq/internal/supervisor"
 )
@@ -21,22 +21,16 @@ import (
 // survivable fault and escalates the unsurvivable one all the way to
 // global dead-man lockdown without a single probe escape.
 type FleetConfig struct {
-	Seed int64
+	// Layout places the simulation; ExtShards > 1 spreads the external
+	// hosts over that many internet shards. Journals are byte-identical
+	// across worker counts for a fixed (Seed, ExtShards).
+	farm.Layout
 
 	// Duration is the fault window (default 12 virtual minutes — long
 	// enough for the alpha kill storm to quarantine all three of its
 	// containment servers, the subfarm to fail closed, and the root's
 	// dead-man budget to expire into global lockdown).
 	Duration time.Duration
-
-	// Sharded builds the farm with per-subfarm simulation domains driven
-	// by Workers goroutines (0 = GOMAXPROCS); ExtShards > 1 additionally
-	// spreads the external hosts over that many internet shards
-	// (farm.NewShardedN). Journals are byte-identical across worker
-	// counts for a fixed (Seed, ExtShards).
-	Sharded   bool
-	Workers   int
-	ExtShards int
 }
 
 func (cfg FleetConfig) withDefaults() FleetConfig {
@@ -81,20 +75,16 @@ const (
 // FleetOutcome reports the run, the escalation record, and the
 // fleet-invariant checks.
 type FleetOutcome struct {
-	Farm      *farm.Farm
-	Subfarms  []*farm.Subfarm
-	Tree      *supervisor.Root
-	Injectors []*chaos.Injector
-
-	// Probes holds the containment probes per phase ("before", "during",
-	// "after"), one per subfarm in subfarm order. Every single one must
-	// come back with zero escapes.
-	Probes map[string][]*farm.ProbeOutcome
+	// Run carries the farm (and its Tree), one injector per subfarm, the
+	// three probe rounds (before, during, after the lockdown) — every
+	// single probe must come back with zero escapes — and Problems: every
+	// violated invariant; empty means the tree held the fleet together
+	// exactly as designed.
+	*Run
 
 	// Journal is the full NDJSON stream; byte-identical across runs with
 	// the same (seed, shard layout) at any worker count.
-	Journal  []byte
-	Snapshot *obs.Snapshot
+	Journal []byte
 
 	// Escalations is the deterministic escalation record: the root's
 	// history and controller ladder plus each subfarm node's escalation
@@ -112,16 +102,11 @@ type FleetOutcome struct {
 	LockdownDrops uint64 // packets the alpha gateway dropped while failed closed
 	Rearms        uint64 // recycler re-arms performed by the root node
 	Cycles        int    // gamma recycling cycles completed despite the wedge
-
-	// Problems lists every violated invariant; empty means the tree held
-	// the fleet together exactly as designed.
-	Problems []string
 }
 
 // fleetSubfarm describes one habitat in the soak.
 type fleetSubfarm struct {
 	name    string
-	vlanLo  uint16
 	bots    int    // VM inmates (alpha/beta)
 	iron    int    // raw-iron machines under a recycler (gamma)
 	servers int    // containment cluster size
@@ -136,104 +121,75 @@ type fleetSubfarm struct {
 // unsurvivable alpha plane quarantines → fails closed → drags the root
 // into global dead-man lockdown; probes during lockdown and after an
 // operator release still cannot escape; and every flow table drains
-// empty. The journal and escalation record are part of the determinism
-// surface: byte-identical / DeepEqual at any worker count.
+// empty (the shared invariants, Run.check). The journal and escalation
+// record are part of the determinism surface: byte-identical / DeepEqual at
+// any worker count.
 func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 	cfg = cfg.withDefaults()
-	f := newSoakFarm(cfg.Seed, cfg.Sharded, cfg.Workers, cfg.ExtShards)
-	out := &FleetOutcome{
-		Farm:        f.Farm,
-		Probes:      make(map[string][]*farm.ProbeOutcome),
-		Escalations: make(map[string][]string),
-		Health:      make(map[string]map[string][]string),
+	fleet := []fleetSubfarm{
+		{name: "Alpha", bots: 4, servers: 3, profile: fleetAlphaProfile},
+		{name: "Beta", bots: 4, servers: 2, profile: fleetBetaProfile},
+		{name: "Gamma", iron: 2, servers: 2, profile: fleetGammaProfile},
 	}
-
-	if err := addSteephost(f.Farm); err != nil {
-		return nil, err
+	var journal bytes.Buffer
+	lockedAfterMain := false
+	plan := Plan{
+		// The whole tree comes up before any traffic or fault: root node,
+		// every subfarm node, the recycler progress watch, the shard-host
+		// aliveness watch over steephost.
+		Spec: farm.Spec{
+			Layout: cfg.Layout, Journal: &journal,
+			External:  []farm.ExternalHost{farm.Steephost("steephost")},
+			Supervise: farm.SuperviseTree, Supervisor: fleetSupervision(),
+		},
+		Phases: []Phase{
+			// Probes against the healthy fleet, then the blackout window.
+			ProbeRound(fleetTargets(0)),
+			Faults,
+			RunFor(cfg.Duration),
+			func(r *Run) error { lockedAfterMain = r.Tree.GlobalLockedDown(); return nil },
+			// Probes while the fleet is in global dead-man lockdown.
+			ProbeRound(fleetTargets(1)),
+			// Operator release, then probe again. Alpha's containment plane
+			// is still quarantined, so its node re-escalates: back into
+			// subfarm lockdown after LockdownBudget, back into global
+			// lockdown after DeadManBudget — fail-closed is sticky until the
+			// plane is actually repaired, and the probes must not escape in
+			// the gap.
+			Release("operator: fleet soak release"),
+			ProbeRound(fleetTargets(2)),
+		},
+		Drain: SoakDrain,
 	}
-
-	plan := []fleetSubfarm{
-		{name: "Alpha", vlanLo: 16, bots: 4, servers: 3, profile: fleetAlphaProfile},
-		{name: "Beta", vlanLo: 32, bots: 4, servers: 2, profile: fleetBetaProfile},
-		{name: "Gamma", vlanLo: 48, iron: 2, servers: 2, profile: fleetGammaProfile},
-	}
-
-	var gammaRec *farm.Recycler
-	for i, p := range plan {
-		sfCfg := rustockSubfarm(p.name, i, p.bots+p.iron)
-		sfCfg.ContainmentServers = p.servers
-		sf, err := f.AddSubfarm(sfCfg)
-		if err != nil {
-			return nil, err
-		}
-		out.Subfarms = append(out.Subfarms, sf)
-
+	for i, p := range fleet {
+		sf := rustockSubfarm(p.name, i, p.bots+p.iron)
+		sf.ContainmentServers = p.servers
 		for j := 0; j < p.bots; j++ {
-			if _, err := sf.AddInmate(fmt.Sprintf("%s-bot-%d", strings.ToLower(p.name), j)); err != nil {
-				return nil, err
-			}
+			sf.Inmates = append(sf.Inmates, fmt.Sprintf("%s-bot-%d", strings.ToLower(p.name), j))
 		}
-		if p.iron > 0 {
-			// Small images over a fast trunk keep the reimage leg short, so
-			// the rotation's natural inter-mark gap stays well inside the
-			// wedge budget — only the injected wedge can freeze the mark.
-			rec, err := sf.StartIronRotation(p.iron,
-				rawiron.Config{MaxConcurrent: 2, ImageSizeMB: 256, TrunkMBps: 16, HiddenRestoreMBps: 16},
-				farm.RecyclerConfig{DetonateFor: 90 * time.Second})
-			if err != nil {
-				return nil, err
-			}
-			gammaRec = rec
-		}
-	}
-
-	// The whole tree comes up before any traffic or fault: root node,
-	// every subfarm node, the recycler progress watch, the shard-host
-	// aliveness watch over steephost.
-	out.Tree = f.SuperviseTree(fleetSupervision())
-
-	// Phase 1 — probes against the healthy fleet.
-	if err := fleetProbeRound(f.Farm, out, "before", 0); err != nil {
-		return nil, err
-	}
-
-	// Phase 2 — the blackout window.
-	for i, p := range plan {
+		// Small images over a fast trunk keep the reimage leg short, so the
+		// rotation's natural inter-mark gap stays well inside the wedge
+		// budget — only the injected wedge can freeze the mark.
+		sf.Iron = p.iron
+		sf.IronPool = rawiron.Config{MaxConcurrent: 2, ImageSizeMB: 256, TrunkMBps: 16, HiddenRestoreMBps: 16}
+		sf.IronCycle = farm.RecyclerConfig{DetonateFor: 90 * time.Second}
+		plan.Spec.Subfarms = append(plan.Spec.Subfarms, sf)
 		prof, err := chaos.Parse(p.profile)
 		if err != nil {
 			return nil, err
 		}
-		out.Injectors = append(out.Injectors, chaos.Apply(out.Subfarms[i], prof))
+		plan.Faults = append(plan.Faults, prof)
 	}
-	f.Run(cfg.Duration)
-
-	lockedAfterMain := out.Tree.GlobalLockedDown()
-
-	// Phase 3 — probes while the fleet is in global dead-man lockdown.
-	if err := fleetProbeRound(f.Farm, out, "during", 1); err != nil {
+	r, err := Execute(plan)
+	if err != nil {
 		return nil, err
 	}
-
-	// Phase 4 — operator release, then probe again. Alpha's containment
-	// plane is still quarantined, so its node re-escalates: back into
-	// subfarm lockdown after LockdownBudget, back into global lockdown
-	// after DeadManBudget — fail-closed is sticky until the plane is
-	// actually repaired, and the probes must not escape in the gap.
-	out.Tree.Release("operator: fleet soak release")
-	if err := fleetProbeRound(f.Farm, out, "after", 2); err != nil {
-		return nil, err
+	out := &FleetOutcome{
+		Run: r, Journal: journal.Bytes(),
+		Escalations: make(map[string][]string),
+		Health:      make(map[string]map[string][]string),
 	}
-
-	// Wind down: stop the rotation and the specimens (VLAN order — map
-	// order would leak into the journal), end injection, drain past every
-	// sweep horizon.
-	if gammaRec != nil {
-		gammaRec.Stop()
-	}
-	var err error
-	if out.Journal, err = f.windDown(out.Injectors); err != nil {
-		return nil, err
-	}
+	bad := r.bad
 
 	// The deterministic escalation record.
 	out.Escalations["root"] = out.Tree.History()
@@ -243,16 +199,6 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 		out.Health[sf.Name] = sf.Supervisor.HealthHistory()
 	}
 	out.GlobalLockdownAt = out.Tree.GlobalLockdownAt()
-
-	// --- Invariant checks ---
-	inv := (*problems)(&out.Problems)
-	bad := inv.bad
-
-	// Containment held at every phase — not one probe escaped — and every
-	// flow table drained empty, lockdown or not.
-	for i, sf := range out.Subfarms {
-		inv.commonInvariants(sf, out.Probes["before"][i], out.Probes["during"][i], out.Probes["after"][i])
-	}
 
 	// The ladder reached the top inside the fault window, and the
 	// operator release did not stick: alpha's dead plane re-escalated.
@@ -277,8 +223,7 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 	if !alpha.Supervisor.LockedDown() {
 		bad("alpha's dead containment plane did not end in subfarm lockdown")
 	}
-	snap := f.Sim.Obs().Snapshot()
-	out.Snapshot = snap
+	snap := r.Snapshot
 	out.LockdownDrops = snap.Counter("subfarm.Alpha.lockdown_drops")
 	if out.LockdownDrops == 0 {
 		bad("alpha gateway in lockdown dropped no packets — fail-closed never bit")
@@ -287,13 +232,7 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 	// Beta and gamma: every fault was survivable and the tree recovered
 	// it — no quarantine, no lockdown, plane healthy at the end.
 	for _, sf := range []*farm.Subfarm{beta, gamma} {
-		for i := range sf.CSCluster {
-			if sf.Supervisor.Quarantined(i) {
-				bad("%s cs%d quarantined — two kills within the window must stay under the breaker", sf.Name, i)
-			} else if !sf.Supervisor.Healthy(i) {
-				bad("%s cs%d still unhealthy after drain — supervised restart failed", sf.Name, i)
-			}
-		}
+		r.notQuarantined(sf)
 		// The node is in lockdown at the end — but only because the global
 		// dead-man fan-out closed it. It must never have escalated on its
 		// own: no containment_dead, no self-originated lockdown.
@@ -325,14 +264,12 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 	if out.Rearms == 0 {
 		bad("recycler wedge never re-armed — the root progress watch missed it")
 	}
-	if gammaRec != nil {
-		out.Cycles = gammaRec.Cycles
-		if out.Cycles < 2 {
-			bad("gamma completed %d recycling cycles, want >= 2 — the rotation did not survive the wedge", out.Cycles)
-		}
-		if gammaRec.Lost != 0 {
-			bad("gamma lost %d rotation members — the wedge must be survivable", gammaRec.Lost)
-		}
+	out.Cycles = gamma.Recycler.Cycles
+	if out.Cycles < 2 {
+		bad("gamma completed %d recycling cycles, want >= 2 — the rotation did not survive the wedge", out.Cycles)
+	}
+	if gamma.Recycler.Lost != 0 {
+		bad("gamma lost %d rotation members — the wedge must be survivable", gamma.Recycler.Lost)
 	}
 
 	// Satellite regression: on a supervised subfarm the chaos injector
@@ -352,51 +289,31 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 		}
 	}
 
-	// Every injected CS crash actually fired.
-	for i, inj := range out.Injectors {
-		prof, _ := chaos.Parse(plan[i].profile)
-		if inj.Crashes != len(prof.CSCrashAt) {
-			bad("%s injected %d CS crashes, profile scheduled %d",
-				plan[i].name, inj.Crashes, len(prof.CSCrashAt))
-		}
-	}
-
+	r.crashesFired()
 	return out, nil
 }
 
-// fleetProbeRound runs one containment probe per subfarm. Each (subfarm,
-// round) pair gets its own canary address so repeated rounds never stack
-// duplicate canary hosts on one IP — an escape in any round is
-// attributable to exactly one probe.
-func fleetProbeRound(f *farm.Farm, out *FleetOutcome, phase string, round int) error {
-	for i, sf := range out.Subfarms {
+// fleetTargets picks the canaries of one probe round. Each (subfarm, round)
+// pair gets its own canary address so repeated rounds never stack duplicate
+// canary hosts on one IP — an escape in any round is attributable to exactly
+// one probe.
+func fleetTargets(round int) func(i int) []farm.ProbeTarget {
+	return func(i int) []farm.ProbeTarget {
 		addr := netstack.MustParseAddr(fmt.Sprintf("198.51.100.%d", 200+10*i+round))
 		var targets []farm.ProbeTarget
 		for _, port := range []uint16{22, 25, 80, 443} {
 			targets = append(targets, farm.ProbeTarget{Addr: addr, Port: port})
 		}
-		probe, err := farm.RunContainmentProbe(f, sf, targets, 2*time.Minute)
-		if err != nil {
-			return err
-		}
-		out.Probes[phase] = append(out.Probes[phase], probe)
+		return targets
 	}
-	return nil
 }
 
 // journalHas reports whether any NDJSON line contains every needle.
 func journalHas(journal []byte, needles ...string) bool {
-	for _, line := range bytes.Split(journal, []byte("\n")) {
-		ok := true
-		for _, n := range needles {
-			if !bytes.Contains(line, []byte(n)) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return true
-		}
+	missing := func(line []byte) func(string) bool {
+		return func(n string) bool { return !bytes.Contains(line, []byte(n)) }
 	}
-	return false
+	return slices.ContainsFunc(bytes.Split(journal, []byte("\n")), func(line []byte) bool {
+		return !slices.ContainsFunc(needles, missing(line))
+	})
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"testing"
+
+	"gq/internal/farm"
 )
 
 // TestFleetLockdownSoak is the supervision tree's end-to-end proof, and
@@ -24,9 +26,7 @@ func TestFleetLockdownSoak(t *testing.T) {
 	for _, extShards := range []int{1, 2} {
 		label := fmt.Sprintf("extShards=%d ", extShards)
 		assertSameAcrossWorkers(t, label, func(workers int) (workerRun, error) {
-			out, err := RunFleetSoak(FleetConfig{
-				Seed: seed, Sharded: true, Workers: workers, ExtShards: extShards,
-			})
+			out, err := RunFleetSoak(FleetConfig{Layout: farm.Layout{Seed: seed, Sharded: true, Workers: workers, ExtShards: extShards}})
 			if err != nil {
 				return workerRun{}, err
 			}
@@ -48,7 +48,7 @@ func TestFleetLockdownSoak(t *testing.T) {
 // on a single root domain (no PostTo hops at all) and still satisfy
 // every fleet invariant.
 func TestFleetSoakSerial(t *testing.T) {
-	out, err := RunFleetSoak(FleetConfig{Seed: 11})
+	out, err := RunFleetSoak(FleetConfig{Layout: farm.Layout{Seed: 11}})
 	if err != nil {
 		t.Fatal(err)
 	}

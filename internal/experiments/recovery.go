@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"gq/internal/chaos"
+	"gq/internal/farm"
 )
 
 // RecoveryConfig parameterises the recovery soak: the chaos soak's Botfarm
@@ -13,9 +14,7 @@ import (
 // proves self-healing: every kill must be detected, failed over, and
 // repaired within MaxRecovery — with containment never opening up.
 type RecoveryConfig struct {
-	Seed    int64
-	Sharded bool
-	Workers int
+	farm.Layout
 
 	// MaxRecovery bounds each crash's down→healthy interval as measured by
 	// the supervisor (detection + backed-off restart + health confirmation).
@@ -47,10 +46,8 @@ func RunRecoverySoak(cfg RecoveryConfig) (*RecoveryOutcome, error) {
 		return nil, err
 	}
 	chaosOut, err := RunChaosSoak(ChaosConfig{
-		Seed:               cfg.Seed,
+		Layout:             cfg.Layout,
 		Profile:            profile,
-		Sharded:            cfg.Sharded,
-		Workers:            cfg.Workers,
 		ContainmentServers: 3,
 		Supervise:          true,
 	})
@@ -58,7 +55,7 @@ func RunRecoverySoak(cfg RecoveryConfig) (*RecoveryOutcome, error) {
 		return nil, err
 	}
 	out := &RecoveryOutcome{ChaosOutcome: chaosOut}
-	out.Recoveries = append(out.Recoveries, chaosOut.Supervisor.Recoveries...)
+	out.Recoveries = append(out.Recoveries, chaosOut.Subfarms[0].Supervisor.Recoveries...)
 	for _, d := range out.Recoveries {
 		if d > out.MaxObserved {
 			out.MaxObserved = d

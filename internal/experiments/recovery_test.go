@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"gq/internal/farm"
+)
 
 // TestRecoverySoak runs the supervised kill-storm soak on the pinned chaos
 // seeds: six containment-server kills across a 3-member cluster, each of
@@ -11,7 +15,7 @@ import "testing"
 func TestRecoverySoak(t *testing.T) {
 	for _, seed := range chaosSeeds {
 		for _, workers := range []int{1, 4} {
-			out, err := RunRecoverySoak(RecoveryConfig{Seed: seed, Sharded: true, Workers: workers})
+			out, err := RunRecoverySoak(RecoveryConfig{Layout: farm.Layout{Seed: seed, Sharded: true, Workers: workers}})
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}
@@ -23,7 +27,7 @@ func TestRecoverySoak(t *testing.T) {
 			}
 			t.Logf("seed %d workers %d: flows=%d verdicts=%d failclosed=%d crashes=%d recoveries=%v max=%v probe=[%s]",
 				seed, workers, out.FlowsCreated, out.Verdicts, out.FlowsFailClosed,
-				out.Injector.Crashes, out.Recoveries, out.MaxObserved, out.Probe)
+				out.Injectors[0].Crashes, out.Recoveries, out.MaxObserved, out.Probes[0][0])
 		}
 	}
 }
@@ -35,7 +39,7 @@ func TestRecoverySoak(t *testing.T) {
 func TestRecoverySoakDeterminism(t *testing.T) {
 	const seed = 7
 	assertSameAcrossWorkers(t, "", func(workers int) (workerRun, error) {
-		out, err := RunRecoverySoak(RecoveryConfig{Seed: seed, Sharded: true, Workers: workers})
+		out, err := RunRecoverySoak(RecoveryConfig{Layout: farm.Layout{Seed: seed, Sharded: true, Workers: workers}})
 		if err != nil {
 			return workerRun{}, err
 		}

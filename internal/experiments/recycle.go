@@ -7,7 +7,6 @@ import (
 
 	"gq/internal/chaos"
 	"gq/internal/farm"
-	"gq/internal/obs"
 	"gq/internal/rawiron"
 )
 
@@ -15,7 +14,9 @@ import (
 // raw-iron inmates cycling detonate → capture → reimage → re-admit under a
 // reimage-fault chaos profile.
 type RecycleConfig struct {
-	Seed    int64
+	// Layout places the simulation; as with the chaos soak, a sharded
+	// run's journal is byte-identical across worker counts.
+	farm.Layout
 	Profile chaos.Profile
 
 	// Subfarms and Machines size the farm: Subfarms independent habitats,
@@ -40,12 +41,6 @@ type RecycleConfig struct {
 	// while others carry the total (defaults 20 and 4).
 	MinCycles           int
 	MinCyclesPerSubfarm int
-
-	// Sharded builds the farm with per-subfarm simulation domains driven
-	// by Workers goroutines (0 = GOMAXPROCS). As with the chaos soak, a
-	// sharded run's journal is byte-identical across worker counts.
-	Sharded bool
-	Workers int
 }
 
 func (cfg RecycleConfig) withDefaults() RecycleConfig {
@@ -75,15 +70,14 @@ func (cfg RecycleConfig) withDefaults() RecycleConfig {
 
 // RecycleOutcome reports the run and the lifecycle-invariant checks.
 type RecycleOutcome struct {
-	Farm      *farm.Farm
-	Subfarms  []*farm.Subfarm
-	Injectors []*chaos.Injector
-	Probes    []*farm.ProbeOutcome
+	// Run carries the farm, one injector and one probe per subfarm, and
+	// Problems: every violated invariant; empty means the pipeline
+	// sustained its cadence with no wedged machines and no escapes.
+	*Run
 
 	// Journal is the full NDJSON stream; byte-identical across runs with
 	// the same (seed, profile) at any worker count.
-	Journal  []byte
-	Snapshot *obs.Snapshot
+	Journal []byte
 
 	// Farm-wide lifecycle accounting, summed over every subfarm's
 	// raw-iron controller and recycler.
@@ -95,87 +89,51 @@ type RecycleOutcome struct {
 	// SpecimensPerDay is the sustained recycling throughput: completed
 	// cycles scaled to a 24-hour day over the soak's active window.
 	SpecimensPerDay float64
-
-	// Problems lists every violated invariant; empty means the pipeline
-	// sustained its cadence with no wedged machines and no escapes.
-	Problems []string
 }
 
 // RunRecycleSoak builds Subfarms habitats of raw-iron inmates, runs their
 // recycling pipelines under the reimage-fault profile for Duration, then
-// stops injection, settles, probes containment, and drains. It checks the
-// lifecycle invariants: the cycle floors hold, every injected fault was
-// retried or breaker-quarantined (no machine left busy or in a non-terminal
-// state), members lost from rotation match breaker trips exactly, counters
-// reconcile with the controllers' own accounting, no probe traffic escapes,
-// and every flow table drains empty.
+// stops injection, settles, probes containment, and drains. On top of the
+// shared invariants (Run.check) it checks the lifecycle ones: the cycle
+// floors hold, every injected fault was retried or breaker-quarantined (no
+// machine left busy or in a non-terminal state), members lost from rotation
+// match breaker trips exactly, and counters reconcile with the controllers'
+// own accounting.
 func RunRecycleSoak(cfg RecycleConfig) (*RecycleOutcome, error) {
 	cfg = cfg.withDefaults()
-	f := newSoakFarm(cfg.Seed, cfg.Sharded, cfg.Workers, 0)
-	out := &RecycleOutcome{Farm: f.Farm}
-	if err := addSteephost(f.Farm); err != nil {
-		return nil, err
+	var journal bytes.Buffer
+	plan := Plan{
+		Spec: farm.Spec{
+			Layout: cfg.Layout, Journal: &journal,
+			External: []farm.ExternalHost{farm.Steephost("steephost")},
+		},
+		// Wind down in dependency order: recyclers stop opening detonation
+		// windows, injection stops (future retries run fault-free), and the
+		// settle window lets every in-flight capture/reimage — including
+		// ones mid-backoff — reach a terminal state before the probes.
+		Phases: []Phase{Faults, RunFor(cfg.Duration), StopRotations, StopFaults, RunFor(cfg.Settle), ProbeRound(nil)},
+		Drain:  SoakDrain,
 	}
-
-	recyclers := make([]*farm.Recycler, 0, cfg.Subfarms)
 	for i := 0; i < cfg.Subfarms; i++ {
-		sf, err := f.AddSubfarm(rustockSubfarm(fmt.Sprintf("Iron%d", i), i, cfg.Machines))
-		if err != nil {
-			return nil, err
-		}
-		out.Subfarms = append(out.Subfarms, sf)
-
+		sf := rustockSubfarm(fmt.Sprintf("Iron%d", i), i, cfg.Machines)
 		// Two concurrent netboots per subfarm: the third box queues, so the
 		// soak exercises the FIFO slot path alongside trunk contention.
-		rec, err := sf.StartIronRotation(cfg.Machines, rawiron.Config{MaxConcurrent: 2},
-			farm.RecyclerConfig{DetonateFor: cfg.DetonateFor, Capture: true})
-		if err != nil {
-			return nil, err
-		}
-		recyclers = append(recyclers, rec)
-	}
-
-	if cfg.Profile.Name != "" {
-		for _, sf := range out.Subfarms {
-			out.Injectors = append(out.Injectors, chaos.Apply(sf, cfg.Profile))
+		sf.Iron, sf.IronPool = cfg.Machines, rawiron.Config{MaxConcurrent: 2}
+		sf.IronCycle = farm.RecyclerConfig{DetonateFor: cfg.DetonateFor, Capture: true}
+		plan.Spec.Subfarms = append(plan.Spec.Subfarms, sf)
+		if cfg.Profile.Name != "" {
+			plan.Faults = append(plan.Faults, cfg.Profile)
 		}
 	}
-
-	f.Run(cfg.Duration)
-
-	// Wind down in dependency order: recyclers stop opening detonation
-	// windows, injection stops (future retries run fault-free), and the
-	// settle window lets every in-flight capture/reimage — including ones
-	// mid-backoff — reach a terminal state.
-	for _, rec := range recyclers {
-		rec.Stop()
-	}
-	for _, inj := range out.Injectors {
-		inj.Stop()
-	}
-	f.Run(cfg.Settle)
-
-	for _, sf := range out.Subfarms {
-		probe, err := farm.RunContainmentProbe(f.Farm, sf, nil, 2*time.Minute)
-		if err != nil {
-			return nil, err
-		}
-		out.Probes = append(out.Probes, probe)
-	}
-
-	// Injection stopped before the settle window; only the specimens and
-	// the drain are left.
-	var err error
-	if out.Journal, err = f.windDown(nil); err != nil {
+	r, err := Execute(plan)
+	if err != nil {
 		return nil, err
 	}
+	out := &RecycleOutcome{Run: r, Journal: journal.Bytes()}
+	bad := r.bad
 
-	// --- Invariant checks ---
-	inv := (*problems)(&out.Problems)
-	bad := inv.bad
-
-	for i, sf := range out.Subfarms {
-		rec, ri := recyclers[i], sf.RawIron
+	for _, sf := range r.Subfarms {
+		rec, ri := sf.Recycler, sf.RawIron
 		out.Cycles += rec.Cycles
 		out.Lost += rec.Lost
 		out.Reimages += ri.Reimages
@@ -209,7 +167,6 @@ func RunRecycleSoak(cfg RecycleConfig) (*RecycleOutcome, error) {
 		if rec.Lost != ri.Quarantines {
 			bad("%s lost %d members but breaker tripped %d times", sf.Name, rec.Lost, ri.Quarantines)
 		}
-		inv.commonInvariants(sf, out.Probes[i])
 	}
 
 	if out.Cycles < cfg.MinCycles {
@@ -228,8 +185,7 @@ func RunRecycleSoak(cfg RecycleConfig) (*RecycleOutcome, error) {
 		}
 	}
 
-	snap := f.Sim.Obs().Snapshot()
-	out.Snapshot = snap
+	snap := r.Snapshot
 	if got := snap.Counter("rawiron.retries"); got != uint64(out.Retries) {
 		bad("telemetry drift: rawiron.retries counter %d, controllers counted %d", got, out.Retries)
 	}
@@ -250,7 +206,7 @@ func RunRecycleSoak(cfg RecycleConfig) (*RecycleOutcome, error) {
 	if got := bytes.Count(out.Journal, []byte(`"type":"rawiron.retry"`)); got != out.Retries {
 		bad("journal drift: %d rawiron.retry events, controllers counted %d", got, out.Retries)
 	}
-	if problems := f.Reporter(false).CrossCheck(); len(problems) != 0 {
+	if problems := r.Reporter(false).CrossCheck(); len(problems) != 0 {
 		bad("reporter cross-check: %v", problems)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gq/internal/chaos"
+	"gq/internal/farm"
 )
 
 // TestRecycleSoak is the recycling pipeline's acceptance run: three
@@ -21,9 +22,7 @@ func TestRecycleSoak(t *testing.T) {
 	const seed = 11
 
 	assertSameAcrossWorkers(t, "", func(workers int) (workerRun, error) {
-		out, err := RunRecycleSoak(RecycleConfig{
-			Seed: seed, Profile: profile, Sharded: true, Workers: workers,
-		})
+		out, err := RunRecycleSoak(RecycleConfig{Layout: farm.Layout{Seed: seed, Sharded: true, Workers: workers}, Profile: profile})
 		if err != nil {
 			return workerRun{}, err
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"gq/internal/farm"
+	"gq/internal/host"
 	"gq/internal/inmate"
 	"gq/internal/malware"
 	"gq/internal/netstack"
@@ -31,51 +32,32 @@ func RunScalabilityGateway(seed int64, points [][2]int, duration time.Duration) 
 	for _, pt := range points {
 		nSub, nInm := pt[0], pt[1]
 		start := time.Now()
-		f := farm.New(seed)
-		ccAddr := netstack.MustParseAddr("50.8.207.91")
-		cc := f.AddExternalHost("cc", ccAddr)
-		if _, err := malware.NewCCServer(cc, malware.CCConfig{
-			Template: "x", Targets: []netstack.Addr{netstack.MustParseAddr("203.0.113.25")},
-		}); err != nil {
+		spec := scalabilitySpec(seed)
+		for i := 0; i < nSub; i++ {
+			sf := scalabilitySubfarm(fmt.Sprintf("sub%d", i), uint16(100+i*40), nInm)
+			sf.ServiceVLAN = uint16(10 + i)
+			sf.GlobalPool = netstack.Prefix{Base: netstack.AddrFrom4(192, 0, byte(2+i), 0), Bits: 24}
+			// Paper-shaped spam density: Table 1 engines deliver many
+			// messages per SMTP session, so each session is a long-lived
+			// dialog rather than a one-shot — that is what keeps several
+			// subfarm domains busy in the same synchronization rounds.
+			sf.SpamBatch = 100
+			// A real access path is not an ideal wire: with per-link
+			// latency each SMTP transaction occupies virtual time, so
+			// concurrently-infected subfarms overlap instead of
+			// collapsing into disjoint instantaneous bursts.
+			sf.AccessLatency = time.Millisecond
+			for j := 0; j < nInm; j++ {
+				sf.Inmates = append(sf.Inmates, fmt.Sprintf("bot%d-%d", i, j))
+			}
+			spec.Subfarms = append(spec.Subfarms, sf)
+		}
+		f, err := spec.Build()
+		if err != nil {
 			return nil, "", err
 		}
-		var flows, sessions uint64
-		for i := 0; i < nSub; i++ {
-			lo := uint16(100 + i*40)
-			hi := lo + uint16(nInm) + 2
-			sf, err := f.AddSubfarm(farm.SubfarmConfig{
-				Name:   fmt.Sprintf("sub%d", i),
-				VLANLo: lo, VLANHi: hi,
-				ServiceVLAN:  uint16(10 + i),
-				GlobalPool:   netstack.Prefix{Base: netstack.AddrFrom4(192, 0, byte(2+i), 0), Bits: 24},
-				PolicyConfig: fmt.Sprintf("[VLAN %d-%d]\nDecider = Rustock\nInfection = *.exe\n", lo, hi),
-				SampleLibrary: []*policy.Sample{
-					policy.NewSample("bot.exe", "rustock", []byte("MZ")),
-				},
-				RepeatBatches: true,
-				CCHosts:       map[string]policy.AddrPort{"Rustock": {Addr: ccAddr, Port: 443}},
-				// Paper-shaped spam density: Table 1 engines deliver many
-				// messages per SMTP session, so each session is a long-lived
-				// dialog rather than a one-shot — that is what keeps several
-				// subfarm domains busy in the same synchronization rounds.
-				SpamBatch: 100,
-				// A real access path is not an ideal wire: with per-link
-				// latency each SMTP transaction occupies virtual time, so
-				// concurrently-infected subfarms overlap instead of
-				// collapsing into disjoint instantaneous bursts.
-				AccessLatency:  time.Millisecond,
-				SinkStrictness: smtpx.Lenient,
-			})
-			if err != nil {
-				return nil, "", err
-			}
-			for j := 0; j < nInm; j++ {
-				if _, err := sf.AddInmate(fmt.Sprintf("bot%d-%d", i, j)); err != nil {
-					return nil, "", err
-				}
-			}
-		}
 		f.Run(duration)
+		var flows, sessions uint64
 		for _, sf := range f.Subfarms {
 			flows += sf.Router.VerdictsApplied.Value()
 			sessions += sf.SMTPSink.Sessions + sf.BannerSink.Sessions
@@ -97,6 +79,34 @@ func RunScalabilityGateway(seed int64, points [][2]int, duration time.Duration) 
 	return out, b.String(), nil
 }
 
+// scalabilitySpec is the farm both sweeps grow subfarms on: one C&C host
+// with a one-target template.
+func scalabilitySpec(seed int64) farm.Spec {
+	return farm.Spec{
+		Layout: farm.Layout{Seed: seed},
+		External: []farm.ExternalHost{{Name: "cc", Addr: farm.SteephostAddr, Serve: func(_ *farm.Farm, h *host.Host) error {
+			_, err := malware.NewCCServer(h, malware.CCConfig{
+				Template: "x", Targets: []netstack.Addr{netstack.MustParseAddr("203.0.113.25")},
+			})
+			return err
+		}}},
+	}
+}
+
+// scalabilitySubfarm is a habitat of Rustock bots on VLANs lo up, every one
+// infected with the same sample.
+func scalabilitySubfarm(name string, lo uint16, inmates int) farm.SubfarmSpec {
+	hi := lo + uint16(inmates) + 2
+	return farm.SubfarmSpec{SubfarmConfig: farm.SubfarmConfig{
+		Name:   name,
+		VLANLo: lo, VLANHi: hi,
+		PolicyConfig:   fmt.Sprintf("[VLAN %d-%d]\nDecider = Rustock\nInfection = *.exe\n", lo, hi),
+		SampleLibrary:  []*policy.Sample{policy.NewSample("bot.exe", "rustock", []byte("MZ"))},
+		RepeatBatches:  true,
+		SinkStrictness: smtpx.Lenient,
+	}}
+}
+
 // ClusterPoint is one row of the containment-server cluster comparison.
 type ClusterPoint struct {
 	Servers          int
@@ -113,36 +123,20 @@ func RunScalabilityCluster(seed int64, serverCounts []int, inmates int, duration
 	var out []ClusterPoint
 	for _, n := range serverCounts {
 		start := time.Now()
-		f := farm.New(seed)
-		ccAddr := netstack.MustParseAddr("50.8.207.91")
-		cc := f.AddExternalHost("cc", ccAddr)
-		if _, err := malware.NewCCServer(cc, malware.CCConfig{
-			Template: "x", Targets: []netstack.Addr{netstack.MustParseAddr("203.0.113.25")},
-		}); err != nil {
-			return nil, "", err
+		sfSpec := scalabilitySubfarm("cluster", 100, inmates)
+		sfSpec.ServiceVLAN = 11
+		sfSpec.GlobalPool = netstack.MustParsePrefix("192.0.2.0/24")
+		sfSpec.ContainmentServers = n
+		for j := 0; j < inmates; j++ {
+			sfSpec.Inmates = append(sfSpec.Inmates, fmt.Sprintf("bot%d", j))
 		}
-		sf, err := f.AddSubfarm(farm.SubfarmConfig{
-			Name:   "cluster",
-			VLANLo: 100, VLANHi: uint16(100 + inmates + 2),
-			ServiceVLAN:  11,
-			GlobalPool:   netstack.MustParsePrefix("192.0.2.0/24"),
-			PolicyConfig: fmt.Sprintf("[VLAN 100-%d]\nDecider = Rustock\nInfection = *.exe\n", 100+inmates+2),
-			SampleLibrary: []*policy.Sample{
-				policy.NewSample("bot.exe", "rustock", []byte("MZ")),
-			},
-			RepeatBatches:      true,
-			CCHosts:            map[string]policy.AddrPort{"Rustock": {Addr: ccAddr, Port: 443}},
-			SinkStrictness:     smtpx.Lenient,
-			ContainmentServers: n,
-		})
+		spec := scalabilitySpec(seed)
+		spec.Subfarms = []farm.SubfarmSpec{sfSpec}
+		f, err := spec.Build()
 		if err != nil {
 			return nil, "", err
 		}
-		for j := 0; j < inmates; j++ {
-			if _, err := sf.AddInmate(fmt.Sprintf("bot%d", j)); err != nil {
-				return nil, "", err
-			}
-		}
+		sf := f.Subfarms[0]
 		f.Run(duration)
 		var total, max uint64
 		for _, srv := range sf.CSCluster {

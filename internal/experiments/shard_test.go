@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gq/internal/chaos"
+	"gq/internal/farm"
 )
 
 // TestShardDeterminism is the sharded farm's determinism proof: the full
@@ -22,15 +23,15 @@ func TestShardDeterminism(t *testing.T) {
 
 	assertSameAcrossWorkers(t, "", func(workers int) (workerRun, error) {
 		out, err := RunChaosSoak(ChaosConfig{
-			Seed: seed, Profile: profile, Sharded: true, Workers: workers,
-			Supervise: true,
+			Layout:  farm.Layout{Seed: seed, Sharded: true, Workers: workers},
+			Profile: profile, Supervise: true,
 		})
 		if err != nil {
 			return workerRun{}, err
 		}
 		t.Logf("workers=%d: flows=%d verdicts=%d crashes=%d failclosed=%d probe=[%s] journal=%dB health=%v",
-			workers, out.FlowsCreated, out.Verdicts, out.Injector.Crashes,
-			out.FlowsFailClosed, out.Probe, len(out.Journal), out.HealthHistory)
+			workers, out.FlowsCreated, out.Verdicts, out.Injectors[0].Crashes,
+			out.FlowsFailClosed, out.Probes[0][0], len(out.Journal), out.HealthHistory)
 		return workerRun{
 			journal: out.Journal, snapshot: out.Snapshot, problems: out.Problems,
 			records: map[string]any{"health-transition history": out.HealthHistory},

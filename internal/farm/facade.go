@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"gq/internal/hostnet"
-	"gq/internal/netsim"
 	"gq/internal/netstack"
 	"gq/internal/obs"
 	"gq/internal/sim"
@@ -45,19 +44,9 @@ func (sf *Subfarm) AttachFacadeEcho(interval time.Duration, rounds int) *FacadeE
 	cfg := sf.Config
 	dom := sf.Sim
 	svc := func(off int) netstack.Addr { return cfg.ServicePrefix.Nth(off) }
-	svcRouterIP := cfg.ServicePrefix.Nth(defaultSvcGateway)
-	newSvcHost := func(name string, addr netstack.Addr) *hostnet.Stack {
-		h := sf.Farm.newHostIn(dom, cfg.Name+"-"+name)
-		netsim.Connect(sf.sw.AddAccessPort(cfg.Name+"-"+name, cfg.ServiceVLAN), h.NIC(), 0)
-		h.ConfigureStatic(addr, cfg.ServicePrefix.Bits, svcRouterIP)
-		sf.Router.RegisterServiceHost(addr, cfg.ServiceVLAN)
-		sf.SvcHosts[name] = h
-		return hostnet.New(h)
-	}
-
 	fe := &FacadeEcho{
-		Server: newSvcHost("facade-echo", svc(facadeEchoOff)),
-		Client: newSvcHost("facade-client", svc(facadeClientOff)),
+		Server: hostnet.New(sf.newSvcHost("facade-echo", svc(facadeEchoOff), 0)),
+		Client: hostnet.New(sf.newSvcHost("facade-client", svc(facadeClientOff), 0)),
 		scope:  dom.Obs().Scope(cfg.Name+".facade", 0),
 	}
 
@@ -100,6 +89,7 @@ func (sf *Subfarm) AttachFacadeEcho(interval time.Duration, rounds int) *FacadeE
 			})
 		}
 	})
+	sf.FacadeEcho = fe
 	return fe
 }
 

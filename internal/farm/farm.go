@@ -19,6 +19,7 @@ import (
 	"gq/internal/nat"
 	"gq/internal/netsim"
 	"gq/internal/netstack"
+	"gq/internal/obs"
 	"gq/internal/policy"
 	"gq/internal/rawiron"
 	"gq/internal/report"
@@ -79,10 +80,10 @@ type Farm struct {
 	// the ones present at wiring time.
 	extHosts []*host.Host
 
-	// Controller addressing snapshot (taken at build) replayed by
-	// restartController.
-	ctlAddr netstack.Addr
-	ctlBits int
+	// Warnings lists what Spec.Build found odd but not fatal; journal is
+	// the Spec.Journal sink (see FlushJournal).
+	Warnings []string
+	journal  *obs.NDJSONSink
 
 	nextMAC  uint32
 	nextMgmt int
@@ -94,23 +95,19 @@ func New(seed int64) *Farm {
 	return build(seed, nil, 0)
 }
 
-// NewSharded builds the farm skeleton for sharded execution: every
-// subsequently added subfarm gets its own simulation domain, external
+// NewSharded builds the farm skeleton for sharded execution (see Layout):
+// every subsequently added subfarm gets its own simulation domain, external
 // hosts land in one dedicated external domain, and Run drives the domains
-// on up to workers goroutines under conservative lookahead
-// synchronization (netsim.TrunkLatency — the modeled trunk latency).
-// Results are byte-identical to each other for a given seed regardless of
-// the worker count, though not to the single-domain farm: the trunk
-// latency shifts event timing.
+// on up to workers goroutines under conservative lookahead synchronization
+// (netsim.TrunkLatency — the modeled trunk latency).
 func NewSharded(seed int64, workers int) *Farm {
 	return NewShardedN(seed, workers, 1)
 }
 
-// NewShardedN is NewSharded with an explicit external shard count: the
-// flat Internet segment is split across extShards dedicated domains and
-// AddExternalHost hash-assigns each host to one of them, so sink- and
-// C&C-heavy workloads spread across shards instead of serializing on the
-// root. extShards < 1 selects 1.
+// NewShardedN is NewSharded with the flat Internet segment split across
+// extShards dedicated domains (< 1 selects 1); AddExternalHost hash-assigns
+// each host to one, so sink- and C&C-heavy workloads spread across shards
+// instead of serializing on the root.
 func NewShardedN(seed int64, workers, extShards int) *Farm {
 	if extShards < 1 {
 		extShards = 1
@@ -145,7 +142,6 @@ func build(seed int64, coord *sim.Coordinator, extShards int) *Farm {
 	ctlHost := f.newHost("inmate-controller")
 	netsim.Connect(f.MgmtSwitch.AddAccessPort("controller", 999), ctlHost.NIC(), 0)
 	ctlHost.ConfigureStatic(netstack.MustParseAddr("172.16.0.1"), 24, 0)
-	f.ctlAddr, f.ctlBits = netstack.MustParseAddr("172.16.0.1"), 24
 	ctl, err := inmate.NewController(ctlHost)
 	if err != nil {
 		panic(err)
@@ -193,8 +189,8 @@ func (f *Farm) newHostIn(s *sim.Simulator, name string) *host.Host {
 // across runs.
 func (f *Farm) AddExternalHost(name string, addr netstack.Addr) *host.Host {
 	dom, sw := f.Sim, f.InternetSwitch
-	if n := len(f.extDomains); n > 0 {
-		k := int(extShardHash(addr.String()) % uint32(n))
+	if len(f.extDomains) > 0 {
+		k := f.ExternalShardFor(addr)
 		dom, sw = f.extDomains[k], f.extSwitches[k]
 	}
 	h := f.newHostIn(dom, name)
@@ -376,6 +372,10 @@ type Subfarm struct {
 	DHCP           *dhcp.Server
 	DNS            *dnsx.Server
 
+	// sinks lists the supervisable sink servers (sinkTable rows that can be
+	// restarted) with their probe ports and listener rebinds.
+	sinks []supervisor.Endpoint
+
 	// SvcHosts indexes the service-VLAN hosts by role ("cs0", "cs1", ...,
 	// "catchall", "smtpsink", "bannersink", "httpsink") so fault injection
 	// can take individual services down and bring them back.
@@ -385,6 +385,10 @@ type Subfarm struct {
 	// plane: heartbeat health tracking, health-aware dispatch, supervised
 	// restarts, inmate quarantine.
 	Supervisor *supervisor.Supervisor
+
+	// FacadeEcho, when non-nil (see AttachFacadeEcho), is the blocking-
+	// facade self-test pair running inside the habitat.
+	FacadeEcho *FacadeEcho
 
 	SMTPAnalyzer *report.SMTPAnalyzer
 	ShimAnalyzer *report.ShimAnalyzer
@@ -396,22 +400,19 @@ type Subfarm struct {
 	// sequence (worm experiments install vulnerable services instead).
 	OnBootHook func(fi *FarmInmate)
 
-	// RawIron, when non-nil (see EnableRawIron), manages the subfarm's
-	// physical boxes; Recycler, when non-nil (see AttachRecycler), drives
-	// them through the detonate→capture→reimage→readmit pipeline.
+	// RawIron and Recycler, when non-nil (see StartIronRotation), manage
+	// the subfarm's physical boxes and drive them through the
+	// detonate→capture→reimage→readmit pipeline.
 	RawIron  *rawiron.Controller
 	Recycler *Recycler
-	// nextPower allocates power-sequencer ports for AddRawIronInmate.
-	nextPower int
 }
 
 // Service addresses within a subfarm's service prefix.
-var (
+// Service addresses within a subfarm's service prefix (the sinks' offsets,
+// 2-5, are sinkTable's).
+const (
 	csAddrOff         = 1 // .0.1
-	catchAllOff       = 2
-	smtpSinkOff       = 3
 	bannerSinkOff     = 4
-	httpSinkOff       = 5
 	defaultSvcGateway = 254
 )
 

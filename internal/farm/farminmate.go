@@ -35,15 +35,11 @@ type FarmInmate struct {
 // powers it on. The default boot sequence runs DHCP and then the
 // auto-infection script (§6.6).
 func (sf *Subfarm) AddInmate(name string) (*FarmInmate, error) {
-	return sf.addInmate(name, &inmate.VMBackend{Sim: sf.Sim})
+	return sf.AddInmateWithBackend(name, &inmate.VMBackend{Sim: sf.Sim})
 }
 
-// AddInmateWithBackend uses a specific hosting technology.
-func (sf *Subfarm) AddInmateWithBackend(name string, b inmate.Backend) (*FarmInmate, error) {
-	return sf.addInmate(name, b)
-}
-
-func (sf *Subfarm) addInmate(name string, backend inmate.Backend) (*FarmInmate, error) {
+// AddInmateWithBackend is AddInmate on a specific hosting technology.
+func (sf *Subfarm) AddInmateWithBackend(name string, backend inmate.Backend) (*FarmInmate, error) {
 	vlan, err := sf.VLANs.Allocate()
 	if err != nil {
 		return nil, err

@@ -34,41 +34,6 @@ const (
 	phaseLost     = "lost"
 )
 
-// EnableRawIron attaches a raw-iron controller (§6.4) to the subfarm. It
-// runs in the subfarm's simulation domain, so machine lifecycle events
-// ride the same deterministic event order as the rest of the subfarm.
-// Idempotent; the first call's config wins.
-func (sf *Subfarm) EnableRawIron(cfg rawiron.Config) *rawiron.Controller {
-	if sf.RawIron == nil {
-		sf.RawIron = rawiron.NewControllerWith(sf.Sim, cfg)
-	}
-	return sf.RawIron
-}
-
-// AddRawIronInmate provisions one raw-iron box as a farm inmate: a fresh
-// VLAN and access port, a machine on the next power-sequencer port, and a
-// raw-iron backend whose Revert is a full network reimage of cleanImage.
-func (sf *Subfarm) AddRawIronInmate(name, cleanImage string) (*FarmInmate, *rawiron.Machine, error) {
-	sf.EnableRawIron(rawiron.Config{})
-	sf.nextPower++
-	m := &rawiron.Machine{
-		// The machine name carries the subfarm prefix so per-machine
-		// journal scopes ("rawiron.<machine>") stay unique farm-wide.
-		Name:      sf.Name + "-" + name,
-		PowerPort: sf.nextPower,
-		DiskImage: cleanImage,
-	}
-	b := &rawiron.Backend{Controller: sf.RawIron, Machine: m, CleanImage: cleanImage}
-	fi, err := sf.AddInmateWithBackend(name, b)
-	if err != nil {
-		return nil, nil, err
-	}
-	m.Host = fi.Host
-	m.VLAN = fi.VLAN
-	sf.RawIron.AddMachine(m)
-	return fi, m, nil
-}
-
 // RecyclerConfig tunes the detonate→capture→reimage→readmit pipeline.
 type RecyclerConfig struct {
 	// DetonateFor is each specimen's execution window before harvest.
@@ -123,57 +88,48 @@ type Recycler struct {
 	// progress is the supervision tree's monotone progress mark: it
 	// advances at every phase transition, so a rotation whose mark freezes
 	// while Active is wedged.
-	progress int
-	// watched dedups the tree's progress watch over this recycler.
-	watched bool
-
+	progress         int
 	started, stopped bool
 }
 
-// AttachRecycler creates the subfarm's recycling pipeline. Idempotent;
-// the first call's config wins.
-func (sf *Subfarm) AttachRecycler(cfg RecyclerConfig) *Recycler {
-	if sf.Recycler != nil {
-		return sf.Recycler
-	}
+// StartIronRotation gives the subfarm its raw-iron pool (§6.4): a controller
+// in the subfarm's simulation domain — machine lifecycle events ride the
+// same deterministic event order as the rest of the subfarm — and n boxes
+// (iron-0 … iron-n-1, imaged winxp-golden, one power-sequencer port each)
+// cycling through a started recycler. Call it once per subfarm, after the
+// VM inmates (DESIGN.md §3j).
+func (sf *Subfarm) StartIronRotation(n int, pool rawiron.Config, cycle RecyclerConfig) (*Recycler, error) {
+	const cleanImage = "winxp-golden"
+	sf.RawIron = rawiron.NewControllerWith(sf.Sim, pool)
 	r := &Recycler{
-		sf: sf, cfg: cfg.withDefaults(),
+		sf: sf, cfg: cycle.withDefaults(),
 		sc:       sf.Sim.Obs().Scope(obs.EvLifecyclePrefix+sf.Name, obs.DefaultRingSize),
 		recycled: sf.Sim.Obs().Reg.Counter("lifecycle.recycled"),
 		members:  make(map[uint16]*recycleMember),
 	}
 	sf.Recycler = r
 	sf.Farm.registerRecycleAction()
-	sf.Farm.watchRecycler(sf)
-	return r
-}
-
-// StartIronRotation gives the subfarm a raw-iron pool of n boxes
-// (iron-0 … iron-n-1, imaged winxp-golden) cycling through a started
-// recycler.
-func (sf *Subfarm) StartIronRotation(n int, pool rawiron.Config, cycle RecyclerConfig) (*Recycler, error) {
-	sf.EnableRawIron(pool)
-	rec := sf.AttachRecycler(cycle)
 	for i := 0; i < n; i++ {
-		fi, _, err := sf.AddRawIronInmate(fmt.Sprintf("iron-%d", i), "winxp-golden")
+		name := fmt.Sprintf("iron-%d", i)
+		// The machine name carries the subfarm prefix so per-machine
+		// journal scopes ("rawiron.<machine>") stay unique farm-wide. Its
+		// backend's Revert is a full network reimage of the clean image.
+		m := &rawiron.Machine{Name: sf.Name + "-" + name, PowerPort: i + 1, DiskImage: cleanImage}
+		b := &rawiron.Backend{Controller: sf.RawIron, Machine: m, CleanImage: cleanImage}
+		fi, err := sf.AddInmateWithBackend(name, b)
 		if err != nil {
 			return nil, err
 		}
-		if err := rec.Manage(fi); err != nil {
-			return nil, err
-		}
+		m.Host, m.VLAN = fi.Host, fi.VLAN
+		sf.RawIron.AddMachine(m)
+		r.manage(fi, b)
 	}
-	rec.Start()
-	return rec, nil
+	r.Start()
+	return r, nil
 }
 
-// Manage adds a raw-iron inmate (from AddRawIronInmate) to the rotation.
-// Call before Start.
-func (r *Recycler) Manage(fi *FarmInmate) error {
-	b, ok := fi.Backend.(*rawiron.Backend)
-	if !ok {
-		return fmt.Errorf("recycler: inmate %s is not raw-iron backed (%s)", fi.Name, fi.Backend.Kind())
-	}
+// manage adds a raw-iron inmate to the rotation.
+func (r *Recycler) manage(fi *FarmInmate, b *rawiron.Backend) {
 	mb := &recycleMember{fi: fi, m: b.Machine, phase: phaseIdle}
 	r.members[fi.VLAN] = mb
 	r.order = append(r.order, fi.VLAN)
@@ -189,7 +145,6 @@ func (r *Recycler) Manage(fi *FarmInmate) error {
 	// A terminal revert failure (breaker quarantine) drops the member
 	// from rotation instead of wedging it in StateReverting.
 	b.OnFail = func(_ *inmate.Inmate, err error) { r.lose(mb) }
-	return nil
 }
 
 // Manages reports whether vlan belongs to this recycler's rotation.
@@ -300,7 +255,7 @@ func (r *Recycler) reimage(mb *recycleMember) {
 	r.progress++
 	r.sc.Emit(obs.Event{Type: EvLifecycleReimage, VLAN: mb.fi.VLAN, N: uint64(mb.cycles)})
 	// Revert drives Backend.Revert → Controller.Reimage; failure lands in
-	// the backend's OnFail (wired by Manage) and loses the member.
+	// the backend's OnFail (wired by manage) and loses the member.
 	mb.fi.Revert()
 }
 

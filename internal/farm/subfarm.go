@@ -1,8 +1,10 @@
 package farm
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+	"time"
 
 	"gq/internal/containment"
 	"gq/internal/dhcp"
@@ -16,6 +18,7 @@ import (
 	"gq/internal/policy"
 	"gq/internal/report"
 	"gq/internal/sink"
+	"gq/internal/supervisor"
 )
 
 // AddSubfarm builds a complete habitat: packet router, containment server
@@ -117,19 +120,9 @@ func (f *Farm) AddSubfarm(cfg SubfarmConfig) (*Subfarm, error) {
 	}
 	sf.PolicyConfig = pcfg
 
-	// Service hosts on the service VLAN.
-	newSvcHost := func(name string, addr netstack.Addr) *host.Host {
-		h := f.newHostIn(dom, cfg.Name+"-"+name)
-		netsim.Connect(sw.AddAccessPort(cfg.Name+"-"+name, cfg.ServiceVLAN), h.NIC(), cfg.AccessLatency)
-		h.ConfigureStatic(addr, cfg.ServicePrefix.Bits, svcRouterIP)
-		sf.Router.RegisterServiceHost(addr, cfg.ServiceVLAN)
-		sf.SvcHosts[name] = h
-		return h
-	}
-
 	// Containment servers: inmate-network presence plus management NIC.
 	for i := 0; i < nCS; i++ {
-		h := newSvcHost(csName(i), csAddr(i))
+		h := sf.newSvcHost(csName(i), csAddr(i), cfg.AccessLatency)
 		srv, err := containment.NewServer(h, ContainmentPort, nonceIP)
 		if err != nil {
 			return nil, err
@@ -169,43 +162,20 @@ func (f *Farm) AddSubfarm(cfg SubfarmConfig) (*Subfarm, error) {
 		srv.SetLifecycleSink(lifecycle)
 	}
 
-	// Sinks.
-	var err error
-	caHost := newSvcHost("catchall", svc(catchAllOff))
-	sf.CatchAll = sink.NewCatchAll(caHost)
-
-	smtpHost := newSvcHost("smtpsink", svc(smtpSinkOff))
-	sf.SMTPSink, err = sink.NewSMTPSink(smtpHost, sink.SMTPConfig{
-		Port: 25, DropProb: cfg.SinkDropProb, Strictness: cfg.SinkStrictness,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	bannerHost := newSvcHost("bannersink", svc(bannerSinkOff))
-	sf.BannerSink, err = sink.NewSMTPSink(bannerHost, sink.SMTPConfig{
-		Port: 25, BannerGrab: cfg.BannerGrab, DropProb: cfg.SinkDropProb,
-		Strictness: cfg.SinkStrictness,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	httpHost := newSvcHost("httpsink", svc(httpSinkOff))
-	if cfg.StdlibHTTPSink {
-		// The stdlib server's goroutines reach the simulator through
-		// Inject, which coordinated domains reject — and a farm that is
-		// not pumped would deadlock on the first request.
-		if f.Coord != nil {
-			return nil, fmt.Errorf("subfarm %s: StdlibHTTPSink requires an unsharded, Pump-driven farm", cfg.Name)
+	// Sinks, and the policy environment's view of where they are.
+	services := map[string]policy.AddrPort{policy.SvcAutoinfect: DefaultAutoinfect}
+	for _, row := range sinkTable {
+		h := sf.newSvcHost(row.id, svc(row.off), cfg.AccessLatency)
+		rebind, err := sf.startSink(row.id, h)
+		if err != nil {
+			return nil, err
 		}
-		sf.HTTPServerSink, err = sink.NewHTTPServerSink(httpHost, 80)
-	} else {
-		sf.HTTPSink, err = sink.NewHTTPSink(httpHost, 80)
+		if rebind != nil {
+			sf.sinks = append(sf.sinks, supervisor.Endpoint{ID: row.id, Host: h, Port: row.probe, Rebind: rebind})
+		}
+		services[row.service] = policy.AddrPort{Addr: svc(row.off), Port: row.port}
 	}
-	if err != nil {
-		return nil, err
-	}
+	var err error
 
 	// Infrastructure services in the inmates' broadcast domain: DHCP and
 	// the recursive resolver carry inmate-subnet addresses but live on the
@@ -232,13 +202,6 @@ func (f *Farm) AddSubfarm(cfg SubfarmConfig) (*Subfarm, error) {
 	}
 
 	// Policy environment.
-	services := map[string]policy.AddrPort{
-		policy.SvcCatchAllSink:   {Addr: svc(catchAllOff)},
-		policy.SvcSMTPSink:       {Addr: svc(smtpSinkOff), Port: 25},
-		policy.SvcBannerSMTPSink: {Addr: svc(bannerSinkOff), Port: 25},
-		policy.SvcHTTPSink:       {Addr: svc(httpSinkOff), Port: 80},
-		policy.SvcAutoinfect:     DefaultAutoinfect,
-	}
 	for name, loc := range pcfg.Services {
 		services[name] = loc
 	}
@@ -297,6 +260,67 @@ func (f *Farm) AddSubfarm(cfg SubfarmConfig) (*Subfarm, error) {
 
 	f.Subfarms = append(f.Subfarms, sf)
 	return sf, nil
+}
+
+// sinkTable is the subfarm's sink servers, one row each: the SvcHosts key
+// (also the supervision endpoint id), the policy service it backs, its
+// service-prefix offset and service port, and the TCP port supervision
+// probes (the catch-all listens on every port; 9, discard, is as good a
+// probe target as any).
+var sinkTable = []struct {
+	id, service string
+	off         int
+	port, probe uint16
+}{
+	{"catchall", policy.SvcCatchAllSink, 2, 0, 9},
+	{"smtpsink", policy.SvcSMTPSink, 3, 25, 25},
+	{"bannersink", policy.SvcBannerSMTPSink, bannerSinkOff, 25, 25},
+	{"httpsink", policy.SvcHTTPSink, 5, 80, 80},
+}
+
+// startSink starts sinkTable row id on its host and returns the
+// listener-rebind a supervised restart replays — nil for the one sink that
+// cannot be restarted deterministically.
+func (sf *Subfarm) startSink(id string, h *host.Host) (rebind func() error, err error) {
+	cfg := sf.Config
+	smtp := sink.SMTPConfig{Port: 25, DropProb: cfg.SinkDropProb, Strictness: cfg.SinkStrictness}
+	switch id {
+	case "catchall":
+		sf.CatchAll = sink.NewCatchAll(h)
+		return sf.CatchAll.Rebind, nil
+	case "smtpsink":
+		sf.SMTPSink, err = sink.NewSMTPSink(h, smtp)
+		return sf.SMTPSink.Rebind, err
+	case "bannersink":
+		smtp.BannerGrab = cfg.BannerGrab
+		sf.BannerSink, err = sink.NewSMTPSink(h, smtp)
+		return sf.BannerSink.Rebind, err
+	}
+	if !cfg.StdlibHTTPSink {
+		sf.HTTPSink, err = sink.NewHTTPSink(h, 80)
+		return sf.HTTPSink.Rebind, err
+	}
+	// The stdlib server's goroutines reach the simulator through Inject,
+	// which coordinated domains reject — and a farm that is not pumped would
+	// deadlock on the first request. They are also detached from the sim
+	// clock (DESIGN.md §3e): no rebind.
+	if sf.Farm.Coord != nil {
+		return nil, errors.New("StdlibHTTPSink requires an unsharded, Pump-driven farm")
+	}
+	sf.HTTPServerSink, err = sink.NewHTTPServerSink(h, 80)
+	return nil, err
+}
+
+// newSvcHost puts one more host on the service VLAN — registered with the
+// router as a flow responder and in SvcHosts under name.
+func (sf *Subfarm) newSvcHost(name string, addr netstack.Addr, latency time.Duration) *host.Host {
+	cfg := sf.Config
+	h := sf.Farm.newHostIn(sf.Sim, cfg.Name+"-"+name)
+	netsim.Connect(sf.sw.AddAccessPort(cfg.Name+"-"+name, cfg.ServiceVLAN), h.NIC(), latency)
+	h.ConfigureStatic(addr, cfg.ServicePrefix.Bits, cfg.ServicePrefix.Nth(defaultSvcGateway))
+	sf.Router.RegisterServiceHost(addr, cfg.ServiceVLAN)
+	sf.SvcHosts[name] = h
+	return h
 }
 
 // csName is the SvcHosts key of containment-server cluster member i.

@@ -3,8 +3,6 @@ package farm
 import (
 	"fmt"
 
-	"gq/internal/host"
-	"gq/internal/netsim"
 	"gq/internal/supervisor"
 )
 
@@ -13,22 +11,14 @@ import (
 // at 6-7; containment clusters start at 20).
 const supProbeOff = 8
 
-// Supervise attaches the subfarm's supervision-tree node: every
-// containment server is heartbeat-probed over the shim channel, every
-// sink server is TCP-probed from a dedicated service-VLAN prober host,
-// and the farm-wide inmate controller is PING-probed over the management
-// network. Crashed CS and sink endpoints are restarted with backed-off,
-// jittered, breaker-guarded timers on the subfarm's own sim clock;
-// controller transitions are reported to the farm's root node, which owns
-// its restart ladder whether or not the rest of the tree (SuperviseTree)
-// is built; inmates that repeatedly trip triggers or containment probes
-// are quarantined through the controller; and a
-// containment plane that stays fully dead past its budget escalates to
-// subfarm fail-closed lockdown. Probes never cross the router's flow
-// table — sink probes ride the service VLAN, controller probes the
-// management network, heartbeats the shim channel — so supervision keeps
-// observing even inside a lockdown.
-// Call it once, after AddSubfarm and before Run.
+// Supervise attaches the subfarm's supervision-tree node (DESIGN.md §3f):
+// containment servers heartbeat-probed over the shim channel, sink servers
+// TCP-probed from a service-VLAN prober host, the inmate controller
+// PING-probed over the management network — none of it crosses the router's
+// flow table, so supervision keeps observing inside a lockdown. Controller
+// transitions go to the farm's root node, which owns that restart ladder
+// with or without the rest of the tree. Idempotent; where it belongs in the
+// build order is DESIGN.md §3j.
 func (sf *Subfarm) Supervise(cfg supervisor.Config) *supervisor.Supervisor {
 	if sf.Supervisor != nil {
 		return sf.Supervisor
@@ -40,8 +30,8 @@ func (sf *Subfarm) Supervise(cfg supervisor.Config) *supervisor.Supervisor {
 		Name:       sf.Name,
 		Mgmt:       sf.CSMgmt,
 		Controller: f.ControllerHost,
-		Prober:     sf.proberHost(),
-		Sinks:      sf.sinkEndpoints(),
+		Prober:     sf.newSvcHost("supprobe", sf.Config.ServicePrefix.Nth(supProbeOff), sf.Config.AccessLatency),
+		Sinks:      sf.sinks,
 		Root:       f.rootNode(cfg),
 	}
 	for i, srv := range sf.CSCluster {
@@ -53,31 +43,47 @@ func (sf *Subfarm) Supervise(cfg supervisor.Config) *supervisor.Supervisor {
 	return sf.Supervisor
 }
 
-// sinkEndpoints lists the subfarm's supervisable sink servers with their
-// probe ports and listener-rebind closures. The stdlib HTTP server sink
-// is excluded: its handler goroutines are detached from the sim clock
-// (DESIGN.md §3e), so a deterministic supervised restart cannot be
-// guaranteed for it.
-func (sf *Subfarm) sinkEndpoints() []supervisor.Endpoint {
-	var eps []supervisor.Endpoint
-	for _, s := range []struct {
-		id      string
-		port    uint16
-		present bool
-		rebind  func() error
-	}{
-		// The catch-all listens on every port; 9 (discard) is as good a
-		// probe target as any.
-		{"catchall", 9, sf.CatchAll != nil, sf.CatchAll.Rebind},
-		{"smtpsink", 25, sf.SMTPSink != nil, sf.SMTPSink.Rebind},
-		{"bannersink", 25, sf.BannerSink != nil, sf.BannerSink.Rebind},
-		{"httpsink", 80, sf.HTTPSink != nil, sf.HTTPSink.Rebind},
-	} {
-		if s.present {
-			eps = append(eps, supervisor.Endpoint{ID: s.id, Host: sf.SvcHosts[s.id], Port: s.port, Rebind: s.rebind})
+// SuperviseTree builds the complete supervision tree (DESIGN.md §3f): a root
+// node on the farm's root domain, every subfarm supervised and attached
+// under it, progress watches over the recyclers and aliveness watches over
+// the external hosts that exist now — which is why it is the last step of
+// the build (DESIGN.md §3j). A subfarm lockdown that persists past
+// DeadManBudget, or a controller that cannot be restarted, escalates to
+// global dead-man lockdown. Idempotent.
+func (f *Farm) SuperviseTree(cfg supervisor.Config) *supervisor.Root {
+	if f.Tree != nil {
+		return f.Tree
+	}
+	f.Tree = f.rootNode(cfg)
+	for _, h := range f.extHosts {
+		f.Tree.WatchHost(supervisor.KindShard, h.Name, h)
+	}
+	for _, sf := range f.Subfarms {
+		sup := sf.Supervise(cfg)
+		f.Tree.Attach(sup)
+		if r := sf.Recycler; r != nil {
+			// The read and re-arm closures run on the subfarm's domain
+			// goroutine (the root round-trips via sim.Hop).
+			f.Tree.WatchProgress(supervisor.KindRecycler, sf.Name, sf.Sim,
+				func() (int, bool) { return r.Progress(), r.Active() }, r.Rearm)
 		}
 	}
-	return eps
+	return f.Tree
+}
+
+// rootNode returns the farm-root supervision node, building it on first
+// use. Any supervised subfarm needs it: its controller watch is the one
+// breaker-guarded ladder that restarts the farm-wide inmate controller,
+// however many subfarms report the hang. f.Tree is set only by SuperviseTree.
+func (f *Farm) rootNode(cfg supervisor.Config) *supervisor.Root {
+	if f.root == nil {
+		f.root = supervisor.NewRoot(supervisor.RootDeps{
+			Sim:               f.Sim,
+			ControllerHost:    f.ControllerHost,
+			RestartController: f.ControllerHost.PowerCycler(f.Controller.Rebind),
+		}, cfg)
+	}
+	return f.root
 }
 
 // RebindSink reinstalls the named sink server's listeners on its (reset)
@@ -85,30 +91,12 @@ func (sf *Subfarm) sinkEndpoints() []supervisor.Endpoint {
 // injector's unsupervised recovery path. Supervised subfarms never call
 // it; their tree node owns sink restarts.
 func (sf *Subfarm) RebindSink(name string) error {
-	for _, ep := range sf.sinkEndpoints() {
+	for _, ep := range sf.sinks {
 		if ep.ID == name {
 			return ep.Rebind()
 		}
 	}
 	return fmt.Errorf("farm: no supervisable sink %q", name)
-}
-
-// proberHost lazily creates the subfarm's supervision prober: one more
-// service-VLAN host, peer to the sinks it probes, so liveness dials stay
-// on-link L2 and never touch the router's flow table.
-func (sf *Subfarm) proberHost() *host.Host {
-	if h := sf.SvcHosts["supprobe"]; h != nil {
-		return h
-	}
-	cfg := sf.Config
-	name := cfg.Name + "-supprobe"
-	h := sf.Farm.newHostIn(sf.Sim, name)
-	netsim.Connect(sf.sw.AddAccessPort(name, cfg.ServiceVLAN), h.NIC(), cfg.AccessLatency)
-	h.ConfigureStatic(cfg.ServicePrefix.Nth(supProbeOff), cfg.ServicePrefix.Bits,
-		cfg.ServicePrefix.Nth(defaultSvcGateway))
-	sf.Router.RegisterServiceHost(h.Addr(), cfg.ServiceVLAN)
-	sf.SvcHosts["supprobe"] = h
-	return h
 }
 
 // SetLockdown engages or releases the subfarm's fail-closed lockdown

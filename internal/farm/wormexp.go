@@ -8,7 +8,6 @@ import (
 	"gq/internal/malware"
 	"gq/internal/nat"
 	"gq/internal/netstack"
-	"gq/internal/policy"
 )
 
 // InfectionEvent records one observed infection in a worm experiment.
@@ -67,33 +66,33 @@ func (v wormVictims) VictimFor(vlan uint16, dst netstack.Addr) (netstack.Addr, b
 // NewWormExperiment builds a honeyfarm subfarm for one Table 1 capture
 // with the given number of honeypot inmates.
 func NewWormExperiment(seed int64, spec malware.WormSpec, inmates int) (*WormExperiment, error) {
-	f := New(seed)
-	sf, err := f.AddSubfarm(SubfarmConfig{
-		Name:   "wormfarm",
-		VLANLo: 100, VLANHi: uint16(100 + inmates + 4),
-		ServiceVLAN:  90,
-		GlobalPool:   netstack.MustParsePrefix("192.0.2.0/24"),
-		InboundMode:  nat.ForwardInbound,
-		PolicyConfig: fmt.Sprintf("[VLAN 100-%d]\nDecider = WormCapture\n", 100+inmates+4),
-	})
+	e := &WormExperiment{Spec: spec, worms: make(map[uint16]*malware.Worm)}
+	wormfarm := SubfarmSpec{
+		SubfarmConfig: SubfarmConfig{
+			Name:   "wormfarm",
+			VLANLo: 100, VLANHi: uint16(100 + inmates + 4),
+			ServiceVLAN:  90,
+			GlobalPool:   netstack.MustParsePrefix("192.0.2.0/24"),
+			InboundMode:  nat.ForwardInbound,
+			PolicyConfig: fmt.Sprintf("[VLAN 100-%d]\nDecider = WormCapture\n", 100+inmates+4),
+		},
+		// Honeypot boot: a vulnerable service instead of auto-infection.
+		OnBoot: func(fi *FarmInmate) {
+			vlan := fi.VLAN
+			malware.InstallVulnerableService(fi.Host, func(exe, name string) {
+				e.onInfect(fi, vlan, exe, name)
+			}, malware.WormPorts...)
+		},
+	}
+	for i := 0; i < inmates; i++ {
+		wormfarm.Inmates = append(wormfarm.Inmates, fmt.Sprintf("honeypot-%d", i))
+	}
+	f, err := Spec{Layout: Layout{Seed: seed}, Subfarms: []SubfarmSpec{wormfarm}}.Build()
 	if err != nil {
 		return nil, err
 	}
-	e := &WormExperiment{Farm: f, Subfarm: sf, Spec: spec, worms: make(map[uint16]*malware.Worm)}
-	sf.Policy.Victims = wormVictims{e}
-
-	// Honeypot boot: a vulnerable service instead of auto-infection.
-	sf.OnBootHook = func(fi *FarmInmate) {
-		vlan := fi.VLAN
-		malware.InstallVulnerableService(fi.Host, func(exe, name string) {
-			e.onInfect(fi, vlan, exe, name)
-		}, malware.WormPorts...)
-	}
-	for i := 0; i < inmates; i++ {
-		if _, err := sf.AddInmate(fmt.Sprintf("honeypot-%d", i)); err != nil {
-			return nil, err
-		}
-	}
+	e.Farm, e.Subfarm = f, f.Subfarms[0]
+	e.Subfarm.Policy.Victims = wormVictims{e}
 	return e, nil
 }
 
@@ -196,5 +195,3 @@ func (e *WormExperiment) Result() WormResult {
 	}
 	return r
 }
-
-var _ = policy.AddrPort{} // keep the policy import for wormVictims' contract

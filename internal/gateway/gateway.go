@@ -135,9 +135,6 @@ func (g *Gateway) AddRouterIn(s *sim.Simulator, cfg RouterConfig) *Router {
 	return r
 }
 
-// Routers returns the attached subfarm routers.
-func (g *Gateway) Routers() []*Router { return g.routers }
-
 // routerForVLAN finds the subfarm handling a VLAN (inmate or service).
 func (g *Gateway) routerForVLAN(vlan uint16) *Router {
 	for _, r := range g.routers {

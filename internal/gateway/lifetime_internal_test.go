@@ -270,6 +270,62 @@ func TestARPPendingQueuesAreBounded(t *testing.T) {
 	}
 }
 
+// An inmate chooses its source MACs, so the bridging table they are learned
+// into is bounded: a spoofer's flood stops growing it at maxLearnedMACs and
+// is counted, a host learned before the flood still bridges (and may move),
+// and inmates still never reach each other at L2.
+func TestMACTableIsBounded(t *testing.T) {
+	const flood = 100000
+	rig := newLifetimeRig(t)
+	frame := func(vlan uint16, src, dst netstack.MAC) []byte {
+		p := &netstack.Packet{
+			Eth:     netstack.Ethernet{Dst: dst, Src: src, VLAN: vlan, EtherType: netstack.EtherTypeIPv4},
+			IP:      &netstack.IPv4{TTL: 64, Src: netstack.MustParseAddr("10.0.0.5"), Dst: netstack.MustParseAddr("10.3.0.1")},
+			UDP:     &netstack.UDP{SrcPort: 7, DstPort: 7},
+			Payload: []byte("bridged"),
+		}
+		return p.Marshal()
+	}
+	// Learned beforehand: the containment server on the service VLAN and
+	// two honest inmates.
+	rig.trunk.port.Send(arpReply(2, rig.r.cfg.ContainmentIP, csMAC))
+	rig.trunk.port.Send(frame(12, inmateMAC(12), csMAC))
+	rig.trunk.port.Send(frame(13, inmateMAC(13), csMAC))
+	rig.settle()
+	rig.trunk.take(t)
+
+	for i := 0; i < flood; i++ {
+		spoofed := netstack.MAC{2, 0xbd, byte(i >> 24), byte(i >> 16), byte(i >> 8), byte(i)}
+		rig.trunk.port.Send(frame(12, spoofed, netstack.MAC{2, 0, 0, 0, 0, 0x99}))
+	}
+	rig.settle()
+	if n := len(rig.r.macTable); n > maxLearnedMACs {
+		t.Fatalf("macTable holds %d entries after %d spoofed sources, bound is %d", n, flood, maxLearnedMACs)
+	}
+	if got := rig.s.Obs().Snapshot().Counter("subfarm.lifetime.mac_table_full"); got == 0 {
+		t.Error("subfarm.lifetime.mac_table_full = 0 after a flood past the bound")
+	}
+	rig.trunk.take(t)
+
+	// The table is full: known hosts still bridge, and relearn when they move.
+	rig.trunk.port.Send(frame(12, inmateMAC(12), csMAC))
+	rig.trunk.port.Send(frame(14, inmateMAC(13), csMAC))
+	rig.settle()
+	got := rig.trunk.take(t)
+	if len(got) != 2 || got[0].Eth.VLAN != 2 || got[1].Eth.VLAN != 2 || got[0].Eth.Dst != csMAC {
+		t.Fatalf("inmate frames to a service host learned before the flood: %v, want both bridged into VLAN 2", got)
+	}
+	if vlan := rig.r.macTable[inmateMAC(13)]; vlan != 14 {
+		t.Errorf("known MAC relearned on VLAN %d after moving to 14", vlan)
+	}
+	// Inmate to inmate, both known: dropped — they meet only through a verdict.
+	rig.trunk.port.Send(frame(12, inmateMAC(12), inmateMAC(13)))
+	rig.settle()
+	if got := rig.trunk.take(t); len(got) != 0 {
+		t.Errorf("inmate-to-inmate unicast was bridged: %v", got)
+	}
+}
+
 // GRE decapsulation parses the inner packet while the outer one is still in
 // use: the tunnel is looked up by the outer destination after the inner
 // parse. The inner parse must not land in the buffer the outer lives in, and

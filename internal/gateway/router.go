@@ -144,8 +144,10 @@ type Router struct {
 	// L2 bridging state for the subfarm's restricted broadcast domain.
 	// MAC addresses are farm-unique, and bridging only ever targets VLANs
 	// this router owns, so the per-router table behaves identically to
-	// the former gateway-wide one.
-	macTable map[netstack.MAC]uint16 // MAC -> VLAN where last seen
+	// the former gateway-wide one. Inmates choose their source MACs, so
+	// the table holds at most maxLearnedMACs entries (see learnMAC).
+	macTable     map[netstack.MAC]uint16 // MAC -> VLAN where last seen
+	macTableFull *obs.Counter            // nil until the first overflow
 
 	// scratch is the reusable marshal buffer for flood paths that emit the
 	// same packet several times (see emitTrunk). Valid only within a
@@ -177,9 +179,6 @@ type Router struct {
 	rateAll     map[uint16]int
 	rateDest    map[vlanAddr]int
 	SafetyDrops *obs.Counter
-
-	// Crosstalk: explicitly enabled inmate VLAN pairs.
-	crosstalk map[[2]uint16]bool
 
 	// Service host registry: sinks and other infrastructure reachable as
 	// flow responders, keyed by address.
@@ -280,7 +279,6 @@ func newRouter(g *Gateway, s *sim.Simulator, cfg RouterConfig) *Router {
 		vlanARP:      make(map[vlanAddr]netstack.MAC),
 		rateAll:      make(map[uint16]int),
 		rateDest:     make(map[vlanAddr]int),
-		crosstalk:    make(map[[2]uint16]bool),
 		serviceHosts: make(map[netstack.Addr]uint16),
 		infraOut:     make(map[netstack.Addr]netstack.Addr),
 		infraIn:      make(map[netstack.Addr]netstack.Addr),
@@ -380,7 +378,7 @@ func (r *Router) recvTrunkFrame(frame []byte) {
 func (r *Router) receiveTrunk(p *netstack.Packet) {
 	// Learn where this MAC lives for broadcast-domain bridging.
 	if !p.Eth.Src.IsBroadcast() && !p.Eth.Src.IsZero() {
-		r.macTable[p.Eth.Src] = p.Eth.VLAN
+		r.learnMAC(p.Eth.Src, p.Eth.VLAN)
 	}
 	if p.ARP != nil {
 		r.handleARP(p)
@@ -395,9 +393,32 @@ func (r *Router) receiveTrunk(p *netstack.Packet) {
 	r.bridge(p)
 }
 
+// maxLearnedMACs bounds a router's bridging table: twice the 802.1Q VLAN
+// space, i.e. one machine per inmate VLAN with room for every service
+// host, and a ceiling on what a source-MAC-spoofing inmate can make the
+// gateway remember.
+const maxLearnedMACs = 8192
+
+// learnMAC records where a source MAC was last seen. At the bound a MAC the
+// table already holds may still move; a new one is not learned, and counted
+// in subfarm.<name>.mac_table_full — a series registered by the first
+// overflow, so a farm nobody attacks snapshots what it always did.
+func (r *Router) learnMAC(mac netstack.MAC, vlan uint16) {
+	if len(r.macTable) >= maxLearnedMACs {
+		if _, known := r.macTable[mac]; !known {
+			if r.macTableFull == nil {
+				r.macTableFull = r.sim.Obs().Reg.Counter("subfarm." + r.cfg.Name + ".mac_table_full")
+			}
+			r.macTableFull.Inc()
+			return
+		}
+	}
+	r.macTable[mac] = vlan
+}
+
 // bridge forwards a frame between VLANs of the restricted broadcast domain
 // (inmate VLANs <-> service VLANs of the same subfarm). Inmate-to-inmate
-// unicast requires explicitly enabled crosstalk.
+// unicast is dropped: inmates reach each other only through a verdict.
 func (r *Router) bridge(p *netstack.Packet) {
 	srcVLAN := p.Eth.VLAN
 	if p.Eth.Dst.IsBroadcast() {
@@ -410,9 +431,6 @@ func (r *Router) bridge(p *netstack.Packet) {
 			for _, sv := range r.cfg.ServiceVLANs {
 				r.emitTrunk(p, sv)
 			}
-			for _, other := range r.crosstalkPeers(srcVLAN) {
-				r.emitTrunk(p, other)
-			}
 		}
 		return
 	}
@@ -421,7 +439,7 @@ func (r *Router) bridge(p *netstack.Packet) {
 		return
 	}
 	srcInmate, dstInmate := !r.isServiceVLAN(srcVLAN), !r.isServiceVLAN(dstVLAN)
-	if srcInmate && dstInmate && !r.crosstalkAllowed(srcVLAN, dstVLAN) {
+	if srcInmate && dstInmate {
 		return
 	}
 	r.gw.Bridged.Inc()
@@ -535,33 +553,6 @@ func (r *Router) NAT() *nat.Table { return r.nat }
 // tap is handed is valid until the tap returns; a tap that keeps it calls
 // Clone.
 func (r *Router) AddTap(t func(p *netstack.Packet)) { r.taps = append(r.taps, t) }
-
-// EnableCrosstalk permits direct L2 traffic between two inmate VLANs.
-func (r *Router) EnableCrosstalk(a, b uint16) {
-	if a > b {
-		a, b = b, a
-	}
-	r.crosstalk[[2]uint16{a, b}] = true
-}
-
-func (r *Router) crosstalkAllowed(a, b uint16) bool {
-	if a > b {
-		a, b = b, a
-	}
-	return r.crosstalk[[2]uint16{a, b}]
-}
-
-func (r *Router) crosstalkPeers(vlan uint16) []uint16 {
-	var out []uint16
-	for pair := range r.crosstalk {
-		if pair[0] == vlan {
-			out = append(out, pair[1])
-		} else if pair[1] == vlan {
-			out = append(out, pair[0])
-		}
-	}
-	return out
-}
 
 func (r *Router) ownsVLAN(vlan uint16) bool {
 	if vlan >= r.cfg.VLANLo && vlan <= r.cfg.VLANHi {

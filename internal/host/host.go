@@ -10,8 +10,9 @@
 package host
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"gq/internal/netsim"
 	"gq/internal/netstack"
@@ -122,19 +123,12 @@ func (h *Host) Addr() netstack.Addr { return h.addr }
 // Gateway returns the default router address.
 func (h *Host) Gateway() netstack.Addr { return h.gw }
 
-// PrefixBits returns the configured prefix length (zero before
-// configuration). Fault injection snapshots it to reconfigure a host
-// identically after a crash/restart cycle.
-func (h *Host) PrefixBits() int { return h.bits }
-
 // DNS returns the configured resolver address.
 func (h *Host) DNS() netstack.Addr { return h.dns }
 
 // ConfigureStatic assigns an address, prefix length, and default gateway.
 func (h *Host) ConfigureStatic(addr netstack.Addr, bits int, gw netstack.Addr) {
-	h.addr = addr
-	h.bits = bits
-	h.gw = gw
+	h.addr, h.bits, h.gw = addr, bits, gw
 }
 
 // SetDNS records the resolver address (typically from DHCP).
@@ -181,24 +175,14 @@ func (h *Host) Shutdown() {
 // (Shutdown, Reset) destroys connections — and fires their OnClose
 // cascades — in a deterministic sequence rather than map order.
 func (h *Host) sortedConns() []*Conn {
-	keys := make([]connKey, 0, len(h.conns))
-	for k := range h.conns {
-		keys = append(keys, k)
+	conns := make([]*Conn, 0, len(h.conns))
+	for _, c := range h.conns {
+		conns = append(conns, c)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.localPort != b.localPort {
-			return a.localPort < b.localPort
-		}
-		if a.remoteIP != b.remoteIP {
-			return a.remoteIP < b.remoteIP
-		}
-		return a.remotePort < b.remotePort
+	slices.SortFunc(conns, func(a, b *Conn) int {
+		return cmp.Or(cmp.Compare(a.key.localPort, b.key.localPort),
+			cmp.Compare(a.key.remoteIP, b.key.remoteIP), cmp.Compare(a.key.remotePort, b.key.remotePort))
 	})
-	conns := make([]*Conn, len(keys))
-	for i, k := range keys {
-		conns[i] = h.conns[k]
-	}
 	return conns
 }
 
@@ -219,6 +203,21 @@ func (h *Host) Reset() {
 	h.udpSocks = make(map[uint16]*UDPSock)
 	h.rawUDPHook = nil
 	h.nextEphem = 32768
+}
+
+// PowerCycler returns the restart action for a statically addressed server
+// host: Reset, replay the addressing snapshot taken now (take it while the
+// host is still configured), rebind the listeners, re-announce ARP.
+func (h *Host) PowerCycler(rebind func() error) func() {
+	addr, bits, gw := h.addr, h.bits, h.gw
+	return func() {
+		h.Reset()
+		h.ConfigureStatic(addr, bits, gw)
+		if err := rebind(); err != nil {
+			panic("host " + h.Name + ": rebind after power cycle failed: " + err.Error())
+		}
+		h.AnnounceARP()
+	}
 }
 
 func (h *Host) receiveFrame(frame []byte) {

@@ -74,16 +74,6 @@ func (t *Table) AddPool(pool netstack.Prefix, start int) {
 	t.pools = append(t.pools, globalPool{prefix: pool, next: start})
 }
 
-// OwnsGlobal reports whether addr falls inside any of the table's pools.
-func (t *Table) OwnsGlobal(addr netstack.Addr) bool {
-	for _, p := range t.pools {
-		if p.prefix.Contains(addr) {
-			return true
-		}
-	}
-	return false
-}
-
 // SetVLANMode overrides the inbound mode for one inmate, e.g. making only
 // the Storm proxies reachable.
 func (t *Table) SetVLANMode(vlan uint16, m Mode) { t.modeByVLAN[vlan] = m }

@@ -158,9 +158,6 @@ func Connect(a, b *Port, latency time.Duration) {
 	a.latency, b.latency = latency, latency
 }
 
-// Connected reports whether the port has a peer.
-func (p *Port) Connected() bool { return p.peer != nil }
-
 // Peer returns the other end of the link, or nil if unconnected. Chaos
 // schedules use it to impair or flap both directions of an inmate link.
 func (p *Port) Peer() *Port { return p.peer }

@@ -42,9 +42,6 @@ type Gauge struct{ v atomic.Int64 }
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
 // Add adds d (negative to subtract).
 func (g *Gauge) Add(d int64) { g.v.Add(d) }
 

@@ -31,18 +31,22 @@ func TestServedSoakJournalByteIdentity(t *testing.T) {
 	const seed = 7
 
 	run := func(serve bool) (journal []byte, dropped uint64) {
-		cfg := experiments.ChaosConfig{Seed: seed, Profile: profile}
+		plan := experiments.ChaosPlan(experiments.ChaosConfig{Layout: farm.Layout{Seed: seed}, Profile: profile})
 		var (
-			fan    *obs.Fanout
-			ts     *httptest.Server
-			cancel context.CancelFunc
+			recorded bytes.Buffer
+			fan      *obs.Fanout
+			ts       *httptest.Server
+			cancel   context.CancelFunc
 		)
+		plan.Spec.Journal = &recorded
 		if serve {
-			cfg.WrapSink = func(inner obs.Sink) obs.Sink {
-				fan = obs.NewFanout(inner)
-				return fan
-			}
-			cfg.OnBuild = func(f *farm.Farm, sf *farm.Subfarm) {
+			plan.OnBuild = func(f *farm.Farm) error {
+				// Interpose the fanout on the sink chain the way gqfarm
+				// -serve does: live subscribers ride along without touching
+				// the recorded stream.
+				j := f.Sim.Obs().Journal
+				fan = obs.NewFanout(j.Sink())
+				j.SetSink(fan)
 				// The soak drives the sim itself (f.Run); the driver here
 				// only satisfies the server wiring and is never Run, so
 				// control endpoints are out of scope for this test.
@@ -50,17 +54,16 @@ func TestServedSoakJournalByteIdentity(t *testing.T) {
 					Farm: f, Fanout: fan, Driver: ops.NewDriver(f.Sim, 1),
 				})
 				if err != nil {
-					t.Error(err)
-					return
+					return err
 				}
 				ts = httptest.NewServer(srv.Handler())
 				// Don't start the soak until the subscription exists, or
 				// the run could finish before the client ever attaches.
 				cancel = startSlowSSEClient(t, ts.URL+"/events?buf=4")
+				return nil
 			}
 		}
-		out, err := experiments.RunChaosSoak(cfg)
-		if err != nil {
+		if _, err := experiments.Execute(plan); err != nil {
 			t.Fatal(err)
 		}
 		if fan != nil {
@@ -72,7 +75,7 @@ func TestServedSoakJournalByteIdentity(t *testing.T) {
 		if ts != nil {
 			ts.Close()
 		}
-		return out.Journal, dropped
+		return recorded.Bytes(), dropped
 	}
 
 	unserved, _ := run(false)

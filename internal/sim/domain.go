@@ -143,15 +143,8 @@ func NewCoordinator(root *Simulator, lookahead time.Duration, workers int) *Coor
 // Root returns the root (shard 0) simulator.
 func (c *Coordinator) Root() *Simulator { return c.root }
 
-// Lookahead returns the synchronization window (= minimum cross-domain
-// latency).
-func (c *Coordinator) Lookahead() time.Duration { return c.lookahead }
-
 // Workers returns the configured worker count.
 func (c *Coordinator) Workers() int { return c.workers }
-
-// Domains returns how many domains exist, including the root.
-func (c *Coordinator) Domains() int { return len(c.domains) }
 
 // Now returns the root domain's clock (all domains agree at every quiesce
 // point).

@@ -284,10 +284,10 @@ type Supervisor struct {
 func New(deps Deps, cfg Config) *Supervisor {
 	sup := newSupervisor(deps, cfg)
 	for i, e := range deps.Endpoints {
-		sup.watchCS(i, e.Host.Addr(), powerCycle(e.Host, e.Rebind))
+		sup.watchCS(i, e.Host.Addr(), e.Host.PowerCycler(e.Rebind))
 	}
 	for _, se := range deps.Sinks {
-		w := sup.add(&watch{kind: KindSink, id: se.ID, addr: se.Host.Addr(), restart: powerCycle(se.Host, se.Rebind)})
+		w := sup.add(&watch{kind: KindSink, id: se.ID, addr: se.Host.Addr(), restart: se.Host.PowerCycler(se.Rebind)})
 		w.probe = func(seq uint64) { sup.probeTCP(w, se.Host, se.Port, seq) }
 	}
 	if deps.Root != nil && deps.Controller != nil && deps.Mgmt != nil {
@@ -333,23 +333,6 @@ func newSupervisor(deps Deps, cfg Config) *Supervisor {
 	})
 	s.Every(cfg.HeartbeatEvery, sup.tick)
 	return sup
-}
-
-// powerCycle returns the restart action for a service host: reset it,
-// replay the addressing snapshot taken now (attach time), rebind the
-// listeners, re-announce ARP.
-func powerCycle(h *host.Host, rebind func() error) func() {
-	addr, bits, gw := h.Addr(), h.PrefixBits(), h.Gateway()
-	return func() {
-		h.Reset()
-		h.ConfigureStatic(addr, bits, gw)
-		if rebind != nil {
-			if err := rebind(); err != nil {
-				panic("supervisor: " + h.Name + " rebind failed: " + err.Error())
-			}
-		}
-		h.AnnounceARP()
-	}
 }
 
 // watchCS adds the watch over containment server idx: heartbeat-probed

@@ -5,7 +5,7 @@
 # Fails when a non-test Go file outside internal/sim (bench/, the frozen
 # benchmark harness, aside) posts across domains itself, or when one of the
 # retired doorways reappears. Also guards the gateway's one flow lifecycle
-# (DESIGN.md §3g), below.
+# (DESIGN.md §3g) and the farm's one wiring site (DESIGN.md §3j), below.
 set -eu
 cd "$(git rev-parse --show-toplevel)"
 status=0
@@ -39,4 +39,13 @@ lits=$(cd internal/gateway && grep -nF 'netstack.IPv4{' flow.go splice.go udp.go
 if [ "$(printf '%s' "$lits" | grep -c .)" -gt 2 ]; then
 	bad "gateway-originated packet built outside newSegment / newDatagram" "$lits"
 fi
+# A farm is wired in one place (DESIGN.md §3j): outside internal/farm, the
+# frozen benchmark harness, the examples and the gq.go facade that
+# re-exports the primitives to them, non-test code describes a farm as a
+# farm.Spec and calls Build — never the constructors and wiring primitives
+# Build composes.
+spec=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/farm/*' ! -path './bench/*' ! -path './examples/*' ! -path './gq.go')
+# shellcheck disable=SC2086
+bad "farm wired by hand outside internal/farm (describe it as a farm.Spec and Build it)" \
+	"$(grep -nE 'farm\.New\(|farm\.NewSharded|\.AddSubfarm\(|\.SuperviseTree\(|\.StartIronRotation\(' $spec || true)"
 exit $status

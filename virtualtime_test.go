@@ -93,7 +93,8 @@ func TestLockdownEscalationTime(t *testing.T) {
 func TestRecyclePipelineThroughput(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		out, err := experiments.RunRecycleSoak(experiments.RecycleConfig{
-			Seed: seed, Subfarms: 1, Machines: 3,
+			Layout:   farm.Layout{Seed: seed},
+			Subfarms: 1, Machines: 3,
 			Duration: 45 * time.Minute, Settle: 15 * time.Minute,
 			DetonateFor: 5 * time.Minute,
 			MinCycles:   1, MinCyclesPerSubfarm: 1,
