@@ -147,7 +147,7 @@ func TestRunDigests(t *testing.T) {
 	}{
 		{"plain", false, nil},
 		{"trace", true, nil},
-		{"full", true, []string{"-rawiron", "3", "-tree", "-chaos", "soak", "-shards", "2", "-workers", "1"}},
+		{"full", true, []string{"-rawiron", "3", "-tree", "-chaos", "soak", "-shards", "1", "-workers", "1"}},
 	} {
 		dir := t.TempDir()
 		file := func(name string) string { return filepath.Join(dir, name) }
