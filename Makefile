@@ -88,8 +88,7 @@ recycle-soak:
 # unsurvivable one through subfarm fail-closed lockdown to global
 # dead-man lockdown, hold zero probe escapes before/during/after the
 # lockdown, and drain every flow table empty — with byte-identical
-# journals and DeepEqual escalation records at 1/2/4 workers on both the
-# single-internet and two-shard external topologies.
+# journals and DeepEqual escalation records at 1/2/4 workers.
 fleet-soak:
 	$(GO) test -race -run TestFleetLockdownSoak ./internal/experiments -count=1 -v
 

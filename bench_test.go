@@ -6,7 +6,6 @@ package gq_test
 // benchmarks quantify the design choices DESIGN.md §4 calls out.
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -181,34 +180,25 @@ func BenchmarkScalabilityGateway3x4(b *testing.B) { benchGatewayScale(b, 3, 4) }
 func BenchmarkScalabilityGateway6x4(b *testing.B) { benchGatewayScale(b, 6, 4) }
 
 // benchShardedDense builds a 6-subfarm farm whose inmates continuously
-// stream bulk data. Three modes:
+// stream bulk data. Two modes:
 //
-//   - "serial": one event loop, catch-all sinks (the baseline).
-//   - "sharded": per-subfarm domains, default-deny reflects every stream
+//   - serial: one event loop, catch-all sinks (the baseline).
+//   - sharded: per-subfarm domains, default-deny reflects every stream
 //     into the subfarm's own catch-all sink — all bytes domain-local, all
 //     six subfarm domains busy, ceiling 6.00 domains/round.
-//   - "external": the same dense subfarm load, plus three external-host
-//     domains carrying bulk server-to-server streams on the Internet
-//     segment — the C&C/sink-side work that used to serialize on the root.
-//     With that work in its own shards the ceiling rises above the
-//     subfarm count.
 //
 // This is the dense-workload counterpart to the S1 sweep: S1 measures a
 // realistic (sparse) malware workload, this one measures the sharding
 // ceiling.
-func benchShardedDense(b *testing.B, mode string) {
+func benchShardedDense(b *testing.B, sharded bool) {
 	const inmates = 4
 	const subfarms = 6
-	const extPairs = 6
 	for i := 0; i < b.N; i++ {
 		var f *farm.Farm
-		switch mode {
-		case "serial":
-			f = farm.New(int64(i))
-		case "sharded":
+		if sharded {
 			f = farm.NewSharded(int64(i), 0)
-		case "external":
-			f = farm.NewShardedN(int64(i), 0, 3)
+		} else {
+			f = farm.New(int64(i))
 		}
 		for s := 0; s < subfarms; s++ {
 			lo := uint16(100 + s*40)
@@ -237,53 +227,10 @@ func benchShardedDense(b *testing.B, mode string) {
 				}
 			}
 		}
-		// External server-to-server bulk pairs, two per external shard and
-		// co-located within it (ExternalShardFor) so the bulk bytes stay
-		// domain-local — the external analogue of the catch-all streams.
-		// Per-pair byte counts are written only from the serving host's
-		// domain and read after the run quiesces.
-		received := make([]int, extPairs)
-		if mode == "external" {
-			byShard := make([][]netstack.Addr, f.ExternalShards())
-			for x := byte(10); x < 250; x++ {
-				addr := netstack.AddrFrom4(198, 51, 100, x)
-				k := f.ExternalShardFor(addr)
-				if len(byShard[k]) < 2*extPairs/len(byShard) {
-					byShard[k] = append(byShard[k], addr)
-				}
-			}
-			p := 0
-			for _, addrs := range byShard {
-				for j := 0; j+1 < len(addrs); j += 2 {
-					idx := p
-					srvAddr, cliAddr := addrs[j], addrs[j+1]
-					srv := f.AddExternalHost(fmt.Sprintf("esink%d", idx), srvAddr)
-					srv.Listen(80, func(c *host.Conn) {
-						c.OnData = func(d []byte) { received[idx] += len(d) }
-						c.OnPeerClose = func() { c.Close() }
-					})
-					cli := f.AddExternalHost(fmt.Sprintf("esrc%d", idx), cliAddr)
-					cli.Sim().Schedule(0, func() {
-						c := cli.Dial(srvAddr, 80)
-						chunk := make([]byte, 1024)
-						cli.Sim().Every(2*time.Millisecond, func() { c.Write(chunk) })
-					})
-					p++
-				}
-			}
-			received = received[:p]
-		}
 		f.Run(30 * time.Second)
 		for _, sf := range f.Subfarms {
 			if sf.CatchAll.TCPConns == 0 {
 				b.Fatal("no sink traffic")
-			}
-		}
-		if mode == "external" {
-			for p, n := range received {
-				if n == 0 {
-					b.Fatalf("external pair %d: no traffic", p)
-				}
 			}
 		}
 		if f.Coord != nil {
@@ -297,13 +244,10 @@ func benchShardedDense(b *testing.B, mode string) {
 // BenchmarkShardedFarmDense compares the serial event loop against sharded
 // domains on a datapath-saturated farm. The domains/round metric is the
 // workload's parallel speedup ceiling, independent of the host's CPU count;
-// the wall-clock ratio at -cpu N is the achieved speedup. The external
-// variant routes the streams off-subfarm so the root gateway and the
-// external-host shards join the working set.
+// the wall-clock ratio at -cpu N is the achieved speedup.
 func BenchmarkShardedFarmDense(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchShardedDense(b, "serial") })
-	b.Run("sharded", func(b *testing.B) { benchShardedDense(b, "sharded") })
-	b.Run("external", func(b *testing.B) { benchShardedDense(b, "external") })
+	b.Run("serial", func(b *testing.B) { benchShardedDense(b, false) })
+	b.Run("sharded", func(b *testing.B) { benchShardedDense(b, true) })
 }
 
 func benchCluster(b *testing.B, servers int) {

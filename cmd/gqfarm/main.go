@@ -18,13 +18,12 @@
 // Injection stops before the drain, so the health checks still demand a
 // farm that degraded gracefully.
 //
-// With -shards N each subfarm runs in its own simulation domain, the
-// external hosts are hash-spread across N external domains, and -workers
-// goroutines drive the whole topology under conservative lookahead
-// synchronization (see internal/sim). The result is deterministic for a
-// given seed whatever the worker count, but the trunk lookahead shifts
-// cross-domain timing, so a sharded run is not byte-identical to the
-// serial run of the same seed.
+// With -sharded each subfarm runs in its own simulation domain, the
+// external hosts share one external domain, and -workers goroutines drive
+// the whole topology under conservative lookahead synchronization (see
+// internal/sim). The result is deterministic for a given seed whatever the
+// worker count, but the trunk lookahead shifts cross-domain timing, so a
+// sharded run is not byte-identical to the serial run of the same seed.
 //
 // With -rawiron N the subfarm gains N raw-iron inmates on the recycling
 // pipeline (see internal/rawiron and farm.Recycler): each box detonates
@@ -43,7 +42,7 @@
 // ignored — the soak runs until SIGINT/SIGTERM, then shuts down cleanly
 // (report, metrics, journal flush) and exits 0. On a sharded farm the
 // control endpoints post their actions into the owning domain's event
-// loop, so -serve composes with -shards.
+// loop, so -serve composes with -sharded.
 //
 // The run is health-checked: if it ends with flows still open in the
 // gateway, with inmate addresses on the blacklist, or (with -verify) with
@@ -105,10 +104,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	drain := fs.Duration("drain", 3*time.Minute, "virtual time to drain after retiring the inmates")
 	verify := fs.Bool("verify", false, "run a containment probe after the experiment and fail on escapes")
 	chaosSpec := fs.String("chaos", "", "fault-injection profile: preset (soak, light, crash) and/or key=value overrides; see internal/chaos")
-	shards := fs.Int("shards", 0, "with N > 0: run each subfarm in its own simulation domain and spread external hosts across N external domains (deterministic parallel execution)")
-	workers := fs.Int("workers", 0, "with -shards: worker goroutines driving the domains (0 = GOMAXPROCS)")
+	sharded := fs.Bool("sharded", false, "run each subfarm in its own simulation domain and the external hosts in one external domain (deterministic parallel execution)")
+	workers := fs.Int("workers", 0, "with -sharded: worker goroutines driving the domains (0 = GOMAXPROCS)")
 	supervise := fs.Bool("supervise", false, "attach the containment-plane supervisor: heartbeat health, fail-closed failover, supervised restarts, inmate quarantine")
-	treeFlag := fs.Bool("tree", false, "attach the farm-wide supervision tree: per-subfarm supervisors (CS, sinks, controller probes) under a root node with the controller restart ladder, recycler progress watches, shard-host watches, and dead-man lockdown escalation (implies -supervise)")
+	treeFlag := fs.Bool("tree", false, "attach the farm-wide supervision tree: per-subfarm supervisors (CS, sinks, controller probes) under a root node with the controller restart ladder, recycler progress watches, external-host watches, and dead-man lockdown escalation (implies -supervise)")
 	deadmanBudget := fs.Duration("deadman", 0, "with -serve and -tree: wall-clock dead-man budget — if the soak loop itself stalls past it, drive the farm into global fail-closed lockdown")
 	supHB := fs.Duration("supervise-hb", 0, "with -supervise: heartbeat probe cadence (0 = default 5s)")
 	supK := fs.Int("supervise-k", 0, "with -supervise: consecutive missed heartbeats marking an endpoint down (0 = default 3)")
@@ -172,7 +171,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	botfarm.IronCycle = farm.RecyclerConfig{Capture: true}
 	plan := experiments.Plan{
 		Spec: farm.Spec{
-			Layout:   farm.Layout{Seed: *seed, Sharded: *shards > 0, Workers: *workers, ExtShards: *shards},
+			Layout:   farm.Layout{Seed: *seed, Sharded: *sharded, Workers: *workers},
 			External: []farm.ExternalHost{farm.Steephost("cc"), {Name: "gmail", Addr: gmailAddr, Serve: serveGMail}},
 			Subfarms: []farm.SubfarmSpec{botfarm},
 			Supervisor: supervisor.Config{

@@ -57,19 +57,29 @@ func TestFailingRunFlushesJournal(t *testing.T) {
 	}
 }
 
-// TestShardedRun drives the CLI sharded path end to end: subfarm plus two
-// external domains, two workers, health checks green, and the scheduler
+// TestShardedRun drives the CLI sharded path end to end: subfarm plus the
+// external domain, two workers, health checks green, and the scheduler
 // efficiency line printed.
 func TestShardedRun(t *testing.T) {
 	var out, errOut bytes.Buffer
 	code := run([]string{
-		"-duration", "15m", "-inmates", "2", "-shards", "2", "-workers", "2",
+		"-duration", "15m", "-inmates", "2", "-sharded", "-workers", "2",
 	}, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d, want 0 (stderr: %s)", code, errOut.String())
 	}
 	if !strings.Contains(errOut.String(), "domains busy per synchronization round") {
 		t.Fatalf("sharded stats line missing from stderr: %s", errOut.String())
+	}
+}
+
+// TestRetiredShardsFlagRejected: the external-shard count is gone, and an
+// old command line fails flag parsing instead of being half-honoured.
+func TestRetiredShardsFlagRejected(t *testing.T) {
+	var out, errOut bytes.Buffer
+	code := run([]string{"-shards", "2"}, &out, &errOut)
+	if code != 2 || !strings.Contains(errOut.String(), "flag provided but not defined: -shards") {
+		t.Fatalf("exit %d, stderr %s", code, errOut.String())
 	}
 }
 
@@ -147,7 +157,7 @@ func TestRunDigests(t *testing.T) {
 	}{
 		{"plain", false, nil},
 		{"trace", true, nil},
-		{"full", true, []string{"-rawiron", "3", "-tree", "-chaos", "soak", "-shards", "1", "-workers", "1"}},
+		{"full", true, []string{"-rawiron", "3", "-tree", "-chaos", "soak", "-sharded", "-workers", "1"}},
 	} {
 		dir := t.TempDir()
 		file := func(name string) string { return filepath.Join(dir, name) }

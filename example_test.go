@@ -5,30 +5,31 @@ import (
 	"time"
 
 	"gq"
-	"gq/internal/farm"
 )
 
 // Example demonstrates the minimal farm: one inmate under default-deny
 // containment, with the per-flow verdicts inspected afterwards.
 func Example() {
-	f := gq.NewFarm(1)
-	f.AddExternalHost("cc", gq.MustParseAddr("203.0.113.5"))
-
-	sf, err := f.AddSubfarm(gq.SubfarmConfig{
-		Name:   "demo",
-		VLANLo: 16, VLANHi: 20,
-		GlobalPool: gq.MustParsePrefix("192.0.2.0/24"),
-	})
+	f, err := gq.Spec{
+		Layout:   gq.Layout{Seed: 1},
+		External: []gq.ExternalHost{{Name: "cc", Addr: gq.MustParseAddr("203.0.113.5")}},
+		Subfarms: []gq.SubfarmSpec{{
+			SubfarmConfig: gq.SubfarmConfig{
+				Name:   "demo",
+				VLANLo: 16, VLANHi: 20,
+				GlobalPool: gq.MustParsePrefix("192.0.2.0/24"),
+			},
+			Inmates: []string{"specimen"},
+			OnBoot: func(fi *gq.FarmInmate) {
+				c := fi.Host.Dial(gq.MustParseAddr("203.0.113.5"), 6667)
+				c.OnConnect = func() { c.Write([]byte("JOIN #botnet")) }
+			},
+		}},
+	}.Build()
 	if err != nil {
 		panic(err)
 	}
-	sf.OnBootHook = func(fi *farm.FarmInmate) {
-		c := fi.Host.Dial(gq.MustParseAddr("203.0.113.5"), 6667)
-		c.OnConnect = func() { c.Write([]byte("JOIN #botnet")) }
-	}
-	if _, err := sf.AddInmate("specimen"); err != nil {
-		panic(err)
-	}
+	sf := f.Subfarms[0]
 	f.Run(time.Minute)
 
 	for _, rec := range sf.Router.Records() {

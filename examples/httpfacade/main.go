@@ -21,31 +21,31 @@ import (
 	"time"
 
 	"gq"
-	"gq/internal/farm"
 	"gq/internal/hostnet"
 )
 
 func main() {
-	f := gq.NewFarm(7)
-
-	sf, err := f.AddSubfarm(gq.SubfarmConfig{
-		Name:   "clickfarm",
-		VLANLo: 16, VLANHi: 20,
-		GlobalPool:     gq.MustParsePrefix("192.0.2.0/24"),
-		PolicyConfig:   "[VLAN 16-20]\nDecider = Clickbot\n",
-		StdlibHTTPSink: true, // net/http server over the facade
-	})
-	if err != nil {
-		panic(err)
-	}
-
 	// The boot hook just signals the click loop below; no auto-infection.
 	var booted atomic.Bool
-	sf.OnBootHook = func(fi *farm.FarmInmate) { booted.Store(true) }
-	fi, err := sf.AddInmate("clicker-0")
+	f, err := gq.Spec{
+		Layout: gq.Layout{Seed: 7},
+		Subfarms: []gq.SubfarmSpec{{
+			SubfarmConfig: gq.SubfarmConfig{
+				Name:   "clickfarm",
+				VLANLo: 16, VLANHi: 20,
+				GlobalPool:     gq.MustParsePrefix("192.0.2.0/24"),
+				PolicyConfig:   "[VLAN 16-20]\nDecider = Clickbot\n",
+				StdlibHTTPSink: true, // net/http server over the facade
+			},
+			Inmates: []string{"clicker-0"},
+			OnBoot:  func(*gq.FarmInmate) { booted.Store(true) },
+		}},
+	}.Build()
 	if err != nil {
 		panic(err)
 	}
+	sf := f.Subfarms[0]
+	fi := sf.Inmates[sf.InmateVLANs()[0]]
 
 	// The specimen: a plain http.Client whose DialContext is the inmate
 	// host's facade. Everything below the Transport is stock library code.

@@ -7,9 +7,11 @@ package main
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"gq"
+	"gq/internal/host"
 	"gq/internal/malware"
 	"gq/internal/netstack"
 	"gq/internal/smtpx"
@@ -20,36 +22,38 @@ import (
 func iterate(step int, policyName, note string) {
 	fmt.Printf("--- iteration %d: policy %s ---\n%s\n", step, policyName, note)
 
-	f := gq.NewFarm(int64(70 + step))
 	ccAddr := gq.MustParseAddr("50.8.207.91")
-	ccHost := f.AddExternalHost("unknown-host", ccAddr)
-	cc, err := malware.NewCCServer(ccHost, malware.CCConfig{
-		Template: "mystery spam",
-		Targets:  []netstack.Addr{gq.MustParseAddr("203.0.113.25")},
-	})
+	var cc *malware.CCServer
+	f, err := gq.Spec{
+		Layout: gq.Layout{Seed: int64(70 + step)},
+		External: []gq.ExternalHost{{Name: "unknown-host", Addr: ccAddr, Serve: func(_ *gq.Farm, h *host.Host) (err error) {
+			cc, err = malware.NewCCServer(h, malware.CCConfig{
+				Template: "mystery spam",
+				Targets:  []netstack.Addr{gq.MustParseAddr("203.0.113.25")},
+			})
+			return err
+		}}},
+		Subfarms: []gq.SubfarmSpec{{
+			SubfarmConfig: gq.SubfarmConfig{
+				Name:   "development", // the paper's "development" vs "deployment" split
+				VLANLo: 30, VLANHi: 34,
+				ServiceVLAN:  12,
+				GlobalPool:   gq.MustParsePrefix("192.0.2.0/24"),
+				PolicyConfig: "[VLAN 30-34]\nDecider = " + policyName + "\nInfection = mystery.*.exe\n",
+				SampleLibrary: []*gq.Sample{
+					gq.NewSample("mystery.100818.exe", "grum", []byte("MZ-unknown")),
+				},
+				RepeatBatches:  true,
+				CCHosts:        map[string]gq.AddrPort{"Grum": {Addr: ccAddr, Port: 80}},
+				SinkStrictness: smtpx.Lenient,
+			},
+			Inmates: []string{"mystery-0"},
+		}},
+	}.Build()
 	if err != nil {
 		panic(err)
 	}
-
-	sf, err := f.AddSubfarm(gq.SubfarmConfig{
-		Name:   "development", // the paper's "development" vs "deployment" split
-		VLANLo: 30, VLANHi: 34,
-		ServiceVLAN:  12,
-		GlobalPool:   gq.MustParsePrefix("192.0.2.0/24"),
-		PolicyConfig: "[VLAN 30-34]\nDecider = " + policyName + "\nInfection = mystery.*.exe\n",
-		SampleLibrary: []*gq.Sample{
-			gq.NewSample("mystery.100818.exe", "grum", []byte("MZ-unknown")),
-		},
-		RepeatBatches:  true,
-		CCHosts:        map[string]gq.AddrPort{"Grum": {Addr: ccAddr, Port: 80}},
-		SinkStrictness: smtpx.Lenient,
-	})
-	if err != nil {
-		panic(err)
-	}
-	if _, err := sf.AddInmate("mystery-0"); err != nil {
-		panic(err)
-	}
+	sf := f.Subfarms[0]
 	f.Run(30 * time.Minute)
 
 	// What the analyst inspects after each run:
@@ -59,8 +63,13 @@ func iterate(step int, policyName, note string) {
 			byAnn[fmt.Sprintf("%-8s %s (dst port %d)", rec.Verdict, rec.Annotation, rec.RespPort)]++
 		}
 	}
-	for line, n := range byAnn {
-		fmt.Printf("  %4dx %s\n", n, line)
+	var lines []string
+	for line := range byAnn {
+		lines = append(lines, line)
+	}
+	slices.Sort(lines) // map order would vary from run to run
+	for _, line := range lines {
+		fmt.Printf("  %4dx %s\n", byAnn[line], line)
 	}
 	fmt.Printf("  sink flows: %d (catch-all), SMTP sessions harvested: %d, C&C check-ins upstream: %d\n\n",
 		sf.CatchAll.TCPConns, sf.SMTPSink.Sessions+sf.BannerSink.Sessions, cc.HTTPGets)

@@ -11,40 +11,46 @@ import (
 	"time"
 
 	"gq"
+	"gq/internal/host"
 	"gq/internal/malware"
 	"gq/internal/nat"
 )
 
 func main() {
-	f := gq.NewFarm(7)
-
 	ccAddr := gq.MustParseAddr("198.51.100.80")
-	f.AddExternalHost("storm-cc", ccAddr)
-	masterHost := f.AddExternalHost("botmaster", gq.MustParseAddr("198.51.100.90"))
-	// The would-be victim: a small business FTP/web host. Under proper
-	// containment it never hears from our proxy.
-	f.AddExternalHost("victim-site", gq.MustParseAddr("203.0.113.21"))
-
-	sf, err := f.AddSubfarm(gq.SubfarmConfig{
-		Name:   "Stormfarm",
-		VLANLo: 40, VLANHi: 44,
-		ServiceVLAN:  13,
-		GlobalPool:   gq.MustParsePrefix("192.0.3.0/24"),
-		InboundMode:  nat.ForwardInbound, // proxies must be reachable
-		PolicyConfig: "[VLAN 40-44]\nDecider = Storm\nInfection = storm.*.exe\n",
-		SampleLibrary: []*gq.Sample{
-			gq.NewSample("storm.080601.exe", "storm-proxy", []byte("MZ-storm")),
+	var masterHost *host.Host
+	f, err := gq.Spec{
+		Layout: gq.Layout{Seed: 7},
+		External: []gq.ExternalHost{
+			{Name: "storm-cc", Addr: ccAddr},
+			{Name: "botmaster", Addr: gq.MustParseAddr("198.51.100.90"),
+				Serve: func(_ *gq.Farm, h *host.Host) error { masterHost = h; return nil }},
+			// The would-be victim: a small business FTP/web host. Under
+			// proper containment it never hears from our proxy.
+			{Name: "victim-site", Addr: gq.MustParseAddr("203.0.113.21")},
 		},
-		RepeatBatches: true,
-		CCHosts:       map[string]gq.AddrPort{"Storm": {Addr: ccAddr, Port: 80}},
-	})
+		Subfarms: []gq.SubfarmSpec{{
+			SubfarmConfig: gq.SubfarmConfig{
+				Name:   "Stormfarm",
+				VLANLo: 40, VLANHi: 44,
+				ServiceVLAN:  13,
+				GlobalPool:   gq.MustParsePrefix("192.0.3.0/24"),
+				InboundMode:  nat.ForwardInbound, // proxies must be reachable
+				PolicyConfig: "[VLAN 40-44]\nDecider = Storm\nInfection = storm.*.exe\n",
+				SampleLibrary: []*gq.Sample{
+					gq.NewSample("storm.080601.exe", "storm-proxy", []byte("MZ-storm")),
+				},
+				RepeatBatches: true,
+				CCHosts:       map[string]gq.AddrPort{"Storm": {Addr: ccAddr, Port: 80}},
+			},
+			Inmates: []string{"storm-proxy-0"},
+		}},
+	}.Build()
 	if err != nil {
 		panic(err)
 	}
-	bot, err := sf.AddInmate("storm-proxy-0")
-	if err != nil {
-		panic(err)
-	}
+	sf := f.Subfarms[0]
+	bot := sf.Inmates[sf.InmateVLANs()[0]]
 
 	f.Run(2 * time.Minute)
 	fmt.Printf("proxy bot infected with %s, reachable at %s\n",

@@ -70,17 +70,19 @@ func verify(name string) (violations int, escapes []string) {
 	fmt.Print(policy.Report(name, vs, hist))
 
 	// Phase 2: live canary probe.
-	f := gq.NewFarm(5)
-	sf, err := f.AddSubfarm(gq.SubfarmConfig{
-		Name: "verify", VLANLo: 16, VLANHi: 20,
-		GlobalPool:     gq.MustParsePrefix("192.0.2.0/24"),
-		FallbackPolicy: name,
-		CCHosts:        env.CCHosts,
-	})
+	f, err := gq.Spec{
+		Layout: gq.Layout{Seed: 5},
+		Subfarms: []gq.SubfarmSpec{{SubfarmConfig: gq.SubfarmConfig{
+			Name: "verify", VLANLo: 16, VLANHi: 20,
+			GlobalPool:     gq.MustParsePrefix("192.0.2.0/24"),
+			FallbackPolicy: name,
+			CCHosts:        env.CCHosts,
+		}}},
+	}.Build()
 	if err != nil {
 		panic(err)
 	}
-	out, err := farm.RunContainmentProbe(f, sf, append(farm.DefaultProbeTargets(),
+	out, err := farm.RunContainmentProbe(f, f.Subfarms[0], append(farm.DefaultProbeTargets(),
 		farm.ProbeTarget{Addr: netstack.MustParseAddr("50.8.207.91"), Port: 80}), 3*time.Minute)
 	if err != nil {
 		panic(err)

@@ -107,9 +107,6 @@ const (
 	Rewrite  = shim.Rewrite
 )
 
-// NewFarm builds an empty farm with a deterministic seed.
-func NewFarm(seed int64) *Farm { return farm.New(seed) }
-
 // NewWormExperiment builds the worm-capturing honeyfarm for one Table 1
 // capture spec.
 func NewWormExperiment(seed int64, spec malware.WormSpec, inmates int) (*WormExperiment, error) {

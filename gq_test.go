@@ -10,28 +10,30 @@ import (
 	"time"
 
 	"gq"
-	"gq/internal/farm"
 	"gq/internal/shim"
 )
 
 func TestPublicQuickstart(t *testing.T) {
-	f := gq.NewFarm(1)
-	f.AddExternalHost("cc", gq.MustParseAddr("203.0.113.5"))
-	sf, err := f.AddSubfarm(gq.SubfarmConfig{
-		Name:   "api",
-		VLANLo: 16, VLANHi: 20,
-		GlobalPool: gq.MustParsePrefix("192.0.2.0/24"),
-	})
+	f, err := gq.Spec{
+		Layout:   gq.Layout{Seed: 1},
+		External: []gq.ExternalHost{{Name: "cc", Addr: gq.MustParseAddr("203.0.113.5")}},
+		Subfarms: []gq.SubfarmSpec{{
+			SubfarmConfig: gq.SubfarmConfig{
+				Name:   "api",
+				VLANLo: 16, VLANHi: 20,
+				GlobalPool: gq.MustParsePrefix("192.0.2.0/24"),
+			},
+			Inmates: []string{"i0"},
+			OnBoot: func(fi *gq.FarmInmate) {
+				c := fi.Host.Dial(gq.MustParseAddr("203.0.113.5"), 80)
+				c.OnConnect = func() { c.Write([]byte("hello")) }
+			},
+		}},
+	}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf.OnBootHook = func(fi *farm.FarmInmate) {
-		c := fi.Host.Dial(gq.MustParseAddr("203.0.113.5"), 80)
-		c.OnConnect = func() { c.Write([]byte("hello")) }
-	}
-	if _, err := sf.AddInmate("i0"); err != nil {
-		t.Fatal(err)
-	}
+	sf := f.Subfarms[0]
 	f.Run(time.Minute)
 	recs := sf.Router.Records()
 	var contained bool

@@ -96,9 +96,7 @@ func pinnedSoaks(t *testing.T) []soakJournal {
 		soakJournal{"fleet/serial/seed11",
 			fleetRun(FleetConfig{Layout: farm.Layout{Seed: 11}})},
 		soakJournal{"fleet/sharded/ext1/seed11",
-			fleetRun(FleetConfig{Layout: farm.Layout{Seed: 11, Sharded: true, Workers: 1, ExtShards: 1}})},
-		soakJournal{"fleet/sharded/ext2/seed11",
-			fleetRun(FleetConfig{Layout: farm.Layout{Seed: 11, Sharded: true, Workers: 1, ExtShards: 2}})},
+			fleetRun(FleetConfig{Layout: farm.Layout{Seed: 11, Sharded: true, Workers: 1}})},
 	)
 }
 

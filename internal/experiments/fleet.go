@@ -21,9 +21,8 @@ import (
 // survivable fault and escalates the unsurvivable one all the way to
 // global dead-man lockdown without a single probe escape.
 type FleetConfig struct {
-	// Layout places the simulation; ExtShards > 1 spreads the external
-	// hosts over that many internet shards. Journals are byte-identical
-	// across worker counts for a fixed (Seed, ExtShards).
+	// Layout places the simulation. Journals are byte-identical across
+	// worker counts for a fixed Seed.
 	farm.Layout
 
 	// Duration is the fault window (default 12 virtual minutes — long
@@ -83,7 +82,7 @@ type FleetOutcome struct {
 	*Run
 
 	// Journal is the full NDJSON stream; byte-identical across runs with
-	// the same (seed, shard layout) at any worker count.
+	// the same seed and layout at any worker count.
 	Journal []byte
 
 	// Escalations is the deterministic escalation record: the root's
@@ -135,7 +134,7 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 	lockedAfterMain := false
 	plan := Plan{
 		// The whole tree comes up before any traffic or fault: root node,
-		// every subfarm node, the recycler progress watch, the shard-host
+		// every subfarm node, the recycler progress watch, the external-host
 		// aliveness watch over steephost.
 		Spec: farm.Spec{
 			Layout: cfg.Layout, Journal: &journal,

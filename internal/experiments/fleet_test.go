@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"testing"
 
 	"gq/internal/farm"
@@ -14,34 +13,29 @@ import (
 // whole plane — must recover every survivable fault through the tree,
 // escalate the unsurvivable one through subfarm fail-closed lockdown to
 // global dead-man lockdown, hold zero probe escapes before/during/after,
-// and drain every flow table empty. Run sharded at 1, 2 and 4 workers on
-// both the single-internet and the two-shard external topology: within
-// each topology the NDJSON journal must be byte-identical and the
-// escalation record DeepEqual — worker count only decides which OS
-// thread runs a domain's window; it must never leak into escalation
-// order.
+// and drain every flow table empty. Run sharded at 1, 2 and 4 workers:
+// the NDJSON journal must be byte-identical and the escalation record
+// DeepEqual — worker count only decides which OS thread runs a domain's
+// window; it must never leak into escalation order.
 func TestFleetLockdownSoak(t *testing.T) {
 	const seed = 11
 
-	for _, extShards := range []int{1, 2} {
-		label := fmt.Sprintf("extShards=%d ", extShards)
-		assertSameAcrossWorkers(t, label, func(workers int) (workerRun, error) {
-			out, err := RunFleetSoak(FleetConfig{Layout: farm.Layout{Seed: seed, Sharded: true, Workers: workers, ExtShards: extShards}})
-			if err != nil {
-				return workerRun{}, err
-			}
-			t.Logf("%sworkers=%d: globalAt=%v drops=%d rearms=%d cycles=%d journal=%dB",
-				label, workers, out.GlobalLockdownAt, out.LockdownDrops,
-				out.Rearms, out.Cycles, len(out.Journal))
-			return workerRun{
-				journal: out.Journal, snapshot: out.Snapshot, problems: out.Problems,
-				records: map[string]any{
-					"escalation record":         out.Escalations,
-					"health-transition history": out.Health,
-				},
-			}, nil
-		})
-	}
+	assertSameAcrossWorkers(t, func(workers int) (workerRun, error) {
+		out, err := RunFleetSoak(FleetConfig{Layout: farm.Layout{Seed: seed, Sharded: true, Workers: workers}})
+		if err != nil {
+			return workerRun{}, err
+		}
+		t.Logf("workers=%d: globalAt=%v drops=%d rearms=%d cycles=%d journal=%dB",
+			workers, out.GlobalLockdownAt, out.LockdownDrops,
+			out.Rearms, out.Cycles, len(out.Journal))
+		return workerRun{
+			journal: out.Journal, snapshot: out.Snapshot, problems: out.Problems,
+			records: map[string]any{
+				"escalation record":         out.Escalations,
+				"health-transition history": out.Health,
+			},
+		}, nil
+	})
 }
 
 // TestFleetSoakSerial pins the unsharded farm: the same ladder must run

@@ -38,7 +38,7 @@ func TestRecoverySoak(t *testing.T) {
 // identical health-transition histories.
 func TestRecoverySoakDeterminism(t *testing.T) {
 	const seed = 7
-	assertSameAcrossWorkers(t, "", func(workers int) (workerRun, error) {
+	assertSameAcrossWorkers(t, func(workers int) (workerRun, error) {
 		out, err := RunRecoverySoak(RecoveryConfig{Layout: farm.Layout{Seed: seed, Sharded: true, Workers: workers}})
 		if err != nil {
 			return workerRun{}, err

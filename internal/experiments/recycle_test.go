@@ -21,7 +21,7 @@ func TestRecycleSoak(t *testing.T) {
 	}
 	const seed = 11
 
-	assertSameAcrossWorkers(t, "", func(workers int) (workerRun, error) {
+	assertSameAcrossWorkers(t, func(workers int) (workerRun, error) {
 		out, err := RunRecycleSoak(RecycleConfig{Layout: farm.Layout{Seed: seed, Sharded: true, Workers: workers}, Profile: profile})
 		if err != nil {
 			return workerRun{}, err

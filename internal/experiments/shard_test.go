@@ -21,7 +21,7 @@ func TestShardDeterminism(t *testing.T) {
 	}
 	const seed = 7
 
-	assertSameAcrossWorkers(t, "", func(workers int) (workerRun, error) {
+	assertSameAcrossWorkers(t, func(workers int) (workerRun, error) {
 		out, err := RunChaosSoak(ChaosConfig{
 			Layout:  farm.Layout{Seed: seed, Sharded: true, Workers: workers},
 			Profile: profile, Supervise: true,

@@ -23,32 +23,32 @@ type workerRun struct {
 // journal, an identical metrics snapshot and DeepEqual records: worker
 // count only decides which OS thread runs a domain's window; it must never
 // leak into results.
-func assertSameAcrossWorkers(t *testing.T, label string, run func(workers int) (workerRun, error)) {
+func assertSameAcrossWorkers(t *testing.T, run func(workers int) (workerRun, error)) {
 	t.Helper()
 	var ref workerRun
 	for _, workers := range []int{1, 2, 4} {
 		got, err := run(workers)
 		if err != nil {
-			t.Fatalf("%sworkers=%d: %v", label, workers, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for _, problem := range got.problems {
-			t.Errorf("%sworkers=%d: %s", label, workers, problem)
+			t.Errorf("workers=%d: %s", workers, problem)
 		}
 		if workers == 1 {
 			ref = got
 			continue
 		}
 		if !bytes.Equal(ref.journal, got.journal) {
-			t.Errorf("%sworkers=%d: journal differs from workers=1 (%d vs %d bytes) — sharded execution is not deterministic",
-				label, workers, len(got.journal), len(ref.journal))
+			t.Errorf("workers=%d: journal differs from workers=1 (%d vs %d bytes) — sharded execution is not deterministic",
+				workers, len(got.journal), len(ref.journal))
 		}
 		if !reflect.DeepEqual(ref.snapshot, got.snapshot) {
-			t.Errorf("%sworkers=%d: metrics snapshot differs from workers=1", label, workers)
+			t.Errorf("workers=%d: metrics snapshot differs from workers=1", workers)
 		}
 		for name, want := range ref.records {
 			if !reflect.DeepEqual(want, got.records[name]) {
-				t.Errorf("%sworkers=%d: %s differs from workers=1:\n  ref: %v\n  got: %v",
-					label, workers, name, want, got.records[name])
+				t.Errorf("workers=%d: %s differs from workers=1:\n  ref: %v\n  got: %v",
+					workers, name, want, got.records[name])
 			}
 		}
 	}

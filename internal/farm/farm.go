@@ -6,7 +6,6 @@
 package farm
 
 import (
-	"fmt"
 	"slices"
 	"time"
 
@@ -39,17 +38,16 @@ type Farm struct {
 	// its own simulation domain and the domains run on worker goroutines
 	// under the coordinator's conservative lookahead synchronization. The
 	// gateway core, management network and controller stay in the root
-	// domain (f.Sim); external hosts are hash-assigned to the dedicated
-	// external domains below, so the flat Internet segment no longer
-	// serializes on the root.
+	// domain (f.Sim); external hosts live in the external domain below, so
+	// the flat Internet segment does not serialize on the root.
 	Coord *sim.Coordinator
 
-	// extDomains/extSwitches are the external shards: dedicated domains
-	// each carrying a slice of the flat Internet segment, bridged to the
-	// root InternetSwitch over a trunk at netsim.TrunkLatency. Empty for
-	// an unsharded farm.
-	extDomains  []*sim.Simulator
-	extSwitches []*netsim.Switch
+	// extDomain/extSwitch are the external domain and its learning switch,
+	// which carries the flat Internet segment's hosts and is bridged to the
+	// root InternetSwitch over a trunk at netsim.TrunkLatency. Nil for an
+	// unsharded farm.
+	extDomain *sim.Simulator
+	extSwitch *netsim.Switch
 
 	// InmateSwitch carries all subfarm VLANs; InternetSwitch is the flat
 	// "outside world"; MgmtSwitch the management network.
@@ -69,7 +67,7 @@ type Farm struct {
 
 	// Tree is the farm-root supervision node once SuperviseTree has built
 	// the whole tree under it: it watches recycler progress and
-	// external-shard hosts and holds the global dead-man switch. root is
+	// external hosts and holds the global dead-man switch. root is
 	// the same node from the first Supervise on (see rootNode): it owns the
 	// controller restart ladder with or without the rest of the tree.
 	Tree *supervisor.Root
@@ -92,7 +90,7 @@ type Farm struct {
 // New builds the farm skeleton: gateway, three networks, controller.
 // Everything runs in one simulation domain on the calling goroutine.
 func New(seed int64) *Farm {
-	return build(seed, nil, 0)
+	return build(sim.New(seed), nil)
 }
 
 // NewSharded builds the farm skeleton for sharded execution (see Layout):
@@ -101,28 +99,13 @@ func New(seed int64) *Farm {
 // on up to workers goroutines under conservative lookahead synchronization
 // (netsim.TrunkLatency — the modeled trunk latency).
 func NewSharded(seed int64, workers int) *Farm {
-	return NewShardedN(seed, workers, 1)
-}
-
-// NewShardedN is NewSharded with the flat Internet segment split across
-// extShards dedicated domains (< 1 selects 1); AddExternalHost hash-assigns
-// each host to one, so sink- and C&C-heavy workloads spread across shards
-// instead of serializing on the root.
-func NewShardedN(seed int64, workers, extShards int) *Farm {
-	if extShards < 1 {
-		extShards = 1
-	}
 	s := sim.New(seed)
-	return build(seed, sim.NewCoordinator(s, netsim.TrunkLatency, workers), extShards)
+	return build(s, sim.NewCoordinator(s, netsim.TrunkLatency, workers))
 }
 
-func build(seed int64, coord *sim.Coordinator, extShards int) *Farm {
-	var s *sim.Simulator
-	if coord != nil {
-		s = coord.Root()
-	} else {
-		s = sim.New(seed)
-	}
+// build wires the skeleton on root simulator s; coord, when non-nil, is the
+// coordinator whose root s is.
+func build(s *sim.Simulator, coord *sim.Coordinator) *Farm {
 	f := &Farm{
 		Coord:          coord,
 		Sim:            s,
@@ -149,22 +132,19 @@ func build(seed int64, coord *sim.Coordinator, extShards int) *Farm {
 	f.Controller = ctl
 	f.ControllerHost = ctlHost
 
-	// External shards: each is a dedicated domain carrying a slice of the
-	// flat Internet segment on its own learning switch, bridged to the
-	// root InternetSwitch with a VLAN-100 access-port pair at the trunk
-	// latency. Broadcasts (gateway proxy-ARP) flood across the bridge both
-	// ways, so the segment stays one flat L2 network — it just no longer
-	// runs on the root's clock.
-	for k := 0; k < extShards && coord != nil; k++ {
-		dom := coord.NewDomain()
-		sw := netsim.NewSwitch(dom, fmt.Sprintf("internet-ext%d", k))
+	// The external domain carries the flat Internet segment's hosts on its
+	// own learning switch, bridged to the root InternetSwitch with a
+	// VLAN-100 access-port pair at the trunk latency. Broadcasts (gateway
+	// proxy-ARP) flood across the bridge both ways, so the segment stays one
+	// flat L2 network — it just no longer runs on the root's clock.
+	if coord != nil {
+		f.extDomain = coord.NewDomain()
+		f.extSwitch = netsim.NewSwitch(f.extDomain, "internet-ext0")
 		netsim.Connect(
-			f.InternetSwitch.AddAccessPort(fmt.Sprintf("ext%d", k), 100),
-			sw.AddAccessPort("uplink", 100),
+			f.InternetSwitch.AddAccessPort("ext0", 100),
+			f.extSwitch.AddAccessPort("uplink", 100),
 			netsim.TrunkLatency,
 		)
-		f.extDomains = append(f.extDomains, dom)
-		f.extSwitches = append(f.extSwitches, sw)
 	}
 	return f
 }
@@ -182,46 +162,18 @@ func (f *Farm) newHostIn(s *sim.Simulator, name string) *host.Host {
 }
 
 // AddExternalHost attaches a host to the flat Internet segment. On a
-// sharded farm the host is hash-assigned by address to one of the external
-// domains, so the outside world's protocol stacks run in parallel with the
-// gateway instead of serializing on the root. The assignment depends only
-// on the address, keeping placement — and therefore the journal — stable
-// across runs.
+// sharded farm the host lives in the external domain, so the outside
+// world's protocol stacks run in parallel with the gateway instead of
+// serializing on the root.
 func (f *Farm) AddExternalHost(name string, addr netstack.Addr) *host.Host {
 	dom, sw := f.Sim, f.InternetSwitch
-	if len(f.extDomains) > 0 {
-		k := f.ExternalShardFor(addr)
-		dom, sw = f.extDomains[k], f.extSwitches[k]
+	if f.extDomain != nil {
+		dom, sw = f.extDomain, f.extSwitch
 	}
 	h := f.newHostIn(dom, name)
 	netsim.Connect(sw.AddAccessPort(name, 100), h.NIC(), 0)
 	h.ConfigureStatic(addr, 0, 0) // flat Internet: everything on-link
 	f.extHosts = append(f.extHosts, h)
-	return h
-}
-
-// ExternalShards reports how many dedicated external domains the farm has
-// (zero when unsharded).
-func (f *Farm) ExternalShards() int { return len(f.extDomains) }
-
-// ExternalShardFor reports which external shard AddExternalHost would
-// place a host with the given address in (0 when the farm has none).
-// Operators use it to co-locate chatty external services in one domain so
-// their mutual traffic stays off the cross-domain trunks.
-func (f *Farm) ExternalShardFor(addr netstack.Addr) int {
-	if n := len(f.extDomains); n > 0 {
-		return int(extShardHash(addr.String()) % uint32(n))
-	}
-	return 0
-}
-
-// extShardHash is FNV-1a over the address text.
-func extShardHash(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
 	return h
 }
 

@@ -38,15 +38,13 @@ type Spec struct {
 }
 
 // Layout places the farm's simulation: one domain on the calling goroutine,
-// or — Sharded — a domain per subfarm plus ExtShards external domains
-// (< 1 selects 1) driven by Workers goroutines (0 = GOMAXPROCS). A sharded
-// journal is byte-identical across worker counts for a fixed (Seed,
-// ExtShards), though not to the serial run's.
+// or — Sharded — a domain per subfarm plus one external domain, driven by
+// Workers goroutines (0 = GOMAXPROCS). A sharded journal is byte-identical
+// across worker counts for a fixed Seed, though not to the serial run's.
 type Layout struct {
-	Seed      int64
-	Sharded   bool
-	Workers   int
-	ExtShards int
+	Seed    int64
+	Sharded bool
+	Workers int
 }
 
 // Supervision is Spec's choice of self-healing machinery.
@@ -113,7 +111,7 @@ func (sp Spec) Build() (*Farm, error) {
 
 	var f *Farm
 	if sp.Sharded {
-		f = NewShardedN(sp.Seed, sp.Workers, sp.ExtShards)
+		f = NewSharded(sp.Seed, sp.Workers)
 	} else {
 		f = New(sp.Seed)
 	}

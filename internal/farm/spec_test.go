@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"gq/internal/host"
 	"gq/internal/netstack"
+	"gq/internal/sim"
 )
 
 // Spec.Build rejects a farm that cannot be wired with a returned error
@@ -85,6 +87,56 @@ func TestSpecBuildRejects(t *testing.T) {
 			for _, want := range tc.wantErr {
 				if !strings.Contains(err.Error(), want) {
 					t.Errorf("error %q does not mention %q", err, want)
+				}
+			}
+		})
+	}
+}
+
+// Where the external hosts run is a property of the layout, not of their
+// addresses: on a sharded farm they share one simulator that is neither the
+// root's nor any subfarm's; on the serial farm everything is on the root's.
+func TestExternalHostPlacement(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		layout Layout
+	}{
+		{"serial", Layout{Seed: 3}},
+		{"sharded", Layout{Seed: 3, Sharded: true, Workers: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sims []*sim.Simulator
+			keep := func(_ *Farm, h *host.Host) error { sims = append(sims, h.Sim()); return nil }
+			f, err := Spec{
+				Layout: tc.layout,
+				External: []ExternalHost{
+					{Name: "a", Addr: netstack.MustParseAddr("50.8.207.91"), Serve: keep},
+					{Name: "b", Addr: netstack.MustParseAddr("172.217.0.25"), Serve: keep},
+					{Name: "c", Addr: netstack.MustParseAddr("203.0.113.5"), Serve: keep},
+				},
+				Subfarms: []SubfarmSpec{
+					{SubfarmConfig: SubfarmConfig{Name: "left", VLANLo: 16, VLANHi: 20, ServiceVLAN: 11, GlobalPool: netstack.MustParsePrefix("192.0.2.0/24")}},
+					{SubfarmConfig: SubfarmConfig{Name: "right", VLANLo: 30, VLANHi: 34, ServiceVLAN: 12, GlobalPool: netstack.MustParsePrefix("192.0.3.0/24")}},
+				},
+			}.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sims) != 3 || sims[1] != sims[0] || sims[2] != sims[0] {
+				t.Fatalf("external hosts do not share one simulator: %v", sims)
+			}
+			if !tc.layout.Sharded {
+				if sims[0] != f.Sim {
+					t.Fatal("serial layout: external hosts are not on the root simulator")
+				}
+				return
+			}
+			if sims[0] == f.Sim {
+				t.Fatal("sharded layout: external hosts are on the root simulator")
+			}
+			for _, sf := range f.Subfarms {
+				if sims[0] == sf.Sim {
+					t.Fatalf("sharded layout: external hosts share subfarm %s's simulator", sf.Name)
 				}
 			}
 		})

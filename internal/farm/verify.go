@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"gq/internal/host"
@@ -33,11 +32,6 @@ type ProbeOutcome struct {
 	ReachedCanary map[string]string
 	// SinkFlows is how many probe flows the catch-all sink absorbed.
 	SinkFlows int
-
-	// mu guards ReachedCanary while the farm runs: on a sharded farm the
-	// canaries are hash-spread across external domains, so two escapes can
-	// land on different worker goroutines in the same round.
-	mu sync.Mutex
 }
 
 // Escaped lists the probes that reached the outside world, sorted.
@@ -80,7 +74,9 @@ func RunContainmentProbe(f *Farm, sf *Subfarm, targets []ProbeTarget, window tim
 	}
 	out := &ProbeOutcome{Sent: targets, ReachedCanary: make(map[string]string)}
 
-	// One canary host per distinct address, listening everywhere.
+	// One canary host per distinct address, listening everywhere. The
+	// canaries all run in the one domain external hosts share, so their
+	// writes to ReachedCanary are serial.
 	seen := map[netstack.Addr]bool{}
 	for _, tgt := range targets {
 		if seen[tgt.Addr] {
@@ -93,9 +89,7 @@ func RunContainmentProbe(f *Farm, sf *Subfarm, targets []ProbeTarget, window tim
 			port := c.LocalPort()
 			c.OnData = func(d []byte) {
 				key := fmt.Sprintf("%s:%d", addr, port)
-				out.mu.Lock()
 				out.ReachedCanary[key] += string(d)
-				out.mu.Unlock()
 			}
 			c.OnPeerClose = func() { c.Close() }
 		})

@@ -18,19 +18,12 @@ import (
 // collide with a flow's nonce demultiplexing.
 const healthProbePortBase = 39000
 
-// endpointAt returns cluster member idx, or the single configured server
-// for idx 0 when no cluster is set.
+// endpointAt returns cluster member idx.
 func (r *Router) endpointAt(idx int) (ContainmentEndpoint, bool) {
-	if n := len(r.cfg.ContainmentCluster); n > 0 {
-		if idx < 0 || idx >= n {
-			return ContainmentEndpoint{}, false
-		}
-		return r.cfg.ContainmentCluster[idx], true
-	}
-	if idx != 0 {
+	if idx < 0 || idx >= len(r.cfg.ContainmentCluster) {
 		return ContainmentEndpoint{}, false
 	}
-	return ContainmentEndpoint{VLAN: r.cfg.ContainmentVLAN, IP: r.cfg.ContainmentIP, Port: r.cfg.ContainmentPort}, true
+	return r.cfg.ContainmentCluster[idx], true
 }
 
 // SetHealthObserver registers the callback receiving heartbeat echoes

@@ -43,7 +43,9 @@ const (
 	csPort      = 6666
 )
 
-func newTestbed(t *testing.T, seed int64) *testbed {
+// newTestbed builds the testbed; tweak, if given, edits the router's
+// configuration first.
+func newTestbed(t *testing.T, seed int64, tweak ...func(*gateway.RouterConfig)) *testbed {
 	t.Helper()
 	s := sim.New(seed)
 	tb := &testbed{sim: s}
@@ -53,7 +55,7 @@ func newTestbed(t *testing.T, seed int64) *testbed {
 	netsim.Connect(tb.inSw.AddTrunkPort("uplink"), tb.gw.Trunk(), 0)
 	netsim.Connect(tb.extSw.AddAccessPort("gw", 100), tb.gw.Outside(), 0)
 
-	tb.router = tb.gw.AddRouter(gateway.RouterConfig{
+	cfg := gateway.RouterConfig{
 		Name:   "testfarm",
 		VLANLo: 10, VLANHi: 30,
 		ServiceVLANs:    []uint16{serviceVLAN},
@@ -67,7 +69,11 @@ func newTestbed(t *testing.T, seed int64) *testbed {
 		ContainmentIP:   csIP,
 		ContainmentPort: csPort,
 		NonceIP:         nonceIP,
-	})
+	}
+	for _, fn := range tweak {
+		fn(&cfg)
+	}
+	tb.router = tb.gw.AddRouter(cfg)
 
 	// Containment server host.
 	csHost := tb.addServiceHost(t, "cs", csIP)
@@ -303,8 +309,21 @@ func (rewriteHandler) OnServerData(s *containment.Session, data []byte) {
 func (rewriteHandler) OnClientClose(s *containment.Session) { s.CloseServer() }
 func (rewriteHandler) OnServerClose(s *containment.Session) { s.CloseClient() }
 
-func TestFigure5RewriteFlow(t *testing.T) {
-	tb := newTestbed(t, 5)
+func TestFigure5RewriteFlow(t *testing.T) { figure5RewriteFlow(t, newTestbed(t, 5)) }
+
+// TestRewriteFlowClusterOnly: a router configured with ContainmentCluster
+// and no single Containment* fields carries the whole Fig. 5 exchange — in
+// particular leg 2's responder data goes to the flow's own containment
+// server, not to the (zero) single-server VLAN.
+func TestRewriteFlowClusterOnly(t *testing.T) {
+	figure5RewriteFlow(t, newTestbed(t, 5, func(cfg *gateway.RouterConfig) {
+		cfg.ContainmentCluster = []gateway.ContainmentEndpoint{{VLAN: cfg.ContainmentVLAN, IP: cfg.ContainmentIP, Port: cfg.ContainmentPort}}
+		cfg.ContainmentVLAN, cfg.ContainmentIP, cfg.ContainmentPort = 0, 0, 0
+	}))
+}
+
+func figure5RewriteFlow(t *testing.T, tb *testbed) {
+	t.Helper()
 	tb.cs.SetFallback(policyFunc{"Rewriter", func(req *shim.Request) containment.Decision {
 		return containment.Decision{
 			Verdict: shim.Rewrite, Handler: rewriteHandler{},

@@ -63,7 +63,8 @@ type RouterConfig struct {
 	// ContainmentCluster optionally replaces the single containment server
 	// with several (§7.2): the router selects per inmate, with the same
 	// server always handling the same inmate. When set, the single
-	// Containment* fields above are ignored for flow dispatch.
+	// Containment* fields above are ignored for flow dispatch; when empty,
+	// newRouter makes it the cluster of that one server.
 	ContainmentCluster []ContainmentEndpoint
 
 	// Safety filter thresholds (§5.1): the rate of connections across
@@ -264,6 +265,9 @@ type udpKey struct {
 }
 
 func newRouter(g *Gateway, s *sim.Simulator, cfg RouterConfig) *Router {
+	if len(cfg.ContainmentCluster) == 0 {
+		cfg.ContainmentCluster = []ContainmentEndpoint{{VLAN: cfg.ContainmentVLAN, IP: cfg.ContainmentIP, Port: cfg.ContainmentPort}}
+	}
 	r := &Router{
 		gw: g, sim: s, cfg: cfg,
 		macTable:     make(map[netstack.MAC]uint16),
@@ -296,11 +300,7 @@ func newRouter(g *Gateway, s *sim.Simulator, cfg RouterConfig) *Router {
 	if r.awaitVerdictTimeout <= 0 {
 		r.awaitVerdictTimeout = DefaultAwaitVerdictTimeout
 	}
-	ncs := len(cfg.ContainmentCluster)
-	if ncs == 0 {
-		ncs = 1 // the single configured server is endpoint 0
-	}
-	r.csDown = make([]bool, ncs)
+	r.csDown = make([]bool, len(cfg.ContainmentCluster))
 	r.healthPorts = make(map[uint16]int)
 	r.synTombs = make(map[synTombKey]time.Duration)
 	o := s.Obs()
@@ -319,7 +319,6 @@ func newRouter(g *Gateway, s *sim.Simulator, cfg RouterConfig) *Router {
 	r.VerdictLatencyUS = o.Reg.Histogram(pfx+"verdict_latency_us",
 		100, 200, 500, 1000, 2000, 5000, 10000, 50000, 100000, 500000)
 	r.sc = o.Scope(cfg.Name, obs.DefaultRingSize)
-	r.serviceHosts[cfg.ContainmentIP] = cfg.ContainmentVLAN
 	for _, ep := range cfg.ContainmentCluster {
 		r.serviceHosts[ep.IP] = ep.VLAN
 	}
@@ -762,20 +761,16 @@ func (r *Router) tapAndSend(p *netstack.Packet) {
 }
 
 // containmentFor selects the containment server for an inmate: sticky
-// per-VLAN rendezvous hashing over the healthy cluster subset, or the
-// single configured server. Rendezvous (highest-random-weight) hashing
+// per-VLAN rendezvous hashing over the healthy cluster subset (a single
+// server is a cluster of one). Rendezvous (highest-random-weight) hashing
 // keeps the inmate->server mapping stable while a member is down — only
 // the dead member's inmates move, and they move back when it recovers —
 // unlike the old modulo selection, which kept dispatching onto the corpse.
 func (r *Router) containmentFor(vlan uint16) ContainmentEndpoint {
-	n := len(r.cfg.ContainmentCluster)
-	if n == 0 {
-		return ContainmentEndpoint{VLAN: r.cfg.ContainmentVLAN, IP: r.cfg.ContainmentIP, Port: r.cfg.ContainmentPort}
-	}
 	best := -1
 	var bestScore uint64
 	pick := func(skipDown bool) {
-		for i := 0; i < n; i++ {
+		for i := range r.cfg.ContainmentCluster {
 			if skipDown && r.csDown[i] {
 				continue
 			}
@@ -810,9 +805,6 @@ func rendezvousScore(vlan uint16, idx int) uint64 {
 // isContainmentEndpoint reports whether (ip, port) is one of the subfarm's
 // containment servers.
 func (r *Router) isContainmentEndpoint(ip netstack.Addr, port uint16) bool {
-	if ip == r.cfg.ContainmentIP && port == r.cfg.ContainmentPort {
-		return true
-	}
 	for _, ep := range r.cfg.ContainmentCluster {
 		if ep.IP == ip && ep.Port == port {
 			return true

@@ -266,7 +266,7 @@ func (f *Flow) leg2FromResponder(p *netstack.Packet) {
 	sport, dport := l4Ports(p)
 	*sport, *dport = f.noncePort, f.leg2CS.port
 	f.rec.BytesResp += uint64(len(p.Payload))
-	f.r.sendToVLAN(p, f.r.cfg.ContainmentVLAN)
+	f.r.sendToVLAN(p, f.cs.VLAN)
 }
 
 // --- gateway-synthesised TCP sender ---

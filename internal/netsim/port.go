@@ -18,7 +18,7 @@ import (
 const DefaultLinkLatency = 50 * time.Microsecond
 
 // TrunkLatency is the modeled one-way latency of a trunk between
-// simulation domains — subfarm uplinks, the external-shard bridges of the
+// simulation domains — subfarm uplinks, the external-domain bridge of the
 // flat Internet segment, the management-plane crossings. It is defined as
 // the coordinator's default lookahead so the physical wire delay and the
 // synchronization window can never drift apart: a cross-domain link at

@@ -294,10 +294,10 @@ func TestMetricsAgreeWithRegistry(t *testing.T) {
 }
 
 // buildShardedFarm assembles the Botfarm demo sharded: the subfarm in its
-// own domain, external hosts across two external shards.
+// own domain, the external hosts in the external domain.
 func buildShardedFarm(t *testing.T, seed int64) (*farm.Farm, *farm.Subfarm) {
 	t.Helper()
-	f := farm.NewShardedN(seed, 2, 2)
+	f := farm.NewSharded(seed, 2)
 	ccAddr := netstack.MustParseAddr("50.8.207.91")
 	ccHost := f.AddExternalHost("cc", ccAddr)
 	if _, err := malware.NewCCServer(ccHost, malware.CCConfig{Template: "pharma special"}); err != nil {
@@ -338,9 +338,6 @@ func buildShardedFarm(t *testing.T, seed int64) (*farm.Farm, *farm.Subfarm) {
 // inside the owning domain's event loop instead of sim.Inject.
 func TestServeShardedFarm(t *testing.T) {
 	f, sf := buildShardedFarm(t, 3)
-	if f.ExternalShards() != 2 {
-		t.Fatalf("external shards: %d", f.ExternalShards())
-	}
 	ts, _, _ := serveFarm(t, f, 5000)
 
 	// Let the soak make progress across domains.

@@ -140,12 +140,6 @@ func NewCoordinator(root *Simulator, lookahead time.Duration, workers int) *Coor
 	return c
 }
 
-// Root returns the root (shard 0) simulator.
-func (c *Coordinator) Root() *Simulator { return c.root }
-
-// Workers returns the configured worker count.
-func (c *Coordinator) Workers() int { return c.workers }
-
 // Now returns the root domain's clock (all domains agree at every quiesce
 // point).
 func (c *Coordinator) Now() time.Duration { return c.root.now }

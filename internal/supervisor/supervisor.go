@@ -7,7 +7,7 @@
 // controller (an application-level PING over the management network) —
 // and a farm-root node (see Root) watches the root-level dependencies:
 // the controller's restart authority, recycler progress, and
-// external-shard service hosts.
+// external service hosts.
 //
 // Every node escalates deterministically on sim-clock budgets:
 //
@@ -48,7 +48,7 @@ const (
 	KindSink       Kind = "sink"       // sink server (TCP liveness probe)
 	KindController Kind = "controller" // inmate controller (PING/PONG probe)
 	KindRecycler   Kind = "recycler"   // recycling pipeline (progress watch)
-	KindShard      Kind = "shard"      // external-shard service host (aliveness)
+	KindShard      Kind = "shard"      // external service host (aliveness)
 )
 
 // Journalled supervision events (all under obs.EvSupervisorPrefix). The
@@ -118,7 +118,7 @@ type Config struct {
 	// node escalates to global dead-man lockdown.
 	DeadManBudget time.Duration // default 5m
 	// ProgressEvery is the root node's progress-watch poll cadence
-	// (recyclers, external-shard hosts).
+	// (recyclers, external hosts).
 	ProgressEvery time.Duration // default 30s
 	// WedgeBudget is how long a progress-watched component may go without
 	// advancing its mark, while active, before it is declared wedged and

@@ -13,7 +13,7 @@ import (
 // owns: the inmate controller (report-fed — subfarm nodes probe it and
 // post their findings here, because restart authority lives with the
 // controller's domain), recycler progress per subfarm (progress-fed: a
-// wedge is re-armed behind the breaker), and external-shard service hosts
+// wedge is re-armed behind the breaker), and external service hosts
 // (aliveness-fed, watch-only). It also tracks each attached subfarm's
 // lockdown. When a root-level dependency stays dead past DeadManBudget —
 // the controller unrestartable, or a subfarm still locked down — the root
@@ -148,7 +148,7 @@ func (r *Root) WatchProgress(kind Kind, id string, dom *sim.Simulator, read func
 }
 
 // WatchHost registers an aliveness watch over a service host
-// (external-shard hosts): journalled and gauged, never restarted — shard
+// (the external hosts): journalled and gauged, never restarted — external
 // hosts are infrastructure the operator owns. It is a progress watch with
 // no budget whose only "activity" is being dead: the first reading that
 // finds the host not alive is down, the first that finds it alive is up.

@@ -39,13 +39,17 @@ lits=$(cd internal/gateway && grep -nF 'netstack.IPv4{' flow.go splice.go udp.go
 if [ "$(printf '%s' "$lits" | grep -c .)" -gt 2 ]; then
 	bad "gateway-originated packet built outside newSegment / newDatagram" "$lits"
 fi
-# A farm is wired in one place (DESIGN.md §3j): outside internal/farm, the
-# frozen benchmark harness, the examples and the gq.go facade that
-# re-exports the primitives to them, non-test code describes a farm as a
+# A farm is wired in one place (DESIGN.md §3j): outside internal/farm and
+# the frozen benchmark harness, non-test code describes a farm as a
 # farm.Spec and calls Build — never the constructors and wiring primitives
 # Build composes.
-spec=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/farm/*' ! -path './bench/*' ! -path './examples/*' ! -path './gq.go')
+spec=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/farm/*' ! -path './bench/*')
 # shellcheck disable=SC2086
 bad "farm wired by hand outside internal/farm (describe it as a farm.Spec and Build it)" \
 	"$(grep -nE 'farm\.New\(|farm\.NewSharded|\.AddSubfarm\(|\.SuperviseTree\(|\.StartIronRotation\(' $spec || true)"
+# A sharded farm has one layout (DESIGN.md §3e): the external-shard knob is
+# gone from every non-test file, internal/farm and bench/ included.
+# shellcheck disable=SC2046
+bad "external shards are retired (a sharded farm has one external domain)" \
+	"$(grep -nE 'NewShardedN|ExternalShardFor|ExtShards' $(find . -name '*.go' ! -name '*_test.go') || true)"
 exit $status

@@ -4,7 +4,7 @@
 # /metrics in both machine formats, list /machines, read one SSE event
 # with a hard timeout, force one recycle, then SIGTERM and require a clean
 # exit 0. A second leg repeats the core checks against a sharded farm
-# (-shards 2 -workers 2): the ops plane must serve a multi-domain soak and
+# (-sharded -workers 2): the ops plane must serve a multi-domain soak and
 # control posts must land in the owning domain's event loop. Run from the
 # repository root (CI job: serve-smoke).
 set -euo pipefail
@@ -76,11 +76,11 @@ wait $PID || rc=$?
 grep -q 'soak ended' "$LOG" || fail "clean-shutdown line missing from log"
 
 # Second leg: a sharded served soak. The ops plane must compose with
-# -shards — control posts land in the owning domain's event loop — and
+# -sharded — control posts land in the owning domain's event loop — and
 # the coordinator's scheduling metrics must surface on /metrics.
 ADDR2="127.0.0.1:${SMOKE_PORT2:-9322}"
 LOG2="$(mktemp)"
-/tmp/gqfarm-smoke -serve "$ADDR2" -speed 600 -inmates 2 -shards 2 -workers 2 >"$LOG2" 2>&1 &
+/tmp/gqfarm-smoke -serve "$ADDR2" -speed 600 -inmates 2 -sharded -workers 2 >"$LOG2" 2>&1 &
 PID2=$!
 trap 'kill -9 $PID $PID2 2>/dev/null || true; rm -f "$LOG" "$LOG2"' EXIT
 
