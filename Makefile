@@ -43,10 +43,10 @@ loc:
 # Native fuzz targets on a short budget each (go test takes one -fuzz
 # target per package run). A crasher lands in the package's
 # testdata/fuzz/<target>/ — commit it: plain `go test` replays it from
-# then on. FuzzEventQueue's and FuzzFlowSegments' inputs are scripts a few
-# hundred bytes long; the engine's minimiser, which is quadratic in that
-# length and runs on every input that adds coverage, is held to ten
-# executions or it eats the budget.
+# then on. FuzzEventQueue's, FuzzFlowSegments' and the two smtpx targets'
+# inputs are scripts a few hundred bytes long; the engine's minimiser, which
+# is quadratic in that length and runs on every input that adds coverage,
+# is held to ten executions or it eats the budget.
 FUZZTIME ?= 10s
 
 fuzz:
@@ -54,6 +54,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzVLANReshape$$' -fuzztime $(FUZZTIME) ./internal/netstack
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzFlowSegments$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/gateway
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineFeed$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/smtpx
+	$(GO) test -run '^$$' -fuzz '^FuzzClientFeed$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/smtpx
 
 # Chaos soak: the Botfarm demo under the "soak" fault profile (≥5% loss,
 # reorder/dup/corruption, link flaps, a CS crash, verdict stalls, a sink

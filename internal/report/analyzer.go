@@ -7,7 +7,7 @@
 package report
 
 import (
-	"strings"
+	"bytes"
 	"time"
 
 	"gq/internal/netstack"
@@ -56,58 +56,56 @@ func (a *SMTPAnalyzer) stats(inmate netstack.Addr) *SMTPStats {
 	return st
 }
 
-// Tap consumes one tapped packet (inmate-side addressing).
+// Tap consumes one tapped packet (inmate-side addressing); anything but
+// port-25 TCP is dismissed on its ports alone. A flow's state is created by
+// the client's SYN or a server segment with payload and deleted by either
+// side's FIN or RST: the bare ACKs that trail a close leave nothing behind.
 func (a *SMTPAnalyzer) Tap(p *netstack.Packet) {
-	if p.TCP == nil || p.IP == nil {
+	if p.TCP == nil || p.IP == nil || (p.TCP.DstPort != 25 && p.TCP.SrcPort != 25) {
 		return
 	}
-	key, ok := p.FlowKey()
-	if !ok {
-		return
+	// Keyed in the client's direction, whichever way p travels.
+	key := netstack.FlowKey{VLAN: p.Eth.VLAN, Proto: netstack.ProtoTCP,
+		SrcIP: p.IP.Src, SrcPort: p.TCP.SrcPort, DstIP: p.IP.Dst, DstPort: p.TCP.DstPort}
+	fromServer := p.TCP.DstPort != 25
+	if fromServer {
+		key = key.Reverse()
 	}
+	f := a.flows[key]
 	switch {
-	case p.TCP.DstPort == 25:
-		// Client direction.
-		f := a.flows[key]
-		if f == nil {
-			f = &smtpFlow{inmate: p.IP.Src}
-			a.flows[key] = f
-		}
-		if p.TCP.Flags&(netstack.FlagFIN|netstack.FlagRST) != 0 {
-			delete(a.flows, key)
-		}
-	case p.TCP.SrcPort == 25:
-		// Server direction: match the client-side key.
-		rkey := key.Reverse()
-		// The tap records egress with the inmate VLAN; align keys.
-		f := a.flows[rkey]
-		if f == nil {
-			f = &smtpFlow{inmate: p.IP.Dst}
-			a.flows[rkey] = f
-		}
-		a.serverLines(f, string(p.Payload))
-		if p.TCP.Flags&(netstack.FlagFIN|netstack.FlagRST) != 0 {
-			delete(a.flows, rkey)
-		}
+	case f != nil:
+	case fromServer && len(p.Payload) > 0, !fromServer && p.TCP.Flags&netstack.FlagSYN != 0:
+		f = &smtpFlow{inmate: key.SrcIP}
+		a.flows[key] = f
+	default:
+		return
+	}
+	if fromServer {
+		a.serverLines(f, p.Payload)
+	}
+	if p.TCP.Flags&(netstack.FlagFIN|netstack.FlagRST) != 0 {
+		delete(a.flows, key)
 	}
 }
 
-func (a *SMTPAnalyzer) serverLines(f *smtpFlow, payload string) {
-	for _, line := range strings.Split(payload, "\n") {
-		line = strings.TrimSpace(line)
+func (a *SMTPAnalyzer) serverLines(f *smtpFlow, payload []byte) {
+	for len(payload) > 0 {
+		var line []byte
+		line, payload, _ = bytes.Cut(payload, []byte{'\n'})
+		line = bytes.TrimSpace(line)
 		if len(line) < 3 {
 			continue
 		}
-		switch {
-		case strings.HasPrefix(line, "220") && !f.greeted:
+		switch code := string(line[:3]); {
+		case code == "220" && !f.greeted:
 			f.greeted = true
 			a.stats(f.inmate).Sessions++
-		case strings.HasPrefix(line, "354"):
+		case code == "354":
 			f.dataPending = true
-		case strings.HasPrefix(line, "250") && f.dataPending:
+		case code == "250" && f.dataPending:
 			f.dataPending = false
 			a.stats(f.inmate).DataTransfers++
-		case strings.HasPrefix(line, "4"), strings.HasPrefix(line, "5"):
+		case code[0] == '4', code[0] == '5':
 			f.dataPending = false
 		}
 	}

@@ -69,6 +69,88 @@ func TestSMTPAnalyzerFlowCleanup(t *testing.T) {
 	}
 }
 
+// TestSMTPAnalyzerSessionLeavesNoState replays one REFLECTed session as
+// the subfarm tap sees it — the inmate's packets in their own addressing
+// (VLAN 16, to the MX they believe in) and again as forwarded to the sink
+// (service VLAN, sink address; the gateway's own handshake ACK carries no
+// IP protocol in its parsed header), the sink's replies rewritten back —
+// through handshake, dialog, four-way close and the ACKs that trail it.
+// Every packet after a side's FIN used to re-create the flow entry its FIN
+// had just deleted: three entries per finished session, for good.
+func TestSMTPAnalyzerSessionLeavesNoState(t *testing.T) {
+	a := NewSMTPAnalyzer()
+	inmate := netstack.MustParseAddr("10.0.0.16")
+	mx := netstack.MustParseAddr("203.0.113.26")
+	sink := netstack.MustParseAddr("10.3.0.3")
+	const syn, ack, psh, fin = netstack.FlagSYN, netstack.FlagACK, netstack.FlagPSH | netstack.FlagACK, netstack.FlagFIN | netstack.FlagACK
+	// client sends a packet in both tap addressings; server answers.
+	client := func(flags uint8, payload string) {
+		a.Tap(tcpPacket(16, inmate, 32771, mx, 25, flags, payload))
+		a.Tap(tcpPacket(11, inmate, 32771, sink, 25, flags, payload))
+	}
+	server := func(flags uint8, payload string) { a.Tap(tcpPacket(16, mx, 25, inmate, 32771, flags, payload)) }
+
+	a.Tap(tcpPacket(16, inmate, 32771, mx, 25, syn, ""))
+	server(syn|ack, "")
+	a.Tap(tcpPacket(16, inmate, 32771, mx, 25, ack, ""))
+	a.Tap(tcpPacket(11, inmate, 32771, sink, 25, syn, ""))
+	gwAck := tcpPacket(11, inmate, 32771, sink, 25, ack, "")
+	gwAck.IP.Protocol = 0
+	a.Tap(gwAck)
+	server(psh, "220 mail.example.com ESMTP Postfix\r\n")
+	for _, step := range [][2]string{
+		{"HELO localhost\r\n", "250 Hello localhost\r\n"},
+		{"MAIL FROM:<rustock1@freemail.example>\r\n", "250 sender OK\r\n"},
+		{"RCPT TO:<victim1@inbox.example>\r\n", "250 recipient OK\r\n"},
+		{"DATA\r\n", "354 End data with <CR><LF>.<CR><LF>\r\n"},
+		{"Subject: cheap meds\r\n", ""}, {"\r\n", ""}, {"cheap meds #1\r\n", ""},
+		{".\r\n", "250 OK queued\r\n"},
+		{"QUIT\r\n", "221 Bye\r\n"},
+	} {
+		client(psh, step[0])
+		server(ack, "")
+		if step[1] != "" {
+			server(psh, step[1])
+			client(ack, "")
+		}
+	}
+	if len(a.flows) != 2 {
+		t.Errorf("mid-session: %d flow entries, want one per client addressing", len(a.flows))
+	}
+	server(fin, "")
+	server(ack, "")
+	client(fin, "")
+	client(ack, "") // of the server's data
+	client(ack, "") // of the server's FIN
+	server(ack, "") // of the client's FIN
+	if len(a.flows) != 0 {
+		t.Errorf("a finished session left %d flow entries behind", len(a.flows))
+	}
+	if st := a.PerInmate[inmate]; st == nil || st.Sessions != 1 || st.DataTransfers != 1 || len(a.PerInmate) != 1 {
+		t.Fatalf("stats %+v over %d inmates, want 1 session with 1 DATA transfer for one", st, len(a.PerInmate))
+	}
+}
+
+// TestSMTPAnalyzerTapAllocFree pins the tap's cost on the two packets it
+// sees most: anything that is not SMTP (dismissed on its ports, before a
+// flow key is built) and a server reply of a session it is following.
+func TestSMTPAnalyzerTapAllocFree(t *testing.T) {
+	a := NewSMTPAnalyzer()
+	inmate := netstack.MustParseAddr("10.0.0.23")
+	mx := netstack.MustParseAddr("203.0.113.25")
+	a.Tap(tcpPacket(16, inmate, 1234, mx, 25, netstack.FlagSYN, ""))
+	a.Tap(tcpPacket(16, mx, 25, inmate, 1234, netstack.FlagACK, "220 mx ESMTP\r\n"))
+	web := tcpPacket(16, inmate, 1234, mx, 80, netstack.FlagACK, strings.Repeat("bulk payload ", 100))
+	goAhead := tcpPacket(16, mx, 25, inmate, 1234, netstack.FlagACK, "354 End data with <CR><LF>.<CR><LF>\r\n")
+	queued := tcpPacket(16, mx, 25, inmate, 1234, netstack.FlagACK, "250 OK queued\r\n")
+	if n := testing.AllocsPerRun(100, func() { a.Tap(web); a.Tap(goAhead); a.Tap(queued) }); n != 0 {
+		t.Fatalf("Tap on a non-SMTP packet and two server replies: %v allocs, want 0", n)
+	}
+	if st := a.PerInmate[inmate]; st.Sessions != 1 || st.DataTransfers != 101 || len(a.flows) != 1 {
+		t.Fatalf("stats %+v, %d flows", st, len(a.flows))
+	}
+}
+
 func TestShimAnalyzer(t *testing.T) {
 	a := NewShimAnalyzer()
 	req := &shim.Request{

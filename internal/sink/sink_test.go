@@ -1,6 +1,7 @@
 package sink
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -96,6 +97,28 @@ func TestSMTPSinkHarvestsSpam(t *testing.T) {
 	}
 	if len(sk.Envelopes) != 2 || !strings.Contains(string(sk.Envelopes[0].Data), "pills") {
 		t.Fatalf("envelopes %+v", sk.Envelopes)
+	}
+}
+
+// An inmate greeting with a new name every time grows PerInmate.HELOs to
+// its cap and no further; a repeated name is recorded once.
+func TestSMTPSinkBoundsDistinctHELOs(t *testing.T) {
+	s, bot, sinkHost, _ := net3(t, 3)
+	sk, err := NewSMTPSink(sinkHost, SMTPConfig{Port: 25, Strictness: smtpx.Lenient})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := bot.Dial(sinkHost.Addr(), 25)
+	c.OnConnect = func() {
+		for i := 0; i < 3*maxHELOs; i++ {
+			c.Write([]byte("HELO node" + strconv.Itoa(i%(2*maxHELOs)) + "\r\n"))
+		}
+		c.Write([]byte("QUIT\r\n"))
+	}
+	s.RunFor(time.Minute)
+	pi := sk.ByInmate[bot.Addr()]
+	if pi == nil || len(pi.HELOs) != maxHELOs || pi.HELOs[0] != "node0" || pi.HELOs[maxHELOs-1] != "node"+strconv.Itoa(maxHELOs-1) {
+		t.Fatalf("%d distinct greetings kept %v, want the first %d", 2*maxHELOs, pi, maxHELOs)
 	}
 }
 

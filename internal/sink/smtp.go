@@ -2,6 +2,7 @@ package sink
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -44,8 +45,11 @@ type PerInmate struct {
 	Sessions      uint64
 	DataTransfers uint64
 	Dropped       uint64
-	HELOs         []string // distinct HELO strings observed
+	HELOs         []string // distinct HELO strings observed (the first maxHELOs)
 }
+
+// maxHELOs bounds PerInmate.HELOs: greetings are inmate-chosen bytes.
+const maxHELOs = 16
 
 // SMTPSink is the farm's spam-harvesting endpoint.
 type SMTPSink struct {
@@ -159,16 +163,11 @@ func (s *SMTPSink) accept(c *host.Conn) {
 	pi := s.inmate(src)
 	pi.Sessions++
 
-	eng := smtpx.NewEngine(s.cfg.Strictness,
-		func(line string) { c.Write([]byte(line + "\r\n")) },
-		func() { c.Close() })
+	eng := smtpx.Bind(c, s.cfg.Strictness)
 	eng.OnHelo = func(verb, arg string) {
-		for _, h := range pi.HELOs {
-			if h == arg {
-				return
-			}
+		if len(pi.HELOs) < maxHELOs && !slices.Contains(pi.HELOs, arg) {
+			pi.HELOs = append(pi.HELOs, arg)
 		}
-		pi.HELOs = append(pi.HELOs, arg)
 	}
 	if s.cfg.RcptReply != nil {
 		eng.OnRcpt = s.cfg.RcptReply
@@ -185,17 +184,14 @@ func (s *SMTPSink) accept(c *host.Conn) {
 		}
 		return nil
 	}
-	c.OnData = func(d []byte) { eng.Feed(d) }
-	c.OnPeerClose = func() { c.Close() }
-
-	s.greet(c, eng, src)
+	s.greet(eng, src)
 }
 
 // greet delivers the banner, grabbing it from the intended target first
 // when configured ("SMTP requests to a hitherto unseen host now caused the
 // sink to actually connect out to the target SMTP server and obtain the
 // greeting message", §7.1).
-func (s *SMTPSink) greet(c *host.Conn, eng *smtpx.Engine, src netstack.Addr) {
+func (s *SMTPSink) greet(eng *smtpx.Engine, src netstack.Addr) {
 	if !s.cfg.BannerGrab {
 		eng.Greet(s.cfg.Banner)
 		return

@@ -1,8 +1,8 @@
 package smtpx
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
 
 	"gq/internal/host"
 	"gq/internal/netstack"
@@ -23,16 +23,18 @@ const (
 	StyleBare
 )
 
-func formatStanza(keyword, addr string, style AddrStyle) string {
-	switch style {
+// stanza returns what the style puts between a stanza's keyword and its
+// address, and behind the address.
+func (a AddrStyle) stanza() (sep, end string) {
+	switch a {
 	case StyleNoBrackets:
-		return fmt.Sprintf("%s:%s", keyword, addr)
+		return ":", ""
 	case StyleSpaceColon:
-		return fmt.Sprintf("%s: <%s>", keyword, addr)
+		return ": <", ">"
 	case StyleBare:
-		return fmt.Sprintf("%s %s", keyword, addr)
+		return " ", ""
 	default:
-		return fmt.Sprintf("%s:<%s>", keyword, addr)
+		return ":<", ">"
 	}
 }
 
@@ -66,8 +68,9 @@ type ClientConfig struct {
 type clientSession struct {
 	cfg       ClientConfig
 	conn      *host.Conn
-	buf       []byte
-	stage     int // 0 banner, 1 helo, 2 mail, 3 rcpt, 4 data-go, 5 data-sent, 6 quit
+	in        lineReader
+	out       []byte // the line being written; one buffer for the whole session
+	stage     int    // 0 banner, 1 helo, 2 mail, 3 rcpt, 4 data-go, 5 data-sent, 6 quit
 	heloLeft  int
 	msgIdx    int
 	rcptIdx   int
@@ -85,7 +88,7 @@ func Send(h *host.Host, dst netstack.Addr, port uint16, cfg ClientConfig) {
 	}
 	s := &clientSession{cfg: cfg, heloLeft: cfg.RepeatHelo}
 	s.conn = h.Dial(dst, port)
-	s.conn.OnData = s.feed
+	s.conn.OnData = func(data []byte) { s.in.feed(data, s) } // read in place
 	s.conn.OnClose = func(err error) { s.finish(err) }
 	s.conn.OnPeerClose = func() { s.conn.Close() }
 }
@@ -103,25 +106,27 @@ func (s *clientSession) finish(err error) {
 	}
 }
 
-func (s *clientSession) writeLine(line string) { s.conn.Write([]byte(line + "\r\n")) }
-
-func (s *clientSession) feed(data []byte) {
-	s.buf = append(s.buf, data...)
-	for {
-		nl := strings.IndexByte(string(s.buf), '\n')
-		if nl < 0 {
-			return
-		}
-		line := strings.TrimRight(string(s.buf[:nl]), "\r")
-		s.buf = s.buf[nl+1:]
-		s.handleReply(line)
-		if s.done {
-			return
-		}
-	}
+// flush sends what s.out holds as one CRLF-terminated line in a Conn.Write
+// of its own (so a segment of its own), which copies it: s.out is reused.
+func (s *clientSession) flush() {
+	s.out = append(s.out, '\r', '\n')
+	s.conn.Write(s.out)
+	s.out = s.out[:0]
 }
 
-func replyCode(line string) int {
+func (s *clientSession) writeLine(parts ...string) {
+	for _, p := range parts {
+		s.out = append(s.out, p...)
+	}
+	s.flush()
+}
+
+func (s *clientSession) lineTooLong() {
+	s.conn.Close()
+	s.finish(fmt.Errorf("smtpx: reply line too long"))
+}
+
+func replyCode(line []byte) int {
 	if len(line) < 3 {
 		return 0
 	}
@@ -135,11 +140,15 @@ func replyCode(line string) int {
 	return code
 }
 
-func (s *clientSession) handleReply(line string) {
+// handleLine takes one reply line and sends what the dialog says next.
+func (s *clientSession) handleLine(line []byte) {
+	if s.done {
+		return
+	}
 	code := replyCode(line)
 	switch s.stage {
 	case 0: // banner
-		if s.cfg.OnBanner != nil && !s.cfg.OnBanner(line) {
+		if s.cfg.OnBanner != nil && !s.cfg.OnBanner(string(line)) {
 			s.conn.Close()
 			s.finish(fmt.Errorf("smtpx: banner rejected by client"))
 			return
@@ -149,7 +158,7 @@ func (s *clientSession) handleReply(line string) {
 			return
 		}
 		for i := 0; i < s.heloLeft; i++ {
-			s.writeLine(s.cfg.HeloVerb + " " + s.cfg.Helo)
+			s.writeLine(s.cfg.HeloVerb, " ", s.cfg.Helo)
 		}
 		s.stage = 1
 	case 1: // HELO replies (possibly several)
@@ -215,7 +224,8 @@ func (s *clientSession) nextMessage() {
 		s.quit()
 		return
 	}
-	s.writeLine(formatStanza("MAIL FROM", s.currentMsg().From, s.cfg.Style))
+	sep, end := s.cfg.Style.stanza()
+	s.writeLine("MAIL FROM", sep, s.currentMsg().From, end)
 	s.stage = 2
 }
 
@@ -228,16 +238,20 @@ func (s *clientSession) skipMessage(code int) {
 }
 
 func (s *clientSession) sendRcpt() {
-	s.writeLine(formatStanza("RCPT TO", s.currentMsg().Rcpts[s.rcptIdx], s.cfg.Style))
+	sep, end := s.cfg.Style.stanza()
+	s.writeLine("RCPT TO", sep, s.currentMsg().Rcpts[s.rcptIdx], end)
 	s.stage = 3
 }
 
 func (s *clientSession) sendBody() {
-	for _, line := range strings.Split(string(s.currentMsg().Data), "\n") {
-		if strings.HasPrefix(line, ".") {
-			line = "." + line // dot-stuffing
+	for rest, more := s.currentMsg().Data, true; more; {
+		var line []byte
+		line, rest, more = bytes.Cut(rest, []byte{'\n'})
+		if len(line) > 0 && line[0] == '.' {
+			s.out = append(s.out, '.') // dot-stuffing
 		}
-		s.writeLine(line)
+		s.out = append(s.out, line...)
+		s.flush()
 	}
 	s.writeLine(".")
 }

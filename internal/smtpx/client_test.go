@@ -1,0 +1,89 @@
+package smtpx
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"gq/internal/host"
+)
+
+// clientRun is what a scripted server and the client's own callbacks see
+// of one session.
+type clientRun struct {
+	Wire      []byte // everything the client sent, in order
+	Banners   []string
+	Delivered []string // "idx:code" per OnDelivered
+	Done      string   // "delivered/err", "" if the session never ended
+}
+
+// runClient plays reply bytes at a client as the given chunks — one
+// Conn.Write, so at least one segment, each — and records the session.
+func runClient(t *testing.T, cfg ClientConfig, chunks [][]byte) clientRun {
+	s, bot, mx := mailNet(t)
+	var run clientRun
+	mx.Listen(25, func(c *host.Conn) {
+		c.OnData = func(d []byte) { run.Wire = append(run.Wire, d...) }
+		c.OnPeerClose = c.Close
+		for _, chunk := range chunks {
+			c.Write(chunk)
+		}
+	})
+	cfg.OnBanner = func(b string) bool {
+		run.Banners = append(run.Banners, b)
+		return !strings.Contains(b, "honeypot")
+	}
+	cfg.OnDelivered = func(idx, code int) { run.Delivered = append(run.Delivered, fmt.Sprint(idx, ":", code)) }
+	cfg.OnDone = func(n int, err error) { run.Done = fmt.Sprint(n, "/", err) }
+	Send(bot, mx.Addr(), 25, cfg)
+	s.RunFor(time.Minute)
+	return run
+}
+
+// FuzzClientFeed: however the server's reply stream is cut into segments,
+// the client sends the same bytes, reports the same deliveries and ends the
+// same way — and arbitrary reply bytes never panic it.
+func FuzzClientFeed(f *testing.F) {
+	ok := "220 mx ESMTP\r\n250 Hello\r\n250 Hello\r\n" +
+		"250 sender OK\r\n250 recipient OK\r\n354 go\r\n250 OK queued\r\n" +
+		"250 sender OK\r\n550 no such user\r\n250 recipient OK\r\n354 go\r\n451 later\r\n221 Bye\r\n"
+	f.Add([]byte(ok), []byte{}, uint8(StyleRFC))
+	f.Add([]byte(ok), []byte{2, 0, 0, 40, 1}, uint8(StyleBare)) // "220" | " " | "m" | …
+	f.Add([]byte(ok), bytes.Repeat([]byte{0}, 250), uint8(StyleSpaceColon))
+	f.Add([]byte("220 honeypot\r\n"), []byte{5}, uint8(StyleRFC))
+	f.Add([]byte("554 go away\r\n221 Bye\r\n"), []byte{1, 1}, uint8(StyleNoBrackets))
+	f.Add([]byte("220 x\n250 h\n250 h\n501 bad\n503 bad\n221 bye\n"), []byte{3, 3, 3}, uint8(StyleBare))
+	f.Add([]byte("220 x\r\n"+strings.Repeat("2", maxLine+200)+"\r\n250 h\r\n"), []byte{200, 200, 200, 200, 200, 200}, uint8(StyleRFC))
+	f.Add([]byte("220 x\r\n\r\n\r\nxx\r\n2\r\n\xff\xfe\r\n"), []byte{0, 0, 0}, uint8(9))
+
+	f.Fuzz(func(t *testing.T, replies, cuts []byte, style uint8) {
+		if len(replies) > 8<<10 {
+			return // a session of a few messages; longer streams only cost time
+		}
+		cfg := ClientConfig{Helo: "bot", RepeatHelo: 2, Style: AddrStyle(style), Messages: []Message{
+			{From: "a@spam.biz", Rcpts: []string{"v1@x.com"}, Data: []byte("Subject: one\n\n.dot first\nbody\n")},
+			{From: "b@spam.biz", Rcpts: []string{"v2@x.com", "v3@x.com"}, Data: nil},
+		}}
+		whole := runClient(t, cfg, [][]byte{replies})
+		if chunked := runClient(t, cfg, cut(replies, cuts)); !reflect.DeepEqual(whole, chunked) {
+			t.Fatalf("chunking changed the session\nwhole   %+v\nchunked %+v", whole, chunked)
+		}
+	})
+}
+
+// The client dot-stuffs and frames a body exactly as the string-based
+// sendBody did: one line per LF-separated piece, the empty last one included.
+func TestClientBodyOnTheWire(t *testing.T) {
+	replies := "220 x\r\n250 h\r\n250 s\r\n250 r\r\n354 go\r\n250 q\r\n221 bye\r\n"
+	run := runClient(t, ClientConfig{Helo: "bot", Style: StyleSpaceColon, Messages: []Message{
+		{From: "a@b.c", Rcpts: []string{"v@x.y"}, Data: []byte("Subject: s\n\n.dot\n..two\nlast\n")},
+	}}, [][]byte{[]byte(replies)})
+	want := "HELO bot\r\nMAIL FROM: <a@b.c>\r\nRCPT TO: <v@x.y>\r\nDATA\r\n" +
+		"Subject: s\r\n\r\n..dot\r\n...two\r\nlast\r\n\r\n.\r\nQUIT\r\n"
+	if string(run.Wire) != want || run.Done != "1/<nil>" {
+		t.Fatalf("wire %q\nwant %q\ndone %s", run.Wire, want, run.Done)
+	}
+}

@@ -8,12 +8,15 @@
 // bot families. The discrepancies were mundane — repeated HELO/EHLO
 // greetings, and the format of addresses in MAIL FROM and RCPT TO stanzas
 // (with or without colons, with or without angle brackets). Both engines
-// here model exactly those variations.
+// here model exactly those variations, and both read the bytes they are
+// handed in place, copying only what a session keeps (DESIGN.md §3b).
 package smtpx
 
 import (
-	"fmt"
-	"strings"
+	"bytes"
+	"strconv"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Strictness selects how closely the server engine follows RFC 821.
@@ -40,7 +43,55 @@ type Reply struct {
 	Text string
 }
 
-func (r Reply) String() string { return fmt.Sprintf("%d %s", r.Code, r.Text) }
+func (r Reply) String() string { return strconv.Itoa(r.Code) + " " + r.Text }
+
+// What an inmate can make a session hold (DESIGN.md §5): a line of at most
+// maxLine octets before its LF (RFC 5321 §4.5.3.1.6), a body of maxMessage.
+const (
+	maxLine    = 1000
+	maxMessage = 1 << 20
+)
+
+// lineReader cuts a byte stream into lines where the bytes lie: only the
+// start of a line split across segments is copied, into buf, which never
+// holds more than maxLine octets. A longer line is reported once, as soon
+// as its excess is seen, and discarded up to its LF.
+type lineReader struct {
+	buf      []byte
+	skipping bool
+}
+
+// lineHandler is a session on the receiving end of a lineReader.
+type lineHandler interface {
+	handleLine(line []byte) // without its LF and trailing CRs; valid for the call
+	lineTooLong()
+}
+
+func (r *lineReader) feed(data []byte, h lineHandler) {
+	for len(data) > 0 {
+		line, rest, found := bytes.Cut(data, []byte{'\n'})
+		switch {
+		case r.skipping:
+		case len(r.buf)+len(line) > maxLine:
+			r.buf, r.skipping = r.buf[:0], true
+			h.lineTooLong()
+		case !found:
+			if r.buf == nil {
+				r.buf = make([]byte, 0, maxLine)
+			}
+			r.buf = append(r.buf, line...)
+		default:
+			if len(r.buf) > 0 {
+				line, r.buf = append(r.buf, line...), r.buf[:0]
+			}
+			h.handleLine(bytes.TrimRight(line, "\r"))
+		}
+		if !found {
+			return
+		}
+		data, r.skipping = rest, false
+	}
+}
 
 // Engine is a server-side SMTP session state machine. The caller feeds it
 // raw stream bytes; it emits reply lines through the write callback. The
@@ -63,13 +114,14 @@ type Engine struct {
 	write      func(line string)
 	closeConn  func()
 
-	state   int // 0 start, 1 greeted, 2 mail, 3 rcpt, 4 data
-	helo    string
-	from    string
-	rcpts   []string
-	data    []byte
-	buf     []byte
-	greeted bool
+	state    int // 0 start, 1 greeted, 2 mail, 3 rcpt, 4 data
+	helo     string
+	from     string
+	rcpts    []string
+	data     []byte
+	oversize bool // this DATA stage outgrew maxMessage; its body is dropped
+	in       lineReader
+	greeted  bool
 
 	// Counters for reports.
 	Envelopes     int
@@ -101,140 +153,141 @@ func (e *Engine) Greet(banner string) {
 	e.write(banner)
 }
 
-func (e *Engine) reply(code int, text string) { e.write(fmt.Sprintf("%d %s", code, text)) }
-
-// Feed consumes stream bytes, processing complete lines.
-func (e *Engine) Feed(data []byte) {
-	e.buf = append(e.buf, data...)
-	for {
-		nl := -1
-		for i, b := range e.buf {
-			if b == '\n' {
-				nl = i
-				break
-			}
-		}
-		if nl < 0 {
-			return
-		}
-		line := strings.TrimRight(string(e.buf[:nl]), "\r")
-		e.buf = e.buf[nl+1:]
-		e.handleLine(line)
+// answer writes a hook's reply, or the constant def when the hook gave
+// none, and reports whether the command was accepted.
+func (e *Engine) answer(o *Reply, def string) bool {
+	if o == nil {
+		e.write(def)
+		return true
 	}
+	e.write(o.String())
+	return o.Code < 400
 }
 
-func (e *Engine) handleLine(line string) {
-	if e.state == stData {
-		if line == "." {
+// Feed consumes stream bytes, processing complete lines. data is read in
+// place and not retained.
+func (e *Engine) Feed(data []byte) { e.in.feed(data, e) }
+
+func (e *Engine) lineTooLong() {
+	e.SyntaxErrors++
+	e.write("500 line too long")
+}
+
+// dataLine takes one line of a DATA stage.
+func (e *Engine) dataLine(line []byte) {
+	if len(line) == 1 && line[0] == '.' {
+		if e.oversize {
+			e.write("552 message size exceeds limit")
+		} else {
 			env := &Envelope{Helo: e.helo, From: e.from, Rcpts: e.rcpts, Data: e.data}
 			e.Envelopes++
-			r := Reply{250, "OK queued"}
+			var o *Reply
 			if e.OnMessage != nil {
-				if o := e.OnMessage(env); o != nil {
-					r = *o
-				}
+				o = e.OnMessage(env)
 			}
-			e.reply(r.Code, r.Text)
-			e.state = stGreeted
-			e.from, e.rcpts, e.data = "", nil, nil
-			return
+			e.answer(o, "250 OK queued")
 		}
-		// Dot-unstuffing per RFC 821 §4.5.2.
-		if strings.HasPrefix(line, "..") {
-			line = line[1:]
-		}
-		e.data = append(e.data, line...)
-		e.data = append(e.data, '\n')
+		e.state = stGreeted
+		e.from, e.rcpts, e.data, e.oversize = "", nil, nil, false
 		return
 	}
+	// Dot-unstuffing per RFC 821 §4.5.2.
+	if len(line) > 1 && line[0] == '.' && line[1] == '.' {
+		line = line[1:]
+	}
+	if e.oversize || len(e.data)+len(line)+1 > maxMessage {
+		e.data, e.oversize = nil, true
+		return
+	}
+	e.data = append(append(e.data, line...), '\n')
+}
 
+func (e *Engine) handleLine(line []byte) {
+	if e.state == stData {
+		e.dataLine(line)
+		return
+	}
 	verb, arg := splitVerb(line)
 	switch verb {
 	case "HELO", "EHLO":
 		e.HeloCount++
 		if e.state != stStart && e.strictness == Strict {
 			e.SequenceViols++
-			e.reply(503, "duplicate HELO/EHLO")
+			e.write("503 duplicate HELO/EHLO")
 			return
 		}
-		e.helo = arg
+		e.helo = string(arg)
 		e.state = stGreeted
 		if e.OnHelo != nil {
-			e.OnHelo(verb, arg)
+			e.OnHelo(verb, e.helo)
 		}
-		e.reply(250, "Hello "+arg)
+		e.write("250 Hello " + e.helo)
 
 	case "MAIL":
 		if e.state == stStart && e.strictness == Strict {
 			e.SequenceViols++
-			e.reply(503, "send HELO first")
+			e.write("503 send HELO first")
 			return
 		}
 		addr, ok := parseAddrStanza(arg, "FROM", e.strictness)
 		if !ok {
 			e.SyntaxErrors++
-			e.reply(501, "syntax error in MAIL FROM")
+			e.write("501 syntax error in MAIL FROM")
 			return
 		}
-		e.from = addr
-		e.rcpts = nil
-		e.state = stMail
-		r := Reply{250, "sender OK"}
+		e.from, e.rcpts, e.state = string(addr), nil, stMail
+		var o *Reply
 		if e.OnMail != nil {
-			if o := e.OnMail(addr); o != nil {
-				r = *o
-			}
+			o = e.OnMail(e.from)
 		}
-		e.reply(r.Code, r.Text)
-		if r.Code >= 400 {
+		if !e.answer(o, "250 sender OK") {
 			e.state = stGreeted
 		}
 
 	case "RCPT":
 		if e.state != stMail && e.state != stRcpt {
 			e.SequenceViols++
-			e.reply(503, "need MAIL first")
+			e.write("503 need MAIL first")
 			return
 		}
 		addr, ok := parseAddrStanza(arg, "TO", e.strictness)
 		if !ok {
 			e.SyntaxErrors++
-			e.reply(501, "syntax error in RCPT TO")
+			e.write("501 syntax error in RCPT TO")
 			return
 		}
-		r := Reply{250, "recipient OK"}
+		rcpt := string(addr)
+		var o *Reply
 		if e.OnRcpt != nil {
-			if o := e.OnRcpt(addr); o != nil {
-				r = *o
-			}
+			o = e.OnRcpt(rcpt)
 		}
-		if r.Code < 400 {
-			e.rcpts = append(e.rcpts, addr)
+		if o == nil || o.Code < 400 {
+			e.rcpts = append(e.rcpts, rcpt)
 			e.state = stRcpt
 		}
-		e.reply(r.Code, r.Text)
+		e.answer(o, "250 recipient OK")
 
 	case "DATA":
 		if e.state != stRcpt {
 			e.SequenceViols++
-			e.reply(503, "need RCPT first")
+			e.write("503 need RCPT first")
 			return
 		}
 		e.state = stData
-		e.reply(354, "End data with <CR><LF>.<CR><LF>")
+		e.write("354 End data with <CR><LF>.<CR><LF>")
 
 	case "RSET":
 		e.from, e.rcpts, e.data = "", nil, nil
 		if e.state != stStart {
 			e.state = stGreeted
 		}
-		e.reply(250, "OK")
+		e.write("250 OK")
 
 	case "NOOP":
-		e.reply(250, "OK")
+		e.write("250 OK")
 
 	case "QUIT":
-		e.reply(221, "Bye")
+		e.write("221 Bye")
 		if e.OnQuit != nil {
 			e.OnQuit()
 		}
@@ -244,50 +297,65 @@ func (e *Engine) handleLine(line string) {
 
 	default:
 		e.SyntaxErrors++
-		e.reply(500, "command not recognized")
+		e.write("500 command not recognized")
 	}
 }
 
-func splitVerb(line string) (string, string) {
-	line = strings.TrimSpace(line)
-	sp := strings.IndexByte(line, ' ')
-	if sp < 0 {
-		return strings.ToUpper(line), ""
+var verbs = [...]string{"HELO", "EHLO", "MAIL", "RCPT", "DATA", "RSET", "NOOP", "QUIT"}
+
+// splitVerb returns the command verb line opens with — the entry of verbs
+// it matches, "" for none — and the trimmed argument behind it.
+func splitVerb(line []byte) (verb string, arg []byte) {
+	tok := bytes.TrimSpace(line)
+	if sp := bytes.IndexByte(tok, ' '); sp >= 0 {
+		tok, arg = tok[:sp], bytes.TrimSpace(tok[sp+1:])
 	}
-	return strings.ToUpper(line[:sp]), strings.TrimSpace(line[sp+1:])
+	for _, v := range verbs {
+		if rest, ok := cutUpper(tok, v); ok && len(rest) == 0 {
+			return v, arg
+		}
+	}
+	return "", arg
+}
+
+// cutUpper reports whether b, upper-cased the way strings.ToUpper would,
+// starts with the upper-case ASCII keyword kw, and returns what follows it.
+func cutUpper(b []byte, kw string) ([]byte, bool) {
+	for i := 0; i < len(kw); i++ {
+		r, n := utf8.DecodeRune(b)
+		if unicode.ToUpper(r) != rune(kw[i]) {
+			return nil, false
+		}
+		b = b[n:]
+	}
+	return b, true
 }
 
 // parseAddrStanza extracts the address from "FROM:<a@b>" and its sloppy
-// variants. Strict mode requires the canonical colon + angle brackets form.
-func parseAddrStanza(arg, keyword string, s Strictness) (string, bool) {
-	rest := arg
-	if !strings.HasPrefix(strings.ToUpper(rest), keyword) {
-		return "", false
+// variants as a slice of arg. Strict mode requires the canonical colon +
+// angle brackets form.
+func parseAddrStanza(arg []byte, keyword string, s Strictness) ([]byte, bool) {
+	rest, ok := cutUpper(arg, keyword)
+	if !ok {
+		return nil, false
 	}
-	rest = rest[len(keyword):]
-	hasColon := strings.HasPrefix(rest, ":")
-	if hasColon {
-		rest = rest[1:]
-	}
-	hadSpace := strings.TrimLeft(rest, " ") != rest
-	rest = strings.TrimSpace(rest)
-	hasBrackets := strings.HasPrefix(rest, "<") && strings.HasSuffix(rest, ">")
+	rest, hasColon := bytes.CutPrefix(rest, []byte{':'})
+	hadSpace := len(rest) > 0 && rest[0] == ' '
+	rest = bytes.TrimSpace(rest)
+	hasBrackets := len(rest) > 1 && rest[0] == '<' && rest[len(rest)-1] == '>'
 	if hasBrackets {
-		rest = strings.TrimSpace(rest[1 : len(rest)-1])
+		rest = bytes.TrimSpace(rest[1 : len(rest)-1])
 	}
 	if s == Strict {
 		// RFC 821: "MAIL FROM:<reverse-path>" — colon immediately after the
 		// keyword, no intervening space, path in angle brackets.
 		if !hasColon || !hasBrackets || hadSpace {
-			return "", false
+			return nil, false
 		}
 	}
-	if rest == "" || !strings.Contains(rest, "@") {
+	if bytes.IndexByte(rest, '@') < 0 {
 		// Null reverse-path "<>" is legal for MAIL in strict mode.
-		if keyword == "FROM" && hasBrackets && rest == "" {
-			return "", true
-		}
-		return "", false
+		return nil, keyword == "FROM" && hasBrackets && len(rest) == 0
 	}
 	return rest, true
 }

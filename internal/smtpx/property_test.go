@@ -17,7 +17,7 @@ func TestPropertyEngineRobustAgainstJunk(t *testing.T) {
 		}
 		ok := true
 		eng := NewEngine(mode, func(line string) {
-			if replyCode(line) == 0 {
+			if replyCode([]byte(line)) == 0 {
 				ok = false // every reply must carry a numeric code
 			}
 		}, nil)

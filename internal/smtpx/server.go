@@ -4,6 +4,22 @@ import (
 	"gq/internal/host"
 )
 
+// Bind attaches a new Engine to an accepted connection, the one place the
+// two are wired (DESIGN.md §3b): stream bytes are fed in place, each reply
+// gets its CRLF in a scratch buffer the session owns (Conn.Write copies),
+// QUIT and a peer's FIN close the connection. The caller sets its hooks and
+// calls Greet when the banner is ready — a banner-grabbing sink defers it.
+func Bind(c *host.Conn, s Strictness) *Engine {
+	var out []byte
+	closeConn := c.Close
+	e := NewEngine(s, func(line string) {
+		out = append(append(out[:0], line...), '\r', '\n')
+		c.Write(out)
+	}, closeConn)
+	c.OnData, c.OnPeerClose = e.Feed, closeConn
+	return e
+}
+
 // Server binds a plain SMTP server to a host port: every connection is
 // greeted immediately with a fixed banner. GQ's fidelity-adjustable sink
 // (internal/sink) builds richer behaviour on the same Engine.
@@ -22,9 +38,7 @@ type Server struct {
 func (s *Server) Serve(h *host.Host, port uint16) error {
 	return h.Listen(port, func(c *host.Conn) {
 		s.Sessions++
-		e := NewEngine(s.Strictness,
-			func(line string) { c.Write([]byte(line + "\r\n")) },
-			func() { c.Close() })
+		e := Bind(c, s.Strictness)
 		e.OnMessage = func(env *Envelope) *Reply {
 			s.Envelopes++
 			if s.OnMessage != nil {
@@ -32,8 +46,6 @@ func (s *Server) Serve(h *host.Host, port uint16) error {
 			}
 			return nil
 		}
-		c.OnData = func(data []byte) { e.Feed(data) }
-		c.OnPeerClose = func() { c.Close() }
 		e.Greet(s.Banner)
 	})
 }

@@ -13,20 +13,18 @@ import (
 
 // scripted runs an engine against a sequence of client lines and returns
 // the replies.
-func scripted(s Strictness, lines []string) (replies []string, envs []*Envelope, eng *Engine) {
-	eng = NewEngine(s, func(line string) { replies = append(replies, line) }, nil)
-	eng.OnMessage = func(env *Envelope) *Reply { envs = append(envs, env); return nil }
-	eng.Greet("220 mx.example.com ESMTP")
+func scripted(s Strictness, lines []string) ([]string, []*Envelope, *Engine) {
+	r := record(s)
 	for _, l := range lines {
-		eng.Feed([]byte(l + "\r\n"))
+		r.Feed([]byte(l + "\r\n"))
 	}
-	return
+	return r.replies, r.envs, r.Engine
 }
 
 func codes(replies []string) []int {
 	var out []int
 	for _, r := range replies {
-		out = append(out, replyCode(r))
+		out = append(out, replyCode([]byte(r)))
 	}
 	return out
 }
@@ -292,7 +290,7 @@ func TestClientRetriesNextRcptOnReject(t *testing.T) {
 	mx.Unlisten(25)
 	var envs []*Envelope
 	mx.Listen(25, func(c *host.Conn) {
-		e := NewEngine(Lenient, func(l string) { c.Write([]byte(l + "\r\n")) }, func() { c.Close() })
+		e := Bind(c, Lenient)
 		e.OnRcpt = func(addr string) *Reply {
 			if addr == "bad@x.com" {
 				return &Reply{550, "no such user"}
@@ -300,8 +298,6 @@ func TestClientRetriesNextRcptOnReject(t *testing.T) {
 			return nil
 		}
 		e.OnMessage = func(env *Envelope) *Reply { envs = append(envs, env); return nil }
-		c.OnData = func(d []byte) { e.Feed(d) }
-		c.OnPeerClose = func() { c.Close() }
 		e.Greet("220 mx")
 	})
 	var delivered int

@@ -5,7 +5,8 @@
 # Fails when a non-test Go file outside internal/sim (bench/, the frozen
 # benchmark harness, aside) posts across domains itself, or when one of the
 # retired doorways reappears. Also guards the gateway's one flow lifecycle
-# (DESIGN.md §3g) and the farm's one wiring site (DESIGN.md §3j), below.
+# (DESIGN.md §3g), the farm's one wiring site (DESIGN.md §3j) and the SMTP
+# engine's one binding to a connection (DESIGN.md §3b), below.
 set -eu
 cd "$(git rev-parse --show-toplevel)"
 status=0
@@ -52,4 +53,10 @@ bad "farm wired by hand outside internal/farm (describe it as a farm.Spec and Bu
 # shellcheck disable=SC2046
 bad "external shards are retired (a sharded farm has one external domain)" \
 	"$(grep -nE 'NewShardedN|ExternalShardFor|ExtShards' $(find . -name '*.go' ! -name '*_test.go') || true)"
+# An SMTP engine meets a connection in one place (DESIGN.md §3b): outside
+# internal/smtpx and the frozen benchmark harness, non-test code gets its
+# engine from smtpx.Bind, which owns the CRLF framing and the reply buffer.
+# shellcheck disable=SC2046
+bad "SMTP engine wired to a connection by hand (use smtpx.Bind)" \
+	"$(grep -nF 'smtpx.NewEngine(' $(find . -name '*.go' ! -name '*_test.go' ! -path './internal/smtpx/*' ! -path './bench/*') || true)"
 exit $status
