@@ -56,6 +56,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFlowSegments$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/gateway
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineFeed$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/smtpx
 	$(GO) test -run '^$$' -fuzz '^FuzzClientFeed$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/smtpx
+	$(GO) test -run '^$$' -fuzz '^FuzzShimCodec$$' -fuzztime $(FUZZTIME) ./internal/shim
 
 # Chaos soak: the Botfarm demo under the "soak" fault profile (≥5% loss,
 # reorder/dup/corruption, link flaps, a CS crash, verdict stalls, a sink

@@ -72,10 +72,12 @@ type Server struct {
 	lifecycle LifecycleSink
 	udpSock   *host.UDPSock
 
-	// FlowsSeen counts containment requests handled; DecisionLog records
-	// them in order.
-	FlowsSeen   uint64
-	DecisionLog []LoggedDecision
+	// FlowsSeen counts containment requests handled.
+	FlowsSeen uint64
+
+	// out is where the server encodes the shims it answers with; the
+	// connection or socket it is written to copies it.
+	out []byte
 
 	// flowsSeen is the farm-wide cs.flows_seen counter (shared across
 	// cluster members, since they serve one logical decision point).
@@ -86,14 +88,6 @@ type Server struct {
 	// itself — policy evaluation and trigger observation — still happens
 	// immediately; only the answer is late.
 	verdictStall time.Duration
-}
-
-// LoggedDecision records one containment decision for reporting.
-type LoggedDecision struct {
-	Req      shim.Request
-	Verdict  shim.Verdict
-	Policy   string
-	Annotate string
 }
 
 type policyRange struct {
@@ -123,8 +117,8 @@ func NewServer(h *host.Host, port uint16, nonceIP netstack.Addr) (*Server, error
 }
 
 // Rebind re-registers the server's TCP and UDP listeners after its host was
-// reset (crash/restart injection). Policies, triggers, and the decision log
-// survive — only the network bindings are rebuilt.
+// reset (crash/restart injection). Policies, triggers and counters survive —
+// only the network bindings are rebuilt.
 func (s *Server) Rebind() error {
 	if err := s.Host.Listen(s.Port, s.acceptTCP); err != nil {
 		return err
@@ -188,29 +182,20 @@ func (s *Server) EmitLifecycle(action string, vlan uint16) {
 	}
 }
 
-// decide runs policy for a request and records the decision.
+// decide runs policy for a request and counts it.
 func (s *Server) decide(req *shim.Request, proto uint8) (Decision, string) {
 	s.FlowsSeen++
 	s.flowsSeen.Inc()
 	d := s.deciderFor(req.VLAN)
 	if d == nil {
-		dec := Decision{Verdict: shim.Drop, Annotation: "no policy assigned"}
-		s.log(req, dec, "Unassigned")
-		return dec, "Unassigned"
+		return Decision{Verdict: shim.Drop, Annotation: "no policy assigned"}, "Unassigned"
 	}
 	dec := d.Decide(req)
 	if dec.Verdict == 0 {
 		dec.Verdict = shim.Drop
 	}
-	s.log(req, dec, d.Name())
 	s.triggers.Observe(req, proto)
 	return dec, d.Name()
-}
-
-func (s *Server) log(req *shim.Request, dec Decision, policy string) {
-	s.DecisionLog = append(s.DecisionLog, LoggedDecision{
-		Req: *req, Verdict: dec.Verdict, Policy: policy, Annotate: dec.Annotation,
-	})
 }
 
 // acceptTCP handles a redirected flow: read the request shim, decide,
@@ -258,7 +243,8 @@ func (s *Server) handleUDP(src netstack.Addr, srcPort uint16, data []byte) {
 	// stall: a stalled server is slow, not dead, and must not be marked
 	// down. A crashed host never reaches this handler at all.
 	if hb, err := shim.UnmarshalHeartbeat(data); err == nil {
-		s.sendUDP(src, srcPort, hb.Marshal())
+		s.out = hb.AppendTo(s.out[:0])
+		s.sendUDP(src, srcPort, s.out)
 		return
 	}
 	req, err := shim.UnmarshalRequest(data[:min(len(data), shim.RequestLen)])
@@ -272,21 +258,21 @@ func (s *Server) handleUDP(src netstack.Addr, srcPort uint16, data []byte) {
 			OrigIP: req.OrigIP, RespIP: dec.RespIP, OrigPort: req.OrigPort, RespPort: dec.RespPort,
 			Verdict: dec.Verdict, PolicyName: policy, Annotation: dec.Annotation,
 		}
-		out := resp.Marshal()
+		s.out = resp.AppendTo(s.out[:0])
 		if dec.Verdict.Has(shim.Rewrite) && dec.Handler != nil {
 			// Impersonation for datagram protocols: the handler produces the
 			// reply payload synchronously via a one-shot session.
 			sess := &Session{server: s, udpReply: func(b []byte) {
-				reply := append(resp.Marshal(), b...)
-				s.sendUDP(src, srcPort, reply)
+				s.out = append(resp.AppendTo(s.out[:0]), b...)
+				s.sendUDP(src, srcPort, s.out)
 			}}
 			sess.started = true
 			sess.handler = dec.Handler
-			s.sendUDP(src, srcPort, out)
+			s.sendUDP(src, srcPort, s.out)
 			dec.Handler.OnClientData(sess, payload)
 			return
 		}
-		s.sendUDP(src, srcPort, out)
+		s.sendUDP(src, srcPort, s.out)
 	}
 	if d := s.verdictStall; d > 0 {
 		s.Host.Sim().Schedule(d, answer)

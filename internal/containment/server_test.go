@@ -54,11 +54,16 @@ func TestSwapPolicy(t *testing.T) {
 }
 
 // rewriteAll is a policy that takes every flow into content control and
-// records the client bytes its handler is shown.
-type rewriteAll struct{ seen map[uint16]string }
+// records, by nonce port, the requests it decides and the client bytes its
+// handler is shown.
+type rewriteAll struct {
+	reqs map[uint16]shim.Request
+	seen map[uint16]string
+}
 
 func (p *rewriteAll) Name() string { return "rewriteAll" }
-func (p *rewriteAll) Decide(*shim.Request) Decision {
+func (p *rewriteAll) Decide(req *shim.Request) Decision {
+	p.reqs[req.NoncePort] = *req
 	return Decision{Verdict: shim.Rewrite, Handler: p}
 }
 func (p *rewriteAll) OnClientData(s *Session, data []byte) { p.seen[s.Req.NoncePort] += string(data) }
@@ -83,7 +88,7 @@ func TestAcceptTCPRequestShimFraming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	policy := &rewriteAll{seen: map[uint16]string{}}
+	policy := &rewriteAll{reqs: map[uint16]shim.Request{}, seen: map[uint16]string{}}
 	srv.SetFallback(policy)
 
 	// Each case is one connection, told apart by its nonce port: the
@@ -114,17 +119,15 @@ func TestAcceptTCPRequestShimFraming(t *testing.T) {
 	if srv.FlowsSeen != uint64(len(cases)) {
 		t.Fatalf("server decided %d flows, want %d", srv.FlowsSeen, len(cases))
 	}
-	for _, d := range srv.DecisionLog {
-		if d.Req.OrigPort != 1000+d.Req.NoncePort || d.Req.VLAN != 16 || d.Verdict != shim.Rewrite {
-			t.Errorf("logged decision %+v does not match the shim sent", d)
-		}
-	}
 	for nonce := range cases {
+		if req := policy.reqs[nonce]; req.OrigPort != 1000+nonce || req.VLAN != 16 {
+			t.Errorf("case %d: policy decided %+v, not the shim sent", nonce, req)
+		}
 		if got := policy.seen[nonce]; got != "hello" {
 			t.Errorf("case %d: handler saw %q behind the shim, want %q", nonce, got, "hello")
 		}
 		var resp shim.Response
-		if n, err := resp.Unmarshal(answers[nonce]); err != nil || n != len(answers[nonce]) || resp.OrigPort != 1000+nonce {
+		if n, err := resp.Unmarshal(answers[nonce]); err != nil || n != len(answers[nonce]) || resp.OrigPort != 1000+nonce || resp.Verdict != shim.Rewrite {
 			t.Errorf("case %d: answer %x: %v", nonce, answers[nonce], err)
 		}
 	}

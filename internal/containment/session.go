@@ -68,13 +68,14 @@ func (sess *Session) start(req *shim.Request, extra []byte) {
 // (stall outlasted the await-verdict timeout) the client connection is
 // closed and the Write is a silent no-op: no unaccounted shim hits the wire.
 func (sess *Session) finishStart(dec Decision, policy string, extra []byte) {
-	req := sess.Req
-	resp := &shim.Response{
+	req, s := sess.Req, sess.server
+	resp := shim.Response{
 		OrigIP: req.OrigIP, RespIP: dec.RespIP,
 		OrigPort: req.OrigPort, RespPort: dec.RespPort,
 		Verdict: dec.Verdict, PolicyName: policy, Annotation: dec.Annotation,
 	}
-	sess.client.Write(resp.Marshal())
+	s.out = resp.AppendTo(s.out[:0])
+	sess.client.Write(s.out)
 
 	if !dec.Verdict.Has(shim.Rewrite) {
 		// Endpoint-control verdicts: the gateway takes over and will cut

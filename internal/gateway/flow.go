@@ -82,7 +82,8 @@ type Flow struct {
 	s2cShim   uint32 // bytes stripped CS->initiator
 	noncePort uint16
 
-	// CS->initiator reassembly until the response shim is complete.
+	// CS->initiator reassembly of a response shim split across segments,
+	// until it is complete (a whole one is decoded where it arrives).
 	csBuf     []byte
 	csNextSeq uint32
 
@@ -444,53 +445,72 @@ func l4Ports(p *netstack.Packet) (src, dst *uint16) {
 	return &p.TCP.SrcPort, &p.TCP.DstPort
 }
 
+// segmentHeaders and datagramHeaders are the header set of one packet the
+// router originates: Packet, IP and transport header.
+type segmentHeaders struct {
+	pkt netstack.Packet
+	ip  netstack.IPv4
+	tcp netstack.TCP
+}
+
+type datagramHeaders struct {
+	pkt netstack.Packet
+	ip  netstack.IPv4
+	udp netstack.UDP
+}
+
 // newSegment and newDatagram are the gateway's own voice: every packet it
 // originates rather than relays — request shim, ACKs and resets in an
 // endpoint's name, the phase-2 handshake and replay, shim-wrapped and
 // unwrapped datagrams, heartbeat probes — is built by one of the two, fully
 // addressed, and handed to sendToCS, deliverToInitiator or sendViaRoute
-// (DESIGN.md §3g). Packet, IP and transport headers are one allocation. A
-// reset advertises no window, every other segment 65535.
-func newSegment(src, dst netstack.Addr, sport, dport uint16, seq, ack uint32, flags uint8, payload []byte) *netstack.Packet {
-	o := &struct {
-		pkt netstack.Packet
-		ip  netstack.IPv4
-		tcp netstack.TCP
-	}{
+// (DESIGN.md §3g). The headers are the router's own set, zeroed whole and
+// refilled by every build: the packet is valid until the send it is handed
+// to returns, which marshals it (DESIGN.md §3b). A reset advertises no
+// window, every other segment 65535.
+func (r *Router) newSegment(src, dst netstack.Addr, sport, dport uint16, seq, ack uint32, flags uint8, payload []byte) *netstack.Packet {
+	o := &r.segOut
+	*o = segmentHeaders{
 		ip:  netstack.IPv4{TTL: netstack.DefaultTTL, Src: src, Dst: dst},
 		tcp: netstack.TCP{SrcPort: sport, DstPort: dport, Seq: seq, Ack: ack, Flags: flags, Window: 65535},
 	}
 	if flags&netstack.FlagRST != 0 {
 		o.tcp.Window = 0
 	}
-	o.pkt = netstack.Packet{
-		Eth: netstack.Ethernet{EtherType: netstack.EtherTypeIPv4},
-		IP:  &o.ip, TCP: &o.tcp, Payload: payload,
-	}
+	o.pkt.Eth.EtherType = netstack.EtherTypeIPv4
+	o.pkt.IP, o.pkt.TCP, o.pkt.Payload = &o.ip, &o.tcp, payload
 	return &o.pkt
 }
 
-func newDatagram(src, dst netstack.Addr, sport, dport uint16, payload []byte) *netstack.Packet {
-	o := &struct {
-		pkt netstack.Packet
-		ip  netstack.IPv4
-		udp netstack.UDP
-	}{
+func (r *Router) newDatagram(src, dst netstack.Addr, sport, dport uint16, payload []byte) *netstack.Packet {
+	o := &r.dgramOut
+	*o = datagramHeaders{
 		ip:  netstack.IPv4{TTL: netstack.DefaultTTL, Src: src, Dst: dst},
 		udp: netstack.UDP{SrcPort: sport, DstPort: dport},
 	}
-	o.pkt = netstack.Packet{
-		Eth: netstack.Ethernet{EtherType: netstack.EtherTypeIPv4},
-		IP:  &o.ip, UDP: &o.udp, Payload: payload,
-	}
+	o.pkt.Eth.EtherType = netstack.EtherTypeIPv4
+	o.pkt.IP, o.pkt.UDP, o.pkt.Payload = &o.ip, &o.udp, payload
 	return &o.pkt
+}
+
+// requestShim encodes the flow's containment request into the router's
+// shim buffer: valid, like an originated packet, until the send it rides
+// in returns. For an inbound flow OrigIP is the external initiator; the
+// VLAN identifies the responding inmate.
+func (f *Flow) requestShim() []byte {
+	req := shim.Request{
+		OrigIP: f.initIP, RespIP: f.respIP,
+		OrigPort: f.initPort, RespPort: f.respPort,
+		VLAN: f.vlan, NoncePort: f.noncePort,
+	}
+	return req.AppendTo(f.r.shimOut[:0])
 }
 
 // segmentToCS originates a segment on the containment-server leg in the
 // initiator's name: the request shim, the ACK for the response shim, the
 // reset that cuts the leg.
 func (f *Flow) segmentToCS(seq, ack uint32, flags uint8, payload []byte) {
-	f.sendToCS(newSegment(f.initIP, f.cs.IP, f.initPort, f.cs.Port, seq, ack, flags, payload))
+	f.sendToCS(f.r.newSegment(f.initIP, f.cs.IP, f.initPort, f.cs.Port, seq, ack, flags, payload))
 }
 
 // segmentToInitiator originates a segment toward the initiator in the
@@ -498,7 +518,7 @@ func (f *Flow) segmentToCS(seq, ack uint32, flags uint8, payload []byte) {
 // behind the shim. Segments relayed from a live peer are patched in place
 // instead: relayCSSegmentToInit, relayRespSegmentToInit.
 func (f *Flow) segmentToInitiator(seq, ack uint32, flags uint8, payload []byte) {
-	f.deliverToInitiator(newSegment(f.respIP, f.initIP, f.respPort, f.initPort, seq, ack, flags, payload))
+	f.deliverToInitiator(f.r.newSegment(f.respIP, f.initIP, f.respPort, f.initPort, seq, ack, flags, payload))
 }
 
 // deliverToInitiator routes an already-addressed packet to the initiator.
@@ -614,20 +634,9 @@ func (f *Flow) forwardInitToCS(p *netstack.Packet) {
 // injectRequestShim sends the 24-byte containment request into the
 // initiator->CS sequence space.
 func (f *Flow) injectRequestShim() {
-	req := &shim.Request{
-		OrigIP: f.initIP, RespIP: f.respIP,
-		OrigPort: f.initPort, RespPort: f.respPort,
-		VLAN: f.vlan, NoncePort: f.noncePort,
-	}
-	if f.inbound {
-		// For inbound flows the initiator is external; the VLAN identifies
-		// the responding inmate.
-		req.OrigIP = f.initIP
-	}
-	payload := req.Marshal()
-	f.segmentToCS(f.initISS+1, f.csISN+1, netstack.FlagACK|netstack.FlagPSH, payload)
+	f.segmentToCS(f.initISS+1, f.csISN+1, netstack.FlagACK|netstack.FlagPSH, f.requestShim())
 	f.shimSent = true
-	f.c2sShim = uint32(len(payload))
+	f.c2sShim = shim.RequestLen
 }
 
 // fromCS processes containment-server leg-1 packets toward the initiator.
@@ -656,12 +665,20 @@ func (f *Flow) fromCS(p *netstack.Packet) {
 			f.relayCSSegmentToInit(p, nil)
 			return
 		}
-		// Collect CS stream bytes until the response shim is complete.
+		// The response shim nearly always arrives whole in the first data
+		// segment and is decoded where it lies; csBuf only ever collects a
+		// split one.
 		if len(p.Payload) > 0 {
 			if t.Seq == f.csNextSeq {
-				f.csBuf = append(f.csBuf, p.Payload...)
 				f.csNextSeq += uint32(len(p.Payload))
-				f.tryParseResponseShim(t)
+				stream := p.Payload
+				if len(f.csBuf) > 0 {
+					f.csBuf = append(f.csBuf, p.Payload...)
+					stream = f.csBuf
+				}
+				if !f.tryParseResponseShim(stream) && len(f.csBuf) == 0 {
+					f.csBuf = append([]byte(nil), p.Payload...)
+				}
 			}
 			// Don't forward data to the initiator yet: everything so far
 			// is shim bytes (handled above) in the await state.
@@ -713,24 +730,24 @@ func (f *Flow) impersonateResponder(p *netstack.Packet) {
 	p.IP.Src, p.IP.Dst = f.respIP, f.initIP
 }
 
-// tryParseResponseShim attempts to parse the buffered CS stream as a
-// response shim; on success it strips it and applies the verdict.
-func (f *Flow) tryParseResponseShim(t *netstack.TCP) {
-	length, complete, err := shim.PeekLength(f.csBuf)
+// tryParseResponseShim parses the CS stream so far as a response shim; on
+// success it strips it and applies the verdict. It reports false while the
+// shim is still incomplete, true once the stream has been dealt with.
+func (f *Flow) tryParseResponseShim(stream []byte) bool {
+	length, complete, err := shim.PeekLength(stream)
 	if err != nil {
 		// The CS spoke something other than shim protocol; contain hard.
 		f.applyDrop("malformed response shim")
-		return
+		return true
 	}
 	if !complete {
-		return
+		return false
 	}
 	var resp shim.Response
-	if _, err := resp.Unmarshal(f.csBuf[:length]); err != nil {
+	if _, err := resp.Unmarshal(stream[:length]); err != nil {
 		f.applyDrop("bad response shim: " + err.Error())
-		return
+		return true
 	}
-	extra := append([]byte(nil), f.csBuf[length:]...)
 	f.csBuf = nil
 	f.s2cShim = uint32(length)
 
@@ -738,7 +755,8 @@ func (f *Flow) tryParseResponseShim(t *netstack.TCP) {
 	// shim, so its own ACKs can't cover it.
 	f.ackCS(f.csNextSeq)
 
-	f.applyVerdict(&resp, extra)
+	f.applyVerdict(&resp, stream[length:])
+	return true
 }
 
 // ackCS sends a pure ACK to the containment server on leg 1.

@@ -45,7 +45,7 @@ func (r *Router) SendHealthProbe(idx int, seq uint64) {
 	port := uint16(healthProbePortBase + idx)
 	r.healthPorts[port] = idx
 	hb := shim.Heartbeat{Seq: seq}
-	r.sendToVLAN(newDatagram(r.cfg.NonceIP, ep.IP, port, ep.Port, hb.Marshal()), ep.VLAN)
+	r.sendToVLAN(r.newDatagram(r.cfg.NonceIP, ep.IP, port, ep.Port, hb.AppendTo(r.shimOut[:0])), ep.VLAN)
 }
 
 // handleHealthReply delivers a heartbeat echo (a containment-server UDP

@@ -9,6 +9,7 @@ import (
 	"gq/internal/netsim"
 	"gq/internal/netstack"
 	"gq/internal/obs"
+	"gq/internal/shim"
 	"gq/internal/sim"
 )
 
@@ -155,6 +156,14 @@ type Router struct {
 	// single synchronous call chain; Port.Send copies before the event
 	// returns.
 	scratch []byte
+
+	// segOut and dgramOut are the headers of the packet the router is
+	// originating (newSegment, newDatagram), shimOut the request shim or
+	// heartbeat it carries. Each is rebuilt by the next packet: valid only
+	// until the send the packet is handed to returns (DESIGN.md §3b).
+	segOut   segmentHeaders
+	dgramOut datagramHeaders
+	shimOut  [shim.RequestLen]byte
 
 	// rxInmate counts IP packets received from inmate VLANs.
 	rxInmate uint64

@@ -387,7 +387,7 @@ func (s *gwSender) onAck(ack uint32) {
 // initiator's name.
 func (s *gwSender) transmit(seq, ack uint32, flags uint8, payload []byte) {
 	f := s.f
-	f.sendViaRoute(s.rt, newSegment(s.rt.srcIP, s.rt.dstIP, f.initPort, f.actualPort, seq, ack, flags, payload))
+	f.sendViaRoute(s.rt, f.r.newSegment(s.rt.srcIP, s.rt.dstIP, f.initPort, f.actualPort, seq, ack, flags, payload))
 }
 
 func (s *gwSender) sendRST() {

@@ -48,16 +48,11 @@ func (f *Flow) udpFromInitiator(p *netstack.Packet) {
 // sendUDPToCS wraps a datagram payload with the request shim and delivers
 // it to the containment server.
 func (f *Flow) sendUDPToCS(payload []byte) {
-	req := &shim.Request{
-		OrigIP: f.initIP, RespIP: f.respIP,
-		OrigPort: f.initPort, RespPort: f.respPort,
-		VLAN: f.vlan, NoncePort: f.noncePort,
-	}
-	wrapped := append(req.Marshal(), payload...)
+	wrapped := append(f.requestShim(), payload...)
 	// Source the datagram from the flow's nonce port so the containment
 	// server's reply demultiplexes to this flow even when one inmate
 	// socket talks to many destinations.
-	f.sendToCS(newDatagram(f.initIP, f.cs.IP, f.noncePort, f.cs.Port, wrapped))
+	f.sendToCS(f.r.newDatagram(f.initIP, f.cs.IP, f.noncePort, f.cs.Port, wrapped))
 }
 
 // udpFromCS handles containment-server datagrams: a response shim followed
@@ -122,7 +117,7 @@ func (f *Flow) forwardUDPToResponder(payload []byte) {
 	if !ok {
 		return
 	}
-	f.sendViaRoute(rt, newDatagram(rt.srcIP, rt.dstIP, f.initPort, f.actualPort, payload))
+	f.sendViaRoute(rt, f.r.newDatagram(rt.srcIP, rt.dstIP, f.initPort, f.actualPort, payload))
 }
 
 // udpFromResponder relays responder datagrams back, impersonating the
@@ -138,5 +133,5 @@ func (f *Flow) udpFromResponder(p *netstack.Packet) {
 // datagramToInitiator originates a datagram toward the initiator in the
 // original responder's name.
 func (f *Flow) datagramToInitiator(payload []byte) {
-	f.deliverToInitiator(newDatagram(f.respIP, f.initIP, f.respPort, f.initPort, payload))
+	f.deliverToInitiator(f.r.newDatagram(f.respIP, f.initIP, f.respPort, f.initPort, payload))
 }

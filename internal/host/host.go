@@ -370,7 +370,7 @@ func (h *Host) allocEphemeral() uint16 {
 // addConn enters c into the connection table.
 func (h *Host) addConn(c *Conn) {
 	h.conns[c.key] = c
-	h.portConns[c.localPort]++
+	h.portConns[c.key.localPort]++
 }
 
 // dropConn takes c out of the connection table. A connection the table no
@@ -381,10 +381,10 @@ func (h *Host) dropConn(c *Conn) {
 		return
 	}
 	delete(h.conns, c.key)
-	if n := h.portConns[c.localPort]; n > 1 {
-		h.portConns[c.localPort] = n - 1
+	if n := h.portConns[c.key.localPort]; n > 1 {
+		h.portConns[c.key.localPort] = n - 1
 	} else {
-		delete(h.portConns, c.localPort)
+		delete(h.portConns, c.key.localPort)
 	}
 }
 

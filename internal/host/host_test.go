@@ -2,6 +2,7 @@ package host
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -340,5 +341,13 @@ func TestShutdownStopsTraffic(t *testing.T) {
 func TestTCPStateStrings(t *testing.T) {
 	if StateEstablished.String() != "ESTABLISHED" || StateTimeWait.String() != "TIME_WAIT" {
 		t.Error("state names wrong")
+	}
+}
+
+// Every flow through the farm opens a Conn on up to three hosts. Its
+// endpoint lives once, in key: a Conn fits the 320-byte size class.
+func TestConnSize(t *testing.T) {
+	if n := reflect.TypeOf(Conn{}).Size(); n > 320 {
+		t.Errorf("host.Conn is %d bytes, want at most 320", n)
 	}
 }

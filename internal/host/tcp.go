@@ -61,12 +61,9 @@ var ErrTimeout = errors.New("connection timed out")
 // events; applications must not block inside them.
 type Conn struct {
 	host *Host
-	key  connKey
+	key  connKey // the endpoint: local port, remote address and port
 
-	state      TCPState
-	localPort  uint16
-	remoteIP   netstack.Addr
-	remotePort uint16
+	state TCPState
 
 	// Send state. sndBuf holds bytes from sequence number sndUna onward;
 	// the first sndNxt-sndUna bytes are in flight. It is a window sliding
@@ -119,10 +116,10 @@ type Conn struct {
 func (c *Conn) State() TCPState { return c.state }
 
 // LocalPort returns the local port.
-func (c *Conn) LocalPort() uint16 { return c.localPort }
+func (c *Conn) LocalPort() uint16 { return c.key.localPort }
 
 // RemoteAddr returns the peer address and port.
-func (c *Conn) RemoteAddr() (netstack.Addr, uint16) { return c.remoteIP, c.remotePort }
+func (c *Conn) RemoteAddr() (netstack.Addr, uint16) { return c.key.remoteIP, c.key.remotePort }
 
 // LocalAddr returns the host address.
 func (c *Conn) LocalAddr() netstack.Addr { return c.host.addr }
@@ -155,9 +152,8 @@ func (h *Host) Dial(dst netstack.Addr, port uint16) *Conn {
 
 func (h *Host) newConn(localPort uint16, rip netstack.Addr, rport uint16) *Conn {
 	c := &Conn{
-		host:      h,
-		key:       connKey{localPort: localPort, remoteIP: rip, remotePort: rport},
-		localPort: localPort, remoteIP: rip, remotePort: rport,
+		host:   h,
+		key:    connKey{localPort: localPort, remoteIP: rip, remotePort: rport},
 		rto:    rtoInitial,
 		sndWnd: DefaultWindow,
 	}
@@ -274,11 +270,11 @@ func (c *Conn) trySend() {
 
 func (c *Conn) sendSegment(flags uint8, seq, ack uint32, payload []byte) {
 	t := netstack.TCP{
-		SrcPort: c.localPort, DstPort: c.remotePort,
+		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
 		Seq: seq, Ack: ack, Flags: flags, Window: DefaultWindow,
 	}
-	frame := t.Marshal(newIPFrame(netstack.TCPHeaderLen+len(payload)), c.host.addr, c.remoteIP, payload)
-	c.host.sendIP(c.remoteIP, netstack.ProtoTCP, frame)
+	frame := t.Marshal(newIPFrame(netstack.TCPHeaderLen+len(payload)), c.host.addr, c.key.remoteIP, payload)
+	c.host.sendIP(c.key.remoteIP, netstack.ProtoTCP, frame)
 }
 
 func (c *Conn) armRetransmit() { c.rtx.Reset(c.rto) }

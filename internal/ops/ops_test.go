@@ -222,15 +222,15 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatalf("quarantine of unknown VLAN answered %d", code)
 	}
 
-	// Verify the swap dispatches: decisions made after the swap on VLANs
+	// Verify the swap dispatches: flows adjudicated after the swap on VLANs
 	// 16-17 must name HardDeny. Read sim-owned state through the driver.
 	target := d.Now() + 10*time.Minute
 	waitSim(t, d, target)
 	var swapped bool
 	err = d.Do(5*time.Second, f.Sim, func() error {
 		for _, sub := range f.Subfarms {
-			for _, ld := range sub.CS.DecisionLog {
-				if ld.Policy == "HardDeny" {
+			for _, rec := range sub.Router.Records() {
+				if rec.Policy == "HardDeny" {
 					swapped = true
 				}
 			}

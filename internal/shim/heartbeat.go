@@ -15,9 +15,10 @@ type Heartbeat struct {
 	Seq uint64
 }
 
-// Marshal encodes the 16-byte heartbeat probe.
-func (h *Heartbeat) Marshal() []byte {
-	b := putPreamble(make([]byte, 0, HeartbeatLen), TypeHeartbeat, HeartbeatLen)
+// AppendTo appends the 16-byte heartbeat probe to b and returns the
+// extended slice.
+func (h *Heartbeat) AppendTo(b []byte) []byte {
+	b = putPreamble(b, TypeHeartbeat, HeartbeatLen)
 	return binary.BigEndian.AppendUint64(b, h.Seq)
 }
 

@@ -152,9 +152,13 @@ func IsRequest(b []byte) bool {
 		b[6] == TypeRequest && b[7] == Version
 }
 
-// Marshal encodes the 24-byte request shim.
-func (r *Request) Marshal() []byte {
-	b := putPreamble(make([]byte, 0, RequestLen), TypeRequest, RequestLen)
+// Marshal encodes the 24-byte request shim into a new buffer.
+func (r *Request) Marshal() []byte { return r.AppendTo(make([]byte, 0, RequestLen)) }
+
+// AppendTo appends the 24-byte request shim to b and returns the extended
+// slice: the per-flow paths encode into storage they own.
+func (r *Request) AppendTo(b []byte) []byte {
+	b = putPreamble(b, TypeRequest, RequestLen)
 	b = binary.BigEndian.AppendUint32(b, uint32(r.OrigIP))
 	b = binary.BigEndian.AppendUint32(b, uint32(r.RespIP))
 	b = binary.BigEndian.AppendUint16(b, r.OrigPort)
@@ -198,10 +202,15 @@ func (r *Request) Unmarshal(b []byte) error {
 	return nil
 }
 
-// Marshal encodes the response shim (>= 56 bytes).
+// Marshal encodes the response shim (>= 56 bytes) into a new buffer.
 func (r *Response) Marshal() []byte {
-	total := ResponseMinLen + len(r.Annotation)
-	b := putPreamble(make([]byte, 0, total), TypeResponse, total)
+	return r.AppendTo(make([]byte, 0, ResponseMinLen+len(r.Annotation)))
+}
+
+// AppendTo appends the response shim (>= 56 bytes) to b and returns the
+// extended slice.
+func (r *Response) AppendTo(b []byte) []byte {
+	b = putPreamble(b, TypeResponse, ResponseMinLen+len(r.Annotation))
 	b = binary.BigEndian.AppendUint32(b, uint32(r.OrigIP))
 	b = binary.BigEndian.AppendUint32(b, uint32(r.RespIP))
 	b = binary.BigEndian.AppendUint16(b, r.OrigPort)

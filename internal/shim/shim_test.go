@@ -1,6 +1,7 @@
 package shim
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -255,4 +256,77 @@ func TestPropertyUnmarshalNoPanic(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzShimCodec: no input makes PeekLength or a decoder panic, and any
+// message that decodes re-encodes through AppendTo behind an arbitrary
+// prefix — leaving the prefix as it was — to bytes that decode to the same
+// value, exactly what Marshal produces.
+func FuzzShimCodec(f *testing.F) {
+	req := (&Request{
+		OrigIP: netstack.MustParseAddr("10.0.0.23"), RespIP: netstack.MustParseAddr("192.150.187.12"),
+		OrigPort: 1234, RespPort: 80, VLAN: 12, NoncePort: 42,
+	}).Marshal()
+	resp := (&Response{
+		OrigIP: netstack.MustParseAddr("10.0.0.23"), RespIP: netstack.MustParseAddr("10.3.0.1"),
+		OrigPort: 1234, RespPort: 6666, Verdict: Rewrite, PolicyName: "Rustock", Annotation: "C&C filtering",
+	}).Marshal()
+	badMagic := append([]byte(nil), req...)
+	badMagic[0] ^= 0xff
+	badVersion := append([]byte(nil), req...)
+	badVersion[7] = 99
+	for _, b := range [][]byte{
+		req, resp, badMagic, badVersion, resp[:4], resp[:20], append(resp, "trailing bytes"...),
+		(&Request{}).Marshal(),
+		(&Response{Verdict: Drop, PolicyName: "DefaultDeny"}).Marshal(),
+		(&Response{Verdict: Forward, PolicyName: "ThisPolicyNameIsFarLongerThanTheThirtyTwoByteFieldAllows"}).Marshal(),
+		(&Response{Verdict: Reflect, PolicyName: "SpambotBase", Annotation: "full SMTP containment"}).Marshal(),
+		(&Heartbeat{Seq: 7}).AppendTo(nil),
+		[]byte("GET / HTTP/1.1\r\n"),
+	} {
+		f.Add([]byte(nil), b)
+		f.Add([]byte("prefix"), b)
+	}
+	f.Fuzz(func(t *testing.T, prefix, b []byte) {
+		if n, complete, err := PeekLength(b); err == nil && complete && (n > len(b) || n < 0) {
+			t.Fatalf("PeekLength reports a whole %d-byte message in %d bytes", n, len(b))
+		}
+		// reencode appends a message behind prefix, checks the prefix
+		// survived and that AppendTo(nil) is Marshal (where there is one),
+		// and returns the appended bytes.
+		reencode := func(appendTo func([]byte) []byte, marshal []byte) []byte {
+			kept := append([]byte(nil), prefix...)
+			out := appendTo(prefix)
+			if !bytes.Equal(out[:len(kept)], kept) {
+				t.Fatalf("AppendTo overwrote its prefix: % x, was % x", out[:len(kept)], kept)
+			}
+			if nilOut := appendTo(nil); marshal != nil && !bytes.Equal(nilOut, marshal) {
+				t.Fatalf("AppendTo(nil) % x, Marshal % x", nilOut, marshal)
+			}
+			return out[len(kept):]
+		}
+		var req Request
+		if err := req.Unmarshal(b); err == nil {
+			var again Request
+			if err := again.Unmarshal(reencode(req.AppendTo, req.Marshal())); err != nil || again != req {
+				t.Fatalf("request %+v re-encoded decodes to %+v, %v", req, again, err)
+			}
+		}
+		var resp Response
+		if n, err := resp.Unmarshal(b); err == nil {
+			if n > len(b) {
+				t.Fatalf("response of %d bytes decoded from %d", n, len(b))
+			}
+			var again Response
+			enc := reencode(resp.AppendTo, resp.Marshal())
+			if m, err := again.Unmarshal(enc); err != nil || again != resp || m != len(enc) {
+				t.Fatalf("response %+v re-encoded decodes to %+v (%d of %d bytes), %v", resp, again, m, len(enc), err)
+			}
+		}
+		if hb, err := UnmarshalHeartbeat(b); err == nil {
+			if again, err := UnmarshalHeartbeat(reencode(hb.AppendTo, nil)); err != nil || *again != *hb {
+				t.Fatalf("heartbeat %+v re-encoded decodes to %+v, %v", hb, again, err)
+			}
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package sink
 
 import (
+	"bytes"
 	"strconv"
 	"strings"
 	"testing"
@@ -295,5 +296,90 @@ func TestHTTPSink(t *testing.T) {
 	s.RunFor(time.Minute)
 	if hs.Hits != 2 || len(hs.URLs) != 2 || hs.URLs[1] != "/click?ad=2" {
 		t.Fatalf("hits=%d urls=%v", hs.Hits, hs.URLs)
+	}
+}
+
+// An HTTP request head is inmate-chosen bytes: 8 MiB without the blank line
+// that ends one closes the connection, and the sink never holds more than
+// maxRequestHead of it. Heads split across segments still parse, Hits
+// counts every request and URLs keeps the first maxKeptURLs targets.
+func TestHTTPSinkBoundsRequestHeads(t *testing.T) {
+	s, bot, sinkHost, _ := net3(t, 11)
+	hs, err := NewHTTPSink(sinkHost, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var srv *host.Conn
+	if err := sinkHost.Listen(81, func(c *host.Conn) { srv = c }); err != nil {
+		t.Fatal(err)
+	}
+	flood := bot.Dial(sinkHost.Addr(), 80)
+	var refused bool
+	flood.OnPeerClose = func() { refused = true }
+	flood.OnConnect = func() { flood.Write(bytes.Repeat([]byte("A"), 8<<20)) }
+	bot.Dial(sinkHost.Addr(), 81)
+	s.RunFor(time.Minute)
+	if !refused || hs.Hits != 0 {
+		t.Fatalf("8 MiB without a blank line: sink closed = %v, hits %d", refused, hs.Hits)
+	}
+
+	// The same stream fed to one connection's reader, segment by segment.
+	hc := &httpConn{sink: hs, conn: srv}
+	seg := bytes.Repeat([]byte("A"), 1460)
+	for fed := 0; fed < 8<<20; fed += len(seg) {
+		hc.onData(seg)
+		if cap(hc.buf) > maxRequestHead {
+			t.Fatalf("after %d bytes the head buffer holds %d, bound %d", fed+len(seg), cap(hc.buf), maxRequestHead)
+		}
+	}
+	if !hc.closed || hs.Hits != 0 {
+		t.Fatalf("reader closed = %v, hits %d", hc.closed, hs.Hits)
+	}
+	// One delivery past the bound, without its blank line or with it.
+	long := bytes.Repeat([]byte("B"), 2*maxRequestHead)
+	for _, d := range [][]byte{long, append(long[:maxRequestHead:maxRequestHead], "\r\n\r\n"...)} {
+		hc := &httpConn{sink: hs, conn: srv}
+		hc.onData(d)
+		if !hc.closed || cap(hc.buf) > maxRequestHead {
+			t.Fatalf("a %d-byte delivery: reader closed = %v, buffer %d", len(d), hc.closed, cap(hc.buf))
+		}
+	}
+
+	// Well-formed traffic, every request cut at a different place.
+	var stream []byte
+	const requests = maxKeptURLs + 10
+	for i := 0; i < requests; i++ {
+		stream = append(stream, "GET /click?ad="+strconv.Itoa(i)+" HTTP/1.1\r\nHost: ads.example\r\n\r\n"...)
+	}
+	hc = &httpConn{sink: hs, conn: srv}
+	for off, n := 0, 1; off < len(stream); off, n = off+n, n%97+1 {
+		hc.onData(stream[off:min(off+n, len(stream))])
+	}
+	if hc.closed || hs.Hits != requests || len(hs.URLs) != maxKeptURLs ||
+		hs.URLs[0] != "/click?ad=0" || hs.URLs[maxKeptURLs-1] != "/click?ad="+strconv.Itoa(maxKeptURLs-1) {
+		t.Fatalf("closed %v, hits %d, %d URLs kept (first %q)", hc.closed, hs.Hits, len(hs.URLs), hs.URLs[:1])
+	}
+}
+
+// A grabbed greeting longer than an SMTP reply line is no banner: the sink
+// falls back to its static one at once instead of buffering the target's
+// bytes until the grab times out.
+func TestSMTPSinkBannerGrabBounded(t *testing.T) {
+	s, bot, sinkHost, mx := net3(t, 12)
+	if err := mx.Listen(25, func(c *host.Conn) { c.Write(bytes.Repeat([]byte("2"), 8<<20)) }); err != nil {
+		t.Fatal(err)
+	}
+	sk, _ := NewSMTPSink(sinkHost, SMTPConfig{Port: 2526, Banner: "220 fallback", BannerGrab: true, Strictness: smtpx.Lenient})
+	sk.Expect(bot.Addr(), mx.Addr())
+	var banner string
+	c := bot.Dial(sinkHost.Addr(), 2526)
+	c.OnData = func(d []byte) {
+		if banner == "" {
+			banner = strings.TrimSpace(string(d))
+		}
+	}
+	s.RunFor(time.Second) // the grab gives up after five
+	if banner != "220 fallback" || sk.bannerCache[mx.Addr()] != "220 fallback" {
+		t.Fatalf("banner %q (cached %q), want the fallback", banner, sk.bannerCache[mx.Addr()])
 	}
 }
