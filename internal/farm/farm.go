@@ -225,10 +225,6 @@ type SubfarmConfig struct {
 
 	MaxFlowsPerMinute        int
 	MaxFlowsPerDestPerMinute int
-	// MaxFlows bounds the router's flow table; at the bound the least-
-	// recently-active flow is shed with an RST. Zero means the gateway
-	// default (gateway.DefaultMaxFlows).
-	MaxFlows int
 
 	// PolicyConfig is the Fig. 6 containment server configuration text.
 	PolicyConfig string

@@ -100,7 +100,6 @@ func (f *Farm) AddSubfarm(cfg SubfarmConfig) (*Subfarm, error) {
 
 		MaxFlowsPerMinute:        cfg.MaxFlowsPerMinute,
 		MaxFlowsPerDestPerMinute: cfg.MaxFlowsPerDestPerMinute,
-		MaxFlows:                 cfg.MaxFlows,
 	})
 	if f.Coord != nil {
 		// Wire the private switch into the router's private trunk. The

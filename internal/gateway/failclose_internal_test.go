@@ -6,7 +6,6 @@ import (
 
 	"gq/internal/netstack"
 	"gq/internal/shim"
-	"gq/internal/sim"
 )
 
 // rstCollector taps the router and buckets RSTs by destination. It keeps
@@ -85,27 +84,11 @@ func TestAwaitVerdictDeadlineFailsClosed(t *testing.T) {
 	}
 }
 
-// A shorter AwaitVerdictTimeout must be honored: the knob exists so a farm
-// that wants tighter fail-closed bounds can have them.
-func TestAwaitVerdictTimeoutKnob(t *testing.T) {
-	s := sim.New(1)
-	g := New(s)
-	r := g.AddRouter(RouterConfig{
-		Name:   "knobrig",
-		VLANLo: 10, VLANHi: 20,
-		ServiceVLANs:        []uint16{2},
-		InternalPrefix:      netstack.MustParsePrefix("10.0.0.0/16"),
-		RouterIP:            netstack.MustParseAddr("10.0.0.1"),
-		ServicePrefix:       netstack.MustParsePrefix("10.3.0.0/16"),
-		ServiceRouterIP:     netstack.MustParseAddr("10.3.0.254"),
-		GlobalPool:          netstack.MustParsePrefix("192.0.2.0/24"),
-		GlobalPoolStart:     16,
-		ContainmentVLAN:     2,
-		ContainmentIP:       netstack.MustParseAddr("10.3.0.1"),
-		ContainmentPort:     6666,
-		NonceIP:             netstack.MustParseAddr("10.4.0.1"),
-		AwaitVerdictTimeout: 10 * time.Second,
-	})
+// The sweep reads the await-verdict bound the router holds, not a constant
+// of its own: a tighter one resolves the flow well short of the default.
+func TestAwaitVerdictBoundHonoured(t *testing.T) {
+	s, r := newSweepRig(t)
+	r.awaitVerdictTimeout = 10 * time.Second
 	key := netstack.FlowKey{
 		VLAN:  11,
 		SrcIP: netstack.MustParseAddr("10.0.0.3"), SrcPort: 4200,
@@ -117,7 +100,7 @@ func TestAwaitVerdictTimeoutKnob(t *testing.T) {
 
 	s.RunFor(45 * time.Second) // one sweep past the 10s bound, well short of the 1m default
 	if n := r.ActiveFlows(); n != 0 {
-		t.Fatalf("ActiveFlows = %d — custom await-verdict timeout not honored", n)
+		t.Fatalf("ActiveFlows = %d — the router's await-verdict bound not honoured", n)
 	}
 	if !f.rec.FailClosed {
 		t.Fatal("record not marked fail-closed")

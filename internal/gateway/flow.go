@@ -103,9 +103,9 @@ type Flow struct {
 	seqDelta    uint32 // responder->initiator: seq_initiator_view = seq + seqDelta
 	sender      *gwSender
 
-	// Rewrite leg 2 (containment server <-> actual responder via nonce).
-	leg2CS   flowHalfKey // CS-side endpoint of the nonce connection
-	leg2Live bool
+	// leg2 is the containment server's end of the REWRITE leg-2 nonce
+	// connection: the one index key a flow holds rather than derives (keys).
+	leg2 flowKey
 
 	// cs is the containment server handling this flow (sticky per inmate
 	// when a cluster is configured).
@@ -128,6 +128,20 @@ type Flow struct {
 func (f *Flow) now() time.Duration { return f.r.sim.Now() }
 
 func (f *Flow) touch() { f.lastActivity = f.now() }
+
+// keys are the index keys f owns, one slot per kind, zero where it owns none
+// yet: keyActual until the verdict, keyLeg2 until the server dials leg 2.
+func (f *Flow) keys() [numKeyKinds]flowKey {
+	ks := [numKeyKinds]flowKey{
+		keyInit:  endpointKey(keyInit, f.proto, f.initIP, f.initPort, f.respIP, f.respPort),
+		keyNonce: nonceKey(f.noncePort),
+		keyLeg2:  f.leg2,
+	}
+	if f.actualIP != 0 {
+		ks[keyActual] = endpointKey(keyActual, f.proto, f.initIP, f.initPort, f.actualIP, f.actualPort)
+	}
+	return ks
+}
 
 // event starts a journal event about this flow: the inmate VLAN and the
 // five-tuple as the initiator addressed it, which every flow event carries.
@@ -160,59 +174,32 @@ func (r *Router) dispatchInmateIP(p *netstack.Packet) {
 	if !ok {
 		return
 	}
-	if key.Proto == netstack.ProtoUDP {
-		if f, found := r.udpFlows[udpKey{key.SrcIP, key.SrcPort, key.DstIP, key.DstPort}]; found {
-			f.fromInitiator(p)
-			return
-		}
-		if f, found := r.udpByActual[udpKey{key.DstIP, key.DstPort, key.SrcIP, key.SrcPort}]; found {
-			f.fromResponder(p)
-			return
-		}
-		if r.lockdownDrop() {
-			return
-		}
-		if !r.safetyCheck(p.Eth.VLAN, p.IP.Dst) {
-			return
-		}
-		f := r.newFlow(key, p.Eth.VLAN, false)
-		f.fromInitiator(p)
-		return
-	}
-	// Existing TCP flow where this inmate is the initiator?
-	if f, found := r.flows[flowHalfKey{key.SrcIP, key.SrcPort, key.Proto}]; found {
+	// Existing flow where this inmate is the initiator?
+	if f := r.flowFromInitiator(key); f != nil {
 		// A pure SYN with a new ISN on a known tuple is a fresh
 		// incarnation — reverted inmates reuse ephemeral ports. Retire the
 		// stale flow and adjudicate the new one from scratch.
-		if p.TCP.Flags&(netstack.FlagSYN|netstack.FlagACK) == netstack.FlagSYN &&
-			p.TCP.Seq != f.initISS {
-			f.abortResponder()
-			f.close("superseded by new incarnation")
-		} else {
+		if !pureSYN(p) || p.TCP.Seq == f.initISS {
 			f.fromInitiator(p)
 			return
 		}
+		f.abortResponder()
+		f.close("superseded by new incarnation")
 	}
 	// Existing flow where this inmate is the responder (inbound flows,
-	// worm-style redirections)? Redirected flows carry the initiating
-	// inmate's global address, so translate before the lookup.
-	respDst := key.DstIP
-	if b := r.nat.ByGlobal(respDst); b != nil {
-		respDst = b.Internal
-	}
-	if f, found := r.flows[flowHalfKey{respDst, key.DstPort, key.Proto}]; found {
+	// worm-style redirections)?
+	if f := r.flowFromResponder(key); f != nil {
 		f.fromResponder(p)
 		return
 	}
-	// New outbound flow. Only flow-initiating pure SYNs create state;
-	// stray mid-stream packets (stale after a revert) get nothing.
-	if p.TCP != nil && p.TCP.Flags&(netstack.FlagSYN|netstack.FlagACK) != netstack.FlagSYN {
-		return
-	}
-	// A SYN retransmission of a flow that just failed closed is not a new
-	// connection attempt: the initiator has already been reset, this copy
-	// was merely in flight. Admitting it would double-count the incarnation.
+	// New outbound flow. Only pure SYNs create TCP state: not stray
+	// mid-stream packets (stale after a revert), nor a SYN retransmission of
+	// a flow that just failed closed — its initiator was already reset, and
+	// admitting the copy in flight would double-count the incarnation.
 	if p.TCP != nil {
+		if !pureSYN(p) {
+			return
+		}
 		tk := synTombKey{key.SrcIP, key.SrcPort, key.DstIP, key.DstPort, p.TCP.Seq}
 		if exp, ok := r.synTombs[tk]; ok && r.sim.Now() <= exp {
 			return
@@ -226,6 +213,11 @@ func (r *Router) dispatchInmateIP(p *netstack.Packet) {
 	}
 	f := r.newFlow(key, p.Eth.VLAN, false)
 	f.fromInitiator(p)
+}
+
+// pureSYN reports whether p opens a TCP connection: SYN without ACK.
+func pureSYN(p *netstack.Packet) bool {
+	return p.TCP != nil && p.TCP.Flags&(netstack.FlagSYN|netstack.FlagACK) == netstack.FlagSYN
 }
 
 // newFlow creates and registers flow state for a new five-tuple.
@@ -252,12 +244,10 @@ func (r *Router) newFlow(key netstack.FlowKey, vlan uint16, inbound bool) *Flow 
 	f.linger.Init(r.sim, func() { f.close("") })
 	f.cs = r.containmentFor(f.vlan)
 	f.rec = r.newFlowRecord(f)
-	f.noncePort = r.allocNonce(f)
-	if key.Proto == netstack.ProtoUDP {
-		r.udpFlows[udpKey{f.initIP, f.initPort, f.respIP, f.respPort}] = f
-	} else {
-		r.flows[flowHalfKey{f.initIP, f.initPort, f.proto}] = f
-	}
+	f.noncePort = r.allocNonce()
+	keys := f.keys()
+	r.register(f, keys[keyInit])
+	r.register(f, keys[keyNonce])
 	r.FlowsActive.Set(int64(r.ActiveFlows()))
 	r.sc.Emit(f.event(obs.EvFlowCreated))
 	f.touch()
@@ -271,33 +261,17 @@ func (r *Router) handleFromOutside(p *netstack.Packet) {
 	if !ok {
 		return
 	}
-	if key.Proto == netstack.ProtoUDP {
-		if f, found := r.udpFlows[udpKey{key.SrcIP, key.SrcPort, key.DstIP, key.DstPort}]; found && f.inbound {
-			f.fromInitiator(p)
-			return
-		}
-		if b := r.nat.ByGlobal(key.DstIP); b != nil {
-			if f, found := r.udpByActual[udpKey{b.Internal, key.DstPort, key.SrcIP, key.SrcPort}]; found {
-				f.fromResponder(p)
-				return
-			}
-		}
-	} else {
-		// Existing flow with an external initiator?
-		if f, found := r.flows[flowHalfKey{key.SrcIP, key.SrcPort, key.Proto}]; found && f.inbound {
-			f.fromInitiator(p)
-			return
-		}
-		// Reply to an inmate-initiated flow: translate global dst to internal.
-		if b := r.nat.ByGlobal(key.DstIP); b != nil {
-			if f, found := r.flows[flowHalfKey{b.Internal, key.DstPort, key.Proto}]; found {
-				f.fromResponder(p)
-				return
-			}
-		}
-		if p.TCP.Flags&netstack.FlagSYN == 0 {
-			return
-		}
+	// Existing flow with an external initiator, or a reply to an inmate's?
+	if f := r.flowFromInitiator(key); f != nil && f.inbound {
+		f.fromInitiator(p)
+		return
+	}
+	if f := r.flowFromResponder(key); f != nil {
+		f.fromResponder(p)
+		return
+	}
+	if p.TCP != nil && p.TCP.Flags&netstack.FlagSYN == 0 {
+		return // only a SYN opens an inbound TCP flow
 	}
 	// New inbound flow: subject to the NAT inbound mode. Inbound rewrites
 	// the destination to the inmate's internal address in place; that is
@@ -323,9 +297,7 @@ func (r *Router) dispatchServiceIP(p *netstack.Packet) {
 	if !ok {
 		return
 	}
-	// Containment server leg-1 traffic toward an initiator. UDP replies
-	// arrive on the flow's nonce port (the gateway rewrote the source port
-	// of the shim-padded datagram so replies demultiplex unambiguously).
+	// Containment server leg-1 traffic toward an initiator.
 	if r.isContainmentEndpoint(key.SrcIP, key.SrcPort) {
 		// Run the subfarm taps before the flow machinery strips the
 		// response shim: the redirected initiator->CS frames are already
@@ -334,41 +306,29 @@ func (r *Router) dispatchServiceIP(p *netstack.Packet) {
 		for _, t := range r.taps {
 			t(p)
 		}
-		if key.Proto == netstack.ProtoUDP {
-			// (Every flow owns a nonce port: a datagram to a TCP flow's is no
-			// reply, as a SYN to a UDP flow's below opens no leg 2.)
-			if f, found := r.byNonce[key.DstPort]; found && f.proto == key.Proto {
-				f.fromCS(p)
-				return
-			}
-			// Not a flow reply: perhaps a heartbeat echo for the
-			// supervisor (probe source ports sit below the nonce range).
-			r.handleHealthReply(key, p)
+		if f := r.flowFromCS(key); f != nil {
+			f.fromCS(p)
 			return
 		}
-		if f, found := r.flows[flowHalfKey{key.DstIP, key.DstPort, key.Proto}]; found {
-			f.fromCS(p)
-		}
+		// Not a flow reply: perhaps a heartbeat echo for the supervisor
+		// (probe source ports sit below the nonce range).
+		r.handleHealthReply(key, p)
 		return
 	}
-	// Nonce-port connections from the containment server (leg 2).
+	// Nonce-port connections from the containment server (leg 2), opened by
+	// a SYN to a TCP flow's nonce port.
 	if key.DstIP == r.cfg.NonceIP {
-		if f, found := r.nonceLegs[flowHalfKey{key.SrcIP, key.SrcPort, key.Proto}]; found {
+		if f := r.index[leg2Key(key)]; f != nil {
 			f.leg2FromCS(p)
 			return
 		}
-		if f, found := r.byNonce[key.DstPort]; found && f.proto == key.Proto && p.TCP != nil && p.TCP.Flags&netstack.FlagSYN != 0 {
+		if f := r.index[nonceKey(key.DstPort)]; f != nil && f.proto == key.Proto && p.TCP != nil && p.TCP.Flags&netstack.FlagSYN != 0 {
 			f.leg2Open(p)
 		}
 		return
 	}
 	// A service host (sink) acting as a flow responder?
-	if key.Proto == netstack.ProtoUDP {
-		if f, found := r.udpByActual[udpKey{key.DstIP, key.DstPort, key.SrcIP, key.SrcPort}]; found {
-			f.fromResponder(p)
-			return
-		}
-	} else if f, found := r.flows[flowHalfKey{key.DstIP, key.DstPort, key.Proto}]; found {
+	if f := r.flowFromResponder(key); f != nil {
 		f.fromResponder(p)
 		return
 	}
@@ -983,16 +943,7 @@ func (f *Flow) close(reason string) {
 	if reason != "" && f.rec.Annotation == "" {
 		f.rec.Annotation = reason
 	}
-	if f.proto == netstack.ProtoUDP {
-		delete(f.r.udpFlows, udpKey{f.initIP, f.initPort, f.respIP, f.respPort})
-		delete(f.r.udpByActual, udpKey{f.initIP, f.initPort, f.actualIP, f.actualPort})
-	} else {
-		delete(f.r.flows, flowHalfKey{f.initIP, f.initPort, f.proto})
-	}
-	delete(f.r.byNonce, f.noncePort)
-	if f.leg2Live {
-		delete(f.r.nonceLegs, f.leg2CS)
-	}
+	f.r.unregister(f)
 	if f.sender != nil {
 		f.sender.stop()
 	}

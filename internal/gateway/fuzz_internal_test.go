@@ -13,11 +13,14 @@ import (
 // sequence numbers and payloads the fuzzer chooses — the gateway parses
 // bytes malware controls. One flow starts in every state (lifecycle rig);
 // the script, four bytes an operation, then injects frames from the
-// initiator, the containment server (leg 1, nonce leg, well-formed verdicts
-// and garbage) and the responder, interleaved with sweeps, LRU sheds,
-// endpoint fail-closes, lockdowns and the passage of time. Whatever the
-// script: no panic, no flow closed twice, and past the sweep horizon every
-// record is closed and every index of the flow table is empty.
+// initiator (UDP to either of two destinations), the containment server
+// (leg 1, nonce leg, well-formed verdicts — REDIRECT to a second inmate
+// among them — and garbage) and the responder (outside, or that second
+// inmate), interleaved with sweeps, LRU sheds, endpoint fail-closes,
+// lockdowns and the passage of time. Whatever the script: no panic, no flow
+// closed twice, after every operation each index entry names a live flow
+// that owns that key and each live flow's keys are in the index, and past
+// the sweep horizon every record is closed and the index is empty.
 func FuzzFlowSegments(f *testing.F) {
 	const (
 		fromInit = iota << 3
@@ -81,6 +84,18 @@ func FuzzFlowSegments(f *testing.F) {
 		wait, 255, 0, 0,
 		control, 0, 0, 0,
 	})
+	f.Add([]byte{
+		udp | lcUDPAwait, 4, 0, 8, // the same socket to a second destination
+		udp | lcUDPAwait, 5, 0x80, 0, // its verdict: REDIRECT to the second inmate
+		udp | lcUDPAwait, 1, 0x80, 0, // the first destination's too: one actual-responder key
+		udp | lcUDPAwait, 8 | 2, 0, 6, // the second inmate answers the initiator's global address
+		control, 1, 0, 0, // shed the older of the two
+		udp | lcUDPAwait, 8 | 2, 0, 6,
+		verdict | lcAwaitPost, 0x80, 0, 0, // TCP REDIRECT to the second inmate
+		fromResp | lcAwaitPost, 0x40 | syn | ack, 0, 0,
+		fromResp | lcAwaitPost, 0x40 | ack | psh, 1, 7,
+		wait, 255, 0, 0,
+	})
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 512 {
@@ -90,11 +105,29 @@ func FuzzFlowSegments(f *testing.F) {
 		r := rig.r
 		closes := map[*FlowRecord]int{}
 		r.OnFlowClosed = func(rec *FlowRecord) { closes[rec]++ }
+		r.learnInmate(lcPeerVLAN, lcPeer, inmateMAC(lcPeerVLAN))
+		flows := map[*Flow]struct{}{} // every flow the index has named
 		for state := 0; state < lcStates; state++ {
-			rig.flowIn(state, uint16(4000+state))
+			flows[rig.flowIn(state, uint16(4000+state))] = struct{}{}
 		}
 		r.taps, rig.g.upstreamTaps = nil, nil // the rig's logging taps, not needed here
 		csIP, global := r.cfg.ContainmentIP, r.nat.ByVLAN(lcVLAN).Global
+		checkIndex := func(op byte) {
+			for k, fl := range r.index {
+				flows[fl] = struct{}{}
+				if fl.state == fsClosed || fl.keys()[k.kind] != k {
+					t.Fatalf("after op %#x: index key %+v names a flow (state %v) owning %+v", op, k, fl.state, fl.keys()[k.kind])
+				}
+			}
+			for fl := range flows {
+				for _, k := range fl.keys() {
+					if fl.state != fsClosed && k != (flowKey{}) && r.index[k] == nil {
+						t.Fatalf("after op %#x: live flow %v:%d (state %v) lost its key %+v", op, fl.initIP, fl.initPort, fl.state, k)
+					}
+				}
+			}
+		}
+		checkIndex(0)
 
 		inject := func(port *framePort, eth netstack.Ethernet, src, dst netstack.Addr, l4 interface{}, payload []byte) {
 			eth.Dst, eth.EtherType = GatewayMAC, netstack.EtherTypeIPv4
@@ -110,6 +143,7 @@ func FuzzFlowSegments(f *testing.F) {
 			rig.trunk.frames, rig.outside.frames = nil, nil
 		}
 		inmate := netstack.Ethernet{Src: inmateMAC(lcVLAN), VLAN: lcVLAN}
+		peer := netstack.Ethernet{Src: inmateMAC(lcPeerVLAN), VLAN: lcPeerVLAN}
 		service := netstack.Ethernet{Src: csMAC, VLAN: r.cfg.ContainmentVLAN}
 		outside := netstack.Ethernet{Src: extMAC}
 		fill := func(n byte) []byte {
@@ -124,7 +158,10 @@ func FuzzFlowSegments(f *testing.F) {
 				OrigIP: lcInit, RespIP: lcResp, RespPort: 80,
 				Verdict: shim.Verdict(1) << (v % 6), PolicyName: "fuzz",
 			}
-			if v&0x40 != 0 {
+			switch {
+			case v&0x80 != 0:
+				resp.Verdict, resp.RespIP = shim.Redirect, lcPeer // worm-style, to the second inmate
+			case v&0x40 != 0:
 				resp.RespIP = 0 // "as addressed"
 			}
 			return append(resp.Marshal(), tail...)
@@ -136,7 +173,7 @@ func FuzzFlowSegments(f *testing.F) {
 			sport := uint16(4000 + int(op&7))
 			// Sequence numbers are offsets from what the flow expects next,
 			// so a small b lands in window and anything else does not.
-			fl := r.flows[flowHalfKey{lcInit, sport, netstack.ProtoTCP}]
+			fl := r.index[endpointKey(keyInit, netstack.ProtoTCP, lcInit, sport, 0, 0)]
 			initSeq, csSeq, respSeq, nonce := uint32(7001), uint32(1001), uint32(501), uint16(0)
 			if fl != nil {
 				initSeq, csSeq, respSeq, nonce = fl.initNextSeq, fl.csNextSeq, fl.respNextSeq, fl.noncePort
@@ -156,19 +193,31 @@ func FuzzFlowSegments(f *testing.F) {
 				inject(rig.trunk, service, csIP, r.cfg.NonceIP,
 					&netstack.TCP{SrcPort: 50000 + uint16(c&1), DstPort: nonce, Seq: 9000 + off, Ack: respSeq, Flags: a & 0x3f, Window: 65535}, fill(c))
 			case fromResp:
-				inject(rig.outside, outside, lcResp, global,
-					&netstack.TCP{SrcPort: 80, DstPort: sport, Seq: respSeq + off, Ack: initSeq, Flags: a & 0x3f, Window: 65535}, fill(c))
+				seg := &netstack.TCP{SrcPort: 80, DstPort: sport, Seq: respSeq + off, Ack: initSeq, Flags: a & 0x3f, Window: 65535}
+				if a&0x40 != 0 {
+					inject(rig.trunk, peer, lcPeer, global, seg, fill(c))
+				} else {
+					inject(rig.outside, outside, lcResp, global, seg, fill(c))
+				}
 			case udp:
-				if u := r.udpFlows[udpKey{lcInit, sport, lcResp, 80}]; u != nil {
+				dst := lcResp
+				if a&4 != 0 {
+					dst = lcResp2
+				}
+				if u := r.index[endpointKey(keyInit, netstack.ProtoUDP, lcInit, sport, dst, 80)]; u != nil {
 					nonce = u.noncePort
 				}
 				switch a % 4 {
 				case 0:
-					inject(rig.trunk, inmate, lcInit, lcResp, &netstack.UDP{SrcPort: sport, DstPort: 80}, fill(c))
+					inject(rig.trunk, inmate, lcInit, dst, &netstack.UDP{SrcPort: sport, DstPort: 80}, fill(c))
 				case 1:
 					inject(rig.trunk, service, csIP, lcInit, &netstack.UDP{SrcPort: r.cfg.ContainmentPort, DstPort: nonce}, response(b, fill(c)))
 				case 2:
-					inject(rig.outside, outside, lcResp, global, &netstack.UDP{SrcPort: 80, DstPort: sport}, fill(c))
+					if a&8 != 0 {
+						inject(rig.trunk, peer, lcPeer, global, &netstack.UDP{SrcPort: 80, DstPort: sport}, fill(c))
+					} else {
+						inject(rig.outside, outside, dst, global, &netstack.UDP{SrcPort: 80, DstPort: sport}, fill(c))
+					}
 				case 3:
 					inject(rig.trunk, service, csIP, lcInit, &netstack.UDP{SrcPort: r.cfg.ContainmentPort, DstPort: nonce}, fill(c))
 				}
@@ -188,11 +237,12 @@ func FuzzFlowSegments(f *testing.F) {
 			case wait:
 				rig.s.RunFor(time.Duration(a) * 100 * time.Millisecond)
 			}
+			checkIndex(op)
 		}
 
 		rig.s.RunFor(spliceIdleTimeout + 2*time.Minute)
-		if n := r.ActiveFlows() + len(r.byNonce) + len(r.udpByActual) + len(r.nonceLegs); n != 0 {
-			t.Errorf("%d flow-table entries left past the sweep horizon", n)
+		if n := len(r.index); n != 0 {
+			t.Errorf("%d flow-index entries left past the sweep horizon", n)
 		}
 		for i, rec := range r.Records() {
 			if !rec.Closed || closes[rec] != 1 {

@@ -52,7 +52,7 @@ func (r *Router) SendHealthProbe(idx int, seq uint64) {
 // datagram that matched no flow nonce) to the health observer.
 func (r *Router) handleHealthReply(key netstack.FlowKey, p *netstack.Packet) {
 	idx, ok := r.healthPorts[key.DstPort]
-	if !ok || r.onHealthReply == nil {
+	if !ok || r.onHealthReply == nil || p.UDP == nil {
 		return
 	}
 	hb, err := shim.UnmarshalHeartbeat(p.Payload)

@@ -1,0 +1,159 @@
+package gateway
+
+import (
+	"bytes"
+	"testing"
+
+	"gq/internal/netstack"
+	"gq/internal/shim"
+)
+
+// One index finds every flow (DESIGN.md §3g): these tests pin the lookups
+// where a responder is not who the initiator addressed, where one socket owns
+// several flows, and the order in which a full table sheds them.
+
+// udpIndexRig is a lifecycle rig that exchanges datagrams with the gateway:
+// send puts one on a wire, verdict answers a UDP flow's request shim.
+type udpIndexRig struct {
+	*lifecycleRig
+	t *testing.T
+}
+
+func (rig udpIndexRig) send(port *framePort, eth netstack.Ethernet, src, dst netstack.Addr, sport, dport uint16, payload []byte) {
+	eth.Dst, eth.EtherType = GatewayMAC, netstack.EtherTypeIPv4
+	p := &netstack.Packet{
+		Eth: eth, IP: &netstack.IPv4{TTL: 64, Src: src, Dst: dst},
+		UDP: &netstack.UDP{SrcPort: sport, DstPort: dport}, Payload: payload,
+	}
+	port.port.Send(p.Marshal())
+	rig.settle()
+}
+
+// open sends the initiator's first datagram to dst:dport and returns the
+// nonce port its shim-padded copy reached the containment server from.
+func (rig udpIndexRig) open(dst netstack.Addr, dport uint16) uint16 {
+	rig.trunk.take(rig.t)
+	rig.send(rig.trunk, netstack.Ethernet{Src: inmateMAC(lcVLAN), VLAN: lcVLAN}, lcInit, dst, 4000, dport, []byte("query"))
+	for _, p := range rig.trunk.take(rig.t) {
+		if p.UDP != nil && p.IP.Dst == rig.r.cfg.ContainmentIP {
+			return p.UDP.SrcPort
+		}
+	}
+	rig.t.Fatalf("no datagram to the containment server for the flow to %v:%d", dst, dport)
+	return 0
+}
+
+// verdict answers the flow at nonce with a verdict naming actual:port.
+func (rig udpIndexRig) verdict(nonce uint16, v shim.Verdict, actual netstack.Addr, port uint16) {
+	resp := shim.Response{OrigIP: lcInit, RespIP: actual, RespPort: port, Verdict: v, PolicyName: "index"}
+	rig.send(rig.trunk, netstack.Ethernet{Src: csMAC, VLAN: rig.r.cfg.ContainmentVLAN},
+		rig.r.cfg.ContainmentIP, lcInit, rig.r.cfg.ContainmentPort, nonce, resp.Marshal())
+}
+
+// toInitiator returns the datagrams the gateway delivered to the initiator.
+func (rig udpIndexRig) toInitiator() []*netstack.Packet {
+	var out []*netstack.Packet
+	for _, p := range rig.trunk.take(rig.t) {
+		if p.UDP != nil && p.IP.Dst == lcInit && p.Eth.VLAN == lcVLAN {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// An inmate's UDP flow REDIRECTed to a second inmate: that inmate answers the
+// address it was shown, the initiator's global one. The answer belongs to the
+// flow — it reaches the initiator in the original destination's name — and
+// opens no second flow toward the containment server.
+func TestUDPRedirectToInmateReplyReachesInitiator(t *testing.T) {
+	rig := udpIndexRig{newLifecycleRig(t), t}
+	r := rig.r
+	r.learnInmate(lcPeerVLAN, lcPeer, inmateMAC(lcPeerVLAN))
+	global := r.nat.ByVLAN(lcVLAN).Global
+
+	rig.verdict(rig.open(lcResp, 53), shim.Redirect, lcPeer, 53)
+	var probe *netstack.Packet
+	for _, p := range rig.trunk.take(t) {
+		if p.UDP != nil && p.IP.Dst == lcPeer {
+			probe = p
+		}
+	}
+	if probe == nil || probe.Eth.VLAN != lcPeerVLAN || probe.IP.Src != global || probe.UDP.SrcPort != 4000 || probe.UDP.DstPort != 53 {
+		t.Fatalf("redirected datagram %v, want %v:4000 -> %v:53 on VLAN %d", probe, global, lcPeer, lcPeerVLAN)
+	}
+
+	rig.send(rig.trunk, netstack.Ethernet{Src: inmateMAC(lcPeerVLAN), VLAN: lcPeerVLAN}, lcPeer, global, 53, 4000, []byte("answer"))
+	got := rig.toInitiator()
+	if len(got) != 1 || got[0].IP.Src != lcResp || got[0].UDP.SrcPort != 53 || got[0].UDP.DstPort != 4000 ||
+		!bytes.Equal(got[0].Payload, []byte("answer")) {
+		t.Errorf("initiator received %v, want the answer from %v:53", got, lcResp)
+	}
+	if n := r.FlowsCreated.Value(); n != 1 {
+		t.Errorf("flows_created = %d, want 1: the answer opened a flow of its own", n)
+	}
+}
+
+// Two UDP flows of one socket reflected to one sink share the key the sink's
+// answers are found by. Closing the older flow must leave it to the newer
+// one: the sink's answer still reaches the initiator, in the newer flow's
+// destination's name, and is counted there.
+func TestClosingUDPFlowKeepsSharedKeyOfNewer(t *testing.T) {
+	rig := udpIndexRig{newLifecycleRig(t), t}
+	r := rig.r
+	sink := netstack.MustParseAddr("10.3.0.9")
+	r.RegisterServiceHost(sink, r.cfg.ContainmentVLAN)
+	r.vlanARP[vlanAddr{r.cfg.ContainmentVLAN, sink}] = netstack.MAC{2, 0, 0, 0, 0, 9}
+
+	rig.verdict(rig.open(lcResp, 53), shim.Reflect, sink, 53)
+	rig.verdict(rig.open(lcResp2, 53), shim.Reflect, sink, 53)
+	older := r.liveFlows(func(f *Flow) bool { return f.respIP == lcResp })
+	newer := r.liveFlows(func(f *Flow) bool { return f.respIP == lcResp2 })
+	if len(older) != 1 || len(newer) != 1 {
+		t.Fatalf("%d flows to %v and %d to %v, want one each", len(older), lcResp, len(newer), lcResp2)
+	}
+	older[0].close("done")
+	rig.trunk.take(t)
+
+	rig.send(rig.trunk, netstack.Ethernet{Src: netstack.MAC{2, 0, 0, 0, 0, 9}, VLAN: r.cfg.ContainmentVLAN}, sink, lcInit, 53, 4000, []byte("answer"))
+	got := rig.toInitiator()
+	if len(got) != 1 || got[0].IP.Src != lcResp2 || !bytes.Equal(got[0].Payload, []byte("answer")) {
+		t.Errorf("initiator received %v, want the sink's answer from %v", got, lcResp2)
+	}
+	if n := newer[0].rec.BytesResp; n != 6 {
+		t.Errorf("newer flow counts %d responder bytes, want 6", n)
+	}
+}
+
+// A full table sheds the same victim on every run: two UDP flows of one
+// socket created at the same instant tie on everything but their
+// destination, and the lower destination goes.
+func TestShedLRUVictimIsDeterministic(t *testing.T) {
+	const runs = 40
+	src := netstack.MustParseAddr("10.0.0.20")
+	dsts := []netstack.Addr{netstack.MustParseAddr("198.51.100.6"), netstack.MustParseAddr("198.51.100.5")}
+	shed := map[netstack.Addr]int{} // victims by destination
+	for run := 0; run < runs; run++ {
+		_, r := newSweepRig(t)
+		r.maxFlows = len(dsts)
+		var flows []*Flow
+		for _, dst := range dsts {
+			flows = append(flows, r.newFlow(netstack.FlowKey{
+				VLAN: 15, SrcIP: src, SrcPort: 5000, DstIP: dst, DstPort: 53, Proto: netstack.ProtoUDP,
+			}, 15, false))
+		}
+		r.newFlow(netstack.FlowKey{
+			VLAN: 15, SrcIP: src, SrcPort: 5001, DstIP: dsts[0], DstPort: 80, Proto: netstack.ProtoTCP,
+		}, 15, false)
+		if r.FlowsShed.Value() != 1 {
+			t.Fatalf("run %d: flows_shed = %d, want 1", run, r.FlowsShed.Value())
+		}
+		for _, f := range flows {
+			if f.state == fsClosed {
+				shed[f.respIP]++
+			}
+		}
+	}
+	if len(shed) != 1 || shed[dsts[1]] != runs {
+		t.Errorf("victims over %d runs by destination: %v, want the flow to %v every time", runs, shed, dsts[1])
+	}
+}

@@ -47,20 +47,23 @@ type lifecycleRig struct {
 }
 
 var (
-	lcInit = netstack.MustParseAddr("10.0.0.5")
-	lcResp = netstack.MustParseAddr("198.51.100.1")
+	lcInit  = netstack.MustParseAddr("10.0.0.5")
+	lcResp  = netstack.MustParseAddr("198.51.100.1")
+	lcResp2 = netstack.MustParseAddr("198.51.100.2") // a second destination of one socket
+	lcPeer  = netstack.MustParseAddr("10.0.0.6")     // a second inmate, for REDIRECT
 )
 
-const lcVLAN = 12
+const lcVLAN, lcPeerVLAN = 12, 13
 
 func newLifecycleRig(t *testing.T) *lifecycleRig {
 	rig := &lifecycleRig{journal: &eventLog{}}
-	rig.lifetimeRig = newLifetimeRig(t, func(c *RouterConfig) { c.AwaitVerdictTimeout = 10 * time.Second })
+	rig.lifetimeRig = newLifetimeRig(t)
 	r := rig.r
+	r.awaitVerdictTimeout = 10 * time.Second
 	rig.s.Obs().Journal.SetSink(rig.journal)
 	r.learnInmate(lcVLAN, lcInit, inmateMAC(lcVLAN))
 	r.vlanARP[vlanAddr{r.cfg.ContainmentVLAN, r.cfg.ContainmentIP}] = csMAC
-	rig.g.outARP[lcResp] = extMAC
+	rig.g.outARP[lcResp], rig.g.outARP[lcResp2] = extMAC, extMAC
 	note := func(leg string, p *netstack.Packet) {
 		if p.TCP == nil || p.TCP.Flags&netstack.FlagRST == 0 {
 			leg += ":" + p.String()
@@ -144,7 +147,7 @@ func (rig *lifecycleRig) flowIn(state int, sport uint16) *Flow {
 		f.targetISN, f.respNextSeq = 500, 501
 		f.seqDelta = f.csISN - f.targetISN
 	case lcUDPSplice:
-		r.udpByActual[udpKey{f.initIP, f.initPort, f.actualIP, f.actualPort}] = f
+		r.register(f, f.keys()[keyActual])
 	}
 	rig.wire, rig.lastInitRST, rig.journal.events = nil, nil, nil
 	return f
@@ -276,8 +279,8 @@ func TestFlowLifecycleTable(t *testing.T) {
 				if n := rig.journal.count(obs.EvFlowClosed); n != 1 {
 					t.Errorf("%d flow.closed events, want 1", n)
 				}
-				if n := r.ActiveFlows() + len(r.byNonce) + len(r.udpByActual) + len(r.nonceLegs); n != 0 {
-					t.Errorf("%d flow-table entries left", n)
+				if n := len(r.index); n != 0 {
+					t.Errorf("%d flow-index entries left", n)
 				}
 				if f.linger.Pending() {
 					t.Error("close left the linger timer armed")
@@ -395,8 +398,9 @@ func TestOriginatedPacketAllocs(t *testing.T) {
 // other flow torn down before the handshake: its retransmitted SYN must not
 // be admitted as a second flow under the same ISN.
 func TestShedPreSynAckVictimResetAndTombstoned(t *testing.T) {
-	rig := newLifetimeRig(t, func(c *RouterConfig) { c.MaxFlows = 3 })
+	rig := newLifetimeRig(t)
 	r := rig.r
+	r.maxFlows = 3
 	r.vlanARP[vlanAddr{r.cfg.ContainmentVLAN, r.cfg.ContainmentIP}] = csMAC
 	var toInit []*netstack.Packet
 	r.AddTap(func(p *netstack.Packet) {

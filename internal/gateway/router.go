@@ -72,24 +72,14 @@ type RouterConfig struct {
 	// destinations and to a given destination never exceeds these.
 	MaxFlowsPerMinute        int // per inmate, across destinations; 0 = no limit
 	MaxFlowsPerDestPerMinute int // per (inmate, destination); 0 = no limit
-
-	// MaxFlows bounds the flow table (TCP + UDP + nonce legs). At the
-	// bound, the least-recently-active flow is shed with an RST to the
-	// initiator rather than letting state grow without limit. Zero means
-	// DefaultMaxFlows.
-	MaxFlows int
-
-	// AwaitVerdictTimeout bounds how long a flow may sit in fsAwaitVerdict
-	// before the sweep resolves it fail-closed (synthetic Drop, RST both
-	// legs, flows_failclosed counter). Zero means DefaultAwaitVerdictTimeout.
-	AwaitVerdictTimeout time.Duration
 }
 
-// DefaultAwaitVerdictTimeout is the await-verdict bound when
-// RouterConfig.AwaitVerdictTimeout is zero.
+// DefaultAwaitVerdictTimeout bounds how long a flow may await its verdict
+// before the sweep resolves it fail-closed.
 const DefaultAwaitVerdictTimeout = time.Minute
 
-// DefaultMaxFlows is the flow-table bound when RouterConfig.MaxFlows is zero.
+// DefaultMaxFlows bounds the flow table (ActiveFlows): at the bound the
+// least-recently-active flow is shed.
 const DefaultMaxFlows = 4096
 
 // ContainmentEndpoint locates one containment server instance.
@@ -99,10 +89,38 @@ type ContainmentEndpoint struct {
 	Port uint16
 }
 
-type flowHalfKey struct {
-	ip    netstack.Addr
-	port  uint16
-	proto uint8
+// flowKey is one key of a flow in Router.index (DESIGN.md §3g), of one of
+// the kinds below; a flow owns at most one of each (Flow.keys).
+type flowKey struct {
+	kind, proto uint8
+	port        uint16
+	ip, peer    netstack.Addr
+	peerPort    uint16
+}
+
+const (
+	keyInit   = iota // the initiator's endpoint (TCP), plus the original responder (UDP)
+	keyActual        // UDP, from the verdict on: the initiator plus the actual responder
+	keyNonce         // the flow's nonce port
+	keyLeg2          // the containment server's end of leg 2 (REWRITE)
+	numKeyKinds
+)
+
+// endpointKey keys a flow by its initiator's endpoint. A TCP connection is
+// that endpoint's alone, whoever answers, so a TCP flow's keyActual is its
+// keyInit; one UDP socket talks to many peers, so a UDP key holds the peer.
+func endpointKey(kind, proto uint8, ip netstack.Addr, port uint16, peer netstack.Addr, peerPort uint16) flowKey {
+	if proto != netstack.ProtoUDP {
+		return flowKey{kind: keyInit, proto: proto, ip: ip, port: port}
+	}
+	return flowKey{kind: kind, proto: proto, ip: ip, port: port, peer: peer, peerPort: peerPort}
+}
+
+func nonceKey(port uint16) flowKey { return flowKey{kind: keyNonce, port: port} }
+
+// leg2Key keys the containment server's end of a leg-2 packet's connection.
+func leg2Key(k netstack.FlowKey) flowKey {
+	return flowKey{kind: keyLeg2, proto: k.Proto, ip: k.SrcIP, port: k.SrcPort}
 }
 
 // synTombKey identifies one fail-closed TCP flow incarnation by its full
@@ -170,15 +188,13 @@ type Router struct {
 
 	nat *nat.Table
 
-	flows     map[flowHalfKey]*Flow // TCP flows keyed by initiator endpoint
-	nonceLegs map[flowHalfKey]*Flow // keyed by containment-server leg-2 endpoint
-	byNonce   map[uint16]*Flow
-	// UDP needs full four-tuple keys: one socket talks to many peers.
-	udpFlows    map[udpKey]*Flow // (initiator, original responder)
-	udpByActual map[udpKey]*Flow // (initiator, actual responder)
-	nextNonce   uint16
-	inmateMAC   map[uint16]netstack.MAC // VLAN -> inmate MAC (learned)
-	inmateVLAN  map[netstack.Addr]uint16
+	// index finds a flow by any key it owns; register and unregister are
+	// its only writers. indexed counts the keys of each kind.
+	index      map[flowKey]*Flow
+	indexed    [numKeyKinds]int
+	nextNonce  uint16
+	inmateMAC  map[uint16]netstack.MAC // VLAN -> inmate MAC (learned)
+	inmateVLAN map[netstack.Addr]uint16
 
 	// VLAN-side ARP (for reaching service hosts and inmates).
 	vlanARP     map[vlanAddr]netstack.MAC
@@ -213,9 +229,8 @@ type Router struct {
 	// sc is the subfarm's journal scope / flight recorder.
 	sc *obs.Scope
 
-	// maxFlows is the resolved flow-table bound (cfg.MaxFlows or default).
-	maxFlows int
-	// awaitVerdictTimeout is the resolved await-verdict bound.
+	// DefaultMaxFlows and DefaultAwaitVerdictTimeout, which tests tighten.
+	maxFlows            int
 	awaitVerdictTimeout time.Duration
 
 	// Containment-plane health, driven by internal/supervisor: csDown[i]
@@ -266,13 +281,6 @@ type vlanAddr struct {
 	addr netstack.Addr
 }
 
-type udpKey struct {
-	initIP   netstack.Addr
-	initPort uint16
-	peerIP   netstack.Addr
-	peerPort uint16
-}
-
 func newRouter(g *Gateway, s *sim.Simulator, cfg RouterConfig) *Router {
 	if len(cfg.ContainmentCluster) == 0 {
 		cfg.ContainmentCluster = []ContainmentEndpoint{{VLAN: cfg.ContainmentVLAN, IP: cfg.ContainmentIP, Port: cfg.ContainmentPort}}
@@ -281,11 +289,7 @@ func newRouter(g *Gateway, s *sim.Simulator, cfg RouterConfig) *Router {
 		gw: g, sim: s, cfg: cfg,
 		macTable:     make(map[netstack.MAC]uint16),
 		nat:          nat.NewTable(cfg.GlobalPool, cfg.GlobalPoolStart, cfg.InboundMode),
-		flows:        make(map[flowHalfKey]*Flow),
-		nonceLegs:    make(map[flowHalfKey]*Flow),
-		byNonce:      make(map[uint16]*Flow),
-		udpFlows:     make(map[udpKey]*Flow),
-		udpByActual:  make(map[udpKey]*Flow),
+		index:        make(map[flowKey]*Flow),
 		nextNonce:    40000,
 		inmateMAC:    make(map[uint16]netstack.MAC),
 		inmateVLAN:   make(map[netstack.Addr]uint16),
@@ -297,18 +301,12 @@ func newRouter(g *Gateway, s *sim.Simulator, cfg RouterConfig) *Router {
 		infraIn:      make(map[netstack.Addr]netstack.Addr),
 		infraNext:    1,
 
-		natExhaustedSeen: make(map[uint16]bool),
-		greUp:            make(map[netstack.Addr]bool),
-	}
-	r.maxFlows = cfg.MaxFlows
-	if r.maxFlows <= 0 {
-		r.maxFlows = DefaultMaxFlows
+		maxFlows:            DefaultMaxFlows,
+		awaitVerdictTimeout: DefaultAwaitVerdictTimeout,
+		natExhaustedSeen:    make(map[uint16]bool),
+		greUp:               make(map[netstack.Addr]bool),
 	}
 	r.vlanPending = netsim.NewWaits[vlanAddr, []byte](s, r.arpVLAN)
-	r.awaitVerdictTimeout = cfg.AwaitVerdictTimeout
-	if r.awaitVerdictTimeout <= 0 {
-		r.awaitVerdictTimeout = DefaultAwaitVerdictTimeout
-	}
 	r.csDown = make([]bool, len(cfg.ContainmentCluster))
 	r.healthPorts = make(map[uint16]int)
 	r.synTombs = make(map[synTombKey]time.Duration)
@@ -606,10 +604,10 @@ func (r *Router) InmateByVLAN(vlan uint16) (netstack.Addr, netstack.MAC, bool) {
 // Records returns all flow records.
 func (r *Router) Records() []*FlowRecord { return r.records }
 
-// ActiveFlows reports live flow-table entries (TCP + UDP + nonce legs),
-// for leak detection in tests and operations dashboards.
+// ActiveFlows reports live flow-table entries (flows plus live leg-2
+// registrations), for leak detection in tests and operations dashboards.
 func (r *Router) ActiveFlows() int {
-	return len(r.flows) + len(r.udpFlows) + len(r.nonceLegs)
+	return r.indexed[keyInit] + r.indexed[keyLeg2]
 }
 
 // handleARP answers ARP requests addressed to the gateway's router IPs and
@@ -835,17 +833,73 @@ const establishTimeout = time.Minute
 // table forever.
 const spliceIdleTimeout = 10 * time.Minute
 
-// eachFlow visits every flow in the table once, in map order: a flow is
-// registered in flows or in udpFlows under exactly one key (byNonce,
-// udpByActual and nonceLegs are further indexes onto the same flows). The
-// one walk over the flow table; anything whose effects can reach the journal
-// goes through liveFlows for a stable order.
-func (r *Router) eachFlow(visit func(*Flow)) {
-	for _, f := range r.flows {
-		visit(f)
+// register indexes f under k, its key of k's kind (Flow.keys); a leg-2 key
+// replaces the one f held, as the containment server may redial leg 2 from a
+// fresh port. register and unregister are the index's only writers.
+func (r *Router) register(f *Flow, k flowKey) {
+	if k.kind == keyLeg2 {
+		if r.index[f.leg2] == f {
+			delete(r.index, f.leg2)
+			r.indexed[keyLeg2]--
+		}
+		f.leg2 = k
 	}
-	for _, f := range r.udpFlows {
-		visit(f)
+	if r.index[k] == nil {
+		r.indexed[k.kind]++
+	}
+	r.index[k] = f
+}
+
+// unregister removes a closing flow's keys, each only while it still names
+// that flow: two UDP flows of one socket reflected to one sink share their
+// keyActual, and the older one closing must not unhook the newer.
+func (r *Router) unregister(f *Flow) {
+	for _, k := range f.keys() {
+		if r.index[k] == f {
+			delete(r.index, k)
+			r.indexed[k.kind]--
+		}
+	}
+}
+
+// flowFromInitiator finds the flow whose initiator sent a packet.
+func (r *Router) flowFromInitiator(k netstack.FlowKey) *Flow {
+	return r.index[endpointKey(keyInit, k.Proto, k.SrcIP, k.SrcPort, k.DstIP, k.DstPort)]
+}
+
+// flowFromResponder finds the flow whose (actual) responder sent a packet to
+// its initiator. A responder answers the address it was shown — for a flow
+// redirected to an inmate, the initiator's global one — so a NAT global
+// destination is translated to the inmate's own address first.
+func (r *Router) flowFromResponder(k netstack.FlowKey) *Flow {
+	dst := k.DstIP
+	if b := r.nat.ByGlobal(dst); b != nil {
+		dst = b.Internal
+	}
+	return r.index[endpointKey(keyActual, k.Proto, dst, k.DstPort, k.SrcIP, k.SrcPort)]
+}
+
+// flowFromCS finds the flow a containment server's leg-1 packet is for: it
+// answers a TCP flow as the responder it stands in for, a UDP flow at the
+// nonce port the gateway sent the shim-padded datagram from.
+func (r *Router) flowFromCS(k netstack.FlowKey) *Flow {
+	if k.Proto != netstack.ProtoUDP {
+		return r.flowFromResponder(k)
+	}
+	if f := r.index[nonceKey(k.DstPort)]; f != nil && f.proto == k.Proto {
+		return f
+	}
+	return nil
+}
+
+// eachFlow visits every flow in the table once, in map order: each owns one
+// keyInit. The one walk over the flow table; anything whose effects can
+// reach the journal goes through liveFlows for a stable order.
+func (r *Router) eachFlow(visit func(*Flow)) {
+	for k, f := range r.index {
+		if k.kind == keyInit {
+			visit(f)
+		}
 	}
 }
 
@@ -854,14 +908,14 @@ func (r *Router) eachFlow(visit func(*Flow)) {
 // same event sequence on every same-seed run for the journal-determinism
 // guarantee.
 func (r *Router) liveFlows(pick func(*Flow) bool) []*Flow {
-	var flows []*Flow
+	var picked []*Flow
 	r.eachFlow(func(f *Flow) {
 		if pick(f) {
-			flows = append(flows, f)
+			picked = append(picked, f)
 		}
 	})
-	sort.Slice(flows, func(i, j int) bool {
-		a, b := flows[i], flows[j]
+	sort.Slice(picked, func(i, j int) bool {
+		a, b := picked[i], picked[j]
 		if a.initIP != b.initIP {
 			return a.initIP < b.initIP
 		}
@@ -876,13 +930,13 @@ func (r *Router) liveFlows(pick func(*Flow) bool) []*Flow {
 		}
 		return a.proto < b.proto
 	})
-	return flows
+	return picked
 }
 
 // sweepFlows expires idle UDP flows, TCP flows stuck without a containment
 // verdict (e.g. the containment server is being reconfigured), and flows
-// stalled mid-establishment. It also reaps orphaned nonce-leg entries so
-// the flow table returns to empty once traffic stops.
+// stalled mid-establishment, so the flow table returns to empty once
+// traffic stops.
 func (r *Router) sweepFlows() {
 	now := r.sim.Now()
 	// No verdict within the bound: resolve fail-closed. Metered under
@@ -917,14 +971,6 @@ func (r *Router) sweepFlows() {
 	for _, f := range failclosed {
 		f.failClose("await-verdict deadline exceeded")
 	}
-	// Nonce-leg registrations whose flow already closed under a different
-	// key (e.g. the containment server redialled leg 2 from a fresh port)
-	// are unreachable and must not pin the map forever.
-	for k, f := range r.nonceLegs {
-		if f.state == fsClosed || f.state == fsDropped {
-			delete(r.nonceLegs, k)
-		}
-	}
 	// Expired fail-close tombstones (map order is fine: deletion only).
 	for k, exp := range r.synTombs {
 		if now > exp {
@@ -937,24 +983,28 @@ func (r *Router) sweepFlows() {
 // shedLRU evicts the least-recently-active flow to make room for a new one
 // when the table is at its bound. The victim's endpoints receive RSTs so
 // inmates see clean failure instead of a silent blackhole. Ties break on the
-// flow key, keeping eviction order deterministic for a given seed despite
-// map iteration. Reports whether a victim was found.
+// five-tuple, which no two live flows share, keeping eviction order
+// deterministic for a given seed despite map iteration. Reports whether a
+// victim was found.
 func (r *Router) shedLRU() bool {
 	var victim *Flow
 	better := func(f *Flow) bool {
-		if victim == nil {
+		v := victim
+		switch {
+		case v == nil:
 			return true
+		case f.lastActivity != v.lastActivity:
+			return f.lastActivity < v.lastActivity
+		case f.initIP != v.initIP:
+			return f.initIP < v.initIP
+		case f.initPort != v.initPort:
+			return f.initPort < v.initPort
+		case f.proto != v.proto:
+			return f.proto < v.proto
+		case f.respIP != v.respIP:
+			return f.respIP < v.respIP
 		}
-		if f.lastActivity != victim.lastActivity {
-			return f.lastActivity < victim.lastActivity
-		}
-		if f.initIP != victim.initIP {
-			return f.initIP < victim.initIP
-		}
-		if f.initPort != victim.initPort {
-			return f.initPort < victim.initPort
-		}
-		return f.proto < victim.proto
+		return f.respPort < v.respPort
 	}
 	r.eachFlow(func(f *Flow) {
 		if better(f) {
@@ -973,16 +1023,15 @@ func (r *Router) shedLRU() bool {
 	return true
 }
 
-// allocNonce reserves a nonce port for a flow.
-func (r *Router) allocNonce(f *Flow) uint16 {
+// allocNonce picks a nonce port no live flow owns.
+func (r *Router) allocNonce() uint16 {
 	for i := 0; i < 20000; i++ {
 		port := r.nextNonce
 		r.nextNonce++
 		if r.nextNonce < 40000 {
 			r.nextNonce = 40000
 		}
-		if _, taken := r.byNonce[port]; !taken {
-			r.byNonce[port] = f
+		if r.index[nonceKey(port)] == nil {
 			return port
 		}
 	}

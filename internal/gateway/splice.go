@@ -231,14 +231,7 @@ func (f *Flow) abortResponder() {
 // leg2Open handles the containment server's SYN to the nonce port.
 func (f *Flow) leg2Open(p *netstack.Packet) {
 	key, _ := p.FlowKey()
-	if f.leg2Live && f.leg2CS != (flowHalfKey{key.SrcIP, key.SrcPort, key.Proto}) {
-		// The CS redialled from a fresh ephemeral port; drop the stale
-		// registration or it lingers in nonceLegs until flow close (leak).
-		delete(f.r.nonceLegs, f.leg2CS)
-	}
-	f.leg2CS = flowHalfKey{key.SrcIP, key.SrcPort, key.Proto}
-	f.leg2Live = true
-	f.r.nonceLegs[f.leg2CS] = f
+	f.r.register(f, leg2Key(key))
 	f.leg2FromCS(p)
 }
 
@@ -262,9 +255,9 @@ func (f *Flow) leg2FromCS(p *netstack.Packet) {
 func (f *Flow) leg2FromResponder(p *netstack.Packet) {
 	f.touch()
 	p.IP.Src = f.r.cfg.NonceIP
-	p.IP.Dst = f.leg2CS.ip
+	p.IP.Dst = f.leg2.ip
 	sport, dport := l4Ports(p)
-	*sport, *dport = f.noncePort, f.leg2CS.port
+	*sport, *dport = f.noncePort, f.leg2.port
 	f.rec.BytesResp += uint64(len(p.Payload))
 	f.r.sendToVLAN(p, f.cs.VLAN)
 }

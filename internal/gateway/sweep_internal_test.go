@@ -139,24 +139,8 @@ func TestSweepReapsIdleSplice(t *testing.T) {
 // At the flow-table bound, a new flow sheds the least-recently-active
 // entry instead of growing without limit, counting the eviction.
 func TestShedLRUAtCap(t *testing.T) {
-	s := sim.New(1)
-	g := New(s)
-	r := g.AddRouter(RouterConfig{
-		Name:   "shedrig",
-		VLANLo: 10, VLANHi: 20,
-		ServiceVLANs:    []uint16{2},
-		InternalPrefix:  netstack.MustParsePrefix("10.0.0.0/16"),
-		RouterIP:        netstack.MustParseAddr("10.0.0.1"),
-		ServicePrefix:   netstack.MustParsePrefix("10.3.0.0/16"),
-		ServiceRouterIP: netstack.MustParseAddr("10.3.0.254"),
-		GlobalPool:      netstack.MustParsePrefix("192.0.2.0/24"),
-		GlobalPoolStart: 16,
-		ContainmentVLAN: 2,
-		ContainmentIP:   netstack.MustParseAddr("10.3.0.1"),
-		ContainmentPort: 6666,
-		NonceIP:         netstack.MustParseAddr("10.4.0.1"),
-		MaxFlows:        3,
-	})
+	s, r := newSweepRig(t)
+	r.maxFlows = 3
 
 	mkFlow := func(port uint16) *Flow {
 		key := netstack.FlowKey{
@@ -199,10 +183,10 @@ func TestShedLRUAtCap(t *testing.T) {
 }
 
 // leg2Open re-registration (the containment server redialling leg 2 from a
-// fresh ephemeral port) must drop the stale nonceLegs entry, and the sweep
-// must reap any orphan pointing at a closed flow.
+// fresh ephemeral port) must replace the flow's leg-2 key, not add a second
+// one, and closing the flow leaves the index empty.
 func TestNonceLegOrphansReaped(t *testing.T) {
-	s, r := newSweepRig(t)
+	_, r := newSweepRig(t)
 	key := netstack.FlowKey{
 		VLAN:  11,
 		SrcIP: netstack.MustParseAddr("10.0.0.7"), SrcPort: 4321,
@@ -224,20 +208,14 @@ func TestNonceLegOrphansReaped(t *testing.T) {
 	}
 	f.leg2Open(leg2SYN(50001))
 	f.leg2Open(leg2SYN(50002)) // redial from a fresh port
-	if n := len(r.nonceLegs); n != 1 {
-		t.Fatalf("stale leg-2 entry survived redial: %d entries", n)
+	if n := r.indexed[keyLeg2]; n != 1 || r.ActiveFlows() != 2 {
+		t.Fatalf("stale leg-2 entry survived redial: %d leg-2 keys, ActiveFlows = %d", n, r.ActiveFlows())
 	}
-
-	// A historical orphan (registered under a key close() will not clean,
-	// simulating pre-fix state) must be swept once the flow is closed.
-	orphan := flowHalfKey{csIP, 50099, netstack.ProtoTCP}
-	r.nonceLegs[orphan] = f
+	if leg := f.leg2; r.index[leg] != f || leg.port != 50002 {
+		t.Fatalf("leg 2 registered at %v:%d, want the redial from 50002", leg.ip, leg.port)
+	}
 	f.close("done")
-	if _, ok := r.nonceLegs[orphan]; !ok {
-		t.Fatal("test setup: orphan removed too early")
-	}
-	s.RunFor(time.Minute)
-	if n := len(r.nonceLegs); n != 0 {
-		t.Fatalf("orphaned nonce leg leaked: %d entries after sweep", n)
+	if n := len(r.index); n != 0 {
+		t.Fatalf("%d index entries left after the flow closed", n)
 	}
 }

@@ -77,7 +77,7 @@ func (f *Flow) udpFromCS(p *netstack.Packet) {
 // applyVerdictUDP enacts a verdict on a UDP flow and flushes the queue.
 func (f *Flow) applyVerdictUDP(resp *shim.Response) {
 	f.adoptVerdict(resp)
-	f.r.udpByActual[udpKey{f.initIP, f.initPort, f.actualIP, f.actualPort}] = f
+	f.r.register(f, f.keys()[keyActual])
 
 	v := resp.Verdict
 	queue := f.udpQueue

@@ -21,7 +21,7 @@ const (
 	EvFlowShed     = "flow.shed"            // bounded flow table evicted an LRU flow under pressure
 	EvSweepReaped  = "sweep.reaped"         // periodic sweep reaped stale flows (N = count)
 	// EvFlowFailClosed marks a flow resolved fail-closed: its containment
-	// server died (or stalled past AwaitVerdictTimeout) before delivering a
+	// server died (or stalled past the await-verdict deadline) before delivering a
 	// verdict, so the gateway recorded a synthetic Drop and RST both legs.
 	// Distinct from EvFlowVerdict — no verdict crossed the wire.
 	EvFlowFailClosed = "flow.failclosed"

@@ -36,6 +36,15 @@ bad "flow timer scheduled per call in internal/gateway (use the Flow's linger si
 # shellcheck disable=SC2086
 bad "seen-set over flows in internal/gateway (use Router.eachFlow / liveFlows)" \
 	"$(grep -nF 'map[*Flow]bool' $gw || true)"
+# A flow is found through one index, whose keys Router.register adds and
+# Router.unregister removes (DESIGN.md §3g): nothing else writes to it, and the
+# five maps it replaced stay gone.
+# shellcheck disable=SC2086
+bad "flow index written outside Router.register / unregister" \
+	"$(awk '/^func /{fn=$0} /\.index(\[[^]]*\])? *=[^=]|(delete|clear)\([^,)]*\.index[,)]/ && fn !~ /\) (register|unregister)\(/ {print FILENAME ":" FNR ": " $0}' $gw)"
+# shellcheck disable=SC2086
+bad "retired flow map in internal/gateway (use Router.index)" \
+	"$(grep -nE '(\.|\b)(flows|udpFlows|byNonce|udpByActual|nonceLegs)(\s+map\[|\s*:|\[)|\.(flows|udpFlows|byNonce|udpByActual|nonceLegs)\b' $gw || true)"
 lits=$(cd internal/gateway && grep -nF 'netstack.IPv4{' flow.go splice.go udp.go || true)
 if [ "$(printf '%s' "$lits" | grep -c .)" -gt 2 ]; then
 	bad "gateway-originated packet built outside newSegment / newDatagram" "$lits"
