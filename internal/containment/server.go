@@ -275,6 +275,8 @@ func (s *Server) handleUDP(src netstack.Addr, srcPort uint16, data []byte) {
 		s.sendUDP(src, srcPort, s.out)
 	}
 	if d := s.verdictStall; d > 0 {
+		// data is the host's again once this returns (like stallBuf).
+		payload = append([]byte(nil), payload...)
 		s.Host.Sim().Schedule(d, answer)
 		return
 	}

@@ -1,6 +1,7 @@
 package containment
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -71,11 +72,10 @@ func (p *rewriteAll) OnServerData(*Session, []byte)        {}
 func (p *rewriteAll) OnClientClose(*Session)               {}
 func (p *rewriteAll) OnServerClose(*Session)               {}
 
-// TestAcceptTCPRequestShimFraming: the request shim is decoded where it
-// arrives when the first segment holds all of it, and reassembled first
-// when it does not; either way the bytes behind it reach the handler once,
-// in order, and the session's Req is the shim that was sent.
-func TestAcceptTCPRequestShimFraming(t *testing.T) {
+// rewriteTestbed is a containment server on port 6000 of host cs, answering
+// host gw (the gateway's side) with rewriteAll as its only policy.
+func rewriteTestbed(t *testing.T) (*sim.Simulator, *host.Host, *host.Host, *Server, *rewriteAll) {
+	t.Helper()
 	s := sim.New(1)
 	sw := netsim.NewSwitch(s, "sw")
 	cs := host.New(s, "cs", netstack.MAC{2, 0, 0, 0, 0, 1})
@@ -90,6 +90,15 @@ func TestAcceptTCPRequestShimFraming(t *testing.T) {
 	}
 	policy := &rewriteAll{reqs: map[uint16]shim.Request{}, seen: map[uint16]string{}}
 	srv.SetFallback(policy)
+	return s, cs, gw, srv, policy
+}
+
+// TestAcceptTCPRequestShimFraming: the request shim is decoded where it
+// arrives when the first segment holds all of it, and reassembled first
+// when it does not; either way the bytes behind it reach the handler once,
+// in order, and the session's Req is the shim that was sent.
+func TestAcceptTCPRequestShimFraming(t *testing.T) {
+	s, cs, gw, srv, policy := rewriteTestbed(t)
 
 	// Each case is one connection, told apart by its nonce port: the
 	// chunks its client writes, a virtual millisecond apart.
@@ -132,3 +141,47 @@ func TestAcceptTCPRequestShimFraming(t *testing.T) {
 		}
 	}
 }
+
+// TestStalledUDPRewriteSeesItsPayload: under a verdict stall a datagram's
+// answer, and its Rewrite handler's look at the payload, come after the
+// host has taken back the frame the datagram arrived in. The handler must
+// still be shown the bytes the client sent, not the 0xDB a released buffer
+// holds under go test, nor a later frame's.
+func TestStalledUDPRewriteSeesItsPayload(t *testing.T) {
+	s, cs, gw, srv, _ := rewriteTestbed(t)
+	policy := &rewriteDatagrams{}
+	srv.SetFallback(policy)
+	srv.SetVerdictStall(10 * time.Millisecond)
+	answers := 0
+	sock, err := gw.ListenUDP(0, func(netstack.Addr, uint16, []byte) { answers++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	const flows = 3
+	for nonce := uint16(1); nonce <= flows; nonce++ {
+		req := shim.Request{OrigPort: 1000 + nonce, RespPort: 53, VLAN: 16, NoncePort: nonce}
+		sock.SendTo(cs.Addr(), 6000, append(req.Marshal(), "hello"...))
+	}
+	s.RunFor(time.Second)
+	if answers != flows {
+		t.Fatalf("%d answers to %d datagrams", answers, flows)
+	}
+	if want := []string{"hello", "hello", "hello"}; !slices.Equal(policy.seen, want) {
+		t.Errorf("handler saw %q behind the shims, want %q", policy.seen, want)
+	}
+}
+
+// rewriteDatagrams takes every flow into content control and records the
+// payload each datagram's one-shot session is shown.
+type rewriteDatagrams struct{ seen []string }
+
+func (p *rewriteDatagrams) Name() string { return "rewriteDatagrams" }
+func (p *rewriteDatagrams) Decide(*shim.Request) Decision {
+	return Decision{Verdict: shim.Rewrite, Handler: p}
+}
+func (p *rewriteDatagrams) OnClientData(_ *Session, data []byte) {
+	p.seen = append(p.seen, string(data))
+}
+func (p *rewriteDatagrams) OnServerData(*Session, []byte) {}
+func (p *rewriteDatagrams) OnClientClose(*Session)        {}
+func (p *rewriteDatagrams) OnServerClose(*Session)        {}

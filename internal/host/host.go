@@ -27,9 +27,22 @@ const ipHeadroom = netstack.EthHeaderLen + netstack.IPv4HeaderLen
 // newIPFrame returns the buffer one originated datagram is serialised into,
 // once: its length covers the (still blank) link and IP headers, and its
 // capacity takes a transport segment of segLen bytes appended behind them
-// plus the tail room an access port needs to tag the frame in place.
-func newIPFrame(segLen int) []byte {
-	return make([]byte, ipHeadroom, ipHeadroom+segLen+netstack.VLANTagLen)
+// plus the tail room an access port needs to tag the frame in place. It is
+// an idle buffer of the domain's frame list when one of the right class is
+// there, else a new one made at the class size, or at its own size when no
+// class holds it. Whatever a recycled buffer still holds is written over
+// before it is sent: the headers by emitIP, the segment by the transport's
+// Marshal.
+func (h *Host) newIPFrame(segLen int) []byte {
+	size := ipHeadroom + segLen + netstack.VLANTagLen
+	c := classFor(size)
+	if buf := h.frames.take(c); buf != nil {
+		return buf[:ipHeadroom]
+	}
+	if c < len(frameClasses) {
+		size = frameClasses[c]
+	}
+	return make([]byte, ipHeadroom, size)
 }
 
 // pendingIP is a frame from newIPFrame, transport segment in place,
@@ -57,8 +70,10 @@ type Host struct {
 	dropRx  bool // true while "powered off"
 	rxHooks []func(*netstack.Packet)
 	// rx is where receiveFrame parses every frame: a packet handed to the
-	// protocol handlers or an rx hook is valid until receiveFrame returns.
-	rx netstack.ParseBuf
+	// protocol handlers or an rx hook is valid until receiveFrame returns,
+	// which then releases the frame's buffer into frames, the domain's list.
+	rx     netstack.ParseBuf
+	frames *frameList
 
 	// ARP. arpWaits parks frames behind each next hop being resolved;
 	// arpDrops counts frames refused by a full wait queue, farm-wide.
@@ -93,6 +108,7 @@ func New(s *sim.Simulator, name string, mac netstack.MAC) *Host {
 		mac:       mac,
 		arpCache:  make(map[netstack.Addr]netstack.MAC),
 		arpDrops:  s.Obs().Reg.Counter("host.arp_pending_drops"),
+		frames:    framesOf(s),
 		conns:     make(map[connKey]*Conn),
 		portConns: make(map[uint16]int),
 		listeners: make(map[uint16]func(*Conn)),
@@ -146,8 +162,9 @@ func (h *Host) AnnounceARP() {
 
 // AddRxHook registers an observer invoked for every parsed packet the host
 // receives, before protocol processing. Used by instrumentation. The packet
-// is valid until the hook returns; a hook that keeps it calls Clone. (The
-// frame bytes it points into are never reused and may be kept as they are.)
+// and the frame bytes it points into, payload included, are valid until the
+// hook returns: the host then recycles the buffer for a later frame. A hook
+// that keeps the packet calls Clone; one that keeps bytes copies them.
 func (h *Host) AddRxHook(fn func(*netstack.Packet)) {
 	h.rxHooks = append(h.rxHooks, fn)
 }
@@ -155,7 +172,8 @@ func (h *Host) AddRxHook(fn func(*netstack.Packet)) {
 // SetRawUDPHook installs a hook that sees UDP packets before socket
 // dispatch; returning true consumes the packet. The DHCP client uses this
 // to receive replies addressed to 255.255.255.255 before the host has an
-// address.
+// address. Like an rx hook's, the packet and its bytes are valid until the
+// hook returns.
 func (h *Host) SetRawUDPHook(fn func(p *netstack.Packet) bool) { h.rawUDPHook = fn }
 
 // Alive reports whether the host is powered on (not Shutdown). The
@@ -220,7 +238,15 @@ func (h *Host) PowerCycler(rebind func() error) func() {
 	}
 }
 
+// receiveFrame is the NIC's receive callback. The host is the frame's last
+// owner: once everything it handed the frame to has returned, the buffer
+// goes back on the domain's frame list, whichever way handling ended.
 func (h *Host) receiveFrame(frame []byte) {
+	h.handleFrame(frame)
+	h.frames.put(frame)
+}
+
+func (h *Host) handleFrame(frame []byte) {
 	if h.dropRx {
 		return
 	}
@@ -293,7 +319,7 @@ func (h *Host) handleUDP(p *netstack.Packet) {
 func (h *Host) ListenAny(accept func(*Conn)) { h.anyListener = accept }
 
 // ListenUDPAny installs a wildcard UDP receiver for ports without a bound
-// socket.
+// socket. data is valid until recv returns; a receiver that keeps it copies.
 func (h *Host) ListenUDPAny(recv func(dstPort uint16, src netstack.Addr, srcPort uint16, data []byte)) {
 	h.anyUDP = recv
 }
@@ -399,6 +425,8 @@ type UDPSock struct {
 }
 
 // ListenUDP binds a UDP port. Passing port 0 allocates an ephemeral port.
+// The data recv is handed is valid until it returns; a receiver that keeps
+// it copies.
 func (h *Host) ListenUDP(port uint16, recv func(src netstack.Addr, srcPort uint16, data []byte)) (*UDPSock, error) {
 	if port == 0 {
 		port = h.allocEphemeral()
@@ -417,7 +445,7 @@ func (s *UDPSock) Port() uint16 { return s.port }
 // SendTo transmits a datagram.
 func (s *UDPSock) SendTo(dst netstack.Addr, dstPort uint16, data []byte) {
 	u := netstack.UDP{SrcPort: s.port, DstPort: dstPort}
-	frame := u.Marshal(newIPFrame(netstack.UDPHeaderLen+len(data)), s.host.addr, dst, data)
+	frame := u.Marshal(s.host.newIPFrame(netstack.UDPHeaderLen+len(data)), s.host.addr, dst, data)
 	s.TxDatagrams++
 	s.host.sendIP(dst, netstack.ProtoUDP, frame)
 }

@@ -34,7 +34,7 @@ func TestARPResolution(t *testing.T) {
 	}
 	var got []byte
 	if _, err := b.ListenUDP(2000, func(src netstack.Addr, sp uint16, data []byte) {
-		got = data
+		got = append(got, data...) // data is the host's again once this returns
 		if src != a.Addr() || sp != 1000 {
 			t.Errorf("src %v:%d", src, sp)
 		}

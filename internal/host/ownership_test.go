@@ -113,9 +113,10 @@ func TestARPPendingFramesLeaveIntact(t *testing.T) {
 // TestSegmentAllocCeilingAccessToTrunk bounds what one data segment costs
 // from Conn.Write across an access port to the trunk: the frame buffer and
 // nothing else — the retransmission timer is re-armed in place and both
-// link deliveries ride recycled records. (The second allocation counted is
-// the test's own: each RunFor probes its goroutine id once.) A regression
-// here fails go test without a benchmark run.
+// link deliveries ride recycled records. The buffer itself is made anew for
+// every segment: the frame ends at a bare trunk port, not at a host that
+// would release it for reuse. A regression here fails go test without a
+// benchmark run.
 func TestSegmentAllocCeilingAccessToTrunk(t *testing.T) {
 	s := sim.New(1)
 	sw := netsim.NewSwitch(s, "sw")
@@ -142,7 +143,7 @@ func TestSegmentAllocCeilingAccessToTrunk(t *testing.T) {
 	s.RunFor(time.Millisecond)
 
 	seg := bytes.Repeat([]byte{0x5a}, MSS)
-	const ceiling = 2
+	const ceiling = 1
 	allocs := testing.AllocsPerRun(20, func() {
 		c.Write(seg)
 		s.RunFor(time.Millisecond)

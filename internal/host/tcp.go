@@ -97,7 +97,9 @@ type Conn struct {
 	// OnConnect fires when the connection reaches ESTABLISHED (for both
 	// active and passive opens).
 	OnConnect func()
-	// OnData delivers in-order payload bytes.
+	// OnData delivers in-order payload bytes. They lie in the received
+	// frame, which the host recycles once OnData returns: a callback that
+	// keeps them copies (Write does).
 	OnData func([]byte)
 	// OnPeerClose fires when the peer's FIN is received (EOF). The
 	// connection can still send until Close is called.
@@ -273,7 +275,7 @@ func (c *Conn) sendSegment(flags uint8, seq, ack uint32, payload []byte) {
 		SrcPort: c.key.localPort, DstPort: c.key.remotePort,
 		Seq: seq, Ack: ack, Flags: flags, Window: DefaultWindow,
 	}
-	frame := t.Marshal(newIPFrame(netstack.TCPHeaderLen+len(payload)), c.host.addr, c.key.remoteIP, payload)
+	frame := t.Marshal(c.host.newIPFrame(netstack.TCPHeaderLen+len(payload)), c.host.addr, c.key.remoteIP, payload)
 	c.host.sendIP(c.key.remoteIP, netstack.ProtoTCP, frame)
 }
 
@@ -397,7 +399,7 @@ func (h *Host) sendRST(p *netstack.Packet) {
 		r.Flags = netstack.FlagRST | netstack.FlagACK
 		r.Ack = t.Seq + segLen(t, len(p.Payload))
 	}
-	frame := r.Marshal(newIPFrame(netstack.TCPHeaderLen), h.addr, p.IP.Src, nil)
+	frame := r.Marshal(h.newIPFrame(netstack.TCPHeaderLen), h.addr, p.IP.Src, nil)
 	h.sendIP(p.IP.Src, netstack.ProtoTCP, frame)
 }
 

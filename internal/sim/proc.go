@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 )
 
@@ -37,13 +38,16 @@ import (
 // microseconds (3 µs from a shallow stack, some 15 µs from inside a farm
 // run), so it is for facade entry points and the start of a run loop: a
 // coordinator looks it up once per goroutine per RunUntil, never per
-// window, let alone per event.
+// window, let alone per event. It reads the stack into goidBuf under goidMu
+// because a local buffer escapes through runtime.Stack, which would cost
+// every Run, RunFor and RunUntil an allocation.
 func goid() int64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
+	goidMu.Lock()
+	defer goidMu.Unlock()
+	n := runtime.Stack(goidBuf[:], false)
 	const prefix = len("goroutine ")
 	var id int64
-	for _, c := range buf[prefix:n] {
+	for _, c := range goidBuf[prefix:n] {
 		if c < '0' || c > '9' {
 			break
 		}
@@ -54,6 +58,11 @@ func goid() int64 {
 	}
 	return id
 }
+
+var (
+	goidMu  sync.Mutex
+	goidBuf [64]byte
+)
 
 // Proc is a goroutine coupled to a Simulator's event loop. Exactly one of
 // {event loop, proc} executes at a time; the handoff is two unbuffered

@@ -32,6 +32,36 @@ func TestProcSleepWakesAtVirtualTime(t *testing.T) {
 	}
 }
 
+// TestGoidConcurrent: goid reads every caller's stack through one shared
+// buffer, so goroutines asking at once must each get their own id, the same
+// every time they ask.
+func TestGoidConcurrent(t *testing.T) {
+	const goroutines, asks = 8, 200
+	ids := make([]int64, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ids[g] = goid()
+			for i := 0; i < asks; i++ {
+				if id := goid(); id != ids[g] {
+					t.Errorf("goroutine %d: id %d, then %d", g, ids[g], id)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	seen := map[int64]bool{}
+	for _, id := range ids {
+		if seen[id] {
+			t.Fatalf("two goroutines got id %d", id)
+		}
+		seen[id] = true
+	}
+}
+
 // TestProcParkUnpark checks the explicit handoff: an event callback
 // unparks a waiting proc and regains control when the proc parks again.
 func TestProcParkUnpark(t *testing.T) {

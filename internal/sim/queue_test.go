@@ -587,3 +587,28 @@ func TestTimerResetAllocFree(t *testing.T) {
 		t.Errorf("timer pending %v, queue holds %d events, want idle and the ticker alone", tm.Pending(), s.Pending())
 	}
 }
+
+// TestRunLoopAllocFree: entering and leaving the run loop costs nothing.
+// Each Run, RunFor and RunUntil looks up its goroutine id once to mark the
+// loop (OnEventLoop), and that lookup must not put its stack buffer on the
+// heap.
+func TestRunLoopAllocFree(t *testing.T) {
+	s := New(1)
+	fired := 0
+	var tm Timer
+	tm.Init(s, func() { fired++ })
+	allocs := testing.AllocsPerRun(100, func() {
+		tm.Reset(time.Millisecond)
+		s.RunFor(2 * time.Millisecond)
+		tm.Reset(time.Millisecond)
+		s.RunUntil(s.Now() + 2*time.Millisecond)
+		tm.Reset(time.Millisecond)
+		s.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("RunFor, RunUntil and Run cost %v allocations, want 0", allocs)
+	}
+	if want := 101 * 3; fired != want { // AllocsPerRun adds one warm-up run
+		t.Errorf("fired %d callbacks, want %d", fired, want)
+	}
+}

@@ -23,7 +23,8 @@ import (
 // and the habitat cannot be a sharded domain. Farms that need
 // byte-deterministic journals keep the callback HTTPSink.
 type HTTPServerSink struct {
-	// mu guards hits/urls: handlers run on net/http's own goroutines.
+	// mu guards hits/urls: handlers run on net/http's own goroutines. Like
+	// HTTPSink, urls keeps the first maxKeptURLs request targets.
 	mu   sync.Mutex
 	hits uint64
 	urls []string
@@ -60,7 +61,9 @@ func NewHTTPServerSink(h *host.Host, port uint16) (*HTTPServerSink, error) {
 func (s *HTTPServerSink) handle(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.hits++
-	s.urls = append(s.urls, r.URL.String())
+	if len(s.urls) < maxKeptURLs {
+		s.urls = append(s.urls, r.URL.String())
+	}
 	s.mu.Unlock()
 	s.hitsCtr.Inc()
 	w.Header().Set("Content-Length", "0")
@@ -74,7 +77,7 @@ func (s *HTTPServerSink) Hits() uint64 {
 	return s.hits
 }
 
-// URLs returns a copy of the request URLs seen so far.
+// URLs returns a copy of the first maxKeptURLs request URLs.
 func (s *HTTPServerSink) URLs() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -5,8 +5,9 @@
 # Fails when a non-test Go file outside internal/sim (bench/, the frozen
 # benchmark harness, aside) posts across domains itself, or when one of the
 # retired doorways reappears. Also guards the gateway's one flow lifecycle
-# (DESIGN.md §3g), the farm's one wiring site (DESIGN.md §3j) and the SMTP
-# engine's one binding to a connection (DESIGN.md §3b), below.
+# (DESIGN.md §3g), the farm's one wiring site (DESIGN.md §3j), the SMTP
+# engine's one binding to a connection and a host's two frame-list points
+# (DESIGN.md §3b), below.
 set -eu
 cd "$(git rev-parse --show-toplevel)"
 status=0
@@ -64,6 +65,18 @@ shimvars=$(grep -ohE "\b[A-Za-z_][A-Za-z0-9_]*(\s+|\s*:?=\s*&?)\*?$shimT\b" $shi
 # shellcheck disable=SC2086
 bad "shim encoded with Marshal in internal/gateway or internal/containment (use AppendTo)" \
 	"$(grep -nE "$shimT\{[^}]*\}\)?\.Marshal\(\)${shimvars:+|\b($shimvars)\.Marshal\(\)}" $shimfiles || true)"
+# A host's frame buffers cycle through its domain's frame list (DESIGN.md
+# §3b): non-test internal/host takes from the list only in newIPFrame, which
+# alone makes a buffer when the list has none, and gives back only at the end
+# of receiveFrame. The one other byte slice it makes is a connection's send
+# buffer (Conn.queue).
+host=$(find internal/host -name '*.go' ! -name '*_test.go')
+# shellcheck disable=SC2086
+bad "frame list taken from outside newIPFrame or returned to outside receiveFrame" \
+	"$(awk '/^func /{fn=$0} (/\.take\(/ && fn !~ /\) newIPFrame\(/) || (/\.put\(/ && fn !~ /\) receiveFrame\(/) {print FILENAME ":" FNR ": " $0}' $host)"
+# shellcheck disable=SC2086
+bad "frame buffer made outside newIPFrame in internal/host (take it from the frame list)" \
+	"$(awk '/^func /{fn=$0} /make\(\[\]byte/ && fn !~ /\) (newIPFrame|queue)\(/ {print FILENAME ":" FNR ": " $0}' $host)"
 # A farm is wired in one place (DESIGN.md §3j): outside internal/farm and
 # the frozen benchmark harness, non-test code describes a farm as a
 # farm.Spec and calls Build — never the constructors and wiring primitives
