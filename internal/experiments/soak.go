@@ -166,8 +166,9 @@ func retireInmates(r *Run) error { r.RetireInmates(); return nil }
 
 // check is what every run demands of every subfarm after the drain: no
 // probe escaped, no containment server left down (breaker quarantine is a
-// decision, not an outage), an empty flow table, a MAC table no inmate
-// overflowed — and of the farm, no inmate address on the blacklist.
+// decision, not an outage), an empty flow table, a MAC table and a VLAN ARP
+// cache no inmate overflowed — and of the farm, no inmate address on the
+// blacklist.
 func (r *Run) check() {
 	leaked := false
 	r.Snapshot = r.Sim.Obs().Snapshot()
@@ -188,6 +189,9 @@ func (r *Run) check() {
 		}
 		if n := r.Snapshot.Counter("subfarm." + sf.Name + ".mac_table_full"); n > 0 {
 			r.bad("%s: %d source MACs past the gateway's bridging-table bound", sf.Name, n)
+		}
+		if n := r.Snapshot.Counter("subfarm." + sf.Name + ".vlan_arp_full"); n > 0 {
+			r.bad("%s: %d ARP senders past the gateway's VLAN ARP cache bound", sf.Name, n)
 		}
 	}
 	if leaked {

@@ -326,6 +326,45 @@ func TestMACTableIsBounded(t *testing.T) {
 	}
 }
 
+// The VLAN-side ARP cache is keyed by sender addresses an inmate chooses, so
+// it has macTable's bound: an ARP storm of spoofed senders on one inmate
+// VLAN stops growing it at maxLearnedMACs and is counted, and an entry held
+// before the storm still follows its host.
+func TestVLANARPIsBounded(t *testing.T) {
+	const flood = 10000
+	rig := newLifetimeRig(t)
+	inmate := netstack.MustParseAddr("10.0.0.5")
+	rig.trunk.port.Send(arpReply(12, inmate, inmateMAC(12)))
+	rig.settle()
+	held := len(rig.r.vlanARP)
+
+	for i := 0; i < flood; i++ {
+		spoofed := netstack.Addr(0xc6120000 | uint32(i)) // 198.18.0.0/15
+		rig.trunk.port.Send(arpReply(12, spoofed, netstack.MAC{2, 0xbd, 0, 0, byte(i >> 8), byte(i)}))
+	}
+	rig.settle()
+	if n := len(rig.r.vlanARP); n > maxLearnedMACs {
+		t.Fatalf("vlanARP holds %d entries after %d spoofed senders, bound is %d", n, flood, maxLearnedMACs)
+	}
+	refused := rig.s.Obs().Snapshot().Counter("subfarm.lifetime.vlan_arp_full")
+	if want := uint64(held + flood - maxLearnedMACs); refused != want {
+		t.Errorf("subfarm.lifetime.vlan_arp_full = %d after the storm, want %d", refused, want)
+	}
+
+	// Full: the held entry moves with its host, a new sender is turned away.
+	moved := netstack.MAC{2, 0, 0, 0, 2, 12}
+	late := netstack.MustParseAddr("10.0.0.6")
+	rig.trunk.port.Send(arpReply(12, inmate, moved))
+	rig.trunk.port.Send(arpReply(12, late, inmateMAC(13)))
+	rig.settle()
+	if mac := rig.r.vlanARP[vlanAddr{12, inmate}]; mac != moved {
+		t.Errorf("held entry reads %v after its host moved to %v", mac, moved)
+	}
+	if _, ok := rig.r.vlanARP[vlanAddr{12, late}]; ok {
+		t.Error("a new sender was learned into the full cache")
+	}
+}
+
 // GRE decapsulation parses the inner packet while the outer one is still in
 // use: the tunnel is looked up by the outer destination after the inner
 // parse. The inner parse must not land in the buffer the outer lives in, and

@@ -196,8 +196,11 @@ type Router struct {
 	inmateMAC  map[uint16]netstack.MAC // VLAN -> inmate MAC (learned)
 	inmateVLAN map[netstack.Addr]uint16
 
-	// VLAN-side ARP (for reaching service hosts and inmates).
+	// VLAN-side ARP (for reaching service hosts and inmates). Inmates
+	// choose the sender addresses, so it is bounded like macTable (see
+	// learnVLANARP).
 	vlanARP     map[vlanAddr]netstack.MAC
+	vlanARPFull *obs.Counter // nil until the first overflow
 	vlanPending *netsim.Waits[vlanAddr, []byte]
 
 	// Safety filter state: fixed one-minute windows.
@@ -399,27 +402,46 @@ func (r *Router) receiveTrunk(p *netstack.Packet) {
 	r.bridge(p)
 }
 
-// maxLearnedMACs bounds a router's bridging table: twice the 802.1Q VLAN
-// space, i.e. one machine per inmate VLAN with room for every service
-// host, and a ceiling on what a source-MAC-spoofing inmate can make the
-// gateway remember.
+// maxLearnedMACs bounds a router's bridging table and its VLAN-side ARP
+// cache: twice the 802.1Q VLAN space, i.e. one machine per inmate VLAN with
+// room for every service host, and a ceiling on what a spoofing inmate can
+// make the gateway remember.
 const maxLearnedMACs = 8192
 
 // learnMAC records where a source MAC was last seen. At the bound a MAC the
 // table already holds may still move; a new one is not learned, and counted
-// in subfarm.<name>.mac_table_full — a series registered by the first
-// overflow, so a farm nobody attacks snapshots what it always did.
+// in subfarm.<name>.mac_table_full (see refuse).
 func (r *Router) learnMAC(mac netstack.MAC, vlan uint16) {
 	if len(r.macTable) >= maxLearnedMACs {
 		if _, known := r.macTable[mac]; !known {
-			if r.macTableFull == nil {
-				r.macTableFull = r.sim.Obs().Reg.Counter("subfarm." + r.cfg.Name + ".mac_table_full")
-			}
-			r.macTableFull.Inc()
+			r.refuse(&r.macTableFull, "mac_table_full")
 			return
 		}
 	}
 	r.macTable[mac] = vlan
+}
+
+// learnVLANARP records an ARP sender's MAC under its VLAN and address, with
+// macTable's rule: at the bound a held entry may still change; a new one is
+// not learned, and counted in subfarm.<name>.vlan_arp_full.
+func (r *Router) learnVLANARP(key vlanAddr, mac netstack.MAC) {
+	if len(r.vlanARP) >= maxLearnedMACs {
+		if _, known := r.vlanARP[key]; !known {
+			r.refuse(&r.vlanARPFull, "vlan_arp_full")
+			return
+		}
+	}
+	r.vlanARP[key] = mac
+}
+
+// refuse counts an entry a bounded table turned away in subfarm.<name>.<series>,
+// registering the series on the first refusal, so a farm nobody attacks
+// snapshots what it always did.
+func (r *Router) refuse(c **obs.Counter, series string) {
+	if *c == nil {
+		*c = r.sim.Obs().Reg.Counter("subfarm." + r.cfg.Name + "." + series)
+	}
+	(*c).Inc()
 }
 
 // bridge forwards a frame between VLANs of the restricted broadcast domain
@@ -620,7 +642,7 @@ func (r *Router) handleARP(p *netstack.Packet) {
 	}
 	if !a.SenderIP.IsZero() {
 		key := vlanAddr{p.Eth.VLAN, a.SenderIP}
-		r.vlanARP[key] = a.SenderHW
+		r.learnVLANARP(key, a.SenderHW)
 		r.flushVLANPending(key, a.SenderHW)
 	}
 	if a.Op == netstack.ARPRequest {

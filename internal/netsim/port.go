@@ -59,6 +59,12 @@ type Port struct {
 	latency time.Duration
 	up      bool
 
+	// The lane: frames in flight to this port from its own domain, in
+	// firing order, threaded through their records. Only the head is
+	// queued, on landing (see enlane).
+	head, tail *inflight
+	landing    sim.Timer
+
 	// everRecv records whether a receiver was ever attached. Frames that
 	// arrive before the first SetReceiver are wiring/setup noise (e.g. ARP
 	// broadcast hitting a tap-only port) and are not counted as rx drops.
@@ -92,7 +98,7 @@ type Port struct {
 // (e.g. a pure tap).
 func NewPort(s *sim.Simulator, name string, recv func(frame []byte)) *Port {
 	reg := s.Obs().Reg
-	return &Port{
+	p := &Port{
 		Name: name, sim: s, wire: wireOf(s), recv: recv, up: true,
 		everRecv:      recv != nil,
 		lossDrops:     reg.Counter("netsim.port_loss_drops"),
@@ -102,6 +108,8 @@ func NewPort(s *sim.Simulator, name string, recv func(frame []byte)) *Port {
 		corruptFrames: reg.Counter("netsim.port_corrupt_frames"),
 		reorders:      reg.Counter("netsim.port_reorder_frames"),
 	}
+	p.landing.Init(s, p.land)
+	return p
 }
 
 // SetReceiver replaces the receive callback, e.g. when a host NIC is
@@ -237,13 +245,17 @@ func (p *Port) delay() time.Duration {
 	return d
 }
 
-// inflight is one frame on a link: the buffer, the port it is headed for and
-// the timer that fires on arrival. Records are recycled through their
-// domain's wire, so a hop costs no allocation.
+// inflight is one frame on a link: the buffer, the port it is headed for
+// and when it lands there. On a link within one domain the record waits in
+// the receiving port's lane under the key its send stamped; across domains
+// it rides its own timer. Records are recycled through their domain's wire,
+// so a hop costs no allocation.
 type inflight struct {
-	timer sim.Timer
-	peer  *Port
-	buf   []byte
+	key        sim.Key
+	prev, next *inflight // lane neighbours
+	timer      sim.Timer // cross-domain delivery
+	peer       *Port
+	buf        []byte
 }
 
 // wire is one simulation domain's free list of in-flight records, touched
@@ -292,17 +304,61 @@ func (f *inflight) arrive() {
 	peer.receive(buf)
 }
 
-// deliver puts the (now callee-owned) buffer on the link: an in-flight
-// record carries it and fires at the peer after the delay. When the peer
-// lives in another simulation domain the record crosses with the frame —
-// buffer ownership transfers (no copy), the coordinator arms the record in
-// the receiving domain, and all receive bookkeeping runs there. Connect
-// guarantees the link latency is at least the coordinator's lookahead, so
-// the clamp in PostTimerTo never fires for frame delivery.
+// deliver puts the (now callee-owned) buffer on the link in a record that
+// lands at the peer after the delay. Within one domain the record takes the
+// key a timer armed here would (Simulator.Stamp) and joins the peer's lane.
+// When the peer lives in another domain the record crosses with the frame —
+// buffer ownership transfers (no copy), the coordinator arms the record's
+// timer in the receiving domain, and all receive bookkeeping runs there.
+// Connect guarantees the link latency is at least the coordinator's
+// lookahead, so the clamp in PostTimerTo never fires for frame delivery.
 func (p *Port) deliver(buf []byte, after time.Duration) {
 	f := p.wire.take()
 	f.peer, f.buf = p.peer, buf
-	p.sim.PostTimerTo(p.peer.sim, after, &f.timer)
+	if p.peer.sim != p.sim {
+		p.sim.PostTimerTo(p.peer.sim, after, &f.timer)
+		return
+	}
+	f.key = p.sim.Stamp(after)
+	p.peer.enlane(f)
+}
+
+// enlane files f in p's lane in key order and re-arms landing when f is the
+// new head. An unimpaired link's frames land in the order they were sent,
+// so f goes at the tail; jitter, reordering and duplicates walk it back
+// from there. The head is the lane's minimum, so the simulator's next event
+// is the one a timer per frame would have fired.
+func (p *Port) enlane(f *inflight) {
+	at := p.tail
+	for at != nil && f.key.Before(at.key) {
+		at = at.prev
+	}
+	f.prev = at
+	if at == nil {
+		f.next, p.head = p.head, f
+		p.landing.ResetAt(f.key)
+	} else {
+		f.next, at.next = at.next, f
+	}
+	if f.next == nil {
+		p.tail = f
+	} else {
+		f.next.prev = f
+	}
+}
+
+// land fires at the lane head's key: it arms the next record's, then hands
+// the head over as a record's own timer would.
+func (p *Port) land() {
+	f := p.head
+	if p.head = f.next; p.head != nil {
+		p.head.prev = nil
+		p.landing.ResetAt(p.head.key)
+	} else {
+		p.tail = nil
+	}
+	f.next = nil
+	f.arrive()
 }
 
 // receive runs the receiving-side bookkeeping and hands the frame to the

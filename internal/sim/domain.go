@@ -268,7 +268,7 @@ func (s *Simulator) runWindow(limit time.Duration, gid int64) {
 	defer s.endLoop()
 	for !s.halted {
 		e := s.next()
-		if e == nil || e.at >= s.winEnd || e.at > limit {
+		if e == nil || e.key.at >= s.winEnd || e.key.at > limit {
 			break
 		}
 		s.step(e)

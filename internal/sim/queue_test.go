@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -11,7 +12,7 @@ import (
 
 // The event queue against a reference model. A storm is a seeded script of
 // schedule / cancel / re-arm / ticker start / ticker stop / Timer.Reset /
-// Timer.Stop operations, issued both from outside the run loop and from
+// Timer.Stop / lane operations, issued both from outside the run loop and from
 // inside callbacks (including an event cancelling itself, a ticker stopping
 // itself and a Timer re-arming itself). Every operation is applied to the
 // simulator and to a model that keeps the pending timers in a map and finds
@@ -40,12 +41,24 @@ type storm struct {
 	timerID []int            // timers[i]'s id
 	fired   int
 
+	// lane is what a netsim port does with its frames in flight: each
+	// firing's key is stamped when it is sent (Simulator.Stamp), the keys
+	// wait in order, and only the earliest is armed, on landing
+	// (Timer.ResetAt). The model holds every stamped key as a live timer.
+	lane    []laneEntry
+	landing *Timer
+
 	// over, when set, reports that the script has run out (FuzzEventQueue):
 	// from then on callbacks start nothing new, so every run loop ends.
 	over func() bool
 	// draining is set for the final Run: no new tickers, or a millisecond
 	// ticker would tick its way to the last 35 s timer.
 	draining bool
+}
+
+type laneEntry struct {
+	key Key
+	id  int
 }
 
 func newStorm(t *testing.T, seed int64, src rand.Source) *storm {
@@ -100,8 +113,11 @@ func (st *storm) next() (id int, ok bool) {
 
 func (st *storm) check(what string) {
 	st.t.Helper()
-	if got, want := st.s.Pending(), len(st.live); got != want {
-		st.t.Fatalf("after %s: Pending() = %d, model has %d live timers", what, got, want)
+	// A lane's keys behind its head are live in the model but not queued.
+	waiting := max(len(st.lane)-1, 0)
+	if got, want := st.s.Pending(), len(st.live)-waiting; got != want {
+		st.t.Fatalf("after %s: Pending() = %d, model has %d live timers, %d of them waiting in the lane",
+			what, got, len(st.live), waiting)
 	}
 }
 
@@ -222,6 +238,37 @@ func (st *storm) anyTimer() int {
 	return st.rng.Intn(len(st.timers))
 }
 
+// send stamps a key for a firing d from now — in the model, a timer armed
+// now — and files it in the lane, arming landing when it is the new head.
+func (st *storm) send() {
+	if st.landing == nil {
+		st.landing = new(Timer)
+		st.landing.Init(st.s, st.land)
+	}
+	id, d := len(st.evs), st.delay()
+	st.evs = append(st.evs, nil)
+	st.arm(id, d, false)
+	k := st.s.Stamp(d)
+	i := len(st.lane)
+	for i > 0 && k.Before(st.lane[i-1].key) {
+		i--
+	}
+	st.lane = slices.Insert(st.lane, i, laneEntry{k, id})
+	if i == 0 {
+		st.landing.ResetAt(k)
+	}
+	st.check(fmt.Sprintf("lane send(%d)", id))
+}
+
+// land is the lane head firing: arm the next key, then run on.
+func (st *storm) land() {
+	st.onFire(st.lane[0].id)
+	if st.lane = st.lane[1:]; len(st.lane) > 0 {
+		st.landing.ResetAt(st.lane[0].key)
+	}
+	st.ops(st.rng.Intn(3))
+}
+
 func (st *storm) startTicker() {
 	id := len(st.evs)
 	st.evs = append(st.evs, nil)
@@ -260,7 +307,7 @@ func (st *storm) oldestTicker() (id int, ok bool) {
 
 func (st *storm) ops(n int) {
 	for i := 0; i < n && !st.scriptOver(); i++ {
-		switch r := st.rng.Intn(14); {
+		switch r := st.rng.Intn(16); {
 		case r < 4 || len(st.evs) == 0:
 			st.schedule()
 		case r < 7:
@@ -279,6 +326,8 @@ func (st *storm) ops(n int) {
 			i := st.anyTimer()
 			st.stopTimer(i)
 			st.resetTimer(i)
+		case r >= 14:
+			st.send()
 		default:
 			if id, ok := st.oldestTicker(); ok {
 				st.stopTicker(id)
@@ -361,7 +410,7 @@ func (sc *script) Int63() int64 {
 
 // FuzzEventQueue runs the reference-model storm from a fuzzer-written
 // script instead of a seeded one: every schedule / cancel / Timer.Reset /
-// Stop / ticker / Step / RunUntil sequence the bytes spell out must fire in
+// Stop / ticker / lane send / Step / RunUntil sequence the bytes spell out must fire in
 // the model's (time, seq) order with Pending equal to its live count.
 func FuzzEventQueue(f *testing.F) {
 	// Short seeds: the engine minimises every input that adds coverage, one

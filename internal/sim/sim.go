@@ -22,8 +22,7 @@ import (
 // Event is a scheduled callback. Events with equal firing times run in the
 // order they were scheduled.
 type Event struct {
-	at    time.Duration
-	seq   uint64
+	key   Key
 	fn    func()
 	sim   *Simulator
 	pos   int // 1 + position in its heap; 0 while not queued
@@ -33,7 +32,7 @@ type Event struct {
 }
 
 // At reports the virtual time at which the event fires.
-func (e *Event) At() time.Duration { return e.at }
+func (e *Event) At() time.Duration { return e.key.at }
 
 // Cancel prevents a pending event from firing by taking it out of its
 // simulator's queue at once. Cancelling an already-fired or
@@ -56,12 +55,8 @@ func (e *Event) Cancelled() bool { return e.dead }
 // Fired reports whether the event's callback has run.
 func (e *Event) Fired() bool { return e.fired }
 
-// before is the queue order: firing time, then scheduling order. seq is
-// unique per simulator, so the order is total and the firing sequence does
-// not depend on how the heap happens to arrange equal keys.
-func (e *Event) before(o *Event) bool {
-	return e.at < o.at || e.at == o.at && e.seq < o.seq
-}
+// before is the queue order (Key.Before).
+func (e *Event) before(o *Event) bool { return e.key.Before(o.key) }
 
 // eventQueue is a binary min-heap of the pending events, ordered by
 // before. Every queued event tracks its own position in pos, which is what
@@ -280,13 +275,44 @@ func (s *Simulator) enqueue(e *Event, at time.Duration) {
 	if at < s.now {
 		at = s.now
 	}
-	e.at, e.seq = at, s.seq
+	s.queue(e, Key{at, s.seq})
 	s.seq++
-	if e.far = at-s.now >= farHorizon; e.far {
+}
+
+// queue files the idle event e under key k.
+func (s *Simulator) queue(e *Event, k Key) {
+	e.key = k
+	if e.far = k.at-s.now >= farHorizon; e.far {
 		s.far.push(e)
 	} else {
 		s.near.push(e)
 	}
+}
+
+// Key is a place in a simulator's firing order: a virtual time and the
+// scheduling sequence number taken for it.
+type Key struct {
+	at  time.Duration
+	seq uint64
+}
+
+// Before is the queue order: firing time, then scheduling order. seq is
+// unique per simulator, so the order is total and the firing sequence does
+// not depend on how the heap happens to arrange equal keys.
+func (k Key) Before(o Key) bool { return k.at < o.at || k.at == o.at && k.seq < o.seq }
+
+// Stamp takes the key an event scheduled d from now would be given — the
+// same clamp, the next sequence number — without queueing anything. A
+// holder of many future firings (a link's frames in flight) stamps each
+// where it would have scheduled it and keeps only the earliest armed, with
+// Timer.ResetAt: the firing order is the one a timer per firing would give.
+func (s *Simulator) Stamp(d time.Duration) Key {
+	if d < 0 {
+		d = 0
+	}
+	k := Key{s.now + d, s.seq}
+	s.seq++
+	return k
 }
 
 // farHorizon splits the pending events into two heaps. Scheduled delays are
@@ -352,6 +378,19 @@ func (t *Timer) Reset(d time.Duration) {
 	s.enqueue(&t.ev, s.now+d) // enqueue clamps a negative delay to now
 }
 
+// ResetAt (re-)arms the timer to fire at k, a key its simulator's Stamp
+// gave out, replacing a pending firing. It takes no sequence number: the
+// timer fires where an event scheduled at the Stamp call would have. k must
+// not be in the past.
+func (t *Timer) ResetAt(k Key) {
+	t.Stop()
+	s := t.ev.sim
+	if k.at < s.now {
+		panic(fmt.Sprintf("sim: ResetAt %v, before now %v", k.at, s.now))
+	}
+	s.queue(&t.ev, k)
+}
+
 // Stop takes a pending firing out of the queue. Stopping an idle timer is
 // a no-op.
 func (t *Timer) Stop() {
@@ -401,7 +440,7 @@ func (s *Simulator) step(e *Event) bool {
 		return false
 	}
 	s.unqueue(e)
-	s.setNow(e.at)
+	s.setNow(e.key.at)
 	e.fired = true
 	s.Fired++
 	e.fn()
@@ -425,7 +464,7 @@ func (s *Simulator) RunUntil(deadline time.Duration) {
 	defer s.endLoop()
 	for !s.halted {
 		e := s.next()
-		if e == nil || e.at > deadline {
+		if e == nil || e.key.at > deadline {
 			break
 		}
 		s.step(e)
@@ -444,7 +483,7 @@ func (s *Simulator) peek() (time.Duration, bool) {
 	if e == nil {
 		return 0, false
 	}
-	return e.at, true
+	return e.key.at, true
 }
 
 // Ticker repeatedly invokes fn every interval until stopped. It re-arms one

@@ -6,8 +6,8 @@
 # benchmark harness, aside) posts across domains itself, or when one of the
 # retired doorways reappears. Also guards the gateway's one flow lifecycle
 # (DESIGN.md §3g), the farm's one wiring site (DESIGN.md §3j), the SMTP
-# engine's one binding to a connection and a host's two frame-list points
-# (DESIGN.md §3b), below.
+# engine's one binding to a connection, a host's two frame-list points and a
+# link's delivery lanes (DESIGN.md §3b), below.
 set -eu
 cd "$(git rev-parse --show-toplevel)"
 status=0
@@ -77,6 +77,18 @@ bad "frame list taken from outside newIPFrame or returned to outside receiveFram
 # shellcheck disable=SC2086
 bad "frame buffer made outside newIPFrame in internal/host (take it from the frame list)" \
 	"$(awk '/^func /{fn=$0} /make\(\[\]byte/ && fn !~ /\) (newIPFrame|queue)\(/ {print FILENAME ":" FNR ": " $0}' $host)"
+# A link's frames in flight wait in the receiving port's lane under keys
+# stamped when they were sent (DESIGN.md §3b): outside internal/sim only the
+# lane code in internal/netsim/port.go stamps a key or arms a timer at one,
+# and non-test internal/netsim posts a frame's own timer only where deliver
+# hands it to another domain.
+# shellcheck disable=SC2086
+bad "stamped key taken or armed outside the lane code (Port.deliver / enlane / land in internal/netsim/port.go)" \
+	"$(awk 'FNR==1{fn=""} /^func /{fn=$0} /\.(Stamp|ResetAt)\(/ && !(FILENAME == "./internal/netsim/port.go" && fn ~ /\) (deliver|enlane|land)\(/) {print FILENAME ":" FNR ": " $0}' $files)"
+netsim=$(find internal/netsim -name '*.go' ! -name '*_test.go')
+# shellcheck disable=SC2086
+bad "frame timer posted outside Port.deliver's cross-domain branch in internal/netsim (same-domain frames join the lane)" \
+	"$(awk 'FNR==1{fn=""} /^func /{fn=$0} /PostTimerTo\(/ && fn !~ /\) deliver\(/ {print FILENAME ":" FNR ": " $0}' $netsim)"
 # A farm is wired in one place (DESIGN.md §3j): outside internal/farm and
 # the frozen benchmark harness, non-test code describes a farm as a
 # farm.Spec and calls Build — never the constructors and wiring primitives
