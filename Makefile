@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify loc fuzz bench-ab chaos soak recycle-soak fleet-soak serve-smoke
+.PHONY: build test vet race verify loc fuzz examples bench-ab chaos soak recycle-soak fleet-soak serve-smoke
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,12 @@ verify: build vet test race
 # before -> after -> delta table against that revision's committed files.
 loc:
 	@./scripts/loc.sh $(PARENT)
+
+# The seven examples/ programs, built and run once each: the SHA-256 of each
+# one's stdout and its exit status must match examples/testdata/stdout.sha256
+# (./scripts/examples_check.sh -update rewrites it for an intended change).
+examples:
+	./scripts/examples_check.sh
 
 # Native fuzz targets on a short budget each (go test takes one -fuzz
 # target per package run). A crasher lands in the package's

@@ -74,8 +74,6 @@ import (
 	"gq/internal/obs"
 	"gq/internal/ops"
 	"gq/internal/policy"
-	"gq/internal/rawiron"
-	"gq/internal/supervisor"
 	"gq/internal/trace"
 )
 
@@ -109,9 +107,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	supervise := fs.Bool("supervise", false, "attach the containment-plane supervisor: heartbeat health, fail-closed failover, supervised restarts, inmate quarantine")
 	treeFlag := fs.Bool("tree", false, "attach the farm-wide supervision tree: per-subfarm supervisors (CS, sinks, controller probes) under a root node with the controller restart ladder, recycler progress watches, external-host watches, and dead-man lockdown escalation (implies -supervise)")
 	deadmanBudget := fs.Duration("deadman", 0, "with -serve and -tree: wall-clock dead-man budget — if the soak loop itself stalls past it, drive the farm into global fail-closed lockdown")
-	supHB := fs.Duration("supervise-hb", 0, "with -supervise: heartbeat probe cadence (0 = default 5s)")
-	supK := fs.Int("supervise-k", 0, "with -supervise: consecutive missed heartbeats marking an endpoint down (0 = default 3)")
-	supBreaker := fs.Int("supervise-breaker", 0, "with -supervise: restarts within the breaker window before quarantine (0 = default 5)")
 	rawIron := fs.Int("rawiron", 0, "raw-iron inmates to add on the recycling pipeline (detonate → capture → reimage → re-admit)")
 	serveAddr := fs.String("serve", "", "serve the live ops plane on this address and soak until SIGTERM")
 	speed := fs.Float64("speed", 1, "with -serve: virtual-to-wall time ratio of the soak")
@@ -167,18 +162,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for i := 0; i < *inmates; i++ {
 		botfarm.Inmates = append(botfarm.Inmates, fmt.Sprintf("inmate-%d", i))
 	}
-	botfarm.Iron, botfarm.IronPool = *rawIron, rawiron.Config{MaxConcurrent: 2}
+	botfarm.Iron = *rawIron
 	botfarm.IronCycle = farm.RecyclerConfig{Capture: true}
 	plan := experiments.Plan{
 		Spec: farm.Spec{
 			Layout:   farm.Layout{Seed: *seed, Sharded: *sharded, Workers: *workers},
 			External: []farm.ExternalHost{farm.Steephost("cc"), {Name: "gmail", Addr: gmailAddr, Serve: serveGMail}},
 			Subfarms: []farm.SubfarmSpec{botfarm},
-			Supervisor: supervisor.Config{
-				HeartbeatEvery:   *supHB,
-				MissThreshold:    *supK,
-				BreakerThreshold: *supBreaker,
-			},
 		},
 		Drain: *drain,
 	}

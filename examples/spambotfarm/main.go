@@ -58,7 +58,7 @@ func main() {
 	fmt.Println(f.Reporter(true).Generate())
 
 	fmt.Printf("harvested spam: %d envelopes at the simple sink, %d at the banner sink\n",
-		len(sf.SMTPSink.Envelopes), len(sf.BannerSink.Envelopes))
+		sf.SMTPSink.DataTransfers, sf.BannerSink.DataTransfers)
 	if len(sf.SMTPSink.Envelopes) > 0 {
 		env := sf.SMTPSink.Envelopes[0]
 		fmt.Printf("first harvested message: HELO=%q FROM=%q RCPT=%v\n",

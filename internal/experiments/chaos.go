@@ -11,6 +11,11 @@ import (
 	"gq/internal/trace"
 )
 
+// chaosWindow is the chaos soak's fault window. A containment probe (2 min)
+// and a drain window long enough for every sweep timeout to elapse run
+// after it.
+const chaosWindow = 20 * time.Minute
+
 // ChaosConfig parameterises the chaos soak: the Botfarm demo run under an
 // injected fault profile.
 type ChaosConfig struct {
@@ -19,10 +24,6 @@ type ChaosConfig struct {
 	// the serial run's (the trunk lookahead latency shifts event timing).
 	farm.Layout
 	Profile chaos.Profile
-	// Duration is the fault window (default 20 virtual minutes). A
-	// containment probe (2 min) and a drain window long enough for every
-	// sweep timeout to elapse run after it.
-	Duration time.Duration
 
 	// ContainmentServers sizes the subfarm's containment cluster (0 = 1,
 	// the single-server Botfarm baseline).
@@ -63,9 +64,6 @@ type ChaosOutcome struct {
 // profile through the fault window plus a containment probe, then the
 // wind-down. The ops plane's non-perturbation test runs it served.
 func ChaosPlan(cfg ChaosConfig) Plan {
-	if cfg.Duration == 0 {
-		cfg.Duration = 20 * time.Minute
-	}
 	// VLANs 16/17 rustock, 18/19 grum (inmates are added in order). The
 	// facade self-test pair exercises the blocking net.Conn bridge inside
 	// the habitat (sharded or not), putting its proc rendezvous on the
@@ -89,7 +87,7 @@ func ChaosPlan(cfg ChaosConfig) Plan {
 		// probe inmate joins after Faults, so its own link is clean, but
 		// containment itself (gateway + possibly crashed/stalled CS) is
 		// under chaos.
-		Phases: []Phase{Faults, RunFor(cfg.Duration), ProbeRound(nil)},
+		Phases: []Phase{Faults, RunFor(chaosWindow), ProbeRound(nil)},
 		Drain:  SoakDrain,
 	}
 	if cfg.Supervise {

@@ -48,9 +48,9 @@ func pinnedSoaks(t *testing.T) []soakJournal {
 			return out.Journal, nil
 		}
 	}
-	recoveryRun := func(cfg RecoveryConfig) func() ([]byte, error) {
+	recoveryRun := func(layout farm.Layout) func() ([]byte, error) {
 		return func() ([]byte, error) {
-			out, err := RunRecoverySoak(cfg)
+			out, err := RunRecoverySoak(layout)
 			if err != nil {
 				return nil, err
 			}
@@ -66,9 +66,9 @@ func pinnedSoaks(t *testing.T) []soakJournal {
 			return out.Journal, nil
 		}
 	}
-	fleetRun := func(cfg FleetConfig) func() ([]byte, error) {
+	fleetRun := func(layout farm.Layout) func() ([]byte, error) {
 		return func() ([]byte, error) {
-			out, err := RunFleetSoak(cfg)
+			out, err := RunFleetSoak(layout)
 			if err != nil {
 				return nil, err
 			}
@@ -81,9 +81,9 @@ func pinnedSoaks(t *testing.T) []soakJournal {
 			soakJournal{fmt.Sprintf("chaos/serial/seed%d", seed),
 				chaosRun(ChaosConfig{Layout: farm.Layout{Seed: seed}, Profile: soak})},
 			soakJournal{fmt.Sprintf("recovery/serial/seed%d", seed),
-				recoveryRun(RecoveryConfig{Layout: farm.Layout{Seed: seed}})},
+				recoveryRun(farm.Layout{Seed: seed})},
 			soakJournal{fmt.Sprintf("recovery/sharded/seed%d", seed),
-				recoveryRun(RecoveryConfig{Layout: farm.Layout{Seed: seed, Sharded: true, Workers: 1}})},
+				recoveryRun(farm.Layout{Seed: seed, Sharded: true, Workers: 1})},
 		)
 	}
 	return append(runs,
@@ -94,9 +94,9 @@ func pinnedSoaks(t *testing.T) []soakJournal {
 		soakJournal{"recycle/sharded/seed11",
 			recycleRun(RecycleConfig{Layout: farm.Layout{Seed: 11, Sharded: true, Workers: 1}, Profile: reimage})},
 		soakJournal{"fleet/serial/seed11",
-			fleetRun(FleetConfig{Layout: farm.Layout{Seed: 11}})},
+			fleetRun(farm.Layout{Seed: 11})},
 		soakJournal{"fleet/sharded/ext1/seed11",
-			fleetRun(FleetConfig{Layout: farm.Layout{Seed: 11, Sharded: true, Workers: 1}})},
+			fleetRun(farm.Layout{Seed: 11, Sharded: true, Workers: 1})},
 	)
 }
 

@@ -14,30 +14,11 @@ import (
 	"gq/internal/supervisor"
 )
 
-// FleetConfig parameterises the fleet lockdown soak: three subfarms under
-// the full supervision tree, each fed the blackout fault profile, with the
-// first subfarm's containment plane killed hard enough that no supervised
-// restart can save it — the run that proves the tree recovers every
-// survivable fault and escalates the unsurvivable one all the way to
-// global dead-man lockdown without a single probe escape.
-type FleetConfig struct {
-	// Layout places the simulation. Journals are byte-identical across
-	// worker counts for a fixed Seed.
-	farm.Layout
-
-	// Duration is the fault window (default 12 virtual minutes — long
-	// enough for the alpha kill storm to quarantine all three of its
-	// containment servers, the subfarm to fail closed, and the root's
-	// dead-man budget to expire into global lockdown).
-	Duration time.Duration
-}
-
-func (cfg FleetConfig) withDefaults() FleetConfig {
-	if cfg.Duration == 0 {
-		cfg.Duration = 12 * time.Minute
-	}
-	return cfg
-}
+// fleetWindow is the fleet soak's fault window: long enough for the alpha
+// kill storm to quarantine all three of its containment servers, the
+// subfarm to fail closed, and the root's dead-man budget to expire into
+// global lockdown.
+const fleetWindow = 12 * time.Minute
 
 // fleetSupervision is the tree tuning the soak runs under: default
 // heartbeat cadence, a two-restart circuit breaker (the third kill of any
@@ -112,19 +93,19 @@ type fleetSubfarm struct {
 	profile string // chaos spec
 }
 
-// RunFleetSoak builds three supervised subfarms under one supervision
-// tree, probes containment while healthy, runs the blackout fault window
-// (containment kill storm on alpha, sink crashes and a controller hang
-// everywhere, a recycler wedge on gamma), then proves the escalation
+// RunFleetSoak is the fleet lockdown soak: it builds three supervised
+// subfarms under one supervision tree, probes containment while healthy,
+// runs the blackout fault window (containment kill storm on alpha, sink
+// crashes and a controller hang everywhere, a recycler wedge on gamma),
+// then proves the escalation
 // ladder end to end: survivable faults recover through the tree, the
 // unsurvivable alpha plane quarantines → fails closed → drags the root
 // into global dead-man lockdown; probes during lockdown and after an
 // operator release still cannot escape; and every flow table drains
 // empty (the shared invariants, Run.check). The journal and escalation
 // record are part of the determinism surface: byte-identical / DeepEqual at
-// any worker count.
-func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
-	cfg = cfg.withDefaults()
+// any worker count for a fixed layout Seed.
+func RunFleetSoak(layout farm.Layout) (*FleetOutcome, error) {
 	fleet := []fleetSubfarm{
 		{name: "Alpha", bots: 4, servers: 3, profile: fleetAlphaProfile},
 		{name: "Beta", bots: 4, servers: 2, profile: fleetBetaProfile},
@@ -137,7 +118,7 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 		// every subfarm node, the recycler progress watch, the external-host
 		// aliveness watch over steephost.
 		Spec: farm.Spec{
-			Layout: cfg.Layout, Journal: &journal,
+			Layout: layout, Journal: &journal,
 			External:  []farm.ExternalHost{farm.Steephost("steephost")},
 			Supervise: farm.SuperviseTree, Supervisor: fleetSupervision(),
 		},
@@ -145,7 +126,7 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 			// Probes against the healthy fleet, then the blackout window.
 			ProbeRound(fleetTargets(0)),
 			Faults,
-			RunFor(cfg.Duration),
+			RunFor(fleetWindow),
 			func(r *Run) error { lockedAfterMain = r.Tree.GlobalLockedDown(); return nil },
 			// Probes while the fleet is in global dead-man lockdown.
 			ProbeRound(fleetTargets(1)),
@@ -170,7 +151,7 @@ func RunFleetSoak(cfg FleetConfig) (*FleetOutcome, error) {
 		// rotation's natural inter-mark gap stays well inside the wedge
 		// budget — only the injected wedge can freeze the mark.
 		sf.Iron = p.iron
-		sf.IronPool = rawiron.Config{MaxConcurrent: 2, ImageSizeMB: 256, TrunkMBps: 16, HiddenRestoreMBps: 16}
+		sf.IronPool = rawiron.Config{ImageSizeMB: 256, TrunkMBps: 16, HiddenRestoreMBps: 16}
 		sf.IronCycle = farm.RecyclerConfig{DetonateFor: 90 * time.Second}
 		plan.Spec.Subfarms = append(plan.Spec.Subfarms, sf)
 		prof, err := chaos.Parse(p.profile)

@@ -21,7 +21,7 @@ func TestFleetLockdownSoak(t *testing.T) {
 	const seed = 11
 
 	assertSameAcrossWorkers(t, func(workers int) (workerRun, error) {
-		out, err := RunFleetSoak(FleetConfig{Layout: farm.Layout{Seed: seed, Sharded: true, Workers: workers}})
+		out, err := RunFleetSoak(farm.Layout{Seed: seed, Sharded: true, Workers: workers})
 		if err != nil {
 			return workerRun{}, err
 		}
@@ -42,7 +42,7 @@ func TestFleetLockdownSoak(t *testing.T) {
 // on a single root domain (no PostTo hops at all) and still satisfy
 // every fleet invariant.
 func TestFleetSoakSerial(t *testing.T) {
-	out, err := RunFleetSoak(FleetConfig{Layout: farm.Layout{Seed: 11}})
+	out, err := RunFleetSoak(farm.Layout{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

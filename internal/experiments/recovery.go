@@ -7,21 +7,11 @@ import (
 	"gq/internal/farm"
 )
 
-// RecoveryConfig parameterises the recovery soak: the chaos soak's Botfarm
-// demo with a 3-member containment cluster, the "killstorm" fault profile
-// (a sustained round-robin kill schedule), and the supervisor attached.
-// Where the plain chaos soak proves graceful degradation, the recovery soak
-// proves self-healing: every kill must be detected, failed over, and
-// repaired within MaxRecovery — with containment never opening up.
-type RecoveryConfig struct {
-	farm.Layout
-
-	// MaxRecovery bounds each crash's down→healthy interval as measured by
-	// the supervisor (detection + backed-off restart + health confirmation).
-	// Default 1 virtual minute — the killstorm's own CSDownFor, i.e. the
-	// supervisor must beat what an unsupervised restore would have done.
-	MaxRecovery time.Duration
-}
+// maxRecovery bounds each crash's down→healthy interval as measured by the
+// supervisor (detection + backed-off restart + health confirmation): one
+// virtual minute — the killstorm's own CSDownFor, i.e. the supervisor must
+// beat what an unsupervised restore would have done.
+const maxRecovery = time.Minute
 
 // RecoveryOutcome is the chaos outcome plus the recovery measurements.
 type RecoveryOutcome struct {
@@ -33,20 +23,22 @@ type RecoveryOutcome struct {
 	MaxObserved time.Duration
 }
 
-// RunRecoverySoak runs the supervised kill-storm soak and layers the
-// recovery invariants on top of the chaos ones (which already demand zero
-// probe escapes, an empty flow table after drain, exact telemetry, and
-// every crashed server healthy again).
-func RunRecoverySoak(cfg RecoveryConfig) (*RecoveryOutcome, error) {
-	if cfg.MaxRecovery == 0 {
-		cfg.MaxRecovery = time.Minute
-	}
+// RunRecoverySoak runs the recovery soak: the chaos soak's Botfarm demo
+// with a 3-member containment cluster, the "killstorm" fault profile (a
+// sustained round-robin kill schedule), and the supervisor attached. Where
+// the plain chaos soak proves graceful degradation, the recovery soak
+// proves self-healing: every kill must be detected, failed over, and
+// repaired within maxRecovery — with containment never opening up. The
+// recovery invariants layer on top of the chaos ones (which already demand
+// zero probe escapes, an empty flow table after drain, exact telemetry,
+// and every crashed server healthy again).
+func RunRecoverySoak(layout farm.Layout) (*RecoveryOutcome, error) {
 	profile, err := chaos.Parse("killstorm")
 	if err != nil {
 		return nil, err
 	}
 	chaosOut, err := RunChaosSoak(ChaosConfig{
-		Layout:             cfg.Layout,
+		Layout:             layout,
 		Profile:            profile,
 		ContainmentServers: 3,
 		Supervise:          true,
@@ -60,9 +52,9 @@ func RunRecoverySoak(cfg RecoveryConfig) (*RecoveryOutcome, error) {
 		if d > out.MaxObserved {
 			out.MaxObserved = d
 		}
-		if d > cfg.MaxRecovery {
+		if d > maxRecovery {
 			out.Problems = append(out.Problems,
-				"recovery took "+d.String()+", bound is "+cfg.MaxRecovery.String())
+				"recovery took "+d.String()+", bound is "+maxRecovery.String())
 		}
 	}
 	return out, nil

@@ -15,7 +15,7 @@ import (
 func TestRecoverySoak(t *testing.T) {
 	for _, seed := range chaosSeeds {
 		for _, workers := range []int{1, 4} {
-			out, err := RunRecoverySoak(RecoveryConfig{Layout: farm.Layout{Seed: seed, Sharded: true, Workers: workers}})
+			out, err := RunRecoverySoak(farm.Layout{Seed: seed, Sharded: true, Workers: workers})
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}
@@ -39,7 +39,7 @@ func TestRecoverySoak(t *testing.T) {
 func TestRecoverySoakDeterminism(t *testing.T) {
 	const seed = 7
 	assertSameAcrossWorkers(t, func(workers int) (workerRun, error) {
-		out, err := RunRecoverySoak(RecoveryConfig{Layout: farm.Layout{Seed: seed, Sharded: true, Workers: workers}})
+		out, err := RunRecoverySoak(farm.Layout{Seed: seed, Sharded: true, Workers: workers})
 		if err != nil {
 			return workerRun{}, err
 		}

@@ -118,7 +118,7 @@ func RunRecycleSoak(cfg RecycleConfig) (*RecycleOutcome, error) {
 		sf := rustockSubfarm(fmt.Sprintf("Iron%d", i), i, cfg.Machines)
 		// Two concurrent netboots per subfarm: the third box queues, so the
 		// soak exercises the FIFO slot path alongside trunk contention.
-		sf.Iron, sf.IronPool = cfg.Machines, rawiron.Config{MaxConcurrent: 2}
+		sf.Iron = cfg.Machines
 		sf.IronCycle = farm.RecyclerConfig{DetonateFor: cfg.DetonateFor, Capture: true}
 		plan.Spec.Subfarms = append(plan.Spec.Subfarms, sf)
 		if cfg.Profile.Name != "" {

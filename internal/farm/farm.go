@@ -266,9 +266,6 @@ type SubfarmConfig struct {
 	// BannerGrab enables the banner-grabbing sink behaviour.
 	BannerGrab bool
 
-	// DNSZones seeds the subfarm resolver.
-	DNSZones map[string]netstack.Addr
-
 	// AccessLatency is the one-way latency of every inmate and service
 	// access link in the subfarm (0 = ideal wire). Setting it models the
 	// switched path plus host turnaround, so protocol dialogs occupy

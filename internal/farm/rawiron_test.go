@@ -15,7 +15,7 @@ import (
 func TestRawIronInmateFullCycle(t *testing.T) {
 	f, sf := buildBotfarm(t, 71, 0)
 
-	ric := rawiron.NewController(f.Sim)
+	ric := rawiron.NewController(f.Sim, rawiron.Config{})
 	machine := &rawiron.Machine{Name: "iron0", VLAN: 0, PowerPort: 1}
 
 	// The machine's host is created by the farm; bind it afterwards.

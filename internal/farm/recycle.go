@@ -34,13 +34,14 @@ const (
 	phaseLost     = "lost"
 )
 
+// recycleStagger offsets successive members' first detonation so harvests
+// don't all hit the PXE/TFTP trunk at once.
+const recycleStagger = 90 * time.Second
+
 // RecyclerConfig tunes the detonate→capture→reimage→readmit pipeline.
 type RecyclerConfig struct {
 	// DetonateFor is each specimen's execution window before harvest.
 	DetonateFor time.Duration // default 10m
-	// Stagger offsets successive members' first detonation so harvests
-	// don't all hit the PXE/TFTP trunk at once.
-	Stagger time.Duration // default 90s
 	// Capture, when set, reads the post-detonation disk back into an
 	// image (named after the machine and generation) before the clean
 	// reimage — the paper's capture step.
@@ -50,9 +51,6 @@ type RecyclerConfig struct {
 func (cfg RecyclerConfig) withDefaults() RecyclerConfig {
 	if cfg.DetonateFor <= 0 {
 		cfg.DetonateFor = 10 * time.Minute
-	}
-	if cfg.Stagger <= 0 {
-		cfg.Stagger = 90 * time.Second
 	}
 	return cfg
 }
@@ -100,7 +98,7 @@ type Recycler struct {
 // VM inmates (DESIGN.md §3j).
 func (sf *Subfarm) StartIronRotation(n int, pool rawiron.Config, cycle RecyclerConfig) (*Recycler, error) {
 	const cleanImage = "winxp-golden"
-	sf.RawIron = rawiron.NewControllerWith(sf.Sim, pool)
+	sf.RawIron = rawiron.NewController(sf.Sim, pool)
 	r := &Recycler{
 		sf: sf, cfg: cycle.withDefaults(),
 		sc:       sf.Sim.Obs().Scope(obs.EvLifecyclePrefix+sf.Name, obs.DefaultRingSize),
@@ -166,7 +164,7 @@ func (r *Recycler) Start() {
 	r.started = true
 	for i, vlan := range r.order {
 		mb := r.members[vlan]
-		mb.timer = r.sf.Sim.Schedule(time.Duration(i)*r.cfg.Stagger, func() { r.detonate(mb) })
+		mb.timer = r.sf.Sim.Schedule(time.Duration(i)*recycleStagger, func() { r.detonate(mb) })
 	}
 }
 

@@ -71,12 +71,10 @@ func (f *Farm) AddSubfarm(cfg SubfarmConfig) (*Subfarm, error) {
 		return svc(20 + i)
 	}
 	var cluster []gateway.ContainmentEndpoint
-	if nCS > 1 {
-		for i := 0; i < nCS; i++ {
-			cluster = append(cluster, gateway.ContainmentEndpoint{
-				VLAN: cfg.ServiceVLAN, IP: csAddr(i), Port: ContainmentPort,
-			})
-		}
+	for i := 0; i < nCS; i++ {
+		cluster = append(cluster, gateway.ContainmentEndpoint{
+			VLAN: cfg.ServiceVLAN, IP: csAddr(i), Port: ContainmentPort,
+		})
 	}
 
 	sf.Router = f.Gateway.AddRouterIn(dom, gateway.RouterConfig{
@@ -91,9 +89,6 @@ func (f *Farm) AddSubfarm(cfg SubfarmConfig) (*Subfarm, error) {
 		GlobalPoolStart:    16,
 		InboundMode:        cfg.InboundMode,
 		InfraPool:          cfg.InfraPool,
-		ContainmentVLAN:    cfg.ServiceVLAN,
-		ContainmentIP:      svc(csAddrOff),
-		ContainmentPort:    ContainmentPort,
 		NonceIP:            nonceIP,
 		ContainmentCluster: cluster,
 		GRETunnels:         cfg.GRETunnels,
@@ -195,7 +190,7 @@ func (f *Farm) AddSubfarm(cfg SubfarmConfig) (*Subfarm, error) {
 	if err != nil {
 		return nil, err
 	}
-	sf.DNS, err = dnsx.NewServer(dnsHost, cfg.DNSZones)
+	sf.DNS, err = dnsx.NewServer(dnsHost, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -8,19 +8,13 @@ import (
 	"gq/internal/supervisor"
 )
 
-// superviseFarm builds the probe farm with an aggressive supervisor config
-// so health transitions happen on test-friendly timescales.
+// superviseFarm builds the probe farm under a supervisor at the default
+// cadence (probes every 5 s, a 1 s deadline, K=3, restarts after 5 s plus up
+// to 50 % jitter) with a two-restart circuit breaker.
 func superviseFarm(t *testing.T) (*Farm, *Subfarm, *supervisor.Supervisor) {
 	t.Helper()
 	f, sf := probeFarm(t, "DefaultDeny")
-	sup := sf.Supervise(supervisor.Config{
-		HeartbeatEvery:   2 * time.Second,
-		HeartbeatTimeout: time.Second,
-		MissThreshold:    2,
-		RestartBackoff:   2 * time.Second,
-		BreakerWindow:    10 * time.Minute,
-		BreakerThreshold: 2,
-	})
+	sup := sf.Supervise(supervisor.Config{BreakerThreshold: 2})
 	return f, sf, sup
 }
 
@@ -34,10 +28,11 @@ func TestSupervisorRestartsCrashedCS(t *testing.T) {
 		t.Fatal("endpoint unhealthy before any fault")
 	}
 	sf.CS.Host.Shutdown()
-	// Two missed probes (ticks at 12s and 14s-minus-deadline) mark the
-	// endpoint down at 13s; the first restart can fire no earlier than 15s
-	// (backoff 2s), so at 14s the crash is detected but not yet healed.
-	f.Run(4 * time.Second)
+	// Three missed probes (ticks at 15s, 20s and 25s, each with a 1s
+	// deadline) mark the endpoint down at 26s; the first restart can fire
+	// no earlier than 31s (backoff 5s), so at 30s the crash is detected but
+	// not yet healed.
+	f.Run(20 * time.Second)
 	if sup.Healthy(0) {
 		t.Fatal("crash not detected: endpoint still marked healthy")
 	}
@@ -62,10 +57,10 @@ func TestSupervisorBreakerQuarantine(t *testing.T) {
 	// Three kills with full recovery in between: with BreakerThreshold=2
 	// the third restart attempt finds two recent restarts and quarantines.
 	for i := 0; i < 3; i++ {
-		f.Run(40 * time.Second)
+		f.Run(time.Minute)
 		sf.CS.Host.Shutdown()
 	}
-	f.Run(40 * time.Second)
+	f.Run(time.Minute)
 	if !sup.Quarantined(0) {
 		t.Fatal("circuit breaker did not quarantine the flapping endpoint")
 	}
@@ -122,9 +117,9 @@ func TestSupervisorRestartsHungControllerWithoutTree(t *testing.T) {
 		t.Fatal("controller unhealthy before any fault")
 	}
 	f.Controller.SetHung(true)
-	// The probes of 10 s and 12 s go unanswered (K=2): down at the 13 s
-	// deadline, reported to the root, whose first rung is 2–3 s.
-	f.Run(4 * time.Second)
+	// The probes of 10 s, 15 s and 20 s go unanswered (K=3): down at the
+	// 21 s deadline, reported to the root, whose first rung is 5–7.5 s.
+	f.Run(12 * time.Second)
 	if probeHealthy() || f.root.ControllerHealthy() {
 		t.Fatal("hang not detected by the PING probe")
 	}
@@ -134,8 +129,8 @@ func TestSupervisorRestartsHungControllerWithoutTree(t *testing.T) {
 			sup.HealthHistory()["controller"], f.root.ControllerHistory())
 	}
 	hist := f.root.ControllerHistory()
-	if len(hist) != 3 || hist[0] != "down@13s" || !strings.HasPrefix(hist[1], "restart@") || !strings.HasPrefix(hist[2], "up@") {
-		t.Fatalf("root controller history %v, want down@13s, one restart, up", hist)
+	if len(hist) != 3 || hist[0] != "down@21s" || !strings.HasPrefix(hist[1], "restart@") || !strings.HasPrefix(hist[2], "up@") {
+		t.Fatalf("root controller history %v, want down@21s, one restart, up", hist)
 	}
 	snap := f.Sim.Obs().Snapshot()
 	if got := snap.Counter("supervisor.root.restarts"); got != 1 {

@@ -42,8 +42,8 @@ func TestAwaitVerdictDeadlineFailsClosed(t *testing.T) {
 	r.inmateMAC[12] = netstack.MAC{2, 0, 0, 0, 0, 7}
 	// The rig has no real CS host; resolve its ARP so the CS-leg RST is
 	// emitted (and tapped) instead of parking in the pending queue.
-	r.vlanARP[vlanAddr{r.cfg.ContainmentVLAN, r.cfg.ContainmentIP}] = netstack.MAC{2, 0, 0, 0, 0, 66}
-	toInit, toCS := rstCollector(r, initIP, r.cfg.ContainmentIP)
+	r.vlanARP[vlanAddr{r.cfg.ContainmentCluster[0].VLAN, r.cfg.ContainmentCluster[0].IP}] = netstack.MAC{2, 0, 0, 0, 0, 66}
+	toInit, toCS := rstCollector(r, initIP, r.cfg.ContainmentCluster[0].IP)
 
 	f := r.newFlow(key, 12, false)
 	f.state = fsAwaitVerdict
@@ -121,8 +121,8 @@ func TestFailCloseEndpointRewriteProxy(t *testing.T) {
 		Proto: netstack.ProtoTCP,
 	}
 	r.inmateMAC[13] = netstack.MAC{2, 0, 0, 0, 0, 8}
-	r.vlanARP[vlanAddr{r.cfg.ContainmentVLAN, r.cfg.ContainmentIP}] = netstack.MAC{2, 0, 0, 0, 0, 66}
-	toInit, toCS := rstCollector(r, initIP, r.cfg.ContainmentIP)
+	r.vlanARP[vlanAddr{r.cfg.ContainmentCluster[0].VLAN, r.cfg.ContainmentCluster[0].IP}] = netstack.MAC{2, 0, 0, 0, 0, 66}
+	toInit, toCS := rstCollector(r, initIP, r.cfg.ContainmentCluster[0].IP)
 
 	f := r.newFlow(key, 13, false)
 	f.state = fsRewriteProxy

@@ -47,17 +47,15 @@ func TestAddRouterRejectsOverlappingVLANRanges(t *testing.T) {
 		tb.gw.AddRouter(gateway.RouterConfig{
 			Name:   "disjoint",
 			VLANLo: 31, VLANHi: 39,
-			ServiceVLANs:    []uint16{serviceVLAN},
-			InternalPrefix:  netstack.MustParsePrefix("10.0.0.0/16"),
-			RouterIP:        netstack.MustParseAddr("10.0.0.1"),
-			ServicePrefix:   netstack.MustParsePrefix("10.3.0.0/16"),
-			ServiceRouterIP: netstack.MustParseAddr("10.3.0.254"),
-			GlobalPool:      netstack.MustParsePrefix("192.0.3.0/24"),
-			GlobalPoolStart: 16,
-			ContainmentVLAN: serviceVLAN,
-			ContainmentIP:   csIP,
-			ContainmentPort: csPort,
-			NonceIP:         nonceIP,
+			ServiceVLANs:       []uint16{serviceVLAN},
+			InternalPrefix:     netstack.MustParsePrefix("10.0.0.0/16"),
+			RouterIP:           netstack.MustParseAddr("10.0.0.1"),
+			ServicePrefix:      netstack.MustParsePrefix("10.3.0.0/16"),
+			ServiceRouterIP:    netstack.MustParseAddr("10.3.0.254"),
+			GlobalPool:         netstack.MustParsePrefix("192.0.3.0/24"),
+			GlobalPoolStart:    16,
+			ContainmentCluster: []gateway.ContainmentEndpoint{{VLAN: serviceVLAN, IP: csIP, Port: csPort}},
+			NonceIP:            nonceIP,
 		})
 	}) {
 		t.Error("AddRouter rejected disjoint VLAN range 31-39")

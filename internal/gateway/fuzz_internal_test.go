@@ -111,7 +111,7 @@ func FuzzFlowSegments(f *testing.F) {
 			flows[rig.flowIn(state, uint16(4000+state))] = struct{}{}
 		}
 		r.taps, rig.g.upstreamTaps = nil, nil // the rig's logging taps, not needed here
-		csIP, global := r.cfg.ContainmentIP, r.nat.ByVLAN(lcVLAN).Global
+		csIP, global := r.cfg.ContainmentCluster[0].IP, r.nat.ByVLAN(lcVLAN).Global
 		checkIndex := func(op byte) {
 			for k, fl := range r.index {
 				flows[fl] = struct{}{}
@@ -144,7 +144,7 @@ func FuzzFlowSegments(f *testing.F) {
 		}
 		inmate := netstack.Ethernet{Src: inmateMAC(lcVLAN), VLAN: lcVLAN}
 		peer := netstack.Ethernet{Src: inmateMAC(lcPeerVLAN), VLAN: lcPeerVLAN}
-		service := netstack.Ethernet{Src: csMAC, VLAN: r.cfg.ContainmentVLAN}
+		service := netstack.Ethernet{Src: csMAC, VLAN: r.cfg.ContainmentCluster[0].VLAN}
 		outside := netstack.Ethernet{Src: extMAC}
 		fill := func(n byte) []byte {
 			b := make([]byte, n%64)
@@ -185,10 +185,10 @@ func FuzzFlowSegments(f *testing.F) {
 					&netstack.TCP{SrcPort: sport, DstPort: 80, Seq: initSeq + off, Ack: 1001, Flags: a & 0x3f, Window: 65535}, fill(c))
 			case fromCS:
 				inject(rig.trunk, service, csIP, lcInit,
-					&netstack.TCP{SrcPort: r.cfg.ContainmentPort, DstPort: sport, Seq: csSeq + off, Ack: initSeq, Flags: a & 0x3f, Window: 65535}, fill(c))
+					&netstack.TCP{SrcPort: r.cfg.ContainmentCluster[0].Port, DstPort: sport, Seq: csSeq + off, Ack: initSeq, Flags: a & 0x3f, Window: 65535}, fill(c))
 			case verdict:
 				inject(rig.trunk, service, csIP, lcInit,
-					&netstack.TCP{SrcPort: r.cfg.ContainmentPort, DstPort: sport, Seq: csSeq + off, Ack: initSeq, Flags: ack | psh, Window: 65535}, response(a, fill(c)))
+					&netstack.TCP{SrcPort: r.cfg.ContainmentCluster[0].Port, DstPort: sport, Seq: csSeq + off, Ack: initSeq, Flags: ack | psh, Window: 65535}, response(a, fill(c)))
 			case nonceLeg:
 				inject(rig.trunk, service, csIP, r.cfg.NonceIP,
 					&netstack.TCP{SrcPort: 50000 + uint16(c&1), DstPort: nonce, Seq: 9000 + off, Ack: respSeq, Flags: a & 0x3f, Window: 65535}, fill(c))
@@ -211,7 +211,7 @@ func FuzzFlowSegments(f *testing.F) {
 				case 0:
 					inject(rig.trunk, inmate, lcInit, dst, &netstack.UDP{SrcPort: sport, DstPort: 80}, fill(c))
 				case 1:
-					inject(rig.trunk, service, csIP, lcInit, &netstack.UDP{SrcPort: r.cfg.ContainmentPort, DstPort: nonce}, response(b, fill(c)))
+					inject(rig.trunk, service, csIP, lcInit, &netstack.UDP{SrcPort: r.cfg.ContainmentCluster[0].Port, DstPort: nonce}, response(b, fill(c)))
 				case 2:
 					if a&8 != 0 {
 						inject(rig.trunk, peer, lcPeer, global, &netstack.UDP{SrcPort: 80, DstPort: sport}, fill(c))
@@ -219,7 +219,7 @@ func FuzzFlowSegments(f *testing.F) {
 						inject(rig.outside, outside, dst, global, &netstack.UDP{SrcPort: 80, DstPort: sport}, fill(c))
 					}
 				case 3:
-					inject(rig.trunk, service, csIP, lcInit, &netstack.UDP{SrcPort: r.cfg.ContainmentPort, DstPort: nonce}, fill(c))
+					inject(rig.trunk, service, csIP, lcInit, &netstack.UDP{SrcPort: r.cfg.ContainmentCluster[0].Port, DstPort: nonce}, fill(c))
 				}
 			case control:
 				switch a % 5 {

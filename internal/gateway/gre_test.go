@@ -43,13 +43,11 @@ func greTestbed(t *testing.T) (*testbed, *gateway.GREPeer) {
 		ServiceRouterIP: netstack.MustParseAddr("10.3.0.254"),
 		// /28: indices 14 usable, start 14 -> exactly ONE address (.14)
 		// before the pool exhausts (.15 is broadcast).
-		GlobalPool:      netstack.MustParsePrefix("192.0.2.0/28"),
-		GlobalPoolStart: 14,
-		ContainmentVLAN: serviceVLAN,
-		ContainmentIP:   csIP,
-		ContainmentPort: csPort,
-		NonceIP:         nonceIP,
-		GRETunnels:      []gateway.GRETunnel{tunnel},
+		GlobalPool:         netstack.MustParsePrefix("192.0.2.0/28"),
+		GlobalPoolStart:    14,
+		ContainmentCluster: []gateway.ContainmentEndpoint{{VLAN: serviceVLAN, IP: csIP, Port: csPort}},
+		NonceIP:            nonceIP,
+		GRETunnels:         []gateway.GRETunnel{tunnel},
 	})
 
 	csHost := tb.addServiceHost(t, "cs", csIP)

@@ -35,7 +35,7 @@ func (rig udpIndexRig) open(dst netstack.Addr, dport uint16) uint16 {
 	rig.trunk.take(rig.t)
 	rig.send(rig.trunk, netstack.Ethernet{Src: inmateMAC(lcVLAN), VLAN: lcVLAN}, lcInit, dst, 4000, dport, []byte("query"))
 	for _, p := range rig.trunk.take(rig.t) {
-		if p.UDP != nil && p.IP.Dst == rig.r.cfg.ContainmentIP {
+		if p.UDP != nil && p.IP.Dst == rig.r.cfg.ContainmentCluster[0].IP {
 			return p.UDP.SrcPort
 		}
 	}
@@ -46,8 +46,8 @@ func (rig udpIndexRig) open(dst netstack.Addr, dport uint16) uint16 {
 // verdict answers the flow at nonce with a verdict naming actual:port.
 func (rig udpIndexRig) verdict(nonce uint16, v shim.Verdict, actual netstack.Addr, port uint16) {
 	resp := shim.Response{OrigIP: lcInit, RespIP: actual, RespPort: port, Verdict: v, PolicyName: "index"}
-	rig.send(rig.trunk, netstack.Ethernet{Src: csMAC, VLAN: rig.r.cfg.ContainmentVLAN},
-		rig.r.cfg.ContainmentIP, lcInit, rig.r.cfg.ContainmentPort, nonce, resp.Marshal())
+	rig.send(rig.trunk, netstack.Ethernet{Src: csMAC, VLAN: rig.r.cfg.ContainmentCluster[0].VLAN},
+		rig.r.cfg.ContainmentCluster[0].IP, lcInit, rig.r.cfg.ContainmentCluster[0].Port, nonce, resp.Marshal())
 }
 
 // toInitiator returns the datagrams the gateway delivered to the initiator.
@@ -101,8 +101,8 @@ func TestClosingUDPFlowKeepsSharedKeyOfNewer(t *testing.T) {
 	rig := udpIndexRig{newLifecycleRig(t), t}
 	r := rig.r
 	sink := netstack.MustParseAddr("10.3.0.9")
-	r.RegisterServiceHost(sink, r.cfg.ContainmentVLAN)
-	r.vlanARP[vlanAddr{r.cfg.ContainmentVLAN, sink}] = netstack.MAC{2, 0, 0, 0, 0, 9}
+	r.RegisterServiceHost(sink, r.cfg.ContainmentCluster[0].VLAN)
+	r.vlanARP[vlanAddr{r.cfg.ContainmentCluster[0].VLAN, sink}] = netstack.MAC{2, 0, 0, 0, 0, 9}
 
 	rig.verdict(rig.open(lcResp, 53), shim.Reflect, sink, 53)
 	rig.verdict(rig.open(lcResp2, 53), shim.Reflect, sink, 53)
@@ -114,7 +114,7 @@ func TestClosingUDPFlowKeepsSharedKeyOfNewer(t *testing.T) {
 	older[0].close("done")
 	rig.trunk.take(t)
 
-	rig.send(rig.trunk, netstack.Ethernet{Src: netstack.MAC{2, 0, 0, 0, 0, 9}, VLAN: r.cfg.ContainmentVLAN}, sink, lcInit, 53, 4000, []byte("answer"))
+	rig.send(rig.trunk, netstack.Ethernet{Src: netstack.MAC{2, 0, 0, 0, 0, 9}, VLAN: r.cfg.ContainmentCluster[0].VLAN}, sink, lcInit, 53, 4000, []byte("answer"))
 	got := rig.toInitiator()
 	if len(got) != 1 || got[0].IP.Src != lcResp2 || !bytes.Equal(got[0].Payload, []byte("answer")) {
 		t.Errorf("initiator received %v, want the sink's answer from %v", got, lcResp2)
@@ -155,5 +155,24 @@ func TestShedLRUVictimIsDeterministic(t *testing.T) {
 	}
 	if len(shed) != 1 || shed[dsts[1]] != runs {
 		t.Errorf("victims over %d runs by destination: %v, want the flow to %v every time", runs, shed, dsts[1])
+	}
+}
+
+// The safety filter's windows count only for a limit that reads them: with
+// neither MaxFlowsPerMinute nor MaxFlowsPerDestPerMinute set, an inmate
+// opening flows to 1,000 destinations of its choosing leaves both empty.
+func TestSafetyWindowsUntouchedWithoutLimits(t *testing.T) {
+	rig := udpIndexRig{newLifecycleRig(t), t}
+	r := rig.r
+	const flows = 1000
+	for i := range flows {
+		dst := netstack.AddrFrom4(198, 18, byte(i>>8), byte(i))
+		rig.send(rig.trunk, netstack.Ethernet{Src: inmateMAC(lcVLAN), VLAN: lcVLAN}, lcInit, dst, 4000, 53, []byte("query"))
+	}
+	if got := r.FlowsCreated.Value(); got != flows {
+		t.Fatalf("flows created %d, want %d", got, flows)
+	}
+	if len(r.rateAll) != 0 || len(r.rateDest) != 0 {
+		t.Fatalf("rate windows hold %d inmates and %d destinations with no limit set", len(r.rateAll), len(r.rateDest))
 	}
 }

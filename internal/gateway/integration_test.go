@@ -43,9 +43,8 @@ const (
 	csPort      = 6666
 )
 
-// newTestbed builds the testbed; tweak, if given, edits the router's
-// configuration first.
-func newTestbed(t *testing.T, seed int64, tweak ...func(*gateway.RouterConfig)) *testbed {
+// newTestbed builds the testbed.
+func newTestbed(t *testing.T, seed int64) *testbed {
 	t.Helper()
 	s := sim.New(seed)
 	tb := &testbed{sim: s}
@@ -55,25 +54,19 @@ func newTestbed(t *testing.T, seed int64, tweak ...func(*gateway.RouterConfig)) 
 	netsim.Connect(tb.inSw.AddTrunkPort("uplink"), tb.gw.Trunk(), 0)
 	netsim.Connect(tb.extSw.AddAccessPort("gw", 100), tb.gw.Outside(), 0)
 
-	cfg := gateway.RouterConfig{
+	tb.router = tb.gw.AddRouter(gateway.RouterConfig{
 		Name:   "testfarm",
 		VLANLo: 10, VLANHi: 30,
-		ServiceVLANs:    []uint16{serviceVLAN},
-		InternalPrefix:  netstack.MustParsePrefix("10.0.0.0/16"),
-		RouterIP:        netstack.MustParseAddr("10.0.0.1"),
-		ServicePrefix:   netstack.MustParsePrefix("10.3.0.0/16"),
-		ServiceRouterIP: netstack.MustParseAddr("10.3.0.254"),
-		GlobalPool:      netstack.MustParsePrefix("192.0.2.0/24"),
-		GlobalPoolStart: 16,
-		ContainmentVLAN: serviceVLAN,
-		ContainmentIP:   csIP,
-		ContainmentPort: csPort,
-		NonceIP:         nonceIP,
-	}
-	for _, fn := range tweak {
-		fn(&cfg)
-	}
-	tb.router = tb.gw.AddRouter(cfg)
+		ServiceVLANs:       []uint16{serviceVLAN},
+		InternalPrefix:     netstack.MustParsePrefix("10.0.0.0/16"),
+		RouterIP:           netstack.MustParseAddr("10.0.0.1"),
+		ServicePrefix:      netstack.MustParsePrefix("10.3.0.0/16"),
+		ServiceRouterIP:    netstack.MustParseAddr("10.3.0.254"),
+		GlobalPool:         netstack.MustParsePrefix("192.0.2.0/24"),
+		GlobalPoolStart:    16,
+		ContainmentCluster: []gateway.ContainmentEndpoint{{VLAN: serviceVLAN, IP: csIP, Port: csPort}},
+		NonceIP:            nonceIP,
+	})
 
 	// Containment server host.
 	csHost := tb.addServiceHost(t, "cs", csIP)
@@ -311,17 +304,6 @@ func (rewriteHandler) OnServerClose(s *containment.Session) { s.CloseClient() }
 
 func TestFigure5RewriteFlow(t *testing.T) { figure5RewriteFlow(t, newTestbed(t, 5)) }
 
-// TestRewriteFlowClusterOnly: a router configured with ContainmentCluster
-// and no single Containment* fields carries the whole Fig. 5 exchange — in
-// particular leg 2's responder data goes to the flow's own containment
-// server, not to the (zero) single-server VLAN.
-func TestRewriteFlowClusterOnly(t *testing.T) {
-	figure5RewriteFlow(t, newTestbed(t, 5, func(cfg *gateway.RouterConfig) {
-		cfg.ContainmentCluster = []gateway.ContainmentEndpoint{{VLAN: cfg.ContainmentVLAN, IP: cfg.ContainmentIP, Port: cfg.ContainmentPort}}
-		cfg.ContainmentVLAN, cfg.ContainmentIP, cfg.ContainmentPort = 0, 0, 0
-	}))
-}
-
 func figure5RewriteFlow(t *testing.T, tb *testbed) {
 	t.Helper()
 	tb.cs.SetFallback(policyFunc{"Rewriter", func(req *shim.Request) containment.Decision {
@@ -494,17 +476,15 @@ func TestSafetyFilterCapsConnectionRate(t *testing.T) {
 	cfgRouter := tb.gw.AddRouter(gateway.RouterConfig{
 		Name:   "limited",
 		VLANLo: 40, VLANHi: 50,
-		ServiceVLANs:    []uint16{serviceVLAN},
-		InternalPrefix:  netstack.MustParsePrefix("10.0.0.0/16"),
-		RouterIP:        netstack.MustParseAddr("10.0.0.1"),
-		ServicePrefix:   netstack.MustParsePrefix("10.3.0.0/16"),
-		ServiceRouterIP: netstack.MustParseAddr("10.3.0.254"),
-		GlobalPool:      netstack.MustParsePrefix("192.0.3.0/24"),
-		GlobalPoolStart: 16,
-		ContainmentVLAN: serviceVLAN,
-		ContainmentIP:   csIP,
-		ContainmentPort: csPort,
-		NonceIP:         nonceIP,
+		ServiceVLANs:       []uint16{serviceVLAN},
+		InternalPrefix:     netstack.MustParsePrefix("10.0.0.0/16"),
+		RouterIP:           netstack.MustParseAddr("10.0.0.1"),
+		ServicePrefix:      netstack.MustParsePrefix("10.3.0.0/16"),
+		ServiceRouterIP:    netstack.MustParseAddr("10.3.0.254"),
+		GlobalPool:         netstack.MustParsePrefix("192.0.3.0/24"),
+		GlobalPoolStart:    16,
+		ContainmentCluster: []gateway.ContainmentEndpoint{{VLAN: serviceVLAN, IP: csIP, Port: csPort}},
+		NonceIP:            nonceIP,
 
 		MaxFlowsPerMinute:        10,
 		MaxFlowsPerDestPerMinute: 3,

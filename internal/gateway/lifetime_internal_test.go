@@ -81,17 +81,15 @@ func newLifetimeRig(t *testing.T, tweak ...func(*RouterConfig)) *lifetimeRig {
 	cfg := RouterConfig{
 		Name:   "lifetime",
 		VLANLo: 10, VLANHi: 20,
-		ServiceVLANs:    []uint16{2},
-		InternalPrefix:  netstack.MustParsePrefix("10.0.0.0/16"),
-		RouterIP:        netstack.MustParseAddr("10.0.0.1"),
-		ServicePrefix:   netstack.MustParsePrefix("10.3.0.0/16"),
-		ServiceRouterIP: netstack.MustParseAddr("10.3.0.254"),
-		GlobalPool:      netstack.MustParsePrefix("192.0.2.0/24"),
-		GlobalPoolStart: 16,
-		ContainmentVLAN: 2,
-		ContainmentIP:   netstack.MustParseAddr("10.3.0.1"),
-		ContainmentPort: 6666,
-		NonceIP:         netstack.MustParseAddr("10.4.0.1"),
+		ServiceVLANs:       []uint16{2},
+		InternalPrefix:     netstack.MustParsePrefix("10.0.0.0/16"),
+		RouterIP:           netstack.MustParseAddr("10.0.0.1"),
+		ServicePrefix:      netstack.MustParsePrefix("10.3.0.0/16"),
+		ServiceRouterIP:    netstack.MustParseAddr("10.3.0.254"),
+		GlobalPool:         netstack.MustParsePrefix("192.0.2.0/24"),
+		GlobalPoolStart:    16,
+		ContainmentCluster: []ContainmentEndpoint{{VLAN: 2, IP: netstack.MustParseAddr("10.3.0.1"), Port: 6666}},
+		NonceIP:            netstack.MustParseAddr("10.4.0.1"),
 	}
 	for _, fn := range tweak {
 		fn(&cfg)
@@ -146,7 +144,7 @@ func TestVLANPendingPacketsSurviveLaterFrames(t *testing.T) {
 	rig.trunk.port.Send(synFrom(12, a, 1111, 1000))
 	rig.trunk.port.Send(synFrom(13, b, 2222, 2000))
 	rig.settle()
-	key := vlanAddr{2, rig.r.cfg.ContainmentIP}
+	key := vlanAddr{2, rig.r.cfg.ContainmentCluster[0].IP}
 	if n := len(rig.r.vlanPending.Parked(key)); n != 2 {
 		t.Fatalf("%d SYNs parked behind the containment server's address, want 2", n)
 	}
@@ -162,7 +160,7 @@ func TestVLANPendingPacketsSurviveLaterFrames(t *testing.T) {
 	rig.settle()
 	rig.trunk.take(t) // the ARP request for the server
 
-	rig.trunk.port.Send(arpReply(2, rig.r.cfg.ContainmentIP, csMAC))
+	rig.trunk.port.Send(arpReply(2, rig.r.cfg.ContainmentCluster[0].IP, csMAC))
 	rig.settle()
 	got := rig.trunk.take(t)
 	if len(got) != 2 {
@@ -177,7 +175,7 @@ func TestVLANPendingPacketsSurviveLaterFrames(t *testing.T) {
 		if p.TCP == nil || p.IP.Src != want.src || p.TCP.SrcPort != want.sport || p.TCP.Seq != want.isn || p.IP.ID != uint16(want.isn) {
 			t.Errorf("flushed frame %d is %v, want the SYN of %v:%d seq %d", i, p, want.src, want.sport, want.isn)
 		}
-		if p.Eth.Dst != csMAC || p.Eth.VLAN != 2 || p.IP.Dst != rig.r.cfg.ContainmentIP || p.TCP.DstPort != rig.r.cfg.ContainmentPort {
+		if p.Eth.Dst != csMAC || p.Eth.VLAN != 2 || p.IP.Dst != rig.r.cfg.ContainmentCluster[0].IP || p.TCP.DstPort != rig.r.cfg.ContainmentCluster[0].Port {
 			t.Errorf("flushed frame %d not redirected to the containment server: %v", i, p)
 		}
 	}
@@ -288,7 +286,7 @@ func TestMACTableIsBounded(t *testing.T) {
 	}
 	// Learned beforehand: the containment server on the service VLAN and
 	// two honest inmates.
-	rig.trunk.port.Send(arpReply(2, rig.r.cfg.ContainmentIP, csMAC))
+	rig.trunk.port.Send(arpReply(2, rig.r.cfg.ContainmentCluster[0].IP, csMAC))
 	rig.trunk.port.Send(frame(12, inmateMAC(12), csMAC))
 	rig.trunk.port.Send(frame(13, inmateMAC(13), csMAC))
 	rig.settle()
@@ -390,7 +388,7 @@ func TestGREInnerParsedWhileOuterLive(t *testing.T) {
 	if !tunnel.ExtraPool.Contains(global) {
 		t.Fatalf("inmate bound to %v, outside the tunnelled pool", global)
 	}
-	rig.r.vlanARP[vlanAddr{2, rig.r.cfg.ContainmentIP}] = csMAC
+	rig.r.vlanARP[vlanAddr{2, rig.r.cfg.ContainmentCluster[0].IP}] = csMAC
 
 	// A client behind the peer opens a connection to the inmate's tunnelled
 	// address; the peer wraps it in GRE toward the gateway.
@@ -422,7 +420,7 @@ func TestGREInnerParsedWhileOuterLive(t *testing.T) {
 		p.TCP.SrcPort != 5151 || p.TCP.Seq != 9000 || p.TCP.Window != 8192 || !bytes.Equal(p.Payload, payload) {
 		t.Errorf("inner packet altered on its way through the tunnel endpoint: %v", p)
 	}
-	if p.IP.Dst != rig.r.cfg.ContainmentIP || p.Eth.VLAN != 2 || p.Eth.Dst != csMAC {
+	if p.IP.Dst != rig.r.cfg.ContainmentCluster[0].IP || p.Eth.VLAN != 2 || p.Eth.Dst != csMAC {
 		t.Errorf("inner packet not redirected to the containment server: %v", p)
 	}
 }

@@ -84,9 +84,9 @@ func sameFrames(t *testing.T, what string, got, want [][]byte) {
 // it arrives on the containment VLAN.
 func csSegment(r *Router, f *Flow, seq uint32, flags uint8, payload []byte) []byte {
 	p := &netstack.Packet{
-		Eth:     netstack.Ethernet{Dst: GatewayMAC, Src: csMAC, VLAN: r.cfg.ContainmentVLAN, EtherType: netstack.EtherTypeIPv4},
-		IP:      &netstack.IPv4{TTL: 64, Src: r.cfg.ContainmentIP, Dst: f.initIP},
-		TCP:     &netstack.TCP{SrcPort: r.cfg.ContainmentPort, DstPort: f.initPort, Seq: seq, Ack: f.initNextSeq + shim.RequestLen, Flags: flags, Window: 65535},
+		Eth:     netstack.Ethernet{Dst: GatewayMAC, Src: csMAC, VLAN: r.cfg.ContainmentCluster[0].VLAN, EtherType: netstack.EtherTypeIPv4},
+		IP:      &netstack.IPv4{TTL: 64, Src: r.cfg.ContainmentCluster[0].IP, Dst: f.initIP},
+		TCP:     &netstack.TCP{SrcPort: r.cfg.ContainmentCluster[0].Port, DstPort: f.initPort, Seq: seq, Ack: f.initNextSeq + shim.RequestLen, Flags: flags, Window: 65535},
 		Payload: payload,
 	}
 	return p.Marshal()

@@ -49,23 +49,18 @@ type RouterConfig struct {
 	// hosts cannot reach out.
 	InfraPool netstack.Prefix
 
-	// Containment server location. NonceIP is the gateway-side address the
-	// containment server dials for nonce-port connections (Fig. 5).
-	ContainmentVLAN uint16
-	ContainmentIP   netstack.Addr
-	ContainmentPort uint16
-	NonceIP         netstack.Addr
+	// NonceIP is the gateway-side address the containment server dials
+	// for nonce-port connections (Fig. 5).
+	NonceIP netstack.Addr
 
 	// GRETunnels graft additional routable address space from cooperating
 	// networks (§7.2). NAT draws from the tunnel pools once GlobalPool is
 	// exhausted.
 	GRETunnels []GRETunnel
 
-	// ContainmentCluster optionally replaces the single containment server
-	// with several (§7.2): the router selects per inmate, with the same
-	// server always handling the same inmate. When set, the single
-	// Containment* fields above are ignored for flow dispatch; when empty,
-	// newRouter makes it the cluster of that one server.
+	// ContainmentCluster locates the containment servers: one, or several
+	// (§7.2), among which the router selects per inmate, with the same
+	// server always handling the same inmate.
 	ContainmentCluster []ContainmentEndpoint
 
 	// Safety filter thresholds (§5.1): the rate of connections across
@@ -285,9 +280,6 @@ type vlanAddr struct {
 }
 
 func newRouter(g *Gateway, s *sim.Simulator, cfg RouterConfig) *Router {
-	if len(cfg.ContainmentCluster) == 0 {
-		cfg.ContainmentCluster = []ContainmentEndpoint{{VLAN: cfg.ContainmentVLAN, IP: cfg.ContainmentIP, Port: cfg.ContainmentPort}}
-	}
 	r := &Router{
 		gw: g, sim: s, cfg: cfg,
 		macTable:     make(map[netstack.MAC]uint16),
@@ -336,8 +328,8 @@ func newRouter(g *Gateway, s *sim.Simulator, cfg RouterConfig) *Router {
 	// Roll the safety-filter window every minute. Both periodic jobs run
 	// in the router's own domain.
 	s.Every(time.Minute, func() {
-		r.rateAll = make(map[uint16]int)
-		r.rateDest = make(map[vlanAddr]int)
+		clear(r.rateAll)
+		clear(r.rateDest)
 	})
 	// Sweep idle and stalled flows.
 	s.Every(30*time.Second, r.sweepFlows)
@@ -709,23 +701,22 @@ func (r *Router) handleIP(p *netstack.Packet) {
 }
 
 // safetyCheck enforces connection-rate thresholds for new flows from an
-// inmate. It returns false when the flow must be dropped.
+// inmate. It returns false when the flow must be dropped. A window counts
+// only while its limit is set: rateDest is keyed by destinations the inmate
+// chooses.
 func (r *Router) safetyCheck(vlan uint16, dst netstack.Addr) bool {
-	if r.cfg.MaxFlowsPerMinute > 0 {
-		if r.rateAll[vlan] >= r.cfg.MaxFlowsPerMinute {
-			r.SafetyDrops.Inc()
-			return false
-		}
+	all, perDest := r.cfg.MaxFlowsPerMinute, r.cfg.MaxFlowsPerDestPerMinute
+	key := vlanAddr{vlan, dst}
+	if (all > 0 && r.rateAll[vlan] >= all) || (perDest > 0 && r.rateDest[key] >= perDest) {
+		r.SafetyDrops.Inc()
+		return false
 	}
-	if r.cfg.MaxFlowsPerDestPerMinute > 0 {
-		key := vlanAddr{vlan, dst}
-		if r.rateDest[key] >= r.cfg.MaxFlowsPerDestPerMinute {
-			r.SafetyDrops.Inc()
-			return false
-		}
+	if all > 0 {
+		r.rateAll[vlan]++
 	}
-	r.rateAll[vlan]++
-	r.rateDest[vlanAddr{vlan, dst}]++
+	if perDest > 0 {
+		r.rateDest[key]++
+	}
 	return true
 }
 

@@ -15,17 +15,15 @@ func newSweepRig(t *testing.T) (*sim.Simulator, *Router) {
 	r := g.AddRouter(RouterConfig{
 		Name:   "sweeprig",
 		VLANLo: 10, VLANHi: 20,
-		ServiceVLANs:    []uint16{2},
-		InternalPrefix:  netstack.MustParsePrefix("10.0.0.0/16"),
-		RouterIP:        netstack.MustParseAddr("10.0.0.1"),
-		ServicePrefix:   netstack.MustParsePrefix("10.3.0.0/16"),
-		ServiceRouterIP: netstack.MustParseAddr("10.3.0.254"),
-		GlobalPool:      netstack.MustParsePrefix("192.0.2.0/24"),
-		GlobalPoolStart: 16,
-		ContainmentVLAN: 2,
-		ContainmentIP:   netstack.MustParseAddr("10.3.0.1"),
-		ContainmentPort: 6666,
-		NonceIP:         netstack.MustParseAddr("10.4.0.1"),
+		ServiceVLANs:       []uint16{2},
+		InternalPrefix:     netstack.MustParsePrefix("10.0.0.0/16"),
+		RouterIP:           netstack.MustParseAddr("10.0.0.1"),
+		ServicePrefix:      netstack.MustParsePrefix("10.3.0.0/16"),
+		ServiceRouterIP:    netstack.MustParseAddr("10.3.0.254"),
+		GlobalPool:         netstack.MustParsePrefix("192.0.2.0/24"),
+		GlobalPoolStart:    16,
+		ContainmentCluster: []ContainmentEndpoint{{VLAN: 2, IP: netstack.MustParseAddr("10.3.0.1"), Port: 6666}},
+		NonceIP:            netstack.MustParseAddr("10.4.0.1"),
 	})
 	return s, r
 }

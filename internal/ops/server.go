@@ -33,8 +33,6 @@ type Config struct {
 	Fanout *obs.Fanout
 	// Driver owns the soak loop; control endpoints inject through it.
 	Driver *Driver
-	// ControlTimeout overrides DefaultControlTimeout when > 0.
-	ControlTimeout time.Duration
 }
 
 // Server is the ops-plane HTTP handler set. All read handlers consume only
@@ -57,9 +55,6 @@ type Server struct {
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Farm == nil || cfg.Fanout == nil || cfg.Driver == nil {
 		return nil, fmt.Errorf("ops: Config needs Farm, Fanout, and Driver")
-	}
-	if cfg.ControlTimeout <= 0 {
-		cfg.ControlTimeout = DefaultControlTimeout
 	}
 	s := &Server{cfg: cfg, mux: http.NewServeMux(), injectors: map[string]*chaos.Injector{}}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -368,7 +363,7 @@ func (s *Server) handleMachines(w http.ResponseWriter, r *http.Request) {
 	var err error
 	for _, sf := range s.cfg.Farm.Subfarms {
 		sf := sf
-		if err = s.cfg.Driver.Do(s.cfg.ControlTimeout, sf.Sim, func() error {
+		if err = s.cfg.Driver.Do(DefaultControlTimeout, sf.Sim, func() error {
 			out = append(out, sf.Machines()...)
 			return nil
 		}); err != nil {
@@ -410,7 +405,7 @@ func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 	}
 	// Resolve nothing else up front: the swap itself — decider
 	// construction included — runs inside the subfarm's event loop.
-	err = s.cfg.Driver.Do(s.cfg.ControlTimeout, sf.Sim, func() error {
+	err = s.cfg.Driver.Do(DefaultControlTimeout, sf.Sim, func() error {
 		return sf.SwapPolicy(req.Lo, req.Hi, req.Policy)
 	})
 	s.answerControl(w, err, map[string]any{
@@ -445,7 +440,7 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := func() *obs.Scope { return sf.Sim.Obs().Scope(sf.Name, 0) }
 	if req.Stop {
-		err = s.cfg.Driver.Do(s.cfg.ControlTimeout, sf.Sim, func() error {
+		err = s.cfg.Driver.Do(DefaultControlTimeout, sf.Sim, func() error {
 			s.injMu.Lock()
 			inj := s.injectors[sf.Name]
 			delete(s.injectors, sf.Name)
@@ -465,7 +460,7 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	err = s.cfg.Driver.Do(s.cfg.ControlTimeout, sf.Sim, func() error {
+	err = s.cfg.Driver.Do(DefaultControlTimeout, sf.Sim, func() error {
 		s.injMu.Lock()
 		running := s.injectors[sf.Name] != nil
 		s.injMu.Unlock()
@@ -519,7 +514,7 @@ func (s *Server) handleLockdown(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("global lockdown needs a supervision tree (run with -tree)"))
 			return
 		}
-		err := s.cfg.Driver.Do(s.cfg.ControlTimeout, f.Sim, func() error {
+		err := s.cfg.Driver.Do(DefaultControlTimeout, f.Sim, func() error {
 			if req.On {
 				tree.GlobalLockdown(req.Reason)
 			} else {
@@ -541,7 +536,7 @@ func (s *Server) handleLockdown(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	closed := 0
-	err = s.cfg.Driver.Do(s.cfg.ControlTimeout, sf.Sim, func() error {
+	err = s.cfg.Driver.Do(DefaultControlTimeout, sf.Sim, func() error {
 		closed = sf.SetLockdown(req.On, req.Reason)
 		sf.Sim.Obs().Scope(sf.Name, 0).Emit(obs.Event{
 			Type: obs.EvOpsLockdown, Detail: sf.Name + " " + verb + " " + req.Reason,
@@ -579,7 +574,7 @@ func (s *Server) handleQuarantine(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
-	err = s.cfg.Driver.Do(s.cfg.ControlTimeout, sf.Sim, func() error {
+	err = s.cfg.Driver.Do(DefaultControlTimeout, sf.Sim, func() error {
 		return sf.QuarantineInmate(vlan, req.Action)
 	})
 	s.answerControl(w, err, map[string]any{
@@ -610,7 +605,7 @@ func (s *Server) handleRecycle(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
-	err = s.cfg.Driver.Do(s.cfg.ControlTimeout, sf.Sim, func() error {
+	err = s.cfg.Driver.Do(DefaultControlTimeout, sf.Sim, func() error {
 		return sf.RecycleInmate(vlan)
 	})
 	s.answerControl(w, err, map[string]any{

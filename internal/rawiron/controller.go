@@ -33,7 +33,7 @@ type operation struct {
 
 	started time.Duration // admission time, for the reimage_ms histogram
 	attempt int
-	slotted bool // holds one of the MaxConcurrent netboot slots
+	slotted bool // holds one of the maxConcurrent netboot slots
 
 	// gen invalidates stale stage callbacks: every stage start and every
 	// attempt failure bumps it, so callbacks from a superseded attempt
@@ -58,7 +58,7 @@ type Controller struct {
 	trunk  *trunk
 	faults Faults
 
-	// FIFO queue for netboot operations beyond Cfg.MaxConcurrent.
+	// FIFO queue for netboot operations beyond maxConcurrent.
 	active  int
 	waiting []*operation
 
@@ -73,14 +73,9 @@ type Controller struct {
 	reimageMS    *obs.Histogram
 }
 
-// NewController creates a controller with paper-calibrated timings.
-func NewController(s *sim.Simulator) *Controller {
-	return NewControllerWith(s, Config{})
-}
-
-// NewControllerWith creates a controller with explicit tuning; zero
-// fields select the defaults.
-func NewControllerWith(s *sim.Simulator, cfg Config) *Controller {
+// NewController creates a controller; zero Config fields select the
+// defaults.
+func NewController(s *sim.Simulator, cfg Config) *Controller {
 	cfg = cfg.withDefaults()
 	reg := s.Obs().Reg
 	return &Controller{
@@ -101,8 +96,8 @@ func (c *Controller) AddMachine(m *Machine) {
 	c.machines = append(c.machines, m)
 	m.sc = c.Sim.Obs().Scope(obs.EvRawIronPrefix+m.Name, obs.DefaultRingSize)
 	m.ladder = sim.NewLadder(c.Sim, sim.LadderConfig{
-		Backoff: c.Cfg.RetryBackoff, BackoffMax: c.Cfg.RetryBackoffMax, Jitter: c.Cfg.RetryJitter,
-		Window: c.Cfg.BreakerWindow, Threshold: c.Cfg.BreakerThreshold,
+		Backoff: retryBackoff, BackoffMax: retryBackoffMax, Jitter: retryJitter,
+		Window: breakerWindow, Threshold: breakerThreshold,
 	})
 	c.Seq.PowerOn(m.PowerPort)
 	m.setState(Running)
@@ -238,8 +233,8 @@ func (c *Controller) admit(op *operation) error {
 // enqueue starts the operation, or queues it when the netboot concurrency
 // bound is saturated. Restores bypass the bound (no trunk involvement).
 func (c *Controller) enqueue(op *operation) {
-	if op.kind != opRestore && c.Cfg.MaxConcurrent > 0 {
-		if c.active >= c.Cfg.MaxConcurrent {
+	if op.kind != opRestore {
+		if c.active >= maxConcurrent {
 			c.waiting = append(c.waiting, op)
 			op.m.sc.Emit(obs.Event{Type: EvQueued, VLAN: op.m.VLAN,
 				N: uint64(len(c.waiting)), Detail: op.kind.String()})
@@ -259,7 +254,7 @@ func (c *Controller) releaseSlot(op *operation) {
 	}
 	op.slotted = false
 	c.active--
-	for len(c.waiting) > 0 && c.active < c.Cfg.MaxConcurrent {
+	for len(c.waiting) > 0 && c.active < maxConcurrent {
 		next := c.waiting[0]
 		c.waiting = c.waiting[1:]
 		c.active++
@@ -326,13 +321,13 @@ func (c *Controller) runNetbootOp(op *operation) {
 	m := op.m
 	m.NetbootEnabled = true
 	m.Host.Shutdown()
-	gen := c.stage(op, stagePower, c.Cfg.PowerDeadline)
+	gen := c.stage(op, stagePower, powerDeadline)
 	c.cycle(op, func() {
 		if !c.stageOK(op, gen) {
 			return
 		}
 		m.setState(NetBooting)
-		gen := c.stage(op, stageNetboot, c.Cfg.NetbootDeadline)
+		gen := c.stage(op, stageNetboot, netbootDeadline)
 		if c.roll(m, c.faults.NetbootHang, FaultNetbootHang) {
 			// The boot image never comes up; the netboot deadline will
 			// declare the attempt dead.
@@ -343,12 +338,12 @@ func (c *Controller) runNetbootOp(op *operation) {
 				return
 			}
 			m.setState(Imaging)
-			gen := c.stage(op, stageTransfer, c.Cfg.TransferDeadline)
+			gen := c.stage(op, stageTransfer, transferDeadline)
 			if c.roll(m, c.faults.TransferStall, FaultTransferStall) {
 				// The TFTP session stops moving bytes; the session
 				// timeout declares it dead well before the stage's own
 				// backstop deadline.
-				c.Sim.Schedule(c.Cfg.StallTimeout, func() {
+				c.Sim.Schedule(stallTimeout, func() {
 					if op.m.op != op || op.gen != gen {
 						return
 					}
@@ -370,13 +365,13 @@ func (c *Controller) runNetbootOp(op *operation) {
 					return
 				}
 				m.NetbootEnabled = false
-				gen := c.stage(op, stagePower, c.Cfg.PowerDeadline)
+				gen := c.stage(op, stagePower, powerDeadline)
 				c.cycle(op, func() {
 					if !c.stageOK(op, gen) {
 						return
 					}
 					m.setState(LocalBooting)
-					gen := c.stage(op, stageLocalBoot, c.Cfg.BootDeadline)
+					gen := c.stage(op, stageLocalBoot, bootDeadline)
 					c.Sim.Schedule(bootDelay, func() {
 						if !c.stageOK(op, gen) {
 							return
@@ -394,24 +389,24 @@ func (c *Controller) runNetbootOp(op *operation) {
 func (c *Controller) runRestore(op *operation) {
 	m := op.m
 	m.Host.Shutdown()
-	gen := c.stage(op, stagePower, c.Cfg.PowerDeadline)
+	gen := c.stage(op, stagePower, powerDeadline)
 	c.cycle(op, func() {
 		if !c.stageOK(op, gen) {
 			return
 		}
 		m.setState(LocalBooting) // boots the hidden-partition restorer
 		copyTime := time.Duration(float64(c.Cfg.ImageSizeMB) / float64(c.Cfg.HiddenRestoreMBps) * float64(time.Second))
-		gen := c.stage(op, stageRestore, c.Cfg.RestoreDeadline)
+		gen := c.stage(op, stageRestore, restoreDeadline)
 		c.Sim.Schedule(bootDelay+copyTime, func() {
 			if !c.stageOK(op, gen) {
 				return
 			}
-			gen := c.stage(op, stagePower, c.Cfg.PowerDeadline)
+			gen := c.stage(op, stagePower, powerDeadline)
 			c.cycle(op, func() {
 				if !c.stageOK(op, gen) {
 					return
 				}
-				gen := c.stage(op, stageLocalBoot, c.Cfg.BootDeadline)
+				gen := c.stage(op, stageLocalBoot, bootDeadline)
 				c.Sim.Schedule(bootDelay, func() {
 					if !c.stageOK(op, gen) {
 						return

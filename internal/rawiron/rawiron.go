@@ -142,44 +142,46 @@ func (m *Machine) Busy() bool { return m.op != nil }
 // breaker (the pruned sliding-window history length).
 func (m *Machine) BreakerLoad() int { return m.ladder.Load() }
 
-// Config tunes the controller's timing, contention, retry, and breaker
-// behaviour. The zero value selects paper-calibrated defaults.
+// Lifecycle tuning: stage deadlines, the retry ladder, the breaker and the
+// netboot concurrency bound.
+const (
+	// Per-stage deadlines. A missed deadline fails the attempt. The
+	// transfer deadline is a backstop: a TFTP session that moves no bytes
+	// for stallTimeout is declared dead sooner.
+	powerDeadline    = 10 * time.Second
+	netbootDeadline  = 2 * time.Minute
+	transferDeadline = 30 * time.Minute
+	stallTimeout     = 90 * time.Second
+	restoreDeadline  = 20 * time.Minute
+	bootDeadline     = 2 * time.Minute
+
+	// Retry policy: capped exponential backoff with sim-RNG jitter.
+	retryBackoff    = 15 * time.Second
+	retryBackoffMax = 4 * time.Minute
+	retryJitter     = 0.5
+
+	// Circuit breaker: breakerThreshold attempt failures within
+	// breakerWindow quarantine the machine.
+	breakerWindow    = time.Hour
+	breakerThreshold = 4
+
+	// maxConcurrent bounds concurrent netboot operations (reimage and
+	// capture); excess admissions queue FIFO. Hidden-partition restores
+	// bypass the bound — they read local disk, not the trunk.
+	maxConcurrent = 2
+)
+
+// Config sizes the image and the pipes it moves through. The zero value
+// selects paper-calibrated defaults: "around 6 minutes per reimaging cycle"
+// and ~10-minute hidden restores.
 type Config struct {
-	// Image transfer characteristics; the defaults produce the paper's
-	// "around 6 minutes per reimaging cycle" and ~10-minute hidden
-	// restores.
 	ImageSizeMB       int // default 2048
 	TrunkMBps         int // default 7: shared PXE/TFTP trunk capacity
 	HiddenRestoreMBps int // default 4: local hidden-partition restore rate
-
-	// MaxConcurrent bounds concurrent netboot operations (reimage and
-	// capture); excess admissions queue FIFO. Hidden-partition restores
-	// bypass the bound — they read local disk, not the trunk. 0 means
-	// unlimited (beware: many concurrent transfers sharing the trunk can
-	// outlast TransferDeadline).
-	MaxConcurrent int
-
-	// Per-stage deadlines. A missed deadline fails the attempt.
-	PowerDeadline    time.Duration // default 10s
-	NetbootDeadline  time.Duration // default 2m
-	TransferDeadline time.Duration // default 30m (backstop; stalls detect sooner)
-	StallTimeout     time.Duration // default 90s: a no-progress TFTP session is dead
-	RestoreDeadline  time.Duration // default 20m
-	BootDeadline     time.Duration // default 2m
-
-	// Retry policy: capped exponential backoff with sim-RNG jitter.
-	RetryBackoff    time.Duration // default 15s
-	RetryBackoffMax time.Duration // default 4m
-	RetryJitter     float64       // default 0.5
-
-	// Circuit breaker: BreakerThreshold attempt failures within
-	// BreakerWindow quarantine the machine.
-	BreakerWindow    time.Duration // default 1h
-	BreakerThreshold int           // default 4
 }
 
-// orDefault replaces an unset (zero or negative) tuning value.
-func orDefault[T int | float64 | time.Duration](v *T, def T) {
+// orDefault replaces an unset (zero or negative) value.
+func orDefault(v *int, def int) {
 	if *v <= 0 {
 		*v = def
 	}
@@ -189,17 +191,6 @@ func (cfg Config) withDefaults() Config {
 	orDefault(&cfg.ImageSizeMB, 2048)
 	orDefault(&cfg.TrunkMBps, 7)
 	orDefault(&cfg.HiddenRestoreMBps, 4)
-	orDefault(&cfg.PowerDeadline, 10*time.Second)
-	orDefault(&cfg.NetbootDeadline, 2*time.Minute)
-	orDefault(&cfg.TransferDeadline, 30*time.Minute)
-	orDefault(&cfg.StallTimeout, 90*time.Second)
-	orDefault(&cfg.RestoreDeadline, 20*time.Minute)
-	orDefault(&cfg.BootDeadline, 2*time.Minute)
-	orDefault(&cfg.RetryBackoff, 15*time.Second)
-	orDefault(&cfg.RetryBackoffMax, 4*time.Minute)
-	orDefault(&cfg.RetryJitter, 0.5)
-	orDefault(&cfg.BreakerWindow, time.Hour)
-	orDefault(&cfg.BreakerThreshold, 4)
 	return cfg
 }
 

@@ -130,7 +130,7 @@ func (r *Reporter) CrossCheck() []string {
 
 func (r *Reporter) renderSubfarm(b *strings.Builder, sf SubfarmSource) {
 	cfg := sf.Router.Config()
-	head := fmt.Sprintf("Subfarm '%s' [Containment server VLAN %d]", sf.Name, cfg.ContainmentVLAN)
+	head := fmt.Sprintf("Subfarm '%s' [Containment server VLAN %d]", sf.Name, cfg.ContainmentCluster[0].VLAN)
 	fmt.Fprintf(b, "%s\n%s\n\n", head, strings.Repeat("-", len(head)))
 
 	// Group records per inmate VLAN.

@@ -2,6 +2,7 @@ package sink
 
 import (
 	"bytes"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -98,6 +99,36 @@ func TestSMTPSinkHarvestsSpam(t *testing.T) {
 	}
 	if len(sk.Envelopes) != 2 || !strings.Contains(string(sk.Envelopes[0].Data), "pills") {
 		t.Fatalf("envelopes %+v", sk.Envelopes)
+	}
+}
+
+// A bot that delivers more messages than the sink keeps: Envelopes holds
+// the first maxKeptEnvelopes, DataTransfers counts every one.
+func TestSMTPSinkBoundsKeptEnvelopes(t *testing.T) {
+	s, bot, sinkHost, _ := net3(t, 3)
+	sk, err := NewSMTPSink(sinkHost, SMTPConfig{Port: 25, Strictness: smtpx.Lenient})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sent = 1030
+	msgs := make([]smtpx.Message, sent)
+	for i := range msgs {
+		msgs[i] = smtpx.Message{From: "a@spam.biz", Rcpts: []string{"v@x.com"}, Data: []byte(fmt.Sprintf("spam %d", i))}
+	}
+	delivered := 0
+	smtpx.Send(bot, sinkHost.Addr(), 25, smtpx.ClientConfig{
+		Helo: "spambot", Messages: msgs,
+		OnDone: func(n int, err error) { delivered = n },
+	})
+	s.RunFor(10 * time.Minute)
+	if delivered != sent || sk.DataTransfers != sent {
+		t.Fatalf("delivered=%d data=%d, want %d", delivered, sk.DataTransfers, sent)
+	}
+	if len(sk.Envelopes) != 1024 {
+		t.Fatalf("kept %d envelopes, want the first 1024", len(sk.Envelopes))
+	}
+	if got := string(sk.Envelopes[1023].Data); !strings.Contains(got, "spam 1023") {
+		t.Fatalf("last kept envelope %q, want message 1023", got)
 	}
 }
 

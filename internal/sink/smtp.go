@@ -15,10 +15,9 @@ import (
 
 // SMTPConfig shapes the fidelity-adjustable SMTP sink (§6.3, §7.1).
 type SMTPConfig struct {
+	// Port is the SMTP listener (default 25); EXPECT notifications from
+	// the containment server arrive on UDP Port+1.
 	Port uint16
-	// ControlPort receives EXPECT notifications from the containment
-	// server (defaults to Port+1, UDP).
-	ControlPort uint16
 	// Banner is the static greeting used when grabbing is off or fails.
 	Banner string
 	// BannerGrab makes the sink connect out to the intended target and
@@ -37,8 +36,6 @@ type SMTPConfig struct {
 	RcptReply func(addr string) *smtpx.Reply
 	// DataReply, if set, overrides the end-of-DATA reply.
 	DataReply func(env *smtpx.Envelope) *smtpx.Reply
-	// MaxStoredEnvelopes caps retained message bodies (0 = keep all).
-	MaxStoredEnvelopes int
 }
 
 // PerInmate aggregates sink activity for one source address.
@@ -49,8 +46,13 @@ type PerInmate struct {
 	HELOs         []string // distinct HELO strings observed (the first maxHELOs)
 }
 
-// maxHELOs bounds PerInmate.HELOs: greetings are inmate-chosen bytes.
-const maxHELOs = 16
+// SMTP sink bounds. Greetings and messages are inmate-chosen bytes:
+// PerInmate.HELOs keeps the first maxHELOs distinct greetings, and
+// SMTPSink.Envelopes the first maxKeptEnvelopes messages.
+const (
+	maxHELOs         = 16
+	maxKeptEnvelopes = 1024
+)
 
 // SMTPSink is the farm's spam-harvesting endpoint.
 type SMTPSink struct {
@@ -64,7 +66,8 @@ type SMTPSink struct {
 	// ByInmate aggregates per source address.
 	ByInmate map[netstack.Addr]*PerInmate
 
-	// Envelopes retains harvested spam (capped by MaxStoredEnvelopes).
+	// Envelopes keeps the first maxKeptEnvelopes harvested messages;
+	// DataTransfers counts every one.
 	Envelopes []*smtpx.Envelope
 
 	// expect maps an inmate address to the SMTP target it believed it was
@@ -85,9 +88,6 @@ func NewSMTPSink(h *host.Host, cfg SMTPConfig) (*SMTPSink, error) {
 	if cfg.Port == 0 {
 		cfg.Port = 25
 	}
-	if cfg.ControlPort == 0 {
-		cfg.ControlPort = cfg.Port + 1
-	}
 	if cfg.Banner == "" {
 		cfg.Banner = "220 mail.example.com ESMTP Postfix"
 	}
@@ -104,7 +104,7 @@ func NewSMTPSink(h *host.Host, cfg SMTPConfig) (*SMTPSink, error) {
 	if err := h.Listen(cfg.Port, s.accept); err != nil {
 		return nil, err
 	}
-	if _, err := h.ListenUDP(cfg.ControlPort, s.control); err != nil {
+	if _, err := h.ListenUDP(cfg.Port+1, s.control); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -118,7 +118,7 @@ func (s *SMTPSink) Rebind() error {
 	if err := s.h.Listen(s.cfg.Port, s.accept); err != nil {
 		return err
 	}
-	_, err := s.h.ListenUDP(s.cfg.ControlPort, s.control)
+	_, err := s.h.ListenUDP(s.cfg.Port+1, s.control)
 	return err
 }
 
@@ -177,7 +177,7 @@ func (s *SMTPSink) accept(c *host.Conn) {
 		s.DataTransfers++
 		s.dataTransfers.Inc()
 		pi.DataTransfers++
-		if s.cfg.MaxStoredEnvelopes == 0 || len(s.Envelopes) < s.cfg.MaxStoredEnvelopes {
+		if len(s.Envelopes) < maxKeptEnvelopes {
 			s.Envelopes = append(s.Envelopes, env)
 		}
 		if s.cfg.DataReply != nil {

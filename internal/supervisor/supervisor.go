@@ -79,34 +79,44 @@ const (
 // under, on the escalating node's own domain.
 const TreeScope = "supervisor.tree"
 
-// Config tunes the supervision loops. Zero values select the defaults.
+// Probe, restart and strike tuning shared by every node of the tree.
+const (
+	// heartbeatEvery is the probe cadence per endpoint, every kind, and
+	// heartbeatTimeout how long one probe may go unanswered. missThreshold
+	// (K) consecutive missed deadlines mark an endpoint unhealthy.
+	heartbeatEvery   = 5 * time.Second
+	heartbeatTimeout = time.Second
+	missThreshold    = 3
+
+	// restartBackoff is the initial restart delay after an endpoint goes
+	// down; it doubles per attempt up to restartBackoffMax, each attempt
+	// jittered by up to restartJitter of the delay (sim RNG).
+	restartBackoff    = 5 * time.Second
+	restartBackoffMax = 2 * time.Minute
+	restartJitter     = 0.5
+
+	// breakerWindow is the circuit breaker's window: Config.BreakerThreshold
+	// restarts within it drain the endpoint for good.
+	breakerWindow = 10 * time.Minute
+
+	// inmateStrikeThreshold strikes (trigger firings or containment-probe
+	// escapes) within inmateStrikeWindow quarantine an inmate via the
+	// controller, using inmateQuarantineAction as the lifecycle verb.
+	inmateStrikeWindow     = 30 * time.Minute
+	inmateStrikeThreshold  = 3
+	inmateQuarantineAction = "stop"
+
+	// progressEvery is the root node's progress-watch poll cadence
+	// (recyclers, external hosts).
+	progressEvery = 30 * time.Second
+)
+
+// Config holds the escalation thresholds a caller may tighten. Zero values
+// select the defaults.
 type Config struct {
-	// HeartbeatEvery is the probe cadence per endpoint, every kind.
-	HeartbeatEvery time.Duration // default 5s
-	// HeartbeatTimeout is how long one probe may go unanswered.
-	HeartbeatTimeout time.Duration // default 1s
-	// MissThreshold is K: consecutive missed deadlines marking an endpoint
-	// unhealthy.
-	MissThreshold int // default 3
-
-	// RestartBackoff is the initial restart delay after an endpoint goes
-	// down; it doubles per attempt up to RestartBackoffMax, each attempt
-	// jittered by up to RestartJitter of the delay (sim RNG).
-	RestartBackoff    time.Duration // default 5s
-	RestartBackoffMax time.Duration // default 2m
-	RestartJitter     float64       // default 0.5
-
-	// BreakerThreshold restarts within BreakerWindow trip the circuit
+	// BreakerThreshold restarts within breakerWindow trip the circuit
 	// breaker: the endpoint is drained and no longer redialed.
-	BreakerWindow    time.Duration // default 10m
-	BreakerThreshold int           // default 5
-
-	// InmateStrikeThreshold strikes (trigger firings or containment-probe
-	// escapes) within InmateStrikeWindow quarantine an inmate via the
-	// controller, using InmateQuarantineAction as the lifecycle verb.
-	InmateStrikeWindow     time.Duration // default 30m
-	InmateStrikeThreshold  int           // default 3
-	InmateQuarantineAction string        // default "stop"
+	BreakerThreshold int // default 5
 
 	// LockdownBudget is how long the subfarm's containment plane may stay
 	// fully dead — every containment server down or quarantined,
@@ -117,9 +127,6 @@ type Config struct {
 	// or a subfarm already in lockdown) may stay dead before the root
 	// node escalates to global dead-man lockdown.
 	DeadManBudget time.Duration // default 5m
-	// ProgressEvery is the root node's progress-watch poll cadence
-	// (recyclers, external hosts).
-	ProgressEvery time.Duration // default 30s
 	// WedgeBudget is how long a progress-watched component may go without
 	// advancing its mark, while active, before it is declared wedged and
 	// re-armed.
@@ -127,29 +134,16 @@ type Config struct {
 }
 
 // orDefault replaces an unset (zero or negative) tuning value.
-func orDefault[T int | float64 | time.Duration](v *T, def T) {
+func orDefault[T int | time.Duration](v *T, def T) {
 	if *v <= 0 {
 		*v = def
 	}
 }
 
 func (c Config) withDefaults() Config {
-	orDefault(&c.HeartbeatEvery, 5*time.Second)
-	orDefault(&c.HeartbeatTimeout, time.Second)
-	orDefault(&c.MissThreshold, 3)
-	orDefault(&c.RestartBackoff, 5*time.Second)
-	orDefault(&c.RestartBackoffMax, 2*time.Minute)
-	orDefault(&c.RestartJitter, 0.5)
-	orDefault(&c.BreakerWindow, 10*time.Minute)
 	orDefault(&c.BreakerThreshold, 5)
-	orDefault(&c.InmateStrikeWindow, 30*time.Minute)
-	orDefault(&c.InmateStrikeThreshold, 3)
-	if c.InmateQuarantineAction == "" {
-		c.InmateQuarantineAction = "stop"
-	}
 	orDefault(&c.LockdownBudget, 2*time.Minute)
 	orDefault(&c.DeadManBudget, 5*time.Minute)
-	orDefault(&c.ProgressEvery, 30*time.Second)
 	orDefault(&c.WedgeBudget, 15*time.Minute)
 	return c
 }
@@ -331,7 +325,7 @@ func newSupervisor(deps Deps, cfg Config) *Supervisor {
 			sup.probeReply(sup.cs[idx], seq)
 		}
 	})
-	s.Every(cfg.HeartbeatEvery, sup.tick)
+	s.Every(heartbeatEvery, sup.tick)
 	return sup
 }
 
@@ -386,7 +380,7 @@ func (sup *Supervisor) probeTCP(w *watch, to *host.Host, port uint16, seq uint64
 		c.Abort()
 		sup.probeReply(w, seq)
 	}
-	sup.s.Schedule(sup.cfg.HeartbeatTimeout, func() {
+	sup.s.Schedule(heartbeatTimeout, func() {
 		if !done {
 			c.Abort()
 		}
@@ -405,7 +399,7 @@ func (sup *Supervisor) probePing(w *watch, seq uint64) {
 			sup.probeReply(w, seq)
 		}
 	})
-	sup.s.Schedule(sup.cfg.HeartbeatTimeout, func() {
+	sup.s.Schedule(heartbeatTimeout, func() {
 		if !done {
 			c.Abort()
 		}
@@ -505,7 +499,7 @@ func (sup *Supervisor) Strike(vlan uint16, why string) {
 	l := sup.strikes[vlan]
 	if l == nil {
 		l = sim.NewLadder(sup.s, sim.LadderConfig{
-			Window: sup.cfg.InmateStrikeWindow, Threshold: sup.cfg.InmateStrikeThreshold,
+			Window: inmateStrikeWindow, Threshold: inmateStrikeThreshold,
 		})
 		sup.strikes[vlan] = l
 	}
@@ -520,7 +514,7 @@ func (sup *Supervisor) Strike(vlan uint16, why string) {
 	// The quarantine action travels the real management network to the
 	// farm controller, which cross-posts the execution into the inmate's
 	// shard domain exactly like trigger-driven lifecycle actions.
-	inmate.SendAction(sup.deps.Mgmt, sup.deps.Controller, sup.cfg.InmateQuarantineAction, vlan, nil)
+	inmate.SendAction(sup.deps.Mgmt, sup.deps.Controller, inmateQuarantineAction, vlan, nil)
 }
 
 // Healthy reports containment-server endpoint idx's current health.

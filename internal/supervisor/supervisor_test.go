@@ -265,7 +265,7 @@ func TestEscalationLadder(t *testing.T) {
 // re-armed once per wedge, at once and without backoff, until the breaker
 // quarantines it; a shard host is watched, never restarted.
 func TestRootPolledWatches(t *testing.T) {
-	cfg := Config{BreakerThreshold: 2, BreakerWindow: 30 * time.Minute, WedgeBudget: 2 * time.Minute}
+	cfg := Config{BreakerThreshold: 2, WedgeBudget: time.Minute}
 	s := sim.New(1)
 	root := NewRoot(RootDeps{Sim: s}, cfg)
 	mark, active, rearms := 0, true, 0
@@ -290,19 +290,19 @@ func TestRootPolledWatches(t *testing.T) {
 	if rec.healthy || rearms != 1 {
 		t.Fatalf("healthy=%v rearms=%d after a frozen mark past the budget", rec.healthy, rearms)
 	}
-	s.RunUntil(20 * time.Minute)
+	s.RunUntil(17 * time.Minute)
 	if rearms != 1 {
 		t.Fatalf("one wedge earned %d re-arms", rearms)
 	}
-	// Two more wedges inside the breaker window: the second re-arm is the
-	// breaker's last, the third wedge quarantines.
+	// Two more wedges inside the ten-minute breaker window: the second
+	// re-arm is the breaker's last, the third wedge quarantines.
 	for i := 0; i < 2; i++ {
 		mark++
 		s.RunFor(time.Minute)
 		if !rec.healthy {
 			t.Fatal("an advancing mark did not clear the wedge")
 		}
-		s.RunFor(3 * time.Minute)
+		s.RunFor(2 * time.Minute)
 	}
 	if rearms != 2 || !rec.quarantined {
 		t.Fatalf("rearms=%d quarantined=%v, want 2 and the breaker tripped", rearms, rec.quarantined)

@@ -83,7 +83,7 @@ func NewRoot(deps RootDeps, cfg Config) *Root {
 			}
 			// Subfarm probes confirm recovery; if none has within two probe
 			// cycles, no news is bad news: climb the ladder again.
-			s.Schedule(2*cfg.HeartbeatEvery, func() {
+			s.Schedule(2*heartbeatEvery, func() {
 				if !w.healthy {
 					r.reportDown(w, "")
 				}
@@ -91,7 +91,7 @@ func NewRoot(deps RootDeps, cfg Config) *Root {
 		}
 		r.ctl = w
 	}
-	s.Every(cfg.ProgressEvery, r.poll)
+	s.Every(progressEvery, r.poll)
 	return r
 }
 

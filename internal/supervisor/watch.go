@@ -48,8 +48,8 @@ type watch struct {
 	addr   netstack.Addr
 
 	// Bad news has exactly one source. probe is an active check fired every
-	// HeartbeatEvery (K unanswered in a row is down); read is a progress
-	// reading the root polls on the owning domain dom every ProgressEvery
+	// heartbeatEvery (K unanswered in a row is down); read is a progress
+	// reading the root polls on the owning domain dom every progressEvery
 	// (a mark frozen past budget while active is down); a watch with
 	// neither is fed by other nodes' reports.
 	probe  func(seq uint64)
@@ -132,8 +132,8 @@ func (n *node) add(w *watch) *watch {
 	w.healthy = true
 	w.events, w.label, w.noun = endpointEvents, string(w.kind)+":"+w.id, string(w.kind)
 	w.ladder = sim.NewLadder(n.s, sim.LadderConfig{
-		Backoff: n.cfg.RestartBackoff, BackoffMax: n.cfg.RestartBackoffMax, Jitter: n.cfg.RestartJitter,
-		Window: n.cfg.BreakerWindow, Threshold: n.cfg.BreakerThreshold,
+		Backoff: restartBackoff, BackoffMax: restartBackoffMax, Jitter: restartJitter,
+		Window: breakerWindow, Threshold: n.cfg.BreakerThreshold,
 	})
 	if w.restarts == nil {
 		w.restarts = n.restarts
@@ -163,7 +163,7 @@ func (n *node) tick() {
 		w.replied = false
 		seq := w.seq
 		w.probe(seq)
-		n.s.Schedule(n.cfg.HeartbeatTimeout, func() { n.checkDeadline(w, seq) })
+		n.s.Schedule(heartbeatTimeout, func() { n.checkDeadline(w, seq) })
 	}
 }
 
@@ -179,7 +179,7 @@ func (n *node) probeReply(w *watch, seq uint64) {
 	}
 }
 
-// checkDeadline runs HeartbeatTimeout after each probe: a missing echo is
+// checkDeadline runs heartbeatTimeout after each probe: a missing echo is
 // one miss, K consecutive misses are bad news. The miss count resets at
 // each threshold crossing so a thing that crashes again mid-recovery earns
 // a fresh (backed-off) restart instead of being forgotten.
@@ -189,7 +189,7 @@ func (n *node) checkDeadline(w *watch, seq uint64) {
 	}
 	w.misses++
 	n.missesTotal.Inc()
-	if w.misses < n.cfg.MissThreshold {
+	if w.misses < missThreshold {
 		return
 	}
 	w.misses = 0
