@@ -166,8 +166,9 @@ func retireInmates(r *Run) error { r.RetireInmates(); return nil }
 
 // check is what every run demands of every subfarm after the drain: no
 // probe escaped, no containment server left down (breaker quarantine is a
-// decision, not an outage), an empty flow table, a MAC table and a VLAN ARP
-// cache no inmate overflowed — and of the farm, no inmate address on the
+// decision, not an outage), an empty flow table, a MAC table, a VLAN ARP
+// cache and an inmate address table no inmate overflowed — and of the farm,
+// no switch's forwarding database overflowed and no inmate address on the
 // blacklist.
 func (r *Run) check() {
 	leaked := false
@@ -193,6 +194,20 @@ func (r *Run) check() {
 		if n := r.Snapshot.Counter("subfarm." + sf.Name + ".vlan_arp_full"); n > 0 {
 			r.bad("%s: %d ARP senders past the gateway's VLAN ARP cache bound", sf.Name, n)
 		}
+		if n := r.Snapshot.Counter("subfarm." + sf.Name + ".inmate_addr_full"); n > 0 {
+			r.bad("%s: %d inmate addresses past the gateway's bound", sf.Name, n)
+		}
+	}
+	var overflowed []string
+	for name, n := range r.Snapshot.Counters {
+		rest, isSwitch := strings.CutPrefix(name, "netsim.switch.")
+		if sw, isFull := strings.CutSuffix(rest, ".fdb_full"); isSwitch && isFull && n > 0 {
+			overflowed = append(overflowed, fmt.Sprintf("switch %s: %d stations past its forwarding-database bound", sw, n))
+		}
+	}
+	slices.Sort(overflowed)
+	for _, msg := range overflowed {
+		r.bad("%s", msg)
 	}
 	if leaked {
 		r.Sim.Obs().Journal.DumpAll("run ended with open flows")

@@ -39,10 +39,10 @@ func TestAwaitVerdictDeadlineFailsClosed(t *testing.T) {
 		DstIP: netstack.MustParseAddr("198.51.100.9"), DstPort: 25,
 		Proto: netstack.ProtoTCP,
 	}
-	r.inmateMAC[12] = netstack.MAC{2, 0, 0, 0, 0, 7}
+	knowInmateMAC(r, 12, netstack.MAC{2, 0, 0, 0, 0, 7})
 	// The rig has no real CS host; resolve its ARP so the CS-leg RST is
 	// emitted (and tapped) instead of parking in the pending queue.
-	r.vlanARP[vlanAddr{r.cfg.ContainmentCluster[0].VLAN, r.cfg.ContainmentCluster[0].IP}] = netstack.MAC{2, 0, 0, 0, 0, 66}
+	r.vlanARP[vlanAddr{uint32(r.cfg.ContainmentCluster[0].VLAN), r.cfg.ContainmentCluster[0].IP}] = netstack.MAC{2, 0, 0, 0, 0, 66}
 	toInit, toCS := rstCollector(r, initIP, r.cfg.ContainmentCluster[0].IP)
 
 	f := r.newFlow(key, 12, false)
@@ -120,8 +120,8 @@ func TestFailCloseEndpointRewriteProxy(t *testing.T) {
 		DstIP: netstack.MustParseAddr("198.51.100.10"), DstPort: 25,
 		Proto: netstack.ProtoTCP,
 	}
-	r.inmateMAC[13] = netstack.MAC{2, 0, 0, 0, 0, 8}
-	r.vlanARP[vlanAddr{r.cfg.ContainmentCluster[0].VLAN, r.cfg.ContainmentCluster[0].IP}] = netstack.MAC{2, 0, 0, 0, 0, 66}
+	knowInmateMAC(r, 13, netstack.MAC{2, 0, 0, 0, 0, 8})
+	r.vlanARP[vlanAddr{uint32(r.cfg.ContainmentCluster[0].VLAN), r.cfg.ContainmentCluster[0].IP}] = netstack.MAC{2, 0, 0, 0, 0, 66}
 	toInit, toCS := rstCollector(r, initIP, r.cfg.ContainmentCluster[0].IP)
 
 	f := r.newFlow(key, 13, false)
@@ -177,7 +177,7 @@ func TestFailCloseSynTombstone(t *testing.T) {
 		DstIP: respIP, DstPort: 25,
 		Proto: netstack.ProtoTCP,
 	}
-	r.inmateMAC[12] = netstack.MAC{2, 0, 0, 0, 0, 5}
+	knowInmateMAC(r, 12, netstack.MAC{2, 0, 0, 0, 0, 5})
 
 	f := r.newFlow(key, 12, false)
 	f.state = fsAwaitVerdict

@@ -200,7 +200,7 @@ func (r *Router) dispatchInmateIP(p *netstack.Packet) {
 		if !pureSYN(p) {
 			return
 		}
-		tk := synTombKey{key.SrcIP, key.SrcPort, key.DstIP, key.DstPort, p.TCP.Seq}
+		tk := synTombKey{key.SrcIP, key.DstIP, key.SrcPort, key.DstPort, p.TCP.Seq}
 		if exp, ok := r.synTombs[tk]; ok && r.sim.Now() <= exp {
 			return
 		}
@@ -753,7 +753,7 @@ func (f *Flow) resetInitiator() {
 	seq := f.csISN + 1
 	if !f.haveCSISN {
 		seq = 0
-		f.r.synTombs[synTombKey{f.initIP, f.initPort, f.respIP, f.respPort, f.initISS}] =
+		f.r.synTombs[synTombKey{f.initIP, f.respIP, f.initPort, f.respPort, f.initISS}] =
 			f.now() + synTombstoneTTL
 	}
 	f.segmentToInitiator(seq, f.initNextSeq, netstack.FlagRST|netstack.FlagACK, nil)

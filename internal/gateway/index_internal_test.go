@@ -102,7 +102,7 @@ func TestClosingUDPFlowKeepsSharedKeyOfNewer(t *testing.T) {
 	r := rig.r
 	sink := netstack.MustParseAddr("10.3.0.9")
 	r.RegisterServiceHost(sink, r.cfg.ContainmentCluster[0].VLAN)
-	r.vlanARP[vlanAddr{r.cfg.ContainmentCluster[0].VLAN, sink}] = netstack.MAC{2, 0, 0, 0, 0, 9}
+	r.vlanARP[vlanAddr{uint32(r.cfg.ContainmentCluster[0].VLAN), sink}] = netstack.MAC{2, 0, 0, 0, 0, 9}
 
 	rig.verdict(rig.open(lcResp, 53), shim.Reflect, sink, 53)
 	rig.verdict(rig.open(lcResp2, 53), shim.Reflect, sink, 53)

@@ -62,7 +62,7 @@ func newLifecycleRig(t *testing.T) *lifecycleRig {
 	r.awaitVerdictTimeout = 10 * time.Second
 	rig.s.Obs().Journal.SetSink(rig.journal)
 	r.learnInmate(lcVLAN, lcInit, inmateMAC(lcVLAN))
-	r.vlanARP[vlanAddr{r.cfg.ContainmentCluster[0].VLAN, r.cfg.ContainmentCluster[0].IP}] = csMAC
+	r.vlanARP[vlanAddr{uint32(r.cfg.ContainmentCluster[0].VLAN), r.cfg.ContainmentCluster[0].IP}] = csMAC
 	rig.g.outARP[lcResp], rig.g.outARP[lcResp2] = extMAC, extMAC
 	note := func(leg string, p *netstack.Packet) {
 		if p.TCP == nil || p.TCP.Flags&netstack.FlagRST == 0 {
@@ -401,7 +401,7 @@ func TestShedPreSynAckVictimResetAndTombstoned(t *testing.T) {
 	rig := newLifetimeRig(t)
 	r := rig.r
 	r.maxFlows = 3
-	r.vlanARP[vlanAddr{r.cfg.ContainmentCluster[0].VLAN, r.cfg.ContainmentCluster[0].IP}] = csMAC
+	r.vlanARP[vlanAddr{uint32(r.cfg.ContainmentCluster[0].VLAN), r.cfg.ContainmentCluster[0].IP}] = csMAC
 	var toInit []*netstack.Packet
 	r.AddTap(func(p *netstack.Packet) {
 		if p.IP != nil && p.IP.Dst == lcInit {

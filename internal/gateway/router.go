@@ -85,12 +85,13 @@ type ContainmentEndpoint struct {
 }
 
 // flowKey is one key of a flow in Router.index (DESIGN.md §3g), of one of
-// the kinds below; a flow owns at most one of each (Flow.keys).
+// the kinds below; a flow owns at most one of each (Flow.keys). Its kind and
+// protocol are widened from a byte so that the key is 16 bytes with no
+// padding, which the index hashes in one call (DESIGN.md §3b).
 type flowKey struct {
-	kind, proto uint8
-	port        uint16
-	ip, peer    netstack.Addr
-	peerPort    uint16
+	ip, peer       netstack.Addr
+	port, peerPort uint16
+	kind, proto    uint16
 }
 
 const (
@@ -104,28 +105,26 @@ const (
 // endpointKey keys a flow by its initiator's endpoint. A TCP connection is
 // that endpoint's alone, whoever answers, so a TCP flow's keyActual is its
 // keyInit; one UDP socket talks to many peers, so a UDP key holds the peer.
-func endpointKey(kind, proto uint8, ip netstack.Addr, port uint16, peer netstack.Addr, peerPort uint16) flowKey {
+func endpointKey(kind uint16, proto uint8, ip netstack.Addr, port uint16, peer netstack.Addr, peerPort uint16) flowKey {
 	if proto != netstack.ProtoUDP {
-		return flowKey{kind: keyInit, proto: proto, ip: ip, port: port}
+		return flowKey{kind: keyInit, proto: uint16(proto), ip: ip, port: port}
 	}
-	return flowKey{kind: kind, proto: proto, ip: ip, port: port, peer: peer, peerPort: peerPort}
+	return flowKey{kind: kind, proto: uint16(proto), ip: ip, port: port, peer: peer, peerPort: peerPort}
 }
 
 func nonceKey(port uint16) flowKey { return flowKey{kind: keyNonce, port: port} }
 
 // leg2Key keys the containment server's end of a leg-2 packet's connection.
 func leg2Key(k netstack.FlowKey) flowKey {
-	return flowKey{kind: keyLeg2, proto: k.Proto, ip: k.SrcIP, port: k.SrcPort}
+	return flowKey{kind: keyLeg2, proto: uint16(k.Proto), ip: k.SrcIP, port: k.SrcPort}
 }
 
 // synTombKey identifies one fail-closed TCP flow incarnation by its full
-// initiator tuple plus ISN (see Router.synTombs).
+// initiator tuple plus ISN (see Router.synTombs): 16 bytes, no padding.
 type synTombKey struct {
-	srcIP   netstack.Addr
-	srcPort uint16
-	dstIP   netstack.Addr
-	dstPort uint16
-	isn     uint32
+	srcIP, dstIP     netstack.Addr
+	srcPort, dstPort uint16
+	isn              uint32
 }
 
 // synTombstoneTTL bounds how long a fail-closed SYN key is remembered. The
@@ -185,11 +184,17 @@ type Router struct {
 
 	// index finds a flow by any key it owns; register and unregister are
 	// its only writers. indexed counts the keys of each kind.
-	index      map[flowKey]*Flow
-	indexed    [numKeyKinds]int
-	nextNonce  uint16
-	inmateMAC  map[uint16]netstack.MAC // VLAN -> inmate MAC (learned)
-	inmateVLAN map[netstack.Addr]uint16
+	index     map[flowKey]*Flow
+	indexed   [numKeyKinds]int
+	nextNonce uint16
+
+	// inmates holds one slot per inmate VLAN, at vlan - VLANLo: what the
+	// router last learned from that VLAN's frames (see learnMAC,
+	// learnInmate). inmateVLAN maps an inmate's address to its VLAN; inmates
+	// choose their addresses, so it is bounded like macTable.
+	inmates        []slot
+	inmateVLAN     map[netstack.Addr]uint16
+	inmateVLANFull *obs.Counter // nil until the first overflow
 
 	// VLAN-side ARP (for reaching service hosts and inmates). Inmates
 	// choose the sender addresses, so it is bounded like macTable (see
@@ -266,17 +271,34 @@ type Router struct {
 	LockdownDrops                 *obs.Counter
 	FlowsActive                   *obs.Gauge
 	VerdictLatencyUS              *obs.Histogram
-
-	// natExhaustedSeen dedups the nat.exhausted event per inmate VLAN so a
-	// chatty unaddressable inmate doesn't flood the journal.
-	natExhaustedSeen map[uint16]bool
 	// greUp remembers which tunnel endpoints already emitted gre.tunnel_up.
 	greUp map[netstack.Addr]bool
 }
 
+// vlanAddr keys an address on one VLAN. The VLAN is widened to 32 bits so
+// that the key is 8 bytes with no padding (DESIGN.md §3b).
 type vlanAddr struct {
-	vlan uint16
+	vlan uint32
 	addr netstack.Addr
+}
+
+// slot is what the router learned from one inmate VLAN's frames, so that a
+// frame repeating it writes no table (DESIGN.md §3b). Each part holds only
+// while the table it mirrors still says the same, and the one writer of that
+// table clears it otherwise: learnMAC when src moves to another VLAN,
+// learnInmate when another VLAN takes addr, and the NAT table's generation
+// when Release frees bind.
+type slot struct {
+	src   netstack.MAC // the source MAC macTable maps to this VLAN, while srcOK
+	srcOK bool
+
+	mac    netstack.MAC // the inmate's MAC, once hasMAC (sendToVLAN's fallback)
+	hasMAC bool
+	addr   netstack.Addr // the inmate's address, mapped here by inmateVLAN while bind is set
+	bind   *nat.Binding  // addr's binding, nil when not (or no longer) learned
+	natGen uint64        // r.nat.Gen() when bind was learned
+
+	natExhausted bool // nat.exhausted was emitted: once per VLAN, as it repeats on every frame
 }
 
 func newRouter(g *Gateway, s *sim.Simulator, cfg RouterConfig) *Router {
@@ -286,7 +308,6 @@ func newRouter(g *Gateway, s *sim.Simulator, cfg RouterConfig) *Router {
 		nat:          nat.NewTable(cfg.GlobalPool, cfg.GlobalPoolStart, cfg.InboundMode),
 		index:        make(map[flowKey]*Flow),
 		nextNonce:    40000,
-		inmateMAC:    make(map[uint16]netstack.MAC),
 		inmateVLAN:   make(map[netstack.Addr]uint16),
 		vlanARP:      make(map[vlanAddr]netstack.MAC),
 		rateAll:      make(map[uint16]int),
@@ -298,8 +319,10 @@ func newRouter(g *Gateway, s *sim.Simulator, cfg RouterConfig) *Router {
 
 		maxFlows:            DefaultMaxFlows,
 		awaitVerdictTimeout: DefaultAwaitVerdictTimeout,
-		natExhaustedSeen:    make(map[uint16]bool),
 		greUp:               make(map[netstack.Addr]bool),
+	}
+	if cfg.VLANHi >= cfg.VLANLo {
+		r.inmates = make([]slot, int(cfg.VLANHi-cfg.VLANLo)+1)
 	}
 	r.vlanPending = netsim.NewWaits[vlanAddr, []byte](s, r.arpVLAN)
 	r.csDown = make([]bool, len(cfg.ContainmentCluster))
@@ -394,23 +417,43 @@ func (r *Router) receiveTrunk(p *netstack.Packet) {
 	r.bridge(p)
 }
 
-// maxLearnedMACs bounds a router's bridging table and its VLAN-side ARP
-// cache: twice the 802.1Q VLAN space, i.e. one machine per inmate VLAN with
-// room for every service host, and a ceiling on what a spoofing inmate can
-// make the gateway remember.
+// maxLearnedMACs bounds a router's bridging table, its VLAN-side ARP cache
+// and its inmate addresses: twice the 802.1Q VLAN space, i.e. one machine per
+// inmate VLAN with room for every service host, and a ceiling on what a
+// spoofing inmate can make the gateway remember.
 const maxLearnedMACs = 8192
 
-// learnMAC records where a source MAC was last seen. At the bound a MAC the
-// table already holds may still move; a new one is not learned, and counted
-// in subfarm.<name>.mac_table_full (see refuse).
-func (r *Router) learnMAC(mac netstack.MAC, vlan uint16) {
-	if len(r.macTable) >= maxLearnedMACs {
-		if _, known := r.macTable[mac]; !known {
-			r.refuse(&r.macTableFull, "mac_table_full")
-			return
-		}
+// slotOf returns an inmate VLAN's slot, nil for any other VLAN.
+func (r *Router) slotOf(vlan uint16) *slot {
+	if !r.isInmateVLAN(vlan) {
+		return nil
 	}
-	r.macTable[mac] = vlan
+	return &r.inmates[vlan-r.cfg.VLANLo]
+}
+
+// learnMAC records where a source MAC was last seen. An inmate VLAN's frame
+// from the MAC its slot holds changes nothing and is not looked up. At the
+// bound a MAC the table already holds may still move; a new one is not
+// learned, and counted in subfarm.<name>.mac_table_full (see refuse).
+func (r *Router) learnMAC(mac netstack.MAC, vlan uint16) {
+	s := r.slotOf(vlan)
+	if s != nil && s.srcOK && s.src == mac {
+		return
+	}
+	old, known := r.macTable[mac]
+	switch {
+	case !known && len(r.macTable) >= maxLearnedMACs:
+		r.refuse(&r.macTableFull, "mac_table_full")
+		return
+	case !known || old != vlan:
+		if o := r.slotOf(old); known && o != nil && o.src == mac {
+			o.srcOK = false // moved away
+		}
+		r.macTable[mac] = vlan
+	}
+	if s != nil {
+		s.src, s.srcOK = mac, true
+	}
 }
 
 // learnVLANARP records an ARP sender's MAC under its VLAN and address, with
@@ -633,7 +676,7 @@ func (r *Router) handleARP(p *netstack.Packet) {
 		r.learnInmate(p.Eth.VLAN, a.SenderIP, a.SenderHW)
 	}
 	if !a.SenderIP.IsZero() {
-		key := vlanAddr{p.Eth.VLAN, a.SenderIP}
+		key := vlanAddr{uint32(p.Eth.VLAN), a.SenderIP}
 		r.learnVLANARP(key, a.SenderHW)
 		r.flushVLANPending(key, a.SenderHW)
 	}
@@ -659,19 +702,43 @@ func (r *Router) handleARP(p *netstack.Packet) {
 	r.bridge(p)
 }
 
+// learnInmate records an inmate VLAN's address and MAC in its slot, in
+// inmateVLAN and in the NAT table. A frame that repeats what the slot holds,
+// while its binding is live, changes nothing and writes nothing. At the bound
+// an address inmateVLAN holds may still move; a new one is not learned, and
+// counted in subfarm.<name>.inmate_addr_full.
 func (r *Router) learnInmate(vlan uint16, addr netstack.Addr, mac netstack.MAC) {
 	if !r.cfg.InternalPrefix.Contains(addr) {
 		return
 	}
-	r.inmateMAC[vlan] = mac
-	r.inmateVLAN[addr] = vlan
-	if r.nat.Learn(vlan, addr, mac) == nil && !r.natExhaustedSeen[vlan] {
+	s := r.slotOf(vlan)
+	if b := s.bind; b != nil && s.addr == addr && s.mac == mac && b.Internal == addr && b.MAC == mac && s.natGen == r.nat.Gen() {
+		return
+	}
+	s.mac, s.hasMAC, s.addr = mac, true, addr
+	held := true
+	switch old, known := r.inmateVLAN[addr]; {
+	case !known && len(r.inmateVLAN) >= maxLearnedMACs:
+		r.refuse(&r.inmateVLANFull, "inmate_addr_full")
+		held = false
+	case !known || old != vlan:
+		if o := r.slotOf(old); known && o != nil && o.addr == addr {
+			o.bind = nil // re-addressed: addr is vlan's now
+		}
+		r.inmateVLAN[addr] = vlan
+	}
+	b := r.nat.Learn(vlan, addr, mac)
+	if b == nil && !s.natExhausted {
 		// Global pool (plus any tunnel pools) had no free address: this
 		// inmate is unroutable until capacity frees up. Record it once per
 		// VLAN — the condition repeats on every packet the inmate sends.
-		r.natExhaustedSeen[vlan] = true
+		s.natExhausted = true
 		r.NATExhausted.Inc()
 		r.sc.Emit(obs.Event{Type: obs.EvNATExhausted, VLAN: vlan, SrcIP: uint32(addr)})
+	}
+	s.bind, s.natGen = b, r.nat.Gen()
+	if !held {
+		s.bind = nil // not in inmateVLAN: the next frame tries again
 	}
 }
 
@@ -706,7 +773,7 @@ func (r *Router) handleIP(p *netstack.Packet) {
 // chooses.
 func (r *Router) safetyCheck(vlan uint16, dst netstack.Addr) bool {
 	all, perDest := r.cfg.MaxFlowsPerMinute, r.cfg.MaxFlowsPerDestPerMinute
-	key := vlanAddr{vlan, dst}
+	key := vlanAddr{uint32(vlan), dst}
 	if (all > 0 && r.rateAll[vlan] >= all) || (perDest > 0 && r.rateDest[key] >= perDest) {
 		r.SafetyDrops.Inc()
 		return false
@@ -725,19 +792,17 @@ func (r *Router) safetyCheck(vlan uint16, dst netstack.Addr) bool {
 func (r *Router) sendToVLAN(p *netstack.Packet, vlan uint16) {
 	p.Eth.Src = GatewayMAC
 	p.Eth.VLAN = vlan
-	key := vlanAddr{vlan, p.IP.Dst}
+	key := vlanAddr{uint32(vlan), p.IP.Dst}
 	if mac, ok := r.vlanARP[key]; ok {
 		p.Eth.Dst = mac
 		r.tapAndSend(p)
 		return
 	}
 	// For inmates we usually know the MAC already from NAT learning.
-	if r.isInmateVLAN(vlan) {
-		if mac, ok := r.inmateMAC[vlan]; ok {
-			p.Eth.Dst = mac
-			r.tapAndSend(p)
-			return
-		}
+	if s := r.slotOf(vlan); s != nil && s.hasMAC {
+		p.Eth.Dst = s.mac
+		r.tapAndSend(p)
+		return
 	}
 	if !r.vlanPending.Park(key, p.Marshal()) {
 		r.gw.ARPPendingDrops.Inc()
@@ -747,10 +812,10 @@ func (r *Router) sendToVLAN(p *netstack.Packet, vlan uint16) {
 // arpVLAN broadcasts a request for key on its VLAN.
 func (r *Router) arpVLAN(key vlanAddr) {
 	sender := r.cfg.RouterIP
-	if r.isServiceVLAN(key.vlan) {
+	if r.isServiceVLAN(uint16(key.vlan)) {
 		sender = r.cfg.ServiceRouterIP
 	}
-	r.sendTrunk(netstack.NewARPRequest(key.vlan, GatewayMAC, sender, key.addr))
+	r.sendTrunk(netstack.NewARPRequest(uint16(key.vlan), GatewayMAC, sender, key.addr))
 }
 
 // flushVLANPending transmits the frames parked for a neighbour that just

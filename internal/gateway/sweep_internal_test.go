@@ -71,7 +71,7 @@ func TestSweepEstablishingPortDownMidHandshake(t *testing.T) {
 	}
 	// The gateway knows the inmate's MAC from NAT learning, so the RST can
 	// be addressed without ARP.
-	r.inmateMAC[13] = netstack.MAC{2, 0, 0, 0, 0, 9}
+	knowInmateMAC(r, 13, netstack.MAC{2, 0, 0, 0, 0, 9})
 
 	var rsts []*netstack.Packet
 	r.AddTap(func(p *netstack.Packet) {
@@ -216,4 +216,11 @@ func TestNonceLegOrphansReaped(t *testing.T) {
 	if n := len(r.index); n != 0 {
 		t.Fatalf("%d index entries left after the flow closed", n)
 	}
+}
+
+// knowInmateMAC stands in for NAT learning: the router addresses an inmate
+// VLAN's frames to mac without ARP, and nothing else is learned.
+func knowInmateMAC(r *Router, vlan uint16, mac netstack.MAC) {
+	s := r.slotOf(vlan)
+	s.mac, s.hasMAC = mac, true
 }

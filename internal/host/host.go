@@ -93,10 +93,11 @@ type Host struct {
 	rawUDPHook  func(p *netstack.Packet) bool
 }
 
+// connKey is 8 bytes with no padding, so the conns map hashes it in one
+// call on its 64-bit fast path (DESIGN.md §3b).
 type connKey struct {
-	localPort  uint16
-	remoteIP   netstack.Addr
-	remotePort uint16
+	remoteIP              netstack.Addr
+	localPort, remotePort uint16
 }
 
 // New creates a host with the given MAC address. The NIC is unconnected;

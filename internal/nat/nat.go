@@ -48,6 +48,8 @@ type Table struct {
 	byInternal map[netstack.Addr]*Binding
 	byGlobal   map[netstack.Addr]*Binding
 	modeByVLAN map[uint16]Mode
+	// gen counts the bindings Release freed (see Gen).
+	gen uint64
 
 	// Translated counts rewritten packets per direction.
 	TranslatedOut, TranslatedIn, DroppedIn uint64
@@ -130,7 +132,14 @@ func (t *Table) Release(vlan uint16) {
 	delete(t.byVLAN, vlan)
 	delete(t.byInternal, b.Internal)
 	delete(t.byGlobal, b.Global)
+	t.gen++
 }
+
+// Gen is the table's generation, which every Release that frees a binding
+// advances. A binding Learn returned is still the table's for its VLAN while
+// Gen reads what it did then, so a caller may keep it instead of looking it
+// up per packet.
+func (t *Table) Gen() uint64 { return t.gen }
 
 // ByVLAN returns the binding for an inmate.
 func (t *Table) ByVLAN(vlan uint16) *Binding { return t.byVLAN[vlan] }

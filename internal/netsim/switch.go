@@ -28,12 +28,27 @@ type swPort struct {
 	port *Port
 	mode PortMode
 	vlan uint16 // access VLAN; unused for trunks
+
+	// The port's memo, good while the switch's FDB generation reads srcGen
+	// and dstGen (DESIGN.md §3b): src is the source it last learned, which
+	// the FDB maps to this port, and dst the destination it last looked up,
+	// which the FDB maps to dstOut (nil: not held, so the frame floods).
+	src, dst       fdbKey
+	srcGen, dstGen uint64
+	dstOut         *swPort
 }
 
+// fdbKey is 8 bytes with no padding, so the FDB hashes it in one call.
 type fdbKey struct {
 	vlan uint16
 	mac  netstack.MAC
 }
+
+// maxFDBEntries bounds a switch's forwarding database: four stations per
+// 802.1Q VLAN, twice what a farm puts on one (its machine and the gateway),
+// and a ceiling on what source MACs spoofed on an access port can make the
+// switch remember.
+const maxFDBEntries = 4 * 4096
 
 // Switch is a learning 802.1Q VLAN bridge. It learns source MACs per VLAN,
 // forwards known unicast to the learned port, floods unknown/broadcast
@@ -45,8 +60,14 @@ type Switch struct {
 
 	sim   *sim.Simulator
 	ports []*swPort
-	fdb   map[fdbKey]*swPort
 	taps  []Tap
+
+	// fdb maps each learned station to its port; learn and Forget are its
+	// only writers, and each advances gen, which voids every port's memo. gen
+	// starts at 1, so a port's zero memo is never taken for one.
+	fdb     map[fdbKey]*swPort
+	gen     uint64
+	fdbFull *obs.Counter // nil until the first refusal
 
 	// Flooded and Forwarded count forwarding decisions, for tests and
 	// scalability benchmarks; Drops counts malformed or mis-tagged ingress
@@ -59,7 +80,7 @@ func NewSwitch(s *sim.Simulator, name string) *Switch {
 	reg := s.Obs().Reg
 	pfx := "netsim.switch." + name + "."
 	return &Switch{
-		Name: name, sim: s, fdb: make(map[fdbKey]*swPort),
+		Name: name, sim: s, fdb: make(map[fdbKey]*swPort), gen: 1,
 		Flooded:   reg.Counter(pfx + "flooded"),
 		Forwarded: reg.Counter(pfx + "forwarded"),
 		Drops:     reg.Counter(pfx + "drops"),
@@ -101,6 +122,41 @@ func (sw *Switch) Forget(vlan uint16) {
 			delete(sw.fdb, k)
 		}
 	}
+	sw.gen++
+}
+
+// learn records that the station key sends from port in. Nearly every frame
+// comes from where its source is already known to live, so the port's memo
+// answers without a lookup, and the table is written only for a new station
+// or one that moved. At maxFDBEntries a new station is not learned, and
+// counted in netsim.switch.<name>.fdb_full: frames to it flood, as to any
+// unknown unicast.
+func (sw *Switch) learn(in *swPort, key fdbKey) {
+	if in.srcGen == sw.gen && in.src == key {
+		return
+	}
+	if at, known := sw.fdb[key]; at != in {
+		if !known && len(sw.fdb) >= maxFDBEntries {
+			if sw.fdbFull == nil {
+				sw.fdbFull = sw.sim.Obs().Reg.Counter("netsim.switch." + sw.Name + ".fdb_full")
+			}
+			sw.fdbFull.Inc()
+			return
+		}
+		sw.fdb[key] = in
+		sw.gen++
+	}
+	in.src, in.srcGen = key, sw.gen
+}
+
+// lookup returns the port key was learned on, nil for a station the switch
+// does not hold. A port asking again for the destination it last asked for,
+// with the table unchanged since, gets its memo's answer.
+func (sw *Switch) lookup(in *swPort, key fdbKey) *swPort {
+	if in.dstGen != sw.gen || in.dst != key {
+		in.dst, in.dstOut, in.dstGen = key, sw.fdb[key], sw.gen
+	}
+	return in.dstOut
 }
 
 // ingress normalises the frame to its tagged internal form, learns the
@@ -128,13 +184,8 @@ func (sw *Switch) ingress(in *swPort, frame []byte) {
 		}
 	}
 
-	// Learn the source address on the ingress port. Nearly every frame
-	// comes from where its source is already known to live, so the table
-	// is written only for a new station or one that moved.
 	if !eth.Src.IsBroadcast() && !eth.Src.IsZero() {
-		if key := (fdbKey{eth.VLAN, eth.Src}); sw.fdb[key] != in {
-			sw.fdb[key] = in
-		}
+		sw.learn(in, fdbKey{eth.VLAN, eth.Src})
 	}
 
 	for _, t := range sw.taps {
@@ -142,7 +193,7 @@ func (sw *Switch) ingress(in *swPort, frame []byte) {
 	}
 
 	if !eth.Dst.IsBroadcast() {
-		if out, ok := sw.fdb[fdbKey{eth.VLAN, eth.Dst}]; ok {
+		if out := sw.lookup(in, fdbKey{eth.VLAN, eth.Dst}); out != nil {
 			if out != in {
 				sw.Forwarded.Inc()
 				// Single consumer: the switch owns the frame (recv handed it

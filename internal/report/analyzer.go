@@ -30,7 +30,17 @@ type SMTPAnalyzer struct {
 	// PerInmate keys stats by the inmate-side (internal) address.
 	PerInmate map[netstack.Addr]*SMTPStats
 
-	flows map[netstack.FlowKey]*smtpFlow
+	flows map[smtpKey]*smtpFlow
+}
+
+// smtpKey names one SMTP connection in the client's direction. Unlike
+// netstack.FlowKey it is 16 bytes with no padding, so the flows map hashes
+// it in one call (DESIGN.md §3b); every flow is TCP, so it carries no
+// protocol.
+type smtpKey struct {
+	client, server         netstack.Addr
+	clientPort, serverPort uint16
+	vlan                   uint32
 }
 
 type smtpFlow struct {
@@ -43,7 +53,7 @@ type smtpFlow struct {
 func NewSMTPAnalyzer() *SMTPAnalyzer {
 	return &SMTPAnalyzer{
 		PerInmate: make(map[netstack.Addr]*SMTPStats),
-		flows:     make(map[netstack.FlowKey]*smtpFlow),
+		flows:     make(map[smtpKey]*smtpFlow),
 	}
 }
 
@@ -65,17 +75,18 @@ func (a *SMTPAnalyzer) Tap(p *netstack.Packet) {
 		return
 	}
 	// Keyed in the client's direction, whichever way p travels.
-	key := netstack.FlowKey{VLAN: p.Eth.VLAN, Proto: netstack.ProtoTCP,
-		SrcIP: p.IP.Src, SrcPort: p.TCP.SrcPort, DstIP: p.IP.Dst, DstPort: p.TCP.DstPort}
+	key := smtpKey{client: p.IP.Src, server: p.IP.Dst,
+		clientPort: p.TCP.SrcPort, serverPort: p.TCP.DstPort, vlan: uint32(p.Eth.VLAN)}
 	fromServer := p.TCP.DstPort != 25
 	if fromServer {
-		key = key.Reverse()
+		key.client, key.server = key.server, key.client
+		key.clientPort, key.serverPort = key.serverPort, key.clientPort
 	}
 	f := a.flows[key]
 	switch {
 	case f != nil:
 	case fromServer && len(p.Payload) > 0, !fromServer && p.TCP.Flags&netstack.FlagSYN != 0:
-		f = &smtpFlow{inmate: key.SrcIP}
+		f = &smtpFlow{inmate: key.client}
 		a.flows[key] = f
 	default:
 		return

@@ -6,8 +6,9 @@
 # benchmark harness, aside) posts across domains itself, or when one of the
 # retired doorways reappears. Also guards the gateway's one flow lifecycle
 # (DESIGN.md §3g), the farm's one wiring site (DESIGN.md §3j), the SMTP
-# engine's one binding to a connection, a host's two frame-list points and a
-# link's delivery lanes (DESIGN.md §3b), below.
+# engine's one binding to a connection, a host's two frame-list points, a
+# link's delivery lanes and the learning tables' single writers (DESIGN.md
+# §3b), below.
 set -eu
 cd "$(git rev-parse --show-toplevel)"
 status=0
@@ -89,6 +90,22 @@ netsim=$(find internal/netsim -name '*.go' ! -name '*_test.go')
 # shellcheck disable=SC2086
 bad "frame timer posted outside Port.deliver's cross-domain branch in internal/netsim (same-domain frames join the lane)" \
 	"$(awk 'FNR==1{fn=""} /^func /{fn=$0} /PostTimerTo\(/ && fn !~ /\) deliver\(/ {print FILENAME ":" FNR ": " $0}' $netsim)"
+# A frame's table lookups hash once or not at all (DESIGN.md §3b): a switch
+# port and an inmate VLAN's slot remember what they last learned, which holds
+# only while the table under it is unchanged. So each table has one writer,
+# which voids the memos it outdates: the switch's FDB is written and deleted
+# from only in learn and Forget (both advance its generation); the router's
+# macTable only in learnMAC, inmateVLAN only in learnInmate, vlanARP only in
+# learnVLANARP, and a slot's fields only in learnMAC and learnInmate.
+# shellcheck disable=SC2086
+bad "switch FDB written outside Switch.learn / Forget (the ports' memos would go stale)" \
+	"$(awk 'FNR==1{fn=""} /^func /{fn=$0} /\.fdb(\[[^]]*\])? *=[^=]|(delete|clear)\([^,)]*\.fdb[,)]/ && fn !~ /\) (learn|Forget)\(/ {print FILENAME ":" FNR ": " $0}' $netsim)"
+# shellcheck disable=SC2086
+bad "router learning table or slot written outside its learn function (its slot would go stale)" \
+	"$(awk 'BEGIN{own["macTable"]="learnMAC"; own["inmateVLAN"]="learnInmate"; own["vlanARP"]="learnVLANARP"}
+		FNR==1{fn=""} /^func /{fn=$0}
+		{for (t in own) if ($0 ~ "\\." t "(\\[[^]]*\\])? *=[^=]|(delete|clear)\\([^,)]*\\." t "[,)]" && fn !~ "\\) " own[t] "\\(") print FILENAME ":" FNR ": " $0}
+		/\.(srcOK|hasMAC|bind|natGen|natExhausted)( *,[^=]*)? *=[^=]/ && fn !~ /\) learn(MAC|Inmate)\(/ {print FILENAME ":" FNR ": " $0}' $gw)"
 # A farm is wired in one place (DESIGN.md §3j): outside internal/farm and
 # the frozen benchmark harness, non-test code describes a farm as a
 # farm.Spec and calls Build — never the constructors and wiring primitives
