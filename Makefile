@@ -109,15 +109,22 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # A/B the GQ benchmark (bench/, BENCHMARK.json) against a parent revision:
-# the parent's committed files are extracted to a temporary directory and
-# both sides run as $(AB_PAIRS) alternating pairs of `go run ./bench -json`,
-# then `go run ./bench -compare` prints medians, worst-case deltas against
-# the bounds, spreads, and "simulation identical" per workload and seed.
+# each side's bench binary is built once (the parent's from its committed
+# files, extracted to a temporary directory) and the two run as $(AB_PAIRS)
+# alternating pairs at seed $(AB_SEED). `bench -compare` then prints medians,
+# worst-case deltas against the bounds, spreads, and "simulation identical"
+# per workload, and scripts/abstat pairs the runs by index: both medians,
+# pairs won and the parent's IQR per workload and metric, and with CLAIM the
+# claim rule's verdict. AB_OUT keeps both sides' -json files.
 #   make bench-ab PARENT=HEAD~1 AB_WORKLOADS=bulk_dense,bulk_proxy
+#   make bench-ab PARENT=HEAD~1 CLAIM=flow_churn:alloc_mb:15 AB_SEED=7 AB_OUT=ab7
 AB_PAIRS     ?= 10
 AB_WORKLOADS ?=
 AB_SECONDS   ?= 3
+AB_SEED      ?= 1
+AB_OUT       ?=
+CLAIM        ?=
 
 bench-ab:
-	@test -n "$(PARENT)" || { echo "usage: make bench-ab PARENT=<rev> [AB_PAIRS=10] [AB_WORKLOADS=a,b] [AB_SECONDS=3]" >&2; exit 2; }
-	./scripts/bench_ab.sh "$(PARENT)" "$(AB_PAIRS)" "$(AB_WORKLOADS)" "$(AB_SECONDS)"
+	@test -n "$(PARENT)" || { echo "usage: make bench-ab PARENT=<rev> [AB_PAIRS=10] [AB_WORKLOADS=a,b] [AB_SECONDS=3] [AB_SEED=1] [AB_OUT=dir] [CLAIM=workload:metric:pct]" >&2; exit 2; }
+	AB_SEED="$(AB_SEED)" AB_OUT="$(AB_OUT)" CLAIM="$(CLAIM)" ./scripts/bench_ab.sh "$(PARENT)" "$(AB_PAIRS)" "$(AB_WORKLOADS)" "$(AB_SECONDS)"

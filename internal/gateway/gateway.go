@@ -37,6 +37,7 @@ type Gateway struct {
 
 	trunk   *netsim.Port // tagged uplink into the inmate-network switch
 	outside *netsim.Port // untagged upstream interface
+	hand    *hand        // the gateway domain's frame list and received frame
 	// Each receiving port parses into storage of its own: a packet on its
 	// way through the routers is valid until the receive call returns.
 	rxTrunk, rxOutside netstack.ParseBuf
@@ -72,6 +73,7 @@ type Gateway struct {
 func New(s *sim.Simulator) *Gateway {
 	g := &Gateway{
 		Sim:    s,
+		hand:   handOf(s),
 		outARP: make(map[netstack.Addr]netstack.MAC),
 	}
 	g.outPending = netsim.NewWaits[netstack.Addr, []byte](s, g.arpOutside)
@@ -168,6 +170,8 @@ func (g *Gateway) routerForGlobal(dst netstack.Addr) *Router {
 // gateway's shared trunk (single-domain topology; sharded routers own a
 // private trunk and receive via Router.recvTrunkFrame).
 func (g *Gateway) recvTrunk(frame []byte) {
+	g.hand.hold(frame)
+	defer g.hand.release()
 	g.TrunkRx.Inc()
 	p, err := g.rxTrunk.Parse(frame)
 	if err != nil || p.Eth.VLAN == netstack.NoVLAN {
@@ -182,6 +186,8 @@ func (g *Gateway) recvTrunk(frame []byte) {
 
 // recvOutside handles frames from the upstream network.
 func (g *Gateway) recvOutside(frame []byte) {
+	g.hand.hold(frame)
+	defer g.hand.release()
 	g.OutsideRx.Inc()
 	for _, t := range g.upstreamTaps {
 		t(frame)
@@ -209,7 +215,7 @@ func (g *Gateway) recvOutside(frame []byte) {
 		// over the router's uplink. The buffer is ours to relinquish (the
 		// receiving port owns it) and the router re-parses in its own
 		// domain — zero copies, one extra parse.
-		r.uplinkCore.SendOwned(frame)
+		r.uplinkCore.SendOwned(g.hand.pass(frame))
 		return
 	}
 	r.dispatchFromOutside(p)
@@ -229,7 +235,7 @@ func (g *Gateway) handleOutsideARP(p *netstack.Packet) {
 	if g.routerForGlobal(a.TargetIP) == nil {
 		return
 	}
-	g.outside.SendOwned(netstack.NewARPReply(netstack.NoVLAN, GatewayMAC, a.TargetIP, a).Marshal())
+	g.outside.SendOwned(g.hand.marshal(netstack.NewARPReply(netstack.NoVLAN, GatewayMAC, a.TargetIP, a)))
 }
 
 // emitOutside transmits an IP packet upstream, resolving the destination
@@ -243,14 +249,14 @@ func (g *Gateway) emitOutside(p *netstack.Packet) {
 	p.Eth.VLAN = netstack.NoVLAN
 	if mac, ok := g.outARP[dst]; ok {
 		p.Eth.Dst = mac
-		frame := p.Marshal()
+		frame := g.hand.marshal(p)
 		for _, t := range g.upstreamTaps {
 			t(frame)
 		}
 		g.outside.SendOwned(frame)
 		return
 	}
-	if !g.outPending.Park(dst, p.Marshal()) {
+	if !g.outPending.Park(dst, g.hand.marshal(p)) {
 		g.ARPPendingDrops.Inc()
 	}
 }
@@ -263,7 +269,7 @@ func (g *Gateway) arpOutside(dst netstack.Addr) {
 	if len(g.routers) > 0 {
 		sender = g.routers[0].cfg.GlobalPool.Nth(1)
 	}
-	g.outside.SendOwned(netstack.NewARPRequest(netstack.NoVLAN, GatewayMAC, sender, dst).Marshal())
+	g.outside.SendOwned(g.hand.marshal(netstack.NewARPRequest(netstack.NoVLAN, GatewayMAC, sender, dst)))
 }
 
 // flushOutside transmits the frames parked for an outside neighbour that
@@ -284,5 +290,54 @@ func (g *Gateway) flushOutside(addr netstack.Addr, mac netstack.MAC) {
 			t(f)
 		}
 		g.outside.SendOwned(f)
+	}
+}
+
+// hand is one simulation domain's gateway end of the frame list (DESIGN.md
+// §3b), shared by the gateway core, the routers and the GRE peers in the
+// domain. Every frame they build is marshalled into a buffer from frames.
+// Every frame a receive entry is handed is held in rx until the entry
+// returns, then released into frames, unless it left the gateway in the
+// meantime: sent on, parked behind ARP, or handed across the uplink. So what
+// the gateway receives, like what a host receives, is valid until the
+// receive call returns.
+type hand struct {
+	frames *netsim.Frames
+	rx     []byte
+}
+
+type handKey struct{}
+
+// handOf returns s's hand, creating it with the domain's first gateway part.
+func handOf(s *sim.Simulator) *hand {
+	frames := netsim.FramesOf(s) // outside Local's own lock
+	return s.Local(handKey{}, func() any { return &hand{frames: frames} }).(*hand)
+}
+
+// hold opens a receive entry's hold on frame.
+func (h *hand) hold(frame []byte) { h.rx = frame }
+
+// marshal returns p's frame for a send or a park that takes it: the buffer p
+// was parsed from, patched in place, or else a build into a buffer from the
+// list (netstack.Packet.MarshalTo).
+func (h *hand) marshal(p *netstack.Packet) []byte {
+	return h.pass(p.MarshalTo(h.frames.Take))
+}
+
+// pass notes that frame leaves the gateway, which ends the hold when it is
+// the held frame, and returns it.
+func (h *hand) pass(frame []byte) []byte {
+	if len(frame) > 0 && len(h.rx) > 0 && &frame[0] == &h.rx[0] {
+		h.rx = nil
+	}
+	return frame
+}
+
+// release ends a receive entry's hold: the held frame, unless it left, goes
+// back on the list.
+func (h *hand) release() {
+	if h.rx != nil {
+		h.frames.Put(h.rx)
+		h.rx = nil
 	}
 }

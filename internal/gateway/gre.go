@@ -114,6 +114,7 @@ type GREPeer struct {
 
 	sim  *sim.Simulator
 	port *netsim.Port
+	hand *hand // the domain's frame list and received frame
 
 	// Outside-segment ARP, like the gateway's: frames parked behind an
 	// unresolved neighbour are marshalled and complete but for the
@@ -131,7 +132,7 @@ type GREPeer struct {
 // switch.
 func NewGREPeer(s *sim.Simulator, t GRETunnel) *GREPeer {
 	p := &GREPeer{
-		Tunnel: t, sim: s,
+		Tunnel: t, sim: s, hand: handOf(s),
 		arp: make(map[netstack.Addr]netstack.MAC),
 		mac: netstack.MAC{0x02, 0x47, 0x52, 0x45, 0x00, 0x01},
 	}
@@ -144,6 +145,8 @@ func NewGREPeer(s *sim.Simulator, t GRETunnel) *GREPeer {
 func (p *GREPeer) Port() *netsim.Port { return p.port }
 
 func (p *GREPeer) recv(frame []byte) {
+	p.hand.hold(frame)
+	defer p.hand.release()
 	pkt, err := netstack.ParseFrame(frame)
 	if err != nil {
 		return
@@ -203,7 +206,7 @@ func (p *GREPeer) handleARP(pkt *netstack.Packet) {
 	if a.TargetIP != p.Tunnel.PeerAddr && !p.Tunnel.ExtraPool.Contains(a.TargetIP) {
 		return
 	}
-	p.port.SendOwned(netstack.NewARPReply(netstack.NoVLAN, p.mac, a.TargetIP, a).Marshal())
+	p.port.SendOwned(p.hand.marshal(netstack.NewARPReply(netstack.NoVLAN, p.mac, a.TargetIP, a)))
 }
 
 // emit transmits an IP packet natively on the outside segment, resolving
@@ -219,15 +222,15 @@ func (p *GREPeer) send(pkt *netstack.Packet) { p.sendTo(pkt, pkt.IP.Dst) }
 func (p *GREPeer) sendTo(pkt *netstack.Packet, dst netstack.Addr) {
 	if mac, ok := p.arp[dst]; ok {
 		pkt.Eth.Dst = mac
-		p.port.SendOwned(pkt.Marshal())
+		p.port.SendOwned(p.hand.marshal(pkt))
 		return
 	}
-	if !p.pending.Park(dst, pkt.Marshal()) {
+	if !p.pending.Park(dst, p.hand.marshal(pkt)) {
 		p.ARPPendingDrops++
 	}
 }
 
 // arpRequest broadcasts a request for dst on the outside segment.
 func (p *GREPeer) arpRequest(dst netstack.Addr) {
-	p.port.SendOwned(netstack.NewARPRequest(netstack.NoVLAN, p.mac, p.Tunnel.PeerAddr, dst).Marshal())
+	p.port.SendOwned(p.hand.marshal(netstack.NewARPRequest(netstack.NoVLAN, p.mac, p.Tunnel.PeerAddr, dst)))
 }

@@ -151,6 +151,9 @@ type Router struct {
 	trunk      *netsim.Port
 	uplink     *netsim.Port
 	uplinkCore *netsim.Port
+	// hand is the router domain's frame list and received frame: the
+	// gateway's own in a single-domain farm.
+	hand *hand
 	// One parse buffer per receiving port, like the gateway's: rxTrunk and
 	// rxUplink belong to the router's domain, rxCore to the core's.
 	rxTrunk, rxUplink, rxCore netstack.ParseBuf
@@ -303,7 +306,7 @@ type slot struct {
 
 func newRouter(g *Gateway, s *sim.Simulator, cfg RouterConfig) *Router {
 	r := &Router{
-		gw: g, sim: s, cfg: cfg,
+		gw: g, sim: s, cfg: cfg, hand: handOf(s),
 		macTable:     make(map[netstack.MAC]uint16),
 		nat:          nat.NewTable(cfg.GlobalPool, cfg.GlobalPoolStart, cfg.InboundMode),
 		index:        make(map[flowKey]*Flow),
@@ -386,6 +389,8 @@ func (r *Router) Sim() *sim.Simulator { return r.sim }
 // topology only). It mirrors Gateway.recvTrunk but skips VLAN routing:
 // everything on this trunk is ours.
 func (r *Router) recvTrunkFrame(frame []byte) {
+	r.hand.hold(frame)
+	defer r.hand.release()
 	r.gw.TrunkRx.Inc()
 	p, err := r.rxTrunk.Parse(frame)
 	if err != nil || p.Eth.VLAN == netstack.NoVLAN {
@@ -518,29 +523,22 @@ func (r *Router) emitTrunk(p *netstack.Packet, vlan uint16) {
 }
 
 // emitTrunkTapped is emitTrunk plus an optional tap list observing the
-// retagged frame exactly as transmitted.
+// retagged frame exactly as transmitted. A bridged packet arrived tagged on
+// the trunk, so its frame always retags in place.
 func (r *Router) emitTrunkTapped(p *netstack.Packet, vlan uint16, taps []func(frame []byte)) {
 	r.scratch = p.AppendWire(r.scratch[:0])
-	if netstack.RetagVLAN(r.scratch, vlan) {
-		for _, t := range taps {
-			t(r.scratch)
-		}
-		r.TrunkPort().Send(r.scratch) // Send copies; scratch stays ours
+	if !netstack.RetagVLAN(r.scratch, vlan) {
 		return
 	}
-	// Untagged or reshaped frame: fall back to clone-and-marshal.
-	q := p.Clone()
-	q.Eth.VLAN = vlan
-	frame := q.Marshal()
 	for _, t := range taps {
-		t(frame)
+		t(r.scratch)
 	}
-	r.TrunkPort().SendOwned(frame)
+	r.TrunkPort().Send(r.scratch) // Send copies; scratch stays ours
 }
 
 // sendTrunk transmits a crafted packet (already addressed) on the trunk,
 // consuming it: the marshalled frame may alias the packet's buffer.
-func (r *Router) sendTrunk(p *netstack.Packet) { r.TrunkPort().SendOwned(p.Marshal()) }
+func (r *Router) sendTrunk(p *netstack.Packet) { r.TrunkPort().SendOwned(r.hand.marshal(p)) }
 
 // sendOutside routes an outbound IP packet toward the upstream network:
 // GRE-encapsulating tunnelled source space here (tunnel state lives in the
@@ -561,7 +559,7 @@ func (r *Router) emitOutside(p *netstack.Packet) {
 	if r.uplink != nil {
 		p.Eth.VLAN = netstack.NoVLAN
 		p.Eth.EtherType = netstack.EtherTypeIPv4
-		r.uplink.SendOwned(p.Marshal())
+		r.uplink.SendOwned(r.hand.marshal(p))
 		return
 	}
 	r.gw.emitOutside(p)
@@ -571,6 +569,8 @@ func (r *Router) emitOutside(p *netstack.Packet) {
 // over the router's uplink re-parse and continue on the core's upstream
 // path (ARP resolution, taps, transmission).
 func (r *Router) recvAtCore(frame []byte) {
+	r.gw.hand.hold(frame)
+	defer r.gw.hand.release()
 	p, err := r.rxCore.Parse(frame)
 	if err != nil || p.IP == nil {
 		return
@@ -581,6 +581,8 @@ func (r *Router) recvAtCore(frame []byte) {
 // recvFromCore runs in the router's domain: inbound frames the core
 // dispatched to this router's global space.
 func (r *Router) recvFromCore(frame []byte) {
+	r.hand.hold(frame)
+	defer r.hand.release()
 	p, err := r.rxUplink.Parse(frame)
 	if err != nil || p.IP == nil {
 		return
@@ -804,7 +806,7 @@ func (r *Router) sendToVLAN(p *netstack.Packet, vlan uint16) {
 		r.tapAndSend(p)
 		return
 	}
-	if !r.vlanPending.Park(key, p.Marshal()) {
+	if !r.vlanPending.Park(key, r.hand.marshal(p)) {
 		r.gw.ARPPendingDrops.Inc()
 	}
 }

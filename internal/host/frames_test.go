@@ -10,9 +10,9 @@ import (
 	"gq/internal/sim"
 )
 
-// Frame-buffer recycling (frames.go): a host takes every buffer it sends from
-// its domain's frame list and releases every frame it receives into it once
-// receiveFrame returns. These tests pin what that may never change: a
+// Frame-buffer recycling (netsim.Frames): a host takes every buffer it sends
+// from its domain's frame list and releases every frame it receives into it
+// once receiveFrame returns. These tests pin what that may never change: a
 // receive callback's bytes are dead once it returns, a recycled buffer leaks
 // nothing of its last frame onto the wire, and each domain's list is only
 // ever touched by its own goroutine and stays bounded.
@@ -23,9 +23,10 @@ func arrayEnd(b []byte) *byte {
 	return &b[len(b)-1]
 }
 
-// poisoned reports whether b is non-empty and holds nothing but poisonByte.
+// poisoned reports whether b is non-empty and holds nothing but
+// netsim.PoisonByte.
 func poisoned(b []byte) bool {
-	return len(b) > 0 && bytes.Count(b, []byte{poisonByte}) == len(b)
+	return len(b) > 0 && bytes.Count(b, []byte{netsim.PoisonByte}) == len(b)
 }
 
 // TestKeptReceiveBytesArePoisoned: an rx hook, a connection's OnData and a
@@ -54,7 +55,7 @@ func TestKeptReceiveBytesArePoisoned(t *testing.T) {
 		checked = true
 		for name, kept := range map[string][]byte{"rx hook": hooked, "OnData": data, "UDP receiver": dgram} {
 			if !poisoned(kept) {
-				t.Errorf("%s kept %d bytes starting %q, want all 0x%X", name, len(kept), kept[:min(len(kept), 16)], poisonByte)
+				t.Errorf("%s kept %d bytes starting %q, want all 0x%X", name, len(kept), kept[:min(len(kept), 16)], netsim.PoisonByte)
 			}
 		}
 	}); err != nil {
@@ -155,13 +156,16 @@ func originatedShapes(t *testing.T, tagged, marked bool) []shape {
 		{"RST", func() { h.sendRST(probe) }},
 		{"UDP", func() { sock.SendTo(peerIP, 53, small[:20]) }},
 	} {
-		h.frames.idle = [len(frameClasses)][][]byte{}
+		h.frames = new(netsim.Frames)
 		marks := map[*byte]bool{}
 		if marked {
-			for i, size := range frameClasses {
-				buf := bytes.Repeat([]byte{0xEE}, size)
+			// One buffer of each class: a take of one byte makes a control
+			// buffer, one byte more than that holds a larger one.
+			small := h.frames.Take(1)
+			for _, buf := range [][]byte{small, h.frames.Take(cap(small) + 1)} {
+				h.frames.Put(buf)
+				markAll(buf)
 				marks[arrayEnd(buf)] = true
-				h.frames.idle[i] = [][]byte{buf[:0]}
 			}
 		}
 		got, gotEnd = nil, nil
@@ -176,6 +180,33 @@ func originatedShapes(t *testing.T, tagged, marked bool) []shape {
 		out = append(out, shape{sh.name, got})
 	}
 	return out
+}
+
+// markAll fills b up to its capacity with 0xEE, the marker of a recycled
+// buffer's stale bytes.
+func markAll(b []byte) {
+	b = b[:cap(b)]
+	for i := range b {
+		b[i] = 0xEE
+	}
+}
+
+// idleFrames takes l's idle buffers of each class, one by one until a take
+// has to make one: under go test an idle buffer reads netsim.PoisonByte, a
+// buffer made on a miss reads zero.
+func idleFrames(l *netsim.Frames) [][][]byte {
+	drain := func(size int) (idle [][]byte, made []byte) {
+		for {
+			buf := l.Take(size)
+			if buf[:cap(buf)][0] != netsim.PoisonByte {
+				return idle, buf
+			}
+			idle = append(idle, buf)
+		}
+	}
+	control, made := drain(1)
+	segment, _ := drain(cap(made) + 1)
+	return [][][]byte{control, segment}
 }
 
 // crossDomainPair puts host a on root and host b on a second domain of a
@@ -252,14 +283,14 @@ func TestCrossDomainFramePingPong(t *testing.T) {
 		t.Errorf("%d frames carried by %d buffers, want at most %d", lanes*bounces, len(distinct), lanes+2)
 	}
 	// Every buffer is idle at the end, in the list of the domain whose host
-	// received it last.
+	// received it last. Every datagram here is a control-class frame.
 	idle := 0
 	for _, side := range []struct {
 		name        string
 		s           *sim.Simulator
 		mine, other map[*byte]time.Duration
 	}{{"a", root, lastAtA, lastAtB}, {"b", b.Sim(), lastAtB, lastAtA}} {
-		for _, class := range framesOf(side.s).idle {
+		for _, class := range idleFrames(netsim.FramesOf(side.s)) {
 			for _, buf := range class {
 				idle++
 				end := arrayEnd(buf)
@@ -275,8 +306,8 @@ func TestCrossDomainFramePingPong(t *testing.T) {
 }
 
 // TestIdleFramesAreBounded: a domain that only ever receives cross-domain
-// traffic is handed a buffer with every frame; it keeps maxIdleFrames of
-// them and leaves the rest to the collector.
+// traffic is handed a buffer with every frame; it keeps netsim.MaxIdleFrames
+// of them and leaves the rest to the collector.
 func TestIdleFramesAreBounded(t *testing.T) {
 	c, root, a, b := crossDomainPair(t)
 	got := 0
@@ -287,7 +318,7 @@ func TestIdleFramesAreBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = maxIdleFrames + 500
+	const n = netsim.MaxIdleFrames + 500
 	root.Schedule(0, func() {
 		for i := 0; i < n; i++ {
 			sock.SendTo(b.Addr(), 2000, []byte{byte(i)})
@@ -297,10 +328,12 @@ func TestIdleFramesAreBounded(t *testing.T) {
 	if got != n {
 		t.Fatalf("delivered %d of %d datagrams", got, n)
 	}
-	if idle := len(framesOf(b.Sim()).idle[0]); idle != maxIdleFrames {
-		t.Errorf("receiving domain holds %d idle buffers, want the cap %d", idle, maxIdleFrames)
+	// Every datagram is a control-class frame: the receiving domain holds
+	// one class's worth.
+	if idle := len(idleFrames(netsim.FramesOf(b.Sim()))[0]); idle != netsim.MaxIdleFrames {
+		t.Errorf("receiving domain holds %d idle buffers, want the cap %d", idle, netsim.MaxIdleFrames)
 	}
-	for class, idle := range framesOf(root).idle {
+	for class, idle := range idleFrames(netsim.FramesOf(root)) {
 		if len(idle) != 0 {
 			t.Errorf("sending domain holds %d idle buffers of class %d, want 0", len(idle), class)
 		}

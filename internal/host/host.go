@@ -27,22 +27,18 @@ const ipHeadroom = netstack.EthHeaderLen + netstack.IPv4HeaderLen
 // newIPFrame returns the buffer one originated datagram is serialised into,
 // once: its length covers the (still blank) link and IP headers, and its
 // capacity takes a transport segment of segLen bytes appended behind them
-// plus the tail room an access port needs to tag the frame in place. It is
-// an idle buffer of the domain's frame list when one of the right class is
-// there, else a new one made at the class size, or at its own size when no
-// class holds it. Whatever a recycled buffer still holds is written over
-// before it is sent: the headers by emitIP, the segment by the transport's
-// Marshal.
+// plus the tail room an access port needs to tag the frame in place. It comes
+// from the domain's frame list (netsim.Frames.Take). Whatever a recycled
+// buffer still holds is written over before it is sent: the headers by
+// emitIP, the segment by the transport's Marshal.
 func (h *Host) newIPFrame(segLen int) []byte {
-	size := ipHeadroom + segLen + netstack.VLANTagLen
-	c := classFor(size)
-	if buf := h.frames.take(c); buf != nil {
-		return buf[:ipHeadroom]
-	}
-	if c < len(frameClasses) {
-		size = frameClasses[c]
-	}
-	return make([]byte, ipHeadroom, size)
+	return h.frames.Take(ipHeadroom + segLen + netstack.VLANTagLen)[:ipHeadroom]
+}
+
+// sendARP marshals an ARP packet into a buffer from the frame list and
+// hands it to the NIC.
+func (h *Host) sendARP(p *netstack.Packet) {
+	h.nic.SendOwned(p.MarshalTo(h.frames.Take))
 }
 
 // pendingIP is a frame from newIPFrame, transport segment in place,
@@ -73,7 +69,7 @@ type Host struct {
 	// protocol handlers or an rx hook is valid until receiveFrame returns,
 	// which then releases the frame's buffer into frames, the domain's list.
 	rx     netstack.ParseBuf
-	frames *frameList
+	frames *netsim.Frames
 
 	// ARP. arpWaits parks frames behind each next hop being resolved;
 	// arpDrops counts frames refused by a full wait queue, farm-wide.
@@ -109,7 +105,7 @@ func New(s *sim.Simulator, name string, mac netstack.MAC) *Host {
 		mac:       mac,
 		arpCache:  make(map[netstack.Addr]netstack.MAC),
 		arpDrops:  s.Obs().Reg.Counter("host.arp_pending_drops"),
-		frames:    framesOf(s),
+		frames:    netsim.FramesOf(s),
 		conns:     make(map[connKey]*Conn),
 		portConns: make(map[uint16]int),
 		listeners: make(map[uint16]func(*Conn)),
@@ -244,7 +240,7 @@ func (h *Host) PowerCycler(rebind func() error) func() {
 // goes back on the domain's frame list, whichever way handling ended.
 func (h *Host) receiveFrame(frame []byte) {
 	h.handleFrame(frame)
-	h.frames.put(frame)
+	h.frames.Put(frame)
 }
 
 func (h *Host) handleFrame(frame []byte) {
@@ -282,7 +278,7 @@ func (h *Host) handleARP(a *netstack.ARP) {
 		}
 	}
 	if a.Op == netstack.ARPRequest && !h.addr.IsZero() && a.TargetIP == h.addr {
-		h.nic.Send(netstack.NewARPReply(netstack.NoVLAN, h.mac, h.addr, a).Marshal())
+		h.sendARP(netstack.NewARPReply(netstack.NoVLAN, h.mac, h.addr, a))
 	}
 }
 
@@ -351,7 +347,7 @@ func (h *Host) sendIP(dst netstack.Addr, proto uint8, frame []byte) {
 
 // arpRequest broadcasts an ARP request for target.
 func (h *Host) arpRequest(target netstack.Addr) {
-	h.nic.Send(netstack.NewARPRequest(netstack.NoVLAN, h.mac, h.addr, target).Marshal())
+	h.sendARP(netstack.NewARPRequest(netstack.NoVLAN, h.mac, h.addr, target))
 }
 
 // emitIP completes the link and IP headers in front of the transport

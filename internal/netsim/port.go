@@ -179,12 +179,13 @@ func (p *Port) SetUp(up bool) { p.up = up }
 func (p *Port) Up() bool { return p.up }
 
 // Send transmits a frame to the peer after the link latency. The frame is
-// copied, so callers may reuse their buffer.
+// copied into a buffer from the domain's frame list, so callers may reuse
+// their own.
 func (p *Port) Send(frame []byte) {
 	if !p.admit(frame) {
 		return
 	}
-	p.transmit(append([]byte(nil), frame...))
+	p.transmit(append(p.wire.frames.Take(len(frame)), frame...))
 }
 
 // SendOwned transmits a frame whose buffer the caller relinquishes: no
@@ -219,7 +220,7 @@ func (p *Port) admit(frame []byte) bool {
 func (p *Port) transmit(buf []byte) {
 	if p.dup > 0 && p.sim.Rand().Float64() < p.dup {
 		p.dupFrames.Inc()
-		p.deliver(append([]byte(nil), buf...), p.delay())
+		p.deliver(append(p.wire.frames.Take(len(buf)), buf...), p.delay())
 	}
 	if p.corrupt > 0 && len(buf) > 0 && p.sim.Rand().Float64() < p.corrupt {
 		bit := p.sim.Rand().Intn(len(buf) * 8)
@@ -258,14 +259,15 @@ type inflight struct {
 	buf        []byte
 }
 
-// wire is one simulation domain's free list of in-flight records, touched
-// only by that domain's goroutine. A record is taken from the sending port's
-// domain and released into the receiving port's, so records of a
-// cross-domain link migrate with the traffic; maxIdleRecords bounds what a
-// domain that mostly receives holds on to.
+// wire is one simulation domain's free list of in-flight records, and its
+// frame list (see Frames), touched only by that domain's goroutine. A record
+// is taken from the sending port's domain and released into the receiving
+// port's, so records of a cross-domain link migrate with the traffic;
+// maxIdleRecords bounds what a domain that mostly receives holds on to.
 type wire struct {
-	sim  *sim.Simulator
-	idle []*inflight
+	sim    *sim.Simulator
+	idle   []*inflight
+	frames Frames
 }
 
 // maxIdleRecords is far above the frames any farm in the tree has in flight

@@ -58,9 +58,10 @@ const maxFDBEntries = 4 * 4096
 type Switch struct {
 	Name string
 
-	sim   *sim.Simulator
-	ports []*swPort
-	taps  []Tap
+	sim    *sim.Simulator
+	frames *Frames // the domain's frame list, for flood copies
+	ports  []*swPort
+	taps   []Tap
 
 	// fdb maps each learned station to its port; learn and Forget are its
 	// only writers, and each advances gen, which voids every port's memo. gen
@@ -80,7 +81,7 @@ func NewSwitch(s *sim.Simulator, name string) *Switch {
 	reg := s.Obs().Reg
 	pfx := "netsim.switch." + name + "."
 	return &Switch{
-		Name: name, sim: s, fdb: make(map[fdbKey]*swPort), gen: 1,
+		Name: name, sim: s, frames: FramesOf(s), fdb: make(map[fdbKey]*swPort), gen: 1,
 		Flooded:   reg.Counter(pfx + "flooded"),
 		Forwarded: reg.Counter(pfx + "forwarded"),
 		Drops:     reg.Counter(pfx + "drops"),
@@ -227,7 +228,7 @@ func (sw *Switch) egress(out *swPort, frame []byte, owned bool) {
 		// tail room the next access ingress will want.
 		out.port.SendOwned(netstack.StripVLAN(frame))
 	case out.mode == Access:
-		out.port.SendOwned(untagCopy(frame))
+		out.port.SendOwned(sw.untagCopy(frame))
 	case owned:
 		out.port.SendOwned(frame)
 	default:
@@ -235,10 +236,10 @@ func (sw *Switch) egress(out *swPort, frame []byte, owned bool) {
 	}
 }
 
-// untagCopy returns a fresh untagged copy of a tagged frame, with the tail
-// room for a later tag.
-func untagCopy(frame []byte) []byte {
-	out := make([]byte, 0, len(frame))
+// untagCopy returns an untagged copy of a tagged frame in a buffer from the
+// frame list, with the tail room for a later tag.
+func (sw *Switch) untagCopy(frame []byte) []byte {
+	out := sw.frames.Take(len(frame))
 	out = append(out, frame[:12]...)
 	return append(out, frame[12+netstack.VLANTagLen:]...)
 }

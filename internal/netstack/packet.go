@@ -338,6 +338,19 @@ func (p *Packet) Marshal() []byte {
 	return p.marshalSlow(nil)
 }
 
+// MarshalTo is Marshal for a send that takes the frame it is handed: a
+// parsed packet whose shape is unchanged patches and returns its own buffer,
+// as Marshal does, and take is not called; any other packet is serialised
+// into the one buffer take returns, asked for the frame's size plus the tail
+// room Marshal leaves behind an untagged frame.
+func (p *Packet) MarshalTo(take func(size int) []byte) []byte {
+	if p.syncWire() {
+		return p.wire
+	}
+	n, tailRoom := p.frameLen()
+	return p.marshalSlow(take(n + tailRoom))
+}
+
 // AppendWire appends the packet's wire encoding to dst, using the fast
 // path when available. Unlike Marshal the result never aliases the
 // packet's buffer, so dst may be a reused scratch buffer.
@@ -352,19 +365,7 @@ func (p *Packet) AppendWire(dst []byte) []byte {
 // if it has the room, else a fresh one of exactly the frame's size (plus,
 // for an untagged frame, the tail room an access port's tag will need).
 func (p *Packet) marshalSlow(buf []byte) []byte {
-	n := p.Eth.HeaderLen()
-	switch {
-	case p.ARP != nil:
-		n += arpLen
-	case p.IP != nil:
-		n += p.ipLen()
-	default:
-		n += len(p.Payload)
-	}
-	tailRoom := 0
-	if p.Eth.VLAN == NoVLAN {
-		tailRoom = VLANTagLen
-	}
+	n, tailRoom := p.frameLen()
 	buf = p.Eth.Marshal(grow(buf, n, tailRoom))
 	switch {
 	case p.ARP != nil:
@@ -374,6 +375,24 @@ func (p *Packet) marshalSlow(buf []byte) []byte {
 	default:
 		return append(buf, p.Payload...)
 	}
+}
+
+// frameLen is the encoded size of the frame, and the tail room behind it an
+// access port's tag will need when it is untagged.
+func (p *Packet) frameLen() (n, tailRoom int) {
+	n = p.Eth.HeaderLen()
+	switch {
+	case p.ARP != nil:
+		n += arpLen
+	case p.IP != nil:
+		n += p.ipLen()
+	default:
+		n += len(p.Payload)
+	}
+	if p.Eth.VLAN == NoVLAN {
+		tailRoom = VLANTagLen
+	}
+	return n, tailRoom
 }
 
 // ipLen is the encoded size of the IP datagram the packet carries.

@@ -21,30 +21,42 @@ func TestObsClockTracksVirtualTime(t *testing.T) {
 // TestConcurrentSnapshotDuringRun drives a simulation whose events bump
 // counters and journal entries while another goroutine repeatedly calls
 // Snapshot(). Run under -race this verifies the advertised contract that
-// snapshots are safe against a live simulation.
+// snapshots are safe against a live simulation. The snapshotter starts once
+// the first tick has fired, and the snapshots must see the tick counter move:
+// they overlapped a running loop, not one that had not started or had ended.
 func TestConcurrentSnapshotDuringRun(t *testing.T) {
 	s := New(1)
 	c := s.Obs().Reg.Counter("test.ticks")
 	g := s.Obs().Reg.Gauge("test.level")
 	h := s.Obs().Reg.Histogram("test.lat_us", 10, 100, 1000)
 	sc := s.Obs().Journal.Scope("test", 32)
+	ticked := make(chan struct{})
 	tick := s.Every(time.Millisecond, func() {
 		c.Inc()
 		g.Add(1)
 		h.Observe(int64(c.Value() % 500))
 		sc.Emit(obs.Event{Type: obs.EvFlowCreated, N: c.Value()})
+		if c.Value() == 1 {
+			close(ticked)
+		}
 	})
 	defer tick.Stop()
 
+	// At least 500 snapshots, and on until two tick counts were seen, within
+	// a bound far above what any scheduling needs.
+	const minSnaps, maxSnaps = 500, 1_000_000
+	seen := map[uint64]bool{}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < 500; i++ {
+		<-ticked
+		for i := 0; i < maxSnaps && (i < minSnaps || len(seen) < 2); i++ {
 			snap := s.Obs().Snapshot()
-			if snap.Counter("test.ticks") > 0 && snap.SimTimeNS < 0 {
+			if snap.SimTimeNS < 0 {
 				t.Error("negative sim time")
 				return
 			}
+			seen[snap.Counter("test.ticks")] = true
 		}
 	}()
 	// Keep the virtual clock moving until the snapshotter finishes so the
@@ -52,8 +64,8 @@ func TestConcurrentSnapshotDuringRun(t *testing.T) {
 	for {
 		select {
 		case <-done:
-			if c.Value() == 0 {
-				t.Fatal("no ticks fired")
+			if len(seen) < 2 {
+				t.Fatalf("snapshots saw test.ticks take %d value(s), want at least 2", len(seen))
 			}
 			return
 		default:

@@ -6,8 +6,8 @@
 # benchmark harness, aside) posts across domains itself, or when one of the
 # retired doorways reappears. Also guards the gateway's one flow lifecycle
 # (DESIGN.md §3g), the farm's one wiring site (DESIGN.md §3j), the SMTP
-# engine's one binding to a connection, a host's two frame-list points, a
-# link's delivery lanes and the learning tables' single writers (DESIGN.md
+# engine's one binding to a connection, a domain's frame-list takers and
+# givers, a link's delivery lanes and the learning tables' single writers (DESIGN.md
 # §3b), below.
 set -eu
 cd "$(git rev-parse --show-toplevel)"
@@ -66,18 +66,28 @@ shimvars=$(grep -ohE "\b[A-Za-z_][A-Za-z0-9_]*(\s+|\s*:?=\s*&?)\*?$shimT\b" $shi
 # shellcheck disable=SC2086
 bad "shim encoded with Marshal in internal/gateway or internal/containment (use AppendTo)" \
 	"$(grep -nE "$shimT\{[^}]*\}\)?\.Marshal\(\)${shimvars:+|\b($shimvars)\.Marshal\(\)}" $shimfiles || true)"
-# A host's frame buffers cycle through its domain's frame list (DESIGN.md
-# §3b): non-test internal/host takes from the list only in newIPFrame, which
-# alone makes a buffer when the list has none, and gives back only at the end
-# of receiveFrame. The one other byte slice it makes is a connection's send
-# buffer (Conn.queue).
-host=$(find internal/host -name '*.go' ! -name '*_test.go')
+# Every frame buffer in a domain cycles through its one frame list
+# (DESIGN.md §3b, netsim.Frames): in non-test internal/netsim, internal/host
+# and internal/gateway a buffer is taken from the list (.Take) only by the
+# named takers, and given back (.Put) only by the named givers. Nothing else
+# there makes a frame buffer or copies a frame: make([]byte is the list's own
+# (Frames.Take) and a connection's send buffer's (Conn.queue), and the one
+# kind of append([]byte(nil), ...) copy allowed in netsim and the gateway is
+# a payload a flow keeps past the receive call.
+# The function patterns reach awk verbatim through ENVIRON (-v would process
+# escapes in them), and an awk that fails stops the check (set -e).
+takers='[*]Port[)] (Send|transmit)[(]|[*]Switch[)] untagCopy[(]|[*]Host[)] (newIPFrame|sendARP)[(]|[*]hand[)] marshal[(]'
+givers='[*]Host[)] receiveFrame[(]|[*]hand[)] release[(]'
+lists=$(find internal/netsim internal/host internal/gateway -name '*.go' ! -name '*_test.go')
 # shellcheck disable=SC2086
-bad "frame list taken from outside newIPFrame or returned to outside receiveFrame" \
-	"$(awk '/^func /{fn=$0} (/\.take\(/ && fn !~ /\) newIPFrame\(/) || (/\.put\(/ && fn !~ /\) receiveFrame\(/) {print FILENAME ":" FNR ": " $0}' $host)"
+listed=$(takers=$takers givers=$givers awk 'FNR==1{fn=""} /^func /{fn=$0} /^[ \t]*\/\// {next} (/\.Take[^A-Za-z0-9_]/ && fn !~ ENVIRON["takers"]) || (/\.Put[^A-Za-z0-9_]/ && fn !~ ENVIRON["givers"]) {print FILENAME ":" FNR ": " $0}' $lists)
+bad "frame list taken from outside its takers or given back outside its givers" "$listed"
 # shellcheck disable=SC2086
-bad "frame buffer made outside newIPFrame in internal/host (take it from the frame list)" \
-	"$(awk '/^func /{fn=$0} /make\(\[\]byte/ && fn !~ /\) (newIPFrame|queue)\(/ {print FILENAME ":" FNR ": " $0}' $host)"
+made=$(awk 'FNR==1{fn=""} /^func /{fn=$0} /make\(\[\]byte/ && fn !~ /\*Frames\) Take\(|\*Conn\) queue\(/ {print FILENAME ":" FNR ": " $0}' $lists)
+bad "frame buffer made outside the frame list (take it with Frames.Take)" "$made"
+# shellcheck disable=SC2046
+bad "frame copied outside the frame list in internal/netsim or internal/gateway (take it with Frames.Take)" \
+	"$(grep -nE 'append\(\[\]byte\(nil\), ' $(find internal/netsim internal/gateway -name '*.go' ! -name '*_test.go') | grep -vF '.Payload...)' || true)"
 # A link's frames in flight wait in the receiving port's lane under keys
 # stamped when they were sent (DESIGN.md §3b): outside internal/sim only the
 # lane code in internal/netsim/port.go stamps a key or arms a timer at one,
