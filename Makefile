@@ -49,10 +49,11 @@ examples:
 # Native fuzz targets on a short budget each (go test takes one -fuzz
 # target per package run). A crasher lands in the package's
 # testdata/fuzz/<target>/ — commit it: plain `go test` replays it from
-# then on. FuzzEventQueue's, FuzzFlowSegments' and the two smtpx targets'
-# inputs are scripts a few hundred bytes long; the engine's minimiser, which
-# is quadratic in that length and runs on every input that adds coverage,
-# is held to ten executions or it eats the budget.
+# then on. FuzzEventQueue's, FuzzFlowSegments', the two smtpx targets' and
+# the DNS and DHCP decoders' inputs are scripts or messages a few hundred
+# bytes long; the engine's minimiser, which is quadratic in that length and
+# runs on every input that adds coverage, is held to ten executions or it
+# eats the budget.
 FUZZTIME ?= 10s
 
 fuzz:
@@ -63,6 +64,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineFeed$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/smtpx
 	$(GO) test -run '^$$' -fuzz '^FuzzClientFeed$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/smtpx
 	$(GO) test -run '^$$' -fuzz '^FuzzShimCodec$$' -fuzztime $(FUZZTIME) ./internal/shim
+	$(GO) test -run '^$$' -fuzz '^FuzzDNSUnmarshal$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/dnsx
+	$(GO) test -run '^$$' -fuzz '^FuzzDHCPUnmarshal$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/dhcp
 
 # Chaos soak: the Botfarm demo under the "soak" fault profile (≥5% loss,
 # reorder/dup/corruption, link flaps, a CS crash, verdict stalls, a sink

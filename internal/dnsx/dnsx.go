@@ -6,6 +6,7 @@
 package dnsx
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -115,22 +116,27 @@ func Unmarshal(b []byte) (*Message, error) {
 			return nil, fmt.Errorf("dnsx: truncated answer")
 		}
 		typ := binary.BigEndian.Uint16(b[off : off+2])
-		m.TTL = binary.BigEndian.Uint32(b[off+4 : off+8])
+		ttl := binary.BigEndian.Uint32(b[off+4 : off+8])
 		rdlen := int(binary.BigEndian.Uint16(b[off+8 : off+10]))
 		off += 10
 		if len(b) < off+rdlen {
 			return nil, fmt.Errorf("dnsx: truncated rdata")
 		}
-		if typ == TypeA && rdlen == 4 {
+		if typ == TypeA && rdlen == 4 { // TTL is the A answers' (the last one's)
 			m.Answers = append(m.Answers, netstack.AddrFromSlice(b[off:off+4]))
+			m.TTL = ttl
 		}
 		off += rdlen
 	}
 	return m, nil
 }
 
+// readName reads the name at off as Message.Name holds it: its labels
+// joined by dots, ASCII letters lower-cased (RFC 4343: case folds for ASCII
+// only, so a label keeps its length). A label holding a dot has no such form
+// and is refused.
 func readName(b []byte, off int) (string, int, error) {
-	var labels []string
+	var name []byte
 	for {
 		if off >= len(b) {
 			return "", 0, fmt.Errorf("dnsx: truncated name")
@@ -143,8 +149,20 @@ func readName(b []byte, off int) (string, int, error) {
 		if l > 63 || off+l > len(b) {
 			return "", 0, fmt.Errorf("dnsx: bad label")
 		}
-		labels = append(labels, string(b[off:off+l]))
+		label := b[off : off+l]
+		if bytes.IndexByte(label, '.') >= 0 {
+			return "", 0, fmt.Errorf("dnsx: dot in label")
+		}
+		if len(name) > 0 {
+			name = append(name, '.')
+		}
+		for _, c := range label {
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			name = append(name, c)
+		}
 		off += l
 	}
-	return strings.ToLower(strings.Join(labels, ".")), off, nil
+	return string(name), off, nil
 }

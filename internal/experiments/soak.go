@@ -164,12 +164,21 @@ func (r *Run) Do(phases ...Phase) error {
 
 func retireInmates(r *Run) error { r.RetireInmates(); return nil }
 
+// routerBounds are the gateway tables an inmate can grow, each by the series
+// its router counts refusals in (registered on the first one).
+var routerBounds = []struct{ series, what string }{
+	{"mac_table_full", "source MACs past the gateway's bridging-table bound"},
+	{"vlan_arp_full", "ARP senders past the gateway's VLAN ARP cache bound"},
+	{"inmate_addr_full", "inmate addresses past the gateway's bound"},
+	{"syn_tombs_full", "fail-closed SYNs past the gateway's tombstone bound"},
+	{"rate_dest_full", "destinations past the gateway's safety-filter bound"},
+}
+
 // check is what every run demands of every subfarm after the drain: no
 // probe escaped, no containment server left down (breaker quarantine is a
-// decision, not an outage), an empty flow table, a MAC table, a VLAN ARP
-// cache and an inmate address table no inmate overflowed — and of the farm,
-// no switch's forwarding database overflowed and no inmate address on the
-// blacklist.
+// decision, not an outage), an empty flow table, no routerBounds table an
+// inmate overflowed — and of the farm, no switch's forwarding database
+// overflowed and no inmate address on the blacklist.
 func (r *Run) check() {
 	leaked := false
 	r.Snapshot = r.Sim.Obs().Snapshot()
@@ -188,14 +197,10 @@ func (r *Run) check() {
 			r.bad("%s: %d flows still open after drain", sf.Name, n)
 			leaked = true
 		}
-		if n := r.Snapshot.Counter("subfarm." + sf.Name + ".mac_table_full"); n > 0 {
-			r.bad("%s: %d source MACs past the gateway's bridging-table bound", sf.Name, n)
-		}
-		if n := r.Snapshot.Counter("subfarm." + sf.Name + ".vlan_arp_full"); n > 0 {
-			r.bad("%s: %d ARP senders past the gateway's VLAN ARP cache bound", sf.Name, n)
-		}
-		if n := r.Snapshot.Counter("subfarm." + sf.Name + ".inmate_addr_full"); n > 0 {
-			r.bad("%s: %d inmate addresses past the gateway's bound", sf.Name, n)
+		for _, bound := range routerBounds {
+			if n := r.Snapshot.Counter("subfarm." + sf.Name + "." + bound.series); n > 0 {
+				r.bad("%s: %d %s", sf.Name, n, bound.what)
+			}
 		}
 	}
 	var overflowed []string

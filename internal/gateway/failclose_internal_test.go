@@ -210,3 +210,37 @@ func TestFailCloseSynTombstone(t *testing.T) {
 		t.Fatalf("%d tombstones leaked past their TTL", len(r.synTombs))
 	}
 }
+
+// synTombs is keyed by tuples and ISNs an inmate chooses, so it holds at most
+// maxSynTombs: a flood of SYNs that all fail closed stops growing it there
+// and is counted in syn_tombs_full. A tombstone held before the flood still
+// swallows its retransmission; one the bound turned away cannot, which is
+// why a run that counts any fails Run.check.
+func TestSynTombsAreBounded(t *testing.T) {
+	rig := newLifecycleRig(t)
+	r := rig.r
+	r.taps = nil // the rig's wire log: a flood has no use for it
+	const flood, batch = maxSynTombs + 1000, 2048
+	for sent := 0; sent < flood; {
+		for n := 0; n < batch && sent < flood; n, sent = n+1, sent+1 {
+			rig.trunk.port.Send(synFrom(lcVLAN, lcInit, uint16(1024+sent), uint32(7*sent+1)))
+		}
+		rig.settle()
+		r.FailCloseEndpoint(0, "containment server down")
+	}
+	if r.FlowsCreated.Value() != flood || r.FlowsFailClosed.Value() != flood {
+		t.Fatalf("%d SYNs created %d flows, %d failed closed", flood, r.FlowsCreated.Value(), r.FlowsFailClosed.Value())
+	}
+	if n := len(r.synTombs); n != maxSynTombs {
+		t.Fatalf("synTombs holds %d after %d fail-closed flows, bound is %d", n, flood, maxSynTombs)
+	}
+	if got := rig.s.Obs().Snapshot().Counter("subfarm.lifetime.syn_tombs_full"); got != flood-maxSynTombs {
+		t.Fatalf("syn_tombs_full = %d, want %d", got, flood-maxSynTombs)
+	}
+	rig.trunk.port.Send(synFrom(lcVLAN, lcInit, 1024, 1)) // held: swallowed
+	rig.trunk.port.Send(synFrom(lcVLAN, lcInit, uint16(1024+flood-1), uint32(7*(flood-1)+1)))
+	rig.settle()
+	if got := r.FlowsCreated.Value(); got != flood+1 {
+		t.Fatalf("retransmitted SYNs of a held and a refused tombstone created %d flows, want 1", got-flood)
+	}
+}

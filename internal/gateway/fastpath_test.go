@@ -292,7 +292,7 @@ func TestSplicedSegmentKeepsOneBufferAcrossTheFarm(t *testing.T) {
 // 256 bytes allocates nothing: its buffer is the one the sink released
 // after the last segment, the ACK's the one the inmate released after the
 // last ACK. A 1 KiB segment is outside the frame classes
-// (internal/host/frames.go), so its one allocation is its own buffer.
+// (internal/netsim/frames.go), so its one allocation is its own buffer.
 func TestSteadyStateAllocsPerSegment(t *testing.T) {
 	for _, tc := range []struct{ size, ceiling int }{{256, 0}, {1024, 1}} {
 		t.Run(fmt.Sprint(tc.size), func(t *testing.T) {

@@ -753,8 +753,7 @@ func (f *Flow) resetInitiator() {
 	seq := f.csISN + 1
 	if !f.haveCSISN {
 		seq = 0
-		f.r.synTombs[synTombKey{f.initIP, f.respIP, f.initPort, f.respPort, f.initISS}] =
-			f.now() + synTombstoneTTL
+		f.r.tombstone(synTombKey{f.initIP, f.respIP, f.initPort, f.respPort, f.initISS})
 	}
 	f.segmentToInitiator(seq, f.initNextSeq, netstack.FlagRST|netstack.FlagACK, nil)
 }

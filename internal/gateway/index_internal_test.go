@@ -3,6 +3,7 @@ package gateway
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"gq/internal/netstack"
 	"gq/internal/shim"
@@ -174,5 +175,45 @@ func TestSafetyWindowsUntouchedWithoutLimits(t *testing.T) {
 	}
 	if len(r.rateAll) != 0 || len(r.rateDest) != 0 {
 		t.Fatalf("rate windows hold %d inmates and %d destinations with no limit set", len(r.rateAll), len(r.rateDest))
+	}
+}
+
+// rateDest is keyed by destinations an inmate chooses, so with a
+// per-destination limit set a window counts at most maxRateDests of them:
+// past that, a flow to a destination the window does not hold is dropped
+// and counted in rate_dest_full, while one it held before the flood still
+// gets its limit's worth.
+func TestSafetyDestWindowIsBounded(t *testing.T) {
+	rig := udpIndexRig{newLifecycleRig(t), t}
+	r := rig.r
+	r.cfg.MaxFlowsPerDestPerMinute = 2
+	send := func(dst netstack.Addr, sport uint16) {
+		rig.send(rig.trunk, netstack.Ethernet{Src: inmateMAC(lcVLAN), VLAN: lcVLAN}, lcInit, dst, sport, 53, []byte("query"))
+	}
+	held := netstack.AddrFrom4(198, 51, 100, 7)
+	send(held, 4000)
+	const flood = maxRateDests + 1000
+	for i := range flood {
+		send(netstack.AddrFrom4(198, 18, byte(i>>8), byte(i)), 4000)
+	}
+	if n := len(r.rateDest); n != maxRateDests {
+		t.Fatalf("rateDest holds %d destinations after a flood of %d, bound is %d", n, flood, maxRateDests)
+	}
+	refused := rig.s.Obs().Snapshot().Counter("subfarm.lifetime.rate_dest_full")
+	if want := uint64(1 + flood - maxRateDests); refused != want || r.SafetyDrops.Value() != want {
+		t.Fatalf("rate_dest_full = %d, safety drops %d after the flood, want %d of each", refused, r.SafetyDrops.Value(), want)
+	}
+	created := r.FlowsCreated.Value()
+	send(held, 4001) // its second flow this window: admitted
+	send(held, 4002) // its third: over the limit
+	if got := r.FlowsCreated.Value(); got != created+1 || r.SafetyDrops.Value() != refused+1 {
+		t.Fatalf("a destination held before the flood: %d flows admitted of 2, %d dropped; want 1 and 1",
+			got-created, r.SafetyDrops.Value()-refused)
+	}
+	// The next window starts empty.
+	rig.s.RunFor(time.Minute)
+	send(netstack.AddrFrom4(198, 19, 0, 1), 4000)
+	if len(r.rateDest) != 1 {
+		t.Fatalf("rateDest holds %d destinations in a fresh window, want 1", len(r.rateDest))
 	}
 }

@@ -135,6 +135,15 @@ type synTombKey struct {
 // in flight.
 const synTombstoneTTL = 35 * time.Second
 
+// maxSynTombs bounds a router's SYN tombstones: every flow the table can hold
+// failing closed twice within one tombstone's lifetime.
+const maxSynTombs = 2 * DefaultMaxFlows
+
+// maxRateDests bounds the (VLAN, destination) pairs one safety-filter window
+// counts, like maxLearnedMACs a ceiling on what a scanning inmate can make
+// the gateway remember.
+const maxRateDests = 8192
+
 // Router is one subfarm's packet router. Each router runs in exactly one
 // simulation domain (r.sim): the gateway's own for a single-domain farm,
 // the subfarm's for a sharded one. All router state — flow table, NAT,
@@ -206,11 +215,14 @@ type Router struct {
 	vlanARPFull *obs.Counter // nil until the first overflow
 	vlanPending *netsim.Waits[vlanAddr, []byte]
 
-	// Safety filter state: fixed one-minute windows.
-	rateWindow  time.Duration
-	rateAll     map[uint16]int
-	rateDest    map[vlanAddr]int
-	SafetyDrops *obs.Counter
+	// Safety filter state: fixed one-minute windows. Inmates choose the
+	// destinations rateDest is keyed by, so it holds at most maxRateDests
+	// (see safetyCheck).
+	rateWindow   time.Duration
+	rateAll      map[uint16]int
+	rateDest     map[vlanAddr]int
+	rateDestFull *obs.Counter // nil until the first overflow
+	SafetyDrops  *obs.Counter
 
 	// Service host registry: sinks and other infrastructure reachable as
 	// flow responders, keyed by address.
@@ -253,7 +265,10 @@ type Router struct {
 	// retransmission already in flight would otherwise re-admit the flow
 	// under the same ISN — double-counting it against the trace audit,
 	// which dedups flows by ISN. Entries expire after synTombstoneTTL.
-	synTombs map[synTombKey]time.Duration
+	// Inmates choose the tuples and ISNs, so it holds at most maxSynTombs
+	// (see tombstone).
+	synTombs     map[synTombKey]time.Duration
+	synTombsFull *obs.Counter // nil until the first overflow
 
 	// lockdown is the fail-closed switch (see SetLockdown): while set,
 	// every flow-creation site drops instead of admitting, so no new
@@ -772,11 +787,19 @@ func (r *Router) handleIP(p *netstack.Packet) {
 // safetyCheck enforces connection-rate thresholds for new flows from an
 // inmate. It returns false when the flow must be dropped. A window counts
 // only while its limit is set: rateDest is keyed by destinations the inmate
-// chooses.
+// chooses. When it holds maxRateDests, a flow to a destination it does not
+// hold cannot be counted, so it is dropped like one over its limit and
+// counted in subfarm.<name>.rate_dest_full.
 func (r *Router) safetyCheck(vlan uint16, dst netstack.Addr) bool {
 	all, perDest := r.cfg.MaxFlowsPerMinute, r.cfg.MaxFlowsPerDestPerMinute
 	key := vlanAddr{uint32(vlan), dst}
-	if (all > 0 && r.rateAll[vlan] >= all) || (perDest > 0 && r.rateDest[key] >= perDest) {
+	n, known := r.rateDest[key]
+	if (all > 0 && r.rateAll[vlan] >= all) || (perDest > 0 && n >= perDest) {
+		r.SafetyDrops.Inc()
+		return false
+	}
+	if perDest > 0 && !known && len(r.rateDest) >= maxRateDests {
+		r.refuse(&r.rateDestFull, "rate_dest_full")
 		r.SafetyDrops.Inc()
 		return false
 	}
@@ -1058,6 +1081,17 @@ func (r *Router) sweepFlows() {
 		}
 	}
 	r.FlowsActive.Set(int64(r.ActiveFlows()))
+}
+
+// tombstone remembers a fail-closed flow's SYN for synTombstoneTTL. At
+// maxSynTombs a held key may still be renewed; a new one is not remembered,
+// and counted in subfarm.<name>.syn_tombs_full.
+func (r *Router) tombstone(k synTombKey) {
+	if _, known := r.synTombs[k]; !known && len(r.synTombs) >= maxSynTombs {
+		r.refuse(&r.synTombsFull, "syn_tombs_full")
+		return
+	}
+	r.synTombs[k] = r.sim.Now() + synTombstoneTTL
 }
 
 // shedLRU evicts the least-recently-active flow to make room for a new one

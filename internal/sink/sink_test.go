@@ -3,6 +3,7 @@ package sink
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -71,6 +72,28 @@ func TestCatchAllLogsFirstBytes(t *testing.T) {
 	}
 }
 
+// mail is a message as a test writes it down.
+type mail struct {
+	from  string
+	rcpts []string
+	data  string
+}
+
+// withMail has cfg's session offer ms, rendered into the session's Message
+// the way a specimen renders them: into its buffers, from their start.
+func withMail(cfg smtpx.ClientConfig, ms ...mail) smtpx.ClientConfig {
+	cfg.Messages = len(ms)
+	cfg.Render = func(i int, m *smtpx.Message) {
+		m.From = append(m.From[:0], ms[i].from...)
+		m.Rcpts = slices.Grow(m.Rcpts[:0], len(ms[i].rcpts))[:len(ms[i].rcpts)]
+		for j, r := range ms[i].rcpts {
+			m.Rcpts[j] = append(m.Rcpts[j][:0], r...)
+		}
+		m.Data = append(m.Data[:0], ms[i].data...)
+	}
+	return cfg
+}
+
 func TestSMTPSinkHarvestsSpam(t *testing.T) {
 	s, bot, sinkHost, _ := net3(t, 3)
 	sk, err := NewSMTPSink(sinkHost, SMTPConfig{Port: 25, Strictness: smtpx.Lenient})
@@ -78,14 +101,13 @@ func TestSMTPSinkHarvestsSpam(t *testing.T) {
 		t.Fatal(err)
 	}
 	var delivered int
-	smtpx.Send(bot, sinkHost.Addr(), 25, smtpx.ClientConfig{
-		Helo: "spambot",
-		Messages: []smtpx.Message{
-			{From: "a@spam.biz", Rcpts: []string{"v1@x.com"}, Data: []byte("pills")},
-			{From: "a@spam.biz", Rcpts: []string{"v2@x.com"}, Data: []byte("watches")},
-		},
+	smtpx.Send(bot, sinkHost.Addr(), 25, withMail(smtpx.ClientConfig{
+		Helo:   "spambot",
 		OnDone: func(n int, err error) { delivered = n },
-	})
+	},
+		mail{"a@spam.biz", []string{"v1@x.com"}, "pills"},
+		mail{"a@spam.biz", []string{"v2@x.com"}, "watches"},
+	))
 	s.RunFor(time.Minute)
 	if delivered != 2 || sk.Sessions != 1 || sk.DataTransfers != 2 {
 		t.Fatalf("delivered=%d sessions=%d data=%d", delivered, sk.Sessions, sk.DataTransfers)
@@ -111,15 +133,15 @@ func TestSMTPSinkBoundsKeptEnvelopes(t *testing.T) {
 		t.Fatal(err)
 	}
 	const sent = 1030
-	msgs := make([]smtpx.Message, sent)
+	msgs := make([]mail, sent)
 	for i := range msgs {
-		msgs[i] = smtpx.Message{From: "a@spam.biz", Rcpts: []string{"v@x.com"}, Data: []byte(fmt.Sprintf("spam %d", i))}
+		msgs[i] = mail{"a@spam.biz", []string{"v@x.com"}, fmt.Sprintf("spam %d", i)}
 	}
 	delivered := 0
-	smtpx.Send(bot, sinkHost.Addr(), 25, smtpx.ClientConfig{
-		Helo: "spambot", Messages: msgs,
+	smtpx.Send(bot, sinkHost.Addr(), 25, withMail(smtpx.ClientConfig{
+		Helo:   "spambot",
 		OnDone: func(n int, err error) { delivered = n },
-	})
+	}, msgs...))
 	s.RunFor(10 * time.Minute)
 	if delivered != sent || sk.DataTransfers != sent {
 		t.Fatalf("delivered=%d data=%d, want %d", delivered, sk.DataTransfers, sent)
@@ -161,10 +183,8 @@ func TestSMTPSinkProbabilisticDrop(t *testing.T) {
 	for i := 0; i < tries; i++ {
 		i := i
 		s.Schedule(time.Duration(i)*time.Second, func() {
-			smtpx.Send(bot, sinkHost.Addr(), 25, smtpx.ClientConfig{
-				Helo:     "bot",
-				Messages: []smtpx.Message{{From: "a@b.c", Rcpts: []string{"v@x.com"}, Data: []byte("m")}},
-			})
+			smtpx.Send(bot, sinkHost.Addr(), 25, withMail(smtpx.ClientConfig{Helo: "bot"},
+				mail{"a@b.c", []string{"v@x.com"}, "m"}))
 		})
 	}
 	s.RunFor(tries*time.Second + time.Minute)
@@ -300,13 +320,10 @@ func TestSMTPSinkExploratoryErrorCodes(t *testing.T) {
 		},
 	})
 	var codes []int
-	smtpx.Send(bot, sinkHost.Addr(), 25, smtpx.ClientConfig{
-		Helo: "bot",
-		Messages: []smtpx.Message{{
-			From: "a@b.c", Rcpts: []string{"v@full.example", "v@ok.example"}, Data: []byte("m"),
-		}},
-		OnDelivered: func(idx, code int) { codes = append(codes, code) },
-	})
+	smtpx.Send(bot, sinkHost.Addr(), 25, withMail(smtpx.ClientConfig{
+		Helo:        "bot",
+		OnDelivered: func(_ int, _ *smtpx.Message, code int) { codes = append(codes, code) },
+	}, mail{"a@b.c", []string{"v@full.example", "v@ok.example"}, "m"}))
 	s.RunFor(time.Minute)
 	if len(codes) != 1 || codes[0] != 250 {
 		t.Fatalf("codes %v", codes)

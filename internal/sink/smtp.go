@@ -34,7 +34,8 @@ type SMTPConfig struct {
 	// containment uses this to expose specimens to specific SMTP error
 	// conditions (§7.1).
 	RcptReply func(addr string) *smtpx.Reply
-	// DataReply, if set, overrides the end-of-DATA reply.
+	// DataReply, if set, overrides the end-of-DATA reply. env is valid only
+	// during the call, as for smtpx.Engine.OnMessage.
 	DataReply func(env *smtpx.Envelope) *smtpx.Reply
 }
 
@@ -66,8 +67,8 @@ type SMTPSink struct {
 	// ByInmate aggregates per source address.
 	ByInmate map[netstack.Addr]*PerInmate
 
-	// Envelopes keeps the first maxKeptEnvelopes harvested messages;
-	// DataTransfers counts every one.
+	// Envelopes keeps copies of the first maxKeptEnvelopes harvested
+	// messages; DataTransfers counts every one.
 	Envelopes []*smtpx.Envelope
 
 	// expect maps an inmate address to the SMTP target it believed it was
@@ -178,7 +179,7 @@ func (s *SMTPSink) accept(c *host.Conn) {
 		s.dataTransfers.Inc()
 		pi.DataTransfers++
 		if len(s.Envelopes) < maxKeptEnvelopes {
-			s.Envelopes = append(s.Envelopes, env)
+			s.Envelopes = append(s.Envelopes, keepEnvelope(env))
 		}
 		if s.cfg.DataReply != nil {
 			return s.cfg.DataReply(env)
@@ -186,6 +187,15 @@ func (s *SMTPSink) accept(c *host.Conn) {
 		return nil
 	}
 	s.greet(eng, src)
+}
+
+// keepEnvelope copies env out of the engine's Envelope, which the engine
+// reuses for the session's next message.
+func keepEnvelope(env *smtpx.Envelope) *smtpx.Envelope {
+	return &smtpx.Envelope{
+		Helo: env.Helo, From: env.From, Rcpts: slices.Clone(env.Rcpts),
+		Data: append([]byte(nil), env.Data...),
+	}
 }
 
 // greet delivers the banner, grabbing it from the intended target first

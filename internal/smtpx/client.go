@@ -38,14 +38,16 @@ func (a AddrStyle) stanza() (sep, end string) {
 	}
 }
 
-// Message is an outbound mail.
+// Message is an outbound mail as the client puts it on the wire.
 type Message struct {
-	From  string
-	Rcpts []string
+	From  []byte
+	Rcpts [][]byte
 	Data  []byte
 }
 
-// ClientConfig shapes a spam delivery session.
+// ClientConfig shapes a spam delivery session. The session asks Render for
+// each message when it reaches it and keeps only that one, in a Message
+// whose buffers it owns: nothing is built ahead of the wire.
 type ClientConfig struct {
 	Helo     string
 	HeloVerb string // "HELO" (default) or "EHLO"
@@ -53,12 +55,20 @@ type ClientConfig struct {
 	// violation some bot families exhibit.
 	RepeatHelo int
 	Style      AddrStyle
-	Messages   []Message
+	// Messages is how many messages the session offers.
+	Messages int
+	// Render writes message i (0 ≤ i < Messages) into m, the session's one
+	// Message, which still holds message i-1: it appends into m's buffers
+	// from their start (m.From = append(m.From[:0], …)) and keeps nothing
+	// of m after it returns.
+	Render func(i int, m *Message)
 	// OnBanner inspects the server greeting; returning false aborts the
 	// session before HELO (Waledac-style banner sensitivity).
 	OnBanner func(banner string) bool
-	// OnDelivered fires per message with the end-of-DATA reply code.
-	OnDelivered func(idx int, code int)
+	// OnDelivered fires per message with the end-of-DATA reply code, or
+	// the code that refused the message before it. m is message i, valid
+	// only during the call: a callback that keeps it copies it.
+	OnDelivered func(i int, m *Message, code int)
 	// OnDone fires once with the number of fully delivered messages; err
 	// is non-nil for connection-level failures.
 	OnDone func(delivered int, err error)
@@ -72,6 +82,7 @@ type clientSession struct {
 	out       []byte // the line being written; one buffer for the whole session
 	stage     int    // 0 banner, 1 helo, 2 mail, 3 rcpt, 4 data-go, 5 data-sent, 6 quit
 	heloLeft  int
+	msg       Message // message msgIdx, rendered when the session reached it
 	msgIdx    int
 	rcptIdx   int
 	delivered int
@@ -99,7 +110,7 @@ func (s *clientSession) finish(err error) {
 	}
 	s.done = true
 	if s.cfg.OnDone != nil {
-		if err == nil && s.delivered < len(s.cfg.Messages) && s.stage != 6 {
+		if err == nil && s.delivered < s.cfg.Messages && s.stage != 6 {
 			err = fmt.Errorf("smtpx: session ended at stage %d", s.stage)
 		}
 		s.cfg.OnDone(s.delivered, err)
@@ -181,7 +192,7 @@ func (s *clientSession) handleLine(line []byte) {
 		if code >= 400 {
 			// Try remaining recipients; if none accepted, skip message.
 			s.rcptIdx++
-			if s.rcptIdx < len(s.currentMsg().Rcpts) {
+			if s.rcptIdx < len(s.msg.Rcpts) {
 				s.sendRcpt()
 				return
 			}
@@ -189,7 +200,7 @@ func (s *clientSession) handleLine(line []byte) {
 			return
 		}
 		s.rcptIdx++
-		if s.rcptIdx < len(s.currentMsg().Rcpts) {
+		if s.rcptIdx < len(s.msg.Rcpts) {
 			s.sendRcpt()
 			return
 		}
@@ -206,45 +217,60 @@ func (s *clientSession) handleLine(line []byte) {
 		if code < 400 {
 			s.delivered++
 		}
-		if s.cfg.OnDelivered != nil {
-			s.cfg.OnDelivered(s.msgIdx, code)
-		}
-		s.msgIdx++
-		s.nextMessage()
+		s.skipMessage(code)
 	case 6: // QUIT reply
 		s.conn.Close()
 		s.finish(nil)
 	}
 }
 
-func (s *clientSession) currentMsg() *Message { return &s.cfg.Messages[s.msgIdx] }
-
+// nextMessage renders message msgIdx and opens its transaction, or quits
+// when the session has offered all of them.
 func (s *clientSession) nextMessage() {
-	if s.msgIdx >= len(s.cfg.Messages) {
+	if s.msgIdx >= s.cfg.Messages {
 		s.quit()
 		return
 	}
-	sep, end := s.cfg.Style.stanza()
-	s.writeLine("MAIL FROM", sep, s.currentMsg().From, end)
+	s.cfg.Render(s.msgIdx, &s.msg)
+	s.writeAddr("MAIL FROM", s.msg.From)
 	s.stage = 2
 }
 
+// skipMessage reports the current message's last reply code and moves on
+// to the next one.
 func (s *clientSession) skipMessage(code int) {
 	if s.cfg.OnDelivered != nil {
-		s.cfg.OnDelivered(s.msgIdx, code)
+		s.cfg.OnDelivered(s.msgIdx, &s.msg, code)
+		if poisonMessages {
+			poisonMessage(&s.msg)
+		}
 	}
 	s.msgIdx++
 	s.nextMessage()
 }
 
+func poisonMessage(m *Message) {
+	poisonBytes(m.From)
+	for _, r := range m.Rcpts {
+		poisonBytes(r)
+	}
+	poisonBytes(m.Data)
+}
+
 func (s *clientSession) sendRcpt() {
-	sep, end := s.cfg.Style.stanza()
-	s.writeLine("RCPT TO", sep, s.currentMsg().Rcpts[s.rcptIdx], end)
+	s.writeAddr("RCPT TO", s.msg.Rcpts[s.rcptIdx])
 	s.stage = 3
 }
 
+// writeAddr sends a MAIL FROM or RCPT TO stanza in the session's style.
+func (s *clientSession) writeAddr(keyword string, addr []byte) {
+	sep, end := s.cfg.Style.stanza()
+	s.out = append(append(append(append(s.out, keyword...), sep...), addr...), end...)
+	s.flush()
+}
+
 func (s *clientSession) sendBody() {
-	for rest, more := s.currentMsg().Data, true; more; {
+	for rest, more := s.msg.Data, true; more; {
 		var line []byte
 		line, rest, more = bytes.Cut(rest, []byte{'\n'})
 		if len(line) > 0 && line[0] == '.' {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -18,6 +19,28 @@ type clientRun struct {
 	Banners   []string
 	Delivered []string // "idx:code" per OnDelivered
 	Done      string   // "delivered/err", "" if the session never ended
+}
+
+// mail is a message as a test writes it down.
+type mail struct {
+	from  string
+	rcpts []string
+	data  string
+}
+
+// withMail has cfg's session offer ms, rendered into the session's Message
+// the way a specimen renders them: into its buffers, from their start.
+func withMail(cfg ClientConfig, ms ...mail) ClientConfig {
+	cfg.Messages = len(ms)
+	cfg.Render = func(i int, m *Message) {
+		m.From = append(m.From[:0], ms[i].from...)
+		m.Rcpts = slices.Grow(m.Rcpts[:0], len(ms[i].rcpts))[:len(ms[i].rcpts)]
+		for j, r := range ms[i].rcpts {
+			m.Rcpts[j] = append(m.Rcpts[j][:0], r...)
+		}
+		m.Data = append(m.Data[:0], ms[i].data...)
+	}
+	return cfg
 }
 
 // runClient plays reply bytes at a client as the given chunks — one
@@ -36,7 +59,7 @@ func runClient(t *testing.T, cfg ClientConfig, chunks [][]byte) clientRun {
 		run.Banners = append(run.Banners, b)
 		return !strings.Contains(b, "honeypot")
 	}
-	cfg.OnDelivered = func(idx, code int) { run.Delivered = append(run.Delivered, fmt.Sprint(idx, ":", code)) }
+	cfg.OnDelivered = func(i int, _ *Message, code int) { run.Delivered = append(run.Delivered, fmt.Sprint(i, ":", code)) }
 	cfg.OnDone = func(n int, err error) { run.Done = fmt.Sprint(n, "/", err) }
 	Send(bot, mx.Addr(), 25, cfg)
 	s.RunFor(time.Minute)
@@ -63,10 +86,10 @@ func FuzzClientFeed(f *testing.F) {
 		if len(replies) > 8<<10 {
 			return // a session of a few messages; longer streams only cost time
 		}
-		cfg := ClientConfig{Helo: "bot", RepeatHelo: 2, Style: AddrStyle(style), Messages: []Message{
-			{From: "a@spam.biz", Rcpts: []string{"v1@x.com"}, Data: []byte("Subject: one\n\n.dot first\nbody\n")},
-			{From: "b@spam.biz", Rcpts: []string{"v2@x.com", "v3@x.com"}, Data: nil},
-		}}
+		cfg := withMail(ClientConfig{Helo: "bot", RepeatHelo: 2, Style: AddrStyle(style)},
+			mail{"a@spam.biz", []string{"v1@x.com"}, "Subject: one\n\n.dot first\nbody\n"},
+			mail{"b@spam.biz", []string{"v2@x.com", "v3@x.com"}, ""},
+		)
 		whole := runClient(t, cfg, [][]byte{replies})
 		if chunked := runClient(t, cfg, cut(replies, cuts)); !reflect.DeepEqual(whole, chunked) {
 			t.Fatalf("chunking changed the session\nwhole   %+v\nchunked %+v", whole, chunked)
@@ -78,9 +101,9 @@ func FuzzClientFeed(f *testing.F) {
 // sendBody did: one line per LF-separated piece, the empty last one included.
 func TestClientBodyOnTheWire(t *testing.T) {
 	replies := "220 x\r\n250 h\r\n250 s\r\n250 r\r\n354 go\r\n250 q\r\n221 bye\r\n"
-	run := runClient(t, ClientConfig{Helo: "bot", Style: StyleSpaceColon, Messages: []Message{
-		{From: "a@b.c", Rcpts: []string{"v@x.y"}, Data: []byte("Subject: s\n\n.dot\n..two\nlast\n")},
-	}}, [][]byte{[]byte(replies)})
+	run := runClient(t, withMail(ClientConfig{Helo: "bot", Style: StyleSpaceColon},
+		mail{"a@b.c", []string{"v@x.y"}, "Subject: s\n\n.dot\n..two\nlast\n"},
+	), [][]byte{[]byte(replies)})
 	want := "HELO bot\r\nMAIL FROM: <a@b.c>\r\nRCPT TO: <v@x.y>\r\nDATA\r\n" +
 		"Subject: s\r\n\r\n..dot\r\n...two\r\nlast\r\n\r\n.\r\nQUIT\r\n"
 	if string(run.Wire) != want || run.Done != "1/<nil>" {

@@ -10,13 +10,26 @@
 // (with or without colons, with or without angle brackets). Both engines
 // here model exactly those variations, and both read the bytes they are
 // handed in place, copying only what a session keeps (DESIGN.md §3b).
+//
+// A message lives only on the wire unless its receiver keeps a copy: the
+// server engine collects every message of a session into one Envelope it
+// reuses, and the client renders every message into one Message it reuses.
+// Each is valid only during the callback it is handed to (OnMessage,
+// OnDelivered), like the bytes host.Conn hands OnData; a callback that keeps
+// one copies it. In test binaries both are overwritten with
+// netsim.PoisonByte once the callback returns, so a keeper that did not copy
+// reads garbage.
 package smtpx
 
 import (
 	"bytes"
 	"strconv"
+	"strings"
+	"testing"
 	"unicode"
 	"unicode/utf8"
+
+	"gq/internal/netsim"
 )
 
 // Strictness selects how closely the server engine follows RFC 821.
@@ -29,7 +42,10 @@ const (
 	Lenient
 )
 
-// Envelope is a message collected by the server engine.
+// Envelope is a message collected by the server engine. The engine hands
+// OnMessage its one Envelope, reused for each message of the session: it is
+// valid only during the call, and a callback that keeps it copies the
+// struct, Rcpts and Data (the strings are immutable and may be shared).
 type Envelope struct {
 	Helo  string
 	From  string
@@ -106,7 +122,8 @@ type Engine struct {
 	OnMail func(addr string) *Reply
 	OnRcpt func(addr string) *Reply
 	// OnMessage receives each completed envelope; its reply answers the
-	// end-of-DATA dot.
+	// end-of-DATA dot. env is the engine's one Envelope, valid only during
+	// the call: a callback that keeps it copies it.
 	OnMessage func(env *Envelope) *Reply
 	OnQuit    func()
 
@@ -114,11 +131,11 @@ type Engine struct {
 	write      func(line string)
 	closeConn  func()
 
-	state    int // 0 start, 1 greeted, 2 mail, 3 rcpt, 4 data
-	helo     string
-	from     string
-	rcpts    []string
-	data     []byte
+	state int // 0 start, 1 greeted, 2 mail, 3 rcpt, 4 data
+	// env is the message being collected: the session's greeting, and the
+	// sender, recipients and body of the current transaction. Its Rcpts and
+	// Data keep their storage from one message to the next.
+	env      Envelope
 	oversize bool // this DATA stage outgrew maxMessage; its body is dropped
 	in       lineReader
 	greeted  bool
@@ -179,27 +196,59 @@ func (e *Engine) dataLine(line []byte) {
 		if e.oversize {
 			e.write("552 message size exceeds limit")
 		} else {
-			env := &Envelope{Helo: e.helo, From: e.from, Rcpts: e.rcpts, Data: e.data}
 			e.Envelopes++
 			var o *Reply
 			if e.OnMessage != nil {
-				o = e.OnMessage(env)
+				o = e.OnMessage(&e.env)
+				if poisonMessages {
+					poisonEnvelope(&e.env)
+				}
 			}
 			e.answer(o, "250 OK queued")
 		}
 		e.state = stGreeted
-		e.from, e.rcpts, e.data, e.oversize = "", nil, nil, false
+		e.reset()
 		return
 	}
 	// Dot-unstuffing per RFC 821 §4.5.2.
 	if len(line) > 1 && line[0] == '.' && line[1] == '.' {
 		line = line[1:]
 	}
-	if e.oversize || len(e.data)+len(line)+1 > maxMessage {
-		e.data, e.oversize = nil, true
+	if e.oversize || len(e.env.Data)+len(line)+1 > maxMessage {
+		e.env.Data, e.oversize = nil, true
 		return
 	}
-	e.data = append(append(e.data, line...), '\n')
+	e.env.Data = append(append(e.env.Data, line...), '\n')
+}
+
+// reset empties the transaction — sender, recipients, body — keeping the
+// storage of the last two for the next message.
+func (e *Engine) reset() {
+	e.env.From, e.env.Rcpts, e.env.Data, e.oversize = "", e.env.Rcpts[:0], e.env.Data[:0], false
+}
+
+// poisonMessages makes test binaries overwrite the Envelope OnMessage was
+// handed, and the Message OnDelivered was handed, once the call returns, so
+// a callback that kept one instead of copying it reads PoisonByte.
+var poisonMessages = testing.Testing()
+
+// poisonString stands in for a string field of a released Envelope.
+var poisonString = strings.Repeat(string([]byte{netsim.PoisonByte}), 8)
+
+func poisonEnvelope(env *Envelope) {
+	env.From = poisonString
+	for i := range env.Rcpts {
+		env.Rcpts[i] = poisonString
+	}
+	poisonBytes(env.Data)
+}
+
+// poisonBytes overwrites b up to its capacity with netsim.PoisonByte.
+func poisonBytes(b []byte) {
+	b = b[:cap(b)]
+	for i := range b {
+		b[i] = netsim.PoisonByte
+	}
 }
 
 func (e *Engine) handleLine(line []byte) {
@@ -216,12 +265,12 @@ func (e *Engine) handleLine(line []byte) {
 			e.write("503 duplicate HELO/EHLO")
 			return
 		}
-		e.helo = string(arg)
+		e.env.Helo = string(arg)
 		e.state = stGreeted
 		if e.OnHelo != nil {
-			e.OnHelo(verb, e.helo)
+			e.OnHelo(verb, e.env.Helo)
 		}
-		e.write("250 Hello " + e.helo)
+		e.write("250 Hello " + e.env.Helo)
 
 	case "MAIL":
 		if e.state == stStart && e.strictness == Strict {
@@ -235,10 +284,10 @@ func (e *Engine) handleLine(line []byte) {
 			e.write("501 syntax error in MAIL FROM")
 			return
 		}
-		e.from, e.rcpts, e.state = string(addr), nil, stMail
+		e.env.From, e.env.Rcpts, e.state = string(addr), e.env.Rcpts[:0], stMail
 		var o *Reply
 		if e.OnMail != nil {
-			o = e.OnMail(e.from)
+			o = e.OnMail(e.env.From)
 		}
 		if !e.answer(o, "250 sender OK") {
 			e.state = stGreeted
@@ -262,7 +311,7 @@ func (e *Engine) handleLine(line []byte) {
 			o = e.OnRcpt(rcpt)
 		}
 		if o == nil || o.Code < 400 {
-			e.rcpts = append(e.rcpts, rcpt)
+			e.env.Rcpts = append(e.env.Rcpts, rcpt)
 			e.state = stRcpt
 		}
 		e.answer(o, "250 recipient OK")
@@ -277,7 +326,7 @@ func (e *Engine) handleLine(line []byte) {
 		e.write("354 End data with <CR><LF>.<CR><LF>")
 
 	case "RSET":
-		e.from, e.rcpts, e.data = "", nil, nil
+		e.reset()
 		if e.state != stStart {
 			e.state = stGreeted
 		}

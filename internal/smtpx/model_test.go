@@ -244,12 +244,9 @@ type outcome struct {
 	Envelopes, HeloCount, SyntaxErrors, SequenceViols int
 }
 
-func derefEnvs(envs []*Envelope) []Envelope {
-	var out []Envelope
-	for _, e := range envs {
-		out = append(out, Envelope{e.Helo, e.From, e.Rcpts, bytes.Clone(e.Data)})
-	}
-	return out
+// copyEnv copies an envelope, an empty list or body as nil.
+func copyEnv(e *Envelope) Envelope {
+	return Envelope{e.Helo, e.From, append([]string(nil), e.Rcpts...), append([]byte(nil), e.Data...)}
 }
 
 // cut splits stream into chunks whose sizes the fuzzer chose: cuts[i]+1
@@ -269,10 +266,9 @@ func cut(stream, cuts []byte) [][]byte {
 
 func runEngine(s Strictness, chunks [][]byte) outcome {
 	var o outcome
-	var envs []*Envelope
 	e := NewEngine(s, func(line string) { o.Replies = append(o.Replies, line) }, nil)
 	e.OnMail, e.OnRcpt = fuzzOnAddr, fuzzOnAddr
-	e.OnMessage = func(env *Envelope) *Reply { envs = append(envs, env); return fuzzOnMessage(env) }
+	e.OnMessage = func(env *Envelope) *Reply { o.Envs = append(o.Envs, copyEnv(env)); return fuzzOnMessage(env) }
 	for _, c := range chunks {
 		// Each chunk in a buffer of its own that is scribbled over once
 		// Feed returns: the engine may not hold on to what it was handed.
@@ -282,8 +278,8 @@ func runEngine(s Strictness, chunks [][]byte) outcome {
 			own[i] = 0xff
 		}
 	}
-	o.Envs = derefEnvs(envs)
-	o.State, o.Helo, o.From, o.Rcpts, o.Data, o.Over = e.state, e.helo, e.from, e.rcpts, e.data, e.oversize
+	cur := copyEnv(&e.env)
+	o.State, o.Helo, o.From, o.Rcpts, o.Data, o.Over = e.state, cur.Helo, cur.From, cur.Rcpts, cur.Data, e.oversize
 	o.Envelopes, o.HeloCount, o.SyntaxErrors, o.SequenceViols = e.Envelopes, e.HeloCount, e.SyntaxErrors, e.SequenceViols
 	return o
 }
@@ -291,9 +287,14 @@ func runEngine(s Strictness, chunks [][]byte) outcome {
 func runModel(s Strictness, stream []byte) outcome {
 	m := &model{strictness: s, onMail: fuzzOnAddr, onRcpt: fuzzOnAddr, onMessage: fuzzOnMessage}
 	m.feed(stream)
+	var envs []Envelope
+	for _, env := range m.envs {
+		envs = append(envs, copyEnv(env))
+	}
+	cur := copyEnv(&Envelope{m.helo, m.from, m.rcpts, m.data})
 	return outcome{
-		Replies: m.replies, Envs: derefEnvs(m.envs),
-		State: m.state, Helo: m.helo, From: m.from, Rcpts: m.rcpts, Data: m.data, Over: m.oversize,
+		Replies: m.replies, Envs: envs,
+		State: m.state, Helo: cur.Helo, From: cur.From, Rcpts: cur.Rcpts, Data: cur.Data, Over: m.oversize,
 		Envelopes: m.Envelopes, HeloCount: m.HeloCount, SyntaxErrors: m.SyntaxErrors, SequenceViols: m.SequenceViols,
 	}
 }

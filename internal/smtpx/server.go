@@ -26,7 +26,8 @@ func Bind(c *host.Conn, s Strictness) *Engine {
 type Server struct {
 	Banner     string
 	Strictness Strictness
-	// OnMessage receives completed envelopes (may be nil).
+	// OnMessage receives completed envelopes (may be nil), each valid only
+	// during the call, as for Engine.OnMessage.
 	OnMessage func(env *Envelope) *Reply
 
 	// Sessions counts accepted connections; Envelopes completed messages.

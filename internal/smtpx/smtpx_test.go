@@ -13,7 +13,7 @@ import (
 
 // scripted runs an engine against a sequence of client lines and returns
 // the replies.
-func scripted(s Strictness, lines []string) ([]string, []*Envelope, *Engine) {
+func scripted(s Strictness, lines []string) ([]string, []Envelope, *Engine) {
 	r := record(s)
 	for _, l := range lines {
 		r.Feed([]byte(l + "\r\n"))
@@ -208,15 +208,14 @@ func TestClientDeliversMultipleMessages(t *testing.T) {
 	}
 	var delivered int
 	var doneErr error
-	msgs := []Message{
-		{From: "a@spam.biz", Rcpts: []string{"v1@x.com"}, Data: []byte("one")},
-		{From: "a@spam.biz", Rcpts: []string{"v2@x.com", "v3@x.com"}, Data: []byte("two")},
-		{From: "a@spam.biz", Rcpts: []string{"v4@x.com"}, Data: []byte("three")},
-	}
-	Send(bot, mx.Addr(), 25, ClientConfig{
-		Helo: "bot", Messages: msgs,
+	Send(bot, mx.Addr(), 25, withMail(ClientConfig{
+		Helo:   "bot",
 		OnDone: func(n int, err error) { delivered, doneErr = n, err },
-	})
+	},
+		mail{"a@spam.biz", []string{"v1@x.com"}, "one"},
+		mail{"a@spam.biz", []string{"v2@x.com", "v3@x.com"}, "two"},
+		mail{"a@spam.biz", []string{"v4@x.com"}, "three"},
+	))
 	s.RunFor(time.Minute)
 	if doneErr != nil {
 		t.Fatal(doneErr)
@@ -233,11 +232,10 @@ func TestSloppyClientFailsAgainstStrictServer(t *testing.T) {
 	srv := &Server{Banner: "220 mx ESMTP", Strictness: Strict}
 	srv.Serve(mx, 25)
 	var delivered int
-	Send(bot, mx.Addr(), 25, ClientConfig{
+	Send(bot, mx.Addr(), 25, withMail(ClientConfig{
 		Helo: "bot", RepeatHelo: 2, Style: StyleBare,
-		Messages: []Message{{From: "a@b.c", Rcpts: []string{"v@x.com"}, Data: []byte("m")}},
-		OnDone:   func(n int, err error) { delivered = n },
-	})
+		OnDone: func(n int, err error) { delivered = n },
+	}, mail{"a@b.c", []string{"v@x.com"}, "m"}))
 	s.RunFor(time.Minute)
 	if delivered != 0 || srv.Envelopes != 0 {
 		t.Fatalf("strict server accepted sloppy client: delivered=%d", delivered)
@@ -247,11 +245,10 @@ func TestSloppyClientFailsAgainstStrictServer(t *testing.T) {
 	srv2 := &Server{Banner: "220 mx ESMTP", Strictness: Lenient}
 	srv2.Serve(mx, 2525)
 	var delivered2 int
-	Send(bot, mx.Addr(), 2525, ClientConfig{
+	Send(bot, mx.Addr(), 2525, withMail(ClientConfig{
 		Helo: "bot", RepeatHelo: 2, Style: StyleBare,
-		Messages: []Message{{From: "a@b.c", Rcpts: []string{"v@x.com"}, Data: []byte("m")}},
-		OnDone:   func(n int, err error) { delivered2 = n },
-	})
+		OnDone: func(n int, err error) { delivered2 = n },
+	}, mail{"a@b.c", []string{"v@x.com"}, "m"}))
 	s.RunFor(time.Minute)
 	if delivered2 != 1 {
 		t.Fatalf("lenient server rejected sloppy client: delivered=%d", delivered2)
@@ -263,14 +260,13 @@ func TestClientBannerRejection(t *testing.T) {
 	srv := &Server{Banner: "220 sink.gq.local", Strictness: Lenient}
 	srv.Serve(mx, 25)
 	var doneErr error
-	Send(bot, mx.Addr(), 25, ClientConfig{
+	Send(bot, mx.Addr(), 25, withMail(ClientConfig{
 		Helo: "bot",
 		OnBanner: func(b string) bool {
 			return strings.Contains(b, "gsmtp") // wants a Google banner
 		},
-		Messages: []Message{{From: "a@b.c", Rcpts: []string{"v@x.com"}, Data: []byte("m")}},
-		OnDone:   func(n int, err error) { doneErr = err },
-	})
+		OnDone: func(n int, err error) { doneErr = err },
+	}, mail{"a@b.c", []string{"v@x.com"}, "m"}))
 	s.RunFor(time.Minute)
 	if doneErr == nil {
 		t.Fatal("client should abort on unexpected banner")
@@ -288,7 +284,7 @@ func TestClientRetriesNextRcptOnReject(t *testing.T) {
 	// Server engine hook: reject first recipient only.
 	// Simpler: use engine-level OnRcpt via custom listen.
 	mx.Unlisten(25)
-	var envs []*Envelope
+	var envs []Envelope
 	mx.Listen(25, func(c *host.Conn) {
 		e := Bind(c, Lenient)
 		e.OnRcpt = func(addr string) *Reply {
@@ -297,17 +293,14 @@ func TestClientRetriesNextRcptOnReject(t *testing.T) {
 			}
 			return nil
 		}
-		e.OnMessage = func(env *Envelope) *Reply { envs = append(envs, env); return nil }
+		e.OnMessage = func(env *Envelope) *Reply { envs = append(envs, copyEnv(env)); return nil }
 		e.Greet("220 mx")
 	})
 	var delivered int
-	Send(bot, mx.Addr(), 25, ClientConfig{
-		Helo: "bot",
-		Messages: []Message{{
-			From: "a@b.c", Rcpts: []string{"bad@x.com", "good@x.com"}, Data: []byte("m"),
-		}},
+	Send(bot, mx.Addr(), 25, withMail(ClientConfig{
+		Helo:   "bot",
 		OnDone: func(n int, err error) { delivered = n },
-	})
+	}, mail{"a@b.c", []string{"bad@x.com", "good@x.com"}, "m"}))
 	s.RunFor(time.Minute)
 	if delivered != 1 || len(envs) != 1 || len(envs[0].Rcpts) != 1 || envs[0].Rcpts[0] != "good@x.com" {
 		t.Fatalf("delivered=%d envs=%+v", delivered, envs)

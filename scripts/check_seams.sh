@@ -6,9 +6,9 @@
 # benchmark harness, aside) posts across domains itself, or when one of the
 # retired doorways reappears. Also guards the gateway's one flow lifecycle
 # (DESIGN.md §3g), the farm's one wiring site (DESIGN.md §3j), the SMTP
-# engine's one binding to a connection, a domain's frame-list takers and
-# givers, a link's delivery lanes and the learning tables' single writers (DESIGN.md
-# §3b), below.
+# engine's one binding to a connection and its messages' two keepers, a
+# domain's frame-list takers and givers, a link's delivery lanes and the
+# learning tables' single writers (DESIGN.md §3b), below.
 set -eu
 cd "$(git rev-parse --show-toplevel)"
 status=0
@@ -116,6 +116,16 @@ bad "router learning table or slot written outside its learn function (its slot 
 		FNR==1{fn=""} /^func /{fn=$0}
 		{for (t in own) if ($0 ~ "\\." t "(\\[[^]]*\\])? *=[^=]|(delete|clear)\\([^,)]*\\." t "[,)]" && fn !~ "\\) " own[t] "\\(") print FILENAME ":" FNR ": " $0}
 		/\.(srcOK|hasMAC|bind|natGen|natExhausted)( *,[^=]*)? *=[^=]/ && fn !~ /\) learn(MAC|Inmate)\(/ {print FILENAME ":" FNR ": " $0}' $gw)"
+# A message lives only on the wire unless its receiver keeps a copy (DESIGN.md
+# §3b): an SMTP engine collects a session's messages into the one Envelope it
+# holds and a client renders them into its one Message, so in non-test
+# internal/smtpx, internal/sink and internal/malware only the two keepers
+# build an Envelope or copy bytes — the sink's keepEnvelope and the
+# spambot's retry queue, keepMessage.
+mail=$(find internal/smtpx internal/sink internal/malware -name '*.go' ! -name '*_test.go')
+# shellcheck disable=SC2086
+bad "SMTP message built or copied outside its keepers (sink keepEnvelope, spambot keepMessage)" \
+	"$(awk 'FNR==1{fn=""} /^func /{fn=$0} /^[ \t]*\/\// {next} /&(smtpx\.)?Envelope\{|bytes\.Clone\(|append\(\[\]byte\(nil\), / && fn !~ /^func (keepEnvelope|keepMessage)\(/ {print FILENAME ":" FNR ": " $0}' $mail)"
 # A farm is wired in one place (DESIGN.md §3j): outside internal/farm and
 # the frozen benchmark harness, non-test code describes a farm as a
 # farm.Spec and calls Build — never the constructors and wiring primitives
