@@ -59,6 +59,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime $(FUZZTIME) ./internal/netstack
 	$(GO) test -run '^$$' -fuzz '^FuzzVLANReshape$$' -fuzztime $(FUZZTIME) ./internal/netstack
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFrame$$' -fuzztime $(FUZZTIME) ./internal/netstack
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzFlowSegments$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/gateway
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineFeed$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/smtpx

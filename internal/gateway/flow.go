@@ -88,7 +88,9 @@ type Flow struct {
 	csNextSeq uint32
 
 	// Initiator payload buffered during phase 1 for replay to the actual
-	// responder after the verdict.
+	// responder after the verdict, in a buffer from the domain's frame list
+	// (bufferInit). The gwSender takes it over at onEstablished; a flow that
+	// never gets that far gives it back when it closes.
 	initPayload []byte
 	initNextSeq uint32
 	initFin     bool
@@ -490,6 +492,19 @@ func (f *Flow) deliverToInitiator(p *netstack.Packet) {
 	f.r.sendToVLAN(p, f.vlan)
 }
 
+// bufferInit appends in-order initiator payload to initPayload for replay.
+// When the buffer runs out of room, the bytes move to one from the frame
+// list at least twice as large, and the old one goes back.
+func (f *Flow) bufferInit(payload []byte) {
+	if need := len(f.initPayload) + len(payload); need > cap(f.initPayload) {
+		buf := append(f.r.hand.frames.Take(max(need, 2*cap(f.initPayload))), f.initPayload...)
+		f.r.hand.put(f.initPayload)
+		f.initPayload = buf
+	}
+	f.initPayload = append(f.initPayload, payload...)
+	f.initNextSeq += uint32(len(payload))
+}
+
 func (f *Flow) fromInitiator(p *netstack.Packet) {
 	f.touch()
 	if f.proto == netstack.ProtoUDP {
@@ -531,8 +546,7 @@ func (f *Flow) fromInitiator(p *netstack.Packet) {
 		// Buffer payload for later replay (in-order; the simulated farm
 		// links do not reorder).
 		if len(p.Payload) > 0 && t.Seq == f.initNextSeq {
-			f.initPayload = append(f.initPayload, p.Payload...)
-			f.initNextSeq += uint32(len(p.Payload))
+			f.bufferInit(p.Payload)
 		}
 		if t.Flags&netstack.FlagFIN != 0 {
 			f.initFin = true
@@ -543,8 +557,7 @@ func (f *Flow) fromInitiator(p *netstack.Packet) {
 	case fsEstablishing:
 		// Waiting for the actual responder's handshake; keep buffering.
 		if len(p.Payload) > 0 && t.Seq == f.initNextSeq {
-			f.initPayload = append(f.initPayload, p.Payload...)
-			f.initNextSeq += uint32(len(p.Payload))
+			f.bufferInit(p.Payload)
 		}
 		if t.Flags&netstack.FlagFIN != 0 && t.Seq+uint32(len(p.Payload)) == f.initNextSeq {
 			f.initFin = true
@@ -946,6 +959,8 @@ func (f *Flow) close(reason string) {
 	if f.sender != nil {
 		f.sender.stop()
 	}
+	f.r.hand.put(f.initPayload)
+	f.initPayload = nil
 	f.linger.Stop()
 	f.r.FlowsActive.Set(int64(f.r.ActiveFlows()))
 	e := f.event(obs.EvFlowClosed)

@@ -3,6 +3,7 @@ package gateway
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"gq/internal/netsim"
 	"gq/internal/netstack"
@@ -228,4 +229,73 @@ func gatewayBuilds(t *testing.T, marked bool) (frames [][]byte, built int) {
 		t.Fatalf("marked %v: the gateway sent %d frames, want the relayed ACK, the shim, the leg's ACK and RST, the SYN and the ARP reply", marked, len(frames))
 	}
 	return frames, built
+}
+
+// TestReplayRetransmitKeepsInitiatorBytes: a flow's phase-1 replay buffer is
+// taken from the frame list and goes back only when nothing more can be sent
+// from it. The responder never acknowledges the first replay, so the
+// retransmission one second later must carry the initiator's bytes, not
+// 0xDB or another frame's. Once the responder acknowledges it, the buffer is
+// back on the list; a flow that closes before its verdict gives back its
+// own.
+func TestReplayRetransmitKeepsInitiatorBytes(t *testing.T) {
+	rig := newLifecycleRig(t)
+	rig.recycleWires()
+	r := rig.r
+	f := rig.flowIn(lcAwaitPost, 4000)
+	shimmed(f)
+	data := bytes.Repeat([]byte("bytes the responder must see twice "), 4)
+	rig.trunk.port.Send(inmateSegment(f, f.initNextSeq, f.csISN+1, netstack.FlagACK|netstack.FlagPSH, data))
+	rig.settle()
+	resp := (&shim.Response{Verdict: shim.Forward, PolicyName: "Fwd"}).Marshal()
+	rig.trunk.port.Send(csSegment(r, f, f.csNextSeq, netstack.FlagACK|netstack.FlagPSH, resp))
+	rig.settle()
+	synAck := &netstack.Packet{
+		Eth: netstack.Ethernet{Dst: GatewayMAC, Src: extMAC, EtherType: netstack.EtherTypeIPv4},
+		IP:  &netstack.IPv4{TTL: 57, Src: lcResp, Dst: f.initGlobal},
+		TCP: &netstack.TCP{SrcPort: 80, DstPort: 4000, Seq: 500, Ack: f.initISS + 1, Flags: netstack.FlagSYN | netstack.FlagACK, Window: 4321},
+	}
+	rig.outside.port.Send(synAck.Marshal())
+	rig.settle()
+	replayed := func(what string) {
+		t.Helper()
+		var got []byte
+		for _, p := range rig.outside.take(t) {
+			got = append(got, p.Payload...)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("%s: the responder was sent %q, want %q", what, got[:min(len(got), 32)], data[:32])
+		}
+	}
+	replayed("first replay")
+	if f.sender == nil || f.sender.replay == nil || f.initPayload != nil {
+		t.Fatal("the sender did not take the replay buffer over at establishment")
+	}
+	// The first replay is lost: one second later the sender resends it from
+	// the buffer.
+	rig.s.RunFor(time.Second + time.Millisecond)
+	replayed("retransmitted replay")
+
+	ack := &netstack.Packet{
+		Eth: netstack.Ethernet{Dst: GatewayMAC, Src: extMAC, EtherType: netstack.EtherTypeIPv4},
+		IP:  &netstack.IPv4{TTL: 57, Src: lcResp, Dst: f.initGlobal},
+		TCP: &netstack.TCP{SrcPort: 80, DstPort: 4000, Seq: 501, Ack: f.initISS + 1 + uint32(len(data)), Flags: netstack.FlagACK, Window: 4321},
+	}
+	rig.outside.port.Send(ack.Marshal())
+	rig.settle()
+	if f.sender.replay != nil || len(f.sender.pending) != 0 {
+		t.Errorf("replay acknowledged, but the sender still holds %d bytes in %d segments", len(f.sender.replay), len(f.sender.pending))
+	}
+
+	g := rig.flowIn(lcAwaitPost, 4001)
+	shimmed(g)
+	rig.trunk.port.Send(inmateSegment(g, g.initNextSeq, g.csISN+1, netstack.FlagACK|netstack.FlagPSH, data))
+	rig.settle()
+	if len(g.initPayload) != len(data) {
+		t.Fatalf("a flow awaiting its verdict buffered %d bytes, want %d", len(g.initPayload), len(data))
+	}
+	g.close("test")
+	if g.initPayload != nil {
+		t.Error("a flow closed before its verdict kept its replay buffer")
+	}
 }

@@ -336,8 +336,14 @@ func (h *hand) pass(frame []byte) []byte {
 // release ends a receive entry's hold: the held frame, unless it left, goes
 // back on the list.
 func (h *hand) release() {
-	if h.rx != nil {
-		h.frames.Put(h.rx)
-		h.rx = nil
+	h.put(h.rx)
+	h.rx = nil
+}
+
+// put gives a buffer back to the list, unless it is nil: the held frame at
+// release, and a flow's replay buffer once nothing more can be sent from it.
+func (h *hand) put(buf []byte) {
+	if buf != nil {
+		h.frames.Put(buf)
 	}
 }

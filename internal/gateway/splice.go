@@ -276,6 +276,10 @@ type gwSender struct {
 	nextSeq uint32
 	pending []gwSeg
 	finQued bool
+	// replay is the flow's initPayload, taken over at onEstablished: the
+	// bytes pending's segments lie in. It goes back to the frame list when
+	// nothing more can be sent from it (releaseReplay).
+	replay []byte
 
 	timer   sim.Timer
 	retries int
@@ -309,8 +313,8 @@ func (s *gwSender) onEstablished() {
 	// Handshake ACK.
 	s.transmit(s.nextSeq, s.f.respNextSeq, netstack.FlagACK, nil)
 	// Queue the phase-1 payload (and FIN, if the initiator already closed).
-	data := s.f.initPayload
-	s.f.initPayload = nil
+	s.replay, s.f.initPayload = s.f.initPayload, nil
+	data := s.replay
 	for len(data) > 0 {
 		n := len(data)
 		if n > 1400 {
@@ -368,6 +372,7 @@ func (s *gwSender) onAck(ack uint32) {
 	s.pending = kept
 	if len(s.pending) == 0 {
 		s.timer.Stop()
+		s.releaseReplay()
 		if s.f.initAborted && !s.dead {
 			// Replay delivered; mirror the initiator's abrupt teardown.
 			s.sendRST()
@@ -414,6 +419,14 @@ func (s *gwSender) retransmit() {
 func (s *gwSender) stop() {
 	s.dead = true
 	s.timer.Stop()
+	s.releaseReplay()
+}
+
+// releaseReplay gives the replay buffer back once every segment in it is
+// acknowledged or the sender has stopped.
+func (s *gwSender) releaseReplay() {
+	s.f.r.hand.put(s.replay)
+	s.replay = nil
 }
 
 // --- token bucket for LIMIT ---

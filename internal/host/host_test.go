@@ -2,9 +2,9 @@ package host
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"gq/internal/netsim"
 	"gq/internal/netstack"
@@ -345,9 +345,11 @@ func TestTCPStateStrings(t *testing.T) {
 }
 
 // Every flow through the farm opens a Conn on up to three hosts. Its
-// endpoint lives once, in key: a Conn fits the 320-byte size class.
-func TestConnSize(t *testing.T) {
-	if n := reflect.TypeOf(Conn{}).Size(); n > 320 {
-		t.Errorf("host.Conn is %d bytes, want at most 320", n)
+// endpoint lives once, in key, it has one timer and derives its RTO, and its
+// state and switches are single bytes: a Conn is 208 bytes, a size class of
+// its own.
+func TestConnFitsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Conn{}); n > 208 {
+		t.Errorf("host.Conn is %d bytes, want at most 208", n)
 	}
 }

@@ -19,10 +19,13 @@ const (
 	maxRetransmits   = 5
 	timeWaitDuration = 10 * time.Second
 	synBacklogLimit  = 128
+	// maxOOOSegments bounds a conn's out-of-order stash: the number of MSS
+	// segments in a full window.
+	maxOOOSegments = (DefaultWindow + MSS - 1) / MSS
 )
 
 // TCPState enumerates the RFC 793 connection states.
-type TCPState int
+type TCPState uint8
 
 // Connection states.
 const (
@@ -59,39 +62,45 @@ var ErrTimeout = errors.New("connection timed out")
 
 // Conn is a TCP connection endpoint. Callbacks fire from within simulator
 // events; applications must not block inside them.
+//
+// Every flow through the farm opens a Conn on up to three hosts, so a Conn
+// is kept to one 208-byte object (TestConnFitsSizeClass): one timer, the
+// retransmission timeout derived from the retry count, the state and the
+// switches in single bytes, and a send buffer that, like every frame buffer
+// in the domain, cycles through the frame list (netsim.Frames).
 type Conn struct {
 	host *Host
 	key  connKey // the endpoint: local port, remote address and port
 
-	state TCPState
-
 	// Send state. sndBuf holds bytes from sequence number sndUna onward;
 	// the first sndNxt-sndUna bytes are in flight. It is a window sliding
 	// over sndBase's backing array: ACKs advance its front, queue slides it
-	// back to the base instead of letting every write reallocate.
+	// back to the base instead of letting every write reallocate. sndBase
+	// is taken from the domain's frame list by the first write and goes
+	// back when nothing more can be sent from it: when the FIN is
+	// acknowledged, when the conn is destroyed, and when a larger write
+	// outgrows it (releaseSend).
 	iss, sndUna, sndNxt uint32
 	sndWnd              uint16
+	state               TCPState
+	retries             uint8 // retransmissions since the last forward progress
 	sndBuf, sndBase     []byte
-	finQueued, finSent  bool
 
 	// Receive state. ooo stashes segments received beyond rcvNxt, keyed
 	// by starting sequence number; entries may overlap the delivered
 	// stream (go-back-N resends from sndUna) and are trimmed on drain. It
-	// is made by the first stash: most connections never see one.
-	irs, rcvNxt uint32
-	ooo         map[uint32][]byte
-	// oooFin records a FIN observed beyond rcvNxt at sequence oooFinSeq;
-	// finRcvd makes FIN processing idempotent under retransmission.
-	oooFin    bool
-	oooFinSeq uint32
-	finRcvd   bool
+	// is made by the first stash: most connections never see one. It holds
+	// no segment that starts beyond the window and at most maxOOOSegments
+	// (processData, stash). oooFinSeq is where a FIN observed beyond
+	// rcvNxt sits, while the oooFin flag is set.
+	irs, rcvNxt, oooFinSeq uint32
+	flags                  connFlags
+	ooo                    map[uint32][]byte
 
-	// rtx is re-armed with every segment sent or acknowledged; neither
-	// timer allocates when armed (see sim.Timer).
+	// rtx is the conn's one timer: the retransmission timeout, re-armed
+	// with every segment sent or acknowledged, and in TIME_WAIT the end of
+	// TIME_WAIT. It does not allocate when armed (see sim.Timer).
 	rtx      sim.Timer
-	retries  int
-	rto      time.Duration
-	timeWait sim.Timer
 	acceptFn func(*Conn) // deferred listener callback for passive opens
 
 	// OnConnect fires when the connection reaches ESTABLISHED (for both
@@ -108,11 +117,24 @@ type Conn struct {
 	// err is nil for a clean bidirectional close.
 	OnClose func(err error)
 
-	closed bool
-
 	// BytesIn and BytesOut count application payload.
 	BytesIn, BytesOut uint64
 }
+
+// connFlags packs a Conn's switches into one byte.
+type connFlags uint8
+
+const (
+	finQueued  connFlags = 1 << iota // Close asked for a FIN behind the queued data
+	finSent                          // the FIN is in flight (go-back-N clears it)
+	oooFin                           // a FIN was seen beyond rcvNxt, at oooFinSeq
+	finRcvd                          // the peer's FIN was consumed: FIN processing is idempotent
+	connClosed                       // torn down; OnClose has fired
+)
+
+func (c *Conn) is(f connFlags) bool { return c.flags&f != 0 }
+func (c *Conn) set(f connFlags)     { c.flags |= f }
+func (c *Conn) unset(f connFlags)   { c.flags &^= f }
 
 // State returns the connection state.
 func (c *Conn) State() TCPState { return c.state }
@@ -156,7 +178,6 @@ func (h *Host) newConn(localPort uint16, rip netstack.Addr, rport uint16) *Conn 
 	c := &Conn{
 		host:   h,
 		key:    connKey{localPort: localPort, remoteIP: rip, remotePort: rport},
-		rto:    rtoInitial,
 		sndWnd: DefaultWindow,
 	}
 	c.rtx.Init(h.sim, c.retransmit)
@@ -167,7 +188,7 @@ func (h *Host) newConn(localPort uint16, rip netstack.Addr, rport uint16) *Conn 
 // a reset connection is a silent no-op (matching the fire-and-forget style
 // of the simulated applications).
 func (c *Conn) Write(data []byte) {
-	if c.closed || c.finQueued || len(data) == 0 {
+	if c.is(connClosed|finQueued) || len(data) == 0 {
 		return
 	}
 	switch c.state {
@@ -182,22 +203,36 @@ func (c *Conn) Write(data []byte) {
 // bytes runs out, they move back to the start of the backing array if the
 // acknowledged prefix is at least as large as they are (so the bytes moved
 // never exceed the bytes already sent and acknowledged, keeping writes
-// amortised O(1)); otherwise the array at least doubles.
+// amortised O(1)); otherwise they move to an array at least twice as large,
+// taken from the frame list, and the old one goes back.
 func (c *Conn) queue(data []byte) {
 	need := len(c.sndBuf) + len(data)
 	if need > cap(c.sndBuf) {
 		acked := cap(c.sndBase) - cap(c.sndBuf)
 		if acked < len(c.sndBuf) || need > cap(c.sndBase) {
-			c.sndBase = make([]byte, 0, max(need, 2*cap(c.sndBase)))
+			buf := append(c.host.frames.Take(max(need, 2*cap(c.sndBase))), c.sndBuf...)
+			c.releaseSend()
+			c.sndBase, c.sndBuf = buf[:0], buf
+		} else {
+			c.sndBuf = append(c.sndBase, c.sndBuf...)
 		}
-		c.sndBuf = append(c.sndBase, c.sndBuf...)
 	}
 	c.sndBuf = append(c.sndBuf, data...)
 }
 
+// releaseSend gives the send buffer back to the frame list. Nothing may be
+// sent from it afterwards: a segment's bytes are copied into its frame
+// when it is sent, so only bytes still to be sent or resent hold it.
+func (c *Conn) releaseSend() {
+	if c.sndBase != nil {
+		c.host.frames.Put(c.sndBase)
+		c.sndBase, c.sndBuf = nil, nil
+	}
+}
+
 // Close initiates a graceful shutdown: queued data is flushed, then a FIN.
 func (c *Conn) Close() {
-	if c.closed || c.finQueued {
+	if c.is(connClosed | finQueued) {
 		return
 	}
 	switch c.state {
@@ -205,20 +240,20 @@ func (c *Conn) Close() {
 		if len(c.sndBuf) > 0 {
 			// Data was written before the SYN-ACK arrived: queue the FIN
 			// behind it and let the flush on establishment send both.
-			c.finQueued = true
+			c.set(finQueued)
 			return
 		}
 		// Nothing sent yet beyond SYN; tear down silently.
 		c.destroy(nil)
 	case StateSynRcvd, StateEstablished, StateCloseWait:
-		c.finQueued = true
+		c.set(finQueued)
 		c.trySend()
 	}
 }
 
 // Abort sends a RST and tears the connection down immediately.
 func (c *Conn) Abort() {
-	if c.closed {
+	if c.is(connClosed) {
 		return
 	}
 	if c.state != StateSynSent && c.state != StateClosed {
@@ -253,10 +288,10 @@ func (c *Conn) trySend() {
 		avail -= n
 		sent = true
 	}
-	if c.finQueued && !c.finSent && avail == 0 {
+	if c.flags&(finQueued|finSent) == finQueued && avail == 0 {
 		c.sendSegment(netstack.FlagFIN|netstack.FlagACK, c.sndNxt, c.rcvNxt, nil)
 		c.sndNxt++
-		c.finSent = true
+		c.set(finSent)
 		sent = true
 		switch c.state {
 		case StateEstablished:
@@ -279,32 +314,31 @@ func (c *Conn) sendSegment(flags uint8, seq, ack uint32, payload []byte) {
 	c.host.sendIP(c.key.remoteIP, netstack.ProtoTCP, frame)
 }
 
-func (c *Conn) armRetransmit() { c.rtx.Reset(c.rto) }
+// rto is the retransmission timeout: exponential backoff with a cap, so
+// under heavy injected loss the interval doubles (1s, 2s, 4s, ... rtoMax)
+// instead of hammering the link at a fixed cadence.
+func (c *Conn) rto() time.Duration { return min(rtoInitial<<c.retries, rtoMax) }
+
+func (c *Conn) armRetransmit() { c.rtx.Reset(c.rto()) }
 
 // resetRTO is called whenever the peer acknowledges forward progress: the
 // retry budget refills and the timeout collapses back to the initial value.
-func (c *Conn) resetRTO() {
-	c.retries = 0
-	c.rto = rtoInitial
-}
+func (c *Conn) resetRTO() { c.retries = 0 }
 
+// retransmit is rtx's callback: in TIME_WAIT its end, otherwise a
+// retransmission timeout.
 func (c *Conn) retransmit() {
-	if c.closed {
+	if c.is(connClosed) {
+		return
+	}
+	if c.state == StateTimeWait {
+		c.destroy(nil)
 		return
 	}
 	c.retries++
 	if c.retries > maxRetransmits {
 		c.destroy(ErrTimeout)
 		return
-	}
-	// Exponential backoff with a cap: under heavy injected loss the
-	// retransmission interval doubles (1s, 2s, 4s, ... rtoMax) instead of
-	// hammering the link at a fixed cadence.
-	if c.rto < rtoMax {
-		c.rto *= 2
-		if c.rto > rtoMax {
-			c.rto = rtoMax
-		}
 	}
 	switch c.state {
 	case StateSynSent:
@@ -314,7 +348,7 @@ func (c *Conn) retransmit() {
 	default:
 		// Go-back-N from sndUna.
 		c.sndNxt = c.sndUna
-		c.finSent = false
+		c.unset(finSent)
 		if c.state == StateFinWait1 {
 			c.state = StateEstablished
 		}
@@ -333,16 +367,15 @@ func (c *Conn) retransmit() {
 
 // destroy finalises the connection and fires OnClose exactly once.
 func (c *Conn) destroy(err error) {
-	if c.closed {
+	if c.is(connClosed) {
 		return
 	}
-	c.closed = true
+	c.set(connClosed)
+	c.unset(oooFin)
 	c.state = StateClosed
 	c.ooo = nil // sweep any stale reassembly stash with the conn
-	c.sndBuf, c.sndBase = nil, nil
-	c.oooFin = false
+	c.releaseSend()
 	c.rtx.Stop()
-	c.timeWait.Stop()
 	c.host.dropConn(c)
 	if c.OnClose != nil {
 		c.OnClose(err)
@@ -420,7 +453,7 @@ func seqLEQ(a, b uint32) bool { return int32(b-a) >= 0 }
 func seqLT(a, b uint32) bool  { return int32(b-a) > 0 }
 
 func (c *Conn) handleSegment(t *netstack.TCP, payload []byte) {
-	if c.closed {
+	if c.is(connClosed) {
 		return
 	}
 	c.sndWnd = t.Window
@@ -478,7 +511,7 @@ func (c *Conn) handleSegment(t *netstack.TCP, payload []byte) {
 			if c.OnConnect != nil {
 				c.OnConnect()
 			}
-			if c.closed {
+			if c.is(connClosed) {
 				return // app tore the connection down from a callback
 			}
 			// Flush anything queued before establishment: the handshake
@@ -496,7 +529,7 @@ func (c *Conn) handleSegment(t *netstack.TCP, payload []byte) {
 	if t.Flags&netstack.FlagACK != 0 && seqLT(c.sndUna, t.Ack) && seqLEQ(t.Ack, c.sndNxt) {
 		acked := t.Ack - c.sndUna
 		dataAcked := acked
-		if c.finSent && t.Ack == c.sndNxt {
+		if c.is(finSent) && t.Ack == c.sndNxt {
 			dataAcked-- // FIN consumed one sequence number
 		}
 		if int(dataAcked) < len(c.sndBuf) {
@@ -509,7 +542,9 @@ func (c *Conn) handleSegment(t *netstack.TCP, payload []byte) {
 		if c.sndUna == c.sndNxt {
 			c.rtx.Stop()
 			// Entire send space acknowledged: advance closing states.
-			if c.finSent {
+			// Nothing more can be sent once the FIN is acknowledged.
+			if c.is(finSent) {
+				c.releaseSend()
 				switch c.state {
 				case StateFinWait1:
 					c.state = StateFinWait2
@@ -531,7 +566,7 @@ func (c *Conn) handleSegment(t *netstack.TCP, payload []byte) {
 }
 
 func (c *Conn) processData(t *netstack.TCP, payload []byte) {
-	if c.closed {
+	if c.is(connClosed) {
 		return
 	}
 	seq := t.Seq
@@ -541,20 +576,18 @@ func (c *Conn) processData(t *netstack.TCP, payload []byte) {
 	}
 
 	if seqLT(c.rcvNxt, seq) {
-		// Out of order: stash (keeping the longest run per start) and ack
-		// a duplicate. The FIN position is recorded separately so a pure
-		// FIN cannot shadow a stashed data segment at the same sequence.
-		if len(payload) > 0 {
-			if have, ok := c.ooo[seq]; !ok || len(have) < len(payload) {
-				if c.ooo == nil {
-					c.ooo = make(map[uint32][]byte)
-				}
-				c.ooo[seq] = append([]byte(nil), payload...)
+		// Out of order: stash and ack a duplicate. The FIN position is
+		// recorded separately so a pure FIN cannot shadow a stashed data
+		// segment at the same sequence. A segment that starts beyond the
+		// window the conn advertises is refused whole.
+		if seqLT(seq, c.rcvNxt+DefaultWindow) {
+			if len(payload) > 0 {
+				c.stash(seq, payload)
 			}
-		}
-		if fin {
-			c.oooFin = true
-			c.oooFinSeq = seq + uint32(len(payload))
+			if fin {
+				c.set(oooFin)
+				c.oooFinSeq = seq + uint32(len(payload))
+			}
 		}
 		c.sendSegment(netstack.FlagACK, c.sndNxt, c.rcvNxt, nil)
 		return
@@ -578,11 +611,11 @@ func (c *Conn) processData(t *netstack.TCP, payload []byte) {
 
 	if len(payload) > 0 {
 		c.deliver(payload)
-		if c.closed {
+		if c.is(connClosed) {
 			return // app aborted from callback
 		}
 		c.drainOOO()
-		if c.closed {
+		if c.is(connClosed) {
 			return
 		}
 	}
@@ -590,9 +623,25 @@ func (c *Conn) processData(t *netstack.TCP, payload []byte) {
 	if fin {
 		c.handleFIN()
 	}
-	if !c.closed {
+	if !c.is(connClosed) {
 		c.sendSegment(netstack.FlagACK, c.sndNxt, c.rcvNxt, nil)
 	}
+}
+
+// stash keeps a copy of an out-of-order segment's bytes, the longest run
+// per starting sequence number, until rcvNxt reaches them. Once
+// maxOOOSegments starts are held it refuses new ones: a sink's or the
+// containment server's conns take segments an inmate chose, and a sender
+// resends what was refused.
+func (c *Conn) stash(seq uint32, payload []byte) {
+	have, ok := c.ooo[seq]
+	if ok && len(have) >= len(payload) || !ok && len(c.ooo) >= maxOOOSegments {
+		return
+	}
+	if c.ooo == nil {
+		c.ooo = make(map[uint32][]byte)
+	}
+	c.ooo[seq] = append([]byte(nil), payload...)
 }
 
 // deliver hands in-order payload to the application and advances rcvNxt.
@@ -628,13 +677,13 @@ func (c *Conn) drainOOO() {
 		delete(c.ooo, bestSeq)
 		if skip := c.rcvNxt - bestSeq; skip < uint32(len(seg)) {
 			c.deliver(seg[skip:])
-			if c.closed {
+			if c.is(connClosed) {
 				return
 			}
 		}
 		// else: entirely below rcvNxt — stale duplicate, swept.
 	}
-	if c.oooFin && c.rcvNxt == c.oooFinSeq {
+	if c.is(oooFin) && c.rcvNxt == c.oooFinSeq {
 		c.handleFIN()
 	}
 }
@@ -642,11 +691,11 @@ func (c *Conn) drainOOO() {
 // handleFIN performs the receive-side FIN transition exactly once:
 // consume the sequence number, move the state machine, and signal EOF.
 func (c *Conn) handleFIN() {
-	if c.finRcvd {
+	if c.is(finRcvd) {
 		return
 	}
-	c.finRcvd = true
-	c.oooFin = false
+	c.set(finRcvd)
+	c.unset(oooFin)
 	c.rcvNxt++
 	switch c.state {
 	case StateEstablished:
@@ -662,11 +711,12 @@ func (c *Conn) handleFIN() {
 	}
 }
 
+// enterTimeWait re-arms rtx, whose firing in TIME_WAIT destroys the conn,
+// once: nothing that arrives later (a retransmitted FIN) extends it.
 func (c *Conn) enterTimeWait() {
-	c.state = StateTimeWait
-	c.rtx.Stop()
-	if !c.timeWait.Pending() {
-		c.timeWait.Init(c.host.sim, func() { c.destroy(nil) })
-		c.timeWait.Reset(timeWaitDuration)
+	if c.state == StateTimeWait {
+		return
 	}
+	c.state = StateTimeWait
+	c.rtx.Reset(timeWaitDuration)
 }

@@ -52,8 +52,8 @@ func TestTCPSYNLossRetransmit(t *testing.T) {
 	if got := connectedAt - t0; got < rtoInitial {
 		t.Fatalf("connected %v after dial; first SYN cannot have been lost", got)
 	}
-	if c.rto != rtoInitial || c.retries != 0 {
-		t.Fatalf("RTO not reset after establish: rto=%v retries=%d", c.rto, c.retries)
+	if c.rto() != rtoInitial || c.retries != 0 {
+		t.Fatalf("RTO not reset after establish: rto=%v retries=%d", c.rto(), c.retries)
 	}
 }
 
@@ -81,8 +81,8 @@ func TestTCPMidStreamLossRecovery(t *testing.T) {
 	if string(got) != "retransmit me" {
 		t.Fatalf("got %q after mid-stream loss", got)
 	}
-	if c.rto != rtoInitial || c.retries != 0 {
-		t.Fatalf("RTO not reset after ACK progress: rto=%v retries=%d", c.rto, c.retries)
+	if c.rto() != rtoInitial || c.retries != 0 {
+		t.Fatalf("RTO not reset after ACK progress: rto=%v retries=%d", c.rto(), c.retries)
 	}
 }
 
@@ -171,8 +171,8 @@ func TestTCPBackoffDoublesToCap(t *testing.T) {
 	for i, at := range sampleAt {
 		s.RunFor(at - prev)
 		prev = at
-		if c.rto != want[i] {
-			t.Fatalf("rto = %v at t+%v, want %v", c.rto, at, want[i])
+		if c.rto() != want[i] {
+			t.Fatalf("rto = %v at t+%v, want %v", c.rto(), at, want[i])
 		}
 	}
 }

@@ -69,21 +69,23 @@ bad "shim encoded with Marshal in internal/gateway or internal/containment (use 
 # Every frame buffer in a domain cycles through its one frame list
 # (DESIGN.md §3b, netsim.Frames): in non-test internal/netsim, internal/host
 # and internal/gateway a buffer is taken from the list (.Take) only by the
-# named takers, and given back (.Put) only by the named givers. Nothing else
-# there makes a frame buffer or copies a frame: make([]byte is the list's own
-# (Frames.Take) and a connection's send buffer's (Conn.queue), and the one
-# kind of append([]byte(nil), ...) copy allowed in netsim and the gateway is
-# a payload a flow keeps past the receive call.
+# named takers, and given back (.Put) only by the named givers. Besides
+# frames, the list holds a connection's send buffer (taken in Conn.queue,
+# given back in Conn.releaseSend) and a flow's replay buffer (taken in
+# Flow.bufferInit, given back through hand.put). Nothing else there makes a
+# frame buffer or copies a frame: make([]byte is the list's own
+# (Frames.Take), and the one kind of append([]byte(nil), ...) copy allowed in
+# netsim and the gateway is a payload a flow keeps past the receive call.
 # The function patterns reach awk verbatim through ENVIRON (-v would process
 # escapes in them), and an awk that fails stops the check (set -e).
-takers='[*]Port[)] (Send|transmit)[(]|[*]Switch[)] untagCopy[(]|[*]Host[)] (newIPFrame|sendARP)[(]|[*]hand[)] marshal[(]'
-givers='[*]Host[)] receiveFrame[(]|[*]hand[)] release[(]'
+takers='[*]Port[)] (Send|transmit)[(]|[*]Switch[)] untagCopy[(]|[*]Host[)] (newIPFrame|sendARP)[(]|[*]hand[)] marshal[(]|[*]Conn[)] queue[(]|[*]Flow[)] bufferInit[(]'
+givers='[*]Host[)] receiveFrame[(]|[*]hand[)] put[(]|[*]Conn[)] releaseSend[(]'
 lists=$(find internal/netsim internal/host internal/gateway -name '*.go' ! -name '*_test.go')
 # shellcheck disable=SC2086
 listed=$(takers=$takers givers=$givers awk 'FNR==1{fn=""} /^func /{fn=$0} /^[ \t]*\/\// {next} (/\.Take[^A-Za-z0-9_]/ && fn !~ ENVIRON["takers"]) || (/\.Put[^A-Za-z0-9_]/ && fn !~ ENVIRON["givers"]) {print FILENAME ":" FNR ": " $0}' $lists)
 bad "frame list taken from outside its takers or given back outside its givers" "$listed"
 # shellcheck disable=SC2086
-made=$(awk 'FNR==1{fn=""} /^func /{fn=$0} /make\(\[\]byte/ && fn !~ /\*Frames\) Take\(|\*Conn\) queue\(/ {print FILENAME ":" FNR ": " $0}' $lists)
+made=$(awk 'FNR==1{fn=""} /^func /{fn=$0} /make\(\[\]byte/ && fn !~ /\*Frames\) Take\(/ {print FILENAME ":" FNR ": " $0}' $lists)
 bad "frame buffer made outside the frame list (take it with Frames.Take)" "$made"
 # shellcheck disable=SC2046
 bad "frame copied outside the frame list in internal/netsim or internal/gateway (take it with Frames.Take)" \
