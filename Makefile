@@ -65,6 +65,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineFeed$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/smtpx
 	$(GO) test -run '^$$' -fuzz '^FuzzClientFeed$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/smtpx
 	$(GO) test -run '^$$' -fuzz '^FuzzShimCodec$$' -fuzztime $(FUZZTIME) ./internal/shim
+	$(GO) test -run '^$$' -fuzz '^FuzzSessionFraming$$' -fuzztime $(FUZZTIME) ./internal/containment
 	$(GO) test -run '^$$' -fuzz '^FuzzDNSUnmarshal$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/dnsx
 	$(GO) test -run '^$$' -fuzz '^FuzzDHCPUnmarshal$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/dhcp
 

@@ -199,42 +199,13 @@ func (s *Server) decide(req *shim.Request, proto uint8) (Decision, string) {
 }
 
 // acceptTCP handles a redirected flow: read the request shim, decide,
-// answer with the response shim, then run content control if required.
+// answer with the response shim, then run content control if required. The
+// connection's callbacks are the session's methods.
 func (s *Server) acceptTCP(c *host.Conn) {
 	sess := &Session{server: s, client: c}
-	c.OnData = func(data []byte) {
-		if sess.started {
-			sess.clientData(data)
-			return
-		}
-		// The request shim nearly always arrives whole in the first
-		// segment and is decoded where it lies; head only ever holds a
-		// split one.
-		if len(sess.head) > 0 || len(data) < shim.RequestLen {
-			sess.head = append(sess.head, data...)
-			if len(sess.head) < shim.RequestLen {
-				return
-			}
-			data, sess.head = sess.head, nil
-		}
-		if err := sess.req.Unmarshal(data[:shim.RequestLen]); err != nil {
-			c.Abort()
-			return
-		}
-		sess.start(&sess.req, data[shim.RequestLen:])
-	}
-	c.OnPeerClose = func() {
-		if sess.started && sess.handler != nil {
-			sess.handler.OnClientClose(sess)
-		}
-		c.Close()
-	}
-	c.OnClose = func(err error) {
-		if sess.started && sess.handler != nil && !sess.clientClosed {
-			sess.clientClosed = true
-			sess.handler.OnClientClose(sess)
-		}
-	}
+	c.OnData = sess.onClientData
+	c.OnPeerClose = sess.onClientPeerClose
+	c.OnClose = sess.onClientClose
 }
 
 // handleUDP handles shim-padded datagrams.

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"gq/internal/host"
 	"gq/internal/netsim"
@@ -185,3 +186,11 @@ func (p *rewriteDatagrams) OnClientData(_ *Session, data []byte) {
 func (p *rewriteDatagrams) OnServerData(*Session, []byte) {}
 func (p *rewriteDatagrams) OnClientClose(*Session)        {}
 func (p *rewriteDatagrams) OnServerClose(*Session)        {}
+
+// TestSessionFitsSizeClass: the containment server holds a Session for every
+// flow it adjudicates over TCP.
+func TestSessionFitsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Session{}); n > 128 {
+		t.Errorf("containment.Session is %d bytes, want at most 128", n)
+	}
+}

@@ -26,18 +26,56 @@ type Session struct {
 	client  *host.Conn
 	srv     *host.Conn
 	handler StreamHandler
-	started bool
 
-	// stalled marks a session whose verdict answer is deliberately delayed
-	// (fault injection); client bytes arriving meanwhile buffer in stallBuf
-	// so content control sees them once the answer goes out.
-	stalled  bool
+	// stallBuf holds the client bytes that arrive while the session is
+	// stalled: its verdict answer is deliberately delayed (fault injection),
+	// and content control sees them once the answer goes out.
 	stallBuf []byte
-
-	clientClosed, serverClosed bool
 
 	// udpReply, when set, makes WriteClient answer a datagram flow.
 	udpReply func([]byte)
+
+	started, stalled           bool
+	clientClosed, serverClosed bool
+}
+
+// onClientData is the client leg's OnData: the request shim first, then
+// the flow's own bytes.
+func (sess *Session) onClientData(data []byte) {
+	if sess.started {
+		sess.clientData(data)
+		return
+	}
+	// The request shim nearly always arrives whole in the first segment
+	// and is decoded where it lies; head only ever holds a split one.
+	if len(sess.head) > 0 || len(data) < shim.RequestLen {
+		sess.head = append(sess.head, data...)
+		if len(sess.head) < shim.RequestLen {
+			return
+		}
+		data, sess.head = sess.head, nil
+	}
+	if err := sess.req.Unmarshal(data[:shim.RequestLen]); err != nil {
+		sess.client.Abort()
+		return
+	}
+	sess.start(&sess.req, data[shim.RequestLen:])
+}
+
+// onClientPeerClose is the client leg's OnPeerClose.
+func (sess *Session) onClientPeerClose() {
+	if sess.started && sess.handler != nil {
+		sess.handler.OnClientClose(sess)
+	}
+	sess.client.Close()
+}
+
+// onClientClose is the client leg's OnClose.
+func (sess *Session) onClientClose(error) {
+	if sess.started && sess.handler != nil && !sess.clientClosed {
+		sess.clientClosed = true
+		sess.handler.OnClientClose(sess)
+	}
 }
 
 // start decides the flow's verdict and, normally, answers at once. Under an

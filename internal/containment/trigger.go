@@ -217,7 +217,9 @@ func (e *TriggerEngine) SetScope(sc *obs.Scope) {
 	e.firedCount = e.sim.Obs().Reg.Counter("cs.triggers_fired")
 }
 
-// AddRule applies a trigger to an inclusive VLAN range.
+// AddRule applies a trigger to an inclusive VLAN range. Rules must be added
+// before traffic: the engine keeps history only for VLANs some rule covers,
+// so a VLAN's flows from before its first rule are not counted.
 func (e *TriggerEngine) AddRule(lo, hi uint16, t *Trigger) {
 	e.rules = append(e.rules, vlanTrigger{lo, hi, t})
 }
@@ -227,11 +229,15 @@ func (e *TriggerEngine) Observe(req *shim.Request, proto uint8) {
 	e.ObserveFlow(req.VLAN, req.RespIP, req.RespPort, proto)
 }
 
-// ObserveFlow records a flow event with an explicit protocol.
+// ObserveFlow records a flow event with an explicit protocol, if a rule
+// covers its VLAN: evaluate reads no other history.
 func (e *TriggerEngine) ObserveFlow(vlan uint16, dst netstack.Addr, port uint16, proto uint8) {
-	e.events[vlan] = append(e.events[vlan], flowEvent{
-		at: e.sim.Now(), dst: dst, port: port, proto: proto,
-	})
+	for _, r := range e.rules {
+		if vlan >= r.lo && vlan <= r.hi {
+			e.events[vlan] = append(e.events[vlan], flowEvent{at: e.sim.Now(), dst: dst, port: port, proto: proto})
+			return
+		}
+	}
 }
 
 func (e *TriggerEngine) evaluate() {

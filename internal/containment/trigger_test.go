@@ -1,6 +1,7 @@
 package containment
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -168,6 +169,31 @@ func TestFloodTriggerFires(t *testing.T) {
 	s.RunFor(90 * time.Second)
 	if len(*fired) != 1 || (*fired)[0].action != "terminate" {
 		t.Fatalf("fired %v", *fired)
+	}
+}
+
+// TestTriggerHistoryOnlyForCoveredVLANs: a rule on a VLAN range fires on
+// the flows it covers, and flows on any other VLAN leave no history behind.
+func TestTriggerHistoryOnlyForCoveredVLANs(t *testing.T) {
+	s, e, fired := engine(t)
+	tr, _ := ParseTrigger("*:25/tcp / 1min > 2 -> terminate")
+	e.AddRule(16, 17, tr)
+	dst := netstack.MustParseAddr("203.0.113.25")
+	for i := 0; i < 3; i++ {
+		e.ObserveFlow(16, dst, 25, netstack.ProtoTCP)
+		e.ObserveFlow(17, dst, 80, netstack.ProtoTCP)
+		e.ObserveFlow(20, dst, 25, netstack.ProtoTCP)
+	}
+	if len(e.events) != 2 || len(e.events[16]) != 3 || len(e.events[17]) != 3 {
+		t.Fatalf("history %v, want three events each for VLANs 16 and 17 only", e.events)
+	}
+	s.RunFor(90 * time.Second)
+	want := []FiredTrigger{{VLAN: 16, Rule: tr.String(), Action: "terminate", At: time.Minute}}
+	if !reflect.DeepEqual(e.Fired, want) || len(*fired) != 1 || (*fired)[0] != (firedAction{"terminate", 16}) {
+		t.Fatalf("fired %+v (emitted %v), want %+v", e.Fired, *fired, want)
+	}
+	if _, ok := e.events[20]; ok {
+		t.Fatalf("uncovered VLAN 20 has history %v", e.events[20])
 	}
 }
 

@@ -164,19 +164,21 @@ func (r *Run) Do(phases ...Phase) error {
 
 func retireInmates(r *Run) error { r.RetireInmates(); return nil }
 
-// routerBounds are the gateway tables an inmate can grow, each by the series
-// its router counts refusals in (registered on the first one).
-var routerBounds = []struct{ series, what string }{
-	{"mac_table_full", "source MACs past the gateway's bridging-table bound"},
-	{"vlan_arp_full", "ARP senders past the gateway's VLAN ARP cache bound"},
-	{"inmate_addr_full", "inmate addresses past the gateway's bound"},
-	{"syn_tombs_full", "fail-closed SYNs past the gateway's tombstone bound"},
-	{"rate_dest_full", "destinations past the gateway's safety-filter bound"},
+// inmateBounds are a subfarm's tables an inmate can grow — the gateway's and
+// the catch-all sink's log — each by the series its owner counts refusals in
+// (registered on the first one), with %s for the subfarm's name.
+var inmateBounds = []struct{ series, what string }{
+	{"subfarm.%s.mac_table_full", "source MACs past the gateway's bridging-table bound"},
+	{"subfarm.%s.vlan_arp_full", "ARP senders past the gateway's VLAN ARP cache bound"},
+	{"subfarm.%s.inmate_addr_full", "inmate addresses past the gateway's bound"},
+	{"subfarm.%s.syn_tombs_full", "fail-closed SYNs past the gateway's tombstone bound"},
+	{"subfarm.%s.rate_dest_full", "destinations past the gateway's safety-filter bound"},
+	{"sink.%s-catchall.flow_log_full", "connections and datagrams past the catch-all sink's log bound"},
 }
 
 // check is what every run demands of every subfarm after the drain: no
 // probe escaped, no containment server left down (breaker quarantine is a
-// decision, not an outage), an empty flow table, no routerBounds table an
+// decision, not an outage), an empty flow table, no inmateBounds table an
 // inmate overflowed — and of the farm, no switch's forwarding database
 // overflowed and no inmate address on the blacklist.
 func (r *Run) check() {
@@ -197,8 +199,8 @@ func (r *Run) check() {
 			r.bad("%s: %d flows still open after drain", sf.Name, n)
 			leaked = true
 		}
-		for _, bound := range routerBounds {
-			if n := r.Snapshot.Counter("subfarm." + sf.Name + "." + bound.series); n > 0 {
+		for _, bound := range inmateBounds {
+			if n := r.Snapshot.Counter(fmt.Sprintf(bound.series, sf.Name)); n > 0 {
 				r.bad("%s: %d %s", sf.Name, n, bound.what)
 			}
 		}

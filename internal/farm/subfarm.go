@@ -248,7 +248,6 @@ func (f *Farm) AddSubfarm(cfg SubfarmConfig) (*Subfarm, error) {
 	// Analyzers on the subfarm tap.
 	sf.SMTPAnalyzer = report.NewSMTPAnalyzer()
 	sf.ShimAnalyzer = report.NewShimAnalyzer()
-	sf.ShimAnalyzer.Cap = 10000
 	sf.Router.AddTap(sf.SMTPAnalyzer.Tap)
 	sf.Router.AddTap(sf.ShimAnalyzer.Tap)
 

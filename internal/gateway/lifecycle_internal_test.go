@@ -132,10 +132,10 @@ func (rig *lifecycleRig) flowIn(state int, sport uint16) *Flow {
 	f.state = lcFlowStates[state]
 	switch state {
 	case lcEstablishing, lcSplice, lcUDPSplice:
-		f.verdict, f.rec.Verdict = shim.Forward, shim.Forward
+		f.rec.Verdict = shim.Forward
 		f.actualIP, f.actualPort = lcResp, 80
 	case lcRewrite:
-		f.verdict, f.rec.Verdict = shim.Rewrite, shim.Rewrite
+		f.rec.Verdict = shim.Rewrite
 	}
 	switch state {
 	case lcEstablishing, lcSplice:

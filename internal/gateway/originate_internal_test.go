@@ -164,7 +164,7 @@ func TestOriginatedPacketsKeepTheirOwnBytes(t *testing.T) {
 		rig := newLifecycleRig(t)
 		f := rig.flowIn(lcUDPAwait, 4000)
 		f.shimSent = true
-		f.udpQueue = [][]byte{[]byte("first"), []byte("second, longer"), nil}
+		f.needRare().udpQueue = [][]byte{[]byte("first"), []byte("second, longer"), nil}
 		resp := (&shim.Response{Verdict: shim.Forward, PolicyName: "Fwd"}).Marshal()
 		reply := &netstack.Packet{
 			Eth:     netstack.Ethernet{Dst: GatewayMAC, Src: csMAC, VLAN: 2, EtherType: netstack.EtherTypeIPv4},
@@ -209,7 +209,7 @@ func TestOriginatedPacketsKeepTheirOwnBytes(t *testing.T) {
 		f := r.newFlow(netstack.FlowKey{VLAN: 15, SrcIP: inmate, SrcPort: 4000, DstIP: lcResp, DstPort: 80, Proto: netstack.ProtoTCP}, 15, false)
 		f.initISS, f.initNextSeq = 7000, 7001
 		f.haveCSISN, f.csISN = true, 1000
-		f.verdict, f.actualIP, f.actualPort = shim.Forward, lcResp, 80
+		f.actualIP, f.actualPort = lcResp, 80
 		f.state = fsEstablishing
 		rt, ok := f.responderRoute()
 		if !ok || rt.srcIP != global {
@@ -246,16 +246,22 @@ func TestOriginatedPacketsKeepTheirOwnBytes(t *testing.T) {
 	})
 }
 
-// A response shim that arrives whole is decoded where it lies and leaves
-// csBuf nil; one split across two or three segments — a cut inside the
-// preamble included — is collected in csBuf until it is whole, and decodes
-// the same.
+// A response shim that arrives whole is decoded where it lies and makes no
+// rareState; one split across two or three segments — a cut inside the
+// preamble included — is collected in rare.csBuf until it is whole, and
+// decodes the same.
 func TestResponseShimDecodedWhereItLies(t *testing.T) {
 	resp := (&shim.Response{Verdict: shim.Drop, PolicyName: "Split", Annotation: "across segments"}).Marshal()
 	for _, cuts := range [][]int{nil, {5}, {shim.PreambleLen, 30}, {1, len(resp) - 1}} {
 		rig := newLifecycleRig(t)
 		f := rig.flowIn(lcAwaitPost, 4000)
 		shimmed(f)
+		csBuf := func() []byte {
+			if f.rare == nil {
+				return nil
+			}
+			return f.rare.csBuf
+		}
 		seq, prev := f.csNextSeq, 0
 		for i, cut := range append(cuts, len(resp)) {
 			rig.trunk.port.Send(csSegment(rig.r, f, seq, netstack.FlagACK|netstack.FlagPSH, resp[prev:cut]))
@@ -263,15 +269,18 @@ func TestResponseShimDecodedWhereItLies(t *testing.T) {
 			seq += uint32(cut - prev)
 			prev = cut
 			if i < len(cuts) {
-				if f.state != fsAwaitVerdict || !bytes.Equal(f.csBuf, resp[:cut]) {
-					t.Fatalf("cuts %v: after %d bytes, state %v, csBuf %q", cuts, cut, f.state, f.csBuf)
+				if f.state != fsAwaitVerdict || !bytes.Equal(csBuf(), resp[:cut]) {
+					t.Fatalf("cuts %v: after %d bytes, state %v, csBuf %q", cuts, cut, f.state, csBuf())
 				}
 			}
 		}
-		if f.csBuf != nil || f.state != fsDropped || f.rec.Policy != "Split" || f.rec.Annotation != "across segments" ||
+		if cuts == nil && f.rare != nil {
+			t.Errorf("a whole response shim made a rareState")
+		}
+		if csBuf() != nil || f.state != fsDropped || f.rec.Policy != "Split" || f.rec.Annotation != "across segments" ||
 			f.s2cShim != uint32(len(resp)) || f.csNextSeq != seq {
 			t.Errorf("cuts %v: csBuf %q, state %v, record %q/%q, s2cShim %d, csNextSeq %d (want %d)",
-				cuts, f.csBuf, f.state, f.rec.Policy, f.rec.Annotation, f.s2cShim, f.csNextSeq, seq)
+				cuts, csBuf(), f.state, f.rec.Policy, f.rec.Annotation, f.s2cShim, f.csNextSeq, seq)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"slices"
 	"time"
 
 	"gq/internal/netstack"
@@ -255,9 +256,10 @@ func (f *Flow) leg2FromCS(p *netstack.Packet) {
 func (f *Flow) leg2FromResponder(p *netstack.Packet) {
 	f.touch()
 	p.IP.Src = f.r.cfg.NonceIP
-	p.IP.Dst = f.leg2.ip
+	leg2 := f.leg2()
+	p.IP.Dst = leg2.ip
 	sport, dport := l4Ports(p)
-	*sport, *dport = f.noncePort, f.leg2.port
+	*sport, *dport = f.noncePort, leg2.port
 	f.rec.BytesResp += uint64(len(p.Payload))
 	f.r.sendToVLAN(p, f.cs.VLAN)
 }
@@ -274,17 +276,19 @@ type gwSender struct {
 
 	una     uint32 // lowest unacknowledged sequence number
 	nextSeq uint32
+	dead    bool
+	retries uint8 // timeouts since the last ACK: the seventh gives up
 	pending []gwSeg
-	finQued bool
 	// replay is the flow's initPayload, taken over at onEstablished: the
 	// bytes pending's segments lie in. It goes back to the frame list when
 	// nothing more can be sent from it (releaseReplay).
 	replay []byte
 
-	timer   sim.Timer
-	retries int
-	dead    bool
+	timer sim.Timer
 }
+
+// replaySegment is the most phase-1 payload one replayed segment carries.
+const replaySegment = 1400
 
 type gwSeg struct {
 	seq     uint32
@@ -312,19 +316,23 @@ func (s *gwSender) onEstablished() {
 	s.timer.Stop()
 	// Handshake ACK.
 	s.transmit(s.nextSeq, s.f.respNextSeq, netstack.FlagACK, nil)
-	// Queue the phase-1 payload (and FIN, if the initiator already closed).
+	// Queue the phase-1 payload (and FIN, if the initiator already closed),
+	// in a pending made once to fit both.
 	s.replay, s.f.initPayload = s.f.initPayload, nil
 	data := s.replay
+	fin := s.f.initFin && !s.f.initAborted
+	segs := (len(data) + replaySegment - 1) / replaySegment
+	if fin {
+		segs++
+	}
+	s.pending = slices.Grow(s.pending, segs)
 	for len(data) > 0 {
-		n := len(data)
-		if n > 1400 {
-			n = 1400
-		}
+		n := min(len(data), replaySegment)
 		s.pending = append(s.pending, gwSeg{seq: s.nextSeq, payload: data[:n]})
 		s.nextSeq += uint32(n)
 		data = data[n:]
 	}
-	if s.f.initFin && !s.f.initAborted {
+	if fin {
 		s.pending = append(s.pending, gwSeg{seq: s.nextSeq, fin: true})
 		s.nextSeq++
 		s.f.finInit = true

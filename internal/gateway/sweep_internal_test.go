@@ -209,7 +209,7 @@ func TestNonceLegOrphansReaped(t *testing.T) {
 	if n := r.indexed[keyLeg2]; n != 1 || r.ActiveFlows() != 2 {
 		t.Fatalf("stale leg-2 entry survived redial: %d leg-2 keys, ActiveFlows = %d", n, r.ActiveFlows())
 	}
-	if leg := f.leg2; r.index[leg] != f || leg.port != 50002 {
+	if leg := f.leg2(); r.index[leg] != f || leg.port != 50002 {
 		t.Fatalf("leg 2 registered at %v:%d, want the redial from 50002", leg.ip, leg.port)
 	}
 	f.close("done")

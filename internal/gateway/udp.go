@@ -26,8 +26,8 @@ func (f *Flow) udpFromInitiator(p *netstack.Packet) {
 		// Every pre-verdict datagram is queued for post-verdict replay to
 		// the actual responder; the first one additionally travels to the
 		// containment server wrapped with the request shim.
-		if len(f.udpQueue) < udpQueueCap {
-			f.udpQueue = append(f.udpQueue, append([]byte(nil), p.Payload...))
+		if q := &f.needRare().udpQueue; len(*q) < udpQueueCap {
+			*q = append(*q, append([]byte(nil), p.Payload...))
 		}
 		if !f.shimSent {
 			f.shimSent = true
@@ -80,8 +80,10 @@ func (f *Flow) applyVerdictUDP(resp *shim.Response) {
 	f.r.register(f, f.keys()[keyActual])
 
 	v := resp.Verdict
-	queue := f.udpQueue
-	f.udpQueue = nil
+	var queue [][]byte
+	if f.rare != nil {
+		queue, f.rare.udpQueue = f.rare.udpQueue, nil
+	}
 	switch {
 	case v.Has(shim.Drop):
 		f.state = fsDropped

@@ -345,11 +345,11 @@ func TestTCPStateStrings(t *testing.T) {
 }
 
 // Every flow through the farm opens a Conn on up to three hosts. Its
-// endpoint lives once, in key, it has one timer and derives its RTO, and its
-// state and switches are single bytes: a Conn is 208 bytes, a size class of
-// its own.
+// endpoint lives once, in key, it has one timer and derives its RTO, its
+// state and switches are single bytes, and its unacknowledged bytes are two
+// offsets into its send buffer: a Conn is 192 bytes, a size class of its own.
 func TestConnFitsSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Conn{}); n > 208 {
-		t.Errorf("host.Conn is %d bytes, want at most 208", n)
+	if n := unsafe.Sizeof(Conn{}); n > 192 {
+		t.Errorf("host.Conn is %d bytes, want at most 192", n)
 	}
 }

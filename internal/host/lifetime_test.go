@@ -60,7 +60,7 @@ func TestSendBufferHeldUntilFINAcked(t *testing.T) {
 	if c.State() != StateFinWait2 {
 		t.Fatalf("state %v after the FIN, want FIN_WAIT_2", c.State())
 	}
-	if c.sndBase != nil || c.sndBuf != nil {
+	if c.sndBase != nil || c.sndOff != 0 || c.sndEnd != 0 {
 		t.Errorf("FIN acknowledged, but the conn still holds a %d-byte send buffer", cap(c.sndBase))
 	}
 }

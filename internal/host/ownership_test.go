@@ -21,7 +21,7 @@ import (
 // (keeping about half alive through an intact duplicate, so the transfer
 // still needs retransmissions) and checks that what is retransmitted — and
 // so what the receiver finally assembles — is the original bytes: the
-// in-flight frame never aliased sndBuf.
+// in-flight frame never aliased the send buffer.
 func TestImpairedLinkNeverAltersSndBuf(t *testing.T) {
 	s := sim.New(11)
 	a, b := pair(t, s)
@@ -44,11 +44,12 @@ func TestImpairedLinkNeverAltersSndBuf(t *testing.T) {
 	a.NIC().Impair(netsim.Impairment{Dup: 0.5, Corrupt: 1})
 	c.Write(data)
 	s.RunFor(3 * time.Second)
-	if len(c.sndBuf) == 0 {
+	sndBuf := c.sndBase[c.sndOff:c.sndEnd]
+	if len(sndBuf) == 0 {
 		t.Fatal("impairment too mild: everything was acknowledged without a retransmission")
 	}
-	if unacked := data[len(data)-len(c.sndBuf):]; !bytes.Equal(c.sndBuf, unacked) {
-		t.Fatalf("sndBuf altered while its frames were corrupted in flight (first diff at %d)", firstDiff(c.sndBuf, unacked))
+	if unacked := data[len(data)-len(sndBuf):]; !bytes.Equal(sndBuf, unacked) {
+		t.Fatalf("send buffer altered while its frames were corrupted in flight (first diff at %d)", firstDiff(sndBuf, unacked))
 	}
 	a.NIC().Impair(netsim.Impairment{})
 	s.RunFor(2 * time.Minute)
@@ -138,7 +139,6 @@ func TestSegmentAllocCeilingAccessToTrunk(t *testing.T) {
 	c.state = StateEstablished
 	c.iss, c.sndUna, c.sndNxt = 1, 2, 2
 	c.sndBase = make([]byte, 0, 64*MSS)
-	c.sndBuf = c.sndBase
 	a.addConn(c)
 	s.RunFor(time.Millisecond)
 
@@ -188,7 +188,7 @@ func TestSndBufSlidesOverOneArray(t *testing.T) {
 		}
 		sent = append(sent, w...)
 		c.Write(w)
-		maxLive = max(maxLive, len(c.sndBuf))
+		maxLive = max(maxLive, int(c.sndEnd-c.sndOff))
 	})
 	s.RunFor(time.Second)
 	tick.Stop()
@@ -201,8 +201,8 @@ func TestSndBufSlidesOverOneArray(t *testing.T) {
 	if limit := 4 * maxLive; cap(c.sndBase) > limit {
 		t.Fatalf("send buffer grew to %d bytes for at most %d unacknowledged (limit %d)", cap(c.sndBase), maxLive, limit)
 	}
-	if len(c.sndBuf) != 0 || cap(c.sndBuf) != cap(c.sndBase) {
-		t.Fatalf("drained send buffer did not return to its base: len %d cap %d of %d", len(c.sndBuf), cap(c.sndBuf), cap(c.sndBase))
+	if c.sndOff != 0 || c.sndEnd != 0 {
+		t.Fatalf("drained send buffer did not return to its base: [%d:%d] of %d", c.sndOff, c.sndEnd, cap(c.sndBase))
 	}
 }
 
@@ -220,7 +220,7 @@ func TestKeptBytesSurviveLaterFrames(t *testing.T) {
 	if err := h.Listen(80, func(c *Conn) {
 		conn = c
 		c.OnData = func(d []byte) { got = append(got, d...) }
-		c.Write(reply) // the peer never acknowledges: stays in sndBuf
+		c.Write(reply) // the peer never acknowledges: stays in the send buffer
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -265,8 +265,8 @@ func TestKeptBytesSurviveLaterFrames(t *testing.T) {
 	}
 	s.RunFor(100 * time.Millisecond)
 
-	if !bytes.Equal(conn.sndBuf, reply) {
-		t.Errorf("sndBuf altered by later frames (first diff at %d)", firstDiff(conn.sndBuf, reply))
+	if sndBuf := conn.sndBase[conn.sndOff:conn.sndEnd]; !bytes.Equal(sndBuf, reply) {
+		t.Errorf("send buffer altered by later frames (first diff at %d)", firstDiff(sndBuf, reply))
 	}
 	seg(5555, next, "HELLO")
 	s.RunFor(100 * time.Millisecond)

@@ -64,27 +64,29 @@ var ErrTimeout = errors.New("connection timed out")
 // events; applications must not block inside them.
 //
 // Every flow through the farm opens a Conn on up to three hosts, so a Conn
-// is kept to one 208-byte object (TestConnFitsSizeClass): one timer, the
+// is kept to one 192-byte object (TestConnFitsSizeClass): one timer, the
 // retransmission timeout derived from the retry count, the state and the
 // switches in single bytes, and a send buffer that, like every frame buffer
-// in the domain, cycles through the frame list (netsim.Frames).
+// in the domain, cycles through the frame list (netsim.Frames), with the
+// bytes still to be acknowledged held as two offsets into it.
 type Conn struct {
 	host *Host
 	key  connKey // the endpoint: local port, remote address and port
 
-	// Send state. sndBuf holds bytes from sequence number sndUna onward;
-	// the first sndNxt-sndUna bytes are in flight. It is a window sliding
-	// over sndBase's backing array: ACKs advance its front, queue slides it
-	// back to the base instead of letting every write reallocate. sndBase
-	// is taken from the domain's frame list by the first write and goes
-	// back when nothing more can be sent from it: when the FIN is
-	// acknowledged, when the conn is destroyed, and when a larger write
-	// outgrows it (releaseSend).
+	// Send state. sndBase[sndOff:sndEnd] holds the bytes from sequence
+	// number sndUna onward; the first sndNxt-sndUna of them are in flight.
+	// The window slides over sndBase's backing array: ACKs advance sndOff,
+	// queue slides the bytes back to the base instead of letting every
+	// write reallocate. sndBase is taken from the domain's frame list by
+	// the first write and goes back when nothing more can be sent from it:
+	// when the FIN is acknowledged, when the conn is destroyed, and when a
+	// larger write outgrows it (releaseSend).
 	iss, sndUna, sndNxt uint32
+	sndOff, sndEnd      uint32
 	sndWnd              uint16
 	state               TCPState
 	retries             uint8 // retransmissions since the last forward progress
-	sndBuf, sndBase     []byte
+	sndBase             []byte
 
 	// Receive state. ooo stashes segments received beyond rcvNxt, keyed
 	// by starting sequence number; entries may overlap the delivered
@@ -199,25 +201,25 @@ func (c *Conn) Write(data []byte) {
 	}
 }
 
-// queue appends data to sndBuf. When the room behind the unacknowledged
-// bytes runs out, they move back to the start of the backing array if the
-// acknowledged prefix is at least as large as they are (so the bytes moved
-// never exceed the bytes already sent and acknowledged, keeping writes
-// amortised O(1)); otherwise they move to an array at least twice as large,
-// taken from the frame list, and the old one goes back.
+// queue appends data behind the unacknowledged bytes. When the room behind
+// them runs out, they move back to the start of the backing array if the
+// acknowledged prefix (sndOff) is at least as large as they are (so the
+// bytes moved never exceed the bytes already sent and acknowledged, keeping
+// writes amortised O(1)); otherwise they move to an array at least twice as
+// large, taken from the frame list, and the old one goes back.
 func (c *Conn) queue(data []byte) {
-	need := len(c.sndBuf) + len(data)
-	if need > cap(c.sndBuf) {
-		acked := cap(c.sndBase) - cap(c.sndBuf)
-		if acked < len(c.sndBuf) || need > cap(c.sndBase) {
-			buf := append(c.host.frames.Take(max(need, 2*cap(c.sndBase))), c.sndBuf...)
+	live := c.sndEnd - c.sndOff
+	if int(c.sndEnd)+len(data) > cap(c.sndBase) {
+		if need := int(live) + len(data); c.sndOff < live || need > cap(c.sndBase) {
+			buf := append(c.host.frames.Take(max(need, 2*cap(c.sndBase))), c.sndBase[c.sndOff:c.sndEnd]...)
 			c.releaseSend()
-			c.sndBase, c.sndBuf = buf[:0], buf
+			c.sndBase = buf[:0]
 		} else {
-			c.sndBuf = append(c.sndBase, c.sndBuf...)
+			copy(c.sndBase[:live], c.sndBase[c.sndOff:c.sndEnd])
 		}
+		c.sndOff, c.sndEnd = 0, live
 	}
-	c.sndBuf = append(c.sndBuf, data...)
+	c.sndEnd += uint32(copy(c.sndBase[c.sndEnd:cap(c.sndBase)], data))
 }
 
 // releaseSend gives the send buffer back to the frame list. Nothing may be
@@ -226,7 +228,7 @@ func (c *Conn) queue(data []byte) {
 func (c *Conn) releaseSend() {
 	if c.sndBase != nil {
 		c.host.frames.Put(c.sndBase)
-		c.sndBase, c.sndBuf = nil, nil
+		c.sndBase, c.sndOff, c.sndEnd = nil, 0, 0
 	}
 }
 
@@ -237,7 +239,7 @@ func (c *Conn) Close() {
 	}
 	switch c.state {
 	case StateSynSent:
-		if len(c.sndBuf) > 0 {
+		if c.sndEnd > c.sndOff {
 			// Data was written before the SYN-ACK arrived: queue the FIN
 			// behind it and let the flush on establishment send both.
 			c.set(finQueued)
@@ -269,7 +271,7 @@ func (c *Conn) trySend() {
 		return
 	}
 	inFlight := c.sndNxt - c.sndUna
-	avail := uint32(len(c.sndBuf)) - inFlight
+	avail := c.sndEnd - c.sndOff - inFlight
 	window := uint32(c.sndWnd)
 	sent := false
 	for avail > 0 && inFlight < window {
@@ -280,8 +282,8 @@ func (c *Conn) trySend() {
 		if inFlight+n > window {
 			n = window - inFlight
 		}
-		off := inFlight
-		seg := c.sndBuf[off : off+n]
+		off := c.sndOff + inFlight
+		seg := c.sndBase[off : off+n]
 		c.sendSegment(netstack.FlagACK|netstack.FlagPSH, c.sndNxt, c.rcvNxt, seg)
 		c.sndNxt += n
 		inFlight += n
@@ -532,10 +534,10 @@ func (c *Conn) handleSegment(t *netstack.TCP, payload []byte) {
 		if c.is(finSent) && t.Ack == c.sndNxt {
 			dataAcked-- // FIN consumed one sequence number
 		}
-		if int(dataAcked) < len(c.sndBuf) {
-			c.sndBuf = c.sndBuf[dataAcked:]
+		if dataAcked < c.sndEnd-c.sndOff {
+			c.sndOff += dataAcked
 		} else {
-			c.sndBuf = c.sndBase // drained: the next write starts at the base
+			c.sndOff, c.sndEnd = 0, 0 // drained: the next write starts at the base
 		}
 		c.sndUna = t.Ack
 		c.resetRTO()

@@ -128,10 +128,6 @@ func (a *SMTPAnalyzer) serverLines(f *smtpFlow, payload []byte) {
 type ShimAnalyzer struct {
 	// RequestsByVLAN counts containment requests observed per inmate.
 	RequestsByVLAN map[uint16]uint64
-	// Requests retains the decoded shims (capped).
-	Requests []shim.Request
-	// Cap bounds retained shims (0 = keep all).
-	Cap int
 }
 
 // NewShimAnalyzer creates an analyzer; attach Tap to a router tap.
@@ -153,9 +149,6 @@ func (a *ShimAnalyzer) Tap(p *netstack.Packet) {
 		return
 	}
 	a.RequestsByVLAN[req.VLAN]++
-	if a.Cap == 0 || len(a.Requests) < a.Cap {
-		a.Requests = append(a.Requests, req)
-	}
 }
 
 // CBL simulates the Composite Blocking List: third-party infrastructure

@@ -25,13 +25,19 @@ type FlowLog struct {
 
 const firstBytesCap = 256
 
+// maxFlowLogs bounds a catch-all sink's log, which inmates grow: past it
+// the sink still accepts and counts, but counts each refused entry in
+// sink.<host>.flow_log_full instead of logging it.
+const maxFlowLogs = 16384
+
 // CatchAll accepts arbitrary TCP and UDP traffic on every port. It is the
 // simplest sink (the paper's needed "a mere 100 lines"): connections are
 // accepted, payload is swallowed and logged, nothing meaningful comes back.
 type CatchAll struct {
 	h *host.Host
 
-	// Flows logs each connection/datagram source with its first bytes.
+	// Flows logs each connection/datagram source with its first bytes, the
+	// first maxFlowLogs of them.
 	Flows []FlowLog
 	// ByPort counts flows per destination port.
 	ByPort map[uint16]int
@@ -41,6 +47,7 @@ type CatchAll struct {
 	TCPConns, UDPDatagrams uint64
 
 	tcpConns, udpDatagrams *obs.Counter
+	flowLogFull            *obs.Counter // nil until the first refusal
 }
 
 // NewCatchAll installs the catch-all sink on h.
@@ -66,32 +73,41 @@ func (s *CatchAll) install() {
 	h.ListenAny(func(c *host.Conn) {
 		s.TCPConns++
 		s.tcpConns.Inc()
-		src, sport := c.RemoteAddr()
-		entry := &FlowLog{Src: src, SrcPort: sport, Port: c.LocalPort()}
-		s.Flows = append(s.Flows, *entry)
-		idx := len(s.Flows) - 1
 		s.ByPort[c.LocalPort()]++
+		c.OnPeerClose = func() { c.Close() }
+		src, sport := c.RemoteAddr()
+		if !s.roomInLog() {
+			return
+		}
+		idx := len(s.Flows)
+		s.Flows = append(s.Flows, FlowLog{Src: src, SrcPort: sport, Port: c.LocalPort()})
 		c.OnData = func(d []byte) {
-			if len(s.Flows[idx].First) < firstBytesCap {
-				room := firstBytesCap - len(s.Flows[idx].First)
-				if room > len(d) {
-					room = len(d)
-				}
-				s.Flows[idx].First += string(d[:room])
+			if room := firstBytesCap - len(s.Flows[idx].First); room > 0 {
+				s.Flows[idx].First += string(d[:min(room, len(d))])
 			}
 		}
-		c.OnPeerClose = func() { c.Close() }
 	})
 	h.ListenUDPAny(func(dstPort uint16, src netstack.Addr, srcPort uint16, data []byte) {
 		s.UDPDatagrams++
 		s.udpDatagrams.Inc()
-		first := string(data)
-		if len(first) > firstBytesCap {
-			first = first[:firstBytesCap]
-		}
-		s.Flows = append(s.Flows, FlowLog{Src: src, SrcPort: srcPort, Port: dstPort, First: first})
 		s.ByPort[dstPort]++
+		if s.roomInLog() {
+			s.Flows = append(s.Flows, FlowLog{Src: src, SrcPort: srcPort, Port: dstPort, First: string(data[:min(len(data), firstBytesCap)])})
+		}
 	})
+}
+
+// roomInLog reports whether Flows has room for one more entry, and counts
+// a refusal when it has none.
+func (s *CatchAll) roomInLog() bool {
+	if len(s.Flows) < maxFlowLogs {
+		return true
+	}
+	if s.flowLogFull == nil {
+		s.flowLogFull = s.h.Sim().Obs().Reg.Counter("sink." + s.h.Name + ".flow_log_full")
+	}
+	s.flowLogFull.Inc()
+	return false
 }
 
 // FlowsMatching returns logged flows whose first bytes contain substr.

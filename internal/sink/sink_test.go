@@ -72,6 +72,45 @@ func TestCatchAllLogsFirstBytes(t *testing.T) {
 	}
 }
 
+// An inmate flooding the catch-all grows its log to maxFlowLogs and no
+// further: the sink still counts every datagram and connection, and counts
+// each one it did not log in flow_log_full, a series that exists only once
+// the log has refused one.
+func TestCatchAllLogIsBounded(t *testing.T) {
+	s, bot, sinkHost, _ := net3(t, 5)
+	ca := NewCatchAll(sinkHost)
+	sock, _ := bot.ListenUDP(4000, nil)
+	full := "sink." + sinkHost.Name + ".flow_log_full"
+	const flood = maxFlowLogs + 1
+	// The first datagram goes alone: the ones behind it would wait for ARP
+	// in a bounded queue.
+	for sent, batch := 0, 1; sent < flood; batch = 512 {
+		for end := min(sent+batch, flood); sent < end; sent++ {
+			sock.SendTo(sinkHost.Addr(), uint16(1000+sent%4), []byte("datagram "+strconv.Itoa(sent)))
+		}
+		s.RunFor(10 * time.Millisecond)
+		if _, ok := s.Obs().Snapshot().Counters[full]; ok && sent < flood {
+			t.Fatalf("%s registered after %d datagrams, before the log was full", full, sent)
+		}
+	}
+	c := bot.Dial(sinkHost.Addr(), 21)
+	c.OnConnect = func() { c.Write([]byte("USER past the bound\r\n")) }
+	s.RunFor(time.Minute)
+
+	if ca.UDPDatagrams != flood || ca.TCPConns != 1 || ca.ByPort[21] != 1 {
+		t.Fatalf("counted %d datagrams and %d connections, want %d and 1", ca.UDPDatagrams, ca.TCPConns, flood)
+	}
+	if len(ca.Flows) != maxFlowLogs || ca.Flows[maxFlowLogs-1].First != "datagram "+strconv.Itoa(maxFlowLogs-1) {
+		t.Fatalf("log holds %d entries, want the first %d", len(ca.Flows), maxFlowLogs)
+	}
+	if n := s.Obs().Snapshot().Counter(full); n != 2 {
+		t.Fatalf("%s = %d, want 2: one datagram and one connection past the bound", full, n)
+	}
+	if hits := ca.FlowsMatching("past the bound"); len(hits) != 0 {
+		t.Fatalf("a connection past the bound was logged: %+v", hits)
+	}
+}
+
 // mail is a message as a test writes it down.
 type mail struct {
 	from  string
