@@ -125,6 +125,21 @@ func FuzzFlowSegments(f *testing.F) {
 						t.Fatalf("after op %#x: live flow %v:%d (state %v) lost its key %+v", op, fl.initIP, fl.initPort, fl.state, k)
 					}
 				}
+				// A keyActual's sharers are a list of live flows whose
+				// newest is the one the index names.
+				if fl.rare == nil {
+					continue
+				}
+				older, newer := fl.rare.older, fl.rare.newer
+				switch {
+				case fl.state == fsClosed && (older != nil || newer != nil):
+					t.Fatalf("after op %#x: closed flow %v:%d is still on a sharer list", op, fl.initIP, fl.initPort)
+				case older != nil && (older.state == fsClosed || older.rare.newer != fl),
+					newer != nil && (newer.state == fsClosed || newer.rare.older != fl):
+					t.Fatalf("after op %#x: flow %v:%d's sharer links are broken", op, fl.initIP, fl.initPort)
+				case fl.state != fsClosed && older != nil && newer == nil && r.index[fl.keys()[keyActual]] != fl:
+					t.Fatalf("after op %#x: the newest sharer %v:%d does not own its keyActual", op, fl.initIP, fl.initPort)
+				}
 			}
 		}
 		checkIndex(0)
