@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify loc fuzz examples bench-ab chaos soak recycle-soak fleet-soak serve-smoke
+.PHONY: build test vet race verify loc fuzz examples bench-smoke bench-ab chaos soak recycle-soak fleet-soak serve-smoke
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,11 @@ loc:
 examples:
 	./scripts/examples_check.sh
 
+# Every Go benchmark (Benchmark*) run once, so benchmark code that panics or
+# fails does not go unnoticed between the runs that time it.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/...
+
 # Native fuzz targets on a short budget each (go test takes one -fuzz
 # target per package run). A crasher lands in the package's
 # testdata/fuzz/<target>/ — commit it: plain `go test` replays it from
@@ -68,6 +73,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionFraming$$' -fuzztime $(FUZZTIME) ./internal/containment
 	$(GO) test -run '^$$' -fuzz '^FuzzDNSUnmarshal$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/dnsx
 	$(GO) test -run '^$$' -fuzz '^FuzzDHCPUnmarshal$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/dhcp
+	$(GO) test -run '^$$' -fuzz '^FuzzParserFeed$$' -fuzztime $(FUZZTIME) ./internal/httpx
 
 # Chaos soak: the Botfarm demo under the "soak" fault profile (≥5% loss,
 # reorder/dup/corruption, link flaps, a CS crash, verdict stalls, a sink

@@ -3,25 +3,30 @@
 // The hostnet facade turns a simulated host's callback TCP stack into
 // blocking net.Conn / net.Listener / DialContext, so ordinary Go protocol
 // code runs inside the farm unchanged. Here the HTTP sink is a real
-// net/http server (SubfarmConfig.StdlibHTTPSink) and the "specimen" is a
-// real http.Client issuing click-fraud requests from an inmate — the
-// Clickbot policy REFLECTs them into the sink, and the client cannot tell.
+// net/http server, listening on the subfarm's HTTP sink host in place of
+// the farm's callback sink, and the "specimen" is a real http.Client
+// issuing click-fraud requests from an inmate — the Clickbot policy
+// REFLECTs them into the sink, and the client cannot tell.
 //
 // Because the stdlib spawns its own goroutines, the simulation is driven
-// with Pump instead of Run: alien goroutines inject their operations into
-// the event loop and virtual time advances only when the farm has work.
-// See DESIGN.md §3e for the two facade disciplines.
+// with Pump instead of Run (and cannot be sharded): alien goroutines
+// inject their operations into the event loop and virtual time advances
+// only when the farm has work. See DESIGN.md §3e for the two facade
+// disciplines.
 package main
 
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"gq"
 	"gq/internal/hostnet"
+	"gq/internal/sim"
 )
 
 func main() {
@@ -33,9 +38,8 @@ func main() {
 			SubfarmConfig: gq.SubfarmConfig{
 				Name:   "clickfarm",
 				VLANLo: 16, VLANHi: 20,
-				GlobalPool:     gq.MustParsePrefix("192.0.2.0/24"),
-				PolicyConfig:   "[VLAN 16-20]\nDecider = Clickbot\n",
-				StdlibHTTPSink: true, // net/http server over the facade
+				GlobalPool:   gq.MustParsePrefix("192.0.2.0/24"),
+				PolicyConfig: "[VLAN 16-20]\nDecider = Clickbot\n",
 			},
 			Inmates: []string{"clicker-0"},
 			OnBoot:  func(*gq.FarmInmate) { booted.Store(true) },
@@ -46,6 +50,25 @@ func main() {
 	}
 	sf := f.Subfarms[0]
 	fi := sf.Inmates[sf.InmateVLANs()[0]]
+
+	// The sink: a plain net/http server takes the HTTP sink host's port 80
+	// over, listening from a proc because the simulator is not running yet.
+	sinkHost := sf.SvcHosts["httpsink"]
+	var ln net.Listener
+	sinkHost.Sim().Go("http-listen", func(*sim.Proc) {
+		sinkHost.Unlisten(80)
+		ln, err = hostnet.New(sinkHost).Listen(80)
+	})
+	if err != nil {
+		panic(err)
+	}
+	var mu sync.Mutex
+	var urls []string
+	go http.Serve(ln, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		urls = append(urls, r.URL.String())
+		mu.Unlock()
+	}))
 
 	// The specimen: a plain http.Client whose DialContext is the inmate
 	// host's facade. Everything below the Transport is stock library code.
@@ -76,9 +99,10 @@ func main() {
 	// Pump until the clicks are done (bounded by a virtual hour).
 	f.Sim.Pump(time.Hour, done.Load)
 
-	sink := sf.HTTPServerSink
-	fmt.Printf("\nstdlib HTTP sink answered %d requests:\n", sink.Hits())
-	for _, u := range sink.URLs() {
+	mu.Lock()
+	defer mu.Unlock()
+	fmt.Printf("\nstdlib HTTP sink answered %d requests:\n", len(urls))
+	for _, u := range urls {
 		fmt.Printf("  %s\n", u)
 	}
 	fmt.Println("\nEvery click got a well-formed 200 — none reached 198.51.100.10.")

@@ -251,13 +251,6 @@ type SubfarmConfig struct {
 	// GMailMX is the probe target for Waledac-class bots.
 	GMailMX netstack.Addr
 
-	// StdlibHTTPSink serves the HTTP sink with an unmodified net/http
-	// server over the hostnet blocking facade instead of the callback
-	// HTTPSink. Its handler goroutines are detached (DESIGN.md §3e), so
-	// the farm must be driven with Simulator.Pump and cannot be sharded;
-	// AddSubfarm rejects the combination.
-	StdlibHTTPSink bool
-
 	// SinkDropProb configures the SMTP sink's probabilistic connection
 	// dropping.
 	SinkDropProb float64
@@ -310,12 +303,9 @@ type Subfarm struct {
 	CatchAll   *sink.CatchAll
 	SMTPSink   *sink.SMTPSink
 	BannerSink *sink.SMTPSink
-	// HTTPSink is the callback click sink; nil when the subfarm was built
-	// with StdlibHTTPSink, in which case HTTPServerSink is set instead.
-	HTTPSink       *sink.HTTPSink
-	HTTPServerSink *sink.HTTPServerSink
-	DHCP           *dhcp.Server
-	DNS            *dnsx.Server
+	HTTPSink   *sink.HTTPSink
+	DHCP       *dhcp.Server
+	DNS        *dnsx.Server
 
 	// sinks lists the supervisable sink servers (sinkTable rows that can be
 	// restarted) with their probe ports and listener rebinds.
@@ -336,7 +326,6 @@ type Subfarm struct {
 	FacadeEcho *FacadeEcho
 
 	SMTPAnalyzer *report.SMTPAnalyzer
-	ShimAnalyzer *report.ShimAnalyzer
 
 	VLANs   *inmate.VLANPool
 	Inmates map[uint16]*FarmInmate

@@ -10,6 +10,7 @@ import (
 	"gq/internal/malware"
 	"gq/internal/netstack"
 	"gq/internal/policy"
+	"gq/internal/report"
 	"gq/internal/shim"
 	"gq/internal/smtpx"
 )
@@ -74,6 +75,8 @@ func buildBotfarm(t *testing.T, seed int64, dropProb float64) (*Farm, *Subfarm) 
 
 func TestBotfarmEndToEnd(t *testing.T) {
 	f, sf := buildBotfarm(t, 42, 0)
+	shims := report.NewShimAnalyzer()
+	sf.Router.AddTap(shims.Tap)
 
 	rustockInmate, err := sf.AddInmate("rustock-0")
 	if err != nil {
@@ -151,7 +154,7 @@ func TestBotfarmEndToEnd(t *testing.T) {
 
 	// The shim analyzer observed containment requests for every inmate.
 	for _, vlan := range []uint16{16, 17, 18} {
-		if sf.ShimAnalyzer.RequestsByVLAN[vlan] == 0 {
+		if shims.RequestsByVLAN[vlan] == 0 {
 			t.Fatalf("no shims observed for VLAN %d", vlan)
 		}
 	}

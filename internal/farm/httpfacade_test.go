@@ -2,7 +2,9 @@ package farm
 
 import (
 	"io"
+	"net"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,27 +13,45 @@ import (
 	"gq/internal/netstack"
 	"gq/internal/obs"
 	"gq/internal/shim"
+	"gq/internal/sim"
 )
 
 // TestStdlibHTTPSinkThroughGateway is the facade's end-to-end acceptance
 // run: an inmate drives an unmodified http.Client over the blocking
 // facade, the gateway consults the Clickbot policy, the flow is REFLECTed
-// to the HTTP sink — itself an unmodified stdlib http.Server — and the
-// inmate reads a well-formed 200 believing it reached the ad network.
+// to the HTTP sink host — where an unmodified stdlib http.Server has taken
+// port 80 over from the callback sink — and the inmate reads a well-formed
+// 200 believing it reached the ad network.
 func TestStdlibHTTPSinkThroughGateway(t *testing.T) {
 	f := New(77)
 	sf, err := f.AddSubfarm(SubfarmConfig{
 		Name:   "Clickfarm",
 		VLANLo: 16, VLANHi: 16,
-		ServiceVLAN:    11,
-		GlobalPool:     netstack.MustParsePrefix("192.0.2.0/24"),
-		InfraPool:      netstack.MustParsePrefix("192.0.9.0/24"),
-		PolicyConfig:   "[VLAN 16-16]\nDecider = Clickbot\n",
-		StdlibHTTPSink: true,
+		ServiceVLAN:  11,
+		GlobalPool:   netstack.MustParsePrefix("192.0.2.0/24"),
+		InfraPool:    netstack.MustParsePrefix("192.0.9.0/24"),
+		PolicyConfig: "[VLAN 16-16]\nDecider = Clickbot\n",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	sinkHost := sf.SvcHosts["httpsink"]
+	var ln net.Listener
+	f.Sim.Go("http-listen", func(*sim.Proc) {
+		sinkHost.Unlisten(80)
+		ln, err = hostnet.New(sinkHost).Listen(80)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var urls []string
+	go http.Serve(ln, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		urls = append(urls, r.URL.String())
+		mu.Unlock()
+	}))
 
 	// Take over the boot sequence: no auto-infection, just signal the
 	// "specimen" (the alien goroutine below) that the OS is up with a
@@ -85,16 +105,11 @@ func TestStdlibHTTPSinkThroughGateway(t *testing.T) {
 		t.Fatalf("sink answered with a body: %q", body)
 	}
 
-	sink := sf.HTTPServerSink
-	if sink == nil {
-		t.Fatal("subfarm built without the stdlib sink")
-	}
-	if sink.Hits() != 1 {
-		t.Fatalf("sink hits %d, want 1", sink.Hits())
-	}
-	if urls := sink.URLs(); len(urls) != 1 || urls[0] != "/click?ad=1" {
+	mu.Lock()
+	if len(urls) != 1 || urls[0] != "/click?ad=1" {
 		t.Fatalf("sink URLs %v", urls)
 	}
+	mu.Unlock()
 
 	// The flow must have been contained by an explicit REFLECT verdict on
 	// port 80 — the click never reached 198.51.100.10.

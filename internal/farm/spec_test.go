@@ -35,14 +35,6 @@ func TestSpecBuildRejects(t *testing.T) {
 			wantErr: []string{"subfarm right", "overlaps subfarm left"},
 		},
 		{
-			name: "StdlibHTTPSink on a sharded layout",
-			spec: Spec{
-				Layout:   Layout{Sharded: true, Workers: 1},
-				Subfarms: []SubfarmSpec{sub("stdlib", 16, 20, func(s *SubfarmSpec) { s.StdlibHTTPSink = true })},
-			},
-			wantErr: []string{"subfarm stdlib", "StdlibHTTPSink"},
-		},
-		{
 			name: "raw-iron rotation with no free VLANs",
 			spec: Spec{Subfarms: []SubfarmSpec{sub("full", 16, 17, func(s *SubfarmSpec) {
 				s.Inmates, s.Iron = []string{"a", "b"}, 1

@@ -1,7 +1,6 @@
 package farm
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -164,9 +163,7 @@ func (f *Farm) AddSubfarm(cfg SubfarmConfig) (*Subfarm, error) {
 		if err != nil {
 			return nil, err
 		}
-		if rebind != nil {
-			sf.sinks = append(sf.sinks, supervisor.Endpoint{ID: row.id, Host: h, Port: row.probe, Rebind: rebind})
-		}
+		sf.sinks = append(sf.sinks, supervisor.Endpoint{ID: row.id, Host: h, Port: row.probe, Rebind: rebind})
 		services[row.service] = policy.AddrPort{Addr: svc(row.off), Port: row.port}
 	}
 	var err error
@@ -245,11 +242,9 @@ func (f *Farm) AddSubfarm(cfg SubfarmConfig) (*Subfarm, error) {
 		srv.SetFallback(policy.Instrument(fallback, f.Sim.Obs().Reg))
 	}
 
-	// Analyzers on the subfarm tap.
+	// The SMTP analyzer on the subfarm tap.
 	sf.SMTPAnalyzer = report.NewSMTPAnalyzer()
-	sf.ShimAnalyzer = report.NewShimAnalyzer()
 	sf.Router.AddTap(sf.SMTPAnalyzer.Tap)
-	sf.Router.AddTap(sf.ShimAnalyzer.Tap)
 
 	f.Subfarms = append(f.Subfarms, sf)
 	return sf, nil
@@ -272,8 +267,7 @@ var sinkTable = []struct {
 }
 
 // startSink starts sinkTable row id on its host and returns the
-// listener-rebind a supervised restart replays — nil for the one sink that
-// cannot be restarted deterministically.
+// listener-rebind a supervised restart replays.
 func (sf *Subfarm) startSink(id string, h *host.Host) (rebind func() error, err error) {
 	cfg := sf.Config
 	smtp := sink.SMTPConfig{Port: 25, DropProb: cfg.SinkDropProb, Strictness: cfg.SinkStrictness}
@@ -289,19 +283,8 @@ func (sf *Subfarm) startSink(id string, h *host.Host) (rebind func() error, err 
 		sf.BannerSink, err = sink.NewSMTPSink(h, smtp)
 		return sf.BannerSink.Rebind, err
 	}
-	if !cfg.StdlibHTTPSink {
-		sf.HTTPSink, err = sink.NewHTTPSink(h, 80)
-		return sf.HTTPSink.Rebind, err
-	}
-	// The stdlib server's goroutines reach the simulator through Inject,
-	// which coordinated domains reject — and a farm that is not pumped would
-	// deadlock on the first request. They are also detached from the sim
-	// clock (DESIGN.md §3e): no rebind.
-	if sf.Farm.Coord != nil {
-		return nil, errors.New("StdlibHTTPSink requires an unsharded, Pump-driven farm")
-	}
-	sf.HTTPServerSink, err = sink.NewHTTPServerSink(h, 80)
-	return nil, err
+	sf.HTTPSink, err = sink.NewHTTPSink(h, 80)
+	return sf.HTTPSink.Rebind, err
 }
 
 // newSvcHost puts one more host on the service VLAN — registered with the

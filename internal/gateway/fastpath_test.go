@@ -22,7 +22,7 @@ func expectPanic(fn func()) (panicked bool) {
 	return
 }
 
-// Regression for the VLAN-overlap check in AddRouter: the old
+// Regression for the VLAN-overlap check in AddRouterIn: the old
 // endpoint-containment test missed a new range that strictly contains an
 // existing one, silently double-homing every inmate VLAN in the gap.
 func TestAddRouterRejectsOverlappingVLANRanges(t *testing.T) {
@@ -37,14 +37,14 @@ func TestAddRouterRejectsOverlappingVLANRanges(t *testing.T) {
 	}
 	for _, c := range overlapping {
 		if !expectPanic(func() {
-			tb.gw.AddRouter(gateway.RouterConfig{Name: "clash", VLANLo: c.lo, VLANHi: c.hi})
+			tb.gw.AddRouterIn(tb.gw.Sim, gateway.RouterConfig{Name: "clash", VLANLo: c.lo, VLANHi: c.hi})
 		}) {
-			t.Errorf("AddRouter accepted VLAN range %d-%d overlapping 10-30", c.lo, c.hi)
+			t.Errorf("AddRouterIn accepted VLAN range %d-%d overlapping 10-30", c.lo, c.hi)
 		}
 	}
 	// A genuinely disjoint range must still be accepted.
 	if expectPanic(func() {
-		tb.gw.AddRouter(gateway.RouterConfig{
+		tb.gw.AddRouterIn(tb.gw.Sim, gateway.RouterConfig{
 			Name:   "disjoint",
 			VLANLo: 31, VLANHi: 39,
 			ServiceVLANs:       []uint16{serviceVLAN},
@@ -58,7 +58,7 @@ func TestAddRouterRejectsOverlappingVLANRanges(t *testing.T) {
 			NonceIP:            nonceIP,
 		})
 	}) {
-		t.Error("AddRouter rejected disjoint VLAN range 31-39")
+		t.Error("AddRouterIn rejected disjoint VLAN range 31-39")
 	}
 }
 

@@ -834,9 +834,6 @@ func (f *Flow) applyDrop(reason string) {
 	f.recordVerdict(uint32(shim.Drop), reason)
 	f.reset(true)
 	f.state = fsDropped
-	if f.r.OnVerdict != nil {
-		f.r.OnVerdict(f.rec)
-	}
 	f.scheduleClose(5 * time.Second)
 }
 
@@ -886,10 +883,6 @@ func (f *Flow) adoptVerdict(resp *shim.Response) {
 		f.actualIP, f.actualPort = f.respIP, f.respPort
 	}
 	f.rec.ActualRespIP, f.rec.ActualRespPort = f.actualIP, f.actualPort
-
-	if f.r.OnVerdict != nil {
-		f.r.OnVerdict(f.rec)
-	}
 }
 
 // applyVerdict enacts the containment server's decision.
@@ -920,7 +913,7 @@ func (f *Flow) applyVerdict(resp *shim.Response, extra []byte) {
 		// Endpoint control: FORWARD, LIMIT, REDIRECT, REFLECT. The gateway
 		// takes over; the CS leg is cut and the actual responder dialled.
 		if v.Has(shim.Limit) {
-			f.bucket = newTokenBucket(LimitRateBytesPerSec, LimitBurstBytes, f.r.sim)
+			f.bucket = newTokenBucket(limitRateBytesPerSec, limitBurstBytes, f.r.sim)
 		}
 		f.state = fsEstablishing
 		f.rstCS()
@@ -989,7 +982,4 @@ func (f *Flow) close(reason string) {
 	e := f.event(obs.EvFlowClosed)
 	e.N, e.Detail = f.rec.BytesOrig+f.rec.BytesResp, reason
 	f.r.sc.Emit(e)
-	if f.r.OnFlowClosed != nil {
-		f.r.OnFlowClosed(f.rec)
-	}
 }

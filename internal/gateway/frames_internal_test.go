@@ -36,13 +36,8 @@ func markAll(b []byte) {
 // domain's list once they have kept a copy, the way a host's receive path
 // does, so a frame the gateway sends on is recycled when it lands.
 func (rig *lifetimeRig) recycleWires() {
-	frames := netsim.FramesOf(rig.s)
-	for _, fp := range []*framePort{rig.trunk, rig.outside} {
-		fp.port.SetReceiver(func(f []byte) {
-			fp.frames = append(fp.frames, append([]byte(nil), f...))
-			frames.Put(f)
-		})
-	}
+	rig.trunk.recycle = netsim.FramesOf(rig.s)
+	rig.outside.recycle = rig.trunk.recycle
 }
 
 // inmateSegment is an initiator segment as it arrives on the trunk.

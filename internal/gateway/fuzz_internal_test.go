@@ -103,8 +103,6 @@ func FuzzFlowSegments(f *testing.F) {
 		}
 		rig := newLifecycleRig(t)
 		r := rig.r
-		closes := map[*FlowRecord]int{}
-		r.OnFlowClosed = func(rec *FlowRecord) { closes[rec]++ }
 		r.learnInmate(lcPeerVLAN, lcPeer, inmateMAC(lcPeerVLAN))
 		flows := map[*Flow]struct{}{} // every flow the index has named
 		for state := 0; state < lcStates; state++ {
@@ -260,9 +258,9 @@ func FuzzFlowSegments(f *testing.F) {
 			t.Errorf("%d flow-index entries left past the sweep horizon", n)
 		}
 		for i, rec := range r.Records() {
-			if !rec.Closed || closes[rec] != 1 {
-				t.Errorf("record %d (%v:%d proto %d, verdict %v %q): closed=%v, closed %d times",
-					i, rec.OrigIP, rec.OrigPort, rec.Proto, rec.Verdict, rec.Annotation, rec.Closed, closes[rec])
+			if !rec.Closed {
+				t.Errorf("record %d (%v:%d proto %d, verdict %v %q) not closed",
+					i, rec.OrigIP, rec.OrigPort, rec.Proto, rec.Verdict, rec.Annotation)
 			}
 		}
 		if got, want := rig.journal.count(obs.EvFlowClosed), len(r.Records()); got != want {

@@ -53,12 +53,6 @@ type Gateway struct {
 	// both directions — the system-wide trace recording point (§5.6).
 	upstreamTaps []func(frame []byte)
 
-	// bridgeTaps observe every unicast-bridged frame (post-retag), so a
-	// trace can capture exactly the frames Bridged counts. Registered at
-	// build time, read-only during a run (routers on other domains read
-	// the slice).
-	bridgeTaps []func(frame []byte)
-
 	// Counters, registered once at construction (see internal/obs).
 	TrunkRx, OutsideRx, Bridged *obs.Counter
 	// GRETx/GRERx count tunnel packets each way.
@@ -98,19 +92,6 @@ func (g *Gateway) Outside() *netsim.Port { return g.outside }
 // AddUpstreamTap registers a tap on the outside interface.
 func (g *Gateway) AddUpstreamTap(t func(frame []byte)) {
 	g.upstreamTaps = append(g.upstreamTaps, t)
-}
-
-// AddBridgeTap registers a tap seeing every unicast frame the gateway
-// bridges between VLANs of the restricted broadcast domain — exactly the
-// frames the gw.bridged_frames counter counts.
-func (g *Gateway) AddBridgeTap(t func(frame []byte)) {
-	g.bridgeTaps = append(g.bridgeTaps, t)
-}
-
-// AddRouter attaches a subfarm router running in the gateway's own
-// simulation domain. VLAN ranges must not overlap with existing routers.
-func (g *Gateway) AddRouter(cfg RouterConfig) *Router {
-	return g.AddRouterIn(g.Sim, cfg)
 }
 
 // AddRouterIn attaches a subfarm router whose datapath runs in simulation

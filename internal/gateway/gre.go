@@ -69,8 +69,8 @@ func (r *Router) greEncapAndSend(t *GRETunnel, p *netstack.Packet) {
 	r.emitOutside(outer)
 }
 
-// noteTunnelUp journals the first packet through a tunnel endpoint. The
-// farm has no tunnel teardown today, so gre.tunnel_down stays reserved.
+// noteTunnelUp journals the first packet through a tunnel endpoint. A
+// tunnel lives for the whole experiment, so nothing journals its end.
 func (r *Router) noteTunnelUp(t *GRETunnel) {
 	if r.greUp[t.LocalAddr] {
 		return

@@ -33,7 +33,7 @@ func greTestbed(t *testing.T) (*testbed, *gateway.GREPeer) {
 		ExtraPool: netstack.MustParsePrefix("203.0.114.0/24"),
 		PoolStart: 16,
 	}
-	tb.router = tb.gw.AddRouter(gateway.RouterConfig{
+	tb.router = tb.gw.AddRouterIn(tb.gw.Sim, gateway.RouterConfig{
 		Name:   "grefarm",
 		VLANLo: 10, VLANHi: 30,
 		ServiceVLANs:    []uint16{serviceVLAN},

@@ -8,6 +8,7 @@ import (
 	"gq/internal/containment"
 	"gq/internal/gateway"
 	"gq/internal/host"
+	"gq/internal/nat"
 	"gq/internal/netsim"
 	"gq/internal/netstack"
 	"gq/internal/shim"
@@ -43,8 +44,9 @@ const (
 	csPort      = 6666
 )
 
-// newTestbed builds the testbed.
-func newTestbed(t *testing.T, seed int64) *testbed {
+// newTestbed builds the testbed; tweak, if given, edits the router's
+// config before it is built.
+func newTestbed(t *testing.T, seed int64, tweak ...func(*gateway.RouterConfig)) *testbed {
 	t.Helper()
 	s := sim.New(seed)
 	tb := &testbed{sim: s}
@@ -54,7 +56,7 @@ func newTestbed(t *testing.T, seed int64) *testbed {
 	netsim.Connect(tb.inSw.AddTrunkPort("uplink"), tb.gw.Trunk(), 0)
 	netsim.Connect(tb.extSw.AddAccessPort("gw", 100), tb.gw.Outside(), 0)
 
-	tb.router = tb.gw.AddRouter(gateway.RouterConfig{
+	cfg := gateway.RouterConfig{
 		Name:   "testfarm",
 		VLANLo: 10, VLANHi: 30,
 		ServiceVLANs:       []uint16{serviceVLAN},
@@ -66,7 +68,11 @@ func newTestbed(t *testing.T, seed int64) *testbed {
 		GlobalPoolStart:    16,
 		ContainmentCluster: []gateway.ContainmentEndpoint{{VLAN: serviceVLAN, IP: csIP, Port: csPort}},
 		NonceIP:            nonceIP,
-	})
+	}
+	for _, fn := range tweak {
+		fn(&cfg)
+	}
+	tb.router = tb.gw.AddRouterIn(tb.gw.Sim, cfg)
 
 	// Containment server host.
 	csHost := tb.addServiceHost(t, "cs", csIP)
@@ -407,8 +413,7 @@ func TestLimitVerdictThrottles(t *testing.T) {
 }
 
 func TestInboundFlowContainment(t *testing.T) {
-	tb := newTestbed(t, 8)
-	tb.router.NAT().SetVLANMode(inmateVLAN, 1 /* nat.ForwardInbound */)
+	tb := newTestbed(t, 8, func(cfg *gateway.RouterConfig) { cfg.InboundMode = nat.ForwardInbound })
 	tb.cs.SetFallback(policyFunc{"StormProxy", func(req *shim.Request) containment.Decision {
 		return containment.Decision{Verdict: shim.Forward, Annotation: "proxy reachability"}
 	}})
@@ -473,7 +478,7 @@ func TestInboundDroppedInHomeUserMode(t *testing.T) {
 
 func TestSafetyFilterCapsConnectionRate(t *testing.T) {
 	tb := newTestbed(t, 10)
-	cfgRouter := tb.gw.AddRouter(gateway.RouterConfig{
+	cfgRouter := tb.gw.AddRouterIn(tb.gw.Sim, gateway.RouterConfig{
 		Name:   "limited",
 		VLANLo: 40, VLANHi: 50,
 		ServiceVLANs:       []uint16{serviceVLAN},

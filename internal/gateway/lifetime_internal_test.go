@@ -49,11 +49,21 @@ func (rig *lifetimeRig) grePeer() *GREPeer {
 type framePort struct {
 	port   *netsim.Port
 	frames [][]byte
+	// recycle, when set, is the list each received frame goes back to once
+	// frames holds a copy of it.
+	recycle *netsim.Frames
 }
 
 func newFramePort(s *sim.Simulator, name string) *framePort {
 	fp := &framePort{}
-	fp.port = netsim.NewPort(s, name, func(f []byte) { fp.frames = append(fp.frames, f) })
+	fp.port = netsim.NewPort(s, name, func(f []byte) {
+		if fp.recycle == nil {
+			fp.frames = append(fp.frames, f)
+			return
+		}
+		fp.frames = append(fp.frames, append([]byte(nil), f...))
+		fp.recycle.Put(f)
+	})
 	return fp
 }
 
@@ -94,7 +104,7 @@ func newLifetimeRig(t *testing.T, tweak ...func(*RouterConfig)) *lifetimeRig {
 	for _, fn := range tweak {
 		fn(&cfg)
 	}
-	r := g.AddRouter(cfg)
+	r := g.AddRouterIn(g.Sim, cfg)
 	rig := &lifetimeRig{s: s, g: g, r: r, trunk: newFramePort(s, "trunk-wire"), outside: newFramePort(s, "outside-wire")}
 	netsim.Connect(rig.trunk.port, g.Trunk(), 0)
 	netsim.Connect(rig.outside.port, g.Outside(), 0)
@@ -268,6 +278,45 @@ func TestARPPendingQueuesAreBounded(t *testing.T) {
 	}
 }
 
+// l2Frame is a unicast datagram on the trunk addressed to dst at L2, so the
+// gateway bridges it (or refuses to) instead of routing it.
+func l2Frame(vlan uint16, src, dst netstack.MAC) []byte {
+	p := &netstack.Packet{
+		Eth:     netstack.Ethernet{Dst: dst, Src: src, VLAN: vlan, EtherType: netstack.EtherTypeIPv4},
+		IP:      &netstack.IPv4{TTL: 64, Src: netstack.MustParseAddr("10.0.0.5"), Dst: netstack.MustParseAddr("10.3.0.1")},
+		UDP:     &netstack.UDP{SrcPort: 7, DstPort: 7},
+		Payload: []byte("bridged"),
+	}
+	return p.Marshal()
+}
+
+// gw.bridged_frames counts exactly the unicast frames the gateway bridges
+// between VLANs: each one it delivers past the trunk, none it refuses.
+func TestBridgedCounterMatchesDelivered(t *testing.T) {
+	rig := newLifetimeRig(t)
+	rig.trunk.port.Send(arpReply(2, rig.r.cfg.ContainmentCluster[0].IP, csMAC))
+	for _, f := range [][]byte{
+		l2Frame(12, inmateMAC(12), csMAC),                    // inmate to service host
+		l2Frame(13, inmateMAC(13), csMAC),                    // a second inmate
+		l2Frame(2, csMAC, inmateMAC(12)),                     // service host to inmate
+		l2Frame(12, inmateMAC(12), inmateMAC(13)),            // inmate to inmate: refused
+		l2Frame(12, inmateMAC(12), netstack.MAC{2, 0, 0x99}), // unknown destination: refused
+		l2Frame(14, inmateMAC(14), inmateMAC(14)),            // own VLAN: refused
+	} {
+		rig.trunk.port.Send(f)
+	}
+	rig.settle()
+	var unicast uint64
+	for _, p := range rig.trunk.take(t) {
+		if !p.Eth.Dst.IsBroadcast() {
+			unicast++
+		}
+	}
+	if got := rig.g.Bridged.Value(); got != unicast || got != 3 {
+		t.Fatalf("gw.bridged_frames = %d, %d unicast frames delivered past the trunk, want 3 of each", got, unicast)
+	}
+}
+
 // An inmate chooses its source MACs, so the bridging table they are learned
 // into is bounded: a spoofer's flood stops growing it at maxLearnedMACs and
 // is counted, a host learned before the flood still bridges (and may move),
@@ -275,26 +324,17 @@ func TestARPPendingQueuesAreBounded(t *testing.T) {
 func TestMACTableIsBounded(t *testing.T) {
 	const flood = 100000
 	rig := newLifetimeRig(t)
-	frame := func(vlan uint16, src, dst netstack.MAC) []byte {
-		p := &netstack.Packet{
-			Eth:     netstack.Ethernet{Dst: dst, Src: src, VLAN: vlan, EtherType: netstack.EtherTypeIPv4},
-			IP:      &netstack.IPv4{TTL: 64, Src: netstack.MustParseAddr("10.0.0.5"), Dst: netstack.MustParseAddr("10.3.0.1")},
-			UDP:     &netstack.UDP{SrcPort: 7, DstPort: 7},
-			Payload: []byte("bridged"),
-		}
-		return p.Marshal()
-	}
 	// Learned beforehand: the containment server on the service VLAN and
 	// two honest inmates.
 	rig.trunk.port.Send(arpReply(2, rig.r.cfg.ContainmentCluster[0].IP, csMAC))
-	rig.trunk.port.Send(frame(12, inmateMAC(12), csMAC))
-	rig.trunk.port.Send(frame(13, inmateMAC(13), csMAC))
+	rig.trunk.port.Send(l2Frame(12, inmateMAC(12), csMAC))
+	rig.trunk.port.Send(l2Frame(13, inmateMAC(13), csMAC))
 	rig.settle()
 	rig.trunk.take(t)
 
 	for i := 0; i < flood; i++ {
 		spoofed := netstack.MAC{2, 0xbd, byte(i >> 24), byte(i >> 16), byte(i >> 8), byte(i)}
-		rig.trunk.port.Send(frame(12, spoofed, netstack.MAC{2, 0, 0, 0, 0, 0x99}))
+		rig.trunk.port.Send(l2Frame(12, spoofed, netstack.MAC{2, 0, 0, 0, 0, 0x99}))
 	}
 	rig.settle()
 	if n := len(rig.r.macTable); n > maxLearnedMACs {
@@ -306,8 +346,8 @@ func TestMACTableIsBounded(t *testing.T) {
 	rig.trunk.take(t)
 
 	// The table is full: known hosts still bridge, and relearn when they move.
-	rig.trunk.port.Send(frame(12, inmateMAC(12), csMAC))
-	rig.trunk.port.Send(frame(14, inmateMAC(13), csMAC))
+	rig.trunk.port.Send(l2Frame(12, inmateMAC(12), csMAC))
+	rig.trunk.port.Send(l2Frame(14, inmateMAC(13), csMAC))
 	rig.settle()
 	got := rig.trunk.take(t)
 	if len(got) != 2 || got[0].Eth.VLAN != 2 || got[1].Eth.VLAN != 2 || got[0].Eth.Dst != csMAC {
@@ -317,7 +357,7 @@ func TestMACTableIsBounded(t *testing.T) {
 		t.Errorf("known MAC relearned on VLAN %d after moving to 14", vlan)
 	}
 	// Inmate to inmate, both known: dropped — they meet only through a verdict.
-	rig.trunk.port.Send(frame(12, inmateMAC(12), inmateMAC(13)))
+	rig.trunk.port.Send(l2Frame(12, inmateMAC(12), inmateMAC(13)))
 	rig.settle()
 	if got := rig.trunk.take(t); len(got) != 0 {
 		t.Errorf("inmate-to-inmate unicast was bridged: %v", got)
@@ -606,10 +646,9 @@ func TestSplicedAckRelayedInPlace(t *testing.T) {
 
 	// Cost: the relay itself — outside receive to trunk transmit — allocates
 	// nothing for an ordinary ACK or data segment.
-	rig = newSpliceRig(t)
-	delivered := 0
-	rig.g.trunk.Peer().SetReceiver(func([]byte) { delivered++ })
 	const runs = 50
+	rig = newSpliceRig(t)
+	rig.trunk.frames = make([][]byte, 0, 2*(runs+1)) // room for every delivery: keeping one allocates nothing
 	frames := make([][]byte, 0, 2*(runs+1))
 	for i := 0; i <= runs; i++ {
 		frames = append(frames,
@@ -627,7 +666,7 @@ func TestSplicedAckRelayedInPlace(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("relaying an ACK and a 1 KiB segment cost %v allocations, want 0", allocs)
 	}
-	if delivered != 2*(runs+1) {
+	if delivered := len(rig.trunk.frames); delivered != 2*(runs+1) {
 		t.Errorf("%d frames reached the initiator's side, want %d", delivered, 2*(runs+1))
 	}
 }

@@ -235,10 +235,6 @@ type Router struct {
 
 	// Records of all flows, for reporting.
 	records []*FlowRecord
-	// OnVerdict fires when a flow receives its containment verdict.
-	OnVerdict func(rec *FlowRecord)
-	// OnFlowClosed fires when a flow record is finalised.
-	OnFlowClosed func(rec *FlowRecord)
 
 	// Taps observe packets traversing this subfarm (inmate-side, i.e. with
 	// unroutable internal addresses, per §5.6).
@@ -525,8 +521,10 @@ func (r *Router) bridge(p *netstack.Packet) {
 	if srcInmate && dstInmate {
 		return
 	}
+	// p arrived tagged on the trunk, so its frame always retags: every
+	// frame counted is a frame sent.
 	r.gw.Bridged.Inc()
-	r.emitTrunkTapped(p, dstVLAN, r.gw.bridgeTaps)
+	r.emitTrunk(p, dstVLAN)
 }
 
 // emitTrunk retags a packet and transmits it on the trunk. The packet is
@@ -534,19 +532,9 @@ func (r *Router) bridge(p *netstack.Packet) {
 // retagged there, so flood loops reuse one buffer instead of cloning and
 // re-marshalling per target VLAN.
 func (r *Router) emitTrunk(p *netstack.Packet, vlan uint16) {
-	r.emitTrunkTapped(p, vlan, nil)
-}
-
-// emitTrunkTapped is emitTrunk plus an optional tap list observing the
-// retagged frame exactly as transmitted. A bridged packet arrived tagged on
-// the trunk, so its frame always retags in place.
-func (r *Router) emitTrunkTapped(p *netstack.Packet, vlan uint16, taps []func(frame []byte)) {
 	r.scratch = p.AppendWire(r.scratch[:0])
 	if !netstack.RetagVLAN(r.scratch, vlan) {
 		return
-	}
-	for _, t := range taps {
-		t(r.scratch)
 	}
 	r.TrunkPort().Send(r.scratch) // Send copies; scratch stays ours
 }

@@ -8,13 +8,11 @@ import (
 	"gq/internal/sim"
 )
 
-// LIMIT verdict throttling parameters.
-var (
-	// LimitRateBytesPerSec is the sustained payload rate allowed through a
-	// rate-limited flow.
-	LimitRateBytesPerSec = 16 * 1024
-	// LimitBurstBytes is the token-bucket burst size.
-	LimitBurstBytes = 32 * 1024
+// LIMIT verdict throttling: a rate-limited flow's sustained payload rate
+// and its token-bucket burst.
+const (
+	limitRateBytesPerSec = 16 * 1024
+	limitBurstBytes      = 32 * 1024
 )
 
 // route describes where a flow's actual responder lives and how packets to

@@ -12,7 +12,7 @@ func newSweepRig(t *testing.T) (*sim.Simulator, *Router) {
 	t.Helper()
 	s := sim.New(1)
 	g := New(s)
-	r := g.AddRouter(RouterConfig{
+	r := g.AddRouterIn(g.Sim, RouterConfig{
 		Name:   "sweeprig",
 		VLANLo: 10, VLANHi: 20,
 		ServiceVLANs:       []uint16{2},

@@ -100,7 +100,7 @@ func (f *Flow) applyVerdictUDP(resp *shim.Response) {
 		}
 	default:
 		if v.Has(shim.Limit) {
-			f.bucket = newTokenBucket(LimitRateBytesPerSec, LimitBurstBytes, f.r.sim)
+			f.bucket = newTokenBucket(limitRateBytesPerSec, limitBurstBytes, f.r.sim)
 		}
 		f.state = fsSplice
 		for _, d := range queue {

@@ -7,6 +7,7 @@
 package httpx
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -117,6 +118,17 @@ func canonical(k string) string {
 	return strings.Join(parts, "-")
 }
 
+// The parser holds at most a header section of maxHeadBytes, or a body of
+// maxBodyBytes, while it waits for a message to complete: the peer chooses
+// both, and a stream past either is refused. maxBodyBytes admits any
+// specimen the auto-infection server hands out.
+const (
+	maxHeadBytes = 64 << 10
+	maxBodyBytes = 8 << 20
+)
+
+var headTerm = []byte("\r\n\r\n")
+
 // Parser incrementally consumes a byte stream and emits complete messages.
 // Set OnRequest or OnResponse depending on direction.
 type Parser struct {
@@ -125,8 +137,14 @@ type Parser struct {
 	// OnError fires when the stream is unparseable; the parser stops.
 	OnError func(error)
 
-	buf    []byte
-	broken bool
+	buf []byte
+	// scanned is how much of buf the search for the end of a header section
+	// has covered. Once the section is parsed and dropped from buf, its
+	// message waits in req or resp for the first need bytes of buf.
+	scanned, need int
+	req           *Request
+	resp          *Response
+	broken        bool
 }
 
 // Feed appends stream bytes and emits any complete messages.
@@ -135,31 +153,60 @@ func (p *Parser) Feed(data []byte) {
 		return
 	}
 	p.buf = append(p.buf, data...)
-	for {
-		if !p.tryParse() {
-			return
-		}
+	for p.tryParse() {
 	}
 }
 
 func (p *Parser) fail(err error) bool {
 	p.broken = true
+	p.buf = nil
 	if p.OnError != nil {
 		p.OnError(err)
 	}
 	return false
 }
 
+// tryParse emits the buffered message if it is complete. Each call looks
+// only at bytes no earlier call has: the end of the header section is
+// searched for from where the last search stopped, and a parsed head waits
+// for its body without being read again.
 func (p *Parser) tryParse() bool {
-	headEnd := strings.Index(string(p.buf), "\r\n\r\n")
-	if headEnd < 0 {
-		if len(p.buf) > 64<<10 {
-			return p.fail(fmt.Errorf("httpx: header section too large"))
+	if p.req == nil && p.resp == nil {
+		i := bytes.Index(p.buf[p.scanned:], headTerm)
+		if i < 0 {
+			if len(p.buf) > maxHeadBytes {
+				return p.fail(fmt.Errorf("httpx: header section too large"))
+			}
+			p.scanned = max(0, len(p.buf)-len(headTerm)+1)
+			return false
 		}
+		if !p.parseHead(p.scanned + i) {
+			return false
+		}
+	}
+	if len(p.buf) < p.need {
 		return false
 	}
-	head := string(p.buf[:headEnd])
-	lines := strings.Split(head, "\r\n")
+	body := append([]byte(nil), p.buf[:p.need]...)
+	p.buf, p.scanned = p.buf[p.need:], 0
+	if req, resp := p.req, p.resp; resp != nil {
+		p.resp, resp.Body = nil, body
+		if p.OnResponse != nil {
+			p.OnResponse(resp)
+		}
+	} else {
+		p.req, req.Body = nil, body
+		if p.OnRequest != nil {
+			p.OnRequest(req)
+		}
+	}
+	return true
+}
+
+// parseHead parses the header section buf[:headEnd] into p.req or p.resp,
+// drops it from buf and sets the body length.
+func (p *Parser) parseHead(headEnd int) bool {
+	lines := strings.Split(string(p.buf[:headEnd]), "\r\n")
 	headers := make(map[string]string)
 	for _, line := range lines[1:] {
 		colon := strings.IndexByte(line, ':')
@@ -168,21 +215,17 @@ func (p *Parser) tryParse() bool {
 		}
 		headers[strings.ToLower(strings.TrimSpace(line[:colon]))] = strings.TrimSpace(line[colon+1:])
 	}
-	bodyLen := 0
+	p.need = 0
 	if cl, ok := headers["content-length"]; ok {
 		n, err := strconv.Atoi(cl)
 		if err != nil || n < 0 {
 			return p.fail(fmt.Errorf("httpx: bad Content-Length %q", cl))
 		}
-		bodyLen = n
+		if n > maxBodyBytes {
+			return p.fail(fmt.Errorf("httpx: Content-Length %d over the %d-byte limit", n, maxBodyBytes))
+		}
+		p.need = n
 	}
-	total := headEnd + 4 + bodyLen
-	if len(p.buf) < total {
-		return false
-	}
-	body := append([]byte(nil), p.buf[headEnd+4:total]...)
-	p.buf = p.buf[total:]
-
 	first := strings.Fields(lines[0])
 	if len(first) < 3 {
 		return p.fail(fmt.Errorf("httpx: malformed start line %q", lines[0]))
@@ -192,21 +235,10 @@ func (p *Parser) tryParse() bool {
 		if err != nil {
 			return p.fail(fmt.Errorf("httpx: bad status %q", first[1]))
 		}
-		resp := &Response{
-			Status: status, Reason: strings.Join(first[2:], " "),
-			Headers: headers, Body: body,
-		}
-		if p.OnResponse != nil {
-			p.OnResponse(resp)
-		}
+		p.resp = &Response{Status: status, Reason: strings.Join(first[2:], " "), Headers: headers}
 	} else {
-		req := &Request{
-			Method: first[0], Path: first[1], Proto: first[2],
-			Headers: headers, Body: body,
-		}
-		if p.OnRequest != nil {
-			p.OnRequest(req)
-		}
+		p.req = &Request{Method: first[0], Path: first[1], Proto: first[2], Headers: headers}
 	}
+	p.buf = p.buf[headEnd+len(headTerm):]
 	return true
 }

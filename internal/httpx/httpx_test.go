@@ -2,6 +2,8 @@ package httpx
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -81,6 +83,90 @@ func TestParserBadContentLength(t *testing.T) {
 	if gotErr == nil {
 		t.Fatal("bad content-length accepted")
 	}
+}
+
+// A peer-declared Content-Length past maxBodyBytes is refused when the
+// head arrives: the parser fails and buffers none of the body that follows.
+func TestParserRefusesOversizedBody(t *testing.T) {
+	var gotErr error
+	p := &Parser{OnError: func(err error) { gotErr = err }}
+	p.Feed([]byte("POST /upload HTTP/1.1\r\nContent-Length: 1000000000\r\n\r\n"))
+	seg := bytes.Repeat([]byte("x"), 1400)
+	for i := 0; i < 100; i++ {
+		p.Feed(seg)
+	}
+	if gotErr == nil {
+		t.Fatal("a 1 GB Content-Length was accepted")
+	}
+	if len(p.buf) != 0 {
+		t.Fatalf("%d bytes buffered after the refusal", len(p.buf))
+	}
+}
+
+// While a message is incomplete, a Feed looks only at the bytes it brings:
+// into a buffer with room, neither the header search nor the wait for the
+// body allocates, so neither copies or re-parses what is already held.
+func TestParserFeedIsAllocFreeWhileWaiting(t *testing.T) {
+	seg := bytes.Repeat([]byte("x"), 1400)
+	p := &Parser{}
+	p.Feed([]byte("POST /c2 HTTP/1.1\r\nX-Pad: "))
+	p.buf = slices.Grow(p.buf, 200*len(seg))
+	if n := testing.AllocsPerRun(40, func() { p.Feed(seg) }); n != 0 {
+		t.Errorf("%v allocations per header segment", n)
+	}
+
+	p = &Parser{}
+	p.Feed([]byte("POST /c2 HTTP/1.1\r\nContent-Length: 1000000\r\n\r\n"))
+	p.buf = slices.Grow(p.buf, 200*len(seg))
+	if n := testing.AllocsPerRun(100, func() { p.Feed(seg) }); n != 0 {
+		t.Errorf("%v allocations per body segment", n)
+	}
+}
+
+// FuzzParserFeed feeds one stream to a parser whole and to another in the
+// segment sizes cuts names. Neither may panic, both must emit the same
+// messages and error, and the split parser never holds more than one
+// message's cap plus the segment it was just fed.
+func FuzzParserFeed(f *testing.F) {
+	for _, stream := range [][]byte{
+		NewRequest("GET", "/bot.exe", "192.150.187.12", nil).Marshal(),
+		NewResponse(404, []byte("gone")).Marshal(),
+		NewRequest("POST", "/c2", "cc.example.com", []byte("report=1")).Marshal(),
+		append(NewRequest("GET", "/a", "h", nil).Marshal(), NewRequest("GET", "/b", "h", nil).Marshal()...),
+		[]byte("NOT A HEADER LINE\r\nmissing colon\r\n\r\n"),
+		[]byte("GET / HTTP/1.1\r\nContent-Length: banana\r\n\r\n"),
+		[]byte("POST / HTTP/1.1\r\nContent-Length: 1000000000\r\n\r\nxx"),
+	} {
+		f.Add(stream, []byte{0})
+		f.Add(stream, []byte{2, 16, 255})
+	}
+	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
+		record := func(p *Parser) *[]string {
+			var got []string
+			p.OnRequest = func(r *Request) { got = append(got, fmt.Sprintf("request %+v", *r)) }
+			p.OnResponse = func(r *Response) { got = append(got, fmt.Sprintf("response %+v", *r)) }
+			p.OnError = func(err error) { got = append(got, "error "+err.Error()) }
+			return &got
+		}
+		whole, split := &Parser{}, &Parser{}
+		want, got := record(whole), record(split)
+		whole.Feed(stream)
+		for i, rest := 0, stream; len(rest) > 0; i++ {
+			n := 1
+			if len(cuts) > 0 {
+				n += int(cuts[i%len(cuts)])
+			}
+			seg := rest[:min(n, len(rest))]
+			rest = rest[len(seg):]
+			split.Feed(seg)
+			if len(split.buf) > maxHeadBytes+maxBodyBytes+len(seg) {
+				t.Fatalf("%d bytes buffered", len(split.buf))
+			}
+		}
+		if !slices.Equal(*got, *want) {
+			t.Fatalf("split feed emitted\n%q\nwhole feed\n%q", *got, *want)
+		}
+	})
 }
 
 func TestPropertyParserNoPanic(t *testing.T) {

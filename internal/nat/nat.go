@@ -47,7 +47,6 @@ type Table struct {
 	byVLAN     map[uint16]*Binding
 	byInternal map[netstack.Addr]*Binding
 	byGlobal   map[netstack.Addr]*Binding
-	modeByVLAN map[uint16]Mode
 	// gen counts the bindings Release freed (see Gen).
 	gen uint64
 
@@ -64,7 +63,6 @@ func NewTable(pool netstack.Prefix, poolStart int, mode Mode) *Table {
 		byVLAN:     make(map[uint16]*Binding),
 		byInternal: make(map[netstack.Addr]*Binding),
 		byGlobal:   make(map[netstack.Addr]*Binding),
-		modeByVLAN: make(map[uint16]Mode),
 	}
 }
 
@@ -74,17 +72,6 @@ func NewTable(pool netstack.Prefix, poolStart int, mode Mode) *Table {
 // available in other networks").
 func (t *Table) AddPool(pool netstack.Prefix, start int) {
 	t.pools = append(t.pools, globalPool{prefix: pool, next: start})
-}
-
-// SetVLANMode overrides the inbound mode for one inmate, e.g. making only
-// the Storm proxies reachable.
-func (t *Table) SetVLANMode(vlan uint16, m Mode) { t.modeByVLAN[vlan] = m }
-
-func (t *Table) inboundMode(vlan uint16) Mode {
-	if m, ok := t.modeByVLAN[vlan]; ok {
-		return m
-	}
-	return t.mode
 }
 
 // Learn records (or refreshes) the binding for an inmate's internal address,
@@ -178,7 +165,7 @@ func (t *Table) Outbound(p *netstack.Packet) bool {
 // (unknown global address, or home-user mode).
 func (t *Table) Inbound(p *netstack.Packet) *Binding {
 	b, ok := t.byGlobal[p.IP.Dst]
-	if !ok || t.inboundMode(b.VLAN) != ForwardInbound {
+	if !ok || t.mode != ForwardInbound {
 		t.DroppedIn++
 		return nil
 	}

@@ -92,17 +92,6 @@ func TestInboundForwardMode(t *testing.T) {
 	}
 }
 
-func TestPerVLANModeOverride(t *testing.T) {
-	// Farm default home-user; Storm proxy on VLAN 9 must be reachable.
-	tb := table(DropInbound)
-	tb.Learn(9, netstack.MustParseAddr("10.0.0.30"), netstack.MAC{})
-	tb.SetVLANMode(9, ForwardInbound)
-	p := outPkt(0, netstack.MustParseAddr("203.0.113.5"), netstack.MustParseAddr("192.0.2.16"))
-	if tb.Inbound(p) == nil {
-		t.Fatal("override not applied")
-	}
-}
-
 func TestInboundUnknownGlobal(t *testing.T) {
 	tb := table(ForwardInbound)
 	p := outPkt(0, 1, netstack.MustParseAddr("192.0.2.200"))

@@ -50,7 +50,7 @@ func TestControlFramesComeFromTheList(t *testing.T) {
 	addr := netstack.MustParseAddr
 	csIP, sinkIP, nonceIP := addr("10.3.0.1"), addr("10.3.1.4"), addr("10.4.0.1")
 	routerIP, serviceRouterIP := addr("10.0.0.1"), addr("10.3.0.254")
-	router := gw.AddRouter(gateway.RouterConfig{
+	router := gw.AddRouterIn(gw.Sim, gateway.RouterConfig{
 		Name:   "testfarm",
 		VLANLo: 10, VLANHi: 30,
 		ServiceVLANs:       []uint16{serviceVLAN},

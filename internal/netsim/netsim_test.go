@@ -247,21 +247,6 @@ func TestSwitchDropsMismatchedTagging(t *testing.T) {
 	_ = sw
 }
 
-func TestSwitchForget(t *testing.T) {
-	s := sim.New(1)
-	sw, hosts := buildSwitch(s, []uint16{10, 20})
-	hosts[0].port.Send(frameTo(netstack.BroadcastMAC, mac(1), 0, "a"))
-	hosts[1].port.Send(frameTo(netstack.BroadcastMAC, mac(2), 0, "b"))
-	s.Run()
-	if sw.FDBSize() != 2 {
-		t.Fatalf("FDB %d", sw.FDBSize())
-	}
-	sw.Forget(10)
-	if sw.FDBSize() != 1 {
-		t.Fatalf("FDB after Forget %d", sw.FDBSize())
-	}
-}
-
 func TestSwitchTap(t *testing.T) {
 	s := sim.New(1)
 	sw, hosts := buildSwitch(s, []uint16{10, 10})

@@ -81,7 +81,8 @@ func TestAccessTagInPlaceMatchesRetag(t *testing.T) {
 		back := append([]byte(nil), got...)
 		back = back[:len(back):len(back)]
 		netstack.SetEthDst(back, mac(1))
-		netstack.SetEthSrc(back, mac(9))
+		src := mac(9)
+		copy(back[6:12], src[:])
 		wantBack := retagRef(back, netstack.NoVLAN)
 		trunk.port.SendOwned(back)
 		s.Run()

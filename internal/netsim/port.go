@@ -65,11 +65,6 @@ type Port struct {
 	head, tail *inflight
 	landing    sim.Timer
 
-	// everRecv records whether a receiver was ever attached. Frames that
-	// arrive before the first SetReceiver are wiring/setup noise (e.g. ARP
-	// broadcast hitting a tap-only port) and are not counted as rx drops.
-	everRecv bool
-
 	// Loss is the probability (0..1) that a transmitted frame is silently
 	// dropped. Used for failure-injection tests; Impair sets it too.
 	Loss float64
@@ -100,7 +95,6 @@ func NewPort(s *sim.Simulator, name string, recv func(frame []byte)) *Port {
 	reg := s.Obs().Reg
 	p := &Port{
 		Name: name, sim: s, wire: wireOf(s), recv: recv, up: true,
-		everRecv:      recv != nil,
 		lossDrops:     reg.Counter("netsim.port_loss_drops"),
 		downDrops:     reg.Counter("netsim.port_down_drops"),
 		rxDrops:       reg.Counter("netsim.port_rx_drops"),
@@ -110,15 +104,6 @@ func NewPort(s *sim.Simulator, name string, recv func(frame []byte)) *Port {
 	}
 	p.landing.Init(s, p.land)
 	return p
-}
-
-// SetReceiver replaces the receive callback, e.g. when a host NIC is
-// re-bound after an inmate revert.
-func (p *Port) SetReceiver(recv func(frame []byte)) {
-	p.recv = recv
-	if recv != nil {
-		p.everRecv = true
-	}
 }
 
 // Impair installs a fault profile on this port's transmit side. Passing the
@@ -371,10 +356,7 @@ func (p *Port) receive(buf []byte) {
 		return
 	}
 	if p.recv == nil {
-		if p.everRecv {
-			p.rxDrops.Inc()
-		}
-		return
+		return // a send-only port: frames reaching it are not drops
 	}
 	p.RxFrames++
 	p.RxBytes += uint64(len(buf))

@@ -63,9 +63,9 @@ type Switch struct {
 	ports  []*swPort
 	taps   []Tap
 
-	// fdb maps each learned station to its port; learn and Forget are its
-	// only writers, and each advances gen, which voids every port's memo. gen
-	// starts at 1, so a port's zero memo is never taken for one.
+	// fdb maps each learned station to its port; learn is its only writer,
+	// and advances gen, which voids every port's memo. gen starts at 1, so a
+	// port's zero memo is never taken for one.
 	fdb     map[fdbKey]*swPort
 	gen     uint64
 	fdbFull *obs.Counter // nil until the first refusal
@@ -114,17 +114,6 @@ func (sw *Switch) AddTap(t Tap) { sw.taps = append(sw.taps, t) }
 
 // FDBSize reports the number of learned (VLAN, MAC) entries.
 func (sw *Switch) FDBSize() int { return len(sw.fdb) }
-
-// Forget flushes learned entries for a VLAN, e.g. when an inmate is
-// reverted and its NIC re-appears with fresh state.
-func (sw *Switch) Forget(vlan uint16) {
-	for k := range sw.fdb {
-		if k.vlan == vlan {
-			delete(sw.fdb, k)
-		}
-	}
-	sw.gen++
-}
 
 // learn records that the station key sends from port in. Nearly every frame
 // comes from where its source is already known to live, so the port's memo

@@ -88,15 +88,6 @@ func SetEthDst(frame []byte, mac MAC) bool {
 	return true
 }
 
-// SetEthSrc rewrites the source MAC in place.
-func SetEthSrc(frame []byte, mac MAC) bool {
-	if len(frame) < ethHeaderLen {
-		return false
-	}
-	copy(frame[6:12], mac[:])
-	return true
-}
-
 // ipLayout locates the IPv4 header of a frame. ok is false for non-IPv4 or
 // truncated frames.
 func ipLayout(frame []byte) (l3, ihl int, ok bool) {
@@ -181,19 +172,6 @@ func BumpTCPSeq(frame []byte, delta uint32) bool {
 	}
 	old := binary.BigEndian.Uint32(seg[4:8])
 	binary.BigEndian.PutUint32(seg[4:8], old+delta)
-	csumApply(seg[16:18], csumDelta32(old, old+delta))
-	return true
-}
-
-// BumpTCPAck adds delta to the TCP acknowledgement number in place with
-// checksum fixup.
-func BumpTCPAck(frame []byte, delta uint32) bool {
-	seg := tcpSeg(frame)
-	if seg == nil {
-		return false
-	}
-	old := binary.BigEndian.Uint32(seg[8:12])
-	binary.BigEndian.PutUint32(seg[8:12], old+delta)
 	csumApply(seg[16:18], csumDelta32(old, old+delta))
 	return true
 }

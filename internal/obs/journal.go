@@ -26,10 +26,6 @@ const (
 	// Distinct from EvFlowVerdict — no verdict crossed the wire.
 	EvFlowFailClosed = "flow.failclosed"
 	EvGRETunnelUp    = "gre.tunnel_up" // first packet through a GRE tunnel endpoint
-	// EvGRETunnelDown is reserved: tunnels currently live for the whole
-	// experiment, so nothing emits it yet, but consumers should treat it
-	// as part of the vocabulary.
-	EvGRETunnelDown = "gre.tunnel_down"
 	// EvInmatePrefix prefixes inmate lifecycle actions driven by triggers
 	// or the operator: "inmate.revert", "inmate.reboot", "inmate.terminate".
 	EvInmatePrefix = "inmate."
@@ -115,8 +111,7 @@ const DefaultRingSize = 256
 
 // DefaultMaxDumps bounds the dumps a Journal retains so a trigger storm —
 // or an indefinite served soak — cannot grow memory without bound. The
-// newest dumps are kept; evictions are counted (EvictedDumps). Tune with
-// SetMaxDumps.
+// newest dumps are kept; evictions are counted (EvictedDumps).
 const DefaultMaxDumps = 32
 
 // Journal owns the farm's event scopes. Emission is single-threaded per
@@ -143,9 +138,7 @@ type Journal struct {
 	scopes      map[string][]*Scope // per name: one ring per stream that asked, shard order
 	order       []string
 	dumps       []*Dump
-	maxDumps    int
 	evicted     uint64
-	onDump      func(*Dump)
 	verdictName func(uint32) string
 
 	// Emitted counts events written to the journal (all scopes). In
@@ -159,7 +152,7 @@ func NewJournal(clock func() time.Duration) *Journal {
 	if clock == nil {
 		clock = func() time.Duration { return 0 }
 	}
-	j := &Journal{clock: clock, scopes: make(map[string][]*Scope), maxDumps: DefaultMaxDumps}
+	j := &Journal{clock: clock, scopes: make(map[string][]*Scope)}
 	// Stream 0 is the root domain's: scopes created via Journal.Scope
 	// bind to it and stamp with the journal's own clock.
 	j.streams = []*Stream{{j: j, shard: 0, clock: clock}}
@@ -272,15 +265,6 @@ func (j *Journal) SetVerdictNamer(fn func(uint32) string) {
 	j.mu.Unlock()
 }
 
-// SetOnDump installs a callback invoked each time a flight-recorder dump is
-// taken (trigger fired, verify failed). The callback runs on the dumping
-// goroutine — typically the simulator loop — so it must not block.
-func (j *Journal) SetOnDump(fn func(*Dump)) {
-	j.mu.Lock()
-	j.onDump = fn
-	j.mu.Unlock()
-}
-
 // Scope returns the named scope on the root stream, creating it with the
 // given ring depth on first use (DefaultRingSize if ring <= 0). Idempotent:
 // later calls ignore ring and return the existing scope. Domain-local
@@ -359,22 +343,6 @@ func (j *Journal) Dumps() []*Dump {
 	return append([]*Dump(nil), j.dumps...)
 }
 
-// SetMaxDumps bounds the retained flight-recorder dumps (keep newest n;
-// n <= 0 restores DefaultMaxDumps). A long-lived served soak keeps its
-// telemetry memory bounded however many dumps fire.
-func (j *Journal) SetMaxDumps(n int) {
-	if n <= 0 {
-		n = DefaultMaxDumps
-	}
-	j.mu.Lock()
-	j.maxDumps = n
-	if excess := len(j.dumps) - n; excess > 0 {
-		j.dumps = append([]*Dump(nil), j.dumps[excess:]...)
-		j.evicted += uint64(excess)
-	}
-	j.mu.Unlock()
-}
-
 // EvictedDumps reports how many retained dumps the cap has evicted since
 // the journal was created. Safe from any goroutine.
 func (j *Journal) EvictedDumps() uint64 {
@@ -386,15 +354,11 @@ func (j *Journal) EvictedDumps() uint64 {
 func (j *Journal) retain(d *Dump) {
 	j.mu.Lock()
 	j.dumps = append(j.dumps, d)
-	if excess := len(j.dumps) - j.maxDumps; excess > 0 {
+	if excess := len(j.dumps) - DefaultMaxDumps; excess > 0 {
 		j.dumps = j.dumps[excess:]
 		j.evicted += uint64(excess)
 	}
-	fn := j.onDump
 	j.mu.Unlock()
-	if fn != nil {
-		fn(d)
-	}
 }
 
 // Scope is one flight-recorder ring plus an emission point. All emission

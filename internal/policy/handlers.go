@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"bytes"
 	"crypto/md5"
 	"encoding/hex"
 	"fmt"
@@ -67,10 +68,17 @@ func (h *AutoinfectHandler) OnServerClose(s *containment.Session) {}
 // stripped before reaching the inmate, while harmless directives (spam
 // templates, target lists) pass so the specimen keeps operating.
 type CCFilterHandler struct {
-	respBuf []byte
+	// respBuf holds the C&C's unterminated last line, up to
+	// maxDirectiveLine; skipping drops the rest of a longer one, whole.
+	respBuf  []byte
+	skipping bool
 	// Dropped counts stripped directives; Passed counts forwarded ones.
 	Dropped, Passed int
 }
+
+// maxDirectiveLine bounds the C&C line the filter holds for inspection; a
+// directive is a verb and an argument or two.
+const maxDirectiveLine = 4 << 10
 
 // NewCCFilterHandler builds a filter for one decided flow.
 func NewCCFilterHandler() *CCFilterHandler { return &CCFilterHandler{} }
@@ -84,18 +92,32 @@ func (h *CCFilterHandler) OnClientData(s *containment.Session, data []byte) {
 }
 
 // OnServerData implements containment.StreamHandler: C&C->bot is filtered
-// line by line.
+// line by line, and the unterminated rest is held for the next call.
 func (h *CCFilterHandler) OnServerData(s *containment.Session, data []byte) {
-	h.respBuf = append(h.respBuf, data...)
 	var out []byte
-	for {
-		nl := strings.IndexByte(string(h.respBuf), '\n')
+	for len(data) > 0 {
+		nl := bytes.IndexByte(data, '\n')
 		if nl < 0 {
+			if !h.skipping {
+				h.respBuf = append(h.respBuf, data...)
+				if len(h.respBuf) > maxDirectiveLine {
+					h.respBuf, h.skipping = h.respBuf[:0], true
+					h.Dropped++
+				}
+			}
 			break
 		}
-		line := string(h.respBuf[:nl+1])
-		h.respBuf = h.respBuf[nl+1:]
-		if h.forbidden(line) {
+		line := data[:nl+1]
+		data = data[nl+1:]
+		if h.skipping {
+			h.skipping = false
+			continue
+		}
+		if len(h.respBuf) > 0 {
+			line = append(h.respBuf, line...)
+			h.respBuf = line[:0]
+		}
+		if h.forbidden(string(line)) {
 			h.Dropped++
 			continue
 		}

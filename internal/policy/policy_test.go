@@ -1,9 +1,11 @@
 package policy
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"gq/internal/containment"
 	"gq/internal/netstack"
 	"gq/internal/shim"
 )
@@ -314,6 +316,27 @@ func TestCCFilterForbiddenDirectives(t *testing.T) {
 		if h.forbidden(line) {
 			t.Errorf("%q should pass", line)
 		}
+	}
+}
+
+// A C&C line held past maxDirectiveLine is dropped whole and counted,
+// however benign its verb: the filter never holds more than the cap of it,
+// forwards none of it, and passes the next line as usual. The zero Session
+// has no client, so what the filter forwards shows only in Passed.
+func TestCCFilterDropsOverlongLine(t *testing.T) {
+	h := NewCCFilterHandler()
+	s := &containment.Session{}
+	h.OnServerData(s, []byte("TEMPLATE "))
+	seg := bytes.Repeat([]byte("x"), 1400)
+	for i := 0; i < 10; i++ {
+		h.OnServerData(s, seg)
+		if len(h.respBuf) > maxDirectiveLine {
+			t.Fatalf("filter holds %d bytes of one line", len(h.respBuf))
+		}
+	}
+	h.OnServerData(s, []byte("xx\nTARGET a@b.com\n"))
+	if h.Dropped != 1 || h.Passed != 1 || len(h.respBuf) != 0 {
+		t.Fatalf("dropped %d, passed %d, holding %d bytes; want 1, 1, 0", h.Dropped, h.Passed, len(h.respBuf))
 	}
 }
 

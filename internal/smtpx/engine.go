@@ -125,7 +125,6 @@ type Engine struct {
 	// end-of-DATA dot. env is the engine's one Envelope, valid only during
 	// the call: a callback that keeps it copies it.
 	OnMessage func(env *Envelope) *Reply
-	OnQuit    func()
 
 	strictness Strictness
 	write      func(line string)
@@ -337,9 +336,6 @@ func (e *Engine) handleLine(line []byte) {
 
 	case "QUIT":
 		e.write("221 Bye")
-		if e.OnQuit != nil {
-			e.OnQuit()
-		}
 		if e.closeConn != nil {
 			e.closeConn()
 		}

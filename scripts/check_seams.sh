@@ -106,12 +106,12 @@ bad "frame timer posted outside Port.deliver's cross-domain branch in internal/n
 # port and an inmate VLAN's slot remember what they last learned, which holds
 # only while the table under it is unchanged. So each table has one writer,
 # which voids the memos it outdates: the switch's FDB is written and deleted
-# from only in learn and Forget (both advance its generation); the router's
+# from only in learn (which advances its generation); the router's
 # macTable only in learnMAC, inmateVLAN only in learnInmate, vlanARP only in
 # learnVLANARP, and a slot's fields only in learnMAC and learnInmate.
 # shellcheck disable=SC2086
-bad "switch FDB written outside Switch.learn / Forget (the ports' memos would go stale)" \
-	"$(awk 'FNR==1{fn=""} /^func /{fn=$0} /\.fdb(\[[^]]*\])? *=[^=]|(delete|clear)\([^,)]*\.fdb[,)]/ && fn !~ /\) (learn|Forget)\(/ {print FILENAME ":" FNR ": " $0}' $netsim)"
+bad "switch FDB written outside Switch.learn (the ports' memos would go stale)" \
+	"$(awk 'FNR==1{fn=""} /^func /{fn=$0} /\.fdb(\[[^]]*\])? *=[^=]|(delete|clear)\([^,)]*\.fdb[,)]/ && fn !~ /\) learn\(/ {print FILENAME ":" FNR ": " $0}' $netsim)"
 # shellcheck disable=SC2086
 bad "router learning table or slot written outside its learn function (its slot would go stale)" \
 	"$(awk 'BEGIN{own["macTable"]="learnMAC"; own["inmateVLAN"]="learnInmate"; own["vlanARP"]="learnVLANARP"}
