@@ -104,8 +104,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	chaosSpec := fs.String("chaos", "", "fault-injection profile: preset (soak, light, crash) and/or key=value overrides; see internal/chaos")
 	sharded := fs.Bool("sharded", false, "run each subfarm in its own simulation domain and the external hosts in one external domain (deterministic parallel execution)")
 	workers := fs.Int("workers", 0, "with -sharded: worker goroutines driving the domains (0 = GOMAXPROCS)")
-	supervise := fs.Bool("supervise", false, "attach the containment-plane supervisor: heartbeat health, fail-closed failover, supervised restarts, inmate quarantine")
-	treeFlag := fs.Bool("tree", false, "attach the farm-wide supervision tree: per-subfarm supervisors (CS, sinks, controller probes) under a root node with the controller restart ladder, recycler progress watches, external-host watches, and dead-man lockdown escalation (implies -supervise)")
+	treeFlag := fs.Bool("tree", false, "attach the farm-wide supervision tree: per-subfarm supervisors (CS, sinks, controller probes) under a root node with the controller restart ladder, recycler progress watches, external-host watches, and dead-man lockdown escalation")
 	deadmanBudget := fs.Duration("deadman", 0, "with -serve and -tree: wall-clock dead-man budget — if the soak loop itself stalls past it, drive the farm into global fail-closed lockdown")
 	rawIron := fs.Int("rawiron", 0, "raw-iron inmates to add on the recycling pipeline (detonate → capture → reimage → re-admit)")
 	serveAddr := fs.String("serve", "", "serve the live ops plane on this address and soak until SIGTERM")
@@ -166,17 +165,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	botfarm.IronCycle = farm.RecyclerConfig{Capture: true}
 	plan := experiments.Plan{
 		Spec: farm.Spec{
-			Layout:   farm.Layout{Seed: *seed, Sharded: *sharded, Workers: *workers},
-			External: []farm.ExternalHost{farm.Steephost("cc"), {Name: "gmail", Addr: gmailAddr, Serve: serveGMail}},
-			Subfarms: []farm.SubfarmSpec{botfarm},
+			Layout:    farm.Layout{Seed: *seed, Sharded: *sharded, Workers: *workers},
+			External:  []farm.ExternalHost{farm.Steephost("cc"), {Name: "gmail", Addr: gmailAddr, Serve: serveGMail}},
+			Subfarms:  []farm.SubfarmSpec{botfarm},
+			Supervise: *treeFlag,
 		},
 		Drain: *drain,
-	}
-	var supervision string
-	if *treeFlag {
-		plan.Spec.Supervise, supervision = farm.SuperviseTree, "supervision tree attached (root + per-subfarm nodes)"
-	} else if *supervise {
-		plan.Spec.Supervise, supervision = farm.SuperviseSubfarms, "containment-plane supervisor attached"
 	}
 	if *chaosSpec != "" {
 		plan.Faults = []chaos.Profile{chaosProfile}
@@ -216,8 +210,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *rawIron > 0 {
 			fmt.Fprintf(stderr, "gqfarm: %d raw-iron inmates on the recycling pipeline\n", *rawIron)
 		}
-		if supervision != "" {
-			fmt.Fprintln(stderr, "gqfarm:", supervision)
+		if *treeFlag {
+			fmt.Fprintln(stderr, "gqfarm: supervision tree attached (root + per-subfarm nodes)")
 		}
 		if *deadmanBudget > 0 && (*serveAddr == "" || !*treeFlag) {
 			return fmt.Errorf("-deadman needs both -serve and -tree")

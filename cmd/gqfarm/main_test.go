@@ -83,6 +83,16 @@ func TestRetiredShardsFlagRejected(t *testing.T) {
 	}
 }
 
+// TestRetiredSuperviseFlagRejected: supervision has one shape, -tree; the
+// subfarm-only -supervise fails flag parsing.
+func TestRetiredSuperviseFlagRejected(t *testing.T) {
+	var out, errOut bytes.Buffer
+	code := run([]string{"-supervise", "-chaos", "crash"}, &out, &errOut)
+	if code != 2 || !strings.Contains(errOut.String(), "flag provided but not defined: -supervise") {
+		t.Fatalf("exit %d, stderr %s", code, errOut.String())
+	}
+}
+
 // TestBadMetricsFormatRejected: the format is validated before the run so
 // a typo cannot cost an hour of soak.
 func TestBadMetricsFormatRejected(t *testing.T) {

@@ -10,6 +10,8 @@ import (
 	"gq/internal/farm"
 	"gq/internal/netstack"
 	"gq/internal/obs"
+	"gq/internal/rawiron"
+	"gq/internal/supervisor"
 )
 
 // TestParsePresets: every preset parses to itself, with the defaults its
@@ -237,5 +239,65 @@ func TestApplyStopRestoresEverything(t *testing.T) {
 				t.Errorf("restored containment plane is not answering: %s", probe)
 			}
 		})
+	}
+}
+
+// TestSupervisedFaultsRecoverThroughTree: on a tree-supervised subfarm the
+// injector only breaks things. A containment-server crash, a sink crash, a
+// controller hang and a recycler wedge each journal their start and no
+// chaos-owned end, and the tree brings every one of them back long before
+// chaos's own (hour-long) restores would have fired.
+func TestSupervisedFaultsRecoverThroughTree(t *testing.T) {
+	f, sf, log := chaosFarm(t)
+	r, err := sf.StartIronRotation(1, rawiron.Config{ImageSizeMB: 256, TrunkMBps: 16},
+		farm.RecyclerConfig{DetonateFor: 90 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := f.SuperviseTree(supervisor.Config{WedgeBudget: 3 * time.Minute})
+	// The box's second detonation window is 6m40s–8m10s (each reimage
+	// takes 1m50s), so the wedge at 7m cancels a live harvest timer.
+	p, err := Parse("cscrash=2m,csdownfor=1h,sinkcrash=3m,sinkcrashfor=1h,ctlhang=4m,ctlhangfor=1h,recyclerwedge=7m,recyclerwedgefor=1h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := Apply(sf, p)
+	f.Run(20 * time.Minute)
+
+	for _, begin := range []string{EvCSCrash, EvSinkCrash + " smtpsink", EvCtlHang + " begin", EvRecWedge} {
+		if log.n[begin] != 1 {
+			t.Errorf("%d × %q, want the one scheduled fault", log.n[begin], begin)
+		}
+	}
+	for ev := range log.n {
+		for _, end := range []string{EvCSRestart, EvSinkRestore, EvCtlRestore, EvRecRearm} {
+			if strings.HasPrefix(ev, end) {
+				t.Errorf("chaos journalled %q: it recovered a fault the tree owns", ev)
+			}
+		}
+	}
+	if len(inj.restores) != 0 {
+		t.Errorf("%d chaos restores scheduled on a supervised subfarm", len(inj.restores))
+	}
+
+	sup := sf.Supervisor
+	if !sf.CSCluster[0].Host.Alive() || !sup.Healthy(0) {
+		t.Error("crashed containment server not brought back by the tree")
+	}
+	snap := f.Sim.Obs().Snapshot()
+	if g := snap.Gauge(supervisor.HealthGaugeName(supervisor.KindSink, sf.Name, "smtpsink")); g != 1 || !sf.SvcHosts["smtpsink"].Alive() {
+		t.Errorf("crashed sink not brought back by the tree (health gauge %d)", g)
+	}
+	// The subfarm's PING probe reads healthy only on a live PONG.
+	if g := snap.Gauge(supervisor.HealthGaugeName(supervisor.KindController, sf.Name, "controller")); g != 1 || !tree.ControllerHealthy() {
+		t.Errorf("hung controller not repaired by the tree (probe gauge %d): %v", g, tree.ControllerHistory())
+	}
+	if n := snap.Counter("supervisor.root.rearms"); n != 1 {
+		t.Errorf("supervisor.root.rearms = %d, want the one wedge re-armed", n)
+	}
+	mark := r.Progress()
+	f.Run(10 * time.Minute)
+	if r.Progress() <= mark {
+		t.Errorf("recycler progress stuck at %d after the tree re-armed it", mark)
 	}
 }

@@ -288,9 +288,9 @@ func (inj *Injector) hangController() {
 }
 
 // wedgeRecycler cancels every armed timer in the subfarm's recycling
-// pipeline. With a supervision tree the root's progress watch notices the
-// stall past its budget and re-arms the pipeline (journalling the rearm);
-// without one chaos re-arms it RecyclerWedgeFor later.
+// pipeline. On a supervised subfarm the tree root's progress watch notices
+// the stall past its budget and re-arms the pipeline (journalling the
+// rearm); unsupervised, chaos re-arms it RecyclerWedgeFor later.
 func (inj *Injector) wedgeRecycler() {
 	r := inj.sf.Recycler
 	if r == nil {
@@ -298,7 +298,7 @@ func (inj *Injector) wedgeRecycler() {
 	}
 	n := r.Wedge()
 	inj.sc.Emit(obs.Event{Type: EvRecWedge, N: uint64(n)})
-	if inj.sf.Farm.Tree != nil {
+	if inj.sf.Supervisor != nil {
 		return
 	}
 	inj.scheduleRestore(inj.p.RecyclerWedgeFor, func() {

@@ -29,10 +29,9 @@ type ChaosConfig struct {
 	// the single-server Botfarm baseline).
 	ContainmentServers int
 
-	// Supervise attaches the containment-plane supervisor (default config,
-	// DESIGN.md §3f). A supervised run's chaos injector does NOT restore
-	// crashed servers — recovery is the supervisor's job, and the soak
-	// measures it.
+	// Supervise attaches the supervision tree (default config, DESIGN.md
+	// §3f). A supervised run's chaos injector does NOT restore crashed
+	// servers — recovery is the tree's job, and the soak measures it.
 	Supervise bool
 }
 
@@ -90,9 +89,7 @@ func ChaosPlan(cfg ChaosConfig) Plan {
 		Phases: []Phase{Faults, RunFor(chaosWindow), ProbeRound(nil)},
 		Drain:  SoakDrain,
 	}
-	if cfg.Supervise {
-		plan.Spec.Supervise = farm.SuperviseSubfarms
-	}
+	plan.Spec.Supervise = cfg.Supervise
 	return plan
 }
 

@@ -120,7 +120,7 @@ func RunFleetSoak(layout farm.Layout) (*FleetOutcome, error) {
 		Spec: farm.Spec{
 			Layout: layout, Journal: &journal,
 			External:  []farm.ExternalHost{farm.Steephost("steephost")},
-			Supervise: farm.SuperviseTree, Supervisor: fleetSupervision(),
+			Supervise: true, Supervisor: fleetSupervision(),
 		},
 		Phases: []Phase{
 			// Probes against the healthy fleet, then the blackout window.
@@ -151,7 +151,7 @@ func RunFleetSoak(layout farm.Layout) (*FleetOutcome, error) {
 		// rotation's natural inter-mark gap stays well inside the wedge
 		// budget — only the injected wedge can freeze the mark.
 		sf.Iron = p.iron
-		sf.IronPool = rawiron.Config{ImageSizeMB: 256, TrunkMBps: 16, HiddenRestoreMBps: 16}
+		sf.IronPool = rawiron.Config{ImageSizeMB: 256, TrunkMBps: 16}
 		sf.IronCycle = farm.RecyclerConfig{DetonateFor: 90 * time.Second}
 		plan.Spec.Subfarms = append(plan.Spec.Subfarms, sf)
 		prof, err := chaos.Parse(p.profile)

@@ -66,12 +66,10 @@ type Farm struct {
 	Subfarms []*Subfarm
 
 	// Tree is the farm-root supervision node once SuperviseTree has built
-	// the whole tree under it: it watches recycler progress and
-	// external hosts and holds the global dead-man switch. root is
-	// the same node from the first Supervise on (see rootNode): it owns the
-	// controller restart ladder with or without the rest of the tree.
+	// the tree under it: it owns the controller restart ladder, watches
+	// recycler progress and external hosts, and holds the global dead-man
+	// switch.
 	Tree *supervisor.Root
-	root *supervisor.Root
 
 	// extHosts records hosts placed on the flat Internet segment, in
 	// creation order, so SuperviseTree can register aliveness watches over
@@ -316,9 +314,9 @@ type Subfarm struct {
 	// can take individual services down and bring them back.
 	SvcHosts map[string]*host.Host
 
-	// Supervisor, when non-nil (see Supervise), self-heals the containment
-	// plane: heartbeat health tracking, health-aware dispatch, supervised
-	// restarts, inmate quarantine.
+	// Supervisor, when non-nil (the subfarm's node of Farm.SuperviseTree),
+	// self-heals the containment plane: heartbeat health tracking,
+	// health-aware dispatch, supervised restarts, inmate quarantine.
 	Supervisor *supervisor.Supervisor
 
 	// FacadeEcho, when non-nil (see AttachFacadeEcho), is the blocking-

@@ -30,10 +30,9 @@ type Spec struct {
 	External []ExternalHost
 	Subfarms []SubfarmSpec
 
-	// Supervise: nothing, every subfarm's containment-plane supervisor
-	// (Subfarm.Supervise), or the whole tree under the farm root
-	// (Farm.SuperviseTree) — attached last, tuned by Supervisor.
-	Supervise  Supervision
+	// Supervise attaches the supervision tree (Farm.SuperviseTree) last,
+	// tuned by Supervisor.
+	Supervise  bool
 	Supervisor supervisor.Config
 }
 
@@ -46,15 +45,6 @@ type Layout struct {
 	Sharded bool
 	Workers int
 }
-
-// Supervision is Spec's choice of self-healing machinery.
-type Supervision int
-
-const (
-	Unsupervised Supervision = iota
-	SuperviseSubfarms
-	SuperviseTree
-)
 
 // ExternalHost is one machine on the flat Internet segment. Serve installs
 // what it serves; nil leaves a bare endpoint.
@@ -105,7 +95,7 @@ func (sp Spec) Build() (*Farm, error) {
 			}
 		}
 	}
-	if sp.Supervise == SuperviseTree && len(subfarms) == 0 {
+	if sp.Supervise && len(subfarms) == 0 {
 		return nil, errors.New("farm: a supervision tree needs at least one subfarm")
 	}
 
@@ -131,12 +121,7 @@ func (sp Spec) Build() (*Farm, error) {
 			return nil, fmt.Errorf("subfarm %s: %w", s.Name, err)
 		}
 	}
-	switch sp.Supervise {
-	case SuperviseSubfarms:
-		for _, sf := range f.Subfarms {
-			sf.Supervise(sp.Supervisor)
-		}
-	case SuperviseTree:
+	if sp.Supervise {
 		f.SuperviseTree(sp.Supervisor)
 	}
 	return f, nil

@@ -43,7 +43,7 @@ func TestSpecBuildRejects(t *testing.T) {
 		},
 		{
 			name:    "tree supervision with zero subfarms",
-			spec:    Spec{Supervise: SuperviseTree},
+			spec:    Spec{Supervise: true},
 			wantErr: []string{"supervision tree", "subfarm"},
 		},
 		{

@@ -11,56 +11,28 @@ import (
 // at 6-7; containment clusters start at 20).
 const supProbeOff = 8
 
-// Supervise attaches the subfarm's supervision-tree node (DESIGN.md §3f):
-// containment servers heartbeat-probed over the shim channel, sink servers
-// TCP-probed from a service-VLAN prober host, the inmate controller
-// PING-probed over the management network — none of it crosses the router's
-// flow table, so supervision keeps observing inside a lockdown. Controller
-// transitions go to the farm's root node, which owns that restart ladder
-// with or without the rest of the tree. Idempotent; where it belongs in the
-// build order is DESIGN.md §3j.
-func (sf *Subfarm) Supervise(cfg supervisor.Config) *supervisor.Supervisor {
-	if sf.Supervisor != nil {
-		return sf.Supervisor
-	}
-	f := sf.Farm
-	deps := supervisor.Deps{
-		Sim:        sf.Sim,
-		Router:     sf.Router,
-		Name:       sf.Name,
-		Mgmt:       sf.CSMgmt,
-		Controller: f.ControllerHost,
-		Prober:     sf.newSvcHost("supprobe", sf.Config.ServicePrefix.Nth(supProbeOff), sf.Config.AccessLatency),
-		Sinks:      sf.sinks,
-		Root:       f.rootNode(cfg),
-	}
-	for i, srv := range sf.CSCluster {
-		deps.Endpoints = append(deps.Endpoints, supervisor.Endpoint{
-			Host: sf.SvcHosts[csName(i)], Rebind: srv.Rebind,
-		})
-	}
-	sf.Supervisor = supervisor.New(deps, cfg)
-	return sf.Supervisor
-}
-
-// SuperviseTree builds the complete supervision tree (DESIGN.md §3f): a root
-// node on the farm's root domain, every subfarm supervised and attached
-// under it, progress watches over the recyclers and aliveness watches over
-// the external hosts that exist now — which is why it is the last step of
-// the build (DESIGN.md §3j). A subfarm lockdown that persists past
-// DeadManBudget, or a controller that cannot be restarted, escalates to
-// global dead-man lockdown. Idempotent.
+// SuperviseTree builds the supervision tree (DESIGN.md §3f), the farm's one
+// supervised shape: a root node on the farm's root domain that owns the
+// breaker-guarded controller restart ladder and the global dead-man switch,
+// every subfarm supervised and attached under it, progress watches over the
+// recyclers and aliveness watches over the external hosts that exist now —
+// which is why it is the last step of the build (DESIGN.md §3j). A subfarm
+// lockdown that persists past DeadManBudget, or a controller that cannot be
+// restarted, escalates to global dead-man lockdown. Idempotent.
 func (f *Farm) SuperviseTree(cfg supervisor.Config) *supervisor.Root {
 	if f.Tree != nil {
 		return f.Tree
 	}
-	f.Tree = f.rootNode(cfg)
+	f.Tree = supervisor.NewRoot(supervisor.RootDeps{
+		Sim:               f.Sim,
+		ControllerHost:    f.ControllerHost,
+		RestartController: f.ControllerHost.PowerCycler(f.Controller.Rebind),
+	}, cfg)
 	for _, h := range f.extHosts {
 		f.Tree.WatchHost(supervisor.KindShard, h.Name, h)
 	}
 	for _, sf := range f.Subfarms {
-		sup := sf.Supervise(cfg)
-		f.Tree.Attach(sup)
+		f.Tree.Attach(sf.supervise(cfg))
 		if r := sf.Recycler; r != nil {
 			// The read and re-arm closures run on the subfarm's domain
 			// goroutine (the root round-trips via sim.Hop).
@@ -71,19 +43,31 @@ func (f *Farm) SuperviseTree(cfg supervisor.Config) *supervisor.Root {
 	return f.Tree
 }
 
-// rootNode returns the farm-root supervision node, building it on first
-// use. Any supervised subfarm needs it: its controller watch is the one
-// breaker-guarded ladder that restarts the farm-wide inmate controller,
-// however many subfarms report the hang. f.Tree is set only by SuperviseTree.
-func (f *Farm) rootNode(cfg supervisor.Config) *supervisor.Root {
-	if f.root == nil {
-		f.root = supervisor.NewRoot(supervisor.RootDeps{
-			Sim:               f.Sim,
-			ControllerHost:    f.ControllerHost,
-			RestartController: f.ControllerHost.PowerCycler(f.Controller.Rebind),
-		}, cfg)
+// supervise builds the subfarm's node of the tree: containment servers
+// heartbeat-probed over the shim channel, sink servers TCP-probed from a
+// service-VLAN prober host, the inmate controller PING-probed over the
+// management network — none of it crosses the router's flow table, so
+// supervision keeps observing inside a lockdown. Controller transitions go
+// to the tree's root, which owns that restart ladder.
+func (sf *Subfarm) supervise(cfg supervisor.Config) *supervisor.Supervisor {
+	f := sf.Farm
+	deps := supervisor.Deps{
+		Sim:        sf.Sim,
+		Router:     sf.Router,
+		Name:       sf.Name,
+		Mgmt:       sf.CSMgmt,
+		Controller: f.ControllerHost,
+		Prober:     sf.newSvcHost("supprobe", sf.Config.ServicePrefix.Nth(supProbeOff), sf.Config.AccessLatency),
+		Sinks:      sf.sinks,
+		Root:       f.Tree,
 	}
-	return f.root
+	for i, srv := range sf.CSCluster {
+		deps.Endpoints = append(deps.Endpoints, supervisor.Endpoint{
+			Host: sf.SvcHosts[csName(i)], Rebind: srv.Rebind,
+		})
+	}
+	sf.Supervisor = supervisor.New(deps, cfg)
+	return sf.Supervisor
 }
 
 // RebindSink reinstalls the named sink server's listeners on its (reset)

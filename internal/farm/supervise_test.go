@@ -8,14 +8,14 @@ import (
 	"gq/internal/supervisor"
 )
 
-// superviseFarm builds the probe farm under a supervisor at the default
-// cadence (probes every 5 s, a 1 s deadline, K=3, restarts after 5 s plus up
-// to 50 % jitter) with a two-restart circuit breaker.
+// superviseFarm builds the probe farm under the supervision tree at the
+// default cadence (probes every 5 s, a 1 s deadline, K=3, restarts after 5 s
+// plus up to 50 % jitter) with a two-restart circuit breaker.
 func superviseFarm(t *testing.T) (*Farm, *Subfarm, *supervisor.Supervisor) {
 	t.Helper()
 	f, sf := probeFarm(t, "DefaultDeny")
-	sup := sf.Supervise(supervisor.Config{BreakerThreshold: 2})
-	return f, sf, sup
+	f.SuperviseTree(supervisor.Config{BreakerThreshold: 2})
+	return f, sf, sf.Supervisor
 }
 
 // A crashed containment server must be detected by missed heartbeats and
@@ -99,20 +99,16 @@ func TestSupervisorInmateQuarantine(t *testing.T) {
 	}
 }
 
-// A hung controller under Subfarm.Supervise alone — no SuperviseTree — is
-// still repaired, by the same breaker-guarded root ladder the full tree
-// uses: the subfarm's PING probe detects the hang, the farm's root node
-// power-cycles the controller once, and the next PONG is the recovery.
-func TestSupervisorRestartsHungControllerWithoutTree(t *testing.T) {
+// A hung controller is repaired by the tree's breaker-guarded root ladder:
+// the subfarm's PING probe detects the hang, the root power-cycles the
+// controller once, and the next PONG is the recovery.
+func TestSupervisorRestartsHungController(t *testing.T) {
 	f, sf, sup := superviseFarm(t)
 	probeHealthy := func() bool {
 		name := supervisor.HealthGaugeName(supervisor.KindController, sf.Name, "controller")
 		return f.Sim.Obs().Snapshot().Gauge(name) == 1
 	}
 	f.Run(10 * time.Second)
-	if f.Tree != nil {
-		t.Fatal("Supervise alone built the whole tree")
-	}
 	if !probeHealthy() {
 		t.Fatal("controller unhealthy before any fault")
 	}
@@ -120,15 +116,15 @@ func TestSupervisorRestartsHungControllerWithoutTree(t *testing.T) {
 	// The probes of 10 s, 15 s and 20 s go unanswered (K=3): down at the
 	// 21 s deadline, reported to the root, whose first rung is 5–7.5 s.
 	f.Run(12 * time.Second)
-	if probeHealthy() || f.root.ControllerHealthy() {
+	if probeHealthy() || f.Tree.ControllerHealthy() {
 		t.Fatal("hang not detected by the PING probe")
 	}
 	f.Run(30 * time.Second)
-	if !probeHealthy() || !f.root.ControllerHealthy() {
+	if !probeHealthy() || !f.Tree.ControllerHealthy() {
 		t.Fatalf("controller not repaired: subfarm history %v, root %v",
-			sup.HealthHistory()["controller"], f.root.ControllerHistory())
+			sup.HealthHistory()["controller"], f.Tree.ControllerHistory())
 	}
-	hist := f.root.ControllerHistory()
+	hist := f.Tree.ControllerHistory()
 	if len(hist) != 3 || hist[0] != "down@21s" || !strings.HasPrefix(hist[1], "restart@") || !strings.HasPrefix(hist[2], "up@") {
 		t.Fatalf("root controller history %v, want down@21s, one restart, up", hist)
 	}
@@ -136,7 +132,7 @@ func TestSupervisorRestartsHungControllerWithoutTree(t *testing.T) {
 	if got := snap.Counter("supervisor.root.restarts"); got != 1 {
 		t.Fatalf("supervisor.root.restarts = %d, want exactly 1", got)
 	}
-	if sup.LockedDown() || f.root.GlobalLockedDown() {
+	if sup.LockedDown() || f.Tree.GlobalLockedDown() {
 		t.Fatal("a repaired controller hang escalated to lockdown")
 	}
 }

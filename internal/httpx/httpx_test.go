@@ -207,17 +207,36 @@ func webPair(t *testing.T) (*sim.Simulator, *host.Host, *host.Host) {
 	return s, a, b
 }
 
+// serve answers each request on h:port with handler's response, any number
+// of requests per connection (keep-alive); a nil response aborts.
+func serve(t *testing.T, h *host.Host, port uint16, handler func(req *Request) *Response) {
+	t.Helper()
+	err := h.Listen(port, func(c *host.Conn) {
+		p := &Parser{}
+		p.OnRequest = func(req *Request) {
+			if resp := handler(req); resp != nil {
+				c.Write(resp.Marshal())
+			} else {
+				c.Abort()
+			}
+		}
+		p.OnError = func(error) { c.Abort() }
+		c.OnData = func(data []byte) { p.Feed(data) }
+		c.OnPeerClose = func() { c.Close() }
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestServeAndDo(t *testing.T) {
 	s, client, server := webPair(t)
-	err := Serve(server, 80, func(req *Request, from netstack.Addr) *Response {
+	serve(t, server, 80, func(req *Request) *Response {
 		if req.Path == "/bot.exe" {
 			return NewResponse(200, []byte("MZbinary"))
 		}
 		return NewResponse(404, nil)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var got *Response
 	Do(client, server.Addr(), 80, NewRequest("GET", "/bot.exe", "server", nil),
 		func(resp *Response, err error) { got = resp })
@@ -242,7 +261,7 @@ func TestDoConnectionRefused(t *testing.T) {
 func TestServeKeepAlive(t *testing.T) {
 	s, client, server := webPair(t)
 	hits := 0
-	Serve(server, 80, func(req *Request, from netstack.Addr) *Response {
+	serve(t, server, 80, func(req *Request) *Response {
 		hits++
 		return NewResponse(200, []byte(req.Path))
 	})

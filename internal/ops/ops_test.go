@@ -18,6 +18,7 @@ import (
 	"gq/internal/ops"
 	"gq/internal/policy"
 	"gq/internal/smtpx"
+	"gq/internal/supervisor"
 )
 
 const testPolicy = "[VLAN 16-17]\n" +
@@ -454,4 +455,37 @@ func readAll(resp *http.Response) (string, error) {
 	var sb strings.Builder
 	_, err := bufio.NewReader(resp.Body).WriteTo(&sb)
 	return sb.String(), err
+}
+
+// TestHealthzCensusHasNoGaps: on a tree-supervised farm every watch a node
+// claims is in the /healthz census, and every health gauge the registry
+// holds is one a node claims — per kind, present equals expected.
+func TestHealthzCensusHasNoGaps(t *testing.T) {
+	f, _, _, _ := buildFarm(t, 5)
+	f.SuperviseTree(supervisor.Config{})
+	ts, d, _ := serveFarm(t, f, 2400)
+	waitSim(t, d, time.Minute)
+
+	var health struct {
+		Status      string `json:"status"`
+		Supervision map[string]struct {
+			Expected int      `json:"expected"`
+			Present  int      `json:"present"`
+			Healthy  int      `json:"healthy"`
+			Down     []string `json:"down"`
+		} `json:"supervision"`
+	}
+	if code := getJSON(t, ts.URL+"/healthz", &health); code != http.StatusOK || health.Status != "ok" {
+		t.Fatalf("healthz: %d %+v", code, health)
+	}
+	for _, kind := range []supervisor.Kind{supervisor.KindCS, supervisor.KindSink, supervisor.KindController, supervisor.KindShard} {
+		if _, ok := health.Supervision[string(kind)]; !ok {
+			t.Errorf("kind %q missing from the census %+v", kind, health.Supervision)
+		}
+	}
+	for kind, kh := range health.Supervision {
+		if kh.Expected == 0 || kh.Present != kh.Expected || kh.Healthy != kh.Present {
+			t.Errorf("%s: expected %d, present %d, healthy %d (down %v)", kind, kh.Expected, kh.Present, kh.Healthy, kh.Down)
+		}
+	}
 }

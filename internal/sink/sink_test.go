@@ -3,6 +3,7 @@ package sink
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -160,6 +161,16 @@ func TestSMTPSinkHarvestsSpam(t *testing.T) {
 	}
 	if len(sk.Envelopes) != 2 || !strings.Contains(string(sk.Envelopes[0].Data), "pills") {
 		t.Fatalf("envelopes %+v", sk.Envelopes)
+	}
+	// Kept envelopes are copies: each reads what was delivered after the
+	// engine reused (and, in test binaries, poisoned) its one Envelope.
+	for i, want := range []smtpx.Envelope{
+		{Helo: "spambot", From: "a@spam.biz", Rcpts: []string{"v1@x.com"}, Data: []byte("pills\n")},
+		{Helo: "spambot", From: "a@spam.biz", Rcpts: []string{"v2@x.com"}, Data: []byte("watches\n")},
+	} {
+		if !reflect.DeepEqual(*sk.Envelopes[i], want) {
+			t.Errorf("kept envelope %d reads\n%+v\nafter the session, delivered as\n%+v", i, *sk.Envelopes[i], want)
+		}
 	}
 }
 
@@ -347,17 +358,22 @@ func TestSMTPSinkControlMessage(t *testing.T) {
 
 func TestSMTPSinkExploratoryErrorCodes(t *testing.T) {
 	// §7.1 exploratory containment: expose the specimen to specific SMTP
-	// error conditions.
+	// error conditions, from an engine the experiment binds on the sink
+	// host itself.
 	s, bot, sinkHost, _ := net3(t, 9)
-	NewSMTPSink(sinkHost, SMTPConfig{
-		Port: 25, Strictness: smtpx.Lenient,
-		RcptReply: func(addr string) *smtpx.Reply {
+	err := sinkHost.Listen(25, func(c *host.Conn) {
+		eng := smtpx.Bind(c, smtpx.Lenient)
+		eng.OnRcpt = func(addr string) *smtpx.Reply {
 			if strings.HasSuffix(addr, "@full.example") {
 				return &smtpx.Reply{Code: 452, Text: "mailbox full"}
 			}
 			return nil
-		},
+		}
+		eng.Greet("220 mail.example.com ESMTP Postfix")
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var codes []int
 	smtpx.Send(bot, sinkHost.Addr(), 25, withMail(smtpx.ClientConfig{
 		Helo:        "bot",

@@ -30,13 +30,6 @@ type SMTPConfig struct {
 	// Strictness selects the protocol engine's tolerance (§7.1 protocol
 	// violations).
 	Strictness smtpx.Strictness
-	// RcptReply, if set, overrides recipient acceptance — exploratory
-	// containment uses this to expose specimens to specific SMTP error
-	// conditions (§7.1).
-	RcptReply func(addr string) *smtpx.Reply
-	// DataReply, if set, overrides the end-of-DATA reply. env is valid only
-	// during the call, as for smtpx.Engine.OnMessage.
-	DataReply func(env *smtpx.Envelope) *smtpx.Reply
 }
 
 // PerInmate aggregates sink activity for one source address.
@@ -171,18 +164,12 @@ func (s *SMTPSink) accept(c *host.Conn) {
 			pi.HELOs = append(pi.HELOs, arg)
 		}
 	}
-	if s.cfg.RcptReply != nil {
-		eng.OnRcpt = s.cfg.RcptReply
-	}
 	eng.OnMessage = func(env *smtpx.Envelope) *smtpx.Reply {
 		s.DataTransfers++
 		s.dataTransfers.Inc()
 		pi.DataTransfers++
 		if len(s.Envelopes) < maxKeptEnvelopes {
 			s.Envelopes = append(s.Envelopes, keepEnvelope(env))
-		}
-		if s.cfg.DataReply != nil {
-			return s.cfg.DataReply(env)
 		}
 		return nil
 	}

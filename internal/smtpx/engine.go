@@ -119,7 +119,6 @@ type Engine struct {
 	// default acceptance codes, which GQ's exploratory containment uses to
 	// expose specimens to specific SMTP error conditions.
 	OnHelo func(verb, arg string)
-	OnMail func(addr string) *Reply
 	OnRcpt func(addr string) *Reply
 	// OnMessage receives each completed envelope; its reply answers the
 	// end-of-DATA dot. env is the engine's one Envelope, valid only during
@@ -170,14 +169,13 @@ func (e *Engine) Greet(banner string) {
 }
 
 // answer writes a hook's reply, or the constant def when the hook gave
-// none, and reports whether the command was accepted.
-func (e *Engine) answer(o *Reply, def string) bool {
+// none.
+func (e *Engine) answer(o *Reply, def string) {
 	if o == nil {
 		e.write(def)
-		return true
+		return
 	}
 	e.write(o.String())
-	return o.Code < 400
 }
 
 // Feed consumes stream bytes, processing complete lines. data is read in
@@ -284,13 +282,7 @@ func (e *Engine) handleLine(line []byte) {
 			return
 		}
 		e.env.From, e.env.Rcpts, e.state = string(addr), e.env.Rcpts[:0], stMail
-		var o *Reply
-		if e.OnMail != nil {
-			o = e.OnMail(e.env.From)
-		}
-		if !e.answer(o, "250 sender OK") {
-			e.state = stGreeted
-		}
+		e.write("250 sender OK")
 
 	case "RCPT":
 		if e.state != stMail && e.state != stRcpt {

@@ -15,7 +15,6 @@ import (
 // up front instead of buffered.
 type model struct {
 	strictness Strictness
-	onMail     func(addr string) *Reply
 	onRcpt     func(addr string) *Reply
 	onMessage  func(env *Envelope) *Reply
 
@@ -114,14 +113,7 @@ func (m *model) handleLine(line string) {
 		m.from = addr
 		m.rcpts = nil
 		m.state = stMail
-		r := Reply{250, "sender OK"}
-		if o := m.onMail(addr); o != nil {
-			r = *o
-		}
-		m.reply(r.Code, r.Text)
-		if r.Code >= 400 {
-			m.state = stGreeted
-		}
+		m.reply(250, "sender OK")
 
 	case "RCPT":
 		if m.state != stMail && m.state != stRcpt {
@@ -213,9 +205,9 @@ func modelParseAddrStanza(arg, keyword string, s Strictness) (string, bool) {
 }
 
 // The hooks both machines run under, so the override paths are compared
-// too: senders and recipients called "bad…" are refused, a body that says
+// too: recipients called "bad…" are refused, a body that says
 // "tempfail" is deferred.
-func fuzzOnAddr(addr string) *Reply {
+func fuzzOnRcpt(addr string) *Reply {
 	if strings.HasPrefix(addr, "bad") {
 		return &Reply{550, "no such user"}
 	}
@@ -267,7 +259,7 @@ func cut(stream, cuts []byte) [][]byte {
 func runEngine(s Strictness, chunks [][]byte) outcome {
 	var o outcome
 	e := NewEngine(s, func(line string) { o.Replies = append(o.Replies, line) }, nil)
-	e.OnMail, e.OnRcpt = fuzzOnAddr, fuzzOnAddr
+	e.OnRcpt = fuzzOnRcpt
 	e.OnMessage = func(env *Envelope) *Reply { o.Envs = append(o.Envs, copyEnv(env)); return fuzzOnMessage(env) }
 	for _, c := range chunks {
 		// Each chunk in a buffer of its own that is scribbled over once
@@ -285,7 +277,7 @@ func runEngine(s Strictness, chunks [][]byte) outcome {
 }
 
 func runModel(s Strictness, stream []byte) outcome {
-	m := &model{strictness: s, onMail: fuzzOnAddr, onRcpt: fuzzOnAddr, onMessage: fuzzOnMessage}
+	m := &model{strictness: s, onRcpt: fuzzOnRcpt, onMessage: fuzzOnMessage}
 	m.feed(stream)
 	var envs []Envelope
 	for _, env := range m.envs {

@@ -7,8 +7,9 @@
 # retired doorways reappears. Also guards the gateway's one flow lifecycle
 # (DESIGN.md §3g), the farm's one wiring site (DESIGN.md §3j), the SMTP
 # engine's one binding to a connection and its messages' two keepers, a
-# domain's frame-list takers and givers, a link's delivery lanes and the
-# learning tables' single writers (DESIGN.md §3b), below.
+# domain's frame-list takers and givers, a link's delivery lanes, the
+# learning tables' single writers (DESIGN.md §3b) and supervision's one
+# shape (DESIGN.md §3f), below.
 set -eu
 cd "$(git rev-parse --show-toplevel)"
 status=0
@@ -141,6 +142,21 @@ bad "farm wired by hand outside internal/farm (describe it as a farm.Spec and Bu
 # shellcheck disable=SC2046
 bad "external shards are retired (a sharded farm has one external domain)" \
 	"$(grep -nE 'NewShardedN|ExternalShardFor|ExtShards' $(find . -name '*.go' ! -name '*_test.go') || true)"
+# Supervision has one shape (DESIGN.md §3f): the tree, attached by
+# Spec.Supervise or gqfarm -tree. The retired subfarm-only mode stays gone
+# from non-test Go outside the frozen benchmark harness, and so do the
+# product hooks that only tests set: httpx's server, the SMTP sink's reply
+# overrides and the engine's MAIL hook. A test builds its own server.
+nonbench=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*')
+# shellcheck disable=SC2086
+bad "retired supervision mode (attach the tree: Spec.Supervise, gqfarm -tree)" \
+	"$(grep -nE 'SuperviseSubfarms|farm\.Unsupervised|func \(sf \*Subfarm\) Supervise\(|rootNode|fs\.Bool\("supervise"' $nonbench || true)"
+# shellcheck disable=SC2086
+bad "test-only hook in product code (build the server or hook in the test)" \
+	"$(grep -nE '\b(RcptReply|DataReply|OnMail)\b' $nonbench || true)"
+# shellcheck disable=SC2046
+bad "test-only httpx server in product code (a test serves HTTP itself)" \
+	"$(grep -nF 'func Serve(' $(find internal/httpx -name '*.go' ! -name '*_test.go') || true)"
 # An SMTP engine meets a connection in one place (DESIGN.md §3b): outside
 # internal/smtpx and the frozen benchmark harness, non-test code gets its
 # engine from smtpx.Bind, which owns the CRLF framing and the reply buffer.

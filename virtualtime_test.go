@@ -29,7 +29,8 @@ func TestSupervisorRecoveryTime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sup := sf.Supervise(supervisor.Config{})
+		f.SuperviseTree(supervisor.Config{})
+		sup := sf.Supervisor
 		f.Run(30 * time.Second)
 		sf.CS.Host.Shutdown()
 		f.Run(2 * time.Minute)
