@@ -74,6 +74,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDNSUnmarshal$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/dnsx
 	$(GO) test -run '^$$' -fuzz '^FuzzDHCPUnmarshal$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/dhcp
 	$(GO) test -run '^$$' -fuzz '^FuzzParserFeed$$' -fuzztime $(FUZZTIME) ./internal/httpx
+	$(GO) test -run '^$$' -fuzz '^FuzzChaosParse$$' -fuzztime $(FUZZTIME) ./internal/chaos
 
 # Chaos soak: the Botfarm demo under the "soak" fault profile (≥5% loss,
 # reorder/dup/corruption, link flaps, a CS crash, verdict stalls, a sink

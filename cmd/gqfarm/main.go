@@ -93,7 +93,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 1, "simulation seed")
 	dropProb := fs.Float64("sink-drop", 0.35, "SMTP sink probabilistic connection drop")
 	tracePath := fs.String("trace", "", "write the subfarm packet trace to this pcap file")
-	nanoTrace := fs.Bool("nano-trace", false, "use nanosecond pcap timestamps for -trace")
 	anonymize := fs.Bool("anonymize", true, "mask global addresses in the report")
 	metricsPath := fs.String("metrics", "", "write the final telemetry snapshot to this file")
 	metricsFormat := fs.String("metrics-format", "json", "format for -metrics: json, prom (Prometheus text), or text")
@@ -193,11 +192,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		defer fh.Close()
-		if *nanoTrace {
-			traceW = trace.NewNanoWriter(fh)
-		} else {
-			traceW = trace.NewWriter(fh)
-		}
+		traceW = trace.NewWriter(fh)
 		plan.Spec.Subfarms[0].Trace = traceW
 	}
 	say := func(format string, args ...any) experiments.Phase {

@@ -12,6 +12,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestFailingRunFlushesJournal is the regression test for the truncated-
@@ -90,6 +91,31 @@ func TestRetiredSuperviseFlagRejected(t *testing.T) {
 	code := run([]string{"-supervise", "-chaos", "crash"}, &out, &errOut)
 	if code != 2 || !strings.Contains(errOut.String(), "flag provided but not defined: -supervise") {
 		t.Fatalf("exit %d, stderr %s", code, errOut.String())
+	}
+}
+
+// TestRetiredNanoTraceFlagRejected: -trace writes one pcap format, classic
+// microsecond; -nano-trace fails flag parsing.
+func TestRetiredNanoTraceFlagRejected(t *testing.T) {
+	var out, errOut bytes.Buffer
+	code := run([]string{"-nano-trace", "-trace", filepath.Join(t.TempDir(), "run.pcap")}, &out, &errOut)
+	if code != 2 || !strings.Contains(errOut.String(), "flag provided but not defined: -nano-trace") {
+		t.Fatalf("exit %d, stderr %s", code, errOut.String())
+	}
+}
+
+// TestUnrunnableChaosSpecRejected: a -chaos spec the injector cannot run —
+// here a flap every nanosecond, which would spin the event loop without
+// advancing the run — fails before the farm is built, naming the key.
+func TestUnrunnableChaosSpecRejected(t *testing.T) {
+	var out, errOut bytes.Buffer
+	start := time.Now()
+	code := run([]string{"-chaos", "light,flapevery=1ns", "-duration", "1m", "-inmates", "2"}, &out, &errOut)
+	if code != 1 || !strings.Contains(errOut.String(), `"flapevery"`) {
+		t.Fatalf("exit %d, stderr %s", code, errOut.String())
+	}
+	if el := time.Since(start); el > 5*time.Second {
+		t.Fatalf("rejection took %v; it should come before any run", el)
 	}
 }
 

@@ -33,6 +33,9 @@ func TestParsePresets(t *testing.T) {
 			len(p.RecyclerWedgeAt) > 0 && p.RecyclerWedgeFor <= 0 {
 			t.Errorf("%s: a schedule without its duration: %v", name, p)
 		}
+		if why := outOfBounds(p); why != "" {
+			t.Errorf("%s: %s", name, why)
+		}
 		if !strings.HasPrefix(p.String(), name+": ") {
 			t.Errorf("%s renders as %q", name, p)
 		}
@@ -101,6 +104,33 @@ func TestParseMalformed(t *testing.T) {
 		"soak,jitter=3":    `bad value for "jitter"`, // a duration needs a unit
 		"ctlhangfor=":      `bad value for "ctlhangfor"`,
 		"recyclerwedge=1x": `bad value for "recyclerwedge"`,
+		// Values the injector cannot run.
+		"loss=1.5":                  `bad value for "loss"`,
+		"soak,reorder=-0.1":         `bad value for "reorder"`,
+		"dup=NaN":                   `bad value for "dup"`,
+		"corrupt=+Inf":              `bad value for "corrupt"`,
+		"reimage,nbhang=2":          `bad value for "nbhang"`,
+		"xferstall=-1":              `bad value for "xferstall"`,
+		"xfercorrupt=nan":           `bad value for "xfercorrupt"`,
+		"powerstick=1.0001":         `bad value for "powerstick"`,
+		"jitter=-1ms":               `bad value for "jitter"`,
+		"light,flapevery=1ns":       `bad value for "flapevery"`,
+		"flapevery=999ms":           `bad value for "flapevery"`,
+		"flapevery=-5m":             `bad value for "flapevery"`,
+		"flapevery=1m,flapdown=-1s": `bad value for "flapdown"`,
+		"cscrash=-4m":               `bad value for "cscrash"`,
+		"crash,csdownfor=-30s":      `bad value for "csdownfor"`,
+		"stallat=-1s":               `bad value for "stallat"`,
+		"stallfor=-1s":              `bad value for "stallfor"`,
+		"stalldelay=-1s":            `bad value for "stalldelay"`,
+		"sinkdownat=-1m":            `bad value for "sinkdownat"`,
+		"sinkdownfor=-1m":           `bad value for "sinkdownfor"`,
+		"sinkcrash=-2m":             `bad value for "sinkcrash"`,
+		"sinkcrashfor=-1m":          `bad value for "sinkcrashfor"`,
+		"ctlhang=-1m":               `bad value for "ctlhang"`,
+		"ctlhangfor=-1m":            `bad value for "ctlhangfor"`,
+		"recyclerwedge=-6m":         `bad value for "recyclerwedge"`,
+		"recyclerwedgefor=-1m":      `bad value for "recyclerwedgefor"`,
 	} {
 		p, err := Parse(spec)
 		if err == nil || !strings.Contains(err.Error(), wantErr) {
@@ -110,6 +140,82 @@ func TestParseMalformed(t *testing.T) {
 			t.Errorf("Parse(%q) returned a half-built profile next to its error: %+v", spec, p)
 		}
 	}
+}
+
+// TestParseAcceptsBounds: the edges of each range are values the injector
+// runs, and zero flapevery still switches a preset's flapping off.
+func TestParseAcceptsBounds(t *testing.T) {
+	p, err := Parse("loss=0,reorder=1,dup=0,corrupt=1,nbhang=1,xferstall=0,xfercorrupt=1,powerstick=0," +
+		"jitter=0s,flapevery=1s,cscrash=0s,stallat=0s,sinkcrash=0s,ctlhang=0s,recyclerwedge=0s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.FlapEvery != MinFlapEvery || p.Reorder != 1 || p.ReimageNetbootHang != 1 {
+		t.Errorf("edge values parsed to %v", p)
+	}
+	if p, err = Parse("soak,flapevery=0"); err != nil || p.FlapEvery != 0 {
+		t.Errorf("soak,flapevery=0: %v, %v — want flapping off", p.FlapEvery, err)
+	}
+}
+
+// outOfBounds names the first range an accepted profile breaks: a
+// probability outside [0,1], a negative duration or offset, or a flap
+// period under MinFlapEvery. It returns "" for a profile the injector runs.
+func outOfBounds(p Profile) string {
+	for name, f := range map[string]float64{
+		"loss": p.Loss, "reorder": p.Reorder, "dup": p.Dup, "corrupt": p.Corrupt,
+		"nbhang": p.ReimageNetbootHang, "xferstall": p.ReimageXferStall,
+		"xfercorrupt": p.ReimageXferCorrupt, "powerstick": p.ReimagePowerStick,
+	} {
+		if !(f >= 0 && f <= 1) {
+			return fmt.Sprintf("%s = %v, not in [0,1]", name, f)
+		}
+	}
+	durs := []time.Duration{p.Jitter, p.FlapEvery, p.FlapDown, p.CSDownFor, p.StallAt, p.StallFor,
+		p.StallDelay, p.SinkDownAt, p.SinkDownFor, p.SinkCrashFor, p.CtlHangFor, p.RecyclerWedgeFor}
+	for _, s := range [][]time.Duration{p.CSCrashAt, p.SinkCrashAt, p.CtlHangAt, p.RecyclerWedgeAt} {
+		durs = append(durs, s...)
+	}
+	for _, d := range durs {
+		if d < 0 {
+			return fmt.Sprintf("negative duration %v", d)
+		}
+	}
+	if p.FlapEvery > 0 && p.FlapEvery < MinFlapEvery {
+		return fmt.Sprintf("flapevery %v under %v", p.FlapEvery, MinFlapEvery)
+	}
+	return ""
+}
+
+// FuzzChaosParse: whatever spec an operator sends (gqfarm -chaos, POST
+// /chaos), Parse either refuses it with a zero profile or returns one the
+// injector can run.
+func FuzzChaosParse(f *testing.F) {
+	for name := range presets {
+		f.Add(name)
+	}
+	for _, spec := range []string{
+		"soak,loss=0.10,cscrash=4m,cscrash=12m",
+		"light,flapevery=1ns",
+		"loss=1.5,jitter=-1ms",
+		"dup=NaN,flapevery=1s,flapdown=-1s",
+		"reimage,nbhang=1,xferstall=0,powerstick=1e-3",
+		"stallat=2m,stallfor=30s,sinkcrash=4m,ctlhang=6m,recyclerwedge=7m",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil {
+			if !reflect.DeepEqual(p, Profile{}) {
+				t.Fatalf("Parse(%q) returned %+v next to its error", spec, p)
+			}
+			return
+		}
+		if why := outOfBounds(p); why != "" {
+			t.Fatalf("Parse(%q) accepted a profile the injector cannot run: %s", spec, why)
+		}
+	})
 }
 
 // chaosFarm is the smallest farm with something of every kind the injector

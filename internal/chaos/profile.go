@@ -160,7 +160,10 @@ var presets = map[string]Profile{
 // stalldelay, sink, sinkdownat, sinkdownfor, sinkcrash (repeatable),
 // sinkcrashtarget, sinkcrashfor, ctlhang (repeatable), ctlhangfor,
 // recyclerwedge (repeatable), recyclerwedgefor, nbhang, xferstall,
-// xfercorrupt, powerstick.
+// xfercorrupt, powerstick. It refuses a spec the injector cannot run: a
+// probability (loss, reorder, dup, corrupt and the four reimage rates)
+// outside [0,1], a negative duration or offset, and a non-zero flapevery
+// below MinFlapEvery.
 //
 //	soak
 //	soak,loss=0.10,cscrash=4m,cscrash=12m
@@ -191,44 +194,47 @@ func Parse(spec string) (Profile, error) {
 		var err error
 		switch strings.ToLower(k) {
 		case "loss":
-			p.Loss, err = strconv.ParseFloat(v, 64)
+			p.Loss, err = parseProb(v)
 		case "reorder":
-			p.Reorder, err = strconv.ParseFloat(v, 64)
+			p.Reorder, err = parseProb(v)
 		case "dup":
-			p.Dup, err = strconv.ParseFloat(v, 64)
+			p.Dup, err = parseProb(v)
 		case "corrupt":
-			p.Corrupt, err = strconv.ParseFloat(v, 64)
+			p.Corrupt, err = parseProb(v)
 		case "jitter":
-			p.Jitter, err = time.ParseDuration(v)
+			p.Jitter, err = parseDur(v)
 		case "flapevery":
-			p.FlapEvery, err = time.ParseDuration(v)
+			p.FlapEvery, err = parseDur(v)
+			if err == nil && p.FlapEvery > 0 && p.FlapEvery < MinFlapEvery {
+				err = fmt.Errorf("%v is below the %v floor", p.FlapEvery, MinFlapEvery)
+			}
 		case "flapdown":
-			p.FlapDown, err = time.ParseDuration(v)
+			p.FlapDown, err = parseDur(v)
 		case "cscrash":
 			var d time.Duration
-			d, err = time.ParseDuration(v)
+			d, err = parseDur(v)
 			if !sawCrash {
 				p.CSCrashAt = nil
 				sawCrash = true
 			}
 			p.CSCrashAt = append(p.CSCrashAt, d)
 		case "csdownfor":
-			p.CSDownFor, err = time.ParseDuration(v)
+			p.CSDownFor, err = parseDur(v)
 		case "stallat":
-			p.StallAt, err = time.ParseDuration(v)
+			p.StallAt, err = parseDur(v)
 		case "stallfor":
-			p.StallFor, err = time.ParseDuration(v)
+			p.StallFor, err = parseDur(v)
 		case "stalldelay":
-			p.StallDelay, err = time.ParseDuration(v)
+			p.StallDelay, err = parseDur(v)
 		case "sink":
 			p.Sink = v
 		case "sinkdownat":
-			p.SinkDownAt, err = time.ParseDuration(v)
+			p.SinkDownAt, err = parseDur(v)
 		case "sinkdownfor":
-			p.SinkDownFor, err = time.ParseDuration(v)
+			p.SinkDownFor, err = parseDur(v)
 		case "sinkcrash":
 			var d time.Duration
-			d, err = time.ParseDuration(v)
+			d, err = parseDur(v)
 			if !sawSinkCrash {
 				p.SinkCrashAt = nil
 				sawSinkCrash = true
@@ -237,35 +243,35 @@ func Parse(spec string) (Profile, error) {
 		case "sinkcrashtarget":
 			p.SinkCrashTarget = v
 		case "sinkcrashfor":
-			p.SinkCrashFor, err = time.ParseDuration(v)
+			p.SinkCrashFor, err = parseDur(v)
 		case "ctlhang":
 			var d time.Duration
-			d, err = time.ParseDuration(v)
+			d, err = parseDur(v)
 			if !sawCtlHang {
 				p.CtlHangAt = nil
 				sawCtlHang = true
 			}
 			p.CtlHangAt = append(p.CtlHangAt, d)
 		case "ctlhangfor":
-			p.CtlHangFor, err = time.ParseDuration(v)
+			p.CtlHangFor, err = parseDur(v)
 		case "recyclerwedge":
 			var d time.Duration
-			d, err = time.ParseDuration(v)
+			d, err = parseDur(v)
 			if !sawWedge {
 				p.RecyclerWedgeAt = nil
 				sawWedge = true
 			}
 			p.RecyclerWedgeAt = append(p.RecyclerWedgeAt, d)
 		case "recyclerwedgefor":
-			p.RecyclerWedgeFor, err = time.ParseDuration(v)
+			p.RecyclerWedgeFor, err = parseDur(v)
 		case "nbhang":
-			p.ReimageNetbootHang, err = strconv.ParseFloat(v, 64)
+			p.ReimageNetbootHang, err = parseProb(v)
 		case "xferstall":
-			p.ReimageXferStall, err = strconv.ParseFloat(v, 64)
+			p.ReimageXferStall, err = parseProb(v)
 		case "xfercorrupt":
-			p.ReimageXferCorrupt, err = strconv.ParseFloat(v, 64)
+			p.ReimageXferCorrupt, err = parseProb(v)
 		case "powerstick":
-			p.ReimagePowerStick, err = strconv.ParseFloat(v, 64)
+			p.ReimagePowerStick, err = parseProb(v)
 		default:
 			return Profile{}, fmt.Errorf("chaos: unknown key %q", k)
 		}
@@ -278,6 +284,30 @@ func Parse(spec string) (Profile, error) {
 	}
 	p.applyDefaults()
 	return p, nil
+}
+
+// MinFlapEvery is the shortest flap period Parse accepts. The injector arms
+// one timer per period, so a period of nanoseconds puts billions of events
+// into a run of minutes, which then does not finish; the presets flap
+// every 5m.
+const MinFlapEvery = time.Second
+
+// parseProb reads a probability: a number in [0,1] (NaN is refused).
+func parseProb(v string) (float64, error) {
+	f, err := strconv.ParseFloat(v, 64)
+	if err == nil && !(f >= 0 && f <= 1) {
+		err = fmt.Errorf("%v is not a probability in [0,1]", f)
+	}
+	return f, err
+}
+
+// parseDur reads a duration or schedule offset, which may not be negative.
+func parseDur(v string) (time.Duration, error) {
+	d, err := time.ParseDuration(v)
+	if err == nil && d < 0 {
+		err = fmt.Errorf("%v is negative", d)
+	}
+	return d, err
 }
 
 func (p *Profile) applyDefaults() {

@@ -68,7 +68,6 @@ func farmNet(t *testing.T, s *sim.Simulator, n int) (*Server, []*host.Host) {
 		Router:     netstack.MustParseAddr("10.0.0.1"),
 		DNS:        netstack.MustParseAddr("10.0.0.3"),
 		SubnetBits: 16,
-		LeaseTime:  time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,10 +9,14 @@ import (
 
 // Lease describes an address binding handed to a client.
 type Lease struct {
-	MAC     netstack.MAC
-	Addr    netstack.Addr
-	Expires time.Duration // virtual time
+	MAC  netstack.MAC
+	Addr netstack.Addr
 }
+
+// leaseTime is the lease every ACK and OFFER grants. A lease is never
+// reclaimed on expiry: an inmate keeps its address until ReleaseMAC or its
+// own RELEASE frees it.
+const leaseTime = time.Hour
 
 // ServerConfig configures the pool the server hands out.
 type ServerConfig struct {
@@ -21,7 +25,6 @@ type ServerConfig struct {
 	Router     netstack.Addr
 	DNS        netstack.Addr
 	SubnetBits int
-	LeaseTime  time.Duration
 }
 
 // Server is the inmate network's DHCP service. It is a normal Host
@@ -40,9 +43,6 @@ type Server struct {
 
 // NewServer starts a DHCP server on h.
 func NewServer(h *host.Host, cfg ServerConfig) (*Server, error) {
-	if cfg.LeaseTime <= 0 {
-		cfg.LeaseTime = time.Hour
-	}
 	s := &Server{
 		h: h, cfg: cfg,
 		leases: make(map[netstack.MAC]*Lease),
@@ -87,7 +87,6 @@ func (s *Server) handle(src netstack.Addr, srcPort uint16, data []byte) {
 			s.nak(m)
 			return
 		}
-		lease.Expires = s.h.Sim().Now() + s.cfg.LeaseTime
 		s.Served++
 		s.reply(m, Ack, lease.Addr)
 	case Release:
@@ -131,7 +130,7 @@ func (s *Server) reply(req *Message, typ uint8, yiaddr netstack.Addr) {
 		m.SetAddrOption(OptDNS, s.cfg.DNS)
 	}
 	lease := make([]byte, 4)
-	putU32(lease, uint32(s.cfg.LeaseTime/time.Second))
+	putU32(lease, uint32(leaseTime/time.Second))
 	m.Options[OptLeaseTime] = lease
 	s.send(req, m)
 }

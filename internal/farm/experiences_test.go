@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"gq/internal/host"
 	"gq/internal/malware"
 	"gq/internal/nat"
 	"gq/internal/netstack"
@@ -166,8 +167,7 @@ func TestFidelityLadder(t *testing.T) {
 		malware.NewGMailMX(gmailHost, nil)
 		// A "real" corporate MX outside, for banner grabbing.
 		mxHost := f.AddExternalHost("realmx", netstack.MustParseAddr("203.0.113.25"))
-		srv := &smtpx.Server{Banner: "220 mx.realcorp.example ESMTP", Strictness: smtpx.Lenient}
-		srv.Serve(mxHost, 25)
+		mxHost.Listen(25, func(c *host.Conn) { smtpx.Bind(c, smtpx.Lenient).Greet("220 mx.realcorp.example ESMTP") })
 
 		cfg := SubfarmConfig{
 			Name:   "ladder",

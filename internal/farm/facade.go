@@ -36,11 +36,11 @@ const (
 	FacadeEchoPort = 7
 )
 
-// AttachFacadeEcho adds the facade echo pair to the subfarm. The client
-// performs one echo round trip every interval, rounds times (0 = run for
-// as long as the simulation does). Both endpoints are sim.Proc-driven, so
-// the pair is safe in sharded domains and byte-deterministic.
-func (sf *Subfarm) AttachFacadeEcho(interval time.Duration, rounds int) *FacadeEcho {
+// AttachFacadeEcho adds the facade echo pair to the subfarm as
+// sf.FacadeEcho. The client performs one echo round trip every interval
+// for as long as the simulation runs. Both endpoints are sim.Proc-driven,
+// so the pair is safe in sharded domains and byte-deterministic.
+func (sf *Subfarm) AttachFacadeEcho(interval time.Duration) {
 	cfg := sf.Config
 	dom := sf.Sim
 	svc := func(off int) netstack.Addr { return cfg.ServicePrefix.Nth(off) }
@@ -75,7 +75,7 @@ func (sf *Subfarm) AttachFacadeEcho(interval time.Duration, rounds int) *FacadeE
 	})
 
 	dom.Go(cfg.Name+"-facade-client", func(p *sim.Proc) {
-		for i := 0; rounds == 0 || i < rounds; i++ {
+		for i := 0; ; i++ {
 			p.Sleep(interval)
 			ok := fe.roundTrip(i)
 			verdict := uint32(0)
@@ -90,7 +90,6 @@ func (sf *Subfarm) AttachFacadeEcho(interval time.Duration, rounds int) *FacadeE
 		}
 	})
 	sf.FacadeEcho = fe
-	return fe
 }
 
 // roundTrip performs one deadline-guarded echo exchange from the client

@@ -230,8 +230,7 @@ func TestTriggerRevertsQuietInmate(t *testing.T) {
 	}
 	f.Run(100 * time.Minute)
 	if bot.Generation == 0 {
-		t.Fatalf("quiet inmate was never reverted (gen=%d, transitions=%v)",
-			bot.Generation, bot.Transitions)
+		t.Fatalf("quiet inmate was never reverted (gen=%d, state %v)", bot.Generation, bot.State)
 	}
 	if len(sf.CS.Triggers().Fired) == 0 {
 		t.Fatal("trigger engine never fired")

@@ -133,7 +133,7 @@ func (s SubfarmSpec) build(f *Farm) error {
 		return err
 	}
 	if s.FacadeEcho > 0 {
-		sf.AttachFacadeEcho(s.FacadeEcho, 0)
+		sf.AttachFacadeEcho(s.FacadeEcho)
 	}
 	sf.OnBootHook = s.OnBoot
 	if s.Trace != nil {

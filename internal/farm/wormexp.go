@@ -31,8 +31,6 @@ type WormExperiment struct {
 
 	// Infections lists every INFECT delivery observed, in order.
 	Infections []InfectionEvent
-	// SeededAt is when the external seed infection executed.
-	SeededAt time.Duration
 
 	worms   map[uint16]*malware.Worm
 	nextVic int
@@ -140,7 +138,6 @@ func (e *WormExperiment) Seed() {
 			e.Farm.Sim.Schedule(2*time.Second, func() { tryInfect(attempt + 1) })
 			return
 		}
-		e.SeededAt = e.Farm.Sim.Now()
 		e.exploitFromOutside(attacker, target, 1)
 	}
 	tryInfect(0)

@@ -23,7 +23,6 @@ func (r *Router) SetLockdown(on bool, reason string) int {
 		return 0
 	}
 	r.lockdown = on
-	r.lockdownReason = reason
 	if !on {
 		return 0
 	}

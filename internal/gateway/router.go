@@ -189,9 +189,6 @@ type Router struct {
 	dgramOut datagramHeaders
 	shimOut  [shim.RequestLen]byte
 
-	// rxInmate counts IP packets received from inmate VLANs.
-	rxInmate uint64
-
 	nat *nat.Table
 
 	// index finds a flow by any key it owns; register and unregister are
@@ -271,8 +268,7 @@ type Router struct {
 	// traffic crosses the containment boundary. Engaged by the supervision
 	// tree when the containment plane stays dead past its budget, or by an
 	// operator via the ops plane.
-	lockdown       bool
-	lockdownReason string
+	lockdown bool
 
 	// Counters, registered once in newRouter (see internal/obs).
 	FlowsCreated, VerdictsApplied *obs.Counter
@@ -757,9 +753,8 @@ func (r *Router) handleIP(p *netstack.Packet) {
 	}
 	if r.isInmateVLAN(p.Eth.VLAN) {
 		r.learnInmate(p.Eth.VLAN, p.IP.Src, p.Eth.Src)
-		// The invariant inmate receive pipeline: count, trace taps, L4
-		// classify (anything but TCP/UDP is dropped), flow dispatch.
-		r.rxInmate++
+		// The invariant inmate receive pipeline: trace taps, L4 classify
+		// (anything but TCP/UDP is dropped), flow dispatch.
 		for _, t := range r.taps {
 			t(p)
 		}

@@ -299,7 +299,6 @@ func (h *Host) handleUDP(p *netstack.Packet) {
 		return
 	}
 	if s, ok := h.udpSocks[p.UDP.DstPort]; ok && s.recv != nil {
-		s.RxDatagrams++
 		s.recv(p.IP.Src, p.UDP.SrcPort, p.Payload)
 		return
 	}
@@ -416,9 +415,6 @@ type UDPSock struct {
 	host *Host
 	port uint16
 	recv func(src netstack.Addr, srcPort uint16, data []byte)
-
-	RxDatagrams uint64
-	TxDatagrams uint64
 }
 
 // ListenUDP binds a UDP port. Passing port 0 allocates an ephemeral port.
@@ -443,7 +439,6 @@ func (s *UDPSock) Port() uint16 { return s.port }
 func (s *UDPSock) SendTo(dst netstack.Addr, dstPort uint16, data []byte) {
 	u := netstack.UDP{SrcPort: s.port, DstPort: dstPort}
 	frame := u.Marshal(s.host.newIPFrame(netstack.UDPHeaderLen+len(data)), s.host.addr, dst, data)
-	s.TxDatagrams++
 	s.host.sendIP(dst, netstack.ProtoUDP, frame)
 }
 

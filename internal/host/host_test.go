@@ -347,7 +347,7 @@ func TestTCPStateStrings(t *testing.T) {
 // Every flow through the farm opens a Conn on up to three hosts. Its
 // endpoint lives once, in key, it has one timer and derives its RTO, its
 // state and switches are single bytes, and its unacknowledged bytes are two
-// offsets into its send buffer: a Conn is 192 bytes, a size class of its own.
+// offsets into its send buffer: a Conn fits the 192-byte size class.
 func TestConnFitsSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(Conn{}); n > 192 {
 		t.Errorf("host.Conn is %d bytes, want at most 192", n)

@@ -95,9 +95,9 @@ type Conn struct {
 	// no segment that starts beyond the window and at most maxOOOSegments
 	// (processData, stash). oooFinSeq is where a FIN observed beyond
 	// rcvNxt sits, while the oooFin flag is set.
-	irs, rcvNxt, oooFinSeq uint32
-	flags                  connFlags
-	ooo                    map[uint32][]byte
+	rcvNxt, oooFinSeq uint32
+	flags             connFlags
+	ooo               map[uint32][]byte
 
 	// rtx is the conn's one timer: the retransmission timeout, re-armed
 	// with every segment sent or acknowledged, and in TIME_WAIT the end of
@@ -119,8 +119,8 @@ type Conn struct {
 	// err is nil for a clean bidirectional close.
 	OnClose func(err error)
 
-	// BytesIn and BytesOut count application payload.
-	BytesIn, BytesOut uint64
+	// BytesOut counts application payload written.
+	BytesOut uint64
 }
 
 // connFlags packs a Conn's switches into one byte.
@@ -404,7 +404,6 @@ func (h *Host) handleTCP(p *netstack.Packet) {
 			}
 			c := h.newConn(t.DstPort, p.IP.Src, t.SrcPort)
 			c.state = StateSynRcvd
-			c.irs = t.Seq
 			c.rcvNxt = t.Seq + 1
 			c.iss = h.sim.Rand().Uint32()
 			c.sndUna, c.sndNxt = c.iss, c.iss+1
@@ -480,7 +479,6 @@ func (c *Conn) handleSegment(t *netstack.TCP, payload []byte) {
 		if t.Flags&netstack.FlagSYN == 0 {
 			return
 		}
-		c.irs = t.Seq
 		c.rcvNxt = t.Seq + 1
 		if t.Flags&netstack.FlagACK != 0 {
 			if t.Ack != c.sndNxt {
@@ -649,7 +647,6 @@ func (c *Conn) stash(seq uint32, payload []byte) {
 // deliver hands in-order payload to the application and advances rcvNxt.
 func (c *Conn) deliver(payload []byte) {
 	c.rcvNxt += uint32(len(payload))
-	c.BytesIn += uint64(len(payload))
 	if c.OnData != nil {
 		c.OnData(payload)
 	}

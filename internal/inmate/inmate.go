@@ -99,8 +99,6 @@ type Inmate struct {
 	OnTerminate func(im *Inmate)
 
 	sim *sim.Simulator
-	// Transitions records state changes for tests and reports.
-	Transitions []string
 }
 
 // New creates an inmate in StateCreated.
@@ -108,23 +106,18 @@ func New(s *sim.Simulator, name string, vlan uint16, h *host.Host, b Backend) *I
 	return &Inmate{Name: name, VLAN: vlan, Host: h, Backend: b, sim: s}
 }
 
-func (im *Inmate) transition(st State) {
-	im.State = st
-	im.Transitions = append(im.Transitions, fmt.Sprintf("%v@%v", st, im.sim.Now()))
-}
-
 // Start powers the inmate on; OnBoot fires after the backend's boot delay.
 func (im *Inmate) Start() {
 	if im.State == StateRunning || im.State == StateBooting || im.State == StateTerminated {
 		return
 	}
-	im.transition(StateBooting)
+	im.State = StateBooting
 	gen := im.Generation
 	im.sim.Schedule(im.Backend.BootDelay(), func() {
 		if im.State != StateBooting || im.Generation != gen {
 			return
 		}
-		im.transition(StateRunning)
+		im.State = StateRunning
 		if im.OnBoot != nil {
 			im.OnBoot(im)
 		}
@@ -137,7 +130,7 @@ func (im *Inmate) Stop() {
 		return
 	}
 	im.Host.Shutdown()
-	im.transition(StateStopped)
+	im.State = StateStopped
 }
 
 // Reboot power-cycles without reverting state (malware often reboots its
@@ -147,17 +140,17 @@ func (im *Inmate) Reboot() {
 		return
 	}
 	im.Host.Shutdown()
-	im.transition(StateStopped)
+	im.State = StateStopped
 	// Note: no Reset — the "disk" keeps its state; the network stack
 	// configuration is re-acquired at boot.
 	im.Host.Reset()
-	im.transition(StateBooting)
+	im.State = StateBooting
 	gen := im.Generation
 	im.sim.Schedule(im.Backend.BootDelay(), func() {
 		if im.Generation != gen || im.State != StateBooting {
 			return
 		}
-		im.transition(StateRunning)
+		im.State = StateRunning
 		if im.OnBoot != nil {
 			im.OnBoot(im)
 		}
@@ -171,7 +164,7 @@ func (im *Inmate) Revert() {
 		return
 	}
 	im.Host.Shutdown()
-	im.transition(StateReverting)
+	im.State = StateReverting
 	im.Generation++
 	gen := im.Generation
 	im.Backend.Revert(im, func() {
@@ -179,12 +172,12 @@ func (im *Inmate) Revert() {
 			return
 		}
 		im.Host.Reset()
-		im.transition(StateBooting)
+		im.State = StateBooting
 		im.sim.Schedule(im.Backend.BootDelay(), func() {
 			if im.Generation != gen || im.State != StateBooting {
 				return
 			}
-			im.transition(StateRunning)
+			im.State = StateRunning
 			if im.OnBoot != nil {
 				im.OnBoot(im)
 			}
@@ -198,7 +191,7 @@ func (im *Inmate) Terminate() {
 		return
 	}
 	im.Host.Shutdown()
-	im.transition(StateTerminated)
+	im.State = StateTerminated
 	if im.OnTerminate != nil {
 		im.OnTerminate(im)
 	}

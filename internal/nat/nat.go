@@ -44,25 +44,20 @@ type Table struct {
 	mode  Mode
 	pools []globalPool
 
-	byVLAN     map[uint16]*Binding
-	byInternal map[netstack.Addr]*Binding
-	byGlobal   map[netstack.Addr]*Binding
+	byVLAN   map[uint16]*Binding
+	byGlobal map[netstack.Addr]*Binding
 	// gen counts the bindings Release freed (see Gen).
 	gen uint64
-
-	// Translated counts rewritten packets per direction.
-	TranslatedOut, TranslatedIn, DroppedIn uint64
 }
 
 // NewTable creates a table drawing global addresses from pool (the first
 // poolStart host indices are reserved for farm infrastructure).
 func NewTable(pool netstack.Prefix, poolStart int, mode Mode) *Table {
 	return &Table{
-		mode:       mode,
-		pools:      []globalPool{{prefix: pool, next: poolStart}},
-		byVLAN:     make(map[uint16]*Binding),
-		byInternal: make(map[netstack.Addr]*Binding),
-		byGlobal:   make(map[netstack.Addr]*Binding),
+		mode:     mode,
+		pools:    []globalPool{{prefix: pool, next: poolStart}},
+		byVLAN:   make(map[uint16]*Binding),
+		byGlobal: make(map[netstack.Addr]*Binding),
 	}
 }
 
@@ -79,12 +74,9 @@ func (t *Table) AddPool(pool netstack.Prefix, start int) {
 // global pool is exhausted.
 func (t *Table) Learn(vlan uint16, internal netstack.Addr, mac netstack.MAC) *Binding {
 	if b, ok := t.byVLAN[vlan]; ok {
-		if b.Internal != internal {
-			// Inmate re-addressed (revert + fresh DHCP lease): rebind.
-			delete(t.byInternal, b.Internal)
-			b.Internal = internal
-			t.byInternal[internal] = b
-		}
+		// An inmate re-addressed (revert + fresh DHCP lease) keeps its
+		// global address.
+		b.Internal = internal
 		b.MAC = mac
 		return b
 	}
@@ -103,7 +95,6 @@ func (t *Table) Learn(vlan uint16, internal netstack.Addr, mac netstack.MAC) *Bi
 	}
 	b := &Binding{VLAN: vlan, Internal: internal, Global: g, MAC: mac}
 	t.byVLAN[vlan] = b
-	t.byInternal[internal] = b
 	t.byGlobal[g] = b
 	return b
 }
@@ -117,7 +108,6 @@ func (t *Table) Release(vlan uint16) {
 		return
 	}
 	delete(t.byVLAN, vlan)
-	delete(t.byInternal, b.Internal)
 	delete(t.byGlobal, b.Global)
 	t.gen++
 }
@@ -130,9 +120,6 @@ func (t *Table) Gen() uint64 { return t.gen }
 
 // ByVLAN returns the binding for an inmate.
 func (t *Table) ByVLAN(vlan uint16) *Binding { return t.byVLAN[vlan] }
-
-// ByInternal returns the binding for an internal address.
-func (t *Table) ByInternal(a netstack.Addr) *Binding { return t.byInternal[a] }
 
 // ByGlobal returns the binding for a global address.
 func (t *Table) ByGlobal(a netstack.Addr) *Binding { return t.byGlobal[a] }
@@ -156,7 +143,6 @@ func (t *Table) Outbound(p *netstack.Packet) bool {
 		return false
 	}
 	p.IP.Src = b.Global
-	t.TranslatedOut++
 	return true
 }
 
@@ -166,11 +152,9 @@ func (t *Table) Outbound(p *netstack.Packet) bool {
 func (t *Table) Inbound(p *netstack.Packet) *Binding {
 	b, ok := t.byGlobal[p.IP.Dst]
 	if !ok || t.mode != ForwardInbound {
-		t.DroppedIn++
 		return nil
 	}
 	p.IP.Dst = b.Internal
-	t.TranslatedIn++
 	return b
 }
 

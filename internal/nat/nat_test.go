@@ -42,11 +42,8 @@ func TestRebindAfterRevert(t *testing.T) {
 	if b2.Global != g {
 		t.Fatal("global address changed on rebind")
 	}
-	if tb.ByInternal(netstack.MustParseAddr("10.0.0.23")) != nil {
-		t.Fatal("stale internal mapping")
-	}
-	if tb.ByInternal(netstack.MustParseAddr("10.0.0.55")) != b2 {
-		t.Fatal("new internal mapping missing")
+	if got := tb.ByVLAN(7); got != b2 || got.Internal != netstack.MustParseAddr("10.0.0.55") {
+		t.Fatalf("binding for VLAN 7 = %+v, want the new internal address", got)
 	}
 }
 
@@ -62,9 +59,6 @@ func TestOutboundRewrite(t *testing.T) {
 	if p.IP.Dst != netstack.MustParseAddr("203.0.113.5") {
 		t.Fatal("dst changed")
 	}
-	if tb.TranslatedOut != 1 {
-		t.Error("counter")
-	}
 }
 
 func TestInboundDropMode(t *testing.T) {
@@ -73,9 +67,6 @@ func TestInboundDropMode(t *testing.T) {
 	p := outPkt(0, netstack.MustParseAddr("203.0.113.5"), netstack.MustParseAddr("192.0.2.16"))
 	if tb.Inbound(p) != nil {
 		t.Fatal("home-user mode forwarded inbound")
-	}
-	if tb.DroppedIn != 1 {
-		t.Error("drop not counted")
 	}
 }
 

@@ -172,13 +172,6 @@ type FlowKey struct {
 	Proto            uint8
 }
 
-// Reverse swaps the flow's endpoints.
-func (k FlowKey) Reverse() FlowKey {
-	k.SrcIP, k.DstIP = k.DstIP, k.SrcIP
-	k.SrcPort, k.DstPort = k.DstPort, k.SrcPort
-	return k
-}
-
 // String renders "vlan src:sport -> dst:dport/proto".
 func (k FlowKey) String() string {
 	return fmt.Sprintf("vlan%d %s:%d -> %s:%d/%s",

@@ -70,8 +70,7 @@ const (
 	// EvRawIronPrefix prefixes raw-iron lifecycle events from
 	// internal/rawiron, journalled per machine under the "rawiron.<machine>"
 	// scope: "rawiron.op_start", "rawiron.fault", "rawiron.retry",
-	// "rawiron.queued", "rawiron.quarantine", "rawiron.readmit",
-	// "rawiron.op_done".
+	// "rawiron.queued", "rawiron.quarantine", "rawiron.op_done".
 	EvRawIronPrefix = "rawiron."
 	// EvLifecyclePrefix prefixes specimen-recycling pipeline events from
 	// the farm recycler, journalled under "lifecycle.<subfarm>":

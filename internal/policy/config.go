@@ -59,17 +59,6 @@ func (c *Config) RuleFor(vlan uint16) (VLANRule, bool) {
 	return VLANRule{}, false
 }
 
-// TriggersFor collects triggers from every section covering vlan.
-func (c *Config) TriggersFor(vlan uint16) []*containment.Trigger {
-	var out []*containment.Trigger
-	for _, r := range c.VLANRules {
-		if vlan >= r.Lo && vlan <= r.Hi {
-			out = append(out, r.Triggers...)
-		}
-	}
-	return out
-}
-
 // Parse reads the Fig. 6 configuration format.
 func Parse(text string) (*Config, error) {
 	cfg := &Config{Services: make(map[string]AddrPort)}

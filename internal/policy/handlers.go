@@ -25,14 +25,11 @@ func NewSample(name, family string, content []byte) *Sample {
 type AutoinfectHandler struct {
 	sample *Sample
 	parser httpx.Parser
-	// Served counts successful deliveries.
-	Served int
 }
 
 // NewAutoinfectHandler builds the handler for one decided flow.
 func NewAutoinfectHandler(sample *Sample) *AutoinfectHandler {
-	h := &AutoinfectHandler{sample: sample}
-	return h
+	return &AutoinfectHandler{sample: sample}
 }
 
 // OnClientData implements containment.StreamHandler.
@@ -44,7 +41,6 @@ func (h *AutoinfectHandler) OnClientData(s *containment.Session, data []byte) {
 			resp.Headers["x-sample-name"] = h.sample.Name
 			resp.Headers["x-sample-family"] = h.sample.Family
 			s.WriteClient(resp.Marshal())
-			h.Served++
 			s.CloseClient()
 		}
 		h.parser.OnError = func(error) { s.AbortClient() }

@@ -47,7 +47,12 @@ func TestParseFig6(t *testing.T) {
 		t.Fatalf("rule for 19: %+v", r)
 	}
 	for _, vlan := range []uint16{16, 17, 18, 19} {
-		trs := cfg.TriggersFor(vlan)
+		var trs []*containment.Trigger
+		for _, r := range cfg.VLANRules {
+			if vlan >= r.Lo && vlan <= r.Hi {
+				trs = append(trs, r.Triggers...)
+			}
+		}
 		if len(trs) != 1 || trs[0].Action != "revert" {
 			t.Fatalf("triggers for %d: %v", vlan, trs)
 		}

@@ -194,22 +194,6 @@ func (c *Controller) RestoreFromHiddenPartition(machines []*Machine, done func(f
 	}
 }
 
-// Readmit returns a quarantined box to service: the operator cleared the
-// fault, so the breaker history is wiped and a fresh reimage brings the
-// machine back up.
-func (c *Controller) Readmit(m *Machine, image string, done func(error)) error {
-	if m.sc == nil {
-		return ErrUnknownMachine
-	}
-	if m.State != Quarantined {
-		return fmt.Errorf("rawiron: %s is not quarantined (state %v)", m.Name, m.State)
-	}
-	m.ladder.Clear()
-	m.setState(PoweredOff)
-	m.sc.Emit(obs.Event{Type: EvReadmit, VLAN: m.VLAN})
-	return c.Reimage(m, image, done)
-}
-
 // admit validates and enqueues one operation. The machine is owned from
 // here until the operation's terminal outcome.
 func (c *Controller) admit(op *operation) error {

@@ -40,7 +40,7 @@ const (
 	Running
 	// Quarantined is the circuit breaker's terminal state: the box failed
 	// too many restore attempts inside the breaker window and is pulled
-	// from rotation until an operator re-admits it.
+	// from rotation for the rest of the run.
 	Quarantined
 )
 
@@ -62,7 +62,6 @@ const (
 	EvRetry      = obs.EvRawIronPrefix + "retry"
 	EvQueued     = obs.EvRawIronPrefix + "queued"
 	EvQuarantine = obs.EvRawIronPrefix + "quarantine"
-	EvReadmit    = obs.EvRawIronPrefix + "readmit"
 	EvOpDone     = obs.EvRawIronPrefix + "op_done"
 )
 

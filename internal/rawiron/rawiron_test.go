@@ -297,7 +297,7 @@ func TestPowerStickRetries(t *testing.T) {
 	retryTest(t, Faults{PowerStick: 1}, FaultPowerStick)
 }
 
-func TestBreakerQuarantineAndReadmit(t *testing.T) {
+func TestBreakerQuarantine(t *testing.T) {
 	s := sim.New(1)
 	c := NewController(s, Config{})
 	m := machine(s, "iron0", 1)
@@ -324,31 +324,9 @@ func TestBreakerQuarantineAndReadmit(t *testing.T) {
 	if c.Seq.On(m.PowerPort) {
 		t.Fatal("quarantined box left powered")
 	}
-	// Quarantined boxes reject new work until an operator re-admits them.
+	// A quarantined box stays quarantined: it rejects new work for the run.
 	if err := c.Reimage(m, "clean", nil); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("err %v, want ErrQuarantined", err)
-	}
-	if err := c.Readmit(machine(s, "other", 9), "clean", nil); err == nil {
-		t.Fatal("readmitting an unregistered machine should fail")
-	}
-
-	// Operator clears the hardware fault and re-admits: the breaker
-	// history resets and a fresh reimage brings the box back.
-	c.ClearFaults()
-	var readmitted error = errors.New("pending")
-	if err := c.Readmit(m, "clean", func(err error) { readmitted = err }); err != nil {
-		t.Fatal(err)
-	}
-	s.RunFor(30 * time.Minute)
-	if readmitted != nil {
-		t.Fatalf("readmit reimage failed: %v", readmitted)
-	}
-	if m.State != Running || m.DiskImage != "clean" || m.BreakerLoad() != 0 {
-		t.Fatalf("state %v image %q breaker load %d", m.State, m.DiskImage, m.BreakerLoad())
-	}
-	// Readmit only applies to quarantined boxes.
-	if err := c.Readmit(m, "clean", nil); err == nil {
-		t.Fatal("readmitting a running machine should fail")
 	}
 }
 

@@ -266,7 +266,7 @@ func (s *Simulator) post(dst *Simulator, d time.Duration, m crossMsg) {
 func (s *Simulator) runWindow(limit time.Duration, gid int64) {
 	s.loopG.Store(gid)
 	defer s.endLoop()
-	for !s.halted {
+	for {
 		e := s.next()
 		if e == nil || e.key.at >= s.winEnd || e.key.at > limit {
 			break
@@ -280,9 +280,8 @@ func (s *Simulator) runWindow(limit time.Duration, gid int64) {
 func (c *Coordinator) RunFor(d time.Duration) { c.RunUntil(c.root.now + d) }
 
 // RunUntil executes events across all domains with firing times <=
-// deadline, advancing every domain's clock to deadline afterwards (unless
-// a domain halted, which freezes all clocks at that window, mirroring
-// Simulator.RunUntil). On return all domains are quiesced and the
+// deadline, advancing every domain's clock to deadline afterwards
+// (mirroring Simulator.RunUntil). On return all domains are quiesced and the
 // journal's buffered events have been merged and flushed in deterministic
 // order.
 func (c *Coordinator) RunUntil(deadline time.Duration) {
@@ -299,12 +298,11 @@ func (c *Coordinator) RunUntil(deadline time.Duration) {
 		}
 	}
 
-	halted := false
 	for _, d := range c.domains {
 		d.admitInjected()
 	}
 	gid := goid()
-	for !halted {
+	for {
 		t, ok := c.nextTime()
 		if !ok || t > deadline {
 			break
@@ -313,11 +311,6 @@ func (c *Coordinator) RunUntil(deadline time.Duration) {
 		c.deliver()
 		c.runRound(deadline, helpers, gid)
 		c.collect()
-		for _, d := range c.domains {
-			if d.halted {
-				halted = true
-			}
-		}
 	}
 
 	if helpers > 0 {
@@ -326,11 +319,9 @@ func (c *Coordinator) RunUntil(deadline time.Duration) {
 		c.startCh, c.doneCh = nil, nil
 	}
 
-	if !halted {
-		for _, d := range c.domains {
-			if d.now < deadline {
-				d.setNow(deadline)
-			}
+	for _, d := range c.domains {
+		if d.now < deadline {
+			d.setNow(deadline)
 		}
 	}
 	c.root.obs.Journal.FlushOrdered()
@@ -514,16 +505,6 @@ func (c *Coordinator) drain(gid int64) {
 // across them. windows/rounds is the run's average available parallelism —
 // a property of the workload, not of how many CPUs happened to execute it.
 func (c *Coordinator) Stats() (rounds, windows uint64) { return c.rounds, c.windows }
-
-// Halted reports whether any domain is halted.
-func (c *Coordinator) Halted() bool {
-	for _, d := range c.domains {
-		if d.halted {
-			return true
-		}
-	}
-	return false
-}
 
 // String identifies the coordinator in panics and logs.
 func (c *Coordinator) String() string {

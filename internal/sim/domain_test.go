@@ -247,10 +247,11 @@ func TestSparseWorkloadElidesBarriers(t *testing.T) {
 	}
 }
 
-// TestCrossPostStraddlesHalt: a cross-domain message posted before a halt
-// survives the freeze undelivered and arrives at its original virtual time
-// after Resume — the pending queue is part of the paused world state.
-func TestCrossPostStraddlesHalt(t *testing.T) {
+// TestCrossPostStraddlesDeadline: a cross-domain message posted before a
+// RunUntil deadline survives the quiesce undelivered and arrives at its
+// original virtual time in the next run — the pending queue is part of the
+// paused world state.
+func TestCrossPostStraddlesDeadline(t *testing.T) {
 	root := New(13)
 	c := NewCoordinator(root, 10*time.Millisecond, 2)
 	d := c.NewDomain()
@@ -259,19 +260,14 @@ func TestCrossPostStraddlesHalt(t *testing.T) {
 	root.Schedule(0, func() {
 		root.PostTo(d, 30*time.Millisecond, func() { arrived = d.Now() })
 	})
-	root.Schedule(5*time.Millisecond, func() { root.Halt() })
-	c.RunUntil(100 * time.Millisecond)
+	c.RunUntil(5 * time.Millisecond)
 	if arrived != 0 {
-		t.Fatalf("message delivered across a halt at %v", arrived)
-	}
-	if !c.Halted() {
-		t.Fatal("coordinator should report halted")
+		t.Fatalf("message delivered before its time, at %v", arrived)
 	}
 
-	root.Resume()
 	c.RunUntil(100 * time.Millisecond)
 	if arrived != 30*time.Millisecond {
-		t.Fatalf("post-resume delivery at %v, want 30ms", arrived)
+		t.Fatalf("delivery after the quiesce at %v, want 30ms", arrived)
 	}
 	if got := d.Now(); got != 100*time.Millisecond {
 		t.Fatalf("domain clock = %v, want 100ms", got)
@@ -373,39 +369,6 @@ func TestHop(t *testing.T) {
 		}
 	}()
 	root.Hop(alone, func() {})
-}
-
-// TestCoordinatorHaltStopsRun: halting any domain freezes the whole
-// coordinated run at that window instead of jumping clocks to deadline.
-func TestCoordinatorHaltStopsRun(t *testing.T) {
-	root := New(7)
-	c := NewCoordinator(root, 10*time.Millisecond, 4)
-	d := c.NewDomain()
-
-	fired := 0
-	d.Schedule(30*time.Millisecond, func() {
-		fired++
-		d.Halt()
-	})
-	d.Schedule(500*time.Millisecond, func() { fired++ })
-	c.RunUntil(time.Second)
-
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (event after halt must not run)", fired)
-	}
-	if !c.Halted() {
-		t.Fatal("coordinator should report halted")
-	}
-	if root.Now() >= time.Second {
-		t.Fatalf("halt did not freeze root clock: %v", root.Now())
-	}
-
-	// Resume lets a later run proceed and deliver the remaining event.
-	d.Resume()
-	c.RunUntil(time.Second)
-	if fired != 2 {
-		t.Fatalf("after Resume fired = %d, want 2", fired)
-	}
 }
 
 // TestCrossFloorAndSameWorld covers the topology-validation helpers used

@@ -68,6 +68,3 @@ func (l *Ladder) Delay() time.Duration {
 // Reset returns the backoff to its initial value once the thing retried
 // has recovered. The breaker history stays: flapping still trips it.
 func (l *Ladder) Reset() { l.backoff = l.cfg.Backoff }
-
-// Clear forgets the breaker history — an operator vouching for a repair.
-func (l *Ladder) Clear() { l.history = l.history[:0] }

@@ -37,7 +37,6 @@ func TestLadderDelay(t *testing.T) {
 	l.Record()
 	l.Tripped()
 	l.Reset()
-	l.Clear()
 	if got, want := s.Rand().Int63(), shadow.Int63(); got != want {
 		t.Fatalf("RNG stream out of step: ladder drew something other than one Float64 per Delay")
 	}
@@ -91,15 +90,11 @@ func TestLadderBreaker(t *testing.T) {
 			t.Fatalf("past the window: load=%d, want the t=0 attempt pruned", l.Load())
 		}
 		// Recovery resets the backoff but not the breaker: flapping still
-		// trips it. Only Clear forgets.
+		// trips it.
 		l.Reset()
 		l.Record()
 		if !l.Tripped() {
 			t.Fatal("Reset cleared the breaker history")
-		}
-		l.Clear()
-		if l.Tripped() || l.Load() != 0 {
-			t.Fatalf("Clear left load=%d", l.Load())
 		}
 	})
 }

@@ -284,7 +284,7 @@ func (s *Simulator) Pump(deadline time.Duration, stop func() bool) bool {
 	}
 	s.beginLoop()
 	defer s.endLoop()
-	for !s.halted {
+	for {
 		s.drainInjected()
 		if stop() {
 			return true
@@ -318,5 +318,4 @@ func (s *Simulator) Pump(deadline time.Duration, stop func() bool) bool {
 		}
 		s.Step()
 	}
-	return false
 }

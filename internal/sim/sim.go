@@ -142,7 +142,6 @@ type Simulator struct {
 	near, far eventQueue
 	rng       *rand.Rand
 	seed      int64
-	halted    bool
 
 	// Sharding state: which domain this is, the coordinator that owns it
 	// (nil for a standalone simulator), and the outbox of cross-domain
@@ -402,28 +401,12 @@ func (t *Timer) Stop() {
 // Pending reports whether the timer is armed and has not fired yet.
 func (t *Timer) Pending() bool { return t.ev.pos != 0 }
 
-// Halt stops Run/RunUntil/Step loops after the current event returns. The
-// halted state is sticky: pending events stay queued and the clock freezes
-// where the halting event fired, but no further events run until Resume.
-// In a coordinated (sharded) run, halting any domain stops the whole
-// coordinator at the end of the current synchronization window.
-func (s *Simulator) Halt() { s.halted = true }
-
-// Resume clears a previous Halt so Run/RunUntil/Step process events again.
-// The event queue is untouched: everything scheduled before or during the
-// halt (timers, retries, tickers) is still pending, so a farm halted by a
-// trigger can be resumed and driven further with Run*.
-func (s *Simulator) Resume() { s.halted = false }
-
-// Halted reports whether the simulator is currently halted.
-func (s *Simulator) Halted() bool { return s.halted }
-
 // Pending reports the number of events waiting to fire. Cancelled events
 // leave the queue when they are cancelled, so they are never counted.
 func (s *Simulator) Pending() int { return len(s.near) + len(s.far) }
 
 // Step executes the next pending event, advancing the clock to its firing
-// time. It returns false when the queue is empty or the simulator halted.
+// time. It returns false when the queue is empty.
 func (s *Simulator) Step() bool { return s.step(s.next()) }
 
 // step is Step for a caller that has already looked at the head event e
@@ -432,11 +415,11 @@ func (s *Simulator) Step() bool { return s.step(s.next()) }
 func (s *Simulator) step(e *Event) bool {
 	if s.injectN.Load() != 0 && s.coord == nil {
 		// A coordinated domain's mailbox waits for the quiesce point. What
-		// ran here may have scheduled ahead of e, cancelled it, or halted.
+		// ran here may have scheduled ahead of e or cancelled it.
 		s.drainInjected()
 		e = s.next()
 	}
-	if e == nil || s.halted {
+	if e == nil {
 		return false
 	}
 	s.unqueue(e)
@@ -447,7 +430,7 @@ func (s *Simulator) step(e *Event) bool {
 	return true
 }
 
-// Run drains the event queue completely (or until Halt).
+// Run drains the event queue completely.
 func (s *Simulator) Run() {
 	s.beginLoop()
 	defer s.endLoop()
@@ -456,20 +439,18 @@ func (s *Simulator) Run() {
 }
 
 // RunUntil executes events with firing times <= deadline, advancing the
-// clock to deadline afterwards even if the queue emptied earlier. A Halt()
-// freezes the clock where the halting event fired rather than jumping
-// ahead to the deadline.
+// clock to deadline afterwards even if the queue emptied earlier.
 func (s *Simulator) RunUntil(deadline time.Duration) {
 	s.beginLoop()
 	defer s.endLoop()
-	for !s.halted {
+	for {
 		e := s.next()
 		if e == nil || e.key.at > deadline {
 			break
 		}
 		s.step(e)
 	}
-	if s.now < deadline && !s.halted {
+	if s.now < deadline {
 		s.setNow(deadline)
 	}
 }

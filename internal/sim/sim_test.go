@@ -74,15 +74,6 @@ func TestFiredEventIsNotCancelled(t *testing.T) {
 	}
 }
 
-func TestRunUntilHaltFreezesClock(t *testing.T) {
-	s := New(1)
-	s.Schedule(time.Second, func() { s.Halt() })
-	s.RunUntil(time.Minute)
-	if s.Now() != time.Second {
-		t.Fatalf("Now = %v after Halt, want clock frozen at 1s", s.Now())
-	}
-}
-
 func TestNestedScheduling(t *testing.T) {
 	s := New(1)
 	var at []time.Duration
@@ -130,52 +121,6 @@ func TestTickerStop(t *testing.T) {
 	s.RunFor(time.Minute)
 	if count != 3 {
 		t.Fatalf("ticker fired %d times after Stop, want 3", count)
-	}
-}
-
-func TestHalt(t *testing.T) {
-	s := New(1)
-	count := 0
-	s.Schedule(time.Second, func() { count++; s.Halt() })
-	s.Schedule(2*time.Second, func() { count++ })
-	s.Run()
-	if count != 1 {
-		t.Fatalf("events after Halt ran: count=%d", count)
-	}
-}
-
-// TestResumeAfterHalt: Halt is sticky but not terminal — Resume clears it
-// with the queue intact, so a farm halted by a trigger can be driven
-// further (inspect state, then continue the run).
-func TestResumeAfterHalt(t *testing.T) {
-	s := New(1)
-	count := 0
-	s.Schedule(time.Second, func() { count++; s.Halt() })
-	s.Schedule(2*time.Second, func() { count++ })
-	s.RunFor(time.Minute)
-	if count != 1 || !s.Halted() {
-		t.Fatalf("after halt: count=%d halted=%v, want 1/true", count, s.Halted())
-	}
-	if s.Now() != time.Second {
-		t.Fatalf("halt clock = %v, want 1s", s.Now())
-	}
-
-	// While halted, nothing runs — Run loops are inert.
-	s.RunFor(time.Minute)
-	if count != 1 || s.Now() != time.Second {
-		t.Fatalf("halted simulator advanced: count=%d now=%v", count, s.Now())
-	}
-
-	s.Resume()
-	if s.Halted() {
-		t.Fatal("Resume did not clear halted state")
-	}
-	s.RunFor(time.Minute)
-	if count != 2 {
-		t.Fatalf("pending event did not survive halt/resume: count=%d", count)
-	}
-	if s.Now() != 61*time.Second {
-		t.Fatalf("clock after resume = %v, want 61s", s.Now())
 	}
 }
 

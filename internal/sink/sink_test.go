@@ -256,8 +256,7 @@ func TestSMTPSinkBannerGrab(t *testing.T) {
 	s, bot, sinkHost, mx := net3(t, 5)
 	// The real MX greets with a distinctive banner.
 	realBanner := "220 mx.google.com ESMTP gsmtp"
-	srv := &smtpx.Server{Banner: realBanner, Strictness: smtpx.Lenient}
-	if err := srv.Serve(mx, 25); err != nil {
+	if err := mx.Listen(25, func(c *host.Conn) { smtpx.Bind(c, smtpx.Lenient).Greet(realBanner) }); err != nil {
 		t.Fatal(err)
 	}
 	sk, _ := NewSMTPSink(sinkHost, SMTPConfig{Port: 2526, BannerGrab: true, Strictness: smtpx.Lenient})
@@ -333,8 +332,7 @@ func TestSMTPSinkUnknownTargetUsesStaticBanner(t *testing.T) {
 
 func TestSMTPSinkControlMessage(t *testing.T) {
 	s, bot, sinkHost, mx := net3(t, 8)
-	srv := &smtpx.Server{Banner: "220 grabbed.example", Strictness: smtpx.Lenient}
-	srv.Serve(mx, 25)
+	mx.Listen(25, func(c *host.Conn) { smtpx.Bind(c, smtpx.Lenient).Greet("220 grabbed.example") })
 	sk, _ := NewSMTPSink(sinkHost, SMTPConfig{Port: 2526, BannerGrab: true, Strictness: smtpx.Lenient})
 	_ = sk
 	// A "containment server" (here: the mx host doubling as CS) sends the

@@ -129,10 +129,7 @@ func TestSessionAllocsPerMessage(t *testing.T) {
 	netsim.Connect(bot.NIC(), mx.NIC(), 0)
 	bot.ConfigureStatic(netstack.MustParseAddr("10.0.0.1"), 24, 0)
 	mx.ConfigureStatic(netstack.MustParseAddr("10.0.0.2"), 24, 0)
-	srv := &Server{Banner: "220 mx ESMTP", Strictness: Lenient}
-	if err := srv.Serve(mx, 25); err != nil {
-		t.Fatal(err)
-	}
+	serve(t, mx, 25, "220 mx ESMTP", Lenient)
 	const perMessage = 2
 	m := mail{"bot@spam.biz", []string{"victim@inbox.example"}, "Subject: cheap meds\n\ncheap meds #1"}
 

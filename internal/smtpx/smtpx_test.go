@@ -200,12 +200,29 @@ func mailNet(t *testing.T) (*sim.Simulator, *host.Host, *host.Host) {
 	return s, bot, mx
 }
 
-func TestClientDeliversMultipleMessages(t *testing.T) {
-	s, bot, mx := mailNet(t)
-	srv := &Server{Banner: "220 mx.example.com ESMTP", Strictness: Lenient}
-	if err := srv.Serve(mx, 25); err != nil {
+// served counts what a plain server bound by serve saw: accepted
+// connections and completed messages.
+type served struct{ sessions, envelopes int }
+
+// serve binds a plain engine to every connection on h's port, greeted at
+// once with banner, and counts its sessions and messages.
+func serve(t *testing.T, h *host.Host, port uint16, banner string, s Strictness) *served {
+	t.Helper()
+	n := &served{}
+	if err := h.Listen(port, func(c *host.Conn) {
+		n.sessions++
+		e := Bind(c, s)
+		e.OnMessage = func(*Envelope) *Reply { n.envelopes++; return nil }
+		e.Greet(banner)
+	}); err != nil {
 		t.Fatal(err)
 	}
+	return n
+}
+
+func TestClientDeliversMultipleMessages(t *testing.T) {
+	s, bot, mx := mailNet(t)
+	srv := serve(t, mx, 25, "220 mx.example.com ESMTP", Lenient)
 	var delivered int
 	var doneErr error
 	Send(bot, mx.Addr(), 25, withMail(ClientConfig{
@@ -220,8 +237,8 @@ func TestClientDeliversMultipleMessages(t *testing.T) {
 	if doneErr != nil {
 		t.Fatal(doneErr)
 	}
-	if delivered != 3 || srv.Envelopes != 3 || srv.Sessions != 1 {
-		t.Fatalf("delivered=%d envelopes=%d sessions=%d", delivered, srv.Envelopes, srv.Sessions)
+	if delivered != 3 || srv.envelopes != 3 || srv.sessions != 1 {
+		t.Fatalf("delivered=%d envelopes=%d sessions=%d", delivered, srv.envelopes, srv.sessions)
 	}
 }
 
@@ -229,21 +246,19 @@ func TestSloppyClientFailsAgainstStrictServer(t *testing.T) {
 	// The §7.1 protocol-violations shape: connection-level activity looks
 	// healthy but no DATA stage is ever reached against a strict sink.
 	s, bot, mx := mailNet(t)
-	srv := &Server{Banner: "220 mx ESMTP", Strictness: Strict}
-	srv.Serve(mx, 25)
+	srv := serve(t, mx, 25, "220 mx ESMTP", Strict)
 	var delivered int
 	Send(bot, mx.Addr(), 25, withMail(ClientConfig{
 		Helo: "bot", RepeatHelo: 2, Style: StyleBare,
 		OnDone: func(n int, err error) { delivered = n },
 	}, mail{"a@b.c", []string{"v@x.com"}, "m"}))
 	s.RunFor(time.Minute)
-	if delivered != 0 || srv.Envelopes != 0 {
+	if delivered != 0 || srv.envelopes != 0 {
 		t.Fatalf("strict server accepted sloppy client: delivered=%d", delivered)
 	}
 
 	// Same client against a lenient server succeeds.
-	srv2 := &Server{Banner: "220 mx ESMTP", Strictness: Lenient}
-	srv2.Serve(mx, 2525)
+	serve(t, mx, 2525, "220 mx ESMTP", Lenient)
 	var delivered2 int
 	Send(bot, mx.Addr(), 2525, withMail(ClientConfig{
 		Helo: "bot", RepeatHelo: 2, Style: StyleBare,
@@ -257,8 +272,7 @@ func TestSloppyClientFailsAgainstStrictServer(t *testing.T) {
 
 func TestClientBannerRejection(t *testing.T) {
 	s, bot, mx := mailNet(t)
-	srv := &Server{Banner: "220 sink.gq.local", Strictness: Lenient}
-	srv.Serve(mx, 25)
+	srv := serve(t, mx, 25, "220 sink.gq.local", Lenient)
 	var doneErr error
 	Send(bot, mx.Addr(), 25, withMail(ClientConfig{
 		Helo: "bot",
@@ -271,19 +285,14 @@ func TestClientBannerRejection(t *testing.T) {
 	if doneErr == nil {
 		t.Fatal("client should abort on unexpected banner")
 	}
-	if srv.Envelopes != 0 {
+	if srv.envelopes != 0 {
 		t.Fatal("message delivered despite banner rejection")
 	}
 }
 
 func TestClientRetriesNextRcptOnReject(t *testing.T) {
 	s, bot, mx := mailNet(t)
-	srv := &Server{Banner: "220 mx", Strictness: Lenient}
-	srv.OnMessage = nil
-	srv.Serve(mx, 25)
 	// Server engine hook: reject first recipient only.
-	// Simpler: use engine-level OnRcpt via custom listen.
-	mx.Unlisten(25)
 	var envs []Envelope
 	mx.Listen(25, func(c *host.Conn) {
 		e := Bind(c, Lenient)

@@ -2,8 +2,9 @@
 // per-subfarm recording from the inmate network's perspective (with
 // unroutable internal addresses, giving some immediate anonymity for data
 // sharing), and system-wide recording at the upstream interface. Traces are
-// written in libpcap format — classic microsecond or nanosecond-precision —
-// so standard tooling can read them.
+// written in classic microsecond-precision libpcap format, so standard
+// tooling can read them; Read also takes the nanosecond-precision variant
+// other tools write.
 package trace
 
 import (
@@ -17,9 +18,8 @@ import (
 // Pcap file constants.
 const (
 	pcapMagic = 0xa1b2c3d4
-	// pcapMagicNano marks nanosecond-resolution timestamps (the farm's
-	// virtual clock is nanosecond-granular, so sub-microsecond event spacing
-	// survives only in this mode).
+	// pcapMagicNano marks nanosecond-resolution timestamps, which Read
+	// accepts from pcaps written outside the program.
 	pcapMagicNano = 0xa1b23c4d
 	pcapVMajor    = 2
 	pcapVMinor    = 4
@@ -32,7 +32,6 @@ const (
 // before handing the underlying file to a reader.
 type Writer struct {
 	w       *bufio.Writer
-	nano    bool
 	started bool
 
 	// Packets counts records written; Bytes counts original on-wire frame
@@ -47,22 +46,14 @@ type Writer struct {
 // WriteHeader).
 func NewWriter(w io.Writer) *Writer { return &Writer{w: bufio.NewWriter(w)} }
 
-// NewNanoWriter wraps w with a nanosecond-precision pcap writer (magic
-// 0xa1b23c4d).
-func NewNanoWriter(w io.Writer) *Writer { return &Writer{w: bufio.NewWriter(w), nano: true} }
-
 // WriteHeader emits the pcap global header.
 func (t *Writer) WriteHeader() error {
 	if t.started {
 		return nil
 	}
 	t.started = true
-	magic := uint32(pcapMagic)
-	if t.nano {
-		magic = pcapMagicNano
-	}
 	var hdr [24]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], magic)
+	binary.LittleEndian.PutUint32(hdr[0:4], pcapMagic)
 	binary.LittleEndian.PutUint16(hdr[4:6], pcapVMajor)
 	binary.LittleEndian.PutUint16(hdr[6:8], pcapVMinor)
 	// thiszone, sigfigs zero.
@@ -81,13 +72,9 @@ func (t *Writer) WritePacket(ts time.Time, frame []byte) error {
 	if len(capped) > pcapSnaplen {
 		capped = capped[:pcapSnaplen]
 	}
-	subsec := uint32(ts.Nanosecond())
-	if !t.nano {
-		subsec /= 1000
-	}
 	var rec [16]byte
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(ts.Unix()))
-	binary.LittleEndian.PutUint32(rec[4:8], subsec)
+	binary.LittleEndian.PutUint32(rec[4:8], uint32(ts.Nanosecond()/1000))
 	binary.LittleEndian.PutUint32(rec[8:12], uint32(len(capped)))
 	binary.LittleEndian.PutUint32(rec[12:16], uint32(len(frame)))
 	if _, err := t.w.Write(rec[:]); err != nil {
@@ -112,8 +99,8 @@ func (t *Writer) Flush() error {
 	return t.w.Flush()
 }
 
-// Close flushes the stream and, if the underlying writer is an io.Closer,
-// closes it too.
+// Close flushes the stream. The underlying writer stays open: whoever
+// opened it closes it.
 func (t *Writer) Close() error {
 	if err := t.Flush(); err != nil {
 		return err
@@ -129,8 +116,8 @@ type Record struct {
 	OrigLen int
 }
 
-// Read parses a pcap stream produced by Writer (little-endian, microsecond
-// or nanosecond timestamps).
+// Read parses a little-endian pcap stream with microsecond timestamps (as
+// Writer produces) or nanosecond ones.
 func Read(r io.Reader) ([]Record, error) {
 	var hdr [24]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

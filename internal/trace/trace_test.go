@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 	"time"
@@ -63,22 +64,32 @@ func TestHeaderOnlyOnce(t *testing.T) {
 	}
 }
 
-func TestNanoRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewNanoWriter(&buf)
+// TestReadNanosecondPcap: Read takes the nanosecond-precision format other
+// tools write (magic 0xa1b23c4d), here a hand-built header and one record.
+func TestReadNanosecondPcap(t *testing.T) {
 	ts := time.Date(2011, 11, 2, 12, 0, 0, 123456789, time.UTC)
-	if err := w.WritePacket(ts, []byte("nanoframe")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	frame := []byte("nanoframe")
+	var buf bytes.Buffer
+	hdr := make([]byte, 24)
+	binary.LittleEndian.PutUint32(hdr[0:4], 0xa1b23c4d)
+	binary.LittleEndian.PutUint16(hdr[4:6], 2)
+	binary.LittleEndian.PutUint16(hdr[6:8], 4)
+	binary.LittleEndian.PutUint32(hdr[16:20], 65535)
+	binary.LittleEndian.PutUint32(hdr[20:24], LinkTypeEthernet)
+	rec := make([]byte, 16)
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(ts.Unix()))
+	binary.LittleEndian.PutUint32(rec[4:8], uint32(ts.Nanosecond()))
+	binary.LittleEndian.PutUint32(rec[8:12], uint32(len(frame)))
+	binary.LittleEndian.PutUint32(rec[12:16], uint32(len(frame)))
+	buf.Write(hdr)
+	buf.Write(rec)
+	buf.Write(frame)
 	recs, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 {
-		t.Fatalf("%d records", len(recs))
+	if len(recs) != 1 || string(recs[0].Frame) != "nanoframe" {
+		t.Fatalf("records %+v", recs)
 	}
 	if !recs[0].Time.Equal(ts) {
 		t.Fatalf("timestamp %v want %v (nanosecond precision lost)", recs[0].Time, ts)

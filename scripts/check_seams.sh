@@ -163,4 +163,23 @@ bad "test-only httpx server in product code (a test serves HTTP itself)" \
 # shellcheck disable=SC2046
 bad "SMTP engine wired to a connection by hand (use smtpx.Bind)" \
 	"$(grep -nF 'smtpx.NewEngine(' $(find . -name '*.go' ! -name '*_test.go' ! -path './internal/smtpx/*' ! -path './bench/*') || true)"
+# Product code keeps no state nothing reads and no behaviour only tests run
+# (ROADMAP item 10). These names were retired with their last non-test
+# reader or caller: the simulator's halt switch, the NAT table's internal
+# index, the router's inmate packet count and lockdown reason, the raw-iron
+# readmit path, the policy's trigger walk (the farm walks VLANRules), the
+# nanosecond pcap writer, the plain SMTP server, the DHCP lease-time setting
+# and the inmate's transition log.
+# shellcheck disable=SC2046
+bad "retired simulator halt switch" \
+	"$(grep -nE 'func \(s \*Simulator\) Halt\(|\.halted\b' $(find internal/sim -name '*.go' ! -name '*_test.go') || true)"
+# shellcheck disable=SC2086
+bad "retired state or test-only behaviour in product code (a test builds what it needs)" \
+	"$(grep -nE '\b(byInternal|rxInmate|lockdownReason|TriggersFor|NewNanoWriter|LeaseTime)\b|func \(c \*Controller\) Readmit\(|"nano-trace"' $nonbench || true)"
+# shellcheck disable=SC2046
+bad "test-only SMTP server in product code (a test binds its own engine with smtpx.Bind)" \
+	"$(grep -nF 'type Server struct' $(find internal/smtpx -name '*.go' ! -name '*_test.go') || true)"
+# shellcheck disable=SC2046
+bad "inmate transition log in product code (State is the inmate's one record of its lifecycle)" \
+	"$(grep -nF '.Transitions' $(find internal/inmate -name '*.go' ! -name '*_test.go') || true)"
 exit $status
