@@ -54,8 +54,9 @@ bench-smoke:
 # Native fuzz targets on a short budget each (go test takes one -fuzz
 # target per package run). A crasher lands in the package's
 # testdata/fuzz/<target>/ — commit it: plain `go test` replays it from
-# then on. FuzzEventQueue's, FuzzFlowSegments', the two smtpx targets' and
-# the DNS and DHCP decoders' inputs are scripts or messages a few hundred
+# then on. FuzzEventQueue's, FuzzFlowSegments', the two smtpx targets', the
+# line reader's and the DNS and DHCP decoders' inputs are scripts, streams or
+# messages a few hundred
 # bytes long; the engine's minimiser, which is quadratic in that length and
 # runs on every input that adds coverage, is held to ten executions or it
 # eats the budget.
@@ -69,6 +70,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFlowSegments$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/gateway
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineFeed$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/smtpx
 	$(GO) test -run '^$$' -fuzz '^FuzzClientFeed$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/smtpx
+	$(GO) test -run '^$$' -fuzz '^FuzzLineReader$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/lineio
 	$(GO) test -run '^$$' -fuzz '^FuzzShimCodec$$' -fuzztime $(FUZZTIME) ./internal/shim
 	$(GO) test -run '^$$' -fuzz '^FuzzSessionFraming$$' -fuzztime $(FUZZTIME) ./internal/containment
 	$(GO) test -run '^$$' -fuzz '^FuzzDNSUnmarshal$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/dnsx

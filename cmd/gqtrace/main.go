@@ -5,9 +5,11 @@
 //	                          farm's shim protocol decoded where present
 //	gqtrace report run.pcap   the Bro-style analyzers' per-inmate summary
 //
-// report is the offline half of the §6.5 reporting pipeline: containment
-// requests observed on the wire (shim analyzer) and SMTP sessions/DATA
-// transfers (SMTP analyzer), extracted from network activity alone.
+// report is the offline half of the §6.5 reporting pipeline: the flows each
+// inmate asked the containment servers to decide (report.AuditTrace, which
+// counts distinct request shims to the farm's containment port) and SMTP
+// sessions/DATA transfers (SMTP analyzer), extracted from network activity
+// alone.
 package main
 
 import (
@@ -16,6 +18,7 @@ import (
 	"os"
 	"sort"
 
+	"gq/internal/farm"
 	"gq/internal/netstack"
 	"gq/internal/report"
 	"gq/internal/shim"
@@ -89,26 +92,27 @@ func shimNote(payload []byte) string {
 // summarize prints the per-inmate activity summary.
 func summarize(recs []trace.Record, w io.Writer) {
 	smtp := report.NewSMTPAnalyzer()
-	shims := report.NewShimAnalyzer()
 	for _, rec := range recs {
 		p, err := netstack.ParseFrame(rec.Frame)
 		if err != nil {
 			continue
 		}
 		smtp.Tap(p)
-		shims.Tap(p)
 	}
+	// The pcap does not say which addresses the containment servers had:
+	// any on their port is one.
+	flows := report.AuditTrace(recs, farm.ContainmentPort).FlowsByVLAN
 
 	fmt.Fprintf(w, "Trace Activity Summary (%d packets)\n", len(recs))
 	fmt.Fprintln(w, "===================================")
 	fmt.Fprintln(w, "\nContainment requests by inmate VLAN:")
-	vlans := make([]int, 0, len(shims.RequestsByVLAN))
-	for v := range shims.RequestsByVLAN {
+	vlans := make([]int, 0, len(flows))
+	for v := range flows {
 		vlans = append(vlans, int(v))
 	}
 	sort.Ints(vlans)
 	for _, v := range vlans {
-		fmt.Fprintf(w, "  VLAN %-5d %d flows\n", v, shims.RequestsByVLAN[uint16(v)])
+		fmt.Fprintf(w, "  VLAN %-5d %d flows\n", v, flows[uint16(v)])
 	}
 
 	fmt.Fprintln(w, "\nSMTP activity by inmate:")

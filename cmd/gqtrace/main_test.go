@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"gq/internal/farm"
+	"gq/internal/netstack"
+	"gq/internal/shim"
 	"gq/internal/trace"
 )
 
@@ -82,6 +84,43 @@ func TestSubcommandsMatchGolden(t *testing.T) {
 	}
 	if errOut.Len() != 0 {
 		t.Errorf("report wrote to stderr: %q", errOut.String())
+	}
+}
+
+// TestReportCountsUDPFlowOnce: a rewrite-proxied UDP flow re-wraps every
+// datagram in the flow's request shim; `report` counts the flow once, not
+// once per datagram.
+func TestReportCountsUDPFlowOnce(t *testing.T) {
+	inmate, cs := netstack.MustParseAddr("10.0.0.16"), netstack.MustParseAddr("10.3.0.1")
+	req := shim.Request{OrigIP: inmate, OrigPort: 5353, RespIP: netstack.MustParseAddr("203.0.113.53"),
+		RespPort: 53, VLAN: 16, NoncePort: 40001}
+	path := filepath.Join(t.TempDir(), "udp.pcap")
+	fh, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+	w := trace.NewWriter(fh)
+	for i := 0; i < 3; i++ {
+		p := &netstack.Packet{
+			Eth:     netstack.Ethernet{VLAN: 11, EtherType: netstack.EtherTypeIPv4},
+			IP:      &netstack.IPv4{Src: inmate, Dst: cs, TTL: 64, Protocol: netstack.ProtoUDP},
+			UDP:     &netstack.UDP{SrcPort: 5353, DstPort: farm.ContainmentPort},
+			Payload: append(req.Marshal(), "query"...),
+		}
+		if err := w.WritePacket(time.Unix(int64(i), 0), p.Marshal()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	if code := run([]string{"report", path}, &out, &errOut); code != 0 {
+		t.Fatalf("report: exit %d (stderr: %s)", code, errOut.String())
+	}
+	if line := "  VLAN 16    1 flows\n"; !strings.Contains(out.String(), line) {
+		t.Fatalf("report lacks %q:\n%s", line, out.String())
 	}
 }
 

@@ -36,9 +36,6 @@ type Server struct {
 	leases map[netstack.MAC]*Lease
 	inUse  map[netstack.Addr]bool
 	next   int
-
-	// Served counts DHCPACKs issued.
-	Served uint64
 }
 
 // NewServer starts a DHCP server on h.
@@ -87,7 +84,6 @@ func (s *Server) handle(src netstack.Addr, srcPort uint16, data []byte) {
 			s.nak(m)
 			return
 		}
-		s.Served++
 		s.reply(m, Ack, lease.Addr)
 	case Release:
 		s.ReleaseMAC(m.CHAddr)

@@ -18,8 +18,6 @@ type Server struct {
 
 	// Queries and NXDomains count lookups for reports and DGA experiments.
 	Queries, NXDomains uint64
-	// QueryLog records names asked, in order.
-	QueryLog []string
 }
 
 // NewServer starts a DNS server on h with the given zone data.
@@ -65,7 +63,6 @@ func (s *Server) handle(src netstack.Addr, sport uint16, data []byte) {
 		return
 	}
 	s.Queries++
-	s.QueryLog = append(s.QueryLog, q.Name)
 	resp := &Message{ID: q.ID, Response: true, Name: q.Name, TTL: 300}
 	if addr, ok := s.lookup(q.Name); ok {
 		resp.Answers = []netstack.Addr{addr}

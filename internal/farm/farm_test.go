@@ -13,6 +13,7 @@ import (
 	"gq/internal/report"
 	"gq/internal/shim"
 	"gq/internal/smtpx"
+	"gq/internal/trace"
 )
 
 // botfarmConfig reproduces the Fig. 6 setup: Rustock on VLANs 16-17, Grum
@@ -75,8 +76,8 @@ func buildBotfarm(t *testing.T, seed int64, dropProb float64) (*Farm, *Subfarm) 
 
 func TestBotfarmEndToEnd(t *testing.T) {
 	f, sf := buildBotfarm(t, 42, 0)
-	shims := report.NewShimAnalyzer()
-	sf.Router.AddTap(shims.Tap)
+	var frames []trace.Record
+	sf.Router.AddTap(func(p *netstack.Packet) { frames = append(frames, trace.Record{Frame: p.Marshal()}) })
 
 	rustockInmate, err := sf.AddInmate("rustock-0")
 	if err != nil {
@@ -152,10 +153,11 @@ func TestBotfarmEndToEnd(t *testing.T) {
 		t.Fatalf("analyzer sessions %d, sinks %d", analyzerSessions, total)
 	}
 
-	// The shim analyzer observed containment requests for every inmate.
+	// The trace audit observed containment requests for every inmate.
+	flows := report.AuditTrace(frames, ContainmentPort, sf.CS.Host.Addr()).FlowsByVLAN
 	for _, vlan := range []uint16{16, 17, 18} {
-		if shims.RequestsByVLAN[vlan] == 0 {
-			t.Fatalf("no shims observed for VLAN %d", vlan)
+		if flows[vlan] == 0 {
+			t.Fatalf("no containment requests observed for VLAN %d", vlan)
 		}
 	}
 }

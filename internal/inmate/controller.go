@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gq/internal/host"
+	"gq/internal/lineio"
 )
 
 // ActionRecord logs one life-cycle action handled by the controller.
@@ -60,27 +61,18 @@ func NewController(h *host.Host) (*Controller, error) {
 
 func (c *Controller) install() error {
 	return c.h.Listen(ControllerPort, func(conn *host.Conn) {
-		var buf []byte
+		var in lineio.Reader
 		conn.OnData = func(d []byte) {
 			if c.hung {
 				return
 			}
-			buf = append(buf, d...)
-			for {
-				nl := strings.IndexByte(string(buf), '\n')
-				if nl < 0 {
-					return
+			in.Feed(d, func(l []byte) {
+				if line := strings.TrimSpace(string(l)); line != "" {
+					conn.Write([]byte(c.handleLine(line) + "\n"))
 				}
-				line := strings.TrimSpace(string(buf[:nl]))
-				buf = buf[nl+1:]
-				if line == "" {
-					continue
-				}
-				reply := c.handleLine(line)
-				conn.Write([]byte(reply + "\n"))
-			}
+			}, conn.Close)
 		}
-		conn.OnPeerClose = func() { conn.Close() }
+		conn.OnPeerClose = conn.Close
 	})
 }
 
@@ -191,22 +183,22 @@ func SendAction(from *host.Host, controller *host.Host, action string, vlan uint
 
 // SendLine is the client side of the controller's line protocol: dial from
 // another management host, send one line, hand the reply line to done
-// (exactly once; "ERR <cause>" if the connection closes first) and close.
+// (exactly once; "ERR <cause>" if the connection closes first, as it does
+// once a reply line passes lineio.DefaultMax) and close.
 // The supervision tree's liveness probe sends "PING" and wants "PONG". The
 // connection is returned so a caller with a deadline can Abort it.
 func SendLine(from *host.Host, controller *host.Host, line string, done func(reply string)) *host.Conn {
 	c := from.Dial(controller.Addr(), ControllerPort)
-	var buf []byte
+	var in lineio.Reader
 	c.OnConnect = func() { c.Write([]byte(line + "\n")) }
 	c.OnData = func(d []byte) {
-		buf = append(buf, d...)
-		if nl := strings.IndexByte(string(buf), '\n'); nl >= 0 {
+		in.Feed(d, func(reply []byte) {
 			if done != nil {
-				done(strings.TrimSpace(string(buf[:nl])))
+				done(strings.TrimSpace(string(reply)))
 				done = nil
 			}
 			c.Close()
-		}
+		}, c.Close)
 	}
 	c.OnClose = func(err error) {
 		if done != nil {

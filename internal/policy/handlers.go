@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"bytes"
 	"crypto/md5"
 	"encoding/hex"
 	"fmt"
@@ -9,6 +8,7 @@ import (
 
 	"gq/internal/containment"
 	"gq/internal/httpx"
+	"gq/internal/lineio"
 )
 
 // NewSample builds a Sample, computing its MD5.
@@ -64,10 +64,8 @@ func (h *AutoinfectHandler) OnServerClose(s *containment.Session) {}
 // stripped before reaching the inmate, while harmless directives (spam
 // templates, target lists) pass so the specimen keeps operating.
 type CCFilterHandler struct {
-	// respBuf holds the C&C's unterminated last line, up to
-	// maxDirectiveLine; skipping drops the rest of a longer one, whole.
-	respBuf  []byte
-	skipping bool
+	// in frames the C&C's responses and holds its unterminated last line.
+	in lineio.Reader
 	// Dropped counts stripped directives; Passed counts forwarded ones.
 	Dropped, Passed int
 }
@@ -77,7 +75,9 @@ type CCFilterHandler struct {
 const maxDirectiveLine = 4 << 10
 
 // NewCCFilterHandler builds a filter for one decided flow.
-func NewCCFilterHandler() *CCFilterHandler { return &CCFilterHandler{} }
+func NewCCFilterHandler() *CCFilterHandler {
+	return &CCFilterHandler{in: lineio.Reader{Max: maxDirectiveLine}}
+}
 
 // forbiddenDirectives are C&C verbs that must never reach an inmate.
 var forbiddenDirectives = []string{"DDOS", "FLOOD", "PROXY", "UPDATE", "EXEC", "SCAN"}
@@ -88,38 +88,18 @@ func (h *CCFilterHandler) OnClientData(s *containment.Session, data []byte) {
 }
 
 // OnServerData implements containment.StreamHandler: C&C->bot is filtered
-// line by line, and the unterminated rest is held for the next call.
+// line by line, and the unterminated rest is held for the next call. A line
+// past maxDirectiveLine is dropped whole.
 func (h *CCFilterHandler) OnServerData(s *containment.Session, data []byte) {
 	var out []byte
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			if !h.skipping {
-				h.respBuf = append(h.respBuf, data...)
-				if len(h.respBuf) > maxDirectiveLine {
-					h.respBuf, h.skipping = h.respBuf[:0], true
-					h.Dropped++
-				}
-			}
-			break
-		}
-		line := data[:nl+1]
-		data = data[nl+1:]
-		if h.skipping {
-			h.skipping = false
-			continue
-		}
-		if len(h.respBuf) > 0 {
-			line = append(h.respBuf, line...)
-			h.respBuf = line[:0]
-		}
+	h.in.Feed(data, func(line []byte) {
 		if h.forbidden(string(line)) {
 			h.Dropped++
-			continue
+			return
 		}
 		h.Passed++
-		out = append(out, line...)
-	}
+		out = append(append(out, line...), '\n')
+	}, func() { h.Dropped++ })
 	if len(out) > 0 {
 		s.WriteClient(out)
 	}
@@ -141,9 +121,8 @@ func (h *CCFilterHandler) OnClientClose(s *containment.Session) { s.CloseServer(
 // OnServerClose implements containment.StreamHandler: flush any unfiltered
 // tail (a trailing line without newline is held back unless benign).
 func (h *CCFilterHandler) OnServerClose(s *containment.Session) {
-	if len(h.respBuf) > 0 && !h.forbidden(string(h.respBuf)) {
-		s.WriteClient(h.respBuf)
-		h.respBuf = nil
+	if tail := h.in.Pending(); len(tail) > 0 && !h.forbidden(string(tail)) {
+		s.WriteClient(tail)
 	}
 	s.CloseClient()
 }

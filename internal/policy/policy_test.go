@@ -335,13 +335,13 @@ func TestCCFilterDropsOverlongLine(t *testing.T) {
 	seg := bytes.Repeat([]byte("x"), 1400)
 	for i := 0; i < 10; i++ {
 		h.OnServerData(s, seg)
-		if len(h.respBuf) > maxDirectiveLine {
-			t.Fatalf("filter holds %d bytes of one line", len(h.respBuf))
+		if len(h.in.Pending()) > maxDirectiveLine {
+			t.Fatalf("filter holds %d bytes of one line", len(h.in.Pending()))
 		}
 	}
 	h.OnServerData(s, []byte("xx\nTARGET a@b.com\n"))
-	if h.Dropped != 1 || h.Passed != 1 || len(h.respBuf) != 0 {
-		t.Fatalf("dropped %d, passed %d, holding %d bytes; want 1, 1, 0", h.Dropped, h.Passed, len(h.respBuf))
+	if h.Dropped != 1 || h.Passed != 1 || len(h.in.Pending()) != 0 {
+		t.Fatalf("dropped %d, passed %d, holding %d bytes; want 1, 1, 0", h.Dropped, h.Passed, len(h.in.Pending()))
 	}
 }
 

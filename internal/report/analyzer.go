@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"gq/internal/netstack"
-	"gq/internal/shim"
 	"gq/internal/sim"
 )
 
@@ -120,35 +119,6 @@ func (a *SMTPAnalyzer) serverLines(f *smtpFlow, payload []byte) {
 			f.dataPending = false
 		}
 	}
-}
-
-// ShimAnalyzer tracks containment activity from the wire by decoding
-// request shims on their way to the containment server — the direct
-// counterpart of the paper's custom Bro analyzer for the shimming protocol.
-type ShimAnalyzer struct {
-	// RequestsByVLAN counts containment requests observed per inmate.
-	RequestsByVLAN map[uint16]uint64
-}
-
-// NewShimAnalyzer creates an analyzer; attach Tap to a router tap.
-func NewShimAnalyzer() *ShimAnalyzer {
-	return &ShimAnalyzer{RequestsByVLAN: make(map[uint16]uint64)}
-}
-
-// Tap consumes one tapped packet.
-func (a *ShimAnalyzer) Tap(p *netstack.Packet) {
-	if p.TCP == nil && p.UDP == nil {
-		return
-	}
-	payload := p.Payload
-	if len(payload) < shim.RequestLen || !shim.IsRequest(payload) {
-		return // ordinary data: nearly every tapped frame
-	}
-	var req shim.Request
-	if err := req.Unmarshal(payload[:shim.RequestLen]); err != nil {
-		return
-	}
-	a.RequestsByVLAN[req.VLAN]++
 }
 
 // CBL simulates the Composite Blocking List: third-party infrastructure

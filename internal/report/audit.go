@@ -2,6 +2,7 @@ package report
 
 import (
 	"fmt"
+	"slices"
 
 	"gq/internal/netstack"
 	"gq/internal/shim"
@@ -25,6 +26,9 @@ type TraceAudit struct {
 	// RequestShims counts request shims on the wire before deduplication
 	// (rewrite-proxied UDP flows re-wrap every datagram).
 	RequestShims uint64
+	// FlowsByVLAN counts the flows each inmate VLAN asked the containment
+	// server to decide: its distinct request shims.
+	FlowsByVLAN map[uint16]uint64
 }
 
 // tcpSynKey identifies one TCP flow incarnation: reverted inmates reuse
@@ -44,22 +48,29 @@ type verdictKey struct {
 }
 
 // AuditTrace derives flow-level counters from a subfarm trace (as written
-// by a Router tap, e.g. gqfarm -trace). csIP/csPort name the containment
-// endpoint; for clustered subfarms pass each member's address in csIPs.
+// by a Router tap, e.g. gqfarm -trace). csIPs/csPort name the containment
+// endpoint; for clustered subfarms pass each member's address in csIPs, and
+// for a trace whose servers are not known none: then any address on csPort
+// is one.
 func AuditTrace(recs []trace.Record, csPort uint16, csIPs ...netstack.Addr) TraceAudit {
 	isCS := func(a netstack.Addr) bool {
-		for _, c := range csIPs {
-			if a == c {
-				return true
-			}
-		}
-		return false
+		return len(csIPs) == 0 || slices.Contains(csIPs, a)
 	}
 
-	var a TraceAudit
+	a := TraceAudit{FlowsByVLAN: make(map[uint16]uint64)}
 	tcpFlows := make(map[tcpSynKey]bool)
+	tcpRequests := make(map[shim.Request]bool)
 	udpFlows := make(map[shim.Request]bool)
 	verdicts := make(map[verdictKey]bool)
+	// request counts a request shim, and its flow under its VLAN the first
+	// time seen holds it.
+	request := func(req *shim.Request, seen map[shim.Request]bool) {
+		a.RequestShims++
+		if !seen[*req] {
+			seen[*req] = true
+			a.FlowsByVLAN[req.VLAN]++
+		}
+	}
 
 	for _, rec := range recs {
 		p, err := netstack.ParseFrame(rec.Frame)
@@ -73,7 +84,7 @@ func AuditTrace(recs []trace.Record, csPort uint16, csIPs ...netstack.Addr) Trac
 				tcpFlows[tcpSynKey{p.IP.Src, p.TCP.SrcPort, p.TCP.Seq}] = true
 			}
 			if req := parseRequestShim(p.Payload); req != nil {
-				a.RequestShims++
+				request(req, tcpRequests)
 			}
 
 		case p.TCP != nil && p.TCP.SrcPort == csPort && isCS(p.IP.Src):
@@ -88,8 +99,7 @@ func AuditTrace(recs []trace.Record, csPort uint16, csIPs ...netstack.Addr) Trac
 			// includes the per-flow nonce port) identifies the flow even when
 			// rewrite proxying re-wraps every datagram.
 			if req := parseRequestShim(p.Payload); req != nil {
-				a.RequestShims++
-				udpFlows[*req] = true
+				request(req, udpFlows)
 			}
 
 		case p.UDP != nil && p.UDP.SrcPort == csPort && isCS(p.IP.Src):

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"gq/internal/netstack"
 	"gq/internal/shim"
 	"gq/internal/sim"
+	"gq/internal/trace"
 )
 
 func tcpPacket(vlan uint16, src netstack.Addr, sport uint16, dst netstack.Addr, dport uint16, flags uint8, payload string) *netstack.Packet {
@@ -151,38 +153,47 @@ func TestSMTPAnalyzerTapAllocFree(t *testing.T) {
 	}
 }
 
-func TestShimAnalyzer(t *testing.T) {
-	a := NewShimAnalyzer()
-	req := &shim.Request{
-		OrigIP: netstack.MustParseAddr("10.0.0.23"), OrigPort: 1234,
-		RespIP: netstack.MustParseAddr("203.0.113.5"), RespPort: 80,
-		VLAN: 16, NoncePort: 40000,
+// TestAuditTraceCountsFlowsPerVLAN: a rewrite-proxied UDP flow wraps every
+// datagram in the same request shim, and a retransmitted TCP segment repeats
+// its shim, yet each is one flow of its VLAN; a payload that is no shim, or
+// a shim not bound for the containment server, is none.
+func TestAuditTraceCountsFlowsPerVLAN(t *testing.T) {
+	inmate := netstack.MustParseAddr("10.0.0.23")
+	cs := netstack.MustParseAddr("10.3.0.1")
+	udpReq := shim.Request{OrigIP: inmate, OrigPort: 5353, RespIP: netstack.MustParseAddr("203.0.113.53"),
+		RespPort: 53, VLAN: 16, NoncePort: 40001}
+	tcpReq := shim.Request{OrigIP: inmate, OrigPort: 1234, RespIP: netstack.MustParseAddr("203.0.113.5"),
+		RespPort: 80, VLAN: 17, NoncePort: 40002}
+	var recs []trace.Record
+	record := func(p *netstack.Packet) { recs = append(recs, trace.Record{Frame: p.Marshal()}) }
+	for i := 0; i < 3; i++ {
+		record(&netstack.Packet{
+			Eth:     netstack.Ethernet{VLAN: 11, EtherType: netstack.EtherTypeIPv4},
+			IP:      &netstack.IPv4{Src: inmate, Dst: cs, TTL: 64, Protocol: netstack.ProtoUDP},
+			UDP:     &netstack.UDP{SrcPort: 5353, DstPort: 6666},
+			Payload: append(udpReq.Marshal(), "query"...),
+		})
 	}
-	p := tcpPacket(16, netstack.MustParseAddr("10.0.0.23"), 1234,
-		netstack.MustParseAddr("10.3.0.1"), 6666, netstack.FlagACK, "")
-	p.Payload = req.Marshal()
-	a.Tap(p)
-	// Non-shim payloads are ignored.
-	a.Tap(tcpPacket(16, 1, 1, 2, 2, netstack.FlagACK, "GET / HTTP/1.1\r\n\r\npadpadpadpad"))
-	if a.RequestsByVLAN[16] != 1 || len(a.RequestsByVLAN) != 1 {
-		t.Fatalf("analyzer %+v", a.RequestsByVLAN)
+	for i := 0; i < 2; i++ {
+		p := tcpPacket(11, inmate, 1234, cs, 6666, netstack.FlagACK, "")
+		p.Payload = tcpReq.Marshal()
+		record(p)
 	}
-}
+	record(tcpPacket(11, inmate, 1234, cs, 6666, netstack.FlagACK, "GET / HTTP/1.1\r\n\r\npadpadpadpad"))
+	stray := tcpPacket(11, inmate, 1234, netstack.MustParseAddr("10.3.0.2"), 6666, netstack.FlagACK, "")
+	stray.Payload = tcpReq.Marshal()
+	record(stray)
 
-// TestShimAnalyzerTapNonShimAllocFree pins the tap's cost on ordinary
-// data, which is nearly every frame it sees: no decode, no error value.
-func TestShimAnalyzerTapNonShimAllocFree(t *testing.T) {
-	a := NewShimAnalyzer()
-	data := tcpPacket(16, 1, 1, 2, 2, netstack.FlagACK, strings.Repeat("bulk payload ", 100))
-	// Right magic, wrong type/version: still not worth a decode.
-	lookalike := tcpPacket(16, 1, 1, 2, 2, netstack.FlagACK, "")
-	lookalike.Payload = (&shim.Request{VLAN: 16}).Marshal()
-	lookalike.Payload[7]++
-	if n := testing.AllocsPerRun(100, func() { a.Tap(data); a.Tap(lookalike) }); n != 0 {
-		t.Fatalf("Tap on non-shim payloads: %v allocs, want 0", n)
+	a := AuditTrace(recs, 6666, cs)
+	if want := map[uint16]uint64{16: 1, 17: 1}; !maps.Equal(a.FlowsByVLAN, want) {
+		t.Fatalf("flows by VLAN %v, want %v", a.FlowsByVLAN, want)
 	}
-	if len(a.RequestsByVLAN) != 0 {
-		t.Fatalf("non-shim payloads were counted: %+v", a.RequestsByVLAN)
+	if a.RequestShims != 5 {
+		t.Fatalf("%d request shims, want 5", a.RequestShims)
+	}
+	// Without the servers' addresses, any address on the port is one.
+	if got := AuditTrace(recs, 6666).FlowsByVLAN[17]; got != 1 {
+		t.Fatalf("VLAN 17 reads %d flows over any server address, want 1", got)
 	}
 }
 

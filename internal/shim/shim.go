@@ -33,7 +33,7 @@ const (
 	// TypeHeartbeat is a supervisor liveness probe: the gateway sends one
 	// over the shim channel and a live containment server echoes it back
 	// verbatim. Heartbeats carry no flow information, so flow accounting
-	// (ShimAnalyzer, AuditTrace) must never count them — their 16-byte
+	// (report.AuditTrace) must never count them — their 16-byte
 	// length sits below RequestLen on purpose.
 	TypeHeartbeat uint8 = 3
 )

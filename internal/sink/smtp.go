@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gq/internal/host"
+	"gq/internal/lineio"
 	"gq/internal/netstack"
 	"gq/internal/obs"
 	"gq/internal/smtpx"
@@ -216,26 +217,14 @@ func (s *SMTPSink) greet(eng *smtpx.Engine, src netstack.Addr) {
 		s.bannerCache[target] = banner
 		eng.Greet(banner)
 	}
-	// The greeting line is read where it lies; buf only collects one split
-	// across segments, and a line past maxBannerLine is no banner.
-	var buf []byte
+	// The greeting is the first line; a line past maxBannerLine is no
+	// banner.
+	in := lineio.Reader{Max: maxBannerLine}
 	grab.OnData = func(d []byte) {
-		if done {
-			return
+		if !done {
+			in.Feed(d, func(line []byte) { finish(strings.TrimRight(string(line), "\r")) },
+				func() { finish(s.cfg.Banner) })
 		}
-		line, _, complete := bytes.Cut(d, []byte{'\n'})
-		if len(buf)+len(line) > maxBannerLine {
-			finish(s.cfg.Banner)
-			return
-		}
-		if !complete {
-			buf = append(buf, line...)
-			return
-		}
-		if len(buf) > 0 {
-			line = append(buf, line...)
-		}
-		finish(strings.TrimRight(string(line), "\r"))
 	}
 	grab.OnClose = func(err error) {
 		if !done {

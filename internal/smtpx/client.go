@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"gq/internal/host"
+	"gq/internal/lineio"
 	"gq/internal/netstack"
 )
 
@@ -78,7 +79,7 @@ type ClientConfig struct {
 type clientSession struct {
 	cfg       ClientConfig
 	conn      *host.Conn
-	in        lineReader
+	in        lineio.Reader
 	out       []byte // the line being written; one buffer for the whole session
 	stage     int    // 0 banner, 1 helo, 2 mail, 3 rcpt, 4 data-go, 5 data-sent, 6 quit
 	heloLeft  int
@@ -97,9 +98,9 @@ func Send(h *host.Host, dst netstack.Addr, port uint16, cfg ClientConfig) {
 	if cfg.RepeatHelo < 1 {
 		cfg.RepeatHelo = 1
 	}
-	s := &clientSession{cfg: cfg, heloLeft: cfg.RepeatHelo}
+	s := &clientSession{cfg: cfg, heloLeft: cfg.RepeatHelo, in: lineio.Reader{Max: maxLine}}
 	s.conn = h.Dial(dst, port)
-	s.conn.OnData = func(data []byte) { s.in.feed(data, s) } // read in place
+	s.conn.OnData = func(data []byte) { s.in.Feed(data, s.handleLine, s.lineTooLong) } // read in place
 	s.conn.OnClose = func(err error) { s.finish(err) }
 	s.conn.OnPeerClose = func() { s.conn.Close() }
 }
@@ -156,6 +157,7 @@ func (s *clientSession) handleLine(line []byte) {
 	if s.done {
 		return
 	}
+	line = bytes.TrimRight(line, "\r")
 	code := replyCode(line)
 	switch s.stage {
 	case 0: // banner

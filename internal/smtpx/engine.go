@@ -29,6 +29,7 @@ import (
 	"unicode"
 	"unicode/utf8"
 
+	"gq/internal/lineio"
 	"gq/internal/netsim"
 )
 
@@ -68,47 +69,6 @@ const (
 	maxMessage = 1 << 20
 )
 
-// lineReader cuts a byte stream into lines where the bytes lie: only the
-// start of a line split across segments is copied, into buf, which never
-// holds more than maxLine octets. A longer line is reported once, as soon
-// as its excess is seen, and discarded up to its LF.
-type lineReader struct {
-	buf      []byte
-	skipping bool
-}
-
-// lineHandler is a session on the receiving end of a lineReader.
-type lineHandler interface {
-	handleLine(line []byte) // without its LF and trailing CRs; valid for the call
-	lineTooLong()
-}
-
-func (r *lineReader) feed(data []byte, h lineHandler) {
-	for len(data) > 0 {
-		line, rest, found := bytes.Cut(data, []byte{'\n'})
-		switch {
-		case r.skipping:
-		case len(r.buf)+len(line) > maxLine:
-			r.buf, r.skipping = r.buf[:0], true
-			h.lineTooLong()
-		case !found:
-			if r.buf == nil {
-				r.buf = make([]byte, 0, maxLine)
-			}
-			r.buf = append(r.buf, line...)
-		default:
-			if len(r.buf) > 0 {
-				line, r.buf = append(r.buf, line...), r.buf[:0]
-			}
-			h.handleLine(bytes.TrimRight(line, "\r"))
-		}
-		if !found {
-			return
-		}
-		data, r.skipping = rest, false
-	}
-}
-
 // Engine is a server-side SMTP session state machine. The caller feeds it
 // raw stream bytes; it emits reply lines through the write callback. The
 // greeting banner is sent explicitly via Greet, which lets a sink defer it
@@ -135,7 +95,7 @@ type Engine struct {
 	// Data keep their storage from one message to the next.
 	env      Envelope
 	oversize bool // this DATA stage outgrew maxMessage; its body is dropped
-	in       lineReader
+	in       lineio.Reader
 	greeted  bool
 
 	// Counters for reports.
@@ -156,7 +116,7 @@ const (
 // NewEngine creates a session engine. write emits a reply line (without
 // CRLF); closeConn is invoked after QUIT's reply.
 func NewEngine(s Strictness, write func(line string), closeConn func()) *Engine {
-	return &Engine{strictness: s, write: write, closeConn: closeConn}
+	return &Engine{strictness: s, write: write, closeConn: closeConn, in: lineio.Reader{Max: maxLine}}
 }
 
 // Greet sends the service banner and opens the session.
@@ -180,7 +140,7 @@ func (e *Engine) answer(o *Reply, def string) {
 
 // Feed consumes stream bytes, processing complete lines. data is read in
 // place and not retained.
-func (e *Engine) Feed(data []byte) { e.in.feed(data, e) }
+func (e *Engine) Feed(data []byte) { e.in.Feed(data, e.handleLine, e.lineTooLong) }
 
 func (e *Engine) lineTooLong() {
 	e.SyntaxErrors++
@@ -248,7 +208,9 @@ func poisonBytes(b []byte) {
 	}
 }
 
+// handleLine takes one line, without its LF, valid for the call.
 func (e *Engine) handleLine(line []byte) {
+	line = bytes.TrimRight(line, "\r")
 	if e.state == stData {
 		e.dataLine(line)
 		return

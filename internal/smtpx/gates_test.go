@@ -39,8 +39,8 @@ func TestEngineBoundsLineLength(t *testing.T) {
 	for fed := 0; fed < 8<<20; fed += len(seg) {
 		eng.Feed(seg)
 	}
-	if cap(eng.in.buf) > maxLine {
-		t.Errorf("8 MiB without an LF left a %d-byte carry-over buffer, line limit %d", cap(eng.in.buf), maxLine)
+	if cap(eng.in.Pending()) > maxLine {
+		t.Errorf("8 MiB without an LF left a %d-byte carry-over buffer, line limit %d", cap(eng.in.Pending()), maxLine)
 	}
 	if want := []string{"220 sink", "500 line too long"}; !slices.Equal(eng.replies, want) || eng.SyntaxErrors != 1 {
 		t.Fatalf("replies %v (want %v), SyntaxErrors %d", eng.replies, want, eng.SyntaxErrors)

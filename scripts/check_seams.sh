@@ -182,4 +182,35 @@ bad "test-only SMTP server in product code (a test binds its own engine with smt
 # shellcheck disable=SC2046
 bad "inmate transition log in product code (State is the inmate's one record of its lifecycle)" \
 	"$(grep -nF '.Transitions' $(find internal/inmate -name '*.go' ! -name '*_test.go') || true)"
+# A byte stream is framed in one place (DESIGN.md §3b): a line protocol
+# reads its peer through a bounded lineio.Reader and HTTP through
+# httpx.Parser, so outside the frozen benchmark harness no non-test code
+# rescans a stream as a string or collects what a connection's OnData is
+# handed into a buffer of its own to search it (hostnet's net.Conn facade
+# keeps its Conn's read buffer, c.buf, which Read drains unsearched).
+# shellcheck disable=SC2086
+bad "stream framed by hand (read lines with lineio.Reader, HTTP with httpx.Parser)" \
+	"$(grep -nE 'IndexByte\(string\(|Contains\(string\(buf\)' $nonbench || true)"
+# shellcheck disable=SC2086
+bad "OnData bytes collected by hand (read lines with lineio.Reader, HTTP with httpx.Parser)" \
+	"$(awk 'FNR==1{in_od=0} /^[ \t]*\/\// {next}
+		/OnData = func\(/ {in_od=1; depth=0}
+		in_od {
+			if ($0 ~ /append\(buf, [A-Za-z_]+\.\.\.\)/) print FILENAME ":" FNR ": " $0
+			o=$0; c=$0; depth += gsub(/\{/, "", o) - gsub(/\}/, "", c)
+			if (depth <= 0) in_od=0
+		}' $nonbench)"
+# Names retired with the line framers they belonged to or with their last
+# reader: smtpx's private line reader, the per-shim analyzer (AuditTrace
+# counts flows per VLAN), the DNS query log, the DHCP ACK count and the
+# specimens' event log.
+# shellcheck disable=SC2086
+bad "retired framer or analyzer in product code (lineio.Reader, report.AuditTrace)" \
+	"$(grep -nE '\b(lineReader|ShimAnalyzer|QueryLog)\b' $nonbench || true)"
+# shellcheck disable=SC2046
+bad "retired DHCP ACK count in product code (a test counts the ACKs it sees)" \
+	"$(grep -nE '\bServed\b' $(find internal/dhcp -name '*.go' ! -name '*_test.go') || true)"
+# shellcheck disable=SC2046
+bad "retired specimen event log in product code (a test observes what a specimen did)" \
+	"$(grep -nE '\bEvents\(\)|\bemit\(' $(find internal/malware -name '*.go' ! -name '*_test.go') || true)"
 exit $status
