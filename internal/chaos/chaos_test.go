@@ -407,3 +407,68 @@ func TestSupervisedFaultsRecoverThroughTree(t *testing.T) {
 		t.Errorf("recycler progress stuck at %d after the tree re-armed it", mark)
 	}
 }
+
+// TestSinkCrashRestoresEveryBinding: on an unsupervised subfarm, chaos's
+// own restore power-cycles a crashed sink's host, and every port the sink
+// bound at boot answers again — the catch-all on any TCP and UDP port, an
+// SMTP sink's greeting on 25 and its control socket on 26, the HTTP sink's
+// 200 on 80.
+func TestSinkCrashRestoresEveryBinding(t *testing.T) {
+	for _, id := range []string{"catchall", "smtpsink", "bannersink", "httpsink"} {
+		t.Run(id, func(t *testing.T) {
+			f, sf, log := chaosFarm(t)
+			p, err := Parse("sinkcrash=1m,sinkcrashtarget=" + id + ",sinkcrashfor=1m")
+			if err != nil {
+				t.Fatal(err)
+			}
+			Apply(sf, p)
+			f.Run(3 * time.Minute)
+			if log.n[EvSinkCrash+" "+id] != 1 || log.n[EvSinkRestore+" "+id] != 1 {
+				t.Fatalf("journal %v, want one crash and one restore of %s", log.n, id)
+			}
+			h, from := sf.SvcHosts[id], sf.CSHost
+			if !h.Alive() {
+				t.Fatal("sink host still down after its restore")
+			}
+			// ask dials port on the sink and sends req; the sink's replies
+			// collect in the returned builder as the farm runs.
+			ask := func(port uint16, req string) *strings.Builder {
+				var got strings.Builder
+				c := from.Dial(h.Addr(), port)
+				c.OnConnect = func() { c.Write([]byte(req)) }
+				c.OnData = func(d []byte) { got.Write(d) }
+				return &got
+			}
+			switch id {
+			case "catchall":
+				tcp, udp := sf.CatchAll.TCPConns, sf.CatchAll.UDPDatagrams
+				ask(4444, "probe")
+				sock, err := from.ListenUDP(0, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sock.SendTo(h.Addr(), 5353, []byte("probe"))
+				f.Run(time.Minute)
+				if sf.CatchAll.TCPConns != tcp+1 || sf.CatchAll.UDPDatagrams != udp+1 {
+					t.Errorf("catch-all counted %d TCP connections and %d datagrams after its restore, want 1 and 1",
+						sf.CatchAll.TCPConns-tcp, sf.CatchAll.UDPDatagrams-udp)
+				}
+			case "smtpsink", "bannersink":
+				greeting := ask(25, "")
+				f.Run(time.Minute)
+				if !strings.HasPrefix(greeting.String(), "220 ") {
+					t.Errorf("port 25 greeted with %q after the restore", greeting)
+				}
+				if _, err := h.ListenUDP(26, nil); err == nil {
+					t.Error("control port 26 unbound after the restore")
+				}
+			case "httpsink":
+				reply := ask(80, "GET /click HTTP/1.1\r\nHost: ads.example\r\n\r\n")
+				f.Run(time.Minute)
+				if !strings.HasPrefix(reply.String(), "HTTP/1.1 200 ") {
+					t.Errorf("port 80 answered %q after the restore", reply)
+				}
+			}
+		})
+	}
+}

@@ -187,12 +187,12 @@ func (inj *Injector) flapOnce() {
 }
 
 // crashCS shuts a containment-server cluster member down mid-session —
-// destroying its connections and listeners — and restarts it CSDownFor
-// later with identical addressing and freshly bound listeners.
+// destroying its connections — and power-cycles it CSDownFor later: the
+// host comes back with the addressing and listeners it had at the crash.
 func (inj *Injector) crashCS(idx int) {
 	srv := inj.sf.CSCluster[idx]
 	h := srv.Host
-	addr, restart := h.Addr(), h.PowerCycler(srv.Rebind)
+	addr, restart := h.Addr(), h.PowerCycler()
 	inj.Crashes++
 	inj.sc.Emit(obs.Event{Type: EvCSCrash, N: uint64(idx), SrcIP: uint32(addr)})
 	h.Shutdown()
@@ -241,18 +241,19 @@ func (inj *Injector) sinkDown(name string) {
 }
 
 // crashSink shuts the named sink service host down mid-session —
-// destroying its listeners and live connections, a harder fault than
-// sinkDown's NIC pull. On a supervised subfarm the injector stops there:
-// the subfarm node's TCP probes detect the dead listener and its
-// breaker-guarded restart rebinds it, so recovery (and its journal trail)
-// belongs to the supervisor, not chaos. Unsupervised subfarms get a
-// chaos-owned restore SinkCrashFor later.
+// silencing its listeners and destroying its live connections, a harder
+// fault than sinkDown's NIC pull. On a supervised subfarm the injector
+// stops there: the subfarm node's TCP probes detect the dead listener and
+// its breaker-guarded restart power-cycles the host, so recovery (and its
+// journal trail) belongs to the supervisor, not chaos. Unsupervised
+// subfarms get a chaos-owned power cycle SinkCrashFor later, which brings
+// back what the host had bound at the crash.
 func (inj *Injector) crashSink(name string) {
 	h := inj.sf.SvcHosts[name]
 	if h == nil {
 		return
 	}
-	addr, restart := h.Addr(), h.PowerCycler(func() error { return inj.sf.RebindSink(name) })
+	addr, restart := h.Addr(), h.PowerCycler()
 	inj.sc.Emit(obs.Event{Type: EvSinkCrash, SrcIP: uint32(addr), Detail: name})
 	h.Shutdown()
 	if inj.sf.Supervisor != nil {
@@ -269,8 +270,8 @@ func (inj *Injector) crashSink(name string) {
 // application swallows every line — exactly the failure mode a TCP-level
 // liveness probe cannot see and the supervisor's app-level PING can. On a
 // supervised subfarm recovery is the tree's: probes miss, the root's
-// restart ladder power-cycles the controller host (Rebind clears the
-// hang). Unsupervised, chaos unhangs it CtlHangFor later.
+// restart ladder power-cycles the controller host and clears the hang.
+// Unsupervised, chaos unhangs it CtlHangFor later.
 func (inj *Injector) hangController() {
 	ctl, root := inj.sf.Farm.Controller, inj.sf.Farm.Sim // the controller is root-domain state
 	if ctl == nil {

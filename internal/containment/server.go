@@ -13,7 +13,6 @@
 package containment
 
 import (
-	"fmt"
 	"time"
 
 	"gq/internal/host"
@@ -95,10 +94,10 @@ type policyRange struct {
 	d      Decider
 }
 
-// LifecycleSink receives life-cycle action lines destined for the inmate
-// controller (e.g. "ACTION revert VLAN 16"). The farm wires this to a
+// LifecycleSink receives life-cycle actions destined for the inmate
+// controller (e.g. "revert" for VLAN 16). The farm wires this to a
 // management-network connection.
-type LifecycleSink func(line string)
+type LifecycleSink func(action string, vlan uint16)
 
 // NewServer creates a containment server on h listening at port.
 func NewServer(h *host.Host, port uint16, nonceIP netstack.Addr) (*Server, error) {
@@ -114,21 +113,6 @@ func NewServer(h *host.Host, port uint16, nonceIP netstack.Addr) (*Server, error
 	}
 	s.udpSock = sock
 	return s, nil
-}
-
-// Rebind re-registers the server's TCP and UDP listeners after its host was
-// reset (crash/restart injection). Policies, triggers and counters survive —
-// only the network bindings are rebuilt.
-func (s *Server) Rebind() error {
-	if err := s.Host.Listen(s.Port, s.acceptTCP); err != nil {
-		return err
-	}
-	sock, err := s.Host.ListenUDP(s.Port, s.handleUDP)
-	if err != nil {
-		return err
-	}
-	s.udpSock = sock
-	return nil
 }
 
 // SetVerdictStall makes the server sit on each verdict for d before
@@ -175,10 +159,10 @@ func (s *Server) deciderFor(vlan uint16) Decider {
 	return s.fallback
 }
 
-// EmitLifecycle sends an action line to the inmate controller.
+// EmitLifecycle sends an action to the inmate controller.
 func (s *Server) EmitLifecycle(action string, vlan uint16) {
 	if s.lifecycle != nil {
-		s.lifecycle(fmt.Sprintf("ACTION %s VLAN %d", action, vlan))
+		s.lifecycle(action, vlan)
 	}
 }
 

@@ -305,8 +305,8 @@ type Subfarm struct {
 	DHCP       *dhcp.Server
 	DNS        *dnsx.Server
 
-	// sinks lists the supervisable sink servers (sinkTable rows that can be
-	// restarted) with their probe ports and listener rebinds.
+	// sinks lists the supervisable sink servers, one per sinkTable row,
+	// with their hosts and probe ports.
 	sinks []supervisor.Endpoint
 
 	// SvcHosts indexes the service-VLAN hosts by role ("cs0", "cs1", ...,

@@ -2,7 +2,6 @@ package farm
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"gq/internal/containment"
@@ -134,22 +133,16 @@ func (f *Farm) AddSubfarm(cfg SubfarmConfig) (*Subfarm, error) {
 	netsim.Connect(f.MgmtSwitch.AddAccessPort(cfg.Name+"-cs", 999), sf.CSMgmt.NIC(), dom.CrossFloor(f.Sim))
 	sf.CSMgmt.ConfigureStatic(netstack.AddrFrom4(172, 16, 0, byte(f.nextMgmt)), 24, 0)
 	farmScope := dom.Obs().Scope(cfg.Name, 0)
-	lifecycle := func(line string) {
-		fields := strings.Fields(line)
-		if len(fields) != 4 {
-			return
-		}
-		var vlan uint16
-		fmt.Sscanf(fields[3], "%d", &vlan)
+	lifecycle := func(action string, vlan uint16) {
 		// Journal the lifecycle action ("inmate.revert", ...) before it is
 		// dispatched to the controller.
-		farmScope.Emit(obs.Event{Type: obs.EvInmatePrefix + fields[1], VLAN: vlan})
+		farmScope.Emit(obs.Event{Type: obs.EvInmatePrefix + action, VLAN: vlan})
 		// A supervised subfarm also counts the firing as a strike toward
 		// inmate quarantine.
 		if sf.Supervisor != nil {
-			sf.Supervisor.Strike(vlan, "trigger:"+fields[1])
+			sf.Supervisor.Strike(vlan, "trigger:"+action)
 		}
-		inmate.SendAction(sf.CSMgmt, f.ControllerHost, fields[1], vlan, nil)
+		inmate.SendAction(sf.CSMgmt, f.ControllerHost, action, vlan, nil)
 	}
 	for _, srv := range sf.CSCluster {
 		srv.SetLifecycleSink(lifecycle)
@@ -159,11 +152,10 @@ func (f *Farm) AddSubfarm(cfg SubfarmConfig) (*Subfarm, error) {
 	services := map[string]policy.AddrPort{policy.SvcAutoinfect: DefaultAutoinfect}
 	for _, row := range sinkTable {
 		h := sf.newSvcHost(row.id, svc(row.off), cfg.AccessLatency)
-		rebind, err := sf.startSink(row.id, h)
-		if err != nil {
+		if err := sf.startSink(row.id, h); err != nil {
 			return nil, err
 		}
-		sf.sinks = append(sf.sinks, supervisor.Endpoint{ID: row.id, Host: h, Port: row.probe, Rebind: rebind})
+		sf.sinks = append(sf.sinks, supervisor.Endpoint{ID: row.id, Host: h, Port: row.probe})
 		services[row.service] = policy.AddrPort{Addr: svc(row.off), Port: row.port}
 	}
 	var err error
@@ -266,25 +258,22 @@ var sinkTable = []struct {
 	{"httpsink", policy.SvcHTTPSink, 5, 80, 80},
 }
 
-// startSink starts sinkTable row id on its host and returns the
-// listener-rebind a supervised restart replays.
-func (sf *Subfarm) startSink(id string, h *host.Host) (rebind func() error, err error) {
+// startSink starts sinkTable row id on its host.
+func (sf *Subfarm) startSink(id string, h *host.Host) (err error) {
 	cfg := sf.Config
 	smtp := sink.SMTPConfig{Port: 25, DropProb: cfg.SinkDropProb, Strictness: cfg.SinkStrictness}
 	switch id {
 	case "catchall":
 		sf.CatchAll = sink.NewCatchAll(h)
-		return sf.CatchAll.Rebind, nil
 	case "smtpsink":
 		sf.SMTPSink, err = sink.NewSMTPSink(h, smtp)
-		return sf.SMTPSink.Rebind, err
 	case "bannersink":
 		smtp.BannerGrab = cfg.BannerGrab
 		sf.BannerSink, err = sink.NewSMTPSink(h, smtp)
-		return sf.BannerSink.Rebind, err
+	default:
+		sf.HTTPSink, err = sink.NewHTTPSink(h, 80)
 	}
-	sf.HTTPSink, err = sink.NewHTTPSink(h, 80)
-	return sf.HTTPSink.Rebind, err
+	return err
 }
 
 // newSvcHost puts one more host on the service VLAN — registered with the

@@ -1,10 +1,6 @@
 package farm
 
-import (
-	"fmt"
-
-	"gq/internal/supervisor"
-)
+import "gq/internal/supervisor"
 
 // supProbeOff is the service-prefix offset of the subfarm's supervision
 // prober host (after the sinks at offsets 2-5 and the facade echo pair
@@ -23,10 +19,18 @@ func (f *Farm) SuperviseTree(cfg supervisor.Config) *supervisor.Root {
 	if f.Tree != nil {
 		return f.Tree
 	}
+	// A restarted controller comes back with its listener (the power
+	// cycle) and responsive: the restart ends a hang. Its inventory and
+	// action log carry over — they model the VMM scan the paper's
+	// controller performs at startup, which reconstructs the same inventory.
+	powerCycle := f.ControllerHost.PowerCycler()
 	f.Tree = supervisor.NewRoot(supervisor.RootDeps{
-		Sim:               f.Sim,
-		ControllerHost:    f.ControllerHost,
-		RestartController: f.ControllerHost.PowerCycler(f.Controller.Rebind),
+		Sim:            f.Sim,
+		ControllerHost: f.ControllerHost,
+		RestartController: func() {
+			powerCycle()
+			f.Controller.SetHung(false)
+		},
 	}, cfg)
 	for _, h := range f.extHosts {
 		f.Tree.WatchHost(supervisor.KindShard, h.Name, h)
@@ -61,26 +65,11 @@ func (sf *Subfarm) supervise(cfg supervisor.Config) *supervisor.Supervisor {
 		Sinks:      sf.sinks,
 		Root:       f.Tree,
 	}
-	for i, srv := range sf.CSCluster {
-		deps.Endpoints = append(deps.Endpoints, supervisor.Endpoint{
-			Host: sf.SvcHosts[csName(i)], Rebind: srv.Rebind,
-		})
+	for i := range sf.CSCluster {
+		deps.Endpoints = append(deps.Endpoints, supervisor.Endpoint{Host: sf.SvcHosts[csName(i)]})
 	}
 	sf.Supervisor = supervisor.New(deps, cfg)
 	return sf.Supervisor
-}
-
-// RebindSink reinstalls the named sink server's listeners on its (reset)
-// service host — the restore half of a hard sink crash, used by the chaos
-// injector's unsupervised recovery path. Supervised subfarms never call
-// it; their tree node owns sink restarts.
-func (sf *Subfarm) RebindSink(name string) error {
-	for _, ep := range sf.sinks {
-		if ep.ID == name {
-			return ep.Rebind()
-		}
-	}
-	return fmt.Errorf("farm: no supervisable sink %q", name)
 }
 
 // SetLockdown engages or releases the subfarm's fail-closed lockdown

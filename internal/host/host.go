@@ -12,6 +12,7 @@ package host
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 
 	"gq/internal/netsim"
@@ -203,7 +204,8 @@ func (h *Host) sortedConns() []*Conn {
 
 // Reset returns the host to an unconfigured, powered-on state with empty
 // caches and no sockets: the networking half of reverting an inmate to a
-// clean snapshot.
+// clean snapshot. It clears every receive binding, wildcard receivers
+// included, and the DHCP client's raw UDP hook.
 func (h *Host) Reset() {
 	h.dropRx = false
 	h.addr, h.bits, h.gw, h.dns = 0, 0, 0, 0
@@ -216,21 +218,28 @@ func (h *Host) Reset() {
 	h.portConns = make(map[uint16]int)
 	h.listeners = make(map[uint16]func(*Conn))
 	h.udpSocks = make(map[uint16]*UDPSock)
+	h.anyListener, h.anyUDP = nil, nil
 	h.rawUDPHook = nil
 	h.nextEphem = 32768
 }
 
 // PowerCycler returns the restart action for a statically addressed server
-// host: Reset, replay the addressing snapshot taken now (take it while the
-// host is still configured), rebind the listeners, re-announce ARP.
-func (h *Host) PowerCycler(rebind func() error) func() {
+// host. Take it while the host is configured and its services are bound: it
+// records the addressing and every receive binding Reset clears — the TCP
+// listeners, the UDP sockets (the same *UDPSock values, so a service that
+// holds one still holds a bound socket after the restart) and the wildcard
+// receivers. The restart Resets the host, replays the addressing, puts the
+// recorded bindings back and re-announces ARP, so a restarted server comes
+// back with what it had bound, and its own state carries over.
+func (h *Host) PowerCycler() func() {
 	addr, bits, gw := h.addr, h.bits, h.gw
+	listeners, udpSocks := maps.Clone(h.listeners), maps.Clone(h.udpSocks)
+	anyListener, anyUDP := h.anyListener, h.anyUDP
 	return func() {
 		h.Reset()
 		h.ConfigureStatic(addr, bits, gw)
-		if err := rebind(); err != nil {
-			panic("host " + h.Name + ": rebind after power cycle failed: " + err.Error())
-		}
+		h.listeners, h.udpSocks = maps.Clone(listeners), maps.Clone(udpSocks)
+		h.anyListener, h.anyUDP = anyListener, anyUDP
 		h.AnnounceARP()
 	}
 }

@@ -304,6 +304,91 @@ func TestHostResetClearsState(t *testing.T) {
 	s.RunFor(time.Minute) // b's half times out eventually; no panics
 }
 
+// received counts what reaches each kind of receive binding on a host.
+type received struct{ tcp80, tcpAny, udp53, udpAny, raw int }
+
+// bindAll gives h a TCP listener on 80, a UDP socket on 53, both wildcard
+// receivers and a raw UDP hook that passes every packet on.
+func bindAll(t *testing.T, h *Host, r *received) *UDPSock {
+	t.Helper()
+	if err := h.Listen(80, func(*Conn) { r.tcp80++ }); err != nil {
+		t.Fatal(err)
+	}
+	sock, err := h.ListenUDP(53, func(netstack.Addr, uint16, []byte) { r.udp53++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.ListenAny(func(*Conn) { r.tcpAny++ })
+	h.ListenUDPAny(func(uint16, netstack.Addr, uint16, []byte) { r.udpAny++ })
+	h.SetRawUDPHook(func(*netstack.Packet) bool { r.raw++; return false })
+	return sock
+}
+
+// probeAll sends from a one connection attempt and one datagram to each
+// kind of binding on b.
+func probeAll(s *sim.Simulator, a, b *Host) {
+	a.Dial(b.Addr(), 80)
+	a.Dial(b.Addr(), 4444)
+	sock, _ := a.ListenUDP(0, nil)
+	sock.SendTo(b.Addr(), 53, []byte("q"))
+	sock.SendTo(b.Addr(), 9999, []byte("q"))
+	s.RunFor(time.Minute)
+	sock.Close()
+}
+
+// Reset leaves no receive binding of any kind: a reset catch-all host
+// accepts nothing on an arbitrary port.
+func TestResetLeavesNoBinding(t *testing.T) {
+	s := sim.New(1)
+	a, b := pair(t, s)
+	var r received
+	bindAll(t, b, &r)
+	addr := b.Addr()
+	b.Reset()
+	if len(b.listeners) != 0 || len(b.udpSocks) != 0 || b.anyListener != nil || b.anyUDP != nil || b.rawUDPHook != nil {
+		t.Fatalf("Reset left bindings: %d listeners, %d UDP sockets, wildcard TCP %v, wildcard UDP %v, raw hook %v",
+			len(b.listeners), len(b.udpSocks), b.anyListener != nil, b.anyUDP != nil, b.rawUDPHook != nil)
+	}
+	b.ConfigureStatic(addr, 24, 0)
+	probeAll(s, a, b)
+	if r != (received{}) {
+		t.Fatalf("a reset host still received: %+v", r)
+	}
+}
+
+// PowerCycler's restart puts back every binding the host had when the
+// restart was set up — the same *UDPSock included — and no other: not one
+// bound later, and not the raw UDP hook, which is a client's transient
+// state. A restart repeats the same set.
+func TestPowerCyclerRestoresBindings(t *testing.T) {
+	s := sim.New(1)
+	a, b := pair(t, s)
+	var r received
+	sock := bindAll(t, b, &r)
+	addr := b.Addr()
+	restart := b.PowerCycler()
+	for round := 0; round < 2; round++ {
+		b.Unlisten(80)
+		if err := b.Listen(81, func(*Conn) {}); err != nil {
+			t.Fatal(err)
+		}
+		b.Shutdown()
+		restart()
+		if b.Addr() != addr || b.udpSocks[53] != sock || b.rawUDPHook != nil {
+			t.Fatalf("round %d: addr %v, socket on 53 is the old one %v, raw hook %v",
+				round, b.Addr(), b.udpSocks[53] == sock, b.rawUDPHook != nil)
+		}
+		if _, bound := b.listeners[81]; bound {
+			t.Fatalf("round %d: a listener bound after the snapshot came back", round)
+		}
+		r = received{}
+		probeAll(s, a, b)
+		if want := (received{tcp80: 1, tcpAny: 1, udp53: 1, udpAny: 1}); r != want {
+			t.Fatalf("round %d: received %+v, want %+v", round, r, want)
+		}
+	}
+}
+
 func TestEphemeralPortAllocation(t *testing.T) {
 	s := sim.New(1)
 	a, b := pair(t, s)

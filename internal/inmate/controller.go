@@ -53,14 +53,7 @@ const ControllerPort = 7777
 // NewController starts the controller on the management-network host h.
 func NewController(h *host.Host) (*Controller, error) {
 	c := &Controller{h: h, byVLAN: make(map[uint16]*Inmate)}
-	if err := c.install(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-func (c *Controller) install() error {
-	return c.h.Listen(ControllerPort, func(conn *host.Conn) {
+	err := h.Listen(ControllerPort, func(conn *host.Conn) {
 		var in lineio.Reader
 		conn.OnData = func(d []byte) {
 			if c.hung {
@@ -74,21 +67,15 @@ func (c *Controller) install() error {
 		}
 		conn.OnPeerClose = conn.Close
 	})
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // SetHung wedges (or unwedges) the controller's protocol engine; see the
 // hung field. Must run on the controller's domain goroutine.
 func (c *Controller) SetHung(hung bool) { c.hung = hung }
-
-// Rebind reinstalls the control listener after a supervised host reset
-// and clears any wedge: the restarted process starts responsive. The
-// inmate inventory and action log carry over — they model the VMM scan
-// the paper's controller performs at startup, which reconstructs the same
-// inventory.
-func (c *Controller) Rebind() error {
-	c.hung = false
-	return c.install()
-}
 
 // KnownAction reports whether verb is a lifecycle action Execute accepts.
 // Callers in other simulation domains use it to validate an action before

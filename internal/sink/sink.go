@@ -56,20 +56,6 @@ func NewCatchAll(h *host.Host) *CatchAll {
 	reg := h.Sim().Obs().Reg
 	s.tcpConns = reg.Counter("sink." + h.Name + ".tcp_conns")
 	s.udpDatagrams = reg.Counter("sink." + h.Name + ".udp_datagrams")
-	s.install()
-	return s
-}
-
-// Rebind reinstalls the sink's listeners after a supervised host reset.
-// Counters and logs carry over — the sink process "restarted", its
-// measurement record did not.
-func (s *CatchAll) Rebind() error {
-	s.install()
-	return nil
-}
-
-func (s *CatchAll) install() {
-	h := s.h
 	h.ListenAny(func(c *host.Conn) {
 		s.TCPConns++
 		s.tcpConns.Inc()
@@ -95,6 +81,7 @@ func (s *CatchAll) install() {
 			s.Flows = append(s.Flows, FlowLog{Src: src, SrcPort: srcPort, Port: dstPort, First: string(data[:min(len(data), firstBytesCap)])})
 		}
 	})
+	return s
 }
 
 // roomInLog reports whether Flows has room for one more entry, and counts

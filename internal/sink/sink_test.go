@@ -401,9 +401,10 @@ func TestHTTPSink(t *testing.T) {
 }
 
 // An HTTP request head is inmate-chosen bytes: 8 MiB without the blank line
-// that ends one closes the connection, and the sink never holds more than
-// maxRequestHead of it. Heads split across segments still parse, Hits
-// counts every request and URLs keeps the first maxKeptURLs targets.
+// that ends one closes the connection with no hit (the sink frames requests
+// with httpx.Parser, whose bound FuzzParserFeed holds). Heads split across
+// segments still parse, Hits counts every request and URLs keeps the first
+// maxKeptURLs targets.
 func TestHTTPSinkBoundsRequestHeads(t *testing.T) {
 	s, bot, sinkHost, _ := net3(t, 11)
 	hs, err := NewHTTPSink(sinkHost, 80)
@@ -424,41 +425,40 @@ func TestHTTPSinkBoundsRequestHeads(t *testing.T) {
 		t.Fatalf("8 MiB without a blank line: sink closed = %v, hits %d", refused, hs.Hits)
 	}
 
-	// The same stream fed to one connection's reader, segment by segment.
-	hc := &httpConn{sink: hs, conn: srv}
-	seg := bytes.Repeat([]byte("A"), 1460)
-	for fed := 0; fed < 8<<20; fed += len(seg) {
-		hc.onData(seg)
-		if cap(hc.buf) > maxRequestHead {
-			t.Fatalf("after %d bytes the head buffer holds %d, bound %d", fed+len(seg), cap(hc.buf), maxRequestHead)
-		}
-	}
-	if !hc.closed || hs.Hits != 0 {
-		t.Fatalf("reader closed = %v, hits %d", hc.closed, hs.Hits)
-	}
-	// One delivery past the bound, without its blank line or with it.
-	long := bytes.Repeat([]byte("B"), 2*maxRequestHead)
-	for _, d := range [][]byte{long, append(long[:maxRequestHead:maxRequestHead], "\r\n\r\n"...)} {
-		hc := &httpConn{sink: hs, conn: srv}
-		hc.onData(d)
-		if !hc.closed || cap(hc.buf) > maxRequestHead {
-			t.Fatalf("a %d-byte delivery: reader closed = %v, buffer %d", len(d), hc.closed, cap(hc.buf))
-		}
-	}
-
-	// Well-formed traffic, every request cut at a different place.
+	// Well-formed traffic, every request cut at a different place, fed to
+	// one connection segment by segment.
 	var stream []byte
 	const requests = maxKeptURLs + 10
 	for i := 0; i < requests; i++ {
 		stream = append(stream, "GET /click?ad="+strconv.Itoa(i)+" HTTP/1.1\r\nHost: ads.example\r\n\r\n"...)
 	}
-	hc = &httpConn{sink: hs, conn: srv}
+	hs.accept(srv)
 	for off, n := 0, 1; off < len(stream); off, n = off+n, n%97+1 {
-		hc.onData(stream[off:min(off+n, len(stream))])
+		srv.OnData(stream[off:min(off+n, len(stream))])
 	}
-	if hc.closed || hs.Hits != requests || len(hs.URLs) != maxKeptURLs ||
+	if srv.State() != host.StateEstablished || hs.Hits != requests || len(hs.URLs) != maxKeptURLs ||
 		hs.URLs[0] != "/click?ad=0" || hs.URLs[maxKeptURLs-1] != "/click?ad="+strconv.Itoa(maxKeptURLs-1) {
-		t.Fatalf("closed %v, hits %d, %d URLs kept (first %q)", hc.closed, hs.Hits, len(hs.URLs), hs.URLs[:1])
+		t.Fatalf("state %v, hits %d, %d URLs kept (first %q)", srv.State(), hs.Hits, len(hs.URLs), hs.URLs[:1])
+	}
+}
+
+// A request body is not a request head: a POST whose body holds blank
+// lines is one request, answered once and counted once.
+func TestHTTPSinkFramesBodyByContentLength(t *testing.T) {
+	s, bot, sinkHost, _ := net3(t, 13)
+	hs, err := NewHTTPSink(sinkHost, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var replies []byte
+	c := bot.Dial(sinkHost.Addr(), 80)
+	c.OnConnect = func() {
+		c.Write([]byte("POST /x HTTP/1.1\r\nHost: ads.example\r\nContent-Length: 12\r\n\r\nab\r\n\r\ncd\r\n\r\n"))
+	}
+	c.OnData = func(d []byte) { replies = append(replies, d...) }
+	s.RunFor(time.Minute)
+	if n := bytes.Count(replies, []byte("200 OK")); n != 1 || hs.Hits != 1 {
+		t.Fatalf("%d replies of 200 OK, %d hits; want 1 and 1", n, hs.Hits)
 	}
 }
 

@@ -1,13 +1,13 @@
 package sink
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"strings"
 	"time"
 
 	"gq/internal/host"
+	"gq/internal/httpx"
 	"gq/internal/lineio"
 	"gq/internal/netstack"
 	"gq/internal/obs"
@@ -103,18 +103,6 @@ func NewSMTPSink(h *host.Host, cfg SMTPConfig) (*SMTPSink, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// Rebind reinstalls the sink's SMTP and control listeners after a
-// supervised host reset. Harvested envelopes and counters carry over;
-// EXPECT state does too — the containment server's control datagrams are
-// per-flow, and flows stranded by the crash were failed closed anyway.
-func (s *SMTPSink) Rebind() error {
-	if err := s.h.Listen(s.cfg.Port, s.accept); err != nil {
-		return err
-	}
-	_, err := s.h.ListenUDP(s.cfg.Port+1, s.control)
-	return err
 }
 
 // Expect records that flows from inmate are intended for target; exported
@@ -253,97 +241,38 @@ type HTTPSink struct {
 	Hits uint64
 	URLs []string
 
-	h    *host.Host
-	port uint16
 	hits *obs.Counter
 }
 
 // NewHTTPSink installs the sink on h at port.
 func NewHTTPSink(h *host.Host, port uint16) (*HTTPSink, error) {
-	s := &HTTPSink{
-		h: h, port: port,
-		hits: h.Sim().Obs().Reg.Counter("sink." + h.Name + ".http_hits"),
-	}
+	s := &HTTPSink{hits: h.Sim().Obs().Reg.Counter("sink." + h.Name + ".http_hits")}
 	if err := h.Listen(port, s.accept); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// Rebind reinstalls the sink's listener after a supervised host reset.
-func (s *HTTPSink) Rebind() error {
-	return s.h.Listen(s.port, s.accept)
-}
+// maxKeptURLs bounds URLs: request targets are inmate-chosen bytes. The
+// request head itself is bounded by httpx.Parser, as at every HTTP server
+// in the farm.
+const maxKeptURLs = 1024
 
-// HTTP sink bounds. The request head and the URL are inmate-chosen bytes:
-// a head (blank line included) longer than maxRequestHead closes the
-// connection, and the sink keeps the first maxKeptURLs request targets.
-const (
-	maxRequestHead = 8 << 10
-	maxKeptURLs    = 1024
-)
+var okNoBody = []byte("HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n")
 
-var (
-	headEnd  = []byte("\r\n\r\n")
-	okNoBody = []byte("HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n")
-)
-
-// httpConn is one HTTPSink connection. buf collects the bytes of the
-// request heads not yet answered; it grows as needed and never past
-// maxRequestHead.
-type httpConn struct {
-	sink   *HTTPSink
-	conn   *host.Conn
-	buf    []byte
-	closed bool
-}
-
+// accept frames the connection's requests with an httpx.Parser and answers
+// each with an empty 200. A stream the parser refuses — a head past its
+// bound, a malformed request — closes the connection.
 func (s *HTTPSink) accept(c *host.Conn) {
-	hc := &httpConn{sink: s, conn: c}
-	c.OnData = hc.onData
-	c.OnPeerClose = func() { c.Close() }
-}
-
-// onData takes d into buf at most maxRequestHead bytes at a time, answers
-// every complete head there and keeps the rest; a full buffer with no
-// blank line in it is a head past the bound.
-func (hc *httpConn) onData(d []byte) {
-	for len(d) > 0 && !hc.closed {
-		n := min(len(d), maxRequestHead-len(hc.buf))
-		if need := len(hc.buf) + n; need > cap(hc.buf) {
-			hc.buf = append(make([]byte, 0, min(max(need, 2*cap(hc.buf)), maxRequestHead)), hc.buf...)
-		}
-		hc.buf = append(hc.buf, d[:n]...)
-		d = d[n:]
-		rest := hc.buf
-		for end := bytes.Index(rest, headEnd); end >= 0; end = bytes.Index(rest, headEnd) {
-			hc.request(rest[:end])
-			rest = rest[end+len(headEnd):]
-		}
-		hc.buf = hc.buf[:copy(hc.buf, rest)]
-		if len(hc.buf) == maxRequestHead {
-			hc.refuse()
-		}
-	}
-}
-
-// request answers one request head: its first line names the target.
-func (hc *httpConn) request(head []byte) {
-	s := hc.sink
-	line, _, _ := bytes.Cut(head, []byte("\r\n"))
-	if fields := bytes.Fields(line); len(fields) >= 2 {
+	p := &httpx.Parser{OnError: func(error) { c.Close() }}
+	p.OnRequest = func(r *httpx.Request) {
 		s.Hits++
 		s.hits.Inc()
 		if len(s.URLs) < maxKeptURLs {
-			s.URLs = append(s.URLs, string(fields[1]))
+			s.URLs = append(s.URLs, r.Path)
 		}
+		c.Write(okNoBody)
 	}
-	hc.conn.Write(okNoBody)
-}
-
-// refuse closes a connection whose request head outgrew maxRequestHead
-// and ignores whatever else it sends.
-func (hc *httpConn) refuse() {
-	hc.closed, hc.buf = true, nil
-	hc.conn.Close()
+	c.OnData = p.Feed
+	c.OnPeerClose = c.Close
 }

@@ -149,15 +149,15 @@ func (c Config) withDefaults() Config {
 }
 
 // Endpoint describes one supervised service host: a containment server or
-// a sink server. Rebind reinstalls its listeners after a supervised host
-// reset. Sinks also carry their SvcHosts role as ID ("catchall",
-// "smtpsink", ...) and a TCP port a liveness probe can dial; containment
-// servers are named by cluster position and probed over the shim channel.
+// a sink server. A restart power-cycles the host, which puts back what it
+// had bound when the node was built (host.PowerCycler). Sinks also carry
+// their SvcHosts role as ID ("catchall", "smtpsink", ...) and a TCP port a
+// liveness probe can dial; containment servers need only their host: they
+// are named by cluster position and probed over the shim channel.
 type Endpoint struct {
-	ID     string
-	Host   *host.Host
-	Port   uint16
-	Rebind func() error
+	ID   string
+	Host *host.Host
+	Port uint16
 }
 
 // Router is what a subfarm node needs of its gateway (*gateway.Router):
@@ -181,8 +181,8 @@ type Deps struct {
 	// order (cluster order, or the single server).
 	Endpoints []Endpoint
 	// Sinks lists the subfarm's supervised sink servers. Each is probed
-	// with a TCP dial from Prober and restarted in place (host reset +
-	// Rebind) on its own breaker-guarded ladder.
+	// with a TCP dial from Prober and restarted in place (a host power
+	// cycle) on its own breaker-guarded ladder.
 	Sinks []Endpoint
 	// Prober is the service-VLAN host sink liveness probes dial from.
 	// Required when Sinks is non-empty.
@@ -278,10 +278,10 @@ type Supervisor struct {
 func New(deps Deps, cfg Config) *Supervisor {
 	sup := newSupervisor(deps, cfg)
 	for i, e := range deps.Endpoints {
-		sup.watchCS(i, e.Host.Addr(), e.Host.PowerCycler(e.Rebind))
+		sup.watchCS(i, e.Host.Addr(), e.Host.PowerCycler())
 	}
 	for _, se := range deps.Sinks {
-		w := sup.add(&watch{kind: KindSink, id: se.ID, addr: se.Host.Addr(), restart: se.Host.PowerCycler(se.Rebind)})
+		w := sup.add(&watch{kind: KindSink, id: se.ID, addr: se.Host.Addr(), restart: se.Host.PowerCycler()})
 		w.probe = func(seq uint64) { sup.probeTCP(w, se.Host, se.Port, seq) }
 	}
 	if deps.Root != nil && deps.Controller != nil && deps.Mgmt != nil {

@@ -43,8 +43,8 @@ type Root struct {
 type RootDeps struct {
 	Sim *sim.Simulator
 	// ControllerHost, when non-nil, is the inmate controller's host;
-	// RestartController power-cycles it (reset, re-address, rebind). Both
-	// live on the root domain.
+	// RestartController power-cycles it and ends a hang. Both live on the
+	// root domain.
 	ControllerHost    *host.Host
 	RestartController func()
 }

@@ -9,7 +9,7 @@
 # engine's one binding to a connection and its messages' two keepers, a
 # domain's frame-list takers and givers, a link's delivery lanes, the
 # learning tables' single writers (DESIGN.md §3b) and supervision's one
-# shape (DESIGN.md §3f), below.
+# shape and one restart path (DESIGN.md §3f), below.
 set -eu
 cd "$(git rev-parse --show-toplevel)"
 status=0
@@ -157,6 +157,13 @@ bad "test-only hook in product code (build the server or hook in the test)" \
 # shellcheck disable=SC2046
 bad "test-only httpx server in product code (a test serves HTTP itself)" \
 	"$(grep -nF 'func Serve(' $(find internal/httpx -name '*.go' ! -name '*_test.go') || true)"
+# A restart has one path (DESIGN.md §3f): host.PowerCycler, taken with no
+# argument, records what the host has bound and its restart puts it back.
+# No service re-registers its own ports, and the farm passes no rebind
+# closure around.
+# shellcheck disable=SC2086
+bad "per-service restart code (a restart is host.PowerCycler(), which restores the host's bindings)" \
+	"$(grep -nE '\) Rebind\(|\.Rebind\b|\bRebind(:|\s+func)|\bRebindSink\b|PowerCycler\([^)]' $nonbench || true)"
 # An SMTP engine meets a connection in one place (DESIGN.md §3b): outside
 # internal/smtpx and the frozen benchmark harness, non-test code gets its
 # engine from smtpx.Bind, which owns the CRLF framing and the reply buffer.
@@ -213,4 +220,16 @@ bad "retired DHCP ACK count in product code (a test counts the ACKs it sees)" \
 # shellcheck disable=SC2046
 bad "retired specimen event log in product code (a test observes what a specimen did)" \
 	"$(grep -nE '\bEvents\(\)|\bemit\(' $(find internal/malware -name '*.go' ! -name '*_test.go') || true)"
+# A lifecycle action reaches the farm as a value, not as a line it parses
+# back apart; the sink's HTTP is framed by httpx.Parser, not by a head
+# scanner of its own.
+# shellcheck disable=SC2086
+bad "lifecycle action passed as a formatted line (LifecycleSink takes action and VLAN)" \
+	"$(grep -nF 'LifecycleSink func(line' $nonbench || true)"
+# shellcheck disable=SC2046
+bad "lifecycle line parsed back apart in internal/farm" \
+	"$(grep -nF 'Sscanf' $(find internal/farm -name '*.go' ! -name '*_test.go') || true)"
+# shellcheck disable=SC2046
+bad "HTTP framed by hand in internal/sink (use httpx.Parser)" \
+	"$(grep -nE '\b(httpConn|headEnd)\b' $(find internal/sink -name '*.go' ! -name '*_test.go') || true)"
 exit $status
