@@ -154,7 +154,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	botfarm.PolicyConfig = text
 	botfarm.CCHosts = farm.SteephostCC()
 	botfarm.CCHosts["GMailMX"] = policy.AddrPort{Addr: gmailAddr, Port: 25}
-	botfarm.GMailMX = gmailAddr
 	botfarm.SinkDropProb = *dropProb
 	botfarm.BannerGrab = true
 	for i := 0; i < *inmates; i++ {

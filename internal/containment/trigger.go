@@ -2,6 +2,7 @@ package containment
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -93,14 +94,15 @@ func ParseTrigger(s string) (*Trigger, error) {
 		return nil, fmt.Errorf("containment: bad trigger comparator %q", cond[1])
 	}
 	n, err := strconv.Atoi(cond[2])
-	if err != nil {
+	if err != nil || n < 0 {
 		return nil, fmt.Errorf("containment: bad trigger threshold %q", cond[2])
 	}
 	t.Threshold = n
 	return t, nil
 }
 
-// ParseWindow parses "30min", "1h", "90s".
+// ParseWindow parses "30min", "1h", "90s": a positive whole number of
+// units that fits a time.Duration.
 func ParseWindow(s string) (time.Duration, error) {
 	for _, suffix := range []struct {
 		str string
@@ -108,7 +110,7 @@ func ParseWindow(s string) (time.Duration, error) {
 	}{{"min", time.Minute}, {"h", time.Hour}, {"s", time.Second}, {"m", time.Minute}} {
 		if strings.HasSuffix(s, suffix.str) {
 			n, err := strconv.Atoi(strings.TrimSuffix(s, suffix.str))
-			if err != nil || n < 0 {
+			if err != nil || n <= 0 || int64(n) > math.MaxInt64/int64(suffix.d) {
 				return 0, fmt.Errorf("containment: bad window %q", s)
 			}
 			return time.Duration(n) * suffix.d, nil

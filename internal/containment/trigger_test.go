@@ -75,6 +75,35 @@ func TestParseWindow(t *testing.T) {
 	}
 }
 
+// A window must be positive and fit a time.Duration, and a threshold must
+// not be negative: 3000000h once wrapped to a negative window, under which
+// an absence trigger fired on every check.
+func TestParseTriggerRejectsOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		trigger string
+		ok      bool
+	}{
+		{"*:25/tcp / 2562047h < 1 -> revert", true},
+		{"*:25/tcp / 1s > 0 -> terminate", true},
+		{"*:25/tcp / 3000000h < 1 -> revert", false},
+		{"*:25/tcp / 2562048h < 1 -> revert", false},
+		{"*:25/tcp / 153722868min < 1 -> revert", false},
+		{"*:25/tcp / 9223372037s < 1 -> revert", false},
+		{"*:25/tcp / 99999999999999999999s < 1 -> revert", false},
+		{"*:25/tcp / 0min < 1 -> revert", false},
+		{"*:25/tcp / -5min < 1 -> revert", false},
+		{"*:25/tcp / 30min < -1 -> revert", false},
+		{"*:25/tcp / 1min > -600 -> terminate", false},
+	} {
+		tr, err := ParseTrigger(tc.trigger)
+		if ok := err == nil; ok != tc.ok {
+			t.Errorf("ParseTrigger(%q) = %v, want ok=%v", tc.trigger, err, tc.ok)
+		} else if ok && tr.Window <= 0 {
+			t.Errorf("ParseTrigger(%q) window %v", tc.trigger, tr.Window)
+		}
+	}
+}
+
 func TestTriggerMatches(t *testing.T) {
 	tr, _ := ParseTrigger("198.51.100.7:25/tcp / 1min > 5 -> terminate")
 	addr := netstack.MustParseAddr("198.51.100.7")

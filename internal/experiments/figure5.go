@@ -8,6 +8,7 @@ import (
 	"gq/internal/containment"
 	"gq/internal/farm"
 	"gq/internal/host"
+	"gq/internal/httpx"
 	"gq/internal/netstack"
 	"gq/internal/policy"
 	"gq/internal/shim"
@@ -62,7 +63,7 @@ func RunFigure5(seed int64) (*Figure5Outcome, string, error) {
 			return h.Listen(80, func(c *host.Conn) {
 				c.OnData = func(d []byte) {
 					out.TargetSaw += string(d)
-					c.Write([]byte("HTTP/1.1 200 OK\r\nContent-Length: 14\r\n\r\nMZ-REAL-BINARY"))
+					c.Write(httpx.AppendResponse(nil, 200, []byte("MZ-REAL-BINARY")))
 				}
 				c.OnPeerClose = func() { c.Close() }
 			})

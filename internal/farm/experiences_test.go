@@ -47,7 +47,6 @@ func waledacFarm(t *testing.T, seed int64, decider string) (*Farm, *Subfarm, *Fa
 		CCHosts: map[string]policy.AddrPort{
 			"GMailMX": {Addr: gmailAddr, Port: 25},
 		},
-		GMailMX:        gmailAddr,
 		SpamTargets:    []netstack.Addr{netstack.MustParseAddr("203.0.113.25")},
 		SinkStrictness: smtpx.Lenient,
 	})
@@ -180,7 +179,6 @@ func TestFidelityLadder(t *testing.T) {
 				policy.NewSample("waledac.exe", "waledac", []byte("MZ"))},
 			RepeatBatches:  true,
 			CCHosts:        map[string]policy.AddrPort{"GMailMX": {Addr: gmailAddr, Port: 25}},
-			GMailMX:        gmailAddr,
 			SpamTargets:    []netstack.Addr{netstack.MustParseAddr("203.0.113.25")},
 			SinkStrictness: smtpx.Lenient,
 		}

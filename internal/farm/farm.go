@@ -221,9 +221,6 @@ type SubfarmConfig struct {
 	InfraPool      netstack.Prefix
 	InboundMode    nat.Mode
 
-	MaxFlowsPerMinute        int
-	MaxFlowsPerDestPerMinute int
-
 	// PolicyConfig is the Fig. 6 containment server configuration text.
 	PolicyConfig string
 	// FallbackPolicy names the decider for unassigned VLANs (default
@@ -236,7 +233,8 @@ type SubfarmConfig struct {
 	// deployments).
 	RepeatBatches bool
 
-	// CCHosts names family C&C endpoints for policies and specimens.
+	// CCHosts names family C&C endpoints for policies and specimens, the
+	// GMail MX that Waledac-class bots probe among them.
 	CCHosts map[string]policy.AddrPort
 	// SpamTargets are the MXes specimens will try to deliver to.
 	SpamTargets []netstack.Addr
@@ -246,8 +244,6 @@ type SubfarmConfig struct {
 	// down one connection — so spam-heavy reproductions set this to keep
 	// sessions long-lived rather than one-shot.
 	SpamBatch int
-	// GMailMX is the probe target for Waledac-class bots.
-	GMailMX netstack.Addr
 
 	// SinkDropProb configures the SMTP sink's probabilistic connection
 	// dropping.

@@ -100,8 +100,7 @@ func (fi *FarmInmate) boot() {
 // REWRITE containment.
 func (fi *FarmInmate) autoinfect() {
 	ai := fi.Subfarm.Policy.Service(policy.SvcAutoinfect)
-	req := httpx.NewRequest("GET", "/sample", ai.Addr.String(), nil)
-	httpx.Do(fi.Host, ai.Addr, ai.Port, req, func(resp *httpx.Response, err error) {
+	httpx.Get(fi.Host, ai.Addr, ai.Port, "/sample", func(resp *httpx.Response, err error) {
 		if err != nil || resp == nil || resp.Status != 200 {
 			// Batch exhausted or containment refused; retry later (the
 			// revert-trigger cycle may re-provision us).
@@ -112,8 +111,8 @@ func (fi *FarmInmate) autoinfect() {
 			})
 			return
 		}
-		fi.SampleName = resp.Headers["x-sample-name"]
-		fi.Family = resp.Headers["x-sample-family"]
+		fi.SampleName = resp.Header("X-Sample-Name")
+		fi.Family = resp.Header("X-Sample-Family")
 		fi.Infections++
 		fi.ExecuteSample(fi.Family)
 	})
@@ -125,7 +124,7 @@ func (fi *FarmInmate) ExecuteSample(family string) {
 	ctx := &malware.Context{
 		Host: fi.Host, Sim: sf.Sim,
 		DNS:                fi.Host.DNS(),
-		GMailMX:            sf.Config.GMailMX,
+		GMailMX:            sf.Config.CCHosts["GMailMX"].Addr,
 		SpamTargets:        sf.Config.SpamTargets,
 		SpamInterval:       15 * time.Second,
 		MessagesPerSession: sf.Config.SpamBatch,

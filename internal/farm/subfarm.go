@@ -90,9 +90,6 @@ func (f *Farm) AddSubfarm(cfg SubfarmConfig) (*Subfarm, error) {
 		NonceIP:            nonceIP,
 		ContainmentCluster: cluster,
 		GRETunnels:         cfg.GRETunnels,
-
-		MaxFlowsPerMinute:        cfg.MaxFlowsPerMinute,
-		MaxFlowsPerDestPerMinute: cfg.MaxFlowsPerDestPerMinute,
 	})
 	if f.Coord != nil {
 		// Wire the private switch into the router's private trunk. The

@@ -1,17 +1,18 @@
 package httpx
 
 import (
+	"errors"
+
 	"gq/internal/host"
 	"gq/internal/netstack"
 )
 
-// Result delivers the outcome of a client request: resp is nil on
-// connection failure.
-type Result func(resp *Response, err error)
+var errIncomplete = errors.New("httpx: connection closed before response")
 
-// Do opens a connection from h to addr:port, sends req, and invokes done
-// with the first response, then closes.
-func Do(h *host.Host, addr netstack.Addr, port uint16, req *Request, done Result) {
+// Get opens a connection from h to addr:port, sends a GET for path with
+// addr as its Host, and invokes done with the first response, then closes.
+// resp is nil when the connection fails or closes first.
+func Get(h *host.Host, addr netstack.Addr, port uint16, path string, done func(resp *Response, err error)) {
 	c := h.Dial(addr, port)
 	p := &Parser{}
 	finished := false
@@ -26,8 +27,8 @@ func Do(h *host.Host, addr netstack.Addr, port uint16, req *Request, done Result
 		finish(resp, nil)
 		c.Close()
 	}
-	c.OnConnect = func() { c.Write(req.Marshal()) }
-	c.OnData = func(data []byte) { p.Feed(data) }
+	c.OnConnect = func() { c.Write([]byte("GET " + path + " HTTP/1.1\r\nHost: " + addr.String() + "\r\n\r\n")) }
+	c.OnData = p.Feed
 	c.OnClose = func(err error) {
 		if err == nil && !finished {
 			err = errIncomplete
@@ -35,9 +36,3 @@ func Do(h *host.Host, addr netstack.Addr, port uint16, req *Request, done Result
 		finish(nil, err)
 	}
 }
-
-type incompleteError struct{}
-
-func (incompleteError) Error() string { return "httpx: connection closed before response" }
-
-var errIncomplete = incompleteError{}

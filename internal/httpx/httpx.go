@@ -1,9 +1,10 @@
-// Package httpx is a minimal HTTP/1.1 engine over the simulated socket API.
-// Malware C&C in the paper's era was predominantly HTTP ("in practice the
-// majority of specimens we encounter still possesses readily distinguishable
-// C&C protocols"), and GQ's containment policies match on method, path, and
-// body — so requests and responses here are fully materialised messages.
-// Only Content-Length framing is supported; both ends are ours.
+// Package httpx is the farm's one HTTP/1.1 codec over the simulated socket
+// API. Malware C&C in the paper's era was predominantly HTTP ("in practice
+// the majority of specimens we encounter still possesses readily
+// distinguishable C&C protocols"), and the auto-infection server of §6.6
+// answers over it. A parsed message holds what its readers read: a request
+// its method, path and body, a response its status, body and header
+// section. Only Content-Length framing is supported; both ends are ours.
 package httpx
 
 import (
@@ -11,111 +12,52 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // Request is an HTTP request.
 type Request struct {
-	Method  string
-	Path    string
-	Proto   string
-	Headers map[string]string // canonicalised: lower-case keys
-	Body    []byte
+	Method, Path string
+	Body         []byte
 }
 
 // Response is an HTTP response.
 type Response struct {
-	Status  int
-	Reason  string
-	Headers map[string]string
-	Body    []byte
+	Status int
+	Body   []byte
+	// head is the header section after the status line.
+	head string
 }
 
-// NewRequest constructs a request with a Host header; Content-Length is set
-// when a body is present.
-func NewRequest(method, path, hostHdr string, body []byte) *Request {
-	r := &Request{
-		Method: method, Path: path, Proto: "HTTP/1.1",
-		Headers: map[string]string{"host": hostHdr},
-		Body:    body,
+// Header returns the value of the response's last header field called
+// name, compared case-insensitively, or "" if it has none.
+func (r *Response) Header(name string) string {
+	var v string
+	for rest, more := r.head, r.head != ""; more; {
+		var line string
+		line, rest, more = strings.Cut(rest, "\r\n")
+		if k, val, _ := strings.Cut(line, ":"); strings.EqualFold(strings.TrimSpace(k), name) {
+			v = strings.TrimSpace(val)
+		}
 	}
-	if len(body) > 0 {
-		r.Headers["content-length"] = strconv.Itoa(len(body))
-	}
-	return r
+	return v
 }
 
-// NewResponse constructs a response with standard reason phrases.
-func NewResponse(status int, body []byte) *Response {
-	r := &Response{Status: status, Reason: reasonPhrase(status), Headers: map[string]string{}, Body: body}
-	r.Headers["content-length"] = strconv.Itoa(len(body))
-	return r
+// AppendResponse appends an HTTP/1.1 response to dst: the status line,
+// Content-Length, each name, value pair of hdr in order, and body.
+func AppendResponse(dst []byte, status int, body []byte, hdr ...string) []byte {
+	dst = fmt.Appendf(dst, "HTTP/1.1 %d %s\r\nContent-Length: %d\r\n", status, reasonPhrase(status), len(body))
+	for i := 0; i+1 < len(hdr); i += 2 {
+		dst = fmt.Appendf(dst, "%s: %s\r\n", hdr[i], hdr[i+1])
+	}
+	return append(append(dst, "\r\n"...), body...)
 }
 
 func reasonPhrase(status int) string {
-	switch status {
-	case 200:
+	if status == 200 {
 		return "OK"
-	case 204:
-		return "No Content"
-	case 302:
-		return "Found"
-	case 400:
-		return "Bad Request"
-	case 403:
-		return "Forbidden"
-	case 404:
-		return "NOT FOUND"
-	case 500:
-		return "Internal Server Error"
-	default:
-		return "Unknown"
 	}
-}
-
-// Marshal encodes the request.
-func (r *Request) Marshal() []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s %s %s\r\n", r.Method, r.Path, r.Proto)
-	writeHeaders(&b, r.Headers)
-	b.WriteString("\r\n")
-	return append([]byte(b.String()), r.Body...)
-}
-
-// Marshal encodes the response.
-func (r *Response) Marshal() []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "HTTP/1.1 %d %s\r\n", r.Status, r.Reason)
-	writeHeaders(&b, r.Headers)
-	b.WriteString("\r\n")
-	return append([]byte(b.String()), r.Body...)
-}
-
-func writeHeaders(b *strings.Builder, h map[string]string) {
-	// Deterministic order: sorted keys. Few headers, so insertion sort via
-	// simple scan is fine.
-	keys := make([]string, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	for _, k := range keys {
-		fmt.Fprintf(b, "%s: %s\r\n", canonical(k), h[k])
-	}
-}
-
-func canonical(k string) string {
-	parts := strings.Split(k, "-")
-	for i, p := range parts {
-		if p == "" {
-			continue
-		}
-		parts[i] = strings.ToUpper(p[:1]) + p[1:]
-	}
-	return strings.Join(parts, "-")
+	return "Unknown"
 }
 
 // The parser holds at most a header section of maxHeadBytes, or a body of
@@ -127,7 +69,10 @@ const (
 	maxBodyBytes = 8 << 20
 )
 
-var headTerm = []byte("\r\n\r\n")
+var (
+	headTerm = []byte("\r\n\r\n")
+	crlf     = headTerm[:2]
+)
 
 // Parser incrementally consumes a byte stream and emits complete messages.
 // Set OnRequest or OnResponse depending on direction.
@@ -204,20 +149,29 @@ func (p *Parser) tryParse() bool {
 }
 
 // parseHead parses the header section buf[:headEnd] into p.req or p.resp,
-// drops it from buf and sets the body length.
+// drops it from buf and sets the body length. Of the header lines it reads
+// only Content-Length: each line must have a colon, and the last
+// Content-Length line sets the body length. A request's method and path are
+// pieces of one copy of the start line, so a kept path holds no more of the
+// head than that line.
 func (p *Parser) parseHead(headEnd int) bool {
-	lines := strings.Split(string(p.buf[:headEnd]), "\r\n")
-	headers := make(map[string]string)
-	for _, line := range lines[1:] {
-		colon := strings.IndexByte(line, ':')
-		if colon < 0 {
+	start, lines, _ := bytes.Cut(p.buf[:headEnd], crlf)
+	var cl []byte
+	hasCL := false
+	for rest, more := lines, len(lines) > 0; more; {
+		var line []byte
+		line, rest, more = bytes.Cut(rest, crlf)
+		name, value, ok := bytes.Cut(line, []byte(":"))
+		if !ok {
 			return p.fail(fmt.Errorf("httpx: malformed header line %q", line))
 		}
-		headers[strings.ToLower(strings.TrimSpace(line[:colon]))] = strings.TrimSpace(line[colon+1:])
+		if bytes.EqualFold(bytes.TrimSpace(name), []byte("Content-Length")) {
+			cl, hasCL = bytes.TrimSpace(value), true
+		}
 	}
 	p.need = 0
-	if cl, ok := headers["content-length"]; ok {
-		n, err := strconv.Atoi(cl)
+	if hasCL {
+		n, err := strconv.Atoi(string(cl))
 		if err != nil || n < 0 {
 			return p.fail(fmt.Errorf("httpx: bad Content-Length %q", cl))
 		}
@@ -226,19 +180,29 @@ func (p *Parser) parseHead(headEnd int) bool {
 		}
 		p.need = n
 	}
-	first := strings.Fields(lines[0])
-	if len(first) < 3 {
-		return p.fail(fmt.Errorf("httpx: malformed start line %q", lines[0]))
+	first, rest := field(string(start))
+	second, rest := field(rest)
+	if third, _ := field(rest); third == "" {
+		return p.fail(fmt.Errorf("httpx: malformed start line %q", start))
 	}
-	if strings.HasPrefix(first[0], "HTTP/") {
-		status, err := strconv.Atoi(first[1])
+	if strings.HasPrefix(first, "HTTP/") {
+		status, err := strconv.Atoi(second)
 		if err != nil {
-			return p.fail(fmt.Errorf("httpx: bad status %q", first[1]))
+			return p.fail(fmt.Errorf("httpx: bad status %q", second))
 		}
-		p.resp = &Response{Status: status, Reason: strings.Join(first[2:], " "), Headers: headers}
+		p.resp = &Response{Status: status, head: string(lines)}
 	} else {
-		p.req = &Request{Method: first[0], Path: first[1], Proto: first[2], Headers: headers}
+		p.req = &Request{Method: first, Path: second}
 	}
 	p.buf = p.buf[headEnd+len(headTerm):]
 	return true
+}
+
+// field cuts the first of the fields strings.Fields would split s into.
+func field(s string) (f, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
 }

@@ -15,37 +15,92 @@ import (
 )
 
 func TestRequestMarshalParse(t *testing.T) {
-	req := NewRequest("GET", "/bot.exe", "192.150.187.12", nil)
 	var got *Request
 	p := &Parser{OnRequest: func(r *Request) { got = r }}
-	p.Feed(req.Marshal())
+	p.Feed(get("/bot.exe", "192.150.187.12"))
 	if got == nil {
 		t.Fatal("no request parsed")
 	}
-	if got.Method != "GET" || got.Path != "/bot.exe" || got.Headers["host"] != "192.150.187.12" {
+	if got.Method != "GET" || got.Path != "/bot.exe" || got.Body != nil {
 		t.Fatalf("parsed %+v", got)
 	}
 }
 
 func TestResponseMarshalParse(t *testing.T) {
-	resp := NewResponse(404, []byte("gone"))
 	var got *Response
 	p := &Parser{OnResponse: func(r *Response) { got = r }}
-	p.Feed(resp.Marshal())
-	if got == nil || got.Status != 404 || got.Reason != "NOT FOUND" || string(got.Body) != "gone" {
+	p.Feed(AppendResponse(nil, 404, []byte("gone"), "X-Sample-Family", "Rustock"))
+	if got == nil || got.Status != 404 || string(got.Body) != "gone" {
 		t.Fatalf("parsed %+v", got)
+	}
+	if f := got.Header("x-sample-family"); f != "Rustock" {
+		t.Fatalf("X-Sample-Family %q", f)
+	}
+	if n := got.Header("Content-Length"); n != "4" {
+		t.Fatalf("Content-Length %q", n)
+	}
+	if v := got.Header("x-sample-name"); v != "" {
+		t.Fatalf("absent header read %q", v)
+	}
+}
+
+// get is the request Get writes for path on a server called host.
+func get(path, host string) []byte {
+	return []byte("GET " + path + " HTTP/1.1\r\nHost: " + host + "\r\n\r\n")
+}
+
+// post is a request for path carrying body.
+func post(path, body string) []byte {
+	return []byte(fmt.Sprintf("POST %s HTTP/1.1\r\nContent-Length: %d\r\nHost: cc.example.com\r\n\r\n%s", path, len(body), body))
+}
+
+// The farm's two response shapes, byte for byte: the auto-infection
+// server's sample reply (Content-Length first, then the given headers in
+// order) and the sinks' empty 200.
+func TestAppendResponseWire(t *testing.T) {
+	got := AppendResponse(nil, 200, []byte("MZ"),
+		"Content-Type", "application/octet-stream",
+		"X-Sample-Family", "Rustock",
+		"X-Sample-Name", "rustock.100921.001.exe")
+	want := "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Type: application/octet-stream\r\n" +
+		"X-Sample-Family: Rustock\r\nX-Sample-Name: rustock.100921.001.exe\r\n\r\nMZ"
+	if string(got) != want {
+		t.Errorf("autoinfect reply\n%q\nwant\n%q", got, want)
+	}
+	if got := AppendResponse(nil, 200, nil); string(got) != "HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n" {
+		t.Errorf("empty 200 %q", got)
+	}
+	if got := AppendResponse([]byte("x"), 200, nil); string(got[:1]) != "x" {
+		t.Errorf("dst not kept: %q", got)
+	}
+}
+
+// A parsed request holds its method and path, each a piece of one copy of
+// the start line, and no header: a 3-line GET fed whole costs the buffer,
+// that copy and the Request.
+func TestParserAllocsPerRequest(t *testing.T) {
+	raw := get("/bot.exe", "192.150.187.12")
+	var path string
+	n := testing.AllocsPerRun(100, func() {
+		p := &Parser{OnRequest: func(r *Request) { path = r.Path }}
+		p.Feed(raw)
+	})
+	if path != "/bot.exe" {
+		t.Fatalf("path %q", path)
+	}
+	if n > 4 {
+		t.Errorf("%v allocations per request, want at most 4", n)
 	}
 }
 
 func TestParserIncrementalFeeding(t *testing.T) {
-	req := NewRequest("POST", "/c2", "cc.example.com", []byte("report=1"))
-	raw := req.Marshal()
+	raw := post("/c2", "report=1")
 	var got *Request
 	p := &Parser{OnRequest: func(r *Request) { got = r }}
 	for _, b := range raw {
 		p.Feed([]byte{b})
 	}
-	if got == nil || string(got.Body) != "report=1" {
+	if got == nil || got.Method != "POST" || string(got.Body) != "report=1" {
 		t.Fatalf("incremental parse %+v", got)
 	}
 }
@@ -53,7 +108,7 @@ func TestParserIncrementalFeeding(t *testing.T) {
 func TestParserPipelined(t *testing.T) {
 	var paths []string
 	p := &Parser{OnRequest: func(r *Request) { paths = append(paths, r.Path) }}
-	raw := append(NewRequest("GET", "/a", "h", nil).Marshal(), NewRequest("GET", "/b", "h", nil).Marshal()...)
+	raw := append(get("/a", "h"), get("/b", "h")...)
 	p.Feed(raw)
 	if len(paths) != 2 || paths[0] != "/a" || paths[1] != "/b" {
 		t.Fatalf("pipelined %v", paths)
@@ -70,7 +125,7 @@ func TestParserMalformed(t *testing.T) {
 	// Parser must stay broken.
 	var got *Request
 	p.OnRequest = func(r *Request) { got = r }
-	p.Feed(NewRequest("GET", "/", "h", nil).Marshal())
+	p.Feed(get("/", "h"))
 	if got != nil {
 		t.Fatal("broken parser resumed")
 	}
@@ -129,10 +184,10 @@ func TestParserFeedIsAllocFreeWhileWaiting(t *testing.T) {
 // message's cap plus the segment it was just fed.
 func FuzzParserFeed(f *testing.F) {
 	for _, stream := range [][]byte{
-		NewRequest("GET", "/bot.exe", "192.150.187.12", nil).Marshal(),
-		NewResponse(404, []byte("gone")).Marshal(),
-		NewRequest("POST", "/c2", "cc.example.com", []byte("report=1")).Marshal(),
-		append(NewRequest("GET", "/a", "h", nil).Marshal(), NewRequest("GET", "/b", "h", nil).Marshal()...),
+		get("/bot.exe", "192.150.187.12"),
+		AppendResponse(nil, 404, []byte("gone"), "X-Sample-Name", "a.exe"),
+		post("/c2", "report=1"),
+		append(get("/a", "h"), get("/b", "h")...),
 		[]byte("NOT A HEADER LINE\r\nmissing colon\r\n\r\n"),
 		[]byte("GET / HTTP/1.1\r\nContent-Length: banana\r\n\r\n"),
 		[]byte("POST / HTTP/1.1\r\nContent-Length: 1000000000\r\n\r\nxx"),
@@ -144,7 +199,9 @@ func FuzzParserFeed(f *testing.F) {
 		record := func(p *Parser) *[]string {
 			var got []string
 			p.OnRequest = func(r *Request) { got = append(got, fmt.Sprintf("request %+v", *r)) }
-			p.OnResponse = func(r *Response) { got = append(got, fmt.Sprintf("response %+v", *r)) }
+			p.OnResponse = func(r *Response) {
+				got = append(got, fmt.Sprintf("response %+v %q", *r, r.Header("X-Sample-Name")))
+			}
 			p.OnError = func(err error) { got = append(got, "error "+err.Error()) }
 			return &got
 		}
@@ -186,7 +243,7 @@ func TestPropertyRoundTripBody(t *testing.T) {
 	f := func(body []byte) bool {
 		var got *Response
 		p := &Parser{OnResponse: func(r *Response) { got = r }}
-		p.Feed(NewResponse(200, body).Marshal())
+		p.Feed(AppendResponse(nil, 200, body))
 		return got != nil && bytes.Equal(got.Body, body)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -209,13 +266,13 @@ func webPair(t *testing.T) (*sim.Simulator, *host.Host, *host.Host) {
 
 // serve answers each request on h:port with handler's response, any number
 // of requests per connection (keep-alive); a nil response aborts.
-func serve(t *testing.T, h *host.Host, port uint16, handler func(req *Request) *Response) {
+func serve(t *testing.T, h *host.Host, port uint16, handler func(req *Request) []byte) {
 	t.Helper()
 	err := h.Listen(port, func(c *host.Conn) {
 		p := &Parser{}
 		p.OnRequest = func(req *Request) {
 			if resp := handler(req); resp != nil {
-				c.Write(resp.Marshal())
+				c.Write(resp)
 			} else {
 				c.Abort()
 			}
@@ -231,18 +288,34 @@ func serve(t *testing.T, h *host.Host, port uint16, handler func(req *Request) *
 
 func TestServeAndDo(t *testing.T) {
 	s, client, server := webPair(t)
-	serve(t, server, 80, func(req *Request) *Response {
-		if req.Path == "/bot.exe" {
-			return NewResponse(200, []byte("MZbinary"))
+	serve(t, server, 80, func(req *Request) []byte {
+		if req.Method == "GET" && req.Path == "/bot.exe" {
+			return AppendResponse(nil, 200, []byte("MZbinary"), "X-Sample-Name", "bot.exe")
 		}
-		return NewResponse(404, nil)
+		return AppendResponse(nil, 404, nil)
 	})
 	var got *Response
-	Do(client, server.Addr(), 80, NewRequest("GET", "/bot.exe", "server", nil),
-		func(resp *Response, err error) { got = resp })
+	Get(client, server.Addr(), 80, "/bot.exe", func(resp *Response, err error) { got = resp })
 	s.RunFor(time.Minute)
-	if got == nil || got.Status != 200 || string(got.Body) != "MZbinary" {
+	if got == nil || got.Status != 200 || string(got.Body) != "MZbinary" || got.Header("X-Sample-Name") != "bot.exe" {
 		t.Fatalf("got %+v", got)
+	}
+}
+
+// Get writes the GET the auto-infection fetch has always sent: the path and
+// the server's address as its Host, nothing else.
+func TestGetWire(t *testing.T) {
+	s, client, server := webPair(t)
+	var saw []byte
+	if err := server.Listen(80, func(c *host.Conn) {
+		c.OnData = func(d []byte) { saw = append(saw, d...) }
+	}); err != nil {
+		t.Fatal(err)
+	}
+	Get(client, server.Addr(), 80, "/sample", func(*Response, error) {})
+	s.RunFor(time.Second)
+	if want := "GET /sample HTTP/1.1\r\nHost: 10.0.0.2\r\n\r\n"; string(saw) != want {
+		t.Fatalf("Get wrote %q, want %q", saw, want)
 	}
 }
 
@@ -250,8 +323,7 @@ func TestDoConnectionRefused(t *testing.T) {
 	s, client, server := webPair(t)
 	var gotErr error
 	called := 0
-	Do(client, server.Addr(), 81, NewRequest("GET", "/", "server", nil),
-		func(resp *Response, err error) { called++; gotErr = err })
+	Get(client, server.Addr(), 81, "/", func(resp *Response, err error) { called++; gotErr = err })
 	s.RunFor(time.Minute)
 	if called != 1 || gotErr == nil {
 		t.Fatalf("called=%d err=%v", called, gotErr)
@@ -261,17 +333,17 @@ func TestDoConnectionRefused(t *testing.T) {
 func TestServeKeepAlive(t *testing.T) {
 	s, client, server := webPair(t)
 	hits := 0
-	serve(t, server, 80, func(req *Request) *Response {
+	serve(t, server, 80, func(req *Request) []byte {
 		hits++
-		return NewResponse(200, []byte(req.Path))
+		return AppendResponse(nil, 200, []byte(req.Path))
 	})
 	// Raw connection sending two pipelined requests.
 	c := client.Dial(server.Addr(), 80)
 	var bodies []string
 	p := &Parser{OnResponse: func(r *Response) { bodies = append(bodies, string(r.Body)) }}
 	c.OnConnect = func() {
-		c.Write(NewRequest("GET", "/one", "h", nil).Marshal())
-		c.Write(NewRequest("GET", "/two", "h", nil).Marshal())
+		c.Write(get("/one", "h"))
+		c.Write(get("/two", "h"))
 	}
 	c.OnData = func(d []byte) { p.Feed(d) }
 	s.RunFor(time.Minute)

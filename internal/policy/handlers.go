@@ -35,12 +35,11 @@ func NewAutoinfectHandler(sample *Sample) *AutoinfectHandler {
 // OnClientData implements containment.StreamHandler.
 func (h *AutoinfectHandler) OnClientData(s *containment.Session, data []byte) {
 	if h.parser.OnRequest == nil {
-		h.parser.OnRequest = func(req *httpx.Request) {
-			resp := httpx.NewResponse(200, h.sample.Content)
-			resp.Headers["content-type"] = "application/octet-stream"
-			resp.Headers["x-sample-name"] = h.sample.Name
-			resp.Headers["x-sample-family"] = h.sample.Family
-			s.WriteClient(resp.Marshal())
+		h.parser.OnRequest = func(*httpx.Request) {
+			s.WriteClient(httpx.AppendResponse(nil, 200, h.sample.Content,
+				"Content-Type", "application/octet-stream",
+				"X-Sample-Family", h.sample.Family,
+				"X-Sample-Name", h.sample.Name))
 			s.CloseClient()
 		}
 		h.parser.OnError = func(error) { s.AbortClient() }

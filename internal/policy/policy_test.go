@@ -68,20 +68,23 @@ func TestParseFig6(t *testing.T) {
 	}
 }
 
+var badConfigs = []string{
+	"Decider = X",                                             // assignment outside section
+	"[VLAN 5-3]\nDecider = X",                                 // inverted range
+	"[VLAN 0-3]\nDecider = X",                                 // VLAN 0
+	"[VLAN a-b]\nDecider = X",                                 // non-numeric
+	"[VLAN 1-2]\nBogus = X",                                   // unknown key
+	"[VLAN 1-2]\nTrigger = garbage",                           // bad trigger
+	"[Sink]\nAddress = not.an.ip",                             // bad address
+	"[Sink]\nPort = 99999",                                    // bad port
+	"[Sink\nAddress = 10.0.0.1",                               // unterminated section
+	"[VLAN 1-2]\nDecider",                                     // no equals
+	"[VLAN 1-2]\nTrigger = *:25/tcp / 3000000h < 1 -> revert", // window overflows
+	"[VLAN 1-2]\nTrigger = *:25/tcp / 30min < -1 -> revert",   // negative threshold
+}
+
 func TestParseRejectsBadConfigs(t *testing.T) {
-	bad := []string{
-		"Decider = X",                   // assignment outside section
-		"[VLAN 5-3]\nDecider = X",       // inverted range
-		"[VLAN 0-3]\nDecider = X",       // VLAN 0
-		"[VLAN a-b]\nDecider = X",       // non-numeric
-		"[VLAN 1-2]\nBogus = X",         // unknown key
-		"[VLAN 1-2]\nTrigger = garbage", // bad trigger
-		"[Sink]\nAddress = not.an.ip",   // bad address
-		"[Sink]\nPort = 99999",          // bad port
-		"[Sink\nAddress = 10.0.0.1",     // unterminated section
-		"[VLAN 1-2]\nDecider",           // no equals
-	}
-	for _, s := range bad {
+	for _, s := range badConfigs {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) accepted", s)
 		}
@@ -97,6 +100,36 @@ func TestParseCommentsAndSingleVLAN(t *testing.T) {
 	if !ok || r.Lo != 7 || r.Hi != 7 || r.Decider != "Storm" {
 		t.Fatalf("rule %+v", r)
 	}
+}
+
+// FuzzConfigParse holds Parse to what the farm relies on in what it
+// accepts: every VLAN range runs low to high, and every trigger has a
+// positive window, a non-negative threshold and an action the farm knows.
+func FuzzConfigParse(f *testing.F) {
+	for _, s := range append([]string{fig6, "# comment\n; also comment\n[VLAN 7]\nDecider = Storm\n"}, badConfigs...) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		cfg, err := Parse(text)
+		if err != nil {
+			return
+		}
+		for _, r := range cfg.VLANRules {
+			if r.Lo > r.Hi {
+				t.Fatalf("rule %d-%d accepted", r.Lo, r.Hi)
+			}
+			for _, tr := range r.Triggers {
+				switch {
+				case tr.Window <= 0:
+					t.Fatalf("trigger %q: window %v", tr, tr.Window)
+				case tr.Threshold < 0:
+					t.Fatalf("trigger %q: threshold %d", tr, tr.Threshold)
+				case tr.Action != "revert" && tr.Action != "reboot" && tr.Action != "terminate":
+					t.Fatalf("trigger %q: action %q", tr, tr.Action)
+				}
+			}
+		}
+	})
 }
 
 func TestMatchSample(t *testing.T) {

@@ -258,7 +258,7 @@ func NewHTTPSink(h *host.Host, port uint16) (*HTTPSink, error) {
 // in the farm.
 const maxKeptURLs = 1024
 
-var okNoBody = []byte("HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n")
+var okNoBody = httpx.AppendResponse(nil, 200, nil)
 
 // accept frames the connection's requests with an httpx.Parser and answers
 // each with an empty 200. A stream the parser refuses — a head past its

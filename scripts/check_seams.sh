@@ -232,4 +232,27 @@ bad "lifecycle line parsed back apart in internal/farm" \
 # shellcheck disable=SC2046
 bad "HTTP framed by hand in internal/sink (use httpx.Parser)" \
 	"$(grep -nE '\b(httpConn|headEnd)\b' $(find internal/sink -name '*.go' ! -name '*_test.go') || true)"
+# HTTP's wire format lives in internal/httpx (DESIGN.md §3b "HTTP"): outside
+# it and the frozen benchmark harness, non-test code writes a response with
+# httpx.AppendResponse and fetches with httpx.Get, so none spells out a
+# Content-Length; a parsed message keeps no header map (Response.Header
+# reads the section it holds), and the retired builders and client stay
+# gone, tests included.
+# shellcheck disable=SC2046
+bad "HTTP written by hand outside internal/httpx (use httpx.AppendResponse or httpx.Get)" \
+	"$(grep -nF 'Content-Length' $(find . -name '*.go' ! -name '*_test.go' ! -path './internal/httpx/*' ! -path './bench/*') || true)"
+# shellcheck disable=SC2046
+bad "retired HTTP builder, client or header map (httpx.AppendResponse, httpx.Get, Response.Header)" \
+	"$(grep -nE 'httpx\.(NewRequest|NewResponse|Do)\(|\.Headers\[' $(find . -name '*.go' ! -path './bench/*') || true)"
+# shellcheck disable=SC2046
+bad "retired HTTP builder or client in internal/httpx (AppendResponse writes, Get fetches)" \
+	"$(grep -nE 'func (NewRequest|NewResponse|Do)\(|\) Marshal\(' $(find internal/httpx -name '*.go') || true)"
+# The subfarm names the GMail MX once, in CCHosts["GMailMX"], and passes no
+# safety-filter setting through that no farm sets (the gateway's
+# RouterConfig keeps both limits).
+# shellcheck disable=SC2046
+bad "retired SubfarmConfig field (the GMail MX is CCHosts[\"GMailMX\"]; flow limits live in gateway.RouterConfig)" \
+	"$(awk '/^type SubfarmConfig struct/ {in_s=1}
+		in_s && /GMailMX|MaxFlowsPer/ {print FILENAME ":" FNR ": " $0}
+		in_s && /^}/ {in_s=0}' $(find internal/farm -name '*.go' ! -name '*_test.go'))"
 exit $status
