@@ -9,10 +9,12 @@ test:
 	$(GO) test ./...
 
 # go vet, plus the cross-domain seam check: sim.Hop and sim.Inject are the
-# only ways across a simulation-domain boundary (DESIGN.md §3e).
+# only ways across a simulation-domain boundary (DESIGN.md §3e); plus
+# scripts/deadapi, which fails on product code that only tests use.
 vet:
 	$(GO) vet ./...
 	./scripts/check_seams.sh
+	$(GO) run ./scripts/deadapi
 
 # Data-race check over the packages the datapath fast path touches most,
 # plus the telemetry layer (concurrent Snapshot vs a running sim), plus the

@@ -279,7 +279,7 @@ func TestApplyStopRestoresEverything(t *testing.T) {
 				t.Fatalf("%d inmate links impaired, want 2", len(inj.links))
 			}
 			for _, l := range inj.links {
-				if !l.nic.Impaired() || !l.sw.Impaired() {
+				if l.nic.Loss == 0 || l.sw.Loss == 0 {
 					t.Fatalf("VLAN %d: link not impaired in both directions", l.vlan)
 				}
 			}
@@ -301,7 +301,7 @@ func TestApplyStopRestoresEverything(t *testing.T) {
 				t.Errorf("Crashes = %d, want %d (one per CSCrashAt entry)", inj.Crashes, len(p.CSCrashAt))
 			}
 			for _, l := range inj.links {
-				if !l.nic.Up() || !l.sw.Up() || l.nic.Impaired() || l.sw.Impaired() {
+				if !l.nic.Up() || !l.sw.Up() || l.nic.Loss != 0 || l.sw.Loss != 0 {
 					t.Errorf("VLAN %d: link left down or impaired", l.vlan)
 				}
 			}

@@ -136,7 +136,9 @@ func (t *Trigger) Matches(dst netstack.Addr, port uint16, proto uint8) bool {
 	}
 }
 
-// String renders the trigger back in config syntax.
+// String renders the trigger back in config syntax, which ParseTrigger
+// reads back to the same trigger: the window in whole minutes when it is
+// one, else in seconds (a parsed window is always whole seconds).
 func (t *Trigger) String() string {
 	port := "*"
 	if t.Port != 0 {
@@ -150,8 +152,12 @@ func (t *Trigger) String() string {
 	if t.LessThan {
 		cmp = "<"
 	}
-	return fmt.Sprintf("%s:%s/%s / %dmin %s %d -> %s",
-		t.HostPat, port, proto, int(t.Window.Minutes()), cmp, t.Threshold, t.Action)
+	window := fmt.Sprintf("%dmin", t.Window/time.Minute)
+	if t.Window%time.Minute != 0 {
+		window = fmt.Sprintf("%ds", t.Window/time.Second)
+	}
+	return fmt.Sprintf("%s:%s/%s / %s %s %d -> %s",
+		t.HostPat, port, proto, window, cmp, t.Threshold, t.Action)
 }
 
 // TriggerEngine evaluates triggers over per-inmate flow-event histories.

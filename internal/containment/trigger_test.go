@@ -57,6 +57,25 @@ func TestParseTriggerVariants(t *testing.T) {
 	}
 }
 
+// A trigger's rendering parses back to the same trigger, whatever unit its
+// window was written in.
+func TestTriggerStringParsesBack(t *testing.T) {
+	for _, s := range []string{
+		"*:25/tcp / 30min < 1 -> revert",
+		"*:*/udp / 1h > 10000 -> reboot",
+		"198.51.100.7:80/tcp / 90s > 5 -> terminate",
+		"*:25/tcp / 30s > 5 -> terminate",
+	} {
+		tr, err := ParseTrigger(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back, err := ParseTrigger(tr.String()); err != nil || !reflect.DeepEqual(back, tr) {
+			t.Errorf("%q (window %v) renders %q, which does not parse back to it (err %v)", s, tr.Window, tr, err)
+		}
+	}
+}
+
 func TestParseWindow(t *testing.T) {
 	cases := map[string]time.Duration{
 		"30min": 30 * time.Minute,

@@ -20,7 +20,6 @@ type Client struct {
 	xid     uint32
 	state   int // 0 discovering, 1 requesting, 2 bound
 	retry   *sim.Event
-	subnet  int
 	// Bound reports whether a lease was obtained.
 	Bound bool
 }

@@ -83,7 +83,7 @@ func farmNet(t *testing.T, s *sim.Simulator, n int) (*Server, []*host.Host) {
 
 func TestClientObtainsLease(t *testing.T) {
 	s := sim.New(1)
-	_, clients := farmNet(t, s, 1)
+	srv, clients := farmNet(t, s, 1)
 	// The test's own view of the exchange: the DHCPACKs the client's host
 	// receives.
 	acks := 0
@@ -102,9 +102,25 @@ func TestClientObtainsLease(t *testing.T) {
 		t.Fatal("client never bound")
 	}
 	h := clients[0]
-	if h.Addr() != bound || h.Gateway() != netstack.MustParseAddr("10.0.0.1") ||
-		h.DNS() != netstack.MustParseAddr("10.0.0.3") {
-		t.Fatalf("config addr=%v gw=%v dns=%v", h.Addr(), h.Gateway(), h.DNS())
+	if h.Addr() != bound || h.DNS() != netstack.MustParseAddr("10.0.0.3") {
+		t.Fatalf("config addr=%v dns=%v", h.Addr(), h.DNS())
+	}
+	// The leased router is where the client sends off-subnet traffic: a
+	// datagram to 192.0.2.1 makes it ask the segment for 10.0.0.1.
+	var asked netstack.Addr
+	srv.h.AddRxHook(func(p *netstack.Packet) {
+		if p.ARP != nil && p.ARP.Op == netstack.ARPRequest && p.ARP.SenderIP == bound {
+			asked = p.ARP.TargetIP
+		}
+	})
+	sock, err := h.ListenUDP(0, func(netstack.Addr, uint16, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sock.SendTo(netstack.MustParseAddr("192.0.2.1"), 9, []byte("off-subnet"))
+	s.RunFor(time.Second)
+	if asked != netstack.MustParseAddr("10.0.0.1") {
+		t.Errorf("client resolved %v for off-subnet traffic, want its router 10.0.0.1", asked)
 	}
 	if acks != 1 {
 		t.Errorf("client received %d DHCPACKs, want 1", acks)
@@ -145,7 +161,7 @@ func TestLeaseStableAcrossRequests(t *testing.T) {
 	}
 	// After release, the address can go to someone else.
 	srv.ReleaseMAC(clients[0].MAC())
-	if len(srv.Leases()) != 0 {
+	if len(srv.leases) != 0 {
 		t.Error("lease not released")
 	}
 }

@@ -54,9 +54,6 @@ func NewServer(h *host.Host, cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
-// Leases returns current bindings keyed by MAC.
-func (s *Server) Leases() map[netstack.MAC]*Lease { return s.leases }
-
 // ReleaseMAC frees a client's binding, e.g. when an inmate is expired.
 func (s *Server) ReleaseMAC(mac netstack.MAC) {
 	if l, ok := s.leases[mac]; ok {

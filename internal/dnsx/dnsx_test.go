@@ -133,15 +133,3 @@ func TestResolveTimeout(t *testing.T) {
 		t.Fatalf("timeout path calls=%d ok=%v", calls, ok)
 	}
 }
-
-func TestRuntimeAdd(t *testing.T) {
-	s, srv, client := dnsNet(t, nil)
-	srv.Add("late.example.com", netstack.MustParseAddr("1.2.3.4"))
-	var ok bool
-	Resolve(client, netstack.MustParseAddr("10.0.0.3"), "late.example.com",
-		func(a []netstack.Addr, o bool) { ok = o })
-	s.RunFor(time.Minute)
-	if !ok {
-		t.Fatal("runtime-added record not served")
-	}
-}

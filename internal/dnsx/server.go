@@ -34,11 +34,6 @@ func NewServer(h *host.Host, zones map[string]netstack.Addr) (*Server, error) {
 	return s, nil
 }
 
-// Add registers or replaces a record at runtime.
-func (s *Server) Add(name string, addr netstack.Addr) {
-	s.zones[strings.ToLower(name)] = addr
-}
-
 func (s *Server) lookup(name string) (netstack.Addr, bool) {
 	if a, ok := s.zones[name]; ok {
 		return a, true

@@ -39,7 +39,7 @@ func TestFleetLockdownSoak(t *testing.T) {
 }
 
 // TestFleetSoakSerial pins the unsharded farm: the same ladder must run
-// on a single root domain (no PostTo hops at all) and still satisfy
+// on a single root domain (no cross-domain hops at all) and still satisfy
 // every fleet invariant.
 func TestFleetSoakSerial(t *testing.T) {
 	out, err := RunFleetSoak(farm.Layout{Seed: 11})

@@ -87,8 +87,8 @@ func TestSupervisorInmateQuarantine(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		sup.Strike(vlan, "probe-escape")
 	}
-	if !sup.InmateQuarantined(vlan) {
-		t.Fatal("three escape strikes did not quarantine the inmate")
+	if got := f.Sim.Obs().Snapshot().Counter("supervisor.probe.inmate_quarantines"); got != 1 {
+		t.Fatalf("three escape strikes made %d quarantines, want 1", got)
 	}
 	// Further strikes are no-ops once quarantined.
 	sup.Strike(vlan, "probe-escape")

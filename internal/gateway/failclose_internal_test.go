@@ -18,9 +18,9 @@ func rstCollector(r *Router, initIP, csIP netstack.Addr) (toInit, toCS *[]*netst
 		}
 		switch p.IP.Dst {
 		case initIP:
-			init = append(init, p.Clone())
+			init = append(init, keptCopy(p))
 		case csIP:
-			cs = append(cs, p.Clone())
+			cs = append(cs, keptCopy(p))
 		}
 	})
 	return &init, &cs

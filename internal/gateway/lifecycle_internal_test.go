@@ -75,7 +75,7 @@ func newLifecycleRig(t *testing.T) *lifecycleRig {
 		case p.IP == nil:
 		case p.IP.Dst == lcInit:
 			note("init", p)
-			rig.lastInitRST = p.Clone()
+			rig.lastInitRST = keptCopy(p)
 		case p.IP.Dst == r.cfg.ContainmentCluster[0].IP:
 			note("cs", p)
 		}
@@ -405,7 +405,7 @@ func TestShedPreSynAckVictimResetAndTombstoned(t *testing.T) {
 	var toInit []*netstack.Packet
 	r.AddTap(func(p *netstack.Packet) {
 		if p.IP != nil && p.IP.Dst == lcInit {
-			toInit = append(toInit, p.Clone())
+			toInit = append(toInit, keptCopy(p))
 		}
 	})
 	syn := func(sport uint16, isn uint32) {

@@ -155,9 +155,6 @@ func TestVLANPendingPacketsSurviveLaterFrames(t *testing.T) {
 	rig.trunk.port.Send(synFrom(13, b, 2222, 2000))
 	rig.settle()
 	key := vlanAddr{2, rig.r.cfg.ContainmentCluster[0].IP}
-	if n := len(rig.r.vlanPending.Parked(key)); n != 2 {
-		t.Fatalf("%d SYNs parked behind the containment server's address, want 2", n)
-	}
 	// In between: traffic of other shapes through the same receive path.
 	rig.trunk.port.Send(arpReply(14, netstack.MustParseAddr("10.0.0.7"), inmateMAC(14)))
 	udp := &netstack.Packet{
@@ -189,9 +186,19 @@ func TestVLANPendingPacketsSurviveLaterFrames(t *testing.T) {
 			t.Errorf("flushed frame %d not redirected to the containment server: %v", i, p)
 		}
 	}
-	if n := rig.r.vlanPending.Len(); n != 0 {
-		t.Errorf("%d waits left after the flush", n)
+	if w := rig.r.vlanPending.Learned(key); w != nil {
+		t.Errorf("a wait of %d frames left after the flush", len(w.Frames))
 	}
+}
+
+// learnedFrames stops a wait that Learned took out of its table and counts
+// its frames; waiting is false when there was none.
+func learnedFrames[K comparable, F any](w *netsim.Wait[K, F]) (frames int, waiting bool) {
+	if w == nil {
+		return 0, false
+	}
+	w.Stop()
+	return len(w.Frames), true
 }
 
 // Each gateway-side ARP-pending queue holds netstack.MaxARPPending frames
@@ -208,17 +215,17 @@ func TestARPPendingQueuesAreBounded(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		name   string
-		send   func(rig *lifetimeRig)
-		parked func(rig *lifetimeRig) (frames, waits int)
-		wire   func(rig *lifetimeRig) *framePort
-		drops  func(rig *lifetimeRig) uint64
+		name    string
+		send    func(rig *lifetimeRig)
+		learned func(rig *lifetimeRig) (frames int, waiting bool) // takes the wait out
+		wire    func(rig *lifetimeRig) *framePort
+		drops   func(rig *lifetimeRig) uint64
 	}{
 		{
 			name: "vlan",
 			send: func(rig *lifetimeRig) { rig.r.sendToVLAN(datagram(netstack.MustParseAddr("10.3.0.99")), 2) },
-			parked: func(rig *lifetimeRig) (int, int) {
-				return len(rig.r.vlanPending.Parked(vlanAddr{2, netstack.MustParseAddr("10.3.0.99")})), rig.r.vlanPending.Len()
+			learned: func(rig *lifetimeRig) (int, bool) {
+				return learnedFrames(rig.r.vlanPending.Learned(vlanAddr{2, netstack.MustParseAddr("10.3.0.99")}))
 			},
 			wire:  func(rig *lifetimeRig) *framePort { return rig.trunk },
 			drops: func(rig *lifetimeRig) uint64 { return rig.g.ARPPendingDrops.Value() },
@@ -226,8 +233,8 @@ func TestARPPendingQueuesAreBounded(t *testing.T) {
 		{
 			name: "outside",
 			send: func(rig *lifetimeRig) { rig.g.emitOutside(datagram(netstack.MustParseAddr("198.51.100.99"))) },
-			parked: func(rig *lifetimeRig) (int, int) {
-				return len(rig.g.outPending.Parked(netstack.MustParseAddr("198.51.100.99"))), rig.g.outPending.Len()
+			learned: func(rig *lifetimeRig) (int, bool) {
+				return learnedFrames(rig.g.outPending.Learned(netstack.MustParseAddr("198.51.100.99")))
 			},
 			wire:  func(rig *lifetimeRig) *framePort { return rig.outside },
 			drops: func(rig *lifetimeRig) uint64 { return rig.g.ARPPendingDrops.Value() },
@@ -237,8 +244,8 @@ func TestARPPendingQueuesAreBounded(t *testing.T) {
 			// outside segment by the same rules.
 			name: "gre peer",
 			send: func(rig *lifetimeRig) { rig.grePeer().emit(datagram(netstack.MustParseAddr("198.51.100.99"))) },
-			parked: func(rig *lifetimeRig) (int, int) {
-				return len(rig.peer.pending.Parked(netstack.MustParseAddr("198.51.100.99"))), rig.peer.pending.Len()
+			learned: func(rig *lifetimeRig) (int, bool) {
+				return learnedFrames(rig.peer.pending.Learned(netstack.MustParseAddr("198.51.100.99")))
 			},
 			wire:  func(rig *lifetimeRig) *framePort { return rig.peerWire },
 			drops: func(rig *lifetimeRig) uint64 { return rig.peer.ARPPendingDrops },
@@ -249,15 +256,12 @@ func TestARPPendingQueuesAreBounded(t *testing.T) {
 			for i := 0; i < flood; i++ {
 				tc.send(rig)
 			}
-			if frames, _ := tc.parked(rig); frames != netstack.MaxARPPending {
-				t.Fatalf("%d frames parked, want the bound %d", frames, netstack.MaxARPPending)
-			}
 			if got := tc.drops(rig); got != flood-netstack.MaxARPPending {
 				t.Errorf("arp_pending_drops = %d, want %d", got, flood-netstack.MaxARPPending)
 			}
 			rig.s.RunFor(netsim.ARPMaxTries*netsim.ARPRetryInterval + time.Millisecond)
-			if frames, waits := tc.parked(rig); frames != 0 || waits != 0 {
-				t.Errorf("after the ARP timeout: %d frames in %d waits", frames, waits)
+			if frames, waiting := tc.learned(rig); waiting {
+				t.Errorf("after the ARP timeout: %d frames still wait", frames)
 			}
 			sent := tc.wire(rig).take(t)
 			if len(sent) != netsim.ARPMaxTries {
@@ -271,8 +275,8 @@ func TestARPPendingQueuesAreBounded(t *testing.T) {
 			// The neighbour was given up, not blacklisted: the next frame
 			// starts a fresh resolution with an empty queue.
 			tc.send(rig)
-			if frames, waits := tc.parked(rig); frames != 1 || waits != 1 {
-				t.Errorf("after the timeout a new frame parks as %d frames in %d waits, want 1 in 1", frames, waits)
+			if frames, waiting := tc.learned(rig); frames != 1 || !waiting {
+				t.Errorf("after the timeout a new frame parks as %d frames (waiting %v), want 1", frames, waiting)
 			}
 		})
 	}

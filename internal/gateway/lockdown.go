@@ -37,9 +37,6 @@ func (r *Router) SetLockdown(on bool, reason string) int {
 	return len(doomed)
 }
 
-// LockedDown reports whether fail-closed lockdown is engaged.
-func (r *Router) LockedDown() bool { return r.lockdown }
-
 // lockdownDrop is the admission gate at every flow-creation site.
 func (r *Router) lockdownDrop() bool {
 	if !r.lockdown {

@@ -215,7 +215,6 @@ type Router struct {
 	// Safety filter state: fixed one-minute windows. Inmates choose the
 	// destinations rateDest is keyed by, so it holds at most maxRateDests
 	// (see safetyCheck).
-	rateWindow   time.Duration
 	rateAll      map[uint16]int
 	rateDest     map[vlanAddr]int
 	rateDestFull *obs.Counter // nil until the first overflow
@@ -388,9 +387,6 @@ func (r *Router) TrunkPort() *netsim.Port {
 	}
 	return r.gw.trunk
 }
-
-// Sim returns the simulation domain this router runs in.
-func (r *Router) Sim() *sim.Simulator { return r.sim }
 
 // recvTrunkFrame receives frames on the router's private trunk (sharded
 // topology only). It mirrors Gateway.recvTrunk but skips VLAN routing:

@@ -76,7 +76,7 @@ func TestSweepEstablishingPortDownMidHandshake(t *testing.T) {
 	var rsts []*netstack.Packet
 	r.AddTap(func(p *netstack.Packet) {
 		if p.TCP != nil && p.TCP.Flags&netstack.FlagRST != 0 && p.IP.Dst == initIP {
-			rsts = append(rsts, p.Clone()) // kept past the tap call
+			rsts = append(rsts, keptCopy(p)) // kept past the tap call
 		}
 	})
 
@@ -216,6 +216,16 @@ func TestNonceLegOrphansReaped(t *testing.T) {
 	if n := len(r.index); n != 0 {
 		t.Fatalf("%d index entries left after the flow closed", n)
 	}
+}
+
+// keptCopy is how a tap keeps a packet past its call: a packet parsed from
+// a copy of the packet's bytes.
+func keptCopy(p *netstack.Packet) *netstack.Packet {
+	q, err := netstack.ParseFrame(p.AppendWire(nil))
+	if err != nil {
+		panic(err)
+	}
+	return q
 }
 
 // knowInmateMAC stands in for NAT learning: the router addresses an inmate

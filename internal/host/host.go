@@ -127,15 +127,8 @@ func (h *Host) MAC() netstack.MAC { return h.mac }
 // Sim returns the simulator the host runs on.
 func (h *Host) Sim() *sim.Simulator { return h.sim }
 
-// Conns returns the number of live TCP connections (any state, including
-// TIME_WAIT). Tests use it to assert teardown leaves nothing behind.
-func (h *Host) Conns() int { return len(h.conns) }
-
 // Addr returns the configured IPv4 address (zero before configuration).
 func (h *Host) Addr() netstack.Addr { return h.addr }
-
-// Gateway returns the default router address.
-func (h *Host) Gateway() netstack.Addr { return h.gw }
 
 // DNS returns the configured resolver address.
 func (h *Host) DNS() netstack.Addr { return h.dns }
@@ -440,9 +433,6 @@ func (h *Host) ListenUDP(port uint16, recv func(src netstack.Addr, srcPort uint1
 	h.udpSocks[port] = s
 	return s, nil
 }
-
-// Port returns the bound port.
-func (s *UDPSock) Port() uint16 { return s.port }
 
 // SendTo transmits a datagram.
 func (s *UDPSock) SendTo(dst netstack.Addr, dstPort uint16, data []byte) {

@@ -62,7 +62,7 @@ func TestARPUnresolvableDrops(t *testing.T) {
 	sock, _ := a.ListenUDP(1000, nil)
 	sock.SendTo(netstack.MustParseAddr("10.0.0.99"), 7, []byte("x"))
 	s.Run()
-	if a.arpWaits.Len() != 0 {
+	if a.arpWaits.Learned(netstack.MustParseAddr("10.0.0.99")) != nil {
 		t.Error("pending ARP state not cleaned up after retries exhausted")
 	}
 	// Retries happen at 1s intervals; total time should be ~3s.

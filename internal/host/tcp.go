@@ -147,9 +147,6 @@ func (c *Conn) LocalPort() uint16 { return c.key.localPort }
 // RemoteAddr returns the peer address and port.
 func (c *Conn) RemoteAddr() (netstack.Addr, uint16) { return c.key.remoteIP, c.key.remotePort }
 
-// LocalAddr returns the host address.
-func (c *Conn) LocalAddr() netstack.Addr { return c.host.addr }
-
 // Listen registers an accept callback for a TCP port. The callback receives
 // connections once they reach ESTABLISHED.
 func (h *Host) Listen(port uint16, accept func(*Conn)) error {

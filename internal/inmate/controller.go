@@ -96,9 +96,6 @@ func (c *Controller) Register(im *Inmate) { c.byVLAN[im.VLAN] = im }
 // Unregister removes an expired inmate.
 func (c *Controller) Unregister(vlan uint16) { delete(c.byVLAN, vlan) }
 
-// Inmate looks up an inmate by VLAN ID.
-func (c *Controller) Inmate(vlan uint16) *Inmate { return c.byVLAN[vlan] }
-
 // Execute performs an action directly (the in-process path used when the
 // containment server and controller share a farm object in tests). When
 // the target inmate lives in a different simulation domain the action is

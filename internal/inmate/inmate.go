@@ -228,9 +228,3 @@ func (p *VLANPool) Allocate() (uint16, error) {
 
 // Release returns an ID to the pool.
 func (p *VLANPool) Release(v uint16) { delete(p.used, v) }
-
-// InUse reports the number of allocated IDs.
-func (p *VLANPool) InUse() int { return len(p.used) }
-
-// Size reports pool capacity.
-func (p *VLANPool) Size() int { return int(p.hi-p.lo) + 1 }

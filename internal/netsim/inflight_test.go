@@ -212,8 +212,8 @@ func TestMovedStationIsRelearnedOnItsFirstFrame(t *testing.T) {
 		hosts[0].port.Send(frameTo(mac(3), mac(1), 0, "steady"))
 	}
 	s.Run()
-	if sw.FDBSize() != 2 {
-		t.Fatalf("FDB size %d, want 2", sw.FDBSize())
+	if len(sw.fdb) != 2 {
+		t.Fatalf("FDB size %d, want 2", len(sw.fdb))
 	}
 	// mac(1) re-appears behind port 1 (a reverted inmate on another NIC).
 	hosts[1].port.Send(frameTo(mac(3), mac(1), 0, "moved"))
@@ -224,9 +224,9 @@ func TestMovedStationIsRelearnedOnItsFirstFrame(t *testing.T) {
 	flooded := sw.Flooded.Value()
 	hosts[2].port.Send(frameTo(mac(1), mac(3), 0, "to the new port"))
 	s.Run()
-	if sw.Flooded.Value() != flooded || sw.FDBSize() != 2 {
+	if sw.Flooded.Value() != flooded || len(sw.fdb) != 2 {
 		t.Errorf("frame to the moved station flooded (%d -> %d) or FDB grew to %d",
-			flooded, sw.Flooded.Value(), sw.FDBSize())
+			flooded, sw.Flooded.Value(), len(sw.fdb))
 	}
 	if got := hosts[1].payloads(); len(got) != 1 || got[0] != "to the new port" {
 		t.Errorf("new port got %q, want the frame", got)

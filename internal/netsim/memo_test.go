@@ -96,8 +96,8 @@ func TestSwitchMemoMatchesFDB(t *testing.T) {
 			}
 			s.Run()
 		}
-		if sw.FDBSize() != len(ref.fdb) {
-			t.Fatalf("seed %d: FDB holds %d stations, reference %d", seed, sw.FDBSize(), len(ref.fdb))
+		if len(sw.fdb) != len(ref.fdb) {
+			t.Fatalf("seed %d: FDB holds %d stations, reference %d", seed, len(sw.fdb), len(ref.fdb))
 		}
 	}
 }
@@ -125,7 +125,7 @@ func TestSwitchFDBIsBounded(t *testing.T) {
 		}
 	}
 	s.Run()
-	if n := sw.FDBSize(); n != maxFDBEntries {
+	if n := len(sw.fdb); n != maxFDBEntries {
 		t.Fatalf("FDB holds %d stations after %d spoofed sources, bound is %d", n, flood, maxFDBEntries)
 	}
 	if got, want := s.Obs().Snapshot().Counter(series), uint64(1+flood-maxFDBEntries); got != want {

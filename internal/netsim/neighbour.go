@@ -98,15 +98,3 @@ func (t *Waits[K, F]) Reset() {
 	}
 	clear(t.waits)
 }
-
-// Len reports how many neighbours are being resolved.
-func (t *Waits[K, F]) Len() int { return len(t.waits) }
-
-// Parked returns the frames waiting for key, nil when it is not being
-// resolved.
-func (t *Waits[K, F]) Parked(key K) []F {
-	if w := t.waits[key]; w != nil {
-		return w.Frames
-	}
-	return nil
-}

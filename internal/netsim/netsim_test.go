@@ -168,8 +168,8 @@ func TestSwitchLearning(t *testing.T) {
 	// host1 announces itself.
 	hosts[1].port.Send(frameTo(netstack.BroadcastMAC, mac(2), 0, "hi"))
 	s.Run()
-	if sw.FDBSize() != 1 {
-		t.Fatalf("FDB size %d", sw.FDBSize())
+	if len(sw.fdb) != 1 {
+		t.Fatalf("FDB size %d", len(sw.fdb))
 	}
 	// Now host0 -> mac(2) should be forwarded, not flooded.
 	flooded := sw.Flooded.Value()
@@ -342,5 +342,30 @@ func TestSendOwnedRespectsLossAndDown(t *testing.T) {
 	s.Run()
 	if len(b.frames) != 0 {
 		t.Fatal("downed SendOwned delivered")
+	}
+}
+
+// A neighbour table parks netstack.MaxARPPending frames behind one key and
+// refuses the rest, asks ARPMaxTries times, then forgets the key and its
+// frames; Learned hands back what is parked.
+func TestWaitsBoundAndGiveUp(t *testing.T) {
+	s := sim.New(1)
+	asked := 0
+	w := NewWaits[int, int](s, func(int) { asked++ })
+	for i := 0; i < netstack.MaxARPPending+5; i++ {
+		if ok := w.Park(7, i); ok != (i < netstack.MaxARPPending) {
+			t.Fatalf("Park of frame %d = %v", i, ok)
+		}
+	}
+	if n := len(w.waits[7].Frames); n != netstack.MaxARPPending {
+		t.Fatalf("%d frames parked, want the bound %d", n, netstack.MaxARPPending)
+	}
+	s.Run()
+	if asked != ARPMaxTries || len(w.waits) != 0 {
+		t.Fatalf("after giving up: %d requests, %d waits; want %d and 0", asked, len(w.waits), ARPMaxTries)
+	}
+	w.Park(7, 1)
+	if got := w.Learned(7); got == nil || len(got.Frames) != 1 || len(w.waits) != 0 {
+		t.Fatalf("Learned after a fresh park = %v, %d waits left", got, len(w.waits))
 	}
 }

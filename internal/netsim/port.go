@@ -116,11 +116,6 @@ func (p *Port) Impair(im Impairment) {
 	p.corrupt = im.Corrupt
 }
 
-// Impaired reports whether any impairment knob is set.
-func (p *Port) Impaired() bool {
-	return p.Loss > 0 || p.jitter > 0 || p.reorder > 0 || p.dup > 0 || p.corrupt > 0
-}
-
 // Connect joins two ports with the given one-way latency (DefaultLinkLatency
 // if zero). Connecting an already-connected port panics: topology is static
 // within an experiment.

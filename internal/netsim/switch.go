@@ -112,9 +112,6 @@ func (sw *Switch) addPort(name string, mode PortMode, vlan uint16) *Port {
 // AddTap registers a trace tap.
 func (sw *Switch) AddTap(t Tap) { sw.taps = append(sw.taps, t) }
 
-// FDBSize reports the number of learned (VLAN, MAC) entries.
-func (sw *Switch) FDBSize() int { return len(sw.fdb) }
-
 // learn records that the station key sends from port in. Nearly every frame
 // comes from where its source is already known to live, so the port's memo
 // answers without a lookup, and the table is written only for a new station

@@ -119,7 +119,10 @@ func withOptions(p *Packet) []byte {
 	frame := p.Eth.Marshal(nil)
 	ip := len(frame)
 	ipHdr := IPv4{TTL: p.IP.TTL, Protocol: ProtoTCP, Src: p.IP.Src, Dst: p.IP.Dst}
-	frame = ipHdr.Marshal(frame, append(opts, seg...))
+	body := append(opts, seg...)
+	frame = append(frame, make([]byte, IPv4HeaderLen)...)
+	ipHdr.PutHeader(frame[ip:], len(body))
+	frame = append(frame, body...)
 	frame[ip], frame[ip+10], frame[ip+11] = 0x46, 0, 0
 	sum = Checksum(frame[ip:ip+IPv4HeaderLen+4], 0)
 	frame[ip+10], frame[ip+11] = byte(sum>>8), byte(sum)

@@ -30,16 +30,6 @@ const IPv4HeaderLen = 20
 // DefaultTTL is the TTL hosts use for originated datagrams.
 const DefaultTTL = 64
 
-// Marshal appends the header followed by payload to dst, computing length
-// and checksum.
-func (ip *IPv4) Marshal(dst []byte, payload []byte) []byte {
-	dst = grow(dst, IPv4HeaderLen+len(payload), 0)
-	off := len(dst)
-	dst = dst[:off+IPv4HeaderLen]
-	ip.PutHeader(dst[off:], len(payload))
-	return append(dst, payload...)
-}
-
 // PutHeader writes the header, with length and checksum, into the first
 // IPv4HeaderLen bytes of hdr for a payload of payloadLen bytes. It is how
 // a datagram is completed in a buffer that already holds its payload

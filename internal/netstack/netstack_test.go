@@ -178,7 +178,8 @@ func TestIPv4RoundTrip(t *testing.T) {
 		Dst:      MustParseAddr("192.150.187.12"),
 	}
 	payload := []byte("GET bot.exe HTTP/1.1")
-	pkt := ip.Marshal(nil, payload)
+	pkt := append(make([]byte, IPv4HeaderLen), payload...)
+	ip.PutHeader(pkt, len(payload))
 	var d IPv4
 	rest, err := d.Unmarshal(pkt)
 	if err != nil {
@@ -194,7 +195,8 @@ func TestIPv4RoundTrip(t *testing.T) {
 
 func TestIPv4ChecksumDetectsCorruption(t *testing.T) {
 	ip := IPv4{TTL: 64, Protocol: ProtoUDP, Src: 1, Dst: 2}
-	pkt := ip.Marshal(nil, nil)
+	pkt := make([]byte, IPv4HeaderLen)
+	ip.PutHeader(pkt, 0)
 	pkt[16] ^= 0x40 // flip a bit in dst addr
 	var d IPv4
 	if _, err := d.Unmarshal(pkt); err == nil {
@@ -334,19 +336,33 @@ func TestPacketRoundTripARP(t *testing.T) {
 	}
 }
 
-func TestPacketClone(t *testing.T) {
+// A packet kept past the call that handed it over is parsed from a copy of
+// its bytes: the copy shares nothing with the original, headers, payload or
+// wire buffer.
+func TestKeptPacketSharesNothing(t *testing.T) {
 	p := &Packet{
 		Eth:     Ethernet{EtherType: EtherTypeIPv4},
 		IP:      &IPv4{Src: 1, Dst: 2, TTL: 64, Protocol: ProtoTCP},
 		TCP:     &TCP{SrcPort: 5, DstPort: 6, Seq: 9},
 		Payload: []byte("abc"),
 	}
-	q := p.Clone()
+	orig, err := ParseFrame(p.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := ParseFrame(orig.AppendWire(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
 	q.IP.Src = 99
 	q.TCP.Seq = 1000
 	q.Payload[0] = 'x'
-	if p.IP.Src != 1 || p.TCP.Seq != 9 || p.Payload[0] != 'a' {
-		t.Error("Clone aliases original")
+	q.Marshal()
+	if orig.IP.Src != 1 || orig.TCP.Seq != 9 || orig.Payload[0] != 'a' || &q.wire[0] == &orig.wire[0] {
+		t.Error("the kept copy aliases the original")
+	}
+	if got, err := ParseFrame(orig.Marshal()); err != nil || got.IP.Src != 1 || got.TCP.Seq != 9 || string(got.Payload) != "abc" {
+		t.Errorf("the original re-marshals as %v, %v", got, err)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // layer structure, same payload bytes — Marshal patches the mutated header
 // fields back into that buffer in place (with incremental checksum
 // updates) instead of re-serialising, adding or stripping the VLAN tag
-// there too, and Clone duplicates the packet with a single buffer copy.
+// there too.
 // Payload bytes reached through Payload are read-only; replacing the
 // Payload slice is allowed and simply falls back to the slow path. See
 // DESIGN.md "Datapath buffer ownership".
@@ -59,7 +59,8 @@ func ParseFrame(b []byte) (*Packet, error) { return new(ParseBuf).Parse(b) }
 // caller relinquishes it to the packet. The packet lives in a: it is valid
 // until the next Parse into a, so a receive path that parses every frame
 // into one ParseBuf hands out packets that are good until it returns, and
-// whoever keeps one longer calls Clone. A ParseBuf belongs to one goroutine
+// whoever keeps one longer parses a copy of its bytes:
+// ParseFrame(p.AppendWire(nil)). A ParseBuf belongs to one goroutine
 // and must not be parsed into again while a packet from it is still in use
 // further up the stack.
 func (a *ParseBuf) Parse(b []byte) (*Packet, error) {
@@ -435,42 +436,6 @@ func grow(dst []byte, n, spare int) []byte {
 		return dst
 	}
 	return append(make([]byte, 0, len(dst)+n+spare), dst...)
-}
-
-// Clone deep-copies the packet so a tap or queue can hold it while the
-// original continues to be mutated. When the original still carries its
-// wire buffer, the clone costs a single buffer copy and keeps the
-// zero-copy Marshal fast path.
-func (p *Packet) Clone() *Packet {
-	a := &ParseBuf{p: Packet{Eth: p.Eth}}
-	q := &a.p
-	if p.ARP != nil {
-		a.arp = *p.ARP
-		q.ARP = &a.arp
-	}
-	if p.IP != nil {
-		a.ip = *p.IP
-		q.IP = &a.ip
-	}
-	if p.TCP != nil {
-		a.tcp = *p.TCP
-		q.TCP = &a.tcp
-	}
-	if p.UDP != nil {
-		a.udp = *p.UDP
-		q.UDP = &a.udp
-	}
-	switch {
-	case p.wire != nil && p.payloadAliasesWire():
-		q.wire = append([]byte(nil), p.wire...)
-		q.l3Off, q.l4Off, q.payOff, q.payLen = p.l3Off, p.l4Off, p.payOff, p.payLen
-		if p.Payload != nil {
-			q.Payload = q.wire[p.payOff : p.payOff+p.payLen : p.payOff+p.payLen]
-		}
-	case p.Payload != nil:
-		q.Payload = append([]byte(nil), p.Payload...)
-	}
-	return q
 }
 
 // FlowKey extracts the transport five-tuple plus VLAN. ok is false for

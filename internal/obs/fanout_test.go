@@ -16,7 +16,7 @@ func TestFanoutForwardsToInnerAndSubscribers(t *testing.T) {
 	j.SetSink(fan)
 
 	sub := fan.Subscribe(8, Filter{})
-	sc := j.Scope("sf", 4)
+	sc := j.streams[0].Scope("sf", 4)
 	sc.Emit(Event{Type: EvFlowCreated, N: 1})
 	sc.Emit(Event{Type: EvFlowClosed, N: 2})
 	inner.Flush()
@@ -119,7 +119,7 @@ func TestFanoutChurnStalledClient(t *testing.T) {
 	inner := j.AttachNDJSON(&buf)
 	fan := NewFanout(inner)
 	j.SetSink(fan)
-	sc := j.Scope("churn", 4)
+	sc := j.streams[0].Scope("churn", 4)
 
 	stalled := fan.Subscribe(2, Filter{})
 	const emits = 5000

@@ -264,14 +264,6 @@ func (j *Journal) SetVerdictNamer(fn func(uint32) string) {
 	j.mu.Unlock()
 }
 
-// Scope returns the named scope on the root stream, creating it with the
-// given ring depth on first use (DefaultRingSize if ring <= 0). Idempotent:
-// later calls ignore ring and return the existing scope. Domain-local
-// scopes come from Stream.Scope (via Obs.Scope).
-func (j *Journal) Scope(name string, ring int) *Scope {
-	return j.streams[0].Scope(name, ring)
-}
-
 // Scope returns the named scope bound to this stream, creating it on first
 // use. Idempotent per (name, stream): a name requested from a second stream
 // gets its own ring there, so no two domains ever write one ring, while

@@ -39,12 +39,6 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 // Gauge is a metric that can move both ways (e.g. live flow-table entries).
 type Gauge struct{ v atomic.Int64 }
 
-// Inc adds one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Add adds d (negative to subtract).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
 // Set replaces the value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
@@ -72,9 +66,6 @@ func (h *Histogram) Observe(v int64) {
 	h.count.Add(1)
 	h.sum.Add(v)
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Registry holds the farm's named instruments. Registration is idempotent:
 // asking for an existing name returns the same instrument, so components

@@ -111,7 +111,7 @@ func TestSnapshotAccessorsAndJSON(t *testing.T) {
 func TestScopeRingWrapAndDump(t *testing.T) {
 	clock := time.Duration(0)
 	j := NewJournal(func() time.Duration { return clock })
-	sc := j.Scope("sf", 4)
+	sc := j.streams[0].Scope("sf", 4)
 	for i := 1; i <= 6; i++ {
 		clock = time.Duration(i) * time.Second
 		sc.Emit(Event{Type: EvFlowCreated, N: uint64(i)})
@@ -141,7 +141,7 @@ func TestScopeRingWrapAndDump(t *testing.T) {
 // dumps, and the older ones are evicted and counted.
 func TestDumpRetentionBounded(t *testing.T) {
 	j := NewJournal(nil)
-	sc := j.Scope("s", 2)
+	sc := j.streams[0].Scope("s", 2)
 	sc.Emit(Event{Type: EvFlowCreated})
 	for i := 0; i < DefaultMaxDumps+10; i++ {
 		sc.Dump(fmt.Sprint(i))
@@ -215,7 +215,7 @@ func TestNDJSONSink(t *testing.T) {
 	j.SetVerdictNamer(func(v uint32) string { return "VERDICT" })
 	var buf bytes.Buffer
 	sink := j.AttachNDJSON(&buf)
-	sc := j.Scope("sf", 4)
+	sc := j.streams[0].Scope("sf", 4)
 	sc.Emit(Event{
 		Type: EvFlowVerdict, VLAN: 16, Proto: 6,
 		SrcIP: 0x0a000010, SrcPort: 1234, DstIP: 0x08080808, DstPort: 25,
@@ -253,7 +253,7 @@ func TestNDJSONSink(t *testing.T) {
 
 func TestWriteDump(t *testing.T) {
 	j := NewJournal(nil)
-	sc := j.Scope("sf", 4)
+	sc := j.streams[0].Scope("sf", 4)
 	sc.Emit(Event{Type: EvTriggerFired, VLAN: 17, Detail: "revert"})
 	d := sc.Dump("trigger fired")
 	var buf bytes.Buffer
@@ -288,7 +288,7 @@ func TestConcurrentCountersAndSnapshot(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(int64(i))
 				h.Observe(int64(i % 200))
 			}
 		}()

@@ -26,7 +26,6 @@ type Deadman struct {
 	stop    chan struct{}
 	stopped bool
 	fired   bool
-	trips   int
 }
 
 // NewDeadman starts a dead-man watch over drv: when the soak loop makes
@@ -71,19 +70,11 @@ func (dm *Deadman) check() {
 		return
 	}
 	dm.fired = true
-	dm.trips++
 	fire := dm.onDead
 	dm.mu.Unlock()
 	if fire != nil {
 		fire(stalled)
 	}
-}
-
-// Trips reports how many distinct stall episodes have fired onDead.
-func (dm *Deadman) Trips() int {
-	dm.mu.Lock()
-	defer dm.mu.Unlock()
-	return dm.trips
 }
 
 // Stop ends the watch. Safe to call more than once.

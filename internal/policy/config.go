@@ -46,9 +46,6 @@ type Config struct {
 	Services  map[string]AddrPort
 }
 
-// Service returns a named service location (zero value if absent).
-func (c *Config) Service(name string) AddrPort { return c.Services[name] }
-
 // RuleFor returns the first VLAN rule with a decider covering vlan.
 func (c *Config) RuleFor(vlan uint16) (VLANRule, bool) {
 	for _, r := range c.VLANRules {

@@ -184,15 +184,6 @@ func (b *BatchProvider) NextSample(vlan uint16) (*Sample, bool) {
 	return batch[i], true
 }
 
-// Remaining reports how many unserved samples a VLAN's batch holds.
-func (b *BatchProvider) Remaining(vlan uint16) int {
-	n := len(b.batches[vlan]) - b.next[vlan]
-	if n < 0 {
-		return 0
-	}
-	return n
-}
-
 // String summarises the provider.
 func (b *BatchProvider) String() string {
 	total := 0

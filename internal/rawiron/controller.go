@@ -53,7 +53,6 @@ type Controller struct {
 	Cfg Config
 
 	machines []*Machine // registration order, for deterministic listings
-	byName   map[string]*Machine
 
 	trunk  *trunk
 	faults Faults
@@ -80,7 +79,6 @@ func NewController(s *sim.Simulator, cfg Config) *Controller {
 	reg := s.Obs().Reg
 	return &Controller{
 		Sim: s, Seq: NewPowerSequencer(s), Cfg: cfg,
-		byName:       make(map[string]*Machine),
 		trunk:        newTrunk(s, cfg.TrunkMBps),
 		retriesC:     reg.Counter("rawiron.retries"),
 		quarantinedC: reg.Counter("rawiron.quarantined"),
@@ -92,7 +90,6 @@ func NewController(s *sim.Simulator, cfg Config) *Controller {
 
 // AddMachine registers a box with the controller and its power port.
 func (c *Controller) AddMachine(m *Machine) {
-	c.byName[m.Name] = m
 	c.machines = append(c.machines, m)
 	m.sc = c.Sim.Obs().Scope(obs.EvRawIronPrefix+m.Name, obs.DefaultRingSize)
 	m.ladder = sim.NewLadder(c.Sim, sim.LadderConfig{
@@ -103,9 +100,6 @@ func (c *Controller) AddMachine(m *Machine) {
 	m.setState(Running)
 }
 
-// Machine looks up a registered box.
-func (c *Controller) Machine(name string) *Machine { return c.byName[name] }
-
 // Machines lists registered boxes in registration order.
 func (c *Controller) Machines() []*Machine { return c.machines }
 
@@ -115,10 +109,6 @@ func (c *Controller) InjectFaults(f Faults) { c.faults = f }
 
 // ClearFaults removes all injected fault probabilities.
 func (c *Controller) ClearFaults() { c.faults = Faults{} }
-
-// ActiveTransfers reports how many image transfers currently share the
-// trunk.
-func (c *Controller) ActiveTransfers() int { return len(c.trunk.active) }
 
 // roll draws one fault decision from the sim RNG. A zero probability
 // draws nothing, so fault-free runs consume no randomness.

@@ -354,15 +354,15 @@ func TestTrunkContention(t *testing.T) {
 	start := s.Now()
 	c.Reimage(a, "img", func(error) { tookA = s.Now() - start })
 	c.Reimage(b, "img", func(error) { tookB = s.Now() - start })
-	if c.ActiveTransfers() != 0 {
-		t.Fatalf("transfers active before netboot: %d", c.ActiveTransfers())
+	if len(c.trunk.active) != 0 {
+		t.Fatalf("transfers active before netboot: %d", len(c.trunk.active))
 	}
 	s.RunFor(time.Hour)
 	if tookA == 0 || tookB == 0 {
 		t.Fatal("contended reimages never completed")
 	}
-	if c.ActiveTransfers() != 0 {
-		t.Fatalf("%d transfers leaked", c.ActiveTransfers())
+	if len(c.trunk.active) != 0 {
+		t.Fatalf("%d transfers leaked", len(c.trunk.active))
 	}
 	// The transfer is the dominant phase; contention should land both
 	// well past 1.5x solo but under 2.5x.
@@ -393,7 +393,7 @@ func TestMaxConcurrentQueuesFIFO(t *testing.T) {
 	peak := 0
 	for s.Now() < time.Hour {
 		s.RunFor(5 * time.Second)
-		peak = max(peak, c.ActiveTransfers())
+		peak = max(peak, len(c.trunk.active))
 	}
 	if done[0] == 0 || done[1] == 0 || done[2] == 0 {
 		t.Fatalf("reimages never completed: %v", done)

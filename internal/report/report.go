@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"gq/internal/gateway"
 	"gq/internal/netstack"
 	"gq/internal/obs"
 	"gq/internal/shim"
-	"gq/internal/sim"
 )
 
 // SubfarmSource names one subfarm's data feeds.
@@ -24,7 +22,6 @@ type SubfarmSource struct {
 // activity by subfarm, inmate, and containment decision, "allowing us to
 // verify that the gateway enforces these decisions as expected".
 type Reporter struct {
-	Sim *sim.Simulator
 	// Subfarms lists the active subfarms in display order.
 	Subfarms []SubfarmSource
 	// CBL, when set, is cross-checked against inmate global addresses.
@@ -35,17 +32,6 @@ type Reporter struct {
 	// Obs, when set, appends a telemetry snapshot to each report and enables
 	// CrossCheck against the registry counters.
 	Obs *obs.Obs
-
-	// Reports retains rotated report texts.
-	Reports []string
-}
-
-// StartRotation emits a report every interval (Bro's log rotation drove
-// hourly and daily reports).
-func (r *Reporter) StartRotation(interval time.Duration) *sim.Ticker {
-	return r.Sim.Every(interval, func() {
-		r.Reports = append(r.Reports, r.Generate())
-	})
 }
 
 // verdictOrder fixes section ordering in reports.

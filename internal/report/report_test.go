@@ -4,7 +4,6 @@ import (
 	"maps"
 	"strings"
 	"testing"
-	"time"
 
 	"gq/internal/netstack"
 	"gq/internal/shim"
@@ -211,22 +210,6 @@ func TestCBL(t *testing.T) {
 	}
 	if c.Reasons[addr] != "wergvan HELO" {
 		t.Fatalf("reason %q", c.Reasons[addr])
-	}
-}
-
-func TestReporterRotation(t *testing.T) {
-	s := sim.New(1)
-	r := &Reporter{Sim: s}
-	tk := r.StartRotation(time.Hour)
-	s.RunFor(3*time.Hour + time.Minute)
-	tk.Stop()
-	if len(r.Reports) != 3 {
-		t.Fatalf("%d rotated reports, want 3 (hourly)", len(r.Reports))
-	}
-	for _, rep := range r.Reports {
-		if !strings.Contains(rep, "Inmate Activity") {
-			t.Fatal("rotated report malformed")
-		}
 	}
 }
 

@@ -143,15 +143,6 @@ func parsePreamble(b []byte) (int, uint8, error) {
 	return length, typ, nil
 }
 
-// IsRequest reports whether b begins with the preamble of a request shim
-// (magic, type, version). It does not allocate, so a tap can ask it about
-// every data frame and decode, with UnmarshalRequest's errors, only the
-// few that are shims.
-func IsRequest(b []byte) bool {
-	return len(b) >= PreambleLen && binary.BigEndian.Uint32(b[0:4]) == Magic &&
-		b[6] == TypeRequest && b[7] == Version
-}
-
 // Marshal encodes the 24-byte request shim into a new buffer.
 func (r *Request) Marshal() []byte { return r.AppendTo(make([]byte, 0, RequestLen)) }
 

@@ -98,29 +98,6 @@ func TestBadMagicAndVersion(t *testing.T) {
 	}
 }
 
-// TestIsRequestAgreesWithUnmarshal: the allocation-free pre-check must
-// never reject what UnmarshalRequest accepts, nor pass a wrong preamble.
-func TestIsRequestAgreesWithUnmarshal(t *testing.T) {
-	good := (&Request{VLAN: 16, NoncePort: 40000}).Marshal()
-	if !IsRequest(good) {
-		t.Fatal("valid request not recognised")
-	}
-	for i := 0; i < PreambleLen; i++ {
-		b := append([]byte(nil), good...)
-		b[i] ^= 0x40
-		_, err := UnmarshalRequest(b)
-		if IsRequest(b) && (i < 4 || i >= 6) {
-			t.Errorf("preamble byte %d corrupted, still recognised", i)
-		}
-		if !IsRequest(b) && err == nil {
-			t.Errorf("preamble byte %d corrupted: pre-check rejects what the decoder accepts", i)
-		}
-	}
-	if IsRequest(good[:PreambleLen-1]) || IsRequest((&Response{Verdict: Drop}).Marshal()) {
-		t.Fatal("truncated preamble or a response recognised as a request")
-	}
-}
-
 func TestPeekLength(t *testing.T) {
 	r := &Response{Verdict: Reflect, PolicyName: "SpambotBase", Annotation: "full SMTP containment"}
 	b := r.Marshal()

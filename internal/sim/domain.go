@@ -17,7 +17,7 @@ import (
 // conservative lookahead synchronization (classic CMB-style, with
 // demand-driven per-domain windows — null-message elision):
 //
-//   - Every cross-domain effect is posted (Hop, PostTo, PostTimerTo) and
+//   - Every cross-domain effect is posted (Hop, PostTimerTo) and
 //     takes at least the coordinator's lookahead of virtual time to
 //     arrive. That is the physical trunk/uplink latency between a subfarm
 //     and the gateway, so the clamp models wire delay, not an artificial
@@ -35,7 +35,7 @@ import (
 //   - The one hazard of a wide window is a domain inducing its own
 //     future: if d sends a message while running, a recipient may react
 //     and reply. The reply cannot arrive before the original message's
-//     arrival time + lookahead, so PostTo tightens the sender's own
+//     arrival time + lookahead, so a post tightens the sender's own
 //     window end to that bound (Simulator.winEnd) the moment a message
 //     is posted. Deeper reaction chains only arrive later.
 //   - Cross messages are delivered in (arrival time, source shard, source
@@ -167,10 +167,6 @@ func (c *Coordinator) NewDomain() *Simulator {
 	return d
 }
 
-// Shard returns this simulator's domain id (0 for the root or a
-// standalone simulator).
-func (s *Simulator) Shard() int { return s.shard }
-
 // Coordinator returns the coordinator owning this simulator, or nil.
 func (s *Simulator) Coordinator() *Coordinator { return s.coord }
 
@@ -205,24 +201,13 @@ func (s *Simulator) Hop(dst *Simulator, fn func()) {
 	s.post(dst, 0, crossMsg{fn: fn})
 }
 
-// PostTo schedules fn on dst after delay d of virtual time. Within one
-// simulator it is exactly Schedule. Across domains the delay is clamped
-// up to the coordinator's lookahead (the modeled trunk latency) and the
-// callback is delivered through the coordinator's deterministic merge.
-// Panics if the simulators do not share a coordinator.
-func (s *Simulator) PostTo(dst *Simulator, d time.Duration, fn func()) {
-	if dst == s {
-		s.Schedule(d, fn)
-		return
-	}
-	s.post(dst, d, crossMsg{fn: fn})
-}
-
-// PostTimerTo is PostTo for an idle caller-owned timer: it fires on dst
-// after delay d, running the callback it was initialised with. Within one
-// simulator it is exactly t.Reset. Across domains the sender gives the
-// timer (and whatever owns it) up: the coordinator binds it to dst and arms
-// it there, and from then on it belongs to dst's goroutine.
+// PostTimerTo arms an idle caller-owned timer on dst: it fires there after
+// delay d, running the callback it was initialised with. Within one
+// simulator it is exactly t.Reset. Across domains the delay is clamped up
+// to the coordinator's lookahead (the modeled trunk latency), and the
+// sender gives the timer (and whatever owns it) up: the coordinator binds
+// it to dst and arms it there, and from then on it belongs to dst's
+// goroutine.
 func (s *Simulator) PostTimerTo(dst *Simulator, d time.Duration, t *Timer) {
 	if dst == s {
 		t.Reset(d)
@@ -238,7 +223,7 @@ func (s *Simulator) PostTimerTo(dst *Simulator, d time.Duration, t *Timer) {
 func (s *Simulator) post(dst *Simulator, d time.Duration, m crossMsg) {
 	c := s.coord
 	if c == nil || dst.coord != c {
-		panic("sim: PostTo between unrelated simulators")
+		panic("sim: cross-domain post between unrelated simulators")
 	}
 	if d < c.lookahead {
 		d = c.lookahead
@@ -259,7 +244,7 @@ func (s *Simulator) post(dst *Simulator, d time.Duration, m crossMsg) {
 
 // runWindow drains events with firing times inside [now, winEnd) and not
 // beyond limit (the run deadline, inclusive). winEnd is set by the
-// coordinator's round plan and may shrink mid-window when PostTo sends a
+// coordinator's round plan and may shrink mid-window when a post sends a
 // cross message. It is the per-domain body of one coordinator round and
 // never blocks. gid is the id of the goroutine running it, which the caller
 // looked up once for all its windows: it marks the loop for OnEventLoop.

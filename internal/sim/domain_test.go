@@ -12,6 +12,17 @@ import (
 
 // pingPongTrace runs a 3-domain ping-pong workload under the given worker
 // count and returns a deterministic trace of every callback execution.
+// postTo schedules fn on dst after delay d of virtual time: Schedule within
+// one simulator; across domains the delay is clamped up to the lookahead
+// and fn arrives through the coordinator's merge, as a Hop's does.
+func postTo(s, dst *Simulator, d time.Duration, fn func()) {
+	if dst == s {
+		s.Schedule(d, fn)
+		return
+	}
+	s.post(dst, d, crossMsg{fn: fn})
+}
+
 func pingPongTrace(t *testing.T, workers int) []string {
 	t.Helper()
 	root := New(42)
@@ -23,8 +34,8 @@ func pingPongTrace(t *testing.T, workers int) []string {
 	// deterministic quantity to compare.
 	var shardTrace [3][]string
 	rec := func(d *Simulator, tag string) {
-		shardTrace[d.Shard()] = append(shardTrace[d.Shard()],
-			fmt.Sprintf("%v shard%d %s", d.Now(), d.Shard(), tag))
+		shardTrace[d.shard] = append(shardTrace[d.shard],
+			fmt.Sprintf("%v shard%d %s", d.Now(), d.shard, tag))
 	}
 
 	// Each domain runs local chatter and bounces messages to the others.
@@ -33,7 +44,7 @@ func pingPongTrace(t *testing.T, workers int) []string {
 		if hops == 0 {
 			return
 		}
-		from.PostTo(to, 10*time.Millisecond, func() {
+		postTo(from, to, 10*time.Millisecond, func() {
 			rec(to, fmt.Sprintf("hop%d", hops))
 			// Domain-local follow-up work plus RNG consumption.
 			to.Schedule(time.Duration(to.Rand().Intn(1000))*time.Microsecond, func() {
@@ -57,7 +68,7 @@ func pingPongTrace(t *testing.T, workers int) []string {
 	}
 	for _, d := range []*Simulator{root, a, b} {
 		if d.Now() != 200*time.Millisecond {
-			t.Fatalf("shard %d clock = %v, want 200ms", d.Shard(), d.Now())
+			t.Fatalf("shard %d clock = %v, want 200ms", d.shard, d.Now())
 		}
 	}
 	var trace []string
@@ -97,21 +108,21 @@ func TestPostToClampsToLookahead(t *testing.T) {
 
 	var arrived time.Duration
 	root.Schedule(0, func() {
-		root.PostTo(d, 0, func() { arrived = d.Now() })
+		postTo(root, d, 0, func() { arrived = d.Now() })
 	})
 	c.RunUntil(100 * time.Millisecond)
 	if arrived != 20*time.Millisecond {
 		t.Fatalf("zero-delay cross message arrived at %v, want 20ms (lookahead)", arrived)
 	}
 
-	// Same-simulator PostTo is plain Schedule: no clamp.
+	// A same-simulator post is plain Schedule: no clamp.
 	var local time.Duration
 	root.Schedule(0, func() {
-		root.PostTo(root, time.Millisecond, func() { local = root.Now() })
+		postTo(root, root, time.Millisecond, func() { local = root.Now() })
 	})
 	c.RunFor(100 * time.Millisecond)
 	if local != 101*time.Millisecond {
-		t.Fatalf("local PostTo arrived at %v, want 101ms", local)
+		t.Fatalf("local post arrived at %v, want 101ms", local)
 	}
 }
 
@@ -125,8 +136,8 @@ func TestPostToExactLookaheadBoundary(t *testing.T) {
 
 	var at, over time.Duration
 	root.Schedule(10*time.Millisecond, func() {
-		root.PostTo(d, 20*time.Millisecond, func() { at = d.Now() })
-		root.PostTo(d, 20*time.Millisecond+time.Microsecond, func() { over = d.Now() })
+		postTo(root, d, 20*time.Millisecond, func() { at = d.Now() })
+		postTo(root, d, 20*time.Millisecond+time.Microsecond, func() { over = d.Now() })
 	})
 	c.RunUntil(100 * time.Millisecond)
 	if at != 30*time.Millisecond {
@@ -154,13 +165,13 @@ func TestPostTimerToFilesByArrival(t *testing.T) {
 	root.Schedule(0, func() {
 		root.PostTimerTo(d, 15*time.Millisecond, &soon)
 		root.PostTimerTo(d, 2*time.Second, &late)
-		root.PostTo(d, 0, func() {
+		postTo(root, d, 0, func() {
 			probed = true
 			if got := queued(d, &soon.ev); got != "near" || soon.ev.sim != d {
-				t.Errorf("timer due in 5 ms: queued %q on shard %d, want near on %d", got, soon.ev.sim.Shard(), d.Shard())
+				t.Errorf("timer due in 5 ms: queued %q on shard %d, want near on %d", got, soon.ev.sim.shard, d.shard)
 			}
 			if got := queued(d, &late.ev); got != "far" || late.ev.sim != d {
-				t.Errorf("timer due in 2 s: queued %q on shard %d, want far on %d", got, late.ev.sim.Shard(), d.Shard())
+				t.Errorf("timer due in 2 s: queued %q on shard %d, want far on %d", got, late.ev.sim.shard, d.shard)
 			}
 			if d.Pending() != 2 {
 				t.Errorf("receiver has %d events pending, want the two timers", d.Pending())
@@ -194,8 +205,8 @@ func TestWindowCapsSelfInducedFuture(t *testing.T) {
 	var replyAt time.Duration
 	var beforeReply, afterReply int
 	root.Schedule(0, func() {
-		root.PostTo(d, 0, func() { // arrives at 10ms
-			d.PostTo(root, 0, func() { replyAt = root.Now() }) // due back at 20ms
+		postTo(root, d, 0, func() { // arrives at 10ms
+			postTo(d, root, 0, func() { replyAt = root.Now() }) // due back at 20ms
 		})
 	})
 	// Dense root-local chatter: without the winEnd cap the idle-granted
@@ -258,7 +269,7 @@ func TestCrossPostStraddlesDeadline(t *testing.T) {
 
 	var arrived time.Duration
 	root.Schedule(0, func() {
-		root.PostTo(d, 30*time.Millisecond, func() { arrived = d.Now() })
+		postTo(root, d, 30*time.Millisecond, func() { arrived = d.Now() })
 	})
 	c.RunUntil(5 * time.Millisecond)
 	if arrived != 0 {
@@ -394,10 +405,10 @@ func TestCrossFloorAndSameWorld(t *testing.T) {
 
 	defer func() {
 		if recover() == nil {
-			t.Fatal("PostTo to an unrelated simulator must panic")
+			t.Fatal("a post to an unrelated simulator must panic")
 		}
 	}()
-	root.PostTo(other, 0, func() {})
+	postTo(root, other, 0, func() {})
 }
 
 // TestDomainRNGStreamsIndependent: each domain's RNG is seeded from
@@ -432,7 +443,7 @@ func TestDomainRNGStreamsIndependent(t *testing.T) {
 }
 
 // stormRun replays one seeded cross-post storm — chains of events that fan
-// out at random to their own and other domains by Hop, by PostTo with random
+// out at random to their own and other domains by Hop, by a post with random
 // delays >= 0 and by local Schedule, kicked off by seeded events and by a few
 // Injects between RunUntil slices — and returns each domain's event order
 // and the merged journal.
@@ -455,7 +466,7 @@ func stormRun(seed int64, workers int) (perDomain [][]string, journal []string) 
 	// act runs on d's goroutine and touches only d's trace, scope and RNG.
 	var act func(d *Simulator, tag string, depth int)
 	act = func(d *Simulator, tag string, depth int) {
-		i := d.Shard()
+		i := d.shard
 		perDomain[i] = append(perDomain[i], fmt.Sprintf("%v %s/%d", d.Now(), tag, depth))
 		scopes[i].Emit(obs.Event{Type: "storm.act", N: uint64(depth), Detail: tag})
 		if depth == 0 {
@@ -468,7 +479,7 @@ func stormRun(seed int64, workers int) (perDomain [][]string, journal []string) 
 			case 0:
 				d.Hop(to, next)
 			case 1:
-				d.PostTo(to, time.Duration(rng.Intn(30))*time.Millisecond, next)
+				postTo(d, to, time.Duration(rng.Intn(30))*time.Millisecond, next)
 			default:
 				d.Schedule(time.Duration(rng.Intn(5000))*time.Microsecond, func() { d.Hop(to, next) })
 			}

@@ -29,11 +29,11 @@ func TestConcurrentSnapshotDuringRun(t *testing.T) {
 	c := s.Obs().Reg.Counter("test.ticks")
 	g := s.Obs().Reg.Gauge("test.level")
 	h := s.Obs().Reg.Histogram("test.lat_us", 10, 100, 1000)
-	sc := s.Obs().Journal.Scope("test", 32)
+	sc := s.Obs().Scope("test", 32)
 	ticked := make(chan struct{})
 	tick := s.Every(time.Millisecond, func() {
 		c.Inc()
-		g.Add(1)
+		g.Set(int64(c.Value()))
 		h.Observe(int64(c.Value() % 500))
 		sc.Emit(obs.Event{Type: obs.EvFlowCreated, N: c.Value()})
 		if c.Value() == 1 {

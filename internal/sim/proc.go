@@ -149,16 +149,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.Park()
 }
 
-// Name returns the label given to Go.
-func (p *Proc) Name() string { return p.name }
-
-// Sim returns the simulator the proc is coupled to.
-func (p *Proc) Sim() *Simulator { return p.sim }
-
-// Done reports whether the proc's function has returned. Only meaningful
-// while the caller holds control (i.e. from the loop side).
-func (p *Proc) Done() bool { return p.done }
-
 func (s *Simulator) registerProc(p *Proc) {
 	s.procsMu.Lock()
 	if s.procs == nil {
@@ -205,7 +195,7 @@ func (s *Simulator) OnEventLoop() bool { return s.loopG.Load() == goid() }
 // domain at the next quiesce point — the start of the coordinator's next
 // RunUntil, when every domain is parked — so they are journalled on the
 // domain's stream and anything they send to another domain rides the
-// regular Hop/PostTo path. Either way, when an injection made while the
+// regular Hop path. Either way, when an injection made while the
 // simulation is advancing lands relative to virtual time depends on the OS
 // scheduler; only injections made between Run calls replay byte-for-byte.
 func (s *Simulator) Inject(fn func()) {

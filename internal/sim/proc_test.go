@@ -23,7 +23,7 @@ func TestProcSleepWakesAtVirtualTime(t *testing.T) {
 		trace = append(trace, fmt.Sprintf("proc-wake@%v", s.Now()))
 	})
 	s.Run()
-	if !p.Done() {
+	if !p.done {
 		t.Fatal("proc did not finish")
 	}
 	want := []string{"proc-start@0s", "event@5ms", "proc-wake@10ms"}
@@ -85,7 +85,7 @@ func TestProcParkUnpark(t *testing.T) {
 	if fmt.Sprint(trace) != want {
 		t.Fatalf("trace = %v, want %v", trace, want)
 	}
-	if !p.Done() {
+	if !p.done {
 		t.Fatal("proc did not finish")
 	}
 	p.Unpark() // done: must be a no-op, not a panic or hang

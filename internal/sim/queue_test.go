@@ -149,13 +149,13 @@ func (st *storm) schedule() {
 	st.evs[id] = st.s.Schedule(d, func() {
 		st.onFire(id)
 		e := st.evs[id]
-		if !e.Fired() || e.Cancelled() {
-			st.t.Fatalf("timer %d inside its callback: Fired=%v Cancelled=%v", id, e.Fired(), e.Cancelled())
+		if !e.fired || e.dead {
+			st.t.Fatalf("timer %d inside its callback: Fired=%v Cancelled=%v", id, e.fired, e.dead)
 		}
 		if st.rng.Intn(3) == 0 {
 			// Cancelling oneself from one's own callback is a no-op.
 			e.Cancel()
-			if e.Cancelled() {
+			if e.dead {
 				st.t.Fatalf("timer %d cancelled itself after firing", id)
 			}
 			st.check("self-cancel")
@@ -172,15 +172,15 @@ func (st *storm) cancel(id int) {
 		return
 	}
 	_, pending := st.live[id]
-	fired, cancelled := e.Fired(), e.Cancelled()
+	fired, cancelled := e.fired, e.dead
 	e.Cancel()
 	delete(st.live, id)
 	switch {
-	case pending && (!e.Cancelled() || e.Fired()):
-		st.t.Fatalf("cancel of pending timer %d: Cancelled=%v Fired=%v", id, e.Cancelled(), e.Fired())
-	case !pending && (e.Fired() != fired || e.Cancelled() != cancelled):
+	case pending && (!e.dead || e.fired):
+		st.t.Fatalf("cancel of pending timer %d: Cancelled=%v Fired=%v", id, e.dead, e.fired)
+	case !pending && (e.fired != fired || e.dead != cancelled):
 		st.t.Fatalf("cancel of spent timer %d changed it: Fired %v->%v Cancelled %v->%v",
-			id, fired, e.Fired(), cancelled, e.Cancelled())
+			id, fired, e.fired, cancelled, e.dead)
 	}
 	st.check(fmt.Sprintf("cancel(%d)", id))
 }
@@ -469,8 +469,8 @@ func TestNearFarEqualTimesFireBySeq(t *testing.T) {
 	if queued(s, a) != "far" || queued(s, b) != "near" || queued(s, c) != "near" {
 		t.Fatalf("heaps: %q %q %q, want far near near", queued(s, a), queued(s, b), queued(s, c))
 	}
-	if a.At() != b.At() || s.Pending() != 3 {
-		t.Fatalf("setup: at %v vs %v, Pending %d", a.At(), b.At(), s.Pending())
+	if a.key.at != b.key.at || s.Pending() != 3 {
+		t.Fatalf("setup: at %v vs %v, Pending %d", a.key.at, b.key.at, s.Pending())
 	}
 	s.Run()
 	if got := fired(); got != "[far-first near-second near-third]" {
@@ -497,8 +497,8 @@ func TestFarEventOvertakenByClock(t *testing.T) {
 	if got := fired(); got != "[near@950ms far@1s near@1.1s]" {
 		t.Fatalf("fired %s", got)
 	}
-	if s.Now() != 1100*ms || !far.Fired() {
-		t.Fatalf("now %v, far fired %v", s.Now(), far.Fired())
+	if s.Now() != 1100*ms || !far.fired {
+		t.Fatalf("now %v, far fired %v", s.Now(), far.fired)
 	}
 }
 
@@ -521,8 +521,8 @@ func TestTimerResetMovesBetweenHeaps(t *testing.T) {
 		if got := queued(s, &tm.ev); got != step.heap {
 			t.Fatalf("step %d: Reset(%v) filed the timer in %q, want %q", i, step.d, got, step.heap)
 		}
-		if s.Pending() != 1 || len(s.near)+len(s.far) != 1 || tm.ev.At() != s.Now()+step.d {
-			t.Fatalf("step %d: Pending %d, near %d far %d, at %v", i, s.Pending(), len(s.near), len(s.far), tm.ev.At())
+		if s.Pending() != 1 || len(s.near)+len(s.far) != 1 || tm.ev.key.at != s.Now()+step.d {
+			t.Fatalf("step %d: Pending %d, near %d far %d, at %v", i, s.Pending(), len(s.near), len(s.far), tm.ev.key.at)
 		}
 	}
 	tm.Stop() // from the far heap
@@ -540,8 +540,8 @@ func TestTimerResetMovesBetweenHeaps(t *testing.T) {
 	}
 	far.Cancel()
 	far.Cancel()
-	if s.Pending() != 0 || !near.Cancelled() || !far.Cancelled() || near.Fired() || far.Fired() {
-		t.Fatalf("after Cancel: Pending %d, cancelled %v %v", s.Pending(), near.Cancelled(), far.Cancelled())
+	if s.Pending() != 0 || !near.dead || !far.dead || near.fired || far.fired {
+		t.Fatalf("after Cancel: Pending %d, cancelled %v %v", s.Pending(), near.dead, far.dead)
 	}
 	s.Run()
 	if fired != 0 {
@@ -597,8 +597,8 @@ func TestCancelLeavesQueueAtOnce(t *testing.T) {
 	}
 	rtx.Cancel()
 	rtx.Cancel()
-	if s.Pending() != 0 || !rtx.Cancelled() || rtx.Fired() {
-		t.Fatalf("Pending() = %d Cancelled=%v Fired=%v after cancel", s.Pending(), rtx.Cancelled(), rtx.Fired())
+	if s.Pending() != 0 || !rtx.dead || rtx.fired {
+		t.Fatalf("Pending() = %d Cancelled=%v Fired=%v after cancel", s.Pending(), rtx.dead, rtx.fired)
 	}
 	if s.Step() {
 		t.Fatal("Step ran something on an empty queue")

@@ -31,9 +31,6 @@ type Event struct {
 	far   bool // while queued: in sim.far rather than sim.near
 }
 
-// At reports the virtual time at which the event fires.
-func (e *Event) At() time.Duration { return e.key.at }
-
 // Cancel prevents a pending event from firing by taking it out of its
 // simulator's queue at once. Cancelling an already-fired or
 // already-cancelled event is a no-op. Like everything else that touches
@@ -46,14 +43,6 @@ func (e *Event) Cancel() {
 	e.sim.unqueue(e)
 	e.dead = true
 }
-
-// Cancelled reports whether Cancel was called before the event fired. An
-// event that actually ran is not cancelled, even though it is no longer
-// pending.
-func (e *Event) Cancelled() bool { return e.dead }
-
-// Fired reports whether the event's callback has run.
-func (e *Event) Fired() bool { return e.fired }
 
 // before is the queue order (Key.Before).
 func (e *Event) before(o *Event) bool { return e.key.Before(o.key) }
@@ -131,7 +120,7 @@ func (q eventQueue) down(i int, e *Event) {
 // runs them on worker goroutines under conservative lookahead
 // synchronization. Within a domain nothing changes — components schedule
 // on their own Simulator exactly as in the single-domain case; only Hop
-// (and the timed posts under it, PostTo and PostTimerTo) crosses domains,
+// (and the timed post under it, PostTimerTo) crosses domains,
 // and only Inject enters from outside.
 type Simulator struct {
 	now time.Duration
@@ -152,7 +141,7 @@ type Simulator struct {
 	outSeq uint64
 
 	// winEnd is the exclusive end of the window this domain is currently
-	// running (zero outside a window). PostTo tightens it to the first
+	// running (zero outside a window). A post tightens it to the first
 	// cross-message's arrival time + lookahead so a domain granted a wide
 	// window can never outrun a response its own message might induce.
 	// Touched only by the goroutine running this domain's window.

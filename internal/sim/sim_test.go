@@ -48,7 +48,7 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !e.Cancelled() {
+	if !e.dead {
 		t.Fatal("Cancelled() = false after Cancel")
 	}
 }
@@ -61,15 +61,15 @@ func TestFiredEventIsNotCancelled(t *testing.T) {
 	if !ran {
 		t.Fatal("event never ran")
 	}
-	if e.Cancelled() {
+	if e.dead {
 		t.Fatal("Cancelled() = true for an event that fired")
 	}
-	if !e.Fired() {
+	if !e.fired {
 		t.Fatal("Fired() = false for an event that fired")
 	}
 	// Cancelling after the fact stays a no-op and must not flip Cancelled.
 	e.Cancel()
-	if e.Cancelled() {
+	if e.dead {
 		t.Fatal("Cancel after firing reported the event as cancelled")
 	}
 }

@@ -528,9 +528,6 @@ func (sup *Supervisor) Quarantined(idx int) bool {
 	return idx >= 0 && idx < len(sup.cs) && sup.cs[idx].quarantined
 }
 
-// InmateQuarantined reports whether the supervisor quarantined a VLAN.
-func (sup *Supervisor) InmateQuarantined(vlan uint16) bool { return sup.quarantined[vlan] }
-
 // HealthHistory returns each endpoint's health-transition history, keyed
 // by endpoint id ("cs0", "catchall", "controller", ...). Identical
 // across worker counts for a (seed, profile) pair — the shard-determinism

@@ -145,8 +145,9 @@ bad "external shards are retired (a sharded farm has one external domain)" \
 # Supervision has one shape (DESIGN.md §3f): the tree, attached by
 # Spec.Supervise or gqfarm -tree. The retired subfarm-only mode stays gone
 # from non-test Go outside the frozen benchmark harness, and so do the
-# product hooks that only tests set: httpx's server, the SMTP sink's reply
-# overrides and the engine's MAIL hook. A test builds its own server.
+# product hooks that only tests set: the SMTP sink's reply overrides and the
+# engine's MAIL hook. A test builds its own server. (A product function
+# only tests call, such as a test-only server, is scripts/deadapi's to find.)
 nonbench=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*')
 # shellcheck disable=SC2086
 bad "retired supervision mode (attach the tree: Spec.Supervise, gqfarm -tree)" \
@@ -154,9 +155,6 @@ bad "retired supervision mode (attach the tree: Spec.Supervise, gqfarm -tree)" \
 # shellcheck disable=SC2086
 bad "test-only hook in product code (build the server or hook in the test)" \
 	"$(grep -nE '\b(RcptReply|DataReply|OnMail)\b' $nonbench || true)"
-# shellcheck disable=SC2046
-bad "test-only httpx server in product code (a test serves HTTP itself)" \
-	"$(grep -nF 'func Serve(' $(find internal/httpx -name '*.go' ! -name '*_test.go') || true)"
 # A restart has one path (DESIGN.md §3f): host.PowerCycler, taken with no
 # argument, records what the host has bound and its restart puts it back.
 # No service re-registers its own ports, and the farm passes no rebind
@@ -172,20 +170,18 @@ bad "SMTP engine wired to a connection by hand (use smtpx.Bind)" \
 	"$(grep -nF 'smtpx.NewEngine(' $(find . -name '*.go' ! -name '*_test.go' ! -path './internal/smtpx/*' ! -path './bench/*') || true)"
 # Product code keeps no state nothing reads and no behaviour only tests run
 # (ROADMAP item 10). These names were retired with their last non-test
-# reader or caller: the simulator's halt switch, the NAT table's internal
-# index, the router's inmate packet count and lockdown reason, the raw-iron
-# readmit path, the policy's trigger walk (the farm walks VLANRules), the
-# nanosecond pcap writer, the plain SMTP server, the DHCP lease-time setting
-# and the inmate's transition log.
+# reader or caller: the simulator's halt flag, the NAT table's internal
+# index, the router's inmate packet count and lockdown reason, the
+# nanosecond pcap writer, the DHCP lease-time setting and the inmate's
+# transition log. (A function or method only tests call, such as the
+# simulator's Halt, the raw-iron Readmit, the policy's TriggersFor or the
+# plain SMTP server's Serve, is scripts/deadapi's to find.)
 # shellcheck disable=SC2046
 bad "retired simulator halt switch" \
-	"$(grep -nE 'func \(s \*Simulator\) Halt\(|\.halted\b' $(find internal/sim -name '*.go' ! -name '*_test.go') || true)"
+	"$(grep -nE '\.halted\b' $(find internal/sim -name '*.go' ! -name '*_test.go') || true)"
 # shellcheck disable=SC2086
 bad "retired state or test-only behaviour in product code (a test builds what it needs)" \
-	"$(grep -nE '\b(byInternal|rxInmate|lockdownReason|TriggersFor|NewNanoWriter|LeaseTime)\b|func \(c \*Controller\) Readmit\(|"nano-trace"' $nonbench || true)"
-# shellcheck disable=SC2046
-bad "test-only SMTP server in product code (a test binds its own engine with smtpx.Bind)" \
-	"$(grep -nF 'type Server struct' $(find internal/smtpx -name '*.go' ! -name '*_test.go') || true)"
+	"$(grep -nE '\b(byInternal|rxInmate|lockdownReason|NewNanoWriter|LeaseTime)\b|"nano-trace"' $nonbench || true)"
 # shellcheck disable=SC2046
 bad "inmate transition log in product code (State is the inmate's one record of its lifecycle)" \
 	"$(grep -nF '.Transitions' $(find internal/inmate -name '*.go' ! -name '*_test.go') || true)"
@@ -210,7 +206,8 @@ bad "OnData bytes collected by hand (read lines with lineio.Reader, HTTP with ht
 # Names retired with the line framers they belonged to or with their last
 # reader: smtpx's private line reader, the per-shim analyzer (AuditTrace
 # counts flows per VLAN), the DNS query log, the DHCP ACK count and the
-# specimens' event log.
+# writer of the specimens' event log (its reader, Events, only tests called:
+# scripts/deadapi's to find).
 # shellcheck disable=SC2086
 bad "retired framer or analyzer in product code (lineio.Reader, report.AuditTrace)" \
 	"$(grep -nE '\b(lineReader|ShimAnalyzer|QueryLog)\b' $nonbench || true)"
@@ -219,7 +216,7 @@ bad "retired DHCP ACK count in product code (a test counts the ACKs it sees)" \
 	"$(grep -nE '\bServed\b' $(find internal/dhcp -name '*.go' ! -name '*_test.go') || true)"
 # shellcheck disable=SC2046
 bad "retired specimen event log in product code (a test observes what a specimen did)" \
-	"$(grep -nE '\bEvents\(\)|\bemit\(' $(find internal/malware -name '*.go' ! -name '*_test.go') || true)"
+	"$(grep -nE '\bemit\(' $(find internal/malware -name '*.go' ! -name '*_test.go') || true)"
 # A lifecycle action reaches the farm as a value, not as a line it parses
 # back apart; the sink's HTTP is framed by httpx.Parser, not by a head
 # scanner of its own.
