@@ -65,5 +65,5 @@ func main() {
 			env.Helo, env.From, env.Rcpts)
 	}
 	fmt.Printf("life-cycle actions handled by the inmate controller: %d\n",
-		len(f.Controller.Log))
+		f.Controller.Actions)
 }

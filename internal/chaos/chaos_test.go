@@ -36,7 +36,7 @@ func TestParsePresets(t *testing.T) {
 		if why := outOfBounds(p); why != "" {
 			t.Errorf("%s: %s", name, why)
 		}
-		if !strings.HasPrefix(p.String(), name+": ") {
+		if !strings.HasPrefix(p.String(), name+",") {
 			t.Errorf("%s renders as %q", name, p)
 		}
 		// Parsing must not hand out the preset's own schedule slices.
@@ -215,7 +215,38 @@ func FuzzChaosParse(f *testing.F) {
 		if why := outOfBounds(p); why != "" {
 			t.Fatalf("Parse(%q) accepted a profile the injector cannot run: %s", spec, why)
 		}
+		if back, err := Parse(p.String()); err != nil || !reflect.DeepEqual(back, p) {
+			t.Fatalf("Parse(%q) = %+v; its String %q parses to %+v, %v", spec, p, p.String(), back, err)
+		}
 	})
+}
+
+// String is the spec Parse reads: rates below a thousandth keep their
+// digits, and every profile reads back to itself.
+func TestStringIsTheSpec(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		has  []string
+	}{
+		{"loss=0.0004,corrupt=0.00005", []string{"loss=0.0004,", "corrupt=5e-05,"}},
+		{"soak,dup=0.0001,jitter=1.5ms", []string{"soak,", "dup=0.0001,", "jitter=1.5ms,", "cscrash=8m0s,"}},
+		{"reimage,nbhang=0.0009", []string{"reimage,", "nbhang=0.0009,", "powerstick=0.08"}},
+		{"cscrash=1m,cscrash=2m", []string{"cscrash=1m0s,cscrash=2m0s,csdownfor=30s"}},
+	} {
+		p, err := Parse(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := p.String()
+		for _, want := range tc.has {
+			if !strings.Contains(s, want) {
+				t.Errorf("Parse(%q).String() = %q, want it to hold %q", tc.spec, s, want)
+			}
+		}
+		if back, err := Parse(s); err != nil || !reflect.DeepEqual(back, p) {
+			t.Errorf("%q parses to %+v, %v; want %+v", s, back, err, p)
+		}
+	}
 }
 
 // chaosFarm is the smallest farm with something of every kind the injector

@@ -9,6 +9,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -170,110 +171,51 @@ var presets = map[string]Profile{
 //	loss=0.05,reorder=0.05,cscrash=8m
 func Parse(spec string) (Profile, error) {
 	var p Profile
-	sawCrash, sawSinkCrash, sawCtlHang, sawWedge := false, false, false, false
+	fields := p.spec()
+	replaced := map[string]bool{} // the schedules an override has started anew
 	for i, tok := range strings.Split(spec, ",") {
 		tok = strings.TrimSpace(tok)
 		if tok == "" {
 			continue
 		}
-		if !strings.Contains(tok, "=") {
+		k, v, isKV := strings.Cut(tok, "=")
+		if !isKV {
 			base, ok := presets[tok]
 			if !ok || i != 0 {
 				return Profile{}, fmt.Errorf("chaos: unknown preset %q", tok)
 			}
 			p = base
 			// A preset's schedules are replaced, not extended, by explicit
-			// cscrash=/sinkcrash=/ctlhang=/recyclerwedge= overrides.
-			p.CSCrashAt = append([]time.Duration(nil), base.CSCrashAt...)
-			p.SinkCrashAt = append([]time.Duration(nil), base.SinkCrashAt...)
-			p.CtlHangAt = append([]time.Duration(nil), base.CtlHangAt...)
-			p.RecyclerWedgeAt = append([]time.Duration(nil), base.RecyclerWedgeAt...)
+			// overrides; the copies keep the preset's own slices unshared.
+			for _, f := range fields {
+				if f.at != nil {
+					*f.at = slices.Clone(*f.at)
+				}
+			}
 			continue
 		}
-		k, v, _ := strings.Cut(tok, "=")
+		at := slices.IndexFunc(fields, func(f specField) bool { return f.key == strings.ToLower(k) })
+		if at < 0 {
+			return Profile{}, fmt.Errorf("chaos: unknown key %q", k)
+		}
 		var err error
-		switch strings.ToLower(k) {
-		case "loss":
-			p.Loss, err = parseProb(v)
-		case "reorder":
-			p.Reorder, err = parseProb(v)
-		case "dup":
-			p.Dup, err = parseProb(v)
-		case "corrupt":
-			p.Corrupt, err = parseProb(v)
-		case "jitter":
-			p.Jitter, err = parseDur(v)
-		case "flapevery":
-			p.FlapEvery, err = parseDur(v)
-			if err == nil && p.FlapEvery > 0 && p.FlapEvery < MinFlapEvery {
+		switch f := fields[at]; {
+		case f.prob != nil:
+			*f.prob, err = parseProb(v)
+		case f.dur != nil:
+			*f.dur, err = parseDur(v)
+			if err == nil && f.dur == &p.FlapEvery && p.FlapEvery > 0 && p.FlapEvery < MinFlapEvery {
 				err = fmt.Errorf("%v is below the %v floor", p.FlapEvery, MinFlapEvery)
 			}
-		case "flapdown":
-			p.FlapDown, err = parseDur(v)
-		case "cscrash":
-			var d time.Duration
-			d, err = parseDur(v)
-			if !sawCrash {
-				p.CSCrashAt = nil
-				sawCrash = true
-			}
-			p.CSCrashAt = append(p.CSCrashAt, d)
-		case "csdownfor":
-			p.CSDownFor, err = parseDur(v)
-		case "stallat":
-			p.StallAt, err = parseDur(v)
-		case "stallfor":
-			p.StallFor, err = parseDur(v)
-		case "stalldelay":
-			p.StallDelay, err = parseDur(v)
-		case "sink":
-			p.Sink = v
-		case "sinkdownat":
-			p.SinkDownAt, err = parseDur(v)
-		case "sinkdownfor":
-			p.SinkDownFor, err = parseDur(v)
-		case "sinkcrash":
-			var d time.Duration
-			d, err = parseDur(v)
-			if !sawSinkCrash {
-				p.SinkCrashAt = nil
-				sawSinkCrash = true
-			}
-			p.SinkCrashAt = append(p.SinkCrashAt, d)
-		case "sinkcrashtarget":
-			p.SinkCrashTarget = v
-		case "sinkcrashfor":
-			p.SinkCrashFor, err = parseDur(v)
-		case "ctlhang":
-			var d time.Duration
-			d, err = parseDur(v)
-			if !sawCtlHang {
-				p.CtlHangAt = nil
-				sawCtlHang = true
-			}
-			p.CtlHangAt = append(p.CtlHangAt, d)
-		case "ctlhangfor":
-			p.CtlHangFor, err = parseDur(v)
-		case "recyclerwedge":
-			var d time.Duration
-			d, err = parseDur(v)
-			if !sawWedge {
-				p.RecyclerWedgeAt = nil
-				sawWedge = true
-			}
-			p.RecyclerWedgeAt = append(p.RecyclerWedgeAt, d)
-		case "recyclerwedgefor":
-			p.RecyclerWedgeFor, err = parseDur(v)
-		case "nbhang":
-			p.ReimageNetbootHang, err = parseProb(v)
-		case "xferstall":
-			p.ReimageXferStall, err = parseProb(v)
-		case "xfercorrupt":
-			p.ReimageXferCorrupt, err = parseProb(v)
-		case "powerstick":
-			p.ReimagePowerStick, err = parseProb(v)
+		case f.str != nil:
+			*f.str = v
 		default:
-			return Profile{}, fmt.Errorf("chaos: unknown key %q", k)
+			var d time.Duration
+			d, err = parseDur(v)
+			if !replaced[f.key] {
+				*f.at, replaced[f.key] = nil, true
+			}
+			*f.at = append(*f.at, d)
 		}
 		if err != nil {
 			return Profile{}, fmt.Errorf("chaos: bad value for %q: %v", k, err)
@@ -284,6 +226,49 @@ func Parse(spec string) (Profile, error) {
 	}
 	p.applyDefaults()
 	return p, nil
+}
+
+// specField is one Profile field under the key Parse reads and String
+// writes it with. Exactly one of prob, dur, str and at is set; at is a
+// schedule, one key per offset.
+type specField struct {
+	key  string
+	prob *float64
+	dur  *time.Duration
+	str  *string
+	at   *[]time.Duration
+}
+
+// spec lists p's fields in the order String writes them.
+func (p *Profile) spec() []specField {
+	return []specField{
+		{key: "loss", prob: &p.Loss},
+		{key: "jitter", dur: &p.Jitter},
+		{key: "reorder", prob: &p.Reorder},
+		{key: "dup", prob: &p.Dup},
+		{key: "corrupt", prob: &p.Corrupt},
+		{key: "flapevery", dur: &p.FlapEvery},
+		{key: "flapdown", dur: &p.FlapDown},
+		{key: "cscrash", at: &p.CSCrashAt},
+		{key: "csdownfor", dur: &p.CSDownFor},
+		{key: "stallat", dur: &p.StallAt},
+		{key: "stallfor", dur: &p.StallFor},
+		{key: "stalldelay", dur: &p.StallDelay},
+		{key: "sink", str: &p.Sink},
+		{key: "sinkdownat", dur: &p.SinkDownAt},
+		{key: "sinkdownfor", dur: &p.SinkDownFor},
+		{key: "sinkcrash", at: &p.SinkCrashAt},
+		{key: "sinkcrashtarget", str: &p.SinkCrashTarget},
+		{key: "sinkcrashfor", dur: &p.SinkCrashFor},
+		{key: "ctlhang", at: &p.CtlHangAt},
+		{key: "ctlhangfor", dur: &p.CtlHangFor},
+		{key: "recyclerwedge", at: &p.RecyclerWedgeAt},
+		{key: "recyclerwedgefor", dur: &p.RecyclerWedgeFor},
+		{key: "nbhang", prob: &p.ReimageNetbootHang},
+		{key: "xferstall", prob: &p.ReimageXferStall},
+		{key: "xfercorrupt", prob: &p.ReimageXferCorrupt},
+		{key: "powerstick", prob: &p.ReimagePowerStick},
+	}
 }
 
 // MinFlapEvery is the shortest flap period Parse accepts. The injector arms
@@ -339,35 +324,27 @@ func (p *Profile) applyDefaults() {
 	}
 }
 
-// String renders the profile compactly for run summaries.
+// String renders the profile as the spec Parse reads back to it: its
+// preset first when Name is one, then every field as a key=value override,
+// probabilities in the shortest form that reads back exactly.
 func (p Profile) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s: loss=%.3f reorder=%.3f dup=%.3f corrupt=%.4f jitter=%v",
-		p.Name, p.Loss, p.Reorder, p.Dup, p.Corrupt, p.Jitter)
-	if p.FlapEvery > 0 {
-		fmt.Fprintf(&b, " flap=%v/%v", p.FlapEvery, p.FlapDown)
+	var kv []string
+	if _, ok := presets[p.Name]; ok {
+		kv = append(kv, p.Name)
 	}
-	if len(p.CSCrashAt) > 0 {
-		fmt.Fprintf(&b, " cscrash=%v down=%v", p.CSCrashAt, p.CSDownFor)
+	for _, f := range p.spec() {
+		switch {
+		case f.prob != nil:
+			kv = append(kv, f.key+"="+strconv.FormatFloat(*f.prob, 'g', -1, 64))
+		case f.dur != nil:
+			kv = append(kv, f.key+"="+f.dur.String())
+		case f.str != nil:
+			kv = append(kv, f.key+"="+*f.str)
+		default:
+			for _, d := range *f.at {
+				kv = append(kv, f.key+"="+d.String())
+			}
+		}
 	}
-	if p.StallFor > 0 {
-		fmt.Fprintf(&b, " stall=%v+%v delay=%v", p.StallAt, p.StallFor, p.StallDelay)
-	}
-	if p.SinkDownFor > 0 {
-		fmt.Fprintf(&b, " sink=%s down=%v+%v", p.Sink, p.SinkDownAt, p.SinkDownFor)
-	}
-	if len(p.SinkCrashAt) > 0 {
-		fmt.Fprintf(&b, " sinkcrash=%s@%v for=%v", p.SinkCrashTarget, p.SinkCrashAt, p.SinkCrashFor)
-	}
-	if len(p.CtlHangAt) > 0 {
-		fmt.Fprintf(&b, " ctlhang=%v for=%v", p.CtlHangAt, p.CtlHangFor)
-	}
-	if len(p.RecyclerWedgeAt) > 0 {
-		fmt.Fprintf(&b, " recyclerwedge=%v rearm=%v", p.RecyclerWedgeAt, p.RecyclerWedgeFor)
-	}
-	if p.ReimageFaultsActive() {
-		fmt.Fprintf(&b, " reimage=%.2f/%.2f/%.2f/%.2f",
-			p.ReimageNetbootHang, p.ReimageXferStall, p.ReimageXferCorrupt, p.ReimagePowerStick)
-	}
-	return b.String()
+	return strings.Join(kv, ",")
 }

@@ -63,7 +63,6 @@ type Server struct {
 	Host *host.Host
 	// NonceIP is the gateway address dialled for leg-2 connections.
 	NonceIP netstack.Addr
-	Port    uint16
 
 	policies  []policyRange
 	fallback  Decider
@@ -101,7 +100,7 @@ type LifecycleSink func(action string, vlan uint16)
 
 // NewServer creates a containment server on h listening at port.
 func NewServer(h *host.Host, port uint16, nonceIP netstack.Addr) (*Server, error) {
-	s := &Server{Host: h, NonceIP: nonceIP, Port: port}
+	s := &Server{Host: h, NonceIP: nonceIP}
 	s.flowsSeen = h.Sim().Obs().Reg.Counter("cs.flows_seen")
 	s.triggers = NewTriggerEngine(h.Sim(), s.EmitLifecycle)
 	if err := h.Listen(port, s.acceptTCP); err != nil {

@@ -171,21 +171,10 @@ type TriggerEngine struct {
 	// firing (the inmate is being reverted; give it time to come back).
 	lastFired map[ruleKey]time.Duration
 
-	// Fired records actions taken, for tests and reports.
-	Fired []FiredTrigger
-
 	// sc, when set, journals each firing and dumps the scope's flight
 	// recorder so the events leading up to the trigger are preserved.
 	sc         *obs.Scope
 	firedCount *obs.Counter
-}
-
-// FiredTrigger records one trigger activation.
-type FiredTrigger struct {
-	VLAN   uint16
-	Rule   string
-	Action string
-	At     time.Duration
 }
 
 type vlanTrigger struct {
@@ -314,18 +303,14 @@ func (e *TriggerEngine) evaluate() {
 			}
 			if fire {
 				e.lastFired[key] = now
-				ft := FiredTrigger{
-					VLAN: vlan, Rule: r.t.String(), Action: r.t.Action, At: now,
-				}
-				e.Fired = append(e.Fired, ft)
 				if e.sc != nil {
 					e.firedCount.Inc()
 					e.sc.Emit(obs.Event{
-						Type: obs.EvTriggerFired, VLAN: vlan, Detail: ft.Action,
+						Type: obs.EvTriggerFired, VLAN: vlan, Detail: r.t.Action,
 					})
 					// A trigger is the farm saying "something is off": keep
 					// the events that led here for the post-mortem.
-					e.sc.Dump("trigger fired: " + ft.Rule)
+					e.sc.Dump("trigger fired: " + r.t.String())
 				}
 				if e.emit != nil {
 					e.emit(r.t.Action, vlan)

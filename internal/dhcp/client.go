@@ -20,8 +20,6 @@ type Client struct {
 	xid     uint32
 	state   int // 0 discovering, 1 requesting, 2 bound
 	retry   *sim.Event
-	// Bound reports whether a lease was obtained.
-	Bound bool
 }
 
 // RunClient starts DHCP configuration on h. onBound fires once the lease is
@@ -55,7 +53,6 @@ func (c *Client) rawUDP(p *netstack.Packet) bool {
 			return true
 		}
 		c.state = 2
-		c.Bound = true
 		if c.retry != nil {
 			c.retry.Cancel()
 		}

@@ -7,12 +7,6 @@ import (
 	"gq/internal/netstack"
 )
 
-// Lease describes an address binding handed to a client.
-type Lease struct {
-	MAC  netstack.MAC
-	Addr netstack.Addr
-}
-
 // leaseTime is the lease every ACK and OFFER grants. A lease is never
 // reclaimed on expiry: an inmate keeps its address until ReleaseMAC or its
 // own RELEASE frees it.
@@ -33,7 +27,7 @@ type Server struct {
 	h      *host.Host
 	cfg    ServerConfig
 	sock   *host.UDPSock
-	leases map[netstack.MAC]*Lease
+	leases map[netstack.MAC]netstack.Addr // each client's bound address
 	inUse  map[netstack.Addr]bool
 	next   int
 }
@@ -42,7 +36,7 @@ type Server struct {
 func NewServer(h *host.Host, cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		h: h, cfg: cfg,
-		leases: make(map[netstack.MAC]*Lease),
+		leases: make(map[netstack.MAC]netstack.Addr),
 		inUse:  make(map[netstack.Addr]bool),
 		next:   cfg.PoolStart,
 	}
@@ -56,8 +50,8 @@ func NewServer(h *host.Host, cfg ServerConfig) (*Server, error) {
 
 // ReleaseMAC frees a client's binding, e.g. when an inmate is expired.
 func (s *Server) ReleaseMAC(mac netstack.MAC) {
-	if l, ok := s.leases[mac]; ok {
-		delete(s.inUse, l.Addr)
+	if a, ok := s.leases[mac]; ok {
+		delete(s.inUse, a)
 		delete(s.leases, mac)
 	}
 }
@@ -70,26 +64,28 @@ func (s *Server) handle(src netstack.Addr, srcPort uint16, data []byte) {
 	switch m.Type() {
 	case Discover:
 		lease := s.leaseFor(m.CHAddr)
-		if lease == nil {
+		if lease == 0 {
 			return // pool exhausted
 		}
-		s.reply(m, Offer, lease.Addr)
+		s.reply(m, Offer, lease)
 	case Request:
 		want, _ := m.AddrOption(OptRequestedIP)
 		lease := s.leaseFor(m.CHAddr)
-		if lease == nil || (want != 0 && want != lease.Addr) {
+		if lease == 0 || (want != 0 && want != lease) {
 			s.nak(m)
 			return
 		}
-		s.reply(m, Ack, lease.Addr)
+		s.reply(m, Ack, lease)
 	case Release:
 		s.ReleaseMAC(m.CHAddr)
 	}
 }
 
-func (s *Server) leaseFor(mac netstack.MAC) *Lease {
-	if l, ok := s.leases[mac]; ok {
-		return l
+// leaseFor returns mac's address, binding a free one from the pool if it
+// has none; 0 if the pool is exhausted.
+func (s *Server) leaseFor(mac netstack.MAC) netstack.Addr {
+	if a, ok := s.leases[mac]; ok {
+		return a
 	}
 	for i := 0; i < s.cfg.Pool.Size(); i++ {
 		idx := s.next + i
@@ -99,13 +95,12 @@ func (s *Server) leaseFor(mac netstack.MAC) *Lease {
 		a := s.cfg.Pool.Nth(idx)
 		if !s.inUse[a] {
 			s.next = idx + 1
-			l := &Lease{MAC: mac, Addr: a}
-			s.leases[mac] = l
+			s.leases[mac] = a
 			s.inUse[a] = true
-			return l
+			return a
 		}
 	}
-	return nil
+	return 0
 }
 
 func (s *Server) reply(req *Message, typ uint8, yiaddr netstack.Addr) {

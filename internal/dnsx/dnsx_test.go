@@ -48,7 +48,7 @@ func TestPropertyUnmarshalNoPanic(t *testing.T) {
 	}
 }
 
-func dnsNet(t *testing.T, zones map[string]netstack.Addr) (*sim.Simulator, *Server, *host.Host) {
+func dnsNet(t *testing.T, zones map[string]netstack.Addr) (*sim.Simulator, *host.Host) {
 	t.Helper()
 	s := sim.New(1)
 	sw := netsim.NewSwitch(s, "sw")
@@ -58,16 +58,15 @@ func dnsNet(t *testing.T, zones map[string]netstack.Addr) (*sim.Simulator, *Serv
 	netsim.Connect(sw.AddAccessPort("client", 10), client.NIC(), 0)
 	srvHost.ConfigureStatic(netstack.MustParseAddr("10.0.0.3"), 24, 0)
 	client.ConfigureStatic(netstack.MustParseAddr("10.0.0.4"), 24, 0)
-	srv, err := NewServer(srvHost, zones)
-	if err != nil {
+	if _, err := NewServer(srvHost, zones); err != nil {
 		t.Fatal(err)
 	}
-	return s, srv, client
+	return s, client
 }
 
 func TestResolve(t *testing.T) {
 	cc := netstack.MustParseAddr("50.8.207.91")
-	s, srv, client := dnsNet(t, map[string]netstack.Addr{"cc.steephost.net": cc})
+	s, client := dnsNet(t, map[string]netstack.Addr{"cc.steephost.net": cc})
 	// The name the server was asked, as its answer echoes it.
 	var answered []string
 	client.AddRxHook(func(p *netstack.Packet) {
@@ -86,16 +85,23 @@ func TestResolve(t *testing.T) {
 	if !ok || len(got) != 1 || got[0] != cc {
 		t.Fatalf("resolve got %v ok=%v", got, ok)
 	}
-	if srv.Queries != 1 || srv.NXDomains != 0 {
-		t.Errorf("counters q=%d nx=%d", srv.Queries, srv.NXDomains)
-	}
 	if len(answered) != 1 || answered[0] != "cc.steephost.net" {
 		t.Errorf("answers name %q, want one for cc.steephost.net", answered)
 	}
 }
 
 func TestNXDomain(t *testing.T) {
-	s, srv, client := dnsNet(t, nil)
+	s, client := dnsNet(t, nil)
+	// The rcodes the server answered with.
+	var rcodes []uint8
+	client.AddRxHook(func(p *netstack.Packet) {
+		if p.UDP == nil || p.UDP.SrcPort != Port {
+			return
+		}
+		if m, err := Unmarshal(p.Payload); err == nil && m.Response {
+			rcodes = append(rcodes, m.Rcode)
+		}
+	})
 	calls := 0
 	var ok bool
 	Resolve(client, netstack.MustParseAddr("10.0.0.3"), "dga-a8f2k.biz",
@@ -104,14 +110,14 @@ func TestNXDomain(t *testing.T) {
 	if calls != 1 || ok {
 		t.Fatalf("calls=%d ok=%v", calls, ok)
 	}
-	if srv.NXDomains != 1 {
-		t.Errorf("NXDomains = %d", srv.NXDomains)
+	if len(rcodes) != 1 || rcodes[0] != RcodeNXDomain {
+		t.Errorf("rcodes %v, want one NXDOMAIN", rcodes)
 	}
 }
 
 func TestWildcard(t *testing.T) {
 	sink := netstack.MustParseAddr("10.3.0.9")
-	s, _, client := dnsNet(t, map[string]netstack.Addr{"*.spamdomain.com": sink})
+	s, client := dnsNet(t, map[string]netstack.Addr{"*.spamdomain.com": sink})
 	var got []netstack.Addr
 	Resolve(client, netstack.MustParseAddr("10.0.0.3"), "mx1.deep.spamdomain.com",
 		func(a []netstack.Addr, o bool) { got = a })
@@ -122,7 +128,7 @@ func TestWildcard(t *testing.T) {
 }
 
 func TestResolveTimeout(t *testing.T) {
-	s, _, client := dnsNet(t, nil)
+	s, client := dnsNet(t, nil)
 	calls := 0
 	var ok bool
 	// Query a server address that does not exist.

@@ -12,17 +12,13 @@ import (
 // static zone map; unknown names get NXDOMAIN. Wildcards of the form
 // "*.example.com" match any subdomain depth.
 type Server struct {
-	h     *host.Host
 	bound *host.UDPSock
 	zones map[string]netstack.Addr
-
-	// Queries and NXDomains count lookups for reports and DGA experiments.
-	Queries, NXDomains uint64
 }
 
 // NewServer starts a DNS server on h with the given zone data.
 func NewServer(h *host.Host, zones map[string]netstack.Addr) (*Server, error) {
-	s := &Server{h: h, zones: make(map[string]netstack.Addr, len(zones))}
+	s := &Server{zones: make(map[string]netstack.Addr, len(zones))}
 	for name, addr := range zones {
 		s.zones[strings.ToLower(name)] = addr
 	}
@@ -57,13 +53,11 @@ func (s *Server) handle(src netstack.Addr, sport uint16, data []byte) {
 	if err != nil || q.Response {
 		return
 	}
-	s.Queries++
 	resp := &Message{ID: q.ID, Response: true, Name: q.Name, TTL: 300}
 	if addr, ok := s.lookup(q.Name); ok {
 		resp.Answers = []netstack.Addr{addr}
 	} else {
 		resp.Rcode = RcodeNXDomain
-		s.NXDomains++
 	}
 	s.bound.SendTo(src, sport, resp.Marshal())
 }

@@ -50,13 +50,7 @@ type ChaosOutcome struct {
 	Journal []byte
 
 	FlowsCreated, Verdicts uint64
-	FlowsFailClosed        uint64
 	CrashEventsRecorded    int
-
-	// HealthHistory is a supervised run's per-endpoint health-transition
-	// history (part of the determinism surface: it must match exactly
-	// across worker counts for a given seed).
-	HealthHistory map[string][]string
 }
 
 // ChaosPlan is the chaos soak as a plan: the Botfarm demo under the fault
@@ -127,7 +121,6 @@ func RunChaosSoak(cfg ChaosConfig) (*ChaosOutcome, error) {
 	snap := r.Snapshot
 	out.FlowsCreated = snap.Counter("subfarm.Botfarm.flows_created")
 	out.Verdicts = snap.Counter("subfarm.Botfarm.verdicts_applied")
-	out.FlowsFailClosed = snap.Counter("subfarm.Botfarm.flows_failclosed")
 	if out.FlowsCreated == 0 {
 		bad("no flows created — chaos run produced no traffic")
 	}
@@ -163,7 +156,6 @@ func RunChaosSoak(cfg ChaosConfig) (*ChaosOutcome, error) {
 	}
 
 	if sup := sf.Supervisor; sup != nil {
-		out.HealthHistory = sup.HealthHistory()
 		// The supervisor — not the injector, which skips its restores on
 		// supervised runs — must have brought every crashed server back
 		// (the shared check) without the breaker giving up on one.

@@ -71,13 +71,14 @@ func TestRunFigure5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.SawReqShim {
+	// The rendered trace annotates each step of the flow it saw.
+	if !strings.Contains(text, "<= REQ SHIM injected") {
 		t.Error("request shim not visible in the trace")
 	}
-	if !out.SawSeqBumped {
+	if !strings.Contains(text, "<= original request riding bumped sequence numbers") {
 		t.Error("sequence-bumped original request not visible in the trace")
 	}
-	if !out.SawRewritten {
+	if !strings.Contains(text, "<= rewritten request forwarded") {
 		t.Error("rewritten leg-2 request not visible upstream")
 	}
 	if !strings.Contains(out.InmateGot, "404 NOT FOUND") {

@@ -43,12 +43,9 @@ func init() {
 
 // Figure5Outcome carries the captured packet sequence plus verification.
 type Figure5Outcome struct {
-	Trace        []string
-	InmateGot    string
-	TargetSaw    string
-	SawReqShim   bool
-	SawSeqBumped bool
-	SawRewritten bool
+	Trace     []string
+	InmateGot string
+	TargetSaw string
 }
 
 // RunFigure5 reproduces the Fig. 5 packet flow: a REWRITE containment of an
@@ -101,12 +98,10 @@ func RunFigure5(seed int64) (*Figure5Outcome, string, error) {
 		if len(p.Payload) == shim.RequestLen {
 			if _, err := shim.UnmarshalRequest(p.Payload); err == nil {
 				line += "   <= REQ SHIM injected into sequence space"
-				out.SawReqShim = true
 			}
 		}
 		if strings.HasPrefix(string(p.Payload), "GET /bot.exe") {
 			line += "   <= original request riding bumped sequence numbers (SEQ += |REQ SHIM|)"
-			out.SawSeqBumped = true
 		}
 		out.Trace = append(out.Trace, line)
 	})
@@ -123,7 +118,6 @@ func RunFigure5(seed int64) (*Figure5Outcome, string, error) {
 			netstack.FlagString(p.TCP.Flags), p.TCP.Seq, len(p.Payload))
 		if strings.HasPrefix(string(p.Payload), "GET /cleanup.exe") {
 			line += "   <= rewritten request forwarded to the target"
-			out.SawRewritten = true
 		}
 		out.Trace = append(out.Trace, line)
 	})

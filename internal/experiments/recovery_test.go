@@ -26,7 +26,7 @@ func TestRecoverySoak(t *testing.T) {
 				t.Errorf("seed %d workers %d: no recoveries measured — kill storm never fired?", seed, workers)
 			}
 			t.Logf("seed %d workers %d: flows=%d verdicts=%d failclosed=%d crashes=%d recoveries=%v max=%v probe=[%s]",
-				seed, workers, out.FlowsCreated, out.Verdicts, out.FlowsFailClosed,
+				seed, workers, out.FlowsCreated, out.Verdicts, out.Snapshot.Counter("subfarm.Botfarm.flows_failclosed"),
 				out.Injectors[0].Crashes, out.Recoveries, out.MaxObserved, out.Probes[0][0])
 		}
 	}
@@ -47,7 +47,7 @@ func TestRecoverySoakDeterminism(t *testing.T) {
 			journal: out.Journal, snapshot: out.Snapshot, problems: out.Problems,
 			records: map[string]any{
 				"recovery intervals":        out.Recoveries,
-				"health-transition history": out.HealthHistory,
+				"health-transition history": out.Subfarms[0].Supervisor.HealthHistory(),
 			},
 		}, nil
 	})

@@ -81,14 +81,9 @@ type RecycleOutcome struct {
 
 	// Farm-wide lifecycle accounting, summed over every subfarm's
 	// raw-iron controller and recycler.
-	Cycles, Lost                   int
-	Reimages, Captures             int
+	Cycles                         int
 	Failures, Retries, Quarantines int
 	FaultsInjected                 int
-
-	// SpecimensPerDay is the sustained recycling throughput: completed
-	// cycles scaled to a 24-hour day over the soak's active window.
-	SpecimensPerDay float64
 }
 
 // RunRecycleSoak builds Subfarms habitats of raw-iron inmates, runs their
@@ -135,9 +130,6 @@ func RunRecycleSoak(cfg RecycleConfig) (*RecycleOutcome, error) {
 	for _, sf := range r.Subfarms {
 		rec, ri := sf.Recycler, sf.RawIron
 		out.Cycles += rec.Cycles
-		out.Lost += rec.Lost
-		out.Reimages += ri.Reimages
-		out.Captures += ri.Captures
 		out.Failures += ri.Failures
 		out.Retries += ri.Retries
 		out.Quarantines += ri.Quarantines
@@ -209,8 +201,5 @@ func RunRecycleSoak(cfg RecycleConfig) (*RecycleOutcome, error) {
 	if problems := r.Reporter(false).CrossCheck(); len(problems) != 0 {
 		bad("reporter cross-check: %v", problems)
 	}
-
-	active := cfg.Duration + cfg.Settle
-	out.SpecimensPerDay = float64(out.Cycles) * float64(24*time.Hour) / float64(active)
 	return out, nil
 }

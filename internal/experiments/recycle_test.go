@@ -26,9 +26,8 @@ func TestRecycleSoak(t *testing.T) {
 		if err != nil {
 			return workerRun{}, err
 		}
-		t.Logf("workers=%d: cycles=%d (%.1f specimens/day) captures=%d reimages=%d faults=%d retries=%d quarantined=%d lost=%d journal=%dB",
-			workers, out.Cycles, out.SpecimensPerDay, out.Captures, out.Reimages,
-			out.FaultsInjected, out.Retries, out.Quarantines, out.Lost, len(out.Journal))
+		t.Logf("workers=%d: cycles=%d faults=%d retries=%d quarantined=%d journal=%dB",
+			workers, out.Cycles, out.FaultsInjected, out.Retries, out.Quarantines, len(out.Journal))
 		return workerRun{journal: out.Journal, snapshot: out.Snapshot, problems: out.Problems}, nil
 	})
 }

@@ -20,7 +20,6 @@ type ScalabilityPoint struct {
 	FlowsAdjudicated            uint64
 	SpamSessions                uint64
 	WallTime                    time.Duration
-	VirtualTime                 time.Duration
 }
 
 // RunScalabilityGateway reproduces the §7.2 observation that one gateway
@@ -65,7 +64,7 @@ func RunScalabilityGateway(seed int64, points [][2]int, duration time.Duration) 
 		out = append(out, ScalabilityPoint{
 			Subfarms: nSub, InmatesPerSubfarm: nInm,
 			FlowsAdjudicated: flows, SpamSessions: sessions,
-			WallTime: time.Since(start), VirtualTime: duration,
+			WallTime: time.Since(start),
 		})
 	}
 	var b strings.Builder

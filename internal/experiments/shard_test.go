@@ -29,12 +29,13 @@ func TestShardDeterminism(t *testing.T) {
 		if err != nil {
 			return workerRun{}, err
 		}
+		health := out.Subfarms[0].Supervisor.HealthHistory()
 		t.Logf("workers=%d: flows=%d verdicts=%d crashes=%d failclosed=%d probe=[%s] journal=%dB health=%v",
 			workers, out.FlowsCreated, out.Verdicts, out.Injectors[0].Crashes,
-			out.FlowsFailClosed, out.Probes[0][0], len(out.Journal), out.HealthHistory)
+			out.Snapshot.Counter("subfarm.Botfarm.flows_failclosed"), out.Probes[0][0], len(out.Journal), health)
 		return workerRun{
 			journal: out.Journal, snapshot: out.Snapshot, problems: out.Problems,
-			records: map[string]any{"health-transition history": out.HealthHistory},
+			records: map[string]any{"health-transition history": health},
 		}, nil
 	})
 }

@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"gq/internal/containment"
-	"gq/internal/dhcp"
-	"gq/internal/dnsx"
 	"gq/internal/gateway"
 	"gq/internal/host"
 	"gq/internal/inmate"
@@ -297,9 +295,6 @@ type Subfarm struct {
 	CatchAll   *sink.CatchAll
 	SMTPSink   *sink.SMTPSink
 	BannerSink *sink.SMTPSink
-	HTTPSink   *sink.HTTPSink
-	DHCP       *dhcp.Server
-	DNS        *dnsx.Server
 
 	// sinks lists the supervisable sink servers, one per sinkTable row,
 	// with their hosts and probe ports.

@@ -25,9 +25,6 @@ type FarmInmate struct {
 	// SampleName and Family identify the served sample.
 	SampleName string
 	Family     string
-
-	// Infections counts completed auto-infections across generations.
-	Infections int
 }
 
 // AddInmate creates an inmate on a fresh VLAN with the default VM backend,
@@ -47,7 +44,7 @@ func (sf *Subfarm) AddInmateWithBackend(name string, backend inmate.Backend) (*F
 	h := sf.Farm.newHostIn(sf.Sim, name)
 	netsim.Connect(sf.sw.AddAccessPort(fmt.Sprintf("%s-vlan%d", name, vlan), vlan), h.NIC(), sf.Config.AccessLatency)
 
-	im := inmate.New(sf.Sim, name, vlan, h, backend)
+	im := inmate.New(sf.Sim, vlan, h, backend)
 	fi := &FarmInmate{Inmate: im, Subfarm: sf}
 	sf.Inmates[vlan] = fi
 	sf.Farm.Controller.Register(im)
@@ -113,7 +110,6 @@ func (fi *FarmInmate) autoinfect() {
 		}
 		fi.SampleName = resp.Header("X-Sample-Name")
 		fi.Family = resp.Header("X-Sample-Family")
-		fi.Infections++
 		fi.ExecuteSample(fi.Family)
 	})
 }

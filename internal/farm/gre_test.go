@@ -29,7 +29,8 @@ func TestGREGraftedAddressSpaceInFarm(t *testing.T) {
 
 	ccAddr := netstack.MustParseAddr("50.8.207.91")
 	cc := f.AddExternalHost("cc", ccAddr)
-	ccSrv, err := malware.NewCCServer(cc, malware.CCConfig{
+	hellos := heard(cc, 443, "HELLO")
+	_, err := malware.NewCCServer(cc, malware.CCConfig{
 		Template: "x", Targets: []netstack.Addr{netstack.MustParseAddr("203.0.113.25")},
 	})
 	if err != nil {
@@ -68,11 +69,11 @@ func TestGREGraftedAddressSpaceInFarm(t *testing.T) {
 		t.Fatalf("inmate never infected (family %q)", bot.Family)
 	}
 	// The C&C lifeline crossed the tunnel in both directions.
-	if ccSrv.Hellos == 0 {
+	if *hellos == 0 {
 		t.Fatal("C&C never heard from the tunnelled bot")
 	}
-	if peer.TunnelledIn == 0 || peer.TunnelledOut == 0 {
-		t.Fatalf("tunnel idle: in=%d out=%d", peer.TunnelledIn, peer.TunnelledOut)
+	if tx, rx := f.Gateway.GRETx.Value(), f.Gateway.GRERx.Value(); tx == 0 || rx == 0 {
+		t.Fatalf("tunnel idle: tx=%d rx=%d", tx, rx)
 	}
 	// Spam stayed contained regardless of addressing.
 	if sf.SMTPSink.DataTransfers == 0 {

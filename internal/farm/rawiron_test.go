@@ -48,12 +48,12 @@ func TestRawIronInmateFullCycle(t *testing.T) {
 	if machine.DiskImage != "winxp-golden" {
 		t.Fatalf("disk image %q", machine.DiskImage)
 	}
-	if ric.Reimages != 1 {
-		t.Fatalf("reimages %d", ric.Reimages)
+	if n := f.Sim.Obs().Snapshot().Histograms["rawiron.reimage_ms"].Count; n != 1 {
+		t.Fatalf("reimages %d", n)
 	}
 	// Reinfection happened with the next batch sample.
-	if bot.Infections != 2 || bot.SampleName == firstSample {
-		t.Fatalf("infections=%d sample=%q (first %q)", bot.Infections, bot.SampleName, firstSample)
+	if bot.Specimen == nil || bot.SampleName == firstSample {
+		t.Fatalf("specimen %v sample=%q (first %q)", bot.Specimen, bot.SampleName, firstSample)
 	}
 	// And the reborn specimen works: give it time to spam again.
 	before := sf.SMTPSink.DataTransfers

@@ -51,7 +51,7 @@ func TestSoak24Hours(t *testing.T) {
 	}
 	// Triggers did not storm: active spambots must never be reverted by
 	// the absence rule.
-	if n := len(sf.CS.Triggers().Fired); n > 0 {
+	if n := f.Sim.Obs().Reg.Counter("cs.triggers_fired").Value(); n > 0 {
 		t.Fatalf("absence trigger fired %d times against active spambots", n)
 	}
 	// Verdict accounting stayed consistent end to end.

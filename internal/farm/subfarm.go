@@ -168,7 +168,7 @@ func (f *Farm) AddSubfarm(cfg SubfarmConfig) (*Subfarm, error) {
 	netsim.Connect(sw.AddAccessPort(cfg.Name+"-dns", cfg.ServiceVLAN), dnsHost.NIC(), 0)
 	dnsHost.ConfigureStatic(cfg.InternalPrefix.Nth(3), cfg.InternalPrefix.Bits, routerIP)
 
-	sf.DHCP, err = dhcp.NewServer(dhcpHost, dhcp.ServerConfig{
+	_, err = dhcp.NewServer(dhcpHost, dhcp.ServerConfig{
 		Pool: cfg.InternalPrefix, PoolStart: 16,
 		Router: routerIP, DNS: dnsHost.Addr(),
 		SubnetBits: cfg.InternalPrefix.Bits,
@@ -176,7 +176,7 @@ func (f *Farm) AddSubfarm(cfg SubfarmConfig) (*Subfarm, error) {
 	if err != nil {
 		return nil, err
 	}
-	sf.DNS, err = dnsx.NewServer(dnsHost, nil)
+	_, err = dnsx.NewServer(dnsHost, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -268,7 +268,7 @@ func (sf *Subfarm) startSink(id string, h *host.Host) (err error) {
 		smtp.BannerGrab = cfg.BannerGrab
 		sf.BannerSink, err = sink.NewSMTPSink(h, smtp)
 	default:
-		sf.HTTPSink, err = sink.NewHTTPSink(h, 80)
+		_, err = sink.NewHTTPSink(h, 80)
 	}
 	return err
 }

@@ -10,14 +10,6 @@ import (
 	"gq/internal/netstack"
 )
 
-// InfectionEvent records one observed infection in a worm experiment.
-type InfectionEvent struct {
-	At         time.Duration
-	VLAN       uint16
-	Executable string
-	Name       string
-}
-
 // WormExperiment runs GQ's original worm-capturing honeyfarm (§2, §7.1):
 // inmates present vulnerable services; the traditional honeyfarm model
 // lets external traffic infect them directly (inbound NAT forwarding); the
@@ -29,8 +21,9 @@ type WormExperiment struct {
 	Subfarm *Subfarm
 	Spec    malware.WormSpec
 
-	// Infections lists every INFECT delivery observed, in order.
-	Infections []InfectionEvent
+	// Infections holds the time of every INFECT delivery observed, in
+	// order.
+	Infections []time.Duration
 
 	worms   map[uint16]*malware.Worm
 	nextVic int
@@ -95,9 +88,7 @@ func NewWormExperiment(seed int64, spec malware.WormSpec, inmates int) (*WormExp
 }
 
 func (e *WormExperiment) onInfect(fi *FarmInmate, vlan uint16, exe, name string) {
-	e.Infections = append(e.Infections, InfectionEvent{
-		At: e.Farm.Sim.Now(), VLAN: vlan, Executable: exe, Name: name,
-	})
+	e.Infections = append(e.Infections, e.Farm.Sim.Now())
 	if _, already := e.worms[vlan]; already {
 		return // reinfection of a running instance: counted, not re-executed
 	}
@@ -177,18 +168,17 @@ func (e *WormExperiment) exploitFromOutside(attacker *host.Host, target netstack
 // connections per infection, and the measured incubation period (delay
 // from the seed infection to the next inmate infection).
 type WormResult struct {
-	Spec       malware.WormSpec
 	Events     int
 	Incubation time.Duration
 }
 
 // Result computes the measured quantities.
 func (e *WormExperiment) Result() WormResult {
-	r := WormResult{Spec: e.Spec, Events: len(e.Infections)}
+	r := WormResult{Events: len(e.Infections)}
 	if len(e.Infections) >= 2 {
 		// Incubation: delay from the first (seeded) infection to the next
 		// inmate's infection.
-		r.Incubation = e.Infections[1].At - e.Infections[0].At
+		r.Incubation = e.Infections[1] - e.Infections[0]
 	}
 	return r
 }

@@ -155,6 +155,7 @@ func TestFlowSupersedeFreshSYN(t *testing.T) {
 	before := tb.router.FlowsCreated.Value()
 	raw.Send(syn(1000))
 	tb.sim.RunFor(time.Second)
+	active := tb.router.ActiveFlows()
 	raw.Send(syn(5000)) // same tuple, fresh ISN: new incarnation
 	tb.sim.RunFor(time.Second)
 
@@ -170,12 +171,11 @@ func TestFlowSupersedeFreshSYN(t *testing.T) {
 	if len(mine) != 2 {
 		t.Fatalf("flow records for %v = %d, want 2", rawIP, len(mine))
 	}
-	if !mine[0].Closed || mine[0].Annotation != "superseded by new incarnation" {
-		t.Fatalf("stale flow not superseded: closed=%v annotation=%q",
-			mine[0].Closed, mine[0].Annotation)
+	if mine[0].Annotation != "superseded by new incarnation" {
+		t.Fatalf("stale flow not superseded: annotation=%q", mine[0].Annotation)
 	}
-	if mine[1].Closed {
-		t.Fatal("new incarnation was closed prematurely")
+	if got := tb.router.ActiveFlows(); got != active {
+		t.Fatalf("%d active flows after the supersede, want %d: the new incarnation replaces the stale one", got, active)
 	}
 
 	// Byte-identity: each forwarded SYN must equal a freshly marshalled

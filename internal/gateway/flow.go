@@ -10,12 +10,10 @@ import (
 )
 
 // FlowRecord is the per-flow accounting GQ's reporting consumes: the
-// original and actual endpoints, the verdict and policy that produced them,
-// and payload byte counts.
+// endpoints the initiator addressed, the verdict and policy that decided
+// the flow, and payload byte counts.
 type FlowRecord struct {
-	Subfarm string
 	VLAN    uint16
-	Proto   uint8
 	Inbound bool // initiator is outside the farm
 
 	OrigIP   netstack.Addr // initiator
@@ -23,16 +21,12 @@ type FlowRecord struct {
 	RespIP   netstack.Addr // destination as the initiator addressed it
 	RespPort uint16
 
-	ActualRespIP   netstack.Addr // destination after containment
-	ActualRespPort uint16
-
 	Verdict    shim.Verdict
 	Policy     string
 	Annotation string
 
-	Start, VerdictAt, End time.Duration
-	BytesOrig, BytesResp  uint64
-	Closed                bool
+	Start, VerdictAt     time.Duration
+	BytesOrig, BytesResp uint64
 
 	// FailClosed marks a flow resolved by the gateway's fail-closed path
 	// (containment server lost, or await-verdict deadline exceeded) rather
@@ -181,7 +175,7 @@ func (f *Flow) event(typ string) obs.Event {
 // newFlowRecord initialises accounting.
 func (r *Router) newFlowRecord(f *Flow) *FlowRecord {
 	rec := &FlowRecord{
-		Subfarm: r.cfg.Name, VLAN: f.vlan, Proto: f.proto, Inbound: f.inbound,
+		VLAN: f.vlan, Inbound: f.inbound,
 		OrigIP: f.initIP, OrigPort: f.initPort,
 		RespIP: f.respIP, RespPort: f.respPort,
 		Start: r.sim.Now(),
@@ -882,7 +876,6 @@ func (f *Flow) adoptVerdict(resp *shim.Response) {
 	if f.actualIP == 0 {
 		f.actualIP, f.actualPort = f.respIP, f.respPort
 	}
-	f.rec.ActualRespIP, f.rec.ActualRespPort = f.actualIP, f.actualPort
 }
 
 // applyVerdict enacts the containment server's decision.
@@ -966,8 +959,6 @@ func (f *Flow) close(reason string) {
 		return
 	}
 	f.state = fsClosed
-	f.rec.End = f.now()
-	f.rec.Closed = true
 	if reason != "" && f.rec.Annotation == "" {
 		f.rec.Annotation = reason
 	}

@@ -112,7 +112,6 @@ func (r *Router) handleGRE(p *netstack.Packet) {
 type GREPeer struct {
 	Tunnel GRETunnel
 
-	sim  *sim.Simulator
 	port *netsim.Port
 	hand *hand // the domain's frame list and received frame
 
@@ -122,17 +121,13 @@ type GREPeer struct {
 	arp     map[netstack.Addr]netstack.MAC
 	pending *netsim.Waits[netstack.Addr, []byte]
 	mac     netstack.MAC
-
-	// TunnelledIn / TunnelledOut count packets each way; ARPPendingDrops
-	// frames refused by a full ARP-pending queue.
-	TunnelledIn, TunnelledOut, ARPPendingDrops uint64
 }
 
 // NewGREPeer creates the peer router; connect Port() to the outside
 // switch.
 func NewGREPeer(s *sim.Simulator, t GRETunnel) *GREPeer {
 	p := &GREPeer{
-		Tunnel: t, sim: s, hand: handOf(s),
+		Tunnel: t, hand: handOf(s),
 		arp: make(map[netstack.Addr]netstack.MAC),
 		mac: netstack.MAC{0x02, 0x47, 0x52, 0x45, 0x00, 0x01},
 	}
@@ -169,11 +164,9 @@ func (p *GREPeer) recv(frame []byte) {
 		if err != nil {
 			return
 		}
-		p.TunnelledOut++
 		p.emit(ip)
 	case p.Tunnel.ExtraPool.Contains(pkt.IP.Dst):
 		// Native traffic for the contributed pool: tunnel to the gateway.
-		p.TunnelledIn++
 		outer := &netstack.Packet{
 			Eth: netstack.Ethernet{Src: p.mac, EtherType: netstack.EtherTypeIPv4},
 			IP: &netstack.IPv4{
@@ -225,9 +218,7 @@ func (p *GREPeer) sendTo(pkt *netstack.Packet, dst netstack.Addr) {
 		p.port.SendOwned(p.hand.marshal(pkt))
 		return
 	}
-	if !p.pending.Park(dst, p.hand.marshal(pkt)) {
-		p.ARPPendingDrops++
-	}
+	p.pending.Park(dst, p.hand.marshal(pkt)) // a full queue refuses it: dropped
 }
 
 // arpRequest broadcasts a request for dst on the outside segment.

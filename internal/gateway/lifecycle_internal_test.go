@@ -8,6 +8,7 @@ import (
 	"gq/internal/netstack"
 	"gq/internal/obs"
 	"gq/internal/shim"
+	"gq/internal/sim"
 )
 
 // A flow has one lifecycle (DESIGN.md §3g): whatever ends it — idle sweep,
@@ -22,6 +23,17 @@ type eventLog struct{ events []obs.Event }
 func (l *eventLog) WriteEvent(e obs.Event) error {
 	l.events = append(l.events, e)
 	return nil
+}
+
+// closesAt runs s to at and reports whether f closed exactly then: open
+// until the instant before, closed at it.
+func closesAt(s *sim.Simulator, f *Flow, at time.Duration) bool {
+	s.RunUntil(at - 1)
+	if f.state == fsClosed {
+		return false
+	}
+	s.RunUntil(at)
+	return f.state == fsClosed
 }
 
 func (l *eventLog) count(typ string) int {
@@ -273,7 +285,7 @@ func TestFlowLifecycleTable(t *testing.T) {
 				// Whatever the cause left alone, the sweep horizon ends: one
 				// flow.closed, every index empty, no timer left armed.
 				rig.s.RunFor(spliceIdleTimeout + time.Minute)
-				if !f.rec.Closed || f.state != fsClosed {
+				if f.state != fsClosed {
 					t.Errorf("flow not closed at the sweep horizon (state %v)", f.state)
 				}
 				if n := rig.journal.count(obs.EvFlowClosed); n != 1 {
@@ -312,10 +324,10 @@ func TestLingerClosesAtEarliestDeadline(t *testing.T) {
 		if got := rig.s.Pending(); got != idle+1 {
 			t.Errorf("%v: %d events pending for the linger, want 1", delays, got-idle)
 		}
-		rig.s.RunFor(20 * time.Second)
-		if !f.rec.Closed || f.rec.End != start+earliest {
-			t.Errorf("%v: closed=%v at %v, want at %v", delays, f.rec.Closed, f.rec.End-start, earliest)
+		if !closesAt(rig.s, f, start+earliest) {
+			t.Errorf("%v: state %v at %v, want closed at %v and not before", delays, f.state, rig.s.Now()-start, earliest)
 		}
+		rig.s.RunFor(20 * time.Second)
 		if got := rig.s.Pending(); got != idle || f.linger.Pending() {
 			t.Errorf("%v: %d events pending after the close, want %d", delays, got, idle)
 		}
@@ -347,9 +359,8 @@ func TestLingerDoesNotGrowWithSegments(t *testing.T) {
 			t.Fatalf("after %d more segments %d events are pending, want %d", i+1, got, pending)
 		}
 	}
-	rig.s.RunFor(10 * time.Second)
-	if !f.rec.Closed || f.rec.End != closeAt {
-		t.Errorf("closed=%v at %v, want 10 s after the first FIN (%v)", f.rec.Closed, f.rec.End, closeAt)
+	if !closesAt(rig.s, f, closeAt) {
+		t.Errorf("state %v at %v, want closed 10 s after the first FIN (%v) and not before", f.state, rig.s.Now(), closeAt)
 	}
 
 	rig = newSpliceRig(t)

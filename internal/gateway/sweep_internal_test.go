@@ -47,7 +47,7 @@ func TestSweepExpiresEstablishingFlows(t *testing.T) {
 	if n := r.ActiveFlows(); n != 0 {
 		t.Fatalf("establishing flow leaked: ActiveFlows = %d after 2m", n)
 	}
-	if !f.rec.Closed {
+	if f.state != fsClosed {
 		t.Fatal("flow record not finalised")
 	}
 	if f.rec.Annotation != "flow expired" {
@@ -91,8 +91,8 @@ func TestSweepEstablishingPortDownMidHandshake(t *testing.T) {
 	if n := r.ActiveFlows(); n != 0 {
 		t.Fatalf("half-open flow leaked: ActiveFlows = %d", n)
 	}
-	if !f.rec.Closed || f.rec.Annotation != "flow expired" {
-		t.Fatalf("closed=%v annotation=%q", f.rec.Closed, f.rec.Annotation)
+	if f.state != fsClosed || f.rec.Annotation != "flow expired" {
+		t.Fatalf("state %v annotation=%q", f.state, f.rec.Annotation)
 	}
 	if len(rsts) == 0 {
 		t.Fatal("no RST sent toward the initiator on sweep")

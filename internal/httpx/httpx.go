@@ -3,8 +3,8 @@
 // the majority of specimens we encounter still possesses readily
 // distinguishable C&C protocols"), and the auto-infection server of §6.6
 // answers over it. A parsed message holds what its readers read: a request
-// its method, path and body, a response its status, body and header
-// section. Only Content-Length framing is supported; both ends are ours.
+// its path, a response its status and header section; a body is framed and
+// skipped. Only Content-Length framing is supported; both ends are ours.
 package httpx
 
 import (
@@ -17,14 +17,12 @@ import (
 
 // Request is an HTTP request.
 type Request struct {
-	Method, Path string
-	Body         []byte
+	Path string
 }
 
 // Response is an HTTP response.
 type Response struct {
 	Status int
-	Body   []byte
 	// head is the header section after the status line.
 	head string
 }
@@ -132,15 +130,14 @@ func (p *Parser) tryParse() bool {
 	if len(p.buf) < p.need {
 		return false
 	}
-	body := append([]byte(nil), p.buf[:p.need]...)
 	p.buf, p.scanned = p.buf[p.need:], 0
 	if req, resp := p.req, p.resp; resp != nil {
-		p.resp, resp.Body = nil, body
+		p.resp = nil
 		if p.OnResponse != nil {
 			p.OnResponse(resp)
 		}
 	} else {
-		p.req, req.Body = nil, body
+		p.req = nil
 		if p.OnRequest != nil {
 			p.OnRequest(req)
 		}
@@ -151,9 +148,9 @@ func (p *Parser) tryParse() bool {
 // parseHead parses the header section buf[:headEnd] into p.req or p.resp,
 // drops it from buf and sets the body length. Of the header lines it reads
 // only Content-Length: each line must have a colon, and the last
-// Content-Length line sets the body length. A request's method and path are
-// pieces of one copy of the start line, so a kept path holds no more of the
-// head than that line.
+// Content-Length line sets the body length. A request's path is a piece of
+// one copy of the start line, so a kept path holds no more of the head than
+// that line.
 func (p *Parser) parseHead(headEnd int) bool {
 	start, lines, _ := bytes.Cut(p.buf[:headEnd], crlf)
 	var cl []byte
@@ -192,7 +189,7 @@ func (p *Parser) parseHead(headEnd int) bool {
 		}
 		p.resp = &Response{Status: status, head: string(lines)}
 	} else {
-		p.req = &Request{Method: first, Path: second}
+		p.req = &Request{Path: second}
 	}
 	p.buf = p.buf[headEnd+len(headTerm):]
 	return true

@@ -4,19 +4,10 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"gq/internal/host"
 	"gq/internal/lineio"
 )
-
-// ActionRecord logs one life-cycle action handled by the controller.
-type ActionRecord struct {
-	Action string
-	VLAN   uint16
-	OK     bool
-	At     time.Duration
-}
 
 // Controller is the inmate controller (§6.3): "a simple message receiver
 // that interprets the life-cycle control instructions coming in from the
@@ -31,8 +22,8 @@ type Controller struct {
 	h      *host.Host
 	byVLAN map[uint16]*Inmate
 
-	// Log records handled actions.
-	Log []ActionRecord
+	// Actions counts the life-cycle actions handled, failed ones too.
+	Actions int
 
 	// RecycleFn, when set, handles the "recycle" verb: the farm routes it
 	// to the recycling pipeline that owns the inmate, forcing it out of
@@ -103,8 +94,7 @@ func (c *Controller) Unregister(vlan uint16) { delete(c.byVLAN, vlan) }
 // the VMM command, which takes effect one cross-domain hop later.
 func (c *Controller) Execute(action string, vlan uint16) error {
 	im := c.byVLAN[vlan]
-	rec := ActionRecord{Action: action, VLAN: vlan, At: c.h.Sim().Now()}
-	defer func() { c.Log = append(c.Log, rec) }()
+	c.Actions++
 	if im == nil {
 		return fmt.Errorf("inmate: no inmate on VLAN %d", vlan)
 	}
@@ -124,15 +114,10 @@ func (c *Controller) Execute(action string, vlan uint16) error {
 		if c.RecycleFn == nil {
 			return fmt.Errorf("inmate: no recycling pipeline attached")
 		}
-		if err := c.RecycleFn(vlan); err != nil {
-			return err
-		}
-		rec.OK = true
-		return nil
+		return c.RecycleFn(vlan)
 	default:
 		return fmt.Errorf("inmate: unknown action %q", action)
 	}
-	rec.OK = true
 	c.h.Sim().Hop(im.Host.Sim(), fn)
 	return nil
 }

@@ -40,8 +40,6 @@ func (s State) String() string {
 // controller "abstracts physical details of the inmates, such as their
 // hosting server and whether they run virtualized or on raw iron".
 type Backend interface {
-	// Kind names the technology ("vmware-esx", "qemu", "raw-iron").
-	Kind() string
 	// BootDelay is how long power-on to OS-up takes.
 	BootDelay() time.Duration
 	// Revert restores the inmate to a clean snapshot, invoking done when
@@ -52,9 +50,6 @@ type Backend interface {
 // VMBackend models full-system virtualisation (VMware ESX-class): fast
 // boots and fast snapshot reverts.
 type VMBackend struct{ Sim *sim.Simulator }
-
-// Kind implements Backend.
-func (b *VMBackend) Kind() string { return "vmware-esx" }
 
 // BootDelay implements Backend.
 func (b *VMBackend) BootDelay() time.Duration { return 2 * time.Second }
@@ -68,9 +63,6 @@ func (b *VMBackend) Revert(im *Inmate, done func()) {
 // phase but immune to some VM-detection tricks.
 type QEMUBackend struct{ Sim *sim.Simulator }
 
-// Kind implements Backend.
-func (b *QEMUBackend) Kind() string { return "qemu" }
-
 // BootDelay implements Backend.
 func (b *QEMUBackend) BootDelay() time.Duration { return 6 * time.Second }
 
@@ -81,7 +73,6 @@ func (b *QEMUBackend) Revert(im *Inmate, done func()) {
 
 // Inmate is one contained machine.
 type Inmate struct {
-	Name    string
 	VLAN    uint16
 	Host    *host.Host
 	Backend Backend
@@ -102,8 +93,8 @@ type Inmate struct {
 }
 
 // New creates an inmate in StateCreated.
-func New(s *sim.Simulator, name string, vlan uint16, h *host.Host, b Backend) *Inmate {
-	return &Inmate{Name: name, VLAN: vlan, Host: h, Backend: b, sim: s}
+func New(s *sim.Simulator, vlan uint16, h *host.Host, b Backend) *Inmate {
+	return &Inmate{VLAN: vlan, Host: h, Backend: b, sim: s}
 }
 
 // Start powers the inmate on; OnBoot fires after the backend's boot delay.

@@ -45,8 +45,6 @@ var poisonFrames = testing.Testing()
 // only by that domain's goroutine.
 type Frames struct {
 	idle [len(frameClasses)][][]byte
-	// misses counts takes of a class size that found the class empty.
-	misses int
 }
 
 // FramesOf returns s's frame list, created with the domain's wire.
@@ -74,7 +72,6 @@ func (l *Frames) Take(size int) []byte {
 	idle := l.idle[c]
 	n := len(idle)
 	if n == 0 {
-		l.misses++
 		return make([]byte, 0, frameClasses[c])
 	}
 	buf := idle[n-1]

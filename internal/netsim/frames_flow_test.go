@@ -1,6 +1,7 @@
 package netsim_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -100,15 +101,44 @@ func TestControlFramesComeFromTheList(t *testing.T) {
 			s.RunFor(2 * time.Second)
 		}
 	}
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1 // every allocation from here on is in the profile
 	flows(50)
-	frames := netsim.FramesOf(s)
-	misses, before := frames.Misses(), answered
+	made, before := takeAllocs(), answered
 	const count = 1000
 	flows(count)
 	if got := answered - before; got != count {
 		t.Fatalf("%d of %d flows answered", got, count)
 	}
-	if got := frames.Misses() - misses; got != 0 {
+	if got := takeAllocs() - made; got != 0 {
 		t.Errorf("%d flows made %d frame buffers the list did not have, want 0", count, got)
 	}
+}
+
+// takeAllocs counts the allocations made inside Frames.Take so far (a take
+// whose class was empty, or one no class holds), from the memory profile:
+// exact while runtime.MemProfileRate is 1.
+func takeAllocs() int64 {
+	runtime.GC() // the profile is complete as of the last finished cycle
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, ok := runtime.MemProfile(recs, true)
+	if !ok {
+		panic("memory profile outgrew its buffer")
+	}
+	var total int64
+	for _, r := range recs[:n] {
+		for fs := runtime.CallersFrames(r.Stack()); ; {
+			f, more := fs.Next()
+			if f.Function == "gq/internal/netsim.(*Frames).Take" {
+				total += r.AllocObjects
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return total
 }

@@ -165,9 +165,6 @@ func TestCrossDomainPingPong(t *testing.T) {
 			t.Errorf("lane %d made %d hops, want %d", lane, n, bounces)
 		}
 	}
-	if a.RxFrames+b.RxFrames != lanes*bounces {
-		t.Errorf("trunk delivered %d frames, want %d", a.RxFrames+b.RxFrames, lanes*bounces)
-	}
 }
 
 // TestIdleRecordsAreBounded: a domain that only ever receives cross-domain

@@ -48,8 +48,8 @@ type delivery struct {
 }
 
 // laneWorld is what one run of a seeded random topology did: every domain's
-// deliveries in the order they happened, its event count and its ports'
-// counters.
+// deliveries in the order they happened, its event count and the farm-wide
+// drop and impairment counters.
 type laneWorld struct {
 	log      [2][]delivery
 	fired    [2]uint64
@@ -142,10 +142,6 @@ func runLaneWorld(seed int64, send func(p *Port, frame []byte)) laneWorld {
 
 	for i, dom := range doms {
 		w.fired[i] = dom.Fired
-	}
-	for _, p := range ports {
-		w.counters = append(w.counters, fmt.Sprintf("%s tx %d/%d rx %d/%d",
-			p.Name, p.TxFrames, p.TxBytes, p.RxFrames, p.RxBytes))
 	}
 	for _, name := range []string{"netsim.port_loss_drops", "netsim.port_down_drops", "netsim.port_rx_drops",
 		"netsim.port_dup_frames", "netsim.port_corrupt_frames", "netsim.port_reorder_frames"} {

@@ -53,9 +53,6 @@ func TestLinkDelivery(t *testing.T) {
 	if len(b.frames) != 1 || string(b.frames[0]) != "hello" {
 		t.Fatalf("frames %q", b.frames)
 	}
-	if a.TxFrames != 1 || b.port.RxFrames != 1 || a.TxBytes != 5 {
-		t.Errorf("counters tx=%d rx=%d txb=%d", a.TxFrames, b.port.RxFrames, a.TxBytes)
-	}
 }
 
 func TestLinkDown(t *testing.T) {
@@ -319,9 +316,6 @@ func TestSendCopiesSendOwnedDoesNot(t *testing.T) {
 	}
 	if &b.frames[1][0] != &owned[0] {
 		t.Fatal("SendOwned copied the buffer; ownership transfer should be zero-copy")
-	}
-	if a.TxFrames != 2 || b.port.RxFrames != 2 {
-		t.Errorf("counters tx=%d rx=%d", a.TxFrames, b.port.RxFrames)
 	}
 }
 

@@ -75,12 +75,6 @@ type Port struct {
 	dup     float64
 	corrupt float64
 
-	// Per-port counters stay plain fields: the farm creates a port per
-	// inmate NIC plus every switch port, and per-port registry series would
-	// explode metric cardinality for no operational gain.
-	TxFrames, RxFrames uint64
-	TxBytes, RxBytes   uint64
-
 	// Farm-wide drop/impairment totals shared by all ports of one
 	// simulation. Loss-model drops and admin-down drops are distinct
 	// series so injected impairment is distinguishable from a pulled
@@ -186,8 +180,6 @@ func (p *Port) admit(frame []byte) bool {
 		p.downDrops.Inc()
 		return false
 	}
-	p.TxFrames++
-	p.TxBytes += uint64(len(frame))
 	if p.Loss > 0 && p.sim.Rand().Float64() < p.Loss {
 		p.lossDrops.Inc()
 		return false
@@ -353,7 +345,5 @@ func (p *Port) receive(buf []byte) {
 	if p.recv == nil {
 		return // a send-only port: frames reaching it are not drops
 	}
-	p.RxFrames++
-	p.RxBytes += uint64(len(buf))
 	p.recv(buf)
 }

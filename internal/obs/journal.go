@@ -118,8 +118,6 @@ const DefaultMaxDumps = 32
 // mutex only guards scope/dump bookkeeping so that dump inspection from
 // another goroutine is safe.
 type Journal struct {
-	clock func() time.Duration
-
 	// Epoch, when nonzero, adds a wall-clock rendering of each event's
 	// virtual timestamp to serialized records (sim.Epoch for the farm).
 	// Stamping itself always uses virtual time — see DESIGN.md §Telemetry.
@@ -151,9 +149,9 @@ func NewJournal(clock func() time.Duration) *Journal {
 	if clock == nil {
 		clock = func() time.Duration { return 0 }
 	}
-	j := &Journal{clock: clock, scopes: make(map[string][]*Scope)}
+	j := &Journal{scopes: make(map[string][]*Scope)}
 	// Stream 0 is the root domain's: scopes created via Journal.Scope
-	// bind to it and stamp with the journal's own clock.
+	// bind to it and stamp with clock.
 	j.streams = []*Stream{{j: j, shard: 0, clock: clock}}
 	return j
 }

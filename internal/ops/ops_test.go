@@ -493,3 +493,36 @@ func TestHealthzCensusHasNoGaps(t *testing.T) {
 		}
 	}
 }
+
+// A control request's body is one JSON value of at most 64 KiB: a 1 MiB
+// POST /policy is refused with 413 before it is decoded, a body with data
+// after its value with 400, and neither swaps anything.
+func TestControlBodyIsBounded(t *testing.T) {
+	f, _, journal, sink := buildFarm(t, 9)
+	ts, d, _ := serveFarm(t, f, 5000)
+	post := func(body []byte) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/policy", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	huge, _ := json.Marshal(map[string]any{
+		"subfarm": "Botfarm", "lo": 16, "hi": 17, "policy": "HardDeny", "pad": strings.Repeat("x", 1<<20),
+	})
+	if code := post(huge); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("1 MiB body answered %d, want 413", code)
+	}
+	if code := post([]byte(`{"subfarm":"Botfarm","lo":16,"hi":17,"policy":"HardDeny"} {}`)); code != http.StatusBadRequest {
+		t.Errorf("trailing data answered %d, want 400", code)
+	}
+	d.Stop() // idempotent with cleanup; quiesces the journal for reading
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(journal.String(), `"type":"ops.policy_swap"`) {
+		t.Error("a refused body swapped the policy")
+	}
+}

@@ -2,7 +2,9 @@ package ops
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -106,6 +108,30 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
+}
+
+// maxBodyBytes bounds a control request's JSON body.
+const maxBodyBytes = 64 << 10
+
+// decodeBody decodes r's body, one JSON value, into v. When it cannot, it
+// answers the request itself — 413 for a body past maxBodyBytes, 400 for a
+// malformed one or one with data after its value — and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	err := dec.Decode(v)
+	if err == nil {
+		if err = dec.Decode(new(json.RawMessage)); err == io.EOF {
+			return true
+		} else if err == nil {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", maxBodyBytes))
+	} else {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	}
+	return false
 }
 
 // --- /healthz ----------------------------------------------------------
@@ -390,8 +416,7 @@ type policyReq struct {
 
 func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 	var req policyReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Policy == "" {
@@ -425,8 +450,7 @@ type chaosReq struct {
 
 func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 	var req chaosReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	sf, err := s.subfarm(req.Subfarm)
@@ -495,8 +519,7 @@ type lockdownReq struct {
 // transition); global lockdowns fan out through the root.
 func (s *Server) handleLockdown(w http.ResponseWriter, r *http.Request) {
 	var req lockdownReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Reason == "" {
@@ -562,8 +585,7 @@ func (s *Server) handleQuarantine(w http.ResponseWriter, r *http.Request) {
 	}
 	vlan := uint16(vlan64)
 	var req quarantineReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Action == "" {
@@ -596,8 +618,7 @@ func (s *Server) handleRecycle(w http.ResponseWriter, r *http.Request) {
 	}
 	vlan := uint16(vlan64)
 	var req recycleReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	sf, err := s.subfarm(req.Subfarm)

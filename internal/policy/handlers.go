@@ -65,8 +65,6 @@ func (h *AutoinfectHandler) OnServerClose(s *containment.Session) {}
 type CCFilterHandler struct {
 	// in frames the C&C's responses and holds its unterminated last line.
 	in lineio.Reader
-	// Dropped counts stripped directives; Passed counts forwarded ones.
-	Dropped, Passed int
 }
 
 // maxDirectiveLine bounds the C&C line the filter holds for inspection; a
@@ -92,13 +90,10 @@ func (h *CCFilterHandler) OnClientData(s *containment.Session, data []byte) {
 func (h *CCFilterHandler) OnServerData(s *containment.Session, data []byte) {
 	var out []byte
 	h.in.Feed(data, func(line []byte) {
-		if h.forbidden(string(line)) {
-			h.Dropped++
-			return
+		if !h.forbidden(string(line)) {
+			out = append(append(out, line...), '\n')
 		}
-		h.Passed++
-		out = append(append(out, line...), '\n')
-	}, func() { h.Dropped++ })
+	}, func() {})
 	if len(out) > 0 {
 		s.WriteClient(out)
 	}

@@ -20,9 +20,6 @@ type Backend struct {
 	OnFail func(im *inmate.Inmate, err error)
 }
 
-// Kind implements inmate.Backend.
-func (b *Backend) Kind() string { return "raw-iron" }
-
 // BootDelay implements inmate.Backend.
 func (b *Backend) BootDelay() time.Duration { return bootDelay }
 

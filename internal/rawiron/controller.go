@@ -39,7 +39,6 @@ type operation struct {
 	// attempt failure bumps it, so callbacks from a superseded attempt
 	// fall through harmlessly (the supervisor's generation idiom).
 	gen      int
-	stage    string
 	deadline *sim.Event
 	xfer     *transfer
 }
@@ -61,8 +60,7 @@ type Controller struct {
 	active  int
 	waiting []*operation
 
-	// Completed-operation and failure accounting.
-	Reimages, Captures             int
+	// Failure accounting.
 	Failures, Retries, Quarantines int
 	FaultsInjected                 int
 
@@ -97,7 +95,7 @@ func (c *Controller) AddMachine(m *Machine) {
 		Window: breakerWindow, Threshold: breakerThreshold,
 	})
 	c.Seq.PowerOn(m.PowerPort)
-	m.setState(Running)
+	m.State = Running
 }
 
 // Machines lists registered boxes in registration order.
@@ -253,7 +251,6 @@ func (c *Controller) beginAttempt(op *operation) {
 func (c *Controller) stage(op *operation, name string, d time.Duration) int {
 	op.gen++
 	gen := op.gen
-	op.stage = name
 	op.deadline = c.Sim.Schedule(d, func() {
 		if op.m.op != op || op.gen != gen {
 			return
@@ -293,14 +290,13 @@ func (c *Controller) cycle(op *operation, done func()) {
 // reimage, up for capture), power-cycle out of PXE, boot locally.
 func (c *Controller) runNetbootOp(op *operation) {
 	m := op.m
-	m.NetbootEnabled = true
 	m.Host.Shutdown()
 	gen := c.stage(op, stagePower, powerDeadline)
 	c.cycle(op, func() {
 		if !c.stageOK(op, gen) {
 			return
 		}
-		m.setState(NetBooting)
+		m.State = NetBooting
 		gen := c.stage(op, stageNetboot, netbootDeadline)
 		if c.roll(m, c.faults.NetbootHang, FaultNetbootHang) {
 			// The boot image never comes up; the netboot deadline will
@@ -311,7 +307,7 @@ func (c *Controller) runNetbootOp(op *operation) {
 			if !c.stageOK(op, gen) {
 				return
 			}
-			m.setState(Imaging)
+			m.State = Imaging
 			gen := c.stage(op, stageTransfer, transferDeadline)
 			if c.roll(m, c.faults.TransferStall, FaultTransferStall) {
 				// The TFTP session stops moving bytes; the session
@@ -338,13 +334,12 @@ func (c *Controller) runNetbootOp(op *operation) {
 					c.failAttempt(op, FaultTransferCorrupt)
 					return
 				}
-				m.NetbootEnabled = false
 				gen := c.stage(op, stagePower, powerDeadline)
 				c.cycle(op, func() {
 					if !c.stageOK(op, gen) {
 						return
 					}
-					m.setState(LocalBooting)
+					m.State = LocalBooting
 					gen := c.stage(op, stageLocalBoot, bootDeadline)
 					c.Sim.Schedule(bootDelay, func() {
 						if !c.stageOK(op, gen) {
@@ -368,7 +363,7 @@ func (c *Controller) runRestore(op *operation) {
 		if !c.stageOK(op, gen) {
 			return
 		}
-		m.setState(LocalBooting) // boots the hidden-partition restorer
+		m.State = LocalBooting // boots the hidden-partition restorer
 		copyTime := time.Duration(float64(c.Cfg.ImageSizeMB) / float64(c.Cfg.HiddenRestoreMBps) * float64(time.Second))
 		gen := c.stage(op, stageRestore, restoreDeadline)
 		c.Sim.Schedule(bootDelay+copyTime, func() {
@@ -408,7 +403,7 @@ func (c *Controller) failAttempt(op *operation, why string) {
 	}
 	c.releaseSlot(op)
 	c.Failures++
-	m.setState(PoweredOff)
+	m.State = PoweredOff
 	c.Seq.PowerOff(m.PowerPort)
 
 	m.ladder.Record()
@@ -434,7 +429,7 @@ func (c *Controller) failAttempt(op *operation, why string) {
 // reports ErrQuarantined to its caller.
 func (c *Controller) quarantine(op *operation, why string) {
 	m := op.m
-	m.setState(Quarantined)
+	m.State = Quarantined
 	m.op = nil
 	c.Quarantines++
 	c.quarantinedC.Inc()
@@ -449,15 +444,11 @@ func (c *Controller) quarantine(op *operation, why string) {
 // complete is the operation's success path.
 func (c *Controller) complete(op *operation) {
 	m := op.m
-	m.setState(Running)
+	m.State = Running
 	took := c.Sim.Now() - op.started
-	switch op.kind {
-	case opReimage, opRestore:
+	if op.kind == opReimage || op.kind == opRestore {
 		m.DiskImage = op.image
-		c.Reimages++
 		c.reimageMS.Observe(int64(took / time.Millisecond))
-	case opCapture:
-		c.Captures++
 	}
 	m.Host.Reset()
 	m.op = nil

@@ -88,7 +88,7 @@ const (
 var (
 	// ErrBusy rejects overlapping operations on one machine: the §6.4
 	// boot-alternation sequencing cannot run two cycles at once without
-	// corrupting State/Transitions.
+	// corrupting State.
 	ErrBusy = errors.New("rawiron: operation already in progress on machine")
 	// ErrQuarantined rejects operations on a breaker-quarantined machine;
 	// it is also what a failing operation's done callback receives when
@@ -107,8 +107,6 @@ type Machine struct {
 	Host      *host.Host
 
 	State MachineState
-	// NetbootEnabled mirrors the controller's per-machine DHCP PXE flag.
-	NetbootEnabled bool
 	// DiskImage is the OS image currently installed on the main disk.
 	DiskImage string
 	// HiddenImage is the restore image on the hidden second partition.
@@ -117,9 +115,6 @@ type Machine struct {
 	// Retries counts retried attempts across all operations on this box.
 	Retries int
 
-	// Transitions logs state changes for tests.
-	Transitions []string
-
 	// ladder is the box's retry ladder, set at AddMachine: the breaker
 	// history spans operations, the backoff restarts with each one.
 	ladder *sim.Ladder
@@ -127,11 +122,6 @@ type Machine struct {
 	op *operation
 	// sc is the machine's journal scope, set at AddMachine.
 	sc *obs.Scope
-}
-
-func (m *Machine) setState(s MachineState) {
-	m.State = s
-	m.Transitions = append(m.Transitions, s.String())
 }
 
 // Busy reports whether an operation (running or queued) owns the box.
@@ -213,9 +203,6 @@ type PowerSequencer struct {
 	sim      *sim.Simulator
 	ports    map[int]bool
 	inflight map[int]*powerCycle
-
-	// Cycles counts power cycles performed (including stuck ones).
-	Cycles int
 }
 
 // powerCycle is one in-flight cycle command on a port. A stuck cycle has
@@ -264,7 +251,6 @@ func (p *PowerSequencer) stick(port int) {
 }
 
 func (p *PowerSequencer) begin(port int, stuck bool, done func()) {
-	p.Cycles++
 	p.ports[port] = false
 	cur := &powerCycle{stuck: stuck}
 	p.inflight[port] = cur

@@ -149,15 +149,12 @@ func (st *storm) schedule() {
 	st.evs[id] = st.s.Schedule(d, func() {
 		st.onFire(id)
 		e := st.evs[id]
-		if !e.fired || e.dead {
-			st.t.Fatalf("timer %d inside its callback: Fired=%v Cancelled=%v", id, e.fired, e.dead)
+		if e.pos != 0 {
+			st.t.Fatalf("timer %d still queued inside its callback", id)
 		}
 		if st.rng.Intn(3) == 0 {
 			// Cancelling oneself from one's own callback is a no-op.
 			e.Cancel()
-			if e.dead {
-				st.t.Fatalf("timer %d cancelled itself after firing", id)
-			}
 			st.check("self-cancel")
 		}
 		st.ops(st.rng.Intn(4))
@@ -171,16 +168,10 @@ func (st *storm) cancel(id int) {
 	if e == nil {
 		return
 	}
-	_, pending := st.live[id]
-	fired, cancelled := e.fired, e.dead
 	e.Cancel()
 	delete(st.live, id)
-	switch {
-	case pending && (!e.dead || e.fired):
-		st.t.Fatalf("cancel of pending timer %d: Cancelled=%v Fired=%v", id, e.dead, e.fired)
-	case !pending && (e.fired != fired || e.dead != cancelled):
-		st.t.Fatalf("cancel of spent timer %d changed it: Fired %v->%v Cancelled %v->%v",
-			id, fired, e.fired, cancelled, e.dead)
+	if e.pos != 0 {
+		st.t.Fatalf("cancel of timer %d left it queued", id)
 	}
 	st.check(fmt.Sprintf("cancel(%d)", id))
 }
@@ -497,8 +488,8 @@ func TestFarEventOvertakenByClock(t *testing.T) {
 	if got := fired(); got != "[near@950ms far@1s near@1.1s]" {
 		t.Fatalf("fired %s", got)
 	}
-	if s.Now() != 1100*ms || !far.fired {
-		t.Fatalf("now %v, far fired %v", s.Now(), far.fired)
+	if s.Now() != 1100*ms || far.pos != 0 {
+		t.Fatalf("now %v, far queued %v", s.Now(), far.pos != 0)
 	}
 }
 
@@ -540,8 +531,8 @@ func TestTimerResetMovesBetweenHeaps(t *testing.T) {
 	}
 	far.Cancel()
 	far.Cancel()
-	if s.Pending() != 0 || !near.dead || !far.dead || near.fired || far.fired {
-		t.Fatalf("after Cancel: Pending %d, cancelled %v %v", s.Pending(), near.dead, far.dead)
+	if s.Pending() != 0 || near.pos != 0 || far.pos != 0 {
+		t.Fatalf("after Cancel: Pending %d, queued %v %v", s.Pending(), near.pos != 0, far.pos != 0)
 	}
 	s.Run()
 	if fired != 0 {
@@ -597,8 +588,8 @@ func TestCancelLeavesQueueAtOnce(t *testing.T) {
 	}
 	rtx.Cancel()
 	rtx.Cancel()
-	if s.Pending() != 0 || !rtx.dead || rtx.fired {
-		t.Fatalf("Pending() = %d Cancelled=%v Fired=%v after cancel", s.Pending(), rtx.dead, rtx.fired)
+	if s.Pending() != 0 || rtx.pos != 0 {
+		t.Fatalf("Pending() = %d, queued %v after cancel", s.Pending(), rtx.pos != 0)
 	}
 	if s.Step() {
 		t.Fatal("Step ran something on an empty queue")

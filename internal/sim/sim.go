@@ -22,13 +22,11 @@ import (
 // Event is a scheduled callback. Events with equal firing times run in the
 // order they were scheduled.
 type Event struct {
-	key   Key
-	fn    func()
-	sim   *Simulator
-	pos   int // 1 + position in its heap; 0 while not queued
-	dead  bool
-	fired bool
-	far   bool // while queued: in sim.far rather than sim.near
+	key Key
+	fn  func()
+	sim *Simulator
+	pos int  // 1 + position in its heap; 0 while not queued
+	far bool // while queued: in sim.far rather than sim.near
 }
 
 // Cancel prevents a pending event from firing by taking it out of its
@@ -41,7 +39,6 @@ func (e *Event) Cancel() {
 		return
 	}
 	e.sim.unqueue(e)
-	e.dead = true
 }
 
 // before is the queue order (Key.Before).
@@ -413,7 +410,6 @@ func (s *Simulator) step(e *Event) bool {
 	}
 	s.unqueue(e)
 	s.setNow(e.key.at)
-	e.fired = true
 	s.Fired++
 	e.fn()
 	return true

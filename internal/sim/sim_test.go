@@ -48,8 +48,8 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !e.dead {
-		t.Fatal("Cancelled() = false after Cancel")
+	if e.pos != 0 || s.Pending() != 0 {
+		t.Fatal("event still queued after Cancel")
 	}
 }
 
@@ -61,16 +61,13 @@ func TestFiredEventIsNotCancelled(t *testing.T) {
 	if !ran {
 		t.Fatal("event never ran")
 	}
-	if e.dead {
-		t.Fatal("Cancelled() = true for an event that fired")
+	if e.pos != 0 {
+		t.Fatal("event still queued after it fired")
 	}
-	if !e.fired {
-		t.Fatal("Fired() = false for an event that fired")
-	}
-	// Cancelling after the fact stays a no-op and must not flip Cancelled.
+	// Cancelling after the fact stays a no-op.
 	e.Cancel()
-	if e.dead {
-		t.Fatal("Cancel after firing reported the event as cancelled")
+	if e.pos != 0 || s.Pending() != 0 || s.Fired != 1 {
+		t.Fatalf("Cancel after firing: queued %v, Pending %d, Fired %d", e.pos != 0, s.Pending(), s.Fired)
 	}
 }
 

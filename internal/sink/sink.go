@@ -17,10 +17,9 @@ import (
 // FlowLog records one contained connection's first bytes — enough to
 // recognise, say, a Storm proxy's unexpected FTP iframe-injection jobs.
 type FlowLog struct {
-	Src     netstack.Addr
-	SrcPort uint16
-	Port    uint16 // destination port the flow believed it reached
-	First   string // first payload bytes (capped)
+	Src   netstack.Addr
+	Port  uint16 // destination port the flow believed it reached
+	First string // first payload bytes (capped)
 }
 
 const firstBytesCap = 256
@@ -61,12 +60,12 @@ func NewCatchAll(h *host.Host) *CatchAll {
 		s.tcpConns.Inc()
 		s.ByPort[c.LocalPort()]++
 		c.OnPeerClose = func() { c.Close() }
-		src, sport := c.RemoteAddr()
+		src, _ := c.RemoteAddr()
 		if !s.roomInLog() {
 			return
 		}
 		idx := len(s.Flows)
-		s.Flows = append(s.Flows, FlowLog{Src: src, SrcPort: sport, Port: c.LocalPort()})
+		s.Flows = append(s.Flows, FlowLog{Src: src, Port: c.LocalPort()})
 		c.OnData = func(d []byte) {
 			if room := firstBytesCap - len(s.Flows[idx].First); room > 0 {
 				s.Flows[idx].First += string(d[:min(room, len(d))])
@@ -78,7 +77,7 @@ func NewCatchAll(h *host.Host) *CatchAll {
 		s.udpDatagrams.Inc()
 		s.ByPort[dstPort]++
 		if s.roomInLog() {
-			s.Flows = append(s.Flows, FlowLog{Src: src, SrcPort: srcPort, Port: dstPort, First: string(data[:min(len(data), firstBytesCap)])})
+			s.Flows = append(s.Flows, FlowLog{Src: src, Port: dstPort, First: string(data[:min(len(data), firstBytesCap)])})
 		}
 	})
 	return s

@@ -18,6 +18,11 @@ import (
 )
 
 // net3 wires a bot, a sink host, and a "real MX" on one segment.
+// httpHits is h's HTTP sink's sink.<host>.http_hits series.
+func httpHits(h *host.Host) uint64 {
+	return h.Sim().Obs().Reg.Counter("sink." + h.Name + ".http_hits").Value()
+}
+
 func net3(t *testing.T, seed int64) (*sim.Simulator, *host.Host, *host.Host, *host.Host) {
 	t.Helper()
 	s := sim.New(seed)
@@ -152,14 +157,7 @@ func TestSMTPSinkHarvestsSpam(t *testing.T) {
 	if delivered != 2 || sk.Sessions != 1 || sk.DataTransfers != 2 {
 		t.Fatalf("delivered=%d sessions=%d data=%d", delivered, sk.Sessions, sk.DataTransfers)
 	}
-	pi := sk.ByInmate[bot.Addr()]
-	if pi == nil || pi.Sessions != 1 || pi.DataTransfers != 2 {
-		t.Fatalf("per-inmate %+v", pi)
-	}
-	if len(pi.HELOs) != 1 || pi.HELOs[0] != "spambot" {
-		t.Fatalf("HELOs %v", pi.HELOs)
-	}
-	if len(sk.Envelopes) != 2 || !strings.Contains(string(sk.Envelopes[0].Data), "pills") {
+	if len(sk.Envelopes) != 2 || !strings.Contains(string(sk.Envelopes[0].Data), "pills") || sk.Envelopes[1].Helo != "spambot" {
 		t.Fatalf("envelopes %+v", sk.Envelopes)
 	}
 	// Kept envelopes are copies: each reads what was delivered after the
@@ -204,28 +202,6 @@ func TestSMTPSinkBoundsKeptEnvelopes(t *testing.T) {
 	}
 }
 
-// An inmate greeting with a new name every time grows PerInmate.HELOs to
-// its cap and no further; a repeated name is recorded once.
-func TestSMTPSinkBoundsDistinctHELOs(t *testing.T) {
-	s, bot, sinkHost, _ := net3(t, 3)
-	sk, err := NewSMTPSink(sinkHost, SMTPConfig{Port: 25, Strictness: smtpx.Lenient})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := bot.Dial(sinkHost.Addr(), 25)
-	c.OnConnect = func() {
-		for i := 0; i < 3*maxHELOs; i++ {
-			c.Write([]byte("HELO node" + strconv.Itoa(i%(2*maxHELOs)) + "\r\n"))
-		}
-		c.Write([]byte("QUIT\r\n"))
-	}
-	s.RunFor(time.Minute)
-	pi := sk.ByInmate[bot.Addr()]
-	if pi == nil || len(pi.HELOs) != maxHELOs || pi.HELOs[0] != "node0" || pi.HELOs[maxHELOs-1] != "node"+strconv.Itoa(maxHELOs-1) {
-		t.Fatalf("%d distinct greetings kept %v, want the first %d", 2*maxHELOs, pi, maxHELOs)
-	}
-}
-
 func TestSMTPSinkProbabilisticDrop(t *testing.T) {
 	s, bot, sinkHost, _ := net3(t, 4)
 	sk, _ := NewSMTPSink(sinkHost, SMTPConfig{Port: 25, DropProb: 0.35, Strictness: smtpx.Lenient})
@@ -261,6 +237,13 @@ func TestSMTPSinkBannerGrab(t *testing.T) {
 	}
 	sk, _ := NewSMTPSink(sinkHost, SMTPConfig{Port: 2526, BannerGrab: true, Strictness: smtpx.Lenient})
 	sk.Expect(bot.Addr(), mx.Addr())
+	// Each grab is a connection to the real MX.
+	grabs := 0
+	mx.AddRxHook(func(p *netstack.Packet) {
+		if p.TCP != nil && p.TCP.DstPort == 25 && p.TCP.Flags == netstack.FlagSYN {
+			grabs++
+		}
+	})
 
 	var banner string
 	c := bot.Dial(sinkHost.Addr(), 2526)
@@ -273,8 +256,8 @@ func TestSMTPSinkBannerGrab(t *testing.T) {
 	if banner != realBanner {
 		t.Fatalf("banner %q, want grabbed %q", banner, realBanner)
 	}
-	if sk.GrabAttempts != 1 {
-		t.Fatalf("grab attempts %d", sk.GrabAttempts)
+	if grabs != 1 {
+		t.Fatalf("grab attempts %d", grabs)
 	}
 
 	// Second connection: served from cache.
@@ -286,8 +269,8 @@ func TestSMTPSinkBannerGrab(t *testing.T) {
 		}
 	}
 	s.RunFor(time.Minute)
-	if banner2 != realBanner || sk.GrabHits != 1 || sk.GrabAttempts != 1 {
-		t.Fatalf("cache miss: banner2=%q hits=%d attempts=%d", banner2, sk.GrabHits, sk.GrabAttempts)
+	if banner2 != realBanner || grabs != 1 {
+		t.Fatalf("cache miss: banner2=%q attempts=%d", banner2, grabs)
 	}
 }
 
@@ -395,15 +378,15 @@ func TestHTTPSink(t *testing.T) {
 		c.Write([]byte("GET /click?ad=2 HTTP/1.1\r\nHost: ads.example\r\n\r\n"))
 	}
 	s.RunFor(time.Minute)
-	if hs.Hits != 2 || len(hs.URLs) != 2 || hs.URLs[1] != "/click?ad=2" {
-		t.Fatalf("hits=%d urls=%v", hs.Hits, hs.URLs)
+	if hits := httpHits(sinkHost); hits != 2 || len(hs.URLs) != 2 || hs.URLs[1] != "/click?ad=2" {
+		t.Fatalf("hits=%d urls=%v", hits, hs.URLs)
 	}
 }
 
 // An HTTP request head is inmate-chosen bytes: 8 MiB without the blank line
 // that ends one closes the connection with no hit (the sink frames requests
 // with httpx.Parser, whose bound FuzzParserFeed holds). Heads split across
-// segments still parse, Hits counts every request and URLs keeps the first
+// segments still parse, every request is counted and URLs keeps the first
 // maxKeptURLs targets.
 func TestHTTPSinkBoundsRequestHeads(t *testing.T) {
 	s, bot, sinkHost, _ := net3(t, 11)
@@ -421,8 +404,8 @@ func TestHTTPSinkBoundsRequestHeads(t *testing.T) {
 	flood.OnConnect = func() { flood.Write(bytes.Repeat([]byte("A"), 8<<20)) }
 	bot.Dial(sinkHost.Addr(), 81)
 	s.RunFor(time.Minute)
-	if !refused || hs.Hits != 0 {
-		t.Fatalf("8 MiB without a blank line: sink closed = %v, hits %d", refused, hs.Hits)
+	if hits := httpHits(sinkHost); !refused || hits != 0 {
+		t.Fatalf("8 MiB without a blank line: sink closed = %v, hits %d", refused, hits)
 	}
 
 	// Well-formed traffic, every request cut at a different place, fed to
@@ -436,9 +419,9 @@ func TestHTTPSinkBoundsRequestHeads(t *testing.T) {
 	for off, n := 0, 1; off < len(stream); off, n = off+n, n%97+1 {
 		srv.OnData(stream[off:min(off+n, len(stream))])
 	}
-	if srv.State() != host.StateEstablished || hs.Hits != requests || len(hs.URLs) != maxKeptURLs ||
+	if hits := httpHits(sinkHost); srv.State() != host.StateEstablished || hits != requests || len(hs.URLs) != maxKeptURLs ||
 		hs.URLs[0] != "/click?ad=0" || hs.URLs[maxKeptURLs-1] != "/click?ad="+strconv.Itoa(maxKeptURLs-1) {
-		t.Fatalf("state %v, hits %d, %d URLs kept (first %q)", srv.State(), hs.Hits, len(hs.URLs), hs.URLs[:1])
+		t.Fatalf("state %v, hits %d, %d URLs kept (first %q)", srv.State(), hits, len(hs.URLs), hs.URLs[:1])
 	}
 }
 
@@ -446,8 +429,7 @@ func TestHTTPSinkBoundsRequestHeads(t *testing.T) {
 // lines is one request, answered once and counted once.
 func TestHTTPSinkFramesBodyByContentLength(t *testing.T) {
 	s, bot, sinkHost, _ := net3(t, 13)
-	hs, err := NewHTTPSink(sinkHost, 80)
-	if err != nil {
+	if _, err := NewHTTPSink(sinkHost, 80); err != nil {
 		t.Fatal(err)
 	}
 	var replies []byte
@@ -457,8 +439,8 @@ func TestHTTPSinkFramesBodyByContentLength(t *testing.T) {
 	}
 	c.OnData = func(d []byte) { replies = append(replies, d...) }
 	s.RunFor(time.Minute)
-	if n := bytes.Count(replies, []byte("200 OK")); n != 1 || hs.Hits != 1 {
-		t.Fatalf("%d replies of 200 OK, %d hits; want 1 and 1", n, hs.Hits)
+	if n, hits := bytes.Count(replies, []byte("200 OK")), httpHits(sinkHost); n != 1 || hits != 1 {
+		t.Fatalf("%d replies of 200 OK, %d hits; want 1 and 1", n, hits)
 	}
 }
 

@@ -33,21 +33,9 @@ type SMTPConfig struct {
 	Strictness smtpx.Strictness
 }
 
-// PerInmate aggregates sink activity for one source address.
-type PerInmate struct {
-	Sessions      uint64
-	DataTransfers uint64
-	Dropped       uint64
-	HELOs         []string // distinct HELO strings observed (the first maxHELOs)
-}
-
-// SMTP sink bounds. Greetings and messages are inmate-chosen bytes:
-// PerInmate.HELOs keeps the first maxHELOs distinct greetings, and
-// SMTPSink.Envelopes the first maxKeptEnvelopes messages.
-const (
-	maxHELOs         = 16
-	maxKeptEnvelopes = 1024
-)
+// maxKeptEnvelopes bounds SMTPSink.Envelopes: messages are inmate-chosen
+// bytes.
+const maxKeptEnvelopes = 1024
 
 // SMTPSink is the farm's spam-harvesting endpoint.
 type SMTPSink struct {
@@ -58,9 +46,6 @@ type SMTPSink struct {
 	// completed DATA stages; DroppedConns probabilistically dropped ones.
 	Sessions, DataTransfers, DroppedConns uint64
 
-	// ByInmate aggregates per source address.
-	ByInmate map[netstack.Addr]*PerInmate
-
 	// Envelopes keeps copies of the first maxKeptEnvelopes harvested
 	// messages; DataTransfers counts every one.
 	Envelopes []*smtpx.Envelope
@@ -70,9 +55,6 @@ type SMTPSink struct {
 	expect map[netstack.Addr]netstack.Addr
 	// bannerCache holds grabbed greetings per real target.
 	bannerCache map[netstack.Addr]string
-
-	// GrabAttempts/GrabHits instrument the banner cache.
-	GrabAttempts, GrabHits uint64
 
 	// Registry mirrors of the session counters, named sink.<host>.*.
 	sessions, dataTransfers, droppedConns *obs.Counter
@@ -88,7 +70,6 @@ func NewSMTPSink(h *host.Host, cfg SMTPConfig) (*SMTPSink, error) {
 	}
 	s := &SMTPSink{
 		h: h, cfg: cfg,
-		ByInmate:    make(map[netstack.Addr]*PerInmate),
 		expect:      make(map[netstack.Addr]netstack.Addr),
 		bannerCache: make(map[netstack.Addr]string),
 	}
@@ -124,39 +105,21 @@ func (s *SMTPSink) control(src netstack.Addr, srcPort uint16, data []byte) {
 	s.Expect(inmate, target)
 }
 
-func (s *SMTPSink) inmate(addr netstack.Addr) *PerInmate {
-	pi, ok := s.ByInmate[addr]
-	if !ok {
-		pi = &PerInmate{}
-		s.ByInmate[addr] = pi
-	}
-	return pi
-}
-
 func (s *SMTPSink) accept(c *host.Conn) {
 	src, _ := c.RemoteAddr()
 	if s.cfg.DropProb > 0 && s.h.Sim().Rand().Float64() < s.cfg.DropProb {
 		s.DroppedConns++
 		s.droppedConns.Inc()
-		s.inmate(src).Dropped++
 		c.Abort()
 		return
 	}
 	s.Sessions++
 	s.sessions.Inc()
-	pi := s.inmate(src)
-	pi.Sessions++
 
 	eng := smtpx.Bind(c, s.cfg.Strictness)
-	eng.OnHelo = func(verb, arg string) {
-		if len(pi.HELOs) < maxHELOs && !slices.Contains(pi.HELOs, arg) {
-			pi.HELOs = append(pi.HELOs, arg)
-		}
-	}
 	eng.OnMessage = func(env *smtpx.Envelope) *smtpx.Reply {
 		s.DataTransfers++
 		s.dataTransfers.Inc()
-		pi.DataTransfers++
 		if len(s.Envelopes) < maxKeptEnvelopes {
 			s.Envelopes = append(s.Envelopes, keepEnvelope(env))
 		}
@@ -189,11 +152,9 @@ func (s *SMTPSink) greet(eng *smtpx.Engine, src netstack.Addr) {
 		return
 	}
 	if banner, cached := s.bannerCache[target]; cached {
-		s.GrabHits++
 		eng.Greet(banner)
 		return
 	}
-	s.GrabAttempts++
 	grab := s.h.Dial(target, 25)
 	done := false
 	finish := func(banner string) {
@@ -232,13 +193,11 @@ func (s *SMTPSink) String() string {
 // limits a reply line to 512 octets.
 const maxBannerLine = 512
 
-// HTTPSink answers every request with an empty 200 and counts hits; click
-// traffic is steered here so fraudulent clicks never reach real ad
-// networks.
+// HTTPSink answers every request with an empty 200 and counts hits
+// (sink.<host>.http_hits); click traffic is steered here so fraudulent
+// clicks never reach real ad networks.
 type HTTPSink struct {
-	// Hits counts every request answered; URLs keeps the first
-	// maxKeptURLs of their targets.
-	Hits uint64
+	// URLs keeps the first maxKeptURLs request targets.
 	URLs []string
 
 	hits *obs.Counter
@@ -266,7 +225,6 @@ var okNoBody = httpx.AppendResponse(nil, 200, nil)
 func (s *HTTPSink) accept(c *host.Conn) {
 	p := &httpx.Parser{OnError: func(error) { c.Close() }}
 	p.OnRequest = func(r *httpx.Request) {
-		s.Hits++
 		s.hits.Inc()
 		if len(s.URLs) < maxKeptURLs {
 			s.URLs = append(s.URLs, r.Path)

@@ -98,11 +98,8 @@ type Engine struct {
 	in       lineio.Reader
 	greeted  bool
 
-	// Counters for reports.
-	Envelopes     int
-	HeloCount     int
-	SyntaxErrors  int
-	SequenceViols int
+	// Envelopes counts the messages accepted for delivery.
+	Envelopes int
 }
 
 const (
@@ -143,7 +140,6 @@ func (e *Engine) answer(o *Reply, def string) {
 func (e *Engine) Feed(data []byte) { e.in.Feed(data, e.handleLine, e.lineTooLong) }
 
 func (e *Engine) lineTooLong() {
-	e.SyntaxErrors++
 	e.write("500 line too long")
 }
 
@@ -218,9 +214,7 @@ func (e *Engine) handleLine(line []byte) {
 	verb, arg := splitVerb(line)
 	switch verb {
 	case "HELO", "EHLO":
-		e.HeloCount++
 		if e.state != stStart && e.strictness == Strict {
-			e.SequenceViols++
 			e.write("503 duplicate HELO/EHLO")
 			return
 		}
@@ -233,13 +227,11 @@ func (e *Engine) handleLine(line []byte) {
 
 	case "MAIL":
 		if e.state == stStart && e.strictness == Strict {
-			e.SequenceViols++
 			e.write("503 send HELO first")
 			return
 		}
 		addr, ok := parseAddrStanza(arg, "FROM", e.strictness)
 		if !ok {
-			e.SyntaxErrors++
 			e.write("501 syntax error in MAIL FROM")
 			return
 		}
@@ -248,13 +240,11 @@ func (e *Engine) handleLine(line []byte) {
 
 	case "RCPT":
 		if e.state != stMail && e.state != stRcpt {
-			e.SequenceViols++
 			e.write("503 need MAIL first")
 			return
 		}
 		addr, ok := parseAddrStanza(arg, "TO", e.strictness)
 		if !ok {
-			e.SyntaxErrors++
 			e.write("501 syntax error in RCPT TO")
 			return
 		}
@@ -271,7 +261,6 @@ func (e *Engine) handleLine(line []byte) {
 
 	case "DATA":
 		if e.state != stRcpt {
-			e.SequenceViols++
 			e.write("503 need RCPT first")
 			return
 		}
@@ -295,7 +284,6 @@ func (e *Engine) handleLine(line []byte) {
 		}
 
 	default:
-		e.SyntaxErrors++
 		e.write("500 command not recognized")
 	}
 }

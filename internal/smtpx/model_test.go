@@ -27,7 +27,7 @@ type model struct {
 	data     []byte
 	oversize bool
 
-	Envelopes, HeloCount, SyntaxErrors, SequenceViols int
+	Envelopes int
 }
 
 func (m *model) reply(code int, text string) {
@@ -41,7 +41,6 @@ func (m *model) feed(stream []byte) {
 			nl = len(stream)
 		}
 		if nl > maxLine {
-			m.SyntaxErrors++
 			m.reply(500, "line too long")
 		} else if nl < len(stream) {
 			m.handleLine(strings.TrimRight(string(stream[:nl]), "\r"))
@@ -88,9 +87,7 @@ func (m *model) handleLine(line string) {
 	verb, arg := modelSplitVerb(line)
 	switch verb {
 	case "HELO", "EHLO":
-		m.HeloCount++
 		if m.state != stStart && m.strictness == Strict {
-			m.SequenceViols++
 			m.reply(503, "duplicate HELO/EHLO")
 			return
 		}
@@ -100,13 +97,11 @@ func (m *model) handleLine(line string) {
 
 	case "MAIL":
 		if m.state == stStart && m.strictness == Strict {
-			m.SequenceViols++
 			m.reply(503, "send HELO first")
 			return
 		}
 		addr, ok := modelParseAddrStanza(arg, "FROM", m.strictness)
 		if !ok {
-			m.SyntaxErrors++
 			m.reply(501, "syntax error in MAIL FROM")
 			return
 		}
@@ -117,13 +112,11 @@ func (m *model) handleLine(line string) {
 
 	case "RCPT":
 		if m.state != stMail && m.state != stRcpt {
-			m.SequenceViols++
 			m.reply(503, "need MAIL first")
 			return
 		}
 		addr, ok := modelParseAddrStanza(arg, "TO", m.strictness)
 		if !ok {
-			m.SyntaxErrors++
 			m.reply(501, "syntax error in RCPT TO")
 			return
 		}
@@ -139,7 +132,6 @@ func (m *model) handleLine(line string) {
 
 	case "DATA":
 		if m.state != stRcpt {
-			m.SequenceViols++
 			m.reply(503, "need RCPT first")
 			return
 		}
@@ -160,7 +152,6 @@ func (m *model) handleLine(line string) {
 		m.reply(221, "Bye")
 
 	default:
-		m.SyntaxErrors++
 		m.reply(500, "command not recognized")
 	}
 }
@@ -233,7 +224,7 @@ type outcome struct {
 	Data    []byte
 	Over    bool
 
-	Envelopes, HeloCount, SyntaxErrors, SequenceViols int
+	Envelopes int
 }
 
 // copyEnv copies an envelope, an empty list or body as nil.
@@ -272,7 +263,7 @@ func runEngine(s Strictness, chunks [][]byte) outcome {
 	}
 	cur := copyEnv(&e.env)
 	o.State, o.Helo, o.From, o.Rcpts, o.Data, o.Over = e.state, cur.Helo, cur.From, cur.Rcpts, cur.Data, e.oversize
-	o.Envelopes, o.HeloCount, o.SyntaxErrors, o.SequenceViols = e.Envelopes, e.HeloCount, e.SyntaxErrors, e.SequenceViols
+	o.Envelopes = e.Envelopes
 	return o
 }
 
@@ -287,7 +278,7 @@ func runModel(s Strictness, stream []byte) outcome {
 	return outcome{
 		Replies: m.replies, Envs: envs,
 		State: m.state, Helo: cur.Helo, From: cur.From, Rcpts: cur.Rcpts, Data: cur.Data, Over: m.oversize,
-		Envelopes: m.Envelopes, HeloCount: m.HeloCount, SyntaxErrors: m.SyntaxErrors, SequenceViols: m.SequenceViols,
+		Envelopes: m.Envelopes,
 	}
 }
 

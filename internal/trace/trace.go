@@ -112,8 +112,6 @@ func (t *Writer) Close() error {
 type Record struct {
 	Time  time.Time
 	Frame []byte
-	// OrigLen is the original on-wire length (>= len(Frame) if truncated).
-	OrigLen int
 }
 
 // Read parses a little-endian pcap stream with microsecond timestamps (as
@@ -147,7 +145,6 @@ func Read(r io.Reader) ([]Record, error) {
 		sec := binary.LittleEndian.Uint32(rec[0:4])
 		subsec := binary.LittleEndian.Uint32(rec[4:8])
 		incl := binary.LittleEndian.Uint32(rec[8:12])
-		orig := binary.LittleEndian.Uint32(rec[12:16])
 		if incl > pcapSnaplen {
 			return nil, fmt.Errorf("trace: record length %d exceeds snaplen", incl)
 		}
@@ -156,9 +153,8 @@ func Read(r io.Reader) ([]Record, error) {
 			return nil, fmt.Errorf("trace: reading packet body: %w", err)
 		}
 		out = append(out, Record{
-			Time:    time.Unix(int64(sec), int64(subsec)*subsecScale).UTC(),
-			Frame:   frame,
-			OrigLen: int(orig),
+			Time:  time.Unix(int64(sec), int64(subsec)*subsecScale).UTC(),
+			Frame: frame,
 		})
 	}
 }

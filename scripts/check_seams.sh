@@ -171,20 +171,16 @@ bad "SMTP engine wired to a connection by hand (use smtpx.Bind)" \
 # Product code keeps no state nothing reads and no behaviour only tests run
 # (ROADMAP item 10). These names were retired with their last non-test
 # reader or caller: the simulator's halt flag, the NAT table's internal
-# index, the router's inmate packet count and lockdown reason, the
-# nanosecond pcap writer, the DHCP lease-time setting and the inmate's
-# transition log. (A function or method only tests call, such as the
-# simulator's Halt, the raw-iron Readmit, the policy's TriggersFor or the
-# plain SMTP server's Serve, is scripts/deadapi's to find.)
+# index, the nanosecond pcap writer and the DHCP lease-time setting. (A
+# function or method only tests call, such as the simulator's Halt, and a
+# field or var that is only written, such as the router's inmate packet
+# count or the inmate's transition log, are scripts/deadapi's to find.)
 # shellcheck disable=SC2046
 bad "retired simulator halt switch" \
 	"$(grep -nE '\.halted\b' $(find internal/sim -name '*.go' ! -name '*_test.go') || true)"
 # shellcheck disable=SC2086
 bad "retired state or test-only behaviour in product code (a test builds what it needs)" \
-	"$(grep -nE '\b(byInternal|rxInmate|lockdownReason|NewNanoWriter|LeaseTime)\b|"nano-trace"' $nonbench || true)"
-# shellcheck disable=SC2046
-bad "inmate transition log in product code (State is the inmate's one record of its lifecycle)" \
-	"$(grep -nF '.Transitions' $(find internal/inmate -name '*.go' ! -name '*_test.go') || true)"
+	"$(grep -nE '\b(byInternal|NewNanoWriter|LeaseTime)\b|"nano-trace"' $nonbench || true)"
 # A byte stream is framed in one place (DESIGN.md §3b): a line protocol
 # reads its peer through a bounded lineio.Reader and HTTP through
 # httpx.Parser, so outside the frozen benchmark harness no non-test code
@@ -203,20 +199,13 @@ bad "OnData bytes collected by hand (read lines with lineio.Reader, HTTP with ht
 			o=$0; c=$0; depth += gsub(/\{/, "", o) - gsub(/\}/, "", c)
 			if (depth <= 0) in_od=0
 		}' $nonbench)"
-# Names retired with the line framers they belonged to or with their last
-# reader: smtpx's private line reader, the per-shim analyzer (AuditTrace
-# counts flows per VLAN), the DNS query log, the DHCP ACK count and the
-# writer of the specimens' event log (its reader, Events, only tests called:
-# scripts/deadapi's to find).
+# Names retired with the line framers they belonged to: smtpx's private
+# line reader and the per-shim analyzer (AuditTrace counts flows per VLAN).
+# (A log or count that is only written, such as the DNS query log, the DHCP
+# ACK count or the specimens' event log, is scripts/deadapi's to find.)
 # shellcheck disable=SC2086
 bad "retired framer or analyzer in product code (lineio.Reader, report.AuditTrace)" \
-	"$(grep -nE '\b(lineReader|ShimAnalyzer|QueryLog)\b' $nonbench || true)"
-# shellcheck disable=SC2046
-bad "retired DHCP ACK count in product code (a test counts the ACKs it sees)" \
-	"$(grep -nE '\bServed\b' $(find internal/dhcp -name '*.go' ! -name '*_test.go') || true)"
-# shellcheck disable=SC2046
-bad "retired specimen event log in product code (a test observes what a specimen did)" \
-	"$(grep -nE '\bemit\(' $(find internal/malware -name '*.go' ! -name '*_test.go') || true)"
+	"$(grep -nE '\b(lineReader|ShimAnalyzer)\b' $nonbench || true)"
 # A lifecycle action reaches the farm as a value, not as a line it parses
 # back apart; the sink's HTTP is framed by httpx.Parser, not by a head
 # scanner of its own.

@@ -8,12 +8,21 @@
 //
 //	go run ./scripts/deadapi
 //
+// A field or package-level var is used only where it is read: the left
+// side of an assignment or increment, the key of a keyed struct literal,
+// and a read that only computes the same variable's next value
+// (x.f = append(x.f, v)) are writes, not uses. Taking its address is a
+// use. Every reference from bench/, which is frozen, counts.
+//
 // Besides a reference, these make a declaration used: a method a type
-// provides to an interface that is the type of a non-test expression or
-// type expression, or that fmt, encoding/json or sort reach on their own
-// (and the embedded field that promotes it); a field of a struct built by
-// an unkeyed literal (map keys); a const whose block holds a used const
-// (iota zero values).
+// provides to a method of an interface the module declares that non-test
+// code calls or names; a method a type provides to an interface from
+// outside the module that is the type of a non-test expression or type
+// expression, or that fmt, encoding/json or sort reach on their own (and
+// the embedded field that promotes it); a field with a struct tag
+// (reflection reads it); a field of a struct that is compared with == or
+// != or is a map's key type; a const whose block holds a used const (iota
+// zero values).
 package main
 
 import (
@@ -36,6 +45,8 @@ import (
 // production needs it ("a test uses it" is not one). An entry that names
 // nothing unused is reported, so the list cannot outlive its reasons.
 var allowlist = map[string]string{
+	"experiments.ChaosOutcome.Journal":              "the chaos soak's determinism proof: byte-identical NDJSON per (seed, profile) at any worker count",
+	"experiments.RecycleOutcome.Run":                "X7 the recycling soak's verdict (its Problems); the soak is the experiment",
 	"experiments.RunFleetSoak":                      "the fleet lockdown soak; its test is the experiment",
 	"experiments.RunRecoverySoak":                   "the supervised kill-storm recovery soak; its test is the experiment",
 	"experiments.RunRecycleSoak":                    "the raw-iron recycling soak; its test is the experiment",
@@ -156,9 +167,9 @@ func check(root string, allow map[string]string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	u := usage{used: map[types.Object]bool{}, seen: map[types.Type]bool{}}
+	u := usage{module: l.module, used: map[types.Object]bool{}, seen: map[types.Type]bool{}}
 	for _, p := range pkgs {
-		u.scan(p)
+		u.scan(p, frozen(p.types.Path(), l.module))
 	}
 	for _, name := range dynamicIfaces {
 		dot := strings.LastIndex(name, ".")
@@ -175,7 +186,7 @@ func check(root string, allow map[string]string) ([]string, error) {
 	var findings, stale []string
 	unused := map[string]bool{}
 	for _, p := range pkgs {
-		if path := p.types.Path(); path == l.module || path == l.module+"/bench" || strings.HasPrefix(path, l.module+"/bench/") {
+		if path := p.types.Path(); path == l.module || frozen(path, l.module) {
 			continue
 		}
 		unusedIn(p, u.used, func(obj types.Object, name string) {
@@ -196,9 +207,15 @@ func check(root string, allow map[string]string) ([]string, error) {
 	return append(findings, stale...), nil
 }
 
+// frozen reports whether path is bench/ or below it.
+func frozen(path, module string) bool {
+	return path == module+"/bench" || strings.HasPrefix(path, module+"/bench/")
+}
+
 // unusedIn calls report, in source order, for each package-level
 // declaration of p and field of its package-level struct types that used
-// does not hold, named package.Type.member.
+// does not hold, named package.Type.member, and for each method of its
+// package-level interface types.
 func unusedIn(p *pkg, used map[types.Object]bool, report func(types.Object, string)) {
 	add := func(obj types.Object, name string) {
 		if obj.Name() != "_" && !used[obj] {
@@ -231,9 +248,16 @@ func unusedIn(p *pkg, used map[types.Object]bool, report func(types.Object, stri
 					case *ast.TypeSpec:
 						tn := p.info.Defs[s.Name]
 						add(tn, s.Name.Name)
-						if st, ok := tn.Type().Underlying().(*types.Struct); ok {
-							for i := 0; i < st.NumFields(); i++ {
-								add(st.Field(i), s.Name.Name+"."+st.Field(i).Name())
+						switch t := tn.Type().Underlying().(type) {
+						case *types.Struct:
+							for i := 0; i < t.NumFields(); i++ {
+								if t.Tag(i) == "" {
+									add(t.Field(i), s.Name.Name+"."+t.Field(i).Name())
+								}
+							}
+						case *types.Interface:
+							for i := 0; i < t.NumExplicitMethods(); i++ {
+								add(t.ExplicitMethod(i), s.Name.Name+"."+t.ExplicitMethod(i).Name())
 							}
 						}
 					}
@@ -251,6 +275,7 @@ func unusedIn(p *pkg, used map[types.Object]bool, report func(types.Object, stri
 // usage is what non-test code uses, and the interfaces (with methods) it
 // mentions.
 type usage struct {
+	module string
 	used   map[types.Object]bool
 	seen   map[types.Type]bool
 	ifaces []*types.Interface
@@ -282,29 +307,102 @@ func (u *usage) usePath(recv types.Type, index []int) {
 	}
 }
 
-// scan records p's references, the interfaces its expressions and type
-// expressions have as types, and the fields of its unkeyed struct literals.
-func (u *usage) scan(p *pkg) {
-	for _, obj := range p.info.Uses {
-		u.use(obj)
+// scan records p's reads (every reference if p is frozen), the interfaces
+// its expressions and type expressions have as types, and the fields of
+// the structs it compares or keys maps by.
+func (u *usage) scan(p *pkg, frozen bool) {
+	writes := map[*ast.Ident]bool{}
+	for _, f := range p.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					if id := stored(p, lhs); id != nil {
+						writes[id] = true
+						if len(n.Rhs) == len(n.Lhs) {
+							selfReads(p, n.Rhs[i], p.info.Uses[id], writes)
+						}
+					}
+				}
+			case *ast.IncDecStmt:
+				if id := stored(p, n.X); id != nil {
+					writes[id] = true
+				}
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					if v, ok := p.info.Uses[id].(*types.Var); ok && v.IsField() {
+						writes[id] = true
+					}
+				}
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					u.useFields(p.info.Types[n.X].Type)
+				}
+			}
+			return true
+		})
+	}
+	for id, obj := range p.info.Uses {
+		if frozen || !writes[id] {
+			u.use(obj)
+		}
 	}
 	for _, sel := range p.info.Selections {
 		u.usePath(sel.Recv(), sel.Index())
 	}
-	for e, tv := range p.info.Types {
+	for _, tv := range p.info.Types {
 		u.addIface(tv.Type)
-		if lit, ok := e.(*ast.CompositeLit); ok && len(lit.Elts) > 0 {
-			t := tv.Type.Underlying()
-			if ptr, ok := t.(*types.Pointer); ok {
-				t = ptr.Elem().Underlying()
-			}
-			_, keyed := lit.Elts[0].(*ast.KeyValueExpr)
-			if st, ok := t.(*types.Struct); ok && !keyed {
-				for i := 0; i < st.NumFields(); i++ {
-					u.use(st.Field(i))
-				}
-			}
+		if m, ok := tv.Type.Underlying().(*types.Map); ok {
+			u.useFields(m.Key())
 		}
+	}
+}
+
+// stored returns the identifier of the field or package-level var that
+// an assignment to e writes, nil if e is not one.
+func stored(p *pkg, e ast.Expr) *ast.Ident {
+	var id *ast.Ident
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		id = e
+	case *ast.SelectorExpr:
+		id = e.Sel
+	default:
+		return nil
+	}
+	v, ok := p.info.Uses[id].(*types.Var)
+	if !ok || !v.IsField() && v.Parent() != v.Pkg().Scope() {
+		return nil
+	}
+	return id
+}
+
+// selfReads marks as a write the read of v in e, the value assigned to v,
+// that only computes that value: the first argument of append.
+func selfReads(p *pkg, e ast.Expr, v types.Object, writes map[*ast.Ident]bool) {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 {
+		return
+	}
+	fn, _ := ast.Unparen(call.Fun).(*ast.Ident)
+	if b, ok := p.info.Uses[fn].(*types.Builtin); ok && b.Name() == "append" {
+		if id := stored(p, call.Args[0]); id != nil && p.info.Uses[id] == v {
+			writes[id] = true
+		}
+	}
+}
+
+// useFields marks used every field of t, a struct or array compared as a
+// whole or a map key, and of the struct and array values inside it.
+func (u *usage) useFields(t types.Type) {
+	switch t := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			u.use(t.Field(i))
+			u.useFields(t.Field(i).Type())
+		}
+	case *types.Array:
+		u.useFields(t.Elem())
 	}
 }
 
@@ -317,7 +415,8 @@ func (u *usage) addIface(t types.Type) {
 }
 
 // implementations marks used each method that a type declared in p, or a
-// pointer to it, provides to an interface it implements.
+// pointer to it, provides to an interface it implements: to a method of an
+// interface the module declares only if that method is used.
 func (u *usage) implementations(p *pkg) {
 	for _, name := range p.types.Scope().Names() {
 		n, ok := p.types.Scope().Lookup(name).Type().(*types.Named)
@@ -331,7 +430,11 @@ func (u *usage) implementations(p *pkg) {
 					continue
 				}
 				for i := 0; i < it.NumMethods(); i++ {
-					sel := ms.Lookup(it.Method(i).Pkg(), it.Method(i).Name())
+					m := it.Method(i)
+					if m.Pkg() != nil && !u.used[m.Origin()] && (m.Pkg().Path() == u.module || strings.HasPrefix(m.Pkg().Path(), u.module+"/")) {
+						continue
+					}
+					sel := ms.Lookup(m.Pkg(), m.Name())
 					u.use(sel.Obj())
 					u.usePath(t, sel.Index())
 				}
