@@ -61,7 +61,7 @@ func main() {
 		sf.SMTPSink.DataTransfers, sf.BannerSink.DataTransfers)
 	if len(sf.SMTPSink.Envelopes) > 0 {
 		env := sf.SMTPSink.Envelopes[0]
-		fmt.Printf("first harvested message: HELO=%q FROM=%q RCPT=%v\n",
+		fmt.Printf("first harvested message: HELO=%q FROM=%q RCPT=%s\n",
 			env.Helo, env.From, env.Rcpts)
 	}
 	fmt.Printf("life-cycle actions handled by the inmate controller: %d\n",

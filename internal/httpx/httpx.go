@@ -2,9 +2,10 @@
 // API. Malware C&C in the paper's era was predominantly HTTP ("in practice
 // the majority of specimens we encounter still possesses readily
 // distinguishable C&C protocols"), and the auto-infection server of §6.6
-// answers over it. A parsed message holds what its readers read: a request
-// its path, a response its status and header section; a body is framed and
-// skipped. Only Content-Length framing is supported; both ends are ours.
+// answers over it. A parsed message holds what its readers read: a
+// response its status and header section, a request nothing (its reader is
+// told one is complete); a body is framed and skipped as it arrives. Only
+// Content-Length framing is supported; both ends are ours.
 package httpx
 
 import (
@@ -14,11 +15,6 @@ import (
 	"strings"
 	"unicode"
 )
-
-// Request is an HTTP request.
-type Request struct {
-	Path string
-}
 
 // Response is an HTTP response.
 type Response struct {
@@ -58,10 +54,12 @@ func reasonPhrase(status int) string {
 	return "Unknown"
 }
 
-// The parser holds at most a header section of maxHeadBytes, or a body of
-// maxBodyBytes, while it waits for a message to complete: the peer chooses
-// both, and a stream past either is refused. maxBodyBytes admits any
-// specimen the auto-infection server hands out.
+// The parser holds at most a header section of maxHeadBytes, terminator
+// included, while it waits for one to complete: the peer chooses it, and a
+// longer one is refused. A body is counted down as it arrives and never
+// held; a Content-Length past maxBodyBytes is refused when its head
+// arrives. maxBodyBytes admits any specimen the auto-infection server hands
+// out.
 const (
 	maxHeadBytes = 64 << 10
 	maxBodyBytes = 8 << 20
@@ -75,28 +73,45 @@ var (
 // Parser incrementally consumes a byte stream and emits complete messages.
 // Set OnRequest or OnResponse depending on direction.
 type Parser struct {
-	OnRequest  func(*Request)
+	OnRequest  func()
 	OnResponse func(*Response)
 	// OnError fires when the stream is unparseable; the parser stops.
 	OnError func(error)
 
-	buf []byte
-	// scanned is how much of buf the search for the end of a header section
-	// has covered. Once the section is parsed and dropped from buf, its
-	// message waits in req or resp for the first need bytes of buf.
-	scanned, need int
-	req           *Request
-	resp          *Response
-	broken        bool
+	// buf holds the bytes of a header section not yet complete; scanned is
+	// how much of it the search for the section's end has covered.
+	buf     []byte
+	scanned int
+	// Once a header section is parsed, its message — a request, or the
+	// response resp — waits until need more body bytes have gone by.
+	waiting bool
+	need    int
+	resp    *Response
+	broken  bool
 }
 
-// Feed appends stream bytes and emits any complete messages.
+// Feed takes stream bytes and emits any complete messages. data is read in
+// place; only the bytes of a header section not yet complete are kept.
 func (p *Parser) Feed(data []byte) {
-	if p.broken {
-		return
-	}
-	p.buf = append(p.buf, data...)
-	for p.tryParse() {
+	for !p.broken {
+		if p.waiting {
+			// The body is counted where it lies: first what came behind
+			// its header section, then data.
+			n := min(p.need, len(p.buf))
+			p.buf, p.need = p.buf[n:], p.need-n
+			n = min(p.need, len(data))
+			data, p.need = data[n:], p.need-n
+			if p.need > 0 {
+				return
+			}
+			p.emit()
+			continue
+		}
+		p.buf = append(p.buf, data...)
+		data = nil
+		if !p.nextHead() {
+			return
+		}
 	}
 }
 
@@ -109,48 +124,43 @@ func (p *Parser) fail(err error) bool {
 	return false
 }
 
-// tryParse emits the buffered message if it is complete. Each call looks
-// only at bytes no earlier call has: the end of the header section is
-// searched for from where the last search stopped, and a parsed head waits
-// for its body without being read again.
-func (p *Parser) tryParse() bool {
-	if p.req == nil && p.resp == nil {
-		i := bytes.Index(p.buf[p.scanned:], headTerm)
-		if i < 0 {
-			if len(p.buf) > maxHeadBytes {
-				return p.fail(fmt.Errorf("httpx: header section too large"))
-			}
-			p.scanned = max(0, len(p.buf)-len(headTerm)+1)
-			return false
+// nextHead parses the header section buf opens with, if it is complete.
+// The end of the section is searched for from where the last search
+// stopped, so each call looks only at bytes no earlier call has. A section
+// is refused once it is known to be longer than maxHeadBytes, however the
+// stream was cut.
+func (p *Parser) nextHead() bool {
+	i := bytes.Index(p.buf[p.scanned:], headTerm)
+	if i < 0 {
+		if len(p.buf) >= maxHeadBytes {
+			return p.fail(fmt.Errorf("httpx: header section too large"))
 		}
-		if !p.parseHead(p.scanned + i) {
-			return false
-		}
-	}
-	if len(p.buf) < p.need {
+		p.scanned = max(0, len(p.buf)-len(headTerm)+1)
 		return false
 	}
-	p.buf, p.scanned = p.buf[p.need:], 0
-	if req, resp := p.req, p.resp; resp != nil {
-		p.resp = nil
+	if p.scanned+i+len(headTerm) > maxHeadBytes {
+		return p.fail(fmt.Errorf("httpx: header section too large"))
+	}
+	return p.parseHead(p.scanned + i)
+}
+
+// emit hands the waiting message to its callback.
+func (p *Parser) emit() {
+	resp := p.resp
+	p.waiting, p.resp = false, nil
+	if resp != nil {
 		if p.OnResponse != nil {
 			p.OnResponse(resp)
 		}
-	} else {
-		p.req = nil
-		if p.OnRequest != nil {
-			p.OnRequest(req)
-		}
+	} else if p.OnRequest != nil {
+		p.OnRequest()
 	}
-	return true
 }
 
-// parseHead parses the header section buf[:headEnd] into p.req or p.resp,
-// drops it from buf and sets the body length. Of the header lines it reads
-// only Content-Length: each line must have a colon, and the last
-// Content-Length line sets the body length. A request's path is a piece of
-// one copy of the start line, so a kept path holds no more of the head than
-// that line.
+// parseHead parses the header section buf[:headEnd], drops it from buf and
+// sets its message waiting for its body. Of the header lines it reads only
+// Content-Length: each line must have a colon, and the last Content-Length
+// line sets the body length.
 func (p *Parser) parseHead(headEnd int) bool {
 	start, lines, _ := bytes.Cut(p.buf[:headEnd], crlf)
 	var cl []byte
@@ -177,29 +187,27 @@ func (p *Parser) parseHead(headEnd int) bool {
 		}
 		p.need = n
 	}
-	first, rest := field(string(start))
+	first, rest := field(start)
 	second, rest := field(rest)
-	if third, _ := field(rest); third == "" {
+	if third, _ := field(rest); len(third) == 0 {
 		return p.fail(fmt.Errorf("httpx: malformed start line %q", start))
 	}
-	if strings.HasPrefix(first, "HTTP/") {
-		status, err := strconv.Atoi(second)
+	if bytes.HasPrefix(first, []byte("HTTP/")) {
+		status, err := strconv.Atoi(string(second))
 		if err != nil {
 			return p.fail(fmt.Errorf("httpx: bad status %q", second))
 		}
 		p.resp = &Response{Status: status, head: string(lines)}
-	} else {
-		p.req = &Request{Path: second}
 	}
-	p.buf = p.buf[headEnd+len(headTerm):]
+	p.buf, p.scanned, p.waiting = p.buf[headEnd+len(headTerm):], 0, true
 	return true
 }
 
-// field cuts the first of the fields strings.Fields would split s into.
-func field(s string) (f, rest string) {
-	s = strings.TrimLeftFunc(s, unicode.IsSpace)
-	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
-		return s[:i], s[i:]
+// field cuts the first of the fields bytes.Fields would split b into.
+func field(b []byte) (f, rest []byte) {
+	b = bytes.TrimLeftFunc(b, unicode.IsSpace)
+	if i := bytes.IndexFunc(b, unicode.IsSpace); i >= 0 {
+		return b[:i], b[i:]
 	}
-	return s, ""
+	return b, nil
 }

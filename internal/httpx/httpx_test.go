@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -14,15 +15,22 @@ import (
 	"gq/internal/sim"
 )
 
+// record has p's callbacks log what it emits, in order, to the returned
+// list: "request", "response <status> <header section>" or "error <text>".
+func record(p *Parser) *[]string {
+	var got []string
+	p.OnRequest = func() { got = append(got, "request") }
+	p.OnResponse = func(r *Response) { got = append(got, fmt.Sprintf("response %d %q", r.Status, r.head)) }
+	p.OnError = func(err error) { got = append(got, "error "+err.Error()) }
+	return &got
+}
+
 func TestRequestMarshalParse(t *testing.T) {
-	var got *Request
-	p := &Parser{OnRequest: func(r *Request) { got = r }}
+	p := &Parser{}
+	got := record(p)
 	p.Feed(get("/bot.exe", "192.150.187.12"))
-	if got == nil {
-		t.Fatal("no request parsed")
-	}
-	if got.Path != "/bot.exe" {
-		t.Fatalf("parsed %+v", got)
+	if !slices.Equal(*got, []string{"request"}) {
+		t.Fatalf("parsed %q", *got)
 	}
 }
 
@@ -76,43 +84,43 @@ func TestAppendResponseWire(t *testing.T) {
 	}
 }
 
-// A parsed request holds its path, a piece of one copy of the start line,
-// and no header: a 3-line GET fed whole costs the buffer, that copy and the
-// Request.
+// A parsed request holds nothing: a 3-line GET fed whole costs the parser
+// and its buffer.
 func TestParserAllocsPerRequest(t *testing.T) {
 	raw := get("/bot.exe", "192.150.187.12")
-	var path string
+	requests := 0
 	n := testing.AllocsPerRun(100, func() {
-		p := &Parser{OnRequest: func(r *Request) { path = r.Path }}
+		p := &Parser{OnRequest: func() { requests++ }}
 		p.Feed(raw)
 	})
-	if path != "/bot.exe" {
-		t.Fatalf("path %q", path)
+	if requests != 101 {
+		t.Fatalf("%d requests parsed in 101 runs", requests)
 	}
-	if n > 4 {
-		t.Errorf("%v allocations per request, want at most 4", n)
+	if n > 2 {
+		t.Errorf("%v allocations per request, want at most 2", n)
 	}
 }
 
+// A body is framed by its Content-Length whatever the segments: the
+// response behind a POST fed byte by byte parses as one.
 func TestParserIncrementalFeeding(t *testing.T) {
-	raw := append(post("/c2", "report=1"), get("/next", "h")...)
-	var paths []string
-	p := &Parser{OnRequest: func(r *Request) { paths = append(paths, r.Path) }}
+	raw := append(post("/c2", "report=1"), AppendResponse(nil, 204, nil, "X-Next", "1")...)
+	p := &Parser{}
+	got := record(p)
 	for _, b := range raw {
 		p.Feed([]byte{b})
 	}
-	if !slices.Equal(paths, []string{"/c2", "/next"}) {
-		t.Fatalf("incremental parse %q", paths)
+	if want := []string{"request", `response 204 "Content-Length: 0\r\nX-Next: 1"`}; !slices.Equal(*got, want) {
+		t.Fatalf("incremental parse %q, want %q", *got, want)
 	}
 }
 
 func TestParserPipelined(t *testing.T) {
-	var paths []string
-	p := &Parser{OnRequest: func(r *Request) { paths = append(paths, r.Path) }}
-	raw := append(get("/a", "h"), get("/b", "h")...)
-	p.Feed(raw)
-	if len(paths) != 2 || paths[0] != "/a" || paths[1] != "/b" {
-		t.Fatalf("pipelined %v", paths)
+	p := &Parser{}
+	got := record(p)
+	p.Feed(append(append(get("/a", "h"), post("/b", "x")...), AppendResponse(nil, 200, nil)...))
+	if want := []string{"request", "request", `response 200 "Content-Length: 0"`}; !slices.Equal(*got, want) {
+		t.Fatalf("pipelined %q, want %q", *got, want)
 	}
 }
 
@@ -124,10 +132,10 @@ func TestParserMalformed(t *testing.T) {
 		t.Fatal("malformed input accepted")
 	}
 	// Parser must stay broken.
-	var got *Request
-	p.OnRequest = func(r *Request) { got = r }
+	got := false
+	p.OnRequest = func() { got = true }
 	p.Feed(get("/", "h"))
-	if got != nil {
+	if got {
 		t.Fatal("broken parser resumed")
 	}
 }
@@ -156,6 +164,55 @@ func TestParserRefusesOversizedBody(t *testing.T) {
 	}
 	if len(p.buf) != 0 {
 		t.Fatalf("%d bytes buffered after the refusal", len(p.buf))
+	}
+}
+
+// A body is counted as it arrives, not held: an 8 MiB body fed in 1 KiB
+// segments never leaves more than a header section's bound buffered, and
+// the request behind it on the same stream parses.
+func TestParserSkipsBodyAsItArrives(t *testing.T) {
+	p := &Parser{}
+	got := record(p)
+	p.Feed([]byte(fmt.Sprintf("POST /upload HTTP/1.1\r\nContent-Length: %d\r\n\r\n", maxBodyBytes)))
+	seg := bytes.Repeat([]byte("x"), 1024)
+	for fed := 0; fed < maxBodyBytes; fed += len(seg) {
+		p.Feed(seg)
+		if len(p.buf) > maxHeadBytes {
+			t.Fatalf("%d body bytes in: %d bytes buffered, bound %d", fed+len(seg), len(p.buf), maxHeadBytes)
+		}
+	}
+	p.Feed(get("/next", "h"))
+	if want := []string{"request", "request"}; !slices.Equal(*got, want) {
+		t.Fatalf("emitted %q, want %q", *got, want)
+	}
+}
+
+// A header section is refused by its length, not by where the stream was
+// cut: one of exactly maxHeadBytes parses fed whole or in 1 KiB segments,
+// one a byte longer is refused both ways.
+func TestParserHeadBoundIgnoresSegmentation(t *testing.T) {
+	head := func(n int) []byte {
+		start := "GET / HTTP/1.1\r\nX-Pad: "
+		return append(append([]byte(start), bytes.Repeat([]byte("p"), n-len(start)-len(headTerm))...), headTerm...)
+	}
+	for _, tc := range []struct {
+		n    int
+		want string
+	}{
+		{maxHeadBytes, "request"},
+		{maxHeadBytes + 1, "error httpx: header section too large"},
+	} {
+		raw := head(tc.n)
+		for _, segSize := range []int{len(raw), 1024} {
+			p := &Parser{}
+			got := record(p)
+			for rest := raw; len(rest) > 0; rest = rest[min(segSize, len(rest)):] {
+				p.Feed(rest[:min(segSize, len(rest))])
+			}
+			if !slices.Equal(*got, []string{tc.want}) {
+				t.Errorf("%d-byte head in %d-byte segments: %q, want %q", tc.n, segSize, *got, tc.want)
+			}
+		}
 	}
 }
 
@@ -197,18 +254,12 @@ func FuzzParserFeed(f *testing.F) {
 		f.Add(stream, []byte{2, 16, 255})
 	}
 	f.Fuzz(func(t *testing.T, stream, cuts []byte) {
-		record := func(p *Parser) *[]string {
-			var got []string
-			p.OnRequest = func(r *Request) { got = append(got, fmt.Sprintf("request %+v", *r)) }
-			p.OnResponse = func(r *Response) {
-				got = append(got, fmt.Sprintf("response %+v %q", *r, r.Header("X-Sample-Name")))
-			}
-			p.OnError = func(err error) { got = append(got, "error "+err.Error()) }
-			return &got
-		}
 		whole, split := &Parser{}, &Parser{}
 		want, got := record(whole), record(split)
 		whole.Feed(stream)
+		if len(whole.buf) > maxHeadBytes {
+			t.Fatalf("%d bytes buffered after the whole stream", len(whole.buf))
+		}
 		for i, rest := 0, stream; len(rest) > 0; i++ {
 			n := 1
 			if len(cuts) > 0 {
@@ -217,8 +268,8 @@ func FuzzParserFeed(f *testing.F) {
 			seg := rest[:min(n, len(rest))]
 			rest = rest[len(seg):]
 			split.Feed(seg)
-			if len(split.buf) > maxHeadBytes+maxBodyBytes+len(seg) {
-				t.Fatalf("%d bytes buffered", len(split.buf))
+			if len(split.buf) > maxHeadBytes {
+				t.Fatalf("%d bytes buffered after a %d-byte segment", len(split.buf), len(seg))
 			}
 		}
 		if !slices.Equal(*got, *want) {
@@ -269,12 +320,12 @@ func webPair(t *testing.T) (*sim.Simulator, *host.Host, *host.Host) {
 
 // serve answers each request on h:port with handler's response, any number
 // of requests per connection (keep-alive); a nil response aborts.
-func serve(t *testing.T, h *host.Host, port uint16, handler func(req *Request) []byte) {
+func serve(t *testing.T, h *host.Host, port uint16, handler func() []byte) {
 	t.Helper()
 	err := h.Listen(port, func(c *host.Conn) {
 		p := &Parser{}
-		p.OnRequest = func(req *Request) {
-			if resp := handler(req); resp != nil {
+		p.OnRequest = func() {
+			if resp := handler(); resp != nil {
 				c.Write(resp)
 			} else {
 				c.Abort()
@@ -291,11 +342,8 @@ func serve(t *testing.T, h *host.Host, port uint16, handler func(req *Request) [
 
 func TestServeAndDo(t *testing.T) {
 	s, client, server := webPair(t)
-	serve(t, server, 80, func(req *Request) []byte {
-		if req.Path == "/bot.exe" {
-			return AppendResponse(nil, 200, []byte("MZbinary"), "X-Sample-Name", "bot.exe")
-		}
-		return AppendResponse(nil, 404, nil)
+	serve(t, server, 80, func() []byte {
+		return AppendResponse(nil, 200, []byte("MZbinary"), "X-Sample-Name", "bot.exe")
 	})
 	var got *Response
 	Get(client, server.Addr(), 80, "/bot.exe", func(resp *Response, err error) { got = resp })
@@ -336,21 +384,21 @@ func TestDoConnectionRefused(t *testing.T) {
 func TestServeKeepAlive(t *testing.T) {
 	s, client, server := webPair(t)
 	hits := 0
-	serve(t, server, 80, func(req *Request) []byte {
+	serve(t, server, 80, func() []byte {
 		hits++
-		return AppendResponse(nil, 200, []byte("ok"), "X-Path", req.Path)
+		return AppendResponse(nil, 200, []byte("ok"), "X-Hit", strconv.Itoa(hits))
 	})
 	// Raw connection sending two pipelined requests.
 	c := client.Dial(server.Addr(), 80)
 	var paths []string
-	p := &Parser{OnResponse: func(r *Response) { paths = append(paths, r.Header("X-Path")) }}
+	p := &Parser{OnResponse: func(r *Response) { paths = append(paths, r.Header("X-Hit")) }}
 	c.OnConnect = func() {
 		c.Write(get("/one", "h"))
 		c.Write(get("/two", "h"))
 	}
 	c.OnData = func(d []byte) { p.Feed(d) }
 	s.RunFor(time.Minute)
-	if hits != 2 || !slices.Equal(paths, []string{"/one", "/two"}) {
-		t.Fatalf("hits=%d paths=%v", hits, paths)
+	if hits != 2 || !slices.Equal(paths, []string{"1", "2"}) {
+		t.Fatalf("hits=%d, responses %v", hits, paths)
 	}
 }

@@ -35,7 +35,7 @@ func NewAutoinfectHandler(sample *Sample) *AutoinfectHandler {
 // OnClientData implements containment.StreamHandler.
 func (h *AutoinfectHandler) OnClientData(s *containment.Session, data []byte) {
 	if h.parser.OnRequest == nil {
-		h.parser.OnRequest = func(*httpx.Request) {
+		h.parser.OnRequest = func() {
 			s.WriteClient(httpx.AppendResponse(nil, 200, h.sample.Content,
 				"Content-Type", "application/octet-stream",
 				"X-Sample-Family", h.sample.Family,

@@ -2,7 +2,6 @@ package sink
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 
@@ -128,13 +127,25 @@ func (s *SMTPSink) accept(c *host.Conn) {
 	s.greet(eng, src)
 }
 
-// keepEnvelope copies env out of the engine's Envelope, which the engine
-// reuses for the session's next message.
+// keepEnvelope copies env out of the engine's Envelope, whose buffers the
+// engine reuses for the session's next message: its sender, recipients and
+// body go into one buffer, each a full slice of its own piece.
 func keepEnvelope(env *smtpx.Envelope) *smtpx.Envelope {
-	return &smtpx.Envelope{
-		Helo: env.Helo, From: env.From, Rcpts: slices.Clone(env.Rcpts),
-		Data: append([]byte(nil), env.Data...),
+	n := len(env.From) + len(env.Data)
+	for _, r := range env.Rcpts {
+		n += len(r)
 	}
+	buf := make([]byte, 0, n)
+	piece := func(b []byte) []byte {
+		buf = append(buf, b...)
+		return buf[len(buf)-len(b) : len(buf) : len(buf)]
+	}
+	kept := &smtpx.Envelope{Helo: env.Helo, From: piece(env.From), Rcpts: make([][]byte, len(env.Rcpts))}
+	for i, r := range env.Rcpts {
+		kept.Rcpts[i] = piece(r)
+	}
+	kept.Data = piece(env.Data)
+	return kept
 }
 
 // greet delivers the banner, grabbing it from the intended target first
@@ -197,9 +208,6 @@ const maxBannerLine = 512
 // (sink.<host>.http_hits); click traffic is steered here so fraudulent
 // clicks never reach real ad networks.
 type HTTPSink struct {
-	// URLs keeps the first maxKeptURLs request targets.
-	URLs []string
-
 	hits *obs.Counter
 }
 
@@ -212,23 +220,16 @@ func NewHTTPSink(h *host.Host, port uint16) (*HTTPSink, error) {
 	return s, nil
 }
 
-// maxKeptURLs bounds URLs: request targets are inmate-chosen bytes. The
-// request head itself is bounded by httpx.Parser, as at every HTTP server
-// in the farm.
-const maxKeptURLs = 1024
-
 var okNoBody = httpx.AppendResponse(nil, 200, nil)
 
 // accept frames the connection's requests with an httpx.Parser and answers
 // each with an empty 200. A stream the parser refuses — a head past its
-// bound, a malformed request — closes the connection.
+// bound, a malformed request — closes the connection; the parser holds no
+// more than that bound of what an inmate sends.
 func (s *HTTPSink) accept(c *host.Conn) {
 	p := &httpx.Parser{OnError: func(error) { c.Close() }}
-	p.OnRequest = func(r *httpx.Request) {
+	p.OnRequest = func() {
 		s.hits.Inc()
-		if len(s.URLs) < maxKeptURLs {
-			s.URLs = append(s.URLs, r.Path)
-		}
 		c.Write(okNoBody)
 	}
 	c.OnData = p.Feed

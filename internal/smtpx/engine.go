@@ -12,19 +12,19 @@
 // handed in place, copying only what a session keeps (DESIGN.md §3b).
 //
 // A message lives only on the wire unless its receiver keeps a copy: the
-// server engine collects every message of a session into one Envelope it
-// reuses, and the client renders every message into one Message it reuses.
-// Each is valid only during the callback it is handed to (OnMessage,
-// OnDelivered), like the bytes host.Conn hands OnData; a callback that keeps
-// one copies it. In test binaries both are overwritten with
-// netsim.PoisonByte once the callback returns, so a keeper that did not copy
-// reads garbage.
+// server engine collects every message of a session — sender, recipients
+// and body — into one Envelope whose buffers it reuses, and the client
+// renders every message into one Message it reuses. Each is valid only
+// during the callback it is handed to (OnMessage, OnDelivered), like the
+// bytes host.Conn hands OnData; a callback that keeps one copies it. In test
+// binaries both are overwritten with netsim.PoisonByte once the callback
+// returns, so a keeper that did not copy reads garbage.
 package smtpx
 
 import (
 	"bytes"
+	"slices"
 	"strconv"
-	"strings"
 	"testing"
 	"unicode"
 	"unicode/utf8"
@@ -46,11 +46,12 @@ const (
 // Envelope is a message collected by the server engine. The engine hands
 // OnMessage its one Envelope, reused for each message of the session: it is
 // valid only during the call, and a callback that keeps it copies the
-// struct, Rcpts and Data (the strings are immutable and may be shared).
+// struct and the bytes of From, each of Rcpts and Data (Helo is a string
+// and may be shared).
 type Envelope struct {
 	Helo  string
-	From  string
-	Rcpts []string
+	From  []byte
+	Rcpts [][]byte
 	Data  []byte
 }
 
@@ -75,14 +76,13 @@ const (
 // (e.g. while grabbing the real target's banner, §7.1 "satisfying
 // fidelity").
 type Engine struct {
-	// Hooks; all optional. The reply-returning hooks may override the
-	// default acceptance codes, which GQ's exploratory containment uses to
-	// expose specimens to specific SMTP error conditions.
+	// Hooks; both optional.
 	OnHelo func(verb, arg string)
-	OnRcpt func(addr string) *Reply
-	// OnMessage receives each completed envelope; its reply answers the
-	// end-of-DATA dot. env is the engine's one Envelope, valid only during
-	// the call: a callback that keeps it copies it.
+	// OnMessage receives each completed envelope; its reply, if any,
+	// answers the end-of-DATA dot in place of the default acceptance, which
+	// GQ's exploratory containment uses to expose specimens to specific
+	// SMTP error conditions. env is the engine's one Envelope, valid only
+	// during the call: a callback that keeps it copies it.
 	OnMessage func(env *Envelope) *Reply
 
 	strictness Strictness
@@ -91,8 +91,9 @@ type Engine struct {
 
 	state int // 0 start, 1 greeted, 2 mail, 3 rcpt, 4 data
 	// env is the message being collected: the session's greeting, and the
-	// sender, recipients and body of the current transaction. Its Rcpts and
-	// Data keep their storage from one message to the next.
+	// sender, recipients and body of the current transaction. Its From,
+	// Rcpts (each recipient's bytes too) and Data keep their storage from
+	// one message to the next.
 	env      Envelope
 	oversize bool // this DATA stage outgrew maxMessage; its body is dropped
 	in       lineio.Reader
@@ -125,16 +126,6 @@ func (e *Engine) Greet(banner string) {
 	e.write(banner)
 }
 
-// answer writes a hook's reply, or the constant def when the hook gave
-// none.
-func (e *Engine) answer(o *Reply, def string) {
-	if o == nil {
-		e.write(def)
-		return
-	}
-	e.write(o.String())
-}
-
 // Feed consumes stream bytes, processing complete lines. data is read in
 // place and not retained.
 func (e *Engine) Feed(data []byte) { e.in.Feed(data, e.handleLine, e.lineTooLong) }
@@ -157,7 +148,11 @@ func (e *Engine) dataLine(line []byte) {
 					poisonEnvelope(&e.env)
 				}
 			}
-			e.answer(o, "250 OK queued")
+			if o != nil {
+				e.write(o.String())
+			} else {
+				e.write("250 OK queued")
+			}
 		}
 		e.state = stGreeted
 		e.reset()
@@ -174,10 +169,10 @@ func (e *Engine) dataLine(line []byte) {
 	e.env.Data = append(append(e.env.Data, line...), '\n')
 }
 
-// reset empties the transaction — sender, recipients, body — keeping the
-// storage of the last two for the next message.
+// reset empties the transaction — sender, recipients, body — keeping their
+// storage for the next message.
 func (e *Engine) reset() {
-	e.env.From, e.env.Rcpts, e.env.Data, e.oversize = "", e.env.Rcpts[:0], e.env.Data[:0], false
+	e.env.From, e.env.Rcpts, e.env.Data, e.oversize = e.env.From[:0], e.env.Rcpts[:0], e.env.Data[:0], false
 }
 
 // poisonMessages makes test binaries overwrite the Envelope OnMessage was
@@ -185,13 +180,10 @@ func (e *Engine) reset() {
 // a callback that kept one instead of copying it reads PoisonByte.
 var poisonMessages = testing.Testing()
 
-// poisonString stands in for a string field of a released Envelope.
-var poisonString = strings.Repeat(string([]byte{netsim.PoisonByte}), 8)
-
 func poisonEnvelope(env *Envelope) {
-	env.From = poisonString
-	for i := range env.Rcpts {
-		env.Rcpts[i] = poisonString
+	poisonBytes(env.From)
+	for _, r := range env.Rcpts {
+		poisonBytes(r)
 	}
 	poisonBytes(env.Data)
 }
@@ -235,7 +227,7 @@ func (e *Engine) handleLine(line []byte) {
 			e.write("501 syntax error in MAIL FROM")
 			return
 		}
-		e.env.From, e.env.Rcpts, e.state = string(addr), e.env.Rcpts[:0], stMail
+		e.env.From, e.env.Rcpts, e.state = append(e.env.From[:0], addr...), e.env.Rcpts[:0], stMail
 		e.write("250 sender OK")
 
 	case "RCPT":
@@ -248,16 +240,13 @@ func (e *Engine) handleLine(line []byte) {
 			e.write("501 syntax error in RCPT TO")
 			return
 		}
-		rcpt := string(addr)
-		var o *Reply
-		if e.OnRcpt != nil {
-			o = e.OnRcpt(rcpt)
-		}
-		if o == nil || o.Code < 400 {
-			e.env.Rcpts = append(e.env.Rcpts, rcpt)
-			e.state = stRcpt
-		}
-		e.answer(o, "250 recipient OK")
+		// The recipient goes into the buffer the last message's recipient
+		// at this place used.
+		n := len(e.env.Rcpts)
+		e.env.Rcpts = slices.Grow(e.env.Rcpts, 1)[:n+1]
+		e.env.Rcpts[n] = append(e.env.Rcpts[n][:0], addr...)
+		e.state = stRcpt
+		e.write("250 recipient OK")
 
 	case "DATA":
 		if e.state != stRcpt {

@@ -81,29 +81,25 @@ func TestEngineBoundsMessageSize(t *testing.T) {
 
 // --- allocation gates: the text path costs what it keeps ---
 
-// A warm engine outside DATA allocates nothing for a command line beyond
-// the argument it stores: the line is parsed where it lies and the default
-// replies are constants.
+// A warm engine outside DATA allocates nothing for a command line: the
+// line is parsed where it lies, an address goes into the buffer the
+// engine keeps for it, and the default replies are constants.
 func TestEngineFeedAllocsPerCommand(t *testing.T) {
 	eng := NewEngine(Lenient, func(string) {}, nil)
 	eng.Greet("220 sink")
 	eng.Feed([]byte("HELO warm\r\n"))
-	for _, tc := range []struct {
-		line string
-		want float64
-		why  string
-	}{
-		{"NOOP\r\n", 0, ""},
-		{"noop \r\n", 0, ""},
-		{"XYZZY plugh\r\n", 0, ""},
-		{"RCPT TO:<early@x.y>\r\n", 0, ""}, // 503 need MAIL first
-		{"MAIL FROM <nobody>\r\n", 0, ""},  // 501: nothing stored
-		{"RSET\r\n", 0, ""},
-		{"MAIL FROM:<a@b.c>\r\n", 1, "the sender"},
+	for _, line := range []string{
+		"NOOP\r\n",
+		"noop \r\n",
+		"XYZZY plugh\r\n",
+		"RCPT TO:<early@x.y>\r\n", // 503 need MAIL first
+		"MAIL FROM <nobody>\r\n",  // 501: nothing stored
+		"RSET\r\n",
+		"MAIL FROM:<a@b.c>\r\n",
 	} {
-		line := []byte(tc.line)
-		if got := testing.AllocsPerRun(100, func() { eng.Feed(line) }); got != tc.want {
-			t.Errorf("Feed(%q): %v allocs, want %v (%s)", tc.line, got, tc.want, tc.why)
+		b := []byte(line)
+		if got := testing.AllocsPerRun(100, func() { eng.Feed(b) }); got != 0 {
+			t.Errorf("Feed(%q): %v allocs, want 0", line, got)
 		}
 	}
 	// A line split across segments goes through the carry-over buffer,
@@ -114,14 +110,40 @@ func TestEngineFeedAllocsPerCommand(t *testing.T) {
 	}
 }
 
+// A warm engine whose OnMessage keeps nothing takes a whole transaction —
+// sender, two recipients, body — into the buffers it kept from the last
+// one: it costs the heap nothing.
+func TestEngineTransactionAllocsNothing(t *testing.T) {
+	eng := NewEngine(Lenient, func(string) {}, nil)
+	messages := 0
+	eng.OnMessage = func(*Envelope) *Reply { messages++; return nil }
+	eng.Greet("220 sink")
+	eng.Feed([]byte("HELO warm\r\n"))
+	var lines [][]byte
+	for _, l := range []string{"MAIL FROM:<bot@spam.biz>", "RCPT TO:<victim1@inbox.example>",
+		"RCPT TO:<victim2@inbox.example>", "DATA", "Subject: cheap meds", "", "cheap meds #1", "."} {
+		lines = append(lines, []byte(l+"\r\n"))
+	}
+	transaction := func() {
+		for _, l := range lines {
+			eng.Feed(l)
+		}
+	}
+	transaction()
+	if got := testing.AllocsPerRun(100, transaction); got != 0 {
+		t.Errorf("a warm transaction costs %v allocs, want 0", got)
+	}
+	if messages != 102 {
+		t.Fatalf("%d messages of 102 reached OnMessage", messages)
+	}
+}
+
 // TestSessionAllocsPerMessage joins a client and a server engine over two
 // hosts on one link and counts what a delivered message costs the heap.
 // Its segments and ACKs come from the domain's frame list and the client
 // renders every message into the session's one Message, the server collects
-// it into the engine's one Envelope (DESIGN.md §3b), so a message costs only
-// what the server turns into strings:
-//
-//	server: the sender, the recipient — 2
+// it into the buffers of the engine's one Envelope (DESIGN.md §3b), so a
+// message costs the heap nothing.
 func TestSessionAllocsPerMessage(t *testing.T) {
 	s := sim.New(1)
 	bot := host.New(s, "bot", netstack.MAC{2, 0, 0, 0, 0, 1})
@@ -130,7 +152,7 @@ func TestSessionAllocsPerMessage(t *testing.T) {
 	bot.ConfigureStatic(netstack.MustParseAddr("10.0.0.1"), 24, 0)
 	mx.ConfigureStatic(netstack.MustParseAddr("10.0.0.2"), 24, 0)
 	serve(t, mx, 25, "220 mx ESMTP", Lenient)
-	const perMessage = 2
+	const perMessage = 0
 	m := mail{"bot@spam.biz", []string{"victim@inbox.example"}, "Subject: cheap meds\n\ncheap meds #1"}
 
 	deliver := func(n int) uint64 {

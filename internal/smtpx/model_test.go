@@ -15,7 +15,6 @@ import (
 // up front instead of buffered.
 type model struct {
 	strictness Strictness
-	onRcpt     func(addr string) *Reply
 	onMessage  func(env *Envelope) *Reply
 
 	replies  []string
@@ -58,7 +57,7 @@ func (m *model) handleLine(line string) {
 			if m.oversize {
 				m.reply(552, "message size exceeds limit")
 			} else {
-				env := &Envelope{Helo: m.helo, From: m.from, Rcpts: m.rcpts, Data: m.data}
+				env := m.envelope()
 				m.envs = append(m.envs, env)
 				m.Envelopes++
 				r := Reply{250, "OK queued"}
@@ -120,15 +119,9 @@ func (m *model) handleLine(line string) {
 			m.reply(501, "syntax error in RCPT TO")
 			return
 		}
-		r := Reply{250, "recipient OK"}
-		if o := m.onRcpt(addr); o != nil {
-			r = *o
-		}
-		if r.Code < 400 {
-			m.rcpts = append(m.rcpts, addr)
-			m.state = stRcpt
-		}
-		m.reply(r.Code, r.Text)
+		m.rcpts = append(m.rcpts, addr)
+		m.state = stRcpt
+		m.reply(250, "recipient OK")
 
 	case "DATA":
 		if m.state != stRcpt {
@@ -154,6 +147,16 @@ func (m *model) handleLine(line string) {
 	default:
 		m.reply(500, "command not recognized")
 	}
+}
+
+// envelope is the model's transaction as the engine's Envelope type holds
+// it.
+func (m *model) envelope() *Envelope {
+	env := &Envelope{Helo: m.helo, From: []byte(m.from), Data: m.data}
+	for _, r := range m.rcpts {
+		env.Rcpts = append(env.Rcpts, []byte(r))
+	}
+	return env
 }
 
 func modelSplitVerb(line string) (string, string) {
@@ -195,16 +198,8 @@ func modelParseAddrStanza(arg, keyword string, s Strictness) (string, bool) {
 	return rest, true
 }
 
-// The hooks both machines run under, so the override paths are compared
-// too: recipients called "bad…" are refused, a body that says
-// "tempfail" is deferred.
-func fuzzOnRcpt(addr string) *Reply {
-	if strings.HasPrefix(addr, "bad") {
-		return &Reply{550, "no such user"}
-	}
-	return nil
-}
-
+// The hook both machines run under, so the override path is compared too:
+// a body that says "tempfail" is deferred.
 func fuzzOnMessage(env *Envelope) *Reply {
 	if bytes.Contains(env.Data, []byte("tempfail")) {
 		return &Reply{451, "try again later"}
@@ -219,17 +214,22 @@ type outcome struct {
 	Envs    []Envelope
 	State   int
 	Helo    string
-	From    string
-	Rcpts   []string
+	From    []byte
+	Rcpts   [][]byte
 	Data    []byte
 	Over    bool
 
 	Envelopes int
 }
 
-// copyEnv copies an envelope, an empty list or body as nil.
+// copyEnv copies an envelope and every byte it holds, an empty sender,
+// list or body as nil.
 func copyEnv(e *Envelope) Envelope {
-	return Envelope{e.Helo, e.From, append([]string(nil), e.Rcpts...), append([]byte(nil), e.Data...)}
+	c := Envelope{Helo: e.Helo, From: append([]byte(nil), e.From...), Data: append([]byte(nil), e.Data...)}
+	for _, r := range e.Rcpts {
+		c.Rcpts = append(c.Rcpts, append([]byte(nil), r...))
+	}
+	return c
 }
 
 // cut splits stream into chunks whose sizes the fuzzer chose: cuts[i]+1
@@ -250,7 +250,6 @@ func cut(stream, cuts []byte) [][]byte {
 func runEngine(s Strictness, chunks [][]byte) outcome {
 	var o outcome
 	e := NewEngine(s, func(line string) { o.Replies = append(o.Replies, line) }, nil)
-	e.OnRcpt = fuzzOnRcpt
 	e.OnMessage = func(env *Envelope) *Reply { o.Envs = append(o.Envs, copyEnv(env)); return fuzzOnMessage(env) }
 	for _, c := range chunks {
 		// Each chunk in a buffer of its own that is scribbled over once
@@ -268,13 +267,13 @@ func runEngine(s Strictness, chunks [][]byte) outcome {
 }
 
 func runModel(s Strictness, stream []byte) outcome {
-	m := &model{strictness: s, onRcpt: fuzzOnRcpt, onMessage: fuzzOnMessage}
+	m := &model{strictness: s, onMessage: fuzzOnMessage}
 	m.feed(stream)
 	var envs []Envelope
 	for _, env := range m.envs {
 		envs = append(envs, copyEnv(env))
 	}
-	cur := copyEnv(&Envelope{m.helo, m.from, m.rcpts, m.data})
+	cur := copyEnv(m.envelope())
 	return outcome{
 		Replies: m.replies, Envs: envs,
 		State: m.state, Helo: cur.Helo, From: cur.From, Rcpts: cur.Rcpts, Data: cur.Data, Over: m.oversize,

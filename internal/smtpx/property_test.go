@@ -79,7 +79,7 @@ func TestPropertyEnvelopesHaveRecipients(t *testing.T) {
 		var bad bool
 		eng := NewEngine(Lenient, func(string) {}, nil)
 		eng.OnMessage = func(env *Envelope) *Reply {
-			if len(env.Rcpts) != r || env.From == "" {
+			if len(env.Rcpts) != r || len(env.From) == 0 {
 				bad = true
 			}
 			return nil

@@ -146,7 +146,7 @@ bad "external shards are retired (a sharded farm has one external domain)" \
 # Spec.Supervise or gqfarm -tree. The retired subfarm-only mode stays gone
 # from non-test Go outside the frozen benchmark harness, and so do the
 # product hooks that only tests set: the SMTP sink's reply overrides and the
-# engine's MAIL hook. A test builds its own server. (A product function
+# engine's MAIL and RCPT hooks. A test builds its own server. (A product function
 # only tests call, such as a test-only server, is scripts/deadapi's to find.)
 nonbench=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*')
 # shellcheck disable=SC2086
@@ -154,7 +154,7 @@ bad "retired supervision mode (attach the tree: Spec.Supervise, gqfarm -tree)" \
 	"$(grep -nE 'SuperviseSubfarms|farm\.Unsupervised|func \(sf \*Subfarm\) Supervise\(|rootNode|fs\.Bool\("supervise"' $nonbench || true)"
 # shellcheck disable=SC2086
 bad "test-only hook in product code (build the server or hook in the test)" \
-	"$(grep -nE '\b(RcptReply|DataReply|OnMail)\b' $nonbench || true)"
+	"$(grep -nE '\b(RcptReply|DataReply|OnMail|OnRcpt)\b' $nonbench || true)"
 # A restart has one path (DESIGN.md §3f): host.PowerCycler, taken with no
 # argument, records what the host has bound and its restart puts it back.
 # No service re-registers its own ports, and the farm passes no rebind
