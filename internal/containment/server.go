@@ -229,7 +229,7 @@ func (s *Server) handleUDP(src netstack.Addr, srcPort uint16, data []byte) {
 		s.sendUDP(src, srcPort, s.out)
 	}
 	if d := s.verdictStall; d > 0 {
-		// data is the host's again once this returns (like stallBuf).
+		// data is the host's again once this returns (like a stalled session's buf).
 		payload = append([]byte(nil), payload...)
 		s.Host.Sim().Schedule(d, answer)
 		return

@@ -14,23 +14,20 @@ import (
 // creating response traffic as needed (the auto-infection HTTP server is
 // implemented exactly this way, §6.6).
 type Session struct {
-	Req *shim.Request
+	// req is where a TCP session's request shim is decoded.
+	req shim.Request
 
-	// req is where a TCP session's request shim is decoded (Req points at
-	// it); head collects the client's first bytes while they are still
-	// short of a whole shim.
-	req  shim.Request
-	head []byte
+	// buf holds client bytes the session cannot act on yet: until started,
+	// the first bytes while they are still short of a whole shim; while
+	// stalled, the bytes that arrive while its verdict answer is
+	// deliberately delayed (fault injection), which content control sees
+	// once the answer goes out. The two phases never overlap.
+	buf []byte
 
 	server  *Server
 	client  *host.Conn
 	srv     *host.Conn
 	handler StreamHandler
-
-	// stallBuf holds the client bytes that arrive while the session is
-	// stalled: its verdict answer is deliberately delayed (fault injection),
-	// and content control sees them once the answer goes out.
-	stallBuf []byte
 
 	// udpReply, when set, makes WriteClient answer a datagram flow.
 	udpReply func([]byte)
@@ -47,19 +44,19 @@ func (sess *Session) onClientData(data []byte) {
 		return
 	}
 	// The request shim nearly always arrives whole in the first segment
-	// and is decoded where it lies; head only ever holds a split one.
-	if len(sess.head) > 0 || len(data) < shim.RequestLen {
-		sess.head = append(sess.head, data...)
-		if len(sess.head) < shim.RequestLen {
+	// and is decoded where it lies; buf only ever holds a split one.
+	if len(sess.buf) > 0 || len(data) < shim.RequestLen {
+		sess.buf = append(sess.buf, data...)
+		if len(sess.buf) < shim.RequestLen {
 			return
 		}
-		data, sess.head = sess.head, nil
+		data, sess.buf = sess.buf, nil
 	}
 	if err := sess.req.Unmarshal(data[:shim.RequestLen]); err != nil {
 		sess.client.Abort()
 		return
 	}
-	sess.start(&sess.req, data[shim.RequestLen:])
+	sess.start(data[shim.RequestLen:])
 }
 
 // onClientPeerClose is the client leg's OnPeerClose.
@@ -82,17 +79,16 @@ func (sess *Session) onClientClose(error) {
 // injected verdict stall the decision is made immediately (triggers still
 // observe the flow) but the answer is scheduled for later; bytes the client
 // sends meanwhile buffer until then.
-func (sess *Session) start(req *shim.Request, extra []byte) {
+func (sess *Session) start(extra []byte) {
 	s := sess.server
-	sess.Req = req
 	sess.started = true
-	dec, policy := s.decide(req, netstack.ProtoTCP)
+	dec, policy := s.decide(&sess.req, netstack.ProtoTCP)
 	if d := s.verdictStall; d > 0 {
 		sess.stalled = true
-		sess.stallBuf = append([]byte(nil), extra...)
+		sess.buf = append([]byte(nil), extra...)
 		s.Host.Sim().Schedule(d, func() {
-			buf := sess.stallBuf
-			sess.stallBuf = nil
+			buf := sess.buf
+			sess.buf = nil
 			sess.stalled = false
 			sess.finishStart(dec, policy, buf)
 		})
@@ -106,7 +102,7 @@ func (sess *Session) start(req *shim.Request, extra []byte) {
 // (stall outlasted the await-verdict timeout) the client connection is
 // closed and the Write is a silent no-op: no unaccounted shim hits the wire.
 func (sess *Session) finishStart(dec Decision, policy string, extra []byte) {
-	req, s := sess.Req, sess.server
+	req, s := &sess.req, sess.server
 	resp := shim.Response{
 		OrigIP: req.OrigIP, RespIP: dec.RespIP,
 		OrigPort: req.OrigPort, RespPort: dec.RespPort,
@@ -133,7 +129,7 @@ func (sess *Session) finishStart(dec Decision, policy string, extra []byte) {
 
 func (sess *Session) clientData(data []byte) {
 	if sess.stalled {
-		sess.stallBuf = append(sess.stallBuf, data...)
+		sess.buf = append(sess.buf, data...)
 		return
 	}
 	if sess.handler != nil {
@@ -174,7 +170,7 @@ func (sess *Session) DialServer() {
 	if sess.srv != nil || sess.udpReply != nil {
 		return
 	}
-	c := sess.server.Host.Dial(sess.server.NonceIP, sess.Req.NoncePort)
+	c := sess.server.Host.Dial(sess.server.NonceIP, sess.req.NoncePort)
 	sess.srv = c
 	c.OnData = func(data []byte) {
 		if sess.handler != nil {

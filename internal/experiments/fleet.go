@@ -52,8 +52,8 @@ const (
 		"recyclerwedge=4m30s,recyclerwedge=5m30s,recyclerwedge=6m30s"
 )
 
-// FleetOutcome reports the run, the escalation record, and the
-// fleet-invariant checks.
+// FleetOutcome reports the run and the fleet-invariant checks; the
+// escalation record is the Tree's and each subfarm supervisor's history.
 type FleetOutcome struct {
 	// Run carries the farm (and its Tree), one injector per subfarm, the
 	// three probe rounds (before, during, after the lockdown) — every
@@ -65,15 +65,6 @@ type FleetOutcome struct {
 	// Journal is the full NDJSON stream; byte-identical across runs with
 	// the same seed and layout at any worker count.
 	Journal []byte
-
-	// Escalations is the deterministic escalation record: the root's
-	// history and controller ladder plus each subfarm node's escalation
-	// list, keyed "root", "root.controller", and the subfarm names. It
-	// must DeepEqual across worker counts.
-	Escalations map[string][]string
-	// Health is each subfarm node's per-endpoint health-transition
-	// history — the same determinism surface, one level down.
-	Health map[string]map[string][]string
 
 	// GlobalLockdownAt is the sim time of the (latest) global dead-man
 	// lockdown; zero means the ladder never reached the top.
@@ -164,20 +155,9 @@ func RunFleetSoak(layout farm.Layout) (*FleetOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &FleetOutcome{
-		Run: r, Journal: journal.Bytes(),
-		Escalations: make(map[string][]string),
-		Health:      make(map[string]map[string][]string),
-	}
+	out := &FleetOutcome{Run: r, Journal: journal.Bytes()}
 	bad := r.bad
 
-	// The deterministic escalation record.
-	out.Escalations["root"] = out.Tree.History()
-	out.Escalations["root.controller"] = out.Tree.ControllerHistory()
-	for _, sf := range out.Subfarms {
-		out.Escalations[sf.Name] = sf.Supervisor.History()
-		out.Health[sf.Name] = sf.Supervisor.HealthHistory()
-	}
 	out.GlobalLockdownAt = out.Tree.GlobalLockdownAt()
 
 	// The ladder reached the top inside the fault window, and the

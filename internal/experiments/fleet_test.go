@@ -14,9 +14,12 @@ import (
 // escalate the unsurvivable one through subfarm fail-closed lockdown to
 // global dead-man lockdown, hold zero probe escapes before/during/after,
 // and drain every flow table empty. Run sharded at 1, 2 and 4 workers:
-// the NDJSON journal must be byte-identical and the escalation record
-// DeepEqual — worker count only decides which OS thread runs a domain's
-// window; it must never leak into escalation order.
+// the NDJSON journal must be byte-identical, and the escalation record —
+// the root's history and controller ladder and each subfarm node's
+// escalation list, read from the supervisors that keep them — and each
+// subfarm's health transitions as its journal records them DeepEqual:
+// worker count only decides which OS thread runs a domain's window; it
+// must never leak into escalation order.
 func TestFleetLockdownSoak(t *testing.T) {
 	const seed = 11
 
@@ -28,11 +31,20 @@ func TestFleetLockdownSoak(t *testing.T) {
 		t.Logf("workers=%d: globalAt=%v drops=%d rearms=%d cycles=%d journal=%dB",
 			workers, out.GlobalLockdownAt, out.LockdownDrops,
 			out.Rearms, out.Cycles, len(out.Journal))
+		escalations := map[string][]string{
+			"root":            out.Tree.History(),
+			"root.controller": out.Tree.ControllerHistory(),
+		}
+		health := map[string][]string{}
+		for _, sf := range out.Subfarms {
+			escalations[sf.Name] = sf.Supervisor.History()
+			health[sf.Name] = healthTransitions(out.Journal, sf.Name)
+		}
 		return workerRun{
 			journal: out.Journal, snapshot: out.Snapshot, problems: out.Problems,
 			records: map[string]any{
-				"escalation record":         out.Escalations,
-				"health-transition history": out.Health,
+				"escalation record":         escalations,
+				"health-transition history": health,
 			},
 		}, nil
 	})

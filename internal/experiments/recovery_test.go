@@ -47,7 +47,7 @@ func TestRecoverySoakDeterminism(t *testing.T) {
 			journal: out.Journal, snapshot: out.Snapshot, problems: out.Problems,
 			records: map[string]any{
 				"recovery intervals":        out.Recoveries,
-				"health-transition history": out.Subfarms[0].Supervisor.HealthHistory(),
+				"health-transition history": healthTransitions(out.Journal, out.Subfarms[0].Name),
 			},
 		}, nil
 	})

@@ -29,7 +29,7 @@ func TestShardDeterminism(t *testing.T) {
 		if err != nil {
 			return workerRun{}, err
 		}
-		health := out.Subfarms[0].Supervisor.HealthHistory()
+		health := healthTransitions(out.Journal, out.Subfarms[0].Name)
 		t.Logf("workers=%d: flows=%d verdicts=%d crashes=%d failclosed=%d probe=[%s] journal=%dB health=%v",
 			workers, out.FlowsCreated, out.Verdicts, out.Injectors[0].Crashes,
 			out.Snapshot.Counter("subfarm.Botfarm.flows_failclosed"), out.Probes[0][0], len(out.Journal), health)

@@ -18,6 +18,20 @@ type workerRun struct {
 	problems []string
 }
 
+// healthTransitions is the journal's supervision record of one subfarm's
+// endpoints: every event its supervisor journalled (down, restart, up,
+// quarantine per endpoint, and its escalations), one NDJSON line each.
+func healthTransitions(journal []byte, subfarm string) []string {
+	var out []string
+	scope := []byte(`"scope":"` + obs.EvSupervisorPrefix + subfarm + `"`)
+	for _, line := range bytes.Split(journal, []byte{'\n'}) {
+		if bytes.Contains(line, scope) {
+			out = append(out, string(line))
+		}
+	}
+	return out
+}
+
 // assertSameAcrossWorkers runs a sharded soak at 1, 2 and 4 workers and
 // demands a clean run each time and, against workers=1, a byte-identical
 // journal, an identical metrics snapshot and DeepEqual records: worker

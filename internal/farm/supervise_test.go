@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -43,9 +44,16 @@ func TestSupervisorRestartsCrashedCS(t *testing.T) {
 	if len(sup.Recoveries) != 1 {
 		t.Fatalf("recoveries = %v, want exactly one", sup.Recoveries)
 	}
-	hist := sup.HealthHistory()["cs0"]
-	if len(hist) < 3 {
-		t.Fatalf("health history too short: %v", hist)
+	var hist []string
+	if d := f.Sim.Obs().Journal.DumpScope("supervisor."+sf.Name, "post-run"); d != nil {
+		for _, e := range d.Events {
+			if e.Detail == "cs0" {
+				hist = append(hist, e.Type)
+			}
+		}
+	}
+	if want := []string{supervisor.EvCSDown, supervisor.EvCSRestart, supervisor.EvCSUp}; !slices.Equal(hist, want) {
+		t.Fatalf("journalled health history of cs0 %v, want %v", hist, want)
 	}
 }
 
@@ -121,8 +129,7 @@ func TestSupervisorRestartsHungController(t *testing.T) {
 	}
 	f.Run(30 * time.Second)
 	if !probeHealthy() || !f.Tree.ControllerHealthy() {
-		t.Fatalf("controller not repaired: subfarm history %v, root %v",
-			sup.HealthHistory()["controller"], f.Tree.ControllerHistory())
+		t.Fatalf("controller not repaired: root history %v", f.Tree.ControllerHistory())
 	}
 	hist := f.Tree.ControllerHistory()
 	if len(hist) != 3 || hist[0] != "down@21s" || !strings.HasPrefix(hist[1], "restart@") || !strings.HasPrefix(hist[2], "up@") {

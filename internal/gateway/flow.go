@@ -734,7 +734,7 @@ func (f *Flow) tryParseResponseShim(stream []byte) bool {
 	if !complete {
 		return false
 	}
-	var resp shim.Response
+	resp := &f.r.respIn
 	if _, err := resp.Unmarshal(stream[:length]); err != nil {
 		f.applyDrop("bad response shim: " + err.Error())
 		return true
@@ -748,7 +748,7 @@ func (f *Flow) tryParseResponseShim(stream []byte) bool {
 	// shim, so its own ACKs can't cover it.
 	f.ackCS(f.csNextSeq)
 
-	f.applyVerdict(&resp, stream[length:])
+	f.applyVerdict(resp, stream[length:])
 	return true
 }
 

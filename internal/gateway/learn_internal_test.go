@@ -242,7 +242,7 @@ func TestFlowFitsSizeClass(t *testing.T) {
 		name       string
 		size, want uintptr
 	}{
-		{"Flow", unsafe.Sizeof(Flow{}), 256},
+		{"Flow", unsafe.Sizeof(Flow{}), 208},
 		{"gwSender", unsafe.Sizeof(gwSender{}), 128},
 		{"rareState", unsafe.Sizeof(rareState{}), 80},
 	} {

@@ -189,6 +189,12 @@ type Router struct {
 	dgramOut datagramHeaders
 	shimOut  [shim.RequestLen]byte
 
+	// respIn is where every response shim from a containment server is
+	// decoded, valid until the verdict it carries is applied. A policy
+	// name or annotation the last shim also carried keeps its string, so
+	// a run of verdicts from one policy makes none.
+	respIn shim.Response
+
 	nat *nat.Table
 
 	// index finds a flow by any key it owns; register and unregister are

@@ -58,7 +58,7 @@ func (f *Flow) sendUDPToCS(payload []byte) {
 // udpFromCS handles containment-server datagrams: a response shim followed
 // by optional payload for the initiator.
 func (f *Flow) udpFromCS(p *netstack.Packet) {
-	var resp shim.Response
+	resp := &f.r.respIn
 	n, err := resp.Unmarshal(p.Payload)
 	if err != nil {
 		return // not shim-framed: drop
@@ -66,7 +66,7 @@ func (f *Flow) udpFromCS(p *netstack.Packet) {
 	rest := p.Payload[n:]
 
 	if f.state == fsAwaitVerdict {
-		f.applyVerdictUDP(&resp)
+		f.applyVerdictUDP(resp)
 	}
 	if len(rest) > 0 && f.state != fsDropped && f.state != fsClosed {
 		f.rec.BytesResp += uint64(len(rest))

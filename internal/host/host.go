@@ -84,10 +84,14 @@ type Host struct {
 	portConns   map[uint16]int
 	listeners   map[uint16]func(*Conn)
 	anyListener func(*Conn) // wildcard TCP listener (catch-all sinks)
-	udpSocks    map[uint16]*UDPSock
-	anyUDP      func(dstPort uint16, src netstack.Addr, srcPort uint16, data []byte)
-	nextEphem   uint16
-	rawUDPHook  func(p *netstack.Packet) bool
+	// accepting holds the listener callback each passive open in SYN_RCVD
+	// will be handed to once it is established, as it was when its SYN
+	// arrived: an Unlisten during the handshake does not take it back.
+	accepting  map[*Conn]func(*Conn)
+	udpSocks   map[uint16]*UDPSock
+	anyUDP     func(dstPort uint16, src netstack.Addr, srcPort uint16, data []byte)
+	nextEphem  uint16
+	rawUDPHook func(p *netstack.Packet) bool
 }
 
 // connKey is 8 bytes with no padding, so the conns map hashes it in one

@@ -162,25 +162,25 @@ func TestOOOStashIsBounded(t *testing.T) {
 	}
 	seg(DefaultWindow, []byte("beyond the window"))
 	s.RunFor(time.Millisecond)
-	if len(conn.ooo) != 0 {
+	if conn.stashed() != 0 {
 		t.Fatalf("a segment starting beyond the window was stashed")
 	}
 	for i := uint32(0); i < 10000; i++ {
 		seg(1+i*7, []byte{byte(i)})
 		if i%100 == 99 {
 			s.RunFor(time.Millisecond)
-			if len(conn.ooo) > maxOOOSegments {
-				t.Fatalf("after %d segments the stash holds %d, cap %d", i+1, len(conn.ooo), maxOOOSegments)
+			if conn.stashed() > maxOOOSegments {
+				t.Fatalf("after %d segments the stash holds %d, cap %d", i+1, conn.stashed(), maxOOOSegments)
 			}
 		}
 	}
-	for s := range conn.ooo {
+	for s := range conn.ooo.segs {
 		if off := s - next; off >= DefaultWindow {
 			t.Fatalf("stashed a segment %d bytes ahead, beyond the window", off)
 		}
 	}
-	if len(conn.ooo) != maxOOOSegments {
-		t.Fatalf("the stash holds %d segments, want it full at %d", len(conn.ooo), maxOOOSegments)
+	if conn.stashed() != maxOOOSegments {
+		t.Fatalf("the stash holds %d segments, want it full at %d", conn.stashed(), maxOOOSegments)
 	}
 	seg(0, []byte("0"))
 	s.RunFor(time.Millisecond)

@@ -239,8 +239,8 @@ func TestKeptBytesSurviveLaterFrames(t *testing.T) {
 		sock.SendTo(silent, 2000, []byte(d))
 	}
 	s.RunFor(100 * time.Millisecond)
-	if conn == nil || len(conn.ooo) != 1 {
-		t.Fatalf("setup: conn %v, %d stashed", conn != nil, len(conn.ooo))
+	if conn == nil || conn.stashed() != 1 {
+		t.Fatalf("setup: conn %v, %d stashed", conn != nil, conn.stashed())
 	}
 
 	// Unrelated frames of every kind the host parses: segments for sockets

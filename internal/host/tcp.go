@@ -64,11 +64,13 @@ var ErrTimeout = errors.New("connection timed out")
 // events; applications must not block inside them.
 //
 // Every flow through the farm opens a Conn on up to three hosts, so a Conn
-// is kept to one 192-byte object (TestConnFitsSizeClass): one timer, the
+// is kept to one 160-byte object (TestConnFitsSizeClass): one timer, the
 // retransmission timeout derived from the retry count, the state and the
-// switches in single bytes, and a send buffer that, like every frame buffer
-// in the domain, cycles through the frame list (netsim.Frames), with the
-// bytes still to be acknowledged held as two offsets into it.
+// switches in single bytes, a send buffer that, like every frame buffer in
+// the domain, cycles through the frame list (netsim.Frames), with the bytes
+// still to be acknowledged held as two offsets into it, and the state only
+// some conns need (a passive open's accept callback, the out-of-order
+// stash) kept outside it.
 type Conn struct {
 	host *Host
 	key  connKey // the endpoint: local port, remote address and port
@@ -88,22 +90,16 @@ type Conn struct {
 	retries             uint8 // retransmissions since the last forward progress
 	sndBase             []byte
 
-	// Receive state. ooo stashes segments received beyond rcvNxt, keyed
-	// by starting sequence number; entries may overlap the delivered
-	// stream (go-back-N resends from sndUna) and are trimmed on drain. It
-	// is made by the first stash: most connections never see one. It holds
-	// no segment that starts beyond the window and at most maxOOOSegments
-	// (processData, stash). oooFinSeq is where a FIN observed beyond
-	// rcvNxt sits, while the oooFin flag is set.
-	rcvNxt, oooFinSeq uint32
-	flags             connFlags
-	ooo               map[uint32][]byte
+	// Receive state. ooo is made by the first segment or FIN that arrives
+	// beyond rcvNxt: most connections never see one.
+	rcvNxt uint32
+	flags  connFlags
+	ooo    *oooStash
 
 	// rtx is the conn's one timer: the retransmission timeout, re-armed
 	// with every segment sent or acknowledged, and in TIME_WAIT the end of
 	// TIME_WAIT. It does not allocate when armed (see sim.Timer).
-	rtx      sim.Timer
-	acceptFn func(*Conn) // deferred listener callback for passive opens
+	rtx sim.Timer
 
 	// OnConnect fires when the connection reaches ESTABLISHED (for both
 	// active and passive opens).
@@ -123,13 +119,24 @@ type Conn struct {
 	BytesOut uint64
 }
 
+// oooStash is a conn's out-of-order reassembly state. segs holds the
+// segments received beyond rcvNxt, keyed by starting sequence number;
+// entries may overlap the delivered stream (go-back-N resends from sndUna)
+// and are trimmed on drain. It holds no segment that starts beyond the
+// window and at most maxOOOSegments (processData, stash). finSeq is where
+// a FIN observed beyond rcvNxt sits, while the oooFin flag is set.
+type oooStash struct {
+	segs   map[uint32][]byte
+	finSeq uint32
+}
+
 // connFlags packs a Conn's switches into one byte.
 type connFlags uint8
 
 const (
 	finQueued  connFlags = 1 << iota // Close asked for a FIN behind the queued data
 	finSent                          // the FIN is in flight (go-back-N clears it)
-	oooFin                           // a FIN was seen beyond rcvNxt, at oooFinSeq
+	oooFin                           // a FIN was seen beyond rcvNxt, at ooo.finSeq
 	finRcvd                          // the peer's FIN was consumed: FIN processing is idempotent
 	connClosed                       // torn down; OnClose has fired
 )
@@ -375,6 +382,7 @@ func (c *Conn) destroy(err error) {
 	c.ooo = nil // sweep any stale reassembly stash with the conn
 	c.releaseSend()
 	c.rtx.Stop()
+	delete(c.host.accepting, c)
 	c.host.dropConn(c)
 	if c.OnClose != nil {
 		c.OnClose(err)
@@ -405,7 +413,10 @@ func (h *Host) handleTCP(p *netstack.Packet) {
 			c.iss = h.sim.Rand().Uint32()
 			c.sndUna, c.sndNxt = c.iss, c.iss+1
 			c.sndWnd = t.Window
-			c.acceptFn = accept
+			if h.accepting == nil {
+				h.accepting = make(map[*Conn]func(*Conn))
+			}
+			h.accepting[c] = accept
 			h.addConn(c)
 			c.sendSegment(netstack.FlagSYN|netstack.FlagACK, c.iss, c.rcvNxt, nil)
 			c.armRetransmit()
@@ -501,9 +512,9 @@ func (c *Conn) handleSegment(t *netstack.TCP, payload []byte) {
 			c.state = StateEstablished
 			c.resetRTO()
 			c.rtx.Stop()
-			if c.acceptFn != nil {
-				c.acceptFn(c)
-				c.acceptFn = nil
+			if accept, ok := c.host.accepting[c]; ok {
+				delete(c.host.accepting, c)
+				accept(c)
 			}
 			if c.OnConnect != nil {
 				c.OnConnect()
@@ -583,7 +594,7 @@ func (c *Conn) processData(t *netstack.TCP, payload []byte) {
 			}
 			if fin {
 				c.set(oooFin)
-				c.oooFinSeq = seq + uint32(len(payload))
+				c.needOOO().finSeq = seq + uint32(len(payload))
 			}
 		}
 		c.sendSegment(netstack.FlagACK, c.sndNxt, c.rcvNxt, nil)
@@ -631,14 +642,20 @@ func (c *Conn) processData(t *netstack.TCP, payload []byte) {
 // containment server's conns take segments an inmate chose, and a sender
 // resends what was refused.
 func (c *Conn) stash(seq uint32, payload []byte) {
-	have, ok := c.ooo[seq]
-	if ok && len(have) >= len(payload) || !ok && len(c.ooo) >= maxOOOSegments {
+	o := c.needOOO()
+	have, ok := o.segs[seq]
+	if ok && len(have) >= len(payload) || !ok && len(o.segs) >= maxOOOSegments {
 		return
 	}
+	o.segs[seq] = append([]byte(nil), payload...)
+}
+
+// needOOO returns c.ooo, making it on first use.
+func (c *Conn) needOOO() *oooStash {
 	if c.ooo == nil {
-		c.ooo = make(map[uint32][]byte)
+		c.ooo = &oooStash{segs: make(map[uint32][]byte)}
 	}
-	c.ooo[seq] = append([]byte(nil), payload...)
+	return c.ooo
 }
 
 // deliver hands in-order payload to the application and advances rcvNxt.
@@ -659,9 +676,13 @@ func (c *Conn) deliver(payload []byte) {
 // a recorded out-of-order FIN, the FIN is processed immediately instead
 // of waiting for the peer's retransmission.
 func (c *Conn) drainOOO() {
-	for len(c.ooo) > 0 {
+	o := c.ooo
+	if o == nil {
+		return
+	}
+	for len(o.segs) > 0 {
 		bestSeq, found := uint32(0), false
-		for s := range c.ooo {
+		for s := range o.segs {
 			if seqLEQ(s, c.rcvNxt) && (!found || seqLT(s, bestSeq)) {
 				bestSeq, found = s, true
 			}
@@ -669,8 +690,8 @@ func (c *Conn) drainOOO() {
 		if !found {
 			return
 		}
-		seg := c.ooo[bestSeq]
-		delete(c.ooo, bestSeq)
+		seg := o.segs[bestSeq]
+		delete(o.segs, bestSeq)
 		if skip := c.rcvNxt - bestSeq; skip < uint32(len(seg)) {
 			c.deliver(seg[skip:])
 			if c.is(connClosed) {
@@ -679,7 +700,7 @@ func (c *Conn) drainOOO() {
 		}
 		// else: entirely below rcvNxt — stale duplicate, swept.
 	}
-	if c.is(oooFin) && c.rcvNxt == c.oooFinSeq {
+	if c.is(oooFin) && c.rcvNxt == o.finSeq {
 		c.handleFIN()
 	}
 }

@@ -264,8 +264,8 @@ func TestTCPPartialOverlapStashDelivered(t *testing.T) {
 	if string(got) != "ABCDEFGH" {
 		t.Fatalf("partial-overlap stash mishandled: got %q, want %q", got, "ABCDEFGH")
 	}
-	if conn == nil || len(conn.ooo) != 0 {
-		t.Fatalf("ooo map not drained: %d entries", len(conn.ooo))
+	if conn == nil || conn.stashed() != 0 {
+		t.Fatalf("ooo map not drained: %d entries", conn.stashed())
 	}
 	if ack := peer.lastTCP(); ack == nil || ack.TCP.Ack != next+8 {
 		t.Fatalf("final ACK %d, want %d", ack.TCP.Ack, next+8)
@@ -439,5 +439,55 @@ func TestTCPRSTForUnknownSegment(t *testing.T) {
 	// its sequence number.
 	if last.TCP.Seq != 2 {
 		t.Fatalf("RST seq %d, want 2", last.TCP.Seq)
+	}
+}
+
+// stashed is the number of out-of-order segments c holds.
+func (c *Conn) stashed() int {
+	if c.ooo == nil {
+		return 0
+	}
+	return len(c.ooo.segs)
+}
+
+// A passive open is handed to the listener it arrived at, even if the port
+// stops listening during the handshake; a handshake that dies in SYN_RCVD
+// leaves nothing behind for its accept callback.
+func TestAcceptOutlivesUnlistenDuringHandshake(t *testing.T) {
+	s, h, peer := rawSetup(t)
+	accepted := 0
+	h.Listen(80, func(*Conn) { accepted++ })
+	peer.send(h.MAC(), h.Addr(), &netstack.TCP{
+		SrcPort: 5555, DstPort: 80, Seq: 1000, Flags: netstack.FlagSYN, Window: 65535,
+	}, nil)
+	s.RunFor(time.Second)
+	synack := peer.lastTCP()
+	if synack == nil || synack.TCP.Flags&netstack.FlagSYN == 0 {
+		t.Fatal("no SYN-ACK")
+	}
+	h.Unlisten(80)
+	peer.send(h.MAC(), h.Addr(), &netstack.TCP{
+		SrcPort: 5555, DstPort: 80, Seq: 1001, Ack: synack.TCP.Seq + 1,
+		Flags: netstack.FlagACK, Window: 65535,
+	}, nil)
+	s.RunFor(time.Second)
+	if accepted != 1 || len(h.accepting) != 0 {
+		t.Fatalf("after Unlisten mid-handshake: accepted %d, %d pending accepts", accepted, len(h.accepting))
+	}
+
+	h.Listen(81, func(*Conn) { accepted++ })
+	peer.send(h.MAC(), h.Addr(), &netstack.TCP{
+		SrcPort: 5556, DstPort: 81, Seq: 2000, Flags: netstack.FlagSYN, Window: 65535,
+	}, nil)
+	s.RunFor(time.Second)
+	if len(h.accepting) != 1 {
+		t.Fatalf("SYN_RCVD conn: %d pending accepts, want 1", len(h.accepting))
+	}
+	peer.send(h.MAC(), h.Addr(), &netstack.TCP{
+		SrcPort: 5556, DstPort: 81, Seq: 2001, Flags: netstack.FlagRST, Window: 65535,
+	}, nil)
+	s.RunFor(time.Second)
+	if accepted != 1 || len(h.accepting) != 0 {
+		t.Fatalf("after a reset in SYN_RCVD: accepted %d, %d pending accepts", accepted, len(h.accepting))
 	}
 }

@@ -57,7 +57,7 @@ func TestTCPStreamIntegrityUnderImpairment(t *testing.T) {
 					// At EOF every stashed segment has either been
 					// delivered (trimmed) or swept as a stale duplicate;
 					// anything left is stranded by the reassembly bug.
-					strandedAtEOF = len(c.ooo)
+					strandedAtEOF = c.stashed()
 					c.Close()
 				}
 			})

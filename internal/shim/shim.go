@@ -226,7 +226,10 @@ func UnmarshalResponse(b []byte) (*Response, int, error) {
 }
 
 // Unmarshal decodes a response shim into r, the caller's storage, and
-// returns its total wire length. r is untouched on error.
+// returns its total wire length. r is untouched on error. A string field
+// whose bytes match what r already holds keeps r's string, so a caller that
+// decodes every shim into one Response makes no string for a repeated
+// policy name or annotation.
 func (r *Response) Unmarshal(b []byte) (int, error) {
 	length, typ, err := parsePreamble(b)
 	if err != nil {
@@ -252,10 +255,18 @@ func (r *Response) Unmarshal(b []byte) (int, error) {
 		OrigPort:   binary.BigEndian.Uint16(b[16:18]),
 		RespPort:   binary.BigEndian.Uint16(b[18:20]),
 		Verdict:    Verdict(binary.BigEndian.Uint32(b[20:24])),
-		PolicyName: string(name[:end]),
-		Annotation: string(b[ResponseMinLen:length]),
+		PolicyName: reuse(r.PolicyName, name[:end]),
+		Annotation: reuse(r.Annotation, b[ResponseMinLen:length]),
 	}
 	return length, nil
+}
+
+// reuse is s if it holds b's bytes, else a new string of them.
+func reuse(s string, b []byte) string {
+	if s == string(b) {
+		return s
+	}
+	return string(b)
 }
 
 // PeekLength inspects a buffered stream prefix and reports the total length

@@ -25,8 +25,8 @@ type Event struct {
 	key Key
 	fn  func()
 	sim *Simulator
-	pos int  // 1 + position in its heap; 0 while not queued
-	far bool // while queued: in sim.far rather than sim.near
+	pos int32 // 1 + position in its heap; 0 while not queued
+	far bool  // while queued: in sim.far rather than sim.near
 }
 
 // Cancel prevents a pending event from firing by taking it out of its
@@ -81,11 +81,11 @@ func (q eventQueue) up(i int, e *Event) {
 			break
 		}
 		q[i] = q[parent]
-		q[i].pos = i + 1
+		q[i].pos = int32(i + 1)
 		i = parent
 	}
 	q[i] = e
-	e.pos = i + 1
+	e.pos = int32(i + 1)
 }
 
 // down places e at or below the hole at position i.
@@ -102,11 +102,11 @@ func (q eventQueue) down(i int, e *Event) {
 			break
 		}
 		q[i] = q[child]
-		q[i].pos = i + 1
+		q[i].pos = int32(i + 1)
 		i = child
 	}
 	q[i] = e
-	e.pos = i + 1
+	e.pos = int32(i + 1)
 }
 
 // Simulator is a single-threaded discrete-event scheduler. It is not safe
@@ -314,9 +314,9 @@ const farHorizon = 500 * time.Millisecond
 // unqueue takes the pending event e out of the heap that holds it.
 func (s *Simulator) unqueue(e *Event) {
 	if e.far {
-		s.far.remove(e.pos - 1)
+		s.far.remove(int(e.pos) - 1)
 	} else {
-		s.near.remove(e.pos - 1)
+		s.near.remove(int(e.pos) - 1)
 	}
 }
 

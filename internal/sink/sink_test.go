@@ -157,14 +157,14 @@ func TestSMTPSinkHarvestsSpam(t *testing.T) {
 	if delivered != 2 || sk.Sessions != 1 || sk.DataTransfers != 2 {
 		t.Fatalf("delivered=%d sessions=%d data=%d", delivered, sk.Sessions, sk.DataTransfers)
 	}
-	if len(sk.Envelopes) != 2 || !strings.Contains(string(sk.Envelopes[0].Data), "pills") || sk.Envelopes[1].Helo != "spambot" {
+	if len(sk.Envelopes) != 2 || !strings.Contains(string(sk.Envelopes[0].Data), "pills") || string(sk.Envelopes[1].Helo) != "spambot" {
 		t.Fatalf("envelopes %+v", sk.Envelopes)
 	}
 	// Kept envelopes are copies: each reads what was delivered after the
 	// engine reused (and, in test binaries, poisoned) its one Envelope.
 	for i, want := range []smtpx.Envelope{
-		{Helo: "spambot", From: []byte("a@spam.biz"), Rcpts: [][]byte{[]byte("v1@x.com")}, Data: []byte("pills\n")},
-		{Helo: "spambot", From: []byte("a@spam.biz"), Rcpts: [][]byte{[]byte("v2@x.com")}, Data: []byte("watches\n")},
+		{Helo: []byte("spambot"), From: []byte("a@spam.biz"), Rcpts: [][]byte{[]byte("v1@x.com")}, Data: []byte("pills\n")},
+		{Helo: []byte("spambot"), From: []byte("a@spam.biz"), Rcpts: [][]byte{[]byte("v2@x.com")}, Data: []byte("watches\n")},
 	} {
 		if !reflect.DeepEqual(*sk.Envelopes[i], want) {
 			t.Errorf("kept envelope %d reads\n%q\nafter the session, delivered as\n%q", i, *sk.Envelopes[i], want)
@@ -175,17 +175,17 @@ func TestSMTPSinkHarvestsSpam(t *testing.T) {
 // keepEnvelope's copy shares no byte with the envelope it copies, and its
 // pieces, though they share one buffer, cannot grow into each other.
 func TestKeepEnvelopeCopiesEveryByte(t *testing.T) {
-	env := &smtpx.Envelope{Helo: "h", From: []byte("a@b.c"),
+	env := &smtpx.Envelope{Helo: []byte("h"), From: []byte("a@b.c"),
 		Rcpts: [][]byte{[]byte("v1@x.com"), []byte("v2@x.com")}, Data: []byte("body\n")}
 	kept := keepEnvelope(env)
-	for _, b := range append([][]byte{env.From, env.Data}, env.Rcpts...) {
+	for _, b := range append([][]byte{env.Helo, env.From, env.Data}, env.Rcpts...) {
 		for i := range b {
 			b[i] = netsim.PoisonByte
 		}
 	}
 	_ = append(kept.From, "XX"...)
 	_ = append(kept.Rcpts[0], "XX"...)
-	want := smtpx.Envelope{Helo: "h", From: []byte("a@b.c"),
+	want := smtpx.Envelope{Helo: []byte("h"), From: []byte("a@b.c"),
 		Rcpts: [][]byte{[]byte("v1@x.com"), []byte("v2@x.com")}, Data: []byte("body\n")}
 	if !reflect.DeepEqual(*kept, want) {
 		t.Fatalf("kept envelope reads %q, want %q", *kept, want)

@@ -128,10 +128,11 @@ func (s *SMTPSink) accept(c *host.Conn) {
 }
 
 // keepEnvelope copies env out of the engine's Envelope, whose buffers the
-// engine reuses for the session's next message: its sender, recipients and
-// body go into one buffer, each a full slice of its own piece.
+// engine reuses for the session's next message: its greeting, sender,
+// recipients and body go into one buffer, each a full slice of its own
+// piece.
 func keepEnvelope(env *smtpx.Envelope) *smtpx.Envelope {
-	n := len(env.From) + len(env.Data)
+	n := len(env.Helo) + len(env.From) + len(env.Data)
 	for _, r := range env.Rcpts {
 		n += len(r)
 	}
@@ -140,7 +141,7 @@ func keepEnvelope(env *smtpx.Envelope) *smtpx.Envelope {
 		buf = append(buf, b...)
 		return buf[len(buf)-len(b) : len(buf) : len(buf)]
 	}
-	kept := &smtpx.Envelope{Helo: env.Helo, From: piece(env.From), Rcpts: make([][]byte, len(env.Rcpts))}
+	kept := &smtpx.Envelope{Helo: piece(env.Helo), From: piece(env.From), Rcpts: make([][]byte, len(env.Rcpts))}
 	for i, r := range env.Rcpts {
 		kept.Rcpts[i] = piece(r)
 	}

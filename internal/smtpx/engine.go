@@ -25,6 +25,7 @@ import (
 	"bytes"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"unicode"
 	"unicode/utf8"
@@ -46,10 +47,9 @@ const (
 // Envelope is a message collected by the server engine. The engine hands
 // OnMessage its one Envelope, reused for each message of the session: it is
 // valid only during the call, and a callback that keeps it copies the
-// struct and the bytes of From, each of Rcpts and Data (Helo is a string
-// and may be shared).
+// struct and the bytes of Helo, From, each of Rcpts and Data.
 type Envelope struct {
-	Helo  string
+	Helo  []byte
 	From  []byte
 	Rcpts [][]byte
 	Data  []byte
@@ -64,10 +64,13 @@ type Reply struct {
 func (r Reply) String() string { return strconv.Itoa(r.Code) + " " + r.Text }
 
 // What an inmate can make a session hold (DESIGN.md §5): a line of at most
-// maxLine octets before its LF (RFC 5321 §4.5.3.1.6), a body of maxMessage.
+// maxLine octets before its LF (RFC 5321 §4.5.3.1.6), a body of maxMessage,
+// maxRcpts recipients per transaction (the minimum RFC 5321 §4.5.3.1.8 asks
+// a server to take; each one past it is answered 452).
 const (
 	maxLine    = 1000
 	maxMessage = 1 << 20
+	maxRcpts   = 100
 )
 
 // Engine is a server-side SMTP session state machine. The caller feeds it
@@ -76,8 +79,9 @@ const (
 // (e.g. while grabbing the real target's banner, §7.1 "satisfying
 // fidelity").
 type Engine struct {
-	// Hooks; both optional.
-	OnHelo func(verb, arg string)
+	// Hooks; both optional. arg is the engine's copy of the greeting's
+	// argument (Envelope.Helo), valid only during the call.
+	OnHelo func(verb string, arg []byte)
 	// OnMessage receives each completed envelope; its reply, if any,
 	// answers the end-of-DATA dot in place of the default acceptance, which
 	// GQ's exploratory containment uses to expose specimens to specific
@@ -91,10 +95,13 @@ type Engine struct {
 
 	state int // 0 start, 1 greeted, 2 mail, 3 rcpt, 4 data
 	// env is the message being collected: the session's greeting, and the
-	// sender, recipients and body of the current transaction. Its From,
-	// Rcpts (each recipient's bytes too) and Data keep their storage from
-	// one message to the next.
-	env      Envelope
+	// sender, recipients and body of the current transaction. Its Helo,
+	// From, Rcpts (each recipient's bytes too) and Data keep their storage
+	// from one message to the next.
+	env Envelope
+	// hello is the last greeting's reply, written again as long as the
+	// session greets with the same name.
+	hello    string
 	oversize bool // this DATA stage outgrew maxMessage; its body is dropped
 	in       lineio.Reader
 	greeted  bool
@@ -180,6 +187,8 @@ func (e *Engine) reset() {
 // a callback that kept one instead of copying it reads PoisonByte.
 var poisonMessages = testing.Testing()
 
+// poisonEnvelope leaves Helo alone: it is the session's greeting, which
+// every later message of the session carries too.
 func poisonEnvelope(env *Envelope) {
 	poisonBytes(env.From)
 	for _, r := range env.Rcpts {
@@ -210,12 +219,15 @@ func (e *Engine) handleLine(line []byte) {
 			e.write("503 duplicate HELO/EHLO")
 			return
 		}
-		e.env.Helo = string(arg)
+		e.env.Helo = append(e.env.Helo[:0], arg...)
 		e.state = stGreeted
 		if e.OnHelo != nil {
 			e.OnHelo(verb, e.env.Helo)
 		}
-		e.write("250 Hello " + e.env.Helo)
+		if name, ok := strings.CutPrefix(e.hello, helloPrefix); !ok || name != string(arg) {
+			e.hello = helloPrefix + string(arg)
+		}
+		e.write(e.hello)
 
 	case "MAIL":
 		if e.state == stStart && e.strictness == Strict {
@@ -240,9 +252,13 @@ func (e *Engine) handleLine(line []byte) {
 			e.write("501 syntax error in RCPT TO")
 			return
 		}
+		n := len(e.env.Rcpts)
+		if n >= maxRcpts {
+			e.write("452 too many recipients")
+			return
+		}
 		// The recipient goes into the buffer the last message's recipient
 		// at this place used.
-		n := len(e.env.Rcpts)
 		e.env.Rcpts = slices.Grow(e.env.Rcpts, 1)[:n+1]
 		e.env.Rcpts[n] = append(e.env.Rcpts[n][:0], addr...)
 		e.state = stRcpt
@@ -276,6 +292,8 @@ func (e *Engine) handleLine(line []byte) {
 		e.write("500 command not recognized")
 	}
 }
+
+const helloPrefix = "250 Hello "
 
 var verbs = [...]string{"HELO", "EHLO", "MAIL", "RCPT", "DATA", "RSET", "NOOP", "QUIT"}
 

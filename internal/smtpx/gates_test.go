@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"runtime"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -79,6 +80,37 @@ func TestEngineBoundsMessageSize(t *testing.T) {
 	}
 }
 
+// A transaction takes maxRcpts recipients; each one past them is answered
+// 452 and held nowhere, the session stays open, and both the transaction
+// and the next one deliver.
+func TestEngineBoundsRecipients(t *testing.T) {
+	replies := map[string]int{}
+	var envs []Envelope
+	eng := NewEngine(Lenient, func(l string) { replies[l]++ }, nil)
+	eng.OnMessage = func(env *Envelope) *Reply { envs = append(envs, copyEnv(env)); return nil }
+	eng.Feed([]byte("HELO h\r\nMAIL FROM:<a@b.c>\r\n"))
+	const flood = 100000
+	for i := 0; i < flood; i++ {
+		eng.Feed([]byte("RCPT TO:<victim" + strconv.Itoa(i) + "@x.y>\r\n"))
+		if len(eng.env.Rcpts) > maxRcpts {
+			t.Fatalf("after %d RCPT TO lines the transaction holds %d recipients, cap %d", i+1, len(eng.env.Rcpts), maxRcpts)
+		}
+	}
+	if replies["250 recipient OK"] != maxRcpts || replies["452 too many recipients"] != flood-maxRcpts {
+		t.Fatalf("replies %v", replies)
+	}
+	eng.Feed([]byte("DATA\r\nfirst\r\n.\r\nMAIL FROM:<a@b.c>\r\nRCPT TO:<d@e.f>\r\nDATA\r\nsecond\r\n.\r\n"))
+	if replies["250 OK queued"] != 2 || len(envs) != 2 {
+		t.Fatalf("after the flood: %d envelopes, replies %v", len(envs), replies)
+	}
+	if n := len(envs[0].Rcpts); n != maxRcpts || string(envs[0].Rcpts[n-1]) != "victim99@x.y" || string(envs[0].Data) != "first\n" {
+		t.Errorf("flooded transaction delivered %d recipients, the last %q, body %q", n, envs[0].Rcpts[n-1], envs[0].Data)
+	}
+	if len(envs[1].Rcpts) != 1 || string(envs[1].Rcpts[0]) != "d@e.f" || string(envs[1].Data) != "second\n" {
+		t.Errorf("the next transaction delivered %q", envs[1])
+	}
+}
+
 // --- allocation gates: the text path costs what it keeps ---
 
 // A warm engine outside DATA allocates nothing for a command line: the
@@ -107,6 +139,24 @@ func TestEngineFeedAllocsPerCommand(t *testing.T) {
 	head, tail := []byte("NO"), []byte("OP\r\n")
 	if got := testing.AllocsPerRun(100, func() { eng.Feed(head); eng.Feed(tail) }); got != 0 {
 		t.Errorf("split NOOP: %v allocs, want 0", got)
+	}
+}
+
+// A warm engine answers a greeting it already holds from the buffer and the
+// reply it kept for it: a repeated HELO or EHLO costs the heap nothing.
+func TestEngineHeloAllocsNothing(t *testing.T) {
+	eng := NewEngine(Lenient, func(string) {}, nil)
+	eng.Greet("220 sink")
+	helo, ehlo := []byte("HELO warm.example\r\n"), []byte("EHLO warm.example\r\n")
+	eng.Feed(helo)
+	if got := testing.AllocsPerRun(100, func() { eng.Feed(helo); eng.Feed(ehlo) }); got != 0 {
+		t.Errorf("a warm HELO and EHLO cost %v allocs, want 0", got)
+	}
+	rec := record(Lenient)
+	rec.Feed([]byte("HELO warm.example\r\nHELO w\r\nEHLO other.example\r\n"))
+	want := []string{"220 sink", "250 Hello warm.example", "250 Hello w", "250 Hello other.example"}
+	if !slices.Equal(rec.replies, want) || string(rec.env.Helo) != "other.example" {
+		t.Fatalf("replies %q, greeting %q", rec.replies, rec.env.Helo)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // model is the string-based engine the byte-based one replaced, kept as the
 // reference FuzzEngineFeed holds it to: handleLine, splitVerb and
 // parseAddrStanza are the old code (a string per line, ToUpper copies, a
-// Sprintf per reply), with the two bounds added and the whole stream split
-// up front instead of buffered.
+// Sprintf per reply), with the three bounds added and the whole stream
+// split up front instead of buffered.
 type model struct {
 	strictness Strictness
 	onMessage  func(env *Envelope) *Reply
@@ -119,6 +119,10 @@ func (m *model) handleLine(line string) {
 			m.reply(501, "syntax error in RCPT TO")
 			return
 		}
+		if len(m.rcpts) >= maxRcpts {
+			m.reply(452, "too many recipients")
+			return
+		}
 		m.rcpts = append(m.rcpts, addr)
 		m.state = stRcpt
 		m.reply(250, "recipient OK")
@@ -152,7 +156,7 @@ func (m *model) handleLine(line string) {
 // envelope is the model's transaction as the engine's Envelope type holds
 // it.
 func (m *model) envelope() *Envelope {
-	env := &Envelope{Helo: m.helo, From: []byte(m.from), Data: m.data}
+	env := &Envelope{Helo: []byte(m.helo), From: []byte(m.from), Data: m.data}
 	for _, r := range m.rcpts {
 		env.Rcpts = append(env.Rcpts, []byte(r))
 	}
@@ -213,7 +217,7 @@ type outcome struct {
 	Replies []string
 	Envs    []Envelope
 	State   int
-	Helo    string
+	Helo    []byte
 	From    []byte
 	Rcpts   [][]byte
 	Data    []byte
@@ -222,10 +226,10 @@ type outcome struct {
 	Envelopes int
 }
 
-// copyEnv copies an envelope and every byte it holds, an empty sender,
-// list or body as nil.
+// copyEnv copies an envelope and every byte it holds, an empty greeting,
+// sender, list or body as nil.
 func copyEnv(e *Envelope) Envelope {
-	c := Envelope{Helo: e.Helo, From: append([]byte(nil), e.From...), Data: append([]byte(nil), e.Data...)}
+	c := Envelope{Helo: append([]byte(nil), e.Helo...), From: append([]byte(nil), e.From...), Data: append([]byte(nil), e.Data...)}
 	for _, r := range e.Rcpts {
 		c.Rcpts = append(c.Rcpts, append([]byte(nil), r...))
 	}
@@ -305,6 +309,11 @@ func FuzzEngineFeed(f *testing.F) {
 	f.Add(append(bytes.Repeat([]byte{'A'}, maxLine+500), "\r\nNOOP\r\n"...), []byte{255, 255, 255, 255})
 	f.Add(append(crlf("HELO h", "MAIL FROM:<a@b.c>", "RCPT TO:<d@e.f>", "DATA"),
 		append(bytes.Repeat([]byte{'.'}, maxLine+1), "\r\n.\r\n"...)...), []byte{100})
+	flood := []string{"HELO h", "MAIL FROM:<a@b.c>"}
+	for len(flood) < maxRcpts+4 {
+		flood = append(flood, "RCPT TO:<v@x.y>")
+	}
+	f.Add(crlf(append(flood, "DATA", "m", ".", "MAIL FROM:<a@b.c>", "RCPT TO:<w@x.y>", "DATA", "n", ".")...), []byte{50})
 	// strings.ToUpper's reach beyond ASCII, which the byte matcher keeps.
 	f.Add(crlf("helo h", "maıl from:<a@b.c>", "rſet", " noop ", "NOOP\xff", "KUIT"), []byte{5, 1})
 

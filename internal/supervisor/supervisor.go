@@ -527,15 +527,3 @@ func (sup *Supervisor) Healthy(idx int) bool {
 func (sup *Supervisor) Quarantined(idx int) bool {
 	return idx >= 0 && idx < len(sup.cs) && sup.cs[idx].quarantined
 }
-
-// HealthHistory returns each endpoint's health-transition history, keyed
-// by endpoint id ("cs0", "catchall", "controller", ...). Identical
-// across worker counts for a (seed, profile) pair — the shard-determinism
-// test DeepEquals it.
-func (sup *Supervisor) HealthHistory() map[string][]string {
-	out := make(map[string][]string, len(sup.watches))
-	for _, w := range sup.watches {
-		out[w.id] = append([]string(nil), w.transitions...)
-	}
-	return out
-}

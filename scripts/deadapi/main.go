@@ -11,8 +11,10 @@
 // A field or package-level var is used only where it is read: the left
 // side of an assignment or increment, the key of a keyed struct literal,
 // and a read that only computes the same variable's next value
-// (x.f = append(x.f, v)) are writes, not uses. Taking its address is a
-// use. Every reference from bench/, which is frozen, counts.
+// (x.f = append(x.f, v)) are writes, not uses. So is a map's entry: an
+// assignment to or increment of x.m[k], and delete(x.m, k) and clear(x.m),
+// write m. Taking its address is a use. Every reference from bench/,
+// which is frozen, counts.
 //
 // Besides a reference, these make a declaration used: a method a type
 // provides to a method of an interface the module declares that non-test
@@ -328,6 +330,13 @@ func (u *usage) scan(p *pkg, frozen bool) {
 				if id := stored(p, n.X); id != nil {
 					writes[id] = true
 				}
+			case *ast.CallExpr:
+				fn, _ := ast.Unparen(n.Fun).(*ast.Ident)
+				if b, ok := p.info.Uses[fn].(*types.Builtin); ok && (b.Name() == "delete" || b.Name() == "clear") {
+					if id := storedMap(p, n.Args[0]); id != nil {
+						writes[id] = true
+					}
+				}
 			case *ast.KeyValueExpr:
 				if id, ok := n.Key.(*ast.Ident); ok {
 					if v, ok := p.info.Uses[id].(*types.Var); ok && v.IsField() {
@@ -361,6 +370,9 @@ func (u *usage) scan(p *pkg, frozen bool) {
 // stored returns the identifier of the field or package-level var that
 // an assignment to e writes, nil if e is not one.
 func stored(p *pkg, e ast.Expr) *ast.Ident {
+	if ix, ok := ast.Unparen(e).(*ast.IndexExpr); ok {
+		return storedMap(p, ix.X)
+	}
 	var id *ast.Ident
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
@@ -375,6 +387,15 @@ func stored(p *pkg, e ast.Expr) *ast.Ident {
 		return nil
 	}
 	return id
+}
+
+// storedMap is stored for m, a map whose entries are assigned, deleted or
+// cleared; nil if m is not a map.
+func storedMap(p *pkg, m ast.Expr) *ast.Ident {
+	if _, ok := p.info.TypeOf(m).Underlying().(*types.Map); !ok {
+		return nil
+	}
+	return stored(p, m)
 }
 
 // selfReads marks as a write the read of v in e, the value assigned to v,

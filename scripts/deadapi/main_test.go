@@ -25,14 +25,15 @@ func TestFixtureReport(t *testing.T) {
 		"lib/lib.go:25: lib.DeadVar",
 		"lib/lib.go:27: lib.DeadConst",
 		"lib/lib.go:29: lib.OnlyTested",
-		"lib/lib.go:35: lib.Log.assigned",
-		"lib/lib.go:36: lib.Log.counter",
-		"lib/lib.go:37: lib.Log.keyed",
-		"lib/lib.go:38: lib.Log.entries",
-		"lib/lib.go:50: lib.lastRecorded",
-		"lib/lib.go:56: lib.Shape.Kind",
-		"lib/lib.go:62: lib.Square.Kind",
-		"lib/lib.go:67: lib.Rect.Kind",
+		"lib/lib.go:36: lib.Log.assigned",
+		"lib/lib.go:37: lib.Log.counter",
+		"lib/lib.go:38: lib.Log.keyed",
+		"lib/lib.go:39: lib.Log.entries",
+		"lib/lib.go:40: lib.Log.byValue",
+		"lib/lib.go:56: lib.lastRecorded",
+		"lib/lib.go:62: lib.Shape.Kind",
+		"lib/lib.go:68: lib.Square.Kind",
+		"lib/lib.go:73: lib.Rect.Kind",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("report:\n%q\nwant:\n%q", got, want)
@@ -56,14 +57,15 @@ func TestAllowlist(t *testing.T) {
 		"lib/lib.go:25: lib.DeadVar",
 		"lib/lib.go:27: lib.DeadConst",
 		"lib/lib.go:29: lib.OnlyTested",
-		"lib/lib.go:35: lib.Log.assigned",
-		"lib/lib.go:36: lib.Log.counter",
-		"lib/lib.go:37: lib.Log.keyed",
-		"lib/lib.go:38: lib.Log.entries",
-		"lib/lib.go:50: lib.lastRecorded",
-		"lib/lib.go:56: lib.Shape.Kind",
-		"lib/lib.go:62: lib.Square.Kind",
-		"lib/lib.go:67: lib.Rect.Kind",
+		"lib/lib.go:36: lib.Log.assigned",
+		"lib/lib.go:37: lib.Log.counter",
+		"lib/lib.go:38: lib.Log.keyed",
+		"lib/lib.go:39: lib.Log.entries",
+		"lib/lib.go:40: lib.Log.byValue",
+		"lib/lib.go:56: lib.lastRecorded",
+		"lib/lib.go:62: lib.Shape.Kind",
+		"lib/lib.go:68: lib.Square.Kind",
+		"lib/lib.go:73: lib.Rect.Kind",
 		"allowlisted but used or gone: lib.Gone",
 		"allowlisted but used or gone: lib.On",
 	}

@@ -29,13 +29,15 @@ const DeadConst = 2
 func OnlyTested() int { return 3 }
 
 // Dead: fields that are only written — assigned, incremented, set in a
-// keyed literal, appended to — and a package-level var only assigned.
+// keyed literal, appended to, a map whose entries are only set, bumped,
+// appended to, deleted and cleared — and a package-level var only assigned.
 
 type Log struct {
 	assigned int
 	counter  int
 	keyed    int
 	entries  []int
+	byValue  map[int][]int
 }
 
 func NewLog() *Log { return &Log{keyed: 1} }
@@ -45,6 +47,10 @@ func (l *Log) Record(v int) {
 	l.counter++
 	l.entries = append(l.entries, v)
 	lastRecorded = v
+	l.byValue[v] = nil
+	l.byValue[v] = append(l.byValue[v], v)
+	delete(l.byValue, v-1)
+	clear(l.byValue)
 }
 
 var lastRecorded int
@@ -83,6 +89,14 @@ type base struct{}
 func (base) Name() string { return "base" }
 
 type Decider struct{ base }
+
+// Live: a map field whose entries are written and read.
+
+type Table struct{ rows map[int]int }
+
+func (t *Table) Put(k, v int) { t.rows[k]++; t.rows[k] = v }
+
+func (t *Table) Get(k int) int { return t.rows[k] }
 
 // Live: the fields of a map's key type, though only a keyed literal sets
 // them.
