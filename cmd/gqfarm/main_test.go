@@ -13,6 +13,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gq/internal/gateway"
+	"gq/internal/netstack"
+	"gq/internal/trace"
 )
 
 // TestFailingRunFlushesJournal is the regression test for the truncated-
@@ -244,5 +248,76 @@ func TestRunDigests(t *testing.T) {
 		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestTraceHasNoRedundantACKs walks a traced run's pcap for pure ACKs that
+// say nothing new (RFC 1122 4.2.3.2): one an inmate or containment server
+// sends is never where that endpoint's previous segment ended with the
+// same acknowledgment number, unless a segment with data, SYN or FIN
+// reached the endpoint in between. Frames the gateway transmits carry its
+// MAC; every other traced frame is a host's own, as it left the host.
+func TestTraceHasNoRedundantACKs(t *testing.T) {
+	pcap := filepath.Join(t.TempDir(), "run.pcap")
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-trace", pcap}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d (stderr: %s)", code, errOut.String())
+	}
+	f, err := os.Open(pcap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := trace.Read(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type endpoint struct {
+		ip, peerIP     netstack.Addr
+		port, peerPort uint16
+	}
+	type sent struct {
+		end, ack uint32 // where the segment ended in sequence space, its ACK
+		newData  bool   // data, SYN or FIN reached the endpoint since
+	}
+	last := make(map[endpoint]sent)
+	pureACKs, redundant := 0, 0
+	for _, rec := range recs {
+		p, err := netstack.ParseFrame(rec.Frame)
+		if err != nil || p.IP == nil || p.TCP == nil {
+			continue
+		}
+		tcp := p.TCP
+		consumes := uint32(len(p.Payload))
+		if tcp.Flags&netstack.FlagSYN != 0 {
+			consumes++
+		}
+		if tcp.Flags&netstack.FlagFIN != 0 {
+			consumes++
+		}
+		if p.Eth.Src == gateway.GatewayMAC {
+			to := endpoint{p.IP.Dst, p.IP.Src, tcp.DstPort, tcp.SrcPort}
+			if s, ok := last[to]; ok && consumes > 0 {
+				s.newData = true
+				last[to] = s
+			}
+			continue
+		}
+		from := endpoint{p.IP.Src, p.IP.Dst, tcp.SrcPort, tcp.DstPort}
+		if tcp.Flags == netstack.FlagACK && consumes == 0 {
+			pureACKs++
+			if s, ok := last[from]; ok && !s.newData && s.end == tcp.Seq && s.ack == tcp.Ack {
+				if redundant++; redundant <= 5 {
+					t.Errorf("%v: %s repeats the ACK its previous segment carried", rec.Time, p)
+				}
+			}
+		}
+		last[from] = sent{end: tcp.Seq + consumes, ack: tcp.Ack}
+	}
+	if pureACKs == 0 {
+		t.Fatal("the trace holds no host pure ACK: the walk checked nothing")
+	}
+	if redundant > 0 {
+		t.Errorf("%d of %d host pure ACKs are redundant", redundant, pureACKs)
 	}
 }

@@ -531,9 +531,17 @@ func (f *Flow) fromInitiator(p *netstack.Packet) {
 	t := p.TCP
 	f.rec.BytesOrig += uint64(len(p.Payload))
 
+	// A copy of the opening SYN (duplicated or reordered on the way) is
+	// forwarded as is until the request shim goes out, so a lost SYN-ACK
+	// still recovers. Past the shim it is dropped: it would rewind phase 1,
+	// or reach the server shifted past the ISN it acknowledged.
+	syn := t.Flags&netstack.FlagSYN != 0
+	if syn && f.shimSent && (f.state == fsAwaitVerdict || f.state == fsSplice || f.state == fsRewriteProxy) {
+		return
+	}
 	switch f.state {
 	case fsAwaitVerdict:
-		if t.Flags&netstack.FlagSYN != 0 {
+		if syn {
 			f.initISS = t.Seq
 			f.initNextSeq = t.Seq + 1
 			f.sendToCS(p)
@@ -734,8 +742,8 @@ func (f *Flow) tryParseResponseShim(stream []byte) bool {
 	if !complete {
 		return false
 	}
-	resp := &f.r.respIn
-	if _, err := resp.Unmarshal(stream[:length]); err != nil {
+	resp := &f.r.respIn.Resp
+	if _, err := f.r.respIn.Decode(stream[:length]); err != nil {
 		f.applyDrop("bad response shim: " + err.Error())
 		return true
 	}

@@ -189,11 +189,11 @@ type Router struct {
 	dgramOut datagramHeaders
 	shimOut  [shim.RequestLen]byte
 
-	// respIn is where every response shim from a containment server is
-	// decoded, valid until the verdict it carries is applied. A policy
-	// name or annotation the last shim also carried keeps its string, so
-	// a run of verdicts from one policy makes none.
-	respIn shim.Response
+	// respIn decodes every response shim from a containment server, valid
+	// until the verdict it carries is applied. It keeps the policy names
+	// and annotations it has seen, so verdicts from a farm's few policies
+	// make no strings.
+	respIn shim.Decoder
 
 	nat *nat.Table
 

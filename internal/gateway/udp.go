@@ -58,8 +58,8 @@ func (f *Flow) sendUDPToCS(payload []byte) {
 // udpFromCS handles containment-server datagrams: a response shim followed
 // by optional payload for the initiator.
 func (f *Flow) udpFromCS(p *netstack.Packet) {
-	resp := &f.r.respIn
-	n, err := resp.Unmarshal(p.Payload)
+	resp := &f.r.respIn.Resp
+	n, err := f.r.respIn.Decode(p.Payload)
 	if err != nil {
 		return // not shim-framed: drop
 	}

@@ -139,6 +139,7 @@ const (
 	oooFin                           // a FIN was seen beyond rcvNxt, at ooo.finSeq
 	finRcvd                          // the peer's FIN was consumed: FIN processing is idempotent
 	connClosed                       // torn down; OnClose has fired
+	ackOwed                          // rcvNxt moved, or a FIN came, since a segment last acknowledged it
 )
 
 func (c *Conn) is(f connFlags) bool { return c.flags&f != 0 }
@@ -318,6 +319,9 @@ func (c *Conn) sendSegment(flags uint8, seq, ack uint32, payload []byte) {
 	}
 	frame := t.Marshal(c.host.newIPFrame(netstack.TCPHeaderLen+len(payload)), c.host.addr, c.key.remoteIP, payload)
 	c.host.sendIP(c.key.remoteIP, netstack.ProtoTCP, frame)
+	if flags&netstack.FlagACK != 0 && ack == c.rcvNxt {
+		c.unset(ackOwed)
+	}
 }
 
 // rto is the retransmission timeout: exponential backoff with a cap, so
@@ -631,7 +635,9 @@ func (c *Conn) processData(t *netstack.TCP, payload []byte) {
 	if fin {
 		c.handleFIN()
 	}
-	if !c.is(connClosed) {
+	// deliver and handleFIN made an ACK owed; a reply or FIN the app sent
+	// from OnData or OnPeerClose already carried it (RFC 1122 4.2.3.2).
+	if c.flags&(ackOwed|connClosed) == ackOwed {
 		c.sendSegment(netstack.FlagACK, c.sndNxt, c.rcvNxt, nil)
 	}
 }
@@ -661,6 +667,7 @@ func (c *Conn) needOOO() *oooStash {
 // deliver hands in-order payload to the application and advances rcvNxt.
 func (c *Conn) deliver(payload []byte) {
 	c.rcvNxt += uint32(len(payload))
+	c.set(ackOwed)
 	if c.OnData != nil {
 		c.OnData(payload)
 	}
@@ -707,7 +714,9 @@ func (c *Conn) drainOOO() {
 
 // handleFIN performs the receive-side FIN transition exactly once:
 // consume the sequence number, move the state machine, and signal EOF.
+// A retransmitted FIN only owes its ACK again.
 func (c *Conn) handleFIN() {
+	c.set(ackOwed)
 	if c.is(finRcvd) {
 		return
 	}

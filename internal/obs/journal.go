@@ -496,14 +496,14 @@ func appendEventJSON(b []byte, e Event, epoch time.Time, verdictName func(uint32
 	b = strconv.AppendInt(b, int64(e.T), 10)
 	if !epoch.IsZero() {
 		b = append(b, `,"wall":"`...)
-		b = epoch.Add(e.T).UTC().AppendFormat(b, "2006-01-02T15:04:05.000000Z")
+		b = appendWall(b, epoch.Add(e.T).UTC())
 		b = append(b, '"')
 	}
 	b = append(b, `,"type":`...)
-	b = strconv.AppendQuote(b, e.Type)
+	b = appendQuote(b, e.Type)
 	if e.Scope != "" {
 		b = append(b, `,"scope":`...)
-		b = strconv.AppendQuote(b, e.Scope)
+		b = appendQuote(b, e.Scope)
 	}
 	if e.VLAN != 0 {
 		b = append(b, `,"vlan":`...)
@@ -534,7 +534,7 @@ func appendEventJSON(b []byte, e Event, epoch time.Time, verdictName func(uint32
 	if e.Verdict != 0 {
 		b = append(b, `,"verdict":`...)
 		if verdictName != nil {
-			b = strconv.AppendQuote(b, verdictName(e.Verdict))
+			b = appendQuote(b, verdictName(e.Verdict))
 		} else {
 			b = strconv.AppendUint(b, uint64(e.Verdict), 10)
 		}
@@ -545,10 +545,59 @@ func appendEventJSON(b []byte, e Event, epoch time.Time, verdictName func(uint32
 	}
 	if e.Detail != "" {
 		b = append(b, `,"detail":`...)
-		b = strconv.AppendQuote(b, e.Detail)
+		b = appendQuote(b, e.Detail)
 	}
 	b = append(b, '}', '\n')
 	return b
+}
+
+// appendWall appends t as AppendFormat's "2006-01-02T15:04:05.000000Z"
+// would, from its date and clock digits; a year outside 0..9999 takes the
+// formatter.
+func appendWall(b []byte, t time.Time) []byte {
+	year, month, day := t.Date()
+	if year < 0 || year > 9999 {
+		return t.AppendFormat(b, "2006-01-02T15:04:05.000000Z")
+	}
+	hour, minute, sec := t.Clock()
+	b = appendDigits(b, year, 4)
+	b = append(b, '-')
+	b = appendDigits(b, int(month), 2)
+	b = append(b, '-')
+	b = appendDigits(b, day, 2)
+	b = append(b, 'T')
+	b = appendDigits(b, hour, 2)
+	b = append(b, ':')
+	b = appendDigits(b, minute, 2)
+	b = append(b, ':')
+	b = appendDigits(b, sec, 2)
+	b = append(b, '.')
+	b = appendDigits(b, t.Nanosecond()/1000, 6)
+	return append(b, 'Z')
+}
+
+// appendDigits appends the n low decimal digits of v >= 0, zero-padded.
+func appendDigits(b []byte, v, n int) []byte {
+	b = append(b, "000000"[:n]...)
+	for i := len(b) - 1; v > 0 && i >= len(b)-n; i-- {
+		b[i] = byte('0' + v%10)
+		v /= 10
+	}
+	return b
+}
+
+// appendQuote appends s as strconv.AppendQuote does: printable ASCII
+// without a quote or backslash, what nearly every journal string is, goes
+// in as it is.
+func appendQuote(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(b, s)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 func appendIPPort(b []byte, ip uint32, port uint16) []byte {

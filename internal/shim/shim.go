@@ -230,7 +230,47 @@ func UnmarshalResponse(b []byte) (*Response, int, error) {
 // whose bytes match what r already holds keeps r's string, so a caller that
 // decodes every shim into one Response makes no string for a repeated
 // policy name or annotation.
-func (r *Response) Unmarshal(b []byte) (int, error) {
+func (r *Response) Unmarshal(b []byte) (int, error) { return r.unmarshal(b, nil) }
+
+// Decoder decodes response shims into Resp, valid until the next Decode.
+// It keeps the last decoderStrings distinct policy names and annotations
+// it made, so verdicts that alternate among a few policies make no string
+// once it has seen each.
+type Decoder struct {
+	Resp    Response
+	strings [decoderStrings]string
+	next    uint8
+}
+
+// decoderStrings bounds a Decoder's table: a farm's policies number a
+// handful, and a table that misses only costs a string.
+const decoderStrings = 16
+
+// Decode decodes a response shim into d.Resp as Response.Unmarshal does.
+func (d *Decoder) Decode(b []byte) (int, error) { return d.Resp.unmarshal(b, d) }
+
+// str is old if it holds b's bytes, else the string in d's table that
+// does, else a new string of them, which a non-nil d keeps in place of its
+// oldest.
+func (d *Decoder) str(old string, b []byte) string {
+	if old == string(b) {
+		return old
+	}
+	if d == nil {
+		return string(b)
+	}
+	for _, s := range d.strings {
+		if s == string(b) {
+			return s
+		}
+	}
+	s := string(b)
+	d.strings[d.next] = s
+	d.next = (d.next + 1) % decoderStrings
+	return s
+}
+
+func (r *Response) unmarshal(b []byte, d *Decoder) (int, error) {
 	length, typ, err := parsePreamble(b)
 	if err != nil {
 		return 0, err
@@ -255,18 +295,10 @@ func (r *Response) Unmarshal(b []byte) (int, error) {
 		OrigPort:   binary.BigEndian.Uint16(b[16:18]),
 		RespPort:   binary.BigEndian.Uint16(b[18:20]),
 		Verdict:    Verdict(binary.BigEndian.Uint32(b[20:24])),
-		PolicyName: reuse(r.PolicyName, name[:end]),
-		Annotation: reuse(r.Annotation, b[ResponseMinLen:length]),
+		PolicyName: d.str(r.PolicyName, name[:end]),
+		Annotation: d.str(r.Annotation, b[ResponseMinLen:length]),
 	}
 	return length, nil
-}
-
-// reuse is s if it holds b's bytes, else a new string of them.
-func reuse(s string, b []byte) string {
-	if s == string(b) {
-		return s
-	}
-	return string(b)
 }
 
 // PeekLength inspects a buffered stream prefix and reports the total length

@@ -2,6 +2,7 @@ package shim
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -188,6 +189,41 @@ func TestDecodeAllocs(t *testing.T) {
 	}
 	if _, err := resp.Unmarshal(respBytes); err != nil || resp.PolicyName != "Rustock" || resp.Annotation != "" {
 		t.Fatalf("decoded back: err %v, value %+v", err, resp)
+	}
+}
+
+// A Decoder fed verdicts that alternate among a few policies, as a
+// farm's containment server sends them, makes no string once it has seen
+// each name and annotation; a name beyond its table still decodes.
+func TestDecoderAlternatingVerdictsAllocNothing(t *testing.T) {
+	shims := [][]byte{
+		(&Response{Verdict: Rewrite, PolicyName: "Rustock", Annotation: "smtp"}).Marshal(),
+		(&Response{Verdict: Forward, PolicyName: "Grum"}).Marshal(),
+		(&Response{Verdict: Reflect, PolicyName: "Rustock", Annotation: "cc"}).Marshal(),
+		(&Response{Verdict: Drop, PolicyName: "Default"}).Marshal(),
+	}
+	var d Decoder
+	i := 0
+	next := func() {
+		if _, err := d.Decode(shims[i%len(shims)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for range shims {
+		next()
+	}
+	if got := testing.AllocsPerRun(100, next); got != 0 {
+		t.Errorf("warm alternating verdicts: %v allocations per decode, want 0", got)
+	}
+	for n := range 2 * decoderStrings {
+		name := fmt.Sprintf("policy-%d", n)
+		if _, err := d.Decode((&Response{PolicyName: name}).Marshal()); err != nil || d.Resp.PolicyName != name {
+			t.Fatalf("decoded %q: err %v, value %+v", name, err, d.Resp)
+		}
+	}
+	if _, err := d.Decode(shims[2]); err != nil || d.Resp.PolicyName != "Rustock" || d.Resp.Annotation != "cc" || d.Resp.Verdict != Reflect {
+		t.Fatalf("decoded after the table turned over: err %v, value %+v", err, d.Resp)
 	}
 }
 
