@@ -56,20 +56,21 @@ bench-smoke:
 # Native fuzz targets on a short budget each (go test takes one -fuzz
 # target per package run). A crasher lands in the package's
 # testdata/fuzz/<target>/ — commit it: plain `go test` replays it from
-# then on. FuzzEventQueue's, FuzzFlowSegments', the two smtpx targets', the
-# line reader's and the DNS and DHCP decoders' inputs are scripts, streams or
-# messages a few hundred
-# bytes long; the engine's minimiser, which is quadratic in that length and
-# runs on every input that adds coverage, is held to ten executions or it
-# eats the budget.
+# then on. FuzzEventQueue's, FuzzFlowSegments', FuzzConnSegments', the two
+# smtpx targets', the line reader's and the DNS and DHCP decoders' inputs are
+# scripts, streams or messages a few hundred bytes long; the engine's
+# minimiser, which is quadratic in that length and runs on every input that
+# adds coverage, is held to ten executions or it eats the budget.
 FUZZTIME ?= 10s
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime $(FUZZTIME) ./internal/netstack
 	$(GO) test -run '^$$' -fuzz '^FuzzVLANReshape$$' -fuzztime $(FUZZTIME) ./internal/netstack
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFrame$$' -fuzztime $(FUZZTIME) ./internal/netstack
+	$(GO) test -run '^$$' -fuzz '^FuzzParseIPPacket$$' -fuzztime $(FUZZTIME) ./internal/netstack
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzFlowSegments$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/gateway
+	$(GO) test -run '^$$' -fuzz '^FuzzConnSegments$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/host
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineFeed$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/smtpx
 	$(GO) test -run '^$$' -fuzz '^FuzzClientFeed$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/smtpx
 	$(GO) test -run '^$$' -fuzz '^FuzzLineReader$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 10x ./internal/lineio

@@ -19,6 +19,9 @@ const (
 	maxRetransmits   = 5
 	timeWaitDuration = 10 * time.Second
 	synBacklogLimit  = 128
+	// delayedACK is how long a conn holds the pure ACK it owes (RFC 9293
+	// 3.8.6.3): Linux's minimum, well under the RFC's 0.5 s bound.
+	delayedACK = 40 * time.Millisecond
 	// maxOOOSegments bounds a conn's out-of-order stash: the number of MSS
 	// segments in a full window.
 	maxOOOSegments = (DefaultWindow + MSS - 1) / MSS
@@ -71,6 +74,12 @@ var ErrTimeout = errors.New("connection timed out")
 // still to be acknowledged held as two offsets into it, and the state only
 // some conns need (a passive open's accept callback, the out-of-order
 // stash) kept outside it.
+//
+// The ACK a conn owes for in-order data waits up to delayedACK (RFC 9293
+// 3.8.6.3) while the conn is ESTABLISHED with nothing of its own in
+// flight, the segment carries no FIN and fills no gap in the stash, and
+// less than 2*MSS has arrived since the last ACK; a reply or FIN sent in
+// the meantime carries it. Every other ACK goes out at once.
 type Conn struct {
 	host *Host
 	key  connKey // the endpoint: local port, remote address and port
@@ -90,15 +99,19 @@ type Conn struct {
 	retries             uint8 // retransmissions since the last forward progress
 	sndBase             []byte
 
-	// Receive state. ooo is made by the first segment or FIN that arrives
-	// beyond rcvNxt: most connections never see one.
-	rcvNxt uint32
-	flags  connFlags
-	ooo    *oooStash
+	// Receive state. rcvHeld counts the bytes delivered since the last ACK
+	// while that ACK is held. ooo is made by the first segment or FIN that
+	// arrives beyond rcvNxt: most connections never see one.
+	rcvNxt  uint32
+	flags   connFlags
+	rcvHeld uint16
+	ooo     *oooStash
 
-	// rtx is the conn's one timer: the retransmission timeout, re-armed
-	// with every segment sent or acknowledged, and in TIME_WAIT the end of
-	// TIME_WAIT. It does not allocate when armed (see sim.Timer).
+	// rtx is the conn's one timer, with one job at a time: while something
+	// is in flight the retransmission timeout, re-armed with every segment
+	// sent or acknowledged; while an ACK is held (ackHeld, nothing in
+	// flight) the delayed ACK; in TIME_WAIT the end of TIME_WAIT. It does
+	// not allocate when armed (see sim.Timer).
 	rtx sim.Timer
 
 	// OnConnect fires when the connection reaches ESTABLISHED (for both
@@ -140,6 +153,7 @@ const (
 	finRcvd                          // the peer's FIN was consumed: FIN processing is idempotent
 	connClosed                       // torn down; OnClose has fired
 	ackOwed                          // rcvNxt moved, or a FIN came, since a segment last acknowledged it
+	ackHeld                          // the owed ACK waits on rtx, which has no other job
 )
 
 func (c *Conn) is(f connFlags) bool { return c.flags&f != 0 }
@@ -320,7 +334,11 @@ func (c *Conn) sendSegment(flags uint8, seq, ack uint32, payload []byte) {
 	frame := t.Marshal(c.host.newIPFrame(netstack.TCPHeaderLen+len(payload)), c.host.addr, c.key.remoteIP, payload)
 	c.host.sendIP(c.key.remoteIP, netstack.ProtoTCP, frame)
 	if flags&netstack.FlagACK != 0 && ack == c.rcvNxt {
-		c.unset(ackOwed)
+		if c.is(ackHeld) {
+			c.rtx.Stop()
+		}
+		c.unset(ackOwed | ackHeld)
+		c.rcvHeld = 0
 	}
 }
 
@@ -335,14 +353,18 @@ func (c *Conn) armRetransmit() { c.rtx.Reset(c.rto()) }
 // retry budget refills and the timeout collapses back to the initial value.
 func (c *Conn) resetRTO() { c.retries = 0 }
 
-// retransmit is rtx's callback: in TIME_WAIT its end, otherwise a
-// retransmission timeout.
+// retransmit is rtx's callback: in TIME_WAIT its end, with an ACK held
+// the delayed ACK, otherwise a retransmission timeout.
 func (c *Conn) retransmit() {
 	if c.is(connClosed) {
 		return
 	}
 	if c.state == StateTimeWait {
 		c.destroy(nil)
+		return
+	}
+	if c.is(ackHeld) {
+		c.sendSegment(netstack.FlagACK, c.sndNxt, c.rcvNxt, nil)
 		return
 	}
 	c.retries++
@@ -621,6 +643,9 @@ func (c *Conn) processData(t *netstack.TCP, payload []byte) {
 		}
 	}
 
+	// A segment that reaches rcvNxt while the stash holds something fills
+	// (part of) a gap, and its ACK goes out at once (RFC 5681 4.2).
+	gap := c.ooo != nil && (len(c.ooo.segs) > 0 || c.is(oooFin))
 	if len(payload) > 0 {
 		c.deliver(payload)
 		if c.is(connClosed) {
@@ -637,9 +662,21 @@ func (c *Conn) processData(t *netstack.TCP, payload []byte) {
 	}
 	// deliver and handleFIN made an ACK owed; a reply or FIN the app sent
 	// from OnData or OnPeerClose already carried it (RFC 1122 4.2.3.2).
-	if c.flags&(ackOwed|connClosed) == ackOwed {
-		c.sendSegment(netstack.FlagACK, c.sndNxt, c.rcvNxt, nil)
+	if c.flags&(ackOwed|connClosed) != ackOwed {
+		return
 	}
+	// Hold it on rtx if rtx has no other job: nothing is in flight and no
+	// retransmission of queued bytes waits (RFC 9293 3.8.6.3).
+	if !fin && !gap && c.state == StateEstablished && c.sndUna == c.sndNxt &&
+		(c.is(ackHeld) || !c.rtx.Pending()) && int(c.rcvHeld)+len(payload) < 2*MSS {
+		c.rcvHeld += uint16(len(payload))
+		if !c.is(ackHeld) {
+			c.set(ackHeld)
+			c.rtx.Reset(delayedACK)
+		}
+		return
+	}
+	c.sendSegment(netstack.FlagACK, c.sndNxt, c.rcvNxt, nil)
 }
 
 // stash keeps a copy of an out-of-order segment's bytes, the longest run
@@ -695,7 +732,7 @@ func (c *Conn) drainOOO() {
 			}
 		}
 		if !found {
-			return
+			break
 		}
 		seg := o.segs[bestSeq]
 		delete(o.segs, bestSeq)

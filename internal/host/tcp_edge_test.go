@@ -17,6 +17,9 @@ type rawPeer struct {
 	mac  netstack.MAC
 	addr netstack.Addr
 	rx   []*netstack.Packet
+	// onRx, if set, sees every packet but ARP requests as it arrives,
+	// before it joins rx.
+	onRx func(*netstack.Packet)
 }
 
 func newRawPeer(s *sim.Simulator, addr netstack.Addr) *rawPeer {
@@ -38,6 +41,9 @@ func newRawPeer(s *sim.Simulator, addr netstack.Addr) *rawPeer {
 			}
 			p.port.Send(reply.Marshal())
 			return
+		}
+		if p.onRx != nil {
+			p.onRx(pkt)
 		}
 		p.rx = append(p.rx, pkt)
 	})

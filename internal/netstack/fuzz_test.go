@@ -161,3 +161,53 @@ func samePacket(a, b *Packet) bool {
 	}
 	return true
 }
+
+// FuzzParseIPPacket: ParseIPPacket decodes the inner packet of a GRE
+// tunnel, bytes from outside the farm, so it must not panic on any input.
+// A packet it accepts marshals back through MarshalIPPacket into bytes
+// that parse to equal headers and payload.
+func FuzzParseIPPacket(f *testing.F) {
+	seeds := []*Packet{
+		{
+			IP:  &IPv4{TTL: 64, Src: MustParseAddr("10.0.0.23"), Dst: MustParseAddr("192.150.187.12")},
+			TCP: &TCP{SrcPort: 1234, DstPort: 80, Seq: 100, Flags: FlagSYN, Window: 8192},
+		},
+		{
+			IP:      &IPv4{TTL: 64, ID: 7, Flags: 2, Src: MustParseAddr("10.3.0.5"), Dst: MustParseAddr("192.150.187.12")},
+			TCP:     &TCP{SrcPort: 1234, DstPort: 80, Seq: 1000, Ack: 2000, Flags: FlagACK | FlagPSH, Window: 8192, Urgent: 3},
+			Payload: []byte("GET / HTTP/1.1\r\n\r\n"),
+		},
+		{
+			IP:      &IPv4{TTL: 64, Src: MustParseAddr("10.0.0.23"), Dst: MustParseAddr("10.3.0.2")},
+			UDP:     &UDP{SrcPort: 5353, DstPort: 53},
+			Payload: []byte{1, 2, 3},
+		},
+		{ // a tunnel inside the tunnel: a protocol the stack does not parse
+			IP:      &IPv4{TTL: 64, Protocol: ProtoGRE, Src: 1, Dst: 2},
+			Payload: []byte("\x00\x00\x08\x00inner"),
+		},
+	}
+	for _, p := range seeds {
+		p.Eth.EtherType = EtherTypeIPv4
+		b := MarshalIPPacket(p)
+		f.Add(b)
+		f.Add(append(b, 0, 0, 0)) // bytes behind the datagram
+		f.Add(b[:len(b)-1])
+	}
+	f.Add(withOptions(&Packet{IP: seeds[1].IP, TCP: seeds[1].TCP, Payload: seeds[1].Payload})[EthHeaderLen:])
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := ParseIPPacket(b)
+		if err != nil {
+			return
+		}
+		out := MarshalIPPacket(p)
+		q, err := ParseIPPacket(out)
+		if err != nil {
+			t.Fatalf("the marshalled packet does not parse: %v\nwas % x\nnow % x", err, b, out)
+		}
+		if !samePacket(p, q) {
+			t.Fatalf("the marshalled packet parses to a different packet:\nwant %v\ngot  %v", p, q)
+		}
+	})
+}

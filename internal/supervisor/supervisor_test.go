@@ -8,6 +8,7 @@ import (
 
 	"gq/internal/host"
 	"gq/internal/netstack"
+	"gq/internal/obs"
 	"gq/internal/sim"
 )
 
@@ -66,6 +67,38 @@ func (n *node) find(kind Kind, id string) *watch {
 	return nil
 }
 
+// eventLog is a journal sink that keeps every event.
+type eventLog []obs.Event
+
+func (l *eventLog) WriteEvent(e obs.Event) error {
+	*l = append(*l, e)
+	return nil
+}
+
+// record makes s's journal keep every event in the log it returns.
+func record(s *sim.Simulator) *eventLog {
+	l := new(eventLog)
+	s.Obs().Journal.SetSink(l)
+	return l
+}
+
+// history reads w's health history off the journal: "down@26s" for each
+// transition node n journalled about it.
+func (l *eventLog) history(n *node, w *watch) []string {
+	var out []string
+	for _, e := range *l {
+		if e.Scope != n.sc.Name || e.Detail != w.label && !strings.HasPrefix(e.Detail, w.label+" ") {
+			continue
+		}
+		for t, typ := range w.events {
+			if e.Type == typ {
+				out = append(out, string(t)+"@"+e.T.String())
+			}
+		}
+	}
+	return out
+}
+
 func kinds(history []string) []string {
 	out := make([]string, len(history))
 	for i, h := range history {
@@ -79,14 +112,15 @@ func kinds(history []string) []string {
 // next answered probe — not the restart itself — marks it up again.
 func TestProbeMissRestartRecover(t *testing.T) {
 	s := sim.New(1)
+	log := record(s)
 	sup, fr := testNode(s, "t", 1, Config{})
 	w := sup.cs[0]
 	restarts := 0
 	w.restart = func() { restarts++; fr.alive[0] = true }
 
 	s.RunUntil(12 * time.Second)
-	if !sup.Healthy(0) || len(w.transitions) != 0 {
-		t.Fatalf("healthy server has history %v", w.transitions)
+	if h := log.history(&sup.node, w); !sup.Healthy(0) || len(h) != 0 {
+		t.Fatalf("healthy server has history %v", h)
 	}
 	fr.alive[0] = false
 	// Probes at 15, 20, 25 s go unanswered; the third deadline is 26 s.
@@ -111,11 +145,12 @@ func TestProbeMissRestartRecover(t *testing.T) {
 		t.Fatalf("restarts=%d healthy=%v: want one restart, health not assumed", restarts, sup.Healthy(0))
 	}
 	s.RunUntil(36 * time.Second)
-	if got := kinds(w.transitions); !reflect.DeepEqual(got, []string{"down", "restart", "up"}) {
-		t.Fatalf("history %v", w.transitions)
+	h := log.history(&sup.node, w)
+	if got := kinds(h); !reflect.DeepEqual(got, []string{"down", "restart", "up"}) {
+		t.Fatalf("history %v", h)
 	}
-	if w.transitions[0] != "down@26s" || w.transitions[2] != "up@35.001s" {
-		t.Fatalf("history %v, want down@26s … up@35.001s", w.transitions)
+	if h[0] != "down@26s" || h[2] != "up@35.001s" {
+		t.Fatalf("history %v, want down@26s … up@35.001s", h)
 	}
 	if !sup.Healthy(0) || !fr.dispatch[0] || w.gauge.Value() != 1 {
 		t.Fatal("answered probe did not restore health and dispatch")
@@ -190,6 +225,7 @@ func TestControllerReportFeedsRootLadder(t *testing.T) {
 func TestEscalationLadder(t *testing.T) {
 	cfg := Config{BreakerThreshold: 2, LockdownBudget: 45 * time.Second, DeadManBudget: 90 * time.Second}
 	s := sim.New(1)
+	log := record(s)
 	root := NewRoot(RootDeps{Sim: s}, cfg)
 	sick, sickRouter := testNode(s, "sick", 1, cfg)
 	well, wellRouter := testNode(s, "well", 1, cfg)
@@ -201,8 +237,8 @@ func TestEscalationLadder(t *testing.T) {
 	s.RunUntil(5 * time.Minute)
 
 	w := sick.cs[0]
-	if got := kinds(w.transitions); !reflect.DeepEqual(got, []string{"down", "restart", "restart", "quarantined"}) {
-		t.Fatalf("history %v, want two restarts then the breaker", w.transitions)
+	if h := log.history(&sick.node, w); !reflect.DeepEqual(kinds(h), []string{"down", "restart", "restart", "quarantined"}) {
+		t.Fatalf("history %v, want two restarts then the breaker", h)
 	}
 	if !sick.Quarantined(0) || w.restartPend {
 		t.Fatal("quarantined server is still being restarted")
@@ -232,8 +268,8 @@ func TestEscalationLadder(t *testing.T) {
 	if want := []string{"on subfarm lockdown: dead-man: subfarm sick locked down past budget"}; !reflect.DeepEqual(wellRouter.lockdowns, want) {
 		t.Fatalf("well router lockdowns %v", wellRouter.lockdowns)
 	}
-	if len(well.cs[0].transitions) != 0 {
-		t.Fatalf("healthy server has history %v", well.cs[0].transitions)
+	if h := log.history(&well.node, well.cs[0]); len(h) != 0 {
+		t.Fatalf("healthy server has history %v", h)
 	}
 
 	// Release is not forgiveness: the well subfarm reopens for good, the
@@ -267,6 +303,7 @@ func TestEscalationLadder(t *testing.T) {
 func TestRootPolledWatches(t *testing.T) {
 	cfg := Config{BreakerThreshold: 2, WedgeBudget: time.Minute}
 	s := sim.New(1)
+	log := record(s)
 	root := NewRoot(RootDeps{Sim: s}, cfg)
 	mark, active, rearms := 0, true, 0
 	root.WatchProgress(KindRecycler, "gamma", s, func() (int, bool) { return mark, active }, func() { rearms++ })
@@ -307,17 +344,17 @@ func TestRootPolledWatches(t *testing.T) {
 	if rearms != 2 || !rec.quarantined {
 		t.Fatalf("rearms=%d quarantined=%v, want 2 and the breaker tripped", rearms, rec.quarantined)
 	}
-	if got := kinds(rec.transitions); !reflect.DeepEqual(got,
+	if h := log.history(&root.node, rec); !reflect.DeepEqual(kinds(h),
 		[]string{"down", "restart", "up", "down", "restart", "up", "down", "quarantined"}) {
-		t.Fatalf("recycler history %v", rec.transitions)
+		t.Fatalf("recycler history %v", h)
 	}
 
 	h.Shutdown()
 	s.RunFor(time.Minute)
 	h.Reset()
 	s.RunFor(time.Minute)
-	if got := kinds(ext.transitions); !reflect.DeepEqual(got, []string{"down", "up"}) {
-		t.Fatalf("shard host history %v", ext.transitions)
+	if h := log.history(&root.node, ext); !reflect.DeepEqual(kinds(h), []string{"down", "up"}) {
+		t.Fatalf("shard host history %v", h)
 	}
 	if want := map[string]int{"recycler": 1, "shard": 1}; !reflect.DeepEqual(root.WatchCounts(), want) {
 		t.Fatalf("watch counts %v, want %v", root.WatchCounts(), want)

@@ -30,6 +30,9 @@ type Root struct {
 	node
 	ctl      *watch // the inmate controller; nil without a ControllerHost
 	subfarms []*subLink
+	// ctlHistory is the controller's health history ("down@8m1s",
+	// "restart@…", …), part of the fleet soak's determinism proof.
+	ctlHistory []string
 
 	global   bool
 	globalAt time.Duration
@@ -78,6 +81,7 @@ func NewRoot(deps RootDeps, cfg Config) *Root {
 	if deps.ControllerHost != nil {
 		w := r.watch(&watch{kind: KindController, id: "controller"})
 		w.restart = func() {
+			r.noteController(restarted)
 			if deps.RestartController != nil {
 				deps.RestartController()
 			}
@@ -102,7 +106,11 @@ func NewRoot(deps RootDeps, cfg Config) *Root {
 func (r *Root) watch(w *watch) *watch {
 	w.after = func(t transition, by string) {
 		r.note(w.label+"_"+string(t), by)
-		if t == down && w == r.ctl {
+		if w != r.ctl {
+			return
+		}
+		r.noteController(t)
+		if t == down {
 			stamp := w.downAt
 			r.deadMan(func() bool { return !w.healthy && w.downAt == stamp },
 				"inmate controller dead past budget")
@@ -261,10 +269,12 @@ func (r *Root) ControllerHealthy() bool {
 	return r.ctl == nil || r.ctl.healthy && !r.ctl.quarantined
 }
 
-// ControllerHistory returns the controller watch's transition history.
-func (r *Root) ControllerHistory() []string {
-	if r.ctl == nil {
-		return nil
-	}
-	return append([]string(nil), r.ctl.transitions...)
+// noteController appends one controller transition to its history. The
+// after hook sees down, up and quarantined; the restart is noted where the
+// controller's restart runs.
+func (r *Root) noteController(t transition) {
+	r.ctlHistory = append(r.ctlHistory, string(t)+"@"+r.s.Now().String())
 }
+
+// ControllerHistory returns the controller watch's transition history.
+func (r *Root) ControllerHistory() []string { return append([]string(nil), r.ctlHistory...) }

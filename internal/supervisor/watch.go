@@ -83,11 +83,6 @@ type watch struct {
 	lastMark    int
 	lastChange  time.Duration
 
-	// transitions is the health history ("down@8m1s", ...), part of the
-	// determinism proof: identical across worker counts for a (seed,
-	// profile) pair.
-	transitions []string
-
 	gauge                 *obs.Gauge
 	restarts, quarantines *obs.Counter
 }
@@ -272,10 +267,9 @@ func (n *node) doRestart(w *watch) {
 }
 
 // journal writes one transition everywhere it is recorded: health gauge,
-// watch history, the node's journal scope and — for down and quarantined —
-// a flight-recorder dump, with the watch's hooks around it.
+// the node's journal scope and — for down and quarantined — a
+// flight-recorder dump, with the watch's hooks around it.
 func (n *node) journal(w *watch, t transition, by string) {
-	w.transitions = append(w.transitions, string(t)+"@"+n.s.Now().String())
 	alarm := t == down || t == quarantined
 	note := ""
 	if alarm {
