@@ -252,11 +252,16 @@ func TestRunDigests(t *testing.T) {
 }
 
 // TestTraceHasNoRedundantACKs walks a traced run's pcap for pure ACKs that
-// say nothing new (RFC 1122 4.2.3.2): one an inmate or containment server
-// sends is never where that endpoint's previous segment ended with the
-// same acknowledgment number, unless a segment with data, SYN or FIN
-// reached the endpoint in between. Frames the gateway transmits carry its
-// MAC; every other traced frame is a host's own, as it left the host.
+// say nothing new (RFC 1122 4.2.3.2). Looking back: one an inmate or
+// containment server sends is never where that endpoint's previous segment
+// ended with the same acknowledgment number, unless a segment with data,
+// SYN or FIN reached the endpoint in between. Looking forward: no pure ACK,
+// a host's or one the gateway sends in an endpoint's name, is followed at
+// the same instant by a segment from the same sender and endpoint carrying
+// the same acknowledgment number. A reset does not count as carrying it: a
+// peer still in SYN_RCVD drops a reset without taking its ACK. Frames the
+// gateway transmits carry its MAC; every other traced frame is a host's
+// own, as it left the host.
 func TestTraceHasNoRedundantACKs(t *testing.T) {
 	pcap := filepath.Join(t.TempDir(), "run.pcap")
 	var out, errOut bytes.Buffer
@@ -275,13 +280,19 @@ func TestTraceHasNoRedundantACKs(t *testing.T) {
 	type endpoint struct {
 		ip, peerIP     netstack.Addr
 		port, peerPort uint16
+		gw             bool // the gateway sent it, in this endpoint's name
 	}
 	type sent struct {
 		end, ack uint32 // where the segment ended in sequence space, its ACK
 		newData  bool   // data, SYN or FIN reached the endpoint since
 	}
+	type pure struct {
+		at  time.Time
+		ack uint32
+	}
 	last := make(map[endpoint]sent)
-	pureACKs, redundant := 0, 0
+	lastPure := make(map[endpoint]pure) // the sender's last segment, while a pure ACK
+	pureACKs, redundant, shadowed := 0, 0, 0
 	for _, rec := range recs {
 		p, err := netstack.ParseFrame(rec.Frame)
 		if err != nil || p.IP == nil || p.TCP == nil {
@@ -295,16 +306,30 @@ func TestTraceHasNoRedundantACKs(t *testing.T) {
 		if tcp.Flags&netstack.FlagFIN != 0 {
 			consumes++
 		}
-		if p.Eth.Src == gateway.GatewayMAC {
-			to := endpoint{p.IP.Dst, p.IP.Src, tcp.DstPort, tcp.SrcPort}
+		gw := p.Eth.Src == gateway.GatewayMAC
+		from := endpoint{p.IP.Src, p.IP.Dst, tcp.SrcPort, tcp.DstPort, gw}
+		if tcp.Flags&(netstack.FlagACK|netstack.FlagRST) == netstack.FlagACK {
+			if lp, ok := lastPure[from]; ok && lp.at.Equal(rec.Time) && lp.ack == tcp.Ack {
+				if shadowed++; shadowed <= 5 {
+					t.Errorf("%v: %s carries the ACK of a pure ACK sent at the same instant", rec.Time, p)
+				}
+			}
+		}
+		pureACK := tcp.Flags == netstack.FlagACK && consumes == 0
+		if pureACK {
+			lastPure[from] = pure{rec.Time, tcp.Ack}
+		} else {
+			delete(lastPure, from)
+		}
+		if gw {
+			to := endpoint{p.IP.Dst, p.IP.Src, tcp.DstPort, tcp.SrcPort, false}
 			if s, ok := last[to]; ok && consumes > 0 {
 				s.newData = true
 				last[to] = s
 			}
 			continue
 		}
-		from := endpoint{p.IP.Src, p.IP.Dst, tcp.SrcPort, tcp.DstPort}
-		if tcp.Flags == netstack.FlagACK && consumes == 0 {
+		if pureACK {
 			pureACKs++
 			if s, ok := last[from]; ok && !s.newData && s.end == tcp.Seq && s.ack == tcp.Ack {
 				if redundant++; redundant <= 5 {
@@ -319,5 +344,8 @@ func TestTraceHasNoRedundantACKs(t *testing.T) {
 	}
 	if redundant > 0 {
 		t.Errorf("%d of %d host pure ACKs are redundant", redundant, pureACKs)
+	}
+	if shadowed > 0 {
+		t.Errorf("%d of %d records are pure ACKs that a segment sent at the same instant repeats", shadowed, len(recs))
 	}
 }

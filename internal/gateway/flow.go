@@ -556,17 +556,14 @@ func (f *Flow) fromInitiator(p *netstack.Packet) {
 			return
 		}
 		if !f.shimSent && f.haveCSISN && t.Flags&netstack.FlagACK != 0 {
+			// The request shim, injected into the sequence space (Fig. 5),
+			// carries ack=csISN+1 and so completes the handshake itself: a
+			// handshake-completing pure ACK has nothing left to say, and
+			// data that came with it is forwarded sequence-bumped behind.
+			f.injectRequestShim()
 			if len(p.Payload) == 0 && t.Flags&netstack.FlagFIN == 0 {
-				// Handshake-completing pure ACK: forward it, then inject
-				// the request shim into the sequence space (Fig. 5).
-				f.sendToCS(p)
-				f.injectRequestShim()
 				return
 			}
-			// Data arrived with the handshake ACK: the shim itself (which
-			// carries ack=csISN+1) completes the handshake; the data is
-			// then forwarded sequence-bumped behind it.
-			f.injectRequestShim()
 		}
 		// Buffer payload for later replay (in-order; the simulated farm
 		// links do not reorder).
@@ -751,11 +748,6 @@ func (f *Flow) tryParseResponseShim(stream []byte) bool {
 		f.rare.csBuf = nil
 	}
 	f.s2cShim = uint32(length)
-
-	// Acknowledge the CS bytes ourselves: the initiator never sees the
-	// shim, so its own ACKs can't cover it.
-	f.ackCS(f.csNextSeq)
-
 	f.applyVerdict(resp, stream[length:])
 	return true
 }
@@ -903,9 +895,13 @@ func (f *Flow) applyVerdict(resp *shim.Response, extra []byte) {
 			f.scheduleClose(time.Second)
 			return
 		}
-		// Content control: the CS stays in the path. Any bytes that
-		// followed the shim are application data to relay.
+		// Content control: the CS stays in the path. The gateway
+		// acknowledges the shim itself, since the initiator never sees it
+		// and so cannot; every other verdict's RST on the leg carries that
+		// ACK. Any bytes that followed the shim are application data to
+		// relay.
 		f.state = fsRewriteProxy
+		f.ackCS(f.csNextSeq)
 		if len(extra) > 0 {
 			f.relayCSBytes(extra)
 		}

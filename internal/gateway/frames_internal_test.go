@@ -142,15 +142,16 @@ func TestGatewayKeptBytesArePoisoned(t *testing.T) {
 }
 
 // TestRecycledBuffersCarryNoStaleBytes (Etherleak, CVE-2003-0001) for the
-// frames the gateway builds: the request shim it injects, the ACK and RST on
-// the containment server's leg, and its proxy-ARP reply on the outside
-// interface. Built into recycled buffers whose bytes are all 0xEE, each must
-// leave byte-identical to the same frame built into a fresh buffer.
+// frames the gateway builds: the request shim it injects, the RST on the
+// containment server's leg, the SYN to the responder, and its proxy-ARP
+// reply on the outside interface. Built into recycled buffers whose bytes
+// are all 0xEE, each must leave byte-identical to the same frame built into
+// a fresh buffer.
 func TestRecycledBuffersCarryNoStaleBytes(t *testing.T) {
 	fresh, _ := gatewayBuilds(t, false)
 	recycled, built := gatewayBuilds(t, true)
-	if built != 5 {
-		t.Errorf("%d frames were built into the recycled buffers, want the 5 the gateway built", built)
+	if built != 4 {
+		t.Errorf("%d frames were built into the recycled buffers, want the 4 the gateway built", built)
 	}
 	if len(recycled) != len(fresh) {
 		t.Fatalf("%d frames with recycled buffers, %d with fresh ones", len(recycled), len(fresh))
@@ -200,12 +201,13 @@ func gatewayBuilds(t *testing.T, marked bool) (frames [][]byte, built int) {
 		}
 	}
 
-	// The handshake ACK: relayed in place, then the request shim.
+	// The handshake ACK: the request shim carries it, and nothing else goes.
 	list()
 	rig.trunk.port.Send(inmateSegment(f, f.initNextSeq, f.csISN+1, netstack.FlagACK, nil))
 	rig.settle()
 	collect()
-	// The verdict: the leg's ACK and RST, and the dial to the responder.
+	// The verdict: the leg's RST, which carries its ACK, and the dial to the
+	// responder.
 	list()
 	resp := (&shim.Response{Verdict: shim.Forward, PolicyName: "Fwd"}).Marshal()
 	rig.trunk.port.Send(csSegment(r, f, f.csNextSeq, netstack.FlagACK|netstack.FlagPSH, resp))
@@ -220,8 +222,8 @@ func gatewayBuilds(t *testing.T, marked bool) (frames [][]byte, built int) {
 	rig.outside.port.Send(who.Marshal())
 	rig.settle()
 	collect()
-	if len(frames) != 6 {
-		t.Fatalf("marked %v: the gateway sent %d frames, want the relayed ACK, the shim, the leg's ACK and RST, the SYN and the ARP reply", marked, len(frames))
+	if len(frames) != 4 {
+		t.Fatalf("marked %v: the gateway sent %d frames, want the shim, the leg's RST, the SYN and the ARP reply", marked, len(frames))
 	}
 	return frames, built
 }

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -122,7 +123,8 @@ func TestOriginatedPacketsKeepTheirOwnBytes(t *testing.T) {
 		f.initNextSeq += uint32(len(replay)) + 1
 		f.initFin = true
 
-		// The verdict, whole in one segment: ACK it, cut the CS leg, dial.
+		// The verdict, whole in one segment: cut the CS leg with an RST that
+		// acknowledges it, and dial.
 		resp := (&shim.Response{Verdict: shim.Forward, PolicyName: "Fwd", Annotation: "go"}).Marshal()
 		rig.trunk.port.Send(csSegment(rig.r, f, f.csNextSeq, netstack.FlagACK|netstack.FlagPSH, resp))
 		rig.settle()
@@ -131,7 +133,6 @@ func TestOriginatedPacketsKeepTheirOwnBytes(t *testing.T) {
 			t.Fatalf("verdict not applied: csNextSeq %d, state %v", csNext, f.state)
 		}
 		sameFrames(t, "trunk", rig.trunk.frames, [][]byte{
-			onVLAN(refSegment(lcInit, csIP, 4000, csPort, f.initNextSeq+shim.RequestLen, csNext, netstack.FlagACK, nil), 2, csMAC),
 			onVLAN(refSegment(lcInit, csIP, 4000, csPort, f.initNextSeq+shim.RequestLen, csNext, netstack.FlagRST|netstack.FlagACK, nil), 2, csMAC),
 		})
 		global := f.initGlobal
@@ -140,7 +141,8 @@ func TestOriginatedPacketsKeepTheirOwnBytes(t *testing.T) {
 		})
 		rig.trunk.frames, rig.outside.frames = nil, nil
 
-		// The responder's SYN-ACK: the handshake ACK, the replay, the FIN.
+		// The responder's SYN-ACK: the replay, whose first segment carries
+		// the handshake ACK, and the FIN.
 		synAck := &netstack.Packet{
 			Eth: netstack.Ethernet{Dst: GatewayMAC, Src: extMAC, EtherType: netstack.EtherTypeIPv4},
 			IP:  &netstack.IPv4{TTL: 57, Src: lcResp, Dst: global},
@@ -150,7 +152,6 @@ func TestOriginatedPacketsKeepTheirOwnBytes(t *testing.T) {
 		rig.settle()
 		seq := f.initISS + 1
 		sameFrames(t, "outside", rig.outside.frames, [][]byte{
-			outside(refSegment(global, lcResp, 4000, 80, seq, 501, netstack.FlagACK, nil), extMAC),
 			outside(refSegment(global, lcResp, 4000, 80, seq, 501, netstack.FlagACK|netstack.FlagPSH, replay[:1400]), extMAC),
 			outside(refSegment(global, lcResp, 4000, 80, seq+1400, 501, netstack.FlagACK|netstack.FlagPSH, replay[1400:]), extMAC),
 			outside(refSegment(global, lcResp, 4000, 80, seq+2800, 501, netstack.FlagACK|netstack.FlagFIN, nil), extMAC),
@@ -236,7 +237,6 @@ func TestOriginatedPacketsKeepTheirOwnBytes(t *testing.T) {
 		rig.settle()
 		seq := f.initISS + 1
 		sameFrames(t, "outside", rig.outside.frames, [][]byte{
-			tunnelled(refSegment(global, lcResp, 4000, 80, seq, 501, netstack.FlagACK, nil)),
 			tunnelled(refSegment(global, lcResp, 4000, 80, seq, 501, netstack.FlagACK|netstack.FlagPSH, []byte("replayed through the tunnel"))),
 			tunnelled(refSegment(global, lcResp, 4000, 80, seq+27, 501, netstack.FlagRST|netstack.FlagACK, nil)),
 		})
@@ -244,6 +244,69 @@ func TestOriginatedPacketsKeepTheirOwnBytes(t *testing.T) {
 			onVLAN(refSegment(lcResp, inmate, 80, 4000, f.csISN+1, f.initNextSeq, netstack.FlagRST|netstack.FlagACK, nil), 15, inmateMAC(15)),
 		})
 	})
+}
+
+// Only a REWRITE verdict leaves the containment server's leg open, so only
+// it gets a pure ACK for the response shim, before the bytes that followed
+// the shim are relayed; a REWRITE for an initiator that already reset cuts
+// the leg with an RST that carries the ACK instead.
+func TestRewriteVerdictACKsTheResponseShim(t *testing.T) {
+	csIP, csPort := netstack.MustParseAddr("10.3.0.1"), uint16(6666)
+	resp := (&shim.Response{Verdict: shim.Rewrite, PolicyName: "Rw"}).Marshal()
+	for _, aborted := range []bool{false, true} {
+		rig := newLifecycleRig(t)
+		f := rig.flowIn(lcAwaitPost, 4000)
+		shimmed(f)
+		f.initAborted = aborted
+		rig.trunk.port.Send(csSegment(rig.r, f, f.csNextSeq, netstack.FlagACK|netstack.FlagPSH, append(resp, "220 hi"...)))
+		rig.settle()
+		csNext := f.csNextSeq
+		seq := f.initNextSeq + shim.RequestLen
+		if aborted {
+			sameFrames(t, "trunk, initiator reset", rig.trunk.frames, [][]byte{
+				onVLAN(refSegment(lcInit, csIP, 4000, csPort, seq, csNext, netstack.FlagRST|netstack.FlagACK, nil), 2, csMAC),
+			})
+			continue
+		}
+		if f.state != fsRewriteProxy {
+			t.Fatalf("state %v after a REWRITE verdict, want the rewrite proxy", f.state)
+		}
+		sameFrames(t, "trunk", rig.trunk.frames, [][]byte{
+			onVLAN(refSegment(lcInit, csIP, 4000, csPort, seq, csNext, netstack.FlagACK, nil), 2, csMAC),
+			onVLAN(refSegment(lcResp, lcInit, 80, 4000, f.csISN+1, f.initNextSeq, netstack.FlagACK|netstack.FlagPSH, []byte("220 hi")), lcVLAN, inmateMAC(lcVLAN)),
+		})
+	}
+}
+
+// With no phase-1 payload to replay, the gateway completes the responder's
+// handshake with a pure ACK, and, for an initiator that already reset, sends
+// the reset behind it: a reset alone would reach a responder still in
+// SYN_RCVD, which drops the conn unaccepted.
+func TestEmptyReplaySendsTheHandshakeACK(t *testing.T) {
+	resp := (&shim.Response{Verdict: shim.Forward, PolicyName: "Fwd"}).Marshal()
+	for _, aborted := range []bool{false, true} {
+		rig := newLifecycleRig(t)
+		f := rig.flowIn(lcAwaitPost, 4000)
+		shimmed(f)
+		f.initAborted = aborted
+		rig.trunk.port.Send(csSegment(rig.r, f, f.csNextSeq, netstack.FlagACK|netstack.FlagPSH, resp))
+		rig.settle()
+		global := f.initGlobal
+		rig.outside.frames = nil
+		synAck := &netstack.Packet{
+			Eth: netstack.Ethernet{Dst: GatewayMAC, Src: extMAC, EtherType: netstack.EtherTypeIPv4},
+			IP:  &netstack.IPv4{TTL: 57, Src: lcResp, Dst: global},
+			TCP: &netstack.TCP{SrcPort: 80, DstPort: 4000, Seq: 500, Ack: f.initISS + 1, Flags: netstack.FlagSYN | netstack.FlagACK, Window: 4321},
+		}
+		rig.outside.port.Send(synAck.Marshal())
+		rig.settle()
+		seq := f.initISS + 1
+		want := [][]byte{outside(refSegment(global, lcResp, 4000, 80, seq, 501, netstack.FlagACK, nil), extMAC)}
+		if aborted {
+			want = append(want, outside(refSegment(global, lcResp, 4000, 80, seq, 501, netstack.FlagRST|netstack.FlagACK, nil), extMAC))
+		}
+		sameFrames(t, fmt.Sprintf("outside, initiator reset %v", aborted), rig.outside.frames, want)
+	}
 }
 
 // A response shim that arrives whole is decoded where it lies and makes no

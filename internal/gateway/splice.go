@@ -307,13 +307,13 @@ func (s *gwSender) sendSYN() {
 	s.arm()
 }
 
-// onEstablished completes the handshake and replays buffered payload.
+// onEstablished completes the handshake and replays buffered payload. The
+// first replayed segment carries the handshake ACK; a pure one goes out
+// only when there is nothing to replay.
 func (s *gwSender) onEstablished() {
 	s.una = s.nextSeq
 	s.retries = 0
 	s.timer.Stop()
-	// Handshake ACK.
-	s.transmit(s.nextSeq, s.f.respNextSeq, netstack.FlagACK, nil)
 	// Queue the phase-1 payload (and FIN, if the initiator already closed),
 	// in a pending made once to fit both.
 	s.replay, s.f.initPayload = s.f.initPayload, nil
@@ -338,10 +338,15 @@ func (s *gwSender) onEstablished() {
 	if len(s.pending) > 0 {
 		s.flush()
 		s.arm()
-	} else if s.f.initAborted {
-		// Nothing to replay and the initiator is gone: reset immediately.
-		s.sendRST()
-		s.f.scheduleClose(time.Second)
+	} else {
+		s.transmit(s.nextSeq, s.f.respNextSeq, netstack.FlagACK, nil)
+		if s.f.initAborted {
+			// Nothing to replay and the initiator is gone: reset at once.
+			// The ACK before it lets the responder accept the conn the
+			// reset ends, as it saw the initiator's own.
+			s.sendRST()
+			s.f.scheduleClose(time.Second)
+		}
 	}
 	s.f.maybeFinish()
 }

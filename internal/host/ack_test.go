@@ -1,6 +1,7 @@
 package host
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +16,8 @@ import (
 // 1122 4.2.3.2). An app that sends nothing gets its ACK delayedACK after
 // the data arrived (RFC 9293 3.8.6.3), unless 2*MSS arrived since the last
 // ACK, the segment carries a FIN, lies beyond rcvNxt, repeats old bytes or
-// fills a gap in the stash: those are ACKed at once.
+// fills a gap in the stash: those are ACKed at once. An active open's
+// handshake ACK rides what OnConnect sends, and goes out alone otherwise.
 
 // ackRig is one raw connection accepted on port 80, past its handshake.
 type ackRig struct {
@@ -257,5 +259,60 @@ func TestWriteInsideTheDelayCarriesTheACK(t *testing.T) {
 	r.want("a minute on")
 	if r.c.retries != 0 {
 		t.Errorf("retries = %d, want 0", r.c.retries)
+	}
+}
+
+// dialAnswered has the host dial the raw peer with onConnect as the conn's
+// OnConnect, answers the SYN with a SYN-ACK whose sequence number is irs,
+// and returns what the host sent in answer, all of which must leave at the
+// SYN-ACK's arrival.
+func dialAnswered(t *testing.T, irs uint32, onConnect func(c *Conn)) []seg {
+	t.Helper()
+	s, h, peer := rawSetup(t)
+	c := h.Dial(peer.addr, 5555)
+	c.OnConnect = func() { onConnect(c) }
+	s.RunFor(100 * time.Millisecond)
+	syn := peer.lastTCP()
+	if syn == nil || syn.TCP.Flags != netstack.FlagSYN {
+		t.Fatal("the host sent no SYN")
+	}
+	var got []seg
+	arrival := s.Now() + oneWay
+	peer.onRx = func(p *netstack.Packet) {
+		if p.TCP == nil {
+			return
+		}
+		if sent := s.Now() - oneWay; sent != arrival {
+			t.Errorf("%+v left at %v, want the SYN-ACK's arrival at %v", p.TCP, sent, arrival)
+		}
+		got = append(got, seg{p.TCP.Flags, p.TCP.Ack, string(p.Payload)})
+	}
+	peer.send(h.MAC(), h.Addr(), &netstack.TCP{
+		SrcPort: 5555, DstPort: syn.TCP.SrcPort, Seq: irs, Ack: syn.TCP.Seq + 1,
+		Flags: netstack.FlagSYN | netstack.FlagACK, Window: 65535,
+	}, nil)
+	s.RunUntil(arrival + oneWay)
+	return got
+}
+
+// An active open's handshake ACK rides what OnConnect sends; a pure ACK
+// goes out, at the SYN-ACK's arrival, only if OnConnect sends nothing but
+// a reset, which needs the ACK before it so that the peer, still in
+// SYN_RCVD, accepts the conn the reset then ends.
+func TestActiveOpenHandshakeACK(t *testing.T) {
+	const irs = 7000
+	for _, tc := range []struct {
+		name      string
+		onConnect func(c *Conn)
+		want      []seg
+	}{
+		{"writes", func(c *Conn) { c.Write([]byte("HELO")) }, []seg{{ackPSH, irs + 1, "HELO"}}},
+		{"silent", func(c *Conn) {}, []seg{{ack, irs + 1, ""}}},
+		{"closes", func(c *Conn) { c.Close() }, []seg{{ackFIN, irs + 1, ""}}},
+		{"aborts", func(c *Conn) { c.Abort() }, []seg{{ack, irs + 1, ""}, {netstack.FlagRST | netstack.FlagACK, irs + 1, ""}}},
+	} {
+		if got := dialAnswered(t, irs, tc.onConnect); !slices.Equal(got, tc.want) {
+			t.Errorf("OnConnect %s: host sent %+v, want %+v", tc.name, got, tc.want)
+		}
 	}
 }

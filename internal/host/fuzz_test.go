@@ -86,8 +86,8 @@ type owedACK struct {
 	upTo uint32
 }
 
-// FuzzConnSegments feeds one accepted conn a script of peer segments and
-// app actions at chosen times. Four bytes an operation:
+// FuzzConnSegments feeds one conn a script of peer segments and app
+// actions at chosen times. Four bytes an operation:
 //
 //	op&3 == 0, 1: after (op>>2) ms the peer sends a segment. Byte 1 holds
 //	  its flags (any of FIN, SYN, RST, PSH, ACK) in its low five bits and
@@ -103,18 +103,22 @@ type owedACK struct {
 //	  2 bytes (0: stay silent); write byte 3 bytes.
 //	op&3 == 3: time passes: (op>>2)/4 s plus byte 1 ms.
 //
+// The conn is accepted on port 80, unless the first op has op&3 == 1: then
+// the host dials the peer, the peer answers the SYN with a SYN-ACK 100 +
+// (op>>2) ms after the dial, and the conn's OnConnect, by byte 1 mod 4, writes
+// byte 2 * 8 bytes, closes, aborts or does nothing; the script goes on
+// from the next op.
+//
 // Then a further two minutes pass. Whatever the script: nothing panics;
 // the app is handed exactly the stream refRecv derives from the segments
 // the conn processed; no stash holds more than maxOOOSegments; no segment
 // the conn sends acknowledges a byte it has not received; once data is
 // delivered or the peer's FIN consumed, a segment acknowledging it leaves
-// within delayedACK, unless the conn is gone first; and the conn never
-// times out while the peer has acknowledged every byte the host sent.
-// (A conn that reached CLOSING is
-// exempt from the last: go-back-N in CLOSING rewinds sndNxt and resends
-// no FIN, so the peer's ACK of the FIN lands beyond sndNxt and the conn
-// times out; resending the FIN there changes the frames every impaired
-// soak draws its faults against, and waits for its own change.)
+// within delayedACK, unless the conn is gone first; the conn never times
+// out while the peer has acknowledged every byte the host sent; and a
+// dialled conn acknowledges the SYN-ACK at its arrival, with the first
+// segment it sends then, which is no reset, and with a pure ACK only if
+// nothing else it sends then but a reset carries the ACK.
 func FuzzConnSegments(f *testing.F) {
 	const (
 		seg     = 0
@@ -185,6 +189,18 @@ func FuzzConnSegments(f *testing.F) {
 		seg | 5*ms, syn, atZero | d0, 0, // a new incarnation
 		wait | 8*quarter, 40, 0, 0, // 2.04 s
 	})
+	// A dialled conn whose OnConnect writes, closes, aborts or does
+	// nothing; the peer then sends data, a FIN and the ACK of the host's.
+	const dial = 1
+	for _, onConnect := range [][2]byte{{0, 3}, {1, 0}, {2, 0}, {3, 0}} {
+		f.Add([]byte{
+			dial | 2*ms, onConnect[0], onConnect[1], 0,
+			seg | 5*ms, psh | ack, atNxt | d0, 2,
+			seg | 5*ms, ackAll | fin | ack, atNxt | d0, 0,
+			app | 50*ms, 1, 0, 0,
+			seg | 5*ms, ackAll | ack, atNxt | d0, 0,
+		})
+	}
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 256 {
@@ -193,22 +209,21 @@ func FuzzConnSegments(f *testing.F) {
 		s, h, peer := rawSetup(t)
 		var (
 			first     *Conn
+			port      = uint16(80) // the conn's local port
 			got       []byte
 			reply     int
 			ref       = refRecv{stash: map[uint32]uint32{}}
 			refDead   bool
-			closing   bool   // the conn was seen in CLOSING
 			hostEnd   uint32 // the end of the host's bytes the peer has seen
 			peerAcked uint32 // the highest of them the peer acknowledged
 			owed      []owedACK
 			checkOwed func(now time.Duration)
 			serverISN uint32
+			next      uint32        // the peer's first data sequence number
+			synAckAt  time.Duration // when a dialled conn's SYN-ACK arrived
+			answer    []*netstack.TCP
 		)
-		h.Listen(80, func(c *Conn) {
-			if first != nil {
-				return // a later incarnation: only its failures count
-			}
-			first = c
+		watch := func(c *Conn) {
 			c.OnData = func(d []byte) {
 				got = append(got, d...)
 				owed = append(owed, owedACK{s.Now(), c.rcvNxt})
@@ -220,22 +235,55 @@ func FuzzConnSegments(f *testing.F) {
 			c.OnClose = func(err error) {
 				checkOwed(s.Now() - oneWay)
 				owed = nil
-				if err == ErrTimeout && peerAcked == hostEnd && !closing {
+				if err == ErrTimeout && peerAcked == hostEnd {
 					t.Fatalf("timed out with every byte sent acknowledged (end %d)", hostEnd)
 				}
 			}
-		})
+		}
 		checkOwed = func(now time.Duration) {
 			if len(owed) > 0 && now-owed[0].at > delayedACK {
 				t.Fatalf("at %v: what the conn took at %v (ack %d) is still unacknowledged", now, owed[0].at, owed[0].upTo)
 			}
 		}
-		serverISN, next := rawHandshake(t, s, h, peer, 80)
+		dialled := len(script) >= 4 && script[0]&3 == 1
+		var onConnect byte
+		if dialled {
+			dialOp, size := script[0], int(script[2])*8
+			onConnect = script[1]
+			script = script[4:]
+			first = h.Dial(peer.addr, 5555)
+			watch(first)
+			first.OnConnect = func() {
+				switch onConnect % 4 {
+				case 0:
+					first.Write(make([]byte, size))
+				case 1:
+					first.Close()
+				case 2:
+					first.Abort()
+				}
+			}
+			port = first.LocalPort()
+			s.RunFor(100*time.Millisecond + time.Duration(dialOp>>2)*time.Millisecond)
+			syn := peer.lastTCP()
+			if syn == nil || syn.TCP.Flags != netstack.FlagSYN {
+				t.Fatal("the host sent no SYN")
+			}
+			serverISN, next = syn.TCP.Seq, 1001
+		} else {
+			h.Listen(80, func(c *Conn) {
+				if first == nil { // a later incarnation: only its failures count
+					first = c
+					watch(c)
+				}
+			})
+			serverISN, next = rawHandshake(t, s, h, peer, 80)
+		}
 		ref.nxt = next
 		hostEnd, peerAcked = serverISN+1, serverISN+1
 		h.AddRxHook(func(p *netstack.Packet) {
 			tcp := p.TCP
-			if tcp == nil || tcp.DstPort != 80 || tcp.SrcPort != 5555 || refDead {
+			if tcp == nil || tcp.DstPort != port || tcp.SrcPort != 5555 || refDead {
 				return
 			}
 			c := first
@@ -271,8 +319,20 @@ func FuzzConnSegments(f *testing.F) {
 			if end := tcp.Seq + segLen(tcp, len(p.Payload)); seqLT(hostEnd, end) {
 				hostEnd = end
 			}
+			if dialled && s.Now()-oneWay == synAckAt {
+				answer = append(answer, tcp)
+			}
 		}
 		peer.rx = nil
+		if dialled {
+			synAckAt = s.Now() + oneWay
+			peer.send(h.MAC(), h.Addr(), &netstack.TCP{
+				SrcPort: 5555, DstPort: port, Seq: next - 1, Ack: serverISN + 1,
+				Flags: syn | ack, Window: DefaultWindow,
+			}, nil)
+			s.RunFor(2 * oneWay)
+			checkHandshakeACK(t, answer, next, onConnect)
+		}
 
 		for ; len(script) >= 4; script = script[4:] {
 			op, a, b, c := script[0], script[1], script[2], script[3]
@@ -306,7 +366,7 @@ func FuzzConnSegments(f *testing.F) {
 					payload[i] = streamByte(seq + uint32(i))
 				}
 				peer.send(h.MAC(), h.Addr(), &netstack.TCP{
-					SrcPort: 5555, DstPort: 80, Seq: seq, Ack: ackNo, Flags: flags, Window: DefaultWindow,
+					SrcPort: 5555, DstPort: port, Seq: seq, Ack: ackNo, Flags: flags, Window: DefaultWindow,
 				}, payload)
 				s.RunFor(oneWay)
 			case app:
@@ -327,7 +387,6 @@ func FuzzConnSegments(f *testing.F) {
 			if !first.is(connClosed) {
 				checkOwed(s.Now() - oneWay)
 			}
-			closing = closing || first.state == StateClosing
 		}
 		s.RunFor(2 * time.Minute)
 		checkStream(t, h, got, ref.stream)
@@ -335,6 +394,30 @@ func FuzzConnSegments(f *testing.F) {
 			checkOwed(s.Now() - oneWay)
 		}
 	})
+}
+
+// checkHandshakeACK holds what a dialled conn sent at its SYN-ACK's
+// arrival: the first segment acknowledges the SYN-ACK (irs+1 is next) and
+// is no reset, which a peer in SYN_RCVD drops unaccepted, and a pure ACK
+// goes out only if no other segment then but a reset carries the ACK.
+func checkHandshakeACK(t *testing.T, answer []*netstack.TCP, next uint32, onConnect byte) {
+	t.Helper()
+	if len(answer) == 0 || answer[0].Flags&(netstack.FlagACK|netstack.FlagRST) != netstack.FlagACK || answer[0].Ack != next {
+		t.Fatalf("OnConnect %d: at the SYN-ACK's arrival the host sent %+v, want its first segment to acknowledge %d and reset nothing", onConnect%4, answer, next)
+	}
+	pure, carrying := 0, 0
+	for _, tcp := range answer {
+		switch {
+		case tcp.Flags&netstack.FlagRST != 0 || tcp.Ack != next:
+		case tcp.Flags == netstack.FlagACK:
+			pure++
+		default:
+			carrying++
+		}
+	}
+	if pure > 1 || pure == 1 && carrying > 0 {
+		t.Fatalf("OnConnect %d: at the SYN-ACK's arrival the host sent %d pure ACKs beside %d segments carrying the ACK", onConnect%4, pure, carrying)
+	}
 }
 
 // checkStream holds the app's stream to the reference's and every conn's

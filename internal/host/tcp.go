@@ -79,7 +79,8 @@ var ErrTimeout = errors.New("connection timed out")
 // 3.8.6.3) while the conn is ESTABLISHED with nothing of its own in
 // flight, the segment carries no FIN and fills no gap in the stash, and
 // less than 2*MSS has arrived since the last ACK; a reply or FIN sent in
-// the meantime carries it. Every other ACK goes out at once.
+// the meantime carries it. An active open's handshake ACK rides the data
+// or FIN that OnConnect queues, if any. Every other ACK goes out at once.
 type Conn struct {
 	host *Host
 	key  connKey // the endpoint: local port, remote address and port
@@ -154,6 +155,7 @@ const (
 	connClosed                       // torn down; OnClose has fired
 	ackOwed                          // rcvNxt moved, or a FIN came, since a segment last acknowledged it
 	ackHeld                          // the owed ACK waits on rtx, which has no other job
+	ackSYN                           // the owed ACK is the active open's handshake ACK
 )
 
 func (c *Conn) is(f connFlags) bool { return c.flags&f != 0 }
@@ -278,15 +280,27 @@ func (c *Conn) Abort() {
 		return
 	}
 	if c.state != StateSynSent && c.state != StateClosed {
+		if c.is(ackSYN) {
+			// An RST alone would reach a peer still in SYN_RCVD, which drops
+			// the conn unaccepted: it must see the open before the reset.
+			c.sendSegment(netstack.FlagACK, c.sndNxt, c.rcvNxt, nil)
+		}
 		c.sendSegment(netstack.FlagRST|netstack.FlagACK, c.sndNxt, c.rcvNxt, nil)
 	}
 	c.destroy(ErrConnReset)
 }
 
 // trySend transmits as much queued data (and a queued FIN) as the peer's
-// window allows.
+// window allows: in ESTABLISHED and CLOSE_WAIT, and in FIN_WAIT_1, CLOSING
+// and LAST_ACK once go-back-N has taken the FIN back (retransmit).
 func (c *Conn) trySend() {
-	if c.state != StateEstablished && c.state != StateCloseWait {
+	switch c.state {
+	case StateEstablished, StateCloseWait:
+	case StateFinWait1, StateClosing, StateLastAck:
+		if c.is(finSent) {
+			return
+		}
+	default:
 		return
 	}
 	inFlight := c.sndNxt - c.sndUna
@@ -337,7 +351,7 @@ func (c *Conn) sendSegment(flags uint8, seq, ack uint32, payload []byte) {
 		if c.is(ackHeld) {
 			c.rtx.Stop()
 		}
-		c.unset(ackOwed | ackHeld)
+		c.unset(ackOwed | ackHeld | ackSYN)
 		c.rcvHeld = 0
 	}
 }
@@ -378,21 +392,11 @@ func (c *Conn) retransmit() {
 	case StateSynRcvd:
 		c.sendSegment(netstack.FlagSYN|netstack.FlagACK, c.iss, c.rcvNxt, nil)
 	default:
-		// Go-back-N from sndUna.
+		// Go-back-N from sndUna, the FIN included: the state stays, and
+		// trySend resends the FIN behind the data.
 		c.sndNxt = c.sndUna
 		c.unset(finSent)
-		if c.state == StateFinWait1 {
-			c.state = StateEstablished
-		}
-		if c.state == StateLastAck {
-			c.state = StateCloseWait
-		}
 		c.trySend()
-		if c.sndNxt == c.sndUna {
-			// Nothing to resend (pure ACK loss); keep the timer for FIN states.
-			c.armRetransmit()
-			return
-		}
 	}
 	c.armRetransmit()
 }
@@ -524,11 +528,17 @@ func (c *Conn) handleSegment(t *netstack.TCP, payload []byte) {
 			c.state = StateEstablished
 			c.resetRTO()
 			c.rtx.Stop()
-			c.sendSegment(netstack.FlagACK, c.sndNxt, c.rcvNxt, nil)
+			// The handshake ACK rides the first data or FIN that OnConnect
+			// or an earlier Write queued, as a pending write carries it on
+			// Linux; a pure ACK goes out only if nothing did.
+			c.set(ackOwed | ackSYN)
 			if c.OnConnect != nil {
 				c.OnConnect()
 			}
 			c.trySend()
+			if c.flags&(ackOwed|connClosed) == ackOwed {
+				c.sendSegment(netstack.FlagACK, c.sndNxt, c.rcvNxt, nil)
+			}
 		}
 		return
 

@@ -209,6 +209,37 @@ func TestTCPSimultaneousClose(t *testing.T) {
 	}
 }
 
+// TestSimultaneousCloseResendsLostFIN: the host's FIN is lost and the
+// peer's own FIN arrives, so the conn is in CLOSING with its FIN
+// unacknowledged. The retransmission timeout must resend that FIN, and the
+// peer's ACK of it must take the conn to TIME_WAIT and a clean close, not
+// to a timeout with every byte acknowledged.
+func TestSimultaneousCloseResendsLostFIN(t *testing.T) {
+	var closeErr error
+	closed := false
+	r := ackSetup(t, func(c *Conn) {
+		c.OnClose = func(err error) { closed, closeErr = true, err }
+	})
+	r.c.Close()
+	r.s.RunFor(oneWay)
+	r.want("the first FIN, lost on the way", seg{ackFIN, r.next, ""})
+	r.send(0, netstack.FlagFIN, "")
+	r.want("the peer's FIN", seg{ack, r.next + 1, ""})
+	if r.c.State() != StateClosing {
+		t.Fatalf("conn is %v after the peer's FIN, want CLOSING", r.c.State())
+	}
+	r.until(rtoInitial)
+	r.want("at the retransmission timeout", seg{ackFIN, r.next + 1, ""})
+	r.sendAck(1, 1, 0, "")
+	if r.c.State() != StateTimeWait {
+		t.Fatalf("conn is %v once its FIN is acknowledged, want TIME_WAIT", r.c.State())
+	}
+	r.until(timeWaitDuration)
+	if !closed || closeErr != nil {
+		t.Fatalf("closed %v with %v at the end of TIME_WAIT, want a clean close", closed, closeErr)
+	}
+}
+
 func TestTCPHalfClose(t *testing.T) {
 	s := sim.New(7)
 	sw := netsim.NewSwitch(s, "sw")

@@ -2,6 +2,7 @@ package rawiron
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"gq/internal/obs"
@@ -55,6 +56,10 @@ type Controller struct {
 
 	trunk  *trunk
 	faults Faults
+	// rng is the controller's own fault stream, seeded from one draw of the
+	// domain's stream at build time, so a change in the frames, which draw
+	// from the domain's stream, does not move which machine a fault hits.
+	rng *rand.Rand
 
 	// FIFO queue for netboot operations beyond maxConcurrent.
 	active  int
@@ -78,6 +83,7 @@ func NewController(s *sim.Simulator, cfg Config) *Controller {
 	return &Controller{
 		Sim: s, Seq: NewPowerSequencer(s), Cfg: cfg,
 		trunk:        newTrunk(s, cfg.TrunkMBps),
+		rng:          rand.New(rand.NewSource(s.Rand().Int63())),
 		retriesC:     reg.Counter("rawiron.retries"),
 		quarantinedC: reg.Counter("rawiron.quarantined"),
 		faultsC:      reg.Counter("rawiron.faults_injected"),
@@ -108,10 +114,10 @@ func (c *Controller) InjectFaults(f Faults) { c.faults = f }
 // ClearFaults removes all injected fault probabilities.
 func (c *Controller) ClearFaults() { c.faults = Faults{} }
 
-// roll draws one fault decision from the sim RNG. A zero probability
-// draws nothing, so fault-free runs consume no randomness.
+// roll draws one fault decision from the controller's stream. A zero
+// probability draws nothing.
 func (c *Controller) roll(m *Machine, prob float64, kind string) bool {
-	if prob <= 0 || c.Sim.Rand().Float64() >= prob {
+	if prob <= 0 || c.rng.Float64() >= prob {
 		return false
 	}
 	c.FaultsInjected++

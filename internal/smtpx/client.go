@@ -118,8 +118,8 @@ func (s *clientSession) finish(err error) {
 	}
 }
 
-// flush sends what s.out holds as one CRLF-terminated line in a Conn.Write
-// of its own (so a segment of its own), which copies it: s.out is reused.
+// flush ends what s.out holds with CRLF and sends it in one Conn.Write,
+// which copies it (s.out is reused) and cuts it into segments at MSS.
 func (s *clientSession) flush() {
 	s.out = append(s.out, '\r', '\n')
 	s.conn.Write(s.out)
@@ -271,6 +271,8 @@ func (s *clientSession) writeAddr(keyword string, addr []byte) {
 	s.flush()
 }
 
+// sendBody sends the message's lines, dot-stuffed, and the final "." in
+// one write: the body leaves in as few segments as MSS allows.
 func (s *clientSession) sendBody() {
 	for rest, more := s.msg.Data, true; more; {
 		var line []byte
@@ -278,8 +280,7 @@ func (s *clientSession) sendBody() {
 		if len(line) > 0 && line[0] == '.' {
 			s.out = append(s.out, '.') // dot-stuffing
 		}
-		s.out = append(s.out, line...)
-		s.flush()
+		s.out = append(append(s.out, line...), '\r', '\n')
 	}
 	s.writeLine(".")
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gq/internal/host"
+	"gq/internal/netstack"
 )
 
 // clientRun is what a scripted server and the client's own callbacks see
@@ -108,5 +109,57 @@ func TestClientBodyOnTheWire(t *testing.T) {
 		"Subject: s\r\n\r\n..dot\r\n...two\r\nlast\r\n\r\n.\r\nQUIT\r\n"
 	if string(run.Wire) != want || run.Done != "1/<nil>" {
 		t.Fatalf("wire %q\nwant %q\ndone %s", run.Wire, want, run.Done)
+	}
+}
+
+// A message body leaves in one write, so in as few segments as MSS allows:
+// a three-line body with a dot-stuffed line and the final "." in one
+// segment, a longer one cut only at MSS. The engine keeps the same envelope
+// it keeps from the body's lines written one at a time.
+func TestClientBodyLeavesInMSSSegments(t *testing.T) {
+	long := strings.Repeat(strings.Repeat("x", 98)+"\n", 40) + "end"
+	for _, tc := range []struct {
+		body  string
+		wire  string
+		sizes []int
+	}{
+		{"Subject: s\n.two\nlast", "Subject: s\r\n..two\r\nlast\r\n.\r\n", []int{28}},
+		{long, strings.ReplaceAll(long, "\n", "\r\n") + "\r\n.\r\n", []int{host.MSS, host.MSS, 40*100 + 8 - 2*host.MSS}},
+	} {
+		s, bot, mx := mailNet(t)
+		var envs []Envelope
+		if err := mx.Listen(25, func(c *host.Conn) {
+			e := Bind(c, Lenient)
+			e.OnMessage = func(env *Envelope) *Reply { envs = append(envs, copyEnv(env)); return nil }
+			e.Greet("220 mx")
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var segs []string
+		mx.AddRxHook(func(p *netstack.Packet) {
+			if p.TCP != nil && p.TCP.DstPort == 25 && len(p.Payload) > 0 {
+				segs = append(segs, string(p.Payload))
+			}
+		})
+		Send(bot, mx.Addr(), 25, withMail(ClientConfig{Helo: "bot"}, mail{"a@b.c", []string{"v@x.y"}, tc.body}))
+		s.RunFor(time.Minute)
+
+		i := slices.Index(segs, "DATA\r\n")
+		if i < 0 || i+len(tc.sizes) >= len(segs) {
+			t.Fatalf("body %.12q: segments %q", tc.body, segs)
+		}
+		body := segs[i+1 : i+1+len(tc.sizes)]
+		var sizes []int
+		for _, b := range body {
+			sizes = append(sizes, len(b))
+		}
+		if strings.Join(body, "") != tc.wire || !slices.Equal(sizes, tc.sizes) || segs[i+1+len(tc.sizes)] != "QUIT\r\n" {
+			t.Errorf("body %.12q left as %d segments of %v bytes, want %v, then QUIT", tc.body, len(body), sizes, tc.sizes)
+		}
+		lines := []string{"HELO bot", "MAIL FROM:<a@b.c>", "RCPT TO:<v@x.y>", "DATA"}
+		lines = append(lines, strings.Split(strings.TrimSuffix(tc.wire, "\r\n"), "\r\n")...)
+		if _, want := scripted(Lenient, lines); !reflect.DeepEqual(envs, want) {
+			t.Errorf("body %.12q: the engine kept %q, line by line %q", tc.body, envs, want)
+		}
 	}
 }
