@@ -258,10 +258,12 @@ func TestRunDigests(t *testing.T) {
 // SYN or FIN reached the endpoint in between. Looking forward: no pure ACK,
 // a host's or one the gateway sends in an endpoint's name, is followed at
 // the same instant by a segment from the same sender and endpoint carrying
-// the same acknowledgment number. A reset does not count as carrying it: a
-// peer still in SYN_RCVD drops a reset without taking its ACK. Frames the
-// gateway transmits carry its MAC; every other traced frame is a host's
-// own, as it left the host.
+// the same acknowledgment number, or by another pure ACK; and no data
+// segment is followed at the same instant by a bare FIN, which it could
+// have carried. A reset does not count as carrying an ACK: a peer still in
+// SYN_RCVD drops a reset without taking its ACK. Frames the gateway
+// transmits carry its MAC; every other traced frame is a host's own, as it
+// left the host.
 func TestTraceHasNoRedundantACKs(t *testing.T) {
 	pcap := filepath.Join(t.TempDir(), "run.pcap")
 	var out, errOut bytes.Buffer
@@ -291,8 +293,9 @@ func TestTraceHasNoRedundantACKs(t *testing.T) {
 		ack uint32
 	}
 	last := make(map[endpoint]sent)
-	lastPure := make(map[endpoint]pure) // the sender's last segment, while a pure ACK
-	pureACKs, redundant, shadowed := 0, 0, 0
+	lastPure := make(map[endpoint]pure)      // the sender's last segment, while a pure ACK
+	lastData := make(map[endpoint]time.Time) // when it was sent, while data without a FIN
+	pureACKs, redundant, shadowed, twice, bareFIN := 0, 0, 0, 0, 0
 	for _, rec := range recs {
 		p, err := netstack.ParseFrame(rec.Frame)
 		if err != nil || p.IP == nil || p.TCP == nil {
@@ -316,10 +319,25 @@ func TestTraceHasNoRedundantACKs(t *testing.T) {
 			}
 		}
 		pureACK := tcp.Flags == netstack.FlagACK && consumes == 0
+		if lp, ok := lastPure[from]; ok && pureACK && lp.at.Equal(rec.Time) {
+			if twice++; twice <= 5 {
+				t.Errorf("%v: %s follows a pure ACK sent at the same instant", rec.Time, p)
+			}
+		}
+		if at, ok := lastData[from]; ok && at.Equal(rec.Time) && tcp.Flags&netstack.FlagFIN != 0 && len(p.Payload) == 0 {
+			if bareFIN++; bareFIN <= 5 {
+				t.Errorf("%v: %s is a bare FIN behind a data segment sent at the same instant", rec.Time, p)
+			}
+		}
 		if pureACK {
 			lastPure[from] = pure{rec.Time, tcp.Ack}
 		} else {
 			delete(lastPure, from)
+		}
+		if len(p.Payload) > 0 && tcp.Flags&(netstack.FlagFIN|netstack.FlagRST) == 0 {
+			lastData[from] = rec.Time
+		} else {
+			delete(lastData, from)
 		}
 		if gw {
 			to := endpoint{p.IP.Dst, p.IP.Src, tcp.DstPort, tcp.SrcPort, false}
@@ -347,5 +365,11 @@ func TestTraceHasNoRedundantACKs(t *testing.T) {
 	}
 	if shadowed > 0 {
 		t.Errorf("%d of %d records are pure ACKs that a segment sent at the same instant repeats", shadowed, len(recs))
+	}
+	if twice > 0 {
+		t.Errorf("%d of %d records are a second pure ACK at one instant", twice, len(recs))
+	}
+	if bareFIN > 0 {
+		t.Errorf("%d of %d records are a bare FIN behind data sent at the same instant", bareFIN, len(recs))
 	}
 }

@@ -49,7 +49,7 @@ func recordPcap(t *testing.T) string {
 
 // TestSubcommandsMatchGolden: `dump` and `report` print what the separate
 // gqtrace and gqreport tools printed for the same pcap. The report is kept
-// as text in testdata/report.golden; the 1,219-line dump as the SHA-256 of
+// as text in testdata/report.golden; the 1,072-line dump as the SHA-256 of
 // its stdout in testdata/dump.sha256.
 func TestSubcommandsMatchGolden(t *testing.T) {
 	pcap := recordPcap(t)
@@ -58,7 +58,7 @@ func TestSubcommandsMatchGolden(t *testing.T) {
 	if code := run([]string{"dump", pcap}, &out, &errOut); code != 0 {
 		t.Fatalf("dump: exit %d (stderr: %s)", code, errOut.String())
 	}
-	if got, want := errOut.String(), "gqtrace: 1219 packets\n"; got != want {
+	if got, want := errOut.String(), "gqtrace: 1072 packets\n"; got != want {
 		t.Errorf("dump stderr = %q, want %q", got, want)
 	}
 	want, err := os.ReadFile("testdata/dump.sha256")

@@ -142,7 +142,7 @@ func TestOriginatedPacketsKeepTheirOwnBytes(t *testing.T) {
 		rig.trunk.frames, rig.outside.frames = nil, nil
 
 		// The responder's SYN-ACK: the replay, whose first segment carries
-		// the handshake ACK, and the FIN.
+		// the handshake ACK and whose last the FIN.
 		synAck := &netstack.Packet{
 			Eth: netstack.Ethernet{Dst: GatewayMAC, Src: extMAC, EtherType: netstack.EtherTypeIPv4},
 			IP:  &netstack.IPv4{TTL: 57, Src: lcResp, Dst: global},
@@ -153,8 +153,7 @@ func TestOriginatedPacketsKeepTheirOwnBytes(t *testing.T) {
 		seq := f.initISS + 1
 		sameFrames(t, "outside", rig.outside.frames, [][]byte{
 			outside(refSegment(global, lcResp, 4000, 80, seq, 501, netstack.FlagACK|netstack.FlagPSH, replay[:1400]), extMAC),
-			outside(refSegment(global, lcResp, 4000, 80, seq+1400, 501, netstack.FlagACK|netstack.FlagPSH, replay[1400:]), extMAC),
-			outside(refSegment(global, lcResp, 4000, 80, seq+2800, 501, netstack.FlagACK|netstack.FlagFIN, nil), extMAC),
+			outside(refSegment(global, lcResp, 4000, 80, seq+1400, 501, netstack.FlagACK|netstack.FlagPSH|netstack.FlagFIN, replay[1400:]), extMAC),
 		})
 		if len(rig.trunk.frames) != 0 {
 			t.Errorf("%d frames toward the farm on establishment, want none", len(rig.trunk.frames))

@@ -314,24 +314,27 @@ func (s *gwSender) onEstablished() {
 	s.una = s.nextSeq
 	s.retries = 0
 	s.timer.Stop()
-	// Queue the phase-1 payload (and FIN, if the initiator already closed),
-	// in a pending made once to fit both.
+	// Queue the phase-1 payload and, if the initiator already closed, its
+	// FIN, on the last data segment if there is one, in a pending made once
+	// to fit them.
 	s.replay, s.f.initPayload = s.f.initPayload, nil
 	data := s.replay
 	fin := s.f.initFin && !s.f.initAborted
 	segs := (len(data) + replaySegment - 1) / replaySegment
-	if fin {
-		segs++
+	if fin && segs == 0 {
+		segs = 1
 	}
 	s.pending = slices.Grow(s.pending, segs)
 	for len(data) > 0 {
 		n := min(len(data), replaySegment)
-		s.pending = append(s.pending, gwSeg{seq: s.nextSeq, payload: data[:n]})
+		s.pending = append(s.pending, gwSeg{seq: s.nextSeq, payload: data[:n], fin: fin && n == len(data)})
 		s.nextSeq += uint32(n)
 		data = data[n:]
 	}
 	if fin {
-		s.pending = append(s.pending, gwSeg{seq: s.nextSeq, fin: true})
+		if len(s.replay) == 0 {
+			s.pending = append(s.pending, gwSeg{seq: s.nextSeq, fin: true})
+		}
 		s.nextSeq++
 		s.f.finInit = true
 	}

@@ -235,3 +235,54 @@ func BenchmarkLinkInFlight(b *testing.B) {
 		})
 	}
 }
+
+// TestLandsNow: a port sees the lane's frames still to land at the current
+// instant, behind the one landing, and no others: not one that landed
+// before it, not one due a microsecond later, and never one from another
+// domain, which rides its own timer.
+func TestLandsNow(t *testing.T) {
+	isX := func(f []byte) bool { return f[0] == 'x' }
+	isY := func(f []byte) bool { return f[0] == 'y' }
+	s := sim.New(1)
+	var b *Port
+	got := map[string][2]bool{}
+	b = NewPort(s, "b", func(f []byte) { got[string(f)] = [2]bool{b.LandsNow(isX), b.LandsNow(isY)} })
+	a := NewPort(s, "a", nil)
+	Connect(a, b, 0)
+	for _, f := range []string{"x1", "y1", "x2"} {
+		a.Send([]byte(f))
+	}
+	s.Schedule(time.Microsecond, func() { a.Send([]byte("x3")) })
+	s.Run()
+	want := map[string][2]bool{
+		"x1": {true, true},   // y1 and x2 land at this instant
+		"y1": {true, false},  // x2 does
+		"x2": {false, false}, // x3 lands a microsecond later
+		"x3": {false, false},
+	}
+	for f, w := range want {
+		if got[f] != w {
+			t.Errorf("at %s's landing: LandsNow(x), LandsNow(y) = %v, want %v", f, got[f], w)
+		}
+	}
+
+	root := sim.New(1)
+	c := sim.NewCoordinator(root, TrunkLatency, 1)
+	d := c.NewDomain()
+	var far *Port
+	landed, saw := 0, false
+	far = NewPort(d, "far", func([]byte) {
+		landed++
+		saw = saw || far.LandsNow(func([]byte) bool { return true })
+	})
+	near := NewPort(root, "near", nil)
+	Connect(near, far, TrunkLatency)
+	root.Schedule(0, func() {
+		near.Send([]byte("x1"))
+		near.Send([]byte("x2"))
+	})
+	c.RunUntil(3 * TrunkLatency)
+	if landed != 2 || saw {
+		t.Errorf("across domains: %d frames landed, LandsNow true at one: %v; want 2 and false", landed, saw)
+	}
+}

@@ -335,6 +335,20 @@ func (p *Port) land() {
 	f.arrive()
 }
 
+// LandsNow reports whether a frame match accepts is still to land at p at
+// the current virtual instant, behind the one landing now. It reads only
+// the lane, so a frame from another domain, which rides its own timer,
+// never counts; match sees each frame's bytes and must not keep them.
+func (p *Port) LandsNow(match func(frame []byte) bool) bool {
+	now := p.sim.Now()
+	for f := p.head; f != nil && f.key.At() == now; f = f.next {
+		if match(f.buf) {
+			return true
+		}
+	}
+	return false
+}
+
 // receive runs the receiving-side bookkeeping and hands the frame to the
 // port's receive callback. Always runs on the owning domain's goroutine.
 func (p *Port) receive(buf []byte) {

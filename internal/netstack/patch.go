@@ -113,6 +113,17 @@ func ipLayout(frame []byte) (l3, ihl int, ok bool) {
 	return l3, ihl, true
 }
 
+// TCPPorts reads a TCP segment's source address and ports straight from
+// the frame, without parsing it. ok is false for any other frame.
+func TCPPorts(frame []byte) (src Addr, srcPort, dstPort uint16, ok bool) {
+	l3, ihl, ok := ipLayout(frame)
+	if !ok || frame[l3+9] != ProtoTCP || len(frame) < l3+ihl+TCPHeaderLen {
+		return 0, 0, 0, false
+	}
+	seg := frame[l3+ihl:]
+	return AddrFromSlice(frame[l3+12 : l3+16]), binary.BigEndian.Uint16(seg[0:2]), binary.BigEndian.Uint16(seg[2:4]), true
+}
+
 // patchIPAddr rewrites the IPv4 address at hdrOff (12 for src, 16 for dst),
 // fixing the IP header checksum and the TCP/UDP checksum (pseudo-header)
 // incrementally.
