@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -19,6 +20,20 @@ import (
 var updateDigests = flag.Bool("update", false, "rewrite testdata/journal_digests.txt with the current journals")
 
 const digestFile = "journal_digests.txt"
+
+// flowFields matches the fields flow events gained with the flow id: the
+// id, the direction and the annotation. A journal with them stripped must
+// hash to the second column of the digest file, the digest of the journal
+// before them, so a re-pin shows that nothing else moved.
+var flowFields = regexp.MustCompile(`,"flow":[0-9]+|,"inbound":true|,"annotation":"(?:[^"\\]|\\.)*"`)
+
+// digests returns the SHA-256 of a journal and of the journal without the
+// flow fields, in hex.
+func digests(journal []byte) (whole, stripped string) {
+	w := sha256.Sum256(journal)
+	s := sha256.Sum256(flowFields.ReplaceAll(journal, nil))
+	return hex.EncodeToString(w[:]), hex.EncodeToString(s[:])
+}
 
 // soakJournal names one pinned soak run and produces its NDJSON journal.
 type soakJournal struct {
@@ -103,11 +118,12 @@ func pinnedSoaks(t *testing.T) []soakJournal {
 // TestSoakJournalDigests pins every soak journal across commits: the
 // determinism tests prove a journal is the same at any worker count, this
 // one proves a refactor did not move it. Each journal's SHA-256 must match
-// testdata/journal_digests.txt; `go test -run TestSoakJournalDigests
-// -update` regenerates the file after an intended behaviour change.
+// the first column of testdata/journal_digests.txt, and its SHA-256 with
+// the flow fields stripped the second; `go test -run TestSoakJournalDigests
+// -update` regenerates both after an intended behaviour change.
 func TestSoakJournalDigests(t *testing.T) {
 	path := filepath.Join("testdata", digestFile)
-	want := make(map[string]string)
+	want := make(map[string][]string)
 	if !*updateDigests {
 		f, err := os.Open(path)
 		if err != nil {
@@ -116,8 +132,8 @@ func TestSoakJournalDigests(t *testing.T) {
 		defer f.Close()
 		sc := bufio.NewScanner(f)
 		for sc.Scan() {
-			if name, sum, ok := strings.Cut(sc.Text(), " "); ok {
-				want[name] = sum
+			if fields := strings.Fields(sc.Text()); len(fields) == 3 {
+				want[fields[0]] = fields[1:]
 			}
 		}
 		if err := sc.Err(); err != nil {
@@ -130,17 +146,18 @@ func TestSoakJournalDigests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
-		sum := sha256.Sum256(journal)
-		hexSum := hex.EncodeToString(sum[:])
-		fmt.Fprintf(&got, "%s %s\n", r.name, hexSum)
+		whole, stripped := digests(journal)
+		fmt.Fprintf(&got, "%s %s %s\n", r.name, whole, stripped)
 		if *updateDigests {
 			continue
 		}
 		switch pinned, ok := want[r.name]; {
 		case !ok:
 			t.Errorf("%s: no pinned digest in %s (run with -update)", r.name, path)
-		case pinned != hexSum:
-			t.Errorf("%s: journal digest %s, pinned %s — the journal moved", r.name, hexSum, pinned)
+		case pinned[0] != whole:
+			t.Errorf("%s: journal digest %s, pinned %s — the journal moved", r.name, whole, pinned[0])
+		case pinned[1] != stripped:
+			t.Errorf("%s: journal digest without flow fields %s, pinned %s", r.name, stripped, pinned[1])
 		}
 	}
 	if *updateDigests {

@@ -11,6 +11,7 @@ import (
 
 	"gq/internal/farm"
 	"gq/internal/malware"
+	"gq/internal/report"
 	"gq/internal/shim"
 )
 
@@ -42,12 +43,10 @@ func RunTable1(seed int64, specs []malware.WormSpec, window time.Duration) ([]Ta
 		row := Table1Row{Spec: spec, MeasuredEvents: res.Events, MeasuredIncub: res.Incubation}
 		// Connections per infection: redirected propagation flows divided
 		// by completed propagations.
-		var redirected, props int
-		for _, rec := range e.Subfarm.Router.Records() {
-			if !rec.Inbound && rec.Verdict.Has(shim.Redirect) {
-				redirected++
-			}
-		}
+		redirected := e.Farm.Fold.Flows(e.Subfarm.Name, func(c report.FlowClass) bool {
+			return !c.Inbound && c.Verdict.Has(shim.Redirect)
+		})
+		var props int
 		for _, w := range e.Subfarm.Inmates {
 			if worm, ok := w.Specimen.(*malware.Worm); ok && worm != nil {
 				props += worm.Propagations

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"gq/internal/farm"
+	"gq/internal/report"
 	"gq/internal/shim"
 )
 
@@ -66,11 +67,9 @@ func RunFigure7(cfg Figure7Config) (*Figure7Outcome, error) {
 
 	out := &Figure7Outcome{}
 	out.Report = f.Reporter(true).Generate()
-	for _, rec := range sf.Router.Records() {
-		if rec.RespPort == 25 && rec.Verdict.Has(shim.Reflect) {
-			out.ReflectedSMTPFlows++
-		}
-	}
+	out.ReflectedSMTPFlows = f.Fold.Flows(sf.Name, func(c report.FlowClass) bool {
+		return c.Port == 25 && c.Verdict.Has(shim.Reflect)
+	})
 	for _, st := range sf.SMTPAnalyzer.PerInmate {
 		out.SMTPSessions += st.Sessions
 		out.SMTPDataTransfers += st.DataTransfers

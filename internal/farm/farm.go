@@ -61,6 +61,11 @@ type Farm struct {
 	// CBL is the shared blacklist feed.
 	CBL *report.CBL
 
+	// Fold folds the journal's flow events for the Fig. 7 report and the
+	// experiments; the journal's follower from the farm's construction, so
+	// it sees every flow whatever sink is attached.
+	Fold *report.Fold
+
 	Subfarms []*Subfarm
 
 	// Tree is the farm-root supervision node once SuperviseTree has built
@@ -110,8 +115,10 @@ func build(s *sim.Simulator, coord *sim.Coordinator) *Farm {
 		InternetSwitch: netsim.NewSwitch(s, "internet"),
 		MgmtSwitch:     netsim.NewSwitch(s, "mgmt-net"),
 		CBL:            report.NewCBL(s),
+		Fold:           report.NewFold(),
 		nextMgmt:       10,
 	}
+	s.Obs().Journal.Follow(f.Fold)
 	// Verdict bits render symbolically in journals; naming happens only at
 	// serialization time, never on the datapath.
 	s.Obs().Journal.SetVerdictNamer(func(v uint32) string { return shim.Verdict(v).String() })

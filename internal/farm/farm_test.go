@@ -9,6 +9,7 @@ import (
 	"gq/internal/inmate"
 	"gq/internal/malware"
 	"gq/internal/netstack"
+	"gq/internal/obs"
 	"gq/internal/policy"
 	"gq/internal/report"
 	"gq/internal/shim"
@@ -110,18 +111,10 @@ func TestBotfarmEndToEnd(t *testing.T) {
 	}
 
 	// The C&C lifeline worked: bots got their templates through the farm.
-	recs := sf.Router.Records()
-	var forwards, reflects, rewrites int
-	for _, r := range recs {
-		switch {
-		case r.Verdict.Has(shim.Forward):
-			forwards++
-		case r.Verdict.Has(shim.Reflect):
-			reflects++
-		case r.Verdict.Has(shim.Rewrite):
-			rewrites++
-		}
+	withVerdict := func(v shim.Verdict) int {
+		return f.Fold.Flows(sf.Name, func(c report.FlowClass) bool { return c.Verdict.Has(v) })
 	}
+	forwards, reflects, rewrites := withVerdict(shim.Forward), withVerdict(shim.Reflect), withVerdict(shim.Rewrite)
 	if forwards == 0 {
 		t.Fatal("no forwarded C&C flows")
 	}
@@ -204,12 +197,9 @@ func TestFigure7Report(t *testing.T) {
 
 	// The Fig. 7 numeric shape: with a dropping sink, REFLECTed flows
 	// exceed completed SMTP sessions.
-	reflected := 0
-	for _, r := range sf.Router.Records() {
-		if r.Verdict.Has(shim.Reflect) && r.RespPort == 25 {
-			reflected++
-		}
-	}
+	reflected := f.Fold.Flows(sf.Name, func(c report.FlowClass) bool {
+		return c.Verdict.Has(shim.Reflect) && c.Port == 25
+	})
 	var sessions uint64
 	for _, st := range sf.SMTPAnalyzer.PerInmate {
 		sessions += st.Sessions
@@ -307,6 +297,12 @@ func TestSubfarmIsolation(t *testing.T) {
 	a, _ := sfA.AddInmate("a0")
 	b, _ := sfB.AddInmate("b0")
 	c, _ := sfC.AddInmate("c0")
+	var flowEvents []obs.Event
+	f.Sim.Obs().Journal.SetSink(sinkFunc(func(e obs.Event) {
+		if e.Flow != 0 {
+			flowEvents = append(flowEvents, e)
+		}
+	}))
 	f.Run(20 * time.Minute)
 
 	for i, bot := range []*FarmInmate{a, b, c} {
@@ -314,14 +310,19 @@ func TestSubfarmIsolation(t *testing.T) {
 			t.Fatalf("inmate %d never infected", i)
 		}
 	}
-	// Records stay within each subfarm.
+	// Flows stay within each subfarm.
 	for _, sf := range []*Subfarm{sfA, sfB, sfC} {
-		for _, rec := range sf.Router.Records() {
-			if rec.VLAN < sf.Config.VLANLo || rec.VLAN > sf.Config.VLANHi {
-				t.Fatalf("record VLAN %d outside %s", rec.VLAN, sf.Name)
+		n := 0
+		for _, e := range flowEvents {
+			if e.Scope != sf.Name {
+				continue
+			}
+			n++
+			if e.VLAN < sf.Config.VLANLo || e.VLAN > sf.Config.VLANHi {
+				t.Fatalf("flow event on VLAN %d outside %s: %+v", e.VLAN, sf.Name, e)
 			}
 		}
-		if len(sf.Router.Records()) == 0 {
+		if n == 0 {
 			t.Fatalf("subfarm %s has no activity", sf.Name)
 		}
 	}
@@ -332,3 +333,11 @@ func TestSubfarmIsolation(t *testing.T) {
 }
 
 func itoa(v uint16) string { return strconv.Itoa(int(v)) }
+
+// sinkFunc is a journal sink that hands each event to a function.
+type sinkFunc func(obs.Event)
+
+func (fn sinkFunc) WriteEvent(e obs.Event) error {
+	fn(e)
+	return nil
+}

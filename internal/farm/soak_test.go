@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"gq/internal/report"
 	"gq/internal/shim"
 )
 
@@ -54,21 +55,17 @@ func TestSoak24Hours(t *testing.T) {
 	if n := f.Sim.Obs().Reg.Counter("cs.triggers_fired").Value(); n > 0 {
 		t.Fatalf("absence trigger fired %d times against active spambots", n)
 	}
-	// Verdict accounting stayed consistent end to end.
-	var adjudicated int
-	for _, rec := range sf.Router.Records() {
-		if rec.Verdict != 0 {
-			adjudicated++
-		}
-	}
+	// Verdict accounting stayed consistent end to end: every flow the
+	// journal saw adjudicated is one verdict applied.
+	adjudicated := f.Fold.Flows(sf.Name, func(c report.FlowClass) bool { return c.Verdict != 0 })
 	if uint64(adjudicated) != sf.Router.VerdictsApplied.Value() {
-		t.Fatalf("records with verdicts %d != verdicts applied %d",
+		t.Fatalf("flows with verdicts %d != verdicts applied %d",
 			adjudicated, sf.Router.VerdictsApplied.Value())
 	}
-	// Safety: nothing in the records ever FORWARDed SMTP.
-	for _, rec := range sf.Router.Records() {
-		if rec.RespPort == 25 && rec.Verdict.Has(shim.Forward) {
-			t.Fatalf("SMTP forwarded: %+v", rec)
-		}
+	// Safety: no flow ever FORWARDed SMTP.
+	if n := f.Fold.Flows(sf.Name, func(c report.FlowClass) bool {
+		return c.Port == 25 && c.Verdict.Has(shim.Forward)
+	}); n != 0 {
+		t.Fatalf("%d SMTP flows forwarded", n)
 	}
 }

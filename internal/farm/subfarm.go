@@ -290,7 +290,7 @@ func csName(i int) string { return fmt.Sprintf("cs%d", i) }
 
 // Reporter builds a Fig. 7 reporter over the farm's subfarms.
 func (f *Farm) Reporter(anonymize bool) *report.Reporter {
-	r := &report.Reporter{CBL: f.CBL, Anonymize: anonymize, Obs: f.Sim.Obs()}
+	r := &report.Reporter{Fold: f.Fold, CBL: f.CBL, Anonymize: anonymize, Obs: f.Sim.Obs()}
 	for _, sf := range f.Subfarms {
 		r.Subfarms = append(r.Subfarms, report.SubfarmSource{
 			Name: sf.Name, Router: sf.Router, SMTP: sf.SMTPAnalyzer,

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gq/internal/malware"
+	"gq/internal/report"
 	"gq/internal/shim"
 )
 
@@ -42,18 +43,11 @@ func TestWormExperimentChainInfection(t *testing.T) {
 
 	// Containment held: every outbound propagation was REDIRECTed inside
 	// the farm, never FORWARDed.
-	var redirects, forwards int
-	for _, rec := range e.Subfarm.Router.Records() {
-		if rec.Inbound {
-			continue
-		}
-		switch {
-		case rec.Verdict.Has(shim.Redirect):
-			redirects++
-		case rec.Verdict.Has(shim.Forward):
-			forwards++
-		}
+	outbound := func(v shim.Verdict) func(report.FlowClass) bool {
+		return func(c report.FlowClass) bool { return !c.Inbound && c.Verdict.Has(v) }
 	}
+	redirects := e.Farm.Fold.Flows(e.Subfarm.Name, outbound(shim.Redirect))
+	forwards := e.Farm.Fold.Flows(e.Subfarm.Name, outbound(shim.Forward))
 	if redirects == 0 {
 		t.Fatal("no redirected propagation attempts")
 	}

@@ -9,16 +9,15 @@ import (
 	"gq/internal/sim"
 )
 
-// FlowRecord is the per-flow accounting GQ's reporting consumes: the
-// endpoints the initiator addressed, the verdict and policy that decided
-// the flow, and payload byte counts.
+// FlowRecord is one flow's accounting, as the router keeps it for its live
+// flows and its newest closed ones (Router.Records): the endpoints the
+// initiator addressed, the verdict and policy that decided the flow, and
+// payload byte counts. Reports do not read it; they fold the journal's flow
+// events (report.Fold).
 type FlowRecord struct {
-	VLAN    uint16
-	Inbound bool // initiator is outside the farm
-
 	OrigIP   netstack.Addr // initiator
-	OrigPort uint16
 	RespIP   netstack.Addr // destination as the initiator addressed it
+	OrigPort uint16
 	RespPort uint16
 
 	Verdict    shim.Verdict
@@ -32,9 +31,12 @@ type FlowRecord struct {
 	// (containment server lost, or await-verdict deadline exceeded) rather
 	// than by a verdict from the wire. A fail-closed flow that still had a
 	// pending verdict carries no Policy; one whose server died after
-	// adjudication (mid-rewrite) keeps its policy name. Reporting uses the
-	// distinction to reconcile verdicts_applied against the records.
+	// adjudication (mid-rewrite) keeps its policy name.
 	FailClosed bool
+
+	// closed: the flow has left the table, so Router.trimRecords may drop
+	// the record.
+	closed bool
 }
 
 type flowState uint8
@@ -49,8 +51,9 @@ const (
 )
 
 // Flow is the gateway's per-flow state. Its fields are ordered to leave
-// almost no padding, and the state only some flows use is kept apart in
-// rare: it is 216 bytes, within the 256 TestFlowFitsSizeClass allows.
+// almost no padding (the id fills what was the last of it), and the state
+// only some flows use is kept apart in rare: it is 208 bytes, the size class
+// TestFlowFitsSizeClass pins.
 type Flow struct {
 	r   *Router
 	rec *FlowRecord
@@ -76,6 +79,11 @@ type Flow struct {
 	noncePort uint16
 	haveCSISN bool
 	shimSent  bool
+
+	// id names the flow in its router's journal events (obs.Event.Flow):
+	// minted by newFlow from a per-router counter, so (scope, id) is
+	// deterministic and names one flow.
+	id uint32
 
 	// Initiator payload buffered during phase 1 for replay to the actual
 	// responder after the verdict, in a buffer from the domain's frame list
@@ -162,11 +170,12 @@ func (f *Flow) keys() [numKeyKinds]flowKey {
 	return ks
 }
 
-// event starts a journal event about this flow: the inmate VLAN and the
-// five-tuple as the initiator addressed it, which every flow event carries.
+// event starts a journal event about this flow: its id, the inmate VLAN,
+// its direction and the five-tuple as the initiator addressed it, which
+// every flow event carries.
 func (f *Flow) event(typ string) obs.Event {
 	return obs.Event{
-		Type: typ, VLAN: f.vlan, Proto: f.proto,
+		Type: typ, Flow: f.id, VLAN: f.vlan, Proto: f.proto, Inbound: f.inbound,
 		SrcIP: uint32(f.initIP), SrcPort: f.initPort,
 		DstIP: uint32(f.respIP), DstPort: f.respPort,
 	}
@@ -175,13 +184,37 @@ func (f *Flow) event(typ string) obs.Event {
 // newFlowRecord initialises accounting.
 func (r *Router) newFlowRecord(f *Flow) *FlowRecord {
 	rec := &FlowRecord{
-		VLAN: f.vlan, Inbound: f.inbound,
 		OrigIP: f.initIP, OrigPort: f.initPort,
 		RespIP: f.respIP, RespPort: f.respPort,
 		Start: r.sim.Now(),
 	}
 	r.records = append(r.records, rec)
 	return rec
+}
+
+// maxClosedRecords is how many closed flows' records Records returns
+// beside the live flows'; the router holds at most twice as many between
+// trims.
+const maxClosedRecords = 1024
+
+// trimRecords drops the oldest closed records, in creation order, down to
+// maxClosedRecords, keeping the order of the rest.
+func (r *Router) trimRecords() {
+	drop := r.closedRecords - maxClosedRecords
+	if drop <= 0 {
+		return
+	}
+	kept := r.records[:0]
+	for _, rec := range r.records {
+		if drop > 0 && rec.closed {
+			drop--
+			continue
+		}
+		kept = append(kept, rec)
+	}
+	clear(r.records[len(kept):])
+	r.records = kept
+	r.closedRecords = maxClosedRecords
 }
 
 // dispatchInmateIP routes an IP packet that arrived from an inmate VLAN.
@@ -249,8 +282,9 @@ func (r *Router) newFlow(key netstack.FlowKey, vlan uint16, inbound bool) *Flow 
 		}
 	}
 	r.FlowsCreated.Inc()
+	r.lastFlowID++
 	f := &Flow{
-		r: r, proto: key.Proto, vlan: vlan, inbound: inbound,
+		r: r, id: r.lastFlowID, proto: key.Proto, vlan: vlan, inbound: inbound,
 		initIP: key.SrcIP, initPort: key.SrcPort,
 		respIP: key.DstIP, respPort: key.DstPort,
 		state: fsAwaitVerdict,
@@ -825,7 +859,7 @@ func (f *Flow) applyDrop(reason string) {
 	f.rec.Verdict = shim.Drop
 	f.rec.Annotation = reason
 	f.rec.VerdictAt = f.now()
-	f.recordVerdict(uint32(shim.Drop), reason)
+	f.recordVerdict()
 	f.reset(true)
 	f.state = fsDropped
 	f.scheduleClose(5 * time.Second)
@@ -870,7 +904,7 @@ func (f *Flow) adoptVerdict(resp *shim.Response) {
 	f.rec.Policy = resp.PolicyName
 	f.rec.Annotation = resp.Annotation
 	f.rec.VerdictAt = f.now()
-	f.recordVerdict(uint32(resp.Verdict), resp.PolicyName)
+	f.recordVerdict()
 
 	f.actualIP, f.actualPort = resp.RespIP, resp.RespPort
 	if f.actualIP == 0 {
@@ -919,12 +953,14 @@ func (f *Flow) applyVerdict(resp *shim.Response, extra []byte) {
 }
 
 // recordVerdict updates the verdict counter, latency histogram, and journal
-// once a flow's verdict is known. detail names the policy (or drop reason).
-func (f *Flow) recordVerdict(verdict uint32, detail string) {
+// once the record holds the flow's verdict: flow.verdict carries the
+// verdict, the policy as its detail (none for a drop the gateway decided
+// itself) and the annotation.
+func (f *Flow) recordVerdict() {
 	f.r.VerdictsApplied.Inc()
 	f.r.VerdictLatencyUS.Observe(int64((f.rec.VerdictAt - f.rec.Start) / time.Microsecond))
 	e := f.event(obs.EvFlowVerdict)
-	e.Verdict, e.Detail = verdict, detail
+	e.Verdict, e.Detail, e.Annotation = uint32(f.rec.Verdict), f.rec.Policy, f.rec.Annotation
 	f.r.sc.Emit(e)
 }
 
@@ -957,7 +993,8 @@ func (f *Flow) scheduleClose(after time.Duration) {
 	f.linger.Reset(after)
 }
 
-// close finalises accounting and removes lookup state.
+// close finalises accounting and removes lookup state. flow.closed carries
+// the final annotation: the close reason when nothing annotated the flow.
 func (f *Flow) close(reason string) {
 	if f.state == fsClosed {
 		return
@@ -975,6 +1012,10 @@ func (f *Flow) close(reason string) {
 	f.linger.Stop()
 	f.r.FlowsActive.Set(int64(f.r.ActiveFlows()))
 	e := f.event(obs.EvFlowClosed)
-	e.N, e.Detail = f.rec.BytesOrig+f.rec.BytesResp, reason
+	e.N, e.Detail, e.Annotation = f.rec.BytesOrig+f.rec.BytesResp, reason, f.rec.Annotation
 	f.r.sc.Emit(e)
+	f.rec.closed = true
+	if f.r.closedRecords++; f.r.closedRecords >= 2*maxClosedRecords {
+		f.r.trimRecords()
+	}
 }

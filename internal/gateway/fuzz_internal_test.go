@@ -105,8 +105,14 @@ func FuzzFlowSegments(f *testing.F) {
 		r := rig.r
 		r.learnInmate(lcPeerVLAN, lcPeer, inmateMAC(lcPeerVLAN))
 		flows := map[*Flow]struct{}{} // every flow the index has named
+		// open holds the flows created and not yet closed, by id; the
+		// journal keeps nothing of the rig's own setup.
+		open := map[uint32]bool{}
+		var last uint32
 		for state := 0; state < lcStates; state++ {
-			flows[rig.flowIn(state, uint16(4000+state))] = struct{}{}
+			fl := rig.flowIn(state, uint16(4000+state))
+			flows[fl] = struct{}{}
+			open[fl.id], last = true, fl.id
 		}
 		r.taps, rig.g.upstreamTaps = nil, nil // the rig's logging taps, not needed here
 		csIP, global := r.cfg.ContainmentCluster[0].IP, r.nat.ByVLAN(lcVLAN).Global
@@ -257,8 +263,24 @@ func FuzzFlowSegments(f *testing.F) {
 		if n := len(r.index); n != 0 {
 			t.Errorf("%d flow-index entries left past the sweep horizon", n)
 		}
-		if got, want := rig.journal.count(obs.EvFlowClosed), len(r.Records()); got != want {
-			t.Errorf("%d flow.closed events for %d flows", got, want)
+		// Every flow has an id above the last one's, and closes once.
+		for _, e := range rig.journal.events {
+			switch e.Type {
+			case obs.EvFlowCreated:
+				if e.Flow <= last {
+					t.Errorf("flow id %d created after %d", e.Flow, last)
+				}
+				last = e.Flow
+				open[e.Flow] = true
+			case obs.EvFlowClosed:
+				if !open[e.Flow] {
+					t.Errorf("flow.closed for flow %d, which is not open", e.Flow)
+				}
+				delete(open, e.Flow)
+			}
+		}
+		if len(open) != 0 {
+			t.Errorf("%d flows never closed", len(open))
 		}
 	})
 }

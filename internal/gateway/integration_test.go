@@ -447,7 +447,7 @@ func TestInboundFlowContainment(t *testing.T) {
 	// The flow must have been adjudicated.
 	var sawInbound bool
 	for _, rec := range tb.router.Records() {
-		if rec.Inbound && rec.Verdict == shim.Forward {
+		if rec.OrigIP == ext.Addr() && rec.Verdict == shim.Forward {
 			sawInbound = true
 		}
 	}

@@ -235,8 +235,12 @@ type Router struct {
 	infraIn   map[netstack.Addr]netstack.Addr
 	infraNext int
 
-	// Records of all flows, for reporting.
-	records []*FlowRecord
+	// records holds the live flows' records and recently closed ones, in
+	// creation order; closedRecords counts the closed (trimRecords).
+	// lastFlowID is the id newFlow minted last.
+	records       []*FlowRecord
+	closedRecords int
+	lastFlowID    uint32
 
 	// Taps observe packets traversing this subfarm (inmate-side, i.e. with
 	// unroutable internal addresses, per §5.6).
@@ -661,8 +665,14 @@ func (r *Router) InmateByVLAN(vlan uint16) (netstack.Addr, netstack.MAC, bool) {
 	return b.Internal, b.MAC, true
 }
 
-// Records returns all flow records.
-func (r *Router) Records() []*FlowRecord { return r.records }
+// Records returns the records of the live flows and of the newest
+// maxClosedRecords closed ones, in creation order. The Fig. 7 report and
+// the experiments read the journal's fold instead (report.Fold), which sees
+// every flow.
+func (r *Router) Records() []*FlowRecord {
+	r.trimRecords()
+	return r.records
+}
 
 // ActiveFlows reports live flow-table entries (flows plus live leg-2
 // registrations), for leak detection in tests and operations dashboards.

@@ -20,11 +20,20 @@ func refEventJSON(e Event, epoch time.Time, verdictName func(uint32) string) str
 	if e.Scope != "" {
 		b.WriteString(`,"scope":` + strconv.Quote(e.Scope))
 	}
+	if e.Flow != 0 {
+		b.WriteString(`,"flow":` + strconv.FormatUint(uint64(e.Flow), 10))
+	}
+	if e.Inbound {
+		b.WriteString(`,"inbound":true`)
+	}
 	if e.Verdict != 0 {
 		b.WriteString(`,"verdict":` + strconv.Quote(verdictName(e.Verdict)))
 	}
 	if e.Detail != "" {
 		b.WriteString(`,"detail":` + strconv.Quote(e.Detail))
+	}
+	if e.Annotation != "" {
+		b.WriteString(`,"annotation":` + strconv.Quote(e.Annotation))
 	}
 	b.WriteString("}\n")
 	return b.String()
@@ -34,7 +43,10 @@ func refEventJSON(e Event, epoch time.Time, verdictName func(uint32) string) str
 // strconv.AppendQuote make, over random events: strings with quotes,
 // backslashes, control bytes, DEL, non-ASCII text and invalid UTF-8, and
 // stamps that roll over days, months, a leap day, years and past year
-// 9999, with sub-microsecond parts the format truncates.
+// 9999, with sub-microsecond parts the format truncates. The flow fields
+// (id, direction, annotation) are each set on half the events, and an
+// event without them renders as it did before they existed: the reference
+// writes nothing for them then.
 func TestEventEncoderMatchesStdlib(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pieces := []string{
@@ -73,6 +85,13 @@ func TestEventEncoderMatchesStdlib(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			e.Verdict = uint32(i + 1)
 			names[e.Verdict] = str()
+		}
+		if rng.Intn(2) == 0 {
+			e.Flow = rng.Uint32()
+		}
+		e.Inbound = rng.Intn(2) == 0
+		if rng.Intn(2) == 0 {
+			e.Annotation = str()
 		}
 		buf = appendEventJSON(buf[:0], e, epoch, verdictName)
 		if want := refEventJSON(e, epoch, verdictName); string(buf) != want {

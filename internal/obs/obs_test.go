@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -348,7 +349,7 @@ func TestScopeSameNameAcrossStreams(t *testing.T) {
 		}(shard, sc)
 	}
 	wg.Wait()
-	o.Journal.FlushOrdered()
+	o.Journal.FlushBefore(math.MaxInt64)
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}

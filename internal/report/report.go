@@ -11,7 +11,8 @@ import (
 	"gq/internal/shim"
 )
 
-// SubfarmSource names one subfarm's data feeds.
+// SubfarmSource names one subfarm's data feeds. Its flows are the Fold's
+// under Name, the scope its router journals in.
 type SubfarmSource struct {
 	Name   string
 	Router *gateway.Router
@@ -24,6 +25,8 @@ type SubfarmSource struct {
 type Reporter struct {
 	// Subfarms lists the active subfarms in display order.
 	Subfarms []SubfarmSource
+	// Fold holds every subfarm's flows, folded from the journal.
+	Fold *Fold
 	// CBL, when set, is cross-checked against inmate global addresses.
 	CBL *CBL
 	// Anonymize masks the first two octets of global addresses (the paper
@@ -36,15 +39,6 @@ type Reporter struct {
 
 // verdictOrder fixes section ordering in reports.
 var verdictOrder = []shim.Verdict{shim.Forward, shim.Limit, shim.Drop, shim.Redirect, shim.Reflect, shim.Rewrite}
-
-// aggRow is one "annotation -> target/port/#flows" line.
-type aggRow struct {
-	annotation string
-	targets    map[netstack.Addr]bool
-	port       uint16
-	mixedPort  bool
-	flows      int
-}
 
 // Generate renders the current activity report.
 func (r *Reporter) Generate() string {
@@ -69,11 +63,12 @@ func (r *Reporter) Generate() string {
 	return b.String()
 }
 
-// CrossCheck verifies the registry counters against the reporter's
-// independent per-flow records ("allowing us to verify that the gateway
-// enforces these decisions as expected"). It returns one message per
-// inconsistency; an empty result means the telemetry and the flow records
-// agree exactly.
+// CrossCheck verifies the registry counters against the journal's flow
+// events as the fold counted them ("allowing us to verify that the gateway
+// enforces these decisions as expected"): flows created, verdicts applied
+// (each from the wire, or a drop the gateway decided on a malformed shim)
+// and flows failed closed. It returns one message per inconsistency; an
+// empty result means the telemetry and the journal agree exactly.
 func (r *Reporter) CrossCheck() []string {
 	if r.Obs == nil {
 		return []string{"cross-check: no telemetry attached"}
@@ -81,34 +76,21 @@ func (r *Reporter) CrossCheck() []string {
 	snap := r.Obs.Snapshot()
 	var problems []string
 	for _, sf := range r.Subfarms {
-		recs := sf.Router.Records()
-		// A fail-closed record with a Policy went through a real verdict
-		// before supervision killed it (counted by verdicts_applied AND
-		// flows_failclosed); one without a Policy never got a verdict over
-		// the wire — its Drop is synthetic, counted only by flows_failclosed.
-		var adjudicated, preFC, postFC uint64
-		for _, rec := range recs {
-			switch {
-			case rec.FailClosed && rec.Policy != "":
-				postFC++
-			case rec.FailClosed:
-				preFC++
-			case rec.Verdict != 0:
-				adjudicated++
-			}
-		}
+		s := r.Fold.scope(sf.Name)
 		pfx := "subfarm." + sf.Name + "."
-		if got := snap.Counter(pfx + "flows_created"); got != uint64(len(recs)) {
-			problems = append(problems, fmt.Sprintf(
-				"%s: %sflows_created=%d but %d flow records", sf.Name, pfx, got, len(recs)))
-		}
-		if got := snap.Counter(pfx + "verdicts_applied"); got != adjudicated+postFC {
-			problems = append(problems, fmt.Sprintf(
-				"%s: %sverdicts_applied=%d but %d adjudicated flow records", sf.Name, pfx, got, adjudicated+postFC))
-		}
-		if got := snap.Counter(pfx + "flows_failclosed"); got != preFC+postFC {
-			problems = append(problems, fmt.Sprintf(
-				"%s: %sflows_failclosed=%d but %d fail-closed flow records", sf.Name, pfx, got, preFC+postFC))
+		for _, c := range []struct {
+			series string
+			events uint64
+			typ    string
+		}{
+			{"flows_created", s.created, obs.EvFlowCreated},
+			{"verdicts_applied", s.verdicts, obs.EvFlowVerdict},
+			{"flows_failclosed", s.failClosed, obs.EvFlowFailClosed},
+		} {
+			if got := snap.Counter(pfx + c.series); got != c.events {
+				problems = append(problems, fmt.Sprintf(
+					"%s: %s%s=%d but %d %s events", sf.Name, pfx, c.series, got, c.events, c.typ))
+			}
 		}
 	}
 	return problems
@@ -119,21 +101,17 @@ func (r *Reporter) renderSubfarm(b *strings.Builder, sf SubfarmSource) {
 	head := fmt.Sprintf("Subfarm '%s' [Containment server VLAN %d]", sf.Name, cfg.ContainmentCluster[0].VLAN)
 	fmt.Fprintf(b, "%s\n%s\n\n", head, strings.Repeat("-", len(head)))
 
-	// Group records per inmate VLAN.
-	byVLAN := make(map[uint16][]*gateway.FlowRecord)
-	for _, rec := range sf.Router.Records() {
-		byVLAN[rec.VLAN] = append(byVLAN[rec.VLAN], rec)
-	}
-	vlans := make([]int, 0, len(byVLAN))
-	for v := range byVLAN {
+	s := r.Fold.scope(sf.Name)
+	rowsByVLAN := s.rows()
+	vlans := make([]int, 0, len(s.vlans))
+	for v := range s.vlans {
 		vlans = append(vlans, int(v))
 	}
 	sort.Ints(vlans)
 
 	for _, v := range vlans {
 		vlan := uint16(v)
-		recs := byVLAN[vlan]
-		policy := dominantPolicy(recs)
+		policy := dominantPolicy(s.vlans[vlan].policies)
 		internal, _, _ := sf.Router.InmateByVLAN(vlan)
 		global := netstack.Addr(0)
 		if bnd := sf.Router.NAT().ByVLAN(vlan); bnd != nil {
@@ -142,21 +120,20 @@ func (r *Reporter) renderSubfarm(b *strings.Builder, sf SubfarmSource) {
 		head := fmt.Sprintf("%s [%s/%s, VLAN %d]", policy, r.globalString(global), internal, vlan)
 		fmt.Fprintf(b, "%s\n%s\n", head, strings.Repeat("-", len(head)))
 
-		rows := aggregate(recs)
+		byVerdict := make(map[shim.Verdict][]rowKey)
+		for k := range rowsByVLAN[vlan] {
+			byVerdict[k.verdict] = append(byVerdict[k.verdict], k)
+		}
 		for _, verdict := range verdictOrder {
-			vrows := rows[verdict]
-			if len(vrows) == 0 {
+			keys := byVerdict[verdict]
+			if len(keys) == 0 {
 				continue
 			}
 			fmt.Fprintf(b, "%s\n", verdict)
-			keys := make([]string, 0, len(vrows))
-			for k := range vrows {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
+			sort.Slice(keys, func(i, k int) bool { return keys[i].annotation < keys[k].annotation })
 			for _, k := range keys {
-				row := vrows[k]
-				fmt.Fprintf(b, "- %-40s target          port    #flows\n", row.annotation)
+				row := rowsByVLAN[vlan][k]
+				fmt.Fprintf(b, "- %-40s target          port    #flows\n", k.annotation)
 				fmt.Fprintf(b, "  %-40s %-15s %-7s %d\n", "",
 					r.targetString(row), portService(row), row.flows)
 			}
@@ -190,14 +167,9 @@ func (r *Reporter) renderBlacklist(b *strings.Builder) {
 	}
 }
 
-// dominantPolicy picks the most frequent policy label among records.
-func dominantPolicy(recs []*gateway.FlowRecord) string {
-	counts := make(map[string]int)
-	for _, rec := range recs {
-		if rec.Policy != "" {
-			counts[rec.Policy]++
-		}
-	}
+// dominantPolicy picks the policy that decided the most flows, the
+// alphabetically first on a tie.
+func dominantPolicy(counts map[string]int) string {
 	best, n := "(no policy)", 0
 	for p, c := range counts {
 		if c > n || (c == n && p < best) {
@@ -207,44 +179,11 @@ func dominantPolicy(recs []*gateway.FlowRecord) string {
 	return best
 }
 
-// aggregate groups records into verdict -> annotation rows.
-func aggregate(recs []*gateway.FlowRecord) map[shim.Verdict]map[string]*aggRow {
-	out := make(map[shim.Verdict]map[string]*aggRow)
-	for _, rec := range recs {
-		if rec.Verdict == 0 {
-			continue // never adjudicated (e.g. still in flight)
-		}
-		rows := out[rec.Verdict]
-		if rows == nil {
-			rows = make(map[string]*aggRow)
-			out[rec.Verdict] = rows
-		}
-		ann := rec.Annotation
-		if ann == "" {
-			ann = "(unannotated)"
-		}
-		row := rows[ann]
-		if row == nil {
-			row = &aggRow{annotation: ann, targets: make(map[netstack.Addr]bool), port: rec.RespPort}
-			rows[ann] = row
-		}
-		row.targets[rec.RespIP] = true
-		if row.port != rec.RespPort {
-			row.mixedPort = true
-		}
-		row.flows++
-	}
-	return out
-}
-
-func (r *Reporter) targetString(row *aggRow) string {
-	if len(row.targets) != 1 {
+func (r *Reporter) targetString(row aggRow) string {
+	if row.mixedTarget {
 		return "*.*.*.*"
 	}
-	for t := range row.targets {
-		return r.globalString(t)
-	}
-	return "*.*.*.*"
+	return r.globalString(row.target)
 }
 
 // globalString renders an address, anonymising routable space when asked.
@@ -266,7 +205,7 @@ func isRFC1918(a netstack.Addr) bool {
 		netstack.MustParsePrefix("192.168.0.0/16").Contains(a)
 }
 
-func portService(row *aggRow) string {
+func portService(row aggRow) string {
 	if row.mixedPort {
 		return "*"
 	}

@@ -234,12 +234,12 @@ func TestAnonymization(t *testing.T) {
 func TestPortService(t *testing.T) {
 	cases := map[uint16]string{25: "smtp", 80: "http", 443: "https", 21: "ftp", 53: "domain", 6543: "6543"}
 	for port, want := range cases {
-		row := &aggRow{port: port}
+		row := aggRow{port: port}
 		if got := portService(row); got != want {
 			t.Errorf("port %d -> %q, want %q", port, got, want)
 		}
 	}
-	if portService(&aggRow{port: 25, mixedPort: true}) != "*" {
+	if portService(aggRow{port: 25, mixedPort: true}) != "*" {
 		t.Error("mixed ports should render *")
 	}
 }

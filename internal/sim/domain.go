@@ -266,9 +266,10 @@ func (c *Coordinator) RunFor(d time.Duration) { c.RunUntil(c.root.now + d) }
 
 // RunUntil executes events across all domains with firing times <=
 // deadline, advancing every domain's clock to deadline afterwards
-// (mirroring Simulator.RunUntil). On return all domains are quiesced and the
-// journal's buffered events have been merged and flushed in deterministic
-// order.
+// (mirroring Simulator.RunUntil). Each round's journal events are merged
+// and flushed in deterministic order once no domain can emit an earlier
+// one, so the buffer holds about one lookahead's worth; on return all
+// domains are quiesced and the buffer is empty.
 func (c *Coordinator) RunUntil(deadline time.Duration) {
 	helpers := c.workers - 1
 	if n := len(c.domains) - 1; helpers > n {
@@ -287,8 +288,14 @@ func (c *Coordinator) RunUntil(deadline time.Duration) {
 		d.admitInjected()
 	}
 	gid := goid()
+	j := c.root.obs.Journal
 	for {
 		t, ok := c.nextTime()
+		if ok {
+			// Nothing can happen before t any more: write out what the
+			// domains journalled before it.
+			j.FlushBefore(t)
+		}
 		if !ok || t > deadline {
 			break
 		}
@@ -309,7 +316,7 @@ func (c *Coordinator) RunUntil(deadline time.Duration) {
 			d.setNow(deadline)
 		}
 	}
-	c.root.obs.Journal.FlushOrdered()
+	j.FlushBefore(maxTime)
 }
 
 // nextTime finds the earliest actionable virtual time across all domains

@@ -67,6 +67,12 @@ shimvars=$(grep -ohE "\b[A-Za-z_][A-Za-z0-9_]*(\s+|\s*:?=\s*&?)\*?$shimT\b" $shi
 # shellcheck disable=SC2086
 bad "shim encoded with Marshal in internal/gateway or internal/containment (use AppendTo)" \
 	"$(grep -nE "$shimT\{[^}]*\}\)?\.Marshal\(\)${shimvars:+|\b($shimvars)\.Marshal\(\)}" $shimfiles || true)"
+# Reports read the journal's fold (report.Fold), not the router's flow
+# records: outside internal/gateway, bench/ and examples/, non-test Go calls
+# no .Records() (Router.Records keeps only the live and newest closed flows).
+# shellcheck disable=SC2086
+bad "flow records read outside internal/gateway, bench/ and examples/ (read report.Fold)" \
+	"$(grep -n '\.Records()' $(echo "$files" | grep -v -e '^./internal/gateway/' -e '^./examples/') || true)"
 # Every frame buffer in a domain cycles through its one frame list
 # (DESIGN.md §3b, netsim.Frames): in non-test internal/netsim, internal/host
 # and internal/gateway a buffer is taken from the list (.Take) only by the
