@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify loc fuzz examples bench-smoke bench-ab chaos soak recycle-soak fleet-soak serve-smoke
+.PHONY: build test vet race verify portable loc fuzz examples bench-smoke bench-ab chaos soak recycle-soak fleet-soak serve-smoke
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,12 @@ race:
 
 # Tier-1 verification recipe (see ROADMAP.md).
 verify: build vet test race
+
+# The checksum kernel and the simulator on a 32-bit target, where
+# bits.Add64 and 64-bit shifts are emulated: GOARCH=386 runs natively on
+# amd64.
+portable:
+	GOARCH=386 $(GO) test ./internal/netstack ./internal/sim
 
 # Non-test Go lines per package and in total (bench/ separately), so a
 # "net-negative" change is a number: with PARENT=<rev>, a per-package

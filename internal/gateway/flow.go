@@ -275,7 +275,11 @@ func pureSYN(p *netstack.Packet) bool {
 // newFlow creates and registers flow state for a new five-tuple.
 func (r *Router) newFlow(key netstack.FlowKey, vlan uint16, inbound bool) *Flow {
 	// Bounded table: shed the least-recently-active flow under pressure
-	// instead of growing without limit.
+	// instead of growing without limit. The shed queue lives only while
+	// the table is at the bound.
+	if r.shed != nil && r.ActiveFlows() < r.maxFlows {
+		r.shed = nil
+	}
 	for r.ActiveFlows() >= r.maxFlows {
 		if !r.shedLRU() {
 			break
@@ -304,6 +308,9 @@ func (r *Router) newFlow(key netstack.FlowKey, vlan uint16, inbound bool) *Flow 
 	r.FlowsActive.Set(int64(r.ActiveFlows()))
 	r.sc.Emit(f.event(obs.EvFlowCreated))
 	f.touch()
+	if r.shed != nil {
+		r.shed.push(shedEntry{f.lastActivity, f})
+	}
 	return f
 }
 

@@ -117,6 +117,7 @@ func FuzzFlowSegments(f *testing.F) {
 		r.taps, rig.g.upstreamTaps = nil, nil // the rig's logging taps, not needed here
 		csIP, global := r.cfg.ContainmentCluster[0].IP, r.nat.ByVLAN(lcVLAN).Global
 		checkIndex := func(op byte) {
+			checkShedQueue(t, r)
 			for k, fl := range r.index {
 				flows[fl] = struct{}{}
 				if fl.state == fsClosed || fl.keys()[k.kind] != k {
@@ -245,7 +246,7 @@ func FuzzFlowSegments(f *testing.F) {
 				case 0:
 					rig.s.RunFor(30 * time.Second) // one sweep
 				case 1:
-					r.shedLRU()
+					shedAndCompare(t, r, func() { r.shedLRU() })
 				case 2:
 					r.SetLockdown(true, "fuzz")
 				case 3:

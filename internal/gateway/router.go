@@ -253,6 +253,10 @@ type Router struct {
 	maxFlows            int
 	awaitVerdictTimeout time.Duration
 
+	// shed orders the live flows for shedLRU while the table is at
+	// maxFlows: nil below it (see newFlow).
+	shed *shedQueue
+
 	// Containment-plane health, driven by internal/supervisor: csDown[i]
 	// mirrors cluster member i's health, healthPorts demultiplexes
 	// heartbeat echoes back to the supervisor by probe source port, and
@@ -1112,49 +1116,6 @@ func (r *Router) tombstone(k synTombKey) {
 		return
 	}
 	r.synTombs[k] = r.sim.Now() + synTombstoneTTL
-}
-
-// shedLRU evicts the least-recently-active flow to make room for a new one
-// when the table is at its bound. The victim's endpoints receive RSTs so
-// inmates see clean failure instead of a silent blackhole. Ties break on the
-// five-tuple, which no two live flows share, keeping eviction order
-// deterministic for a given seed despite map iteration. Reports whether a
-// victim was found.
-func (r *Router) shedLRU() bool {
-	var victim *Flow
-	better := func(f *Flow) bool {
-		v := victim
-		switch {
-		case v == nil:
-			return true
-		case f.lastActivity != v.lastActivity:
-			return f.lastActivity < v.lastActivity
-		case f.initIP != v.initIP:
-			return f.initIP < v.initIP
-		case f.initPort != v.initPort:
-			return f.initPort < v.initPort
-		case f.proto != v.proto:
-			return f.proto < v.proto
-		case f.respIP != v.respIP:
-			return f.respIP < v.respIP
-		}
-		return f.respPort < v.respPort
-	}
-	r.eachFlow(func(f *Flow) {
-		if better(f) {
-			victim = f
-		}
-	})
-	if victim == nil {
-		return false
-	}
-	victim.reset(true)
-	r.FlowsShed.Inc()
-	e := victim.event(obs.EvFlowShed)
-	e.Detail = "flow table full"
-	r.sc.Emit(e)
-	victim.close("shed under pressure")
-	return true
 }
 
 // allocNonce picks a nonce port no live flow owns.

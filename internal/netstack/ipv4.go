@@ -86,28 +86,57 @@ func (ip *IPv4) Unmarshal(b []byte) ([]byte, error) {
 // yields zero.
 //
 // The ones-complement sum of 16-bit words equals the folded ones-complement
-// sum of wider words over the same bytes, so the loop adds 8-byte
-// big-endian words with carry (four per iteration) and folds 64 -> 16 bits
-// once at the end.
+// sum of wider words over the same bytes, and it commutes with swapping the
+// bytes of every word (RFC 1071 §2(B)). So the kernel adds little-endian
+// 8-byte words with carry, a plain load each: 64 bytes per iteration, then
+// at most one 32-, one 16- and one 8-byte step, and the last 4, 2 and 1
+// bytes shifted into one word. The seed goes in byte-swapped and the folded
+// sum comes out swapped back.
 func Checksum(b []byte, initial uint32) uint16 {
-	sum, carry := uint64(initial), uint64(0)
-	for len(b) >= 32 {
-		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[0:8]), carry)
-		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[8:16]), carry)
-		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[16:24]), carry)
-		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[24:32]), carry)
+	sum, carry := uint64(bits.ReverseBytes32(initial)), uint64(0)
+	for len(b) >= 64 {
+		sum, carry = bits.Add64(sum, binary.LittleEndian.Uint64(b[0:8]), carry)
+		sum, carry = bits.Add64(sum, binary.LittleEndian.Uint64(b[8:16]), carry)
+		sum, carry = bits.Add64(sum, binary.LittleEndian.Uint64(b[16:24]), carry)
+		sum, carry = bits.Add64(sum, binary.LittleEndian.Uint64(b[24:32]), carry)
+		sum, carry = bits.Add64(sum, binary.LittleEndian.Uint64(b[32:40]), carry)
+		sum, carry = bits.Add64(sum, binary.LittleEndian.Uint64(b[40:48]), carry)
+		sum, carry = bits.Add64(sum, binary.LittleEndian.Uint64(b[48:56]), carry)
+		sum, carry = bits.Add64(sum, binary.LittleEndian.Uint64(b[56:64]), carry)
+		b = b[64:]
+	}
+	if len(b) >= 32 {
+		sum, carry = bits.Add64(sum, binary.LittleEndian.Uint64(b[0:8]), carry)
+		sum, carry = bits.Add64(sum, binary.LittleEndian.Uint64(b[8:16]), carry)
+		sum, carry = bits.Add64(sum, binary.LittleEndian.Uint64(b[16:24]), carry)
+		sum, carry = bits.Add64(sum, binary.LittleEndian.Uint64(b[24:32]), carry)
 		b = b[32:]
 	}
-	for len(b) >= 8 {
-		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b), carry)
+	if len(b) >= 16 {
+		sum, carry = bits.Add64(sum, binary.LittleEndian.Uint64(b[0:8]), carry)
+		sum, carry = bits.Add64(sum, binary.LittleEndian.Uint64(b[8:16]), carry)
+		b = b[16:]
+	}
+	if len(b) >= 8 {
+		sum, carry = bits.Add64(sum, binary.LittleEndian.Uint64(b), carry)
 		b = b[8:]
 	}
 	if len(b) > 0 {
-		// Fewer than 8 bytes left: a big-endian word zero-padded on the
-		// right, which also pads an odd final byte as RFC 1071 requires.
+		// Fewer than 8 bytes left. Each chunk starts at an even offset, and
+		// a 16-bit lane folds the same at any of the word's four positions,
+		// so each chunk has a fixed lane; an odd final byte is the low byte
+		// of its lane, zero-padded as RFC 1071 requires.
 		var w uint64
-		for i, x := range b {
-			w |= uint64(x) << (56 - 8*uint(i))
+		if len(b) >= 4 {
+			w = uint64(binary.LittleEndian.Uint32(b))
+			b = b[4:]
+		}
+		if len(b) >= 2 {
+			w |= uint64(binary.LittleEndian.Uint16(b)) << 32
+			b = b[2:]
+		}
+		if len(b) > 0 {
+			w |= uint64(b[0]) << 48
 		}
 		sum, carry = bits.Add64(sum, w, carry)
 	}
@@ -119,7 +148,7 @@ func Checksum(b []byte, initial uint32) uint16 {
 	sum = sum>>16 + sum&0xffff
 	sum = sum>>16 + sum&0xffff
 	sum = sum>>16 + sum&0xffff
-	return ^uint16(sum)
+	return ^bits.ReverseBytes16(uint16(sum))
 }
 
 // pseudoHeaderSum computes the partial sum of the TCP/UDP pseudo-header.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -71,5 +72,81 @@ func TestConcurrentSnapshotDuringRun(t *testing.T) {
 		default:
 			s.RunFor(10 * time.Millisecond)
 		}
+	}
+}
+
+// TestObservedNowMirrorsNow pins the observer mirror to the clock, which
+// setNow writes only when the clock moves: inside every callback of a storm
+// whose events mostly share an instant, after a RunUntil past an empty
+// queue, and in every domain of a coordinated run.
+func TestObservedNowMirrorsNow(t *testing.T) {
+	check := func(s *Simulator, where string) {
+		t.Helper()
+		if got, want := s.ObservedNow(), s.Now(); got != want {
+			t.Fatalf("%s: ObservedNow %v, Now %v", where, got, want)
+		}
+	}
+
+	s := New(3)
+	rng := rand.New(rand.NewSource(3))
+	fired, budget := 0, 20_000
+	var storm func()
+	storm = func() {
+		fired++
+		check(s, "storm callback")
+		for n := rng.Intn(4); n > 0 && budget > 0; n-- {
+			budget--
+			d := time.Duration(0)
+			if rng.Intn(4) == 0 {
+				d = time.Duration(rng.Intn(5)) * time.Microsecond
+			}
+			s.Schedule(d, storm)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		s.Schedule(time.Duration(i%4)*time.Microsecond, storm)
+	}
+	s.Run()
+	if fired < 10_000 {
+		t.Fatalf("storm fired %d events, want at least 10,000", fired)
+	}
+	check(s, "after Run")
+	s.RunUntil(s.Now() + time.Second)
+	check(s, "after RunUntil past an empty queue")
+	s.RunFor(0)
+	check(s, "after RunFor(0)")
+
+	root := New(5)
+	root.RunFor(time.Millisecond)
+	c := NewCoordinator(root, time.Millisecond, 2)
+	doms := []*Simulator{root, c.NewDomain(), c.NewDomain(), c.NewDomain()}
+	for _, d := range doms[1:] {
+		check(d, "new domain")
+	}
+	mismatches := make([]int, len(doms))
+	for i, d := range doms {
+		d.Every(time.Duration(i+1)*100*time.Microsecond, func() {
+			if d.ObservedNow() != d.Now() {
+				mismatches[i]++
+			}
+			d.Schedule(0, func() {
+				if d.ObservedNow() != d.Now() {
+					mismatches[i]++
+				}
+			})
+			next := doms[(i+1)%len(doms)]
+			postTo(d, next, time.Millisecond, func() {
+				if next.ObservedNow() != next.Now() {
+					mismatches[next.shard]++
+				}
+			})
+		})
+	}
+	c.RunUntil(50*time.Millisecond + 50*time.Microsecond)
+	for i, d := range doms {
+		if mismatches[i] != 0 {
+			t.Fatalf("domain %d: ObservedNow differed from Now in %d callbacks", i, mismatches[i])
+		}
+		check(d, "domain after the coordinated run")
 	}
 }

@@ -206,8 +206,13 @@ func (s *Simulator) Local(key any, mk func() any) any {
 	return v
 }
 
-// setNow advances the clock, keeping the observer mirror in sync.
+// setNow advances the clock, keeping the observer mirror in sync. The
+// mirror is written only when the clock moves: many events fire at the
+// instant already on it, and the atomic store is not free.
 func (s *Simulator) setNow(t time.Duration) {
+	if t == s.now {
+		return
+	}
 	s.now = t
 	s.nowShared.Store(int64(t))
 }
